@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race serve-race fuzz-wire bench-smoke bench bench-wire bench-scaling tables ci
+.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race serve-race fuzz-wire bench-smoke bench bench-scaling tables ci
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,12 @@ fmt-check:
 # lockorder, tripwire — see README "Static analysis"). nowlint also
 # speaks go vet's unitchecker protocol, so the same suite runs as
 #   $(GO) build -o /tmp/nowlint ./cmd/nowlint && $(GO) vet -vettool=/tmp/nowlint ./...
+# Configuration travels in Config values: a process-wide Set…Default
+# setter in the protocol library or the runtime fails the lint.
 lint:
 	$(GO) run ./cmd/nowlint ./...
+	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
+		echo "lint: package-level Set*Default setter (use dsm.Config / core.Config fields)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -104,25 +108,13 @@ bench-smoke:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem
 
-# Wire-format before/after: total bytes, datagrams, and bytes per
-# synchronization episode for Water and QSORT at 8 and 32 processors
-# under the v1 (one datagram per message) and v2 (coalesced +
-# delta-compressed) formats. Add SCALE=test for a fast run.
+# The P = 8..128 scaling-wall study (tree-routed consensus, batched
+# departure waves, P-aware GC trigger). The flat-consensus baseline it
+# was once compared against is recorded in the README. Add SCALE=test
+# for a fast run; at full scale the 64- and 128-node cells take serious
+# time.
 SCALE ?= full
-bench-wire:
-	$(GO) run ./cmd/nowbench -wire -scale $(SCALE)
-
-# Scaling-wall before/after: the P = 8..128 study under the flat
-# consensus transport (every push and departure a direct send — the
-# pre-hierarchical baseline), then under the tree-routed transport with
-# batched departure waves and the P-aware GC trigger. Compare the wall
-# lines per application. Add SCALE=test for a fast run; at full scale the
-# 64- and 128-node cells take serious time.
 bench-scaling:
-	@echo '=== flat consensus (baseline) ==='
-	$(GO) run ./cmd/nowbench -scaling -flatconsensus -scale $(SCALE)
-	@echo
-	@echo '=== hierarchical consensus ==='
 	$(GO) run ./cmd/nowbench -scaling -scale $(SCALE)
 
 # Regenerate every paper artifact at full scale.

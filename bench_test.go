@@ -1,14 +1,15 @@
 // Package repro's root benchmarks regenerate every table and figure of
 // the paper through the testing.B interface, one benchmark family per
-// artifact (DESIGN.md §3):
+// artifact, the per-application ones as sub-benchmarks generated from
+// harness.Apps × harness.Impls:
 //
-//	BenchmarkTable1_*            sequential times per application
-//	BenchmarkFigure6_*           8-processor speedups, OpenMP (NOW, SMP
-//	                             and hybrid NOW-of-SMPs backends), Tmk,
-//	                             MPI
-//	BenchmarkTable2_*            data and message volumes
-//	BenchmarkMicro_*             Section 6 platform characteristics
-//	BenchmarkAblation*           Section 3 flush vs semaphore/condvar
+//	BenchmarkTable1/<App>         sequential times per application
+//	BenchmarkFigure6/<App>/<impl> 8-processor speedups, OpenMP (NOW, SMP
+//	                              and hybrid NOW-of-SMPs backends), Tmk,
+//	                              MPI
+//	BenchmarkTable2/<App>         data and message volumes (OpenMP/NOW)
+//	BenchmarkMicro_*              Section 6 platform characteristics
+//	BenchmarkAblation*            Section 3 flush vs semaphore/condvar
 //
 // The interesting output is the custom metrics (speedup, MB, msgs,
 // virtual_ms) reported per benchmark; wall-clock ns/op only measures the
@@ -29,11 +30,7 @@ import (
 
 const benchScale = harness.Test
 
-func benchApp(b *testing.B, appName string, impl harness.Impl, procs int) {
-	a, ok := harness.FindApp(appName)
-	if !ok {
-		b.Fatalf("unknown app %s", appName)
-	}
+func benchApp(b *testing.B, a harness.App, impl harness.Impl, procs int) {
 	seq := a.RunSeq(benchScale)
 	for i := 0; i < b.N; i++ {
 		res, err := harness.Verified(a, benchScale, impl, procs)
@@ -49,83 +46,36 @@ func benchApp(b *testing.B, appName string, impl harness.Impl, procs int) {
 	}
 }
 
-// --- Table 1: sequential execution times -----------------------------
-
-func benchSeq(b *testing.B, appName string) {
-	a, ok := harness.FindApp(appName)
-	if !ok {
-		b.Fatalf("unknown app %s", appName)
+// BenchmarkTable1 measures the sequential execution times.
+func BenchmarkTable1(b *testing.B) {
+	for _, a := range harness.Apps {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := a.RunSeq(benchScale)
+				if i == b.N-1 {
+					b.ReportMetric(res.Time.Seconds()*1e3, "virtual_ms")
+				}
+			}
+		})
 	}
-	for i := 0; i < b.N; i++ {
-		res := a.RunSeq(benchScale)
-		if i == b.N-1 {
-			b.ReportMetric(res.Time.Seconds()*1e3, "virtual_ms")
+}
+
+// BenchmarkFigure6 measures the speedups at 8 processors, every version.
+func BenchmarkFigure6(b *testing.B) {
+	for _, a := range harness.Apps {
+		for _, impl := range harness.Impls {
+			b.Run(a.Name+"/"+string(impl), func(b *testing.B) { benchApp(b, a, impl, 8) })
 		}
 	}
 }
 
-func BenchmarkTable1_Sweep3D(b *testing.B) { benchSeq(b, "Sweep3D") }
-func BenchmarkTable1_3DFFT(b *testing.B)   { benchSeq(b, "3D-FFT") }
-func BenchmarkTable1_Water(b *testing.B)   { benchSeq(b, "Water") }
-func BenchmarkTable1_TSP(b *testing.B)     { benchSeq(b, "TSP") }
-func BenchmarkTable1_QSORT(b *testing.B)   { benchSeq(b, "QSORT") }
-func BenchmarkTable1_LU(b *testing.B)      { benchSeq(b, "LU") }
-func BenchmarkTable1_Barnes(b *testing.B)  { benchSeq(b, "Barnes") }
-
-// --- Figure 6: speedups at 8 processors, all three versions ----------
-
-func BenchmarkFigure6_Sweep3D_OpenMP(b *testing.B) { benchApp(b, "Sweep3D", harness.OMP, 8) }
-func BenchmarkFigure6_Sweep3D_OMPSMP(b *testing.B) { benchApp(b, "Sweep3D", harness.OMPSMP, 8) }
-func BenchmarkFigure6_Sweep3D_OMPHyb(b *testing.B) { benchApp(b, "Sweep3D", harness.OMPHybrid, 8) }
-func BenchmarkFigure6_Sweep3D_Tmk(b *testing.B)    { benchApp(b, "Sweep3D", harness.Tmk, 8) }
-func BenchmarkFigure6_Sweep3D_MPI(b *testing.B)    { benchApp(b, "Sweep3D", harness.MPI, 8) }
-
-func BenchmarkFigure6_3DFFT_OpenMP(b *testing.B) { benchApp(b, "3D-FFT", harness.OMP, 8) }
-func BenchmarkFigure6_3DFFT_OMPSMP(b *testing.B) { benchApp(b, "3D-FFT", harness.OMPSMP, 8) }
-func BenchmarkFigure6_3DFFT_OMPHyb(b *testing.B) { benchApp(b, "3D-FFT", harness.OMPHybrid, 8) }
-func BenchmarkFigure6_3DFFT_Tmk(b *testing.B)    { benchApp(b, "3D-FFT", harness.Tmk, 8) }
-func BenchmarkFigure6_3DFFT_MPI(b *testing.B)    { benchApp(b, "3D-FFT", harness.MPI, 8) }
-
-func BenchmarkFigure6_Water_OpenMP(b *testing.B) { benchApp(b, "Water", harness.OMP, 8) }
-func BenchmarkFigure6_Water_OMPSMP(b *testing.B) { benchApp(b, "Water", harness.OMPSMP, 8) }
-func BenchmarkFigure6_Water_OMPHyb(b *testing.B) { benchApp(b, "Water", harness.OMPHybrid, 8) }
-func BenchmarkFigure6_Water_Tmk(b *testing.B)    { benchApp(b, "Water", harness.Tmk, 8) }
-func BenchmarkFigure6_Water_MPI(b *testing.B)    { benchApp(b, "Water", harness.MPI, 8) }
-
-func BenchmarkFigure6_TSP_OpenMP(b *testing.B) { benchApp(b, "TSP", harness.OMP, 8) }
-func BenchmarkFigure6_TSP_OMPSMP(b *testing.B) { benchApp(b, "TSP", harness.OMPSMP, 8) }
-func BenchmarkFigure6_TSP_OMPHyb(b *testing.B) { benchApp(b, "TSP", harness.OMPHybrid, 8) }
-func BenchmarkFigure6_TSP_Tmk(b *testing.B)    { benchApp(b, "TSP", harness.Tmk, 8) }
-func BenchmarkFigure6_TSP_MPI(b *testing.B)    { benchApp(b, "TSP", harness.MPI, 8) }
-
-func BenchmarkFigure6_QSORT_OpenMP(b *testing.B) { benchApp(b, "QSORT", harness.OMP, 8) }
-func BenchmarkFigure6_QSORT_OMPSMP(b *testing.B) { benchApp(b, "QSORT", harness.OMPSMP, 8) }
-func BenchmarkFigure6_QSORT_OMPHyb(b *testing.B) { benchApp(b, "QSORT", harness.OMPHybrid, 8) }
-func BenchmarkFigure6_QSORT_Tmk(b *testing.B)    { benchApp(b, "QSORT", harness.Tmk, 8) }
-func BenchmarkFigure6_QSORT_MPI(b *testing.B)    { benchApp(b, "QSORT", harness.MPI, 8) }
-
-func BenchmarkFigure6_LU_OpenMP(b *testing.B) { benchApp(b, "LU", harness.OMP, 8) }
-func BenchmarkFigure6_LU_OMPSMP(b *testing.B) { benchApp(b, "LU", harness.OMPSMP, 8) }
-func BenchmarkFigure6_LU_OMPHyb(b *testing.B) { benchApp(b, "LU", harness.OMPHybrid, 8) }
-func BenchmarkFigure6_LU_Tmk(b *testing.B)    { benchApp(b, "LU", harness.Tmk, 8) }
-func BenchmarkFigure6_LU_MPI(b *testing.B)    { benchApp(b, "LU", harness.MPI, 8) }
-
-func BenchmarkFigure6_Barnes_OpenMP(b *testing.B) { benchApp(b, "Barnes", harness.OMP, 8) }
-func BenchmarkFigure6_Barnes_OMPSMP(b *testing.B) { benchApp(b, "Barnes", harness.OMPSMP, 8) }
-func BenchmarkFigure6_Barnes_OMPHyb(b *testing.B) { benchApp(b, "Barnes", harness.OMPHybrid, 8) }
-func BenchmarkFigure6_Barnes_Tmk(b *testing.B)    { benchApp(b, "Barnes", harness.Tmk, 8) }
-func BenchmarkFigure6_Barnes_MPI(b *testing.B)    { benchApp(b, "Barnes", harness.MPI, 8) }
-
-// --- Table 2 is the traffic columns of the same runs -----------------
-// (separate benchmarks so the table can be regenerated in isolation).
-
-func BenchmarkTable2_Sweep3D_OpenMP(b *testing.B) { benchApp(b, "Sweep3D", harness.OMP, 8) }
-func BenchmarkTable2_3DFFT_OpenMP(b *testing.B)   { benchApp(b, "3D-FFT", harness.OMP, 8) }
-func BenchmarkTable2_Water_OpenMP(b *testing.B)   { benchApp(b, "Water", harness.OMP, 8) }
-func BenchmarkTable2_TSP_OpenMP(b *testing.B)     { benchApp(b, "TSP", harness.OMP, 8) }
-func BenchmarkTable2_QSORT_OpenMP(b *testing.B)   { benchApp(b, "QSORT", harness.OMP, 8) }
-func BenchmarkTable2_LU_OpenMP(b *testing.B)      { benchApp(b, "LU", harness.OMP, 8) }
-func BenchmarkTable2_Barnes_OpenMP(b *testing.B)  { benchApp(b, "Barnes", harness.OMP, 8) }
+// BenchmarkTable2 is the traffic columns of the OpenMP/NOW runs (a
+// separate family so the table can be regenerated in isolation).
+func BenchmarkTable2(b *testing.B) {
+	for _, a := range harness.Apps {
+		b.Run(a.Name, func(b *testing.B) { benchApp(b, a, harness.OMP, 8) })
+	}
+}
 
 // --- Section 6 microbenchmarks ---------------------------------------
 

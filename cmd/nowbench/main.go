@@ -28,12 +28,6 @@
 //	                               NOT part of -all — its 64- and 128-node
 //	                               cells are an order of magnitude beyond
 //	                               the other artifacts
-//	nowbench -wire                 wire-format before/after: Water and
-//	                               QSORT at 8 and 32 processors under the
-//	                               v1 (one datagram per message) and v2
-//	                               (coalesced + delta-compressed) formats,
-//	                               with bytes per synchronization episode;
-//	                               NOT part of -all (make bench-wire)
 //	nowbench -all                  everything above except -scaling
 //	nowbench -serve                service mode: run a seeded multi-tenant
 //	                               job stream over shared backend slots
@@ -49,11 +43,10 @@
 // Add -scale test for a fast run on reduced inputs, -procs N to change
 // the processor count of Figure 6 / Table 2, and -islands K to set the
 // SMP island count of the omp-hybrid columns (default 2; clamped to the
-// processor count). -gcpressure N and -gcpolicy P set the DSM's default
-// acquire-epoch trigger and validate-vs-flush purge policy for every
-// cell of the run (see dsm.Config.GCPressure / GCPolicy), and -wirev1
-// runs every DSM cell under the pre-batching v1 wire protocol for
-// before/after byte comparisons (see dsm.Config.WireV1). Independent
+// processor count). -gcpressure N and -gcpolicy P set the acquire-epoch
+// trigger and validate-vs-flush purge policy of every cell that does not
+// carry its own (harness.DefaultGC; see dsm.Config.GCPressure /
+// GCPolicy). Independent
 // experiment cells run concurrently on a weighted worker pool — SMP and
 // hybrid cells are cheaper than full-protocol NOW cells and pack several
 // to a worker slot — with output order unaffected; -workers N bounds the
@@ -85,7 +78,6 @@ func main() {
 		ablation = flag.String("ablation", "", "run ablations: section3 (the flush-vs-sema/condvar studies, also selected by the legacy names pipeline/taskqueue/flushcost), gc, or all")
 		sweep    = flag.Bool("sweep", false, "print speedup curves over processor counts")
 		scaling  = flag.Bool("scaling", false, "print the >8-node scaling-wall table (P = 8..128)")
-		wire     = flag.Bool("wire", false, "print the v1-vs-v2 wire-format byte comparison (Water and QSORT at 8 and 32 processors)")
 		all      = flag.Bool("all", false, "run every experiment")
 		procs    = flag.Int("procs", 8, "processor count for Figure 6 and Table 2")
 		islands  = flag.Int("islands", 0, "SMP island count for the omp-hybrid columns (0 = default 2)")
@@ -93,8 +85,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "grid worker pool width (0 = one per CPU, 1 = sequential)")
 		gcPress  = flag.Int("gcpressure", 0, "default acquire-epoch GC trigger (0 = dsm default, negative disables)")
 		gcPolicy = flag.String("gcpolicy", "", "default GC purge policy: flush, validate-hot, or adaptive")
-		wireV1   = flag.Bool("wirev1", false, "run every DSM cell under the pre-batching v1 wire protocol (see dsm.Config.WireV1)")
-		flatCons = flag.Bool("flatconsensus", false, "route GC consensus pushes and barrier departure waves flat at any machine size (the pre-hierarchical baseline; see make bench-scaling)")
 
 		serveMode  = flag.Bool("serve", false, "service mode: run a multi-tenant job stream and print the latency report")
 		jobs       = flag.Int("jobs", 500, "service mode: number of jobs in the stream")
@@ -105,22 +95,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *gcPress != 0 {
-		dsm.SetGCPressureDefault(*gcPress)
-	}
-	if *wireV1 {
-		dsm.SetWireV1Default(true)
-	}
-	if *flatCons {
-		dsm.SetTreeConsensusDefault(false)
-	}
-	if *gcPolicy != "" {
-		p, err := dsm.ParseGCPolicy(*gcPolicy)
-		if err != nil {
-			fatal(err)
-		}
-		dsm.SetGCPolicyDefault(p)
-	}
+	policy, err := dsm.ParseGCPolicy(*gcPolicy)
+	check(err)
+	harness.DefaultGC = harness.GCKnobs{Pressure: *gcPress, Policy: policy}
 
 	s := harness.Scale(*scale)
 	if s != harness.Full && s != harness.Test {
@@ -181,10 +158,6 @@ func main() {
 	if *scaling {
 		ran = true
 		check(harness.TableScaling(out, s, harness.ScalingProcs))
-	}
-	if *wire {
-		ran = true
-		check(harness.PrintWireBench(out, s))
 	}
 	if *serveMode {
 		ran = true

@@ -63,10 +63,10 @@ type Result struct {
 	PageMsgs, PageBytes int64
 	SyncMsgs, SyncBytes int64
 	GCMsgs, GCBytes     int64
-	// Frames counts the datagrams that actually crossed the wire: with v2
+	// Frames counts the datagrams that actually crossed the wire: with
 	// frame coalescing several logical messages share one datagram, so
 	// Messages - Frames is the number of per-message network headers the
-	// coalescing saved (Frames == Messages under Config.WireV1).
+	// coalescing saved.
 	Frames int64
 }
 

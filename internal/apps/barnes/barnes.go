@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -36,6 +37,10 @@ type Params struct {
 	Seed uint64
 	// Platform overrides the cost model.
 	Platform *sim.Platform
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration: 4096 bodies at 8x the

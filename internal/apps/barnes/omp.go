@@ -19,7 +19,7 @@ func RunOMP(p Params, procs int) (apps.Result, error) {
 // — the irregular-application stress case for the page-based DSM.
 func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error) {
 	n := p.NBody
-	prog := core.NewProgram(core.Config{Threads: procs, Platform: p.Platform, Backend: backend})
+	prog := core.NewProgram(core.Config{Threads: procs, Platform: p.Platform, Backend: backend, DSM: p.DSM})
 	defer prog.Close()
 	posA := prog.SharedPage(8 * 3 * n)
 	velA := prog.SharedPage(8 * 3 * n)

@@ -12,7 +12,9 @@ import (
 // node 0 after the last barrier.
 func RunTmk(p Params, procs int) (apps.Result, error) {
 	n := p.NBody
-	sys := dsm.New(dsm.Config{Procs: procs, Platform: p.Platform})
+	cfg := p.DSM
+	cfg.Procs, cfg.Platform = procs, p.Platform
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	posA := sys.MallocPage(8 * 3 * n)
 	velA := sys.MallocPage(8 * 3 * n)

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -19,6 +20,10 @@ type Params struct {
 	Seed uint64
 	// Platform overrides the cost model (nil = default).
 	Platform *sim.Platform
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration used by the harness

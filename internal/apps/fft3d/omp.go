@@ -28,6 +28,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 		HeapBytes: heapFor(pts) + blocksBytesNeeded(procs, maxBlock),
 		Platform:  p.Platform,
 		Backend:   backend,
+		DSM:       p.DSM,
 	})
 	defer prog.Close()
 	u := prog.SharedPage(cBytes * pts)  // spatial, [z][y][x]

@@ -15,11 +15,10 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 	pts := n * n * n
 	maxSlab := (n + procs - 1) / procs
 	maxBlock := maxSlab * maxSlab * n
-	sys := dsm.New(dsm.Config{
-		Procs:     procs,
-		HeapBytes: heapFor(pts) + blocksBytesNeeded(procs, maxBlock),
-		Platform:  p.Platform,
-	})
+	cfg := p.DSM
+	cfg.Procs, cfg.Platform = procs, p.Platform
+	cfg.HeapBytes = heapFor(pts) + blocksBytesNeeded(procs, maxBlock)
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	u := sys.MallocPage(cBytes * pts)
 	w := sys.MallocPage(cBytes * pts)

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -30,6 +31,10 @@ type Params struct {
 	Seed uint64
 	// Platform overrides the cost model.
 	Platform *sim.Platform
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration.

@@ -22,7 +22,7 @@ func RunOMP(p Params, procs int) (apps.Result, error) {
 func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error) {
 	n := p.N
 	rb := rowBytes(n)
-	prog := core.NewProgram(core.Config{Threads: procs, Platform: p.Platform, HeapBytes: heapFor(n), Backend: backend})
+	prog := core.NewProgram(core.Config{Threads: procs, Platform: p.Platform, HeapBytes: heapFor(n), Backend: backend, DSM: p.DSM})
 	defer prog.Close()
 	mat := prog.SharedPage(rb * n)
 	pivA := prog.SharedPage(core.PageSize) // min |pivot|, lock-protected

@@ -19,7 +19,9 @@ const tmkPivLock = 9
 func RunTmk(p Params, procs int) (apps.Result, error) {
 	n := p.N
 	rb := rowBytes(n)
-	sys := dsm.New(dsm.Config{Procs: procs, Platform: p.Platform, HeapBytes: heapFor(n)})
+	cfg := p.DSM
+	cfg.Procs, cfg.Platform, cfg.HeapBytes = procs, p.Platform, heapFor(n)
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	mat := sys.MallocPage(rb * n)
 	pivA := sys.MallocPage(dsm.PageSize)

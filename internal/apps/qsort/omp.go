@@ -17,14 +17,11 @@ func RunOMP(p Params, procs int) (apps.Result, error) {
 // "critical, condition variables").
 func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error) {
 	prog := core.NewProgram(core.Config{
-		Threads:    procs,
-		HeapBytes:  8<<20 + 4*p.N + 16*p.QueueCap,
-		Platform:   p.Platform,
-		Backend:    backend,
-		DisableGC:  p.DisableGC,
-		GCPressure: p.GCPressure,
-		GCPolicy:   p.GCPolicy,
-		WireV1:     p.WireV1,
+		Threads:   procs,
+		HeapBytes: 8<<20 + 4*p.N + 16*p.QueueCap,
+		Platform:  p.Platform,
+		Backend:   backend,
+		DSM:       p.DSM,
 	})
 	defer prog.Close()
 	s := newSharedQS(p, prog)

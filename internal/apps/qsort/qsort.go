@@ -11,6 +11,7 @@ package qsort
 
 import (
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -26,18 +27,13 @@ type Params struct {
 	QueueCap int
 	// Platform overrides the cost model.
 	Platform *sim.Platform
-	// DisableGC turns off the DSM's metadata collection in the DSM-backed
-	// implementations; GCPressure and GCPolicy set the acquire-epoch
-	// trigger and the per-page validate-vs-flush purge policy (see
-	// dsm.Config). QSORT synchronizes through critical sections and a
-	// condition variable, so between region boundaries only the acquire
-	// source collects for it.
-	DisableGC  bool
-	GCPressure int
-	GCPolicy   string
-	// WireV1 selects the pre-batching DSM wire protocol (see
-	// dsm.Config.WireV1); the bench-wire comparison's control arm.
-	WireV1 bool
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
+	// QSORT synchronizes through critical sections and a condition
+	// variable, so between region boundaries only the acquire source
+	// collects for it.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration (256K keys, bubble

@@ -12,15 +12,10 @@ const tmkLock = 11
 // RunTmk executes the hand-coded TreadMarks version: the identical
 // Figure 4 task queue written against Tmk locks and condition variables.
 func RunTmk(p Params, procs int) (apps.Result, error) {
-	sys := dsm.New(dsm.Config{
-		Procs:      procs,
-		HeapBytes:  8<<20 + 4*p.N + 16*p.QueueCap,
-		Platform:   p.Platform,
-		DisableGC:  p.DisableGC,
-		GCPressure: p.GCPressure,
-		GCPolicy:   dsm.MustParseGCPolicy(p.GCPolicy),
-		WireV1:     p.WireV1,
-	})
+	cfg := p.DSM
+	cfg.Procs, cfg.Platform = procs, p.Platform
+	cfg.HeapBytes = 8<<20 + 4*p.N + 16*p.QueueCap
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	s := newSharedQS(p, sys)
 

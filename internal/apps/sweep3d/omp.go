@@ -25,13 +25,11 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	slotBytes := core.PageRound(8 * p.BlockX * nz * p.AngleBlock)
 
 	prog := core.NewProgram(core.Config{
-		Threads:    procs,
-		HeapBytes:  16<<20 + procs*nxb*nab*slotBytes,
-		Platform:   p.Platform,
-		Backend:    backend,
-		DisableGC:  p.DisableGC,
-		GCPressure: p.GCPressure,
-		GCPolicy:   p.GCPolicy,
+		Threads:   procs,
+		HeapBytes: 16<<20 + procs*nxb*nab*slotBytes,
+		Platform:  p.Platform,
+		Backend:   backend,
+		DSM:       p.DSM,
 	})
 	defer prog.Close()
 	slots := prog.SharedPage(procs * nxb * nab * slotBytes)

@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -37,14 +38,12 @@ type Params struct {
 	AngleBlock int
 	// Platform overrides the cost model.
 	Platform *sim.Platform
-	// DisableGC turns off the DSM's metadata collection in the DSM-backed
-	// implementations; GCPressure and GCPolicy set the acquire-epoch
-	// trigger and the per-page validate-vs-flush purge policy (see
-	// dsm.Config). Sweep3D synchronizes through semaphore pipelines, so
-	// between region boundaries only the acquire source collects for it.
-	DisableGC  bool
-	GCPressure int
-	GCPolicy   string
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
+	// Sweep3D synchronizes through semaphore pipelines, so between region
+	// boundaries only the acquire source collects for it.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration (50×50×50 mesh, 6 angles

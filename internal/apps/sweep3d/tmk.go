@@ -17,14 +17,10 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 	nab := (p.Angles + p.AngleBlock - 1) / p.AngleBlock
 	slotBytes := core.PageRound(8 * p.BlockX * nz * p.AngleBlock)
 
-	sys := dsm.New(dsm.Config{
-		Procs:      procs,
-		HeapBytes:  16<<20 + procs*nxb*nab*slotBytes,
-		Platform:   p.Platform,
-		DisableGC:  p.DisableGC,
-		GCPressure: p.GCPressure,
-		GCPolicy:   dsm.MustParseGCPolicy(p.GCPolicy),
-	})
+	cfg := p.DSM
+	cfg.Procs, cfg.Platform = procs, p.Platform
+	cfg.HeapBytes = 16<<20 + procs*nxb*nab*slotBytes
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	slots := sys.MallocPage(procs * nxb * nab * slotBytes)
 	partials := sys.MallocPage(dsm.PageSize * procs)

@@ -18,10 +18,7 @@ func RunOMP(p Params, procs int) (apps.Result, error) {
 // source is backend-neutral: a parallel region of workers
 // synchronized by critical sections only (Table 1).
 func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error) {
-	prog := core.NewProgram(core.Config{
-		Threads: procs, Platform: p.Platform, Backend: backend,
-		DisableGC: p.DisableGC, GCPressure: p.GCPressure, GCPolicy: p.GCPolicy,
-	})
+	prog := core.NewProgram(core.Config{Threads: procs, Platform: p.Platform, Backend: backend, DSM: p.DSM})
 	defer prog.Close()
 	s := newSharedTSP(p, prog)
 	d := Cities(p)

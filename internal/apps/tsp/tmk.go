@@ -12,11 +12,9 @@ const tmkLock = 7
 // RunTmk executes the hand-coded TreadMarks version: identical worker
 // structure, written against Tmk_lock_acquire/Tmk_lock_release directly.
 func RunTmk(p Params, procs int) (apps.Result, error) {
-	sys := dsm.New(dsm.Config{
-		Procs: procs, Platform: p.Platform,
-		DisableGC: p.DisableGC, GCPressure: p.GCPressure,
-		GCPolicy: dsm.MustParseGCPolicy(p.GCPolicy),
-	})
+	cfg := p.DSM
+	cfg.Procs, cfg.Platform = procs, p.Platform
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	s := newSharedTSP(p, sys)
 	d := Cities(p)

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -35,14 +36,12 @@ type Params struct {
 	PoolSlots int
 	// Platform overrides the cost model.
 	Platform *sim.Platform
-	// DisableGC turns off the DSM's metadata collection in the DSM-backed
-	// implementations; GCPressure and GCPolicy set the acquire-epoch
-	// trigger and the per-page validate-vs-flush purge policy (see
-	// dsm.Config). TSP synchronizes through critical sections only, so
-	// between region boundaries only the acquire source collects for it.
-	DisableGC  bool
-	GCPressure int
-	GCPolicy   string
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
+	// TSP synchronizes through critical sections only, so between region
+	// boundaries only the acquire source collects for it.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration. The cutoff leaves most

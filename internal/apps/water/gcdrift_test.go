@@ -19,10 +19,9 @@ import (
 // refetch raced the home's own validation. The discard guard now keys on
 // page.appliedVC against the flush floor.
 //
-// Smallest reproducing scale: NMol=256, Steps=2, 4 procs, block-cyclic
-// homes (node0 homes were always exact: there flushVC == retire and the
-// root purges before any departure leaves it). The failure is a genuine
-// scheduling race — before the fix it fired on virtually every run, so a
+// Smallest reproducing scale: NMol=256, Steps=2, 4 procs (block-cyclic
+// homes, where the flush floor lags the retire floor). The failure is a
+// genuine scheduling race — before the fix it fired on virtually every run, so a
 // handful of repetitions is a reliable detector. The DSM shadow-memory
 // oracle gives a protocol-level verdict independent of FP summation
 // order; the checksum check additionally pins the end-to-end result.
@@ -31,10 +30,7 @@ func TestWaterShardedGCDrift(t *testing.T) {
 	want := RunSeq(p)
 	for rep := 0; rep < 5; rep++ {
 		dsm.SetDebugOracle(true)
-		res, err := RunOMPCfg(p, 4, core.Config{
-			Threads: 4, Backend: core.BackendNOW,
-			HomePolicy: "block-cyclic",
-		})
+		res, err := RunOMPCfg(p, 4, core.Config{Threads: 4, Backend: core.BackendNOW})
 		div := dsm.OracleDiverges()
 		dsm.SetDebugOracle(false)
 		if err != nil {

@@ -19,12 +19,7 @@ func RunOMP(p Params, procs int) (apps.Result, error) {
 // through per-thread partial arrays separated by a barrier, the standard
 // SPLASH scheme.
 func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error) {
-	return RunOMPCfg(p, procs, core.Config{
-		Threads: procs, Platform: p.Platform, Backend: backend,
-		DisableGC: p.DisableGC, GCMinRetire: p.GCMinRetire,
-		GCPressure: p.GCPressure, GCPolicy: p.GCPolicy,
-		WireV1: p.WireV1,
-	})
+	return RunOMPCfg(p, procs, core.Config{Threads: procs, Platform: p.Platform, Backend: backend, DSM: p.DSM})
 }
 
 // RunOMPCfg executes the OpenMP version with full control over the core

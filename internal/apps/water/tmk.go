@@ -13,12 +13,9 @@ import (
 func RunTmk(p Params, procs int) (apps.Result, error) {
 	n := p.NMol
 	bytesArr := 8 * n * dof
-	sys := dsm.New(dsm.Config{
-		Procs: procs, Platform: p.Platform,
-		DisableGC: p.DisableGC, GCMinRetire: p.GCMinRetire,
-		GCPressure: p.GCPressure, GCPolicy: dsm.MustParseGCPolicy(p.GCPolicy),
-		WireV1: p.WireV1,
-	})
+	cfg := p.DSM
+	cfg.Procs, cfg.Platform = procs, p.Platform
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	posA := sys.MallocPage(bytesArr)
 	velA := sys.MallocPage(bytesArr)

@@ -16,14 +16,14 @@
 // 3-site molecules, harmonic intra-molecular bonds, LJ oxygen-oxygen plus
 // site-site Coulomb inter-molecular terms over all O(n²/2) pairs, velocity
 // Verlet integration (the original uses a predictor-corrector; the
-// substitution keeps the same data and communication pattern — see
-// DESIGN.md).
+// substitution keeps the same data and communication pattern).
 package water
 
 import (
 	"math"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -37,23 +37,10 @@ type Params struct {
 	Seed uint64
 	// Platform overrides the cost model.
 	Platform *sim.Platform
-	// DisableGC turns off the DSM's metadata collection (both epoch
-	// sources) in the DSM-backed implementations (the GC ablation's
-	// control arm).
-	DisableGC bool
-	// GCMinRetire sets the DSM collector's adaptive barrier/fork-episode
-	// trigger threshold (see dsm.Config.GCMinRetire; 0 collects at every
-	// episode).
-	GCMinRetire int
-	// GCPressure sets the acquire-epoch trigger threshold (see
-	// dsm.Config.GCPressure; 0 = default, negative disables).
-	GCPressure int
-	// GCPolicy selects the per-page validate-vs-flush purge policy
-	// ("", "flush", "validate-hot", "adaptive").
-	GCPolicy string
-	// WireV1 selects the pre-batching DSM wire protocol (see
-	// dsm.Config.WireV1); the bench-wire comparison's control arm.
-	WireV1 bool
+	// DSM carries the protocol knobs of the DSM-backed implementations
+	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
+	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration: 512 molecules at 8x the

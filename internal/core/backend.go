@@ -187,7 +187,7 @@ type Backend interface {
 	// and GC consensus (all zero on hardware shared memory).
 	TrafficBreakdown() dsm.TrafficBreakdown
 	// Frames returns the datagram count so far: Traffic's message count
-	// stays logical under v2 frame coalescing, Frames counts what crossed
+	// stays logical under frame coalescing, Frames counts what crossed
 	// the wire (zero on hardware shared memory).
 	Frames() int64
 	// ResetTraffic zeroes the traffic counters.

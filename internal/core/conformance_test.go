@@ -21,11 +21,11 @@ import (
 // pipelines): anything less would encode one backend's scheduling into
 // the expectation.
 
-// conformanceScenario runs a program on one backend and returns its
-// observable result.
+// conformanceScenario runs a program on one backend under the given DSM
+// knobs and returns its observable result.
 type conformanceScenario struct {
 	name string
-	run  func(t *testing.T, bk BackendKind) interface{}
+	run  func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{}
 }
 
 var conformanceScenarios = []conformanceScenario{
@@ -33,9 +33,9 @@ var conformanceScenarios = []conformanceScenario{
 		// Barrier ordering: writes before a barrier are visible after it,
 		// on every thread, across two phases.
 		name: "barrier-ordering",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const P = 8
-			p := NewProgram(Config{Threads: P, Backend: bk})
+			p := NewProgram(Config{Threads: P, Backend: bk, DSM: knobs})
 			a := p.SharedPage(8 * P)
 			sums := p.SharedPage(8 * P)
 			p.RegisterRegion("phases", func(tc *TC) {
@@ -71,9 +71,9 @@ var conformanceScenarios = []conformanceScenario{
 		// critical section loses no updates; a second named section is
 		// independent.
 		name: "critical-exclusion",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const P, iters = 6, 25
-			p := NewProgram(Config{Threads: P, Backend: bk})
+			p := NewProgram(Config{Threads: P, Backend: bk, DSM: knobs})
 			ctr := p.SharedPage(16)
 			p.RegisterRegion("inc", func(tc *TC) {
 				for i := 0; i < iters; i++ {
@@ -102,9 +102,9 @@ var conformanceScenarios = []conformanceScenario{
 		// Semaphore handoff: a two-stage pipeline must deliver every value
 		// in order through the paper's sema_signal/sema_wait pair.
 		name: "semaphore-handoff",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const rounds = 12
-			p := NewProgram(Config{Threads: 3, Backend: bk})
+			p := NewProgram(Config{Threads: 3, Backend: bk, DSM: knobs})
 			d01 := p.SharedPage(8)
 			d12 := p.SharedPage(8)
 			outA := p.SharedPage(8 * rounds)
@@ -150,9 +150,9 @@ var conformanceScenarios = []conformanceScenario{
 		// Condition variables: the Figure 4 task queue drains exactly the
 		// enqueued set, with the nwait broadcast terminating every worker.
 		name: "condvar-taskqueue",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const P, tasks = 4, 40
-			p := NewProgram(Config{Threads: P, Backend: bk})
+			p := NewProgram(Config{Threads: P, Backend: bk, DSM: knobs})
 			head := p.SharedPage(8)
 			tail := p.Shared(8)
 			nwait := p.Shared(8)
@@ -210,9 +210,9 @@ var conformanceScenarios = []conformanceScenario{
 		// Reductions: scalar sum/prod/min/max and an array reduction over
 		// integer-valued floats (exact under any combining order).
 		name: "reduction-results",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const P, N = 5, 17
-			p := NewProgram(Config{Threads: P, Backend: bk})
+			p := NewProgram(Config{Threads: P, Backend: bk, DSM: knobs})
 			sum := p.NewReduction(OpSum)
 			prod := p.NewReduction(OpProd)
 			mn := p.NewReduction(OpMin)
@@ -253,9 +253,9 @@ var conformanceScenarios = []conformanceScenario{
 		// Firstprivate args: every encodable kind round-trips through the
 		// fork environment to every thread, including parallel-do bounds.
 		name: "firstprivate-args",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const P, N = 4, 55
-			p := NewProgram(Config{Threads: P, Backend: bk})
+			p := NewProgram(Config{Threads: P, Backend: bk, DSM: knobs})
 			tgt := p.SharedPage(8 * P)
 			cover := p.SharedPage(8 * N)
 			p.RegisterDo("fpdo", func(tc *TC, lo, hi int) {
@@ -289,8 +289,8 @@ var conformanceScenarios = []conformanceScenario{
 		// Bulk memory: typed slice and byte accessors agree with each
 		// other across page boundaries and unaligned offsets.
 		name: "memory-accessors",
-		run: func(t *testing.T, bk BackendKind) interface{} {
-			p := NewProgram(Config{Threads: 2, Backend: bk})
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
+			p := NewProgram(Config{Threads: 2, Backend: bk, DSM: knobs})
 			base := p.SharedPage(3 * PageSize)
 			out := make([]interface{}, 0, 4)
 			if err := p.Run(func(m *MC) {
@@ -325,9 +325,9 @@ var conformanceScenarios = []conformanceScenario{
 		// Threadprivate: per-thread state persists across regions and
 		// never leaks between threads.
 		name: "threadprivate",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const P = 4
-			p := NewProgram(Config{Threads: P, Backend: bk})
+			p := NewProgram(Config{Threads: P, Backend: bk, DSM: knobs})
 			outA := p.SharedPage(8 * P)
 			p.RegisterRegion("stash", func(tc *TC) {
 				buf := tc.Threadprivate("s", 8)
@@ -354,9 +354,9 @@ var conformanceScenarios = []conformanceScenario{
 		// Flush: portable no-op semantics — flushed writes are (at least)
 		// visible after the next barrier on every backend.
 		name: "flush-portability",
-		run: func(t *testing.T, bk BackendKind) interface{} {
+		run: func(t *testing.T, bk BackendKind, knobs dsm.Config) interface{} {
 			const P = 3
-			p := NewProgram(Config{Threads: P, Backend: bk})
+			p := NewProgram(Config{Threads: P, Backend: bk, DSM: knobs})
 			a := p.SharedPage(8)
 			got := p.SharedPage(8 * P)
 			p.RegisterRegion("fl", func(tc *TC) {
@@ -384,15 +384,15 @@ var conformanceScenarios = []conformanceScenario{
 // runConformanceSuite runs every scenario on every backend — the NOW,
 // the SMP, and the hybrid at island counts {1, 2, procs} — and requires
 // identical observable results, with the NOW backend as the reference.
-func runConformanceSuite(t *testing.T) {
+func runConformanceSuite(t *testing.T, knobs dsm.Config) {
 	for _, sc := range conformanceScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			ref := sc.run(t, BackendNOW)
+			ref := sc.run(t, BackendNOW, knobs)
 			for _, bk := range backends[1:] {
 				bk := bk
 				t.Run(string(bk), func(t *testing.T) {
-					got := sc.run(t, bk)
+					got := sc.run(t, bk, knobs)
 					if !reflect.DeepEqual(got, ref) {
 						t.Errorf("backend %s diverges from %s:\n got %v\nwant %v",
 							bk, backends[0], got, ref)
@@ -404,23 +404,16 @@ func runConformanceSuite(t *testing.T) {
 }
 
 // TestBackendConformance is the suite under the default GC configuration.
-func TestBackendConformance(t *testing.T) { runConformanceSuite(t) }
+func TestBackendConformance(t *testing.T) { runConformanceSuite(t, dsm.Config{}) }
 
 // TestBackendConformanceAcquireGC reruns the nine scenarios on all three
 // backends with the acquire-epoch collector forced on at very low
 // pressure and the validate-hot purge policy — collection epochs then
 // interleave with nearly every synchronization operation, and the
 // observable results must still be identical across backends (the
-// collector is invisible to the computation). Runs sequentially with the
-// package defaults flipped, like the GC-off equivalence suite.
+// collector is invisible to the computation).
 func TestBackendConformanceAcquireGC(t *testing.T) {
-	prevP := dsm.SetGCPressureDefault(2)
-	prevPol := dsm.SetGCPolicyDefault(dsm.GCPolicyValidateHot)
-	t.Cleanup(func() {
-		dsm.SetGCPressureDefault(prevP)
-		dsm.SetGCPolicyDefault(prevPol)
-	})
-	runConformanceSuite(t)
+	runConformanceSuite(t, dsm.Config{GCPressure: 2, GCPolicy: dsm.GCPolicyValidateHot})
 }
 
 // wideTeamScenario is a parameterized conformance kernel for team sizes

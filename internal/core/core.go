@@ -63,60 +63,22 @@ type Config struct {
 	// (HybridIslands) takes precedence.
 	Islands int
 
-	// DSM metadata-GC knobs, forwarded to the NOW and hybrid backends
-	// (no-ops on hardware shared memory, which keeps no LRC metadata).
-	//
-	// DisableGC turns collection off entirely; GCMinRetire is the
-	// adaptive barrier/fork-episode trigger (see dsm.Config.GCMinRetire);
-	// GCPressure is the acquire-epoch trigger for lock/semaphore programs
-	// (0 = dsm.DefaultGCPressure, negative disables; see
-	// dsm.Config.GCPressure); GCPolicy selects the per-page
-	// validate-vs-flush purge policy ("", "flush", "validate-hot",
-	// "adaptive" — see dsm.ParseGCPolicy).
-	DisableGC   bool
-	GCMinRetire int
-	GCPressure  int
-	GCPolicy    string
-
-	// HomePolicy selects how initial page ownership is spread across the
-	// NOW ("", "default", "block-cyclic", "node0", "first-touch" — see
-	// dsm.ParseHomePolicy); BarrierFanin caps the combining-tree arity of
-	// the DSM barrier (0 = dsm.DefaultBarrierFanin). Both are no-ops on
-	// hardware shared memory.
-	HomePolicy   string
-	BarrierFanin int
-
-	// WireV1 selects the pre-batching DSM wire protocol: full per-record
-	// vector clocks, flat page lists, one datagram per message (see
-	// dsm.Config.WireV1). The default is the v2 coalesced + delta-
-	// compressed format; v1 exists for byte-count pins and the bench-wire
-	// before/after comparison. A no-op on hardware shared memory.
-	WireV1 bool
+	// DSM carries the protocol knobs of the NOW and hybrid backends by
+	// value — DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin
+	// (see dsm.Config) — and is ignored on hardware shared memory, which
+	// keeps no LRC metadata. The backend fills Procs, HeapBytes, Platform
+	// and MultiClient itself from the fields above.
+	DSM dsm.Config
 }
 
 // dsmConfig assembles the dsm.Config shared by the DSM-backed backends.
 func dsmConfig(cfg Config, procs int, multiClient bool) dsm.Config {
-	policy, err := dsm.ParseGCPolicy(cfg.GCPolicy)
-	if err != nil {
-		panic(err.Error())
-	}
-	homes, err := dsm.ParseHomePolicy(cfg.HomePolicy)
-	if err != nil {
-		panic(err.Error())
-	}
-	return dsm.Config{
-		Procs:        procs,
-		HeapBytes:    cfg.HeapBytes,
-		Platform:     cfg.Platform,
-		MultiClient:  multiClient,
-		DisableGC:    cfg.DisableGC,
-		GCMinRetire:  cfg.GCMinRetire,
-		GCPressure:   cfg.GCPressure,
-		GCPolicy:     policy,
-		HomePolicy:   homes,
-		BarrierFanin: cfg.BarrierFanin,
-		WireV1:       cfg.WireV1,
-	}
+	c := cfg.DSM
+	c.Procs = procs
+	c.HeapBytes = cfg.HeapBytes
+	c.Platform = cfg.Platform
+	c.MultiClient = multiClient
+	return c
 }
 
 // Program is one OpenMP program instance: shared-data layout, registered
@@ -205,7 +167,7 @@ func (p *Program) Traffic() (messages, bytes int64) { return p.be.Traffic() }
 // attribute a wall to (all zero on hardware shared memory).
 func (p *Program) TrafficBreakdown() dsm.TrafficBreakdown { return p.be.TrafficBreakdown() }
 
-// Frames returns the datagram count so far: with v2 frame coalescing,
+// Frames returns the datagram count so far: with frame coalescing,
 // Traffic's message count stays logical (per sub-message) while Frames
 // counts what actually crossed the wire (zero on hardware shared memory).
 func (p *Program) Frames() int64 { return p.be.Frames() }

@@ -76,8 +76,7 @@ const DefaultGCPressure = 256
 type GCPolicy int
 
 const (
-	// GCPolicyDefault defers to the package default (flush, unless
-	// overridden by SetGCPolicyDefault for ablations and tests).
+	// GCPolicyDefault selects the default policy, flush.
 	GCPolicyDefault GCPolicy = iota
 	// GCPolicyFlush discards every stale copy outright; the next access
 	// refetches the whole page from its home's validated copy. This is
@@ -113,16 +112,6 @@ func (p GCPolicy) String() string {
 	return fmt.Sprintf("GCPolicy(%d)", int(p))
 }
 
-// MustParseGCPolicy is ParseGCPolicy for configuration paths where an
-// unknown spelling is a programming error (app Params plumbing).
-func MustParseGCPolicy(s string) GCPolicy {
-	p, err := ParseGCPolicy(s)
-	if err != nil {
-		panic(err.Error())
-	}
-	return p
-}
-
 // ParseGCPolicy parses a policy knob ("", "default", "flush",
 // "validate-hot", "adaptive").
 func ParseGCPolicy(s string) (GCPolicy, error) {
@@ -137,66 +126,6 @@ func ParseGCPolicy(s string) (GCPolicy, error) {
 		return GCPolicyAdaptive, nil
 	}
 	return GCPolicyDefault, fmt.Errorf("dsm: unknown GC policy %q", s)
-}
-
-// Package defaults behind the zero Config values, overridable for
-// ablations and tests (like SetGCDefault, they must not change while
-// systems are running).
-var (
-	gcDefaultPolicy   = GCPolicyFlush
-	gcDefaultPressure = DefaultGCPressure
-	wireV1Default     = false
-	treeConsensusOn   = true
-)
-
-// SetGCPolicyDefault sets the purge policy used by systems whose Config
-// leaves GCPolicy at GCPolicyDefault, returning the previous default.
-func SetGCPolicyDefault(p GCPolicy) GCPolicy {
-	prev := gcDefaultPolicy
-	if p != GCPolicyDefault {
-		gcDefaultPolicy = p
-	} else {
-		gcDefaultPolicy = GCPolicyFlush
-	}
-	return prev
-}
-
-// SetGCPressureDefault sets the acquire-epoch pressure threshold used by
-// systems whose Config leaves GCPressure at 0, returning the previous
-// default. Negative disables acquire epochs by default.
-func SetGCPressureDefault(n int) int {
-	prev := gcDefaultPressure
-	if n == 0 {
-		gcDefaultPressure = DefaultGCPressure
-	} else {
-		gcDefaultPressure = n
-	}
-	return prev
-}
-
-// SetWireV1Default makes systems whose Config leaves WireV1 false run
-// the pre-batching wire protocol anyway, returning the previous default.
-// It lets a whole harness grid (every app, every cell) flip between the
-// formats for before/after measurement without threading the knob
-// through each Params struct.
-func SetWireV1Default(v bool) bool {
-	prev := wireV1Default
-	wireV1Default = v
-	return prev
-}
-
-// SetTreeConsensusDefault switches subsequently created systems between
-// hierarchical consensus (push rounds and barrier departure waves routed
-// through the combining tree; the default) and the flat pre-hierarchical
-// transport (one datagram per destination at any machine size),
-// returning the previous default. It is the before/after axis of the
-// scaling measurement (`make bench-scaling`), mirroring SetWireV1Default
-// for the wire formats. At ≤ fan-in+1 nodes the two transports are
-// identical and the knob is a no-op.
-func SetTreeConsensusDefault(v bool) bool {
-	prev := treeConsensusOn
-	treeConsensusOn = v
-	return prev
 }
 
 // acqCoord is the acquire-epoch consensus state: the simulation stand-in
@@ -233,17 +162,10 @@ type acqCoord struct {
 	pushStamp int64
 	pushGap   int64
 	pushProg  int64 // progressLocked() at the last push round
-
-	// gate ≥ 0 names a node that must purge every issued floor before any
-	// other node is handed it — the node-0-homes configuration, where one
-	// node's copy is the rebuild base of every flushed page. Sharded home
-	// policies pass -1: the per-page flush gate (the homePurged registry,
-	// see home.go) replaces the global ordering.
-	gate int
 }
 
-func newAcqCoord(procs int, pressure int, gate int) *acqCoord {
-	co := &acqCoord{pressure: int64(pressure), baseline: newVC(procs), pushGap: int64(procs), gate: gate}
+func newAcqCoord(procs int, pressure int) *acqCoord {
+	co := &acqCoord{pressure: int64(pressure), baseline: newVC(procs), pushGap: int64(procs)}
 	for i := 0; i < procs; i++ {
 		co.reported = append(co.reported, newVC(procs))
 		co.purged = append(co.purged, newVC(procs))
@@ -290,17 +212,11 @@ func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorC
 	co.reports++
 	co.reported[id].merge(vc)
 	co.maybeAnnounceLocked()
-	// Ordering gate. With a gate node (node-0 homes) that node processes
-	// every epoch FIRST: a non-gate purge may flush a copy and later
-	// rebuild it from the gate's, so the gate's copy must already reflect
-	// every write under the floor by then — the ordering a barrier
-	// provides structurally (the root validates before any departure) and
-	// the acquire consensus must impose explicitly. Sharded homes need no
-	// global order: every purge consults the per-page flush gate (the
-	// homePurged registry), which enforces home-validates-first page by
-	// page, so any node may be handed a pending floor immediately.
-	if !co.baseline.dominatedBy(co.purged[id]) &&
-		(co.gate < 0 || id == co.gate || co.baseline.dominatedBy(co.purged[co.gate])) {
+	// No global purge order is imposed: every purge consults the per-page
+	// flush gate (the homePurged registry), which enforces
+	// home-validates-first page by page, so any node may be handed a
+	// pending floor immediately.
+	if !co.baseline.dominatedBy(co.purged[id]) {
 		floor = co.baseline.clone()
 		pending = true
 	}
@@ -344,16 +260,15 @@ func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorC
 }
 
 // pendingFloorFor returns the floor of an issued epoch node id has not
-// yet purged, honoring the gate ordering — report()'s pending condition
-// without registering a report or consuming push pacing. Frame senders
+// yet purged — report()'s pending condition without registering a report
+// or consuming push pacing. Frame senders
 // use it to piggyback a msgGCFloor announcement onto a consensus delta
 // already bound for the peer, so a quiet node learns of the epoch one
 // datagram earlier than its own next sync operation would.
 func (co *acqCoord) pendingFloorFor(id int) (VectorClock, bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if !co.baseline.dominatedBy(co.purged[id]) &&
-		(co.gate < 0 || id == co.gate || co.baseline.dominatedBy(co.purged[co.gate])) {
+	if !co.baseline.dominatedBy(co.purged[id]) {
 		return co.baseline.clone(), true
 	}
 	return nil, false
@@ -419,14 +334,13 @@ func (co *acqCoord) announcedCount() int64 {
 }
 
 // gcTreeConsensus reports whether consensus pushes route through the
-// combining tree instead of directly to every target: wire v2 with more
-// nodes than the flat barrier spans (procs > fanin+1), unless the
-// SetTreeConsensusDefault measurement knob forced the flat transport. At
-// or below that size the tree is flat — every node is at most one hop
-// from the root — and direct sends already ARE the degenerate tree
-// routing, so the paper-scale paths stay byte-identical.
+// combining tree instead of directly to every target: more nodes than the
+// flat barrier spans (procs > fanin+1). At or below that size the tree is
+// flat — every node is at most one hop from the root — and direct sends
+// already ARE the degenerate tree routing, so Config.BarrierFanin ≥
+// Procs−1 selects the flat transport at any machine size.
 func (n *Node) gcTreeConsensus() bool {
-	return !n.wireV1 && n.sys.treeGC && n.sys.cfg.Procs > n.sys.fanin+1
+	return n.sys.cfg.Procs > n.sys.fanin+1
 }
 
 // routeTargetsLocked groups consensus destinations by their first
@@ -465,7 +379,7 @@ func (n *Node) routeTargetsLocked(targets []int) (hops []int, byHop map[int][]in
 // Requires n.mu.
 func (n *Node) consensusFrameLocked(hop int, relay []int) *frameBuilder {
 	var w wbuf
-	n.putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[hop]))
+	putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[hop]))
 	if len(relay) > 0 {
 		w.uv(uint64(len(relay)))
 		for _, t := range relay {
@@ -477,7 +391,7 @@ func (n *Node) consensusFrameLocked(hop int, relay []int) *frameBuilder {
 	if co := n.sys.acq; co != nil {
 		if floor, ok := co.pendingFloorFor(hop); ok {
 			var fw wbuf
-			n.putVC(&fw, floor)
+			putVC(&fw, floor)
 			f.add(msgGCFloor, fw.b)
 		}
 	}
@@ -623,29 +537,10 @@ func (c *Client) gcSyncOnce() {
 		// the pressured node's intervals so the consensus floor can
 		// advance without waiting for their application threads.
 		n.mu.Lock()
-		if n.wireV1 {
-			var w wbuf
-			w.vc(n.vc)
-			encodeRecords(&w, n.deltaForLocked(n.knownVC[j]))
-			n.noteSentLocked(j)
-			n.stats.GCSyncPushes++
-			// Sent under mu: atomic with the estimate update.
-			n.ep.SendAt(j, msgGCSync, network.ClassRequest, w.b, c.clk.Now())
-			n.mu.Unlock()
-			continue
-		}
-		// v2: coalesce the push delta with a pending-floor announcement
-		// for the same peer into one frame, so a quiet node both raises
-		// its clock and learns of the epoch it owes in a single datagram.
-		var w wbuf
-		n.putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[j]))
-		f := n.newFrame()
-		f.add(msgGCSync, w.b)
-		if floor, ok := co.pendingFloorFor(j); ok {
-			var fw wbuf
-			n.putVC(&fw, floor)
-			f.add(msgGCFloor, fw.b)
-		}
+		// The frame coalesces the push delta with a pending-floor
+		// announcement for the same peer, so a quiet node both raises its
+		// clock and learns of the epoch it owes in a single datagram.
+		f := n.consensusFrameLocked(j, nil)
 		n.noteSentLocked(j)
 		n.stats.GCSyncPushes++
 		// Sent under mu: atomic with the estimate update.
@@ -659,20 +554,18 @@ func (c *Client) gcSyncOnce() {
 // if an issued epoch is pending here and no application fetch is in
 // flight — run it flush-only right now, so a node parked on a condition
 // variable or deep in a compute phase neither holds the consensus floor
-// nor gates the next announcement. The gate node (node-0 homes) never
-// collects in server context: its purge must validate (fetch diffs),
-// which a server cannot block on; its application-thread hook runs the
-// epoch instead. Under sharded homes the same deferral happens per page
-// through gcCanFlushAllLocked: a node homing covered-owing pages, or
-// holding pages whose home has not purged the floor, leaves the epoch to
-// its application thread.
+// nor gates the next announcement. A purge that must validate (fetch
+// diffs) cannot run in server context — a server cannot block on the
+// network — so gcCanFlushAllLocked defers per page: a node homing
+// covered-owing pages, or holding pages whose home has not purged the
+// floor, leaves the epoch to its application thread.
 func (n *Node) handleGCSync(m *network.Message) {
 	r := rbuf{b: m.Payload}
-	senderVC, recs := n.getTrailer(&r)
+	senderVC, recs := getTrailer(&r)
 	// Tree-routed pushes append the varint relay list after the trailer
-	// (v2 only; flat pushes and reverse deltas end with the trailer).
+	// (flat pushes and reverse deltas end with the trailer).
 	var relay []int
-	if !n.wireV1 && !r.done() {
+	if !r.done() {
 		cnt := r.needCount(r.uvi(), 1)
 		relay = make([]int, cnt)
 		for i := range relay {
@@ -697,65 +590,49 @@ func (n *Node) handleGCSync(m *network.Message) {
 	// TreadMarks' consensus round; it stops as soon as both sides are
 	// current (an empty delta sends nothing).
 	back := n.deltaForLocked(n.knownVC[m.From])
-	if n.wireV1 {
-		if len(back) > 0 {
-			var w wbuf
-			w.vc(n.vc)
-			encodeRecords(&w, back)
-			// Non-blocking: a server must NEVER block on a peer's bounded
-			// request queue (two servers mutually blocked sending into each
-			// other's full inboxes would stall every grant in the system). A
-			// dropped reverse delta only delays the consensus floor — the
-			// next push round retries — and the knownVC estimate is updated
-			// only when the send actually happened, keeping the gap-free
-			// delta invariant.
-			if n.ep.TrySendAt(m.From, msgGCSync, network.ClassRequest, w.b, at) {
-				n.noteSentLocked(m.From)
-				n.stats.GCSyncPushes++
-			}
+	// Frame the reverse delta with a pending-floor announcement for the
+	// pusher, when it owes one. The send is non-blocking: a server must
+	// NEVER block on a peer's bounded request queue (two servers mutually
+	// blocked sending into each other's full inboxes would stall every
+	// grant in the system). A dropped reverse delta only delays the
+	// consensus floor — the next push round retries. Delivery is
+	// all-or-nothing per envelope, and the knownVC estimate advances ONLY
+	// when the frame that actually carries the delta went out — a dropped
+	// frame must not leave the estimate vouching for sub-messages no peer
+	// ever received, keeping the gap-free delta invariant.
+	f := n.newFrame()
+	if len(back) > 0 {
+		var w wbuf
+		putTrailer(&w, n.vc, back)
+		f.add(msgGCSync, w.b)
+	}
+	if co := n.sys.acq; co != nil {
+		if floor, ok := co.pendingFloorFor(m.From); ok {
+			var fw wbuf
+			putVC(&fw, floor)
+			f.add(msgGCFloor, fw.b)
 		}
-	} else {
-		// v2: frame the reverse delta with a pending-floor announcement
-		// for the pusher, when it owes one. Delivery is all-or-nothing per
-		// envelope, and the knownVC estimate advances ONLY when the frame
-		// that actually carries the delta went out — a dropped frame must
-		// not leave the estimate vouching for sub-messages no peer ever
-		// received (the same invariant as the unbatched TrySendAt path,
-		// re-checked per envelope).
-		f := n.newFrame()
-		if len(back) > 0 {
-			var w wbuf
-			n.putTrailer(&w, n.vc, back)
-			f.add(msgGCSync, w.b)
-		}
-		if co := n.sys.acq; co != nil {
-			if floor, ok := co.pendingFloorFor(m.From); ok {
-				var fw wbuf
-				n.putVC(&fw, floor)
-				f.add(msgGCFloor, fw.b)
-			}
-		}
-		if f.count() > 0 && f.trySendAt(m.From, at) && len(back) > 0 {
-			n.noteSentLocked(m.From)
-			n.stats.GCSyncPushes++
-		}
-		// Tree relay: the pusher handed this node the destinations whose
-		// first hop is here; forward each remaining destination one hop
-		// onward. The forwarded trailer is recomputed from OUR clocks —
-		// the pushed records were incorporated above, so the relayed
-		// delta covers everything the pusher wanted propagated (interior-
-		// node merging), and it additionally closes any gap between this
-		// node and the next hop. Non-blocking like the reverse delta: a
-		// dropped frame only delays the floor, and the pusher's next
-		// paced round retries; the estimate advances only on real sends.
-		if len(relay) > 0 && n.gcTreeConsensus() {
-			hops, byHop := n.routeTargetsLocked(relay)
-			for _, h := range hops {
-				rf := n.consensusFrameLocked(h, byHop[h])
-				if rf.trySendAt(h, at) {
-					n.noteSentLocked(h)
-					n.stats.GCSyncRelays++
-				}
+	}
+	if f.count() > 0 && f.trySendAt(m.From, at) && len(back) > 0 {
+		n.noteSentLocked(m.From)
+		n.stats.GCSyncPushes++
+	}
+	// Tree relay: the pusher handed this node the destinations whose
+	// first hop is here; forward each remaining destination one hop
+	// onward. The forwarded trailer is recomputed from OUR clocks — the
+	// pushed records were incorporated above, so the relayed delta covers
+	// everything the pusher wanted propagated (interior-node merging),
+	// and it additionally closes any gap between this node and the next
+	// hop. Non-blocking like the reverse delta: a dropped frame only
+	// delays the floor, and the pusher's next paced round retries; the
+	// estimate advances only on real sends.
+	if len(relay) > 0 && n.gcTreeConsensus() {
+		hops, byHop := n.routeTargetsLocked(relay)
+		for _, h := range hops {
+			rf := n.consensusFrameLocked(h, byHop[h])
+			if rf.trySendAt(h, at) {
+				n.noteSentLocked(h)
+				n.stats.GCSyncRelays++
 			}
 		}
 	}
@@ -773,7 +650,7 @@ func (n *Node) handleGCSync(m *network.Message) {
 // would not hand out itself.
 func (n *Node) handleGCFloor(m *network.Message) {
 	r := rbuf{b: m.Payload}
-	_ = n.getVC(&r)
+	_ = getVC(&r)
 	n.mu.Lock()
 	n.chargeInterruptLocked()
 	vc := n.vc.clone()
@@ -791,7 +668,7 @@ func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 		return
 	}
 	floor, pending, _ := co.report(n.id, vc, false)
-	if !pending || n.id == co.gate {
+	if !pending {
 		return
 	}
 	// The TryLock is load-bearing: if the application thread is mid-fetch

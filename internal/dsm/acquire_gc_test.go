@@ -219,17 +219,14 @@ func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 // time (so every node has incorporated everything under it), the issued
 // baseline is monotone, and a new epoch is never announced while any
 // node's purges lag the previously issued floors (the gate that makes
-// the one-epoch-delayed free sound). Both gating modes are exercised:
-// gate 0 (node-0 homes) must hand a floor to a non-gate node only after
-// the gate node purged it; gate -1 (sharded homes, where the per-page
-// homePurged registry replaces the global order) must still only hand a
-// node floors dominated by its own reported clock.
+// the one-epoch-delayed free sound). No global purge order is imposed
+// (the per-page homePurged registry orders flushes), but a node must only
+// be handed floors dominated by its own reported clock.
 func TestAcqCoordProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		procs := 2 + rng.Intn(6)
-		gate := rng.Intn(2) - 1 // -1 (sharded) or 0 (node-0 homes)
-		co := newAcqCoord(procs, 1+rng.Intn(8), gate)
+		co := newAcqCoord(procs, 1+rng.Intn(8))
 		clocks := make([]VectorClock, procs)
 		for i := range clocks {
 			clocks[i] = newVC(procs)
@@ -275,13 +272,7 @@ func TestAcqCoordProperties(t *testing.T) {
 			}
 			prevBaseline = co.baseline.clone()
 			if pending {
-				if gate >= 0 && id != gate && !floor.dominatedBy(co.purged[gate]) {
-					// Gate-first ordering: a non-gate node is only handed a
-					// floor the gate node has already purged (its copies are
-					// the rebuild base of every flushed page).
-					return false
-				}
-				// Home-aware soundness (both modes): a node is only ever
+				// Home-aware soundness: a node is only ever
 				// handed a floor below its own reported clock — it holds
 				// every notice the purge will classify, and the per-page
 				// flush gate needs nothing more from the coordinator.
@@ -322,16 +313,5 @@ func TestGCPolicyParse(t *testing.T) {
 			}
 		}
 	}
-	if MustParseGCPolicy("flush") != GCPolicyFlush {
-		t.Error("MustParseGCPolicy(flush) wrong")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustParseGCPolicy(bogus) did not panic")
-			}
-		}()
-		MustParseGCPolicy("bogus")
-	}()
 	_ = fmt.Sprintf("%v", GCPolicy(99)) // String() total
 }

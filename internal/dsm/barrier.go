@@ -109,7 +109,7 @@ func (n *Node) gatherArrivals() (arrivals []struct {
 		// versions encode the clock self-contained, so the prefix decodes
 		// alone.
 		r := rbuf{b: m.Payload}
-		senderVC := n.getVC(&r)
+		senderVC := getVC(&r)
 		arrivals = append(arrivals, struct {
 			from int
 			vc   VectorClock
@@ -140,14 +140,14 @@ func (c *Client) Barrier() {
 		// would let the server incorporate records and change the delta.
 		parent := barrierParent(n.id, n.sys.fanin)
 		var w wbuf
-		n.putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[parent]))
+		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[parent]))
 		n.noteSentLocked(parent)
 		n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
 		n.mu.Unlock()
 
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
-		depVC, recs := n.getTrailer(&r)
+		depVC, recs := getTrailer(&r)
 		n.mu.Lock()
 		n.incorporateLocked(recs, depVC)
 		n.noteHeardLocked(parent, depVC)
@@ -178,14 +178,14 @@ func (c *Client) Barrier() {
 		parent := barrierParent(n.id, n.sys.fanin)
 		n.mu.Lock()
 		var w wbuf
-		n.putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[parent]))
+		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[parent]))
 		n.noteSentLocked(parent)
 		n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
 		n.mu.Unlock()
 
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
-		depVC, recs := n.getTrailer(&r)
+		depVC, recs := getTrailer(&r)
 		n.mu.Lock()
 		n.incorporateLocked(recs, depVC)
 		n.noteHeardLocked(parent, depVC)
@@ -241,9 +241,8 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 	vc   VectorClock
 }, episodeCollects bool) {
 	if !n.gcTreeConsensus() {
-		// Flat tree (the paper's ≤ fan-in+1 machine), wire v1, or the
-		// flat-transport measurement knob: the pinned byte-for-byte
-		// path — one plain departure per arrival.
+		// Flat tree (the paper's ≤ fan-in+1 machine): the pinned
+		// byte-for-byte path — one plain departure per arrival.
 		for _, a := range arrivals {
 			var w wbuf
 			// Exact delta against the arriver's reported clock; departures
@@ -251,14 +250,14 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 			// stays live deliberately: records stored by the server mid-loop
 			// ride along early (their own clocks raise the receiver), which
 			// is sound — only the floor clock must be the snapshot.
-			n.putTrailer(&w, depVC, n.deltaForLocked(a.vc))
+			putTrailer(&w, depVC, n.deltaForLocked(a.vc))
 			n.mu.Unlock()
 			n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, w.b, c.clk.Now())
 			n.mu.Lock()
 		}
 		return
 	}
-	// Tree mode under wire v2: build the whole departure wave under ONE
+	// Tree mode: build the whole departure wave under ONE
 	// mu hold — every child subtree's delta cut from the same snapshot,
 	// with no per-send unlock windows for the server to interleave — then
 	// send the frames back to back. Dropping the live-delta opportunism is
@@ -273,13 +272,13 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 	frames := make([]*frameBuilder, len(arrivals))
 	for i, a := range arrivals {
 		var w wbuf
-		n.putTrailer(&w, depVC, n.deltaForLocked(a.vc))
+		putTrailer(&w, depVC, n.deltaForLocked(a.vc))
 		f := n.newFrame()
 		f.add(msgBarrDepart, w.b)
 		if co != nil && !episodeCollects {
 			if floor, ok := co.pendingFloorFor(a.from); ok {
 				var fw wbuf
-				n.putVC(&fw, floor)
+				putVC(&fw, floor)
 				f.add(msgGCFloor, fw.b)
 				n.stats.GCDepartFloors++
 			}

@@ -17,7 +17,7 @@
 // Access detection substitutes explicit per-access checks for the
 // mprotect/SIGSEGV mechanism of real TreadMarks (which cannot coexist with
 // the Go runtime); every protocol event — fault, twin creation, diff, write
-// notice, invalidation — is reproduced faithfully. See DESIGN.md §1.
+// notice, invalidation — is reproduced faithfully.
 package dsm
 
 import (
@@ -120,7 +120,7 @@ func (r *rbuf) done() bool { return r.off == len(r.b) }
 // corrupted frame.
 const maxUvarint = math.MaxInt32
 
-// uv appends v in LEB128 (unsigned varint) form: the workhorse of the v2
+// uv appends v in LEB128 (unsigned varint) form: the workhorse of the
 // compact wire encoding, where most values — sparse VC deltas, page-run
 // gaps, element counts — are small.
 func (w *wbuf) uv(v uint64) {
@@ -131,7 +131,7 @@ func (w *wbuf) uv(v uint64) {
 	w.b = append(w.b, byte(v))
 }
 
-// uv decodes one LEB128 varint, bounded to maxUvarint (all v2 wire values
+// uv decodes one LEB128 varint, bounded to maxUvarint (all wire values
 // fit int32; see maxUvarint). Truncation and overflow both raise the
 // decoder's wireError.
 func (r *rbuf) uv() uint64 {

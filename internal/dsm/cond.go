@@ -74,7 +74,7 @@ func (c *Client) CondWait(condID, lockID int) {
 		w.i32(condID)
 		w.i32(lockID)
 		w.u32(c.tag)
-		n.putVC(&w, myVC)
+		putVC(&w, myVC)
 		n.mu.Unlock()
 		n.ep.SendAt(mgr, msgCondWait, network.ClassRequest, w.b, c.clk.Now())
 		c.recvReply(msgCondWaitAck, c.tag)
@@ -92,7 +92,7 @@ func (c *Client) CondWait(condID, lockID int) {
 		panic("dsm: condition wake granted wrong lock")
 	}
 	r.u32() // tag: already matched by routing
-	senderVC, recs := n.getTrailer(&r)
+	senderVC, recs := getTrailer(&r)
 	n.mu.Lock()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
@@ -180,7 +180,7 @@ func (n *Node) enqueueLockRequestLocked(lockID, requester int, tag uint32, reqVC
 	w.i32(lockID)
 	w.i32(requester)
 	w.u32(tag)
-	n.putVC(&w, reqVC)
+	putVC(&w, reqVC)
 	//nowlint:allow servernoblock -- bounded traffic: reqOutstanding caps each node at one in-flight acquire, so at most Procs-1 msgAcqFwd can exist at once, far under the request queue depth; the forward cannot block (PR 5 no-deadlock argument)
 	n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, at)
 }
@@ -193,7 +193,7 @@ func (n *Node) handleCondWait(m *network.Message) {
 	condID := r.i32()
 	_ = r.i32() // lockID: queue transfer happens at signal time
 	tag := r.u32()
-	reqVC := n.getVC(&r)
+	reqVC := getVC(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 	n.mu.Lock()
 	n.chargeInterruptLocked()

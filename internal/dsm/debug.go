@@ -7,22 +7,6 @@ import (
 	"sync"
 )
 
-// debugSquash gates the diff-squash fallback (test hook):
-// bit 0 = cold squash, bit 1 = warm squash, bit 2 = differential verify.
-var debugSquash = 3
-
-// SetDebugSquash toggles the squash fallback (tests only).
-func SetDebugSquash(v bool) {
-	if v {
-		debugSquash = 3
-	} else {
-		debugSquash = 0
-	}
-}
-
-// SetDebugSquashMode sets the squash mode directly (tests only).
-func SetDebugSquashMode(m int) { debugSquash = m }
-
 // debugOracle, when enabled, keeps an authoritative shadow copy of every
 // written byte (valid only for data-race-free programs whose sync order
 // matches real time, which holds for lock-ordered tests). Reads compare

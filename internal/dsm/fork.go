@@ -39,7 +39,7 @@ func (c *Client) RunParallel(region string, arg []byte) {
 		var w wbuf
 		w.str(region)
 		w.bytes(arg)
-		n.putTrailer(&w, forkVC, n.deltaForLocked(n.knownVC[i]))
+		putTrailer(&w, forkVC, n.deltaForLocked(n.knownVC[i]))
 		n.noteSentLocked(i)
 		// Sent under mu: atomic with the estimate update.
 		n.ep.SendAt(i, msgFork, network.ClassRequest, w.b, c.clk.Now())
@@ -96,9 +96,9 @@ func (n *Node) slaveLoop() {
 		// thread, so a validate-policy purge can fetch diffs without
 		// blocking this node's protocol server.
 		if n.sys.gcOn {
-			// Clock prefix only: both wire versions encode the clock
-			// self-contained ahead of the records.
-			forkVC := n.getVC(&r)
+			// Clock prefix only: the clock is encoded self-contained
+			// ahead of the records.
+			forkVC := getVC(&r)
 			n.mu.Lock()
 			n.gcEpochLocked(&n.c0, forkVC)
 			n.mu.Unlock()
@@ -109,7 +109,7 @@ func (n *Node) slaveLoop() {
 		n.mu.Lock()
 		n.closeIntervalLocked()
 		var w wbuf
-		n.putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[0]))
+		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[0]))
 		n.noteSentLocked(0)
 		// Sent under mu: atomic with the estimate update.
 		n.ep.Send(0, msgJoin, network.ClassRequest, w.b)

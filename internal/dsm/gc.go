@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/network"
 	"repro/internal/sim"
 )
 
@@ -49,21 +48,18 @@ import (
 //     choice of TreadMarks GC, now a per-page policy (Config.GCPolicy)
 //     keyed on whether the page was faulted since the last collection.
 //     A flush may only drop notices the home's copy already reflects —
-//     otherwise the later whole-page refetch is lossy. Under sharded
-//     homes this episode source gets that guarantee deterministically by
-//     LAGGING the flush floor one collecting episode: every node finishes
-//     episode e-1's purge (validating its own homed pages to that floor)
-//     before sending its episode-e arrival, so when any node processes
-//     episode e, every home provably holds the e-1 floor. Foreign pages
-//     therefore flush only notices under the PREVIOUS floor (gcFreeVC)
-//     and keep the one-episode tail, which the next episode drops in turn
-//     (or an intervening fault applies over the home's base). Under
-//     node-0 homes the old single-floor flush is kept verbatim: the root
-//     purges before any departure leaves it, so the full floor is already
-//     safe — and ≤8-processor runs stay byte-identical to the
-//     pre-sharding protocol. The acquire source (acqgc.go) has no such
-//     happens-before wave and gates flushes per page on the homePurged
-//     registry instead, overriding to validate while a home lags.
+//     otherwise the later whole-page refetch is lossy. This episode source
+//     gets that guarantee deterministically by LAGGING the flush floor one
+//     collecting episode: every node finishes episode e-1's purge
+//     (validating its own homed pages to that floor) before sending its
+//     episode-e arrival, so when any node processes episode e, every home
+//     provably holds the e-1 floor. Foreign pages therefore flush only
+//     notices under the PREVIOUS floor (gcFreeVC) and keep the
+//     one-episode tail, which the next episode drops in turn (or an
+//     intervening fault applies over the home's base). The acquire source
+//     (acqgc.go) has no such happens-before wave and gates flushes per
+//     page on the homePurged registry instead, overriding to validate
+//     while a home lags.
 //
 //     The floor is always the root's clock AS CARRIED IN THE EPISODE'S
 //     MESSAGE, never the local clock: a node's protocol server may
@@ -94,15 +90,6 @@ type epochFloor struct {
 	collect bool
 	seen    int
 }
-
-// gcDefault gates the collector for systems whose Config does not set
-// DisableGC. It exists for the GC ablation and the GC-off equivalence
-// suite; it must not be flipped while systems are running.
-var gcDefault = true
-
-// SetGCDefault enables or disables garbage collection (both epoch
-// sources) for subsequently created systems (ablations and tests only).
-func SetGCDefault(on bool) { gcDefault = on }
 
 // checkEpochFloor verifies that every node presents the identical retire
 // floor — and reaches the identical collect-or-skip decision — for a
@@ -184,12 +171,8 @@ func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
 	// (captured before gcCollectLocked advances it): every home completed
 	// that episode's validation before this episode's floor could even be
 	// formed, so the lagged flush needs no registry check and stays
-	// deterministic. Node-0 homes keep the full floor — the root purges
-	// before any departure leaves it (see the file comment, step 2).
-	flushVC := retire
-	if n.sys.homes.policy != HomePolicyNode0 {
-		flushVC = n.gcFreeVC
-	}
+	// deterministic (see the file comment, step 2).
+	flushVC := n.gcFreeVC
 	n.gcCollectLocked(&n.gcFreeVC, retire, func() { n.gcPurgePagesLocked(c, retire, flushVC, true) })
 	n.stats.GCEpochs++
 	if n.sys.acq != nil {
@@ -398,7 +381,7 @@ func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 // under the flush floor, preserving newer notices — the flush half of
 // the validate-vs-flush choice, shared by the per-page policy purge and
 // the consensus-push purge. The flush floor may lag the retire floor (the
-// barrier source under sharded homes) or be nil on the first collecting
+// barrier source) or be nil on the first collecting
 // episode, in which case only the copy is discarded and every notice
 // survives. Requires n.mu.
 func (n *Node) gcFlushPageLocked(pg *page, flushVC VectorClock) {
@@ -525,7 +508,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 		mustKeep := pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) && pg.data != nil
 		// Lagged-floor safety: a flush rebuilds from the home, and the home
 		// is only guaranteed to reflect flushVC — which trails the retire
-		// floor under sharded homes (and trails the node's recent history at
+		// floor at episodes (and trails the node's recent history at
 		// acquire epochs). Content baked into the copy beyond flushVC — own
 		// closed writes and already-applied diffs (page.appliedVC) — has no
 		// notice left to re-deliver it, so discarding the copy would lose
@@ -572,39 +555,28 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	// reply queue routes by message type alone, so every page reply must
 	// drain before the first diff request goes out (cf. faultInLocked).
 	if refetches > 0 {
-		if n.wireV1 {
-			for _, w := range work {
-				if w.home < 0 {
-					continue
-				}
-				var req wbuf
-				req.u32(uint32(w.pg.id))
-				n.ep.SendAt(w.home, msgPageReq, network.ClassRequest, req.b, c.clk.Now())
+		// Coalesce the wave per home — one frame carries every
+		// refetch bound for the same home (each sub still earns its
+		// own msgPageRep reply, so the collection below is unchanged).
+		byHome := make(map[int]*frameBuilder)
+		var homes []int
+		for _, w := range work {
+			if w.home < 0 {
+				continue
 			}
-		} else {
-			// v2: coalesce the wave per home — one frame carries every
-			// refetch bound for the same home (each sub still earns its
-			// own msgPageRep reply, so the collection below is unchanged).
-			byHome := make(map[int]*frameBuilder)
-			var homes []int
-			for _, w := range work {
-				if w.home < 0 {
-					continue
-				}
-				f := byHome[w.home]
-				if f == nil {
-					f = n.newFrame()
-					byHome[w.home] = f
-					homes = append(homes, w.home)
-				}
-				var req wbuf
-				req.u32(uint32(w.pg.id))
-				f.add(msgPageReq, req.b)
+			f := byHome[w.home]
+			if f == nil {
+				f = n.newFrame()
+				byHome[w.home] = f
+				homes = append(homes, w.home)
 			}
-			sort.Ints(homes)
-			for _, h := range homes {
-				byHome[h].sendAt(h, c.clk.Now())
-			}
+			var req wbuf
+			req.u32(uint32(w.pg.id))
+			f.add(msgPageReq, req.b)
+		}
+		sort.Ints(homes)
+		for _, h := range homes {
+			byHome[h].sendAt(h, c.clk.Now())
 		}
 		contents := make(map[PageID][]byte, refetches)
 		for i := 0; i < refetches; i++ {
@@ -634,33 +606,27 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	// the parallel validation sweep.
 	n.mu.Lock()
 	requests := 0
-	if n.wireV1 {
-		for _, w := range work {
-			requests += c.sendDiffRequests(w.pg.id, w.fetch)
-		}
-	} else {
-		// v2: coalesce the wave per creator — one frame carries one
-		// creator's per-page diff requests across ALL work pages. Each
-		// sub still earns its own msgDiffRep reply, so the reply count
-		// is the sub count, not the frame count.
-		byCreator := make(map[int]*frameBuilder)
-		var creators []int
-		for _, w := range work {
-			for _, req := range diffRequestPayloads(w.pg.id, w.fetch) {
-				f := byCreator[req.creator]
-				if f == nil {
-					f = n.newFrame()
-					byCreator[req.creator] = f
-					creators = append(creators, req.creator)
-				}
-				f.add(msgDiffReq, req.payload)
-				requests++
+	// Coalesce the wave per creator — one frame carries one
+	// creator's per-page diff requests across ALL work pages. Each
+	// sub still earns its own msgDiffRep reply, so the reply count
+	// is the sub count, not the frame count.
+	byCreator := make(map[int]*frameBuilder)
+	var creators []int
+	for _, w := range work {
+		for _, req := range diffRequestPayloads(w.pg.id, w.fetch) {
+			f := byCreator[req.creator]
+			if f == nil {
+				f = n.newFrame()
+				byCreator[req.creator] = f
+				creators = append(creators, req.creator)
 			}
+			f.add(msgDiffReq, req.payload)
+			requests++
 		}
-		sort.Ints(creators)
-		for _, cr := range creators {
-			byCreator[cr].sendAt(cr, c.clk.Now())
-		}
+	}
+	sort.Ints(creators)
+	for _, cr := range creators {
+		byCreator[cr].sendAt(cr, c.clk.Now())
 	}
 	n.mu.Unlock()
 

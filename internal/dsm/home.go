@@ -1,10 +1,6 @@
 package dsm
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Page homes: sharded initial ownership of the shared address space.
 //
@@ -13,7 +9,7 @@ import (
 // the paper's ≤8-processor runs, but a structural hotspot past them:
 // every cold fault in the system serialized through one server, and
 // every flush decision hinged on one node's purge progress. Ownership is
-// now sharded by a HomePolicy: each page has a HOME node that
+// now sharded block-cyclically: each page has a HOME node that
 // materializes its zero-filled initial copy on demand, serves first
 // copies, always validates (never flushes) its own pages at collection
 // epochs, and is the node every post-flush refetch rebuilds from.
@@ -32,121 +28,16 @@ import (
 // order IS the floor contents: allocation zero-fills, and every write
 // since lives in some interval's diff).
 
-// HomePolicy selects how initial page ownership is distributed across
-// nodes (Config.HomePolicy).
-type HomePolicy int
-
-const (
-	// HomePolicyDefault defers to the package default (block-cyclic).
-	HomePolicyDefault HomePolicy = iota
-	// HomePolicyBlockCyclic assigns homes in blocks of HomeBlockPages
-	// pages, round-robin across nodes — contiguous arrays shard evenly
-	// and neighbouring pages keep one server.
-	HomePolicyBlockCyclic
-	// HomePolicyNode0 is the degenerate pre-sharding layout: node 0 homes
-	// every page. Kept as the paper-faithful ≤8-processor configuration;
-	// it reproduces the old protocol byte for byte.
-	HomePolicyNode0
-	// HomePolicyFirstTouch assigns each page to the first node that
-	// materializes it (fault or allocation touch), the classic NUMA
-	// placement: pages land where they are first used.
-	HomePolicyFirstTouch
-)
-
-// HomeBlockPages is the block size of HomePolicyBlockCyclic, in pages.
+// HomeBlockPages is the block size of the home layout, in pages: homes are
+// assigned in blocks of this many pages, round-robin across nodes, so
+// contiguous arrays shard evenly and neighbouring pages keep one server.
 const HomeBlockPages = 8
 
-// String returns the knob spelling accepted by ParseHomePolicy.
-func (p HomePolicy) String() string {
-	switch p {
-	case HomePolicyDefault:
-		return "default"
-	case HomePolicyBlockCyclic:
-		return "block-cyclic"
-	case HomePolicyNode0:
-		return "node0"
-	case HomePolicyFirstTouch:
-		return "first-touch"
-	}
-	return fmt.Sprintf("HomePolicy(%d)", int(p))
-}
+// homeOf returns the page's home node.
+func (n *Node) homeOf(pid PageID) int { return (int(pid) / HomeBlockPages) % n.sys.cfg.Procs }
 
-// ParseHomePolicy parses a home-policy knob ("", "default",
-// "block-cyclic", "node0", "first-touch").
-func ParseHomePolicy(s string) (HomePolicy, error) {
-	switch s {
-	case "", "default":
-		return HomePolicyDefault, nil
-	case "block-cyclic":
-		return HomePolicyBlockCyclic, nil
-	case "node0":
-		return HomePolicyNode0, nil
-	case "first-touch":
-		return HomePolicyFirstTouch, nil
-	}
-	return HomePolicyDefault, fmt.Errorf("dsm: unknown home policy %q", s)
-}
-
-// MustParseHomePolicy is ParseHomePolicy for configuration paths where an
-// unknown spelling is a programming error.
-func MustParseHomePolicy(s string) HomePolicy {
-	p, err := ParseHomePolicy(s)
-	if err != nil {
-		panic(err.Error())
-	}
-	return p
-}
-
-// homeTable resolves page → home for one system.
-type homeTable struct {
-	policy HomePolicy
-	procs  int
-	// claims is the first-touch registry: claims[pid] is the home node id
-	// + 1, or 0 while unclaimed. Only HomePolicyFirstTouch populates it.
-	claims []atomic.Int32
-}
-
-func newHomeTable(policy HomePolicy, procs, npages int) *homeTable {
-	h := &homeTable{policy: policy, procs: procs}
-	if policy == HomePolicyFirstTouch {
-		h.claims = make([]atomic.Int32, npages)
-	}
-	return h
-}
-
-// homeOf returns the page's home node, or -1 for a first-touch page no
-// node has claimed yet (such a page has never been materialized anywhere,
-// so it cannot owe write notices either).
-func (h *homeTable) homeOf(pid PageID) int {
-	switch h.policy {
-	case HomePolicyNode0:
-		return 0
-	case HomePolicyFirstTouch:
-		return int(h.claims[pid].Load()) - 1
-	}
-	return (int(pid) / HomeBlockPages) % h.procs
-}
-
-// claim makes id the page's home if no node beat it to the claim, and
-// returns the winning home. Non-first-touch policies are static: the
-// assigned home is returned unchanged.
-func (h *homeTable) claim(pid PageID, id int) int {
-	if h.policy != HomePolicyFirstTouch {
-		return h.homeOf(pid)
-	}
-	if h.claims[pid].CompareAndSwap(0, int32(id)+1) {
-		return id
-	}
-	return int(h.claims[pid].Load()) - 1
-}
-
-// homeOf is the node-side resolver (no claim).
-func (n *Node) homeOf(pid PageID) int { return n.sys.homes.homeOf(pid) }
-
-// isHome reports whether this node homes the page, claiming it under the
-// first-touch policy: callers are exactly the points where the node is
-// materializing the page (allocation touch or cold fault).
-func (n *Node) isHome(pid PageID) bool { return n.sys.homes.claim(pid, n.id) == n.id }
+// isHome reports whether this node homes the page.
+func (n *Node) isHome(pid PageID) bool { return n.homeOf(pid) == n.id }
 
 // homePurged tracks, per node, the merged floor of every collection epoch
 // the node has completed — the registry behind the per-page flush gate.

@@ -68,72 +68,30 @@ func TestHomeDefaultConfigPin(t *testing.T) {
 	}
 }
 
-// TestHomePoliciesAgree runs the pin workload under every home policy and
-// checks the program-visible outcome is identical (the workload asserts
-// every read internally); traffic may differ — sharded homes move first
-// copies and refetch bases — but correctness may not.
+// TestHomePoliciesAgree runs the pin workload under every GC purge policy
+// and checks the program-visible outcome is identical (the workload
+// asserts every read internally); traffic may differ — validation moves
+// diffs where a flush refetches whole pages — but correctness may not.
 func TestHomePoliciesAgree(t *testing.T) {
-	for _, hp := range []HomePolicy{HomePolicyBlockCyclic, HomePolicyNode0, HomePolicyFirstTouch} {
-		for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive} {
-			homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: pol, HomePolicy: hp})
-		}
+	for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive} {
+		homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: pol})
 	}
 }
 
 // TestHomeOfPolicies pins the home-assignment arithmetic.
 func TestHomeOfPolicies(t *testing.T) {
-	bc := newHomeTable(HomePolicyBlockCyclic, 4, 64)
+	sys := New(Config{Procs: 4})
+	defer sys.Close()
 	for pid := 0; pid < 64; pid++ {
 		want := (pid / HomeBlockPages) % 4
-		if got := bc.homeOf(PageID(pid)); got != want {
+		if got := sys.nodes[3].homeOf(PageID(pid)); got != want {
 			t.Fatalf("block-cyclic home of page %d = %d, want %d", pid, got, want)
 		}
-		if got := bc.claim(PageID(pid), 3); got != want {
-			t.Fatalf("block-cyclic claim is not a no-op: page %d -> %d, want %d", pid, got, want)
+		if got := sys.nodes[want].isHome(PageID(pid)); !got {
+			t.Fatalf("node %d does not claim its own page %d", want, pid)
 		}
-	}
-	n0 := newHomeTable(HomePolicyNode0, 4, 64)
-	for pid := 0; pid < 64; pid += 7 {
-		if got := n0.homeOf(PageID(pid)); got != 0 {
-			t.Fatalf("node0 home of page %d = %d", pid, got)
-		}
-	}
-	ft := newHomeTable(HomePolicyFirstTouch, 4, 64)
-	if got := ft.homeOf(3); got != -1 {
-		t.Fatalf("unclaimed first-touch page has home %d, want -1", got)
-	}
-	if got := ft.claim(3, 2); got != 2 {
-		t.Fatalf("first claim of page 3 -> %d, want 2", got)
-	}
-	if got := ft.claim(3, 1); got != 2 {
-		t.Fatalf("second claim of page 3 -> %d, want winner 2", got)
-	}
-	if got := ft.homeOf(3); got != 2 {
-		t.Fatalf("claimed first-touch page has home %d, want 2", got)
-	}
-}
-
-// TestHomePolicyParse pins the knob spellings.
-func TestHomePolicyParse(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want HomePolicy
-		ok   bool
-	}{
-		{"", HomePolicyDefault, true},
-		{"default", HomePolicyDefault, true},
-		{"block-cyclic", HomePolicyBlockCyclic, true},
-		{"node0", HomePolicyNode0, true},
-		{"first-touch", HomePolicyFirstTouch, true},
-		{"node-0", HomePolicyDefault, false},
-		{"cyclic", HomePolicyDefault, false},
-	} {
-		got, err := ParseHomePolicy(tt.in)
-		if tt.ok != (err == nil) || got != tt.want {
-			t.Errorf("ParseHomePolicy(%q) = %v, %v; want %v, ok=%v", tt.in, got, err, tt.want, tt.ok)
-		}
-		if tt.ok && got.String() != tt.in && tt.in != "" {
-			t.Errorf("round trip %q -> %q", tt.in, got.String())
+		if got := sys.nodes[(want+1)%4].isHome(PageID(pid)); got {
+			t.Fatalf("node %d claims page %d homed at %d", (want+1)%4, pid, want)
 		}
 	}
 }

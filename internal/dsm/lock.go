@@ -175,7 +175,7 @@ retry:
 			w.i32(id)
 			w.i32(n.id) // requester
 			w.u32(c.tag)
-			n.putVC(&w, myVC)
+			putVC(&w, myVC)
 			n.mu.Unlock()
 			n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, c.clk.Now())
 		}
@@ -183,7 +183,7 @@ retry:
 		var w wbuf
 		w.i32(id)
 		w.u32(c.tag)
-		n.putVC(&w, myVC)
+		putVC(&w, myVC)
 		n.mu.Unlock()
 		n.ep.SendAt(mgr, msgAcqReq, network.ClassRequest, w.b, c.clk.Now())
 	}
@@ -194,7 +194,7 @@ retry:
 		panic(fmt.Sprintf("dsm: node %d got grant for lock %d while acquiring %d", n.id, got, id))
 	}
 	r.u32() // tag: already matched by routing
-	senderVC, recs := n.getTrailer(&r)
+	senderVC, recs := getTrailer(&r)
 	n.mu.Lock()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
@@ -279,7 +279,7 @@ func (n *Node) grantPayloadLocked(id int, tag uint32, reqVC VectorClock) []byte 
 	var w wbuf
 	w.i32(id)
 	w.u32(tag)
-	n.putTrailer(&w, n.vc, n.deltaForLocked(reqVC))
+	putTrailer(&w, n.vc, n.deltaForLocked(reqVC))
 	return w.b
 }
 
@@ -307,7 +307,7 @@ func (n *Node) handleAcqReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	id := r.i32()
 	tag := r.u32()
-	reqVC := n.getVC(&r)
+	reqVC := getVC(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 
 	n.mu.Lock()
@@ -331,7 +331,7 @@ func (n *Node) handleAcqReq(m *network.Message) {
 	w.i32(id)
 	w.i32(m.From)
 	w.u32(tag)
-	n.putVC(&w, reqVC)
+	putVC(&w, reqVC)
 	//nowlint:allow servernoblock -- bounded traffic: reqOutstanding caps each node at one in-flight acquire, so at most Procs-1 msgAcqFwd can exist at once, far under the request queue depth; the forward cannot block (PR 5 no-deadlock argument)
 	n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, at)
 }
@@ -342,7 +342,7 @@ func (n *Node) handleAcqFwd(m *network.Message) {
 	id := r.i32()
 	requester := r.i32()
 	tag := r.u32()
-	reqVC := n.getVC(&r)
+	reqVC := getVC(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 
 	n.mu.Lock()

@@ -24,11 +24,10 @@ import (
 // is guarded by mu; application threads release mu whenever they block on
 // the network so the server can keep serving remote requests.
 type Node struct {
-	sys    *System
-	id     int
-	wireV1 bool // pre-batching wire protocol (Config.WireV1; see wire.go)
-	clock  sim.Clock
-	ep     *network.Endpoint
+	sys   *System
+	id    int
+	clock sim.Clock
+	ep    *network.Endpoint
 
 	c0      Client       // default client: the classic single app thread
 	router  *replyRouter // reply demultiplexer; non-nil in multi-client mode
@@ -187,8 +186,7 @@ func (n *Node) pageFor(pid PageID) *page {
 		pg = &page{id: pid, hotSeq: -1, lastOwnSeq: -1}
 		if n.isHome(pid) {
 			// The page's home is its allocator and initial owner: its copy
-			// materializes as zeros, matching Tmk_malloc. (Under the first-
-			// touch policy this call claims the page.)
+			// materializes as zeros, matching Tmk_malloc.
 			pg.data = make([]byte, PageSize)
 			pg.state = pageReadOnly
 		}
@@ -598,7 +596,6 @@ func (c *Client) faultInLocked(pg *page) {
 	// anyway, or when the chain is long enough that its diffs would cost
 	// more than a page.
 	const squashMin = 4
-	squashEnabled := (needPage && debugSquash&1 != 0) || (!needPage && debugSquash&2 != 0)
 	// First copies come from the page's home (which materializes zeros on
 	// demand); a squash below may redirect the whole-page transfer to an
 	// interval creator whose copy subsumes the chain.
@@ -606,7 +603,7 @@ func (c *Client) faultInLocked(pg *page) {
 	resolved := fetch // which notices this round settles
 	squashed := false
 	var squashIvl *interval
-	if squashEnabled && len(fetch) > 0 && (needPage || len(fetch) >= squashMin) {
+	if len(fetch) > 0 && (needPage || len(fetch) >= squashMin) {
 		for _, m := range fetch {
 			if m.creator != n.id && pg.seenVC != nil && pg.seenVC.dominatedBy(m.vc) {
 				if pg.twin != nil {
@@ -665,12 +662,6 @@ func (c *Client) faultInLocked(pg *page) {
 	}
 
 	n.mu.Lock() // --- end network section ---
-
-	if squashed && debugSquash&4 != 0 {
-		// Differential verification (test hook): re-fetch the chain the
-		// squash skipped and check the squashed copy reflects it.
-		c.verifySquashLocked(pg, pid, pageContent, resolved)
-	}
 
 	if needPage && (pg.data == nil || squashed) {
 		// A squashed fetch deliberately replaces stale local content: the
@@ -1000,59 +991,3 @@ func (n *Node) Flush() { n.c0.Flush() }
 // RunParallel forks the named region on every slave node, runs it on the
 // master too, and joins (see Client.RunParallel).
 func (n *Node) RunParallel(region string, arg []byte) { n.c0.RunParallel(region, arg) }
-
-// verifySquashLocked cross-checks a squashed page against the diff chain
-// it replaced (diagnostic only; enabled via SetDebugSquashMode(7)).
-func (c *Client) verifySquashLocked(pg *page, pid PageID, content []byte, chain []*interval) {
-	n := c.n
-	nreq := c.sendDiffRequests(pid, chain)
-	n.mu.Unlock()
-	diffs := make(map[int]map[int][]byte, nreq)
-	for i := 0; i < nreq; i++ {
-		_, from, bySeq := c.recvDiffReply()
-		diffs[from] = bySeq
-	}
-	n.mu.Lock()
-	sorted := make([]*interval, len(chain))
-	copy(sorted, chain)
-	sortCausal(sorted)
-	for _, ivl := range sorted {
-		d := diffs[ivl.creator][ivl.seq]
-		r := rbuf{b: d}
-		for !r.done() {
-			off := int(r.u32())
-			cnt := int(r.u32())
-			seg := r.need(cnt)
-			_ = seg
-			_ = off
-		}
-	}
-	// Apply the chain in order onto a scratch copy of the squashed page's
-	// *later-interval* base and compare: simpler: apply each diff's bytes
-	// and verify the LAST write of each byte matches content.
-	lastVal := make(map[int]byte)
-	for _, ivl := range sorted {
-		d := diffs[ivl.creator][ivl.seq]
-		r := rbuf{b: d}
-		for !r.done() {
-			off := int(r.u32())
-			cnt := int(r.u32())
-			seg := r.need(cnt)
-			for i := 0; i < cnt; i++ {
-				lastVal[off+i] = seg[i]
-			}
-		}
-	}
-	bad := 0
-	for off, v := range lastVal {
-		if content[off] != v {
-			bad++
-		}
-	}
-	if bad > 0 {
-		fmt.Printf("SQUASH-DIVERGE node=%d page=%d badBytes=%d chain=%d\n", n.id, pid, bad, len(chain))
-		for _, ivl := range sorted {
-			fmt.Printf("  chain ivl (%d,%d) vc=%v diffLen=%d\n", ivl.creator, ivl.seq, ivl.vc, len(diffs[ivl.creator][ivl.seq]))
-		}
-	}
-}

@@ -127,44 +127,6 @@ func TestVectorClockMergeProperties(t *testing.T) {
 	}
 }
 
-// Property: interval record encode/decode round-trips.
-func TestIntervalRecordCodecProperty(t *testing.T) {
-	f := func(creator uint8, seq uint16, vcs [4]uint16, pages []uint16) bool {
-		ivl := &interval{
-			creator: int(creator),
-			seq:     int(seq),
-			vc:      make(VectorClock, 4),
-		}
-		for i, v := range vcs {
-			ivl.vc[i] = int32(v)
-		}
-		for _, p := range pages {
-			ivl.pages = append(ivl.pages, PageID(p))
-		}
-		var w wbuf
-		ivl.encodeRecord(&w)
-		r := rbuf{b: w.b}
-		got := decodeRecord(&r)
-		if got.creator != ivl.creator || got.seq != ivl.seq || len(got.pages) != len(ivl.pages) {
-			return false
-		}
-		for i := range got.pages {
-			if got.pages[i] != ivl.pages[i] {
-				return false
-			}
-		}
-		for i := range got.vc {
-			if got.vc[i] != ivl.vc[i] {
-				return false
-			}
-		}
-		return r.done()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the codec round-trips arbitrary primitive sequences.
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(a uint32, b int64, c float64, d []byte, s string) bool {

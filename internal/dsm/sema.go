@@ -61,7 +61,7 @@ func (c *Client) SemaSignal(id int) {
 	var w wbuf
 	w.i32(id)
 	w.u32(c.tag)
-	n.putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[mgr]))
+	putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[mgr]))
 	n.noteSentLocked(mgr)
 	// Send while holding mu: the estimate update and the send must be
 	// atomic with respect to other request-class deltas to mgr.
@@ -85,7 +85,7 @@ func (n *Node) semaSignalAtMgrLocked(id int, at sim.Time) {
 	var w wbuf
 	w.i32(id)
 	w.u32(wtr.tag)
-	n.putTrailer(&w, n.vc, n.deltaForLocked(wtr.vc)) // exact delta: no estimate update
+	putTrailer(&w, n.vc, n.deltaForLocked(wtr.vc)) // exact delta: no estimate update
 	n.sendOrSelfLocked(wtr.from, msgSemaGrant, w.b, at)
 }
 
@@ -115,7 +115,7 @@ func (c *Client) SemaWait(id int) {
 		var w wbuf
 		w.i32(id)
 		w.u32(c.tag)
-		n.putVC(&w, n.vc)
+		putVC(&w, n.vc)
 		n.mu.Unlock()
 		n.ep.SendAt(mgr, msgSemaWait, network.ClassRequest, w.b, c.clk.Now())
 	}
@@ -126,7 +126,7 @@ func (c *Client) SemaWait(id int) {
 		panic("dsm: semaphore grant for wrong semaphore")
 	}
 	r.u32() // tag: already matched by routing
-	senderVC, recs := n.getTrailer(&r)
+	senderVC, recs := getTrailer(&r)
 	n.mu.Lock()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
@@ -140,7 +140,7 @@ func (n *Node) handleSemaSignal(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	id := r.i32()
 	tag := r.u32()
-	senderVC, recs := n.getTrailer(&r)
+	senderVC, recs := getTrailer(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 
 	n.mu.Lock()
@@ -161,7 +161,7 @@ func (n *Node) handleSemaWait(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	id := r.i32()
 	tag := r.u32()
-	reqVC := n.getVC(&r)
+	reqVC := getVC(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 
 	n.mu.Lock()
@@ -179,7 +179,7 @@ func (n *Node) handleSemaWait(m *network.Message) {
 		var w wbuf
 		w.i32(id)
 		w.u32(tag)
-		n.putTrailer(&w, n.vc, n.deltaForLocked(reqVC)) // exact delta
+		putTrailer(&w, n.vc, n.deltaForLocked(reqVC)) // exact delta
 		n.ep.SendAt(m.From, msgSemaGrant, network.ClassReply, w.b, at)
 		return
 	}

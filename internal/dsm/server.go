@@ -129,7 +129,7 @@ func walkBatch(r *rbuf, nodeID int, fn func(typ int, payload []byte)) {
 // node's knowledge, recording the sender's reported clock (returned for
 // callers that need it, e.g. as a GC epoch floor).
 func (n *Node) incorporateWire(r *rbuf, from int) VectorClock {
-	senderVC, recs := n.getTrailer(r)
+	senderVC, recs := getTrailer(r)
 	n.mu.Lock()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(from, senderVC)
@@ -140,7 +140,7 @@ func (n *Node) incorporateWire(r *rbuf, from int) VectorClock {
 // handlePageReq serves a first-copy request. The page's home is its
 // allocator and initial owner; its current content is a correct base for
 // the requester, which then applies every diff named by its own missing
-// write notices (see DESIGN.md for the argument).
+// write notices (see home.go for the argument).
 func (n *Node) handlePageReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	pid := PageID(r.u32())

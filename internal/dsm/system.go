@@ -69,34 +69,20 @@ type Config struct {
 	// (acqgc.go) for programs that synchronize without barriers: an
 	// acquire epoch is announced when the consensus floor — the min of
 	// the per-thread clocks carried in acquire/wait requests — would
-	// newly retire at least this many interval records. 0 uses the
-	// package default (DefaultGCPressure, overridable with
-	// SetGCPressureDefault); negative disables acquire epochs, leaving
-	// only the barrier/fork source.
+	// newly retire at least this many interval records. 0 uses
+	// DefaultGCPressure, scaled with the machine past 8 nodes; negative
+	// disables acquire epochs, leaving only the barrier/fork source.
 	GCPressure int
 	// GCPolicy selects the per-page validate-vs-flush purge policy
 	// applied by non-manager nodes at every collection epoch (both
-	// sources). The zero value defers to the package default (flush,
-	// overridable with SetGCPolicyDefault).
+	// sources). The zero value is GCPolicyFlush.
 	GCPolicy GCPolicy
-	// HomePolicy selects how initial page ownership is sharded across
-	// nodes (see home.go). The zero value defers to the package default
-	// (block-cyclic); HomePolicyNode0 restores the pre-sharding layout
-	// byte for byte.
-	HomePolicy HomePolicy
 	// BarrierFanin is the fan-in of the combining-tree barrier: each
 	// interior node gathers this many children before passing the
 	// combined arrival up (see barrier.go). 0 uses DefaultBarrierFanin
 	// (8), which makes the tree exactly the old flat manager for runs of
 	// at most 9 nodes.
 	BarrierFanin int
-	// WireV1 selects the pre-batching wire protocol: every message its
-	// own datagram, fixed-width u32 vector clocks and flat page lists in
-	// the interval records. It is byte-identical to the protocol before
-	// frame coalescing and delta compression existed (the golden
-	// byte-count pins run under it); the default (false) is the compact
-	// v2 encoding with per-peer msgBatch frames. See wire.go.
-	WireV1 bool
 	// MultiClient lets several application threads share each node (the
 	// NOW-of-SMPs configuration: every node is an SMP island's protocol
 	// delegate). It starts a reply router per node so tagged grants and
@@ -115,11 +101,8 @@ type System struct {
 	gcOn      bool
 	gcPolicy  GCPolicy    // resolved purge policy (never GCPolicyDefault)
 	acq       *acqCoord   // acquire-epoch coordinator; nil when disabled
-	homes     *homeTable  // page → home resolution (see home.go)
 	purged    *homePurged // per-node purge-floor registry (flush gate)
 	fanin     int         // resolved barrier tree fan-in
-	wireV1    bool        // pre-batching wire protocol (Config.WireV1)
-	treeGC    bool        // tree-routed consensus transport (SetTreeConsensusDefault)
 
 	regionsMu sync.Mutex
 	regions   map[string]RegionFunc
@@ -161,21 +144,14 @@ func New(cfg Config) *System {
 		heapBytes: cfg.HeapBytes,
 		regions:   make(map[string]RegionFunc),
 		done:      make(chan struct{}),
-		gcOn:      !cfg.DisableGC && gcDefault && cfg.Procs > 1,
+		gcOn:      !cfg.DisableGC && cfg.Procs > 1,
 		gcFloors:  make(map[int64]*epochFloor),
-		wireV1:    cfg.WireV1 || wireV1Default,
-		treeGC:    treeConsensusOn,
 	}
 	s.gcPolicy = cfg.GCPolicy
 	if s.gcPolicy == GCPolicyDefault {
-		s.gcPolicy = gcDefaultPolicy
-	}
-	homePolicy := cfg.HomePolicy
-	if homePolicy == HomePolicyDefault {
-		homePolicy = HomePolicyBlockCyclic
+		s.gcPolicy = GCPolicyFlush
 	}
 	npages := cfg.HeapBytes / PageSize
-	s.homes = newHomeTable(homePolicy, cfg.Procs, npages)
 	s.purged = newHomePurged(cfg.Procs)
 	s.fanin = cfg.BarrierFanin
 	if s.fanin <= 0 {
@@ -183,35 +159,26 @@ func New(cfg Config) *System {
 	}
 	pressure := cfg.GCPressure
 	if pressure == 0 {
-		pressure = gcDefaultPressure
+		pressure = DefaultGCPressure
 		// The trigger counts retirable interval records SYSTEM-WIDE (the
 		// consensus floor's component sum), which grows with the machine:
 		// a fixed threshold that fires after a few rounds of metadata at
 		// the paper's 8 workstations fires 16× as often at 128 nodes, and
 		// every acquire epoch costs a full consensus round. Scale the
 		// zero-value default linearly past the paper's machine size; an
-		// explicit Config.GCPressure (or SetGCPressureDefault) still pins
-		// the trigger exactly, and ≤8-processor runs are untouched.
-		if pressure > 0 && cfg.Procs > 8 {
+		// explicit Config.GCPressure still pins the trigger exactly, and
+		// ≤8-processor runs are untouched.
+		if cfg.Procs > 8 {
 			pressure *= cfg.Procs / 8
 		}
 	}
 	if s.gcOn && pressure > 0 {
-		// Under node-0 homes the coordinator keeps the historical node-0-
-		// first purge ordering (gate 0); sharded homes gate flushes per
-		// page through the purge registry instead, so any node may be
-		// handed a pending floor immediately.
-		gate := -1
-		if homePolicy == HomePolicyNode0 {
-			gate = 0
-		}
-		s.acq = newAcqCoord(cfg.Procs, pressure, gate)
+		s.acq = newAcqCoord(cfg.Procs, pressure)
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		n := &Node{
 			sys:       s,
 			id:        i,
-			wireV1:    s.wireV1,
 			vc:        newVC(cfg.Procs),
 			intervals: make([][]*interval, cfg.Procs),
 			ivlBase:   make([]int, cfg.Procs),
@@ -320,8 +287,7 @@ func (s *System) TrafficBreakdown() TrafficBreakdown {
 
 // Frames returns the number of datagrams the run put on the wire.
 // Messages − Frames (from the switch's Snapshot) is the number of
-// datagrams per-peer frame coalescing eliminated; under Config.WireV1
-// the two are equal.
+// datagrams per-peer frame coalescing eliminated.
 func (s *System) Frames() int64 { return s.sw.Stats().FrameCount() }
 
 // Done is closed when the system aborts or shuts down; external worker

@@ -53,24 +53,6 @@ func (v VectorClock) sum() int64 {
 	return s
 }
 
-func (w *wbuf) vc(v VectorClock) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u32(uint32(x))
-	}
-}
-
-func (r *rbuf) vc() VectorClock {
-	// Each component is 4 wire bytes; validating the count against the
-	// bytes remaining keeps a corrupted count from sizing the allocation.
-	n := r.needCount(int(r.u32()), 4)
-	v := make(VectorClock, n)
-	for i := range v {
-		v[i] = int32(r.u32())
-	}
-	return v
-}
-
 // interval is one node's record of a closed write interval: the unit of
 // consistency information in lazy release consistency. A write notice is
 // the pair (interval, page); we represent the notices of an interval as its
@@ -88,48 +70,4 @@ type interval struct {
 	// barrier-epoch garbage collector once no node can request it again
 	// (see gc.go).
 	diffs map[PageID][]byte
-}
-
-// encodeRecord appends the wire form of the interval's metadata (creator,
-// seq, vc, write-notice page list) — diffs travel separately, on demand.
-func (ivl *interval) encodeRecord(w *wbuf) {
-	w.i32(ivl.creator)
-	w.i32(ivl.seq)
-	w.vc(ivl.vc)
-	w.u32(uint32(len(ivl.pages)))
-	for _, p := range ivl.pages {
-		w.u32(uint32(p))
-	}
-}
-
-func decodeRecord(r *rbuf) *interval {
-	ivl := &interval{
-		creator: r.i32(),
-		seq:     r.i32(),
-		vc:      r.vc(),
-	}
-	n := r.needCount(int(r.u32()), 4)
-	ivl.pages = make([]PageID, n)
-	for i := range ivl.pages {
-		ivl.pages[i] = PageID(r.u32())
-	}
-	return ivl
-}
-
-// encodeRecords writes a counted sequence of interval records.
-func encodeRecords(w *wbuf, ivls []*interval) {
-	w.u32(uint32(len(ivls)))
-	for _, ivl := range ivls {
-		ivl.encodeRecord(w)
-	}
-}
-
-func decodeRecords(r *rbuf) []*interval {
-	// A record is at least 16 bytes (creator, seq, vc count, page count).
-	n := r.needCount(int(r.u32()), 16)
-	out := make([]*interval, n)
-	for i := range out {
-		out[i] = decodeRecord(r)
-	}
-	return out
 }

@@ -1,13 +1,7 @@
 package dsm
 
-// Wire format v2: compact encodings for the consistency trailer (sender
+// Wire format: compact encodings for the consistency trailer (sender
 // vector clock + interval records) and per-peer frame coalescing.
-//
-// The v1 encoding — still selectable via Config.WireV1, and pinned
-// byte-identical by the golden byte-count tests — writes each interval's
-// full vector clock as fixed u32 components plus a flat u32 page list,
-// and every protocol message travels as its own datagram. The v2 default
-// replaces both:
 //
 //   - Vector clocks travel as LEB128 varints (uv), so the mostly-small
 //     components of a young clock cost one byte instead of four.
@@ -40,17 +34,19 @@ import (
 // the run-length form can only be describing a corrupted frame.
 const maxPagesPerRecord = 1 << 20
 
-// putVCv2 writes a self-contained varint vector clock.
-func putVCv2(w *wbuf, v VectorClock) {
+// putVC writes a self-contained varint vector clock. The encoding is
+// self-delimiting, so trailer consumers that only need the clock prefix
+// (gatherArrivals, slaveLoop) can stop after getVC.
+func putVC(w *wbuf, v VectorClock) {
 	w.uv(uint64(len(v)))
 	for _, x := range v {
 		w.uv(uint64(x))
 	}
 }
 
-// getVCv2 decodes a varint vector clock (each component is at least one
+// getVC decodes a varint vector clock (each component is at least one
 // wire byte, so the count is validated against the bytes remaining).
-func getVCv2(r *rbuf) VectorClock {
+func getVC(r *rbuf) VectorClock {
 	n := r.needCount(r.uvi(), 1)
 	v := make(VectorClock, n)
 	for i := range v {
@@ -59,14 +55,14 @@ func getVCv2(r *rbuf) VectorClock {
 	return v
 }
 
-// encodeRecordsV2 writes a record batch in the compact form: count, base
+// encodeRecords writes a record batch in the compact form: count, base
 // clock (componentwise minimum), then per record the creator, the sparse
 // clock delta against the base, and the run-length-encoded page list.
 // Page lists are sorted in place here — safe under the caller's n.mu:
 // each node holds its own copy of every interval record, notice order is
 // immaterial to the protocol, and sorting is idempotent across the many
 // encodes an interval sees.
-func encodeRecordsV2(w *wbuf, ivls []*interval) {
+func encodeRecords(w *wbuf, ivls []*interval) {
 	w.uv(uint64(len(ivls)))
 	if len(ivls) == 0 {
 		return
@@ -79,7 +75,7 @@ func encodeRecordsV2(w *wbuf, ivls []*interval) {
 			}
 		}
 	}
-	putVCv2(w, base)
+	putVC(w, base)
 	for _, ivl := range ivls {
 		w.uv(uint64(ivl.creator))
 		ndiff := 0
@@ -127,17 +123,17 @@ func encodePageRuns(w *wbuf, pages []PageID) {
 	}
 }
 
-// decodeRecordsV2 decodes what encodeRecordsV2 writes, deriving each
+// decodeRecords decodes what encodeRecords writes, deriving each
 // record's sequence number from its reconstructed clock. All counts,
 // indices, and accumulated values are validated before use; any
 // malformation fails via wireError.
-func decodeRecordsV2(r *rbuf) []*interval {
-	// A v2 record is at least 3 bytes (creator, ndiff, nruns varints).
+func decodeRecords(r *rbuf) []*interval {
+	// A record is at least 3 bytes (creator, ndiff, nruns varints).
 	n := r.needCount(r.uvi(), 3)
 	if n == 0 {
 		return nil
 	}
-	base := getVCv2(r)
+	base := getVC(r)
 	out := make([]*interval, n)
 	for k := range out {
 		creator := r.uvi()
@@ -197,43 +193,16 @@ func decodePageRuns(r *rbuf) []PageID {
 	return pages
 }
 
-// putVC writes a bare vector clock in the node's configured wire version.
-func (n *Node) putVC(w *wbuf, v VectorClock) {
-	if n.wireV1 {
-		w.vc(v)
-		return
-	}
-	putVCv2(w, v)
-}
-
-// getVC decodes a bare vector clock in the node's configured wire
-// version. Both encodings are self-contained, so trailer consumers that
-// only need the clock prefix (gatherArrivals, slaveLoop) can stop here.
-func (n *Node) getVC(r *rbuf) VectorClock {
-	if n.wireV1 {
-		return r.vc()
-	}
-	return getVCv2(r)
-}
-
-// putTrailer writes the consistency trailer — sender clock plus interval
-// records — in the node's configured wire version.
-func (n *Node) putTrailer(w *wbuf, vc VectorClock, recs []*interval) {
-	if n.wireV1 {
-		w.vc(vc)
-		encodeRecords(w, recs)
-		return
-	}
-	putVCv2(w, vc)
-	encodeRecordsV2(w, recs)
+// putTrailer writes the consistency trailer: sender clock plus interval
+// records.
+func putTrailer(w *wbuf, vc VectorClock, recs []*interval) {
+	putVC(w, vc)
+	encodeRecords(w, recs)
 }
 
 // getTrailer decodes the consistency trailer.
-func (n *Node) getTrailer(r *rbuf) (VectorClock, []*interval) {
-	if n.wireV1 {
-		return r.vc(), decodeRecords(r)
-	}
-	return getVCv2(r), decodeRecordsV2(r)
+func getTrailer(r *rbuf) (VectorClock, []*interval) {
+	return getVC(r), decodeRecords(r)
 }
 
 // frameBuilder collects typed sub-messages bound for one peer and

@@ -15,7 +15,7 @@ import (
 // ---------------------------------------------------------------------
 
 // randRecords builds a batch of interval records over a procs-node clock
-// that respects the protocol invariant vc[creator] == seq+1 (the v2
+// that respects the protocol invariant vc[creator] == seq+1 (the
 // encoding omits seq and re-derives it from the clock, so only invariant-
 // respecting records exist on a healthy wire). Page lists are ascending
 // and duplicate-free, mixing dense runs with isolated ids.
@@ -66,9 +66,9 @@ func TestWireVCRoundTrip(t *testing.T) {
 			v[i] = int32(x)
 		}
 		var w wbuf
-		putVCv2(&w, v)
+		putVC(&w, v)
 		r := rbuf{b: w.b}
-		got := getVCv2(&r)
+		got := getVC(&r)
 		if len(got) == 0 && len(v) == 0 {
 			return r.done()
 		}
@@ -110,38 +110,34 @@ func TestWirePageRunsRoundTrip(t *testing.T) {
 }
 
 // TestWireRecordsRoundTrip drives random invariant-respecting batches
-// through both wire versions' trailer codecs.
+// through the trailer codec.
 func TestWireRecordsRoundTrip(t *testing.T) {
-	for _, v1 := range []bool{false, true} {
-		n := &Node{wireV1: v1}
-		prop := func(seed int64) bool {
-			rnd := rand.New(rand.NewSource(seed))
-			procs := rnd.Intn(16) + 1
-			recs := randRecords(rnd, procs, rnd.Intn(12))
-			vc := newVC(procs)
-			for i := range vc {
-				vc[i] = int32(rnd.Intn(1 << 16))
-			}
-			var w wbuf
-			n.putTrailer(&w, vc, recs)
-			r := rbuf{b: w.b}
-			gotVC, gotRecs := n.getTrailer(&r)
-			if !r.done() || !reflect.DeepEqual(gotVC, vc) {
-				return false
-			}
-			return reflect.DeepEqual(stripDiffs(gotRecs), stripDiffs(recs))
+	prop := func(seed int64) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		procs := rnd.Intn(16) + 1
+		recs := randRecords(rnd, procs, rnd.Intn(12))
+		vc := newVC(procs)
+		for i := range vc {
+			vc[i] = int32(rnd.Intn(1 << 16))
 		}
-		if err := quick.Check(prop, nil); err != nil {
-			t.Fatalf("wireV1=%v: %v", v1, err)
+		var w wbuf
+		putTrailer(&w, vc, recs)
+		r := rbuf{b: w.b}
+		gotVC, gotRecs := getTrailer(&r)
+		if !r.done() || !reflect.DeepEqual(gotVC, vc) {
+			return false
 		}
+		return reflect.DeepEqual(stripDiffs(gotRecs), stripDiffs(recs))
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // ---------------------------------------------------------------------
 // Truncation: every strict prefix of a valid encoding must fail through
 // the bounded wireError path — never a runtime fault, never a huge
-// allocation sized from a corrupted count (the bug this PR fixes in the
-// v1 decoders).
+// allocation sized from a corrupted count.
 // ---------------------------------------------------------------------
 
 // wantWireError runs fn expecting either success (ok true) or a panic of
@@ -165,28 +161,25 @@ func TestWireTruncatedTrailer(t *testing.T) {
 	for i := range vc {
 		vc[i] = int32(rnd.Intn(1 << 20))
 	}
-	for _, v1 := range []bool{false, true} {
-		n := &Node{wireV1: v1}
-		var w wbuf
-		n.putTrailer(&w, vc, recs)
-		for cut := 0; cut < len(w.b); cut++ {
-			panicked := false
-			func() {
-				defer func() {
-					switch e := recover().(type) {
-					case wireError:
-						panicked = true
-					case nil:
-					default:
-						t.Fatalf("wireV1=%v cut=%d: non-wireError panic: %v", v1, cut, e)
-					}
-				}()
-				r := rbuf{b: w.b[:cut]}
-				n.getTrailer(&r)
+	var w wbuf
+	putTrailer(&w, vc, recs)
+	for cut := 0; cut < len(w.b); cut++ {
+		panicked := false
+		func() {
+			defer func() {
+				switch e := recover().(type) {
+				case wireError:
+					panicked = true
+				case nil:
+				default:
+					t.Fatalf("cut=%d: non-wireError panic: %v", cut, e)
+				}
 			}()
-			if !panicked {
-				t.Fatalf("wireV1=%v: truncation at %d of %d decoded silently", v1, cut, len(w.b))
-			}
+			r := rbuf{b: w.b[:cut]}
+			getTrailer(&r)
+		}()
+		if !panicked {
+			t.Fatalf("truncation at %d of %d decoded silently", cut, len(w.b))
 		}
 	}
 }
@@ -195,18 +188,6 @@ func TestWireTruncatedTrailer(t *testing.T) {
 // directly: a frame whose count field claims far more elements than bytes
 // remain must die in needCount, not in make().
 func TestWireCorruptCountBounded(t *testing.T) {
-	var w wbuf
-	w.u32(0x7fffffff) // v1 record count with an empty body
-	wantWireError(t, "v1 records", func() {
-		r := rbuf{b: w.b}
-		decodeRecords(&r)
-	})
-	var w2 wbuf
-	w2.u32(0x7fffffff) // v1 clock length
-	wantWireError(t, "v1 clock", func() {
-		r := rbuf{b: w2.b}
-		r.vc()
-	})
 	var w3 wbuf
 	w3.u32(0x7fffffff) // byte-slice length (page contents, diff bodies)
 	wantWireError(t, "bytes", func() {
@@ -353,7 +334,7 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 	// A consensus push from node 0 arrives; the reverse delta cannot be
 	// delivered (node 0's queue is full), so nothing may be recorded.
 	var w wbuf
-	n1.putTrailer(&w, newVC(2), nil)
+	putTrailer(&w, newVC(2), nil)
 	n1.handleGCSync(&network.Message{From: 0, To: 1, Type: msgGCSync, Payload: w.b})
 
 	n1.mu.Lock()
@@ -394,7 +375,7 @@ func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
 	n1.mu.Unlock()
 
 	var w wbuf
-	n1.putTrailer(&w, newVC(2), nil)
+	putTrailer(&w, newVC(2), nil)
 	n1.handleGCSync(&network.Message{From: 0, To: 1, Type: msgGCSync, Payload: w.b})
 
 	n1.mu.Lock()
@@ -423,14 +404,11 @@ func FuzzWireDecode(f *testing.F) {
 	rnd := rand.New(rand.NewSource(1))
 	recs := randRecords(rnd, 6, 4)
 	vc := VectorClock{3, 1, 4, 1, 5, 9}
-	for _, v1 := range []bool{false, true} {
-		n := &Node{wireV1: v1}
-		var w wbuf
-		n.putTrailer(&w, vc, recs)
-		f.Add(w.b)
-	}
+	var w wbuf
+	putTrailer(&w, vc, recs)
+	f.Add(w.b)
 	var v wbuf
-	putVCv2(&v, vc)
+	putVC(&v, vc)
 	f.Add(v.b)
 	fb := (&Node{}).newFrame()
 	fb.add(msgGCSync, v.b)
@@ -438,16 +416,16 @@ func FuzzWireDecode(f *testing.F) {
 	env, _ := fb.build()
 	f.Add(env)
 
-	decoders := []func(n *Node, b []byte){
-		func(n *Node, b []byte) {
+	decoders := []func(b []byte){
+		func(b []byte) {
 			r := rbuf{b: b}
-			n.getTrailer(&r)
+			getTrailer(&r)
 		},
-		func(n *Node, b []byte) {
+		func(b []byte) {
 			r := rbuf{b: b}
-			n.getVC(&r)
+			getVC(&r)
 		},
-		func(n *Node, b []byte) {
+		func(b []byte) {
 			r := rbuf{b: b}
 			walkBatch(&r, 0, func(_ int, sub []byte) {
 				// Demuxed sub payloads reach the same trailer decoders.
@@ -459,25 +437,22 @@ func FuzzWireDecode(f *testing.F) {
 						}
 					}
 				}()
-				n.getTrailer(&sr)
+				getTrailer(&sr)
 			})
 		},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, v1 := range []bool{false, true} {
-			n := &Node{wireV1: v1}
-			for i, dec := range decoders {
-				func() {
-					defer func() {
-						switch e := recover().(type) {
-						case nil, wireError:
-						default:
-							t.Fatalf("decoder %d (wireV1=%v): non-wireError panic: %v", i, v1, e)
-						}
-					}()
-					dec(n, data)
+		for i, dec := range decoders {
+			func() {
+				defer func() {
+					switch e := recover().(type) {
+					case nil, wireError:
+					default:
+						t.Fatalf("decoder %d: non-wireError panic: %v", i, e)
+					}
 				}()
-			}
+				dec(data)
+			}()
 		}
 	})
 }

@@ -379,7 +379,7 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 	p.Steps = steps
 	var rows []GCAblationRow
 	for _, mode := range GCModes {
-		p.DisableGC, p.GCMinRetire = gcModeConfig(mode, name, procs)
+		p.DSM.DisableGC, p.DSM.GCMinRetire = gcModeConfig(mode, name, procs)
 		res, err := water.RunTmk(p, procs)
 		if err != nil {
 			return rows, err
@@ -405,7 +405,7 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 // ---------------------------------------------------------------------
 
 // GCPolicies are the purge-policy arms of the grid.
-var GCPolicies = []string{"flush", "validate-hot", "adaptive"}
+var GCPolicies = []dsm.GCPolicy{dsm.GCPolicyFlush, dsm.GCPolicyValidateHot, dsm.GCPolicyAdaptive}
 
 // GCTriggers are the epoch-source arms of the grid.
 var GCTriggers = []string{"episode", "acquire"}
@@ -468,11 +468,11 @@ const gcLockSparseReadPeriod = 6
 // policy replaces with tiny single-creator diff fetches. It returns the
 // finished system for counter inspection.
 func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, error) {
-	sys := dsm.New(dsm.Config{
-		Procs:      procs,
-		GCPressure: pressure,
-		GCPolicy:   dsm.MustParseGCPolicy(policy),
-	})
+	pol, err := dsm.ParseGCPolicy(policy)
+	if err != nil {
+		return nil, err
+	}
+	sys := dsm.New(dsm.Config{Procs: procs, GCPressure: pressure, GCPolicy: pol})
 	defer sys.Close()
 	arr := sys.MallocPage(procs * dsm.PageSize)
 	ctr := sys.MallocPage(8)
@@ -509,7 +509,7 @@ func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, 
 			n.SemaSignal(100 + succ)
 		}
 	})
-	err := sys.Run(func(n *dsm.Node) {
+	err = sys.Run(func(n *dsm.Node) {
 		n.RunParallel("locksparse", nil)
 		if got := n.ReadI64(ctr); got != int64(rounds*procs) {
 			panic(fmt.Sprintf("locksparse: counter = %d, want %d", got, rounds*procs))
@@ -533,7 +533,7 @@ func AblationGCPolicy(rounds, steps, procs int) ([]GCPolicyRow, error) {
 	name := fmt.Sprintf("locksparse x%d", rounds)
 	for _, trigger := range GCTriggers {
 		for _, policy := range GCPolicies {
-			sys, err := GCLockSparse(procs, rounds, gcTriggerPressure(trigger, procs), policy)
+			sys, err := GCLockSparse(procs, rounds, gcTriggerPressure(trigger, procs), policy.String())
 			if err != nil {
 				return rows, err
 			}
@@ -541,7 +541,7 @@ func AblationGCPolicy(rounds, steps, procs int) ([]GCPolicyRow, error) {
 			retired, chain, _ := sys.ProtoSummary()
 			g := sys.GCSummary()
 			rows = append(rows, GCPolicyRow{
-				Workload: name, Trigger: trigger, Policy: policy, Procs: procs,
+				Workload: name, Trigger: trigger, Policy: policy.String(), Procs: procs,
 				Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
 				AcqEpochs: g.AcqEpochs, Retired: retired, PeakChain: chain,
 				Validated: g.PagesValidated, Flushed: g.PagesFlushed,
@@ -553,14 +553,14 @@ func AblationGCPolicy(rounds, steps, procs int) ([]GCPolicyRow, error) {
 		for _, policy := range GCPolicies {
 			p := water.Small()
 			p.Steps = steps
-			p.GCPressure = gcTriggerPressure(trigger, procs)
-			p.GCPolicy = policy
+			p.DSM.GCPressure = gcTriggerPressure(trigger, procs)
+			p.DSM.GCPolicy = policy
 			res, err := water.RunTmk(p, procs)
 			if err != nil {
 				return rows, err
 			}
 			rows = append(rows, GCPolicyRow{
-				Workload: wname, Trigger: trigger, Policy: policy, Procs: procs,
+				Workload: wname, Trigger: trigger, Policy: policy.String(), Procs: procs,
 				Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
 				AcqEpochs: res.GCAcqEpochs, Retired: res.IntervalsRetired,
 				PeakChain: res.PeakIntervalChain,

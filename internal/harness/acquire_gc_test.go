@@ -24,7 +24,7 @@ func TestAcquireGCBoundsQSORTChain(t *testing.T) {
 	run := func(mult, pressure int) int64 {
 		p := qsort.Small()
 		p.N *= mult
-		p.GCPressure = pressure
+		p.DSM.GCPressure = pressure
 		res, err := qsort.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("qsort x%d: %v", mult, err)
@@ -79,7 +79,7 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	sw := func(mult, pressure int) int64 {
 		p := sweep3d.Small()
 		p.NX *= mult // more pipeline stage units per node -> more intervals
-		p.GCPressure = pressure
+		p.DSM.GCPressure = pressure
 		res, err := sweep3d.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("sweep3d NXx%d: %v", mult, err)
@@ -98,7 +98,7 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	ts := func(cities, pressure int) int64 {
 		p := tsp.Small()
 		p.NCities = cities // 11 -> 12 roughly quadruples the search
-		p.GCPressure = pressure
+		p.DSM.GCPressure = pressure
 		res, err := tsp.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("tsp %d cities: %v", cities, err)
@@ -224,16 +224,10 @@ func TestAblationGCPolicyGrid(t *testing.T) {
 // pressure under the validate-hot policy, across all three backends
 // (NOW, SMP — where the knobs are no-ops — and hybrid at one and two
 // islands): every implementation must still reproduce the sequential
-// checksum. Package defaults are flipped for the duration (Verified runs
-// bypass the grid cell cache), and restored by t.Cleanup AFTER the
-// parallel subtests finish.
+// checksum. The knobs travel explicitly with every run, so the subtests
+// run in parallel with each other and with the rest of the suite.
 func TestEquivalenceWithAcquireGC(t *testing.T) {
-	prevP := dsm.SetGCPressureDefault(8)
-	prevPol := dsm.SetGCPolicyDefault(dsm.GCPolicyValidateHot)
-	t.Cleanup(func() {
-		dsm.SetGCPressureDefault(prevP)
-		dsm.SetGCPolicyDefault(prevPol)
-	})
+	knobs := GCKnobs{Pressure: 8, Policy: dsm.GCPolicyValidateHot}
 	impls := []Impl{OMP, OMPSMP, HybridImpl(1), HybridImpl(2), Tmk}
 	for _, a := range Apps {
 		for _, impl := range impls {
@@ -241,7 +235,7 @@ func TestEquivalenceWithAcquireGC(t *testing.T) {
 				a, impl, procs := a, impl, procs
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs), func(t *testing.T) {
 					t.Parallel()
-					if _, err := Verified(a, Test, impl, procs); err != nil {
+					if _, err := VerifiedGC(a, Test, impl, procs, knobs); err != nil {
 						t.Error(err)
 					}
 				})

@@ -18,9 +18,11 @@ import (
 func TestCellCacheSingleflightConcurrent(t *testing.T) {
 	var runs atomic.Int64
 	fake := App{
-		Name:   "cache-singleflight-probe", // unique: never collides with real cells
-		RunSeq: func(Scale) apps.Result { return apps.Result{Checksum: 42} },
-		Run: func(Scale, Impl, int) (apps.Result, error) {
+		Name: "cache-singleflight-probe", // unique: never collides with real cells
+		run: func(_ Scale, impl Impl, _ int, _ GCKnobs) (apps.Result, error) {
+			if impl == Seq {
+				return apps.Result{Checksum: 42}, nil
+			}
 			runs.Add(1)
 			return apps.Result{Checksum: 42, Time: 7}, nil
 		},

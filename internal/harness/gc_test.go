@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/apps/water"
-	"repro/internal/dsm"
 )
 
 // TestGCLongIterationWater is the acceptance criterion for the
@@ -42,7 +41,7 @@ func TestGCLongIterationWater(t *testing.T) {
 
 	// Contrast: without the collector the chain grows with the run.
 	poff := run(8)
-	poff.DisableGC = true
+	poff.DSM.DisableGC = true
 	off, err := water.RunTmk(poff, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -61,16 +60,12 @@ func TestGCLongIterationWater(t *testing.T) {
 // TestEquivalenceWithGCDisabled reruns the cross-implementation
 // equivalence contract with the collector off: every DSM-backed
 // implementation must reproduce the sequential checksum either way (the
-// collector is invisible to the computation). Runs sequentially — it
-// flips the package-wide GC default, so it must not overlap the parallel
-// suite (non-parallel tests never do).
+// collector is invisible to the computation).
 func TestEquivalenceWithGCDisabled(t *testing.T) {
-	dsm.SetGCDefault(false)
-	defer dsm.SetGCDefault(true)
 	for _, a := range Apps {
 		for _, impl := range []Impl{OMP, Tmk} { // MPI holds no DSM metadata
 			for _, procs := range []int{2, 8} {
-				if err := CheckEquivalence(a, Test, impl, procs); err != nil {
+				if _, err := VerifiedGC(a, Test, impl, procs, GCKnobs{Disable: true}); err != nil {
 					t.Errorf("GC off: %s/%s/p%d: %v", a.Name, impl, procs, err)
 				}
 			}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/apps/tsp"
 	"repro/internal/apps/water"
 	"repro/internal/core"
+	"repro/internal/dsm"
 )
 
 // Impl selects one of the implementations under comparison (plus
@@ -95,21 +96,40 @@ func implLabel(i Impl) string {
 // Scale selects the workload size.
 type Scale string
 
-// Scales. Full is the paper-scale workload of DESIGN.md's experiment
-// index; Test is a fast configuration for CI and unit tests.
+// Scales. Full is the paper-scale workload (README "Applications"); Test
+// is a fast configuration for CI and unit tests.
 const (
 	Full Scale = "full"
 	Test Scale = "test"
 )
 
-// GCKnobs are per-run DSM metadata-GC overrides: the acquire-epoch
-// trigger pressure and the validate-vs-flush purge policy (see
-// dsm.Config.GCPressure / GCPolicy). A served job (serve.Job) may carry
-// them; the zero value applies no override and runs identically to the
-// plain grid cell.
+// GCKnobs are per-run DSM metadata-GC settings: collector off, the
+// adaptive barrier/fork-episode trigger, the acquire-epoch trigger
+// pressure and the validate-vs-flush purge policy (see dsm.Config). A
+// served job (serve.Job) may carry them; zero fields defer to DefaultGC,
+// so the zero value runs the plain grid cell.
 type GCKnobs struct {
-	Pressure int
-	Policy   string
+	Disable   bool
+	MinRetire int
+	Pressure  int
+	Policy    dsm.GCPolicy
+}
+
+// DefaultGC supplies the acquire-epoch pressure and purge policy of every
+// cell whose own knobs leave them zero; nowbench -gcpressure / -gcpolicy
+// set it for a whole run. Only Pressure and Policy are consulted.
+var DefaultGC GCKnobs
+
+// config renders the knobs as the dsm.Config an application's Params
+// carry (the run itself fills Procs, HeapBytes and Platform).
+func (g GCKnobs) config() dsm.Config {
+	if g.Pressure == 0 {
+		g.Pressure = DefaultGC.Pressure
+	}
+	if g.Policy == dsm.GCPolicyDefault {
+		g.Policy = DefaultGC.Policy
+	}
+	return dsm.Config{DisableGC: g.Disable, GCMinRetire: g.MinRetire, GCPressure: g.Pressure, GCPolicy: g.Policy}
 }
 
 // App is one of the seven registered applications, wired to its
@@ -123,12 +143,51 @@ type App struct {
 	Parallel string
 	Synch    string
 
-	RunSeq func(Scale) apps.Result
-	Run    func(s Scale, impl Impl, procs int) (apps.Result, error)
-	// RunGC is Run with GCKnobs applied to the DSM-backed backends. Nil
-	// for the applications whose Params do not plumb the knobs (3D-FFT,
-	// LU, Barnes); VerifiedGC rejects non-zero knobs for those.
-	RunGC func(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error)
+	run func(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error)
+}
+
+// RunSeq executes the sequential reference implementation.
+func (a App) RunSeq(s Scale) apps.Result {
+	res, _ := a.run(s, Seq, 1, GCKnobs{}) // the sequential arm returns no error
+	return res
+}
+
+// Run executes one implementation under the default GC knobs, unverified.
+func (a App) Run(s Scale, impl Impl, procs int) (apps.Result, error) {
+	return a.run(s, impl, procs, GCKnobs{})
+}
+
+// entry is the set of entry points every application package exports over
+// its own Params type; its run method is the one impl dispatch shared by
+// all seven applications.
+type entry[P any] struct {
+	full, test func() P
+	dsm        func(*P) *dsm.Config // the Params' DSM knob field
+	seq        func(P) apps.Result
+	omp        func(P, int, core.BackendKind) (apps.Result, error)
+	tmk, mpi   func(P, int) (apps.Result, error)
+}
+
+func (e entry[P]) run(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
+	p := e.test()
+	if s == Full {
+		p = e.full()
+	}
+	*e.dsm(&p) = gc.config()
+	if bk, ok := hybridBackendKind(impl); ok {
+		return e.omp(p, procs, bk)
+	}
+	switch impl {
+	case OMP:
+		return e.omp(p, procs, core.BackendNOW)
+	case OMPSMP:
+		return e.omp(p, procs, core.BackendSMP)
+	case Tmk:
+		return e.tmk(p, procs)
+	case MPI:
+		return e.mpi(p, procs)
+	}
+	return e.seq(p), nil
 }
 
 // Apps lists the applications in the paper's Table 1 order.
@@ -138,247 +197,64 @@ var Apps = []App{
 		DataSize: "50x50x50, 6 angles",
 		Parallel: "parallel region",
 		Synch:    "semaphore",
-		RunSeq:   func(s Scale) apps.Result { return sweep3d.RunSeq(sweepParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runSweep3D(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runSweep3D,
+		run: entry[sweep3d.Params]{sweep3d.Default, sweep3d.Small,
+			func(p *sweep3d.Params) *dsm.Config { return &p.DSM },
+			sweep3d.RunSeq, sweep3d.RunOMPOn, sweep3d.RunTmk, sweep3d.RunMPI}.run,
 	},
 	{
 		Name:     "3D-FFT",
 		DataSize: "64x64x64, 2 iters",
 		Parallel: "parallel do",
 		Synch:    "none",
-		RunSeq:   func(s Scale) apps.Result { return fft3d.RunSeq(fftParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			p := fftParams(s)
-			if bk, ok := hybridBackendKind(impl); ok {
-				return fft3d.RunOMPOn(p, procs, bk)
-			}
-			switch impl {
-			case OMP:
-				return fft3d.RunOMP(p, procs)
-			case OMPSMP:
-				return fft3d.RunOMPOn(p, procs, core.BackendSMP)
-			case Tmk:
-				return fft3d.RunTmk(p, procs)
-			case MPI:
-				return fft3d.RunMPI(p, procs)
-			}
-			return fft3d.RunSeq(p), nil
-		},
+		run: entry[fft3d.Params]{fft3d.Default, fft3d.Small,
+			func(p *fft3d.Params) *dsm.Config { return &p.DSM },
+			fft3d.RunSeq, fft3d.RunOMPOn, fft3d.RunTmk, fft3d.RunMPI}.run,
 	},
 	{
 		Name:     "Water",
 		DataSize: "512 molecules, 16 steps",
 		Parallel: "parallel do/region",
 		Synch:    "barrier",
-		RunSeq:   func(s Scale) apps.Result { return water.RunSeq(waterParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runWater(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runWater,
+		run: entry[water.Params]{water.Default, water.Small,
+			func(p *water.Params) *dsm.Config { return &p.DSM },
+			water.RunSeq, water.RunOMPOn, water.RunTmk, water.RunMPI}.run,
 	},
 	{
 		Name:     "TSP",
 		DataSize: "14 cities",
 		Parallel: "parallel region",
 		Synch:    "critical",
-		RunSeq:   func(s Scale) apps.Result { return tsp.RunSeq(tspParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runTSP(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runTSP,
+		run: entry[tsp.Params]{tsp.Default, tsp.Small,
+			func(p *tsp.Params) *dsm.Config { return &p.DSM },
+			tsp.RunSeq, tsp.RunOMPOn, tsp.RunTmk, tsp.RunMPI}.run,
 	},
 	{
 		Name:     "QSORT",
 		DataSize: "256K ints, bubble threshold 1024",
 		Parallel: "parallel region",
 		Synch:    "critical, condition variables",
-		RunSeq:   func(s Scale) apps.Result { return qsort.RunSeq(qsortParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			return runQSort(s, impl, procs, GCKnobs{})
-		},
-		RunGC: runQSort,
+		run: entry[qsort.Params]{qsort.Default, qsort.Small,
+			func(p *qsort.Params) *dsm.Config { return &p.DSM },
+			qsort.RunSeq, qsort.RunOMPOn, qsort.RunTmk, qsort.RunMPI}.run,
 	},
 	{
 		Name:     "LU",
 		DataSize: "512x512, contiguous blocks",
 		Parallel: "parallel region",
 		Synch:    "barrier, critical",
-		RunSeq:   func(s Scale) apps.Result { return lu.RunSeq(luParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			p := luParams(s)
-			if bk, ok := hybridBackendKind(impl); ok {
-				return lu.RunOMPOn(p, procs, bk)
-			}
-			switch impl {
-			case OMP:
-				return lu.RunOMP(p, procs)
-			case OMPSMP:
-				return lu.RunOMPOn(p, procs, core.BackendSMP)
-			case Tmk:
-				return lu.RunTmk(p, procs)
-			case MPI:
-				return lu.RunMPI(p, procs)
-			}
-			return lu.RunSeq(p), nil
-		},
+		run: entry[lu.Params]{lu.Default, lu.Small,
+			func(p *lu.Params) *dsm.Config { return &p.DSM },
+			lu.RunSeq, lu.RunOMPOn, lu.RunTmk, lu.RunMPI}.run,
 	},
 	{
 		Name:     "Barnes",
 		DataSize: "4096 bodies, 16 steps",
 		Parallel: "parallel region",
 		Synch:    "barrier",
-		RunSeq:   func(s Scale) apps.Result { return barnes.RunSeq(barnesParams(s)) },
-		Run: func(s Scale, impl Impl, procs int) (apps.Result, error) {
-			p := barnesParams(s)
-			if bk, ok := hybridBackendKind(impl); ok {
-				return barnes.RunOMPOn(p, procs, bk)
-			}
-			switch impl {
-			case OMP:
-				return barnes.RunOMP(p, procs)
-			case OMPSMP:
-				return barnes.RunOMPOn(p, procs, core.BackendSMP)
-			case Tmk:
-				return barnes.RunTmk(p, procs)
-			case MPI:
-				return barnes.RunMPI(p, procs)
-			}
-			return barnes.RunSeq(p), nil
-		},
+		run: entry[barnes.Params]{barnes.Default, barnes.Small,
+			func(p *barnes.Params) *dsm.Config { return &p.DSM },
+			barnes.RunSeq, barnes.RunOMPOn, barnes.RunTmk, barnes.RunMPI}.run,
 	},
-}
-
-// The per-app dispatchers below are the Run/RunGC bodies of the four
-// applications whose Params plumb the DSM GC knobs. Zero GCKnobs assign
-// the params' zero values, so Run(s, impl, procs) stays byte-identical to
-// the pre-knob closures.
-
-func runSweep3D(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := sweepParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return sweep3d.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return sweep3d.RunOMP(p, procs)
-	case OMPSMP:
-		return sweep3d.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return sweep3d.RunTmk(p, procs)
-	case MPI:
-		return sweep3d.RunMPI(p, procs)
-	}
-	return sweep3d.RunSeq(p), nil
-}
-
-func runWater(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := waterParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return water.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return water.RunOMP(p, procs)
-	case OMPSMP:
-		return water.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return water.RunTmk(p, procs)
-	case MPI:
-		return water.RunMPI(p, procs)
-	}
-	return water.RunSeq(p), nil
-}
-
-func runTSP(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := tspParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return tsp.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return tsp.RunOMP(p, procs)
-	case OMPSMP:
-		return tsp.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return tsp.RunTmk(p, procs)
-	case MPI:
-		return tsp.RunMPI(p, procs)
-	}
-	return tsp.RunSeq(p), nil
-}
-
-func runQSort(s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	p := qsortParams(s)
-	p.GCPressure, p.GCPolicy = gc.Pressure, gc.Policy
-	if bk, ok := hybridBackendKind(impl); ok {
-		return qsort.RunOMPOn(p, procs, bk)
-	}
-	switch impl {
-	case OMP:
-		return qsort.RunOMP(p, procs)
-	case OMPSMP:
-		return qsort.RunOMPOn(p, procs, core.BackendSMP)
-	case Tmk:
-		return qsort.RunTmk(p, procs)
-	case MPI:
-		return qsort.RunMPI(p, procs)
-	}
-	return qsort.RunSeq(p), nil
-}
-
-func sweepParams(s Scale) sweep3d.Params {
-	if s == Full {
-		return sweep3d.Default()
-	}
-	return sweep3d.Small()
-}
-
-func fftParams(s Scale) fft3d.Params {
-	if s == Full {
-		return fft3d.Default()
-	}
-	return fft3d.Small()
-}
-
-func waterParams(s Scale) water.Params {
-	if s == Full {
-		return water.Default()
-	}
-	return water.Small()
-}
-
-func tspParams(s Scale) tsp.Params {
-	if s == Full {
-		return tsp.Default()
-	}
-	return tsp.Small()
-}
-
-func qsortParams(s Scale) qsort.Params {
-	if s == Full {
-		return qsort.Default()
-	}
-	return qsort.Small()
-}
-
-func luParams(s Scale) lu.Params {
-	if s == Full {
-		return lu.Default()
-	}
-	return lu.Small()
-}
-
-func barnesParams(s Scale) barnes.Params {
-	if s == Full {
-		return barnes.Default()
-	}
-	return barnes.Small()
 }
 
 // seqCache memoizes sequential runs: they are deterministic, and every
@@ -430,41 +306,21 @@ func AppNames() []string {
 	return out
 }
 
-// Verified runs one implementation and checks its checksum against the
-// sequential run, returning an error on divergence — every reported
-// number comes from a validated computation.
+// Verified runs one implementation under the default GC knobs and checks
+// its checksum against the sequential run, returning an error on
+// divergence — every reported number comes from a validated computation.
 func Verified(a App, s Scale, impl Impl, procs int) (apps.Result, error) {
-	want := SeqCached(a, s)
-	if impl == Seq {
-		return want, nil
-	}
-	got, err := a.Run(s, impl, procs)
-	if err != nil {
-		return apps.Result{}, err
-	}
-	if err := apps.CheckClose(a.Name+"/"+string(impl), got.Checksum, want.Checksum, 1e-8); err != nil {
-		return apps.Result{}, err
-	}
-	return got, nil
+	return VerifiedGC(a, s, impl, procs, GCKnobs{})
 }
 
-// VerifiedGC is Verified with per-run GC-knob overrides (served jobs
-// carry them). Zero knobs dispatch through Verified on every app —
-// including the three whose Params don't plumb the knobs — and non-zero
-// knobs require App.RunGC. Unlike the cached grid cells, the run is
-// always fresh.
+// VerifiedGC is Verified with per-run GC knobs (served jobs carry them).
+// Unlike the cached grid cells, the run is always fresh.
 func VerifiedGC(a App, s Scale, impl Impl, procs int, gc GCKnobs) (apps.Result, error) {
-	if gc == (GCKnobs{}) {
-		return Verified(a, s, impl, procs)
-	}
-	if a.RunGC == nil {
-		return apps.Result{}, fmt.Errorf("harness: app %s does not support GC knobs", a.Name)
-	}
 	want := SeqCached(a, s)
 	if impl == Seq {
 		return want, nil
 	}
-	got, err := a.RunGC(s, impl, procs, gc)
+	got, err := a.run(s, impl, procs, gc)
 	if err != nil {
 		return apps.Result{}, err
 	}

@@ -6,7 +6,7 @@
 // encapsulates each parallel region into a separately runnable subroutine
 // with its shared-pointer/firstprivate environment.
 //
-// The SUIF Fortran/C frontend is out of scope (DESIGN.md §1): programs are
+// The SUIF Fortran/C frontend is out of scope: programs are
 // constructed as IR directly, which is exactly the representation the
 // analysis of the paper operates on.
 package ompc

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
@@ -75,8 +76,8 @@ func (j *Job) E2E() sim.Time { return j.End - j.Arrival }
 // registered application name (case-sensitive), impl one of the harness
 // implementations (seq, omp, omp-smp, omp-hybrid[@K], tmk, mpi), pN the
 // processor count, w=K the arrival mix weight (default 1), and gc=P /
-// policy=X per-job acquire-epoch GC pressure and purge policy (only for
-// applications that plumb the knobs).
+// policy=X per-job acquire-epoch GC pressure and purge policy (flush,
+// validate-hot or adaptive).
 func ParseMix(spec string) ([]JobClass, error) {
 	var mix []JobClass
 	for _, part := range strings.Split(spec, ",") {
@@ -102,8 +103,7 @@ func parseClass(part string) (JobClass, error) {
 		return JobClass{}, fmt.Errorf("serve: class %q: want App:impl:pN[:w=K][:gc=P][:policy=X]", part)
 	}
 	c := JobClass{App: fields[0], Impl: harness.Impl(fields[1]), MixWeight: 1}
-	a, ok := harness.FindApp(c.App)
-	if !ok {
+	if _, ok := harness.FindApp(c.App); !ok {
 		return JobClass{}, fmt.Errorf("serve: class %q: unknown app %q", part, c.App)
 	}
 	if !validImpl(c.Impl) {
@@ -133,13 +133,14 @@ func parseClass(part string) (JobClass, error) {
 			}
 			c.GC.Pressure = p
 		case "policy":
-			c.GC.Policy = val
+			pol, err := dsm.ParseGCPolicy(val)
+			if err != nil {
+				return JobClass{}, fmt.Errorf("serve: class %q: %w", part, err)
+			}
+			c.GC.Policy = pol
 		default:
 			return JobClass{}, fmt.Errorf("serve: class %q: unknown option %q", part, key)
 		}
-	}
-	if c.GC != (harness.GCKnobs{}) && a.RunGC == nil {
-		return JobClass{}, fmt.Errorf("serve: class %q: app %s does not plumb GC knobs", part, c.App)
 	}
 	return c, nil
 }

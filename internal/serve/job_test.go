@@ -3,28 +3,35 @@ package serve
 import (
 	"testing"
 
+	"repro/internal/dsm"
 	"repro/internal/harness"
 )
 
 func TestParseMix(t *testing.T) {
-	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64:policy=adaptive ,3D-FFT:mpi:p8")
+	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64:policy=adaptive ,3D-FFT:mpi:p8,3D-FFT:omp:p4:gc=64")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mix) != 3 {
-		t.Fatalf("got %d classes, want 3", len(mix))
+	if len(mix) != 4 {
+		t.Fatalf("got %d classes, want 4", len(mix))
 	}
 	want0 := JobClass{App: "Water", Impl: harness.OMPSMP, Procs: 4, MixWeight: 1}
 	if mix[0] != want0 {
 		t.Fatalf("class 0 = %+v, want %+v", mix[0], want0)
 	}
 	want1 := JobClass{App: "TSP", Impl: harness.OMP, Procs: 4, MixWeight: 3,
-		GC: harness.GCKnobs{Pressure: 64, Policy: "adaptive"}}
+		GC: harness.GCKnobs{Pressure: 64, Policy: dsm.GCPolicyAdaptive}}
 	if mix[1] != want1 {
 		t.Fatalf("class 1 = %+v, want %+v", mix[1], want1)
 	}
 	if got := mix[1].Label(); got != "TSP/omp/p4" {
 		t.Fatalf("label %q", got)
+	}
+	// GC knobs attach to every application, 3D-FFT included.
+	want3 := JobClass{App: "3D-FFT", Impl: harness.OMP, Procs: 4, MixWeight: 1,
+		GC: harness.GCKnobs{Pressure: 64}}
+	if mix[3] != want3 {
+		t.Fatalf("class 3 = %+v, want %+v", mix[3], want3)
 	}
 	if mix[2].SlotWeight() != 1 {
 		t.Fatalf("mpi slot weight %d, want 1 (quarter slot)", mix[2].SlotWeight())
@@ -36,17 +43,17 @@ func TestParseMix(t *testing.T) {
 
 func TestParseMixRejects(t *testing.T) {
 	bad := []string{
-		"",                      // empty
-		"Water:omp-smp",         // missing procs
-		"NoSuchApp:omp:p4",      // unknown app
-		"Water:fortran:p4",      // unknown impl
-		"Water:omp:p0",          // zero procs
-		"Water:omp:4",           // missing p prefix
-		"Water:omp:p4:w=0",      // zero weight
-		"Water:omp:p4:x=1",      // unknown option
-		"3D-FFT:omp:p4:gc=64",   // 3D-FFT does not plumb GC knobs
-		"Water:omp:p4:gc=sixty", // non-numeric pressure
-		"Water:omp:p4:policy",   // option without value
+		"",                        // empty
+		"Water:omp-smp",           // missing procs
+		"NoSuchApp:omp:p4",        // unknown app
+		"Water:fortran:p4",        // unknown impl
+		"Water:omp:p0",            // zero procs
+		"Water:omp:4",             // missing p prefix
+		"Water:omp:p4:w=0",        // zero weight
+		"Water:omp:p4:x=1",        // unknown option
+		"Water:omp:p4:policy=lru", // unknown purge policy
+		"Water:omp:p4:gc=sixty",   // non-numeric pressure
+		"Water:omp:p4:policy",     // option without value
 	}
 	for _, spec := range bad {
 		if _, err := ParseMix(spec); err == nil {
