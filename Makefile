@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race serve-race fuzz-wire bench-smoke bench bench-scaling tables ci
+.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race span-race serve-race fuzz-wire bench-smoke bench bench-scaling tables ci
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,16 @@ scale-race:
 	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/3D-FFT/omp/p16' ./internal/harness
 	$(GO) test -race -run 'TestTreeVsFlatConsensusEquivalence|TestTreeBarrierFloorPiggyback|TestScaleTreeBarrierCorrectness' ./internal/dsm
 
+# Span-fetch smoke under the race detector: the span ≡ page-at-a-time
+# programs under the shadow-memory oracle (reply payloads are installed as
+# page copies and applied as diffs WITHOUT copying, so the race detector
+# is what certifies the receiver really owns them), the two-clients-one-
+# node overlap, the cost pins, and one paging application whose
+# transposes run entirely on span rounds.
+span-race:
+	$(GO) test -race -run 'TestSpan|TestOnePageFault|TestWireFetch' ./internal/dsm
+	$(GO) test -race -run 'TestFaultWaitLedger' ./internal/harness
+
 # Service-mode smoke under the race detector: a short mixed stream (NOW,
 # TreadMarks, and shared-memory classes) through the scheduler — the
 # dispatch loop, the weighted execution pool, fresh backend construction
@@ -91,9 +101,10 @@ serve-race:
 	$(GO) test -race -short -run 'TestServe' ./internal/serve
 
 # Short coverage-guided fuzz pass over the wire decoders (trailer,
-# vector clock, and frame envelope): the seeds replay instantly, then a
-# few seconds of mutation hunt for panics that escape the wireError
-# bound. The corpus-less smoke keeps ci deterministic-ish and fast; run
+# vector clock, frame envelope, and the span round's request and reply):
+# the seeds replay instantly, then a few seconds of mutation hunt for
+# panics that escape the wireError bound. The corpus-less smoke keeps ci
+# deterministic-ish and fast; run
 #   $(GO) test -fuzz FuzzWireDecode ./internal/dsm
 # open-endedly when touching the codec.
 fuzz-wire:
@@ -121,4 +132,4 @@ bench-scaling:
 tables:
 	$(GO) run ./cmd/nowbench -all
 
-ci: build vet fmt-check lint test smp-race hybrid-race gc-race scale-race serve-race test-race fuzz-wire bench-smoke
+ci: build vet fmt-check lint test smp-race hybrid-race gc-race scale-race span-race serve-race test-race fuzz-wire bench-smoke

@@ -25,7 +25,7 @@
 //
 // Calls are resolved by replaying the callee's stream against each
 // caller-held lock class: a callee that releases the caller's lock
-// before acquiring others (faultInLocked and the GC purge both drop
+// before acquiring others (faultRoundLocked and the GC purge both drop
 // n.mu before taking fetchMu — the discipline Node's field comments
 // document) exposes no edge from it, while locks taken in a window
 // where the caller's class is (re-)held do; the ...Locked handoff

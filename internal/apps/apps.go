@@ -63,6 +63,13 @@ type Result struct {
 	PageMsgs, PageBytes int64
 	SyncMsgs, SyncBytes int64
 	GCMsgs, GCBytes     int64
+	// The fault-wait slice of the virtual-time ledger on DSM-backed runs,
+	// summed over nodes: virtual time application threads spent inside
+	// fault rounds, the rounds that went to the network, and the pages they
+	// fetched. FaultWait / (procs × Time) is the mean per-thread time share
+	// the scaling table prints beside the byte shares.
+	FaultWait               sim.Time
+	FaultRounds, FaultPages int64
 	// Frames counts the datagrams that actually crossed the wire: with
 	// frame coalescing several logical messages share one datagram, so
 	// Messages - Frames is the number of per-message network headers the
@@ -92,6 +99,7 @@ func DSMResult(checksum float64, t sim.Time, msgs, bytes int64, src ProtoSource)
 	r.PageMsgs, r.PageBytes = tb.PageMsgs, tb.PageBytes
 	r.SyncMsgs, r.SyncBytes = tb.SyncMsgs, tb.SyncBytes
 	r.GCMsgs, r.GCBytes = tb.GCMsgs, tb.GCBytes
+	r.FaultWait, r.FaultRounds, r.FaultPages = tb.FaultWait, tb.FaultRounds, tb.FaultPages
 	r.Frames = src.Frames()
 	return r
 }

@@ -100,13 +100,24 @@ func (r *rbuf) i32() int     { return int(int32(r.u32())) }
 func (r *rbuf) i64() int64   { return int64(r.u64()) }
 func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *rbuf) bytes() []byte {
-	// Validate the length against the bytes actually present before
-	// allocating: a truncated frame must hit the bounded short-message
-	// path, never size an allocation from the corrupted count.
+// view decodes a length-prefixed byte field WITHOUT copying: the result
+// aliases the message, with its capacity clipped so an append can never
+// reach the bytes behind it. Only for reply-class payloads, which the
+// receiving thread owns outright (a fresh buffer per reply, handed over
+// by the channel); request-class subs, which alias a shared envelope,
+// keep copying through bytes.
+func (r *rbuf) view() []byte {
 	n := int(r.u32())
-	p := r.need(n)
-	out := make([]byte, n)
+	return r.need(n)[:n:n]
+}
+
+func (r *rbuf) bytes() []byte {
+	// The length is validated against the bytes actually present (need)
+	// before anything is allocated: a truncated frame must hit the
+	// bounded short-message path, never size an allocation from the
+	// corrupted count.
+	p := r.view()
+	out := make([]byte, len(p))
 	copy(out, p)
 	return out
 }

@@ -3,8 +3,6 @@ package dsm
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // Garbage collection of lazy-release-consistency metadata.
@@ -553,7 +551,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 
 	// Whole-page refetches first, as one parallel wave of their own: the
 	// reply queue routes by message type alone, so every page reply must
-	// drain before the first diff request goes out (cf. faultInLocked).
+	// drain before the first diff request goes out (cf. fetchPage).
 	if refetches > 0 {
 		// Coalesce the wave per home — one frame carries every
 		// refetch bound for the same home (each sub still earns its
@@ -582,7 +580,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 		for i := 0; i < refetches; i++ {
 			rep := c.recvReply(msgPageRep, 0)
 			r := rbuf{b: rep.Payload}
-			contents[PageID(r.u32())] = r.bytes()
+			contents[PageID(r.u32())] = r.view()
 		}
 		n.mu.Lock()
 		for _, w := range work {
@@ -595,7 +593,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 			}
 			w.pg.data = data
 			w.pg.refetch = false
-			w.pg.appliedVC = nil // fresh home base (cf. faultInLocked)
+			w.pg.appliedVC = nil // fresh home base (cf. applyFaultLocked)
 			n.stats.PageFetches++
 		}
 		n.mu.Unlock()
@@ -630,46 +628,16 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	}
 	n.mu.Unlock()
 
-	diffs := make(map[PageID]map[int]map[int][]byte) // page -> creator -> seq -> diff
+	diffs := make(map[diffKey][]byte)
 	for i := 0; i < requests; i++ {
-		pid, from, bySeq := c.recvDiffReply()
-		if diffs[pid] == nil {
-			diffs[pid] = make(map[int]map[int][]byte)
-		}
-		diffs[pid][from] = bySeq
+		c.recvDiffReply(diffs)
 	}
 	n.mu.Lock() // --- end network section ---
 
-	plat := n.sys.plat
 	for _, w := range work {
-		sortCausal(w.fetch)
-		done := make(map[*interval]bool, len(w.fetch))
-		for _, ivl := range w.fetch {
-			d, ok := diffs[w.pg.id][ivl.creator][ivl.seq]
-			if !ok {
-				panic(fmt.Sprintf("dsm: GC validation missing diff (%d,%d) for page %d", ivl.creator, ivl.seq, w.pg.id))
-			}
-			n.mergeAppliedLocked(w.pg, ivl.vc)
-			applied := applyDiff(w.pg.data, d)
-			n.stats.DiffsApplied++
-			c.clk.Advance(plat.DiffApply + sim.Time(float64(applied)*plat.DiffApplyPerByte))
-			done[ivl] = true
-		}
-		// Remove exactly the validated notices; notices newer than the
-		// floor (and any that arrived during the network section) stay.
-		rest := w.pg.missing[:0]
-		for _, m := range w.pg.missing {
-			if !done[m] {
-				rest = append(rest, m)
-			}
-		}
-		for i := len(rest); i < len(w.pg.missing); i++ {
-			w.pg.missing[i] = nil
-		}
-		w.pg.missing = rest
-		if len(w.pg.missing) == 0 && w.pg.state == pageInvalid {
-			w.pg.state = pageReadOnly
-		}
+		// Exactly the validated notices go; notices newer than the floor
+		// (and any that arrived during the network section) stay.
+		c.applyDiffsLocked(w.pg, w.fetch, w.fetch, diffs)
 		n.stats.GCPagesValidated++
 	}
 }

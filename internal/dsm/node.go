@@ -88,6 +88,14 @@ type NodeStats struct {
 	Flushes      int64
 	Interrupts   int64
 
+	// Fault rounds (faultRoundLocked): FaultWait is the virtual time application
+	// threads spent inside them — the client clock READ at entry and exit,
+	// never advanced for the measurement — FaultRounds the rounds that went
+	// to the network, FaultPages the pages those rounds fetched.
+	FaultWait   sim.Time
+	FaultRounds int64
+	FaultPages  int64
+
 	// Garbage collection counters (see gc.go and acqgc.go).
 	GCEpisodes       int64 // global sync episodes examined by the collector
 	GCEpochs         int64 // episodes that actually ran a collection
@@ -417,7 +425,7 @@ func (c *Client) ensureReadableLocked(pg *page) {
 	n := c.n
 	for !readableLocked(pg) {
 		n.stats.ReadFaults++
-		c.faultInLocked(pg)
+		c.faultRoundLocked([]*page{pg})
 	}
 }
 
@@ -442,7 +450,7 @@ func (c *Client) ensureWritableLocked(pg *page) {
 		}
 		if !readableLocked(pg) {
 			n.stats.WriteFaults++
-			c.faultInLocked(pg)
+			c.faultRoundLocked([]*page{pg})
 			continue
 		}
 		// Read-only with a current copy: take the write fault.
@@ -479,7 +487,7 @@ type diffRequest struct {
 // given missing intervals of page pid, in ascending creator order. It
 // reads only immutable interval identity, so it may run with or without
 // n.mu held. The fault path sends each payload as its own datagram
-// (sendDiffRequests); the GC purge wave coalesces one creator's payloads
+// (fetchPage); the GC purge wave coalesces one creator's payloads
 // across ALL its work pages into a single frame (gcPurgePagesLocked).
 func diffRequestPayloads(pid PageID, fetch []*interval) []diffRequest {
 	byCreator := make(map[int][]*interval)
@@ -505,33 +513,24 @@ func diffRequestPayloads(pid PageID, fetch []*interval) []diffRequest {
 	return out
 }
 
-// sendDiffRequests issues one batched msgDiffReq per creator for the
-// given missing intervals of page pid (in ascending creator order) and
-// returns the number of requests sent. Callers collect exactly that
-// many msgDiffRep replies via recvDiffReply.
-func (c *Client) sendDiffRequests(pid PageID, fetch []*interval) int {
-	n := c.n
-	reqs := diffRequestPayloads(pid, fetch)
-	for _, req := range reqs {
-		n.ep.SendAt(req.creator, msgDiffReq, network.ClassRequest, req.payload, c.clk.Now())
-	}
-	return len(reqs)
+// diffKey names one fetched diff: page, interval creator, interval seq.
+type diffKey struct {
+	pid          PageID
+	creator, seq int
 }
 
-// recvDiffReply blocks for one msgDiffRep and decodes it into the page
-// it answers for, the creator that served it, and its per-seq diffs.
-// Must be called WITHOUT holding n.mu.
-func (c *Client) recvDiffReply() (PageID, int, map[int][]byte) {
+// recvDiffReply blocks for one msgDiffRep, files its diffs (views into the
+// reply) under the creator that served them, and returns the page it
+// answers for. Must be called WITHOUT holding n.mu.
+func (c *Client) recvDiffReply(into map[diffKey][]byte) PageID {
 	rep := c.recvReply(msgDiffRep, 0)
 	r := rbuf{b: rep.Payload}
 	pid := PageID(r.u32())
-	cnt := int(r.u32())
-	bySeq := make(map[int][]byte, cnt)
-	for i := 0; i < cnt; i++ {
+	for cnt := r.u32(); cnt > 0; cnt-- {
 		seq := int(r.u32())
-		bySeq[seq] = r.bytes()
+		into[diffKey{pid, rep.From, seq}] = r.view()
 	}
-	return pid, rep.From, bySeq
+	return pid
 }
 
 // sortCausal orders intervals by a linearization of the happens-before
@@ -550,32 +549,26 @@ func sortCausal(ivls []*interval) {
 	})
 }
 
-// faultInLocked performs one round of the page-fault protocol: fetch the
-// initial copy from the page's home if it was never materialized, fetch all
-// missing diffs from their creators in parallel, and apply them in a
-// topological order of the happens-before relation. n.mu is released
-// while requests are in flight; the loop in ensure*Locked re-checks state
-// afterwards because new write notices may have arrived meanwhile.
-//
-// The whole round holds fetchMu (acquired with n.mu dropped, then the
-// state re-examined): it keeps a multi-client node's concurrent fetch
-// waves from stealing each other's type-routed replies, and it orders
-// every fault snapshot strictly before or after any GC purge — a fault
-// can therefore never fetch a notice a concurrent purge is discarding.
-func (c *Client) faultInLocked(pg *page) {
-	n := c.n
-	plat := n.sys.plat
-	c.clk.Advance(plat.FaultOverhead)
+// pagePlan is one page's share of a fault round: what to fetch from whom
+// and which notices the fetch settles (planFaultLocked), then the whole
+// page the network section brought back, if one was wanted.
+type pagePlan struct {
+	pg        *page
+	source    int         // whole-page source (the home, or a squash creator); -1: diffs only
+	squashIvl *interval   // the interval whose creator's copy stands in for the chain
+	fetch     []*interval // diffs to fetch and apply
+	resolved  []*interval // notices this round settles
+	content   []byte
+}
 
-	n.mu.Unlock()
-	n.fetchMu.Lock()
-	defer n.fetchMu.Unlock()
-	n.mu.Lock()
+// planFaultLocked classifies one faulting page under n.mu and fetchMu;
+// ok is false when the page needs no fetch (resolved while the caller
+// waited for the fetch lock).
+func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
 	pg.hotSeq = n.gcSeq // faulted since the last collection: hot
 	if readableLocked(pg) {
-		return // resolved while we waited for the fetch lock
+		return pl, false
 	}
-
 	if pg.data == nil && n.isHome(pg.id) {
 		pg.data = make([]byte, PageSize)
 		if pg.state == pageInvalid && len(pg.missing) == 0 {
@@ -583,10 +576,16 @@ func (c *Client) faultInLocked(pg *page) {
 		}
 	}
 
-	needPage := pg.data == nil
+	// First copies come from the page's home (which materializes zeros on
+	// demand); a squash below may redirect the whole-page transfer to an
+	// interval creator whose copy subsumes the chain.
+	pl = pagePlan{pg: pg, source: -1}
+	if pg.data == nil {
+		pl.source = n.homeOf(pg.id)
+	}
 	// Snapshot the notices we will resolve in this round.
-	fetch := make([]*interval, len(pg.missing))
-	copy(fetch, pg.missing)
+	pl.fetch = append([]*interval(nil), pg.missing...)
+	pl.resolved = pl.fetch
 
 	// Diff squash (the TreadMarks fallback for accumulated diff chains):
 	// if some missing interval M has observed everything this node has
@@ -596,15 +595,8 @@ func (c *Client) faultInLocked(pg *page) {
 	// anyway, or when the chain is long enough that its diffs would cost
 	// more than a page.
 	const squashMin = 4
-	// First copies come from the page's home (which materializes zeros on
-	// demand); a squash below may redirect the whole-page transfer to an
-	// interval creator whose copy subsumes the chain.
-	pageSource := n.homeOf(pg.id)
-	resolved := fetch // which notices this round settles
-	squashed := false
-	var squashIvl *interval
-	if len(fetch) > 0 && (needPage || len(fetch) >= squashMin) {
-		for _, m := range fetch {
+	if len(pl.fetch) > 0 && (pl.source >= 0 || len(pl.fetch) >= squashMin) {
+		for _, m := range pl.fetch {
 			if m.creator != n.id && pg.seenVC != nil && pg.seenVC.dominatedBy(m.vc) {
 				if pg.twin != nil {
 					panic("dsm: squash with live twin")
@@ -612,94 +604,73 @@ func (c *Client) faultInLocked(pg *page) {
 				if pg.inDirty {
 					panic("dsm: squash with dirty page")
 				}
-				for _, o := range fetch {
+				for _, o := range pl.fetch {
 					if !o.vc.dominatedBy(m.vc) {
 						panic("dsm: squash misses concurrent interval")
 					}
 				}
-				pageSource = m.creator
-				needPage = true
-				squashed = true
-				squashIvl = m
-				fetch = nil // every missing interval is ≤ M: page covers all
+				pl.source = m.creator
+				pl.squashIvl = m
+				pl.fetch = nil // every missing interval is ≤ M: page covers all
 				break
 			}
 		}
 	}
+	return pl, true
+}
 
-	pid := pg.id
-	n.mu.Unlock() // --- network section: server may run meanwhile ---
-
-	var pageContent []byte
-	if needPage {
-		var w wbuf
-		w.u32(uint32(pid))
-		n.ep.SendAt(pageSource, msgPageReq, network.ClassRequest, w.b, c.clk.Now())
-		rep := c.recvReply(msgPageRep, 0)
-		r := rbuf{b: rep.Payload}
-		if PageID(r.u32()) != pid {
-			panic("dsm: page reply for wrong page")
+// applyFaultLocked installs what the network section fetched for one
+// planned page and retires the notices it settles.
+func (c *Client) applyFaultLocked(pl *pagePlan, diffs map[diffKey][]byte) {
+	n, pg := c.n, pl.pg
+	if pl.source >= 0 {
+		if pl.content == nil {
+			panic(fmt.Sprintf("dsm: node %d fetched no content for page %d", n.id, pg.id))
 		}
-		pageContent = r.bytes()
-		n.mu.Lock()
 		n.stats.PageFetches++
-		n.mu.Unlock()
-	}
-
-	// Issue all diff requests back-to-back (batched per creator), then
-	// collect the replies; virtual time advances to the latest arrival,
-	// modelling TreadMarks' parallel diff fetch. This must follow the
-	// page fetch: the reply queue is shared, and recvReply asserts each
-	// reply's type.
-	nreq := c.sendDiffRequests(pid, fetch)
-	diffs := make(map[int]map[int][]byte, nreq)
-	for i := 0; i < nreq; i++ {
-		gotPid, from, bySeq := c.recvDiffReply()
-		if gotPid != pid {
-			panic("dsm: diff reply for wrong page")
-		}
-		diffs[from] = bySeq
-	}
-
-	n.mu.Lock() // --- end network section ---
-
-	if needPage && (pg.data == nil || squashed) {
-		// A squashed fetch deliberately replaces stale local content: the
-		// source's copy reflects everything this node had observed (squash
-		// precondition), as does the home's (the flush gate held when any
-		// covered notice was dropped) — either way the whole-page base
-		// repairs a flush-truncated notice history.
-		pg.data = pageContent
-		pg.refetch = false
-		if squashed {
-			// The source's copy bakes in at least M's history; content the
-			// source wrote beyond M is re-delivered by its future notices.
-			n.mergeAppliedLocked(pg, squashIvl.vc)
-		} else {
-			// Fresh home base: home copies only move forward, so nothing
-			// baked in here needs tracking until a diff lands on it.
-			pg.appliedVC = nil
+		if pg.data == nil || pl.squashIvl != nil {
+			// A squashed fetch deliberately replaces stale local content: the
+			// source's copy reflects everything this node had observed (squash
+			// precondition), as does the home's (the flush gate held when any
+			// covered notice was dropped) — either way the whole-page base
+			// repairs a flush-truncated notice history.
+			pg.data = pl.content
+			pg.refetch = false
+			if pl.squashIvl != nil {
+				// The source's copy bakes in at least M's history; content the
+				// source wrote beyond M is re-delivered by its future notices.
+				n.mergeAppliedLocked(pg, pl.squashIvl.vc)
+			} else {
+				// Fresh home base: home copies only move forward, so nothing
+				// baked in here needs tracking until a diff lands on it.
+				pg.appliedVC = nil
+			}
 		}
 	}
+	// The whole snapshot is settled even when a squash left no diff to apply.
+	c.applyDiffsLocked(pg, pl.fetch, pl.resolved, diffs)
+}
 
-	// Apply in a linearization of happens-before.
+// applyDiffsLocked applies the fetched diffs of the given intervals to a
+// page in a linearization of happens-before, then removes exactly the
+// settled notices from pg.missing — new ones may have been appended while
+// these were being fetched — and revalidates the page once none is left.
+// The fault path and the GC validation wave share it.
+func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs map[diffKey][]byte) {
+	n, plat := c.n, c.n.sys.plat
 	sortCausal(fetch)
 	for _, ivl := range fetch {
-		d, ok := diffs[ivl.creator][ivl.seq]
+		d, ok := diffs[diffKey{pg.id, ivl.creator, ivl.seq}]
 		if !ok {
-			panic(fmt.Sprintf("dsm: node %d missing diff (%d,%d) for page %d", n.id, ivl.creator, ivl.seq, pid))
+			panic(fmt.Sprintf("dsm: node %d missing diff (%d,%d) for page %d", n.id, ivl.creator, ivl.seq, pg.id))
 		}
 		n.mergeAppliedLocked(pg, ivl.vc)
 		applied := applyDiff(pg.data, d)
 		n.stats.DiffsApplied++
 		c.clk.Advance(plat.DiffApply + sim.Time(float64(applied)*plat.DiffApplyPerByte))
 	}
-
-	// Remove exactly the resolved notices (the whole snapshot when the
-	// fetch was squashed); new ones may have been appended while we were
-	// fetching.
-	done := make(map[*interval]bool, len(resolved))
-	for _, ivl := range resolved {
+	done := make(map[*interval]bool, len(settled))
+	for _, ivl := range settled {
 		done[ivl] = true
 	}
 	rest := pg.missing[:0]
@@ -708,9 +679,177 @@ func (c *Client) faultInLocked(pg *page) {
 			rest = append(rest, ivl)
 		}
 	}
+	for i := len(rest); i < len(pg.missing); i++ {
+		pg.missing[i] = nil
+	}
 	pg.missing = rest
 	if len(pg.missing) == 0 && pg.data != nil && pg.state == pageInvalid {
 		pg.state = pageReadOnly
+	}
+}
+
+// faultRoundLocked performs one round of the page-fault protocol over the
+// given pages — one page for an ordinary fault, every stale page of a
+// multi-page access for a span fetch (fetchSpanLocked): fetch the initial
+// copy from the page's home if it was never materialized, fetch all
+// missing diffs from their creators in parallel, and apply them in a
+// topological order of the happens-before relation. n.mu is released
+// while requests are in flight; the loop in ensure*Locked re-checks state
+// afterwards because new write notices may have arrived meanwhile — a
+// round never has to be complete for an access to be correct.
+//
+// The whole round holds fetchMu (acquired with n.mu dropped, then the
+// state re-examined): it keeps a multi-client node's concurrent fetch
+// waves from stealing each other's type-routed replies, and it orders
+// every fault snapshot strictly before or after any GC purge — a fault
+// can therefore never fetch a notice a concurrent purge is discarding.
+func (c *Client) faultRoundLocked(pgs []*page) {
+	n := c.n
+	entered := c.clk.Now()
+	c.clk.Advance(n.sys.plat.FaultOverhead)
+
+	n.mu.Unlock()
+	n.fetchMu.Lock()
+	defer n.fetchMu.Unlock()
+	n.mu.Lock()
+	plans := make([]pagePlan, 0, len(pgs))
+	for _, pg := range pgs {
+		if pl, ok := n.planFaultLocked(pg); ok {
+			plans = append(plans, pl)
+		}
+	}
+	if len(plans) > 0 {
+		diffs := make(map[diffKey][]byte)
+		n.mu.Unlock() // --- network section: server may run meanwhile ---
+		if len(plans) == 1 {
+			c.fetchPage(&plans[0], diffs)
+		} else {
+			c.fetchSpan(plans, diffs)
+		}
+		n.mu.Lock() // --- end network section ---
+		for i := range plans {
+			c.applyFaultLocked(&plans[i], diffs)
+		}
+		n.stats.FaultRounds++
+		n.stats.FaultPages += int64(len(plans))
+	}
+	n.stats.FaultWait += c.clk.Now() - entered
+}
+
+// fetchPage is the network section of a one-page round: the whole page
+// from its source, then one batched msgDiffReq per creator, collected in
+// parallel (virtual time advances to the latest arrival, modelling
+// TreadMarks' parallel diff fetch). The diff requests must follow the
+// page fetch: the reply queue is shared, and recvReply asserts each
+// reply's type.
+func (c *Client) fetchPage(pl *pagePlan, diffs map[diffKey][]byte) {
+	pid := pl.pg.id
+	if pl.source >= 0 {
+		var w wbuf
+		w.u32(uint32(pid))
+		c.n.ep.SendAt(pl.source, msgPageReq, network.ClassRequest, w.b, c.clk.Now())
+		rep := c.recvReply(msgPageRep, 0)
+		r := rbuf{b: rep.Payload}
+		if PageID(r.u32()) != pid {
+			panic("dsm: page reply for wrong page")
+		}
+		pl.content = r.view()
+	}
+	reqs := diffRequestPayloads(pid, pl.fetch)
+	for _, req := range reqs {
+		c.n.ep.SendAt(req.creator, msgDiffReq, network.ClassRequest, req.payload, c.clk.Now())
+	}
+	for range reqs {
+		if c.recvDiffReply(diffs) != pid {
+			panic("dsm: diff reply for wrong page")
+		}
+	}
+}
+
+// fetchSpan is the network section of a round of two or more pages: the
+// wanted whole pages and diffs are grouped by the node that serves them
+// and travel as one msgFetchReq/msgFetchRep pair per source, at most
+// HomeBlockPages items a request so a reply (≤ 33 KB) fits one UDP
+// datagram. Sources work in parallel, but their replies share the
+// requester's inbound link: the round completes no earlier than that link
+// needs to deliver every reply byte back to back. (Without this floor
+// seven sources' overlapping replies would be credited with seven times
+// the link's bandwidth; per-port occupancy in the network model would
+// replace it.)
+func (c *Client) fetchSpan(plans []pagePlan, diffs map[diffKey][]byte) {
+	n := c.n
+	type request struct {
+		to    int
+		items []fetchItem
+	}
+	var reqs []*request
+	open := make(map[int]*request) // source → its request still under the cap
+	add := func(to int, it fetchItem) {
+		rq := open[to]
+		if rq == nil || len(rq.items) == HomeBlockPages {
+			rq = &request{to: to}
+			open[to] = rq
+			reqs = append(reqs, rq)
+		}
+		rq.items = append(rq.items, it)
+	}
+	byPage := make(map[PageID]*pagePlan, len(plans))
+	for i := range plans {
+		pl := &plans[i]
+		byPage[pl.pg.id] = pl
+		if pl.source >= 0 {
+			add(pl.source, fetchItem{pid: pl.pg.id, seq: -1})
+		}
+		for _, ivl := range pl.fetch {
+			add(ivl.creator, fetchItem{pid: pl.pg.id, seq: ivl.seq})
+		}
+	}
+	start := c.clk.Now()
+	for _, rq := range reqs {
+		var w wbuf
+		encodeFetch(&w, rq.items, false)
+		n.ep.SendAt(rq.to, msgFetchReq, network.ClassRequest, w.b, start)
+	}
+	inbound := 0
+	for range reqs {
+		rep := c.recvReply(msgFetchRep, 0)
+		inbound += len(rep.Payload)
+		r := rbuf{b: rep.Payload}
+		for _, it := range decodeFetch(&r, true) {
+			pl := byPage[it.pid]
+			if pl == nil {
+				panic(fmt.Sprintf("dsm: node %d fetch reply from %d names unrequested page %d", n.id, rep.From, it.pid))
+			}
+			if it.seq < 0 {
+				pl.content = it.data
+			} else {
+				diffs[diffKey{it.pid, rep.From, it.seq}] = it.data
+			}
+		}
+	}
+	udp := n.sys.plat.UDP
+	c.clk.AdvanceTo(start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS))
+}
+
+// fetchSpanLocked is the span fetch: before a multi-page access walks its
+// pages, every page of [a, a+size) without a current copy is resolved in
+// ONE fault round — provided there are at least two, so a one-page fault
+// keeps its classic request sequence. faults is the access's fault counter
+// (read or write), bumped once per page as the per-page loop would have.
+func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
+	first, last := int(a)/PageSize, (int(a)+size-1)/PageSize
+	if first >= last {
+		return
+	}
+	var stale []*page
+	for pid := first; pid <= last; pid++ {
+		if pg := c.n.pageFor(PageID(pid)); !readableLocked(pg) {
+			stale = append(stale, pg)
+		}
+	}
+	if len(stale) >= 2 {
+		*faults += int64(len(stale))
+		c.faultRoundLocked(stale)
 	}
 }
 
@@ -718,7 +857,8 @@ func (c *Client) faultInLocked(pg *page) {
 // Typed access to shared memory. These are the compiler-emitted access
 // checks that stand in for mprotect faults: every call verifies page
 // validity and takes the fault path when needed. Plain in-page accesses
-// are the fast path; multi-page spans decompose into per-page segments.
+// are the fast path; multi-page spans first resolve every stale page in one
+// fault round (fetchSpanLocked), then decompose into per-page segments.
 // The operations are Client methods so fault costs land on the accessing
 // thread's clock; Node re-exports them through the default client.
 // ---------------------------------------------------------------------
@@ -800,6 +940,7 @@ func (c *Client) ReadBytes(a Addr, dst []byte) {
 	defer oracleCheck(n.id, a, dst)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	c.fetchSpanLocked(a, len(dst), &n.stats.ReadFaults)
 	for len(dst) > 0 {
 		pid := PageID(int(a) / PageSize)
 		off := int(a) % PageSize
@@ -822,6 +963,7 @@ func (c *Client) WriteBytes(a Addr, src []byte) {
 	oracleWrite(a, src)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	c.fetchSpanLocked(a, len(src), &n.stats.WriteFaults)
 	for len(src) > 0 {
 		pid := PageID(int(a) / PageSize)
 		off := int(a) % PageSize
@@ -846,6 +988,7 @@ func (c *Client) ReadF64s(a Addr, dst []float64) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	c.fetchSpanLocked(a, 8*len(dst), &n.stats.ReadFaults)
 	i := 0
 	for i < len(dst) {
 		addr := int(a) + 8*i
@@ -878,6 +1021,7 @@ func (c *Client) WriteF64s(a Addr, src []float64) {
 	oracleWriteF64s(a, src)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	c.fetchSpanLocked(a, 8*len(src), &n.stats.WriteFaults)
 	i := 0
 	for i < len(src) {
 		addr := int(a) + 8*i

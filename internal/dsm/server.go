@@ -64,6 +64,8 @@ func (n *Node) dispatch(m *network.Message) {
 		n.handlePageReq(m)
 	case msgDiffReq:
 		n.handleDiffReq(m)
+	case msgFetchReq:
+		n.handleFetchReq(m)
 	case msgAcqReq:
 		n.handleAcqReq(m)
 	case msgAcqFwd:
@@ -137,15 +139,12 @@ func (n *Node) incorporateWire(r *rbuf, from int) VectorClock {
 	return senderVC
 }
 
-// handlePageReq serves a first-copy request. The page's home is its
-// allocator and initial owner; its current content is a correct base for
-// the requester, which then applies every diff named by its own missing
-// write notices (see home.go for the argument).
-func (n *Node) handlePageReq(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	pid := PageID(r.u32())
-	n.mu.Lock()
-	n.chargeInterruptLocked()
+// servePageLocked returns this node's copy of a page for a whole-page
+// reply. The page's home is its allocator and initial owner; its current
+// content is a correct base for the requester, which then applies every
+// diff named by its own missing write notices (see home.go for the
+// argument).
+func (n *Node) servePageLocked(pid PageID) []byte {
 	pg := n.pageFor(pid)
 	if pg.data == nil {
 		if !n.isHome(pid) {
@@ -158,9 +157,45 @@ func (n *Node) handlePageReq(m *network.Message) {
 			pg.state = pageReadOnly
 		}
 	}
+	return pg.data
+}
+
+// serveDiffLocked returns the diff of this node's interval seq for a page,
+// encoding it first if it is still pending against the page's twin; it
+// reports the service time that encoding cost.
+func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
+	own := n.intervals[n.id]
+	idx := seq - n.ivlBase[n.id]
+	if idx < 0 {
+		// Soundness tripwire: the barrier-epoch collector frees an
+		// interval's diffs only after no node can reference it again.
+		panic(fmt.Sprintf("dsm: node %d asked for diff of retired interval (%d,%d)", n.id, n.id, seq))
+	}
+	if idx >= len(own) {
+		panic(fmt.Sprintf("dsm: node %d asked for diff of unknown interval (%d,%d)", n.id, n.id, seq))
+	}
+	ivl := own[idx]
+	if d, ok := ivl.diffs[pid]; ok {
+		return d, 0
+	}
+	pg := n.pageFor(pid)
+	if pg.twinIvl != ivl {
+		panic(fmt.Sprintf("dsm: node %d has no diff and no twin for page %d interval %d", n.id, pid, seq))
+	}
+	n.ensureDiffEncodedLocked(pg)
+	return ivl.diffs[pid], n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
+}
+
+// handlePageReq serves a first-copy request from the page's home (or a
+// squashed fetch from an interval creator).
+func (n *Node) handlePageReq(m *network.Message) {
+	r := rbuf{b: m.Payload}
+	pid := PageID(r.u32())
+	n.mu.Lock()
+	n.chargeInterruptLocked()
 	var w wbuf
 	w.u32(uint32(pid))
-	w.bytes(pg.data)
+	w.bytes(n.servePageLocked(pid))
 	n.mu.Unlock()
 	at := m.Arrive + n.sys.plat.RequestService + n.sys.plat.PageCopy
 	n.ep.SendAt(m.From, msgPageRep, network.ClassReply, w.b, at)
@@ -186,30 +221,41 @@ func (n *Node) handleDiffReq(m *network.Message) {
 	w.u32(uint32(pid))
 	w.u32(uint32(cnt))
 	for _, seq := range seqs {
-		own := n.intervals[n.id]
-		idx := seq - n.ivlBase[n.id]
-		if idx < 0 {
-			// Soundness tripwire: the barrier-epoch collector frees an
-			// interval's diffs only after no node can reference it again.
-			panic(fmt.Sprintf("dsm: node %d asked for diff of retired interval (%d,%d)", n.id, n.id, seq))
-		}
-		if idx >= len(own) {
-			panic(fmt.Sprintf("dsm: node %d asked for diff of unknown interval (%d,%d)", n.id, n.id, seq))
-		}
-		ivl := own[idx]
-		d, ok := ivl.diffs[pid]
-		if !ok {
-			pg := n.pageFor(pid)
-			if pg.twinIvl != ivl {
-				panic(fmt.Sprintf("dsm: node %d has no diff and no twin for page %d interval %d", n.id, pid, seq))
-			}
-			n.ensureDiffEncodedLocked(pg)
-			service += n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
-			d = ivl.diffs[pid]
-		}
+		d, cost := n.serveDiffLocked(pid, seq)
+		service += cost
 		w.u32(uint32(seq))
 		w.bytes(d)
 	}
 	n.mu.Unlock()
 	n.ep.SendAt(m.From, msgDiffRep, network.ClassReply, w.b, m.Arrive+service)
+}
+
+// handleFetchReq serves one source's share of a span round (see
+// faultRoundLocked): every whole page and diff the requester wants from
+// this node, for one interrupt and one reply. The contents are gathered
+// first so the reply buffer is sized once; pg.data and stored diffs are
+// copied into it under n.mu like every other served payload.
+func (n *Node) handleFetchReq(m *network.Message) {
+	r := rbuf{b: m.Payload}
+	items := decodeFetch(&r, false)
+	service := n.sys.plat.RequestService
+	size := 5 // reply bound: a count varint, then ≤ 14 header bytes an item
+	n.mu.Lock()
+	n.chargeInterruptLocked()
+	for i := range items {
+		it := &items[i]
+		if it.seq < 0 {
+			it.data = n.servePageLocked(it.pid)
+			service += n.sys.plat.PageCopy
+		} else {
+			var cost sim.Time
+			it.data, cost = n.serveDiffLocked(it.pid, it.seq)
+			service += cost
+		}
+		size += 14 + len(it.data)
+	}
+	w := wbuf{b: make([]byte, 0, size)}
+	encodeFetch(&w, items, true)
+	n.mu.Unlock()
+	n.ep.SendAt(m.From, msgFetchRep, network.ClassReply, w.b, m.Arrive+service)
 }

@@ -1,0 +1,474 @@
+package dsm
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// ---------------------------------------------------------------------
+// Cost pins: what a fault round costs, computed from sim.Platform and the
+// codec's own encodings — exact, to the nanosecond.
+// ---------------------------------------------------------------------
+
+// fetchWireLen returns the payload sizes of a span round's request and
+// reply for the given whole pages.
+func fetchWireLen(pids ...PageID) (req, rep int) {
+	items := make([]fetchItem, len(pids))
+	for i, pid := range pids {
+		items[i] = fetchItem{pid: pid, seq: -1, data: make([]byte, PageSize)}
+	}
+	var q, p wbuf
+	encodeFetch(&q, items, false)
+	encodeFetch(&p, items, true)
+	return len(q.b), len(p.b)
+}
+
+// timedSpanRead runs one region in which only the last node touches
+// shared memory: a single cold ReadBytes of `pages` pages from address 0.
+// It returns the read's virtual duration and the finished system.
+func timedSpanRead(t *testing.T, procs, pages int) (sim.Time, *System) {
+	t.Helper()
+	sys := New(Config{Procs: procs})
+	a := sys.MallocPage(pages * PageSize)
+	var took sim.Time
+	sys.Register("span", func(n *Node, _ []byte) {
+		if n.ID() == procs-1 {
+			t0 := n.Now()
+			n.ReadBytes(a, make([]byte, pages*PageSize))
+			took = n.Now() - t0
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("span", nil) }); err != nil {
+		t.Fatal(err)
+	}
+	return took, sys
+}
+
+func pageRange(lo, hi int) []PageID {
+	var out []PageID
+	for p := lo; p < hi; p++ {
+		out = append(out, PageID(p))
+	}
+	return out
+}
+
+// TestSpanCostOneHome: an 8-page cold span homed at one node is one
+// request and one reply, and costs one fault entry, two one-way
+// latencies, the bytes of both messages on the wire, and one request
+// service that copies eight pages.
+func TestSpanCostOneHome(t *testing.T) {
+	took, sys := timedSpanRead(t, 2, HomeBlockPages)
+	plat := sys.Platform()
+	req, rep := fetchWireLen(pageRange(0, HomeBlockPages)...)
+	want := plat.FaultOverhead + plat.UDP.Latency(req) + plat.RequestService +
+		HomeBlockPages*plat.PageCopy + plat.UDP.Latency(rep)
+	if took != want {
+		t.Errorf("8-page span from one home took %d ns, want %d", took, want)
+	}
+	st := sys.Switch().Stats()
+	for _, typ := range []int{msgFetchReq, msgFetchRep} {
+		if m, _ := st.ByType(typ); m != 1 {
+			t.Errorf("message type %d sent %d times, want 1", typ, m)
+		}
+	}
+	for _, typ := range []int{msgPageReq, msgPageRep, msgDiffReq, msgDiffRep} {
+		if m, _ := st.ByType(typ); m != 0 {
+			t.Errorf("one-page message type %d sent %d times in a span round", typ, m)
+		}
+	}
+	if rep > 33<<10 {
+		t.Errorf("an %d-item reply is %d bytes: past the 33 KB one-datagram budget", HomeBlockPages, rep)
+	}
+	if s := sys.TotalStats(); s.FaultRounds != 1 || s.FaultPages != HomeBlockPages || s.FaultWait != took {
+		t.Errorf("fault ledger = %d rounds / %d pages / %d ns, want 1 / %d / %d",
+			s.FaultRounds, s.FaultPages, s.FaultWait, HomeBlockPages, took)
+	}
+}
+
+// TestSpanCostTwoHomesHitsInboundFloor: a 16-page span over two homes is
+// served in parallel, but both replies share the requester's inbound
+// link. The round must cost what that link needs to deliver every reply
+// byte — not the single-source time two overlapping replies would give.
+// Removing the floor in fetchSpan fails this test.
+func TestSpanCostTwoHomesHitsInboundFloor(t *testing.T) {
+	took, sys := timedSpanRead(t, 3, 2*HomeBlockPages)
+	plat := sys.Platform()
+	req0, rep0 := fetchWireLen(pageRange(0, HomeBlockPages)...)
+	_, rep1 := fetchWireLen(pageRange(HomeBlockPages, 2*HomeBlockPages)...)
+	floor := plat.FaultOverhead + 2*plat.UDP.OneWay + sim.Time(float64(rep0+rep1)*plat.UDP.PerByteNS)
+	oneSource := plat.FaultOverhead + plat.UDP.Latency(req0) + plat.RequestService +
+		HomeBlockPages*plat.PageCopy + plat.UDP.Latency(rep0)
+	if floor <= oneSource {
+		t.Fatalf("test premise: floor %d ns must exceed the one-source time %d ns", floor, oneSource)
+	}
+	if took != floor {
+		t.Errorf("16-page span over two homes took %d ns, want the inbound-link floor %d (one-source time %d)",
+			took, floor, oneSource)
+	}
+	if m, _ := sys.Switch().Stats().ByType(msgFetchReq); m != 2 {
+		t.Errorf("%d fetch requests, want one per home", m)
+	}
+}
+
+// TestOnePageFaultCostsUnchanged pins the three one-page fault costs —
+// cold page, one-word diff, full-page diff — to the classic request
+// sequence (msgPageReq, then msgDiffReq): a round of one page must not
+// move by a nanosecond when the span fetch lands around it. The scenario
+// is harness.Micro's; GC is off so the barrier does not turn the diff
+// fetch into a flush and refetch.
+func TestOnePageFaultCostsUnchanged(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		sys := New(Config{Procs: 2, DisableGC: true})
+		a := sys.MallocPage(PageSize)
+		var cold, fetch sim.Time
+		sys.Register("one", func(n *Node, _ []byte) {
+			if n.ID() == 1 {
+				t0 := n.Now()
+				n.ReadI64(a)
+				cold = n.Now() - t0
+			}
+			n.Barrier()
+			if n.ID() == 0 {
+				if full {
+					buf := make([]byte, PageSize)
+					for i := range buf {
+						buf[i] = byte(i)
+					}
+					n.WriteBytes(a, buf)
+				} else {
+					n.WriteI64(a, 99)
+				}
+			}
+			n.Barrier()
+			if n.ID() == 1 {
+				t0 := n.Now()
+				n.ReadI64(a)
+				fetch = n.Now() - t0
+			}
+		})
+		if err := sys.Run(func(n *Node) { n.RunParallel("one", nil) }); err != nil {
+			t.Fatal(err)
+		}
+		plat := sys.Platform()
+		wantCold := plat.FaultOverhead + plat.UDP.Latency(4) + plat.RequestService + plat.PageCopy +
+			plat.UDP.Latency(4+4+PageSize)
+		if cold != wantCold {
+			t.Errorf("cold page fault took %d ns, want %d", cold, wantCold)
+		}
+		// One run of modified words: 4 bytes of the int64 99 (its high
+		// word stays zero), or the whole page.
+		run := 4
+		if full {
+			run = PageSize
+		}
+		diff := 8 + run
+		wantFetch := plat.FaultOverhead + plat.UDP.Latency(12) + plat.RequestService +
+			plat.DiffCreate + sim.Time(float64(PageSize)*plat.DiffPerByte) +
+			plat.UDP.Latency(16+diff) +
+			plat.DiffApply + sim.Time(float64(run)*plat.DiffApplyPerByte)
+		if fetch != wantFetch {
+			t.Errorf("full=%v: diff fetch took %d ns, want %d", full, fetch, wantFetch)
+		}
+		if m, _ := sys.Switch().Stats().ByType(msgFetchReq); m != 0 {
+			t.Errorf("full=%v: a one-page fault sent %d span requests", full, m)
+		}
+	}
+}
+
+// TestSpanTrafficAttribution: on a run that does nothing but a fork, a
+// 16-page cold span read and a join, the page category of the traffic
+// breakdown is exactly the span round's request and reply — the two new
+// message types must not fall into the synchronization residue — and the
+// synchronization category is exactly fork, join and shutdown.
+func TestSpanTrafficAttribution(t *testing.T) {
+	_, sys := timedSpanRead(t, 2, 2*HomeBlockPages)
+	// Node 1 homes pages 8-15 itself; pages 0-7 come from node 0.
+	req, rep := fetchWireLen(pageRange(0, HomeBlockPages)...)
+	hdr := sys.Platform().UDP.HeaderBytes
+	b := sys.TrafficBreakdown()
+	if b.PageMsgs != 2 || b.PageBytes != int64(req+rep+2*hdr) {
+		t.Errorf("page traffic = %d msgs / %d bytes, want 2 / %d", b.PageMsgs, b.PageBytes, req+rep+2*hdr)
+	}
+	st := sys.Switch().Stats()
+	var forkJoin int64
+	for _, typ := range []int{msgFork, msgJoin, msgExit} {
+		m, _ := st.ByType(typ)
+		forkJoin += m
+	}
+	if b.SyncMsgs != forkJoin || forkJoin != 3 {
+		t.Errorf("sync traffic = %d msgs, fork+join+exit = %d, want 3", b.SyncMsgs, forkJoin)
+	}
+	if b.GCMsgs != 0 {
+		t.Errorf("gc traffic = %d msgs on a run with no collection", b.GCMsgs)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Span ≡ page-at-a-time. A seeded program mixes multi-page reads and
+// writes at unaligned offsets with barrier phases and lock-ordered
+// phases, collecting at every barrier, so that one span can hold
+// never-touched, home-materialized, flushed, squashed and diff-only pages
+// at once. It runs under the shadow-memory oracle, once with every access
+// as one call and once with the same accesses split one page per call;
+// both final images must equal the image the op list itself predicts.
+// ---------------------------------------------------------------------
+
+type spanAccess struct {
+	off, size int
+	f64       bool // ReadF64s (off and size multiples of 8) rather than ReadBytes
+}
+
+type spanPhase struct {
+	locked bool         // accesses run inside Acquire/Release rather than between barriers
+	writes []spanAccess // [node]; size 0: the node writes nothing this phase
+	reads  []spanAccess // [node]
+}
+
+// spanFill is the byte phase p's writer node puts at region offset o.
+// Values stay in 1..120 so no float64 read back through ReadF64s is a NaN.
+func spanFill(p, node, o int) byte { return byte(1 + (o*7+p*31+node*13)%120) }
+
+// genSpanProgram draws the phases. Each phase cuts the region into one
+// contiguous segment per node — at 8-byte boundaries in barrier phases,
+// where the writers run concurrently and the diff word is 4 bytes; at
+// arbitrary bytes in lock-ordered phases — and every node writes a
+// sub-span of its own segment, then reads a span anywhere.
+func genSpanProgram(seed uint64, procs, pages, phases int) []spanPhase {
+	rng := sim.NewRNG(seed)
+	size := pages * PageSize
+	align := func(x, a int) int { return x - x%a }
+	out := make([]spanPhase, phases)
+	for p := range out {
+		ph := &out[p]
+		ph.locked = rng.Intn(2) == 1
+		wa := 8 // write alignment
+		if ph.locked {
+			wa = 1
+		}
+		cuts := make([]int, procs+1)
+		cuts[procs] = size
+		for i := 1; i < procs; i++ {
+			lo, hi := cuts[i-1]+PageSize, size-(procs-i)*PageSize
+			cuts[i] = align(lo+rng.Intn(hi-lo), wa)
+		}
+		ph.writes = make([]spanAccess, procs)
+		ph.reads = make([]spanAccess, procs)
+		for i := 0; i < procs; i++ {
+			node := (i + p) % procs
+			if seg := cuts[i+1] - cuts[i]; rng.Intn(3) > 0 {
+				off := align(rng.Intn(seg/2), wa)
+				ph.writes[node] = spanAccess{off: cuts[i] + off, size: align(1+rng.Intn(seg-off-1), wa)}
+			}
+			rd := spanAccess{f64: rng.Intn(2) == 1}
+			ra := 1
+			if rd.f64 {
+				ra = 8
+			}
+			rd.off = align(rng.Intn(size-2*PageSize), ra)
+			rd.size = align(PageSize+rng.Intn(min(12*PageSize, size-rd.off-PageSize)), ra)
+			ph.reads[node] = rd
+		}
+	}
+	return out
+}
+
+// perPage calls fn once per page-bounded piece of [off, off+size).
+func perPage(off, size int, fn func(off, size int)) {
+	for size > 0 {
+		chunk := min(size, PageSize-off%PageSize)
+		fn(off, chunk)
+		off, size = off+chunk, size-chunk
+	}
+}
+
+// runSpanProgram executes the program and returns the final shared image
+// as node 0 reads it, with the run's protocol counters. split issues
+// every access one page per call.
+func runSpanProgram(t *testing.T, cfg Config, pages int, prog []spanPhase, split bool) ([]byte, NodeStats) {
+	t.Helper()
+	SetDebugOracle(true)
+	defer SetDebugOracle(false)
+	const lockID = 7
+	sys := New(cfg)
+	base := sys.MallocPage(pages * PageSize)
+	image := make([]byte, pages*PageSize)
+
+	access := func(off, size int, fn func(off, size int)) {
+		if split {
+			perPage(off, size, fn)
+		} else {
+			fn(off, size)
+		}
+	}
+	sys.Register("prog", func(n *Node, _ []byte) {
+		me := n.ID()
+		write := func(p int, w spanAccess) {
+			buf := make([]byte, w.size)
+			for i := range buf {
+				buf[i] = spanFill(p, me, w.off+i)
+			}
+			access(w.off, w.size, func(off, size int) {
+				n.WriteBytes(base+Addr(off), buf[off-w.off:off-w.off+size])
+			})
+		}
+		read := func(r spanAccess) {
+			access(r.off, r.size, func(off, size int) {
+				if r.f64 {
+					n.ReadF64s(base+Addr(off), make([]float64, size/8))
+				} else {
+					n.ReadBytes(base+Addr(off), make([]byte, size))
+				}
+			})
+		}
+		for p, ph := range prog {
+			if ph.locked {
+				n.Acquire(lockID)
+			}
+			if w := ph.writes[me]; w.size > 0 {
+				write(p, w)
+			}
+			if !ph.locked {
+				n.Barrier()
+			}
+			read(ph.reads[me])
+			if ph.locked {
+				n.Release(lockID)
+			}
+			n.Barrier()
+		}
+		if me == 0 {
+			access(0, len(image), func(off, size int) {
+				n.ReadBytes(base+Addr(off), image[off:off+size])
+			})
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("prog", nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if d := OracleDiverges(); d != 0 {
+		t.Errorf("split=%v: %d reads diverged from the shadow memory", split, d)
+	}
+	return image, sys.TotalStats()
+}
+
+func TestSpanEquivalentToPageAtATime(t *testing.T) {
+	for _, tt := range []struct {
+		cfg  Config
+		seed uint64
+	}{
+		{Config{Procs: 3}, 1},
+		{Config{Procs: 3}, 2},
+		{Config{Procs: 4}, 3},
+		// Validation waves at every barrier beside the span rounds.
+		{Config{Procs: 4, GCPolicy: GCPolicyValidateHot}, 4},
+	} {
+		t.Run(fmt.Sprintf("p%d/seed%d", tt.cfg.Procs, tt.seed), func(t *testing.T) {
+			pages := tt.cfg.Procs * HomeBlockPages
+			prog := genSpanProgram(tt.seed, tt.cfg.Procs, pages, 14)
+			want := make([]byte, pages*PageSize)
+			for p, ph := range prog {
+				for node, w := range ph.writes {
+					for i := 0; i < w.size; i++ {
+						want[w.off+i] = spanFill(p, node, w.off+i)
+					}
+				}
+			}
+			span, st := runSpanProgram(t, tt.cfg, pages, prog, false)
+			paged, pst := runSpanProgram(t, tt.cfg, pages, prog, true)
+			if !bytes.Equal(span, want) {
+				t.Error("span run: final image differs from the op list's prediction")
+			}
+			if !bytes.Equal(paged, want) {
+				t.Error("page-at-a-time run: final image differs from the op list's prediction")
+			}
+			// The two runs must really differ in mechanism, and the span
+			// run must have met whole pages, diffs and flushed copies.
+			if st.FaultPages <= st.FaultRounds {
+				t.Errorf("span run took %d rounds for %d pages: no multi-page round", st.FaultRounds, st.FaultPages)
+			}
+			if pst.FaultPages != pst.FaultRounds {
+				t.Errorf("page-at-a-time run took %d rounds for %d pages", pst.FaultRounds, pst.FaultPages)
+			}
+			if st.PageFetches == 0 || st.DiffsApplied == 0 || st.GCPagesFlushed == 0 {
+				t.Errorf("span run fetched %d pages, applied %d diffs, flushed %d copies: a page kind went unexercised",
+					st.PageFetches, st.DiffsApplied, st.GCPagesFlushed)
+			}
+		})
+	}
+}
+
+// TestSpanMultiClientOverlap: two clients of one multi-client node fault
+// overlapping multi-page spans at the same moment. Their rounds serialize
+// on fetchMu (replies route by type alone), the loser finds its pages
+// already current, and both read exactly what the writers wrote.
+func TestSpanMultiClientOverlap(t *testing.T) {
+	SetDebugOracle(true)
+	defer SetDebugOracle(false)
+	const (
+		pages  = 3 * HomeBlockPages
+		rounds = 5
+		size   = pages * PageSize
+	)
+	sys := New(Config{Procs: 3, MultiClient: true})
+	base := sys.MallocPage(size)
+	fill := func(r, o int) byte { return byte(1 + (o*5+r*17)%200) }
+	// Spans of the two clients: unaligned, overlapping in pages 8-13.
+	spans := [2][2]int{{2*PageSize + 24, 12*PageSize - 100}, {8*PageSize - 3, 12*PageSize + 7}}
+
+	sys.Register("overlap", func(n *Node, _ []byte) {
+		for r := 0; r < rounds; r++ {
+			// Nodes 0 and 2 rewrite the two halves of the region.
+			if half := size / 2; n.ID() != 1 {
+				lo := n.ID() / 2 * half
+				buf := make([]byte, half)
+				for i := range buf {
+					buf[i] = fill(r, lo+i)
+				}
+				n.WriteBytes(base+Addr(lo), buf)
+			}
+			n.Barrier()
+			if n.ID() == 1 {
+				var wg sync.WaitGroup
+				var clks [2]sim.Clock
+				for k := range spans {
+					clks[k].AdvanceTo(n.Now())
+					cl := n.NewClient(&clks[k], ClientCosts{})
+					off, sz := spans[k][0], spans[k][1]
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer func() {
+							if e := recover(); e != nil {
+								t.Errorf("client reading [%d,%d): %v", off, off+sz, e)
+							}
+						}()
+						got := make([]byte, sz)
+						cl.ReadBytes(base+Addr(off), got)
+						for i, b := range got {
+							if b != fill(r, off+i) {
+								t.Errorf("round %d: client read %d at offset %d, want %d", r, b, off+i, fill(r, off+i))
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				n.AdvanceClockTo(sim.Max(clks[0].Now(), clks[1].Now()))
+			}
+			n.Barrier()
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("overlap", nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if d := OracleDiverges(); d != 0 {
+		t.Errorf("%d reads diverged from the shadow memory", d)
+	}
+	if st := sys.Node(1).Stats(); st.FaultPages <= st.FaultRounds {
+		t.Errorf("node 1 took %d rounds for %d pages: no multi-page round", st.FaultRounds, st.FaultPages)
+	}
+}

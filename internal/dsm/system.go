@@ -35,6 +35,8 @@ const (
 	msgGCSync                   // pressured node → quiet node: GC consensus push + delta (acqgc.go)
 	msgGCFloor                  // piggybacked acquire-epoch floor announcement (acqgc.go)
 	msgBatch                    // coalesced per-peer frame of typed sub-messages (wire.go)
+	msgFetchReq                 // app → page/diff source: one span round's items for it (faultRoundLocked)
+	msgFetchRep                 // source → app: the requested pages and diffs
 )
 
 // RegionFunc is the body of a parallel region, registered under a name on
@@ -253,6 +255,11 @@ type TrafficBreakdown struct {
 	PageMsgs, PageBytes int64
 	SyncMsgs, SyncBytes int64
 	GCMsgs, GCBytes     int64
+
+	// The fault-wait slice of the time ledger, summed over nodes (see
+	// NodeStats): a time share to read beside the byte shares above.
+	FaultWait               sim.Time
+	FaultRounds, FaultPages int64
 }
 
 // Total returns the breakdown summed back into run totals (equal to the
@@ -269,7 +276,7 @@ func (t TrafficBreakdown) Total() (messages, bytes int64) {
 func (s *System) TrafficBreakdown() TrafficBreakdown {
 	var b TrafficBreakdown
 	st := s.sw.Stats()
-	for _, typ := range []int{msgPageReq, msgPageRep, msgDiffReq, msgDiffRep} {
+	for _, typ := range []int{msgPageReq, msgPageRep, msgDiffReq, msgDiffRep, msgFetchReq, msgFetchRep} {
 		m, by := st.ByType(typ)
 		b.PageMsgs += m
 		b.PageBytes += by
@@ -282,6 +289,8 @@ func (s *System) TrafficBreakdown() TrafficBreakdown {
 	msgs, bytes := st.Snapshot()
 	b.SyncMsgs = msgs - b.PageMsgs - b.GCMsgs
 	b.SyncBytes = bytes - b.PageBytes - b.GCBytes
+	t := s.TotalStats()
+	b.FaultWait, b.FaultRounds, b.FaultPages = t.FaultWait, t.FaultRounds, t.FaultPages
 	return b
 }
 
@@ -421,8 +430,10 @@ func (s *System) Run(master func(n *Node)) error {
 
 func (s *System) recoverAbort(n *Node) {
 	if r := recover(); r != nil {
-		if _, isAbort := r.(abortError); isAbort {
-			return // secondary victim of another node's failure
+		if _, isAbort := r.(abortError); isAbort || r == network.ErrDown {
+			// Secondary victim of another node's failure — or a server
+			// draining a straggler request after the run ended cleanly.
+			return
 		}
 		s.abort(fmt.Errorf("dsm: node %d: %v", n.id, r))
 	}
@@ -465,6 +476,9 @@ func (s *System) TotalStats() NodeStats {
 		t.CondOps += st.CondOps
 		t.Flushes += st.Flushes
 		t.Interrupts += st.Interrupts
+		t.FaultWait += st.FaultWait
+		t.FaultRounds += st.FaultRounds
+		t.FaultPages += st.FaultPages
 		t.GCEpisodes += st.GCEpisodes
 		t.GCEpochs += st.GCEpochs
 		t.GCAcqEpochs += st.GCAcqEpochs

@@ -205,6 +205,47 @@ func getTrailer(r *rbuf) (VectorClock, []*interval) {
 	return getVC(r), decodeRecords(r)
 }
 
+// fetchItem is one entry of a msgFetchReq/msgFetchRep pair: a whole page
+// (seq < 0) or the diff of the serving node's interval seq for the page.
+// data is the reply's content and stays nil in a request.
+type fetchItem struct {
+	pid  PageID
+	seq  int
+	data []byte
+}
+
+// encodeFetch writes a span round's item list: uv(count), then per item
+// uv(pid), uv(seq+1) — 0 names the whole page — and, in a reply, the
+// length-prefixed content.
+func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
+	w.uv(uint64(len(items)))
+	for _, it := range items {
+		w.uv(uint64(it.pid))
+		w.uv(uint64(it.seq + 1))
+		if reply {
+			w.bytes(it.data)
+		}
+	}
+}
+
+// decodeFetch decodes what encodeFetch writes. A reply's contents are
+// views into the message (see rbuf.view).
+func decodeFetch(r *rbuf, reply bool) []fetchItem {
+	minBytes := 2 // pid and seq varints
+	if reply {
+		minBytes += 4 // content length
+	}
+	items := make([]fetchItem, r.needCount(r.uvi(), minBytes))
+	for i := range items {
+		items[i].pid = PageID(r.uvi())
+		items[i].seq = r.uvi() - 1
+		if reply {
+			items[i].data = r.view()
+		}
+	}
+	return items
+}
+
 // frameBuilder collects typed sub-messages bound for one peer and
 // transmits them as a single msgBatch datagram. The envelope is
 // uv(nsubs), then per sub u8(type) + uv(len) + payload; a request-class

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -200,6 +201,88 @@ func TestWireCorruptCountBounded(t *testing.T) {
 		r := rbuf{b: w4.b}
 		walkBatch(&r, 0, func(int, []byte) {})
 	})
+}
+
+// randFetchItems builds a span round's item list: whole pages (seq -1)
+// mixed with diffs, carrying content when reply is set.
+func randFetchItems(rnd *rand.Rand, count int, reply bool) []fetchItem {
+	items := make([]fetchItem, count)
+	for i := range items {
+		items[i] = fetchItem{pid: PageID(rnd.Intn(1 << 20)), seq: rnd.Intn(1<<16) - 1}
+		if rnd.Intn(3) == 0 {
+			items[i].seq = -1
+		}
+		if reply {
+			items[i].data = make([]byte, rnd.Intn(64))
+			rnd.Read(items[i].data)
+		}
+	}
+	return items
+}
+
+// TestWireFetchRoundTrip drives random item lists through both shapes of
+// the span-round codec: the request (ids only) and the reply (ids plus
+// contents, decoded as views).
+func TestWireFetchRoundTrip(t *testing.T) {
+	prop := func(seed int64, reply bool) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		items := randFetchItems(rnd, rnd.Intn(2*HomeBlockPages), reply)
+		var w wbuf
+		encodeFetch(&w, items, reply)
+		r := rbuf{b: w.b}
+		got := decodeFetch(&r, reply)
+		if !r.done() || len(got) != len(items) {
+			return false
+		}
+		for i, it := range items {
+			if got[i].pid != it.pid || got[i].seq != it.seq || !bytes.Equal(got[i].data, it.data) {
+				return false
+			}
+			if reply && cap(got[i].data) != len(got[i].data) {
+				return false // a view must not be able to grow into its neighbour
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWireTruncatedFetch: every strict prefix of a valid request or reply
+// dies in the bounded wireError path, and a corrupted item count dies in
+// needCount before anything is allocated.
+func TestWireTruncatedFetch(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	for _, reply := range []bool{false, true} {
+		var w wbuf
+		encodeFetch(&w, randFetchItems(rnd, HomeBlockPages, reply), reply)
+		for cut := 0; cut < len(w.b); cut++ {
+			panicked := false
+			func() {
+				defer func() {
+					switch e := recover().(type) {
+					case wireError:
+						panicked = true
+					case nil:
+					default:
+						t.Fatalf("reply=%v cut=%d: non-wireError panic: %v", reply, cut, e)
+					}
+				}()
+				r := rbuf{b: w.b[:cut]}
+				decodeFetch(&r, reply)
+			}()
+			if !panicked {
+				t.Fatalf("reply=%v: truncation at %d of %d decoded silently", reply, cut, len(w.b))
+			}
+		}
+		var huge wbuf
+		huge.uv(0x7fffffff)
+		wantWireError(t, "fetch item count", func() {
+			r := rbuf{b: huge.b}
+			decodeFetch(&r, reply)
+		})
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -415,6 +498,11 @@ func FuzzWireDecode(f *testing.F) {
 	fb.add(msgGCFloor, v.b)
 	env, _ := fb.build()
 	f.Add(env)
+	for _, reply := range []bool{false, true} {
+		var fw wbuf
+		encodeFetch(&fw, randFetchItems(rnd, HomeBlockPages, reply), reply)
+		f.Add(fw.b)
+	}
 
 	decoders := []func(b []byte){
 		func(b []byte) {
@@ -424,6 +512,14 @@ func FuzzWireDecode(f *testing.F) {
 		func(b []byte) {
 			r := rbuf{b: b}
 			getVC(&r)
+		},
+		func(b []byte) {
+			r := rbuf{b: b}
+			decodeFetch(&r, false)
+		},
+		func(b []byte) {
+			r := rbuf{b: b}
+			decodeFetch(&r, true)
 		},
 		func(b []byte) {
 			r := rbuf{b: b}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/dsm"
+	"repro/internal/sim"
 )
 
 func TestTable1TestScale(t *testing.T) {
@@ -80,6 +83,52 @@ func TestMicroResultsInPaperBands(t *testing.T) {
 	}
 	if m.TCPBandwidth < 5 || m.TCPBandwidth > 12 {
 		t.Errorf("TCP bandwidth %.1f MB/s, want ~8.6", m.TCPBandwidth)
+	}
+	// One-page faults are the regression oracle of the span fetch: they
+	// keep the classic request sequence, so these three repeat to the
+	// nanosecond what they measured before it existed.
+	if m.PageFaultCold != 565720 || m.DiffLow != 286080 || m.DiffHigh != 695280 {
+		t.Errorf("one-page fault costs moved: cold %d ns, diff low %d, diff high %d; want 565720, 286080, 695280",
+			m.PageFaultCold, m.DiffLow, m.DiffHigh)
+	}
+	// An 8-page span is one round: cheaper than eight faults by the
+	// per-message fixed costs, but never cheaper than its bytes on the wire.
+	plat := sim.DefaultPlatform()
+	if wire := sim.Time(8 * dsm.PageSize * plat.UDP.PerByteNS); m.SpanFetch8 >= 8*m.PageFaultCold || m.SpanFetch8 <= wire {
+		t.Errorf("8-page span fetch %v, want between its wire time %v and eight cold faults %v",
+			m.SpanFetch8, wire, 8*m.PageFaultCold)
+	}
+}
+
+// TestFaultWaitLedger checks the fault-wait slice of the time ledger on
+// real cells: a paging run spends a positive share of its threads' time
+// inside fault rounds — never more than all of it — and fetches at least
+// one page a round; hardware shared memory never faults.
+func TestFaultWaitLedger(t *testing.T) {
+	const procs = 8
+	a, _ := FindApp("3D-FFT")
+	for _, impl := range []Impl{OMP, Tmk, OMPHybrid} {
+		res, err := Verified(a, Test, impl, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FaultWait <= 0 || res.FaultWait > procs*res.Time {
+			t.Errorf("%s: fault wait %v outside (0, %d × %v]", impl, res.FaultWait, procs, res.Time)
+		}
+		if res.FaultRounds <= 0 || res.FaultPages < res.FaultRounds {
+			t.Errorf("%s: %d fault rounds fetched %d pages", impl, res.FaultRounds, res.FaultPages)
+		}
+		if impl != OMPHybrid && res.FaultPages == res.FaultRounds {
+			t.Errorf("%s: %d rounds for %d pages: the transposes' multi-page reads took no span round",
+				impl, res.FaultRounds, res.FaultPages)
+		}
+	}
+	res, err := Verified(a, Test, OMPSMP, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultWait != 0 || res.FaultRounds != 0 || res.FaultPages != 0 {
+		t.Errorf("omp-smp: fault ledger %v / %d rounds / %d pages, want zero", res.FaultWait, res.FaultRounds, res.FaultPages)
 	}
 }
 

@@ -23,6 +23,7 @@ type MicroResults struct {
 	TCPRoundTrip  sim.Time // empty MPI message round trip
 	TCPBandwidth  float64  // MB/s for a 1 MB transfer
 	PageFaultCold sim.Time // first-touch page fetch
+	SpanFetch8    sim.Time // one 8-page cold access: a single span round to one home
 }
 
 // Micro measures the platform characteristics reported in Section 6.
@@ -162,6 +163,27 @@ func Micro() (MicroResults, error) {
 		}
 	}
 
+	// Span fetch: node 1 reads eight cold pages — one home block, so one
+	// source — in a single call, which the DSM resolves in one fault round
+	// (one request, one 33 KB reply) instead of eight.
+	{
+		sys := dsm.New(dsm.Config{Procs: 2})
+		defer sys.Close()
+		a := sys.MallocPage(dsm.HomeBlockPages * dsm.PageSize) // pages 0-7: homed at node 0
+		var span sim.Time
+		sys.Register("span-micro", func(n *dsm.Node, _ []byte) {
+			if n.ID() == 1 {
+				t0 := n.Now()
+				n.ReadBytes(a, make([]byte, dsm.HomeBlockPages*dsm.PageSize))
+				span = n.Now() - t0
+			}
+		})
+		if err := sys.Run(func(n *dsm.Node) { n.RunParallel("span-micro", nil) }); err != nil {
+			return out, err
+		}
+		out.SpanFetch8 = span
+	}
+
 	// MPI (TCP) empty-message round trip and bandwidth.
 	{
 		world := mpi.New(mpi.Config{Procs: 2})
@@ -208,6 +230,7 @@ func PrintMicro(w io.Writer) error {
 	fprintf(w, "%-44s %12s\n", "diff fetch, low (1 word)", m.DiffLow)
 	fprintf(w, "%-44s %12s\n", "diff fetch, high (full page)", m.DiffHigh)
 	fprintf(w, "%-44s %12s\n", "cold page fetch", m.PageFaultCold)
+	fprintf(w, "%-44s %12s\n", "8-page span fetch (one home)", m.SpanFetch8)
 	fprintf(w, "%-44s %12s\n", "MPICH/TCP empty-message round trip", m.TCPRoundTrip)
 	fprintf(w, "%-44s %9.1f MB/s\n", "MPICH/TCP bandwidth (1MB transfer)", m.TCPBandwidth)
 	return nil

@@ -50,9 +50,9 @@ var cellPins = []cellPin{
 	{app: "Barnes", impl: OMPSMP},
 
 	{app: "3D-FFT", impl: OMP, msgs: 1715, msgTol: 0.03, bytes: 2136000, byteTol: 0.01},
-	{app: "3D-FFT", impl: Tmk, msgs: 1261, bytes: 1712600, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
-	{app: "Water", impl: OMP, msgs: 1721, msgTol: 0.02, bytes: 1400000, byteTol: 0.01, checksum: 0x40ad443025918a2e},
-	{app: "Water", impl: Tmk, msgs: 1739, msgTol: 0.02, bytes: 1426000, byteTol: 0.01, checksum: 0x40ad443025918a2e},
+	{app: "3D-FFT", impl: Tmk, msgs: 1247, bytes: 1712600, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
+	{app: "Water", impl: OMP, msgs: 1651, msgTol: 0.02, bytes: 1400000, byteTol: 0.01, checksum: 0x40ad443025918a2e},
+	{app: "Water", impl: Tmk, msgs: 1667, msgTol: 0.02, bytes: 1426000, byteTol: 0.01, checksum: 0x40ad443025918a2e},
 }
 
 // TestDefaultConfigCellPins holds the default-configuration output of the

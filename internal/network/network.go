@@ -14,6 +14,7 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,12 @@ func (s *Stats) ByType(typ int) (messages, bytes int64) {
 // each; a coalesced frame counts one regardless of how many sub-messages
 // it carries).
 func (s *Stats) FrameCount() int64 { return s.Frames.Load() }
+
+// ErrDown is the panic value of every send on a switch that has been shut
+// down: the unwind signal of an abort, and what a protocol server still
+// draining its queue after a clean run meets when a straggler request
+// wants a reply. It never causes a failure, only follows a shutdown.
+var ErrDown = errors.New("network: switch is down")
 
 // Switch connects n endpoints with a shared wire profile.
 type Switch struct {
@@ -189,7 +196,7 @@ func (e *Endpoint) SendAt(to, typ int, class Class, payload []byte, at sim.Time)
 	m := e.build(to, typ, class, payload, at)
 	select {
 	case <-e.sw.down:
-		panic("network: switch is down")
+		panic(ErrDown)
 	default:
 	}
 	// The down case below keeps a sender from blocking forever on a full
@@ -200,7 +207,7 @@ func (e *Endpoint) SendAt(to, typ int, class Class, payload []byte, at sim.Time)
 	case e.sw.inboxes[to][m.Class] <- m:
 		e.count(typ, payload)
 	case <-e.sw.down:
-		panic("network: switch is down")
+		panic(ErrDown)
 	}
 }
 
@@ -282,14 +289,14 @@ func (e *Endpoint) SendFrameAt(to, typ int, class Class, payload []byte, parts [
 	m := e.build(to, typ, class, payload, at)
 	select {
 	case <-e.sw.down:
-		panic("network: switch is down")
+		panic(ErrDown)
 	default:
 	}
 	select {
 	case e.sw.inboxes[to][m.Class] <- m:
 		e.countFrame(payload, parts)
 	case <-e.sw.down:
-		panic("network: switch is down")
+		panic(ErrDown)
 	}
 }
 
@@ -301,7 +308,7 @@ func (e *Endpoint) TrySendFrameAt(to, typ int, class Class, payload []byte, part
 	m := e.build(to, typ, class, payload, at)
 	select {
 	case <-e.sw.down:
-		panic("network: switch is down")
+		panic(ErrDown)
 	default:
 	}
 	select {
@@ -329,7 +336,7 @@ func (e *Endpoint) TrySendAt(to, typ int, class Class, payload []byte, at sim.Ti
 	m := e.build(to, typ, class, payload, at)
 	select {
 	case <-e.sw.down:
-		panic("network: switch is down")
+		panic(ErrDown)
 	default:
 	}
 	select {
