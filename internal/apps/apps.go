@@ -45,8 +45,8 @@ type Result struct {
 	PeakProtoBytes    int64
 	// GC accounting of DSM-backed runs: barrier/fork synchronization
 	// episodes the collector examined, collection epochs it actually ran
-	// there (equal unless adaptive triggering via dsm.Config.GCMinRetire
-	// is active), acquire epochs announced by the lock-manager consensus
+	// there (those whose floor crossed the pressure threshold; every one
+	// under dsm.Config.GCMinRetire: 1), acquire epochs announced by the lock-manager consensus
 	// (dsm.Config.GCPressure), and the per-page validate-vs-flush purge
 	// outcomes (dsm.Config.GCPolicy).
 	GCEpisodes       int64

@@ -7,12 +7,13 @@ import "testing"
 // a fast node's next-barrier arrival can reach the manager's server
 // while it is still sending this barrier's departures. The collector's
 // checkEpochFloor tripwire panics (-> Run error) if any node ever
-// receives a floor diverging from the manager's.
+// receives a floor diverging from the manager's. Every episode collects
+// (GCMinRetire: 1), so a diverging floor would also purge differently.
 func TestGCEpochFloorAgreement(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		const P = 8
 		const rounds = 20
-		sys := New(Config{Procs: P})
+		sys := New(Config{Procs: P, GCMinRetire: 1})
 		a := sys.MallocPage(8 * P)
 		sys.Register("skew", func(n *Node, _ []byte) {
 			me := n.ID()

@@ -17,9 +17,10 @@ import (
 // quiescent — every application thread is parked inside Barrier(), so no
 // fault, lock grant, or delta is in flight.
 //
-// One epoch runs per global synchronization episode — each barrier and
-// each fork (the region boundary that is OpenMP's implicit barrier) —
-// in three steps on every node:
+// Every global synchronization episode — each barrier and each fork (the
+// region boundary that is OpenMP's implicit barrier) — is examined, and
+// one that crosses the collection threshold (see gcEpochLocked) runs an
+// epoch, in three steps on every node:
 //
 //  1. FREE the interval records — and their encoded diffs and remaining
 //     twins — retired at the PREVIOUS episode epoch (the retire floor
@@ -135,16 +136,19 @@ func ivlRecordBytes(ivl *interval) int64 {
 // APPLICATION thread — after incorporating the matching departure or fork
 // delta, passing the clock that message carried: the identical floor.
 //
-// Adaptive triggering (Config.GCMinRetire): collecting at EVERY episode
+// Triggering: the epoch runs only when the floor would newly retire at
+// least the resolved threshold of interval records (Config.
+// GCEpisodeThreshold — by default the same pressure the acquire source
+// reads: TreadMarks collects when consistency memory runs low, not at
+// every barrier). Collecting at EVERY episode (Config.GCMinRetire: 1)
 // costs ~25% on barrier-dense workloads (see `nowbench -ablation gc`),
-// mostly in the manager's validation pause. The trigger predicate is the
-// number of interval records the floor would newly retire — the floor's
-// component sum minus the last collection's — and the epoch runs only
-// when it reaches the threshold. Both sums derive exclusively from
-// episode floors, which are identical on every node by construction (the
-// acquire-epoch source never touches gcFreeVC), so every node skips and
-// collects the same episodes with no extra coordination; checkEpochFloor
-// tripwires that agreement.
+// mostly in the manager's validation pause, and ships every page written
+// since the last barrier to its home whether or not anyone will read it.
+// The predicate is the floor's component sum minus the last collecting
+// floor's. Both sums derive exclusively from episode floors, which are
+// identical on every node by construction (the acquire-epoch source never
+// touches gcFreeVC), so every node skips and collects the same episodes
+// with no extra coordination; checkEpochFloor tripwires that agreement.
 func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
 	episode := n.stats.GCEpisodes
 	n.stats.GCEpisodes++
@@ -180,7 +184,7 @@ func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
 
 // gcWillCollectLocked evaluates the episode trigger predicate for the
 // given retire floor WITHOUT running the epoch: the number of interval
-// records the floor would newly retire against Config.GCMinRetire. Both
+// records the floor would newly retire against the resolved threshold. Both
 // inputs (the floor and the last collecting floor, gcFreeVC) are
 // identical on every node, so the decision is too — which is what lets a
 // departure forwarder know, before its own epoch runs, whether the
@@ -192,7 +196,7 @@ func (n *Node) gcWillCollectLocked(retire VectorClock) bool {
 	if n.gcFreeVC != nil {
 		pending -= n.gcFreeVC.sum()
 	}
-	return pending >= int64(n.sys.cfg.GCMinRetire)
+	return pending >= n.sys.gcMinRetire
 }
 
 // gcCollectLocked is the collection-epoch tail shared by the two epoch

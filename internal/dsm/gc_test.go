@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -10,10 +11,12 @@ import (
 // barrier apps): each round every node rewrites its block of a multi-page
 // shared array, synchronizes at a barrier, then reads a neighbour's block
 // — forcing write notices, diffs, and twins to flow every epoch. It
-// returns the system so callers can inspect protocol counters.
+// returns the system so callers can inspect protocol counters. The
+// collector, when on, runs at every episode (GCMinRetire: 1): these runs
+// are far too short to reach the default pressure threshold.
 func gcWorkload(t *testing.T, procs, words, rounds int, disableGC bool) *System {
 	t.Helper()
-	return gcWorkloadCfg(t, Config{Procs: procs, DisableGC: disableGC}, words, rounds)
+	return gcWorkloadCfg(t, Config{Procs: procs, DisableGC: disableGC, GCMinRetire: 1}, words, rounds)
 }
 
 func gcWorkloadCfg(t *testing.T, cfg Config, words, rounds int) *System {
@@ -104,7 +107,7 @@ func TestGCBoundsChainLength(t *testing.T) {
 func TestGCWithLocksBetweenBarriers(t *testing.T) {
 	const P = 4
 	const rounds = 10
-	sys := New(Config{Procs: P})
+	sys := New(Config{Procs: P, GCMinRetire: 1})
 	ctr := sys.MallocPage(8)
 	arr := sys.MallocPage(8 * P)
 	sys.Register("mixed", func(n *Node, _ []byte) {
@@ -182,7 +185,7 @@ func TestGCOnOffIdenticalContents(t *testing.T) {
 func TestGCFlushedPageRefetch(t *testing.T) {
 	const P = 3
 	const rounds = 6
-	sys := New(Config{Procs: P})
+	sys := New(Config{Procs: P, GCMinRetire: 1})
 	a := sys.MallocPage(8)
 	sys.Register("lateread", func(n *Node, _ []byte) {
 		for r := 0; r < rounds; r++ {
@@ -328,12 +331,102 @@ func TestGCAdaptiveIdenticalContents(t *testing.T) {
 		}
 		return out
 	}
-	every := run(Config{})
+	every := run(Config{GCMinRetire: 1})
 	adaptive := run(Config{GCMinRetire: 24})
 	off := run(Config{DisableGC: true})
 	for w := range every {
 		if every[w] != adaptive[w] || every[w] != off[w] {
 			t.Fatalf("word %d differs: every %d, adaptive %d, off %d", w, every[w], adaptive[w], off[w])
+		}
+	}
+}
+
+// TestGCPressureTrigger pins the default episode trigger — one pressure
+// threshold for both epoch sources — on a loop where every node closes
+// exactly one interval per barrier, so episode k's floor sums to 8k: the
+// collecting episodes must be exactly those at which the floor has newly
+// covered a threshold's worth of records since the last collecting floor.
+// Every node reaches the same decisions (checkEpochFloor would abort the
+// run otherwise), records retired at one collection are freed at the
+// next — so no creator's chain outgrows two thresholds' worth — and
+// GCMinRetire: 1 still collects at every episode.
+func TestGCPressureTrigger(t *testing.T) {
+	const procs, rounds = 8, 100
+	run := func(cfg Config) (collected [procs][]int, st NodeStats) {
+		cfg.Procs = procs
+		sys := New(cfg)
+		a := sys.MallocPage(procs * PageSize)
+		sys.Register("loop", func(n *Node, _ []byte) {
+			me := n.ID()
+			epochs := n.Stats().GCEpochs // the fork episode may have collected
+			for k := 1; k <= rounds; k++ {
+				n.WriteI64(a+Addr(me*PageSize), int64(k))
+				n.Barrier()
+				if now := n.Stats().GCEpochs; now != epochs {
+					collected[me] = append(collected[me], k)
+					epochs = now
+				}
+			}
+		})
+		if err := sys.Run(func(n *Node) { n.RunParallel("loop", nil) }); err != nil {
+			t.Fatal(err)
+		}
+		return collected, sys.TotalStats()
+	}
+
+	threshold := Config{Procs: procs}.GCEpisodeThreshold()
+	if threshold != DefaultGCPressure {
+		t.Fatalf("default episode threshold at %d nodes = %d, want %d", procs, threshold, DefaultGCPressure)
+	}
+	var want []int
+	for k, last := 1, 0; k <= rounds; k++ {
+		if sum := procs * k; sum-last >= threshold {
+			want = append(want, k)
+			last = sum
+		}
+	}
+	if len(want) < 3 {
+		t.Fatalf("test premise: %d rounds cross the threshold %d times, want >= 3", rounds, len(want))
+	}
+	collected, st := run(Config{})
+	for id, got := range collected {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("node %d collected at barriers %v, want %v", id, got, want)
+		}
+	}
+	if st.IntervalsRetired == 0 {
+		t.Error("pressure-triggered collections retired nothing")
+	}
+	if bound := int64(2*threshold/procs + 2); st.PeakIntervalChain > bound {
+		t.Errorf("peak chain %d above %d: a collection did not free what the previous one retired",
+			st.PeakIntervalChain, bound)
+	}
+
+	every, est := run(Config{GCMinRetire: 1})
+	for id, got := range every {
+		if len(got) != rounds {
+			t.Errorf("GCMinRetire 1: node %d collected at %d of %d barriers", id, len(got), rounds)
+		}
+	}
+	if est.GCEpochs != est.GCEpisodes {
+		t.Errorf("GCMinRetire 1: %d epochs over %d episodes", est.GCEpochs, est.GCEpisodes)
+	}
+
+	// The resolved threshold: the pressure, P-scaled past 8 nodes; a
+	// negative pressure only disables the acquire source.
+	for _, tt := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{Procs: 16}, 512},
+		{Config{Procs: 128}, 16 * DefaultGCPressure},
+		{Config{Procs: 8, GCPressure: -1}, DefaultGCPressure},
+		{Config{Procs: 16, GCPressure: 24}, 24},
+		{Config{Procs: 8, GCPressure: 24, GCMinRetire: 40}, 40},
+		{Config{Procs: 8, GCMinRetire: 1}, 0},
+	} {
+		if got := tt.cfg.GCEpisodeThreshold(); got != tt.want {
+			t.Errorf("%+v: episode threshold %d, want %d", tt.cfg, got, tt.want)
 		}
 	}
 }

@@ -6,8 +6,8 @@ import "testing"
 // pin wire traffic byte-for-byte: every node writes its own pages each
 // round and reads every peer's page after the barrier, so each round
 // produces a fixed set of page fetches, diff fetches, and barrier
-// messages, and the barrier/fork collector purges on every episode. The
-// acquire source stays off (its push rounds depend on goroutine timing);
+// messages, and — under GCMinRetire: 1 — the barrier/fork collector purges
+// on every episode. The acquire source stays off (its push rounds depend on goroutine timing);
 // everything that remains is program-ordered and timing-independent.
 func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 	t.Helper()
@@ -38,7 +38,9 @@ func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 
 // TestHomeDefaultConfigPin pins the workload's traffic under the default
 // configuration (block-cyclic homes, the compact wire format) for the
-// flush and validate-hot purge policies. The message count is
+// flush and validate-hot purge policies collecting at every episode, and
+// under the default trigger, which these six rounds never reach (so the
+// policy is moot and no page is shipped to a home or flushed). The message count is
 // program-ordered and must match on every run. The byte total is the value
 // the run produces whenever no protocol server raises a clock estimate
 // between an application thread's delta computation and its send — the
@@ -47,23 +49,25 @@ func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 // total on any of three attempts rather than a band around it.
 func TestHomeDefaultConfigPin(t *testing.T) {
 	for _, tt := range []struct {
-		policy GCPolicy
-		msgs   int64
-		bytes  int64
+		policy    GCPolicy
+		minRetire int
+		msgs      int64
+		bytes     int64
 	}{
-		{GCPolicyFlush, 875, 1274609},
-		{GCPolicyValidateHot, 875, 676613},
+		{GCPolicyFlush, 1, 875, 1274609},
+		{GCPolicyValidateHot, 1, 875, 676613},
+		{GCPolicyFlush, 0, 875, 277949},
 	} {
 		var msgs, bytes int64
 		for attempt := 0; attempt < 3 && bytes != tt.bytes; attempt++ {
-			msgs, bytes = homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: tt.policy})
+			msgs, bytes = homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: tt.policy, GCMinRetire: tt.minRetire})
 			if msgs != tt.msgs {
 				break
 			}
 		}
 		if msgs != tt.msgs || bytes != tt.bytes {
-			t.Errorf("policy %v: msgs=%d bytes=%d, want msgs=%d bytes=%d (default-configuration wire traffic drifted)",
-				tt.policy, msgs, bytes, tt.msgs, tt.bytes)
+			t.Errorf("policy %v, GCMinRetire %d: msgs=%d bytes=%d, want msgs=%d bytes=%d (default-configuration wire traffic drifted)",
+				tt.policy, tt.minRetire, msgs, bytes, tt.msgs, tt.bytes)
 		}
 	}
 }
@@ -74,7 +78,7 @@ func TestHomeDefaultConfigPin(t *testing.T) {
 // diffs where a flush refetches whole pages — but correctness may not.
 func TestHomePoliciesAgree(t *testing.T) {
 	for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive} {
-		homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: pol})
+		homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: pol, GCMinRetire: 1})
 	}
 }
 

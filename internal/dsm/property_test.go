@@ -155,10 +155,13 @@ func TestCodecRoundTripProperty(t *testing.T) {
 
 // Property (system-level): for random sequences of barrier-separated
 // scattered writes, every node converges to the same array contents as a
-// sequential execution of the same writes.
+// sequential execution of the same writes — collecting at every barrier,
+// and under the default trigger (which these short runs never reach).
 func TestScatteredWriteConvergenceProperty(t *testing.T) {
-	if err := quick.Check(scatteredWriteConverges(Config{}), &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+	for _, minRetire := range []int{1, 0} {
+		if err := quick.Check(scatteredWriteConverges(Config{GCMinRetire: minRetire}), &quick.Config{MaxCount: 25}); err != nil {
+			t.Fatalf("GCMinRetire %d: %v", minRetire, err)
+		}
 	}
 }
 
@@ -169,7 +172,7 @@ func TestScatteredWriteConvergenceProperty(t *testing.T) {
 // acquire_gc_test.go).
 func TestScatteredWriteConvergenceWithAcquireGCProperty(t *testing.T) {
 	for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive} {
-		cfg := Config{GCPressure: 2, GCPolicy: pol}
+		cfg := Config{GCPressure: 2, GCMinRetire: 1, GCPolicy: pol}
 		if err := quick.Check(scatteredWriteConverges(cfg), &quick.Config{MaxCount: 8}); err != nil {
 			t.Fatalf("policy %v: %v", pol, err)
 		}

@@ -164,7 +164,8 @@ func TestScaleTreeBarrierCorrectness(t *testing.T) {
 		t.Run(fmt.Sprintf("p%d_f%d", tt.procs, tt.fanin), func(t *testing.T) {
 			t.Parallel()
 			const rounds = 4
-			sys := New(Config{Procs: tt.procs, BarrierFanin: tt.fanin})
+			// Collect at every episode: the purge waves ride the tree too.
+			sys := New(Config{Procs: tt.procs, BarrierFanin: tt.fanin, GCMinRetire: 1})
 			arr := sys.MallocPage(tt.procs * PageSize)
 			sys.Register("ring", func(n *Node, _ []byte) {
 				me := n.ID()

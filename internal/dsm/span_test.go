@@ -377,25 +377,35 @@ func TestSpanEquivalentToPageAtATime(t *testing.T) {
 					}
 				}
 			}
-			span, st := runSpanProgram(t, tt.cfg, pages, prog, false)
-			paged, pst := runSpanProgram(t, tt.cfg, pages, prog, true)
-			if !bytes.Equal(span, want) {
-				t.Error("span run: final image differs from the op list's prediction")
-			}
-			if !bytes.Equal(paged, want) {
-				t.Error("page-at-a-time run: final image differs from the op list's prediction")
-			}
-			// The two runs must really differ in mechanism, and the span
-			// run must have met whole pages, diffs and flushed copies.
-			if st.FaultPages <= st.FaultRounds {
-				t.Errorf("span run took %d rounds for %d pages: no multi-page round", st.FaultRounds, st.FaultPages)
-			}
-			if pst.FaultPages != pst.FaultRounds {
-				t.Errorf("page-at-a-time run took %d rounds for %d pages", pst.FaultRounds, pst.FaultPages)
-			}
-			if st.PageFetches == 0 || st.DiffsApplied == 0 || st.GCPagesFlushed == 0 {
-				t.Errorf("span run fetched %d pages, applied %d diffs, flushed %d copies: a page kind went unexercised",
-					st.PageFetches, st.DiffsApplied, st.GCPagesFlushed)
+			// Collecting at every episode puts flushed copies into the
+			// rounds; the default trigger (never reached in 14 phases)
+			// leaves every notice to the fault path.
+			for _, minRetire := range []int{1, 0} {
+				cfg := tt.cfg
+				cfg.GCMinRetire = minRetire
+				t.Run(fmt.Sprintf("minretire%d", minRetire), func(t *testing.T) {
+					span, st := runSpanProgram(t, cfg, pages, prog, false)
+					paged, pst := runSpanProgram(t, cfg, pages, prog, true)
+					if !bytes.Equal(span, want) {
+						t.Error("span run: final image differs from the op list's prediction")
+					}
+					if !bytes.Equal(paged, want) {
+						t.Error("page-at-a-time run: final image differs from the op list's prediction")
+					}
+					// The two runs must really differ in mechanism, and the
+					// span run must have met whole pages, diffs and — when
+					// collecting — flushed copies.
+					if st.FaultPages <= st.FaultRounds {
+						t.Errorf("span run took %d rounds for %d pages: no multi-page round", st.FaultRounds, st.FaultPages)
+					}
+					if pst.FaultPages != pst.FaultRounds {
+						t.Errorf("page-at-a-time run took %d rounds for %d pages", pst.FaultRounds, pst.FaultPages)
+					}
+					if st.PageFetches == 0 || st.DiffsApplied == 0 || (st.GCPagesFlushed == 0) == (minRetire == 1) {
+						t.Errorf("span run fetched %d pages, applied %d diffs, flushed %d copies: a page kind went unexercised",
+							st.PageFetches, st.DiffsApplied, st.GCPagesFlushed)
+					}
+				})
 			}
 		})
 	}
@@ -413,7 +423,7 @@ func TestSpanMultiClientOverlap(t *testing.T) {
 		rounds = 5
 		size   = pages * PageSize
 	)
-	sys := New(Config{Procs: 3, MultiClient: true})
+	sys := New(Config{Procs: 3, MultiClient: true, GCMinRetire: 1})
 	base := sys.MallocPage(size)
 	fill := func(r, o int) byte { return byte(1 + (o*5+r*17)%200) }
 	// Spans of the two clients: unaligned, overlapping in pages 8-13.

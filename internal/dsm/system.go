@@ -60,20 +60,30 @@ type Config struct {
 	// accumulate for the whole run — the pre-GC behaviour, kept for the
 	// metadata-accumulation ablation.
 	DisableGC bool
-	// GCMinRetire adaptively throttles the collector: a synchronization
-	// episode runs a collection epoch only when the retire floor covers
-	// at least this many interval records created since the last
-	// collection. The predicate is computed from epoch floors alone,
+	// GCMinRetire overrides the barrier/fork-episode trigger. By default (0)
+	// both epoch sources read ONE threshold, the resolved GCPressure: an
+	// episode runs a collection epoch only when its retire floor covers at
+	// least that many interval records created since the last collecting
+	// episode — TreadMarks collects when consistency memory runs low, not
+	// at every barrier. A positive value is the episode source's own
+	// threshold; 1 collects at EVERY episode (even one whose floor retires
+	// nothing new: it still advances the lagged flush floor and frees what
+	// the previous epoch retired) — the schedule of every run before the
+	// pressure rule. The predicate is computed from episode floors alone,
 	// which are identical on every node, so the decision needs no extra
-	// coordination (see gcEpochLocked). 0 collects at every episode.
+	// coordination (see gcEpochLocked). The field outlives the merge of
+	// the two throttles because tests that must force a collection at
+	// every episode cannot do it through GCPressure: that would also force
+	// an acquire epoch at every synchronization operation.
 	GCMinRetire int
-	// GCPressure triggers the lock-manager-led acquire-epoch collector
-	// (acqgc.go) for programs that synchronize without barriers: an
-	// acquire epoch is announced when the consensus floor — the min of
-	// the per-thread clocks carried in acquire/wait requests — would
-	// newly retire at least this many interval records. 0 uses
-	// DefaultGCPressure, scaled with the machine past 8 nodes; negative
-	// disables acquire epochs, leaving only the barrier/fork source.
+	// GCPressure is the collection threshold, in interval records a floor
+	// would newly retire, of both epoch sources: the barrier/fork episodes
+	// (unless GCMinRetire overrides them) and the lock-manager-led
+	// acquire-epoch collector (acqgc.go) for programs that synchronize
+	// without barriers, whose floor is the consensus min of the per-thread
+	// clocks carried in acquire/wait requests. 0 uses DefaultGCPressure,
+	// scaled with the machine past 8 nodes; negative disables acquire
+	// epochs only — the episode source then uses the default.
 	GCPressure int
 	// GCPolicy selects the per-page validate-vs-flush purge policy
 	// applied by non-manager nodes at every collection epoch (both
@@ -93,18 +103,50 @@ type Config struct {
 	MultiClient bool
 }
 
+// gcPressure resolves the collection threshold both epoch sources read.
+// It counts retirable interval records SYSTEM-WIDE (a floor's component
+// sum), which grows with the machine: a fixed threshold that fires after a
+// few rounds of metadata at the paper's 8 workstations fires 16× as often
+// at 128 nodes, and every acquire epoch costs a full consensus round. The
+// default therefore scales linearly past the paper's machine size; an
+// explicit Config.GCPressure pins the trigger exactly, and ≤8-processor
+// runs are untouched.
+func (c Config) gcPressure() int {
+	if c.GCPressure > 0 {
+		return c.GCPressure
+	}
+	if c.Procs > 8 {
+		return DefaultGCPressure * (c.Procs / 8)
+	}
+	return DefaultGCPressure
+}
+
+// GCEpisodeThreshold returns the resolved barrier/fork-episode trigger: an
+// episode collects when its floor would newly retire at least this many
+// interval records (see Config.GCMinRetire; 0 means every episode).
+func (c Config) GCEpisodeThreshold() int {
+	switch c.GCMinRetire {
+	case 0:
+		return c.gcPressure()
+	case 1:
+		return 0
+	}
+	return c.GCMinRetire
+}
+
 // System is one simulated network of workstations running TreadMarks.
 type System struct {
-	cfg       Config
-	plat      *sim.Platform
-	sw        *network.Switch
-	nodes     []*Node
-	heapBytes int
-	gcOn      bool
-	gcPolicy  GCPolicy    // resolved purge policy (never GCPolicyDefault)
-	acq       *acqCoord   // acquire-epoch coordinator; nil when disabled
-	purged    *homePurged // per-node purge-floor registry (flush gate)
-	fanin     int         // resolved barrier tree fan-in
+	cfg         Config
+	plat        *sim.Platform
+	sw          *network.Switch
+	nodes       []*Node
+	heapBytes   int
+	gcOn        bool
+	gcMinRetire int64       // resolved episode trigger (Config.GCEpisodeThreshold)
+	gcPolicy    GCPolicy    // resolved purge policy (never GCPolicyDefault)
+	acq         *acqCoord   // acquire-epoch coordinator; nil when disabled
+	purged      *homePurged // per-node purge-floor registry (flush gate)
+	fanin       int         // resolved barrier tree fan-in
 
 	regionsMu sync.Mutex
 	regions   map[string]RegionFunc
@@ -140,14 +182,15 @@ func New(cfg Config) *System {
 		plat = sim.DefaultPlatform()
 	}
 	s := &System{
-		cfg:       cfg,
-		plat:      plat,
-		sw:        network.NewSwitch(cfg.Procs, plat.UDP),
-		heapBytes: cfg.HeapBytes,
-		regions:   make(map[string]RegionFunc),
-		done:      make(chan struct{}),
-		gcOn:      !cfg.DisableGC && cfg.Procs > 1,
-		gcFloors:  make(map[int64]*epochFloor),
+		cfg:         cfg,
+		plat:        plat,
+		sw:          network.NewSwitch(cfg.Procs, plat.UDP),
+		heapBytes:   cfg.HeapBytes,
+		regions:     make(map[string]RegionFunc),
+		done:        make(chan struct{}),
+		gcOn:        !cfg.DisableGC && cfg.Procs > 1,
+		gcMinRetire: int64(cfg.GCEpisodeThreshold()),
+		gcFloors:    make(map[int64]*epochFloor),
 	}
 	s.gcPolicy = cfg.GCPolicy
 	if s.gcPolicy == GCPolicyDefault {
@@ -159,23 +202,8 @@ func New(cfg Config) *System {
 	if s.fanin <= 0 {
 		s.fanin = DefaultBarrierFanin
 	}
-	pressure := cfg.GCPressure
-	if pressure == 0 {
-		pressure = DefaultGCPressure
-		// The trigger counts retirable interval records SYSTEM-WIDE (the
-		// consensus floor's component sum), which grows with the machine:
-		// a fixed threshold that fires after a few rounds of metadata at
-		// the paper's 8 workstations fires 16× as often at 128 nodes, and
-		// every acquire epoch costs a full consensus round. Scale the
-		// zero-value default linearly past the paper's machine size; an
-		// explicit Config.GCPressure still pins the trigger exactly, and
-		// ≤8-processor runs are untouched.
-		if cfg.Procs > 8 {
-			pressure *= cfg.Procs / 8
-		}
-	}
-	if s.gcOn && pressure > 0 {
-		s.acq = newAcqCoord(cfg.Procs, pressure)
+	if s.gcOn && cfg.GCPressure >= 0 {
+		s.acq = newAcqCoord(cfg.Procs, cfg.gcPressure())
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		n := &Node{
@@ -524,9 +552,9 @@ type GCStats struct {
 	PagesFlushed   int64 // stale copies discarded at collections
 }
 
-// GCSummary reports the collector's accounting. With Config.GCMinRetire
-// == 0, Epochs equals Episodes; an adaptive threshold makes it a
-// fraction. AcqEpochs is nonzero only when lock/semaphore pressure
+// GCSummary reports the collector's accounting. Epochs is the fraction of
+// Episodes whose floor crossed the collection threshold (all of them with
+// Config.GCMinRetire == 1). AcqEpochs is nonzero only when lock/semaphore pressure
 // triggered the acquire source.
 func (s *System) GCSummary() GCStats {
 	var g GCStats

@@ -283,12 +283,13 @@ func AblationFlushCost(procsList []int) ([]FlushCostRow, error) {
 	return rows, nil
 }
 
-// GCModes are the three collector configurations of the metadata
-// ablation: collect at every synchronization episode (the original
-// behaviour), adaptively (collect only when the floor would retire at
-// least AdaptiveGCRetire(procs) interval records — the ROADMAP's
-// deterministic floor predicate), and disabled.
-var GCModes = []string{"every", "adaptive", "off"}
+// GCModes are the collector configurations of the metadata ablation:
+// collect at every synchronization episode (the original behaviour,
+// dsm.Config.GCMinRetire: 1), adaptively (collect only when the floor
+// would retire at least AdaptiveGCRetire(procs) interval records — a
+// threshold these short runs reach several times), under the default
+// pressure threshold (which they reach once at most), and disabled.
+var GCModes = []string{"every", "adaptive", "default", "off"}
 
 // AdaptiveGCRetire returns the ablation's adaptive trigger threshold for
 // a machine of `procs` nodes: roughly eight episodes' worth of interval
@@ -300,7 +301,7 @@ func AdaptiveGCRetire(procs int) int { return 8 * procs }
 // traffic, trigger counts, and metadata retention.
 type GCAblationRow struct {
 	Workload  string
-	Mode      string // "every", "adaptive", or "off"
+	Mode      string // one of GCModes
 	Procs     int
 	Time      sim.Time
 	Msgs      int64
@@ -315,9 +316,11 @@ type GCAblationRow struct {
 func gcModeConfig(mode, workload string, procs int) (disable bool, minRetire int) {
 	switch mode {
 	case "every":
-		return false, 0
+		return false, 1
 	case "adaptive":
 		return false, AdaptiveGCRetire(procs)
+	case "default":
+		return false, 0
 	case "off":
 		return true, 0
 	}
@@ -584,7 +587,9 @@ func PrintAblationGC(w io.Writer) error {
 		return err
 	}
 	fprintf(w, "Barrier-epoch GC ablation (8 processors): protocol-metadata cost\n")
-	fprintf(w, "under every-episode, adaptive (retire >= %d), and disabled collection\n\n", AdaptiveGCRetire(8))
+	fprintf(w, "under every-episode, adaptive (retire >= %d), default (retire >= %d),\n",
+		AdaptiveGCRetire(8), dsm.Config{Procs: 8}.GCEpisodeThreshold())
+	fprintf(w, "and disabled collection\n\n")
 	fprintf(w, "%-18s %-9s %12s %10s %9s %7s %8s %10s %8s\n",
 		"workload", "GC", "time", "messages", "episodes", "epochs", "retired", "peakchain", "peakKB")
 	for _, r := range append(iter, wtr...) {

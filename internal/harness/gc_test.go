@@ -17,6 +17,7 @@ func TestGCLongIterationWater(t *testing.T) {
 	run := func(steps int) water.Params {
 		p := water.Small()
 		p.Steps = steps
+		p.DSM.GCMinRetire = 1 // every episode: test scale never reaches the default pressure
 		return p
 	}
 	res4, err := water.RunTmk(run(8), 8) // 4x the Small() step count

@@ -141,12 +141,14 @@ func Table2(w io.Writer, s Scale, procs int) error {
 
 // TableGC prints the protocol-metadata accounting of the DSM-backed
 // implementations (OpenMP and TreadMarks; MPI holds no consistency
-// metadata): interval records retired by the garbage collector, the peak
-// retained interval-chain length on any node, the peak protocol-metadata
-// bytes (records + diffs + twins) on any node, and the acquire epochs
-// announced by the lock-manager consensus. Lock- and semaphore-
-// synchronized applications (TSP, QSORT, Sweep3D) barrier rarely — the
-// acquire source (AcqEp) is what bounds their chains.
+// metadata): the resolved collection threshold, then per cell the interval
+// records retired by the garbage collector, the peak retained
+// interval-chain length on any node, the peak protocol-metadata bytes
+// (records + diffs + twins) any one node held, the barrier/fork episodes
+// that collected out of those examined, and the acquire epochs announced
+// by the lock-manager consensus. Lock- and semaphore-synchronized
+// applications (TSP, QSORT, Sweep3D) barrier rarely — the acquire source
+// (AcqEp) is what bounds their chains.
 func TableGC(w io.Writer, s Scale, procs int) error {
 	impls := []Impl{OMP, Tmk}
 	cells := make([]cellKey, 0, len(Apps)*len(impls))
@@ -157,26 +159,28 @@ func TableGC(w io.Writer, s Scale, procs int) error {
 	}
 	got := computeCells(s, cells)
 
+	cfg := GCKnobs{}.config()
+	cfg.Procs = procs
 	fprintf(w, "Protocol-metadata GC: intervals retired, peak retained chain length,\n")
-	fprintf(w, "peak metadata footprint per node, and acquire epochs (%d processors)\n\n", procs)
-	fprintf(w, "%-10s | %10s %10s %10s %6s | %10s %10s %10s %6s\n",
-		"", "OpenMP", "", "", "", "Tmk", "", "", "")
-	fprintf(w, "%-10s | %10s %10s %10s %6s | %10s %10s %10s %6s\n",
-		"App", "Retired", "PeakChain", "PeakKB", "AcqEp", "Retired", "PeakChain", "PeakKB", "AcqEp")
+	fprintf(w, "peak metadata footprint per node, collecting epochs / episodes, and\n")
+	fprintf(w, "acquire epochs (%d processors; an episode collects when its floor\n", procs)
+	fprintf(w, "newly retires >= %d interval records)\n\n", cfg.GCEpisodeThreshold())
+	fprintf(w, "%-10s | %10s %10s %10s %9s %6s | %10s %10s %10s %9s %6s\n",
+		"", "OpenMP", "", "", "", "", "Tmk", "", "", "", "")
+	fprintf(w, "%-10s | %10s %10s %10s %9s %6s | %10s %10s %10s %9s %6s\n",
+		"App", "Retired", "PeakChain", "PeakKB", "Epochs", "AcqEp", "Retired", "PeakChain", "PeakKB", "Epochs", "AcqEp")
 	for _, a := range Apps {
-		var ret, chain, kb, acq [2]int64
-		for i, impl := range impls {
+		row := fmt.Sprintf("%-10s", a.Name)
+		for _, impl := range impls {
 			c := got[cellKey{App: a.Name, Impl: impl, Procs: procs}]
 			if c.Err != nil {
 				return c.Err
 			}
-			ret[i] = c.Res.IntervalsRetired
-			chain[i] = c.Res.PeakIntervalChain
-			kb[i] = c.Res.PeakProtoBytes / 1024
-			acq[i] = c.Res.GCAcqEpochs
+			r := c.Res
+			row += fmt.Sprintf(" | %10d %10d %10d %9s %6d", r.IntervalsRetired, r.PeakIntervalChain,
+				r.PeakProtoBytes/1024, fmt.Sprintf("%d/%d", r.GCEpochs, r.GCEpisodes), r.GCAcqEpochs)
 		}
-		fprintf(w, "%-10s | %10d %10d %10d %6d | %10d %10d %10d %6d\n",
-			a.Name, ret[0], chain[0], kb[0], acq[0], ret[1], chain[1], kb[1], acq[1])
+		fprintf(w, "%s\n", row)
 	}
 	return nil
 }
