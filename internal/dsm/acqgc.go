@@ -71,8 +71,8 @@ const DefaultGCPressure = 256
 
 // GCPolicy selects how a node purges page copies that owe retired diffs at
 // a collection epoch (barrier, fork, or acquire source alike). A page's
-// home always validates it: the home is the page's first-copy server, and
-// its copy is the base every first fetch builds on (see home.go).
+// home always validates it: its copy is the collector's authoritative one,
+// the base every post-flush refetch builds on (see home.go).
 type GCPolicy int
 
 const (

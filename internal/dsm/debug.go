@@ -86,14 +86,14 @@ func oracleCheck(node int, a Addr, got []byte) {
 	for i := range got {
 		off := int(a) + i
 		pg := off / PageSize
-		buf, ok := oracleMem[pg]
-		if !ok {
-			continue
+		var want byte // a page nobody wrote is its allocation zeros
+		if buf, ok := oracleMem[pg]; ok {
+			want = buf[off%PageSize]
 		}
-		if got[i] != buf[off%PageSize] {
+		if got[i] != want {
 			oracleDiverges++
 			fmt.Printf("ORACLE-DIVERGE node=%d addr=%d page=%d off=%d got=%d want=%d\n",
-				node, off, pg, off%PageSize, got[i], buf[off%PageSize])
+				node, off, pg, off%PageSize, got[i], want)
 			return
 		}
 	}

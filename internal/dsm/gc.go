@@ -39,9 +39,12 @@ import (
 //     root's merged vector clock at the episode, which covers every
 //     interval in existence there, all of them incorporated by every node
 //     by the time it processes its departure (or fork). A page's HOME
-//     (its allocator and first-copy server, see home.go) always VALIDATES
-//     its own pages: it fetches and applies every pending diff, keeping
-//     each authoritative copy current. Other nodes choose per page
+//     (its allocator and the collector's authoritative copy, see home.go)
+//     always VALIDATES its own pages: it fetches and applies every pending
+//     diff, keeping each authoritative copy current — which is why an
+//     episode that collects ships every page written since the last
+//     collection to its home, read or not, and why episodes collect under
+//     pressure only. Other nodes choose per page
 //     between FLUSHING the stale copy (refetch it whole from the home on
 //     next access) and validating it — the classic validate-vs-invalidate
 //     choice of TreadMarks GC, now a per-page policy (Config.GCPolicy)
@@ -55,7 +58,7 @@ import (
 //     provably holds the e-1 floor. Foreign pages therefore flush only
 //     notices under the PREVIOUS floor (gcFreeVC) and keep the
 //     one-episode tail, which the next episode drops in turn (or an
-//     intervening fault applies over the home's base). The acquire source
+//     intervening fault applies over the page's base). The acquire source
 //     (acqgc.go) has no such happens-before wave and gates flushes per
 //     page on the homePurged registry instead, overriding to validate
 //     while a home lags.
@@ -305,9 +308,8 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 
 // gcShouldValidateLocked applies the per-page validate-vs-flush policy to
 // one page owing `covered` retired notices under the given floor. A
-// page's home always validates: it is the allocator and first-copy server
-// of the page, and its copy is the base every first fetch builds on —
-// flushing it would lose the only authoritative copy. A gated caller (the
+// page's home always validates: its copy is the base every post-flush
+// refetch builds on — flushing it would lose the only authoritative copy. A gated caller (the
 // acquire source, which has no episode wave to order purges) additionally
 // allows a foreign flush only once the home has purged the floor (the
 // per-page registry gate, see home.go); until then the home's copy does
@@ -532,11 +534,10 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 					// covered tail on top.
 					w.home = n.homeOf(pg.id)
 				} else {
-					// Never materialized here: the node still holds the
-					// page's complete notice history, so zeros (the
-					// allocation contents) plus the covered history applied
-					// in causal order is exactly the floor contents.
-					pg.data = make([]byte, PageSize)
+					// Never materialized here: zeros plus the covered
+					// history applied in causal order is exactly the floor
+					// contents.
+					n.zeroFillLocked(pg)
 				}
 			}
 			work = append(work, w)

@@ -1,32 +1,39 @@
 package dsm
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
-// Page homes: sharded initial ownership of the shared address space.
+// Page homes: sharded ownership of the collector's authoritative copies.
 //
 // Early revisions made node 0 the allocator, the sole first-copy page
 // server, and the always-validate node of every GC purge — faithful to
-// the paper's ≤8-processor runs, but a structural hotspot past them:
-// every cold fault in the system serialized through one server, and
-// every flush decision hinged on one node's purge progress. Ownership is
-// now sharded block-cyclically: each page has a HOME node that
-// materializes its zero-filled initial copy on demand, serves first
-// copies, always validates (never flushes) its own pages at collection
-// epochs, and is the node every post-flush refetch rebuilds from.
+// the paper's ≤8-processor runs, but a structural hotspot past them.
+// Ownership is now sharded block-cyclically: each page has a HOME node
+// whose copy exists from allocation (zeros, never faulted in), always
+// validates (never flushes) at collection epochs, and is the node every
+// post-flush refetch rebuilds from.
 //
-// The GC flush-safety invariant generalizes from "node 0 purges first"
-// to a per-page rule: a node may FLUSH a stale copy (dropping its
-// covered write notices) only when the page's home has already purged
-// the epoch floor — the home's copy then reflects every write under it,
-// so a later whole-page refetch cannot lose the dropped notices. Nodes
-// learn home purge progress from the System-level homePurged registry
-// (the simulation stand-in for an acknowledgment bit on the consensus
-// messages that already flow); when the home lags, the purge VALIDATES
-// instead, which is always sound — covered diffs stay fetchable until
-// the one-epoch-delayed free — and a copy that was never materialized
-// validates from zeros (zeros plus every covered diff applied in causal
-// order IS the floor contents: allocation zero-fills, and every write
-// since lives in some interval's diff).
+// The home is NOT a stop on the data path. A node touching a page it never
+// held starts from local zeros and applies the diffs its own write notices
+// name (zeroFillLocked, below): under lazy release consistency a page no
+// incorporated notice names IS its allocation zeros, so a first touch of an
+// untouched page moves no byte, and a first touch of a written page asks
+// the writers, not the home. Only a copy the collector flushed — whose
+// dropped notices survive nowhere but in the home's validated copy — goes
+// back to the home, whole.
+//
+// The GC flush-safety invariant is a per-page rule: a node may FLUSH a
+// stale copy (dropping its covered write notices) only when the page's
+// home has already purged the epoch floor — the home's copy then reflects
+// every write under it, so a later whole-page refetch cannot lose the
+// dropped notices. Nodes learn home purge progress from the System-level
+// homePurged registry (the simulation stand-in for an acknowledgment bit
+// on the consensus messages that already flow); when the home lags, the
+// purge VALIDATES instead, which is always sound — covered diffs stay
+// fetchable until the one-epoch-delayed free — and a copy that was never
+// materialized validates from zeros like any first touch.
 
 // HomeBlockPages is the block size of the home layout, in pages: homes are
 // assigned in blocks of this many pages, round-robin across nodes, so
@@ -72,4 +79,29 @@ func (h *homePurged) covers(home int, floor VectorClock) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return floor.dominatedBy(h.floors[home])
+}
+
+// zeroFillLocked materializes a copy this node never held from the page's
+// allocation contents — zeros. It is the one place the zeros rule lives
+// (the home's initial copy in pageFor, the fault plan, the page server and
+// the GC validation wave all come here), and it rests on one invariant:
+//
+//	pg.data == nil && !pg.refetch ⇒ every write notice this node ever
+//	incorporated for the page is still in pg.missing.
+//
+// The invariant has two writers: invalidateLocked appends every
+// incorporated notice, and gcFlushPageLocked — the only code that drops a
+// notice without applying its diff — marks the copy refetch. So zeros plus
+// pg.missing applied in causal order IS this node's lazy-release-
+// consistent view of the page (allocation zero-fills, and every write
+// since lives in some interval's diff), and no byte has to come from the
+// home. With nothing missing the copy is current at once. Requires n.mu.
+func (n *Node) zeroFillLocked(pg *page) {
+	if pg.data != nil || pg.refetch {
+		panic(fmt.Sprintf("dsm: node %d zero-filling page %d that has a copy or a flushed history", n.id, pg.id))
+	}
+	pg.data = make([]byte, PageSize)
+	if pg.state == pageInvalid && len(pg.missing) == 0 {
+		pg.state = pageReadOnly
+	}
 }

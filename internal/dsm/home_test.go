@@ -54,9 +54,9 @@ func TestHomeDefaultConfigPin(t *testing.T) {
 		msgs      int64
 		bytes     int64
 	}{
-		{GCPolicyFlush, 1, 875, 1274609},
-		{GCPolicyValidateHot, 1, 875, 676613},
-		{GCPolicyFlush, 0, 875, 277949},
+		{GCPolicyFlush, 1, 861, 1245349},
+		{GCPolicyValidateHot, 1, 861, 647353},
+		{GCPolicyFlush, 0, 861, 248689},
 	} {
 		var msgs, bytes int64
 		for attempt := 0; attempt < 3 && bytes != tt.bytes; attempt++ {

@@ -76,6 +76,7 @@ type Node struct {
 type NodeStats struct {
 	ReadFaults   int64
 	WriteFaults  int64
+	ZeroFills    int64 // faults on never-written pages, resolved from local zeros: no message
 	PageFetches  int64
 	DiffsCreated int64
 	DiffsApplied int64
@@ -194,9 +195,9 @@ func (n *Node) pageFor(pid PageID) *page {
 		pg = &page{id: pid, hotSeq: -1, lastOwnSeq: -1}
 		if n.isHome(pid) {
 			// The page's home is its allocator and initial owner: its copy
-			// materializes as zeros, matching Tmk_malloc.
-			pg.data = make([]byte, PageSize)
-			pg.state = pageReadOnly
+			// exists from the start, matching Tmk_malloc, and never faults
+			// into being.
+			n.zeroFillLocked(pg)
 		}
 		n.pages[pid] = pg
 	}
@@ -437,10 +438,8 @@ func (c *Client) ensureWritableLocked(pg *page) {
 	if n.sys.cfg.Procs == 1 {
 		// Single-processor fast path: with no other node to ever request
 		// a diff or send a write notice, TreadMarks performs no twinning
-		// or write protection; writes run at memory speed.
-		if pg.data == nil {
-			pg.data = make([]byte, PageSize)
-		}
+		// or write protection; writes run at memory speed (the one node
+		// homes every page, so pageFor already materialized the copy).
 		pg.state = pageReadWrite
 		return
 	}
@@ -563,24 +562,20 @@ type pagePlan struct {
 
 // planFaultLocked classifies one faulting page under n.mu and fetchMu;
 // ok is false when the page needs no fetch (resolved while the caller
-// waited for the fetch lock).
+// waited for the fetch lock, or a never-written page filled with zeros).
 func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
 	pg.hotSeq = n.gcSeq // faulted since the last collection: hot
 	if readableLocked(pg) {
 		return pl, false
 	}
-	if pg.data == nil && n.isHome(pg.id) {
-		pg.data = make([]byte, PageSize)
-		if pg.state == pageInvalid && len(pg.missing) == 0 {
-			pg.state = pageReadOnly
-		}
-	}
 
-	// First copies come from the page's home (which materializes zeros on
-	// demand); a squash below may redirect the whole-page transfer to an
-	// interval creator whose copy subsumes the chain.
+	// A cold page — no copy here — that a collector flush left without its
+	// full notice history (refetch) rebuilds from the home's validated
+	// copy. Any other cold page starts from local zeros (zeroFillLocked,
+	// below): no whole-page source unless the squash picks a creator.
 	pl = pagePlan{pg: pg, source: -1}
-	if pg.data == nil {
+	cold := pg.data == nil
+	if cold && pg.refetch {
 		pl.source = n.homeOf(pg.id)
 	}
 	// Snapshot the notices we will resolve in this round.
@@ -595,7 +590,7 @@ func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
 	// anyway, or when the chain is long enough that its diffs would cost
 	// more than a page.
 	const squashMin = 4
-	if len(pl.fetch) > 0 && (pl.source >= 0 || len(pl.fetch) >= squashMin) {
+	if len(pl.fetch) > 0 && (cold || len(pl.fetch) >= squashMin) {
 		for _, m := range pl.fetch {
 			if m.creator != n.id && pg.seenVC != nil && pg.seenVC.dominatedBy(m.vc) {
 				if pg.twin != nil {
@@ -614,6 +609,15 @@ func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
 				pl.fetch = nil // every missing interval is ≤ M: page covers all
 				break
 			}
+		}
+	}
+	if cold && pl.source < 0 {
+		n.zeroFillLocked(pg)
+		if len(pl.fetch) == 0 {
+			// Never written by anyone this node has heard of: the fault is
+			// settled here, for its entry overhead alone.
+			n.stats.ZeroFills++
+			return pl, false
 		}
 	}
 	return pl, true
@@ -690,10 +694,10 @@ func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs ma
 
 // faultRoundLocked performs one round of the page-fault protocol over the
 // given pages — one page for an ordinary fault, every stale page of a
-// multi-page access for a span fetch (fetchSpanLocked): fetch the initial
-// copy from the page's home if it was never materialized, fetch all
-// missing diffs from their creators in parallel, and apply them in a
-// topological order of the happens-before relation. n.mu is released
+// multi-page access for a span fetch (fetchSpanLocked): start a page
+// never held here from zeros (or refetch a collector-flushed copy from its
+// home), fetch all missing diffs from their creators in parallel, and
+// apply them in a topological order of the happens-before relation. n.mu is released
 // while requests are in flight; the loop in ensure*Locked re-checks state
 // afterwards because new write notices may have arrived meanwhile — a
 // round never has to be complete for an access to be correct.

@@ -35,9 +35,9 @@ type page struct {
 	id    PageID
 	state pageState
 
-	// data is the node's private copy; nil until first materialized
-	// (the page's HOME — see home.go — materializes zero pages on
-	// demand; every other node fetches its first copy from the home).
+	// data is the node's private copy; nil until first materialized — from
+	// zeros, the allocation contents (zeroFillLocked in home.go), or, once
+	// a collector flush has discarded a copy, from the home's whole page.
 	data []byte
 
 	// twin is a snapshot of data taken at the first write of an interval,

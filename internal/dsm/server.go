@@ -140,22 +140,20 @@ func (n *Node) incorporateWire(r *rbuf, from int) VectorClock {
 }
 
 // servePageLocked returns this node's copy of a page for a whole-page
-// reply. The page's home is its allocator and initial owner; its current
-// content is a correct base for the requester, which then applies every
-// diff named by its own missing write notices (see home.go for the
-// argument).
+// reply: the home's validated copy, the base of a requester whose own
+// copy a collector flush discarded, or a squash creator's, which reflects
+// everything the requester has seen of the page (see home.go and
+// planFaultLocked). Either way the requester then applies every diff
+// still named by its own missing write notices.
 func (n *Node) servePageLocked(pid PageID) []byte {
 	pg := n.pageFor(pid)
 	if pg.data == nil {
 		if !n.isHome(pid) {
-			// Only the page's home may materialize fresh zero pages;
+			// Only the page's home may serve a page it holds as zeros;
 			// squashed fetches always target a node that wrote the page.
 			panic(fmt.Sprintf("dsm: node %d asked for page %d it never held (home %d)", n.id, pid, n.homeOf(pid)))
 		}
-		pg.data = make([]byte, PageSize)
-		if pg.state == pageInvalid && len(pg.missing) == 0 {
-			pg.state = pageReadOnly
-		}
+		n.zeroFillLocked(pg)
 	}
 	return pg.data
 }
@@ -186,8 +184,8 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 	return ivl.diffs[pid], n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
 }
 
-// handlePageReq serves a first-copy request from the page's home (or a
-// squashed fetch from an interval creator).
+// handlePageReq serves a whole page: a post-flush refetch from the page's
+// home, or a squashed fetch from an interval creator.
 func (n *Node) handlePageReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	pid := PageID(r.u32())

@@ -27,13 +27,32 @@ func fetchWireLen(pids ...PageID) (req, rep int) {
 	return len(q.b), len(p.b)
 }
 
-// timedSpanRead runs one region in which only the last node touches
-// shared memory: a single cold ReadBytes of `pages` pages from address 0.
-// It returns the read's virtual duration and the finished system.
+// timedSpanRead times a single cold ReadBytes of `pages` pages from
+// address 0 on the last node, after every other node has written one word
+// of each of those pages it homes — a page nobody wrote would cost the
+// reader no message at all (TestZeroBaseFirstTouch). The master writes
+// ahead of the fork, which carries its notices; other writers get a region
+// of their own first. Each page then reaches the reader with one notice,
+// whose creator — the page's home — serves it whole. It returns the read's
+// virtual duration and the finished system.
 func timedSpanRead(t *testing.T, procs, pages int) (sim.Time, *System) {
 	t.Helper()
 	sys := New(Config{Procs: procs})
 	a := sys.MallocPage(pages * PageSize)
+	fill := func(n *Node) (wrote bool) {
+		for p := 0; p < pages; p++ {
+			if n.isHome(PageID(p)) {
+				n.WriteI64(a+Addr(p*PageSize), 1)
+				wrote = true
+			}
+		}
+		return wrote
+	}
+	sys.Register("fill", func(n *Node, _ []byte) {
+		if n.ID() != 0 && n.ID() != procs-1 {
+			fill(n)
+		}
+	})
 	var took sim.Time
 	sys.Register("span", func(n *Node, _ []byte) {
 		if n.ID() == procs-1 {
@@ -42,7 +61,13 @@ func timedSpanRead(t *testing.T, procs, pages int) (sim.Time, *System) {
 			took = n.Now() - t0
 		}
 	})
-	if err := sys.Run(func(n *Node) { n.RunParallel("span", nil) }); err != nil {
+	if err := sys.Run(func(n *Node) {
+		fill(n)
+		if pages > HomeBlockPages && procs > 2 {
+			n.RunParallel("fill", nil)
+		}
+		n.RunParallel("span", nil)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return took, sys
@@ -56,7 +81,7 @@ func pageRange(lo, hi int) []PageID {
 	return out
 }
 
-// TestSpanCostOneHome: an 8-page cold span homed at one node is one
+// TestSpanCostOneHome: an 8-page cold span written at one node is one
 // request and one reply, and costs one fault entry, two one-way
 // latencies, the bytes of both messages on the wire, and one request
 // service that copies eight pages.
@@ -89,8 +114,8 @@ func TestSpanCostOneHome(t *testing.T) {
 	}
 }
 
-// TestSpanCostTwoHomesHitsInboundFloor: a 16-page span over two homes is
-// served in parallel, but both replies share the requester's inbound
+// TestSpanCostTwoHomesHitsInboundFloor: a 16-page span written at two
+// nodes is served in parallel, but both replies share the requester's inbound
 // link. The round must cost what that link needs to deliver every reply
 // byte — not the single-source time two overlapping replies would give.
 // Removing the floor in fetchSpan fails this test.
@@ -115,11 +140,12 @@ func TestSpanCostTwoHomesHitsInboundFloor(t *testing.T) {
 }
 
 // TestOnePageFaultCostsUnchanged pins the three one-page fault costs —
-// cold page, one-word diff, full-page diff — to the classic request
-// sequence (msgPageReq, then msgDiffReq): a round of one page must not
-// move by a nanosecond when the span fetch lands around it. The scenario
-// is harness.Micro's; GC is off so the barrier does not turn the diff
-// fetch into a flush and refetch.
+// cold page (one the master wrote before the fork: a page nobody wrote
+// costs no message, see TestZeroBaseFirstTouch), one-word diff, full-page
+// diff — to the classic request sequence (msgPageReq, then msgDiffReq): a
+// round of one page must not move by a nanosecond when the span fetch
+// lands around it. The scenario is harness.Micro's; GC is off so no
+// barrier can turn the diff fetch into a flush and refetch.
 func TestOnePageFaultCostsUnchanged(t *testing.T) {
 	for _, full := range []bool{false, true} {
 		sys := New(Config{Procs: 2, DisableGC: true})
@@ -150,7 +176,10 @@ func TestOnePageFaultCostsUnchanged(t *testing.T) {
 				fetch = n.Now() - t0
 			}
 		})
-		if err := sys.Run(func(n *Node) { n.RunParallel("one", nil) }); err != nil {
+		if err := sys.Run(func(n *Node) {
+			n.WriteI64(a+8, 7)
+			n.RunParallel("one", nil)
+		}); err != nil {
 			t.Fatal(err)
 		}
 		plat := sys.Platform()
@@ -208,13 +237,15 @@ func TestSpanTrafficAttribution(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Span ≡ page-at-a-time. A seeded program mixes multi-page reads and
-// writes at unaligned offsets with barrier phases and lock-ordered
-// phases, collecting at every barrier, so that one span can hold
-// never-touched, home-materialized, flushed, squashed and diff-only pages
-// at once. It runs under the shadow-memory oracle, once with every access
-// as one call and once with the same accesses split one page per call;
-// both final images must equal the image the op list itself predicts.
+// Span ≡ page-at-a-time. A seeded program opens by touching pages nobody
+// has written — first by read, then first by write, on nodes that do not
+// home them — and then mixes multi-page reads and writes at unaligned
+// offsets with barrier phases and lock-ordered phases, so that (collecting
+// at every barrier) one span can hold zero-base, home-materialized,
+// flushed, squashed and diff-only pages at once. It runs under the
+// shadow-memory oracle, once with every access as one call and once with
+// the same accesses split one page per call; both final images must equal
+// the image the op list itself predicts.
 // ---------------------------------------------------------------------
 
 type spanAccess struct {
@@ -224,6 +255,7 @@ type spanAccess struct {
 
 type spanPhase struct {
 	locked bool         // accesses run inside Acquire/Release rather than between barriers
+	virgin bool         // the opening phase: read, barrier, write — every page still untouched at the read
 	writes []spanAccess // [node]; size 0: the node writes nothing this phase
 	reads  []spanAccess // [node]
 }
@@ -232,7 +264,11 @@ type spanPhase struct {
 // Values stay in 1..120 so no float64 read back through ReadF64s is a NaN.
 func spanFill(p, node, o int) byte { return byte(1 + (o*7+p*31+node*13)%120) }
 
-// genSpanProgram draws the phases. Each phase cuts the region into one
+// genSpanProgram draws the phases. The opening phase has every node read
+// a multi-page span of the home block of its successor and then write one
+// in the block of its predecessor (the region is one home block a node):
+// first touches of never-written pages away from their homes, which then
+// meet the rest of the program. Each later phase cuts the region into one
 // contiguous segment per node — at 8-byte boundaries in barrier phases,
 // where the writers run concurrently and the diff word is 4 bytes; at
 // arbitrary bytes in lock-ordered phases — and every node writes a
@@ -242,7 +278,19 @@ func genSpanProgram(seed uint64, procs, pages, phases int) []spanPhase {
 	size := pages * PageSize
 	align := func(x, a int) int { return x - x%a }
 	out := make([]spanPhase, phases)
-	for p := range out {
+	const block = HomeBlockPages * PageSize
+	first := &out[0]
+	first.virgin = true
+	first.writes, first.reads = make([]spanAccess, procs), make([]spanAccess, procs)
+	for node := 0; node < procs; node++ {
+		in := func(home int) spanAccess { // 2-4 pages somewhere inside home's block
+			off := align(rng.Intn(block/2), 8)
+			return spanAccess{off: home*block + off, size: align(2*PageSize+rng.Intn(2*PageSize), 8)}
+		}
+		first.reads[node] = in((node + 1) % procs)
+		first.writes[node] = in((node + procs - 1) % procs)
+	}
+	for p := 1; p < phases; p++ {
 		ph := &out[p]
 		ph.locked = rng.Intn(2) == 1
 		wa := 8 // write alignment
@@ -325,6 +373,13 @@ func runSpanProgram(t *testing.T, cfg Config, pages int, prog []spanPhase, split
 			})
 		}
 		for p, ph := range prog {
+			if ph.virgin {
+				read(ph.reads[me])
+				n.Barrier()
+				write(p, ph.writes[me])
+				n.Barrier()
+				continue
+			}
 			if ph.locked {
 				n.Acquire(lockID)
 			}
@@ -404,6 +459,11 @@ func TestSpanEquivalentToPageAtATime(t *testing.T) {
 					if st.PageFetches == 0 || st.DiffsApplied == 0 || (st.GCPagesFlushed == 0) == (minRetire == 1) {
 						t.Errorf("span run fetched %d pages, applied %d diffs, flushed %d copies: a page kind went unexercised",
 							st.PageFetches, st.DiffsApplied, st.GCPagesFlushed)
+					}
+					// The opening phase alone zero-fills two pages a node at
+					// the least, in either run.
+					if min := int64(2 * cfg.Procs); st.ZeroFills < min || pst.ZeroFills < min {
+						t.Errorf("zero fills: span run %d, page-at-a-time run %d; want >= %d each", st.ZeroFills, pst.ZeroFills, min)
 					}
 				})
 			}

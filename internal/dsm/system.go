@@ -23,7 +23,7 @@ const (
 	msgCondWaitAck              // manager → app: wait registered (see CondWait)
 	msgCondSignal               // app → lock manager: wake one waiter
 	msgCondBroadcast            // app → lock manager: wake all waiters
-	msgPageReq                  // app → page home: first copy of a page
+	msgPageReq                  // app → page home or squash creator: a whole page
 	msgPageRep                  // home → app: page contents
 	msgDiffReq                  // app → interval creator: batched diff request
 	msgDiffRep                  // creator → app: requested diffs
@@ -493,6 +493,7 @@ func (s *System) TotalStats() NodeStats {
 		st := n.Stats()
 		t.ReadFaults += st.ReadFaults
 		t.WriteFaults += st.WriteFaults
+		t.ZeroFills += st.ZeroFills
 		t.PageFetches += st.PageFetches
 		t.DiffsCreated += st.DiffsCreated
 		t.DiffsApplied += st.DiffsApplied

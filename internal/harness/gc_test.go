@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -69,6 +70,31 @@ func TestEquivalenceWithGCDisabled(t *testing.T) {
 				if _, err := VerifiedGC(a, Test, impl, procs, GCKnobs{Disable: true}); err != nil {
 					t.Errorf("GC off: %s/%s/p%d: %v", a.Name, impl, procs, err)
 				}
+			}
+		}
+	}
+}
+
+// TestEquivalenceCollectingEveryEpisode reruns the contract on the
+// every-episode schedule (GCMinRetire: 1), which the default grid no longer
+// exercises — test scale stays under the pressure threshold: with flushed,
+// validated and refetched copies at every barrier and fork, every
+// DSM-backed implementation must still reproduce the sequential checksum.
+func TestEquivalenceCollectingEveryEpisode(t *testing.T) {
+	for _, a := range Apps {
+		for _, impl := range []Impl{OMP, Tmk, OMPHybrid} {
+			for _, procs := range EquivalenceProcs[1:] {
+				a, impl, procs := a, impl, procs
+				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs), func(t *testing.T) {
+					t.Parallel()
+					res, err := VerifiedGC(a, Test, impl, procs, GCKnobs{MinRetire: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.GCEpochs != res.GCEpisodes {
+						t.Errorf("%d epochs over %d episodes: not the every-episode schedule", res.GCEpochs, res.GCEpisodes)
+					}
+				})
 			}
 		}
 	}

@@ -91,6 +91,11 @@ func TestMicroResultsInPaperBands(t *testing.T) {
 		t.Errorf("one-page fault costs moved: cold %d ns, diff low %d, diff high %d; want 565720, 286080, 695280",
 			m.PageFaultCold, m.DiffLow, m.DiffHigh)
 	}
+	// A page nobody wrote is zeros wherever it is first touched: the fault
+	// entry and nothing else — never free, never a message.
+	if want := sim.DefaultPlatform().FaultOverhead; m.FirstTouch != want {
+		t.Errorf("first touch of an untouched page took %d ns, want the fault overhead %d", m.FirstTouch, want)
+	}
 	// An 8-page span is one round: cheaper than eight faults by the
 	// per-message fixed costs, but never cheaper than its bytes on the wire.
 	plat := sim.DefaultPlatform()
@@ -103,9 +108,12 @@ func TestMicroResultsInPaperBands(t *testing.T) {
 // TestFaultWaitLedger checks the fault-wait slice of the time ledger on
 // real cells: a paging run spends a positive share of its threads' time
 // inside fault rounds — never more than all of it — and fetches at least
-// one page a round; hardware shared memory never faults.
+// one page a round; hardware shared memory never faults. Two processors:
+// the test-scale transpose then stages four-page blocks (at eight a block
+// is under a page, and with no flushed copies around it nothing else in
+// the run reads two stale pages in one call).
 func TestFaultWaitLedger(t *testing.T) {
-	const procs = 8
+	const procs = 2
 	a, _ := FindApp("3D-FFT")
 	for _, impl := range []Impl{OMP, Tmk, OMPHybrid} {
 		res, err := Verified(a, Test, impl, procs)

@@ -22,7 +22,8 @@ type MicroResults struct {
 	DiffHigh      sim.Time // full-page diff fetch
 	TCPRoundTrip  sim.Time // empty MPI message round trip
 	TCPBandwidth  float64  // MB/s for a 1 MB transfer
-	PageFaultCold sim.Time // first-touch page fetch
+	PageFaultCold sim.Time // first fetch of a page another node wrote
+	FirstTouch    sim.Time // first touch of a page nobody wrote: local zeros, no message
 	SpanFetch8    sim.Time // one 8-page cold access: a single span round to one home
 }
 
@@ -114,8 +115,10 @@ func Micro() (MicroResults, error) {
 		out.Barrier8 = cost
 	}
 
-	// Diff fetch: node 0 modifies a page (one word / whole page), node 1
-	// faults and fetches the diff.
+	// Cold fault and diff fetch: node 1 first reads a page node 0 wrote
+	// before the fork (one whole-page fetch) and a page nobody wrote (local
+	// zeros); then node 0 modifies the first page (one word / whole page)
+	// and node 1 faults and fetches the diff.
 	for _, full := range []bool{false, true} {
 		// GC off: the barrier-epoch collector would flush the reader's
 		// stale copy at the barrier between write and read, turning both
@@ -124,13 +127,17 @@ func Micro() (MicroResults, error) {
 		sys := dsm.New(dsm.Config{Procs: 2, DisableGC: true})
 		defer sys.Close()
 		a := sys.MallocPage(dsm.PageSize)
-		var cold, fetch sim.Time
+		untouched := sys.MallocPage(dsm.PageSize)
+		var cold, first, fetch sim.Time
 		isFull := full
 		sys.Register("diff-micro", func(n *dsm.Node, _ []byte) {
 			if n.ID() == 1 {
 				t0 := n.Now()
-				_ = n.ReadI64(a) // cold fetch of the initial copy
+				_ = n.ReadI64(a) // cold fetch of the written page
 				cold = n.Now() - t0
+				t0 = n.Now()
+				_ = n.ReadI64(untouched)
+				first = n.Now() - t0
 			}
 			n.Barrier()
 			if n.ID() == 0 {
@@ -152,24 +159,27 @@ func Micro() (MicroResults, error) {
 			}
 			n.Barrier()
 		})
-		if err := sys.Run(func(n *dsm.Node) { n.RunParallel("diff-micro", nil) }); err != nil {
+		if err := sys.Run(func(n *dsm.Node) {
+			n.WriteI64(a+8, 7)
+			n.RunParallel("diff-micro", nil)
+		}); err != nil {
 			return out, err
 		}
 		if full {
 			out.DiffHigh = fetch
 		} else {
 			out.DiffLow = fetch
-			out.PageFaultCold = cold
+			out.PageFaultCold, out.FirstTouch = cold, first
 		}
 	}
 
-	// Span fetch: node 1 reads eight cold pages — one home block, so one
-	// source — in a single call, which the DSM resolves in one fault round
-	// (one request, one 33 KB reply) instead of eight.
+	// Span fetch: node 1 reads eight cold pages node 0 wrote — one source —
+	// in a single call, which the DSM resolves in one fault round (one
+	// request, one 33 KB reply) instead of eight.
 	{
 		sys := dsm.New(dsm.Config{Procs: 2})
 		defer sys.Close()
-		a := sys.MallocPage(dsm.HomeBlockPages * dsm.PageSize) // pages 0-7: homed at node 0
+		a := sys.MallocPage(dsm.HomeBlockPages * dsm.PageSize)
 		var span sim.Time
 		sys.Register("span-micro", func(n *dsm.Node, _ []byte) {
 			if n.ID() == 1 {
@@ -178,7 +188,12 @@ func Micro() (MicroResults, error) {
 				span = n.Now() - t0
 			}
 		})
-		if err := sys.Run(func(n *dsm.Node) { n.RunParallel("span-micro", nil) }); err != nil {
+		if err := sys.Run(func(n *dsm.Node) {
+			for p := 0; p < dsm.HomeBlockPages; p++ {
+				n.WriteI64(a+dsm.Addr(p*dsm.PageSize), 1)
+			}
+			n.RunParallel("span-micro", nil)
+		}); err != nil {
 			return out, err
 		}
 		out.SpanFetch8 = span
@@ -229,7 +244,8 @@ func PrintMicro(w io.Writer) error {
 	fprintf(w, "%-44s %12s\n", "8-processor barrier", m.Barrier8)
 	fprintf(w, "%-44s %12s\n", "diff fetch, low (1 word)", m.DiffLow)
 	fprintf(w, "%-44s %12s\n", "diff fetch, high (full page)", m.DiffHigh)
-	fprintf(w, "%-44s %12s\n", "cold page fetch", m.PageFaultCold)
+	fprintf(w, "%-44s %12s\n", "cold page fault (written page)", m.PageFaultCold)
+	fprintf(w, "%-44s %12s\n", "first touch of an untouched page", m.FirstTouch)
 	fprintf(w, "%-44s %12s\n", "8-page span fetch (one home)", m.SpanFetch8)
 	fprintf(w, "%-44s %12s\n", "MPICH/TCP empty-message round trip", m.TCPRoundTrip)
 	fprintf(w, "%-44s %9.1f MB/s\n", "MPICH/TCP bandwidth (1MB transfer)", m.TCPBandwidth)

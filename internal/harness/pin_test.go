@@ -21,8 +21,9 @@ import (
 //     transport lands far outside it. Water's message count is the loose
 //     one: test scale never reaches the collection threshold, so no flush
 //     resets its pages to one whole-page fetch each, and how many creators
-//     a fault asks for diffs follows the lock-grant order (two modes about
-//     10 % apart over -count=30).
+//     a fault asks for diffs follows the lock-grant order (1,023-1,436 and
+//     1,099-1,423 over -count=40; the every-episode schedule's 1,651 and
+//     1,667 still land outside the bands).
 //
 // A negative count or a zero checksum means "not pinned". Virtual time is
 // not pinned anywhere: it is not stable for Water.
@@ -53,10 +54,10 @@ var cellPins = []cellPin{
 	{app: "LU", impl: OMPSMP},
 	{app: "Barnes", impl: OMPSMP},
 
-	{app: "3D-FFT", impl: OMP, msgs: 933, msgTol: 0.03, bytes: 951700, byteTol: 0.01},
-	{app: "3D-FFT", impl: Tmk, msgs: 711, bytes: 852600, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
-	{app: "Water", impl: OMP, msgs: 1370, msgTol: 0.08, bytes: 1186000, byteTol: 0.015, checksum: 0x40ad443025918a2e},
-	{app: "Water", impl: Tmk, msgs: 1310, msgTol: 0.13, bytes: 1202000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
+	{app: "3D-FFT", impl: OMP, msgs: 734, msgTol: 0.03, bytes: 497000, byteTol: 0.015},
+	{app: "3D-FFT", impl: Tmk, msgs: 497, bytes: 376700, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
+	{app: "Water", impl: OMP, msgs: 1230, msgTol: 0.18, bytes: 1096000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
+	{app: "Water", impl: Tmk, msgs: 1260, msgTol: 0.15, bytes: 1087000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
 }
 
 // TestDefaultConfigCellPins holds the default-configuration output of the
