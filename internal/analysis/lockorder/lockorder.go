@@ -18,7 +18,8 @@
 // without blocking, so it adds no in-edge — exactly the protocol's
 // reason for using it on the GC purge gate — but what runs under a
 // successful TryLock still produces out-edges. Deferred unlocks hold to
-// function end. A branch that exits the function (return/panic/break)
+// the end of the function (or inlined literal) that deferred them and
+// release there, so a callee that holds by defer returns unlocked. A branch that exits the function (return/panic/break)
 // sequences normally within itself, but the fallthrough path resumes
 // from the pre-branch state — an early-return fast path neither hides
 // its own acquisitions nor perturbs the main-line ordering.
@@ -114,7 +115,7 @@ func run(pass *analysis.Pass) error {
 			}
 			s := &funcSummary{decl: fd}
 			w := &walker{pass: pass, sum: s}
-			w.stmts(fd.Body.List)
+			w.body(fd.Body.List)
 			sums[obj] = s
 			order = append(order, obj)
 		}
@@ -309,6 +310,22 @@ func (ev *evaluator) eval(f *funcSummary, h lockKey, entryHeld bool, stack []*fu
 type walker struct {
 	pass *analysis.Pass
 	sum  *funcSummary
+	// deferred holds the unlocks deferred so far in the function body (or
+	// inlined literal) being walked; body emits them at its end.
+	deferred []site
+}
+
+// body walks one function body — a declaration's, or a literal's inlined
+// at its definition point — and releases at its end, last deferred first,
+// what it unlocked by defer.
+func (w *walker) body(list []ast.Stmt) {
+	outer := w.deferred
+	w.deferred = nil
+	w.stmts(list)
+	for i := len(w.deferred) - 1; i >= 0; i-- {
+		w.emit(w.deferred[i])
+	}
+	w.deferred = outer
 }
 
 func (w *walker) stmts(list []ast.Stmt) {
@@ -351,11 +368,14 @@ func (w *walker) stmt(s ast.Stmt) {
 		w.expr(s.X)
 	case *ast.DeferStmt:
 		// A deferred unlock keeps the mutex held for the remainder of
-		// the walk (it runs at exit): no event. A deferred literal also
-		// runs at exit: skipped. A deferred lock holds from here on.
+		// the body and releases at its end (see body). A deferred literal
+		// also runs at exit: skipped. A deferred lock holds from here on.
 		if key, op, ok := w.mutexOp(s.Call); ok {
-			if op == "Lock" || op == "RLock" {
+			switch op {
+			case "Lock", "RLock":
 				w.emit(site{key: key, kind: siteLock, pos: s.Call.Pos()})
+			case "Unlock", "RUnlock":
+				w.deferred = append(w.deferred, site{key: key, kind: siteUnlock, pos: s.Call.Pos()})
 			}
 			return
 		}
@@ -479,7 +499,7 @@ func (w *walker) expr(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.stmts(n.Body.List)
+			w.body(n.Body.List)
 			return false
 		case *ast.CallExpr:
 			w.call(n, false)

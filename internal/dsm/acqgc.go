@@ -560,6 +560,12 @@ func (c *Client) gcSyncOnce() {
 // covered-owing pages, or holding pages whose home has not purged the
 // floor, leaves the epoch to its application thread.
 func (n *Node) handleGCSync(m *network.Message) {
+	n.gcFloorAttemptServer(n.gcSyncExchange(m))
+}
+
+// gcSyncExchange is handleGCSync's share under n.mu — incorporate, reverse
+// delta, relays; it returns the node's clock afterwards.
+func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	r := rbuf{b: m.Payload}
 	senderVC, recs := getTrailer(&r)
 	// Tree-routed pushes append the varint relay list after the trailer
@@ -579,6 +585,7 @@ func (n *Node) handleGCSync(m *network.Message) {
 	}
 	at := m.Arrive + n.sys.plat.RequestService
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
@@ -636,8 +643,7 @@ func (n *Node) handleGCSync(m *network.Message) {
 			}
 		}
 	}
-	n.mu.Unlock()
-	n.gcFloorAttemptServer(vc)
+	return vc
 }
 
 // handleGCFloor runs on a node's protocol server when a peer piggybacked
@@ -651,11 +657,15 @@ func (n *Node) handleGCSync(m *network.Message) {
 func (n *Node) handleGCFloor(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	_ = getVC(&r)
+	n.gcFloorAttemptServer(n.interruptVC())
+}
+
+// interruptVC charges one interrupt and returns the node's clock.
+func (n *Node) interruptVC() VectorClock {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
-	vc := n.vc.clone()
-	n.mu.Unlock()
-	n.gcFloorAttemptServer(vc)
+	return n.vc.clone()
 }
 
 // gcFloorAttemptServer is the server-side epoch attempt shared by
@@ -679,12 +689,9 @@ func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 	if !n.fetchMu.TryLock() {
 		return
 	}
-	n.mu.Lock()
+	defer n.fetchMu.Unlock()
 	//nowlint:allow lockorder -- acqEpoch with serverSide=true swaps the purge closure for the flush-only gcFlushCoveredLocked before running it, so the gcPurgePagesLocked path that re-takes fetchMu is unreachable under this TryLock; the analyzer cannot see past the value dependency
-	done := n.acqEpochServerLocked(floor)
-	n.mu.Unlock()
-	n.fetchMu.Unlock()
-	if done {
+	if n.acqEpochServer(floor) {
 		co.notePurged(n.id, floor)
 	}
 }
@@ -699,11 +706,13 @@ func (n *Node) acqEpochLocked(c *Client, floor VectorClock) bool {
 	return n.acqEpoch(c, floor, false)
 }
 
-// acqEpochServerLocked is the protocol-server variant used by the
-// consensus push (handleGCSync): the purge is flush-only and never
-// releases n.mu — a server cannot block on network replies. The caller
-// must hold BOTH n.mu and fetchMu.
-func (n *Node) acqEpochServerLocked(floor VectorClock) bool {
+// acqEpochServer is the protocol-server variant used by the consensus
+// push (handleGCSync): the purge is flush-only and never releases n.mu —
+// a server cannot block on network replies. The caller must hold fetchMu;
+// n.mu is taken here, by defer like every server path (incorporateWire).
+func (n *Node) acqEpochServer(floor VectorClock) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.acqEpoch(nil, floor, true)
 }
 

@@ -196,10 +196,10 @@ func (n *Node) handleCondWait(m *network.Message) {
 	reqVC := getVC(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	cq := n.condFor(condID)
 	cq.waiters = append(cq.waiters, semaWaiter{from: m.From, tag: tag, vc: reqVC, arrive: m.Arrive})
-	n.mu.Unlock()
 	var ack wbuf
 	ack.u32(tag)
 	n.ep.SendAt(m.From, msgCondWaitAck, network.ClassReply, ack.b, at)

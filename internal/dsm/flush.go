@@ -51,9 +51,9 @@ func (n *Node) handleFlush(m *network.Message) {
 	senderVC, recs := getTrailer(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
-	n.mu.Unlock()
 	n.ep.SendAt(m.From, msgFlushAck, network.ClassReply, nil, at)
 }

@@ -199,7 +199,7 @@ func (n *Node) gcWillCollectLocked(retire VectorClock) bool {
 	if n.gcFreeVC != nil {
 		pending -= n.gcFreeVC.sum()
 	}
-	return pending >= n.sys.gcMinRetire
+	return pending >= int64(n.sys.cfg.GCEpisodeThreshold())
 }
 
 // gcCollectLocked is the collection-epoch tail shared by the two epoch
@@ -427,7 +427,7 @@ func (n *Node) gcFlushPageLocked(pg *page, flushVC VectorClock) {
 }
 
 // gcFlushCoveredLocked is the network-free purge used by the consensus
-// push path (acqEpochServerLocked): every copy owing notices covered by
+// push path (acqEpochServer): every copy owing notices covered by
 // the floor is discarded outright, notices newer than the floor are
 // preserved. The caller must have checked gcCanFlushAllLocked. Requires
 // n.mu (and the caller holds fetchMu, so no local fault snapshot can

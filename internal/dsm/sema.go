@@ -144,13 +144,13 @@ func (n *Node) handleSemaSignal(m *network.Message) {
 	at := m.Arrive + n.sys.plat.RequestService
 
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	// The manager merges the signaler's knowledge so later grants can
 	// carry it to waiters.
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
 	n.semaSignalAtMgrLocked(id, at)
-	n.mu.Unlock()
 	var ack wbuf
 	ack.u32(tag)
 	n.ep.SendAt(m.From, msgSemaAck, network.ClassReply, ack.b, at)

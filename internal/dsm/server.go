@@ -130,12 +130,18 @@ func walkBatch(r *rbuf, nodeID int, fn func(typ int, payload []byte)) {
 // incorporateWire decodes a (vc, records) trailer and merges it into the
 // node's knowledge, recording the sender's reported clock (returned for
 // callers that need it, e.g. as a GC epoch floor).
+//
+// Like every protocol-server path it holds n.mu by defer: a tripwire panic
+// under the mutex (storeIntervalLocked on a gap, here) aborts the run, and
+// the node's application thread must still be able to take n.mu to notice
+// the abort and unwind — a mutex left locked by the dying handler hangs it,
+// and Run with it.
 func (n *Node) incorporateWire(r *rbuf, from int) VectorClock {
 	senderVC, recs := getTrailer(r)
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(from, senderVC)
-	n.mu.Unlock()
 	return senderVC
 }
 
@@ -190,11 +196,11 @@ func (n *Node) handlePageReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	pid := PageID(r.u32())
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	var w wbuf
 	w.u32(uint32(pid))
 	w.bytes(n.servePageLocked(pid))
-	n.mu.Unlock()
 	at := m.Arrive + n.sys.plat.RequestService + n.sys.plat.PageCopy
 	n.ep.SendAt(m.From, msgPageRep, network.ClassReply, w.b, at)
 }
@@ -214,6 +220,7 @@ func (n *Node) handleDiffReq(m *network.Message) {
 
 	service := n.sys.plat.RequestService
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	var w wbuf
 	w.u32(uint32(pid))
@@ -224,7 +231,6 @@ func (n *Node) handleDiffReq(m *network.Message) {
 		w.u32(uint32(seq))
 		w.bytes(d)
 	}
-	n.mu.Unlock()
 	n.ep.SendAt(m.From, msgDiffRep, network.ClassReply, w.b, m.Arrive+service)
 }
 
@@ -239,6 +245,7 @@ func (n *Node) handleFetchReq(m *network.Message) {
 	service := n.sys.plat.RequestService
 	size := 5 // reply bound: a count varint, then ≤ 14 header bytes an item
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	for i := range items {
 		it := &items[i]
@@ -254,6 +261,5 @@ func (n *Node) handleFetchReq(m *network.Message) {
 	}
 	w := wbuf{b: make([]byte, 0, size)}
 	encodeFetch(&w, items, true)
-	n.mu.Unlock()
 	n.ep.SendAt(m.From, msgFetchRep, network.ClassReply, w.b, m.Arrive+service)
 }
