@@ -199,13 +199,17 @@ func (e *Endpoint) SendAt(to, typ int, class Class, payload []byte, at sim.Time)
 		panic(ErrDown)
 	default:
 	}
+	// Counted BEFORE the message becomes receivable: a receiver may act on
+	// it — and a reader snapshot Stats — the instant it is queued, and the
+	// totals must already include it. (A send that dies on the down case
+	// below stays counted; the run is aborting and its totals are void.)
+	e.count(typ, payload)
 	// The down case below keeps a sender from blocking forever on a full
 	// queue whose drainer exited at shutdown. An abort can close `down`
 	// while a send is committing; the message then sits in the queue
 	// unreceived, and the sender unwinds at its next receive instead.
 	select {
 	case e.sw.inboxes[to][m.Class] <- m:
-		e.count(typ, payload)
 	case <-e.sw.down:
 		panic(ErrDown)
 	}
@@ -228,7 +232,7 @@ func (e *Endpoint) build(to, typ int, class Class, payload []byte, at sim.Time) 
 	}
 }
 
-// count records one delivered message in the traffic totals.
+// count records one message in the traffic totals.
 func (e *Endpoint) count(typ int, payload []byte) {
 	bytes := int64(len(payload) + e.sw.profile.HeaderBytes)
 	e.sw.stats.Messages.Add(1)
@@ -250,7 +254,7 @@ type FramePart struct {
 	Bytes int
 }
 
-// countFrame records one delivered frame: one datagram, len(parts)
+// countFrame records one frame: one datagram, len(parts)
 // logical messages, total bytes once, and each part's bytes against its
 // own type (the per-datagram header overhead is charged to the first
 // part, mirroring count's payload+header accounting so the per-type
@@ -292,9 +296,9 @@ func (e *Endpoint) SendFrameAt(to, typ int, class Class, payload []byte, parts [
 		panic(ErrDown)
 	default:
 	}
+	e.countFrame(payload, parts) // before it is receivable, as in SendAt
 	select {
 	case e.sw.inboxes[to][m.Class] <- m:
-		e.countFrame(payload, parts)
 	case <-e.sw.down:
 		panic(ErrDown)
 	}

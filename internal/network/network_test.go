@@ -169,6 +169,34 @@ func TestStatsByType(t *testing.T) {
 	}
 }
 
+// TestStatsCountBeforeReceivable: a receiver that snapshots the totals the
+// moment a message reaches it must find that message already counted —
+// plain sends and frames alike (blocking paths count before the enqueue).
+func TestStatsCountBeforeReceivable(t *testing.T) {
+	sw := testSwitch(2)
+	var c0, c1 sim.Clock
+	e0 := sw.Endpoint(0, &c0)
+	e1 := sw.Endpoint(1, &c1)
+	const rounds = 20000
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if i%2 == 0 {
+				e0.SendAt(1, 3, ClassRequest, []byte{1}, 0)
+			} else {
+				e0.SendFrameAt(1, 9, ClassRequest, []byte{1, 2}, []FramePart{{Type: 3, Bytes: 1}, {Type: 4, Bytes: 1}}, 0)
+			}
+		}
+	}()
+	var want int64
+	for i := 0; i < rounds; i++ {
+		e1.RecvRaw(ClassRequest)
+		want += int64(1 + i%2) // a frame counts one message a part
+		if got, _ := sw.Stats().Snapshot(); got < want {
+			t.Fatalf("message %d received with %d counted, want >= %d", i, got, want)
+		}
+	}
+}
+
 func TestTrySendAtDropsWhenFullAndRecovers(t *testing.T) {
 	sw := testSwitch(2)
 	var c0, c1 sim.Clock
