@@ -17,12 +17,10 @@ import (
 //
 // The home is NOT a stop on the data path. A node touching a page it never
 // held starts from local zeros and applies the diffs its own write notices
-// name (zeroFillLocked, below): under lazy release consistency a page no
-// incorporated notice names IS its allocation zeros, so a first touch of an
-// untouched page moves no byte, and a first touch of a written page asks
-// the writers, not the home. Only a copy the collector flushed — whose
-// dropped notices survive nowhere but in the home's validated copy — goes
-// back to the home, whole.
+// name (zeroFillLocked, below): a first touch of an untouched page moves
+// no byte, and a first touch of a written page asks the writers. Only a
+// copy the collector flushed — whose dropped notices survive nowhere but
+// in the home's validated copy — goes back to the home, whole.
 //
 // The GC flush-safety invariant is a per-page rule: a node may FLUSH a
 // stale copy (dropping its covered write notices) only when the page's
@@ -89,13 +87,12 @@ func (h *homePurged) covers(home int, floor VectorClock) bool {
 //	pg.data == nil && !pg.refetch ⇒ every write notice this node ever
 //	incorporated for the page is still in pg.missing.
 //
-// The invariant has two writers: invalidateLocked appends every
-// incorporated notice, and gcFlushPageLocked — the only code that drops a
-// notice without applying its diff — marks the copy refetch. So zeros plus
-// pg.missing applied in causal order IS this node's lazy-release-
-// consistent view of the page (allocation zero-fills, and every write
-// since lives in some interval's diff), and no byte has to come from the
-// home. With nothing missing the copy is current at once. Requires n.mu.
+// It has two writers: invalidateLocked appends every incorporated notice,
+// and gcFlushPageLocked — the only code that drops a notice without
+// applying its diff — marks the copy refetch. So zeros plus pg.missing
+// applied in causal order IS this node's view of the page (allocation
+// zero-fills, and every write since lives in some interval's diff); with
+// nothing missing the copy is current at once. Requires n.mu.
 func (n *Node) zeroFillLocked(pg *page) {
 	if pg.data != nil || pg.refetch {
 		panic(fmt.Sprintf("dsm: node %d zero-filling page %d that has a copy or a flushed history", n.id, pg.id))

@@ -568,7 +568,6 @@ func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
 	if readableLocked(pg) {
 		return pl, false
 	}
-
 	// A cold page — no copy here — that a collector flush left without its
 	// full notice history (refetch) rebuilds from the home's validated
 	// copy. Any other cold page starts from local zeros (zeroFillLocked,
@@ -614,9 +613,7 @@ func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
 	if cold && pl.source < 0 {
 		n.zeroFillLocked(pg)
 		if len(pl.fetch) == 0 {
-			// Never written by anyone this node has heard of: the fault is
-			// settled here, for its entry overhead alone.
-			n.stats.ZeroFills++
+			n.stats.ZeroFills++ // settled here, for the fault entry alone
 			return pl, false
 		}
 	}
@@ -1049,22 +1046,68 @@ func (c *Client) WriteF64s(a Addr, src []float64) {
 	}
 }
 
-// ReadI32s reads len(dst) consecutive int32s starting at a.
+// i32Bytes encodes int32s as they lie in shared memory.
+func i32Bytes(v []int32) []byte {
+	buf := make([]byte, 4*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+	}
+	return buf
+}
+
+// ReadI32s reads len(dst) consecutive int32s starting at a, decoding page
+// by page with no staging buffer. A base that is not 4-aligned lets
+// elements straddle pages and takes the byte path.
 func (c *Client) ReadI32s(a Addr, dst []int32) {
-	buf := make([]byte, 4*len(dst))
-	c.ReadBytes(a, buf)
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+	n := c.n
+	n.checkRange(a, 4*len(dst))
+	if a%4 != 0 {
+		buf := make([]byte, 4*len(dst))
+		c.ReadBytes(a, buf)
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		return
+	}
+	if debugOracleOn {
+		defer func() { oracleCheck(n.id, a, i32Bytes(dst)) }()
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c.fetchSpanLocked(a, 4*len(dst), &n.stats.ReadFaults)
+	for i := 0; i < len(dst); {
+		addr := int(a) + 4*i
+		pg := n.pageFor(PageID(addr / PageSize))
+		c.ensureReadableLocked(pg)
+		for off := addr % PageSize; off < PageSize && i < len(dst); off, i = off+4, i+1 {
+			dst[i] = int32(binary.LittleEndian.Uint32(pg.data[off:]))
+		}
 	}
 }
 
-// WriteI32s writes the int32s of src to consecutive addresses from a.
+// WriteI32s writes the int32s of src to consecutive addresses from a, page
+// by page like ReadI32s.
 func (c *Client) WriteI32s(a Addr, src []int32) {
-	buf := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+	n := c.n
+	n.checkRange(a, 4*len(src))
+	if a%4 != 0 {
+		c.WriteBytes(a, i32Bytes(src))
+		return
 	}
-	c.WriteBytes(a, buf)
+	if debugOracleOn {
+		oracleWrite(a, i32Bytes(src))
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c.fetchSpanLocked(a, 4*len(src), &n.stats.WriteFaults)
+	for i := 0; i < len(src); {
+		addr := int(a) + 4*i
+		pg := n.pageFor(PageID(addr / PageSize))
+		c.ensureWritableLocked(pg)
+		for off := addr % PageSize; off < PageSize && i < len(src); off, i = off+4, i+1 {
+			binary.LittleEndian.PutUint32(pg.data[off:], uint32(src[i]))
+		}
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -62,19 +62,15 @@ type Config struct {
 	DisableGC bool
 	// GCMinRetire overrides the barrier/fork-episode trigger. By default (0)
 	// both epoch sources read ONE threshold, the resolved GCPressure: an
-	// episode runs a collection epoch only when its retire floor covers at
-	// least that many interval records created since the last collecting
-	// episode — TreadMarks collects when consistency memory runs low, not
-	// at every barrier. A positive value is the episode source's own
-	// threshold; 1 collects at EVERY episode (even one whose floor retires
-	// nothing new: it still advances the lagged flush floor and frees what
-	// the previous epoch retired) — the schedule of every run before the
-	// pressure rule. The predicate is computed from episode floors alone,
-	// which are identical on every node, so the decision needs no extra
-	// coordination (see gcEpochLocked). The field outlives the merge of
-	// the two throttles because tests that must force a collection at
-	// every episode cannot do it through GCPressure: that would also force
-	// an acquire epoch at every synchronization operation.
+	// episode collects only when its retire floor covers at least that many
+	// interval records created since the last collecting episode (see
+	// gcEpochLocked) — TreadMarks collects when consistency memory runs
+	// low, not at every barrier. A positive value is the episode source's
+	// own threshold; 1 collects at EVERY episode, even one whose floor
+	// retires nothing new — the schedule of every run before the pressure
+	// rule. The field survives beside GCPressure because tests that must
+	// collect at every episode cannot say so through GCPressure: that would
+	// also force an acquire epoch at every synchronization operation.
 	GCMinRetire int
 	// GCPressure is the collection threshold, in interval records a floor
 	// would newly retire, of both epoch sources: the barrier/fork episodes
@@ -136,17 +132,16 @@ func (c Config) GCEpisodeThreshold() int {
 
 // System is one simulated network of workstations running TreadMarks.
 type System struct {
-	cfg         Config
-	plat        *sim.Platform
-	sw          *network.Switch
-	nodes       []*Node
-	heapBytes   int
-	gcOn        bool
-	gcMinRetire int64       // resolved episode trigger (Config.GCEpisodeThreshold)
-	gcPolicy    GCPolicy    // resolved purge policy (never GCPolicyDefault)
-	acq         *acqCoord   // acquire-epoch coordinator; nil when disabled
-	purged      *homePurged // per-node purge-floor registry (flush gate)
-	fanin       int         // resolved barrier tree fan-in
+	cfg       Config
+	plat      *sim.Platform
+	sw        *network.Switch
+	nodes     []*Node
+	heapBytes int
+	gcOn      bool
+	gcPolicy  GCPolicy    // resolved purge policy (never GCPolicyDefault)
+	acq       *acqCoord   // acquire-epoch coordinator; nil when disabled
+	purged    *homePurged // per-node purge-floor registry (flush gate)
+	fanin     int         // resolved barrier tree fan-in
 
 	regionsMu sync.Mutex
 	regions   map[string]RegionFunc
@@ -182,15 +177,14 @@ func New(cfg Config) *System {
 		plat = sim.DefaultPlatform()
 	}
 	s := &System{
-		cfg:         cfg,
-		plat:        plat,
-		sw:          network.NewSwitch(cfg.Procs, plat.UDP),
-		heapBytes:   cfg.HeapBytes,
-		regions:     make(map[string]RegionFunc),
-		done:        make(chan struct{}),
-		gcOn:        !cfg.DisableGC && cfg.Procs > 1,
-		gcMinRetire: int64(cfg.GCEpisodeThreshold()),
-		gcFloors:    make(map[int64]*epochFloor),
+		cfg:       cfg,
+		plat:      plat,
+		sw:        network.NewSwitch(cfg.Procs, plat.UDP),
+		heapBytes: cfg.HeapBytes,
+		regions:   make(map[string]RegionFunc),
+		done:      make(chan struct{}),
+		gcOn:      !cfg.DisableGC && cfg.Procs > 1,
+		gcFloors:  make(map[int64]*epochFloor),
 	}
 	s.gcPolicy = cfg.GCPolicy
 	if s.gcPolicy == GCPolicyDefault {
