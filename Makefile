@@ -55,38 +55,43 @@ hybrid-race:
 	$(GO) test -race -run 'TestBackendConformance|TestHybrid' ./internal/core
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
 
-# Acquire-epoch GC smoke under the race detector: the GC property suite
-# (randomized lock/sema/cond interleavings, coordinator invariants,
-# bounded chains) plus the lock/semaphore applications — QSORT and
-# Sweep3D at multiples of their test scale — with the collector forced to
-# low pressure. The consensus pushes, server-side purges, and fetch-lock
-# exclusion all exercise cross-goroutine edges, so this is where an
-# ordering bug in the acquire collector fails first.
+# GC smoke under the race detector: the GC property suite (randomized
+# lock/sema/cond interleavings, coordinator invariants, bounded chains,
+# the pressure trigger and — under GCMinRetire: 1, since test scale never
+# reaches the default threshold — the every-episode purge paths), the
+# zero-base first-touch pins, plus the lock/semaphore applications — QSORT
+# and Sweep3D at multiples of their test scale — with the collector forced
+# to low pressure, and every app on the every-episode schedule. The
+# consensus pushes, server-side purges, and fetch-lock exclusion all
+# exercise cross-goroutine edges, so this is where an ordering bug in the
+# collector fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC' ./internal/dsm
-	$(GO) test -race -run 'TestAcquireGC|TestAblationGCPolicyGrid' ./internal/harness
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestZeroBase|TestHome' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAblationGCPolicyGrid|TestEquivalenceCollectingEveryEpisode' ./internal/harness
 
 # >8-node smoke under the race detector: the wide-team (16/32-thread)
 # conformance scenario on every backend plus one real application at 16
-# processors on the NOW (3D-FFT: pure page traffic through the sharded
-# homes and a two-level tree barrier), plus the hierarchical-consensus
+# processors on the NOW (3D-FFT: pure page traffic and a two-level tree
+# barrier, on the default schedule and collecting at every episode, whose
+# purge waves go through the sharded homes), plus the hierarchical-consensus
 # scenarios — tree-routed GC pushes with relays, batched departure waves
 # with floor piggybacks, and the tree-vs-flat equivalence pin. The relay
 # forwarding and reply-frame unwrap both cross the server/application
 # goroutine boundary, so a race in either fails here first.
 scale-race:
 	$(GO) test -race -run 'TestBackendConformanceWideTeams' ./internal/core
-	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/3D-FFT/omp/p16' ./internal/harness
+	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/3D-FFT/omp/p16|TestEquivalenceCollectingEveryEpisode/3D-FFT/omp/p16' ./internal/harness
 	$(GO) test -race -run 'TestTreeVsFlatConsensusEquivalence|TestTreeBarrierFloorPiggyback|TestScaleTreeBarrierCorrectness' ./internal/dsm
 
 # Span-fetch smoke under the race detector: the span ≡ page-at-a-time
-# programs under the shadow-memory oracle (reply payloads are installed as
-# page copies and applied as diffs WITHOUT copying, so the race detector
-# is what certifies the receiver really owns them), the two-clients-one-
-# node overlap, the cost pins, and one paging application whose
-# transposes run entirely on span rounds.
+# programs under the shadow-memory oracle, on the every-episode schedule
+# and the default one (reply payloads are installed as page copies and
+# applied as diffs WITHOUT copying, so the race detector is what certifies
+# the receiver really owns them), the two-clients-one-node overlap, the
+# int32 bulk accessors, the cost pins, and one paging application whose
+# transposes run on span rounds.
 span-race:
-	$(GO) test -race -run 'TestSpan|TestOnePageFault|TestWireFetch' ./internal/dsm
+	$(GO) test -race -run 'TestSpan|TestOnePageFault|TestWireFetch|TestI32s|TestZeroBaseSpan' ./internal/dsm
 	$(GO) test -race -run 'TestFaultWaitLedger' ./internal/harness
 
 # Service-mode smoke under the race detector: a short mixed stream (NOW,
