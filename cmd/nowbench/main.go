@@ -10,11 +10,15 @@
 //	                               hardware-shared-memory baseline, the
 //	                               omp-hybrid columns inter-island only)
 //	nowbench -gc                   protocol-metadata GC accounting table
-//	                               (incl. acquire-epoch counts per app)
+//	                               (the resolved collection threshold, and
+//	                               per app the peak metadata a node held,
+//	                               collecting epochs / episodes, and
+//	                               acquire-epoch counts)
 //	nowbench -micro                Section 6 platform characteristics
 //	nowbench -ablation section3    Section 3 flush-vs-sema/condvar studies
 //	nowbench -ablation gc          the GC ablations: every-episode vs
-//	                               adaptive vs off trigger counts, plus
+//	                               adaptive vs default-pressure vs off
+//	                               trigger counts, plus
 //	                               the acquire-epoch policy x trigger grid
 //	                               (flush / validate-hot / adaptive
 //	                               purges on a lock/semaphore kernel and
@@ -43,8 +47,9 @@
 // Add -scale test for a fast run on reduced inputs, -procs N to change
 // the processor count of Figure 6 / Table 2, and -islands K to set the
 // SMP island count of the omp-hybrid columns (default 2; clamped to the
-// processor count). -gcpressure N and -gcpolicy P set the acquire-epoch
-// trigger and validate-vs-flush purge policy of every cell that does not
+// processor count). -gcpressure N and -gcpolicy P set the collection
+// threshold (of the barrier/fork episodes and the acquire epochs alike)
+// and the validate-vs-flush purge policy of every cell that does not
 // carry its own (harness.DefaultGC; see dsm.Config.GCPressure /
 // GCPolicy). Independent
 // experiment cells run concurrently on a weighted worker pool — SMP and
@@ -83,7 +88,7 @@ func main() {
 		islands  = flag.Int("islands", 0, "SMP island count for the omp-hybrid columns (0 = default 2)")
 		scale    = flag.String("scale", "full", "workload scale: full or test")
 		workers  = flag.Int("workers", 0, "grid worker pool width (0 = one per CPU, 1 = sequential)")
-		gcPress  = flag.Int("gcpressure", 0, "default acquire-epoch GC trigger (0 = dsm default, negative disables)")
+		gcPress  = flag.Int("gcpressure", 0, "default GC collection threshold, episodes and acquire epochs alike (0 = dsm default, negative disables acquire epochs)")
 		gcPolicy = flag.String("gcpolicy", "", "default GC purge policy: flush, validate-hot, or adaptive")
 
 		serveMode  = flag.Bool("serve", false, "service mode: run a multi-tenant job stream and print the latency report")

@@ -187,8 +187,8 @@ func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
 
 // gcWillCollectLocked evaluates the episode trigger predicate for the
 // given retire floor WITHOUT running the epoch: the number of interval
-// records the floor would newly retire against the resolved threshold. Both
-// inputs (the floor and the last collecting floor, gcFreeVC) are
+// records the floor would newly retire against the resolved threshold.
+// Both inputs (the floor and the last collecting floor, gcFreeVC) are
 // identical on every node, so the decision is too — which is what lets a
 // departure forwarder know, before its own epoch runs, whether the
 // episode its children are about to process will purge (and therefore
@@ -309,13 +309,13 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 // gcShouldValidateLocked applies the per-page validate-vs-flush policy to
 // one page owing `covered` retired notices under the given floor. A
 // page's home always validates: its copy is the base every post-flush
-// refetch builds on — flushing it would lose the only authoritative copy. A gated caller (the
-// acquire source, which has no episode wave to order purges) additionally
-// allows a foreign flush only once the home has purged the floor (the
-// per-page registry gate, see home.go); until then the home's copy does
-// not yet reflect the notices a flush would drop, and the policy is
-// overridden to validate. The barrier/fork source runs ungated: its
-// lagged flush floor is covered by every home by construction.
+// refetch builds on — flushing it would lose the only authoritative copy.
+// A gated caller (the acquire source, which has no episode wave to order
+// purges) additionally allows a foreign flush only once the home has
+// purged the floor (the per-page registry gate, see home.go); until then
+// the home's copy does not yet reflect the notices a flush would drop, and
+// the policy is overridden to validate. The barrier/fork source runs
+// ungated: its lagged flush floor is covered by every home by construction.
 func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, covered int, gated bool) bool {
 	home := n.homeOf(pg.id)
 	if home == n.id {

@@ -694,10 +694,10 @@ func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs ma
 // multi-page access for a span fetch (fetchSpanLocked): start a page
 // never held here from zeros (or refetch a collector-flushed copy from its
 // home), fetch all missing diffs from their creators in parallel, and
-// apply them in a topological order of the happens-before relation. n.mu is released
-// while requests are in flight; the loop in ensure*Locked re-checks state
-// afterwards because new write notices may have arrived meanwhile — a
-// round never has to be complete for an access to be correct.
+// apply them in a topological order of the happens-before relation. n.mu
+// is released while requests are in flight; the loop in ensure*Locked
+// re-checks state afterwards because new write notices may have arrived
+// meanwhile — a round never has to be complete for an access to be correct.
 //
 // The whole round holds fetchMu (acquired with n.mu dropped, then the
 // state re-examined): it keeps a multi-client node's concurrent fetch

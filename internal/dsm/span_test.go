@@ -39,14 +39,12 @@ func timedSpanRead(t *testing.T, procs, pages int) (sim.Time, *System) {
 	t.Helper()
 	sys := New(Config{Procs: procs})
 	a := sys.MallocPage(pages * PageSize)
-	fill := func(n *Node) (wrote bool) {
+	fill := func(n *Node) {
 		for p := 0; p < pages; p++ {
 			if n.isHome(PageID(p)) {
 				n.WriteI64(a+Addr(p*PageSize), 1)
-				wrote = true
 			}
 		}
-		return wrote
 	}
 	sys.Register("fill", func(n *Node, _ []byte) {
 		if n.ID() != 0 && n.ID() != procs-1 {

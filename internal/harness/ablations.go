@@ -402,8 +402,9 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 // The policy × trigger GC grid: acquire-epoch collection for programs
 // that never barrier, crossed with the per-page validate-vs-flush purge
 // policy. The trigger axis contrasts the barrier/fork-episode source
-// alone ("episode" — which cannot collect inside a lock-only region)
-// with acquire epochs at low pressure ("acquire"); the policy axis runs
+// alone, at the default pressure ("episode" — which cannot collect inside
+// a lock-only region), with acquire epochs and episodes at one low
+// pressure ("acquire"); the policy axis runs
 // dsm.Config.GCPolicy over flush / validate-hot / adaptive.
 // ---------------------------------------------------------------------
 
@@ -602,9 +603,10 @@ func PrintAblationGC(w io.Writer) error {
 		return err
 	}
 	fprintf(w, "\nAcquire-epoch GC policy x trigger grid (8 processors): \"episode\"\n")
-	fprintf(w, "keeps only the barrier/fork source (lock-only regions never collect);\n")
-	fprintf(w, "\"acquire\" adds lock-manager epochs at pressure %d. The policy column\n", AcquireGCPressure(8))
-	fprintf(w, "is the per-page purge choice at every collection.\n\n")
+	fprintf(w, "keeps only the barrier/fork source, at the default pressure (lock-only\n")
+	fprintf(w, "regions never collect); \"acquire\" adds lock-manager epochs and sets\n")
+	fprintf(w, "the pressure of both sources to %d. The policy column is the per-page\n", AcquireGCPressure(8))
+	fprintf(w, "purge choice at every collection.\n\n")
 	fprintf(w, "%-18s %-8s %-13s %12s %9s %9s %6s %8s %10s %6s %7s\n",
 		"workload", "trigger", "policy", "time", "messages", "KB", "acqEp", "retired", "peakchain", "valid", "flushed")
 	for _, r := range grid {

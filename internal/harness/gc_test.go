@@ -106,6 +106,28 @@ func TestEquivalenceCollectingEveryEpisode(t *testing.T) {
 	}
 }
 
+// TestPeakMetadataPriceFullScale pins what collecting under pressure costs
+// where it costs most among the paging benchmark cells: full-scale
+// 3D-FFT/omp on 8 processors never reaches the threshold (17 episodes, a
+// few hundred records), so it holds every diff and twin of the run — 8.02
+// MB on the fullest node, against 1.08 MB when every episode collected.
+func TestPeakMetadataPriceFullScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale cell")
+	}
+	a, _ := FindApp("3D-FFT")
+	res, err := a.Run(Full, OMP, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GCEpochs != 0 {
+		t.Errorf("%d of %d episodes collected: the cell no longer shows the uncollected peak", res.GCEpochs, res.GCEpisodes)
+	}
+	if res.PeakProtoBytes > 8_100_000 {
+		t.Errorf("peak protocol metadata %d B on one node, pinned <= 8.1 MB", res.PeakProtoBytes)
+	}
+}
+
 // TestTableGCRendering smoke-tests the new artifact: it must render a
 // row per application with the three metadata columns.
 func TestTableGCRendering(t *testing.T) {
