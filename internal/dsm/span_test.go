@@ -61,7 +61,7 @@ func timedSpanRead(t *testing.T, procs, pages int) (sim.Time, *System) {
 	})
 	if err := sys.Run(func(n *Node) {
 		fill(n)
-		if pages > HomeBlockPages && procs > 2 {
+		if procs > 2 { // a node besides the master and the reader
 			n.RunParallel("fill", nil)
 		}
 		n.RunParallel("span", nil)

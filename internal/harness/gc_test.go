@@ -85,12 +85,11 @@ func TestEquivalenceWithGCDisabled(t *testing.T) {
 func TestEquivalenceCollectingEveryEpisode(t *testing.T) {
 	for _, a := range Apps {
 		for _, impl := range []Impl{OMP, Tmk, OMPHybrid} {
-			grid := EquivalenceProcs[1:]
+			grid := append([]int{}, EquivalenceProcs[1:]...)
 			if impl == OMP {
-				grid = append(grid[:len(grid):len(grid)], EquivalenceSmokeProcs[0])
+				grid = append(grid, EquivalenceSmokeProcs[0])
 			}
 			for _, procs := range grid {
-				a, impl, procs := a, impl, procs
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs), func(t *testing.T) {
 					t.Parallel()
 					res, err := VerifiedGC(a, Test, impl, procs, GCKnobs{MinRetire: 1})

@@ -178,7 +178,9 @@ func TestStatsCountBeforeReceivable(t *testing.T) {
 	e0 := sw.Endpoint(0, &c0)
 	e1 := sw.Endpoint(1, &c1)
 	const rounds = 20000
+	defer sw.Shutdown() // a failed run leaves the sender on a full queue: unwind it
 	go func() {
+		defer func() { _ = recover() }() // ErrDown after a failure, nothing otherwise
 		for i := 0; i < rounds; i++ {
 			if i%2 == 0 {
 				e0.SendAt(1, 3, ClassRequest, []byte{1}, 0)

@@ -88,6 +88,9 @@ func run(path string) error {
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			return fmt.Errorf("%s:%d: %w", path, line, err)
 		}
+		if r.Side != "parent" && r.Side != "head" {
+			return fmt.Errorf("%s:%d: side %q is neither parent nor head", path, line, r.Side)
+		}
 		if _, seen := byWorkload[r.Workload]; !seen {
 			order = append(order, r.Workload)
 		}
