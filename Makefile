@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race span-race serve-race fuzz-wire bench-smoke bench bench-scaling tables ci
+.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race span-race serve-race fuzz-wire bench-smoke bench bench-scaling bench-pairs tables ci
 
 build:
 	$(GO) build ./...
@@ -20,11 +20,15 @@ fmt-check:
 # speaks go vet's unitchecker protocol, so the same suite runs as
 #   $(GO) build -o /tmp/nowlint ./cmd/nowlint && $(GO) vet -vettool=/tmp/nowlint ./...
 # Configuration travels in Config values: a process-wide Set…Default
-# setter in the protocol library or the runtime fails the lint.
+# setter in the protocol library or the runtime fails the lint. Pages and
+# diffs cross the wire one way (msgFetchReq/msgFetchRep): a message
+# constant of the retired page-at-a-time protocol fails it too.
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
 		echo "lint: package-level Set*Default setter (use dsm.Config / core.Config fields)"; exit 1; fi
+	@if grep -nE '^[[:space:]]*(const[[:space:]]+)?msg(Page|Diff)(Req|Rep)\b' internal/dsm/*.go; then \
+		echo "lint: page-at-a-time message type (pages and diffs travel in msgFetchReq/msgFetchRep only)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -59,15 +63,17 @@ hybrid-race:
 # lock/sema/cond interleavings, coordinator invariants, bounded chains,
 # the pressure trigger and — under GCMinRetire: 1, since test scale never
 # reaches the default threshold — the every-episode purge paths), the
-# zero-base first-touch pins, plus the lock/semaphore applications — QSORT
-# and Sweep3D at multiples of their test scale — with the collector forced
-# to low pressure, and every app on the every-episode schedule. The
+# validation wave through the fetch exchange (TestGCWave*: request
+# grouping, the one-round rebuild of a flushed copy, the in-flight window),
+# the zero-base first-touch pins, plus the lock/semaphore applications —
+# QSORT and Sweep3D at multiples of their test scale — with the collector
+# forced to low pressure, and every app on the every-episode schedule. The
 # consensus pushes, server-side purges, and fetch-lock exclusion all
 # exercise cross-goroutine edges, so this is where an ordering bug in the
 # collector fails first.
 gc-race:
 	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestZeroBase|TestHome' ./internal/dsm
-	$(GO) test -race -run 'TestAcquireGC|TestAblationGCPolicyGrid|TestEquivalenceCollectingEveryEpisode' ./internal/harness
+	$(GO) test -race -run 'TestAcquireGC|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode' ./internal/harness
 
 # >8-node smoke under the race detector: the wide-team (16/32-thread)
 # conformance scenario on every backend plus one real application at 16
@@ -83,15 +89,17 @@ scale-race:
 	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/3D-FFT/omp/p16|TestEquivalenceCollectingEveryEpisode/3D-FFT/omp/p16' ./internal/harness
 	$(GO) test -race -run 'TestTreeVsFlatConsensusEquivalence|TestTreeBarrierFloorPiggyback|TestScaleTreeBarrierCorrectness' ./internal/dsm
 
-# Span-fetch smoke under the race detector: the span ≡ page-at-a-time
+# Fetch-exchange smoke under the race detector: the span ≡ page-at-a-time
 # programs under the shadow-memory oracle, on the every-episode schedule
 # and the default one (reply payloads are installed as page copies and
 # applied as diffs WITHOUT copying, so the race detector is what certifies
 # the receiver really owns them), the two-clients-one-node overlap, the
-# int32 bulk accessors, the cost pins, and one paging application whose
-# transposes run on span rounds.
+# int32 bulk accessors, the cost pins of one-page and multi-page rounds
+# (TestOnePageFaultCosts, TestOnePageTwoWritersHitInboundFloor,
+# TestSpanCost*), the codec and its request cap, and one paging application
+# whose transposes run on span rounds.
 span-race:
-	$(GO) test -race -run 'TestSpan|TestOnePageFault|TestWireFetch|TestI32s|TestZeroBaseSpan' ./internal/dsm
+	$(GO) test -race -run 'TestSpan|TestOnePage|TestWireFetch|TestI32s|TestZeroBaseSpan' ./internal/dsm
 	$(GO) test -race -run 'TestFaultWaitLedger' ./internal/harness
 
 # Service-mode smoke under the race detector: a short mixed stream (NOW,
@@ -106,7 +114,7 @@ serve-race:
 	$(GO) test -race -short -run 'TestServe' ./internal/serve
 
 # Short coverage-guided fuzz pass over the wire decoders (trailer,
-# vector clock, frame envelope, and the span round's request and reply):
+# vector clock, frame envelope, and the fetch exchange's request and reply):
 # the seeds replay instantly, then a few seconds of mutation hunt for
 # panics that escape the wireError bound. The corpus-less smoke keeps ci
 # deterministic-ish and fast; run
@@ -132,6 +140,17 @@ bench:
 SCALE ?= full
 bench-scaling:
 	$(GO) run ./cmd/nowbench -scaling -scale $(SCALE)
+
+# Alternating parent/head benchmark pairs of the COMMITTED trees on all five
+# BENCHMARK.json workloads (~45 min at PAIRS=10), then the median
+# [q1, q3] tables: the before/after a PR checks in as results/BENCH_<n>.
+#   make bench-pairs PARENT=<ref> [PAIRS=10] [OUT=results/BENCH_<n>]
+PAIRS ?= 10
+OUT ?= results/BENCH_pairs
+bench-pairs:
+	@[ -n "$(PARENT)" ] || { echo "usage: make bench-pairs PARENT=<ref> [PAIRS=10] [OUT=results/BENCH_<n>]"; exit 2; }
+	results/pairs.sh $(PARENT) $(PAIRS) > $(OUT).jsonl
+	$(GO) run ./results/summarize $(OUT).jsonl | tee $(OUT).txt
 
 # Regenerate every paper artifact at full scale.
 tables:

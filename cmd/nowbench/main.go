@@ -18,11 +18,10 @@
 //	nowbench -ablation section3    Section 3 flush-vs-sema/condvar studies
 //	nowbench -ablation gc          the GC ablations: every-episode vs
 //	                               adaptive vs default-pressure vs off
-//	                               trigger counts, plus
-//	                               the acquire-epoch policy x trigger grid
-//	                               (flush / validate-hot / adaptive
-//	                               purges on a lock/semaphore kernel and
-//	                               on Water)
+//	                               trigger counts, plus the
+//	                               acquire-epoch trigger grid (episode
+//	                               vs acquire source on a lock/semaphore
+//	                               kernel and on Water)
 //	nowbench -ablation all         both of the above
 //	nowbench -sweep                speedup curves for P = 1,2,4,8
 //	nowbench -scaling              the >8-node scaling-wall study: OpenMP
@@ -41,21 +40,19 @@
 //	                               it with -jobs, -mix, -arrival, -seed,
 //	                               and -serve-width, and see the serve
 //	                               package for the mix grammar
-//	                               (App:impl:pN[:w=K][:gc=P][:policy=X]);
+//	                               (App:impl:pN[:w=K][:gc=P]);
 //	                               NOT part of -all
 //
 // Add -scale test for a fast run on reduced inputs, -procs N to change
 // the processor count of Figure 6 / Table 2, and -islands K to set the
 // SMP island count of the omp-hybrid columns (default 2; clamped to the
-// processor count). -gcpressure N and -gcpolicy P set the collection
-// threshold (of the barrier/fork episodes and the acquire epochs alike)
-// and the validate-vs-flush purge policy of every cell that does not
-// carry its own (harness.DefaultGC; see dsm.Config.GCPressure /
-// GCPolicy). Independent
-// experiment cells run concurrently on a weighted worker pool — SMP and
-// hybrid cells are cheaper than full-protocol NOW cells and pack several
-// to a worker slot — with output order unaffected; -workers N bounds the
-// pool, and -workers 1 reproduces the fully sequential harness.
+// processor count). -gcpressure N sets the collection threshold (of the
+// barrier/fork episodes and the acquire epochs alike) of every cell that
+// does not carry its own (harness.DefaultGC; see dsm.Config.GCPressure).
+// Independent experiment cells run concurrently on a weighted worker pool
+// — SMP and hybrid cells are cheaper than full-protocol NOW cells and pack
+// several to a worker slot — with output order unaffected; -workers N
+// bounds the pool, and -workers 1 reproduces the fully sequential harness.
 package main
 
 import (
@@ -63,7 +60,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/dsm"
 	"repro/internal/harness"
 	"repro/internal/serve"
 )
@@ -89,20 +85,17 @@ func main() {
 		scale    = flag.String("scale", "full", "workload scale: full or test")
 		workers  = flag.Int("workers", 0, "grid worker pool width (0 = one per CPU, 1 = sequential)")
 		gcPress  = flag.Int("gcpressure", 0, "default GC collection threshold, episodes and acquire epochs alike (0 = dsm default, negative disables acquire epochs)")
-		gcPolicy = flag.String("gcpolicy", "", "default GC purge policy: flush, validate-hot, or adaptive")
 
 		serveMode  = flag.Bool("serve", false, "service mode: run a multi-tenant job stream and print the latency report")
 		jobs       = flag.Int("jobs", 500, "service mode: number of jobs in the stream")
-		mix        = flag.String("mix", defaultMix, "service mode: job mix, comma-separated App:impl:pN[:w=K][:gc=P][:policy=X]")
+		mix        = flag.String("mix", defaultMix, "service mode: job mix, comma-separated App:impl:pN[:w=K][:gc=P]")
 		arrival    = flag.Float64("arrival", 40, "service mode: mean arrival rate in jobs per virtual second")
 		seed       = flag.Uint64("seed", 1, "service mode: arrival-stream seed")
 		serveWidth = flag.Int("serve-width", 2, "service mode: backend slots of the simulated service")
 	)
 	flag.Parse()
 
-	policy, err := dsm.ParseGCPolicy(*gcPolicy)
-	check(err)
-	harness.DefaultGC = harness.GCKnobs{Pressure: *gcPress, Policy: policy}
+	harness.DefaultGC = harness.GCKnobs{Pressure: *gcPress}
 
 	s := harness.Scale(*scale)
 	if s != harness.Full && s != harness.Test {

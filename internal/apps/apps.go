@@ -48,7 +48,7 @@ type Result struct {
 	// there (those whose floor crossed the pressure threshold; every one
 	// under dsm.Config.GCMinRetire: 1), acquire epochs announced by the lock-manager consensus
 	// (dsm.Config.GCPressure), and the per-page validate-vs-flush purge
-	// outcomes (dsm.Config.GCPolicy).
+	// outcomes.
 	GCEpisodes       int64
 	GCEpochs         int64
 	GCAcqEpochs      int64

@@ -28,7 +28,7 @@ type Params struct {
 	// Platform overrides the cost model.
 	Platform *sim.Platform
 	// DSM carries the protocol knobs of the DSM-backed implementations
-	// (DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin — see
+	// (DisableGC, GCMinRetire, GCPressure, BarrierFanin — see
 	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
 	// QSORT synchronizes through critical sections and a condition
 	// variable, so between region boundaries only the acquire source

@@ -408,12 +408,12 @@ func TestBackendConformance(t *testing.T) { runConformanceSuite(t, dsm.Config{})
 
 // TestBackendConformanceAcquireGC reruns the nine scenarios on all three
 // backends with the acquire-epoch collector forced on at very low
-// pressure and the validate-hot purge policy — collection epochs then
-// interleave with nearly every synchronization operation, and the
-// observable results must still be identical across backends (the
-// collector is invisible to the computation).
+// pressure — collection epochs then interleave with nearly every
+// synchronization operation, and the observable results must still be
+// identical across backends (the collector is invisible to the
+// computation).
 func TestBackendConformanceAcquireGC(t *testing.T) {
-	runConformanceSuite(t, dsm.Config{GCPressure: 2, GCPolicy: dsm.GCPolicyValidateHot})
+	runConformanceSuite(t, dsm.Config{GCPressure: 2})
 }
 
 // wideTeamScenario is a parameterized conformance kernel for team sizes

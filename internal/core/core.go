@@ -64,7 +64,7 @@ type Config struct {
 	Islands int
 
 	// DSM carries the protocol knobs of the NOW and hybrid backends by
-	// value — DisableGC, GCMinRetire, GCPressure, GCPolicy, BarrierFanin
+	// value — DisableGC, GCMinRetire, GCPressure, BarrierFanin
 	// (see dsm.Config) — and is ignored on hardware shared memory, which
 	// keeps no LRC metadata. The backend fills Procs, HeapBytes, Platform
 	// and MultiClient itself from the fields above.

@@ -30,9 +30,8 @@ import (
 // the last issued floor) crosses Config.GCPressure, the managers announce
 // an acquire epoch with floor F, piggybacked on the grant messages of
 // whatever synchronization the nodes perform next; each node, on its next
-// sync operation, purges its page copies up to F (per the validate-vs-
-// flush policy, Config.GCPolicy), truncates per-creator interval lists
-// behind ivlBase, and releases the diffs and twins of intervals retired by
+// sync operation, purges its page copies up to F (gcPurgePagesLocked),
+// truncates per-creator interval lists behind ivlBase, and releases the diffs and twins of intervals retired by
 // the PREVIOUS acquire epoch.
 //
 // Soundness is the same one-epoch-delayed free as the barrier collector,
@@ -68,65 +67,6 @@ import (
 // barriers and forks already collect promptly never pay for an extra
 // acquire round.
 const DefaultGCPressure = 256
-
-// GCPolicy selects how a node purges page copies that owe retired diffs at
-// a collection epoch (barrier, fork, or acquire source alike). A page's
-// home always validates it: its copy is the collector's authoritative one,
-// the base every post-flush refetch builds on (see home.go).
-type GCPolicy int
-
-const (
-	// GCPolicyDefault selects the default policy, flush.
-	GCPolicyDefault GCPolicy = iota
-	// GCPolicyFlush discards every stale copy outright; the next access
-	// refetches the whole page from its home's validated copy. This is
-	// the classic TreadMarks invalidate choice and the pre-policy
-	// behaviour.
-	GCPolicyFlush
-	// GCPolicyValidateHot fetches and applies the retired diffs of pages
-	// faulted since the last collection (hot pages — the ones the node
-	// will touch again), keeping their copies; cold pages are flushed.
-	GCPolicyValidateHot
-	// GCPolicyAdaptive validates hot pages only when their retired-notice
-	// chain is short (cheap to fetch as diffs); long chains and cold pages
-	// are flushed — a whole-page refetch is cheaper than a long diff walk.
-	GCPolicyAdaptive
-)
-
-// adaptiveValidateMaxChain is GCPolicyAdaptive's cutoff: a hot page owing
-// at most this many retired diffs is validated, a longer chain flushed.
-const adaptiveValidateMaxChain = 8
-
-// String returns the knob spelling accepted by ParseGCPolicy.
-func (p GCPolicy) String() string {
-	switch p {
-	case GCPolicyDefault:
-		return "default"
-	case GCPolicyFlush:
-		return "flush"
-	case GCPolicyValidateHot:
-		return "validate-hot"
-	case GCPolicyAdaptive:
-		return "adaptive"
-	}
-	return fmt.Sprintf("GCPolicy(%d)", int(p))
-}
-
-// ParseGCPolicy parses a policy knob ("", "default", "flush",
-// "validate-hot", "adaptive").
-func ParseGCPolicy(s string) (GCPolicy, error) {
-	switch s {
-	case "", "default":
-		return GCPolicyDefault, nil
-	case "flush":
-		return GCPolicyFlush, nil
-	case "validate-hot":
-		return GCPolicyValidateHot, nil
-	case "adaptive":
-		return GCPolicyAdaptive, nil
-	}
-	return GCPolicyDefault, fmt.Errorf("dsm: unknown GC policy %q", s)
-}
 
 // acqCoord is the acquire-epoch consensus state: the simulation stand-in
 // for bookkeeping the lock/semaphore/condvar managers share. Its mutex is
@@ -698,7 +638,7 @@ func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 
 // acqEpochLocked processes one announced acquire epoch on this node: free
 // what the PREVIOUS acquire epoch retired, purge page copies up to the new
-// floor per the policy, and advance the floor. Requires n.mu; the purge
+// floor, and advance the floor. Requires n.mu; the purge
 // may release and reacquire it around its diff-fetch wave. Returns false
 // if the floor was already covered (an island-mate claimed the epoch, or a
 // barrier episode superseded it).
@@ -747,9 +687,8 @@ func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) bool {
 	purge := func() { n.gcPurgePagesLocked(c, floor, floor, false) }
 	if serverSide {
 		// A node reached by a push is quiet — parked on a condition
-		// variable or deep in a compute phase — so its covered copies are
-		// cold: the policy question answers itself, and flushing needs no
-		// network.
+		// variable or deep in a compute phase — and gcCanFlushAllLocked
+		// held, so every covered copy flushes, which needs no network.
 		purge = func() { n.gcFlushCoveredLocked(floor) }
 	}
 	n.gcCollectLocked(&n.gcAcqFreeVC, floor, purge)

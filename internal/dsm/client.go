@@ -90,8 +90,8 @@ func (c *Client) Charge(d sim.Time) { c.clk.Advance(d) }
 // classic node this reads the shared reply channel directly; on a
 // multi-client node the reply router matches (type, key), where key is
 // the client's tag for tagged reply types and 0 for replies that are
-// unique per node by construction (page/diff replies under the island
-// engine lock, barrier departures, flush acks).
+// unique per node by construction (fetch replies under fetchMu, barrier
+// departures, flush acks).
 func (c *Client) recvReply(wantType int, key uint32) *network.Message {
 	n := c.n
 	var m *network.Message
@@ -155,9 +155,10 @@ func (n *Node) unwrapReplyBatch(m *network.Message) *network.Message {
 // reply channels and matches each message to the waiter it answers. Tagged
 // reply types (lock grants, semaphore grants and acks, condition-wait
 // acks) carry the requesting client's tag in a fixed payload position;
-// untagged types route by message type alone, which is unambiguous because
-// the operations that await them are serialized per island (see the
-// uniqueness argument in recvReply).
+// untagged types — msgFetchRep, the one reply that carries pages and diffs,
+// barrier departures, flush acks — route by message type alone, which is
+// unambiguous because the operations that await them are serialized per
+// island (see the uniqueness argument in recvReply).
 // ---------------------------------------------------------------------
 
 type routeKey struct {

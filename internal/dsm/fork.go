@@ -93,7 +93,7 @@ func (n *Node) slaveLoop() {
 		// protocol server, in wire order; the fork is this node's side of
 		// the master's fork GC epoch, with the master's clock as carried
 		// in the message as the floor. It runs here, on the application
-		// thread, so a validate-policy purge can fetch diffs without
+		// thread, so a validating purge can fetch diffs without
 		// blocking this node's protocol server.
 		if n.sys.gcOn {
 			// Clock prefix only: the clock is encoded self-contained

@@ -1,9 +1,6 @@
 package dsm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Garbage collection of lazy-release-consistency metadata.
 //
@@ -44,11 +41,14 @@ import (
 //     diff, keeping each authoritative copy current — which is why an
 //     episode that collects ships every page written since the last
 //     collection to its home, read or not, and why episodes collect under
-//     pressure only. Other nodes choose per page
-//     between FLUSHING the stale copy (refetch it whole from the home on
-//     next access) and validating it — the classic validate-vs-invalidate
-//     choice of TreadMarks GC, now a per-page policy (Config.GCPolicy)
-//     keyed on whether the page was faulted since the last collection.
+//     pressure only. Other nodes FLUSH the stale copy (refetch it whole
+//     from the home on next access) — the invalidate side of TreadMarks
+//     GC's validate-vs-invalidate choice — unless the copy holds content
+//     no notice could re-deliver (mustKeep in gcPurgePagesLocked), which
+//     validates like a home. Validation is one fetch exchange, the fault
+//     path's own (Client.fetch): the covered diffs from their creators —
+//     and, for a flushed copy, the home's whole page under them — grouped
+//     by source, installed by applyFaultLocked.
 //     A flush may only drop notices the home's copy already reflects —
 //     otherwise the later whole-page refetch is lossy. This episode source
 //     gets that guarantee deterministically by LAGGING the flush floor one
@@ -234,7 +234,6 @@ func (n *Node) gcCollectLocked(prev *VectorClock, floor VectorClock, purge func(
 	// the acquire coordinator hears of it): peers may flush pages homed
 	// here the moment our authoritative copies reflect the floor.
 	n.sys.purged.note(n.id, floor)
-	n.gcSeq++
 	n.pruneGCPagesLocked()
 }
 
@@ -261,7 +260,7 @@ func (n *Node) pruneGCPagesLocked() {
 // diffs and — for the node's own intervals — any twin still owed to it.
 // The floor must be globally purged: every node has already applied or
 // discarded all write notices under it, so nothing here can ever be
-// fetched again (handleDiffReq's retired-interval tripwire enforces
+// fetched again (serveDiffLocked's retired-interval tripwire enforces
 // this). Both epoch sources call it with their own delayed floor.
 func (n *Node) freeRetiredLocked(free VectorClock) {
 	if free == nil {
@@ -306,40 +305,32 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 	}
 }
 
-// gcShouldValidateLocked applies the per-page validate-vs-flush policy to
-// one page owing `covered` retired notices under the given floor. A
-// page's home always validates: its copy is the base every post-flush
-// refetch builds on — flushing it would lose the only authoritative copy.
-// A gated caller (the acquire source, which has no episode wave to order
-// purges) additionally allows a foreign flush only once the home has
-// purged the floor (the per-page registry gate, see home.go); until then
-// the home's copy does not yet reflect the notices a flush would drop, and
-// the policy is overridden to validate. The barrier/fork source runs
-// ungated: its lagged flush floor is covered by every home by construction.
-func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, covered int, gated bool) bool {
+// gcShouldValidateLocked decides validate-vs-flush for one page owing
+// retired notices under the given floor. A page's home always validates:
+// its copy is the base every post-flush refetch builds on — flushing it
+// would lose the only authoritative copy. A gated caller (the acquire
+// source, which has no episode wave to order purges) additionally allows a
+// foreign flush only once the home has purged the floor (the per-page
+// registry gate, see home.go); until then the home's copy does not yet
+// reflect the notices a flush would drop, and the page validates. The
+// barrier/fork source runs ungated: its lagged flush floor is covered by
+// every home by construction. Everything else flushes — the classic
+// TreadMarks invalidate choice. (Keeping recently faulted copies instead
+// was a knob until it lost on the benchmark's own traffic; see README
+// "Protocol-metadata garbage collection".)
+func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, gated bool) bool {
 	home := n.homeOf(pg.id)
-	if home == n.id {
-		return true
+	return home == n.id || gated && !n.sys.purged.covers(home, retire)
+}
+
+// owesCovered reports whether the page owes a notice under the floor.
+func owesCovered(pg *page, retire VectorClock) bool {
+	for _, m := range pg.missing {
+		if retire.covers(m.creator, m.seq) {
+			return true
+		}
 	}
-	if gated && !n.sys.purged.covers(home, retire) {
-		return true
-	}
-	if pg.data == nil {
-		return false // nothing to preserve: flushing is free
-	}
-	// Hot = faulted within the last two collections. The one-collection
-	// slack matters: a node that fell behind the announcement stream can
-	// process two epochs with no round of application faults in between,
-	// and the strict "since the last collection" reading would then flush
-	// every page it is about to re-read.
-	hot := pg.hotSeq >= 0 && n.gcSeq-pg.hotSeq <= 1
-	switch n.sys.gcPolicy {
-	case GCPolicyValidateHot:
-		return hot
-	case GCPolicyAdaptive:
-		return hot && covered <= adaptiveValidateMaxChain
-	}
-	return false // GCPolicyFlush
+	return false
 }
 
 // gcCanFlushAllLocked reports whether a flush-only purge to the given
@@ -352,17 +343,7 @@ func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, covered int,
 // validate) when it fails.
 func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 	for _, pg := range n.gcPages {
-		if len(pg.missing) == 0 {
-			continue
-		}
-		covered := false
-		for _, m := range pg.missing {
-			if retire.covers(m.creator, m.seq) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !owesCovered(pg, retire) {
 			continue
 		}
 		if pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) {
@@ -383,8 +364,8 @@ func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 
 // gcFlushPageLocked discards one page's copy together with its notices
 // under the flush floor, preserving newer notices — the flush half of
-// the validate-vs-flush choice, shared by the per-page policy purge and
-// the consensus-push purge. The flush floor may lag the retire floor (the
+// the validate-vs-flush choice, shared by the per-page purge and the
+// consensus-push purge. The flush floor may lag the retire floor (the
 // barrier source) or be nil on the first collecting
 // episode, in which case only the copy is discarded and every notice
 // survives. Requires n.mu.
@@ -434,17 +415,7 @@ func (n *Node) gcFlushPageLocked(pg *page, flushVC VectorClock) {
 // straddle the flush).
 func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
 	for _, pg := range n.gcPages {
-		if len(pg.missing) == 0 {
-			continue
-		}
-		covered := false
-		for _, m := range pg.missing {
-			if retire.covers(m.creator, m.seq) {
-				covered = true
-				break
-			}
-		}
-		if covered {
+		if owesCovered(pg, retire) {
 			n.gcFlushPageLocked(pg, retire)
 		}
 	}
@@ -452,35 +423,31 @@ func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
 
 // gcPurgePagesLocked is the purge step shared by both epoch sources:
 // every work-list page owing notices covered by the retire floor is
-// either validated (its covered diffs fetched and applied in one parallel
-// wave, exactly as a fault would) or flushed (copy discarded up to
-// flushVC, to be refetched whole from its home's validated copy on next
-// access), per gcShouldValidateLocked. Notices newer than the relevant
-// floor are preserved either way. The quiescent flag distinguishes the
-// barrier/fork source (episode waves order purges, so flushes run
-// ungated against the lagged flushVC) from the acquire source (flushVC
-// equals the retire floor and the homePurged registry gates each flush).
+// either validated (planned as a fault would plan it — its covered diffs,
+// over the home's whole page if the copy was flushed — and fetched with
+// every other validated page in one exchange) or flushed (copy discarded
+// up to flushVC, to be refetched whole from its home's validated copy on
+// next access), per mustKeep and gcShouldValidateLocked. Notices newer
+// than the relevant floor are preserved either way. The quiescent flag
+// distinguishes the barrier/fork source (episode waves order purges, so
+// flushes run ungated against the lagged flushVC) from the acquire source
+// (flushVC equals the retire floor and the homePurged registry gates each
+// flush).
 //
 // It requires n.mu and releases/reacquires it around the network section.
-// The whole purge holds fetchMu: page and diff replies route by message
-// type alone, so the wave must never interleave with a concurrent
-// application fault on a multi-client node — and holding fetchMu across
-// the classification also guarantees no local fault snapshot straddles
-// the purge. At quiescent episodes (barrier/fork) the exclusivity is
-// vacuous; at acquire epochs it is load-bearing.
+// The whole purge holds fetchMu: fetch replies route by message type
+// alone, so the wave must never interleave with a concurrent application
+// fault on a multi-client node — and holding fetchMu across the
+// classification also guarantees no local fault snapshot straddles the
+// purge. At quiescent episodes (barrier/fork) the exclusivity is vacuous;
+// at acquire epochs it is load-bearing.
 func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiescent bool) {
 	n.mu.Unlock()
 	n.fetchMu.Lock()
 	defer n.fetchMu.Unlock()
 	n.mu.Lock()
 
-	type pageWork struct {
-		pg    *page
-		fetch []*interval
-		home  int // ≥ 0: whole-page refetch from the home precedes the diffs
-	}
-	var work []pageWork
-	refetches := 0
+	var work []pagePlan
 	for _, pg := range n.gcPages {
 		if len(pg.missing) == 0 {
 			continue
@@ -508,7 +475,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
 		}
 		// A copy holding own writes above the floor must be kept (see
-		// page.lastOwnSeq): validate it regardless of policy.
+		// page.lastOwnSeq): validate it wherever it is homed.
 		mustKeep := pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) && pg.data != nil
 		// Lagged-floor safety: a flush rebuilds from the home, and the home
 		// is only guaranteed to reflect flushVC — which trails the retire
@@ -524,15 +491,15 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 				mustKeep = true
 			}
 		}
-		if mustKeep || n.gcShouldValidateLocked(pg, retire, len(covered), !quiescent) {
-			w := pageWork{pg: pg, fetch: covered, home: -1}
+		if mustKeep || n.gcShouldValidateLocked(pg, retire, !quiescent) {
+			pl := pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered}
 			if pg.data == nil {
 				if pg.refetch {
 					// An earlier flush dropped notices this node no longer
 					// holds; only the home's validated copy reflects them.
-					// Rebuild from a whole-page fetch, then apply the
-					// covered tail on top.
-					w.home = n.homeOf(pg.id)
+					// Rebuild from the home's whole page with the covered
+					// tail applied on top — one round brings both.
+					pl.source = n.homeOf(pg.id)
 				} else {
 					// Never materialized here: zeros plus the covered
 					// history applied in causal order is exactly the floor
@@ -540,10 +507,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 					n.zeroFillLocked(pg)
 				}
 			}
-			work = append(work, w)
-			if w.home >= 0 {
-				refetches++
-			}
+			work = append(work, pl)
 		} else {
 			n.gcFlushPageLocked(pg, flushVC)
 		}
@@ -552,97 +516,21 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 		return
 	}
 
+	// One fetch exchange, like a fault round's — but priced as it always
+	// was: the client's clock stops at the latest reply arrival ("the
+	// parallel validation sweep") and the inbound-link floor fetch returns
+	// is NOT applied. Flooring the wave is a model change, not a
+	// simplification (prototyped: locks8 speedup 2.50 → 1.51, scale64 2.29 →
+	// 1.16, paged8 3.92 → 3.82); it is the optimism per-port occupancy in
+	// the network model will price.
 	n.mu.Unlock() // --- network section: servers may run meanwhile ---
-
-	// Whole-page refetches first, as one parallel wave of their own: the
-	// reply queue routes by message type alone, so every page reply must
-	// drain before the first diff request goes out (cf. fetchPage).
-	if refetches > 0 {
-		// Coalesce the wave per home — one frame carries every
-		// refetch bound for the same home (each sub still earns its
-		// own msgPageRep reply, so the collection below is unchanged).
-		byHome := make(map[int]*frameBuilder)
-		var homes []int
-		for _, w := range work {
-			if w.home < 0 {
-				continue
-			}
-			f := byHome[w.home]
-			if f == nil {
-				f = n.newFrame()
-				byHome[w.home] = f
-				homes = append(homes, w.home)
-			}
-			var req wbuf
-			req.u32(uint32(w.pg.id))
-			f.add(msgPageReq, req.b)
-		}
-		sort.Ints(homes)
-		for _, h := range homes {
-			byHome[h].sendAt(h, c.clk.Now())
-		}
-		contents := make(map[PageID][]byte, refetches)
-		for i := 0; i < refetches; i++ {
-			rep := c.recvReply(msgPageRep, 0)
-			r := rbuf{b: rep.Payload}
-			contents[PageID(r.u32())] = r.view()
-		}
-		n.mu.Lock()
-		for _, w := range work {
-			if w.home < 0 {
-				continue
-			}
-			data, ok := contents[w.pg.id]
-			if !ok {
-				panic(fmt.Sprintf("dsm: GC refetch missing page %d", w.pg.id))
-			}
-			w.pg.data = data
-			w.pg.refetch = false
-			w.pg.appliedVC = nil // fresh home base (cf. applyFaultLocked)
-			n.stats.PageFetches++
-		}
-		n.mu.Unlock()
-	}
-
-	// Issue every batched diff request back to back, then collect all
-	// replies; virtual time advances to the latest arrival, modelling
-	// the parallel validation sweep.
-	n.mu.Lock()
-	requests := 0
-	// Coalesce the wave per creator — one frame carries one
-	// creator's per-page diff requests across ALL work pages. Each
-	// sub still earns its own msgDiffRep reply, so the reply count
-	// is the sub count, not the frame count.
-	byCreator := make(map[int]*frameBuilder)
-	var creators []int
-	for _, w := range work {
-		for _, req := range diffRequestPayloads(w.pg.id, w.fetch) {
-			f := byCreator[req.creator]
-			if f == nil {
-				f = n.newFrame()
-				byCreator[req.creator] = f
-				creators = append(creators, req.creator)
-			}
-			f.add(msgDiffReq, req.payload)
-			requests++
-		}
-	}
-	sort.Ints(creators)
-	for _, cr := range creators {
-		byCreator[cr].sendAt(cr, c.clk.Now())
-	}
-	n.mu.Unlock()
-
-	diffs := make(map[diffKey][]byte)
-	for i := 0; i < requests; i++ {
-		c.recvDiffReply(diffs)
-	}
+	diffs, _ := c.fetch(work)
 	n.mu.Lock() // --- end network section ---
 
-	for _, w := range work {
+	for i := range work {
 		// Exactly the validated notices go; notices newer than the floor
 		// (and any that arrived during the network section) stay.
-		c.applyDiffsLocked(w.pg, w.fetch, w.fetch, diffs)
+		c.applyFaultLocked(&work[i], diffs)
 		n.stats.GCPagesValidated++
 	}
 }

@@ -20,7 +20,9 @@ import (
 // name (zeroFillLocked, below): a first touch of an untouched page moves
 // no byte, and a first touch of a written page asks the writers. Only a
 // copy the collector flushed — whose dropped notices survive nowhere but
-// in the home's validated copy — goes back to the home, whole.
+// in the home's validated copy — goes back to the home, whole: the home is
+// then one more source of the fault round's (or validation wave's) single
+// fetch exchange, asked for the page beside the writers asked for diffs.
 //
 // The GC flush-safety invariant is a per-page rule: a node may FLUSH a
 // stale copy (dropping its covered write notices) only when the page's

@@ -37,48 +37,38 @@ func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 }
 
 // TestHomeDefaultConfigPin pins the workload's traffic under the default
-// configuration (block-cyclic homes, the compact wire format) for the
-// flush and validate-hot purge policies collecting at every episode, and
-// under the default trigger, which these six rounds never reach (so the
-// policy is moot and no page is shipped to a home or flushed). The message count is
-// program-ordered and must match on every run. The byte total is the value
-// the run produces whenever no protocol server raises a clock estimate
-// between an application thread's delta computation and its send — the
-// overwhelmingly common schedule, but a loaded host shifts it by a few
-// hundred bytes about one run in a hundred — so the pin accepts the exact
-// total on any of three attempts rather than a band around it.
+// configuration (block-cyclic homes, the compact wire format) collecting at
+// every episode, and under the default trigger, which these six rounds
+// never reach (so no page is shipped to a home or flushed). The message
+// count is program-ordered and must match on every run. The byte total is
+// the value the run produces whenever no protocol server raises a clock
+// estimate between an application thread's delta computation and its send
+// — the overwhelmingly common schedule, but a loaded host shifts it UP by
+// a few hundred bytes about one run in a hundred, and the race detector,
+// which slows a fault's host-side bookkeeping, about one run in three (a
+// record that rides a departure early is sent back with the next arrival)
+// — so the pin accepts the exact total on any of five attempts rather than
+// a band around it.
 func TestHomeDefaultConfigPin(t *testing.T) {
 	for _, tt := range []struct {
-		policy    GCPolicy
 		minRetire int
 		msgs      int64
 		bytes     int64
 	}{
-		{GCPolicyFlush, 1, 861, 1245349},
-		{GCPolicyValidateHot, 1, 861, 647353},
-		{GCPolicyFlush, 0, 861, 248689},
+		{1, 861, 1244005},
+		{0, 861, 243425},
 	} {
 		var msgs, bytes int64
-		for attempt := 0; attempt < 3 && bytes != tt.bytes; attempt++ {
-			msgs, bytes = homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: tt.policy, GCMinRetire: tt.minRetire})
+		for attempt := 0; attempt < 5 && bytes != tt.bytes; attempt++ {
+			msgs, bytes = homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCMinRetire: tt.minRetire})
 			if msgs != tt.msgs {
 				break
 			}
 		}
 		if msgs != tt.msgs || bytes != tt.bytes {
-			t.Errorf("policy %v, GCMinRetire %d: msgs=%d bytes=%d, want msgs=%d bytes=%d (default-configuration wire traffic drifted)",
-				tt.policy, tt.minRetire, msgs, bytes, tt.msgs, tt.bytes)
+			t.Errorf("GCMinRetire %d: msgs=%d bytes=%d, want msgs=%d bytes=%d (default-configuration wire traffic drifted)",
+				tt.minRetire, msgs, bytes, tt.msgs, tt.bytes)
 		}
-	}
-}
-
-// TestHomePoliciesAgree runs the pin workload under every GC purge policy
-// and checks the program-visible outcome is identical (the workload
-// asserts every read internally); traffic may differ — validation moves
-// diffs where a flush refetches whole pages — but correctness may not.
-func TestHomePoliciesAgree(t *testing.T) {
-	for _, pol := range []GCPolicy{GCPolicyFlush, GCPolicyValidateHot, GCPolicyAdaptive} {
-		homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCPolicy: pol, GCMinRetire: 1})
 	}
 }
 

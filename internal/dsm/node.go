@@ -40,18 +40,18 @@ type Node struct {
 	gcFreeVC    VectorClock   // floor of the last barrier/fork epoch; freed at the next one
 	gcAcqFreeVC VectorClock   // floor of the last acquire epoch; freed at the next one (acqgc.go)
 	gcPurgeVC   VectorClock   // merged floor of every collection this node has completed
-	gcSeq       int64         // collections completed; pages stamp it on faults (hot tracking)
 	dirty       []*page       // pages twinned in the open interval
 	gcPages     []*page       // pages that may hold missing notices or twins (GC work list)
 	pages       []*page       // [PageID]; entries materialize lazily
 	knownVC     []VectorClock // sound lower bound of what each node has seen
 
 	// fetchMu serializes the node's application-side fetch sequences (the
-	// fault path and GC validation waves): page and diff replies route by
-	// message type alone, so on a multi-client node two concurrent waves
-	// would steal each other's replies — and a fault snapshot must never
-	// straddle a GC purge. Always acquired WITHOUT mu held (n.mu may be
-	// taken and released while fetchMu is held, never the reverse).
+	// fault path and GC validation waves, both through Client.fetch): its
+	// replies route by message type alone, so on a multi-client node two
+	// concurrent exchanges would steal each other's replies — and a fault
+	// snapshot must never straddle a GC purge. Always acquired WITHOUT mu
+	// held (n.mu may be taken and released while fetchMu is held, never the
+	// reverse).
 	fetchMu sync.Mutex
 
 	locks map[int]*lockState
@@ -192,7 +192,7 @@ func (n *Node) pageFor(pid PageID) *page {
 	}
 	pg := n.pages[pid]
 	if pg == nil {
-		pg = &page{id: pid, hotSeq: -1, lastOwnSeq: -1}
+		pg = &page{id: pid, lastOwnSeq: -1}
 		if n.isHome(pid) {
 			// The page's home is its allocator and initial owner: its copy
 			// exists from the start, matching Tmk_malloc, and never faults
@@ -475,61 +475,10 @@ func (c *Client) ensureWritableLocked(pg *page) {
 	}
 }
 
-// diffRequest is one batched msgDiffReq payload bound for one interval
-// creator.
-type diffRequest struct {
-	creator int
-	payload []byte
-}
-
-// diffRequestPayloads builds the per-creator msgDiffReq payloads for the
-// given missing intervals of page pid, in ascending creator order. It
-// reads only immutable interval identity, so it may run with or without
-// n.mu held. The fault path sends each payload as its own datagram
-// (fetchPage); the GC purge wave coalesces one creator's payloads
-// across ALL its work pages into a single frame (gcPurgePagesLocked).
-func diffRequestPayloads(pid PageID, fetch []*interval) []diffRequest {
-	byCreator := make(map[int][]*interval)
-	var creators []int
-	for _, ivl := range fetch {
-		if _, ok := byCreator[ivl.creator]; !ok {
-			creators = append(creators, ivl.creator)
-		}
-		byCreator[ivl.creator] = append(byCreator[ivl.creator], ivl)
-	}
-	sort.Ints(creators)
-	out := make([]diffRequest, 0, len(creators))
-	for _, cr := range creators {
-		var w wbuf
-		w.u32(uint32(pid))
-		ivls := byCreator[cr]
-		w.u32(uint32(len(ivls)))
-		for _, ivl := range ivls {
-			w.u32(uint32(ivl.seq))
-		}
-		out = append(out, diffRequest{creator: cr, payload: w.b})
-	}
-	return out
-}
-
 // diffKey names one fetched diff: page, interval creator, interval seq.
 type diffKey struct {
 	pid          PageID
 	creator, seq int
-}
-
-// recvDiffReply blocks for one msgDiffRep, files its diffs (views into the
-// reply) under the creator that served them, and returns the page it
-// answers for. Must be called WITHOUT holding n.mu.
-func (c *Client) recvDiffReply(into map[diffKey][]byte) PageID {
-	rep := c.recvReply(msgDiffRep, 0)
-	r := rbuf{b: rep.Payload}
-	pid := PageID(r.u32())
-	for cnt := r.u32(); cnt > 0; cnt-- {
-		seq := int(r.u32())
-		into[diffKey{pid, rep.From, seq}] = r.view()
-	}
-	return pid
 }
 
 // sortCausal orders intervals by a linearization of the happens-before
@@ -564,7 +513,6 @@ type pagePlan struct {
 // ok is false when the page needs no fetch (resolved while the caller
 // waited for the fetch lock, or a never-written page filled with zeros).
 func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
-	pg.hotSeq = n.gcSeq // faulted since the last collection: hot
 	if readableLocked(pg) {
 		return pl, false
 	}
@@ -691,13 +639,13 @@ func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs ma
 
 // faultRoundLocked performs one round of the page-fault protocol over the
 // given pages — one page for an ordinary fault, every stale page of a
-// multi-page access for a span fetch (fetchSpanLocked): start a page
-// never held here from zeros (or refetch a collector-flushed copy from its
-// home), fetch all missing diffs from their creators in parallel, and
-// apply them in a topological order of the happens-before relation. n.mu
-// is released while requests are in flight; the loop in ensure*Locked
-// re-checks state afterwards because new write notices may have arrived
-// meanwhile — a round never has to be complete for an access to be correct.
+// multi-page access (fetchSpanLocked): start a page never held here from
+// zeros (or refetch a collector-flushed copy from its home), fetch all
+// missing diffs from their creators in parallel, and apply them in a
+// topological order of the happens-before relation. n.mu is released while
+// requests are in flight; the loop in ensure*Locked re-checks state
+// afterwards because new write notices may have arrived meanwhile — a
+// round never has to be complete for an access to be correct.
 //
 // The whole round holds fetchMu (acquired with n.mu dropped, then the
 // state re-examined): it keeps a multi-client node's concurrent fetch
@@ -720,13 +668,15 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 		}
 	}
 	if len(plans) > 0 {
-		diffs := make(map[diffKey][]byte)
 		n.mu.Unlock() // --- network section: server may run meanwhile ---
-		if len(plans) == 1 {
-			c.fetchPage(&plans[0], diffs)
-		} else {
-			c.fetchSpan(plans, diffs)
-		}
+		diffs, floor := c.fetch(plans)
+		// Sources work in parallel, but their replies share this node's
+		// inbound link: every round, of one page or many, completes no
+		// earlier than that link needs to deliver every reply byte back to
+		// back. (Without the floor seven sources' overlapping replies would
+		// be credited with seven times the link's bandwidth; per-port
+		// occupancy in the network model would replace it.)
+		c.clk.AdvanceTo(floor)
 		n.mu.Lock() // --- end network section ---
 		for i := range plans {
 			c.applyFaultLocked(&plans[i], diffs)
@@ -737,47 +687,26 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 	n.stats.FaultWait += c.clk.Now() - entered
 }
 
-// fetchPage is the network section of a one-page round: the whole page
-// from its source, then one batched msgDiffReq per creator, collected in
-// parallel (virtual time advances to the latest arrival, modelling
-// TreadMarks' parallel diff fetch). The diff requests must follow the
-// page fetch: the reply queue is shared, and recvReply asserts each
-// reply's type.
-func (c *Client) fetchPage(pl *pagePlan, diffs map[diffKey][]byte) {
-	pid := pl.pg.id
-	if pl.source >= 0 {
-		var w wbuf
-		w.u32(uint32(pid))
-		c.n.ep.SendAt(pl.source, msgPageReq, network.ClassRequest, w.b, c.clk.Now())
-		rep := c.recvReply(msgPageRep, 0)
-		r := rbuf{b: rep.Payload}
-		if PageID(r.u32()) != pid {
-			panic("dsm: page reply for wrong page")
-		}
-		pl.content = r.view()
-	}
-	reqs := diffRequestPayloads(pid, pl.fetch)
-	for _, req := range reqs {
-		c.n.ep.SendAt(req.creator, msgDiffReq, network.ClassRequest, req.payload, c.clk.Now())
-	}
-	for range reqs {
-		if c.recvDiffReply(diffs) != pid {
-			panic("dsm: diff reply for wrong page")
-		}
-	}
-}
+// fetchWindow bounds the requests one fetch keeps in flight. A fault
+// round's count is bounded by its access; a collector wave's is not, and a
+// requester that queued every request before reading a reply could fill a
+// source's inbox while that source's replies fill its own. Virtual time
+// cannot see the window: every request carries the round's start stamp and
+// the source acts at its arrival.
+const fetchWindow = 256
 
-// fetchSpan is the network section of a round of two or more pages: the
-// wanted whole pages and diffs are grouped by the node that serves them
-// and travel as one msgFetchReq/msgFetchRep pair per source, at most
-// HomeBlockPages items a request so a reply (≤ 33 KB) fits one UDP
-// datagram. Sources work in parallel, but their replies share the
-// requester's inbound link: the round completes no earlier than that link
-// needs to deliver every reply byte back to back. (Without this floor
-// seven sources' overlapping replies would be credited with seven times
-// the link's bandwidth; per-port occupancy in the network model would
-// replace it.)
-func (c *Client) fetchSpan(plans []pagePlan, diffs map[diffKey][]byte) {
+// fetch is the one exchange that moves pages and diffs — the network
+// section of every fault round and of the collector's validation wave
+// (gcPurgePagesLocked). The wanted whole pages and diffs are grouped by
+// the node that serves them and travel as msgFetchReq/msgFetchRep pairs,
+// at most HomeBlockPages items a request so a reply (≤ 33 KB) fits one UDP
+// datagram. Every request leaves at the round's start; the client's clock
+// follows the replies to the latest arrival. Whole pages are filed into
+// their plans and diffs returned by key, with the inbound-link floor: when
+// this node's link, delivering every reply byte back to back, would be
+// done. Pricing the round is the caller's business. Must be called WITHOUT
+// n.mu, holding fetchMu.
+func (c *Client) fetch(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time) {
 	n := c.n
 	type request struct {
 		to    int
@@ -806,14 +735,21 @@ func (c *Client) fetchSpan(plans []pagePlan, diffs map[diffKey][]byte) {
 		}
 	}
 	start := c.clk.Now()
-	for _, rq := range reqs {
+	send := func(rq *request) {
 		var w wbuf
 		encodeFetch(&w, rq.items, false)
 		n.ep.SendAt(rq.to, msgFetchReq, network.ClassRequest, w.b, start)
 	}
+	for _, rq := range reqs[:min(len(reqs), fetchWindow)] {
+		send(rq)
+	}
+	diffs = make(map[diffKey][]byte)
 	inbound := 0
-	for range reqs {
+	for i := range reqs {
 		rep := c.recvReply(msgFetchRep, 0)
+		if next := i + fetchWindow; next < len(reqs) {
+			send(reqs[next]) // one reply in, one request out
+		}
 		inbound += len(rep.Payload)
 		r := rbuf{b: rep.Payload}
 		for _, it := range decodeFetch(&r, true) {
@@ -829,14 +765,14 @@ func (c *Client) fetchSpan(plans []pagePlan, diffs map[diffKey][]byte) {
 		}
 	}
 	udp := n.sys.plat.UDP
-	c.clk.AdvanceTo(start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS))
+	return diffs, start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS)
 }
 
-// fetchSpanLocked is the span fetch: before a multi-page access walks its
-// pages, every page of [a, a+size) without a current copy is resolved in
-// ONE fault round — provided there are at least two, so a one-page fault
-// keeps its classic request sequence. faults is the access's fault counter
-// (read or write), bumped once per page as the per-page loop would have.
+// fetchSpanLocked resolves, before a multi-page access walks its pages,
+// every page of [a, a+size) without a current copy in ONE fault round; the
+// per-page ensure*Locked loop then settles whatever arrived meanwhile.
+// faults is the access's fault counter (read or write), bumped once per
+// page as the per-page loop would have.
 func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
 	first, last := int(a)/PageSize, (int(a)+size-1)/PageSize
 	if first >= last {
@@ -848,7 +784,7 @@ func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
 			stale = append(stale, pg)
 		}
 	}
-	if len(stale) >= 2 {
+	if len(stale) > 0 {
 		*faults += int64(len(stale))
 		c.faultRoundLocked(stale)
 	}

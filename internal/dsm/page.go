@@ -80,13 +80,6 @@ type page struct {
 	// inDirty notes membership in the node's open-interval dirty list.
 	inDirty bool
 
-	// hotSeq is the node's collection sequence number (Node.gcSeq) at the
-	// page's last fault. A page whose hotSeq is within one collection of
-	// the current gcSeq is "hot" — recently faulted, likely to be touched
-	// again — which is what the validate-vs-flush policy keys on (see
-	// gcShouldValidateLocked). -1 until first faulted.
-	hotSeq int64
-
 	// lastOwnSeq is the sequence number of the owning node's latest
 	// closed interval that wrote this page, -1 if it never wrote it. A GC
 	// purge may flush the copy only when the retire floor covers it: the
@@ -106,7 +99,7 @@ type page struct {
 	// dropped covered notices this node no longer holds, so the page can
 	// only be rebuilt from a whole-page fetch of the home's validated
 	// copy — never from a zeros base. Set by gcFlushPageLocked, cleared
-	// when a whole-page fetch lands (fault or GC refetch wave).
+	// when a whole-page fetch lands (applyFaultLocked).
 	refetch bool
 }
 

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -44,7 +43,7 @@ func (n *Node) dispatch(m *network.Message) {
 		// in the FIFO may carry a delta that assumes the fork's
 		// intervals have already been seen. The fork GC epoch itself
 		// runs on the APPLICATION thread (slaveLoop) before the
-		// region body: a validate-policy purge fetches diffs over
+		// region body: a validating purge fetches diffs over
 		// the network, and a server blocked on replies while its
 		// peers' servers do the same would deadlock the protocol.
 		r := rbuf{b: m.Payload}
@@ -60,10 +59,6 @@ func (n *Node) dispatch(m *network.Message) {
 		r := rbuf{b: m.Payload}
 		n.incorporateWire(&r, m.From)
 		n.barrier.arrivals <- m // consumed by the manager's thread
-	case msgPageReq:
-		n.handlePageReq(m)
-	case msgDiffReq:
-		n.handleDiffReq(m)
 	case msgFetchReq:
 		n.handleFetchReq(m)
 	case msgAcqReq:
@@ -190,55 +185,12 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 	return ivl.diffs[pid], n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
 }
 
-// handlePageReq serves a whole page: a post-flush refetch from the page's
-// home, or a squashed fetch from an interval creator.
-func (n *Node) handlePageReq(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	pid := PageID(r.u32())
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	var w wbuf
-	w.u32(uint32(pid))
-	w.bytes(n.servePageLocked(pid))
-	at := m.Arrive + n.sys.plat.RequestService + n.sys.plat.PageCopy
-	n.ep.SendAt(m.From, msgPageRep, network.ClassReply, w.b, at)
-}
-
-// handleDiffReq serves a batched diff request for one page from this node
-// (the creator of the requested intervals), encoding any diff that is
-// still pending against the page's twin.
-func (n *Node) handleDiffReq(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	pid := PageID(r.u32())
-	cnt := r.needCount(int(r.u32()), 4)
-	seqs := make([]int, cnt)
-	for i := range seqs {
-		seqs[i] = int(r.u32())
-	}
-	sort.Ints(seqs)
-
-	service := n.sys.plat.RequestService
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	var w wbuf
-	w.u32(uint32(pid))
-	w.u32(uint32(cnt))
-	for _, seq := range seqs {
-		d, cost := n.serveDiffLocked(pid, seq)
-		service += cost
-		w.u32(uint32(seq))
-		w.bytes(d)
-	}
-	n.ep.SendAt(m.From, msgDiffRep, network.ClassReply, w.b, m.Arrive+service)
-}
-
-// handleFetchReq serves one source's share of a span round (see
-// faultRoundLocked): every whole page and diff the requester wants from
-// this node, for one interrupt and one reply. The contents are gathered
-// first so the reply buffer is sized once; pg.data and stored diffs are
-// copied into it under n.mu like every other served payload.
+// handleFetchReq is the page and diff server: it answers one request of a
+// fetch exchange (Client.fetch — a fault round's or a collector wave's)
+// with every whole page and diff the requester wants from this node, for
+// one interrupt and one reply. The contents are gathered first so the
+// reply buffer is sized once; pg.data and stored diffs are copied into it
+// under n.mu like every other served payload.
 func (n *Node) handleFetchReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	items := decodeFetch(&r, false)

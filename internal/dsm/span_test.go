@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,17 +15,30 @@ import (
 // codec's own encodings — exact, to the nanosecond.
 // ---------------------------------------------------------------------
 
-// fetchWireLen returns the payload sizes of a span round's request and
-// reply for the given whole pages.
+// fetchItemsWireLen returns the payload sizes of the request and the reply
+// that carry the given items (data sized as the reply's contents).
+func fetchItemsWireLen(items ...fetchItem) (req, rep int) {
+	var q, p wbuf
+	encodeFetch(&q, items, false)
+	encodeFetch(&p, items, true)
+	return len(q.b), len(p.b)
+}
+
+// fetchWireLen is fetchItemsWireLen for whole pages.
 func fetchWireLen(pids ...PageID) (req, rep int) {
 	items := make([]fetchItem, len(pids))
 	for i, pid := range pids {
 		items[i] = fetchItem{pid: pid, seq: -1, data: make([]byte, PageSize)}
 	}
-	var q, p wbuf
-	encodeFetch(&q, items, false)
-	encodeFetch(&p, items, true)
-	return len(q.b), len(p.b)
+	return fetchItemsWireLen(items...)
+}
+
+// pageExchange is what one request for the given whole pages costs from
+// its send to its reply's arrival: both messages on the wire and one
+// service that copies every page.
+func pageExchange(plat *sim.Platform, pids ...PageID) sim.Time {
+	req, rep := fetchWireLen(pids...)
+	return plat.UDP.Latency(req) + plat.RequestService + sim.Time(len(pids))*plat.PageCopy + plat.UDP.Latency(rep)
 }
 
 // timedSpanRead times a single cold ReadBytes of `pages` pages from
@@ -98,11 +112,6 @@ func TestSpanCostOneHome(t *testing.T) {
 			t.Errorf("message type %d sent %d times, want 1", typ, m)
 		}
 	}
-	for _, typ := range []int{msgPageReq, msgPageRep, msgDiffReq, msgDiffRep} {
-		if m, _ := st.ByType(typ); m != 0 {
-			t.Errorf("one-page message type %d sent %d times in a span round", typ, m)
-		}
-	}
 	if rep > 33<<10 {
 		t.Errorf("an %d-item reply is %d bytes: past the 33 KB one-datagram budget", HomeBlockPages, rep)
 	}
@@ -116,7 +125,7 @@ func TestSpanCostOneHome(t *testing.T) {
 // nodes is served in parallel, but both replies share the requester's inbound
 // link. The round must cost what that link needs to deliver every reply
 // byte — not the single-source time two overlapping replies would give.
-// Removing the floor in fetchSpan fails this test.
+// Removing the floor in faultRoundLocked fails this test.
 func TestSpanCostTwoHomesHitsInboundFloor(t *testing.T) {
 	took, sys := timedSpanRead(t, 3, 2*HomeBlockPages)
 	plat := sys.Platform()
@@ -137,18 +146,27 @@ func TestSpanCostTwoHomesHitsInboundFloor(t *testing.T) {
 	}
 }
 
-// TestOnePageFaultCostsUnchanged pins the three one-page fault costs —
-// cold page (one the master wrote before the fork: a page nobody wrote
-// costs no message, see TestZeroBaseFirstTouch), one-word diff, full-page
-// diff — to the classic request sequence (msgPageReq, then msgDiffReq): a
-// round of one page must not move by a nanosecond when the span fetch
-// lands around it. The scenario is harness.Micro's; GC is off so no
-// barrier can turn the diff fetch into a flush and refetch.
-func TestOnePageFaultCostsUnchanged(t *testing.T) {
-	for _, full := range []bool{false, true} {
+// TestOnePageFaultCosts pins the three one-page fault costs — cold page
+// (one the master wrote before the fork: a page nobody wrote costs no
+// message, see TestZeroBaseFirstTouch), one-word diff, full-page diff —
+// computed from the encoded request and reply and, on the default platform,
+// as absolute nanoseconds: one source, so the inbound-link floor lies below
+// the reply's own arrival and the round costs the exchange alone. The
+// scenario is harness.Micro's; GC is off so no barrier can turn the diff
+// fetch into a flush and refetch.
+func TestOnePageFaultCosts(t *testing.T) {
+	for _, tt := range []struct {
+		full            bool
+		coldNS, fetchNS sim.Time
+	}{
+		{false, 565540, 284460},
+		{true, 565540, 693660},
+	} {
 		sys := New(Config{Procs: 2, DisableGC: true})
 		a := sys.MallocPage(PageSize)
+		pid := PageID(int(a) / PageSize)
 		var cold, fetch sim.Time
+		var diffSeq int
 		sys.Register("one", func(n *Node, _ []byte) {
 			if n.ID() == 1 {
 				t0 := n.Now()
@@ -157,7 +175,7 @@ func TestOnePageFaultCostsUnchanged(t *testing.T) {
 			}
 			n.Barrier()
 			if n.ID() == 0 {
-				if full {
+				if tt.full {
 					buf := make([]byte, PageSize)
 					for i := range buf {
 						buf[i] = byte(i)
@@ -169,6 +187,9 @@ func TestOnePageFaultCostsUnchanged(t *testing.T) {
 			}
 			n.Barrier()
 			if n.ID() == 1 {
+				n.mu.Lock()
+				diffSeq = n.pageFor(pid).missing[0].seq
+				n.mu.Unlock()
 				t0 := n.Now()
 				n.ReadI64(a)
 				fetch = n.Now() - t0
@@ -181,34 +202,105 @@ func TestOnePageFaultCostsUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		plat := sys.Platform()
-		wantCold := plat.FaultOverhead + plat.UDP.Latency(4) + plat.RequestService + plat.PageCopy +
-			plat.UDP.Latency(4+4+PageSize)
-		if cold != wantCold {
-			t.Errorf("cold page fault took %d ns, want %d", cold, wantCold)
+		wantCold := plat.FaultOverhead + pageExchange(plat, pid)
+		if cold != wantCold || cold != tt.coldNS {
+			t.Errorf("cold page fault took %d ns, want %d (pinned %d)", cold, wantCold, tt.coldNS)
 		}
 		// One run of modified words: 4 bytes of the int64 99 (its high
 		// word stays zero), or the whole page.
 		run := 4
-		if full {
+		if tt.full {
 			run = PageSize
 		}
-		diff := 8 + run
-		wantFetch := plat.FaultOverhead + plat.UDP.Latency(12) + plat.RequestService +
+		req, rep := fetchItemsWireLen(fetchItem{pid: pid, seq: diffSeq, data: make([]byte, 8+run)})
+		wantFetch := plat.FaultOverhead + plat.UDP.Latency(req) + plat.RequestService +
 			plat.DiffCreate + sim.Time(float64(PageSize)*plat.DiffPerByte) +
-			plat.UDP.Latency(16+diff) +
+			plat.UDP.Latency(rep) +
 			plat.DiffApply + sim.Time(float64(run)*plat.DiffApplyPerByte)
-		if fetch != wantFetch {
-			t.Errorf("full=%v: diff fetch took %d ns, want %d", full, fetch, wantFetch)
+		if fetch != wantFetch || fetch != tt.fetchNS {
+			t.Errorf("full=%v: diff fetch took %d ns, want %d (pinned %d)", tt.full, fetch, wantFetch, tt.fetchNS)
 		}
-		if m, _ := sys.Switch().Stats().ByType(msgFetchReq); m != 0 {
-			t.Errorf("full=%v: a one-page fault sent %d span requests", full, m)
+		// Each of the two faults asked its one source once.
+		if _, _, served := pageTraffic(t, sys, 1); served[0] != 2 {
+			t.Errorf("full=%v: node 0 served %d fetch requests, want one per fault", tt.full, served[0])
 		}
+	}
+}
+
+// TestOnePageTwoWritersHitInboundFloor: a one-page fault that asks two
+// writers pays what a span always paid. Two nodes concurrently rewrite one
+// half each of a page a third has never held; its fault fetches both
+// half-page diffs in parallel, and completes when its inbound link has
+// delivered both replies back to back — later than either reply's own
+// arrival. Skipping the floor for one-page rounds fails this test.
+func TestOnePageTwoWritersHitInboundFloor(t *testing.T) {
+	sys := New(Config{Procs: 4})
+	a := sys.MallocPage(PageSize) // homed at node 0, which stays out of it
+	pid := PageID(int(a) / PageSize)
+	const half = PageSize / 2
+	var took sim.Time
+	var seqs [2]int
+	sys.Register("halves", func(n *Node, _ []byte) {
+		me := n.ID()
+		if me == 1 || me == 2 {
+			buf := make([]byte, half)
+			for i := range buf {
+				buf[i] = byte(me + i%100)
+			}
+			n.WriteBytes(a+Addr((me-1)*half), buf)
+		}
+		n.Barrier()
+		if me != 3 {
+			return
+		}
+		n.mu.Lock()
+		for _, m := range n.pageFor(pid).missing {
+			seqs[m.creator-1] = m.seq
+		}
+		n.mu.Unlock()
+		t0 := n.Now()
+		var b [1]byte
+		n.ReadBytes(a, b[:]) // a one-page access: an ordinary fault, no span
+		took = n.Now() - t0
+		for w := 1; w <= 2; w++ {
+			n.ReadBytes(a+Addr((w-1)*half+7), b[:])
+			if b[0] != byte(w+7) {
+				t.Errorf("reader saw %d in writer %d's half, want %d", b[0], w, w+7)
+			}
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("halves", nil) }); err != nil {
+		t.Fatal(err)
+	}
+	plat := sys.Platform()
+	diff := make([]byte, 8+half)
+	req, rep := fetchItemsWireLen(fetchItem{pid: pid, seq: seqs[0], data: diff})
+	if q, p := fetchItemsWireLen(fetchItem{pid: pid, seq: seqs[1], data: diff}); q != req || p != rep {
+		t.Fatalf("test premise: the two writers' exchanges differ in size (%d/%d vs %d/%d)", req, rep, q, p)
+	}
+	apply := 2 * (plat.DiffApply + sim.Time(float64(half)*plat.DiffApplyPerByte))
+	// Each writer's diff is already encoded: the other's notice invalidated
+	// its copy at the barrier.
+	arrival := plat.UDP.Latency(req) + plat.RequestService + plat.UDP.Latency(rep)
+	floor := 2*plat.UDP.OneWay + sim.Time(float64(2*rep)*plat.UDP.PerByteNS)
+	if floor <= arrival {
+		t.Fatalf("test premise: floor %d ns must exceed a reply's arrival %d ns", floor, arrival)
+	}
+	if want := plat.FaultOverhead + floor + apply; took != want {
+		t.Errorf("one-page fault over two writers took %d ns, want the inbound-link floor %d (latest arrival would give %d)",
+			took, want, plat.FaultOverhead+arrival+apply)
+	}
+	if st := sys.Node(3).Stats(); st.FaultRounds != 1 || st.FaultPages != 1 {
+		t.Errorf("reader took %d rounds for %d pages, want 1 / 1", st.FaultRounds, st.FaultPages)
+	}
+	if p, d, served := pageTraffic(t, sys, 3); p != 0 || d != 2 || !slices.Equal(served, []int64{0, 1, 1, 0}) {
+		t.Errorf("reader fetched %d whole pages and applied %d diffs, requests served per node %v; want 0, 2, [0 1 1 0]", p, d, served)
 	}
 }
 
 // TestSpanTrafficAttribution: on a run that does nothing but a fork, a
 // 16-page cold span read and a join, the page category of the traffic
-// breakdown is exactly the span round's request and reply — the two new
+// breakdown is exactly the round's request and reply — the two page-service
 // message types must not fall into the synchronization residue — and the
 // synchronization category is exactly fork, join and shutdown.
 func TestSpanTrafficAttribution(t *testing.T) {
@@ -416,8 +508,7 @@ func TestSpanEquivalentToPageAtATime(t *testing.T) {
 		{Config{Procs: 3}, 1},
 		{Config{Procs: 3}, 2},
 		{Config{Procs: 4}, 3},
-		// Validation waves at every barrier beside the span rounds.
-		{Config{Procs: 4, GCPolicy: GCPolicyValidateHot}, 4},
+		{Config{Procs: 4}, 4},
 	} {
 		t.Run(fmt.Sprintf("p%d/seed%d", tt.cfg.Procs, tt.seed), func(t *testing.T) {
 			pages := tt.cfg.Procs * HomeBlockPages

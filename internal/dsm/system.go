@@ -23,10 +23,6 @@ const (
 	msgCondWaitAck              // manager → app: wait registered (see CondWait)
 	msgCondSignal               // app → lock manager: wake one waiter
 	msgCondBroadcast            // app → lock manager: wake all waiters
-	msgPageReq                  // app → page home or squash creator: a whole page
-	msgPageRep                  // home → app: page contents
-	msgDiffReq                  // app → interval creator: batched diff request
-	msgDiffRep                  // creator → app: requested diffs
 	msgFlush                    // app → every node: pushed write notices (ablation)
 	msgFlushAck                 // node → flusher
 	msgFork                     // master → slave: run a parallel region
@@ -35,7 +31,7 @@ const (
 	msgGCSync                   // pressured node → quiet node: GC consensus push + delta (acqgc.go)
 	msgGCFloor                  // piggybacked acquire-epoch floor announcement (acqgc.go)
 	msgBatch                    // coalesced per-peer frame of typed sub-messages (wire.go)
-	msgFetchReq                 // app → page/diff source: one span round's items for it (faultRoundLocked)
+	msgFetchReq                 // app → page home, squash creator or interval creator: the pages and diffs wanted of it (Client.fetch)
 	msgFetchRep                 // source → app: the requested pages and diffs
 )
 
@@ -81,10 +77,6 @@ type Config struct {
 	// scaled with the machine past 8 nodes; negative disables acquire
 	// epochs only — the episode source then uses the default.
 	GCPressure int
-	// GCPolicy selects the per-page validate-vs-flush purge policy
-	// applied by non-manager nodes at every collection epoch (both
-	// sources). The zero value is GCPolicyFlush.
-	GCPolicy GCPolicy
 	// BarrierFanin is the fan-in of the combining-tree barrier: each
 	// interior node gathers this many children before passing the
 	// combined arrival up (see barrier.go). 0 uses DefaultBarrierFanin
@@ -138,7 +130,6 @@ type System struct {
 	nodes     []*Node
 	heapBytes int
 	gcOn      bool
-	gcPolicy  GCPolicy    // resolved purge policy (never GCPolicyDefault)
 	acq       *acqCoord   // acquire-epoch coordinator; nil when disabled
 	purged    *homePurged // per-node purge-floor registry (flush gate)
 	fanin     int         // resolved barrier tree fan-in
@@ -185,10 +176,6 @@ func New(cfg Config) *System {
 		done:      make(chan struct{}),
 		gcOn:      !cfg.DisableGC && cfg.Procs > 1,
 		gcFloors:  make(map[int64]*epochFloor),
-	}
-	s.gcPolicy = cfg.GCPolicy
-	if s.gcPolicy == GCPolicyDefault {
-		s.gcPolicy = GCPolicyFlush
 	}
 	npages := cfg.HeapBytes / PageSize
 	s.purged = newHomePurged(cfg.Procs)
@@ -298,7 +285,7 @@ func (t TrafficBreakdown) Total() (messages, bytes int64) {
 func (s *System) TrafficBreakdown() TrafficBreakdown {
 	var b TrafficBreakdown
 	st := s.sw.Stats()
-	for _, typ := range []int{msgPageReq, msgPageRep, msgDiffReq, msgDiffRep, msgFetchReq, msgFetchRep} {
+	for _, typ := range []int{msgFetchReq, msgFetchRep} {
 		m, by := st.ByType(typ)
 		b.PageMsgs += m
 		b.PageBytes += by
@@ -537,8 +524,7 @@ func (s *System) ProtoSummary() (retired, peakChain, peakBytes int64) {
 // (every node walks the identical episode sequence and reaches identical
 // trigger decisions, so they are per-node maxima, not sums); AcqEpochs
 // counts acquire epochs announced by the lock-manager consensus;
-// PagesValidated and PagesFlushed sum the per-node purge outcomes of the
-// validate-vs-flush policy.
+// PagesValidated and PagesFlushed sum the per-node purge outcomes.
 type GCStats struct {
 	Episodes       int64 // barrier/fork episodes the collector examined
 	Epochs         int64 // episodes that actually ran a collection

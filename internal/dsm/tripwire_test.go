@@ -44,10 +44,9 @@ func TestHandlerPanicUnderMuBecomesRunError(t *testing.T) {
 	sys.Register("bad-request", func(n *Node, _ []byte) {
 		if n.ID() == 1 {
 			var w wbuf
-			w.u32(0)  // page
-			w.u32(1)  // one interval
-			w.u32(99) // that node 0 never created
-			n.ep.SendAt(0, msgDiffReq, network.ClassRequest, w.b, n.Now())
+			// Page 0, an interval node 0 never created.
+			encodeFetch(&w, []fetchItem{{pid: 0, seq: 99}}, false)
+			n.ep.SendAt(0, msgFetchReq, network.ClassRequest, w.b, n.Now())
 			return
 		}
 		<-n.sys.done // the abort; now return into the join

@@ -13,9 +13,9 @@ package dsm
 //   - Write-notice page lists are sorted and run-length encoded as
 //     (gap, runLen) pairs: QSORT/Sweep3D notices are dense runs, Water's
 //     are short strides, and both collapse to a few bytes per run.
-//   - Everything bound for one peer at a GC push or purge wave is
-//     coalesced into a single msgBatch datagram of typed sub-messages,
-//     demuxed server-side into the existing handlers (see server.go).
+//   - Everything bound for one peer at a GC consensus push or barrier
+//     departure wave is coalesced into a single msgBatch datagram of typed
+//     sub-messages, demuxed into the existing handlers (see server.go).
 //
 // Every decode path validates wire-supplied counts against the bytes
 // actually remaining before allocating, and fails only via the typed
@@ -214,8 +214,8 @@ type fetchItem struct {
 	data []byte
 }
 
-// encodeFetch writes a span round's item list: uv(count), then per item
-// uv(pid), uv(seq+1) — 0 names the whole page — and, in a reply, the
+// encodeFetch writes a fetch exchange's item list: uv(count), then per
+// item uv(pid), uv(seq+1) — 0 names the whole page — and, in a reply, the
 // length-prefixed content.
 func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
 	w.uv(uint64(len(items)))
@@ -229,13 +229,20 @@ func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
 }
 
 // decodeFetch decodes what encodeFetch writes. A reply's contents are
-// views into the message (see rbuf.view).
+// views into the message (see rbuf.view). A REQUEST naming more than
+// HomeBlockPages items is malformed: one item earns one blob, and the cap
+// is what keeps the reply inside one datagram — the server enforces it
+// rather than trusting every builder of requests to.
 func decodeFetch(r *rbuf, reply bool) []fetchItem {
 	minBytes := 2 // pid and seq varints
 	if reply {
 		minBytes += 4 // content length
 	}
-	items := make([]fetchItem, r.needCount(r.uvi(), minBytes))
+	count := r.needCount(r.uvi(), minBytes)
+	if !reply && count > HomeBlockPages {
+		panic(wireErrf("dsm: fetch request names %d items, cap %d", count, HomeBlockPages))
+	}
+	items := make([]fetchItem, count)
 	for i := range items {
 		items[i].pid = PageID(r.uvi())
 		items[i].seq = r.uvi() - 1

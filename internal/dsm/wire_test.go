@@ -203,7 +203,7 @@ func TestWireCorruptCountBounded(t *testing.T) {
 	})
 }
 
-// randFetchItems builds a span round's item list: whole pages (seq -1)
+// randFetchItems builds a fetch exchange's item list: whole pages (seq -1)
 // mixed with diffs, carrying content when reply is set.
 func randFetchItems(rnd *rand.Rand, count int, reply bool) []fetchItem {
 	items := make([]fetchItem, count)
@@ -221,12 +221,12 @@ func randFetchItems(rnd *rand.Rand, count int, reply bool) []fetchItem {
 }
 
 // TestWireFetchRoundTrip drives random item lists through both shapes of
-// the span-round codec: the request (ids only) and the reply (ids plus
-// contents, decoded as views).
+// the fetch codec: the request (ids only, at most HomeBlockPages of them)
+// and the reply (ids plus contents, decoded as views).
 func TestWireFetchRoundTrip(t *testing.T) {
 	prop := func(seed int64, reply bool) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		items := randFetchItems(rnd, rnd.Intn(2*HomeBlockPages), reply)
+		items := randFetchItems(rnd, rnd.Intn(HomeBlockPages+1), reply)
 		var w wbuf
 		encodeFetch(&w, items, reply)
 		r := rbuf{b: w.b}
@@ -285,6 +285,42 @@ func TestWireTruncatedFetch(t *testing.T) {
 	}
 }
 
+// oversizeFetchRequest encodes a well-formed request of one item more than
+// the cap.
+func oversizeFetchRequest() []byte {
+	var w wbuf
+	encodeFetch(&w, randFetchItems(rand.New(rand.NewSource(19)), HomeBlockPages+1, false), false)
+	return w.b
+}
+
+// TestWireFetchRejectsOversizeRequest: the HomeBlockPages cap on a request
+// is the server's to enforce, not only the sender's to respect — a request
+// naming one item too many is a malformed frame like any other, while a
+// request at the cap and a reply of any length decode.
+func TestWireFetchRejectsOversizeRequest(t *testing.T) {
+	func() {
+		defer func() {
+			if _, ok := recover().(wireError); !ok {
+				t.Error("a request of HomeBlockPages+1 items did not die in wireError")
+			}
+		}()
+		r := rbuf{b: oversizeFetchRequest()}
+		decodeFetch(&r, false)
+	}()
+	rnd := rand.New(rand.NewSource(19))
+	for _, tt := range []struct {
+		count int
+		reply bool
+	}{{HomeBlockPages, false}, {HomeBlockPages + 1, true}} {
+		var w wbuf
+		encodeFetch(&w, randFetchItems(rnd, tt.count, tt.reply), tt.reply)
+		r := rbuf{b: w.b}
+		if got := decodeFetch(&r, tt.reply); len(got) != tt.count {
+			t.Errorf("reply=%v: decoded %d items, want %d", tt.reply, len(got), tt.count)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Frame envelope.
 // ---------------------------------------------------------------------
@@ -295,7 +331,7 @@ func TestWireBatchEnvelopeRoundTrip(t *testing.T) {
 	subs := []frameSub{
 		{typ: msgGCSync, payload: []byte{1, 2, 3}},
 		{typ: msgGCFloor, payload: nil},
-		{typ: msgDiffReq, payload: make([]byte, 300)},
+		{typ: msgFetchReq, payload: make([]byte, 300)},
 	}
 	for _, s := range subs {
 		f.add(s.typ, s.payload)
@@ -503,6 +539,7 @@ func FuzzWireDecode(f *testing.F) {
 		encodeFetch(&fw, randFetchItems(rnd, HomeBlockPages, reply), reply)
 		f.Add(fw.b)
 	}
+	f.Add(oversizeFetchRequest())
 
 	decoders := []func(b []byte){
 		func(b []byte) {

@@ -6,14 +6,25 @@ import (
 	"repro/internal/sim"
 )
 
-// pageTraffic returns how many whole-page, diff and span requests a run
-// put on the wire.
-func pageTraffic(sys *System) (pageReqs, diffReqs, fetchReqs int64) {
-	st := sys.Switch().Stats()
-	pageReqs, _ = st.ByType(msgPageReq)
-	diffReqs, _ = st.ByType(msgDiffReq)
-	fetchReqs, _ = st.ByType(msgFetchReq)
-	return
+// pageTraffic reads what a run's page service did as the nodes saw it: the
+// whole pages node `reader` installed, the diffs it applied, and the fetch
+// requests each node served. The tests using it run barrier-only programs
+// with no acquire source, where the fetch server is the only handler that
+// interrupts a node — so a node's Interrupts ARE the requests it served,
+// and 0 means it was never asked.
+func pageTraffic(t *testing.T, sys *System, reader int) (pageFetches, diffsApplied int64, served []int64) {
+	t.Helper()
+	st := sys.Node(reader).Stats()
+	served = make([]int64, sys.Procs())
+	var total int64
+	for i := range served {
+		served[i] = sys.Node(i).Stats().Interrupts
+		total += served[i]
+	}
+	if reqs, _ := sys.Switch().Stats().ByType(msgFetchReq); reqs != total {
+		t.Fatalf("test premise: %d interrupts for %d fetch requests — some other handler ran", total, reqs)
+	}
+	return st.PageFetches, st.DiffsApplied, served
 }
 
 // TestZeroBaseFirstTouch: a page nobody has written is zeros wherever it
@@ -77,17 +88,17 @@ func TestZeroBaseFirstTouch(t *testing.T) {
 	}
 	// The master's final read is the only network fault of the run: its
 	// home copy takes node 1's one diff.
-	if p, d, f := pageTraffic(sys); p != 0 || d != 1 || f != 0 {
-		t.Errorf("run sent %d page / %d diff / %d span requests, want 0 / 1 / 0", p, d, f)
+	if p, d, served := pageTraffic(t, sys, 0); p != 0 || d != 1 || served[0] != 0 || served[1] != 1 {
+		t.Errorf("master fetched %d pages / applied %d diffs, requests served %v; want 0 / 1 and one request at node 1", p, d, served)
 	}
 }
 
 // TestZeroBaseNeverGoesHome: a never-held page that has been written
 // resolves at its writers, not at its home (node 0 throughout, which never
 // touches the page). One foreign notice squashes to a whole page from its
-// creator; two concurrent writers' notices are one diff request per
-// creator, applied over zeros. Node 0's copy lacks every write, so correct
-// values prove the home served nothing.
+// creator; two concurrent writers' notices are one request per creator,
+// their diffs applied over zeros. The home is never asked: it serves no
+// request, and its copy lacks every write anyway.
 func TestZeroBaseNeverGoesHome(t *testing.T) {
 	for _, writers := range []int{1, 2} {
 		procs := writers + 2
@@ -110,15 +121,22 @@ func TestZeroBaseNeverGoesHome(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := sys.Node(procs - 1).Stats()
-		p, d, f := pageTraffic(sys)
-		if writers == 1 {
-			if p != 1 || d != 0 || f != 0 || st.PageFetches != 1 || st.DiffsApplied != 0 {
-				t.Errorf("one notice: %d page / %d diff / %d span requests, reader fetched %d pages and applied %d diffs; want one whole page from the creator",
-					p, d, f, st.PageFetches, st.DiffsApplied)
+		p, d, served := pageTraffic(t, sys, procs-1)
+		for node, reqs := range served {
+			want := int64(0)
+			if node >= 1 && node <= writers {
+				want = 1
 			}
-		} else if p != 0 || d != 2 || f != 0 || st.PageFetches != 0 || st.DiffsApplied != 2 {
-			t.Errorf("two concurrent notices: %d page / %d diff / %d span requests, reader fetched %d pages and applied %d diffs; want one diff request per creator over zeros",
-				p, d, f, st.PageFetches, st.DiffsApplied)
+			if reqs != want {
+				t.Errorf("%d writers: node %d served %d requests, want %d (the home, node 0, is never asked)", writers, node, reqs, want)
+			}
+		}
+		if writers == 1 {
+			if p != 1 || d != 0 {
+				t.Errorf("one notice: reader fetched %d pages and applied %d diffs; want one whole page from the creator", p, d)
+			}
+		} else if p != 0 || d != 2 {
+			t.Errorf("two concurrent notices: reader fetched %d pages and applied %d diffs; want one diff per creator over zeros", p, d)
 		}
 		if st.FaultRounds != 1 || st.ZeroFills != 0 {
 			t.Errorf("%d writers: reader took %d rounds and %d zero fills, want 1 and 0", writers, st.FaultRounds, st.ZeroFills)
@@ -166,17 +184,18 @@ func TestZeroBaseFlushedCopyRefetchesFromHome(t *testing.T) {
 	if err := sys.Run(func(n *Node) { n.RunParallel("lateread", nil) }); err != nil {
 		t.Fatal(err)
 	}
-	// The only whole-page request of the run is that refetch (the home's
-	// own validation waves ask the writer for diffs, never pages).
-	if p, _, f := pageTraffic(sys); p != 1 || f != 0 {
-		t.Errorf("run sent %d page and %d span requests, want the one refetch", p, f)
+	// The only request the home ever serves is that refetch: it wrote
+	// nothing, so nobody asks it for a diff, and its own validation waves
+	// ask the writer.
+	if p, _, served := pageTraffic(t, sys, 2); p != 1 || served[0] != 1 {
+		t.Errorf("late reader fetched %d pages, home served %d requests; want the one refetch", p, served[0])
 	}
 }
 
-// TestZeroBaseSpanKeepsOnePageSection: zero-fill pages drop out of a span
-// round's plan, and a span left with ONE networked page takes the classic
-// one-page request sequence, to the nanosecond.
-func TestZeroBaseSpanKeepsOnePageSection(t *testing.T) {
+// TestZeroBaseSpanOfOneWrittenPage: zero-fill pages drop out of a span
+// round's plan, and a span left with ONE networked page costs exactly the
+// one-page cold fault, to the nanosecond.
+func TestZeroBaseSpanOfOneWrittenPage(t *testing.T) {
 	sys := New(Config{Procs: 2})
 	a := sys.MallocPage(3 * PageSize)
 	var took sim.Time
@@ -194,8 +213,7 @@ func TestZeroBaseSpanKeepsOnePageSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	plat := sys.Platform()
-	want := plat.FaultOverhead + plat.UDP.Latency(4) + plat.RequestService + plat.PageCopy + plat.UDP.Latency(4+4+PageSize)
-	if took != want {
+	if want := plat.FaultOverhead + pageExchange(plat, PageID(int(a)/PageSize+1)); took != want {
 		t.Errorf("span with one written page took %d ns, want the one-page cold fault %d", took, want)
 	}
 	st := sys.Node(1).Stats()
@@ -203,7 +221,7 @@ func TestZeroBaseSpanKeepsOnePageSection(t *testing.T) {
 		t.Errorf("%d read faults, %d zero fills, %d rounds / %d pages; want 3, 2, 1 / 1",
 			st.ReadFaults, st.ZeroFills, st.FaultRounds, st.FaultPages)
 	}
-	if p, d, f := pageTraffic(sys); p != 1 || d != 0 || f != 0 {
-		t.Errorf("%d page / %d diff / %d span requests, want 1 / 0 / 0", p, d, f)
+	if p, d, served := pageTraffic(t, sys, 1); p != 1 || d != 0 || served[0] != 1 {
+		t.Errorf("reader fetched %d pages / applied %d diffs, node 0 served %d requests; want 1 / 0 / 1", p, d, served[0])
 	}
 }

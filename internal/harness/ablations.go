@@ -399,17 +399,12 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 }
 
 // ---------------------------------------------------------------------
-// The policy × trigger GC grid: acquire-epoch collection for programs
-// that never barrier, crossed with the per-page validate-vs-flush purge
-// policy. The trigger axis contrasts the barrier/fork-episode source
-// alone, at the default pressure ("episode" — which cannot collect inside
-// a lock-only region), with acquire epochs and episodes at one low
-// pressure ("acquire"); the policy axis runs
-// dsm.Config.GCPolicy over flush / validate-hot / adaptive.
+// The GC trigger grid: acquire-epoch collection for programs that never
+// barrier. It contrasts the barrier/fork-episode source alone, at the
+// default pressure ("episode" — which cannot collect inside a lock-only
+// region), with acquire epochs and episodes at one low pressure
+// ("acquire").
 // ---------------------------------------------------------------------
-
-// GCPolicies are the purge-policy arms of the grid.
-var GCPolicies = []dsm.GCPolicy{dsm.GCPolicyFlush, dsm.GCPolicyValidateHot, dsm.GCPolicyAdaptive}
 
 // GCTriggers are the epoch-source arms of the grid.
 var GCTriggers = []string{"episode", "acquire"}
@@ -419,11 +414,10 @@ var GCTriggers = []string{"episode", "acquire"}
 // so lock-only regions collect many times per run.
 func AcquireGCPressure(procs int) int { return 4 * procs }
 
-// GCPolicyRow is one (workload, trigger, policy) measurement.
-type GCPolicyRow struct {
+// GCTriggerRow is one (workload, trigger) measurement.
+type GCTriggerRow struct {
 	Workload  string
 	Trigger   string // "episode" or "acquire"
-	Policy    string
 	Procs     int
 	Time      sim.Time
 	Msgs      int64
@@ -447,36 +441,35 @@ func gcTriggerPressure(trigger string, procs int) int {
 }
 
 // gcLockSparseWords is the per-page word count GCLockSparse touches per
-// round: diffs stay a few dozen bytes on a 4 KiB page, so validating a
-// stale page is ~100x cheaper in bytes than refetching it whole.
+// round: diffs stay a few dozen bytes on a 4 KiB page.
 const gcLockSparseWords = 4
 
 // gcLockSparseReadPeriod is the kernel's burst-read period: every peer
-// page is read every few rounds — recently enough to count as hot at
-// every collection, rarely enough that collections find it owing several
-// retired diffs (the situation where the policy choice matters).
+// page is read every few rounds, rarely enough that collections find it
+// owing several retired diffs.
 const gcLockSparseReadPeriod = 6
 
 // GCLockSparse runs the lock/semaphore kernel that motivates the acquire
-// source and the validate-hot policy: one parallel region with no
-// barriers. Each node owns one page of a shared array (single-writer
-// pages, so a round's diff is a few dozen bytes) and, per round, (a)
-// rewrites a few words of it and (b) bumps a lock-protected global
-// counter (the critical-section pattern of TSP/QSORT); every few rounds
-// it (c) burst-reads all of its peers' pages — synchronized by a
-// semaphore ring that hands each node its next-round token, bounding
-// skew and carrying the consistency deltas (the Sweep3D pipeline
-// pattern). Between bursts each peer page accumulates several rounds of
-// small notices, so a flush-policy collection discards copies the node
-// is about to read again — whole-page refetches that the validate-hot
-// policy replaces with tiny single-creator diff fetches. It returns the
-// finished system for counter inspection.
+// source: one parallel region with no barriers. Each node owns one page of
+// a shared array (single-writer pages, so a round's diff is a few dozen
+// bytes) and, per round, (a) rewrites a few words of it and (b) bumps a
+// lock-protected global counter (the critical-section pattern of
+// TSP/QSORT); every few rounds it (c) burst-reads all of its peers' pages
+// — synchronized by a semaphore ring that hands each node its next-round
+// token, bounding skew and carrying the consistency deltas (the Sweep3D
+// pipeline pattern). Between bursts each peer page accumulates several
+// rounds of small notices, which nothing but the acquire source can
+// retire. It returns the finished system for counter inspection.
+//
+// policy is what remains of the deleted purge-policy knob: it must be ""
+// or "flush" (the one rule left), anything else is an error. The frozen
+// bench/layers.go calls this with "", so dropping the argument is left to
+// a benchmark-archetype PR.
 func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, error) {
-	pol, err := dsm.ParseGCPolicy(policy)
-	if err != nil {
-		return nil, err
+	if policy != "" && policy != "flush" {
+		return nil, fmt.Errorf("harness: unknown GC policy %q (the purge-policy knob is gone; only \"flush\" remains)", policy)
 	}
-	sys := dsm.New(dsm.Config{Procs: procs, GCPressure: pressure, GCPolicy: pol})
+	sys := dsm.New(dsm.Config{Procs: procs, GCPressure: pressure})
 	defer sys.Close()
 	arr := sys.MallocPage(procs * dsm.PageSize)
 	ctr := sys.MallocPage(8)
@@ -494,8 +487,7 @@ func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, 
 			n.Acquire(1)
 			n.WriteI64(ctr, n.ReadI64(ctr)+1)
 			n.Release(1)
-			// Burst-read every peer page once per period: the pages stay
-			// hot (faulted within the last couple of collections) yet owe
+			// Burst-read every peer page once per period: the pages owe
 			// the accumulated notices of the rounds since the last burst.
 			if r%gcLockSparseReadPeriod == gcLockSparseReadPeriod-1 {
 				var s int64
@@ -513,7 +505,7 @@ func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, 
 			n.SemaSignal(100 + succ)
 		}
 	})
-	err = sys.Run(func(n *dsm.Node) {
+	err := sys.Run(func(n *dsm.Node) {
 		n.RunParallel("locksparse", nil)
 		if got := n.ReadI64(ctr); got != int64(rounds*procs) {
 			panic(fmt.Sprintf("locksparse: counter = %d, want %d", got, rounds*procs))
@@ -529,55 +521,51 @@ func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, 
 	return sys, err
 }
 
-// AblationGCPolicy runs the policy × trigger grid on the lock-sparse
-// kernel and on real Water (whose epochs are barrier/fork-driven, so the
-// policy arm is what varies there).
-func AblationGCPolicy(rounds, steps, procs int) ([]GCPolicyRow, error) {
-	var rows []GCPolicyRow
+// AblationGCTrigger runs the trigger grid on the lock-sparse kernel and on
+// real Water (whose epochs are barrier/fork-driven: its "episode" row
+// never reaches the default pressure, its "acquire" row collects through
+// episodes at the low one).
+func AblationGCTrigger(rounds, steps, procs int) ([]GCTriggerRow, error) {
+	var rows []GCTriggerRow
 	name := fmt.Sprintf("locksparse x%d", rounds)
 	for _, trigger := range GCTriggers {
-		for _, policy := range GCPolicies {
-			sys, err := GCLockSparse(procs, rounds, gcTriggerPressure(trigger, procs), policy.String())
-			if err != nil {
-				return rows, err
-			}
-			msgs, bytes := sys.Switch().Stats().Snapshot()
-			retired, chain, _ := sys.ProtoSummary()
-			g := sys.GCSummary()
-			rows = append(rows, GCPolicyRow{
-				Workload: name, Trigger: trigger, Policy: policy.String(), Procs: procs,
-				Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
-				AcqEpochs: g.AcqEpochs, Retired: retired, PeakChain: chain,
-				Validated: g.PagesValidated, Flushed: g.PagesFlushed,
-			})
+		sys, err := GCLockSparse(procs, rounds, gcTriggerPressure(trigger, procs), "")
+		if err != nil {
+			return rows, err
 		}
+		msgs, bytes := sys.Switch().Stats().Snapshot()
+		retired, chain, _ := sys.ProtoSummary()
+		g := sys.GCSummary()
+		rows = append(rows, GCTriggerRow{
+			Workload: name, Trigger: trigger, Procs: procs,
+			Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
+			AcqEpochs: g.AcqEpochs, Retired: retired, PeakChain: chain,
+			Validated: g.PagesValidated, Flushed: g.PagesFlushed,
+		})
 	}
 	wname := fmt.Sprintf("water x%d steps", steps)
 	for _, trigger := range GCTriggers {
-		for _, policy := range GCPolicies {
-			p := water.Small()
-			p.Steps = steps
-			p.DSM.GCPressure = gcTriggerPressure(trigger, procs)
-			p.DSM.GCPolicy = policy
-			res, err := water.RunTmk(p, procs)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, GCPolicyRow{
-				Workload: wname, Trigger: trigger, Policy: policy.String(), Procs: procs,
-				Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
-				AcqEpochs: res.GCAcqEpochs, Retired: res.IntervalsRetired,
-				PeakChain: res.PeakIntervalChain,
-				Validated: res.GCPagesValidated, Flushed: res.GCPagesFlushed,
-			})
+		p := water.Small()
+		p.Steps = steps
+		p.DSM.GCPressure = gcTriggerPressure(trigger, procs)
+		res, err := water.RunTmk(p, procs)
+		if err != nil {
+			return rows, err
 		}
+		rows = append(rows, GCTriggerRow{
+			Workload: wname, Trigger: trigger, Procs: procs,
+			Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
+			AcqEpochs: res.GCAcqEpochs, Retired: res.IntervalsRetired,
+			PeakChain: res.PeakIntervalChain,
+			Validated: res.GCPagesValidated, Flushed: res.GCPagesFlushed,
+		})
 	}
 	return rows, nil
 }
 
 // PrintAblationGC runs and formats the metadata-accumulation ablation:
 // the every/adaptive/off trigger comparison of the barrier/fork source,
-// then the acquire-source policy × trigger grid.
+// then the acquire-source trigger grid.
 func PrintAblationGC(w io.Writer) error {
 	iter, err := AblationGCIteration(32, 8)
 	if err != nil {
@@ -598,20 +586,19 @@ func PrintAblationGC(w io.Writer) error {
 			r.Workload, r.Mode, r.Time, r.Msgs, r.Episodes, r.Epochs, r.Retired, r.PeakChain, r.PeakBytes/1024)
 	}
 
-	grid, err := AblationGCPolicy(64, 8, 8)
+	grid, err := AblationGCTrigger(64, 8, 8)
 	if err != nil {
 		return err
 	}
-	fprintf(w, "\nAcquire-epoch GC policy x trigger grid (8 processors): \"episode\"\n")
-	fprintf(w, "keeps only the barrier/fork source, at the default pressure (lock-only\n")
-	fprintf(w, "regions never collect); \"acquire\" adds lock-manager epochs and sets\n")
-	fprintf(w, "the pressure of both sources to %d. The policy column is the per-page\n", AcquireGCPressure(8))
-	fprintf(w, "purge choice at every collection.\n\n")
-	fprintf(w, "%-18s %-8s %-13s %12s %9s %9s %6s %8s %10s %6s %7s\n",
-		"workload", "trigger", "policy", "time", "messages", "KB", "acqEp", "retired", "peakchain", "valid", "flushed")
+	fprintf(w, "\nAcquire-epoch GC trigger grid (8 processors): \"episode\" keeps only\n")
+	fprintf(w, "the barrier/fork source, at the default pressure (lock-only regions\n")
+	fprintf(w, "never collect); \"acquire\" adds lock-manager epochs and sets the\n")
+	fprintf(w, "pressure of both sources to %d.\n\n", AcquireGCPressure(8))
+	fprintf(w, "%-18s %-8s %12s %9s %9s %6s %8s %10s %6s %7s\n",
+		"workload", "trigger", "time", "messages", "KB", "acqEp", "retired", "peakchain", "valid", "flushed")
 	for _, r := range grid {
-		fprintf(w, "%-18s %-8s %-13s %12s %9d %9d %6d %8d %10d %6d %7d\n",
-			r.Workload, r.Trigger, r.Policy, r.Time, r.Msgs, r.Bytes/1024,
+		fprintf(w, "%-18s %-8s %12s %9d %9d %6d %8d %10d %6d %7d\n",
+			r.Workload, r.Trigger, r.Time, r.Msgs, r.Bytes/1024,
 			r.AcqEpochs, r.Retired, r.PeakChain, r.Validated, r.Flushed)
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps/qsort"
 	"repro/internal/apps/sweep3d"
 	"repro/internal/apps/tsp"
-	"repro/internal/dsm"
 )
 
 // acquireGCPressureForTests is the forced-low trigger the suite pins the
@@ -115,119 +114,49 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	}
 }
 
-// TestAcquireGCPolicyRefetchPin is the flushed-vs-validated pin on the
-// lock/semaphore kernel: under the flush policy every collection
-// discards copies the nodes are about to burst-read again, so the run
-// pays hundreds of extra whole-page fetches (and their bytes) that the
-// validate-hot policy replaces with small diff fetches. On a quiet
-// machine the gap is far above noise (≈ 280 page fetches and ≈ 1 MB on
-// this configuration), but the collection points ride on real goroutine
-// scheduling, so under full-suite load a single flush/validate-hot pair
-// can land its collections at different releases and compress — or even
-// invert — the gap. The deflake discipline is therefore the same as the
-// repo's drain tests: the effect must be OBSERVABLE within a bounded
-// number of paired runs, with no single-sample margin assertion. The
-// engagement check (both policies actually purged) stays strict on
-// every attempt; a genuine policy regression fails all attempts.
-func TestAcquireGCPolicyRefetchPin(t *testing.T) {
-	const procs, rounds = 8, 64
-	run := func(policy string) (pageFetches, bytes, validated, flushed int64) {
-		sys, err := GCLockSparse(procs, rounds, AcquireGCPressure(procs), policy)
-		if err != nil {
-			t.Fatalf("locksparse %s: %v", policy, err)
-		}
-		st := sys.TotalStats()
-		_, b := sys.Switch().Stats().Snapshot()
-		return st.PageFetches, b, st.GCPagesValidated, st.GCPagesFlushed
+// TestAblationGCTriggerGrid smokes the trigger-grid artifact and pins its
+// finding: the episode trigger alone cannot collect inside the lock-only
+// region (nothing retired, chain grows with the run), while the acquire
+// source retires and bounds the chain.
+func TestAblationGCTriggerGrid(t *testing.T) {
+	rows, err := AblationGCTrigger(64, 4, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const attempts = 4
-	var last string
-	for i := 0; i < attempts; i++ {
-		fPF, fB, fV, fF := run("flush")
-		vPF, vB, vV, vF := run("validate-hot")
-		if fF == 0 || vV == 0 {
-			t.Fatalf("policies did not engage: flush flushed %d, validate-hot validated %d", fF, vV)
-		}
-		switch {
-		case vV <= fV:
-			last = fmt.Sprintf("validate-hot validated %d pages, not above flush policy's %d", vV, fV)
-		case vF >= fF:
-			last = fmt.Sprintf("validate-hot flushed %d pages, not below flush policy's %d", vF, fF)
-		case fPF < vPF+100:
-			last = fmt.Sprintf("flush policy page fetches (%d) not well above validate-hot (%d)", fPF, vPF)
-		case fB <= vB:
-			last = fmt.Sprintf("flush policy bytes (%d) not above validate-hot (%d)", fB, vB)
-		default:
-			return // the full-margin gap showed; the pin holds
-		}
+	if want := len(GCTriggers) * 2; len(rows) != want {
+		t.Fatalf("grid produced %d rows, want %d", len(rows), want)
 	}
-	t.Errorf("policy gap never showed in %d paired runs; last: %s", attempts, last)
-}
-
-// TestAblationGCPolicyGrid smokes the policy x trigger artifact and pins
-// its two findings: the episode trigger alone cannot collect inside the
-// lock-only region (nothing retired, chain grows with the run), and on
-// the sparse-diff kernel the validate-hot purge moves fewer bytes than
-// the flush purge (the acceptance criterion's "at least one app where
-// validate-hot beats flush").
-func TestAblationGCPolicyGrid(t *testing.T) {
-	// The structural pins (grid shape, episode-trigger inertness, chain
-	// bound) hold on every run. The two policy-direction comparisons ride
-	// on scheduling-dependent collection points, so — like the refetch
-	// pin above — they must show within a bounded number of grid runs
-	// rather than on every single sample under full-suite load.
-	const attempts = 4
-	var last string
-	for i := 0; i < attempts; i++ {
-		rows, err := AblationGCPolicy(64, 4, 8)
-		if err != nil {
-			t.Fatal(err)
+	byKey := map[string]GCTriggerRow{}
+	for _, r := range rows {
+		if r.Time == 0 {
+			t.Errorf("%s/%s: missing time", r.Workload, r.Trigger)
 		}
-		if want := len(GCTriggers) * len(GCPolicies) * 2; len(rows) != want {
-			t.Fatalf("grid produced %d rows, want %d", len(rows), want)
-		}
-		byKey := map[string]GCPolicyRow{}
-		for _, r := range rows {
-			if r.Time == 0 {
-				t.Errorf("%s/%s/%s: missing time", r.Workload, r.Trigger, r.Policy)
-			}
-			byKey[fmt.Sprintf("%s/%s/%s", r.Workload, r.Trigger, r.Policy)] = r
-		}
-		lock := func(trigger, policy string) GCPolicyRow {
-			return byKey[fmt.Sprintf("locksparse x64/%s/%s", trigger, policy)]
-		}
-		if r := lock("episode", "flush"); r.Retired != 0 || r.AcqEpochs != 0 {
-			t.Errorf("episode trigger collected inside a lock-only region: retired=%d acq=%d", r.Retired, r.AcqEpochs)
-		}
-		acqFlush, acqHot := lock("acquire", "flush"), lock("acquire", "validate-hot")
-		if acqFlush.Retired == 0 || acqHot.Retired == 0 {
-			t.Errorf("acquire trigger retired nothing: flush=%d validate-hot=%d", acqFlush.Retired, acqHot.Retired)
-		}
-		if acqFlush.PeakChain >= lock("episode", "flush").PeakChain {
-			t.Errorf("acquire trigger did not bound the chain: %d vs episode %d",
-				acqFlush.PeakChain, lock("episode", "flush").PeakChain)
-		}
-		switch {
-		case acqHot.Bytes >= acqFlush.Bytes:
-			last = fmt.Sprintf("validate-hot bytes (%d) not below flush policy bytes (%d)", acqHot.Bytes, acqFlush.Bytes)
-		case acqHot.Validated <= acqFlush.Validated:
-			last = fmt.Sprintf("validate-hot validated %d, not above flush policy's %d", acqHot.Validated, acqFlush.Validated)
-		default:
-			return // both policy directions showed
-		}
+		byKey[r.Workload+"/"+r.Trigger] = r
 	}
-	t.Errorf("policy direction never showed in %d grid runs; last: %s", attempts, last)
+	episode, acquire := byKey["locksparse x64/episode"], byKey["locksparse x64/acquire"]
+	if episode.Retired != 0 || episode.AcqEpochs != 0 {
+		t.Errorf("episode trigger collected inside a lock-only region: retired=%d acq=%d", episode.Retired, episode.AcqEpochs)
+	}
+	if acquire.Retired == 0 || acquire.Flushed == 0 {
+		t.Errorf("acquire trigger retired %d records and flushed %d copies, want both nonzero", acquire.Retired, acquire.Flushed)
+	}
+	if acquire.PeakChain >= episode.PeakChain {
+		t.Errorf("acquire trigger did not bound the chain: %d vs episode %d", acquire.PeakChain, episode.PeakChain)
+	}
+	if _, err := GCLockSparse(2, 1, -1, "validate-hot"); err == nil {
+		t.Error("GCLockSparse accepted a deleted purge policy")
+	}
 }
 
 // TestEquivalenceWithAcquireGC reruns the cross-implementation
 // equivalence contract with the acquire collector forced on at low
-// pressure under the validate-hot policy, across all three backends
-// (NOW, SMP — where the knobs are no-ops — and hybrid at one and two
-// islands): every implementation must still reproduce the sequential
-// checksum. The knobs travel explicitly with every run, so the subtests
-// run in parallel with each other and with the rest of the suite.
+// pressure, across all three backends (NOW, SMP — where the knobs are
+// no-ops — and hybrid at one and two islands): every implementation must
+// still reproduce the sequential checksum. The knobs travel explicitly with
+// every run, so the subtests run in parallel with each other and with the
+// rest of the suite.
 func TestEquivalenceWithAcquireGC(t *testing.T) {
-	knobs := GCKnobs{Pressure: 8, Policy: dsm.GCPolicyValidateHot}
+	knobs := GCKnobs{Pressure: 8}
 	impls := []Impl{OMP, OMPSMP, HybridImpl(1), HybridImpl(2), Tmk}
 	for _, a := range Apps {
 		for _, impl := range impls {

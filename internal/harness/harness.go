@@ -104,20 +104,18 @@ const (
 )
 
 // GCKnobs are per-run DSM metadata-GC settings: collector off, the
-// adaptive barrier/fork-episode trigger, the acquire-epoch trigger
-// pressure and the validate-vs-flush purge policy (see dsm.Config). A
-// served job (serve.Job) may carry them; zero fields defer to DefaultGC,
-// so the zero value runs the plain grid cell.
+// adaptive barrier/fork-episode trigger and the acquire-epoch trigger
+// pressure (see dsm.Config). A served job (serve.Job) may carry them; zero
+// fields defer to DefaultGC, so the zero value runs the plain grid cell.
 type GCKnobs struct {
 	Disable   bool
 	MinRetire int
 	Pressure  int
-	Policy    dsm.GCPolicy
 }
 
-// DefaultGC supplies the acquire-epoch pressure and purge policy of every
-// cell whose own knobs leave them zero; nowbench -gcpressure / -gcpolicy
-// set it for a whole run. Only Pressure and Policy are consulted.
+// DefaultGC supplies the acquire-epoch pressure of every cell whose own
+// knobs leave it zero; nowbench -gcpressure sets it for a whole run. Only
+// Pressure is consulted.
 var DefaultGC GCKnobs
 
 // config renders the knobs as the dsm.Config an application's Params
@@ -126,10 +124,7 @@ func (g GCKnobs) config() dsm.Config {
 	if g.Pressure == 0 {
 		g.Pressure = DefaultGC.Pressure
 	}
-	if g.Policy == dsm.GCPolicyDefault {
-		g.Policy = DefaultGC.Policy
-	}
-	return dsm.Config{DisableGC: g.Disable, GCMinRetire: g.MinRetire, GCPressure: g.Pressure, GCPolicy: g.Policy}
+	return dsm.Config{DisableGC: g.Disable, GCMinRetire: g.MinRetire, GCPressure: g.Pressure}
 }
 
 // App is one of the seven registered applications, wired to its

@@ -84,11 +84,11 @@ func TestMicroResultsInPaperBands(t *testing.T) {
 	if m.TCPBandwidth < 5 || m.TCPBandwidth > 12 {
 		t.Errorf("TCP bandwidth %.1f MB/s, want ~8.6", m.TCPBandwidth)
 	}
-	// One-page faults are the regression oracle of the span fetch: they
-	// keep the classic request sequence, so these three repeat to the
-	// nanosecond what they measured before it existed.
-	if m.PageFaultCold != 565720 || m.DiffLow != 286080 || m.DiffHigh != 695280 {
-		t.Errorf("one-page fault costs moved: cold %d ns, diff low %d, diff high %d; want 565720, 286080, 695280",
+	// One-page faults are deterministic to the nanosecond: one request and
+	// one reply of the fetch exchange, their sizes fixed by the codec
+	// (dsm.TestOnePageFaultCosts derives the same three from the encodings).
+	if m.PageFaultCold != 565540 || m.DiffLow != 284460 || m.DiffHigh != 693660 {
+		t.Errorf("one-page fault costs moved: cold %d ns, diff low %d, diff high %d; want 565540, 284460, 693660",
 			m.PageFaultCold, m.DiffLow, m.DiffHigh)
 	}
 	// A page nobody wrote is zeros wherever it is first touched: the fault

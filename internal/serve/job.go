@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/dsm"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
@@ -70,14 +69,13 @@ func (j *Job) E2E() sim.Time { return j.End - j.Arrival }
 // ParseMix parses a job-mix specification: comma-separated classes, each
 // colon-separated as
 //
-//	App:impl:pN[:w=K][:gc=P][:policy=X]
+//	App:impl:pN[:w=K][:gc=P]
 //
-// e.g. "Water:omp-smp:p4,TSP:omp:p4:w=2:gc=64:policy=adaptive". App is a
-// registered application name (case-sensitive), impl one of the harness
+// e.g. "Water:omp-smp:p4,TSP:omp:p4:w=2:gc=64". App is a registered
+// application name (case-sensitive), impl one of the harness
 // implementations (seq, omp, omp-smp, omp-hybrid[@K], tmk, mpi), pN the
-// processor count, w=K the arrival mix weight (default 1), and gc=P /
-// policy=X per-job acquire-epoch GC pressure and purge policy (flush,
-// validate-hot or adaptive).
+// processor count, w=K the arrival mix weight (default 1), and gc=P the
+// per-job acquire-epoch GC pressure. Any other key is an error.
 func ParseMix(spec string) ([]JobClass, error) {
 	var mix []JobClass
 	for _, part := range strings.Split(spec, ",") {
@@ -100,7 +98,7 @@ func ParseMix(spec string) ([]JobClass, error) {
 func parseClass(part string) (JobClass, error) {
 	fields := strings.Split(part, ":")
 	if len(fields) < 3 {
-		return JobClass{}, fmt.Errorf("serve: class %q: want App:impl:pN[:w=K][:gc=P][:policy=X]", part)
+		return JobClass{}, fmt.Errorf("serve: class %q: want App:impl:pN[:w=K][:gc=P]", part)
 	}
 	c := JobClass{App: fields[0], Impl: harness.Impl(fields[1]), MixWeight: 1}
 	if _, ok := harness.FindApp(c.App); !ok {
@@ -132,12 +130,6 @@ func parseClass(part string) (JobClass, error) {
 				return JobClass{}, fmt.Errorf("serve: class %q: bad gc pressure %q", part, val)
 			}
 			c.GC.Pressure = p
-		case "policy":
-			pol, err := dsm.ParseGCPolicy(val)
-			if err != nil {
-				return JobClass{}, fmt.Errorf("serve: class %q: %w", part, err)
-			}
-			c.GC.Policy = pol
 		default:
 			return JobClass{}, fmt.Errorf("serve: class %q: unknown option %q", part, key)
 		}

@@ -3,12 +3,11 @@ package serve
 import (
 	"testing"
 
-	"repro/internal/dsm"
 	"repro/internal/harness"
 )
 
 func TestParseMix(t *testing.T) {
-	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64:policy=adaptive ,3D-FFT:mpi:p8,3D-FFT:omp:p4:gc=64")
+	mix, err := ParseMix("Water:omp-smp:p4, TSP:omp:p4:w=3:gc=64 ,3D-FFT:mpi:p8,3D-FFT:omp:p4:gc=64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +19,7 @@ func TestParseMix(t *testing.T) {
 		t.Fatalf("class 0 = %+v, want %+v", mix[0], want0)
 	}
 	want1 := JobClass{App: "TSP", Impl: harness.OMP, Procs: 4, MixWeight: 3,
-		GC: harness.GCKnobs{Pressure: 64, Policy: dsm.GCPolicyAdaptive}}
+		GC: harness.GCKnobs{Pressure: 64}}
 	if mix[1] != want1 {
 		t.Fatalf("class 1 = %+v, want %+v", mix[1], want1)
 	}
@@ -43,17 +42,17 @@ func TestParseMix(t *testing.T) {
 
 func TestParseMixRejects(t *testing.T) {
 	bad := []string{
-		"",                        // empty
-		"Water:omp-smp",           // missing procs
-		"NoSuchApp:omp:p4",        // unknown app
-		"Water:fortran:p4",        // unknown impl
-		"Water:omp:p0",            // zero procs
-		"Water:omp:4",             // missing p prefix
-		"Water:omp:p4:w=0",        // zero weight
-		"Water:omp:p4:x=1",        // unknown option
-		"Water:omp:p4:policy=lru", // unknown purge policy
-		"Water:omp:p4:gc=sixty",   // non-numeric pressure
-		"Water:omp:p4:policy",     // option without value
+		"",                          // empty
+		"Water:omp-smp",             // missing procs
+		"NoSuchApp:omp:p4",          // unknown app
+		"Water:fortran:p4",          // unknown impl
+		"Water:omp:p0",              // zero procs
+		"Water:omp:4",               // missing p prefix
+		"Water:omp:p4:w=0",          // zero weight
+		"Water:omp:p4:x=1",          // unknown option
+		"Water:omp:p4:policy=flush", // the deleted purge-policy key
+		"Water:omp:p4:gc=sixty",     // non-numeric pressure
+		"Water:omp:p4:policy",       // option without value
 	}
 	for _, spec := range bad {
 		if _, err := ParseMix(spec); err == nil {
