@@ -315,9 +315,9 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 // reflect the notices a flush would drop, and the page validates. The
 // barrier/fork source runs ungated: its lagged flush floor is covered by
 // every home by construction. Everything else flushes — the classic
-// TreadMarks invalidate choice. (Keeping recently faulted copies instead
-// was a knob until it lost on the benchmark's own traffic; see README
-// "Protocol-metadata garbage collection".)
+// TreadMarks invalidate choice; README "Protocol-metadata garbage
+// collection" records the measurement that decided against keeping
+// recently faulted copies.
 func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, gated bool) bool {
 	home := n.homeOf(pg.id)
 	return home == n.id || gated && !n.sys.purged.covers(home, retire)
@@ -520,8 +520,8 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	// was: the client's clock stops at the latest reply arrival ("the
 	// parallel validation sweep") and the inbound-link floor fetch returns
 	// is NOT applied. Flooring the wave is a model change, not a
-	// simplification (prototyped: locks8 speedup 2.50 → 1.51, scale64 2.29 →
-	// 1.16, paged8 3.92 → 3.82); it is the optimism per-port occupancy in
+	// simplification (measured: locks8 speedup 2.50 → 1.51, scale64 2.26 →
+	// 1.12, paged8 3.89 → 3.82); it is the optimism per-port occupancy in
 	// the network model will price.
 	n.mu.Unlock() // --- network section: servers may run meanwhile ---
 	diffs, _ := c.fetch(work)

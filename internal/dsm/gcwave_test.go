@@ -121,7 +121,7 @@ func TestGCWaveThroughFetch(t *testing.T) {
 // calling the purge the way acqEpoch does with the home's registry entry
 // rewound — is rebuilt from its home's whole page and its covered tail in
 // ONE exchange: both requests leave together and the wave costs the later
-// arrival, where the classic wave ran a page round and then a diff round.
+// arrival, not a page round followed by a diff round.
 func TestGCWaveRebuildsFlushedCopyInOneRound(t *testing.T) {
 	SetDebugOracle(true)
 	defer SetDebugOracle(false)
@@ -228,7 +228,8 @@ func TestGCWaveWindow(t *testing.T) {
 		if n.ID() == 0 {
 			for i := 0; i < pages; i++ {
 				if got := n.ReadI64(addr(i) + 64); got != int64(1000+i) {
-					t.Fatalf("homed page %d reads %d after the wave, want %d", i, got, 1000+i)
+					t.Errorf("homed page %d reads %d after the wave, want %d", i, got, 1000+i)
+					break
 				}
 			}
 		}
