@@ -65,15 +65,18 @@ hybrid-race:
 # reaches the default threshold — the every-episode purge paths), the
 # validation wave through the fetch exchange (TestGCWave*: request
 # grouping, the one-round rebuild of a flushed copy, the in-flight window),
-# the zero-base first-touch pins, plus the lock/semaphore applications —
-# QSORT and Sweep3D at multiples of their test scale — with the collector
-# forced to low pressure, and every app on the every-episode schedule. The
-# consensus pushes, server-side purges, and fetch-lock exclusion all
-# exercise cross-goroutine edges, so this is where an ordering bug in the
-# collector fails first.
+# the zero-base first-touch pins, the acquire source's wait-for-the-home
+# rule (TestAcquireEpoch*, TestEpisodeSettle*: a waiting node's owed floor
+# is claimed and finished across the application thread, its island-mates
+# and the server), plus the lock/semaphore applications — QSORT and Sweep3D
+# at multiples of their test scale — with the collector forced to low
+# pressure, every app on the every-episode schedule, and the full-scale
+# Sweep3D cell whose wave must stay at the homes. The consensus pushes,
+# server-side purges, and fetch-lock exclusion all exercise cross-goroutine
+# edges, so this is where an ordering bug in the collector fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestZeroBase|TestHome' ./internal/dsm
-	$(GO) test -race -run 'TestAcquireGC|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode' ./internal/harness
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
 # >8-node smoke under the race detector: the wide-team (16/32-thread)
 # conformance scenario on every backend plus one real application at 16
@@ -150,7 +153,7 @@ OUT ?= results/BENCH_pairs
 bench-pairs:
 	@[ -n "$(PARENT)" ] || { echo "usage: make bench-pairs PARENT=<ref> [PAIRS=10] [OUT=results/BENCH_<n>]"; exit 2; }
 	results/pairs.sh $(PARENT) $(PAIRS) > $(OUT).jsonl
-	$(GO) run ./results/summarize $(OUT).jsonl | tee $(OUT).txt
+	$(GO) run ./results/summarize $(OUT).jsonl | tee $(OUT).md
 
 # Regenerate every paper artifact at full scale.
 tables:

@@ -70,6 +70,13 @@ type Result struct {
 	// the scaling table prints beside the byte shares.
 	FaultWait               sim.Time
 	FaultRounds, FaultPages int64
+	// The collector's validation wave, likewise summed over nodes: the
+	// virtual time threads spent in it, and its fetch-exchange traffic —
+	// which PageMsgs/PageBytes above INCLUDE (the wave fetches pages and
+	// diffs like a fault does); the pair says how much of "page service" no
+	// thread asked for.
+	GCWait                  sim.Time
+	GCWaveMsgs, GCWaveBytes int64
 	// Frames counts the datagrams that actually crossed the wire: with
 	// frame coalescing several logical messages share one datagram, so
 	// Messages - Frames is the number of per-message network headers the
@@ -100,6 +107,7 @@ func DSMResult(checksum float64, t sim.Time, msgs, bytes int64, src ProtoSource)
 	r.SyncMsgs, r.SyncBytes = tb.SyncMsgs, tb.SyncBytes
 	r.GCMsgs, r.GCBytes = tb.GCMsgs, tb.GCBytes
 	r.FaultWait, r.FaultRounds, r.FaultPages = tb.FaultWait, tb.FaultRounds, tb.FaultPages
+	r.GCWait, r.GCWaveMsgs, r.GCWaveBytes = tb.GCWait, tb.GCWaveMsgs, tb.GCWaveBytes
 	r.Frames = src.Frames()
 	return r
 }

@@ -52,6 +52,11 @@ import (
 //     reason (every node purges the episode floor — which dominates every
 //     previously announced acquire floor — before resuming application
 //     code, and a node parked in the episode cannot fetch).
+//   - A node reports a purge only once it is FINISHED. A copy may flush
+//     only when its home has purged the floor (home.go); until then it is
+//     left alone, notices and all — nothing is fetched for a page nobody
+//     asked for — and the node's report waits with it (acqEpoch), so
+//     nothing under F is freed while any copy could still fault on it.
 //
 // In the simulation the coordinator is a System-level registry standing in
 // for the managers' shared bookkeeping: the clocks it aggregates are the
@@ -439,14 +444,14 @@ func (c *Client) gcSyncOnce() {
 	floor, pending, push := co.report(n.id, vc, true)
 	if pending {
 		n.mu.Lock()
-		done := n.acqEpochLocked(c, floor)
+		done := n.acqEpoch(c, floor, false)
 		n.mu.Unlock()
-		if done {
-			// Only the client that actually ran the purge acknowledges:
+		if done != nil {
+			// Only the client that actually FINISHED the purge acknowledges:
 			// the coordinator free-gates on this, and an island-mate that
-			// found the epoch already claimed must not vouch for an
-			// unfinished purge.
-			co.notePurged(n.id, floor)
+			// found the epoch claimed — or a node with pages still waiting
+			// on a lagging home — must not vouch for an unfinished purge.
+			co.notePurged(n.id, done)
 		}
 	}
 	if len(push) > 0 && n.gcTreeConsensus() {
@@ -562,7 +567,7 @@ func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	}
 	if f.count() > 0 && f.trySendAt(m.From, at) && len(back) > 0 {
 		n.noteSentLocked(m.From)
-		n.stats.GCSyncPushes++
+		n.stats.GCSyncReverse++
 	}
 	// Tree relay: the pusher handed this node the destinations whose
 	// first hop is here; forward each remaining destination one hop
@@ -631,34 +636,49 @@ func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 	}
 	defer n.fetchMu.Unlock()
 	//nowlint:allow lockorder -- acqEpoch with serverSide=true swaps the purge closure for the flush-only gcFlushCoveredLocked before running it, so the gcPurgePagesLocked path that re-takes fetchMu is unreachable under this TryLock; the analyzer cannot see past the value dependency
-	if n.acqEpochServer(floor) {
-		co.notePurged(n.id, floor)
+	if done := n.acqEpochServer(floor); done != nil {
+		co.notePurged(n.id, done)
 	}
-}
-
-// acqEpochLocked processes one announced acquire epoch on this node: free
-// what the PREVIOUS acquire epoch retired, purge page copies up to the new
-// floor, and advance the floor. Requires n.mu; the purge
-// may release and reacquire it around its diff-fetch wave. Returns false
-// if the floor was already covered (an island-mate claimed the epoch, or a
-// barrier episode superseded it).
-func (n *Node) acqEpochLocked(c *Client, floor VectorClock) bool {
-	return n.acqEpoch(c, floor, false)
 }
 
 // acqEpochServer is the protocol-server variant used by the consensus
 // push (handleGCSync): the purge is flush-only and never releases n.mu —
 // a server cannot block on network replies. The caller must hold fetchMu;
 // n.mu is taken here, by defer like every server path (incorporateWire).
-func (n *Node) acqEpochServer(floor VectorClock) bool {
+func (n *Node) acqEpochServer(floor VectorClock) VectorClock {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.acqEpoch(nil, floor, true)
 }
 
-func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) bool {
-	if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
-		return false
+// acqEpoch processes one announced acquire epoch on this node: free what
+// the PREVIOUS acquire epoch retired, purge page copies up to the new floor,
+// and advance the floor. It returns the floor whose purge it COMPLETED, for
+// the caller to acknowledge — nil when there is none: the floor was already
+// covered (an island-mate claimed the epoch, or a barrier episode superseded
+// it), or pages still wait on homes that have not purged it. Requires n.mu;
+// the application-thread purge (serverSide false) may release and reacquire
+// it around its diff-fetch wave.
+//
+// Two things are published at two times. The home registry entry is written
+// at the end of the FIRST pass (gcCollectLocked): a node's own homed pages
+// never wait, so two nodes homing each other's pages cannot wait on each
+// other. The acknowledgment waits for the last page: the node holds the
+// owed floor and the homes it waits for, every later consensus step costs
+// one registry read a waited-for home — no page scan — and once all have
+// published ONE more pass flushes what is left. A waiting node finishes the
+// floor it began even when the coordinator already hands out a larger one.
+func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) VectorClock {
+	owed := n.gcAcqOwed
+	if owed != nil {
+		for _, h := range n.gcAcqLag {
+			if !n.sys.purged.covers(h, owed) {
+				return nil
+			}
+		}
+		floor = owed
+	} else if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
+		return nil
 	}
 	if serverSide {
 		if !n.gcCanFlushAllLocked(floor) {
@@ -667,7 +687,7 @@ func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) bool {
 			// or its home has not purged the floor yet — and a validating
 			// purge fetches diffs, which a server cannot block on. Leave
 			// the epoch to the application thread.
-			return false
+			return nil
 		}
 		if !floor.dominatedBy(n.vc) {
 			// A stale push raced a just-issued barrier/fork episode: node
@@ -676,7 +696,7 @@ func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) bool {
 			// processed in that window hands us a floor covering intervals
 			// we have not incorporated yet. The episode delivery itself
 			// will purge past this floor moments later; skip.
-			return false
+			return nil
 		}
 	} else if !floor.dominatedBy(n.vc) {
 		// Impossible on the application thread: the floor is a min over
@@ -684,14 +704,27 @@ func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) bool {
 		// episodes this thread has already processed.
 		panic(fmt.Sprintf("dsm: node %d acquire-epoch floor %v above local clock %v", n.id, floor, n.vc))
 	}
-	purge := func() { n.gcPurgePagesLocked(c, floor, floor, false) }
+	var lag []int
+	purge := func() { lag = n.gcPurgePagesLocked(c, floor, floor, false, true) }
 	if serverSide {
 		// A node reached by a push is quiet — parked on a condition
 		// variable or deep in a compute phase — and gcCanFlushAllLocked
 		// held, so every covered copy flushes, which needs no network.
 		purge = func() { n.gcFlushCoveredLocked(floor) }
 	}
-	n.gcCollectLocked(&n.gcAcqFreeVC, floor, purge)
-	n.stats.GCAcqEpochs++
-	return true
+	if owed != nil {
+		// The finishing pass may release n.mu: claim the owed floor, so no
+		// island-mate or server runs a second or acknowledges an unfinished one.
+		n.gcAcqOwed, n.gcAcqLag = nil, nil
+		purge()
+		n.pruneGCPagesLocked()
+	} else {
+		n.gcCollectLocked(&n.gcAcqFreeVC, floor, purge)
+		n.stats.GCAcqEpochs++
+	}
+	if lag != nil {
+		n.gcAcqOwed, n.gcAcqLag = floor, lag
+		return nil
+	}
+	return floor
 }

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -129,8 +130,8 @@ func TestAcquireGCBoundedChain(t *testing.T) {
 // and the per-page validate-vs-flush choice are invisible to the
 // computation under any goroutine interleaving. Every page of a plan lies
 // in node 0's home block, so a copy validated on any other node went
-// through the NON-home validation wave (a copy that must be kept, or one
-// whose home lags the floor): some plan must reach it.
+// through the NON-home validation wave — a copy that must be kept (one
+// whose home lags the floor waits instead): some plan must reach it.
 func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 	var foreignValidated int64
 	f := func(seed int64) bool {
@@ -231,7 +232,9 @@ func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 // node's purges lag the previously issued floors (the gate that makes
 // the one-epoch-delayed free sound). No global purge order is imposed
 // (the per-page homePurged registry orders flushes), but a node must only
-// be handed floors dominated by its own reported clock.
+// be handed floors dominated by its own reported clock. And a node that has
+// not acknowledged — its purge still waits on a lagging home — blocks the
+// next announcement however many times it reports meanwhile.
 func TestAcqCoordProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -288,6 +291,29 @@ func TestAcqCoordProperties(t *testing.T) {
 				// flush gate needs nothing more from the coordinator.
 				if !floor.dominatedBy(co.reported[id]) {
 					return false
+				}
+				if rng.Intn(4) == 0 {
+					// Still waiting on a home. Meanwhile every node — this
+					// one too — works on, incorporates everything and reports
+					// it, round after round: pressure builds well past the
+					// threshold, yet nothing may be announced, and the floor
+					// owed stays the one handed out.
+					announced := co.announced
+					for k := 1 + rng.Intn(5); k > 0; k-- {
+						for j := range clocks {
+							clocks[j][j] += int32(1 + rng.Intn(8))
+						}
+						for j := range clocks {
+							for i := range clocks {
+								clocks[j][i] = clocks[i][i]
+							}
+							co.report(j, clocks[j], true)
+						}
+					}
+					again, still := co.pendingFloorFor(id)
+					if co.announced != announced || !still || !slices.Equal(again, floor) {
+						return false
+					}
 				}
 				co.notePurged(id, floor)
 			}

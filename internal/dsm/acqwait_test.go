@@ -1,0 +1,428 @@
+package dsm
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// At an acquire epoch a foreign page whose home has not purged the floor is
+// left alone, and the node finishes — and acknowledges — its purge once that
+// home has published (acqEpoch). These tests pin the rule on three nodes
+// with fixed roles: node 0, the master and barrier root, is the WAITER;
+// node 1 HOMES the one page in play (the first of the second home block);
+// node 2 WRITES it, four bytes a round. Neither source ever triggers by
+// pressure: episodes collect on every fourth interval (GCMinRetire — one
+// interval a write), and the acquire floor is issued by hand, so every
+// step happens where the test puts it.
+const (
+	awWaiter = 0
+	awHome   = 1
+	awWriter = 2
+)
+
+// awWord is what round r leaves at the start of the page.
+func awWord(r int) []byte {
+	return []byte{waveFill(r, 0), waveFill(r, 1), waveFill(r, 2), waveFill(r, 3)}
+}
+
+// acqWait is the state the fixture hands each test's continuation.
+type acqWait struct {
+	t     *testing.T
+	sys   *System
+	a     Addr
+	pid   PageID
+	floor VectorClock // the owed floor: covers rounds 0-4, not round 5
+}
+
+// fetchReqs is the number of fetch requests sent so far, by anyone.
+func (f *acqWait) fetchReqs() int64 {
+	m, _ := f.sys.Switch().Stats().ByType(msgFetchReq)
+	return m
+}
+
+// acked reports whether the coordinator holds node id's acknowledgment of
+// the owed floor.
+func (f *acqWait) acked(id int) bool {
+	co := f.sys.acq
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return f.floor.dominatedBy(co.purged[id])
+}
+
+// round is one write by the writer, published by a barrier.
+func (f *acqWait) round(n *Node, r int) {
+	if n.ID() == awWriter {
+		n.WriteBytes(f.a, awWord(r))
+	}
+	n.Barrier()
+}
+
+// homeCatchesUp runs the home's own first pass between two barriers: it
+// validates its page to the floor and publishes its registry entry.
+func (f *acqWait) homeCatchesUp(n *Node) {
+	n.Barrier()
+	if n.ID() == awHome {
+		n.c0.gcSyncOnce()
+		if !f.acked(awHome) {
+			f.t.Error("the home, which waits for nobody, did not acknowledge its own first pass")
+		}
+	}
+	n.Barrier()
+}
+
+// acqWaitFixture runs rest on every node once the waiter has taken the
+// first pass of an acquire epoch whose floor the page's home lags:
+//
+//	rounds 0-3   the waiter reads the page after round 0; the barrier of
+//	             round 3 is a collecting episode, so the home's registry
+//	             entry — and the waiter's copy, which that episode must
+//	             keep — reflect rounds 0-3
+//	round 4      the waiter's clock after it is the floor
+//	round 5      one more notice: the tail the floor does not cover. With
+//	             homeWrites the home writes the page too (64 bytes on), so
+//	             the tail is two concurrent notices and no single writer's
+//	             copy can stand in for it (planFaultLocked's squash)
+//	first pass   on the waiter, every other node parked at the next barrier
+//
+// and checks what that pass must leave behind: nothing fetched anywhere,
+// nothing validated, nothing flushed, the copy and every notice in place,
+// the floor owed and unacknowledged.
+func acqWaitFixture(t *testing.T, homeWrites bool, rest func(f *acqWait, n *Node)) *System {
+	t.Helper()
+	SetDebugOracle(true)
+	defer SetDebugOracle(false)
+	sys := New(Config{Procs: 3, GCPressure: 1 << 20, GCMinRetire: 4})
+	f := &acqWait{t: t, sys: sys}
+	f.a = sys.MallocPage(2*HomeBlockPages*PageSize) + HomeBlockPages*PageSize
+	f.pid = PageID(int(f.a) / PageSize)
+	sys.Register("wait", func(n *Node, _ []byte) {
+		if !sys.Node(awHome).isHome(f.pid) {
+			t.Errorf("test premise: page %d is homed at node %d", f.pid, n.homeOf(f.pid))
+		}
+		f.round(n, 0)
+		if n.ID() == awWaiter {
+			n.ReadBytes(f.a, make([]byte, 4))
+		}
+		n.Barrier() // the read is over before round 1 overwrites what it read
+		for r := 1; r <= 4; r++ {
+			f.round(n, r)
+		}
+		if n.ID() == awWaiter {
+			n.mu.Lock()
+			f.floor = n.vc.clone()
+			n.mu.Unlock()
+		}
+		n.Barrier() // the floor is read before a round-5 arrival can raise the root's clock
+		if homeWrites && n.ID() == awHome {
+			n.WriteBytes(f.a+64, awWord(5))
+		}
+		f.round(n, 5)
+		if n.ID() == awWaiter {
+			if e := n.Stats().GCEpochs; e != 1 {
+				t.Errorf("test premise: %d collecting episodes so far, want round 3's alone", e)
+			}
+			tail := 1
+			if homeWrites {
+				tail = 2
+			}
+			before, reqs := n.Stats(), f.fetchReqs()
+			sys.acq.noteIssued(f.floor) // "the managers announced this floor"
+			n.c0.gcSyncOnce()
+			after := n.Stats()
+			if got := f.fetchReqs() - reqs; got != 0 {
+				t.Errorf("the first pass sent %d fetch requests for a page nobody asked for, want 0", got)
+			}
+			if after.GCAcqEpochs != before.GCAcqEpochs+1 || after.GCPagesValidated != before.GCPagesValidated ||
+				after.GCPagesFlushed != before.GCPagesFlushed || after.GCWait != before.GCWait {
+				t.Errorf("first pass: %d epochs, validated %d, flushed %d, waited %d ns; want 1, 0, 0, 0",
+					after.GCAcqEpochs-before.GCAcqEpochs, after.GCPagesValidated-before.GCPagesValidated,
+					after.GCPagesFlushed-before.GCPagesFlushed, after.GCWait-before.GCWait)
+			}
+			n.mu.Lock()
+			pg := n.pageFor(f.pid)
+			// (At least: a writer already past the next barrier's arrival may
+			// have delivered one more.)
+			if pg.data == nil || !owesCovered(pg, f.floor) || len(pg.missing) < 1+tail {
+				t.Errorf("the waiting page was touched: copy=%v, owes under the floor=%v, %d notices; want its copy and at least %d notices",
+					pg.data != nil, owesCovered(pg, f.floor), len(pg.missing), 1+tail)
+			}
+			if n.gcAcqOwed == nil || !slices.Equal(n.gcAcqOwed, f.floor) || !slices.Equal(n.gcAcqLag, []int{awHome}) {
+				t.Errorf("owed floor %v waiting for %v, want %v waiting for [%d]", n.gcAcqOwed, n.gcAcqLag, f.floor, awHome)
+			}
+			n.mu.Unlock()
+			if f.acked(awWaiter) {
+				t.Error("the waiter acknowledged a floor it has not finished purging")
+			}
+			if !sys.purged.covers(awWaiter, f.floor) {
+				t.Error("the waiter's own registry entry must be published by the first pass: its homed pages never wait")
+			}
+		}
+		rest(f, n)
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("wait", nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if d := OracleDiverges(); d != 0 {
+		t.Errorf("%d reads diverged from the shadow memory", d)
+	}
+	return sys
+}
+
+// TestAcquireEpochLeavesLaggingHomePageAlone: the first pass (checked by
+// the fixture) fetches nothing and drops nothing. Once the home has
+// published, the waiter's next consensus step flushes the page without a
+// message and acknowledges; a read then rebuilds it from the home's page
+// and the two notices the floor never covered. Validating in the
+// lagging-home case fails the fixture's first-pass checks.
+func TestAcquireEpochLeavesLaggingHomePageAlone(t *testing.T) {
+	acqWaitFixture(t, true, func(f *acqWait, n *Node) {
+		f.homeCatchesUp(n)
+		if n.ID() != awWaiter {
+			return
+		}
+		before, reqs := n.Stats(), f.fetchReqs()
+		n.c0.gcSyncOnce()
+		after := n.Stats()
+		if got := f.fetchReqs() - reqs; got != 0 {
+			t.Errorf("the finishing pass sent %d fetch requests, want 0", got)
+		}
+		if after.GCPagesFlushed != before.GCPagesFlushed+1 || after.GCPagesValidated != before.GCPagesValidated ||
+			after.GCAcqEpochs != before.GCAcqEpochs {
+			t.Errorf("finishing pass flushed %d, validated %d, counted %d epochs; want 1, 0, 0",
+				after.GCPagesFlushed-before.GCPagesFlushed, after.GCPagesValidated-before.GCPagesValidated,
+				after.GCAcqEpochs-before.GCAcqEpochs)
+		}
+		n.mu.Lock()
+		pg := n.pageFor(f.pid)
+		if pg.data != nil || !pg.refetch || len(pg.missing) != 2 || n.gcAcqOwed != nil {
+			t.Errorf("after the finishing pass: copy=%v refetch=%v notices=%d owed=%v; want a flushed copy owing its tail, nothing owed",
+				pg.data != nil, pg.refetch, len(pg.missing), n.gcAcqOwed)
+		}
+		n.mu.Unlock()
+		if !f.acked(awWaiter) {
+			t.Error("the finished purge was not acknowledged")
+		}
+		got := make([]byte, 68)
+		n.ReadBytes(f.a, got)
+		read := n.Stats()
+		if !bytes.Equal(got[:4], awWord(5)) || !bytes.Equal(got[64:], awWord(5)) {
+			t.Errorf("rebuilt copy reads %v and %v, want round 5's %v from both writers", got[:4], got[64:], awWord(5))
+		}
+		if read.PageFetches != after.PageFetches+1 || read.DiffsApplied != after.DiffsApplied+2 || read.FaultRounds != after.FaultRounds+1 {
+			t.Errorf("the read took %d whole pages, %d diffs, %d rounds; want the home's page and the two-notice tail in one round",
+				read.PageFetches-after.PageFetches, read.DiffsApplied-after.DiffsApplied, read.FaultRounds-after.FaultRounds)
+		}
+	})
+}
+
+// TestAcquireEpochWaitingPageFaultsNormally: a read of the waiting page is
+// an ordinary fault — one request to the writer for the two diffs owed, to
+// the nanosecond — and the finishing pass then finds nothing owed on the
+// page and leaves it where the fault put it.
+func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
+	var took sim.Time
+	var seqs [2]int
+	var pid PageID
+	sys := acqWaitFixture(t, false, func(f *acqWait, n *Node) {
+		if n.ID() == awWaiter {
+			pid = f.pid
+			n.mu.Lock()
+			for i, m := range n.pageFor(f.pid).missing {
+				seqs[i] = m.seq
+			}
+			n.mu.Unlock()
+			reqs := f.fetchReqs()
+			got := make([]byte, 4)
+			t0 := n.Now()
+			n.ReadBytes(f.a, got)
+			took = n.Now() - t0
+			if !bytes.Equal(got, awWord(5)) || f.fetchReqs() != reqs+1 {
+				t.Errorf("waiting page read %v in %d requests, want round 5's %v in one", got, f.fetchReqs()-reqs, awWord(5))
+			}
+		}
+		f.homeCatchesUp(n)
+		if n.ID() != awWaiter {
+			return
+		}
+		before, reqs := n.Stats(), f.fetchReqs()
+		n.c0.gcSyncOnce()
+		n.ReadBytes(f.a, make([]byte, 4))
+		after := n.Stats()
+		if !f.acked(awWaiter) {
+			t.Error("the finished purge was not acknowledged")
+		}
+		if after.GCPagesFlushed != before.GCPagesFlushed || after.GCPagesValidated != before.GCPagesValidated ||
+			after.ReadFaults != before.ReadFaults || f.fetchReqs() != reqs {
+			t.Errorf("the finishing pass touched a page that owed nothing: flushed %d, validated %d, then %d faults, %d requests",
+				after.GCPagesFlushed-before.GCPagesFlushed, after.GCPagesValidated-before.GCPagesValidated,
+				after.ReadFaults-before.ReadFaults, f.fetchReqs()-reqs)
+		}
+	})
+	// Round 4's diff was encoded when round 5 reused its twin; round 5's is
+	// encoded as the request is served.
+	plat := sys.Platform()
+	req, rep := fetchItemsWireLen(
+		fetchItem{pid: pid, seq: seqs[0], data: make([]byte, 8+4)},
+		fetchItem{pid: pid, seq: seqs[1], data: make([]byte, 8+4)})
+	want := plat.FaultOverhead + plat.UDP.Latency(req) + plat.RequestService +
+		plat.DiffCreate + sim.Time(float64(PageSize)*plat.DiffPerByte) + plat.UDP.Latency(rep) +
+		2*(plat.DiffApply+sim.Time(4*plat.DiffApplyPerByte))
+	if took != want {
+		t.Errorf("the fault on the waiting page took %d ns, want the one-page diff fetch %d", took, want)
+	}
+}
+
+// TestEpisodeSettlesOwedAcquirePurge: the waiter — the barrier root, so
+// the home provably still lags when it runs — enters a collecting episode
+// with its floor owed. The episode's lagged flush drops the copy and keeps
+// every notice past the previous collecting floor; what of that tail the
+// owed floor covers is then settled the old way, validated from the home's
+// page and the covered diff, and the owed floor is acknowledged with the
+// episode's.
+func TestEpisodeSettlesOwedAcquirePurge(t *testing.T) {
+	acqWaitFixture(t, false, func(f *acqWait, n *Node) {
+		var before NodeStats
+		if n.ID() == awWaiter {
+			before = n.Stats()
+		}
+		f.round(n, 6)
+		f.round(n, 7) // the fourth interval since round 3's: a collecting episode
+		if n.ID() != awWaiter {
+			return
+		}
+		after := n.Stats()
+		if after.GCEpochs != before.GCEpochs+1 {
+			t.Fatalf("test premise: rounds 6 and 7 collected %d times, want once", after.GCEpochs-before.GCEpochs)
+		}
+		if after.GCPagesFlushed != before.GCPagesFlushed+1 || after.GCPagesValidated != before.GCPagesValidated+1 ||
+			after.PageFetches != before.PageFetches+1 || after.DiffsApplied != before.DiffsApplied+1 {
+			t.Errorf("episode with an owed floor: flushed %d, validated %d from %d whole pages and %d diffs; want 1, 1, 1, 1",
+				after.GCPagesFlushed-before.GCPagesFlushed, after.GCPagesValidated-before.GCPagesValidated,
+				after.PageFetches-before.PageFetches, after.DiffsApplied-before.DiffsApplied)
+		}
+		n.mu.Lock()
+		pg := n.pageFor(f.pid)
+		if owes := owesCovered(pg, f.floor); owes || len(pg.missing) != 3 || n.gcAcqOwed != nil {
+			t.Errorf("after the episode: owes under the owed floor=%v, %d notices, owed=%v; want only rounds 5-7 owed, nothing waiting",
+				owes, len(pg.missing), n.gcAcqOwed)
+		}
+		n.mu.Unlock()
+		if !f.acked(awWaiter) {
+			t.Error("the settled floor was not acknowledged")
+		}
+		got := make([]byte, 4)
+		n.ReadBytes(f.a, got)
+		if !bytes.Equal(got, awWord(7)) {
+			t.Errorf("page reads %v after the episode, want round 7's %v", got, awWord(7))
+		}
+	})
+}
+
+// TestAcquireEpochWaitsWithoutScanning: waiting costs registry reads, not
+// page scans. While its home lags, the fixture's waiter takes and releases
+// a lock fifty times — a hundred consensus steps — without one more walk
+// of its work list; the step after the home has published walks it once
+// and finishes. On the four-node ring, whatever the schedule, a node that
+// runs ~140 synchronization operations across a dozen acquire epochs walks
+// its work list at most twice an epoch: the first pass and the finishing
+// one.
+func TestAcquireEpochWaitsWithoutScanning(t *testing.T) {
+	acqWaitFixture(t, false, func(f *acqWait, n *Node) {
+		var waiting NodeStats
+		if n.ID() == awWaiter {
+			before := n.Stats()
+			for i := 0; i < 50; i++ {
+				n.Acquire(7)
+				n.Release(7)
+			}
+			waiting = n.Stats()
+			if waiting.GCPurges != before.GCPurges || f.acked(awWaiter) {
+				t.Errorf("%d synchronization operations while the home lags walked the work list %d times (acknowledged: %v), want 0",
+					waiting.LockAcquires-before.LockAcquires, waiting.GCPurges-before.GCPurges, f.acked(awWaiter))
+			}
+		}
+		f.homeCatchesUp(n)
+		if n.ID() == awWaiter {
+			n.Acquire(7)
+			n.Release(7)
+			if got := n.Stats().GCPurges - waiting.GCPurges; got != 1 || !f.acked(awWaiter) {
+				t.Errorf("once the home had published, two more consensus steps walked the work list %d times (acknowledged: %v), want once",
+					got, f.acked(awWaiter))
+			}
+		}
+	})
+
+	sys := acqRingWorkload(t, Config{Procs: 4, GCPressure: 16}, 48)
+	for i := 0; i < 4; i++ {
+		st := sys.Node(i).Stats()
+		if st.GCAcqEpochs == 0 || st.LockAcquires+st.SemaOps < 10*st.GCAcqEpochs {
+			t.Fatalf("test premise: node %d ran %d acquire epochs over %d synchronization operations",
+				i, st.GCAcqEpochs, st.LockAcquires+st.SemaOps)
+		}
+		if max := 2 * (st.GCAcqEpochs + st.GCEpochs); st.GCPurges > max {
+			t.Errorf("node %d walked its work list %d times for %d acquire epochs and %d episodes, want at most %d",
+				i, st.GCPurges, st.GCAcqEpochs, st.GCEpochs, max)
+		}
+	}
+}
+
+// TestEpisodeSettleAsksForNothingTheEpisodeFrees: the settling pass runs
+// AFTER the episode's own lagged flush, never before it. Here the root
+// writes the page and node 2, which never reads it, waits on the home: its
+// copy still owes rounds 0-3 — the first collecting episode's tail, which
+// the second episode frees on the root before any departure leaves — beside
+// the round the owed floor adds. Settling first would ask the root for all
+// five diffs and trip serveDiffLocked's retired-interval tripwire; settling
+// after the flush has dropped the tail asks for round 4 alone.
+func TestEpisodeSettleAsksForNothingTheEpisodeFrees(t *testing.T) {
+	SetDebugOracle(true)
+	defer SetDebugOracle(false)
+	sys := New(Config{Procs: 3, GCPressure: 1 << 20, GCMinRetire: 4})
+	a := sys.MallocPage(2*HomeBlockPages*PageSize) + HomeBlockPages*PageSize
+	sys.Register("settle", func(n *Node, _ []byte) {
+		round := func(r int) {
+			if n.ID() == 0 {
+				n.WriteBytes(a, awWord(r))
+			}
+			n.Barrier()
+		}
+		for r := 0; r <= 4; r++ {
+			round(r) // round 3's barrier collects
+		}
+		var floor VectorClock
+		if n.ID() == 2 {
+			n.mu.Lock()
+			floor = n.vc.clone()
+			n.mu.Unlock()
+		}
+		n.Barrier()
+		round(5)
+		if n.ID() == 2 {
+			sys.acq.noteIssued(floor)
+			n.c0.gcSyncOnce()
+			n.mu.Lock()
+			if pg := n.pageFor(PageID(HomeBlockPages)); n.gcAcqOwed == nil || len(pg.missing) < 6 {
+				t.Errorf("test premise: want rounds 0-5 owed on a waiting page; owed=%v, %d notices", n.gcAcqOwed, len(pg.missing))
+			}
+			n.mu.Unlock()
+		}
+		round(6)
+		round(7) // collects: the root frees rounds 0-3, then node 2 settles
+		if n.ID() == 2 {
+			got := make([]byte, 4)
+			n.ReadBytes(a, got)
+			if !bytes.Equal(got, awWord(7)) {
+				t.Errorf("page reads %v after the episode, want round 7's %v", got, awWord(7))
+			}
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("settle", nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if d := OracleDiverges(); d != 0 {
+		t.Errorf("%d reads diverged from the shadow memory", d)
+	}
+}

@@ -60,8 +60,8 @@ import "fmt"
 //     one-episode tail, which the next episode drops in turn (or an
 //     intervening fault applies over the page's base). The acquire source
 //     (acqgc.go) has no such happens-before wave and gates flushes per
-//     page on the homePurged registry instead, overriding to validate
-//     while a home lags.
+//     page on the homePurged registry instead: while a home lags the copy
+//     is LEFT ALONE, and the node finishes its purge once the home publishes.
 //
 //     The floor is always the root's clock AS CARRIED IN THE EPISODE'S
 //     MESSAGE, never the local clock: a node's protocol server may
@@ -178,7 +178,20 @@ func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
 	// formed, so the lagged flush needs no registry check and stays
 	// deterministic (see the file comment, step 2).
 	flushVC := n.gcFreeVC
-	n.gcCollectLocked(&n.gcFreeVC, retire, func() { n.gcPurgePagesLocked(c, retire, flushVC, true) })
+	// An acquire purge may still wait on lagging homes here (acqEpoch). The
+	// episode vouches for everything under its floor while its lagged flush
+	// keeps the (flushVC, retire] tail, so what still owes notices under the
+	// owed floor is settled now: validated where the home still lags. AFTER
+	// the episode's own purge, so that nothing under flushVC — which faster
+	// nodes free at this very episode — is ever asked for.
+	owed := n.gcAcqOwed
+	n.gcAcqOwed, n.gcAcqLag = nil, nil
+	n.gcCollectLocked(&n.gcFreeVC, retire, func() {
+		n.gcPurgePagesLocked(c, retire, flushVC, true, false)
+		if owed != nil {
+			n.gcPurgePagesLocked(c, owed, owed, false, false)
+		}
+	})
 	n.stats.GCEpochs++
 	if n.sys.acq != nil {
 		n.sys.acq.notePurged(n.id, retire)
@@ -305,24 +318,6 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 	}
 }
 
-// gcShouldValidateLocked decides validate-vs-flush for one page owing
-// retired notices under the given floor. A page's home always validates:
-// its copy is the base every post-flush refetch builds on — flushing it
-// would lose the only authoritative copy. A gated caller (the acquire
-// source, which has no episode wave to order purges) additionally allows a
-// foreign flush only once the home has purged the floor (the per-page
-// registry gate, see home.go); until then the home's copy does not yet
-// reflect the notices a flush would drop, and the page validates. The
-// barrier/fork source runs ungated: its lagged flush floor is covered by
-// every home by construction. Everything else flushes — the classic
-// TreadMarks invalidate choice; README "Protocol-metadata garbage
-// collection" records the measurement that decided against keeping
-// recently faulted copies.
-func (n *Node) gcShouldValidateLocked(pg *page, retire VectorClock, gated bool) bool {
-	home := n.homeOf(pg.id)
-	return home == n.id || gated && !n.sys.purged.covers(home, retire)
-}
-
 // owesCovered reports whether the page owes a notice under the floor.
 func owesCovered(pg *page, retire VectorClock) bool {
 	for _, m := range pg.missing {
@@ -427,12 +422,22 @@ func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
 // over the home's whole page if the copy was flushed — and fetched with
 // every other validated page in one exchange) or flushed (copy discarded
 // up to flushVC, to be refetched whole from its home's validated copy on
-// next access), per mustKeep and gcShouldValidateLocked. Notices newer
-// than the relevant floor are preserved either way. The quiescent flag
-// distinguishes the barrier/fork source (episode waves order purges, so
-// flushes run ungated against the lagged flushVC) from the acquire source
-// (flushVC equals the retire floor and the homePurged registry gates each
-// flush).
+// next access). Notices newer than the relevant floor are preserved either
+// way. The rule: a page's home validates — its copy is the base every
+// post-flush refetch builds on; a copy that must be kept (mustKeep, below)
+// validates; every other copy flushes, the classic TreadMarks invalidate
+// choice (README "Protocol-metadata garbage collection" records the
+// measurement that decided against keeping recently faulted copies). The
+// barrier/fork source (quiescent) flushes against its lagged flushVC, which
+// every home covers by construction. The acquire source (flushVC equals
+// the retire floor) may flush only once the page's home has purged the
+// floor (the homePurged registry, home.go): until then, with wait set, the
+// page is left exactly as it is — nothing fetched, no notice dropped, a
+// fault on it an ordinary fault — and its home returned in lag for the
+// caller to wait on (acqEpoch). Without wait such a page validates: sound,
+// covered diffs being fetchable until the one-epoch-delayed free, but it
+// ships a whole diff chain to whichever node reached the epoch before the
+// home; only an episode settling an owed purge does (gcEpochLocked).
 //
 // It requires n.mu and releases/reacquires it around the network section.
 // The whole purge holds fetchMu: fetch replies route by message type
@@ -441,12 +446,25 @@ func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
 // classification also guarantees no local fault snapshot straddles the
 // purge. At quiescent episodes (barrier/fork) the exclusivity is vacuous;
 // at acquire epochs it is load-bearing.
-func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiescent bool) {
+func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiescent, wait bool) (lag []int) {
 	n.mu.Unlock()
 	n.fetchMu.Lock()
 	defer n.fetchMu.Unlock()
 	n.mu.Lock()
 
+	n.stats.GCPurges++
+	published := map[int]bool{} // home → has it purged the floor: one registry read a home, not a page
+	homePurged := func(home int) bool {
+		ok, seen := published[home]
+		if !seen {
+			ok = n.sys.purged.covers(home, retire)
+			published[home] = ok
+			if !ok && wait {
+				lag = append(lag, home)
+			}
+		}
+		return ok
+	}
 	var work []pagePlan
 	for _, pg := range n.gcPages {
 		if len(pg.missing) == 0 {
@@ -491,29 +509,35 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 				mustKeep = true
 			}
 		}
-		if mustKeep || n.gcShouldValidateLocked(pg, retire, !quiescent) {
-			pl := pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered}
-			if pg.data == nil {
-				if pg.refetch {
-					// An earlier flush dropped notices this node no longer
-					// holds; only the home's validated copy reflects them.
-					// Rebuild from the home's whole page with the covered
-					// tail applied on top — one round brings both.
-					pl.source = n.homeOf(pg.id)
-				} else {
-					// Never materialized here: zeros plus the covered
-					// history applied in causal order is exactly the floor
-					// contents.
-					n.zeroFillLocked(pg)
-				}
+		home := n.homeOf(pg.id)
+		if !mustKeep && home != n.id {
+			if quiescent || homePurged(home) {
+				n.gcFlushPageLocked(pg, flushVC)
+				continue
 			}
-			work = append(work, pl)
-		} else {
-			n.gcFlushPageLocked(pg, flushVC)
+			if wait {
+				continue
+			}
 		}
+		pl := pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered}
+		if pg.data == nil {
+			if pg.refetch {
+				// An earlier flush dropped notices this node no longer
+				// holds; only the home's validated copy reflects them.
+				// Rebuild from the home's whole page with the covered
+				// tail applied on top — one round brings both.
+				pl.source = home
+			} else {
+				// Never materialized here: zeros plus the covered
+				// history applied in causal order is exactly the floor
+				// contents.
+				n.zeroFillLocked(pg)
+			}
+		}
+		work = append(work, pl)
 	}
 	if len(work) == 0 {
-		return
+		return lag
 	}
 
 	// One fetch exchange, like a fault round's — but priced as it always
@@ -523,8 +547,9 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 	// simplification (measured: locks8 speedup 2.50 → 1.51, scale64 2.26 →
 	// 1.12, paged8 3.89 → 3.82); it is the optimism per-port occupancy in
 	// the network model will price.
+	entered := c.clk.Now()
 	n.mu.Unlock() // --- network section: servers may run meanwhile ---
-	diffs, _ := c.fetch(work)
+	diffs, _, msgs, bytes := c.fetch(work)
 	n.mu.Lock() // --- end network section ---
 
 	for i := range work {
@@ -533,4 +558,8 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 		c.applyFaultLocked(&work[i], diffs)
 		n.stats.GCPagesValidated++
 	}
+	n.stats.GCWait += c.clk.Now() - entered
+	n.stats.GCWaveMsgs += msgs
+	n.stats.GCWaveBytes += bytes
+	return lag
 }

@@ -82,8 +82,15 @@ func TestGCWaveThroughFetch(t *testing.T) {
 	if !slices.Equal(served, []int64{0, 2, 1}) {
 		t.Errorf("fetch requests served per node %v, want [0 2 1]", served)
 	}
-	if b := sys.TrafficBreakdown(); b.PageMsgs != 6 {
+	b := sys.TrafficBreakdown()
+	if b.PageMsgs != 6 {
 		t.Errorf("page traffic is %d messages, want three requests and three replies", b.PageMsgs)
+	}
+	// No fault went to the network: the wave's own count of its traffic is
+	// the switch's count of all page service, to the byte.
+	if b.GCWaveMsgs != b.PageMsgs || b.GCWaveBytes != b.PageBytes || b.GCWait <= 0 {
+		t.Errorf("wave ledger %d msgs / %d B / %v, switch counted %d / %d of page service",
+			b.GCWaveMsgs, b.GCWaveBytes, b.GCWait, b.PageMsgs, b.PageBytes)
 	}
 	if st := sys.Node(0).Stats(); st.GCPagesValidated != 16 || d != 16 || p != 0 || st.FaultRounds != 0 {
 		t.Errorf("home validated %d pages with %d diffs, %d whole pages, %d fault rounds; want 16, 16, 0, 0",
@@ -162,7 +169,7 @@ func TestGCWaveRebuildsFlushedCopyInOneRound(t *testing.T) {
 			before = n.Stats()
 			t0 := n.Now()
 			n.mu.Lock()
-			n.gcPurgePagesLocked(&n.c0, floor, floor, false)
+			n.gcPurgePagesLocked(&n.c0, floor, floor, false, false)
 			n.mu.Unlock()
 			took = n.Now() - t0
 			for i := range served {

@@ -30,10 +30,10 @@ import (
 // every write under it, so a later whole-page refetch cannot lose the
 // dropped notices. Nodes learn home purge progress from the System-level
 // homePurged registry (the simulation stand-in for an acknowledgment bit
-// on the consensus messages that already flow); when the home lags, the
-// purge VALIDATES instead, which is always sound — covered diffs stay
-// fetchable until the one-epoch-delayed free — and a copy that was never
-// materialized validates from zeros like any first touch.
+// on the consensus messages that already flow); while the home lags, the
+// copy WAITS as it is, notices and all, and its node withholds its epoch
+// acknowledgment — so the covered diffs stay fetchable, and a fault on the
+// page stays an ordinary fault — until the home has published (acqEpoch).
 
 // HomeBlockPages is the block size of the home layout, in pages: homes are
 // assigned in blocks of this many pages, round-robin across nodes, so
@@ -47,7 +47,7 @@ func (n *Node) homeOf(pid PageID) int { return (int(pid) / HomeBlockPages) % n.s
 func (n *Node) isHome(pid PageID) bool { return n.homeOf(pid) == n.id }
 
 // homePurged tracks, per node, the merged floor of every collection epoch
-// the node has completed — the registry behind the per-page flush gate.
+// its own homed pages reflect — the registry behind the per-page flush gate.
 // Its mutex is a leaf (like the acquire coordinator's): it is taken with
 // n.mu held, inside gcCollectLocked, and never takes any other lock.
 type homePurged struct {
@@ -63,9 +63,9 @@ func newHomePurged(procs int) *homePurged {
 	return h
 }
 
-// note records that node id completed a purge to the given floor. Called
-// inside gcCollectLocked immediately after the purge, so the registry
-// never runs ahead of the node's actual page state.
+// note records that node id's own pages reflect the given floor: called
+// inside gcCollectLocked right after the purge's first pass (a home never
+// waits to validate), so the registry never runs ahead of the home's pages.
 func (h *homePurged) note(id int, floor VectorClock) {
 	h.mu.Lock()
 	h.floors[id].merge(floor)

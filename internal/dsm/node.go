@@ -39,7 +39,9 @@ type Node struct {
 	ivlBase     []int         // [creator] seq of the oldest retained interval (see gc.go)
 	gcFreeVC    VectorClock   // floor of the last barrier/fork epoch; freed at the next one
 	gcAcqFreeVC VectorClock   // floor of the last acquire epoch; freed at the next one (acqgc.go)
-	gcPurgeVC   VectorClock   // merged floor of every collection this node has completed
+	gcPurgeVC   VectorClock   // merged floor of every collection this node has begun (its claim)
+	gcAcqOwed   VectorClock   // acquire floor whose purge left pages waiting on lagging homes; nil: none
+	gcAcqLag    []int         // the homes those pages wait for (acqgc.go)
 	dirty       []*page       // pages twinned in the open interval
 	gcPages     []*page       // pages that may hold missing notices or twins (GC work list)
 	pages       []*page       // [PageID]; entries materialize lazily
@@ -101,13 +103,22 @@ type NodeStats struct {
 	GCEpisodes       int64 // global sync episodes examined by the collector
 	GCEpochs         int64 // episodes that actually ran a collection
 	GCAcqEpochs      int64 // acquire (lock-manager-led) epochs processed here
-	GCSyncPushes     int64 // consensus-sync frames pushed toward quiet nodes
+	GCSyncPushes     int64 // consensus-sync frames a push round's initiator sent (first hops)
+	GCSyncReverse    int64 // reverse deltas pushed nodes answered with
 	GCSyncRelays     int64 // tree-routed consensus frames forwarded onward
 	GCDepartFloors   int64 // acquire floors piggybacked on departure waves
 	IntervalsRetired int64 // interval records reclaimed
 	TwinsCollected   int64 // twins released without ever encoding their diff
 	GCPagesValidated int64 // stale copies brought current during GC
 	GCPagesFlushed   int64 // stale copies discarded during GC
+
+	// The purge (gcPurgePagesLocked, both sources): its passes over the work
+	// list; the virtual time threads spent in its validation wave, read off
+	// the client clock like FaultWait; and the wave's fetch-exchange traffic
+	// — a sub-split of what TrafficBreakdown books as page service.
+	GCPurges                int64
+	GCWait                  sim.Time
+	GCWaveMsgs, GCWaveBytes int64
 
 	// Protocol-metadata footprint: interval records + encoded diffs +
 	// twins retained on this node. ProtoBytes is the current gauge;
@@ -669,7 +680,7 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 	}
 	if len(plans) > 0 {
 		n.mu.Unlock() // --- network section: server may run meanwhile ---
-		diffs, floor := c.fetch(plans)
+		diffs, floor, _, _ := c.fetch(plans)
 		// Sources work in parallel, but their replies share this node's
 		// inbound link: every round, of one page or many, completes no
 		// earlier than that link needs to deliver every reply byte back to
@@ -704,9 +715,10 @@ const fetchWindow = 256
 // follows the replies to the latest arrival. Whole pages are filed into
 // their plans and diffs returned by key, with the inbound-link floor: when
 // this node's link, delivering every reply byte back to back, would be
-// done. Pricing the round is the caller's business. Must be called WITHOUT
-// n.mu, holding fetchMu.
-func (c *Client) fetch(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time) {
+// done. Pricing the round is the caller's business. msgs and bytes are the
+// exchange's traffic, both directions, as the switch counts it. Must be
+// called WITHOUT n.mu, holding fetchMu.
+func (c *Client) fetch(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time, msgs, bytes int64) {
 	n := c.n
 	type request struct {
 		to    int
@@ -735,9 +747,13 @@ func (c *Client) fetch(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Ti
 		}
 	}
 	start := c.clk.Now()
+	udp := n.sys.plat.UDP
+	msgs = int64(2 * len(reqs))
+	bytes = msgs * int64(udp.HeaderBytes)
 	send := func(rq *request) {
 		var w wbuf
 		encodeFetch(&w, rq.items, false)
+		bytes += int64(len(w.b))
 		n.ep.SendAt(rq.to, msgFetchReq, network.ClassRequest, w.b, start)
 	}
 	for _, rq := range reqs[:min(len(reqs), fetchWindow)] {
@@ -764,8 +780,7 @@ func (c *Client) fetch(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Ti
 			}
 		}
 	}
-	udp := n.sys.plat.UDP
-	return diffs, start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS)
+	return diffs, start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS), msgs, bytes + int64(inbound)
 }
 
 // fetchSpanLocked resolves, before a multi-page access walks its pages,

@@ -36,7 +36,9 @@ func TestScale128AcquireGCPushes(t *testing.T) {
 // sent up to P-1 = 127 msgGCSync datagrams from one node per round; the
 // tree transport sends at most fanin+1 = 9 first-hop frames per round
 // (summed over ALL initiators, which is strictly stronger than the
-// per-node claim) and relays the rest hop by hop.
+// per-node claim) and relays the rest hop by hop. The reverse deltas the
+// pushed nodes answer with — one per node a round reaches, so O(P) a round
+// by design — are counted apart (GCSyncReverse) and only required to flow.
 func TestScale128TreeConsensusFanout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("128-node ring is slow under -short")
@@ -64,6 +66,9 @@ func TestScale128TreeConsensusFanout(t *testing.T) {
 	}
 	if st.GCSyncRelays == 0 {
 		t.Error("no relays: pushes are not routing through the combining tree")
+	}
+	if st.GCSyncReverse == 0 {
+		t.Error("no reverse deltas: the two-way exchange of a push went unexercised")
 	}
 }
 

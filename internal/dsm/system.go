@@ -269,6 +269,11 @@ type TrafficBreakdown struct {
 	// NodeStats): a time share to read beside the byte shares above.
 	FaultWait               sim.Time
 	FaultRounds, FaultPages int64
+
+	// The collector's validation wave, likewise: its time, and its traffic
+	// — a sub-split of PageMsgs/PageBytes, not a fourth category.
+	GCWait                  sim.Time
+	GCWaveMsgs, GCWaveBytes int64
 }
 
 // Total returns the breakdown summed back into run totals (equal to the
@@ -300,6 +305,7 @@ func (s *System) TrafficBreakdown() TrafficBreakdown {
 	b.SyncBytes = bytes - b.PageBytes - b.GCBytes
 	t := s.TotalStats()
 	b.FaultWait, b.FaultRounds, b.FaultPages = t.FaultWait, t.FaultRounds, t.FaultPages
+	b.GCWait, b.GCWaveMsgs, b.GCWaveBytes = t.GCWait, t.GCWaveMsgs, t.GCWaveBytes
 	return b
 }
 
@@ -493,12 +499,17 @@ func (s *System) TotalStats() NodeStats {
 		t.GCEpochs += st.GCEpochs
 		t.GCAcqEpochs += st.GCAcqEpochs
 		t.GCSyncPushes += st.GCSyncPushes
+		t.GCSyncReverse += st.GCSyncReverse
 		t.GCSyncRelays += st.GCSyncRelays
 		t.GCDepartFloors += st.GCDepartFloors
 		t.IntervalsRetired += st.IntervalsRetired
 		t.TwinsCollected += st.TwinsCollected
 		t.GCPagesValidated += st.GCPagesValidated
 		t.GCPagesFlushed += st.GCPagesFlushed
+		t.GCPurges += st.GCPurges
+		t.GCWait += st.GCWait
+		t.GCWaveMsgs += st.GCWaveMsgs
+		t.GCWaveBytes += st.GCWaveBytes
 		t.ProtoBytes += st.ProtoBytes
 		if st.PeakProtoBytes > t.PeakProtoBytes {
 			t.PeakProtoBytes = st.PeakProtoBytes

@@ -458,13 +458,13 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 
 	n1.mu.Lock()
 	known := n1.knownVC[0].clone()
-	pushes := n1.stats.GCSyncPushes
+	reverse := n1.stats.GCSyncReverse
 	n1.mu.Unlock()
 	if known[1] != 0 {
 		t.Errorf("knownVC[0] advanced to %v after a dropped reverse frame", known)
 	}
-	if pushes != 0 {
-		t.Errorf("GCSyncPushes = %d after a dropped reverse frame", pushes)
+	if reverse != 0 {
+		t.Errorf("GCSyncReverse = %d after a dropped reverse frame", reverse)
 	}
 
 	// Unwedge: consume every exit so the server drains the inbox and the
@@ -499,13 +499,13 @@ func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
 
 	n1.mu.Lock()
 	known := n1.knownVC[0].clone()
-	pushes := n1.stats.GCSyncPushes
+	reverse := n1.stats.GCSyncReverse
 	n1.mu.Unlock()
 	if known[1] != 1 {
 		t.Errorf("knownVC[0] = %v after a delivered reverse frame, want [0 1]", known)
 	}
-	if pushes != 1 {
-		t.Errorf("GCSyncPushes = %d after a delivered reverse frame, want 1", pushes)
+	if reverse != 1 {
+		t.Errorf("GCSyncReverse = %d after a delivered reverse frame, want 1", reverse)
 	}
 }
 

@@ -127,6 +127,39 @@ func TestPeakMetadataPriceFullScale(t *testing.T) {
 	}
 }
 
+// TestAcquireWaveStaysAtHomes pins what the acquire source's purge ships
+// at full scale: Sweep3D/omp on 8 processors, four acquire epochs in one
+// barrier-free region. Every node incorporates every write notice of a
+// semaphore pipeline, so when a copy whose home lagged the floor was
+// validated, whichever node reached an epoch first fetched the diff chains
+// of pages it never read: 4,100-4,900 validations and 37-41 MB a run, of
+// which faults move ~13. Left alone until the home has published — then
+// flushed — the wave is the homes' and the must-keep copies' alone: ~720
+// validations, 12.9-13.4 MB.
+func TestAcquireWaveStaysAtHomes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale cell")
+	}
+	a, _ := FindApp("Sweep3D")
+	res, err := a.Run(Full, OMP, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GCAcqEpochs == 0 || res.GCPagesFlushed == 0 {
+		t.Fatalf("test premise: %d acquire epochs flushed %d pages", res.GCAcqEpochs, res.GCPagesFlushed)
+	}
+	if res.GCPagesValidated > 1000 {
+		t.Errorf("%d pages validated, pinned <= 1,000: copies are being fetched for lagging homes again", res.GCPagesValidated)
+	}
+	if res.Bytes > 15_000_000 {
+		t.Errorf("%d B moved, pinned <= 15 MB", res.Bytes)
+	}
+	if res.GCWaveBytes <= 0 || res.GCWaveBytes >= res.PageBytes || res.GCWaveMsgs >= res.PageMsgs {
+		t.Errorf("wave traffic %d msgs / %d B is not a proper part of page service %d / %d",
+			res.GCWaveMsgs, res.GCWaveBytes, res.PageMsgs, res.PageBytes)
+	}
+}
+
 // TestTableGCRendering smoke-tests the new artifact: it must render a
 // row per application with the three metadata columns.
 func TestTableGCRendering(t *testing.T) {

@@ -108,7 +108,12 @@ func TestMicroResultsInPaperBands(t *testing.T) {
 // TestFaultWaitLedger checks the fault-wait slice of the time ledger on
 // real cells: a paging run spends a positive share of its threads' time
 // inside fault rounds — never more than all of it — and fetches at least
-// one page a round; hardware shared memory never faults. Two processors:
+// one page a round; hardware shared memory never faults. Beside it the
+// collector's slice, on Water (two 3D-FFT processors home every page they
+// write): threads that collect at every episode spend a positive share —
+// never, with the faults, more than all — of their time in validation
+// waves whose traffic is part of page service; with the collector off,
+// none. Two processors:
 // the test-scale transpose then stages four-page blocks (at eight a block
 // is under a page, and with no flushed copies around it nothing else in
 // the run reads two stale pages in one call).
@@ -135,8 +140,27 @@ func TestFaultWaitLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FaultWait != 0 || res.FaultRounds != 0 || res.FaultPages != 0 {
-		t.Errorf("omp-smp: fault ledger %v / %d rounds / %d pages, want zero", res.FaultWait, res.FaultRounds, res.FaultPages)
+	if res.FaultWait != 0 || res.FaultRounds != 0 || res.FaultPages != 0 || res.GCWait != 0 {
+		t.Errorf("omp-smp: ledger %v fault / %d rounds / %d pages / %v gc, want zero", res.FaultWait, res.FaultRounds, res.FaultPages, res.GCWait)
+	}
+	w, _ := FindApp("Water")
+	res, err = VerifiedGC(w, Test, OMP, procs, GCKnobs{MinRetire: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GCWait <= 0 || res.GCWait+res.FaultWait > procs*res.Time {
+		t.Errorf("every episode collecting: gc wait %v + fault wait %v outside (0, %d × %v]", res.GCWait, res.FaultWait, procs, res.Time)
+	}
+	if res.GCWaveMsgs <= 0 || res.GCWaveMsgs > res.PageMsgs || res.GCWaveBytes <= 0 || res.GCWaveBytes > res.PageBytes {
+		t.Errorf("every episode collecting: wave traffic %d msgs / %d B, page service %d / %d",
+			res.GCWaveMsgs, res.GCWaveBytes, res.PageMsgs, res.PageBytes)
+	}
+	res, err = VerifiedGC(w, Test, OMP, procs, GCKnobs{Disable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GCWait != 0 || res.GCWaveMsgs != 0 || res.GCWaveBytes != 0 {
+		t.Errorf("collector off: gc ledger %v / %d msgs / %d B, want zero", res.GCWait, res.GCWaveMsgs, res.GCWaveBytes)
 	}
 }
 

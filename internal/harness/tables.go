@@ -162,13 +162,15 @@ func TableGC(w io.Writer, s Scale, procs int) error {
 	cfg := GCKnobs{}.config()
 	cfg.Procs = procs
 	fprintf(w, "Protocol-metadata GC: intervals retired, peak retained chain length,\n")
-	fprintf(w, "peak metadata footprint per node, collecting epochs / episodes, and\n")
-	fprintf(w, "acquire epochs (%d processors; an episode collects when its floor\n", procs)
-	fprintf(w, "newly retires >= %d interval records)\n\n", cfg.GCEpisodeThreshold())
-	fprintf(w, "%-10s | %10s %10s %10s %9s %6s | %10s %10s %10s %9s %6s\n",
-		"", "OpenMP", "", "", "", "", "Tmk", "", "", "", "")
-	fprintf(w, "%-10s | %10s %10s %10s %9s %6s | %10s %10s %10s %9s %6s\n",
-		"App", "Retired", "PeakChain", "PeakKB", "Epochs", "AcqEp", "Retired", "PeakChain", "PeakKB", "Epochs", "AcqEp")
+	fprintf(w, "peak metadata footprint per node, collecting epochs / episodes,\n")
+	fprintf(w, "acquire epochs, and the MB the collector's validation waves moved —\n")
+	fprintf(w, "pages and diffs no thread asked for (%d processors; an episode\n", procs)
+	fprintf(w, "collects when its floor newly retires >= %d interval records)\n\n", cfg.GCEpisodeThreshold())
+	fprintf(w, "%-10s | %10s %10s %10s %9s %6s %7s | %10s %10s %10s %9s %6s %7s\n",
+		"", "OpenMP", "", "", "", "", "", "Tmk", "", "", "", "", "")
+	fprintf(w, "%-10s | %10s %10s %10s %9s %6s %7s | %10s %10s %10s %9s %6s %7s\n",
+		"App", "Retired", "PeakChain", "PeakKB", "Epochs", "AcqEp", "WaveMB",
+		"Retired", "PeakChain", "PeakKB", "Epochs", "AcqEp", "WaveMB")
 	for _, a := range Apps {
 		row := fmt.Sprintf("%-10s", a.Name)
 		for _, impl := range impls {
@@ -177,8 +179,9 @@ func TableGC(w io.Writer, s Scale, procs int) error {
 				return c.Err
 			}
 			r := c.Res
-			row += fmt.Sprintf(" | %10d %10d %10d %9s %6d", r.IntervalsRetired, r.PeakIntervalChain,
-				r.PeakProtoBytes/1024, fmt.Sprintf("%d/%d", r.GCEpochs, r.GCEpisodes), r.GCAcqEpochs)
+			row += fmt.Sprintf(" | %10d %10d %10d %9s %6d %7.2f", r.IntervalsRetired, r.PeakIntervalChain,
+				r.PeakProtoBytes/1024, fmt.Sprintf("%d/%d", r.GCEpochs, r.GCEpisodes), r.GCAcqEpochs,
+				float64(r.GCWaveBytes)/1e6)
 		}
 		fprintf(w, "%s\n", row)
 	}
