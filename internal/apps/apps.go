@@ -70,6 +70,9 @@ type Result struct {
 	// the scaling table prints beside the byte shares.
 	FaultWait               sim.Time
 	FaultRounds, FaultPages int64
+	// The lock-wait slice, likewise summed over nodes: virtual time threads
+	// spent inside lock acquires, from the call to the grant.
+	LockWait sim.Time
 	// The collector's validation wave, likewise summed over nodes: the
 	// virtual time threads spent in it, and its fetch-exchange traffic —
 	// which PageMsgs/PageBytes above INCLUDE (the wave fetches pages and
@@ -107,6 +110,7 @@ func DSMResult(checksum float64, t sim.Time, msgs, bytes int64, src ProtoSource)
 	r.SyncMsgs, r.SyncBytes = tb.SyncMsgs, tb.SyncBytes
 	r.GCMsgs, r.GCBytes = tb.GCMsgs, tb.GCBytes
 	r.FaultWait, r.FaultRounds, r.FaultPages = tb.FaultWait, tb.FaultRounds, tb.FaultPages
+	r.LockWait = tb.LockWait
 	r.GCWait, r.GCWaveMsgs, r.GCWaveBytes = tb.GCWait, tb.GCWaveMsgs, tb.GCWaveBytes
 	r.Frames = src.Frames()
 	return r

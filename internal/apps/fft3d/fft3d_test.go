@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 )
 
 func TestFFTRoundTrip(t *testing.T) {
@@ -183,5 +184,29 @@ func TestMPISendsLessDataThanDSM(t *testing.T) {
 	}
 	if mpiRes.Bytes >= omp.Bytes {
 		t.Errorf("MPI bytes (%d) should be below OpenMP/DSM bytes (%d)", mpiRes.Bytes, omp.Bytes)
+	}
+}
+
+// TestTmkHeapCoversLayout checks the TreadMarks version's heap budget
+// against every page its layout takes, at full scale on every machine size
+// of the scaling study: the budget once left out the per-node checksum
+// partials, and p64 ran out of heap. The allocator does not depend on the
+// node count, so a one-node system replays each layout.
+func TestTmkHeapCoversLayout(t *testing.T) {
+	p := Default()
+	pts := p.N * p.N * p.N
+	for _, procs := range []int{8, 16, 32, 64, 128} {
+		maxSlab := (p.N + procs - 1) / procs
+		maxBlock := maxSlab * maxSlab * p.N
+		sys := dsm.New(dsm.Config{Procs: 1, HeapBytes: tmkHeapBytes(pts, procs, maxBlock)})
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("p%d: %v", procs, r)
+				}
+			}()
+			allocTmk(sys, pts, procs, maxBlock)
+		}()
+		sys.Close()
 	}
 }

@@ -17,17 +17,11 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 	maxBlock := maxSlab * maxSlab * n
 	cfg := p.DSM
 	cfg.Procs, cfg.Platform = procs, p.Platform
-	cfg.HeapBytes = heapFor(pts) + blocksBytesNeeded(procs, maxBlock)
+	cfg.HeapBytes = tmkHeapBytes(pts, procs, maxBlock)
 	sys := dsm.New(cfg)
 	defer sys.Close()
-	u := sys.MallocPage(cBytes * pts)
-	w := sys.MallocPage(cBytes * pts)
-	vw := sys.MallocPage(cBytes * pts)
-	xb := newXferBlocks(sys.MallocPage(blocksBytesNeeded(procs, maxBlock)), procs, maxBlock)
-	// Per-node checksum partials (a page apart to avoid false sharing)
-	// plus the global accumulator written by node 0.
-	partials := sys.MallocPage(dsm.PageSize * procs)
-	total := sys.MallocPage(16)
+	sh := allocTmk(sys, pts, procs, maxBlock)
+	u, w, vw, xb, partials, total := sh.u, sh.w, sh.vw, sh.xb, sh.partials, sh.total
 
 	slab := func(id int) (int, int) { return core.StaticBlock(0, n, id, procs) }
 
@@ -137,4 +131,31 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 	}
 	msgs, bytes := sys.Switch().Stats().Snapshot()
 	return apps.DSMResult(checksum, sys.MaxClock(), msgs, bytes, sys), nil
+}
+
+// tmkShared is RunTmk's shared layout.
+type tmkShared struct {
+	u, w, vw dsm.Addr // spatial, frequency and evolved frequency grids
+	xb       *xferBlocks
+	partials dsm.Addr // per-node checksum partials, a page apart (no false sharing)
+	total    dsm.Addr // the global accumulator written by node 0
+}
+
+// allocTmk allocates RunTmk's shared layout; tmkHeapBytes budgets for it.
+func allocTmk(sys *dsm.System, pts, procs, maxBlock int) tmkShared {
+	return tmkShared{
+		u:        sys.MallocPage(cBytes * pts),
+		w:        sys.MallocPage(cBytes * pts),
+		vw:       sys.MallocPage(cBytes * pts),
+		xb:       newXferBlocks(sys.MallocPage(blocksBytesNeeded(procs, maxBlock)), procs, maxBlock),
+		partials: sys.MallocPage(dsm.PageSize * procs),
+		total:    sys.MallocPage(16),
+	}
+}
+
+// tmkHeapBytes is the shared heap allocTmk needs: the grids and staging
+// blocks the OpenMP version sizes too, plus a page of checksum partials per
+// node and the accumulator's page.
+func tmkHeapBytes(pts, procs, maxBlock int) int {
+	return heapFor(pts) + blocksBytesNeeded(procs, maxBlock) + dsm.PageSize*(procs+1)
 }

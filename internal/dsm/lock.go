@@ -101,6 +101,7 @@ func (n *Node) lockFor(id int) *lockState {
 // Acquire obtains lock id with acquire (consistency-importing) semantics.
 func (c *Client) Acquire(id int) {
 	n := c.n
+	entered := c.clk.Now()
 retry:
 	n.mu.Lock()
 	ls := n.lockFor(id)
@@ -133,6 +134,7 @@ retry:
 			goto retry
 		}
 		c.clk.Advance(c.costs.Lock)
+		c.lockGranted(entered)
 		c.gcSyncHook(false) // lock now held: never stall here
 		return
 	}
@@ -146,6 +148,7 @@ retry:
 		n.mu.Unlock()
 		c.clk.AdvanceTo(rel)
 		c.clk.Advance(c.costs.Lock)
+		c.lockGranted(entered)
 		c.gcSyncHook(false) // lock now held: never stall here
 		return
 	}
@@ -204,7 +207,16 @@ retry:
 	ls.reqOutstanding = false
 	n.mu.Unlock()
 	c.clk.Advance(c.costs.Lock)
+	c.lockGranted(entered)
 	c.gcSyncHook(false) // lock now held: never stall here
+}
+
+// lockGranted books an acquire on the LockWait ledger: the client clock READ
+// at the call and at the grant, never advanced for the measurement.
+func (c *Client) lockGranted(entered sim.Time) {
+	c.n.mu.Lock()
+	c.n.stats.LockWait += c.clk.Now() - entered
+	c.n.mu.Unlock()
 }
 
 // Release releases lock id with release (consistency-exporting) semantics.

@@ -99,6 +99,11 @@ type NodeStats struct {
 	FaultRounds int64
 	FaultPages  int64
 
+	// LockWait is the virtual time application threads spent inside Acquire,
+	// from the call to the grant (island-local handoffs included), read off
+	// the client clock like FaultWait.
+	LockWait sim.Time
+
 	// Garbage collection counters (see gc.go and acqgc.go).
 	GCEpisodes       int64 // global sync episodes examined by the collector
 	GCEpochs         int64 // episodes that actually ran a collection

@@ -270,6 +270,9 @@ type TrafficBreakdown struct {
 	FaultWait               sim.Time
 	FaultRounds, FaultPages int64
 
+	// The lock-wait slice likewise: time inside Acquire, call to grant.
+	LockWait sim.Time
+
 	// The collector's validation wave, likewise: its time, and its traffic
 	// — a sub-split of PageMsgs/PageBytes, not a fourth category.
 	GCWait                  sim.Time
@@ -305,6 +308,7 @@ func (s *System) TrafficBreakdown() TrafficBreakdown {
 	b.SyncBytes = bytes - b.PageBytes - b.GCBytes
 	t := s.TotalStats()
 	b.FaultWait, b.FaultRounds, b.FaultPages = t.FaultWait, t.FaultRounds, t.FaultPages
+	b.LockWait = t.LockWait
 	b.GCWait, b.GCWaveMsgs, b.GCWaveBytes = t.GCWait, t.GCWaveMsgs, t.GCWaveBytes
 	return b
 }
@@ -495,6 +499,7 @@ func (s *System) TotalStats() NodeStats {
 		t.FaultWait += st.FaultWait
 		t.FaultRounds += st.FaultRounds
 		t.FaultPages += st.FaultPages
+		t.LockWait += st.LockWait
 		t.GCEpisodes += st.GCEpisodes
 		t.GCEpochs += st.GCEpochs
 		t.GCAcqEpochs += st.GCAcqEpochs

@@ -113,7 +113,8 @@ func TestMicroResultsInPaperBands(t *testing.T) {
 // write): threads that collect at every episode spend a positive share —
 // never, with the faults, more than all — of their time in validation
 // waves whose traffic is part of page service; with the collector off,
-// none. Two processors:
+// none. The lock-wait slice is bounded the same way, and hardware shared
+// memory, which keeps no ledger, books none. Two processors:
 // the test-scale transpose then stages four-page blocks (at eight a block
 // is under a page, and with no flushed copies around it nothing else in
 // the run reads two stale pages in one call).
@@ -131,6 +132,9 @@ func TestFaultWaitLedger(t *testing.T) {
 		if res.FaultRounds <= 0 || res.FaultPages < res.FaultRounds {
 			t.Errorf("%s: %d fault rounds fetched %d pages", impl, res.FaultRounds, res.FaultPages)
 		}
+		if res.LockWait < 0 || res.LockWait > procs*res.Time {
+			t.Errorf("%s: lock wait %v outside [0, %d × %v]", impl, res.LockWait, procs, res.Time)
+		}
 		if impl != OMPHybrid && res.FaultPages == res.FaultRounds {
 			t.Errorf("%s: %d rounds for %d pages: the transposes' multi-page reads took no span round",
 				impl, res.FaultRounds, res.FaultPages)
@@ -140,8 +144,9 @@ func TestFaultWaitLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FaultWait != 0 || res.FaultRounds != 0 || res.FaultPages != 0 || res.GCWait != 0 {
-		t.Errorf("omp-smp: ledger %v fault / %d rounds / %d pages / %v gc, want zero", res.FaultWait, res.FaultRounds, res.FaultPages, res.GCWait)
+	if res.FaultWait != 0 || res.FaultRounds != 0 || res.FaultPages != 0 || res.GCWait != 0 || res.LockWait != 0 {
+		t.Errorf("omp-smp: ledger %v fault / %d rounds / %d pages / %v gc / %v lock, want zero",
+			res.FaultWait, res.FaultRounds, res.FaultPages, res.GCWait, res.LockWait)
 	}
 	w, _ := FindApp("Water")
 	res, err = VerifiedGC(w, Test, OMP, procs, GCKnobs{MinRetire: 1})

@@ -44,7 +44,8 @@ func scalingShares(r apps.Result) (page, sync, gc float64, binding string) {
 // timeShare is the mean share of the run (in percent) an application
 // thread spent in one slice of the time ledger — wait is the slice summed
 // over threads (apps.Result.FaultWait: inside page-fault rounds; GCWait:
-// inside the collector's validation waves) — over procs × run time. Unlike
+// inside the collector's validation waves; LockWait: inside lock acquires)
+// — over procs × run time. Unlike
 // the byte shares it is a share of TIME.
 func timeShare(wait sim.Time, r apps.Result, procs int) float64 {
 	if r.Time == 0 || procs == 0 {
@@ -78,13 +79,13 @@ func TableScaling(w io.Writer, s Scale, procsList []int) error {
 	fprintf(w, "Scaling wall: OpenMP on the NOW past the paper's 8 workstations.\n")
 	fprintf(w, "Per machine size: speedup over sequential, each protocol cost's\n")
 	fprintf(w, "share of interconnect bytes (page service / synchronization\n")
-	fprintf(w, "fan-in / GC consensus), the binding cost, then two shares of TIME,\n")
-	fprintf(w, "not bytes: fault%% and gcwait%% — the mean share of the run a thread\n")
-	fprintf(w, "spent waiting in page-fault rounds and in the collector's validation\n")
-	fprintf(w, "waves (whose bytes page%% includes); the wall is the first size that\n")
-	fprintf(w, "no longer improves on the previous one.\n\n")
-	fprintf(w, "%-10s %6s %8s %7s %7s %7s  %-8s %6s %7s\n",
-		"App", "procs", "speedup", "page%", "sync%", "gc%", "binding", "fault%", "gcwait%")
+	fprintf(w, "fan-in / GC consensus), the binding cost, then three shares of TIME,\n")
+	fprintf(w, "not bytes: fault%%, gcwait%% and lock%% — the mean share of the run a\n")
+	fprintf(w, "thread spent waiting in page-fault rounds, in the collector's validation\n")
+	fprintf(w, "waves (whose bytes page%% includes) and in lock acquires; the wall is the\n")
+	fprintf(w, "first size that no longer improves on the previous one.\n\n")
+	fprintf(w, "%-10s %6s %8s %7s %7s %7s  %-8s %6s %7s %6s\n",
+		"App", "procs", "speedup", "page%", "sync%", "gc%", "binding", "fault%", "gcwait%", "lock%")
 	for _, a := range Apps {
 		seq := got[cellKey{App: a.Name, Impl: Seq}]
 		if seq.Err != nil {
@@ -110,9 +111,10 @@ func TableScaling(w io.Writer, s Scale, procsList []int) error {
 			}
 			sp := seq.Res.Time.Seconds() / c.Res.Time.Seconds()
 			page, sync, gc, binding := scalingShares(c.Res)
-			fprintf(w, "%-10s %6d %8.2f %7.1f %7.1f %7.1f  %-8s %6.1f %7.1f\n",
+			fprintf(w, "%-10s %6d %8.2f %7.1f %7.1f %7.1f  %-8s %6.1f %7.1f %6.1f\n",
 				name, p, sp, page, sync, gc, binding,
-				timeShare(c.Res.FaultWait, c.Res, p), timeShare(c.Res.GCWait, c.Res, p))
+				timeShare(c.Res.FaultWait, c.Res, p), timeShare(c.Res.GCWait, c.Res, p),
+				timeShare(c.Res.LockWait, c.Res, p))
 			if wall == 0 && havePrev && sp <= prev {
 				wall = p
 			}
