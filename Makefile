@@ -43,20 +43,23 @@ test-race:
 
 # SMP-backend smoke under the race detector: the backend conformance
 # suite plus the core runtime tests, which run every primitive on real
-# goroutines over the shared heap. The full test-race pass subsumes it;
+# goroutines over the shared heap — reductions included, whose partials
+# cross goroutines on the join channel (TestReduction*). The full
+# test-race pass subsumes it;
 # it runs FIRST in ci (and stands alone for the dev loop) so an ordering
 # bug in the SMP backend fails in seconds instead of after the whole
 # race suite.
 smp-race:
-	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective' ./internal/core
+	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective|TestReduction' ./internal/core
 
 # Hybrid-backend smoke under the race detector: the conformance scenarios
 # on the NOW-of-SMPs backend (all island counts) plus the degenerate-limit
-# pins and one real application (Water at a two-island split). Like
-# smp-race it runs early in ci so an island-teams ordering bug fails in
-# seconds.
+# pins, the reduction tests (island threads hand their partials to the
+# island join, the delegate carries them in its dsm join) and one real
+# application (Water at a two-island split). Like smp-race it runs early in
+# ci so an island-teams ordering bug fails in seconds.
 hybrid-race:
-	$(GO) test -race -run 'TestBackendConformance|TestHybrid' ./internal/core
+	$(GO) test -race -run 'TestBackendConformance|TestHybrid|TestReduction' ./internal/core
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
 
 # GC smoke under the race detector: the GC property suite (randomized
@@ -117,7 +120,8 @@ serve-race:
 	$(GO) test -race -short -run 'TestServe' ./internal/serve
 
 # Short coverage-guided fuzz pass over the wire decoders (trailer,
-# vector clock, frame envelope, and the fetch exchange's request and reply):
+# vector clock, frame envelope, the join's trailer-then-tail, and the fetch
+# exchange's request and reply):
 # the seeds replay instantly, then a few seconds of mutation hunt for
 # panics that escape the wireError bound. The corpus-less smoke keeps ci
 # deterministic-ish and fast; run

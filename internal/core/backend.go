@@ -145,8 +145,10 @@ type Worker interface {
 	// (kept for the ablations; a no-op on coherent hardware).
 	Flush()
 	// RunParallel forks the named registered region across the team and
-	// joins (master only).
-	RunParallel(region string, arg []byte)
+	// joins (master only). It returns the workers' region results (see
+	// Backend.Register) in chunks whose concatenation is every result in
+	// thread order.
+	RunParallel(region string, arg []byte) [][]byte
 
 	// Typed shared-memory access.
 	ReadF64(a Addr) float64
@@ -173,8 +175,10 @@ type Backend interface {
 	// address space; MallocPage starts the block on a page boundary.
 	Malloc(size int) Addr
 	MallocPage(size int) Addr
-	// Register binds a parallel-region body to a name on every worker.
-	Register(name string, fn func(w Worker, arg []byte))
+	// Register binds a parallel-region body to a name on every worker. The
+	// body's result is the worker's contribution (its reduction partials),
+	// handed back through the worker's join.
+	Register(name string, fn func(w Worker, arg []byte) []byte)
 	// Run executes master on worker 0 while the rest of the team waits
 	// for forked regions, returning the first worker failure.
 	Run(master func(w Worker)) error

@@ -20,8 +20,8 @@ func (b *dsmBackend) Procs() int               { return b.sys.Procs() }
 func (b *dsmBackend) Malloc(size int) Addr     { return b.sys.Malloc(size) }
 func (b *dsmBackend) MallocPage(size int) Addr { return b.sys.MallocPage(size) }
 
-func (b *dsmBackend) Register(name string, fn func(w Worker, arg []byte)) {
-	b.sys.Register(name, func(n *dsm.Node, arg []byte) { fn(n, arg) })
+func (b *dsmBackend) Register(name string, fn func(w Worker, arg []byte) []byte) {
+	b.sys.RegisterTail(name, func(n *dsm.Node, arg []byte) []byte { return fn(n, arg) })
 }
 
 func (b *dsmBackend) Run(master func(w Worker)) error {

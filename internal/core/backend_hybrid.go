@@ -48,7 +48,7 @@ type hybridBackend struct {
 	wg      sync.WaitGroup
 
 	regionsMu sync.Mutex
-	regions   map[string]func(w Worker, arg []byte)
+	regions   map[string]func(w Worker, arg []byte) []byte
 }
 
 // hybridIsland is one SMP node of the simulated cluster.
@@ -73,15 +73,16 @@ func (isl *hybridIsland) size() int { return isl.hi - isl.lo }
 
 // hybridFork is one dispatched region execution.
 type hybridFork struct {
-	fn  func(w Worker, arg []byte)
+	fn  func(w Worker, arg []byte) []byte
 	arg []byte
 	at  sim.Time // virtual dispatch time at the island
 }
 
 // hybridJoin reports one worker's region completion (or panic).
 type hybridJoin struct {
-	t   sim.Time
-	err interface{}
+	t    sim.Time
+	tail []byte
+	err  interface{}
 }
 
 // hybridWorker is one OpenMP thread; it implements Worker. Worker
@@ -118,7 +119,7 @@ func newHybridBackend(cfg Config, islands int) *hybridBackend {
 	b := &hybridBackend{
 		procs:   procs,
 		nisl:    islands,
-		regions: make(map[string]func(Worker, []byte)),
+		regions: make(map[string]func(Worker, []byte) []byte),
 		sys:     dsm.New(dsmConfig(cfg, islands, true)),
 	}
 	costs := dsm.ClientCosts{Lock: smpLockCost, Sema: smpSemaCost, Cond: smpCondCost}
@@ -149,7 +150,7 @@ func (b *hybridBackend) MallocPage(size int) Addr { return b.sys.MallocPage(size
 // Register stores the region body and installs an island dispatcher for
 // it in the DSM: a fork reaches each island once, and the dispatcher
 // spreads it across the island's threads.
-func (b *hybridBackend) Register(name string, fn func(w Worker, arg []byte)) {
+func (b *hybridBackend) Register(name string, fn func(w Worker, arg []byte) []byte) {
 	b.regionsMu.Lock()
 	if _, dup := b.regions[name]; dup {
 		b.regionsMu.Unlock()
@@ -157,12 +158,12 @@ func (b *hybridBackend) Register(name string, fn func(w Worker, arg []byte)) {
 	}
 	b.regions[name] = fn
 	b.regionsMu.Unlock()
-	b.sys.Register(name, func(n *dsm.Node, arg []byte) {
-		b.runIsland(n, name, arg)
+	b.sys.RegisterTail(name, func(n *dsm.Node, arg []byte) []byte {
+		return b.runIsland(n, name, arg)
 	})
 }
 
-func (b *hybridBackend) region(name string) func(Worker, []byte) {
+func (b *hybridBackend) region(name string) func(Worker, []byte) []byte {
 	b.regionsMu.Lock()
 	defer b.regionsMu.Unlock()
 	fn, ok := b.regions[name]
@@ -176,9 +177,9 @@ func (b *hybridBackend) region(name string) func(Worker, []byte) {
 // delegate's application goroutine (node 0: the master worker's own
 // goroutine; other islands: the dsm slave loop), dispatches the island's
 // remaining threads, runs the first thread's share inline, and joins. The
-// island's completion time flows into the delegate node's clock so the
-// dsm join message carries it back to the master.
-func (b *hybridBackend) runIsland(n *dsm.Node, name string, arg []byte) {
+// island's completion time (delegate clock) and its threads' contributions
+// (concatenated in thread order) ride the dsm join back to the master.
+func (b *hybridBackend) runIsland(n *dsm.Node, name string, arg []byte) []byte {
 	isl := b.islands[n.ID()]
 	fn := b.region(name)
 	first := b.workers[isl.lo]
@@ -194,7 +195,7 @@ func (b *hybridBackend) runIsland(n *dsm.Node, name string, arg []byte) {
 		}
 	}
 	first.clock.AdvanceTo(at)
-	fn(first, arg)
+	tail := fn(first, arg)
 	maxT := first.clock.Now()
 	for _, w := range b.workers[isl.lo+1 : isl.hi] {
 		var j hybridJoin
@@ -209,9 +210,11 @@ func (b *hybridBackend) runIsland(n *dsm.Node, name string, arg []byte) {
 		if j.t > maxT {
 			maxT = j.t
 		}
+		tail = append(tail, j.tail...)
 	}
 	first.clock.AdvanceTo(maxT)
 	n.AdvanceClockTo(maxT)
+	return tail
 }
 
 // loop runs a non-first island worker: wait for a dispatched region, run
@@ -231,11 +234,12 @@ func (w *hybridWorker) loop() {
 }
 
 func (w *hybridWorker) runRegion(f hybridFork) {
+	var tail []byte
 	defer func() {
-		w.joinCh <- hybridJoin{t: w.clock.Now(), err: recover()}
+		w.joinCh <- hybridJoin{t: w.clock.Now(), tail: tail, err: recover()}
 	}()
 	w.clock.AdvanceTo(f.at)
-	f.fn(w, f.arg)
+	tail = f.fn(w, f.arg)
 }
 
 // Run executes master as worker 0 on the master island's delegate
@@ -321,13 +325,14 @@ func (w *hybridWorker) Compute(flops float64) { w.cl.Compute(flops) }
 // RunParallel forks the named region across the cluster: one dsm fork per
 // island, each island's dispatcher spreading it over its threads. The
 // master charges the same dispatch cost as the SMP backend; the DSM fork
-// messages carry the inter-island cost.
-func (w *hybridWorker) RunParallel(region string, arg []byte) {
+// messages carry the inter-island cost, the joins each island's
+// contributions (islands are blocks of threads: island order is thread order).
+func (w *hybridWorker) RunParallel(region string, arg []byte) [][]byte {
 	if w.id != 0 {
 		panic("hybrid: RunParallel must be called by the master (worker 0)")
 	}
 	w.clock.Advance(smpForkCost)
-	w.cl.RunParallel(region, arg)
+	return w.cl.RunParallel(region, arg)
 }
 
 // ---------------------------------------------------------------------

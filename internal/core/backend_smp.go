@@ -42,9 +42,15 @@ type smpAbort struct{ cause string }
 func (e smpAbort) Error() string { return "smp: run aborted: " + e.cause }
 
 type smpFork struct {
-	fn  func(w Worker, arg []byte)
+	fn  func(w Worker, arg []byte) []byte
 	arg []byte
 	at  sim.Time // virtual dispatch time at the master
+}
+
+// smpJoin is a slave's region completion: its finish time and contribution.
+type smpJoin struct {
+	t    sim.Time
+	tail []byte
 }
 
 type smpLock struct {
@@ -75,7 +81,7 @@ type smpBackend struct {
 	heapNext Addr
 
 	regionsMu sync.Mutex
-	regions   map[string]func(w Worker, arg []byte)
+	regions   map[string]func(w Worker, arg []byte) []byte
 
 	workers []*smpWorker
 
@@ -104,7 +110,7 @@ type smpWorker struct {
 	id     int
 	clock  sim.Clock
 	forkCh chan smpFork
-	joinCh chan sim.Time
+	joinCh chan smpJoin
 }
 
 func newSMPBackend(cfg Config) *smpBackend {
@@ -124,7 +130,7 @@ func newSMPBackend(cfg Config) *smpBackend {
 		procs:     cfg.Threads,
 		heapBytes: heapBytes,
 		heap:      make([]byte, heapBytes),
-		regions:   make(map[string]func(Worker, []byte)),
+		regions:   make(map[string]func(Worker, []byte) []byte),
 		locks:     make(map[int]*smpLock),
 		semas:     make(map[int]*smpSema),
 		conds:     make(map[int]*smpCond),
@@ -136,7 +142,7 @@ func newSMPBackend(cfg Config) *smpBackend {
 			b:      b,
 			id:     i,
 			forkCh: make(chan smpFork, 1),
-			joinCh: make(chan sim.Time, 1),
+			joinCh: make(chan smpJoin, 1),
 		})
 	}
 	return b
@@ -172,7 +178,7 @@ func (b *smpBackend) mallocLocked(size int) Addr {
 	return a
 }
 
-func (b *smpBackend) Register(name string, fn func(w Worker, arg []byte)) {
+func (b *smpBackend) Register(name string, fn func(w Worker, arg []byte) []byte) {
 	b.regionsMu.Lock()
 	defer b.regionsMu.Unlock()
 	if _, dup := b.regions[name]; dup {
@@ -181,7 +187,7 @@ func (b *smpBackend) Register(name string, fn func(w Worker, arg []byte)) {
 	b.regions[name] = fn
 }
 
-func (b *smpBackend) region(name string) func(Worker, []byte) {
+func (b *smpBackend) region(name string) func(Worker, []byte) []byte {
 	b.regionsMu.Lock()
 	defer b.regionsMu.Unlock()
 	fn, ok := b.regions[name]
@@ -299,7 +305,7 @@ func (w *smpWorker) Compute(flops float64) {
 
 // RunParallel forks the named region on every slave, runs it on the
 // master too, and joins: the master resumes at the latest finish time.
-func (w *smpWorker) RunParallel(region string, arg []byte) {
+func (w *smpWorker) RunParallel(region string, arg []byte) [][]byte {
 	if w.id != 0 {
 		panic("smp: RunParallel must be called by the master (worker 0)")
 	}
@@ -314,16 +320,19 @@ func (w *smpWorker) RunParallel(region string, arg []byte) {
 			panic(smpAbort{cause: "backend shut down"})
 		}
 	}
-	fn(w, arg)
+	tails := make([][]byte, b.procs)
+	tails[0] = fn(w, arg)
 	for _, s := range b.workers[1:] {
-		var t sim.Time
+		var j smpJoin
 		select {
-		case t = <-s.joinCh:
+		case j = <-s.joinCh:
 		case <-b.done:
 			panic(smpAbort{cause: "backend shut down"})
 		}
-		w.clock.AdvanceTo(t)
+		w.clock.AdvanceTo(j.t)
+		tails[s.id] = j.tail
 	}
+	return tails
 }
 
 // slaveLoop runs workers 1..P-1: wait for a fork, run the region, report
@@ -341,9 +350,9 @@ func (w *smpWorker) slaveLoop() {
 			return
 		}
 		w.clock.AdvanceTo(f.at)
-		f.fn(w, f.arg)
+		tail := f.fn(w, f.arg)
 		select {
-		case w.joinCh <- w.clock.Now():
+		case w.joinCh <- smpJoin{t: w.clock.Now(), tail: tail}:
 		case <-w.b.done:
 			panic(smpAbort{cause: "backend shut down"})
 		}

@@ -28,8 +28,9 @@
 //	parallel do         Program.ParallelDo / RegisterDo
 //	critical(name)      TC.Critical
 //	barrier             TC.Barrier
-//	reduction(+:x)      Program.NewReduction + TC.Reduce (+ arrays, the
-//	                    paper's extension, via NewArrayReduction)
+//	reduction(+:x)      Program.NewReduction + Reduction.Reduce, folded at
+//	                    the join (+ arrays, the paper's extension, via
+//	                    NewArrayReduction)
 //	firstprivate        Args passed at fork
 //	threadprivate       TC.Threadprivate
 package core
@@ -88,7 +89,7 @@ type Program struct {
 	threads int
 
 	mu       sync.Mutex
-	nextRed  int                 // reduction slot allocator
+	reds     []*redVar           // reduction variables, by id
 	tpStores []map[string][]byte // threadprivate memory, one map per thread
 }
 

@@ -17,6 +17,9 @@ type TC struct {
 	w       Worker
 	threads int
 	args    []byte // firstprivate environment received at fork
+
+	inRegion bool      // a region thread's context, not the master's between regions
+	partials []partial // this invocation's reduction partials (reduce.go)
 }
 
 // MC is the master context: the sequential program between parallel
@@ -177,8 +180,10 @@ func StaticBlock(lo, hi, who, of int) (int, int) {
 // the analogue of the compiler encapsulating each parallel region into a
 // separate subroutine (Section 4.3.2). Must be called before Run.
 func (p *Program) RegisterRegion(name string, body func(tc *TC)) {
-	p.be.Register(name, func(w Worker, arg []byte) {
-		body(&TC{p: p, w: w, threads: p.threads, args: arg})
+	p.be.Register(name, func(w Worker, arg []byte) []byte {
+		tc := &TC{p: p, w: w, threads: p.threads, args: arg, inRegion: true}
+		body(tc)
+		return tc.contribution()
 	})
 }
 
@@ -186,23 +191,25 @@ func (p *Program) RegisterRegion(name string, body func(tc *TC)) {
 // hands each thread its static block [lo, hi) of the loop bounds supplied
 // at the ParallelDo call site.
 func (p *Program) RegisterDo(name string, body func(tc *TC, lo, hi int)) {
-	p.be.Register(name, func(w Worker, arg []byte) {
+	p.be.Register(name, func(w Worker, arg []byte) []byte {
 		if len(arg) < 16 {
 			panic(fmt.Sprintf("core: parallel do %q fork missing loop bounds", name))
 		}
 		gLo := int(int64(binary.LittleEndian.Uint64(arg)))
 		gHi := int(int64(binary.LittleEndian.Uint64(arg[8:])))
-		tc := &TC{p: p, w: w, threads: p.threads, args: arg[16:]}
+		tc := &TC{p: p, w: w, threads: p.threads, args: arg[16:], inRegion: true}
 		lo, hi := StaticBlock(gLo, gHi, w.ID(), p.threads)
 		body(tc, lo, hi)
+		return tc.contribution()
 	})
 }
 
 // Parallel opens the named parallel region on the whole team, passing the
 // firstprivate environment (master's values at the fork, Section 2), and
-// returns after all threads have joined.
+// returns after all threads have joined and the master has folded their
+// reduction contributions.
 func (m *MC) Parallel(name string, args *Args) {
-	m.w.RunParallel(name, args.bytes())
+	m.combine(m.w.RunParallel(name, args.bytes()))
 }
 
 // ParallelDo opens the named parallel-do region over the iteration space
@@ -211,5 +218,5 @@ func (m *MC) ParallelDo(name string, lo, hi int, args *Args) {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[:], uint64(int64(lo)))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(int64(hi)))
-	m.w.RunParallel(name, append(hdr[:], args.bytes()...))
+	m.combine(m.w.RunParallel(name, append(hdr[:], args.bytes()...)))
 }

@@ -107,6 +107,57 @@ func TestForkJoinVisibility(t *testing.T) {
 	}
 }
 
+// TestJoinTails: a RegisterTail region's results come back from
+// RunParallel in node order — the master's own, then each slave's off its
+// join — with nothing where a node returned nothing; and a region that
+// returns nothing puts exactly a plain region's bytes on the wire.
+func TestJoinTails(t *testing.T) {
+	const procs = 4
+	traffic := func(tailed bool) (int64, int64) {
+		sys := New(Config{Procs: procs})
+		defer sys.Close()
+		a := sys.MallocPage(8 * procs)
+		sys.Register("plain", func(n *Node, _ []byte) { n.WriteI64(a+Addr(8*n.ID()), 1) })
+		sys.RegisterTail("tailed", func(n *Node, _ []byte) []byte {
+			n.WriteI64(a+Addr(8*n.ID()), 1)
+			if n.ID() == 2 {
+				return nil
+			}
+			return []byte{byte(n.ID()), 0xee}
+		})
+		sys.RegisterTail("quiet", func(n *Node, _ []byte) []byte {
+			n.WriteI64(a+Addr(8*n.ID()), 1)
+			return nil
+		})
+		err := sys.Run(func(n *Node) {
+			if !tailed {
+				n.RunParallel("plain", nil)
+				return
+			}
+			n.RunParallel("quiet", nil)
+			got := n.RunParallel("tailed", nil)
+			want := [][]byte{{0, 0xee}, {1, 0xee}, nil, {3, 0xee}}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("RunParallel returned tails %v, want %v", got, want)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.Switch().Stats().ByType(msgJoin)
+	}
+	plainMsgs, plainBytes := traffic(false)
+	msgs, bytes := traffic(true)
+	if want := 2 * plainMsgs; msgs != want {
+		t.Errorf("two regions sent %d joins, want %d", msgs, want)
+	}
+	// The quiet region's joins are the plain region's to the byte; the
+	// tailed one's carry two bytes more from each of the two slaves with a tail.
+	if want := 2*plainBytes + 2*2; bytes != want {
+		t.Errorf("joins moved %d B, want %d", bytes, want)
+	}
+}
+
 func TestMasterWritesVisibleToSlaves(t *testing.T) {
 	sys := New(Config{Procs: 3})
 	a := sys.MallocPage(8)

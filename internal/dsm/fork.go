@@ -14,8 +14,9 @@ import (
 // environment (pointers to shared variables and copied initial values, as
 // in Section 4.3.2). Fork counts as a release by the master and an acquire
 // by each slave; join is the reverse, so the master sees all slave writes
-// after RunParallel returns.
-func (c *Client) RunParallel(region string, arg []byte) {
+// after RunParallel returns. It returns each node's region result (see
+// RegisterTail), indexed by node.
+func (c *Client) RunParallel(region string, arg []byte) [][]byte {
 	n := c.n
 	if n.id != 0 {
 		panic("dsm: RunParallel must be called by the master (node 0)")
@@ -47,7 +48,8 @@ func (c *Client) RunParallel(region string, arg []byte) {
 	n.mu.Unlock()
 
 	// The master is thread 0 of the team.
-	fn(n, arg)
+	tails := make([][]byte, procs)
+	tails[0] = fn(n, arg)
 
 	// Join: collect every slave's release.
 	n.mu.Lock()
@@ -63,10 +65,12 @@ func (c *Client) RunParallel(region string, arg []byte) {
 			panic(abortError{cause: "switch shut down"})
 		}
 		// Consistency information was already incorporated by the
-		// protocol server, in wire order; the join here only
-		// synchronizes time.
+		// protocol server, in wire order, which left only the tail; the
+		// join here synchronizes time.
 		c.clk.AdvanceTo(m.Arrive)
+		tails[m.From] = m.Payload
 	}
+	return tails
 }
 
 // slaveLoop is the application thread of nodes 1..P-1: block for a fork,
@@ -104,12 +108,12 @@ func (n *Node) slaveLoop() {
 			n.mu.Unlock()
 		}
 		fn := n.sys.region(region)
-		fn(n, arg)
+		tail := fn(n, arg)
 
 		n.mu.Lock()
 		n.closeIntervalLocked()
 		var w wbuf
-		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[0]))
+		putJoin(&w, n.vc, n.deltaForLocked(n.knownVC[0]), tail)
 		n.noteSentLocked(0)
 		// Sent under mu: atomic with the estimate update.
 		n.ep.Send(0, msgJoin, network.ClassRequest, w.b)

@@ -99,9 +99,8 @@ type NodeStats struct {
 	FaultRounds int64
 	FaultPages  int64
 
-	// LockWait is the virtual time application threads spent inside Acquire,
-	// from the call to the grant (island-local handoffs included), read off
-	// the client clock like FaultWait.
+	// LockWait: time inside Acquire, call to grant (island-local handoffs
+	// included), read off the client clock like FaultWait.
 	LockWait sim.Time
 
 	// Garbage collection counters (see gc.go and acqgc.go).
@@ -1136,5 +1135,5 @@ func (n *Node) CondBroadcast(condID, lockID int) { n.c0.CondBroadcast(condID, lo
 func (n *Node) Flush() { n.c0.Flush() }
 
 // RunParallel forks the named region on every slave node, runs it on the
-// master too, and joins (see Client.RunParallel).
-func (n *Node) RunParallel(region string, arg []byte) { n.c0.RunParallel(region, arg) }
+// master too, and joins (see Client.RunParallel, which returns the tails).
+func (n *Node) RunParallel(region string, arg []byte) [][]byte { return n.c0.RunParallel(region, arg) }

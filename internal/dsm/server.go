@@ -54,7 +54,10 @@ func (n *Node) dispatch(m *network.Message) {
 	case msgJoin:
 		r := rbuf{b: m.Payload}
 		n.incorporateWire(&r, m.From)
-		n.joinCh <- m // consumed by the master's application thread
+		// The master's application thread sees the region's tail only.
+		join := *m
+		join.Payload = getJoinTail(&r)
+		n.joinCh <- &join
 	case msgBarrArrive:
 		r := rbuf{b: m.Payload}
 		n.incorporateWire(&r, m.From)

@@ -135,7 +135,7 @@ type System struct {
 	fanin     int         // resolved barrier tree fan-in
 
 	regionsMu sync.Mutex
-	regions   map[string]RegionFunc
+	regions   map[string]func(*Node, []byte) []byte
 
 	heapMu   sync.Mutex
 	heapNext Addr
@@ -172,7 +172,7 @@ func New(cfg Config) *System {
 		plat:      plat,
 		sw:        network.NewSwitch(cfg.Procs, plat.UDP),
 		heapBytes: cfg.HeapBytes,
-		regions:   make(map[string]RegionFunc),
+		regions:   make(map[string]func(*Node, []byte) []byte),
 		done:      make(chan struct{}),
 		gcOn:      !cfg.DisableGC && cfg.Procs > 1,
 		gcFloors:  make(map[int64]*epochFloor),
@@ -269,9 +269,7 @@ type TrafficBreakdown struct {
 	// NodeStats): a time share to read beside the byte shares above.
 	FaultWait               sim.Time
 	FaultRounds, FaultPages int64
-
-	// The lock-wait slice likewise: time inside Acquire, call to grant.
-	LockWait sim.Time
+	LockWait                sim.Time // the lock-wait slice likewise
 
 	// The collector's validation wave, likewise: its time, and its traffic
 	// — a sub-split of PageMsgs/PageBytes, not a fourth category.
@@ -327,6 +325,13 @@ func (s *System) Done() <-chan struct{} { return s.done }
 // be called before Run forks the region. Registering models all nodes
 // running the same compiled binary.
 func (s *System) Register(name string, fn RegionFunc) {
+	s.RegisterTail(name, func(n *Node, arg []byte) []byte { fn(n, arg); return nil })
+}
+
+// RegisterTail binds a region body whose result (an OpenMP reduction's
+// partials) rides each slave's msgJoin behind the consistency trailer, for
+// RunParallel to return in node order; an empty one adds no byte.
+func (s *System) RegisterTail(name string, fn func(n *Node, arg []byte) []byte) {
 	s.regionsMu.Lock()
 	defer s.regionsMu.Unlock()
 	if _, dup := s.regions[name]; dup {
@@ -335,7 +340,7 @@ func (s *System) Register(name string, fn RegionFunc) {
 	s.regions[name] = fn
 }
 
-func (s *System) region(name string) RegionFunc {
+func (s *System) region(name string) func(*Node, []byte) []byte {
 	s.regionsMu.Lock()
 	defer s.regionsMu.Unlock()
 	fn, ok := s.regions[name]

@@ -205,6 +205,20 @@ func getTrailer(r *rbuf) (VectorClock, []*interval) {
 	return getVC(r), decodeRecords(r)
 }
 
+// putJoin writes a join: the consistency trailer, then the region's tail
+// (RegisterTail) as raw bytes to the end of the message — none at all when
+// the tail is empty, so a tail-less join IS the bare trailer.
+func putJoin(w *wbuf, vc VectorClock, recs []*interval, tail []byte) {
+	putTrailer(w, vc, recs)
+	w.b = append(w.b, tail...)
+}
+
+// getJoinTail returns a copy of what follows a join's decoded trailer (nil
+// when nothing does): request-class payloads may alias a shared envelope.
+func getJoinTail(r *rbuf) []byte {
+	return append([]byte(nil), r.need(r.remaining())...)
+}
+
 // fetchItem is one entry of a msgFetchReq/msgFetchRep pair: a whole page
 // (seq < 0) or the diff of the serving node's interval seq for the page.
 // data is the reply's content and stays nil in a request.

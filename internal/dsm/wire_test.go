@@ -135,6 +135,38 @@ func TestWireRecordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireJoinTail: a join is the consistency trailer with the region's
+// tail behind it. With no tail it is the bare trailer to the byte — a
+// reduction-free program's joins are what they always were — and a tail
+// comes back whole after the trailer is decoded.
+func TestWireJoinTail(t *testing.T) {
+	rnd := rand.New(rand.NewSource(23))
+	recs := randRecords(rnd, 8, 3)
+	vc := VectorClock{2, 7, 1, 8, 2, 8, 1, 8}
+	var bare, join wbuf
+	putTrailer(&bare, vc, recs)
+	putJoin(&join, vc, recs, nil)
+	if !bytes.Equal(join.b, bare.b) {
+		t.Fatalf("tail-less join %x differs from the bare trailer %x", join.b, bare.b)
+	}
+	r := rbuf{b: join.b}
+	getTrailer(&r)
+	if got := getJoinTail(&r); got != nil {
+		t.Errorf("tail-less join decoded tail %x", got)
+	}
+	tail := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	join = wbuf{}
+	putJoin(&join, vc, recs, tail)
+	r = rbuf{b: join.b}
+	gotVC, gotRecs := getTrailer(&r)
+	if got := getJoinTail(&r); !bytes.Equal(got, tail) || !r.done() {
+		t.Errorf("join tail decoded as %x, want %x", got, tail)
+	}
+	if !reflect.DeepEqual(gotVC, vc) || !reflect.DeepEqual(stripDiffs(gotRecs), stripDiffs(recs)) {
+		t.Error("a join's tail disturbed its trailer")
+	}
+}
+
 // ---------------------------------------------------------------------
 // Truncation: every strict prefix of a valid encoding must fail through
 // the bounded wireError path — never a runtime fault, never a huge
@@ -513,7 +545,8 @@ func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
 // Fuzz: arbitrary bytes may only fail through wireError.
 // ---------------------------------------------------------------------
 
-// FuzzWireDecode feeds arbitrary bytes to every wire decoder. The
+// FuzzWireDecode feeds arbitrary bytes to every wire decoder (the join's
+// trailer-then-tail among them). The
 // contract under test: decoding never panics except via the typed
 // wireError (the bounded short-message path) — any index fault or
 // count-sized allocation blowup is a missing validation.
@@ -540,6 +573,9 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(fw.b)
 	}
 	f.Add(oversizeFetchRequest())
+	var jw wbuf
+	putJoin(&jw, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(jw.b)
 
 	decoders := []func(b []byte){
 		func(b []byte) {
@@ -549,6 +585,11 @@ func FuzzWireDecode(f *testing.F) {
 		func(b []byte) {
 			r := rbuf{b: b}
 			getVC(&r)
+		},
+		func(b []byte) {
+			r := rbuf{b: b}
+			getTrailer(&r)
+			getJoinTail(&r)
 		},
 		func(b []byte) {
 			r := rbuf{b: b}

@@ -11,8 +11,9 @@ import (
 // `go test -count=20` under a concurrent full-suite load:
 //
 //   - MPI and OMP/SMP cells are schedule-independent to the byte (TSP/mpi's
-//     work stealing and the three float reductions that sum in arrival
-//     order on real goroutines excepted), so they pin exact values.
+//     work stealing excepted), so they pin exact values. OpenMP reductions
+//     fold at the join in thread order on every backend, so every cell
+//     with one repeats its checksum bits, the NOW's included.
 //   - DSM cells of the barrier-only applications repeat their checksum and,
 //     for 3D-FFT/tmk, their message count; byte totals wobble in the fourth
 //     digit (delta sizes depend on which clock estimates a server raised
@@ -21,9 +22,9 @@ import (
 //     transport lands far outside it. Water's message count is the loose
 //     one: test scale never reaches the collection threshold, so no flush
 //     resets its pages to one whole-page fetch each, and how many creators
-//     a fault asks for diffs follows the lock-grant order (1,023-1,436 and
-//     1,099-1,423 over -count=40; the every-episode schedule's 1,651 and
-//     1,667 still land outside the bands).
+//     a fault asks for diffs follows the lock-grant order (omp 987-1,401
+//     over 120 runs, tmk 1,099-1,423 over -count=40; the every-episode
+//     schedule's 1,651 and 1,667 still land outside the bands).
 //
 // A negative count or a zero checksum means "not pinned". Virtual time is
 // not pinned anywhere: it is not stable for Water.
@@ -46,18 +47,19 @@ var cellPins = []cellPin{
 	{app: "LU", impl: MPI, msgs: 462, bytes: 253512, checksum: 0x40a50eb039314cb1},
 	{app: "Barnes", impl: MPI, msgs: 35, bytes: 38164, checksum: 0x4061d4e1dac3494a},
 
-	{app: "Sweep3D", impl: OMPSMP, checksum: 0x40c76973ba93ca86},
-	{app: "3D-FFT", impl: OMPSMP},
+	{app: "Sweep3D", impl: OMPSMP, checksum: 0x40c76973ba93ca85},
+	{app: "3D-FFT", impl: OMPSMP, checksum: 0x4081b9b77c62832b},
 	{app: "Water", impl: OMPSMP, checksum: 0x40ad443025918a2e},
 	{app: "TSP", impl: OMPSMP, checksum: 0x4073514ede272040},
 	{app: "QSORT", impl: OMPSMP, checksum: 0x41b5e6a780833000},
-	{app: "LU", impl: OMPSMP},
-	{app: "Barnes", impl: OMPSMP},
+	{app: "LU", impl: OMPSMP, checksum: 0x40a50eb039314cb1},
+	{app: "Barnes", impl: OMPSMP, checksum: 0x4061d4e1dac3494a},
 
-	{app: "3D-FFT", impl: OMP, msgs: 734, msgTol: 0.03, bytes: 497000, byteTol: 0.015},
+	{app: "3D-FFT", impl: OMP, msgs: 581, msgTol: 0.03, bytes: 356500, byteTol: 0.015, checksum: 0x4081b9b77c62832b},
 	{app: "3D-FFT", impl: Tmk, msgs: 497, bytes: 376700, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
-	{app: "Water", impl: OMP, msgs: 1230, msgTol: 0.18, bytes: 1096000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
+	{app: "Water", impl: OMP, msgs: 1195, msgTol: 0.18, bytes: 1050000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
 	{app: "Water", impl: Tmk, msgs: 1260, msgTol: 0.15, bytes: 1087000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
+	{app: "LU", impl: OMP, msgs: -1, bytes: -1, checksum: 0x40a50eb039314cb1},
 }
 
 // TestDefaultConfigCellPins holds the default-configuration output of the
