@@ -45,8 +45,7 @@ func scalingShares(r apps.Result) (page, sync, gc float64, binding string) {
 // thread spent in one slice of the time ledger — wait is the slice summed
 // over threads (apps.Result.FaultWait: inside page-fault rounds; GCWait:
 // inside the collector's validation waves; LockWait: inside lock acquires)
-// — over procs × run time. Unlike
-// the byte shares it is a share of TIME.
+// — over procs × run time. Unlike the byte shares it is a share of TIME.
 func timeShare(wait sim.Time, r apps.Result, procs int) float64 {
 	if r.Time == 0 || procs == 0 {
 		return 0
