@@ -63,23 +63,26 @@ hybrid-race:
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
 
 # GC smoke under the race detector: the GC property suite (randomized
-# lock/sema/cond interleavings, coordinator invariants, bounded chains,
-# the pressure trigger and — under GCMinRetire: 1, since test scale never
-# reaches the default threshold — the every-episode purge paths), the
-# validation wave through the fetch exchange (TestGCWave*: request
-# grouping, the one-round rebuild of a flushed copy, the in-flight window),
-# the zero-base first-touch pins, the acquire source's wait-for-the-home
-# rule (TestAcquireEpoch*, TestEpisodeSettle*: a waiting node's owed floor
-# is claimed and finished across the application thread, its island-mates
-# and the server), plus the lock/semaphore applications — QSORT and Sweep3D
-# at multiples of their test scale — with the collector forced to low
-# pressure, every app on the every-episode schedule, and the full-scale
-# Sweep3D cell whose wave must stay at the homes. The consensus pushes,
-# server-side purges, and fetch-lock exclusion all exercise cross-goroutine
-# edges, so this is where an ordering bug in the collector fails first.
+# lock/sema/cond interleavings, coordinator invariants — the episode
+# trigger's gate included — bounded chains, the pressure trigger and, at
+# GCPressure 1 since test scale never reaches the default threshold, the
+# every-episode purge paths), the validation wave through the fetch
+# exchange (TestGCWave*: request grouping, the in-flight window), the
+# one-round rebuild of a flushed copy, the zero-base first-touch pins, the
+# wait-for-the-home rule (TestAcquireEpoch*: a waiting node's owed floor is
+# claimed and finished across the application thread, its island-mates,
+# the server and the next episode), the span programs at GCPressure 1
+# (both triggers armed on programs that mix locks and barriers), plus the
+# lock/semaphore applications — QSORT and Sweep3D at multiples of their
+# test scale — with the collector forced to low pressure, the one-axis GC
+# ablation, every app at GCPressure 1, and the full-scale Sweep3D cell
+# whose wave must stay at the homes. The consensus pushes, server-side
+# purges, episode waits and fetch-lock exclusion all exercise
+# cross-goroutine edges, so this is where an ordering bug in the collector
+# fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle' ./internal/dsm
-	$(GO) test -race -run 'TestAcquireGC|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestSpanEquivalentToPageAtATime/.*/.*/minretire1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
 # >8-node smoke under the race detector: the wide-team (16/32-thread)
 # conformance scenario on every backend plus one real application at 16

@@ -16,12 +16,11 @@
 //	                               acquire-epoch counts)
 //	nowbench -micro                Section 6 platform characteristics
 //	nowbench -ablation section3    Section 3 flush-vs-sema/condvar studies
-//	nowbench -ablation gc          the GC ablations: every-episode vs
-//	                               adaptive vs default-pressure vs off
-//	                               trigger counts, plus the
-//	                               acquire-epoch trigger grid (episode
-//	                               vs acquire source on a lock/semaphore
-//	                               kernel and on Water)
+//	nowbench -ablation gc          the GC ablation: one axis, the
+//	                               collection threshold (every episode,
+//	                               low, default, off), over a barrier
+//	                               kernel, long Water and a barrier-free
+//	                               lock/semaphore kernel
 //	nowbench -ablation all         both of the above
 //	nowbench -sweep                speedup curves for P = 1,2,4,8
 //	nowbench -scaling              the >8-node scaling-wall study: OpenMP
@@ -47,8 +46,9 @@
 // the processor count of Figure 6 / Table 2, and -islands K to set the
 // SMP island count of the omp-hybrid columns (default 2; clamped to the
 // processor count). -gcpressure N sets the collection threshold (of the
-// barrier/fork episodes and the acquire epochs alike) of every cell that
-// does not carry its own (harness.DefaultGC; see dsm.Config.GCPressure).
+// one collector's two triggers, barrier/fork episodes and the lock-manager
+// consensus) of every cell that does not carry its own (harness.DefaultGC;
+// see dsm.Config.GCPressure).
 // Independent experiment cells run concurrently on a weighted worker pool
 // — SMP and hybrid cells are cheaper than full-protocol NOW cells and pack
 // several to a worker slot — with output order unaffected; -workers N
@@ -84,7 +84,7 @@ func main() {
 		islands  = flag.Int("islands", 0, "SMP island count for the omp-hybrid columns (0 = default 2)")
 		scale    = flag.String("scale", "full", "workload scale: full or test")
 		workers  = flag.Int("workers", 0, "grid worker pool width (0 = one per CPU, 1 = sequential)")
-		gcPress  = flag.Int("gcpressure", 0, "default GC collection threshold, episodes and acquire epochs alike (0 = dsm default, negative disables acquire epochs)")
+		gcPress  = flag.Int("gcpressure", 0, "default GC collection threshold of both triggers, episodes and consensus (0 = dsm default, 1 = every episode, negative turns the consensus trigger off)")
 
 		serveMode  = flag.Bool("serve", false, "service mode: run a multi-tenant job stream and print the latency report")
 		jobs       = flag.Int("jobs", 500, "service mode: number of jobs in the stream")

@@ -36,7 +36,7 @@ type Result struct {
 	// Protocol-metadata footprint of DSM-backed runs (TreadMarks and
 	// OpenMP implementations; zero for sequential and MPI runs):
 	// IntervalsRetired counts interval records reclaimed by the
-	// barrier-epoch garbage collector, PeakIntervalChain is the longest
+	// garbage collector, PeakIntervalChain is the longest
 	// per-creator interval list retained on any node, and
 	// PeakProtoBytes is the largest metadata footprint (records + diffs
 	// + twins) any node ever held.
@@ -44,11 +44,10 @@ type Result struct {
 	PeakIntervalChain int64
 	PeakProtoBytes    int64
 	// GC accounting of DSM-backed runs: barrier/fork synchronization
-	// episodes the collector examined, collection epochs it actually ran
-	// there (those whose floor crossed the pressure threshold; every one
-	// under dsm.Config.GCMinRetire: 1), acquire epochs announced by the lock-manager consensus
-	// (dsm.Config.GCPressure), and the per-page validate-vs-flush purge
-	// outcomes.
+	// episodes the collector examined, the floors the episode trigger
+	// announced there (those whose floor crossed dsm.Config.GCPressure
+	// behind an open gate), the floors the lock-manager consensus
+	// announced, and the per-page validate-vs-flush purge outcomes.
 	GCEpisodes       int64
 	GCEpochs         int64
 	GCAcqEpochs      int64

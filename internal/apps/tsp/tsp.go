@@ -37,10 +37,10 @@ type Params struct {
 	// Platform overrides the cost model.
 	Platform *sim.Platform
 	// DSM carries the protocol knobs of the DSM-backed implementations
-	// (DisableGC, GCMinRetire, GCPressure, BarrierFanin — see
+	// (DisableGC, GCPressure, BarrierFanin — see
 	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
 	// TSP synchronizes through critical sections only, so between region
-	// boundaries only the acquire source collects for it.
+	// boundaries only the consensus trigger collects for it.
 	DSM dsm.Config
 }
 

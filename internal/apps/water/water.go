@@ -38,14 +38,14 @@ type Params struct {
 	// Platform overrides the cost model.
 	Platform *sim.Platform
 	// DSM carries the protocol knobs of the DSM-backed implementations
-	// (DisableGC, GCMinRetire, GCPressure, BarrierFanin — see
+	// (DisableGC, GCPressure, BarrierFanin — see
 	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
 	DSM dsm.Config
 }
 
 // Default returns the paper-scale configuration: 512 molecules at 8x the
 // original two-step run. Long runs stopped being metadata-bound once the
-// barrier-epoch and acquire-epoch collectors landed, so the Full scale
+// metadata garbage collector landed, so the Full scale
 // now exercises a genuinely long trajectory.
 func Default() Params { return Params{NMol: 512, Steps: 16, Seed: 31415} }
 

@@ -65,7 +65,7 @@ type Config struct {
 	Islands int
 
 	// DSM carries the protocol knobs of the NOW and hybrid backends by
-	// value — DisableGC, GCMinRetire, GCPressure, BarrierFanin
+	// value — DisableGC, GCPressure, BarrierFanin
 	// (see dsm.Config) — and is ignored on hardware shared memory, which
 	// keeps no LRC metadata. The backend fills Procs, HeapBytes, Platform
 	// and MultiClient itself from the fields above.

@@ -9,13 +9,13 @@ import (
 	"repro/internal/network"
 )
 
-// Acquire-epoch garbage collection for lock/semaphore/condvar programs.
+// The acquire-epoch coordinator: the package's one collector (gc.go).
 //
-// The barrier-epoch collector (gc.go) keys on barriers and forks, so
-// applications that synchronize exclusively through locks, semaphores, and
+// Applications that synchronize exclusively through locks, semaphores, and
 // condition variables — TSP's critical sections, QSORT's task-queue
-// condvars, Sweep3D's semaphore pipelines — accumulate interval chains for
-// the whole region between forks. Real TreadMarks solves this with a
+// condvars, Sweep3D's semaphore pipelines — reach no barrier or fork for a
+// whole region, so the episode trigger alone would let their interval
+// chains grow for the region's length. Real TreadMarks solves this with a
 // consensus garbage collection triggered on memory pressure (Amza et al.,
 // IEEE Computer '96); this file is the simulation's analogue, led by the
 // synchronization managers.
@@ -28,35 +28,29 @@ import (
 // exactly the global agreement Keleher's LRC garbage collection requires.
 // When the retirable-interval pressure (the floor's component sum beyond
 // the last issued floor) crosses Config.GCPressure, the managers announce
-// an acquire epoch with floor F, piggybacked on the grant messages of
-// whatever synchronization the nodes perform next; each node, on its next
-// sync operation, purges its page copies up to F (gcPurgePagesLocked),
-// truncates per-creator interval lists behind ivlBase, and releases the diffs and twins of intervals retired by
-// the PREVIOUS acquire epoch.
+// an epoch with floor F, piggybacked on the grant messages of whatever
+// synchronization the nodes perform next; each node, on its next sync
+// operation, runs the epoch (acqEpoch, gc.go's three steps). A barrier root
+// or fork master announces its merged clock the same way (noteIssued).
 //
-// Soundness is the same one-epoch-delayed free as the barrier collector,
-// with an acknowledgment gate standing in for barrier quiescence:
+// Soundness is a one-epoch-delayed free behind an acknowledgment gate:
 //
 //   - An announced floor F is ≤ every node's true clock at announcement
-//     time (it is a min over clocks genuinely carried in sync requests),
-//     so every node has stored every interval under F, and all future
-//     intervals have sequence numbers above F.
-//   - The coordinator announces epoch k+1 only after every node has
-//     reported a purge covering EVERY floor issued so far — acquire floors
-//     and collected barrier/fork-episode floors alike (gcEpochLocked feeds
-//     both into the coordinator). Once every node has purged ⊇ F, no node
-//     holds an unfetched write notice ≤ F, and none can ever reacquire
-//     one, so the diffs of intervals under F are unreachable forever:
-//     freeing them while processing epoch k+1 needs no further
-//     coordination. Barrier-source frees stay safe for the symmetric
-//     reason (every node purges the episode floor — which dominates every
-//     previously announced acquire floor — before resuming application
-//     code, and a node parked in the episode cannot fetch).
-//   - A node reports a purge only once it is FINISHED. A copy may flush
-//     only when its home has purged the floor (home.go); until then it is
-//     left alone, notices and all — nothing is fetched for a page nobody
-//     asked for — and the node's report waits with it (acqEpoch), so
-//     nothing under F is freed while any copy could still fault on it.
+//     time (a min over clocks genuinely carried in sync requests, or the
+//     root's merge of every node's clock at an episode), so every node has
+//     stored every interval under F, and all future intervals have
+//     sequence numbers above F.
+//   - The coordinator announces epoch k+1 — by either trigger — only after
+//     every node has acknowledged a purge covering EVERY floor issued so
+//     far. Once every node has purged ⊇ F, no node holds an unfetched
+//     write notice ≤ F, and none can ever reacquire one, so the diffs of
+//     intervals under F are unreachable forever: freeing them while
+//     processing epoch k+1 needs no further coordination.
+//   - A node acknowledges a purge only once it is FINISHED. A copy may
+//     flush only when its home has purged the floor (home.go); until then
+//     it is left alone, notices and all — nothing is fetched for a page
+//     nobody asked for — and the acknowledgment waits with it (acqEpoch),
+//     so nothing under F is freed while any copy could still fault on it.
 //
 // In the simulation the coordinator is a System-level registry standing in
 // for the managers' shared bookkeeping: the clocks it aggregates are the
@@ -65,12 +59,11 @@ import (
 // (grants, acks, departures) — a few extra bytes the simulation does not
 // charge separately.
 
-// DefaultGCPressure is the acquire-epoch trigger used when Config.GCPressure
-// is zero: an epoch is announced when the consensus floor would newly retire
-// at least this many interval records. It is set comfortably above the
-// per-episode retirement of barrier-dense applications, so programs whose
-// barriers and forks already collect promptly never pay for an extra
-// acquire round.
+// DefaultGCPressure is the collection threshold used when Config.GCPressure
+// is zero: a floor is announced when it would newly retire at least this
+// many interval records. It is set comfortably above one episode's
+// retirement on barrier-dense applications: TreadMarks collects when
+// consistency memory runs low, not at every barrier.
 const DefaultGCPressure = 256
 
 // acqCoord is the acquire-epoch consensus state: the simulation stand-in
@@ -80,20 +73,25 @@ const DefaultGCPressure = 256
 type acqCoord struct {
 	mu       sync.Mutex
 	pressure int64
+	acquire  bool // the consensus trigger is on (Config.GCPressure ≥ 0)
 
 	// reported[i] is the latest clock node i has carried on any sync
 	// request (a sound lower bound of its true clock; clocks only grow).
 	reported []VectorClock
 	// purged[i] is the merged floor of every collection epoch node i has
-	// completed (acquire and barrier/fork sources alike).
+	// completed.
 	purged []VectorClock
-	// baseline is the merged floor of every epoch issued so far:
-	// announced acquire floors plus collected episode floors. The next
-	// announcement is gated on every purged[i] covering it.
+	// baseline is the merged floor of every epoch issued so far, by either
+	// trigger. The next announcement is gated on every purged[i] covering
+	// it.
 	baseline VectorClock
 	baseSum  int64
+	// episode is the baseline as the last barrier or fork left it: the
+	// floor an episode's nodes finish there (episodeFloorFor).
+	episode VectorClock
 
-	announced int64 // acquire epochs announced
+	announced int64 // consensus-triggered epochs announced
+	episodes  int64 // episode-triggered epochs announced
 	pushes    int64 // consensus push rounds initiated
 
 	// Push-round pacing: a round is started only when at least pushGap
@@ -109,8 +107,9 @@ type acqCoord struct {
 	pushProg  int64 // progressLocked() at the last push round
 }
 
-func newAcqCoord(procs int, pressure int) *acqCoord {
-	co := &acqCoord{pressure: int64(pressure), baseline: newVC(procs), pushGap: int64(procs)}
+func newAcqCoord(procs int, pressure int, acquire bool) *acqCoord {
+	co := &acqCoord{pressure: int64(pressure), acquire: acquire,
+		baseline: newVC(procs), episode: newVC(procs), pushGap: int64(procs)}
 	for i := 0; i < procs; i++ {
 		co.reported = append(co.reported, newVC(procs))
 		co.purged = append(co.purged, newVC(procs))
@@ -219,16 +218,36 @@ func (co *acqCoord) pendingFloorFor(id int) (VectorClock, bool) {
 	return nil, false
 }
 
-// maybeAnnounceLocked issues a new acquire epoch when (a) every node has
-// purged everything issued so far — the acknowledgment gate that makes the
-// one-epoch-delayed free sound, and blocks announcements while a barrier
-// episode's purges are still in flight — and (b) the consensus floor would
-// newly retire at least the pressure threshold.
-func (co *acqCoord) maybeAnnounceLocked() {
+// episodeFloorFor returns the floor node id must finish at the current
+// episode — the baseline as the episode's root left it (noteIssued) —
+// unless id has acknowledged it already.
+func (co *acqCoord) episodeFloorFor(id int) (VectorClock, bool) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if !co.episode.dominatedBy(co.purged[id]) {
+		return co.episode.clone(), true
+	}
+	return nil, false
+}
+
+// gateOpenLocked reports whether every node has acknowledged everything
+// issued so far: the gate that makes the one-epoch-delayed free sound, for
+// both triggers.
+func (co *acqCoord) gateOpenLocked() bool {
 	for _, p := range co.purged {
 		if !co.baseline.dominatedBy(p) {
-			return
+			return false
 		}
+	}
+	return true
+}
+
+// maybeAnnounceLocked issues a consensus-triggered epoch when the trigger is
+// on, the gate is open, and the consensus floor would newly retire at least
+// the pressure threshold.
+func (co *acqCoord) maybeAnnounceLocked() {
+	if !co.acquire || !co.gateOpenLocked() {
+		return
 	}
 	cand := co.reported[0].clone()
 	for _, r := range co.reported[1:] {
@@ -259,23 +278,30 @@ func (co *acqCoord) notePurged(id int, floor VectorClock) {
 	co.reported[id].merge(floor)
 }
 
-// noteIssued folds a collected barrier/fork-episode floor into the
-// baseline (called by node 0 when it decides an episode collects, BEFORE
-// any departure or fork goes out): announcements stay blocked until every
-// node has processed the episode, and episode-driven retirement does not
-// count toward acquire pressure.
+// noteIssued is the episode trigger. The barrier root (after merging every
+// arrival) or the fork master (after the join) calls it with its clock —
+// the complete consensus, covering every interval in existence — BEFORE
+// any departure or fork goes out. The clock is announced as the floor when
+// the gate is open and it newly covers the pressure's worth of records; a
+// closed gate skips the episode like a floor below threshold. Either way
+// the resulting baseline is what the episode's nodes finish there.
 func (co *acqCoord) noteIssued(floor VectorClock) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.baseline.merge(floor)
-	co.baseSum = co.baseline.sum()
+	if co.gateOpenLocked() && floor.sum()-co.baseSum >= co.pressure {
+		co.baseline.merge(floor)
+		co.baseSum = co.baseline.sum()
+		co.episodes++
+	}
+	co.episode = co.baseline.clone()
 }
 
-// announcedCount returns the number of acquire epochs issued so far.
-func (co *acqCoord) announcedCount() int64 {
+// announcedCounts returns the number of epochs issued so far by each
+// trigger: consensus, then episode.
+func (co *acqCoord) announcedCounts() (consensus, episode int64) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.announced
+	return co.announced, co.episodes
 }
 
 // gcTreeConsensus reports whether consensus pushes route through the
@@ -376,7 +402,7 @@ const gcSpinTries = 4096
 func (c *Client) gcSyncHook(spin bool) {
 	n := c.n
 	co := n.sys.acq
-	if co == nil {
+	if co == nil || !co.acquire {
 		return
 	}
 	c.gcSyncOnce()
@@ -444,7 +470,7 @@ func (c *Client) gcSyncOnce() {
 	floor, pending, push := co.report(n.id, vc, true)
 	if pending {
 		n.mu.Lock()
-		done := n.acqEpoch(c, floor, false)
+		done := n.acqEpoch(c, floor, false, &n.stats.GCAcqEpochs)
 		n.mu.Unlock()
 		if done != nil {
 			// Only the client that actually FINISHED the purge acknowledges:
@@ -648,27 +674,27 @@ func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 func (n *Node) acqEpochServer(floor VectorClock) VectorClock {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.acqEpoch(nil, floor, true)
+	return n.acqEpoch(nil, floor, true, &n.stats.GCAcqEpochs)
 }
 
-// acqEpoch processes one announced acquire epoch on this node: free what
-// the PREVIOUS acquire epoch retired, purge page copies up to the new floor,
-// and advance the floor. It returns the floor whose purge it COMPLETED, for
-// the caller to acknowledge — nil when there is none: the floor was already
-// covered (an island-mate claimed the epoch, or a barrier episode superseded
-// it), or pages still wait on homes that have not purged it. Requires n.mu;
-// the application-thread purge (serverSide false) may release and reacquire
-// it around its diff-fetch wave.
+// acqEpoch processes one announced epoch on this node — gc.go's three steps
+// — and counts a newly begun one in *epochs (GCEpochs for an episode's own
+// floor, GCAcqEpochs otherwise). It returns the floor whose purge it
+// COMPLETED, for the caller to acknowledge — nil when there is none: the
+// floor was already covered (an island-mate or the server claimed it), or
+// pages still wait on homes that have not purged it. Requires n.mu; the
+// application-thread purge (serverSide false) may release and reacquire it
+// around its diff-fetch wave.
 //
 // Two things are published at two times. The home registry entry is written
 // at the end of the FIRST pass (gcCollectLocked): a node's own homed pages
 // never wait, so two nodes homing each other's pages cannot wait on each
 // other. The acknowledgment waits for the last page: the node holds the
-// owed floor and the homes it waits for, every later consensus step costs
-// one registry read a waited-for home — no page scan — and once all have
+// owed floor and the homes it waits for, every later step costs one
+// registry read a waited-for home — no page scan — and once all have
 // published ONE more pass flushes what is left. A waiting node finishes the
 // floor it began even when the coordinator already hands out a larger one.
-func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) VectorClock {
+func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool, epochs *int64) VectorClock {
 	owed := n.gcAcqOwed
 	if owed != nil {
 		for _, h := range n.gcAcqLag {
@@ -682,11 +708,11 @@ func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) VectorClo
 	}
 	if serverSide {
 		if !n.gcCanFlushAllLocked(floor) {
-			// Some covered-owing copy cannot be flushed — it holds own
-			// writes above the floor, is homed here (homes must validate),
-			// or its home has not purged the floor yet — and a validating
-			// purge fetches diffs, which a server cannot block on. Leave
-			// the epoch to the application thread.
+			// Some covered-owing copy cannot be flushed — it must be kept,
+			// is homed here (homes must validate), or its home has not
+			// purged the floor yet — and a validating purge fetches diffs,
+			// which a server cannot block on. Leave the epoch to the
+			// application thread.
 			return nil
 		}
 		if !floor.dominatedBy(n.vc) {
@@ -701,11 +727,11 @@ func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) VectorClo
 	} else if !floor.dominatedBy(n.vc) {
 		// Impossible on the application thread: the floor is a min over
 		// reported clocks (ours included) merged with episode floors whose
-		// episodes this thread has already processed.
-		panic(fmt.Sprintf("dsm: node %d acquire-epoch floor %v above local clock %v", n.id, floor, n.vc))
+		// episodes this thread has already incorporated.
+		panic(fmt.Sprintf("dsm: node %d epoch floor %v above local clock %v", n.id, floor, n.vc))
 	}
 	var lag []int
-	purge := func() { lag = n.gcPurgePagesLocked(c, floor, floor, false, true) }
+	purge := func() { lag = n.gcPurgePagesLocked(c, floor) }
 	if serverSide {
 		// A node reached by a push is quiet — parked on a condition
 		// variable or deep in a compute phase — and gcCanFlushAllLocked
@@ -719,8 +745,8 @@ func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool) VectorClo
 		purge()
 		n.pruneGCPagesLocked()
 	} else {
-		n.gcCollectLocked(&n.gcAcqFreeVC, floor, purge)
-		n.stats.GCAcqEpochs++
+		n.gcCollectLocked(floor, purge)
+		*epochs++
 	}
 	if lag != nil {
 		n.gcAcqOwed, n.gcAcqLag = floor, lag

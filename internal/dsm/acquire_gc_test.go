@@ -65,10 +65,10 @@ func acqRingWorkload(t *testing.T, cfg Config, rounds int) *System {
 }
 
 // TestAcquireGCRetiresWithoutBarriers is the load-bearing claim of the
-// acquire source: a program that synchronizes exclusively through locks
-// and semaphores — which the barrier/fork collector can never collect
-// mid-region — still announces epochs, retires interval records, and
-// releases twins/diffs when retirable pressure crosses GCPressure.
+// consensus trigger: a program that synchronizes exclusively through locks
+// and semaphores — which the episode trigger can never collect mid-region —
+// still announces epochs, retires interval records, and releases
+// twins/diffs when retirable pressure crosses GCPressure.
 func TestAcquireGCRetiresWithoutBarriers(t *testing.T) {
 	sys := acqRingWorkload(t, Config{Procs: 4, GCPressure: 16}, 48)
 	st := sys.TotalStats()
@@ -84,7 +84,7 @@ func TestAcquireGCRetiresWithoutBarriers(t *testing.T) {
 	}
 	if g.Epochs > 2 {
 		// Only the fork boundary provides barrier/fork episodes here.
-		t.Errorf("barrier/fork source ran %d epochs in a barrier-free region", g.Epochs)
+		t.Errorf("episode trigger announced %d epochs in a barrier-free region", g.Epochs)
 	}
 
 	off := acqRingWorkload(t, Config{Procs: 4, GCPressure: -1}, 48).TotalStats()
@@ -99,10 +99,10 @@ func TestAcquireGCRetiresWithoutBarriers(t *testing.T) {
 }
 
 // TestAcquireGCBoundedChain pins the acceptance criterion at the protocol
-// level: with the acquire source on, the peak retained interval chain is
+// level: with the consensus trigger on, the peak retained interval chain is
 // bounded by the pressure threshold (plus the backpressure slack), NOT by
 // the run length — quadrupling the rounds must not grow it — while with
-// the source off it grows with the run.
+// the trigger off it grows with the run.
 func TestAcquireGCBoundedChain(t *testing.T) {
 	cfg := Config{Procs: 4, GCPressure: 16}
 	short := acqRingWorkload(t, cfg, 32).TotalStats()
@@ -239,7 +239,7 @@ func TestAcqCoordProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		procs := 2 + rng.Intn(6)
-		co := newAcqCoord(procs, 1+rng.Intn(8))
+		co := newAcqCoord(procs, 1+rng.Intn(8), true)
 		clocks := make([]VectorClock, procs)
 		for i := range clocks {
 			clocks[i] = newVC(procs)
@@ -322,5 +322,52 @@ func TestAcqCoordProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAcqCoordEpisodeTrigger pins noteIssued, the episode trigger: a root
+// clock that newly covers the pressure is announced only behind an open
+// gate; a closed gate (a node still owes a consensus floor) or a floor below
+// threshold skips the episode, and in every case the episode's nodes are
+// handed exactly the baseline the root left, never a floor announced after.
+func TestAcqCoordEpisodeTrigger(t *testing.T) {
+	const procs = 3
+	co := newAcqCoord(procs, 4, true)
+	vc := func(a, b, c int32) VectorClock { return VectorClock{a, b, c} }
+	owes := func(id int) VectorClock {
+		floor, ok := co.episodeFloorFor(id)
+		if !ok {
+			return nil
+		}
+		return floor
+	}
+
+	co.noteIssued(vc(1, 1, 1)) // 3 records: below the pressure
+	if co.episodes != 0 || owes(0) != nil {
+		t.Fatalf("a floor below threshold was announced: %d episodes, node 0 owes %v", co.episodes, owes(0))
+	}
+	co.noteIssued(vc(2, 2, 1)) // 5 records: announced
+	if co.episodes != 1 || !slices.Equal(owes(2), vc(2, 2, 1)) {
+		t.Fatalf("open gate, 5 records: %d episodes, node 2 owes %v", co.episodes, owes(2))
+	}
+	co.notePurged(0, vc(2, 2, 1))
+	co.notePurged(1, vc(2, 2, 1))
+	co.noteIssued(vc(5, 5, 5)) // node 2 has not acknowledged: the gate is closed
+	if co.episodes != 1 || owes(0) != nil || !slices.Equal(owes(2), vc(2, 2, 1)) {
+		t.Fatalf("closed gate: %d episodes, node 0 owes %v, node 2 owes %v; want 1, nothing, the old floor",
+			co.episodes, owes(0), owes(2))
+	}
+	co.notePurged(2, vc(2, 2, 1))
+	// The consensus announces past the episode's baseline: not the
+	// episode's business.
+	for id := 0; id < procs; id++ {
+		co.report(id, vc(4, 4, 4), false)
+	}
+	if co.announced != 1 || owes(0) != nil {
+		t.Fatalf("consensus floor: %d announced, node 0 owes %v at the episode; want 1, nothing", co.announced, owes(0))
+	}
+	co.noteIssued(vc(6, 6, 6)) // node acknowledgments of (4,4,4) are missing: closed
+	if co.episodes != 1 || !slices.Equal(owes(1), vc(4, 4, 4)) {
+		t.Fatalf("episode behind an owed consensus floor: %d episodes, node 1 owes %v", co.episodes, owes(1))
 	}
 }

@@ -13,10 +13,11 @@ import (
 // home has published (acqEpoch). These tests pin the rule on three nodes
 // with fixed roles: node 0, the master and barrier root, is the WAITER;
 // node 1 HOMES the one page in play (the first of the second home block);
-// node 2 WRITES it, four bytes a round. Neither source ever triggers by
-// pressure: episodes collect on every fourth interval (GCMinRetire — one
-// interval a write), and the acquire floor is issued by hand, so every
-// step happens where the test puts it.
+// node 2 WRITES it, four bytes a round. No trigger fires by pressure, and
+// the consensus floor is issued by hand, so every step happens where the
+// test puts it. Once the floor is owed the nodes coordinate over host
+// channels, never a barrier: a barrier is an episode, and an episode
+// finishes an owed floor (TestAcquireEpochFinishedByEpisode).
 const (
 	awWaiter = 0
 	awHome   = 1
@@ -35,6 +36,20 @@ type acqWait struct {
 	a     Addr
 	pid   PageID
 	floor VectorClock // the owed floor: covers rounds 0-4, not round 5
+
+	homeWrote chan struct{} // closed once the home has written in round 5
+	passed    chan struct{} // closed when the waiter lets the home catch up
+	caughtUp  chan struct{} // closed once the home has published the floor
+}
+
+// issueFloor announces floor as the lock managers would, whatever the
+// pressure. The gate must be open.
+func issueFloor(co *acqCoord, floor VectorClock) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.baseline.merge(floor)
+	co.baseSum = co.baseline.sum()
+	co.announced++
 }
 
 // fetchReqs is the number of fetch requests sent so far, by anyone.
@@ -60,32 +75,43 @@ func (f *acqWait) round(n *Node, r int) {
 	n.Barrier()
 }
 
-// homeCatchesUp runs the home's own first pass between two barriers: it
-// validates its page to the floor and publishes its registry entry.
+// homeCatchesUp runs the home's own first pass, which until now it has been
+// parked for: it validates its page to the floor and publishes its registry
+// entry. The waiter resumes once it has; the writer takes no part.
 func (f *acqWait) homeCatchesUp(n *Node) {
-	n.Barrier()
-	if n.ID() == awHome {
+	switch n.ID() {
+	case awHome:
+		select {
+		case <-f.passed:
+		case <-f.sys.Done():
+			return
+		}
 		n.c0.gcSyncOnce()
 		if !f.acked(awHome) {
 			f.t.Error("the home, which waits for nobody, did not acknowledge its own first pass")
 		}
+		close(f.caughtUp)
+	case awWaiter:
+		close(f.passed)
+		<-f.caughtUp
 	}
-	n.Barrier()
 }
 
 // acqWaitFixture runs rest on every node once the waiter has taken the
 // first pass of an acquire epoch whose floor the page's home lags:
 //
-//	rounds 0-3   the waiter reads the page after round 0; the barrier of
-//	             round 3 is a collecting episode, so the home's registry
-//	             entry — and the waiter's copy, which that episode must
-//	             keep — reflect rounds 0-3
+//	rounds 0-3   the waiter reads the page after round 3, so its copy
+//	             reflects rounds 0-3
 //	round 4      the waiter's clock after it is the floor
 //	round 5      one more notice: the tail the floor does not cover. With
 //	             homeWrites the home writes the page too (64 bytes on), so
 //	             the tail is two concurrent notices and no single writer's
-//	             copy can stand in for it (planFaultLocked's squash)
-//	first pass   on the waiter, every other node parked at the next barrier
+//	             copy can stand in for it (planFaultLocked's squash). The
+//	             writer waits for the home's write: a departure sent after
+//	             the writer's next arrival reached the root would carry the
+//	             writer's round-5 interval early, and the home's would
+//	             then cover it.
+//	first pass   on the waiter, the home parked on a host channel
 //
 // and checks what that pass must leave behind: nothing fetched anywhere,
 // nothing validated, nothing flushed, the copy and every notice in place,
@@ -94,42 +120,49 @@ func acqWaitFixture(t *testing.T, homeWrites bool, rest func(f *acqWait, n *Node
 	t.Helper()
 	SetDebugOracle(true)
 	defer SetDebugOracle(false)
-	sys := New(Config{Procs: 3, GCPressure: 1 << 20, GCMinRetire: 4})
-	f := &acqWait{t: t, sys: sys}
+	sys := New(Config{Procs: 3, GCPressure: 1 << 20})
+	f := &acqWait{t: t, sys: sys,
+		homeWrote: make(chan struct{}), passed: make(chan struct{}), caughtUp: make(chan struct{})}
 	f.a = sys.MallocPage(2*HomeBlockPages*PageSize) + HomeBlockPages*PageSize
 	f.pid = PageID(int(f.a) / PageSize)
 	sys.Register("wait", func(n *Node, _ []byte) {
 		if !sys.Node(awHome).isHome(f.pid) {
 			t.Errorf("test premise: page %d is homed at node %d", f.pid, n.homeOf(f.pid))
 		}
-		f.round(n, 0)
+		for r := 0; r <= 3; r++ {
+			f.round(n, r)
+		}
 		if n.ID() == awWaiter {
 			n.ReadBytes(f.a, make([]byte, 4))
 		}
-		n.Barrier() // the read is over before round 1 overwrites what it read
-		for r := 1; r <= 4; r++ {
-			f.round(n, r)
-		}
+		n.Barrier() // the read is over before round 4 overwrites what it read
+		f.round(n, 4)
 		if n.ID() == awWaiter {
 			n.mu.Lock()
 			f.floor = n.vc.clone()
 			n.mu.Unlock()
 		}
 		n.Barrier() // the floor is read before a round-5 arrival can raise the root's clock
-		if homeWrites && n.ID() == awHome {
-			n.WriteBytes(f.a+64, awWord(5))
+		if homeWrites {
+			switch n.ID() {
+			case awHome:
+				n.WriteBytes(f.a+64, awWord(5))
+				close(f.homeWrote)
+			case awWriter:
+				<-f.homeWrote
+			}
 		}
 		f.round(n, 5)
 		if n.ID() == awWaiter {
-			if e := n.Stats().GCEpochs; e != 1 {
-				t.Errorf("test premise: %d collecting episodes so far, want round 3's alone", e)
+			if e := sys.GCSummary().Epochs; e != 0 {
+				t.Errorf("test premise: %d episodes collected, want none", e)
 			}
 			tail := 1
 			if homeWrites {
 				tail = 2
 			}
 			before, reqs := n.Stats(), f.fetchReqs()
-			sys.acq.noteIssued(f.floor) // "the managers announced this floor"
+			issueFloor(sys.acq, f.floor)
 			n.c0.gcSyncOnce()
 			after := n.Stats()
 			if got := f.fetchReqs() - reqs; got != 0 {
@@ -275,50 +308,62 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 	}
 }
 
-// TestEpisodeSettlesOwedAcquirePurge: the waiter — the barrier root, so
-// the home provably still lags when it runs — enters a collecting episode
-// with its floor owed. The episode's lagged flush drops the copy and keeps
-// every notice past the previous collecting floor; what of that tail the
-// owed floor covers is then settled the old way, validated from the home's
-// page and the covered diff, and the owed floor is acknowledged with the
-// episode's.
-func TestEpisodeSettlesOwedAcquirePurge(t *testing.T) {
-	acqWaitFixture(t, false, func(f *acqWait, n *Node) {
+// TestAcquireEpochFinishedByEpisode: the floor the waiter owes is finished
+// by the next barrier, an episode that announces nothing (its gate is
+// closed: the floor is unacknowledged). Every node handles the owed floor
+// there — the home validates its page, the waiter blocks until the home
+// has published and then flushes its copy without a message — and every
+// acknowledgment is in before the barrier returns. A second hand-issued
+// floor, finished by a later barrier the same way, frees every record the
+// first retired; the reads after it ask for nothing already freed
+// (serveDiffLocked's retired-interval tripwire would fail the run).
+func TestAcquireEpochFinishedByEpisode(t *testing.T) {
+	var retiredBefore int64
+	sys := acqWaitFixture(t, false, func(f *acqWait, n *Node) {
 		var before NodeStats
 		if n.ID() == awWaiter {
 			before = n.Stats()
 		}
 		f.round(n, 6)
-		f.round(n, 7) // the fourth interval since round 3's: a collecting episode
-		if n.ID() != awWaiter {
-			return
+		if n.ID() == awWaiter {
+			after := n.Stats()
+			if after.GCPagesFlushed != before.GCPagesFlushed+1 || after.GCPagesValidated != before.GCPagesValidated ||
+				after.GCWaveMsgs != before.GCWaveMsgs || after.GCEpochs != before.GCEpochs {
+				t.Errorf("episode with an owed floor: flushed %d, validated %d, %d wave messages, %d episode epochs; want 1, 0, 0, 0",
+					after.GCPagesFlushed-before.GCPagesFlushed, after.GCPagesValidated-before.GCPagesValidated,
+					after.GCWaveMsgs-before.GCWaveMsgs, after.GCEpochs-before.GCEpochs)
+			}
+			n.mu.Lock()
+			pg := n.pageFor(f.pid)
+			if owesCovered(pg, f.floor) || pg.data != nil || n.gcAcqOwed != nil {
+				t.Errorf("after the episode: owes under the floor=%v, copy=%v, owed=%v; want a flushed copy, nothing owed",
+					owesCovered(pg, f.floor), pg.data != nil, n.gcAcqOwed)
+			}
+			n.mu.Unlock()
+			for id := 0; id < 3; id++ {
+				if !f.acked(id) {
+					t.Errorf("node %d left the episode without acknowledging the owed floor", id)
+				}
+			}
 		}
-		after := n.Stats()
-		if after.GCEpochs != before.GCEpochs+1 {
-			t.Fatalf("test premise: rounds 6 and 7 collected %d times, want once", after.GCEpochs-before.GCEpochs)
+		f.round(n, 7) // every node is past round 6's episode: the gate is open
+		if n.ID() == awWaiter {
+			retiredBefore = f.sys.Node(awWriter).Stats().IntervalsRetired
+			n.mu.Lock()
+			second := n.vc.clone()
+			n.mu.Unlock()
+			issueFloor(f.sys.acq, second)
 		}
-		if after.GCPagesFlushed != before.GCPagesFlushed+1 || after.GCPagesValidated != before.GCPagesValidated+1 ||
-			after.PageFetches != before.PageFetches+1 || after.DiffsApplied != before.DiffsApplied+1 {
-			t.Errorf("episode with an owed floor: flushed %d, validated %d from %d whole pages and %d diffs; want 1, 1, 1, 1",
-				after.GCPagesFlushed-before.GCPagesFlushed, after.GCPagesValidated-before.GCPagesValidated,
-				after.PageFetches-before.PageFetches, after.DiffsApplied-before.DiffsApplied)
-		}
-		n.mu.Lock()
-		pg := n.pageFor(f.pid)
-		if owes := owesCovered(pg, f.floor); owes || len(pg.missing) != 3 || n.gcAcqOwed != nil {
-			t.Errorf("after the episode: owes under the owed floor=%v, %d notices, owed=%v; want only rounds 5-7 owed, nothing waiting",
-				owes, len(pg.missing), n.gcAcqOwed)
-		}
-		n.mu.Unlock()
-		if !f.acked(awWaiter) {
-			t.Error("the settled floor was not acknowledged")
-		}
+		f.round(n, 8) // finishes the second floor, freeing what the first retired
 		got := make([]byte, 4)
 		n.ReadBytes(f.a, got)
-		if !bytes.Equal(got, awWord(7)) {
-			t.Errorf("page reads %v after the episode, want round 7's %v", got, awWord(7))
+		if !bytes.Equal(got, awWord(8)) {
+			t.Errorf("node %d reads %v after the episodes, want round 8's %v", n.ID(), got, awWord(8))
 		}
 	})
+	if retired := sys.Node(awWriter).Stats().IntervalsRetired - retiredBefore; retired < 5 {
+		t.Errorf("the writer freed %d of its records at the second floor, want the first floor's 5", retired)
+	}
 }
 
 // TestAcquireEpochWaitsWithoutScanning: waiting costs registry reads, not
@@ -366,63 +411,5 @@ func TestAcquireEpochWaitsWithoutScanning(t *testing.T) {
 			t.Errorf("node %d walked its work list %d times for %d acquire epochs and %d episodes, want at most %d",
 				i, st.GCPurges, st.GCAcqEpochs, st.GCEpochs, max)
 		}
-	}
-}
-
-// TestEpisodeSettleAsksForNothingTheEpisodeFrees: the settling pass runs
-// AFTER the episode's own lagged flush, never before it. Here the root
-// writes the page and node 2, which never reads it, waits on the home: its
-// copy still owes rounds 0-3 — the first collecting episode's tail, which
-// the second episode frees on the root before any departure leaves — beside
-// the round the owed floor adds. Settling first would ask the root for all
-// five diffs and trip serveDiffLocked's retired-interval tripwire; settling
-// after the flush has dropped the tail asks for round 4 alone.
-func TestEpisodeSettleAsksForNothingTheEpisodeFrees(t *testing.T) {
-	SetDebugOracle(true)
-	defer SetDebugOracle(false)
-	sys := New(Config{Procs: 3, GCPressure: 1 << 20, GCMinRetire: 4})
-	a := sys.MallocPage(2*HomeBlockPages*PageSize) + HomeBlockPages*PageSize
-	sys.Register("settle", func(n *Node, _ []byte) {
-		round := func(r int) {
-			if n.ID() == 0 {
-				n.WriteBytes(a, awWord(r))
-			}
-			n.Barrier()
-		}
-		for r := 0; r <= 4; r++ {
-			round(r) // round 3's barrier collects
-		}
-		var floor VectorClock
-		if n.ID() == 2 {
-			n.mu.Lock()
-			floor = n.vc.clone()
-			n.mu.Unlock()
-		}
-		n.Barrier()
-		round(5)
-		if n.ID() == 2 {
-			sys.acq.noteIssued(floor)
-			n.c0.gcSyncOnce()
-			n.mu.Lock()
-			if pg := n.pageFor(PageID(HomeBlockPages)); n.gcAcqOwed == nil || len(pg.missing) < 6 {
-				t.Errorf("test premise: want rounds 0-5 owed on a waiting page; owed=%v, %d notices", n.gcAcqOwed, len(pg.missing))
-			}
-			n.mu.Unlock()
-		}
-		round(6)
-		round(7) // collects: the root frees rounds 0-3, then node 2 settles
-		if n.ID() == 2 {
-			got := make([]byte, 4)
-			n.ReadBytes(a, got)
-			if !bytes.Equal(got, awWord(7)) {
-				t.Errorf("page reads %v after the episode, want round 7's %v", got, awWord(7))
-			}
-		}
-	})
-	if err := sys.Run(func(n *Node) { n.RunParallel("settle", nil) }); err != nil {
-		t.Fatal(err)
-	}
-	if d := OracleDiverges(); d != 0 {
-		t.Errorf("%d reads diverged from the shadow memory", d)
 	}
 }

@@ -1,6 +1,8 @@
 package dsm
 
 import (
+	"slices"
+
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -12,8 +14,8 @@ import (
 // gathers its children's arrivals, merges them into its own clock, and
 // passes ONE combined arrival up. The root's departure wave flows back
 // down the tree, each hop carrying for its receiver exactly the intervals
-// it lacks, and every departure carries the root's merged clock — the GC
-// epoch floor (see gc.go), identical in every departure of an episode.
+// it lacks, and every departure carries the root's merged clock — the
+// episode's GC floor (see gc.go), identical in every departure.
 //
 // With the default fan-in of 8 and at most 9 nodes, node 0's children are
 // all other nodes and no other node has children: the tree degenerates to
@@ -151,12 +153,8 @@ func (c *Client) Barrier() {
 		n.mu.Lock()
 		n.incorporateLocked(recs, depVC)
 		n.noteHeardLocked(parent, depVC)
-		if n.sys.gcOn {
-			// The floor is the root's clock as carried by the departure,
-			// NOT our own: the server may already have incorporated
-			// intervals a faster peer created after leaving this barrier,
-			// and those are not globally known yet.
-			n.gcEpochLocked(c, depVC)
+		if n.sys.acq != nil {
+			n.gcEpisodeLocked(c, depVC)
 		}
 		n.mu.Unlock()
 		return
@@ -173,8 +171,8 @@ func (c *Client) Barrier() {
 	if n.id != 0 {
 		// Interior node: pass one combined arrival up (its clock now
 		// covers the whole subtree — the server incorporated every child's
-		// records), wait for the departure, forward it down, then run this
-		// node's own collection epoch.
+		// records), wait for the departure, forward it down, then take this
+		// node's side of the episode.
 		parent := barrierParent(n.id, n.sys.fanin)
 		n.mu.Lock()
 		var w wbuf
@@ -190,15 +188,12 @@ func (c *Client) Barrier() {
 		n.incorporateLocked(recs, depVC)
 		n.noteHeardLocked(parent, depVC)
 		// Forward the wave before collecting: the children (and their
-		// subtrees) stay parked until these go out, and the covered diffs
-		// this node's purge may drop stay fetchable until the one-epoch-
-		// delayed free, so collection order does not affect them. The
-		// trigger decision is deterministic from the floor (identical on
-		// every node), so it is known before the epoch itself runs.
-		collects := n.sys.gcOn && n.gcWillCollectLocked(depVC)
-		n.forwardDeparturesLocked(c, depVC, arrivals, collects)
-		if n.sys.gcOn {
-			n.gcEpochLocked(c, depVC)
+		// subtrees) stay parked until these go out, and the episode's
+		// waits for homes end only once every node has made its first
+		// pass.
+		n.forwardDeparturesLocked(c, depVC, arrivals)
+		if n.sys.acq != nil {
+			n.gcEpisodeLocked(c, depVC)
 		}
 		n.mu.Unlock()
 		return
@@ -211,35 +206,31 @@ func (c *Client) Barrier() {
 	// incorporating next-barrier arrivals (or sema/flush deltas) from
 	// fast departers, and a live n.vc read would hand later departures a
 	// larger clock than earlier ones. Pre-GC that was a harmless
-	// over-approximation; as the GC epoch floor it must be identical in
-	// every departure (see gc.go), and the root must not publish a floor
-	// covering intervals it did not just validate.
-	collects := false
-	if n.sys.gcOn {
-		// Collect BEFORE any departure goes out: with every other
-		// application thread parked awaiting its departure, the root's
-		// validation fetches race with nothing, and the departure arrival
-		// times then carry the (real, TreadMarks-style) GC pause. The
-		// root's merged clock is the floor every departure carries. The
-		// trigger decision is snapshotted here — gcEpochLocked advances
-		// gcFreeVC, after which the predicate would read false.
-		collects = n.gcWillCollectLocked(n.vc)
-		n.gcEpochLocked(c, n.vc.clone())
-	}
+	// over-approximation; as the episode's floor it must be identical in
+	// every departure (see gc.go).
 	depVC := n.vc.clone()
-	n.forwardDeparturesLocked(c, depVC, arrivals, collects)
+	if co := n.sys.acq; co != nil {
+		// The root's merged clock covers every interval in existence: the
+		// episode trigger announces it, if the gate and the pressure allow,
+		// BEFORE any departure goes out. The root's own purge runs after
+		// the departures, off the critical path of every other node.
+		co.noteIssued(depVC)
+	}
+	n.forwardDeparturesLocked(c, depVC, arrivals)
+	if n.sys.acq != nil {
+		n.gcEpisodeLocked(c, depVC)
+	}
 	n.mu.Unlock()
 }
 
 // forwardDeparturesLocked sends one departure per gathered arrival,
 // carrying the episode's floor clock and, for each receiver, the exact
 // delta against its reported arrival clock. Called with n.mu held;
-// released around the sends. episodeCollects is the episode's (node-
-// identical) trigger decision, known before the epoch runs.
+// released around the sends.
 func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []struct {
 	from int
 	vc   VectorClock
-}, episodeCollects bool) {
+}) {
 	if !n.gcTreeConsensus() {
 		// Flat tree (the paper's ≤ fan-in+1 machine): the pinned
 		// byte-for-byte path — one plain departure per arrival.
@@ -263,11 +254,10 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 	// send the frames back to back. Dropping the live-delta opportunism is
 	// sound: a record a child misses here still reaches it on the next
 	// request-class send, whose delta is computed against the unraised
-	// knownVC estimate. A child that owes an acquire-consensus floor the
-	// episode itself will NOT purge (a non-collecting episode leaves
-	// pending acquire floors pending) gets the announcement piggybacked
-	// onto its departure frame, so a whole parked subtree learns of the
-	// epoch from the wave instead of at each node's next sync operation.
+	// knownVC estimate. A child that owes a consensus floor gets the
+	// announcement piggybacked onto its departure frame, so a whole parked
+	// subtree learns of the epoch from the wave; the episode's own floor —
+	// the departure's clock — needs no announcement.
 	co := n.sys.acq
 	frames := make([]*frameBuilder, len(arrivals))
 	for i, a := range arrivals {
@@ -275,8 +265,8 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 		putTrailer(&w, depVC, n.deltaForLocked(a.vc))
 		f := n.newFrame()
 		f.add(msgBarrDepart, w.b)
-		if co != nil && !episodeCollects {
-			if floor, ok := co.pendingFloorFor(a.from); ok {
+		if co != nil {
+			if floor, ok := co.pendingFloorFor(a.from); ok && !slices.Equal(floor, depVC) {
 				var fw wbuf
 				putVC(&fw, floor)
 				f.add(msgGCFloor, fw.b)

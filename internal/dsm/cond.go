@@ -68,7 +68,7 @@ func (c *Client) CondWait(condID, lockID int) {
 	if n.id == mgr {
 		// Local registration is atomic with the release under mu.
 		cq := n.condFor(condID)
-		cq.waiters = append(cq.waiters, semaWaiter{from: n.id, tag: c.tag, vc: myVC, arrive: c.clk.Now()})
+		cq.waiters = append(cq.waiters, semaWaiter{from: n.id, tag: c.tag, vc: myVC})
 	} else {
 		var w wbuf
 		w.i32(condID)
@@ -156,10 +156,10 @@ func (n *Node) condWakeLocked(condID, lockID int, all bool, at sim.Time) {
 }
 
 // enqueueLockRequestLocked runs the manager's acquire logic on behalf of a
-// remote (or local) requester — exactly what handleAcqReq does for a wire
-// request. When the chain ends at this node, the token is granted if free
-// and queued behind the current holder otherwise (the holder may be any
-// client of this node).
+// remote (or local) requester: handleAcqReq's for a wire request,
+// condWakeLocked's for a woken waiter. When the chain ends at this node,
+// the token is granted if free and queued behind the current holder
+// otherwise (the holder may be any client of this node).
 func (n *Node) enqueueLockRequestLocked(lockID, requester int, tag uint32, reqVC VectorClock, at sim.Time) {
 	ls := n.lockFor(lockID)
 	prev := ls.lastReq
@@ -170,7 +170,7 @@ func (n *Node) enqueueLockRequestLocked(lockID, requester int, tag uint32, reqVC
 			n.sendGrantLocked(lockID, requester, tag, reqVC, at)
 			return
 		}
-		ls.pending = append(ls.pending, pendingReq{from: requester, tag: tag, vc: reqVC, arrive: at})
+		ls.pending = append(ls.pending, pendingReq{from: requester, tag: tag, vc: reqVC})
 		return
 	}
 	// Forward to the chain tail. If the waiter was itself the tail when it
@@ -199,7 +199,7 @@ func (n *Node) handleCondWait(m *network.Message) {
 	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	cq := n.condFor(condID)
-	cq.waiters = append(cq.waiters, semaWaiter{from: m.From, tag: tag, vc: reqVC, arrive: m.Arrive})
+	cq.waiters = append(cq.waiters, semaWaiter{from: m.From, tag: tag, vc: reqVC})
 	var ack wbuf
 	ack.u32(tag)
 	n.ep.SendAt(m.From, msgCondWaitAck, network.ClassReply, ack.b, at)

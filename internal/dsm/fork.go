@@ -27,14 +27,14 @@ func (c *Client) RunParallel(region string, arg []byte) [][]byte {
 	// Fork: release + broadcast. A fork is a global synchronization
 	// episode exactly like a barrier (every slave is parked awaiting it,
 	// and the join proved the master has incorporated everything), so it
-	// also runs a GC epoch — this is what keeps parallel-do programs,
+	// is also a GC trigger — this is what keeps parallel-do programs,
 	// which synchronize by region boundary rather than explicit
 	// barriers, from accumulating protocol metadata across regions.
 	n.mu.Lock()
 	n.closeIntervalLocked()
 	forkVC := n.vc.clone() // one clock for the GC floor and every fork message
-	if n.sys.gcOn {
-		n.gcEpochLocked(c, forkVC)
+	if co := n.sys.acq; co != nil {
+		co.noteIssued(forkVC)
 	}
 	for i := 1; i < procs; i++ {
 		var w wbuf
@@ -44,6 +44,9 @@ func (c *Client) RunParallel(region string, arg []byte) [][]byte {
 		n.noteSentLocked(i)
 		// Sent under mu: atomic with the estimate update.
 		n.ep.SendAt(i, msgFork, network.ClassRequest, w.b, c.clk.Now())
+	}
+	if n.sys.acq != nil {
+		n.gcEpisodeLocked(c, forkVC)
 	}
 	n.mu.Unlock()
 
@@ -94,17 +97,16 @@ func (n *Node) slaveLoop() {
 		region := r.str()
 		arg := r.bytes()
 		// The consistency trailer was already incorporated by the
-		// protocol server, in wire order; the fork is this node's side of
-		// the master's fork GC epoch, with the master's clock as carried
-		// in the message as the floor. It runs here, on the application
-		// thread, so a validating purge can fetch diffs without
-		// blocking this node's protocol server.
-		if n.sys.gcOn {
+		// protocol server, in wire order; this is the node's side of the
+		// fork episode. It runs here, on the application thread, so a
+		// validating purge can fetch diffs without blocking this node's
+		// protocol server.
+		if n.sys.acq != nil {
 			// Clock prefix only: the clock is encoded self-contained
 			// ahead of the records.
 			forkVC := getVC(&r)
 			n.mu.Lock()
-			n.gcEpochLocked(&n.c0, forkVC)
+			n.gcEpisodeLocked(&n.c0, forkVC)
 			n.mu.Unlock()
 		}
 		fn := n.sys.region(region)

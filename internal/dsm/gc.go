@@ -1,127 +1,70 @@
 package dsm
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"slices"
+)
 
 // Garbage collection of lazy-release-consistency metadata.
 //
 // Without collection, intervals, write notices, encoded diffs, and twins
 // accumulate for the whole run: protocol memory grows without bound and
-// every fault walks ever-longer chains. Real TreadMarks reclaims this
-// state at global synchronization points; this file is the simulation's
-// analogue for the BARRIER/FORK epoch source (acqgc.go adds the
-// lock-manager-led acquire source for programs that never barrier), keyed
-// to barriers because a barrier is the one moment the system is provably
-// quiescent — every application thread is parked inside Barrier(), so no
-// fault, lock grant, or delta is in flight.
+// every fault walks ever-longer chains. TreadMarks reclaims this state with
+// ONE collector — a consensus on a floor every node has incorporated, run
+// when consistency memory runs low (Amza et al., IEEE Computer '96) — and
+// so does this package. The collector is the acquire-epoch coordinator
+// (acqgc.go). It has two triggers, two producers of the same announcement:
 //
-// Every global synchronization episode — each barrier and each fork (the
-// region boundary that is OpenMP's implicit barrier) — is examined, and
-// one that crosses the collection threshold (see gcEpochLocked) runs an
-// epoch, in three steps on every node:
+//   - the CONSENSUS trigger: lock, semaphore and condition-variable requests
+//     carry each thread's clock, and the coordinator announces their
+//     componentwise minimum once it newly covers Config.GCPressure records.
+//     It is what collects for programs that never barrier.
+//   - the EPISODE trigger: at a barrier or a fork the root already holds the
+//     complete consensus — every node's clock merged into its own — and
+//     announces that clock through the same coordinator (noteIssued), under
+//     the same pressure and behind the same gate.
+//
+// Processing an announced floor on a node (acqEpoch) is three steps:
 //
 //  1. FREE the interval records — and their encoded diffs and remaining
-//     twins — retired at the PREVIOUS episode epoch (the retire floor
-//     saved in gcFreeVC). The one-epoch delay is what makes freeing safe
-//     without extra message rounds: diffs of intervals retired at epoch k
-//     may still be fetched DURING epoch k by any node's validation pass,
-//     but after every node has finished epoch k no unfetched write notice
-//     under the floor exists anywhere (each node either applied or
-//     discarded its covered notices), none can ever reappear (new
-//     intervals carry higher sequence numbers), and so epoch k+1 can free
-//     with no coordination. A twin that is still unencoded here was never
-//     needed at all and is released without ever paying for diff
-//     creation.
+//     twins — retired by the PREVIOUS floor (gcFreeVC). The coordinator's
+//     gate makes that sound without extra messages: it announces nothing
+//     until every node has acknowledged every floor issued so far, and a
+//     node acknowledges only a finished purge, so once any node processes
+//     floor k+1, no node anywhere owes a notice under floor k, and none can
+//     reappear (new intervals carry higher sequence numbers). A twin that is
+//     still unencoded here was never needed and is released unencoded.
 //
-//  2. PURGE page references covered by the new retire floor — the barrier
-//     root's merged vector clock at the episode, which covers every
-//     interval in existence there, all of them incorporated by every node
-//     by the time it processes its departure (or fork). A page's HOME
-//     (its allocator and the collector's authoritative copy, see home.go)
-//     always VALIDATES its own pages: it fetches and applies every pending
-//     diff, keeping each authoritative copy current — which is why an
-//     episode that collects ships every page written since the last
-//     collection to its home, read or not, and why episodes collect under
-//     pressure only. Other nodes FLUSH the stale copy (refetch it whole
-//     from the home on next access) — the invalidate side of TreadMarks
-//     GC's validate-vs-invalidate choice — unless the copy holds content
-//     no notice could re-deliver (mustKeep in gcPurgePagesLocked), which
-//     validates like a home. Validation is one fetch exchange, the fault
-//     path's own (Client.fetch): the covered diffs from their creators —
-//     and, for a flushed copy, the home's whole page under them — grouped
-//     by source, installed by applyFaultLocked.
-//     A flush may only drop notices the home's copy already reflects —
-//     otherwise the later whole-page refetch is lossy. This episode source
-//     gets that guarantee deterministically by LAGGING the flush floor one
-//     collecting episode: every node finishes episode e-1's purge
-//     (validating its own homed pages to that floor) before sending its
-//     episode-e arrival, so when any node processes episode e, every home
-//     provably holds the e-1 floor. Foreign pages therefore flush only
-//     notices under the PREVIOUS floor (gcFreeVC) and keep the
-//     one-episode tail, which the next episode drops in turn (or an
-//     intervening fault applies over the page's base). The acquire source
-//     (acqgc.go) has no such happens-before wave and gates flushes per
-//     page on the homePurged registry instead: while a home lags the copy
-//     is LEFT ALONE, and the node finishes its purge once the home publishes.
+//  2. PURGE the page copies owing notices under the floor, by one rule
+//     (gcPurgePagesLocked): a page's HOME (home.go) validates — fetches and
+//     applies the covered diffs, keeping the authoritative copy every
+//     refetch builds on; a copy holding content no notice could re-deliver
+//     validates too; every other copy FLUSHES (the invalidate side of
+//     TreadMarks GC's validate-vs-invalidate choice), but only once its home
+//     has published a purge covering the floor, since a flush may drop only
+//     notices the home's copy already reflects. Until then the copy is left
+//     alone, notices and all, and the node owes the floor (gcAcqOwed).
 //
-//     The floor is always the root's clock AS CARRIED IN THE EPISODE'S
-//     MESSAGE, never the local clock: a node's protocol server may
-//     already have incorporated intervals that a faster peer created
-//     AFTER leaving this same episode, and a floor read from the local
-//     clock would cover them before the rest of the system has them —
-//     epoch floors must be identical on every node for the one-epoch
-//     free delay to be sound.
+//  3. PUBLISH: the home registry entry right after the first pass — a
+//     node's own homed pages never wait, so publishing never waits — and the
+//     acknowledgment to the coordinator once the last page is done.
 //
-//  3. Report the purge to the acquire-epoch coordinator (when one is
-//     running): collected episode floors join the coordinator's issued
-//     baseline, so acquire announcements stay blocked until every node
-//     has processed the episode — the interlock that lets the two epoch
-//     sources free behind their own floors without racing each other's
-//     validation fetches.
+// The triggers differ only in where a node waits for homes. An episode floor
+// is handled on every node's application thread right after it incorporates
+// the episode's departure or fork (gcEpisodeLocked): every node is doing the
+// same at the same moment, so it blocks, in host time only, on the homes it
+// waits for; each wait ends once all P nodes have made their first pass, and
+// the episode's outcome does not depend on goroutine order. A consensus floor
+// arrives while peers run application code, and a home may be parked on a
+// condition variable, so there a node never blocks: it finishes at a later
+// synchronization operation (acqgc.go). An episode also finishes an acquire
+// floor a node still owes.
 //
-// Finally the knownVC estimates are raised to the freed floor (every
-// node provably incorporated everything under it one epoch ago), and the
-// floor advances. Locks, semaphores, and condition variables need no
-// special handling here: a thread blocked on any of them keeps the
-// barrier — and therefore this collector — from running at all (the
-// acquire source is what collects for them).
-
-// epochFloor tracks one episode's floor (and trigger-decision) agreement
-// across nodes.
-type epochFloor struct {
-	floor   VectorClock
-	collect bool
-	seen    int
-}
-
-// checkEpochFloor verifies that every node presents the identical retire
-// floor — and reaches the identical collect-or-skip decision — for a
-// given episode index: the first node to reach the episode records its
-// view, the rest must match, and the record is dropped once all have
-// checked in (so the tripwire itself retains nothing).
-func (s *System) checkEpochFloor(episode int64, id int, floor VectorClock, collect bool) {
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	e, ok := s.gcFloors[episode]
-	if !ok {
-		e = &epochFloor{floor: floor.clone(), collect: collect}
-		s.gcFloors[episode] = e
-	} else {
-		for i, v := range e.floor {
-			if floor[i] != v {
-				panic(fmt.Sprintf("dsm: node %d GC episode %d floor %v diverges from %v",
-					id, episode, floor, e.floor))
-			}
-		}
-		if collect != e.collect {
-			panic(fmt.Sprintf("dsm: node %d GC episode %d trigger decision %v diverges from %v",
-				id, episode, collect, e.collect))
-		}
-	}
-	e.seen++
-	if e.seen == s.cfg.Procs {
-		delete(s.gcFloors, episode)
-	}
-}
+// The floor is always a clock the coordinator issued — at an episode, the
+// root's clock as carried in the episode's messages — never a node's live
+// clock: a node's protocol server may already have incorporated intervals a
+// faster peer created after leaving the same episode.
 
 // ivlRecordBytes estimates the retained footprint of one interval record:
 // struct header, vector clock, and write-notice page list.
@@ -129,123 +72,77 @@ func ivlRecordBytes(ivl *interval) int64 {
 	return int64(48 + 4*len(ivl.vc) + 8*len(ivl.pages))
 }
 
-// gcEpochLocked runs one synchronization episode of the collector with
-// the given retire floor: it decides — identically on every node —
-// whether to collect, and if so runs the epoch. It requires n.mu and
-// releases and reacquires it while validation diff fetches are in flight.
-// Node 0 calls it at each barrier (after incorporating every arrival,
-// before sending any departure) and at each fork (before sending the fork
-// messages), passing its own clock; every other node calls it — on its
-// APPLICATION thread — after incorporating the matching departure or fork
-// delta, passing the clock that message carried: the identical floor.
-//
-// Triggering: the epoch runs only when the floor would newly retire at
-// least the resolved threshold of interval records (Config.
-// GCEpisodeThreshold — by default the same pressure the acquire source
-// reads: TreadMarks collects when consistency memory runs low, not at
-// every barrier). Collecting at EVERY episode (Config.GCMinRetire: 1)
-// costs ~25% on barrier-dense workloads (see `nowbench -ablation gc`),
-// mostly in the manager's validation pause, and ships every page written
-// since the last barrier to its home whether or not anyone will read it.
-// The predicate is the floor's component sum minus the last collecting
-// floor's. Both sums derive exclusively from episode floors, which are
-// identical on every node by construction (the acquire-epoch source never
-// touches gcFreeVC), so every node skips and collects the same episodes
-// with no extra coordination; checkEpochFloor tripwires that agreement.
-func (n *Node) gcEpochLocked(c *Client, retire VectorClock) {
-	episode := n.stats.GCEpisodes
+// gcEpisodeLocked is this node's side of a barrier or fork episode whose
+// clock `at` it has just incorporated: count the episode, then finish the
+// floor it owes there — the episode's own, when the root announced one, or
+// an acquire floor still owed — waiting in host time for the homes its
+// copies need. It handles only what the episode's root left issued: a floor
+// the consensus announces after that is not every node's business at this
+// episode, and waiting on it could wait on a home parked on a condition
+// variable. Requires n.mu; releases it while waiting and around validation
+// waves.
+func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 	n.stats.GCEpisodes++
-	collect := n.gcWillCollectLocked(retire)
-	// Soundness tripwire: all nodes must agree on every episode's floor
-	// and trigger decision (they run the same episode sequence), or the
-	// one-epoch free delay breaks. Divergence here means a caller derived
-	// a floor from state that is not identical on every node.
-	n.sys.checkEpochFloor(episode, n.id, retire, collect)
-	if !collect {
-		return
-	}
-	if n.sys.acq != nil && n.id == 0 {
-		// Block acquire announcements until every node has processed this
-		// episode (noteIssued runs before any departure or fork message
-		// leaves node 0, so no node can still be unaware of the episode
-		// when the gate reopens).
-		n.sys.acq.noteIssued(retire)
-	}
-
-	// Foreign-homed pages flush against the PREVIOUS collecting floor
-	// (captured before gcCollectLocked advances it): every home completed
-	// that episode's validation before this episode's floor could even be
-	// formed, so the lagged flush needs no registry check and stays
-	// deterministic (see the file comment, step 2).
-	flushVC := n.gcFreeVC
-	// An acquire purge may still wait on lagging homes here (acqEpoch). The
-	// episode vouches for everything under its floor while its lagged flush
-	// keeps the (flushVC, retire] tail, so what still owes notices under the
-	// owed floor is settled now: validated where the home still lags. AFTER
-	// the episode's own purge, so that nothing under flushVC — which faster
-	// nodes free at this very episode — is ever asked for.
-	owed := n.gcAcqOwed
-	n.gcAcqOwed, n.gcAcqLag = nil, nil
-	n.gcCollectLocked(&n.gcFreeVC, retire, func() {
-		n.gcPurgePagesLocked(c, retire, flushVC, true, false)
-		if owed != nil {
-			n.gcPurgePagesLocked(c, owed, owed, false, false)
+	co := n.sys.acq
+	for {
+		floor, pending := co.episodeFloorFor(n.id)
+		if !pending && n.gcAcqOwed == nil {
+			return
 		}
-	})
-	n.stats.GCEpochs++
-	if n.sys.acq != nil {
-		n.sys.acq.notePurged(n.id, retire)
+		epochs := &n.stats.GCAcqEpochs
+		if slices.Equal(floor, at) {
+			epochs = &n.stats.GCEpochs
+		}
+		if done := n.acqEpoch(c, floor, false, epochs); done != nil {
+			co.notePurged(n.id, done)
+			continue
+		}
+		owed, lag := n.gcAcqOwed, n.gcAcqLag
+		if owed == nil {
+			return // an island-mate or the server claimed the floor
+		}
+		n.mu.Unlock()
+		for _, h := range lag {
+			for !n.sys.purged.covers(h, owed) {
+				select {
+				case <-n.sys.done:
+					panic(abortError{cause: "switch shut down"})
+				default:
+				}
+				runtime.Gosched()
+			}
+		}
+		n.mu.Lock()
 	}
 }
 
-// gcWillCollectLocked evaluates the episode trigger predicate for the
-// given retire floor WITHOUT running the epoch: the number of interval
-// records the floor would newly retire against the resolved threshold.
-// Both inputs (the floor and the last collecting floor, gcFreeVC) are
-// identical on every node, so the decision is too — which is what lets a
-// departure forwarder know, before its own epoch runs, whether the
-// episode its children are about to process will purge (and therefore
-// whether a pending acquire floor needs piggybacking; see
-// forwardDeparturesLocked). Requires n.mu.
-func (n *Node) gcWillCollectLocked(retire VectorClock) bool {
-	pending := retire.sum()
+// gcCollectLocked opens one collection epoch on this node: FREE everything
+// the previous floor retired, raise the piggyback-delta estimates to that
+// freed floor (everything under it was incorporated by every node before
+// the previous epoch completed; deltaForLocked additionally clamps to the
+// retained base, so this is an optimization, not a soundness requirement),
+// advance the free floor, claim the new one in gcPurgeVC BEFORE the purge
+// can release n.mu (so a concurrent island-mate's hook skips instead of
+// double-purging), run the purge's first pass, and publish it.
+func (n *Node) gcCollectLocked(floor VectorClock, purge func()) {
+	n.freeRetiredLocked(n.gcFreeVC)
 	if n.gcFreeVC != nil {
-		pending -= n.gcFreeVC.sum()
-	}
-	return pending >= int64(n.sys.cfg.GCEpisodeThreshold())
-}
-
-// gcCollectLocked is the collection-epoch tail shared by the two epoch
-// sources, each threading its own delayed-free floor through `prev`
-// (gcFreeVC for barrier/fork episodes, gcAcqFreeVC for acquire epochs):
-// FREE everything the source's previous epoch retired, raise the
-// piggyback-delta estimates to that freed floor (everything under it was
-// incorporated by every node before the previous epoch completed;
-// deltaForLocked additionally clamps to the retained base, so this is an
-// optimization, not a soundness requirement), advance the source floor,
-// claim it in gcPurgeVC BEFORE the purge can release n.mu (so a
-// concurrent island-mate's hook skips instead of double-purging), run the
-// purge, and close out the epoch bookkeeping. The soundness argument
-// requires both sources to execute exactly this sequence.
-func (n *Node) gcCollectLocked(prev *VectorClock, floor VectorClock, purge func()) {
-	n.freeRetiredLocked(*prev)
-	if *prev != nil {
 		for j := range n.knownVC {
 			if j != n.id {
-				n.knownVC[j].merge(*prev)
+				n.knownVC[j].merge(n.gcFreeVC)
 			}
 		}
 	}
-	*prev = floor
+	n.gcFreeVC = floor
 	if n.gcPurgeVC == nil {
 		n.gcPurgeVC = floor.clone()
 	} else {
 		n.gcPurgeVC.merge(floor)
 	}
 	purge()
-	// Publish the completed purge in the home registry immediately (before
-	// the acquire coordinator hears of it): peers may flush pages homed
-	// here the moment our authoritative copies reflect the floor.
+	// Publish the completed first pass in the home registry immediately
+	// (before the coordinator hears of it): peers may flush pages homed here
+	// the moment our authoritative copies reflect the floor.
 	n.sys.purged.note(n.id, floor)
 	n.pruneGCPagesLocked()
 }
@@ -274,10 +171,10 @@ func (n *Node) pruneGCPagesLocked() {
 // The floor must be globally purged: every node has already applied or
 // discarded all write notices under it, so nothing here can ever be
 // fetched again (serveDiffLocked's retired-interval tripwire enforces
-// this). Both epoch sources call it with their own delayed floor.
+// this).
 func (n *Node) freeRetiredLocked(free VectorClock) {
 	if free == nil {
-		return // first epoch of this source: nothing retired yet
+		return // first epoch: nothing retired yet
 	}
 	for c := range n.intervals {
 		have := n.intervals[c]
@@ -328,26 +225,32 @@ func owesCovered(pg *page, retire VectorClock) bool {
 	return false
 }
 
+// mustKeepLocked reports whether a copy holds content no notice under the
+// floor could re-deliver — own writes above it (page.lastOwnSeq) or applied
+// diffs above it (page.appliedVC). A flush rebuilds from the home, which is
+// only guaranteed to reflect the floor, so such a copy validates wherever it
+// is homed.
+func (n *Node) mustKeepLocked(pg *page, retire VectorClock) bool {
+	if pg.data == nil {
+		return false
+	}
+	return pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) ||
+		pg.appliedVC != nil && !pg.appliedVC.dominatedBy(retire)
+}
+
 // gcCanFlushAllLocked reports whether a flush-only purge to the given
-// floor is safe on this node: no covered-owing page may hold own writes
-// above the floor (flushing would lose them; see page.lastOwnSeq), be
-// homed here (homes validate their own pages — the authoritative copy),
-// or be homed at a node that has not yet purged the floor (the per-page
-// flush gate, see home.go). The server-side purge checks this BEFORE
-// touching any state and defers to the application-thread hook (which can
-// validate) when it fails.
+// floor is safe on this node: no covered-owing page may have to be kept
+// (mustKeepLocked), be homed here (homes validate their own pages — the
+// authoritative copy), or be homed at a node that has not yet purged the
+// floor (the per-page flush gate, see home.go). The server-side purge
+// checks this BEFORE touching any state and defers to the application
+// thread (which can validate) when it fails.
 func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 	for _, pg := range n.gcPages {
 		if !owesCovered(pg, retire) {
 			continue
 		}
-		if pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) {
-			return false
-		}
-		if pg.data != nil && pg.appliedVC != nil && !pg.appliedVC.dominatedBy(retire) {
-			// Applied diffs above the floor are baked into this copy only
-			// (their notices are gone from `missing`); the home's copy is
-			// not yet guaranteed to reflect them.
+		if n.mustKeepLocked(pg, retire) {
 			return false
 		}
 		if home := n.homeOf(pg.id); home == n.id || !n.sys.purged.covers(home, retire) {
@@ -358,45 +261,31 @@ func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 }
 
 // gcFlushPageLocked discards one page's copy together with its notices
-// under the flush floor, preserving newer notices — the flush half of
-// the validate-vs-flush choice, shared by the per-page purge and the
-// consensus-push purge. The flush floor may lag the retire floor (the
-// barrier source) or be nil on the first collecting
-// episode, in which case only the copy is discarded and every notice
-// survives. Requires n.mu.
-func (n *Node) gcFlushPageLocked(pg *page, flushVC VectorClock) {
+// under the floor, preserving newer notices — the flush half of the
+// validate-vs-flush choice, shared by the per-page purge and the
+// consensus-push purge. The page owes at least one covered notice.
+// Requires n.mu.
+func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	if pg.twin != nil || pg.inDirty {
 		panic(fmt.Sprintf("dsm: node %d GC flushing page %d with live twin", n.id, pg.id))
 	}
 	keep := pg.missing[:0]
 	for _, m := range pg.missing {
-		if flushVC == nil || !flushVC.covers(m.creator, m.seq) {
+		if !retire.covers(m.creator, m.seq) {
 			keep = append(keep, m)
 		}
 	}
-	dropped := len(pg.missing) - len(keep)
 	for i := len(keep); i < len(pg.missing); i++ {
 		pg.missing[i] = nil
 	}
 	pg.missing = keep
-	if dropped > 0 {
-		// The dropped notices survive only in the home's validated copy
-		// now: any rebuild of this page must start from a whole-page fetch
-		// (the next fault does exactly that), never from a zeros base.
-		pg.refetch = true
-	}
-	if pg.data == nil && dropped == 0 {
-		return // nothing to discard: copy already gone, every notice kept
-	}
-	if pg.data != nil {
-		// The discarded copy may bake in applied diffs and own writes whose
-		// notices are gone from `missing` (appliedVC — the caller checked
-		// the home's floor covers it); only the home's validated copy can
-		// reproduce them, so any rebuild must also start from a whole-page
-		// fetch, never from a zeros base.
-		pg.refetch = true
-		pg.appliedVC = nil
-	}
+	// The dropped notices — and whatever applied diffs and own writes the
+	// discarded copy baked in (appliedVC; the caller checked the home's
+	// floor covers them) — survive only in the home's validated copy now:
+	// any rebuild of this page must start from a whole-page fetch (the next
+	// fault does exactly that), never from a zeros base.
+	pg.refetch = true
+	pg.appliedVC = nil
 	pg.data = nil
 	pg.state = pageInvalid
 	n.stats.GCPagesFlushed++
@@ -416,37 +305,33 @@ func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
 	}
 }
 
-// gcPurgePagesLocked is the purge step shared by both epoch sources:
-// every work-list page owing notices covered by the retire floor is
-// either validated (planned as a fault would plan it — its covered diffs,
-// over the home's whole page if the copy was flushed — and fetched with
-// every other validated page in one exchange) or flushed (copy discarded
-// up to flushVC, to be refetched whole from its home's validated copy on
-// next access). Notices newer than the relevant floor are preserved either
-// way. The rule: a page's home validates — its copy is the base every
-// post-flush refetch builds on; a copy that must be kept (mustKeep, below)
-// validates; every other copy flushes, the classic TreadMarks invalidate
-// choice (README "Protocol-metadata garbage collection" records the
-// measurement that decided against keeping recently faulted copies). The
-// barrier/fork source (quiescent) flushes against its lagged flushVC, which
-// every home covers by construction. The acquire source (flushVC equals
-// the retire floor) may flush only once the page's home has purged the
-// floor (the homePurged registry, home.go): until then, with wait set, the
+// gcPurgePagesLocked is the purge's pass over the work list: every page
+// owing notices covered by the floor is validated (its covered diffs
+// fetched with every other validated page's in one exchange, the fault
+// path's own, and applied) or flushed (copy discarded with its covered
+// notices, to be refetched whole from its home's validated copy on next
+// access). Notices newer than the floor stay either way. The rule: a page's
+// home validates — its copy is the base every post-flush refetch builds on;
+// a copy that must be kept (mustKeepLocked) validates; every other copy
+// flushes, the classic TreadMarks invalidate choice (README
+// "Protocol-metadata garbage collection" records the measurement that
+// decided against keeping recently faulted copies), but only once its home
+// has purged the floor (the homePurged registry, home.go). Until then the
 // page is left exactly as it is — nothing fetched, no notice dropped, a
 // fault on it an ordinary fault — and its home returned in lag for the
-// caller to wait on (acqEpoch). Without wait such a page validates: sound,
-// covered diffs being fetchable until the one-epoch-delayed free, but it
-// ships a whole diff chain to whichever node reached the epoch before the
-// home; only an episode settling an owed purge does (gcEpochLocked).
+// caller to wait on (acqEpoch).
+//
+// Every validated page holds a copy: a home's exists from allocation, and a
+// copy that must be kept has one by definition. So the wave fetches diffs
+// only, never a whole page.
 //
 // It requires n.mu and releases/reacquires it around the network section.
 // The whole purge holds fetchMu: fetch replies route by message type
 // alone, so the wave must never interleave with a concurrent application
 // fault on a multi-client node — and holding fetchMu across the
 // classification also guarantees no local fault snapshot straddles the
-// purge. At quiescent episodes (barrier/fork) the exclusivity is vacuous;
-// at acquire epochs it is load-bearing.
-func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiescent, wait bool) (lag []int) {
+// purge.
+func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 	n.mu.Unlock()
 	n.fetchMu.Lock()
 	defer n.fetchMu.Unlock()
@@ -454,87 +339,37 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire, flushVC VectorClock, quiesc
 
 	n.stats.GCPurges++
 	published := map[int]bool{} // home → has it purged the floor: one registry read a home, not a page
-	homePurged := func(home int) bool {
-		ok, seen := published[home]
-		if !seen {
-			ok = n.sys.purged.covers(home, retire)
-			published[home] = ok
-			if !ok && wait {
-				lag = append(lag, home)
-			}
-		}
-		return ok
-	}
 	var work []pagePlan
 	for _, pg := range n.gcPages {
-		if len(pg.missing) == 0 {
-			continue
-		}
 		var covered []*interval
-		uncovered := 0
 		for _, m := range pg.missing {
 			if retire.covers(m.creator, m.seq) {
 				covered = append(covered, m)
-			} else {
-				uncovered++
 			}
 		}
 		if len(covered) == 0 {
 			continue
-		}
-		if quiescent && n.id == 0 && uncovered > 0 {
-			// Impossible at a barrier/fork: no node is running application
-			// code that could create intervals beyond the root's clock.
-			panic(fmt.Sprintf("dsm: root GC found uncovered notice on page %d at a quiescent episode", pg.id))
 		}
 		// A page owing diffs cannot carry local modifications
 		// (invalidation encodes any pending diff and drops the twin).
 		if pg.twin != nil || pg.inDirty {
 			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
 		}
-		// A copy holding own writes above the floor must be kept (see
-		// page.lastOwnSeq): validate it wherever it is homed.
-		mustKeep := pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) && pg.data != nil
-		// Lagged-floor safety: a flush rebuilds from the home, and the home
-		// is only guaranteed to reflect flushVC — which trails the retire
-		// floor at episodes (and trails the node's recent history at
-		// acquire epochs). Content baked into the copy beyond flushVC — own
-		// closed writes and already-applied diffs (page.appliedVC) — has no
-		// notice left to re-deliver it, so discarding the copy would lose
-		// it: validate instead.
-		if !mustKeep && pg.data != nil {
-			if pg.lastOwnSeq >= 0 && (flushVC == nil || !flushVC.covers(n.id, pg.lastOwnSeq)) {
-				mustKeep = true
-			} else if pg.appliedVC != nil && (flushVC == nil || !pg.appliedVC.dominatedBy(flushVC)) {
-				mustKeep = true
+		if home := n.homeOf(pg.id); home != n.id && !n.mustKeepLocked(pg, retire) {
+			ok, seen := published[home]
+			if !seen {
+				ok = n.sys.purged.covers(home, retire)
+				published[home] = ok
+				if !ok {
+					lag = append(lag, home)
+				}
 			}
+			if ok {
+				n.gcFlushPageLocked(pg, retire)
+			}
+			continue
 		}
-		home := n.homeOf(pg.id)
-		if !mustKeep && home != n.id {
-			if quiescent || homePurged(home) {
-				n.gcFlushPageLocked(pg, flushVC)
-				continue
-			}
-			if wait {
-				continue
-			}
-		}
-		pl := pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered}
-		if pg.data == nil {
-			if pg.refetch {
-				// An earlier flush dropped notices this node no longer
-				// holds; only the home's validated copy reflects them.
-				// Rebuild from the home's whole page with the covered
-				// tail applied on top — one round brings both.
-				pl.source = home
-			} else {
-				// Never materialized here: zeros plus the covered
-				// history applied in causal order is exactly the floor
-				// contents.
-				n.zeroFillLocked(pg)
-			}
-		}
-		work = append(work, pl)
+		work = append(work, pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered})
 	}
 	if len(work) == 0 {
 		return lag

@@ -12,11 +12,12 @@ import (
 // shared array, synchronizes at a barrier, then reads a neighbour's block
 // — forcing write notices, diffs, and twins to flow every epoch. It
 // returns the system so callers can inspect protocol counters. The
-// collector, when on, runs at every episode (GCMinRetire: 1): these runs
-// are far too short to reach the default pressure threshold.
+// collector, when on, runs at every episode that retires anything
+// (GCPressure: 1): these runs are far too short to reach the default
+// pressure threshold.
 func gcWorkload(t *testing.T, procs, words, rounds int, disableGC bool) *System {
 	t.Helper()
-	return gcWorkloadCfg(t, Config{Procs: procs, DisableGC: disableGC, GCMinRetire: 1}, words, rounds)
+	return gcWorkloadCfg(t, Config{Procs: procs, DisableGC: disableGC, GCPressure: 1}, words, rounds)
 }
 
 func gcWorkloadCfg(t *testing.T, cfg Config, words, rounds int) *System {
@@ -64,8 +65,10 @@ func TestGCRetiresMetadata(t *testing.T) {
 	if st.PeakProtoBytes == 0 {
 		t.Error("peak protocol bytes never tracked")
 	}
-	if st.ProtoBytes >= st.PeakProtoBytes && st.IntervalsRetired > 0 {
-		t.Errorf("final footprint %d not below peak %d despite retirement", st.ProtoBytes, st.PeakProtoBytes)
+	for i := 0; i < sys.Procs(); i++ {
+		if nst := sys.Node(i).Stats(); nst.ProtoBytes >= nst.PeakProtoBytes {
+			t.Errorf("node %d: final footprint %d not below its peak %d despite retirement", i, nst.ProtoBytes, nst.PeakProtoBytes)
+		}
 	}
 }
 
@@ -107,7 +110,7 @@ func TestGCBoundsChainLength(t *testing.T) {
 func TestGCWithLocksBetweenBarriers(t *testing.T) {
 	const P = 4
 	const rounds = 10
-	sys := New(Config{Procs: P, GCMinRetire: 1})
+	sys := New(Config{Procs: P, GCPressure: 1})
 	ctr := sys.MallocPage(8)
 	arr := sys.MallocPage(8 * P)
 	sys.Register("mixed", func(n *Node, _ []byte) {
@@ -185,7 +188,7 @@ func TestGCOnOffIdenticalContents(t *testing.T) {
 func TestGCFlushedPageRefetch(t *testing.T) {
 	const P = 3
 	const rounds = 6
-	sys := New(Config{Procs: P, GCMinRetire: 1})
+	sys := New(Config{Procs: P, GCPressure: 1})
 	a := sys.MallocPage(8)
 	sys.Register("lateread", func(n *Node, _ []byte) {
 		for r := 0; r < rounds; r++ {
@@ -261,17 +264,15 @@ func TestConcurrentMallocPageAlignment(t *testing.T) {
 	_ = sys.Run(func(n *Node) {})
 }
 
-// TestGCAdaptiveTrigger exercises the adaptive predicate
-// (Config.GCMinRetire): the collector must examine every episode but run
-// only a fraction of them, all nodes must reach identical trigger
-// decisions (the in-protocol tripwire panics otherwise, which this test
-// would surface as a Run error), metadata must still be retired, and the
-// retained chain must stay bounded by the threshold rather than the run
-// length.
+// TestGCAdaptiveTrigger exercises a moderate pressure on a barrier-only
+// program, where only the episode trigger can fire: the collector must
+// examine every episode but run only a fraction of them, metadata must
+// still be retired, and the retained chain must stay bounded by the
+// threshold rather than the run length.
 func TestGCAdaptiveTrigger(t *testing.T) {
 	const procs, words = 4, 2048
-	const minRetire = 32 // ≈ eight rounds of global interval creation
-	cfg := Config{Procs: procs, GCMinRetire: minRetire}
+	const pressure = 32 // ≈ eight rounds of global interval creation
+	cfg := Config{Procs: procs, GCPressure: pressure}
 
 	// Both runs span several trigger periods, so the one-epoch-delayed
 	// free has retired metadata in each.
@@ -303,9 +304,9 @@ func TestGCAdaptiveTrigger(t *testing.T) {
 }
 
 // TestGCAdaptiveIdenticalContents extends the GC-invisibility contract
-// to the adaptive mode: the same deterministic workload must produce
-// bit-identical final memory with the collector at every episode,
-// adaptively triggered, and off.
+// across pressures: the same deterministic workload must produce
+// bit-identical final memory with the collector at every episode, at a
+// moderate pressure, and off.
 func TestGCAdaptiveIdenticalContents(t *testing.T) {
 	run := func(cfg Config) []int64 {
 		const words = 1024
@@ -331,8 +332,8 @@ func TestGCAdaptiveIdenticalContents(t *testing.T) {
 		}
 		return out
 	}
-	every := run(Config{GCMinRetire: 1})
-	adaptive := run(Config{GCMinRetire: 24})
+	every := run(Config{GCPressure: 1})
+	adaptive := run(Config{GCPressure: 24})
 	off := run(Config{DisableGC: true})
 	for w := range every {
 		if every[w] != adaptive[w] || every[w] != off[w] {
@@ -342,14 +343,14 @@ func TestGCAdaptiveIdenticalContents(t *testing.T) {
 }
 
 // TestGCPressureTrigger pins the default episode trigger — one pressure
-// threshold for both epoch sources — on a loop where every node closes
-// exactly one interval per barrier, so episode k's floor sums to 8k: the
-// collecting episodes must be exactly those at which the floor has newly
-// covered a threshold's worth of records since the last collecting floor.
-// Every node reaches the same decisions (checkEpochFloor would abort the
-// run otherwise), records retired at one collection are freed at the
-// next — so no creator's chain outgrows two thresholds' worth — and
-// GCMinRetire: 1 still collects at every episode.
+// threshold for both triggers — on a loop where every node closes exactly
+// one interval per barrier, so episode k's floor sums to 8k: the collecting
+// episodes must be exactly those at which the floor has newly covered a
+// threshold's worth of records since the last announced floor, on every
+// node. Records retired at one collection are freed at the next — so no
+// creator's chain outgrows two thresholds' worth — and GCPressure: 1
+// collects at every barrier: no thread of this barrier-only program reports
+// to the consensus, so only the episode trigger fires.
 func TestGCPressureTrigger(t *testing.T) {
 	const procs, rounds = 8, 100
 	run := func(cfg Config) (collected [procs][]int, st NodeStats) {
@@ -374,9 +375,9 @@ func TestGCPressureTrigger(t *testing.T) {
 		return collected, sys.TotalStats()
 	}
 
-	threshold := Config{Procs: procs}.GCEpisodeThreshold()
+	threshold := Config{Procs: procs}.GCThreshold()
 	if threshold != DefaultGCPressure {
-		t.Fatalf("default episode threshold at %d nodes = %d, want %d", procs, threshold, DefaultGCPressure)
+		t.Fatalf("default threshold at %d nodes = %d, want %d", procs, threshold, DefaultGCPressure)
 	}
 	var want []int
 	for k, last := 1, 0; k <= rounds; k++ {
@@ -402,18 +403,19 @@ func TestGCPressureTrigger(t *testing.T) {
 			st.PeakIntervalChain, bound)
 	}
 
-	every, est := run(Config{GCMinRetire: 1})
+	every, est := run(Config{GCPressure: 1})
 	for id, got := range every {
 		if len(got) != rounds {
-			t.Errorf("GCMinRetire 1: node %d collected at %d of %d barriers", id, len(got), rounds)
+			t.Errorf("GCPressure 1: node %d collected at %d of %d barriers", id, len(got), rounds)
 		}
 	}
-	if est.GCEpochs != est.GCEpisodes {
-		t.Errorf("GCMinRetire 1: %d epochs over %d episodes", est.GCEpochs, est.GCEpisodes)
+	if est.GCEpochs != procs*rounds || est.GCAcqEpochs != 0 {
+		t.Errorf("GCPressure 1: %d episode epochs, %d consensus epochs over %d episodes; want %d, 0",
+			est.GCEpochs, est.GCAcqEpochs, est.GCEpisodes, procs*rounds)
 	}
 
 	// The resolved threshold: the pressure, P-scaled past 8 nodes; a
-	// negative pressure only disables the acquire source.
+	// negative pressure only turns the consensus trigger off.
 	for _, tt := range []struct {
 		cfg  Config
 		want int
@@ -422,11 +424,10 @@ func TestGCPressureTrigger(t *testing.T) {
 		{Config{Procs: 128}, 16 * DefaultGCPressure},
 		{Config{Procs: 8, GCPressure: -1}, DefaultGCPressure},
 		{Config{Procs: 16, GCPressure: 24}, 24},
-		{Config{Procs: 8, GCPressure: 24, GCMinRetire: 40}, 40},
-		{Config{Procs: 8, GCMinRetire: 1}, 0},
+		{Config{Procs: 8, GCPressure: 1}, 1},
 	} {
-		if got := tt.cfg.GCEpisodeThreshold(); got != tt.want {
-			t.Errorf("%+v: episode threshold %d, want %d", tt.cfg, got, tt.want)
+		if got := tt.cfg.GCThreshold(); got != tt.want {
+			t.Errorf("%+v: threshold %d, want %d", tt.cfg, got, tt.want)
 		}
 	}
 }

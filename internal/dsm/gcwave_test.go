@@ -30,7 +30,7 @@ func TestGCWaveThroughFetch(t *testing.T) {
 	SetDebugOracle(true)
 	defer SetDebugOracle(false)
 	const P = 3
-	sys := New(Config{Procs: P, GCMinRetire: 1, GCPressure: -1})
+	sys := New(Config{Procs: P, GCPressure: 1})
 	// Blocks 0 and 3 are homed at node 0.
 	heap := sys.MallocPage(4 * HomeBlockPages * PageSize)
 	var homed []PageID
@@ -123,66 +123,82 @@ func TestGCWaveThroughFetch(t *testing.T) {
 	}
 }
 
-// TestGCWaveRebuildsFlushedCopyInOneRound: a flushed copy the wave must
-// validate — the acquire source's lagging-home override, reproduced by
-// calling the purge the way acqEpoch does with the home's registry entry
-// rewound — is rebuilt from its home's whole page and its covered tail in
-// ONE exchange: both requests leave together and the wave costs the later
-// arrival, not a page round followed by a diff round.
-func TestGCWaveRebuildsFlushedCopyInOneRound(t *testing.T) {
+// TestFlushedCopyRebuildsInOneRound: a copy the collector flushed is
+// rebuilt by its next fault from its home's whole page and the tail of
+// notices the flush kept, in ONE exchange: both requests leave together and
+// the round costs the later of the two arrivals (or the inbound-link floor),
+// not a page round followed by a diff round. Node 2 writes the page every
+// round and node 0 never reads it until the end; at GCPressure 4 and one
+// interval a round the episode after round 3 collects, so node 0's copy is
+// flushed there. In round 4 the home, node 1, writes the page too (64 bytes
+// on), so the copy owes two concurrent notices and no single writer's copy
+// can stand in for them (planFaultLocked's squash). Neither writer is the
+// barrier root, which could incorporate the other's arrival before closing
+// its own interval, and node 2 writes round 4 only after the home has: a
+// departure sent after node 2's next arrival reached the root would carry
+// its interval early, and the home's would then cover it.
+func TestFlushedCopyRebuildsInOneRound(t *testing.T) {
 	SetDebugOracle(true)
 	defer SetDebugOracle(false)
-	const P, rounds = 3, 4
-	sys := New(Config{Procs: P, GCMinRetire: 1, GCPressure: -1})
-	a := sys.MallocPage(PageSize) // homed at node 0, written by node 1, never read by node 2
+	const P, rounds = 3, 5
+	const reader, home, writer = 0, 1, 2
+	sys := New(Config{Procs: P, GCPressure: 4})
+	a := sys.MallocPage(2*HomeBlockPages*PageSize) + HomeBlockPages*PageSize
 	pid := PageID(int(a) / PageSize)
 	word := func(r int) []byte { return []byte{waveFill(r, 0), waveFill(r, 1), waveFill(r, 2), waveFill(r, 3)} }
 	var took sim.Time
-	var seq int
+	var seqs [P]int // of the home's and the writer's notices
 	var before, after NodeStats
-	var servedBefore, served [2]int64 // requests the home and the writer served
+	var servedBefore, served [P]int64
+	homeWrote := make(chan struct{})
 	sys.Register("rebuild", func(n *Node, _ []byte) {
 		for r := 0; r < rounds; r++ {
-			if n.ID() == 1 {
+			last := r == rounds-1
+			if n.ID() == home && last {
+				n.WriteBytes(a+64, word(r))
+				close(homeWrote)
+			}
+			if n.ID() == writer {
+				if last {
+					<-homeWrote
+				}
 				n.WriteBytes(a, word(r))
 			}
 			n.Barrier()
 		}
-		if n.ID() == 2 {
-			n.mu.Lock()
-			pg := n.pageFor(pid)
-			if pg.data != nil || !pg.refetch || len(pg.missing) != 1 {
-				t.Errorf("test premise: want a flushed copy owing its one-episode tail; have data=%v refetch=%v missing=%d",
-					pg.data != nil, pg.refetch, len(pg.missing))
-				n.mu.Unlock()
-				return
-			}
-			seq = pg.missing[0].seq
-			floor := n.vc.clone()
-			n.mu.Unlock()
-			n.sys.purged.mu.Lock()
-			n.sys.purged.floors[0] = newVC(P) // "the home has not purged this floor yet"
-			n.sys.purged.mu.Unlock()
-			for i := range served {
-				servedBefore[i] = n.sys.Node(i).Stats().Interrupts
-			}
-			before = n.Stats()
-			t0 := n.Now()
-			n.mu.Lock()
-			n.gcPurgePagesLocked(&n.c0, floor, floor, false, false)
-			n.mu.Unlock()
-			took = n.Now() - t0
-			for i := range served {
-				served[i] = n.sys.Node(i).Stats().Interrupts - servedBefore[i]
-			}
-			got := make([]byte, 4)
-			n.ReadBytes(a, got)
-			after = n.Stats()
-			if !bytes.Equal(got, word(rounds-1)) {
-				t.Errorf("rebuilt copy reads %v, want the last round's %v", got, word(rounds-1))
-			}
-		}
+		// Every node has taken round 4's departure — invalidating its copy
+		// and encoding the diff it owed — before the read asks for it.
 		n.Barrier()
+		if n.ID() != reader {
+			return
+		}
+		n.mu.Lock()
+		pg := n.pageFor(pid)
+		if pg.data != nil || !pg.refetch || len(pg.missing) != 2 {
+			t.Errorf("test premise: want a flushed copy owing round %d's two notices; have data=%v refetch=%v missing=%d",
+				rounds-1, pg.data != nil, pg.refetch, len(pg.missing))
+			n.mu.Unlock()
+			return
+		}
+		for _, m := range pg.missing {
+			seqs[m.creator] = m.seq
+		}
+		n.mu.Unlock()
+		for i := range served {
+			servedBefore[i] = n.sys.Node(i).Stats().Interrupts
+		}
+		before = n.Stats()
+		got := make([]byte, 68)
+		t0 := n.Now()
+		n.ReadBytes(a, got)
+		took = n.Now() - t0
+		after = n.Stats()
+		for i := range served {
+			served[i] = n.sys.Node(i).Stats().Interrupts - servedBefore[i]
+		}
+		if !bytes.Equal(got[:4], word(rounds-1)) || !bytes.Equal(got[64:], word(rounds-1)) {
+			t.Errorf("rebuilt copy reads %v and %v, want the last round's %v from both writers", got[:4], got[64:], word(rounds-1))
+		}
 	})
 	if err := sys.Run(func(n *Node) { n.RunParallel("rebuild", nil) }); err != nil {
 		t.Fatal(err)
@@ -190,25 +206,32 @@ func TestGCWaveRebuildsFlushedCopyInOneRound(t *testing.T) {
 	if d := OracleDiverges(); d != 0 {
 		t.Errorf("%d reads diverged from the shadow memory", d)
 	}
-	if after.GCPagesValidated-before.GCPagesValidated != 1 || after.PageFetches-before.PageFetches != 1 ||
-		after.DiffsApplied-before.DiffsApplied != 1 || after.FaultRounds != before.FaultRounds || after.ReadFaults != before.ReadFaults {
-		t.Errorf("wave validated %d pages from %d whole pages and %d diffs, then the read took %d faults; want 1, 1, 1, 0",
-			after.GCPagesValidated-before.GCPagesValidated, after.PageFetches-before.PageFetches,
-			after.DiffsApplied-before.DiffsApplied, after.ReadFaults-before.ReadFaults)
+	if g := sys.GCSummary(); g.Epochs != 1 {
+		t.Errorf("test premise: %d episodes collected, want round 3's alone", g.Epochs)
 	}
-	if served != [2]int64{1, 1} {
-		t.Errorf("home and writer served %v requests, want one each", served)
+	if after.FaultRounds-before.FaultRounds != 1 || after.PageFetches-before.PageFetches != 1 ||
+		after.DiffsApplied-before.DiffsApplied != 2 {
+		t.Errorf("the read took %d rounds for %d whole pages and %d diffs; want 1, 1, 2",
+			after.FaultRounds-before.FaultRounds, after.PageFetches-before.PageFetches,
+			after.DiffsApplied-before.DiffsApplied)
 	}
-	// The whole page is the later reply; the writer's diff (already encoded:
-	// the home's own wave fetched it) lands inside its shadow.
+	if served != [P]int64{0, 1, 1} {
+		t.Errorf("requests served per node %v, want [0 1 1]: one each from the home and the writer", served)
+	}
+	// The home is asked for its page and its own diff, the writer for its
+	// diff; both diffs were encoded when the other's notice invalidated the
+	// writer's copy.
 	plat := sys.Platform()
-	page := pageExchange(plat, pid)
-	dreq, drep := fetchItemsWireLen(fetchItem{pid: pid, seq: seq, data: make([]byte, 8+4)})
-	diff := plat.UDP.Latency(dreq) + plat.RequestService + plat.UDP.Latency(drep)
-	apply := plat.DiffApply + sim.Time(4*plat.DiffApplyPerByte)
-	if want := page + apply; took != want {
-		t.Errorf("rebuilding wave took %d ns, want the page reply's arrival + one apply = %d (a page round then a diff round: %d)",
-			took, want, page+diff+apply)
+	item := func(creator int) fetchItem { return fetchItem{pid: pid, seq: seqs[creator], data: make([]byte, 8+4)} }
+	hreq, hrep := fetchItemsWireLen(fetchItem{pid: pid, seq: -1, data: make([]byte, PageSize)}, item(home))
+	fromHome := plat.UDP.Latency(hreq) + plat.RequestService + plat.PageCopy + plat.UDP.Latency(hrep)
+	wreq, wrep := fetchItemsWireLen(item(writer))
+	fromWriter := plat.UDP.Latency(wreq) + plat.RequestService + plat.UDP.Latency(wrep)
+	floor := 2*plat.UDP.OneWay + sim.Time(float64(hrep+wrep)*plat.UDP.PerByteNS)
+	apply := 2 * (plat.DiffApply + sim.Time(4*plat.DiffApplyPerByte))
+	if want := plat.FaultOverhead + sim.Max(sim.Max(fromHome, fromWriter), floor) + apply; took != want {
+		t.Errorf("rebuilding fault took %d ns, want one round = %d (a page round then a diff round: %d)",
+			took, want, plat.FaultOverhead+fromHome+fromWriter+apply)
 	}
 }
 
@@ -219,7 +242,7 @@ func TestGCWaveRebuildsFlushedCopyInOneRound(t *testing.T) {
 func TestGCWaveWindow(t *testing.T) {
 	const requests = fetchWindow + 4
 	const pages = requests*HomeBlockPages - 3 // homed at node 0
-	sys := New(Config{Procs: 2, GCMinRetire: 1, GCPressure: -1})
+	sys := New(Config{Procs: 2, GCPressure: 1})
 	heap := sys.MallocPage(2 * requests * HomeBlockPages * PageSize)
 	addr := func(i int) Addr { // of the i-th page node 0 homes: blocks alternate
 		blk, in := i/HomeBlockPages, i%HomeBlockPages

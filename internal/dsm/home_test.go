@@ -6,9 +6,10 @@ import "testing"
 // pin wire traffic byte-for-byte: every node writes its own pages each
 // round and reads every peer's page after the barrier, so each round
 // produces a fixed set of page fetches, diff fetches, and barrier
-// messages, and — under GCMinRetire: 1 — the barrier/fork collector purges
-// on every episode. The acquire source stays off (its push rounds depend on goroutine timing);
-// everything that remains is program-ordered and timing-independent.
+// messages, and — under GCPressure: 1 — the collector purges at every
+// episode that retires anything. No thread reports to the consensus (the
+// program takes no lock), so only the episode trigger fires; everything
+// that remains is program-ordered and timing-independent.
 func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 	t.Helper()
 	procs := cfg.Procs
@@ -38,8 +39,11 @@ func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 
 // TestHomeDefaultConfigPin pins the workload's traffic under the default
 // configuration (block-cyclic homes, the compact wire format) collecting at
-// every episode, and under the default trigger, which these six rounds
-// never reach (so no page is shipped to a home or flushed). The message
+// every episode that retires anything, and under the default trigger, which
+// these six rounds never reach (so no page is shipped to a home or flushed).
+// At an episode every node waits for the homes its flushes need, so the
+// purge's outcome, and with it the traffic, is the same whichever node gets
+// there first. The message
 // count is program-ordered and must match on every run. The byte total is
 // the value the run produces whenever no protocol server raises a clock
 // estimate between an application thread's delta computation and its send
@@ -51,23 +55,23 @@ func homePinWorkload(t *testing.T, cfg Config) (msgs, bytes int64) {
 // a band around it.
 func TestHomeDefaultConfigPin(t *testing.T) {
 	for _, tt := range []struct {
-		minRetire int
-		msgs      int64
-		bytes     int64
+		pressure int
+		msgs     int64
+		bytes    int64
 	}{
 		{1, 861, 1244005},
-		{0, 861, 243425},
+		{-1, 861, 243425},
 	} {
 		var msgs, bytes int64
 		for attempt := 0; attempt < 5 && bytes != tt.bytes; attempt++ {
-			msgs, bytes = homePinWorkload(t, Config{Procs: 8, GCPressure: -1, GCMinRetire: tt.minRetire})
+			msgs, bytes = homePinWorkload(t, Config{Procs: 8, GCPressure: tt.pressure})
 			if msgs != tt.msgs {
 				break
 			}
 		}
 		if msgs != tt.msgs || bytes != tt.bytes {
-			t.Errorf("GCMinRetire %d: msgs=%d bytes=%d, want msgs=%d bytes=%d (default-configuration wire traffic drifted)",
-				tt.minRetire, msgs, bytes, tt.msgs, tt.bytes)
+			t.Errorf("GCPressure %d: msgs=%d bytes=%d, want msgs=%d bytes=%d (default-configuration wire traffic drifted)",
+				tt.pressure, msgs, bytes, tt.msgs, tt.bytes)
 		}
 	}
 }

@@ -74,10 +74,9 @@ type localLockWaiter struct {
 }
 
 type pendingReq struct {
-	from   int
-	tag    uint32
-	vc     VectorClock
-	arrive sim.Time
+	from int
+	tag  uint32
+	vc   VectorClock
 }
 
 func (n *Node) lockMgr(id int) int {
@@ -171,7 +170,7 @@ retry:
 			// flight to an island-mate (a condition-variable wake whose
 			// transfer made this node the tail). Queue behind it; the
 			// release-side handoff will grant us through selfReply.
-			ls.pending = append(ls.pending, pendingReq{from: n.id, tag: c.tag, vc: myVC, arrive: c.clk.Now()})
+			ls.pending = append(ls.pending, pendingReq{from: n.id, tag: c.tag, vc: myVC})
 			n.mu.Unlock()
 		} else {
 			var w wbuf
@@ -325,27 +324,7 @@ func (n *Node) handleAcqReq(m *network.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
-	ls := n.lockFor(id)
-	prev := ls.lastReq
-	ls.lastReq = m.From
-	if prev == n.id {
-		// The chain ends here: the token is local (possibly held by our
-		// own application thread).
-		if ls.haveToken && !ls.held {
-			ls.haveToken = false
-			n.sendGrantLocked(id, m.From, tag, reqVC, at)
-			return
-		}
-		ls.pending = append(ls.pending, pendingReq{from: m.From, tag: tag, vc: reqVC, arrive: m.Arrive})
-		return
-	}
-	var w wbuf
-	w.i32(id)
-	w.i32(m.From)
-	w.u32(tag)
-	putVC(&w, reqVC)
-	//nowlint:allow servernoblock -- bounded traffic: reqOutstanding caps each node at one in-flight acquire, so at most Procs-1 msgAcqFwd can exist at once, far under the request queue depth; the forward cannot block (PR 5 no-deadlock argument)
-	n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, at)
+	n.enqueueLockRequestLocked(id, m.From, tag, reqVC, at)
 }
 
 // handleAcqFwd runs on the last holder's protocol server.
@@ -366,7 +345,7 @@ func (n *Node) handleAcqFwd(m *network.Message) {
 		n.sendGrantLocked(id, requester, tag, reqVC, at)
 		return
 	}
-	ls.pending = append(ls.pending, pendingReq{from: requester, tag: tag, vc: reqVC, arrive: m.Arrive})
+	ls.pending = append(ls.pending, pendingReq{from: requester, tag: tag, vc: reqVC})
 }
 
 func (n *Node) chargeInterruptLocked() {

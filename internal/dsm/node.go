@@ -33,19 +33,18 @@ type Node struct {
 	router  *replyRouter // reply demultiplexer; non-nil in multi-client mode
 	nextTag uint32       // reply-tag allocator for NewClient (under mu)
 
-	mu          sync.Mutex
-	vc          VectorClock
-	intervals   [][]*interval // [creator], gap-free, intervals[c][i].seq == intervalBase[c]+i
-	ivlBase     []int         // [creator] seq of the oldest retained interval (see gc.go)
-	gcFreeVC    VectorClock   // floor of the last barrier/fork epoch; freed at the next one
-	gcAcqFreeVC VectorClock   // floor of the last acquire epoch; freed at the next one (acqgc.go)
-	gcPurgeVC   VectorClock   // merged floor of every collection this node has begun (its claim)
-	gcAcqOwed   VectorClock   // acquire floor whose purge left pages waiting on lagging homes; nil: none
-	gcAcqLag    []int         // the homes those pages wait for (acqgc.go)
-	dirty       []*page       // pages twinned in the open interval
-	gcPages     []*page       // pages that may hold missing notices or twins (GC work list)
-	pages       []*page       // [PageID]; entries materialize lazily
-	knownVC     []VectorClock // sound lower bound of what each node has seen
+	mu        sync.Mutex
+	vc        VectorClock
+	intervals [][]*interval // [creator], gap-free, intervals[c][i].seq == intervalBase[c]+i
+	ivlBase   []int         // [creator] seq of the oldest retained interval (see gc.go)
+	gcFreeVC  VectorClock   // floor of the last collection epoch; freed at the next one (gc.go)
+	gcPurgeVC VectorClock   // merged floor of every collection this node has begun (its claim)
+	gcAcqOwed VectorClock   // floor whose purge left pages waiting on lagging homes; nil: none
+	gcAcqLag  []int         // the homes those pages wait for (acqEpoch)
+	dirty     []*page       // pages twinned in the open interval
+	gcPages   []*page       // pages that may hold missing notices or twins (GC work list)
+	pages     []*page       // [PageID]; entries materialize lazily
+	knownVC   []VectorClock // sound lower bound of what each node has seen
 
 	// fetchMu serializes the node's application-side fetch sequences (the
 	// fault path and GC validation waves, both through Client.fetch): its
@@ -105,8 +104,8 @@ type NodeStats struct {
 
 	// Garbage collection counters (see gc.go and acqgc.go).
 	GCEpisodes       int64 // global sync episodes examined by the collector
-	GCEpochs         int64 // episodes that actually ran a collection
-	GCAcqEpochs      int64 // acquire (lock-manager-led) epochs processed here
+	GCEpochs         int64 // episode-announced floors processed here
+	GCAcqEpochs      int64 // consensus-announced (lock-manager-led) floors processed here
 	GCSyncPushes     int64 // consensus-sync frames a push round's initiator sent (first hops)
 	GCSyncReverse    int64 // reverse deltas pushed nodes answered with
 	GCSyncRelays     int64 // tree-routed consensus frames forwarded onward
@@ -116,7 +115,7 @@ type NodeStats struct {
 	GCPagesValidated int64 // stale copies brought current during GC
 	GCPagesFlushed   int64 // stale copies discarded during GC
 
-	// The purge (gcPurgePagesLocked, both sources): its passes over the work
+	// The purge (gcPurgePagesLocked): its passes over the work
 	// list; the virtual time threads spent in its validation wave, read off
 	// the client clock like FaultWait; and the wave's fetch-exchange traffic
 	// — a sub-split of what TrafficBreakdown books as page service.

@@ -85,9 +85,9 @@ type page struct {
 	// purge may flush the copy only when the retire floor covers it: the
 	// local copy is the only place the node's own writes live (its own
 	// write notices are never in `missing`), so discarding a copy with
-	// uncovered own writes would lose them — at a quiescent barrier the
-	// floor covers everything and this cannot happen, but an acquire
-	// epoch's floor may trail the node's own recent intervals.
+	// uncovered own writes would lose them — an episode's floor covers
+	// everything the node wrote before it, but a consensus floor may trail
+	// the node's own recent intervals.
 	lastOwnSeq int
 
 	// inGCList notes membership in the node's GC work list (gcPages):

@@ -155,22 +155,23 @@ func TestCodecRoundTripProperty(t *testing.T) {
 
 // Property (system-level): for random sequences of barrier-separated
 // scattered writes, every node converges to the same array contents as a
-// sequential execution of the same writes — collecting at every barrier,
-// and under the default trigger (which these short runs never reach).
+// sequential execution of the same writes — collecting at every barrier
+// (GCPressure 1), and under the default trigger (which these short runs
+// never reach).
 func TestScatteredWriteConvergenceProperty(t *testing.T) {
-	for _, minRetire := range []int{1, 0} {
-		if err := quick.Check(scatteredWriteConverges(Config{GCMinRetire: minRetire}), &quick.Config{MaxCount: 25}); err != nil {
-			t.Fatalf("GCMinRetire %d: %v", minRetire, err)
+	for _, pressure := range []int{1, 0} {
+		if err := quick.Check(scatteredWriteConverges(Config{GCPressure: pressure}), &quick.Config{MaxCount: 25}); err != nil {
+			t.Fatalf("GCPressure %d: %v", pressure, err)
 		}
 	}
 }
 
-// Property: the same convergence holds with the acquire-epoch collector
-// forced to minimal pressure — collection epochs then interleave with
-// nearly every synchronization yet stay invisible to the computation (the
-// barrier-free half of the contract lives in acquire_gc_test.go).
+// Property: the same convergence holds with the collector at a pressure of
+// two records — collection epochs then interleave with nearly every
+// synchronization yet stay invisible to the computation (the barrier-free
+// half of the contract lives in acquire_gc_test.go).
 func TestScatteredWriteConvergenceWithAcquireGCProperty(t *testing.T) {
-	cfg := Config{GCPressure: 2, GCMinRetire: 1}
+	cfg := Config{GCPressure: 2}
 	if err := quick.Check(scatteredWriteConverges(cfg), &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}

@@ -105,17 +105,17 @@ func TestTreeVsFlatConsensusEquivalence(t *testing.T) {
 }
 
 // TestTreeBarrierFloorPiggyback mixes locks with barriers on a two-level
-// tree while barrier episodes never collect (GCMinRetire is set beyond
-// reach), so announced acquire floors are still pending when departure
-// waves flow. The interior nodes must piggyback those floors onto the
-// batched departure frames (one reply-class msgBatch per child), and the
-// children must unwrap the frame, hand the departure to the parked
-// barrier waiter, and process the floor inline — the whole reply-frame
-// path, asserted by the piggyback counter and by every node reading
-// correct neighbor values afterward.
+// tree. The lock sections announce consensus floors, and a barrier reached
+// while some node still owes one skips its own announcement (the gate is
+// closed), so those floors are pending when the departure wave flows. The
+// interior nodes must piggyback them onto the batched departure frames (one
+// reply-class msgBatch per child), and the children must unwrap the frame,
+// hand the departure to the parked barrier waiter, and process the floor
+// inline — the whole reply-frame path, asserted by the piggyback counter
+// and by every node reading correct neighbor values afterward.
 func TestTreeBarrierFloorPiggyback(t *testing.T) {
 	const procs, rounds = 16, 24
-	sys := New(Config{Procs: procs, GCPressure: 24, GCMinRetire: 1 << 30})
+	sys := New(Config{Procs: procs, GCPressure: 24})
 	arr := sys.MallocPage(procs * PageSize)
 	ctr := sys.MallocPage(8)
 	sys.Register("mix", func(n *Node, _ []byte) {
@@ -170,7 +170,7 @@ func TestScaleTreeBarrierCorrectness(t *testing.T) {
 			t.Parallel()
 			const rounds = 4
 			// Collect at every episode: the purge waves ride the tree too.
-			sys := New(Config{Procs: tt.procs, BarrierFanin: tt.fanin, GCMinRetire: 1})
+			sys := New(Config{Procs: tt.procs, BarrierFanin: tt.fanin, GCPressure: 1})
 			arr := sys.MallocPage(tt.procs * PageSize)
 			sys.Register("ring", func(n *Node, _ []byte) {
 				me := n.ID()

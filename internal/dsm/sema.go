@@ -28,10 +28,9 @@ type semaState struct {
 }
 
 type semaWaiter struct {
-	from   int
-	tag    uint32
-	vc     VectorClock
-	arrive sim.Time
+	from int
+	tag  uint32
+	vc   VectorClock
 }
 
 func (n *Node) semaFor(id int) *semaState {
@@ -109,7 +108,7 @@ func (c *Client) SemaWait(id int) {
 			c.gcSyncHook(true)
 			return
 		}
-		ss.waiters = append(ss.waiters, semaWaiter{from: n.id, tag: c.tag, vc: n.vc.clone(), arrive: c.clk.Now()})
+		ss.waiters = append(ss.waiters, semaWaiter{from: n.id, tag: c.tag, vc: n.vc.clone()})
 		n.mu.Unlock()
 	} else {
 		var w wbuf
@@ -183,5 +182,5 @@ func (n *Node) handleSemaWait(m *network.Message) {
 		n.ep.SendAt(m.From, msgSemaGrant, network.ClassReply, w.b, at)
 		return
 	}
-	ss.waiters = append(ss.waiters, semaWaiter{from: m.From, tag: tag, vc: reqVC, arrive: m.Arrive})
+	ss.waiters = append(ss.waiters, semaWaiter{from: m.From, tag: tag, vc: reqVC})
 }

@@ -169,8 +169,8 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 	own := n.intervals[n.id]
 	idx := seq - n.ivlBase[n.id]
 	if idx < 0 {
-		// Soundness tripwire: the barrier-epoch collector frees an
-		// interval's diffs only after no node can reference it again.
+		// Soundness tripwire: the collector frees an interval's diffs
+		// only after no node can reference it again.
 		panic(fmt.Sprintf("dsm: node %d asked for diff of retired interval (%d,%d)", n.id, n.id, seq))
 	}
 	if idx >= len(own) {

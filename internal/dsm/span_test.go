@@ -521,13 +521,19 @@ func TestSpanEquivalentToPageAtATime(t *testing.T) {
 					}
 				}
 			}
-			// Collecting at every episode puts flushed copies into the
-			// rounds; the default trigger (never reached in 14 phases)
-			// leaves every notice to the fault path.
-			for _, minRetire := range []int{1, 0} {
+			// Collecting at every episode that retires anything
+			// (GCPressure 1, subtest minretire1) puts flushed copies into
+			// the rounds; the default trigger (minretire0: never reached in
+			// 14 phases) leaves every notice to the fault path. At pressure
+			// 1 the locked phases arm the consensus trigger as well, so
+			// both triggers collect in one program — the mix in which
+			// pairing two collectors once asked for a diff of a retired
+			// interval. The runs guard against that defect's return; they
+			// never reproduced it.
+			for _, pressure := range []int{1, 0} {
 				cfg := tt.cfg
-				cfg.GCMinRetire = minRetire
-				t.Run(fmt.Sprintf("minretire%d", minRetire), func(t *testing.T) {
+				cfg.GCPressure = pressure
+				t.Run(fmt.Sprintf("minretire%d", pressure), func(t *testing.T) {
 					span, st := runSpanProgram(t, cfg, pages, prog, false)
 					paged, pst := runSpanProgram(t, cfg, pages, prog, true)
 					if !bytes.Equal(span, want) {
@@ -545,7 +551,7 @@ func TestSpanEquivalentToPageAtATime(t *testing.T) {
 					if pst.FaultPages != pst.FaultRounds {
 						t.Errorf("page-at-a-time run took %d rounds for %d pages", pst.FaultRounds, pst.FaultPages)
 					}
-					if st.PageFetches == 0 || st.DiffsApplied == 0 || (st.GCPagesFlushed == 0) == (minRetire == 1) {
+					if st.PageFetches == 0 || st.DiffsApplied == 0 || (st.GCPagesFlushed == 0) == (pressure == 1) {
 						t.Errorf("span run fetched %d pages, applied %d diffs, flushed %d copies: a page kind went unexercised",
 							st.PageFetches, st.DiffsApplied, st.GCPagesFlushed)
 					}
@@ -572,7 +578,7 @@ func TestSpanMultiClientOverlap(t *testing.T) {
 		rounds = 5
 		size   = pages * PageSize
 	)
-	sys := New(Config{Procs: 3, MultiClient: true, GCMinRetire: 1})
+	sys := New(Config{Procs: 3, MultiClient: true, GCPressure: 1})
 	base := sys.MallocPage(size)
 	fill := func(r, o int) byte { return byte(1 + (o*5+r*17)%200) }
 	// Spans of the two clients: unaligned, overlapping in pages 8-13.

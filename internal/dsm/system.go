@@ -51,31 +51,20 @@ type Config struct {
 	// Platform overrides the calibrated cost model (default
 	// sim.DefaultPlatform).
 	Platform *sim.Platform
-	// DisableGC turns off barrier-epoch garbage collection of protocol
-	// metadata (see gc.go), letting intervals, diffs, and twins
-	// accumulate for the whole run — the pre-GC behaviour, kept for the
-	// metadata-accumulation ablation.
+	// DisableGC turns off garbage collection of protocol metadata (see
+	// gc.go), letting intervals, diffs, and twins accumulate for the whole
+	// run — the pre-GC behaviour, kept for the metadata-accumulation
+	// ablation.
 	DisableGC bool
-	// GCMinRetire overrides the barrier/fork-episode trigger. By default (0)
-	// both epoch sources read ONE threshold, the resolved GCPressure: an
-	// episode collects only when its retire floor covers at least that many
-	// interval records created since the last collecting episode (see
-	// gcEpochLocked) — TreadMarks collects when consistency memory runs
-	// low, not at every barrier. A positive value is the episode source's
-	// own threshold; 1 collects at EVERY episode, even one whose floor
-	// retires nothing new — the schedule of every run before the pressure
-	// rule. The field survives beside GCPressure because tests that must
-	// collect at every episode cannot say so through GCPressure: that would
-	// also force an acquire epoch at every synchronization operation.
-	GCMinRetire int
 	// GCPressure is the collection threshold, in interval records a floor
-	// would newly retire, of both epoch sources: the barrier/fork episodes
-	// (unless GCMinRetire overrides them) and the lock-manager-led
-	// acquire-epoch collector (acqgc.go) for programs that synchronize
-	// without barriers, whose floor is the consensus min of the per-thread
-	// clocks carried in acquire/wait requests. 0 uses DefaultGCPressure,
-	// scaled with the machine past 8 nodes; negative disables acquire
-	// epochs only — the episode source then uses the default.
+	// would newly retire, of the one collector (gc.go) and both its
+	// triggers: barrier/fork episodes, whose floor is the root's merged
+	// clock, and the lock-manager consensus (acqgc.go) for programs that
+	// synchronize without barriers, whose floor is the min of the
+	// per-thread clocks carried in acquire/wait requests. 0 uses
+	// DefaultGCPressure, scaled with the machine past 8 nodes; 1 collects at
+	// every episode that retires anything. Negative turns the consensus
+	// trigger off; episodes then use the default threshold.
 	GCPressure int
 	// BarrierFanin is the fan-in of the combining-tree barrier: each
 	// interior node gathers this many children before passing the
@@ -91,15 +80,15 @@ type Config struct {
 	MultiClient bool
 }
 
-// gcPressure resolves the collection threshold both epoch sources read.
-// It counts retirable interval records SYSTEM-WIDE (a floor's component
-// sum), which grows with the machine: a fixed threshold that fires after a
-// few rounds of metadata at the paper's 8 workstations fires 16× as often
-// at 128 nodes, and every acquire epoch costs a full consensus round. The
+// GCThreshold resolves the collection threshold both triggers read. It
+// counts retirable interval records SYSTEM-WIDE (a floor's component sum),
+// which grows with the machine: a fixed threshold that fires after a few
+// rounds of metadata at the paper's 8 workstations fires 16× as often at
+// 128 nodes, and every consensus-triggered epoch costs a full round. The
 // default therefore scales linearly past the paper's machine size; an
 // explicit Config.GCPressure pins the trigger exactly, and ≤8-processor
 // runs are untouched.
-func (c Config) gcPressure() int {
+func (c Config) GCThreshold() int {
 	if c.GCPressure > 0 {
 		return c.GCPressure
 	}
@@ -109,19 +98,6 @@ func (c Config) gcPressure() int {
 	return DefaultGCPressure
 }
 
-// GCEpisodeThreshold returns the resolved barrier/fork-episode trigger: an
-// episode collects when its floor would newly retire at least this many
-// interval records (see Config.GCMinRetire; 0 means every episode).
-func (c Config) GCEpisodeThreshold() int {
-	switch c.GCMinRetire {
-	case 0:
-		return c.gcPressure()
-	case 1:
-		return 0
-	}
-	return c.GCMinRetire
-}
-
 // System is one simulated network of workstations running TreadMarks.
 type System struct {
 	cfg       Config
@@ -129,8 +105,7 @@ type System struct {
 	sw        *network.Switch
 	nodes     []*Node
 	heapBytes int
-	gcOn      bool
-	acq       *acqCoord   // acquire-epoch coordinator; nil when disabled
+	acq       *acqCoord   // the collector (acqgc.go); nil when GC is off
 	purged    *homePurged // per-node purge-floor registry (flush gate)
 	fanin     int         // resolved barrier tree fan-in
 
@@ -139,9 +114,6 @@ type System struct {
 
 	heapMu   sync.Mutex
 	heapNext Addr
-
-	gcMu     sync.Mutex
-	gcFloors map[int64]*epochFloor // per-epoch floor agreement (see checkEpochFloor)
 
 	errOnce  sync.Once
 	err      error
@@ -174,8 +146,6 @@ func New(cfg Config) *System {
 		heapBytes: cfg.HeapBytes,
 		regions:   make(map[string]func(*Node, []byte) []byte),
 		done:      make(chan struct{}),
-		gcOn:      !cfg.DisableGC && cfg.Procs > 1,
-		gcFloors:  make(map[int64]*epochFloor),
 	}
 	npages := cfg.HeapBytes / PageSize
 	s.purged = newHomePurged(cfg.Procs)
@@ -183,8 +153,8 @@ func New(cfg Config) *System {
 	if s.fanin <= 0 {
 		s.fanin = DefaultBarrierFanin
 	}
-	if s.gcOn && cfg.GCPressure >= 0 {
-		s.acq = newAcqCoord(cfg.Procs, cfg.gcPressure())
+	if !cfg.DisableGC && cfg.Procs > 1 {
+		s.acq = newAcqCoord(cfg.Procs, cfg.GCThreshold(), cfg.GCPressure >= 0)
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		n := &Node{
@@ -541,23 +511,22 @@ func (s *System) ProtoSummary() (retired, peakChain, peakBytes int64) {
 }
 
 // GCStats is the collector's trigger and purge accounting, for the
-// harness tables and ablations. Episodes and Epochs count GLOBAL events
-// (every node walks the identical episode sequence and reaches identical
-// trigger decisions, so they are per-node maxima, not sums); AcqEpochs
-// counts acquire epochs announced by the lock-manager consensus;
-// PagesValidated and PagesFlushed sum the per-node purge outcomes.
+// harness tables and ablations. Episodes counts GLOBAL events (every node
+// walks the identical episode sequence, so it is a per-node maximum, not a
+// sum); Epochs and AcqEpochs count the coordinator's announcements by
+// trigger; PagesValidated and PagesFlushed sum the per-node purge outcomes.
 type GCStats struct {
 	Episodes       int64 // barrier/fork episodes the collector examined
-	Epochs         int64 // episodes that actually ran a collection
-	AcqEpochs      int64 // acquire epochs announced (acqgc.go)
+	Epochs         int64 // episodes whose floor the root announced
+	AcqEpochs      int64 // floors the lock-manager consensus announced (acqgc.go)
 	PagesValidated int64 // stale copies brought current at collections
 	PagesFlushed   int64 // stale copies discarded at collections
 }
 
 // GCSummary reports the collector's accounting. Epochs is the fraction of
-// Episodes whose floor crossed the collection threshold (all of them with
-// Config.GCMinRetire == 1). AcqEpochs is nonzero only when lock/semaphore pressure
-// triggered the acquire source.
+// Episodes whose floor crossed the collection threshold behind an open
+// gate. AcqEpochs is nonzero only when lock/semaphore pressure triggered
+// the consensus.
 func (s *System) GCSummary() GCStats {
 	var g GCStats
 	for _, n := range s.nodes {
@@ -565,14 +534,11 @@ func (s *System) GCSummary() GCStats {
 		if st.GCEpisodes > g.Episodes {
 			g.Episodes = st.GCEpisodes
 		}
-		if st.GCEpochs > g.Epochs {
-			g.Epochs = st.GCEpochs
-		}
 		g.PagesValidated += st.GCPagesValidated
 		g.PagesFlushed += st.GCPagesFlushed
 	}
 	if s.acq != nil {
-		g.AcqEpochs = s.acq.announcedCount()
+		g.AcqEpochs, g.Epochs = s.acq.announcedCounts()
 	}
 	return g
 }

@@ -66,8 +66,7 @@ type interval struct {
 	pages   []PageID
 
 	// diffs is populated only at the creator: encoded diff per page,
-	// created lazily by ensureDiffEncoded and reclaimed by the
-	// barrier-epoch garbage collector once no node can request it again
-	// (see gc.go).
+	// created lazily by ensureDiffEncoded and reclaimed by the garbage
+	// collector once no node can request it again (see gc.go).
 	diffs map[PageID][]byte
 }

@@ -8,9 +8,9 @@ import (
 
 // pageTraffic reads what a run's page service did as the nodes saw it: the
 // whole pages node `reader` installed, the diffs it applied, and the fetch
-// requests each node served. The tests using it run barrier-only programs
-// with no acquire source, where the fetch server is the only handler that
-// interrupts a node — so a node's Interrupts ARE the requests it served,
+// requests each node served. The tests using it run barrier-only programs,
+// where no thread reports to the consensus and the fetch server is the only
+// handler that interrupts a node — so a node's Interrupts ARE the requests it served,
 // and 0 means it was never asked.
 func pageTraffic(t *testing.T, sys *System, reader int) (pageFetches, diffsApplied int64, served []int64) {
 	t.Helper()
@@ -152,7 +152,7 @@ func TestZeroBaseNeverGoesHome(t *testing.T) {
 // explain the value it sees.
 func TestZeroBaseFlushedCopyRefetchesFromHome(t *testing.T) {
 	const P, rounds, quiet = 3, 4, 3
-	sys := New(Config{Procs: P, GCMinRetire: 1})
+	sys := New(Config{Procs: P, GCPressure: 1})
 	a := sys.MallocPage(8) // homed at node 0; written by node 1; read late by node 2
 	sys.Register("lateread", func(n *Node, _ []byte) {
 		for r := 0; r < rounds+quiet; r++ {

@@ -283,48 +283,64 @@ func AblationFlushCost(procsList []int) ([]FlushCostRow, error) {
 	return rows, nil
 }
 
-// GCModes are the collector configurations of the metadata ablation:
-// collect at every synchronization episode (the original behaviour,
-// dsm.Config.GCMinRetire: 1), adaptively (collect only when the floor
-// would retire at least AdaptiveGCRetire(procs) interval records — a
-// threshold these short runs reach several times), under the default
-// pressure threshold (which they reach once at most), and disabled.
-var GCModes = []string{"every", "adaptive", "default", "off"}
+// GCModes are the settings of the metadata ablation's one axis, the
+// collection threshold both triggers read: "every" collects at every
+// episode that retires anything (dsm.Config.GCPressure 1), "low" at
+// AcquireGCPressure(procs) records, "default" at the default threshold,
+// and "off" disables the collector.
+var GCModes = []string{"every", "low", "default", "off"}
 
-// AdaptiveGCRetire returns the ablation's adaptive trigger threshold for
-// a machine of `procs` nodes: roughly eight episodes' worth of interval
-// creation on a barrier-dense workload, amortizing the per-episode
-// validation pause about eightfold.
-func AdaptiveGCRetire(procs int) int { return 8 * procs }
+// AcquireGCPressure is the ablation's low threshold for a machine of
+// `procs` nodes: a few rounds of per-node interval creation, so lock-only
+// regions collect many times per run.
+func AcquireGCPressure(procs int) int { return 4 * procs }
+
+// gcModeConfig translates an ablation mode into the DSM configuration.
+func gcModeConfig(mode string, procs int) dsm.Config {
+	switch mode {
+	case "every":
+		return dsm.Config{Procs: procs, GCPressure: 1}
+	case "low":
+		return dsm.Config{Procs: procs, GCPressure: AcquireGCPressure(procs)}
+	case "default":
+		return dsm.Config{Procs: procs}
+	case "off":
+		return dsm.Config{Procs: procs, DisableGC: true}
+	}
+	panic(fmt.Sprintf("harness: unknown GC ablation mode %q", mode))
+}
 
 // GCAblationRow is one (workload, collector-mode) measurement: time,
-// traffic, trigger counts, and metadata retention.
+// traffic, trigger counts, metadata retention, and purge outcomes.
 type GCAblationRow struct {
 	Workload  string
 	Mode      string // one of GCModes
 	Procs     int
 	Time      sim.Time
 	Msgs      int64
+	Bytes     int64
 	Episodes  int64 // global sync episodes the collector examined
-	Epochs    int64 // collections actually triggered
+	Epochs    int64 // floors the episode trigger announced
+	AcqEpochs int64 // floors the lock-manager consensus announced
 	Retired   int64 // interval records reclaimed
 	PeakChain int64
 	PeakBytes int64
+	Validated int64 // stale copies brought current at collections
+	Flushed   int64 // stale copies discarded at collections
 }
 
-// gcModeConfig translates an ablation mode into the DSM knobs.
-func gcModeConfig(mode, workload string, procs int) (disable bool, minRetire int) {
-	switch mode {
-	case "every":
-		return false, 1
-	case "adaptive":
-		return false, AdaptiveGCRetire(procs)
-	case "default":
-		return false, 0
-	case "off":
-		return true, 0
+// gcSystemRow reads one ablation row off a finished system.
+func gcSystemRow(workload, mode string, sys *dsm.System) GCAblationRow {
+	msgs, bytes := sys.Switch().Stats().Snapshot()
+	retired, chain, peak := sys.ProtoSummary()
+	g := sys.GCSummary()
+	return GCAblationRow{
+		Workload: workload, Mode: mode, Procs: sys.Procs(),
+		Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
+		Episodes: g.Episodes, Epochs: g.Epochs, AcqEpochs: g.AcqEpochs,
+		Retired: retired, PeakChain: chain, PeakBytes: peak,
+		Validated: g.PagesValidated, Flushed: g.PagesFlushed,
 	}
-	panic(fmt.Sprintf("harness: unknown GC ablation mode %q for %s", mode, workload))
 }
 
 // AblationGCIteration measures metadata accumulation on the access
@@ -337,8 +353,7 @@ func AblationGCIteration(iters, procs int) ([]GCAblationRow, error) {
 	name := fmt.Sprintf("iteration x%d", iters)
 	var rows []GCAblationRow
 	for _, mode := range GCModes {
-		disable, minRetire := gcModeConfig(mode, name, procs)
-		sys := dsm.New(dsm.Config{Procs: procs, DisableGC: disable, GCMinRetire: minRetire})
+		sys := dsm.New(gcModeConfig(mode, procs))
 		defer sys.Close()
 		base := sys.MallocPage(8 * words)
 		sys.Register("gc-iter", func(n *dsm.Node, _ []byte) {
@@ -360,15 +375,7 @@ func AblationGCIteration(iters, procs int) ([]GCAblationRow, error) {
 		if err := sys.Run(func(n *dsm.Node) { n.RunParallel("gc-iter", nil) }); err != nil {
 			return rows, err
 		}
-		msgs, _ := sys.Switch().Stats().Snapshot()
-		retired, chain, bytes := sys.ProtoSummary()
-		g := sys.GCSummary()
-		rows = append(rows, GCAblationRow{
-			Workload: name, Mode: mode, Procs: procs,
-			Time: sys.MaxClock(), Msgs: msgs,
-			Episodes: g.Episodes, Epochs: g.Epochs,
-			Retired: retired, PeakChain: chain, PeakBytes: bytes,
-		})
+		rows = append(rows, gcSystemRow(name, mode, sys))
 	}
 	return rows, nil
 }
@@ -382,62 +389,37 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 	p.Steps = steps
 	var rows []GCAblationRow
 	for _, mode := range GCModes {
-		p.DSM.DisableGC, p.DSM.GCMinRetire = gcModeConfig(mode, name, procs)
+		p.DSM = gcModeConfig(mode, procs)
 		res, err := water.RunTmk(p, procs)
 		if err != nil {
 			return rows, err
 		}
 		rows = append(rows, GCAblationRow{
 			Workload: name, Mode: mode, Procs: procs,
-			Time: res.Time, Msgs: res.Messages,
-			Episodes: res.GCEpisodes, Epochs: res.GCEpochs,
+			Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
+			Episodes: res.GCEpisodes, Epochs: res.GCEpochs, AcqEpochs: res.GCAcqEpochs,
 			Retired: res.IntervalsRetired, PeakChain: res.PeakIntervalChain,
 			PeakBytes: res.PeakProtoBytes,
+			Validated: res.GCPagesValidated, Flushed: res.GCPagesFlushed,
 		})
 	}
 	return rows, nil
 }
 
-// ---------------------------------------------------------------------
-// The GC trigger grid: acquire-epoch collection for programs that never
-// barrier. It contrasts the barrier/fork-episode source alone, at the
-// default pressure ("episode" — which cannot collect inside a lock-only
-// region), with acquire epochs and episodes at one low pressure
-// ("acquire").
-// ---------------------------------------------------------------------
-
-// GCTriggers are the epoch-source arms of the grid.
-var GCTriggers = []string{"episode", "acquire"}
-
-// AcquireGCPressure is the grid's low acquire-epoch threshold for a
-// machine of `procs` nodes: a few rounds of per-node interval creation,
-// so lock-only regions collect many times per run.
-func AcquireGCPressure(procs int) int { return 4 * procs }
-
-// GCTriggerRow is one (workload, trigger) measurement.
-type GCTriggerRow struct {
-	Workload  string
-	Trigger   string // "episode" or "acquire"
-	Procs     int
-	Time      sim.Time
-	Msgs      int64
-	Bytes     int64
-	AcqEpochs int64 // acquire epochs announced
-	Retired   int64
-	PeakChain int64
-	Validated int64 // stale copies brought current at collections
-	Flushed   int64 // stale copies discarded at collections
-}
-
-// gcTriggerPressure maps a trigger arm to the dsm pressure knob.
-func gcTriggerPressure(trigger string, procs int) int {
-	switch trigger {
-	case "episode":
-		return -1 // acquire source disabled: barrier/fork episodes only
-	case "acquire":
-		return AcquireGCPressure(procs)
+// AblationGCLockSparse runs GCLockSparse, whose one region has no barrier,
+// under every collector mode: only the consensus trigger can collect
+// inside it.
+func AblationGCLockSparse(rounds, procs int) ([]GCAblationRow, error) {
+	name := fmt.Sprintf("locksparse x%d", rounds)
+	var rows []GCAblationRow
+	for _, mode := range GCModes {
+		sys, err := gcLockSparse(gcModeConfig(mode, procs), rounds)
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, gcSystemRow(name, mode, sys))
 	}
-	panic(fmt.Sprintf("harness: unknown GC trigger %q", trigger))
+	return rows, nil
 }
 
 // gcLockSparseWords is the per-page word count GCLockSparse touches per
@@ -458,7 +440,7 @@ const gcLockSparseReadPeriod = 6
 // — synchronized by a semaphore ring that hands each node its next-round
 // token, bounding skew and carrying the consistency deltas (the Sweep3D
 // pipeline pattern). Between bursts each peer page accumulates several
-// rounds of small notices, which nothing but the acquire source can
+// rounds of small notices, which nothing but the consensus trigger can
 // retire. It returns the finished system for counter inspection.
 //
 // policy is what remains of the deleted purge-policy knob: it must be ""
@@ -469,7 +451,13 @@ func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, 
 	if policy != "" && policy != "flush" {
 		return nil, fmt.Errorf("harness: unknown GC policy %q (the purge-policy knob is gone; only \"flush\" remains)", policy)
 	}
-	sys := dsm.New(dsm.Config{Procs: procs, GCPressure: pressure})
+	return gcLockSparse(dsm.Config{Procs: procs, GCPressure: pressure}, rounds)
+}
+
+// gcLockSparse is GCLockSparse under any collector configuration.
+func gcLockSparse(cfg dsm.Config, rounds int) (*dsm.System, error) {
+	procs := cfg.Procs
+	sys := dsm.New(cfg)
 	defer sys.Close()
 	arr := sys.MallocPage(procs * dsm.PageSize)
 	ctr := sys.MallocPage(8)
@@ -521,85 +509,33 @@ func GCLockSparse(procs, rounds int, pressure int, policy string) (*dsm.System, 
 	return sys, err
 }
 
-// AblationGCTrigger runs the trigger grid on the lock-sparse kernel and on
-// real Water (whose epochs are barrier/fork-driven: its "episode" row
-// never reaches the default pressure, its "acquire" row collects through
-// episodes at the low one).
-func AblationGCTrigger(rounds, steps, procs int) ([]GCTriggerRow, error) {
-	var rows []GCTriggerRow
-	name := fmt.Sprintf("locksparse x%d", rounds)
-	for _, trigger := range GCTriggers {
-		sys, err := GCLockSparse(procs, rounds, gcTriggerPressure(trigger, procs), "")
-		if err != nil {
-			return rows, err
-		}
-		msgs, bytes := sys.Switch().Stats().Snapshot()
-		retired, chain, _ := sys.ProtoSummary()
-		g := sys.GCSummary()
-		rows = append(rows, GCTriggerRow{
-			Workload: name, Trigger: trigger, Procs: procs,
-			Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
-			AcqEpochs: g.AcqEpochs, Retired: retired, PeakChain: chain,
-			Validated: g.PagesValidated, Flushed: g.PagesFlushed,
-		})
-	}
-	wname := fmt.Sprintf("water x%d steps", steps)
-	for _, trigger := range GCTriggers {
-		p := water.Small()
-		p.Steps = steps
-		p.DSM.GCPressure = gcTriggerPressure(trigger, procs)
-		res, err := water.RunTmk(p, procs)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, GCTriggerRow{
-			Workload: wname, Trigger: trigger, Procs: procs,
-			Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
-			AcqEpochs: res.GCAcqEpochs, Retired: res.IntervalsRetired,
-			PeakChain: res.PeakIntervalChain,
-			Validated: res.GCPagesValidated, Flushed: res.GCPagesFlushed,
-		})
-	}
-	return rows, nil
-}
-
 // PrintAblationGC runs and formats the metadata-accumulation ablation:
-// the every/adaptive/off trigger comparison of the barrier/fork source,
-// then the acquire-source trigger grid.
+// every workload under every collection threshold.
 func PrintAblationGC(w io.Writer) error {
-	iter, err := AblationGCIteration(32, 8)
-	if err != nil {
-		return err
+	var rows []GCAblationRow
+	for _, run := range []func() ([]GCAblationRow, error){
+		func() ([]GCAblationRow, error) { return AblationGCIteration(32, 8) },
+		func() ([]GCAblationRow, error) { return AblationGCWater(8, 8) },
+		func() ([]GCAblationRow, error) { return AblationGCLockSparse(64, 8) },
+	} {
+		r, err := run()
+		if err != nil {
+			return err
+		}
+		rows = append(rows, r...)
 	}
-	wtr, err := AblationGCWater(8, 8)
-	if err != nil {
-		return err
-	}
-	fprintf(w, "Barrier-epoch GC ablation (8 processors): protocol-metadata cost\n")
-	fprintf(w, "under every-episode, adaptive (retire >= %d), default (retire >= %d),\n",
-		AdaptiveGCRetire(8), dsm.Config{Procs: 8}.GCEpisodeThreshold())
-	fprintf(w, "and disabled collection\n\n")
-	fprintf(w, "%-18s %-9s %12s %10s %9s %7s %8s %10s %8s\n",
-		"workload", "GC", "time", "messages", "episodes", "epochs", "retired", "peakchain", "peakKB")
-	for _, r := range append(iter, wtr...) {
-		fprintf(w, "%-18s %-9s %12s %10d %9d %7d %8d %10d %8d\n",
-			r.Workload, r.Mode, r.Time, r.Msgs, r.Episodes, r.Epochs, r.Retired, r.PeakChain, r.PeakBytes/1024)
-	}
-
-	grid, err := AblationGCTrigger(64, 8, 8)
-	if err != nil {
-		return err
-	}
-	fprintf(w, "\nAcquire-epoch GC trigger grid (8 processors): \"episode\" keeps only\n")
-	fprintf(w, "the barrier/fork source, at the default pressure (lock-only regions\n")
-	fprintf(w, "never collect); \"acquire\" adds lock-manager epochs and sets the\n")
-	fprintf(w, "pressure of both sources to %d.\n\n", AcquireGCPressure(8))
-	fprintf(w, "%-18s %-8s %12s %9s %9s %6s %8s %10s %6s %7s\n",
-		"workload", "trigger", "time", "messages", "KB", "acqEp", "retired", "peakchain", "valid", "flushed")
-	for _, r := range grid {
-		fprintf(w, "%-18s %-8s %12s %9d %9d %6d %8d %10d %6d %7d\n",
-			r.Workload, r.Trigger, r.Time, r.Msgs, r.Bytes/1024,
-			r.AcqEpochs, r.Retired, r.PeakChain, r.Validated, r.Flushed)
+	fprintf(w, "GC ablation (8 processors): protocol-metadata cost with the collector\n")
+	fprintf(w, "announcing a floor once it retires >= 1 record (every), >= %d (low),\n", AcquireGCPressure(8))
+	fprintf(w, ">= %d (default), and disabled (off). epochs are episode-triggered,\n", dsm.Config{Procs: 8}.GCThreshold())
+	fprintf(w, "acqEp consensus-triggered; locksparse has no barrier, so only the\n")
+	fprintf(w, "consensus collects inside it\n\n")
+	fprintf(w, "%-18s %-7s %12s %9s %8s %8s %6s %5s %8s %9s %7s %6s %7s\n",
+		"workload", "GC", "time", "messages", "KB", "episodes", "epochs", "acqEp",
+		"retired", "peakchain", "peakKB", "valid", "flushed")
+	for _, r := range rows {
+		fprintf(w, "%-18s %-7s %12s %9d %8d %8d %6d %5d %8d %9d %7d %6d %7d\n",
+			r.Workload, r.Mode, r.Time, r.Msgs, r.Bytes/1024, r.Episodes, r.Epochs, r.AcqEpochs,
+			r.Retired, r.PeakChain, r.PeakBytes/1024, r.Validated, r.Flushed)
 	}
 	return nil
 }

@@ -114,40 +114,6 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	}
 }
 
-// TestAblationGCTriggerGrid smokes the trigger-grid artifact and pins its
-// finding: the episode trigger alone cannot collect inside the lock-only
-// region (nothing retired, chain grows with the run), while the acquire
-// source retires and bounds the chain.
-func TestAblationGCTriggerGrid(t *testing.T) {
-	rows, err := AblationGCTrigger(64, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(GCTriggers) * 2; len(rows) != want {
-		t.Fatalf("grid produced %d rows, want %d", len(rows), want)
-	}
-	byKey := map[string]GCTriggerRow{}
-	for _, r := range rows {
-		if r.Time == 0 {
-			t.Errorf("%s/%s: missing time", r.Workload, r.Trigger)
-		}
-		byKey[r.Workload+"/"+r.Trigger] = r
-	}
-	episode, acquire := byKey["locksparse x64/episode"], byKey["locksparse x64/acquire"]
-	if episode.Retired != 0 || episode.AcqEpochs != 0 {
-		t.Errorf("episode trigger collected inside a lock-only region: retired=%d acq=%d", episode.Retired, episode.AcqEpochs)
-	}
-	if acquire.Retired == 0 || acquire.Flushed == 0 {
-		t.Errorf("acquire trigger retired %d records and flushed %d copies, want both nonzero", acquire.Retired, acquire.Flushed)
-	}
-	if acquire.PeakChain >= episode.PeakChain {
-		t.Errorf("acquire trigger did not bound the chain: %d vs episode %d", acquire.PeakChain, episode.PeakChain)
-	}
-	if _, err := GCLockSparse(2, 1, -1, "validate-hot"); err == nil {
-		t.Error("GCLockSparse accepted a deleted purge policy")
-	}
-}
-
 // TestEquivalenceWithAcquireGC reruns the cross-implementation
 // equivalence contract with the acquire collector forced on at low
 // pressure, across all three backends (NOW, SMP — where the knobs are

@@ -18,7 +18,7 @@ func TestGCLongIterationWater(t *testing.T) {
 	run := func(steps int) water.Params {
 		p := water.Small()
 		p.Steps = steps
-		p.DSM.GCMinRetire = 1 // every episode: test scale never reaches the default pressure
+		p.DSM.GCPressure = 1 // every episode: test scale never reaches the default pressure
 		return p
 	}
 	res4, err := water.RunTmk(run(8), 8) // 4x the Small() step count
@@ -75,13 +75,16 @@ func TestEquivalenceWithGCDisabled(t *testing.T) {
 	}
 }
 
-// TestEquivalenceCollectingEveryEpisode reruns the contract on the
-// every-episode schedule (GCMinRetire: 1), which the default grid no longer
-// exercises — test scale stays under the pressure threshold: with flushed,
-// validated and refetched copies at every barrier and fork, every
-// DSM-backed implementation must still reproduce the sequential checksum
-// (the OpenMP source also at 16 nodes, where the purge waves cross a
-// two-level tree).
+// TestEquivalenceCollectingEveryEpisode reruns the contract at GCPressure
+// 1, which the default grid never exercises — test scale stays under the
+// pressure threshold: with flushed, validated and refetched copies at every
+// barrier and fork that retires anything, every DSM-backed implementation
+// must still reproduce the sequential checksum (the OpenMP source also at
+// 16 nodes, where the purge waves cross a two-level tree). The applications
+// that mix locks with barriers arm both triggers at this pressure — the mix
+// in which pairing two collectors once asked for a diff of a retired
+// interval. These runs guard against that defect's return; they never
+// reproduced it.
 func TestEquivalenceCollectingEveryEpisode(t *testing.T) {
 	for _, a := range Apps {
 		for _, impl := range []Impl{OMP, Tmk, OMPHybrid} {
@@ -92,12 +95,13 @@ func TestEquivalenceCollectingEveryEpisode(t *testing.T) {
 			for _, procs := range grid {
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name, impl, procs), func(t *testing.T) {
 					t.Parallel()
-					res, err := VerifiedGC(a, Test, impl, procs, GCKnobs{MinRetire: 1})
+					res, err := VerifiedGC(a, Test, impl, procs, GCKnobs{Pressure: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.GCEpochs != res.GCEpisodes {
-						t.Errorf("%d epochs over %d episodes: not the every-episode schedule", res.GCEpochs, res.GCEpisodes)
+					if res.GCEpochs+res.GCAcqEpochs == 0 || res.GCEpochs > res.GCEpisodes {
+						t.Errorf("%d epochs over %d episodes, %d consensus epochs: nothing collected at pressure 1",
+							res.GCEpochs, res.GCEpisodes, res.GCAcqEpochs)
 					}
 				})
 			}
@@ -127,7 +131,7 @@ func TestPeakMetadataPriceFullScale(t *testing.T) {
 	}
 }
 
-// TestAcquireWaveStaysAtHomes pins what the acquire source's purge ships
+// TestAcquireWaveStaysAtHomes pins what the consensus trigger's purge ships
 // at full scale: Sweep3D/omp on 8 processors, four acquire epochs in one
 // barrier-free region. Every node incorporates every write notice of a
 // semaphore pipeline, so when a copy whose home lagged the floor was
@@ -180,66 +184,81 @@ func TestTableGCRendering(t *testing.T) {
 	}
 }
 
-// TestAblationGCRows checks the ablation itself: every-episode
-// collection must retire metadata and tighten the peak footprint
-// relative to the GC-off run; the adaptive mode must trigger on only a
-// fraction of the episodes it examines, amortize the collection pause
-// (faster than every-episode), and still retire and bound metadata.
+// TestAblationGCRows checks the ablation itself, one axis over three
+// workloads. On the barrier kernel, collecting at every episode that
+// retires anything must retire metadata and tighten the peak footprint
+// against the collector off; the low threshold must trigger on only a
+// fraction of the episodes it examines and still retire. In the
+// barrier-free lock kernel no episode can announce: the consensus is what
+// retires and bounds the chain, flushing copies whose homes have
+// published.
 func TestAblationGCRows(t *testing.T) {
-	// 32 rounds at 4 procs: enough interval creation for the adaptive
-	// threshold (AdaptiveGCRetire(4) records) to trigger several times,
-	// so the one-epoch-delayed free actually retires metadata.
-	rows, err := AblationGCIteration(32, 4)
+	iter, err := AblationGCIteration(32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(GCModes) {
-		t.Fatalf("ablation produced %d rows, want %d", len(rows), len(GCModes))
+	locks, err := AblationGCLockSparse(64, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	byMode := map[string]GCAblationRow{}
-	for _, r := range rows {
-		if r.Time == 0 {
-			t.Errorf("%s/%s: missing time", r.Workload, r.Mode)
+	for _, rows := range [][]GCAblationRow{iter, locks} {
+		if len(rows) != len(GCModes) {
+			t.Fatalf("ablation produced %d rows, want %d", len(rows), len(GCModes))
 		}
-		byMode[r.Mode] = r
 	}
-	every, adaptive, off := byMode["every"], byMode["adaptive"], byMode["off"]
-
-	if every.Retired == 0 {
-		t.Error("every-episode GC retired nothing")
-	}
-	if every.Episodes == 0 || every.Epochs != every.Episodes {
-		t.Errorf("every-episode GC: epochs %d != episodes %d", every.Epochs, every.Episodes)
-	}
-	if every.PeakChain >= off.PeakChain {
-		t.Errorf("GC on peak chain %d not below GC off %d", every.PeakChain, off.PeakChain)
-	}
-	if every.PeakBytes >= off.PeakBytes {
-		t.Errorf("GC on peak bytes %d not below GC off %d", every.PeakBytes, off.PeakBytes)
+	byMode := func(rows []GCAblationRow) map[string]GCAblationRow {
+		m := map[string]GCAblationRow{}
+		for _, r := range rows {
+			if r.Time == 0 {
+				t.Errorf("%s/%s: missing time", r.Workload, r.Mode)
+			}
+			m[r.Mode] = r
+		}
+		return m
 	}
 
-	if adaptive.Epochs == 0 || adaptive.Epochs >= adaptive.Episodes {
-		t.Errorf("adaptive GC: epochs %d not a proper fraction of episodes %d",
-			adaptive.Epochs, adaptive.Episodes)
+	it := byMode(iter)
+	every, low, off := it["every"], it["low"], it["off"]
+	if every.Retired == 0 || every.Epochs == 0 || every.Epochs > every.Episodes {
+		t.Errorf("every-episode GC: retired %d, %d epochs over %d episodes", every.Retired, every.Epochs, every.Episodes)
 	}
-	if adaptive.Retired == 0 {
-		t.Error("adaptive GC retired nothing")
+	if every.PeakChain >= off.PeakChain || every.PeakBytes >= off.PeakBytes {
+		t.Errorf("GC on peak chain %d / %d B not below GC off %d / %d B",
+			every.PeakChain, every.PeakBytes, off.PeakChain, off.PeakBytes)
 	}
-	if adaptive.PeakBytes >= off.PeakBytes {
-		t.Errorf("adaptive GC peak bytes %d not below GC off %d", adaptive.PeakBytes, off.PeakBytes)
+	if low.Epochs == 0 || low.Epochs >= every.Epochs || low.Retired == 0 || low.PeakBytes >= off.PeakBytes {
+		t.Errorf("low threshold: %d epochs (every: %d), retired %d, peak %d B (off: %d B)",
+			low.Epochs, every.Epochs, low.Retired, low.PeakBytes, off.PeakBytes)
 	}
-
 	if off.Retired != 0 || off.Epochs != 0 {
 		t.Errorf("GC off still collected: retired=%d epochs=%d", off.Retired, off.Epochs)
 	}
+
+	ls := byMode(locks)
+	for _, r := range locks {
+		if r.Epochs != 0 {
+			t.Errorf("%s/%s: %d episode epochs inside a barrier-free region", r.Workload, r.Mode, r.Epochs)
+		}
+	}
+	low, off = ls["low"], ls["off"]
+	if low.AcqEpochs == 0 || low.Retired == 0 || low.Flushed == 0 {
+		t.Errorf("consensus at the low threshold: %d epochs retired %d records and flushed %d copies, want all nonzero",
+			low.AcqEpochs, low.Retired, low.Flushed)
+	}
+	if low.PeakChain >= off.PeakChain {
+		t.Errorf("consensus did not bound the chain: %d vs off %d", low.PeakChain, off.PeakChain)
+	}
+	if _, err := GCLockSparse(2, 1, -1, "validate-hot"); err == nil {
+		t.Error("GCLockSparse accepted a deleted purge policy")
+	}
 }
 
-// TestAblationGCWaterAmortizes pins the adaptive trigger's payoff on the
-// real workload (the synthetic iteration kernel is flush-bound, where
+// TestAblationGCWaterAmortizes pins what collecting under pressure buys on
+// the real workload (the synthetic iteration kernel is flush-bound, where
 // every-episode validation happens to be cheap — see the ROADMAP's
-// validate-vs-flush item): on Water, collecting only when the floor
-// retires enough metadata recovers most of the every-episode overhead
-// while still collecting and bounding the chain below the GC-off run.
+// validate-vs-flush item): on Water, collecting only when the floor retires
+// enough metadata recovers most of the every-episode overhead while still
+// collecting and bounding the chain below the GC-off run.
 func TestAblationGCWaterAmortizes(t *testing.T) {
 	rows, err := AblationGCWater(8, 8)
 	if err != nil {
@@ -249,19 +268,17 @@ func TestAblationGCWaterAmortizes(t *testing.T) {
 	for _, r := range rows {
 		byMode[r.Mode] = r
 	}
-	every, adaptive, off := byMode["every"], byMode["adaptive"], byMode["off"]
-	if adaptive.Time >= every.Time {
-		t.Errorf("adaptive GC (%s) did not amortize the every-episode pause (%s)",
-			adaptive.Time, every.Time)
+	every, low, off := byMode["every"], byMode["low"], byMode["off"]
+	if low.Time >= every.Time {
+		t.Errorf("the low threshold (%s) did not amortize the every-episode cost (%s)", low.Time, every.Time)
 	}
-	if adaptive.Epochs == 0 || adaptive.Epochs >= adaptive.Episodes {
-		t.Errorf("adaptive GC: epochs %d not a proper fraction of episodes %d",
-			adaptive.Epochs, adaptive.Episodes)
+	if low.Epochs == 0 || low.Epochs >= low.Episodes {
+		t.Errorf("low threshold: epochs %d not a proper fraction of episodes %d", low.Epochs, low.Episodes)
 	}
-	if adaptive.Retired == 0 {
-		t.Error("adaptive GC retired nothing on Water")
+	if low.Retired == 0 {
+		t.Error("the low threshold retired nothing on Water")
 	}
-	if adaptive.PeakChain >= off.PeakChain {
-		t.Errorf("adaptive GC peak chain %d not below GC off %d", adaptive.PeakChain, off.PeakChain)
+	if low.PeakChain >= off.PeakChain {
+		t.Errorf("low threshold peak chain %d not below GC off %d", low.PeakChain, off.PeakChain)
 	}
 }

@@ -103,17 +103,16 @@ const (
 	Test Scale = "test"
 )
 
-// GCKnobs are per-run DSM metadata-GC settings: collector off, the
-// adaptive barrier/fork-episode trigger and the acquire-epoch trigger
-// pressure (see dsm.Config). A served job (serve.Job) may carry them; zero
-// fields defer to DefaultGC, so the zero value runs the plain grid cell.
+// GCKnobs are per-run DSM metadata-GC settings: collector off, and the
+// collection threshold both triggers read (see dsm.Config). A served job
+// (serve.Job) may carry them; zero fields defer to DefaultGC, so the zero
+// value runs the plain grid cell.
 type GCKnobs struct {
-	Disable   bool
-	MinRetire int
-	Pressure  int
+	Disable  bool
+	Pressure int
 }
 
-// DefaultGC supplies the acquire-epoch pressure of every cell whose own
+// DefaultGC supplies the collection threshold of every cell whose own
 // knobs leave it zero; nowbench -gcpressure sets it for a whole run. Only
 // Pressure is consulted.
 var DefaultGC GCKnobs
@@ -124,7 +123,7 @@ func (g GCKnobs) config() dsm.Config {
 	if g.Pressure == 0 {
 		g.Pressure = DefaultGC.Pressure
 	}
-	return dsm.Config{DisableGC: g.Disable, GCMinRetire: g.MinRetire, GCPressure: g.Pressure}
+	return dsm.Config{DisableGC: g.Disable, GCPressure: g.Pressure}
 }
 
 // App is one of the seven registered applications, wired to its

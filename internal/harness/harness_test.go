@@ -149,7 +149,7 @@ func TestFaultWaitLedger(t *testing.T) {
 			res.FaultWait, res.FaultRounds, res.FaultPages, res.GCWait, res.LockWait)
 	}
 	w, _ := FindApp("Water")
-	res, err = VerifiedGC(w, Test, OMP, procs, GCKnobs{MinRetire: 1})
+	res, err = VerifiedGC(w, Test, OMP, procs, GCKnobs{Pressure: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

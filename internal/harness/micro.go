@@ -120,7 +120,7 @@ func Micro() (MicroResults, error) {
 	// zeros); then node 0 modifies the first page (one word / whole page)
 	// and node 1 faults and fetches the diff.
 	for _, full := range []bool{false, true} {
-		// GC off: the barrier-epoch collector would flush the reader's
+		// GC off: a collecting episode would flush the reader's
 		// stale copy at the barrier between write and read, turning both
 		// variants into identical whole-page refetches. This micro pins
 		// the cost of the raw diff-fetch primitive itself.

@@ -145,10 +145,10 @@ func Table2(w io.Writer, s Scale, procs int) error {
 // records retired by the garbage collector, the peak retained
 // interval-chain length on any node, the peak protocol-metadata bytes
 // (records + diffs + twins) any one node held, the barrier/fork episodes
-// that collected out of those examined, and the acquire epochs announced
-// by the lock-manager consensus. Lock- and semaphore-synchronized
-// applications (TSP, QSORT, Sweep3D) barrier rarely — the acquire source
-// (AcqEp) is what bounds their chains.
+// whose floor the root announced out of those examined, and the floors the
+// lock-manager consensus announced. Lock- and semaphore-synchronized
+// applications (TSP, QSORT, Sweep3D) barrier rarely — the consensus
+// trigger (AcqEp) is what bounds their chains.
 func TableGC(w io.Writer, s Scale, procs int) error {
 	impls := []Impl{OMP, Tmk}
 	cells := make([]cellKey, 0, len(Apps)*len(impls))
@@ -164,8 +164,8 @@ func TableGC(w io.Writer, s Scale, procs int) error {
 	fprintf(w, "Protocol-metadata GC: intervals retired, peak retained chain length,\n")
 	fprintf(w, "peak metadata footprint per node, collecting epochs / episodes,\n")
 	fprintf(w, "acquire epochs, and the MB the collector's validation waves moved —\n")
-	fprintf(w, "pages and diffs no thread asked for (%d processors; an episode\n", procs)
-	fprintf(w, "collects when its floor newly retires >= %d interval records)\n\n", cfg.GCEpisodeThreshold())
+	fprintf(w, "pages and diffs no thread asked for (%d processors; either trigger\n", procs)
+	fprintf(w, "collects when its floor newly retires >= %d interval records)\n\n", cfg.GCThreshold())
 	fprintf(w, "%-10s | %10s %10s %10s %9s %6s %7s | %10s %10s %10s %9s %6s %7s\n",
 		"", "OpenMP", "", "", "", "", "", "Tmk", "", "", "", "", "")
 	fprintf(w, "%-10s | %10s %10s %10s %9s %6s %7s | %10s %10s %10s %9s %6s %7s\n",
