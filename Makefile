@@ -71,7 +71,7 @@ hybrid-race:
 # one-round rebuild of a flushed copy, the zero-base first-touch pins, the
 # wait-for-the-home rule (TestAcquireEpoch*: a waiting node's owed floor is
 # claimed and finished across the application thread, its island-mates,
-# the server and the next episode), the span programs at GCPressure 1
+# the server and the next episode, TestEpisodeSettle*), the span programs at GCPressure 1
 # (both triggers armed on programs that mix locks and barriers), plus the
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
@@ -81,8 +81,8 @@ hybrid-race:
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestSpanEquivalentToPageAtATime/.*/.*/minretire1' ./internal/dsm
-	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestSpanEquivalentToPageAtATime/.*/.*/minretire1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
 # >8-node smoke under the race detector: the wide-team (16/32-thread)
 # conformance scenario on every backend plus one real application at 16

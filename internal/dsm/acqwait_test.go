@@ -17,7 +17,7 @@ import (
 // the consensus floor is issued by hand, so every step happens where the
 // test puts it. Once the floor is owed the nodes coordinate over host
 // channels, never a barrier: a barrier is an episode, and an episode
-// finishes an owed floor (TestAcquireEpochFinishedByEpisode).
+// finishes an owed floor (TestEpisodeSettlesOwedAcquirePurge).
 const (
 	awWaiter = 0
 	awHome   = 1
@@ -308,18 +308,14 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 	}
 }
 
-// TestAcquireEpochFinishedByEpisode: the floor the waiter owes is finished
+// TestEpisodeSettlesOwedAcquirePurge: the floor the waiter owes is finished
 // by the next barrier, an episode that announces nothing (its gate is
 // closed: the floor is unacknowledged). Every node handles the owed floor
 // there — the home validates its page, the waiter blocks until the home
 // has published and then flushes its copy without a message — and every
-// acknowledgment is in before the barrier returns. A second hand-issued
-// floor, finished by a later barrier the same way, frees every record the
-// first retired; the reads after it ask for nothing already freed
-// (serveDiffLocked's retired-interval tripwire would fail the run).
-func TestAcquireEpochFinishedByEpisode(t *testing.T) {
-	var retiredBefore int64
-	sys := acqWaitFixture(t, false, func(f *acqWait, n *Node) {
+// acknowledgment is in before the barrier returns.
+func TestEpisodeSettlesOwedAcquirePurge(t *testing.T) {
+	acqWaitFixture(t, false, func(f *acqWait, n *Node) {
 		var before NodeStats
 		if n.ID() == awWaiter {
 			before = n.Stats()
@@ -346,8 +342,31 @@ func TestAcquireEpochFinishedByEpisode(t *testing.T) {
 				}
 			}
 		}
+		f.round(n, 7) // the waiter has read its counters before anyone faults
+		got := make([]byte, 4)
+		n.ReadBytes(f.a, got)
+		if !bytes.Equal(got, awWord(7)) {
+			t.Errorf("node %d reads %v after the episode, want round 7's %v", n.ID(), got, awWord(7))
+		}
+	})
+}
+
+// TestEpisodeSettleAsksForNothingTheEpisodeFrees: once an episode has
+// finished the owed floor (TestEpisodeSettlesOwedAcquirePurge), a second
+// hand-issued floor, finished by a later barrier the same way, frees every
+// record the first retired; the reads after it ask for nothing already
+// freed (serveDiffLocked's retired-interval tripwire would fail the run).
+func TestEpisodeSettleAsksForNothingTheEpisodeFrees(t *testing.T) {
+	var retiredBefore int64
+	sys := acqWaitFixture(t, false, func(f *acqWait, n *Node) {
+		f.round(n, 6) // finishes the first floor
 		f.round(n, 7) // every node is past round 6's episode: the gate is open
 		if n.ID() == awWaiter {
+			for id := 0; id < 3; id++ {
+				if !f.acked(id) {
+					t.Errorf("test premise: node %d has not acknowledged the first floor", id)
+				}
+			}
 			retiredBefore = f.sys.Node(awWriter).Stats().IntervalsRetired
 			n.mu.Lock()
 			second := n.vc.clone()

@@ -184,40 +184,34 @@ func TestTableGCRendering(t *testing.T) {
 	}
 }
 
-// TestAblationGCRows checks the ablation itself, one axis over three
-// workloads. On the barrier kernel, collecting at every episode that
-// retires anything must retire metadata and tighten the peak footprint
-// against the collector off; the low threshold must trigger on only a
-// fraction of the episodes it examines and still retire. In the
-// barrier-free lock kernel no episode can announce: the consensus is what
-// retires and bounds the chain, flushing copies whose homes have
-// published.
+// gcRowsByMode indexes one workload's ablation rows by mode, checking that
+// every mode ran and timed.
+func gcRowsByMode(t *testing.T, rows []GCAblationRow) map[string]GCAblationRow {
+	t.Helper()
+	if len(rows) != len(GCModes) {
+		t.Fatalf("ablation produced %d rows, want %d", len(rows), len(GCModes))
+	}
+	m := map[string]GCAblationRow{}
+	for _, r := range rows {
+		if r.Time == 0 {
+			t.Errorf("%s/%s: missing time", r.Workload, r.Mode)
+		}
+		m[r.Mode] = r
+	}
+	return m
+}
+
+// TestAblationGCRows checks the ablation itself on the barrier kernel:
+// collecting at every episode that retires anything must retire metadata
+// and tighten the peak footprint against the collector off; the low
+// threshold must trigger on only a fraction of the episodes it examines
+// and still retire. The lock kernel's rows are TestAblationGCTriggerGrid's.
 func TestAblationGCRows(t *testing.T) {
 	iter, err := AblationGCIteration(32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	locks, err := AblationGCLockSparse(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rows := range [][]GCAblationRow{iter, locks} {
-		if len(rows) != len(GCModes) {
-			t.Fatalf("ablation produced %d rows, want %d", len(rows), len(GCModes))
-		}
-	}
-	byMode := func(rows []GCAblationRow) map[string]GCAblationRow {
-		m := map[string]GCAblationRow{}
-		for _, r := range rows {
-			if r.Time == 0 {
-				t.Errorf("%s/%s: missing time", r.Workload, r.Mode)
-			}
-			m[r.Mode] = r
-		}
-		return m
-	}
-
-	it := byMode(iter)
+	it := gcRowsByMode(t, iter)
 	every, low, off := it["every"], it["low"], it["off"]
 	if every.Retired == 0 || every.Epochs == 0 || every.Epochs > every.Episodes {
 		t.Errorf("every-episode GC: retired %d, %d epochs over %d episodes", every.Retired, every.Epochs, every.Episodes)
@@ -233,14 +227,24 @@ func TestAblationGCRows(t *testing.T) {
 	if off.Retired != 0 || off.Epochs != 0 {
 		t.Errorf("GC off still collected: retired=%d epochs=%d", off.Retired, off.Epochs)
 	}
+}
 
-	ls := byMode(locks)
+// TestAblationGCTriggerGrid checks the ablation's lock-sparse rows and pins
+// which trigger collects there: in the barrier-free lock kernel no episode
+// can announce, at any threshold; the consensus is what retires and bounds
+// the chain, flushing copies whose homes have published.
+func TestAblationGCTriggerGrid(t *testing.T) {
+	locks, err := AblationGCLockSparse(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := gcRowsByMode(t, locks)
 	for _, r := range locks {
 		if r.Epochs != 0 {
 			t.Errorf("%s/%s: %d episode epochs inside a barrier-free region", r.Workload, r.Mode, r.Epochs)
 		}
 	}
-	low, off = ls["low"], ls["off"]
+	low, off := ls["low"], ls["off"]
 	if low.AcqEpochs == 0 || low.Retired == 0 || low.Flushed == 0 {
 		t.Errorf("consensus at the low threshold: %d epochs retired %d records and flushed %d copies, want all nonzero",
 			low.AcqEpochs, low.Retired, low.Flushed)
