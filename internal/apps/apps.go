@@ -72,6 +72,10 @@ type Result struct {
 	// The lock-wait slice, likewise summed over nodes: virtual time threads
 	// spent inside lock acquires, from the call to the grant.
 	LockWait sim.Time
+	// The part of FaultWait and FaultRounds spent while the faulting thread
+	// held a lock (a critical section's own fault rounds).
+	LockFaultWait   sim.Time
+	LockFaultRounds int64
 	// The collector's validation wave, likewise summed over nodes: the
 	// virtual time threads spent in it, and its fetch-exchange traffic —
 	// which PageMsgs/PageBytes above INCLUDE (the wave fetches pages and
@@ -109,7 +113,7 @@ func DSMResult(checksum float64, t sim.Time, msgs, bytes int64, src ProtoSource)
 	r.SyncMsgs, r.SyncBytes = tb.SyncMsgs, tb.SyncBytes
 	r.GCMsgs, r.GCBytes = tb.GCMsgs, tb.GCBytes
 	r.FaultWait, r.FaultRounds, r.FaultPages = tb.FaultWait, tb.FaultRounds, tb.FaultPages
-	r.LockWait = tb.LockWait
+	r.LockWait, r.LockFaultWait, r.LockFaultRounds = tb.LockWait, tb.LockFaultWait, tb.LockFaultRounds
 	r.GCWait, r.GCWaveMsgs, r.GCWaveBytes = tb.GCWait, tb.GCWaveMsgs, tb.GCWaveBytes
 	r.Frames = src.Frames()
 	return r

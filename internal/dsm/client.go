@@ -51,6 +51,7 @@ type Client struct {
 	clk   *sim.Clock
 	tag   uint32
 	costs ClientCosts
+	held  []int // the locks this thread holds, in acquisition order
 }
 
 // NewClient registers an additional application thread on the node. The

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -133,7 +134,7 @@ retry:
 			goto retry
 		}
 		c.clk.Advance(c.costs.Lock)
-		c.lockGranted(entered)
+		c.lockGranted(id, entered)
 		c.gcSyncHook(false) // lock now held: never stall here
 		return
 	}
@@ -147,7 +148,7 @@ retry:
 		n.mu.Unlock()
 		c.clk.AdvanceTo(rel)
 		c.clk.Advance(c.costs.Lock)
-		c.lockGranted(entered)
+		c.lockGranted(id, entered)
 		c.gcSyncHook(false) // lock now held: never stall here
 		return
 	}
@@ -206,13 +207,15 @@ retry:
 	ls.reqOutstanding = false
 	n.mu.Unlock()
 	c.clk.Advance(c.costs.Lock)
-	c.lockGranted(entered)
+	c.lockGranted(id, entered)
 	c.gcSyncHook(false) // lock now held: never stall here
 }
 
-// lockGranted books an acquire on the LockWait ledger: the client clock READ
-// at the call and at the grant, never advanced for the measurement.
-func (c *Client) lockGranted(entered sim.Time) {
+// lockGranted books an acquire on the LockWait ledger — the client clock READ
+// at the call and at the grant, never advanced for the measurement — and
+// marks the lock held by this client.
+func (c *Client) lockGranted(id int, entered sim.Time) {
+	c.held = append(c.held, id)
 	c.n.mu.Lock()
 	c.n.stats.LockWait += c.clk.Now() - entered
 	c.n.mu.Unlock()
@@ -230,6 +233,7 @@ func (c *Client) Release(id int) {
 	if !ls.held {
 		panic(fmt.Sprintf("dsm: node %d released lock %d it does not hold", n.id, id))
 	}
+	c.held = slices.DeleteFunc(c.held, func(h int) bool { return h == id })
 	n.closeIntervalLocked()
 	c.handoffLocked(ls, id)
 	c.gcSyncHook(true) // token already handed off: safe to apply backpressure

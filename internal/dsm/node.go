@@ -101,6 +101,10 @@ type NodeStats struct {
 	// LockWait: time inside Acquire, call to grant (island-local handoffs
 	// included), read off the client clock like FaultWait.
 	LockWait sim.Time
+	// The part of FaultWait and FaultRounds spent while the faulting client
+	// held a lock: a round there lengthens every waiter's queue wait too.
+	LockFaultWait   sim.Time
+	LockFaultRounds int64
 
 	// Garbage collection counters (see gc.go and acqgc.go).
 	GCEpisodes       int64 // global sync episodes examined by the collector
@@ -697,8 +701,15 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 		}
 		n.stats.FaultRounds++
 		n.stats.FaultPages += int64(len(plans))
+		if len(c.held) > 0 {
+			n.stats.LockFaultRounds++
+		}
 	}
-	n.stats.FaultWait += c.clk.Now() - entered
+	waited := c.clk.Now() - entered
+	n.stats.FaultWait += waited
+	if len(c.held) > 0 {
+		n.stats.LockFaultWait += waited
+	}
 }
 
 // fetchWindow bounds the requests one fetch keeps in flight. A fault

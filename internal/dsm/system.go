@@ -240,6 +240,8 @@ type TrafficBreakdown struct {
 	FaultWait               sim.Time
 	FaultRounds, FaultPages int64
 	LockWait                sim.Time // the lock-wait slice likewise
+	LockFaultWait           sim.Time // the part of FaultWait spent holding a lock
+	LockFaultRounds         int64    // and of FaultRounds
 
 	// The collector's validation wave, likewise: its time, and its traffic
 	// — a sub-split of PageMsgs/PageBytes, not a fourth category.
@@ -276,7 +278,7 @@ func (s *System) TrafficBreakdown() TrafficBreakdown {
 	b.SyncBytes = bytes - b.PageBytes - b.GCBytes
 	t := s.TotalStats()
 	b.FaultWait, b.FaultRounds, b.FaultPages = t.FaultWait, t.FaultRounds, t.FaultPages
-	b.LockWait = t.LockWait
+	b.LockWait, b.LockFaultWait, b.LockFaultRounds = t.LockWait, t.LockFaultWait, t.LockFaultRounds
 	b.GCWait, b.GCWaveMsgs, b.GCWaveBytes = t.GCWait, t.GCWaveMsgs, t.GCWaveBytes
 	return b
 }
@@ -475,6 +477,8 @@ func (s *System) TotalStats() NodeStats {
 		t.FaultRounds += st.FaultRounds
 		t.FaultPages += st.FaultPages
 		t.LockWait += st.LockWait
+		t.LockFaultWait += st.LockFaultWait
+		t.LockFaultRounds += st.LockFaultRounds
 		t.GCEpisodes += st.GCEpisodes
 		t.GCEpochs += st.GCEpochs
 		t.GCAcqEpochs += st.GCAcqEpochs

@@ -169,6 +169,28 @@ func TestFaultWaitLedger(t *testing.T) {
 	}
 }
 
+// TestLockFaultWaitLedger bounds the lock-fault slice on the task-queue
+// application, whose critical sections are where it lives: on every DSM
+// backend the time and rounds spent faulting while holding a lock are a
+// part of the fault ledger, and hardware shared memory books none.
+func TestLockFaultWaitLedger(t *testing.T) {
+	const procs = 4
+	a, _ := FindApp("QSORT")
+	for _, impl := range []Impl{OMP, Tmk, OMPHybrid, OMPSMP} {
+		res, err := Verified(a, Test, impl, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LockFaultWait < 0 || res.LockFaultWait > res.FaultWait || res.LockFaultRounds < 0 || res.LockFaultRounds > res.FaultRounds {
+			t.Errorf("%s: lock-fault slice %v / %d rounds outside the fault ledger's %v / %d",
+				impl, res.LockFaultWait, res.LockFaultRounds, res.FaultWait, res.FaultRounds)
+		}
+		if impl == OMPSMP && (res.LockFaultWait != 0 || res.LockFaultRounds != 0) {
+			t.Errorf("omp-smp: lock-fault slice %v / %d rounds, want zero", res.LockFaultWait, res.LockFaultRounds)
+		}
+	}
+}
+
 func TestAblationPipelineFavorsSemaphores(t *testing.T) {
 	res, err := AblationPipeline(20, 4)
 	if err != nil {

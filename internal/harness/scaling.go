@@ -44,8 +44,9 @@ func scalingShares(r apps.Result) (page, sync, gc float64, binding string) {
 // timeShare is the mean share of the run (in percent) an application
 // thread spent in one slice of the time ledger — wait is the slice summed
 // over threads (apps.Result.FaultWait: inside page-fault rounds; GCWait:
-// inside the collector's validation waves; LockWait: inside lock acquires)
-// — over procs × run time. Unlike the byte shares it is a share of TIME.
+// inside the collector's validation waves; LockWait: inside lock acquires;
+// LockFaultWait: inside fault rounds taken holding a lock) — over procs ×
+// run time. Unlike the byte shares it is a share of TIME.
 func timeShare(wait sim.Time, r apps.Result, procs int) float64 {
 	if r.Time == 0 || procs == 0 {
 		return 0
@@ -78,13 +79,14 @@ func TableScaling(w io.Writer, s Scale, procsList []int) error {
 	fprintf(w, "Scaling wall: OpenMP on the NOW past the paper's 8 workstations.\n")
 	fprintf(w, "Per machine size: speedup over sequential, each protocol cost's\n")
 	fprintf(w, "share of interconnect bytes (page service / synchronization\n")
-	fprintf(w, "fan-in / GC consensus), the binding cost, then three shares of TIME,\n")
-	fprintf(w, "not bytes: fault%%, gcwait%% and lock%% — the mean share of the run a\n")
-	fprintf(w, "thread spent waiting in page-fault rounds, in the collector's validation\n")
-	fprintf(w, "waves (whose bytes page%% includes) and in lock acquires; the wall is the\n")
-	fprintf(w, "first size that no longer improves on the previous one.\n\n")
-	fprintf(w, "%-10s %6s %8s %7s %7s %7s  %-8s %6s %7s %6s\n",
-		"App", "procs", "speedup", "page%", "sync%", "gc%", "binding", "fault%", "gcwait%", "lock%")
+	fprintf(w, "fan-in / GC consensus), the binding cost, then four shares of TIME,\n")
+	fprintf(w, "not bytes: fault%%, gcwait%%, lock%% and lockfault%% — the mean share of\n")
+	fprintf(w, "the run a thread spent waiting in page-fault rounds, in the collector's\n")
+	fprintf(w, "validation waves (whose bytes page%% includes), in lock acquires, and in\n")
+	fprintf(w, "the fault rounds it took while holding a lock (a part of fault%%); the\n")
+	fprintf(w, "wall is the first size that no longer improves on the previous one.\n\n")
+	fprintf(w, "%-10s %6s %8s %7s %7s %7s  %-8s %6s %7s %6s %10s\n",
+		"App", "procs", "speedup", "page%", "sync%", "gc%", "binding", "fault%", "gcwait%", "lock%", "lockfault%")
 	for _, a := range Apps {
 		seq := got[cellKey{App: a.Name, Impl: Seq}]
 		if seq.Err != nil {
@@ -110,10 +112,10 @@ func TableScaling(w io.Writer, s Scale, procsList []int) error {
 			}
 			sp := seq.Res.Time.Seconds() / c.Res.Time.Seconds()
 			page, sync, gc, binding := scalingShares(c.Res)
-			fprintf(w, "%-10s %6d %8.2f %7.1f %7.1f %7.1f  %-8s %6.1f %7.1f %6.1f\n",
+			fprintf(w, "%-10s %6d %8.2f %7.1f %7.1f %7.1f  %-8s %6.1f %7.1f %6.1f %10.1f\n",
 				name, p, sp, page, sync, gc, binding,
 				timeShare(c.Res.FaultWait, c.Res, p), timeShare(c.Res.GCWait, c.Res, p),
-				timeShare(c.Res.LockWait, c.Res, p))
+				timeShare(c.Res.LockWait, c.Res, p), timeShare(c.Res.LockFaultWait, c.Res, p))
 			if wall == 0 && havePrev && sp <= prev {
 				wall = p
 			}
