@@ -55,12 +55,15 @@ smp-race:
 # Hybrid-backend smoke under the race detector: the conformance scenarios
 # on the NOW-of-SMPs backend (all island counts) plus the degenerate-limit
 # pins, the reduction tests (island threads hand their partials to the
-# island join, the delegate carries them in its dsm join) and one real
-# application (Water at a two-island split). Like smp-race it runs early in
-# ci so an island-teams ordering bug fails in seconds.
+# island join, the delegate carries them in its dsm join), one real
+# application (Water at a two-island split) and the island lock-grant
+# path (a grant between islands takes fetchMu beside island-mates' fault
+# rounds). Like smp-race it runs early in ci so an island-teams ordering
+# bug fails in seconds.
 hybrid-race:
 	$(GO) test -race -run 'TestBackendConformance|TestHybrid|TestReduction' ./internal/core
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
+	$(GO) test -race -run 'TestLockGrantIsland' ./internal/dsm
 
 # GC smoke under the race detector: the GC property suite (randomized
 # lock/sema/cond interleavings, coordinator invariants — the episode
@@ -72,7 +75,9 @@ hybrid-race:
 # wait-for-the-home rule (TestAcquireEpoch*: a waiting node's owed floor is
 # claimed and finished across the application thread, its island-mates,
 # the server and the next episode, TestEpisodeSettle*), the span programs at GCPressure 1
-# (both triggers armed on programs that mix locks and barriers), plus the
+# (both triggers armed on programs that mix locks and barriers), the lock
+# grants that carry diffs kept on interval records the collector frees
+# (TestLockGrant*, and QSORT and TSP under the shadow-memory oracle), plus the
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
 # ablation, every app at GCPressure 1, and the full-scale Sweep3D cell
@@ -81,7 +86,8 @@ hybrid-race:
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestSpanEquivalentToPageAtATime/.*/.*/minretire1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestSpanEquivalentToPageAtATime/.*/.*/minretire1' ./internal/dsm
+	$(GO) test -race -run 'TestLockGrantOracle' ./internal/apps/qsort ./internal/apps/tsp
 	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
 # >8-node smoke under the race detector: the wide-team (16/32-thread)
@@ -123,8 +129,8 @@ serve-race:
 	$(GO) test -race -short -run 'TestServe' ./internal/serve
 
 # Short coverage-guided fuzz pass over the wire decoders (trailer,
-# vector clock, frame envelope, the join's trailer-then-tail, and the fetch
-# exchange's request and reply):
+# vector clock, frame envelope, the join's trailer-then-tail, the lock
+# grant's trailer-then-data, and the fetch exchange's request and reply):
 # the seeds replay instantly, then a few seconds of mutation hunt for
 # panics that escape the wireError bound. The corpus-less smoke keeps ci
 # deterministic-ish and fast; run

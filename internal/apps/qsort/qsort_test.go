@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/dsm"
 )
 
 func TestPartitionSplitsStrictly(t *testing.T) {
@@ -116,5 +118,36 @@ func TestConditionVariableTerminationUnderLoad(t *testing.T) {
 	}
 	if err := apps.CheckClose("qsort/omp-tiny", got.Checksum, want, 0); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLockGrantOracle: the task queue's grants carry the critical
+// section's data (dsm lock.go), and every read of the run — queue,
+// subarrays, the final image — must match the shadow memory, on every DSM
+// implementation, collecting by default and at every opportunity.
+func TestLockGrantOracle(t *testing.T) {
+	want := RunSeq(Small()).Checksum
+	for _, pressure := range []int{0, 1} {
+		p := Small()
+		p.DSM.GCPressure = pressure
+		for name, run := range map[string]func() (apps.Result, error){
+			"omp":        func() (apps.Result, error) { return RunOMP(p, 8) },
+			"tmk":        func() (apps.Result, error) { return RunTmk(p, 8) },
+			"omp-hybrid": func() (apps.Result, error) { return RunOMPOn(p, 8, core.HybridIslands(4)) },
+		} {
+			dsm.SetDebugOracle(true)
+			got, err := run()
+			div := dsm.OracleDiverges()
+			dsm.SetDebugOracle(false)
+			if err != nil {
+				t.Fatalf("%s, pressure %d: %v", name, pressure, err)
+			}
+			if div > 0 {
+				t.Errorf("%s, pressure %d: %d reads diverged from the shadow memory", name, pressure, div)
+			}
+			if err := apps.CheckClose("qsort/"+name, got.Checksum, want, 0); err != nil {
+				t.Errorf("pressure %d: %v", pressure, err)
+			}
+		}
 	}
 }

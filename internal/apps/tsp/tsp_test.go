@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/dsm"
 )
 
 // bruteForce finds the exact optimum by full enumeration (test oracle).
@@ -146,6 +148,37 @@ func TestDistanceMatrixSymmetricMetric(t *testing.T) {
 		for j := range d {
 			if d[i][j] != d[j][i] {
 				t.Fatalf("asymmetric distance (%d,%d)", i, j)
+			}
+		}
+	}
+}
+
+// TestLockGrantOracle: the "tsp" critical section's grants carry its data
+// (dsm lock.go) — queue, pool and bound — and every read of the run must
+// match the shadow memory, on every DSM implementation, collecting by
+// default and at every opportunity.
+func TestLockGrantOracle(t *testing.T) {
+	want := RunSeq(Small()).Checksum
+	for _, pressure := range []int{0, 1} {
+		p := Small()
+		p.DSM.GCPressure = pressure
+		for name, run := range map[string]func() (apps.Result, error){
+			"omp":        func() (apps.Result, error) { return RunOMP(p, 8) },
+			"tmk":        func() (apps.Result, error) { return RunTmk(p, 8) },
+			"omp-hybrid": func() (apps.Result, error) { return RunOMPOn(p, 8, core.HybridIslands(4)) },
+		} {
+			dsm.SetDebugOracle(true)
+			got, err := run()
+			div := dsm.OracleDiverges()
+			dsm.SetDebugOracle(false)
+			if err != nil {
+				t.Fatalf("%s, pressure %d: %v", name, pressure, err)
+			}
+			if div > 0 {
+				t.Errorf("%s, pressure %d: %d reads diverged from the shadow memory", name, pressure, div)
+			}
+			if err := apps.CheckClose("tsp/"+name, got.Checksum, want, 1e-12); err != nil {
+				t.Errorf("pressure %d: %v", pressure, err)
 			}
 		}
 	}

@@ -86,20 +86,7 @@ func (c *Client) CondWait(condID, lockID int) {
 	c.handoffLocked(ls, lockID)
 
 	// Block until a signal routes the lock back to us.
-	m := c.recvReply(msgLockGrant, c.tag)
-	r := rbuf{b: m.Payload}
-	if got := r.i32(); got != lockID {
-		panic("dsm: condition wake granted wrong lock")
-	}
-	r.u32() // tag: already matched by routing
-	senderVC, recs := getTrailer(&r)
-	n.mu.Lock()
-	n.incorporateLocked(recs, senderVC)
-	n.noteHeardLocked(m.From, senderVC)
-	ls.haveToken = true
-	ls.held = true
-	ls.holderTag = c.tag
-	n.mu.Unlock()
+	c.takeGrant(c.recvReply(msgLockGrant, c.tag), lockID, false)
 	c.clk.Advance(c.costs.Cond + c.costs.Lock)
 	c.gcSyncHook(false) // the re-acquired lock is held: never stall here
 }
@@ -166,8 +153,7 @@ func (n *Node) enqueueLockRequestLocked(lockID, requester int, tag uint32, reqVC
 	ls.lastReq = requester
 	if prev == n.id {
 		if ls.haveToken && !ls.held {
-			ls.haveToken = false
-			n.sendGrantLocked(lockID, requester, tag, reqVC, at)
+			n.grantFreeTokenLocked(ls, lockID, requester, tag, reqVC, at)
 			return
 		}
 		ls.pending = append(ls.pending, pendingReq{from: requester, tag: tag, vc: reqVC})

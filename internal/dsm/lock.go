@@ -20,6 +20,12 @@ import (
 // (requester ↔ holder when the manager is one of them), or 3 messages
 // (request, forward, grant) — landing in the paper's 170–700 µs window.
 //
+// The grant carries the critical section's data, as in the lazy hybrid
+// protocol (Dwarkadas, Keleher, Cox, Zwaenepoel, ISCA '93): the diffs the
+// releaser holds of the lock's pages — those its holders faulted on while
+// holding it, or received on its grant — that the acquirer lacks. The
+// acquirer then starts its critical section with current copies of them.
+//
 // Multi-client nodes (SMP islands): the node holds ONE seat in this
 // protocol — the token, the chain position, the pending queue are all
 // island-level — and the island's threads share it. A thread that finds
@@ -48,6 +54,26 @@ type lockState struct {
 	localRelease   sim.Time          // latest local release (bus-scale handoff coupling)
 	reqOutstanding bool              // a local client's acquire request is in flight
 	localStreak    int               // consecutive local handoffs past a pending global request
+
+	// the lock's data, in insertion order (grants are deterministic)
+	data   []PageID
+	inData map[PageID]bool
+}
+
+func (ls *lockState) addData(pid PageID) {
+	if !ls.inData[pid] {
+		ls.inData[pid] = true
+		ls.data = append(ls.data, pid)
+	}
+}
+
+// noteLockDataLocked adds faulting pages to every held lock's data.
+func (c *Client) noteLockDataLocked(pgs ...*page) {
+	for _, id := range c.held {
+		for _, pg := range pgs {
+			c.n.lockFor(id).addData(pg.id)
+		}
+	}
 }
 
 // localHandoffCap bounds how many consecutive releases may hand the token
@@ -89,7 +115,7 @@ func (n *Node) lockMgr(id int) int {
 func (n *Node) lockFor(id int) *lockState {
 	ls, ok := n.locks[id]
 	if !ok {
-		ls = &lockState{lastReq: n.lockMgr(id)}
+		ls = &lockState{lastReq: n.lockMgr(id), inData: map[PageID]bool{}}
 		if n.id == n.lockMgr(id) {
 			ls.haveToken = true // the token starts at the manager
 		}
@@ -191,21 +217,7 @@ retry:
 		n.ep.SendAt(mgr, msgAcqReq, network.ClassRequest, w.b, c.clk.Now())
 	}
 
-	m := c.recvReply(msgLockGrant, c.tag)
-	r := rbuf{b: m.Payload}
-	if got := r.i32(); got != id {
-		panic(fmt.Sprintf("dsm: node %d got grant for lock %d while acquiring %d", n.id, got, id))
-	}
-	r.u32() // tag: already matched by routing
-	senderVC, recs := getTrailer(&r)
-	n.mu.Lock()
-	n.incorporateLocked(recs, senderVC)
-	n.noteHeardLocked(m.From, senderVC)
-	ls.haveToken = true
-	ls.held = true
-	ls.holderTag = c.tag
-	ls.reqOutstanding = false
-	n.mu.Unlock()
+	c.takeGrant(c.recvReply(msgLockGrant, c.tag), id, true)
 	c.clk.Advance(c.costs.Lock)
 	c.lockGranted(id, entered)
 	c.gcSyncHook(false) // lock now held: never stall here
@@ -274,7 +286,7 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 		p := ls.pending[0]
 		ls.pending = ls.pending[1:]
 		ls.haveToken = false
-		n.sendGrantLocked(id, p.from, p.tag, p.vc, c.clk.Now())
+		n.sendGrantLocked(ls, id, p.from, p.tag, p.vc, c.clk.Now())
 	}
 	n.mu.Unlock()
 	for _, w := range waiters {
@@ -282,28 +294,124 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 	}
 }
 
-// grantPayloadLocked builds a lock-grant message body: lock id, the
+// takeGrant incorporates a lock grant on the acquiring client's node and
+// marks the lock held by the client; requested says it answers this node's
+// outstanding request, not a condition wake. Then it files the grant's
+// data, under fetchMu like a fault round: every diff a page here still
+// owes stays on its interval record for the next grant to forward, the page
+// joins the lock's data, and a copy with no twin whose missing notices the
+// grant all covers has them applied in causal order. Any other page faults
+// as it would have.
+func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
+	n := c.n
+	r := rbuf{b: m.Payload}
+	if got := r.i32(); got != id {
+		panic(fmt.Sprintf("dsm: node %d got grant for lock %d while acquiring %d", n.id, got, id))
+	}
+	r.u32() // tag: already matched by routing
+	senderVC, recs := getTrailer(&r)
+	data := getGrantData(&r, len(recs), len(n.pages))
+	if data != nil {
+		n.fetchMu.Lock()
+		defer n.fetchMu.Unlock()
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.incorporateLocked(recs, senderVC)
+	n.noteHeardLocked(m.From, senderVC)
+	ls := n.lockFor(id)
+	ls.haveToken, ls.held, ls.holderTag = true, true, c.tag
+	if requested {
+		ls.reqOutstanding = false
+	}
+	diffs := make(map[diffKey][]byte, len(data))
+	var pgs []*page
+	for _, gd := range data {
+		diffs[diffKey{gd.pid, recs[gd.rec].creator, recs[gd.rec].seq}] = gd.data
+		ls.addData(gd.pid)
+		if len(pgs) == 0 || pgs[len(pgs)-1].id != gd.pid { // a page's diffs travel together
+			pgs = append(pgs, n.pageFor(gd.pid))
+		}
+	}
+	for _, pg := range pgs {
+		covered := pg.data != nil && pg.twin == nil && len(pg.missing) > 0
+		for _, m := range pg.missing {
+			_, ok := diffs[diffKey{pg.id, m.creator, m.seq}]
+			n.retainDiffLocked(m, pg.id, diffs)
+			covered = covered && ok
+		}
+		if covered {
+			missing := slices.Clone(pg.missing)
+			c.applyDiffsLocked(pg, missing, missing, diffs)
+		}
+	}
+}
+
+// sendGrantLocked delivers a lock grant at virtual time at, through the
+// self-reply channel when the grantee is this node (e.g. a manager
+// acquiring its own lock via a condition-variable wake): lock id, the
 // grantee's reply tag, our vector clock, and every interval the requester
 // (whose clock is reqVC) lacks. Grants are exact deltas (relative to the
 // requester's own reported clock) so they never update the knownVC
 // estimates: estimates may only grow with request-class sends, whose
 // per-pair FIFO ordering makes the estimate sound (a reply-class grant
 // could overtake an in-flight request-class delta and leave the receiver
-// with an interval gap).
-func (n *Node) grantPayloadLocked(id int, tag uint32, reqVC VectorClock) []byte {
+// with an interval gap). To another node the lock's data follow, and leave
+// with the token.
+func (n *Node) sendGrantLocked(ls *lockState, id, to int, tag uint32, reqVC VectorClock, at sim.Time) {
 	var w wbuf
 	w.i32(id)
 	w.u32(tag)
-	putTrailer(&w, n.vc, n.deltaForLocked(reqVC))
-	return w.b
+	delta := n.deltaForLocked(reqVC)
+	putTrailer(&w, n.vc, delta)
+	if to != n.id {
+		at += n.putGrantDataLocked(&w, ls, delta)
+		clear(ls.inData)
+		ls.data = ls.data[:0]
+	}
+	n.sendOrSelfLocked(to, msgLockGrant, w.b, at)
 }
 
-// sendGrantLocked delivers a grant from protocol-server context at virtual
-// time at, using the self-reply channel when the grantee is this node
-// (e.g. a manager acquiring its own lock via a condition-variable wake).
-func (n *Node) sendGrantLocked(id int, to int, tag uint32, reqVC VectorClock, at sim.Time) {
-	payload := n.grantPayloadLocked(id, tag, reqVC)
-	n.sendOrSelfLocked(to, msgLockGrant, payload, at)
+// putGrantDataLocked appends the lock's data behind a grant's trailer: for
+// each data page with notices in the delta, the diffs of all of them, when
+// this node holds every one — stored, or owed by its own twin, whose
+// encoding costs the grant service time as in serveDiffLocked.
+func (n *Node) putGrantDataLocked(w *wbuf, ls *lockState, delta []*interval) (cost sim.Time) {
+	notices := map[PageID][]int{} // data page → the delta records naming it
+	for i, ivl := range delta {
+		for _, pid := range ivl.pages {
+			if ls.inData[pid] {
+				notices[pid] = append(notices[pid], i)
+			}
+		}
+	}
+	var out []grantDiff
+	for _, pid := range ls.data {
+		recs := notices[pid]
+		if slices.ContainsFunc(recs, func(i int) bool {
+			_, ok := delta[i].diffs[pid]
+			return !ok && (delta[i].creator != n.id || n.pages[pid].twinIvl != delta[i])
+		}) {
+			continue
+		}
+		for _, i := range recs {
+			d, c := delta[i].diffs[pid], sim.Time(0)
+			if delta[i].creator == n.id {
+				d, c = n.serveDiffLocked(pid, delta[i].seq)
+			}
+			cost += c
+			out = append(out, grantDiff{pid: pid, rec: i, data: d})
+		}
+	}
+	putGrantData(w, out)
+	return cost
+}
+
+// grantFreeTokenLocked grants a cached token nobody here holds, no earlier
+// than the release that freed it (a request may arrive before it).
+func (n *Node) grantFreeTokenLocked(ls *lockState, id, to int, tag uint32, reqVC VectorClock, at sim.Time) {
+	ls.haveToken = false
+	n.sendGrantLocked(ls, id, to, tag, reqVC, max(at, ls.localRelease))
 }
 
 // sendOrSelfLocked sends a reply-class message, short-circuiting
@@ -345,8 +453,7 @@ func (n *Node) handleAcqFwd(m *network.Message) {
 	n.chargeInterruptLocked()
 	ls := n.lockFor(id)
 	if ls.haveToken && !ls.held {
-		ls.haveToken = false
-		n.sendGrantLocked(id, requester, tag, reqVC, at)
+		n.grantFreeTokenLocked(ls, id, requester, tag, reqVC, at)
 		return
 	}
 	ls.pending = append(ls.pending, pendingReq{from: requester, tag: tag, vc: reqVC})

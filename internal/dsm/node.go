@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -406,6 +407,21 @@ func (n *Node) deltaForLocked(target VectorClock) []*interval {
 	return out
 }
 
+// retainDiffLocked keeps a foreign diff, when diffs has it, on the stored
+// interval record where a lock grant can forward it (putGrantDataLocked):
+// charged to the metadata gauge and freed with the record.
+func (n *Node) retainDiffLocked(ivl *interval, pid PageID, diffs map[diffKey][]byte) {
+	d, ok := diffs[diffKey{pid, ivl.creator, ivl.seq}]
+	if _, have := ivl.diffs[pid]; !ok || have || ivl.creator == n.id {
+		return
+	}
+	if ivl.diffs == nil {
+		ivl.diffs = map[PageID][]byte{}
+	}
+	ivl.diffs[pid] = bytes.Clone(d)
+	n.protoAddLocked(int64(len(d)))
+}
+
 // noteSentLocked records that node j has been sent everything up to our
 // current vector clock (used to bound future piggybacked deltas).
 //
@@ -472,6 +488,7 @@ func (c *Client) ensureWritableLocked(pg *page) {
 		}
 		// Read-only with a current copy: take the write fault.
 		n.stats.WriteFaults++
+		c.noteLockDataLocked(pg)
 		c.clk.Advance(n.sys.plat.FaultOverhead)
 		if pg.twinIvl != nil {
 			// The previous interval's diff must be encoded before the
@@ -530,7 +547,9 @@ type pagePlan struct {
 // planFaultLocked classifies one faulting page under n.mu and fetchMu;
 // ok is false when the page needs no fetch (resolved while the caller
 // waited for the fetch lock, or a never-written page filled with zeros).
-func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
+// keepDiffs — the faulting client holds a lock — fetches a held copy's
+// diffs, never a squash, so a grant can forward them.
+func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) {
 	if readableLocked(pg) {
 		return pl, false
 	}
@@ -555,7 +574,7 @@ func (n *Node) planFaultLocked(pg *page) (pl pagePlan, ok bool) {
 	// anyway, or when the chain is long enough that its diffs would cost
 	// more than a page.
 	const squashMin = 4
-	if len(pl.fetch) > 0 && (cold || len(pl.fetch) >= squashMin) {
+	if len(pl.fetch) > 0 && (cold || !keepDiffs && len(pl.fetch) >= squashMin) {
 		for _, m := range pl.fetch {
 			if m.creator != n.id && pg.seenVC != nil && pg.seenVC.dominatedBy(m.vc) {
 				if pg.twin != nil {
@@ -679,9 +698,10 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 	n.fetchMu.Lock()
 	defer n.fetchMu.Unlock()
 	n.mu.Lock()
+	c.noteLockDataLocked(pgs...)
 	plans := make([]pagePlan, 0, len(pgs))
 	for _, pg := range pgs {
-		if pl, ok := n.planFaultLocked(pg); ok {
+		if pl, ok := n.planFaultLocked(pg, len(c.held) > 0); ok {
 			plans = append(plans, pl)
 		}
 	}
@@ -697,7 +717,13 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 		c.clk.AdvanceTo(floor)
 		n.mu.Lock() // --- end network section ---
 		for i := range plans {
-			c.applyFaultLocked(&plans[i], diffs)
+			pl := &plans[i]
+			c.applyFaultLocked(pl, diffs)
+			for _, ivl := range pl.fetch {
+				if len(c.held) > 0 { // a grant of the lock may forward it
+					n.retainDiffLocked(ivl, pl.pg.id, diffs)
+				}
+			}
 		}
 		n.stats.FaultRounds++
 		n.stats.FaultPages += int64(len(plans))

@@ -219,6 +219,47 @@ func getJoinTail(r *rbuf) []byte {
 	return append([]byte(nil), r.need(r.remaining())...)
 }
 
+// grantDiff is one diff a lock grant carries behind its trailer: the page,
+// the trailer record (by index) whose notice it settles, and the diff.
+type grantDiff struct {
+	pid  PageID
+	rec  int
+	data []byte
+}
+
+// putGrantData writes uv(count), then per diff uv(pid), uv(record index)
+// and the length-prefixed diff — or, for none, nothing at all.
+func putGrantData(w *wbuf, diffs []grantDiff) {
+	if len(diffs) == 0 {
+		return
+	}
+	w.uv(uint64(len(diffs)))
+	for _, d := range diffs {
+		w.uv(uint64(d.pid))
+		w.uv(uint64(d.rec))
+		w.bytes(d.data)
+	}
+}
+
+// getGrantData decodes what putGrantData writes (nil for nothing),
+// validating the count, every page id against the heap's npages and every
+// record index against the trailer's nrecs before anything is allocated or
+// looked up. The diffs are views: grants are reply-class.
+func getGrantData(r *rbuf, nrecs, npages int) []grantDiff {
+	if r.done() {
+		return nil
+	}
+	out := make([]grantDiff, r.needCount(r.uvi(), 6)) // pid, record, 4-byte length
+	for i := range out {
+		pid, rec := r.uvi(), r.uvi()
+		if pid >= npages || rec >= nrecs {
+			panic(wireErrf("dsm: grant diff for page %d of record %d outside %d pages, %d records", pid, rec, npages, nrecs))
+		}
+		out[i] = grantDiff{pid: PageID(pid), rec: rec, data: r.view()}
+	}
+	return out
+}
+
 // fetchItem is one entry of a msgFetchReq/msgFetchRep pair: a whole page
 // (seq < 0) or the diff of the serving node's interval seq for the page.
 // data is the reply's content and stays nil in a request.

@@ -353,6 +353,102 @@ func TestWireFetchRejectsOversizeRequest(t *testing.T) {
 	}
 }
 
+// grantWithData encodes a lock grant carrying data: lock id, reply tag, the
+// trailer of recs, then one diff per record for page 3 and one for page 40.
+func grantWithData(recs []*interval) []byte {
+	var w wbuf
+	w.i32(5)
+	w.u32(9)
+	putTrailer(&w, VectorClock{3, 1, 4, 1, 5, 9}, recs)
+	var diffs []grantDiff
+	for i := range recs {
+		diffs = append(diffs, grantDiff{pid: 3, rec: i, data: []byte{0, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3, byte(i)}})
+	}
+	diffs = append(diffs, grantDiff{pid: 40, rec: len(recs) - 1})
+	putGrantData(&w, diffs)
+	return w.b
+}
+
+// decodeGrant decodes a grant the way takeGrant does, for a 64-page heap.
+func decodeGrant(b []byte) (VectorClock, []*interval, []grantDiff) {
+	r := rbuf{b: b}
+	r.i32()
+	r.u32()
+	vc, recs := getTrailer(&r)
+	return vc, recs, getGrantData(&r, len(recs), 64)
+}
+
+// TestWireGrantData: a grant's diffs come back whole behind its trailer,
+// and a grant without any is its trailer to the byte.
+func TestWireGrantData(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(29)), 6, 3)
+	_, gotRecs, diffs := decodeGrant(grantWithData(recs))
+	if len(diffs) != len(recs)+1 || len(gotRecs) != len(recs) {
+		t.Fatalf("decoded %d diffs over %d records, want %d over %d", len(diffs), len(gotRecs), len(recs)+1, len(recs))
+	}
+	for i, d := range diffs[:len(recs)] {
+		if d.pid != 3 || d.rec != i || !bytes.Equal(d.data, []byte{0, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3, byte(i)}) {
+			t.Errorf("diff %d decoded as %+v", i, d)
+		}
+	}
+	if last := diffs[len(recs)]; last.pid != 40 || last.rec != len(recs)-1 || len(last.data) != 0 {
+		t.Errorf("empty diff decoded as %+v", last)
+	}
+	var bare, none wbuf
+	putTrailer(&bare, VectorClock{1, 2}, recs)
+	putTrailer(&none, VectorClock{1, 2}, recs)
+	putGrantData(&none, nil)
+	if !bytes.Equal(bare.b, none.b) {
+		t.Error("a grant without data differs from its bare trailer")
+	}
+	r := rbuf{b: none.b}
+	getTrailer(&r)
+	if getGrantData(&r, len(recs), 64) != nil {
+		t.Error("a bare trailer decoded grant data")
+	}
+}
+
+// TestWireTruncatedGrant: every strict prefix of a grant with data dies in
+// the bounded wireError path — except the cut right behind the trailer,
+// which IS a grant without data — and a page id outside the heap or a
+// record index outside the trailer is rejected before anything is looked
+// up.
+func TestWireTruncatedGrant(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(31)), 6, 3)
+	full := grantWithData(recs)
+	var head wbuf
+	head.i32(5)
+	head.u32(9)
+	putTrailer(&head, VectorClock{3, 1, 4, 1, 5, 9}, recs)
+	for cut := 0; cut < len(full); cut++ {
+		panicked := false
+		var data []grantDiff
+		func() {
+			defer func() {
+				switch e := recover().(type) {
+				case wireError:
+					panicked = true
+				case nil:
+				default:
+					t.Fatalf("cut=%d: non-wireError panic: %v", cut, e)
+				}
+			}()
+			_, _, data = decodeGrant(full[:cut])
+		}()
+		if !panicked && (cut != len(head.b) || data != nil) {
+			t.Fatalf("truncation at %d of %d decoded silently", cut, len(full))
+		}
+	}
+	for _, bad := range []grantDiff{{pid: 64}, {pid: 1, rec: len(recs)}} {
+		w := wbuf{b: append([]byte(nil), head.b...)}
+		putGrantData(&w, []grantDiff{bad})
+		wantWireError(t, "grant diff out of range", func() {
+			decodeGrant(w.b)
+			t.Errorf("grant diff %+v decoded", bad)
+		})
+	}
+}
+
 // ---------------------------------------------------------------------
 // Frame envelope.
 // ---------------------------------------------------------------------
@@ -546,7 +642,7 @@ func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
 // ---------------------------------------------------------------------
 
 // FuzzWireDecode feeds arbitrary bytes to every wire decoder (the join's
-// trailer-then-tail among them). The
+// trailer-then-tail and the lock grant's trailer-then-data among them). The
 // contract under test: decoding never panics except via the typed
 // wireError (the bounded short-message path) — any index fault or
 // count-sized allocation blowup is a missing validation.
@@ -576,6 +672,7 @@ func FuzzWireDecode(f *testing.F) {
 	var jw wbuf
 	putJoin(&jw, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(jw.b)
+	f.Add(grantWithData(recs))
 
 	decoders := []func(b []byte){
 		func(b []byte) {
@@ -591,6 +688,7 @@ func FuzzWireDecode(f *testing.F) {
 			getTrailer(&r)
 			getJoinTail(&r)
 		},
+		func(b []byte) { decodeGrant(b) },
 		func(b []byte) {
 			r := rbuf{b: b}
 			decodeFetch(&r, false)
