@@ -22,13 +22,17 @@ fmt-check:
 # Configuration travels in Config values: a process-wide Set…Default
 # setter in the protocol library or the runtime fails the lint. Pages and
 # diffs cross the wire one way (msgFetchReq/msgFetchRep): a message
-# constant of the retired page-at-a-time protocol fails it too.
+# constant of the retired page-at-a-time protocol fails it too. A run's
+# accounting is defined once, as dsm.Report: a per-layer copy of it under
+# one of the retired names fails it as well.
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
 		echo "lint: package-level Set*Default setter (use dsm.Config / core.Config fields)"; exit 1; fi
 	@if grep -nE '^[[:space:]]*(const[[:space:]]+)?msg(Page|Diff)(Req|Rep)\b' internal/dsm/*.go; then \
 		echo "lint: page-at-a-time message type (pages and diffs travel in msgFetchReq/msgFetchRep only)"; exit 1; fi
+	@if grep -rnE --include='*.go' '\b(DSMResult|RuntimeResult|ProtoSummary|TrafficBreakdown)\b' internal; then \
+		echo "lint: a second accounting surface (a run's accounting is dsm.Report, read through Report())"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -86,7 +90,7 @@ hybrid-race:
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestSpanEquivalentToPageAtATime/.*/.*/minretire1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
 	$(GO) test -race -run 'TestLockGrantOracle' ./internal/apps/qsort ./internal/apps/tsp
 	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 

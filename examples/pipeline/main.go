@@ -62,8 +62,7 @@ func runFlush() (t interface{ Seconds() float64 }, msgs int64) {
 	if err := prog.Run(func(m *core.MC) { m.Parallel("flush-pipe", core.NoArgs()) }); err != nil {
 		log.Fatal(err)
 	}
-	m, _ := prog.Traffic()
-	return prog.Elapsed(), m
+	return prog.Elapsed(), prog.Report().Messages
 }
 
 func runSema() (t interface{ Seconds() float64 }, msgs int64) {
@@ -92,6 +91,5 @@ func runSema() (t interface{ Seconds() float64 }, msgs int64) {
 	if err := prog.Run(func(m *core.MC) { m.Parallel("sema-pipe", core.NoArgs()) }); err != nil {
 		log.Fatal(err)
 	}
-	m, _ := prog.Traffic()
-	return prog.Elapsed(), m
+	return prog.Elapsed(), prog.Report().Messages
 }

@@ -64,8 +64,8 @@ func dot(backend core.BackendKind) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	msgs, bytes := prog.Traffic()
-	fmt.Printf("[%s] protocol cost = %d messages, %d bytes\n", backend, msgs, bytes)
+	r := prog.Report()
+	fmt.Printf("[%s] protocol cost = %d messages, %d bytes\n", backend, r.Messages, r.Bytes)
 }
 
 func main() {

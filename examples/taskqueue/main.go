@@ -100,6 +100,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	msgs, _ := prog.Traffic()
-	fmt.Printf("messages: %d — no busy-waiting, every idle thread slept on the condition variable\n", msgs)
+	fmt.Printf("messages: %d — no busy-waiting, every idle thread slept on the condition variable\n", prog.Report().Messages)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/dsm"
 	"repro/internal/mpi"
 )
 
@@ -70,5 +71,5 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		return apps.Result{}, err
 	}
 	msgs, bytes := world.Switch().Stats().Snapshot()
-	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Messages: msgs, Bytes: bytes}, nil
+	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Report: dsm.Report{Messages: msgs, Bytes: bytes}}, nil
 }

@@ -86,5 +86,5 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	if err != nil {
 		return apps.Result{}, err
 	}
-	return apps.RuntimeResult(checksum, prog), nil
+	return apps.Result{Checksum: checksum, Time: prog.Elapsed(), Report: prog.Report()}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/mpi"
 )
 
@@ -83,7 +84,7 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		return apps.Result{}, errNotSorted
 	}
 	msgs, bytes := world.Switch().Stats().Snapshot()
-	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Messages: msgs, Bytes: bytes}, nil
+	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Report: dsm.Report{Messages: msgs, Bytes: bytes}}, nil
 }
 
 // sortSlice is sortRange over a whole slice.

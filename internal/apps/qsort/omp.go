@@ -50,7 +50,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	if !sorted {
 		return apps.Result{}, errNotSorted
 	}
-	return apps.RuntimeResult(checksum, prog), nil
+	return apps.Result{Checksum: checksum, Time: prog.Elapsed(), Report: prog.Report()}, nil
 }
 
 var errNotSorted = qsortError("qsort: output not sorted")

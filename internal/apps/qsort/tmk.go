@@ -42,6 +42,5 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 	if !sorted {
 		return apps.Result{}, errNotSorted
 	}
-	msgs, bytes := sys.Switch().Stats().Snapshot()
-	return apps.DSMResult(checksum, sys.MaxClock(), msgs, bytes, sys), nil
+	return apps.Result{Checksum: checksum, Time: sys.MaxClock(), Report: sys.Report()}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/mpi"
 )
 
@@ -61,5 +62,5 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		return apps.Result{}, err
 	}
 	msgs, bytes := world.Switch().Stats().Snapshot()
-	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Messages: msgs, Bytes: bytes}, nil
+	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Report: dsm.Report{Messages: msgs, Bytes: bytes}}, nil
 }

@@ -86,6 +86,5 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 	if err != nil {
 		return apps.Result{}, err
 	}
-	msgs, bytes := sys.Switch().Stats().Snapshot()
-	return apps.DSMResult(checksum, sys.MaxClock(), msgs, bytes, sys), nil
+	return apps.Result{Checksum: checksum, Time: sys.MaxClock(), Report: sys.Report()}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/mpi"
 )
 
@@ -48,7 +49,7 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		return apps.Result{}, err
 	}
 	msgs, bytes := world.Switch().Stats().Snapshot()
-	return apps.Result{Checksum: best, Time: world.MaxClock(), Messages: msgs, Bytes: bytes}, nil
+	return apps.Result{Checksum: best, Time: world.MaxClock(), Report: dsm.Report{Messages: msgs, Bytes: bytes}}, nil
 }
 
 // encodeTour/decodeTour move tours across rank boundaries.

@@ -42,5 +42,5 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	if err != nil {
 		return apps.Result{}, err
 	}
-	return apps.RuntimeResult(best, prog), nil
+	return apps.Result{Checksum: best, Time: prog.Elapsed(), Report: prog.Report()}, nil
 }

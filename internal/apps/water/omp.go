@@ -133,5 +133,5 @@ func RunOMPDump(p Params, procs int, cfg core.Config, dump *[]float64) (apps.Res
 	if err != nil {
 		return apps.Result{}, err
 	}
-	return apps.RuntimeResult(checksum, prog), nil
+	return apps.Result{Checksum: checksum, Time: prog.Elapsed(), Report: prog.Report()}, nil
 }

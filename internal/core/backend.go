@@ -184,32 +184,16 @@ type Backend interface {
 	Run(master func(w Worker)) error
 	// MaxClock returns the latest virtual time across the team.
 	MaxClock() sim.Time
-	// Traffic returns interconnect messages and bytes so far (zero on
-	// hardware shared memory).
-	Traffic() (messages, bytes int64)
-	// TrafficBreakdown splits Traffic into page service, synchronization,
-	// and GC consensus (all zero on hardware shared memory).
-	TrafficBreakdown() dsm.TrafficBreakdown
-	// Frames returns the datagram count so far: Traffic's message count
-	// stays logical under frame coalescing, Frames counts what crossed
-	// the wire (zero on hardware shared memory).
-	Frames() int64
-	// ResetTraffic zeroes the traffic counters.
-	ResetTraffic()
-	// ProtoSummary reports consistency-protocol metadata accounting
-	// (all zero on backends that keep none).
-	ProtoSummary() (retired, peakChain, peakBytes int64)
-	// GCSummary reports metadata-GC accounting: barrier/fork episodes
-	// examined, collections run per epoch source (episode and acquire),
-	// and validate-vs-flush purge outcomes (zero on backends without a
-	// collector).
-	GCSummary() dsm.GCStats
+	// Report returns the run's accounting so far: traffic, its cost
+	// categories, the time ledger, and the collector's and metadata's
+	// counters (the zero value on hardware shared memory).
+	Report() dsm.Report
 	// Close releases every resource the backend holds — DSM nodes, island
 	// delegates, network endpoints, protocol servers, and reply routers —
 	// and waits for their goroutines to exit. It is idempotent, must be
 	// called once the backend is quiescent (after Run has returned, or on
 	// a backend that was never Run), and returns the run's first error.
-	// Statistics (Traffic, ProtoSummary, ...) remain readable after Close.
+	// The Report remains readable after Close.
 	Close() error
 }
 

@@ -30,23 +30,7 @@ func (b *dsmBackend) Run(master func(w Worker)) error {
 
 func (b *dsmBackend) MaxClock() sim.Time { return b.sys.MaxClock() }
 
-func (b *dsmBackend) Traffic() (int64, int64) {
-	return b.sys.Switch().Stats().Snapshot()
-}
-
-func (b *dsmBackend) TrafficBreakdown() dsm.TrafficBreakdown {
-	return b.sys.TrafficBreakdown()
-}
-
-func (b *dsmBackend) Frames() int64 { return b.sys.Frames() }
-
-func (b *dsmBackend) ResetTraffic() { b.sys.Switch().ResetStats() }
-
-func (b *dsmBackend) ProtoSummary() (int64, int64, int64) {
-	return b.sys.ProtoSummary()
-}
-
-func (b *dsmBackend) GCSummary() dsm.GCStats { return b.sys.GCSummary() }
+func (b *dsmBackend) Report() dsm.Report { return b.sys.Report() }
 
 // Close shuts the DSM system down: without it, the P protocol servers
 // (and, multi-client, P reply routers) started at construction outlive

@@ -282,23 +282,7 @@ func (b *hybridBackend) MaxClock() sim.Time {
 	return m
 }
 
-func (b *hybridBackend) Traffic() (int64, int64) {
-	return b.sys.Switch().Stats().Snapshot()
-}
-
-func (b *hybridBackend) TrafficBreakdown() dsm.TrafficBreakdown {
-	return b.sys.TrafficBreakdown()
-}
-
-func (b *hybridBackend) Frames() int64 { return b.sys.Frames() }
-
-func (b *hybridBackend) ResetTraffic() { b.sys.Switch().ResetStats() }
-
-func (b *hybridBackend) ProtoSummary() (int64, int64, int64) {
-	return b.sys.ProtoSummary()
-}
-
-func (b *hybridBackend) GCSummary() dsm.GCStats { return b.sys.GCSummary() }
+func (b *hybridBackend) Report() dsm.Report { return b.sys.Report() }
 
 // Close shuts the island DSM down and waits for any worker goroutines.
 // The workers only exist inside Run (which already reaps them), but the

@@ -15,8 +15,8 @@ import (
 // memory: one flat byte heap shared by a team of goroutines, with native
 // Go synchronization primitives standing in for the bus-based hardware
 // ones. This is the machine OpenMP was designed for and the paper's
-// implicit baseline: no pages, no diffs, no interconnect — Traffic() is
-// identically zero — while compute still charges the same sim.Platform
+// implicit baseline: no pages, no diffs, no interconnect — Report() is
+// the zero value — while compute still charges the same sim.Platform
 // virtual clocks, so NOW and SMP runs of one application are directly
 // comparable in the speedup tables.
 //
@@ -269,16 +269,9 @@ func (b *smpBackend) MaxClock() sim.Time {
 	return m
 }
 
-// Traffic is identically zero: hardware shared memory has no interconnect
-// messages in this cost model.
-func (b *smpBackend) Traffic() (int64, int64) { return 0, 0 }
-func (b *smpBackend) TrafficBreakdown() dsm.TrafficBreakdown {
-	return dsm.TrafficBreakdown{}
-}
-func (b *smpBackend) Frames() int64                       { return 0 }
-func (b *smpBackend) ResetTraffic()                       {}
-func (b *smpBackend) ProtoSummary() (int64, int64, int64) { return 0, 0, 0 }
-func (b *smpBackend) GCSummary() dsm.GCStats              { return dsm.GCStats{} }
+// Report is the zero value: hardware shared memory has no interconnect
+// messages and keeps no LRC metadata in this cost model.
+func (b *smpBackend) Report() dsm.Report { return dsm.Report{} }
 
 // Close marks the backend shut down. The worker goroutines live only
 // inside Run (which reaps them before returning), so there is nothing to

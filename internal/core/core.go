@@ -159,35 +159,10 @@ func (p *Program) Run(master func(m *MC)) error {
 // across the team after Run completes.
 func (p *Program) Elapsed() sim.Time { return p.be.MaxClock() }
 
-// Traffic returns total interconnect messages and bytes so far (zero on
-// the SMP backend).
-func (p *Program) Traffic() (messages, bytes int64) { return p.be.Traffic() }
-
-// TrafficBreakdown splits the traffic so far into page service,
-// synchronization, and GC consensus — the categories the scaling tables
-// attribute a wall to (all zero on hardware shared memory).
-func (p *Program) TrafficBreakdown() dsm.TrafficBreakdown { return p.be.TrafficBreakdown() }
-
-// Frames returns the datagram count so far: with frame coalescing,
-// Traffic's message count stays logical (per sub-message) while Frames
-// counts what actually crossed the wire (zero on hardware shared memory).
-func (p *Program) Frames() int64 { return p.be.Frames() }
-
-// ResetTraffic zeroes the traffic counters (to measure one phase).
-func (p *Program) ResetTraffic() { p.be.ResetTraffic() }
-
-// ProtoSummary reports the backend's protocol-metadata footprint after
-// Run: retired interval records, peak retained interval-chain length, and
-// peak metadata bytes on any node (all zero on backends that keep no
-// consistency metadata).
-func (p *Program) ProtoSummary() (retired, peakChain, peakBytes int64) {
-	return p.be.ProtoSummary()
-}
-
-// GCSummary reports metadata-GC accounting: synchronization episodes
-// examined, collections run per epoch source, and the validate-vs-flush
-// purge outcomes (all zero on the SMP backend).
-func (p *Program) GCSummary() dsm.GCStats { return p.be.GCSummary() }
+// Report returns the run's accounting so far (see dsm.Report; the zero
+// value on the SMP backend). A phase's cost is the difference of two
+// Reports taken around it.
+func (p *Program) Report() dsm.Report { return p.be.Report() }
 
 // Close releases the backend's resources (see Backend.Close): protocol
 // servers and reply routers on the DSM-backed backends, which otherwise

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/dsm"
 )
 
 // backends lists every execution substrate; the runtime tests below run
@@ -329,9 +331,48 @@ func TestElapsedAndTraffic(t *testing.T) {
 	if p.Elapsed() <= 0 {
 		t.Error("Elapsed() = 0 after a run with work")
 	}
-	msgs, bytes := p.Traffic()
-	if msgs == 0 || bytes == 0 {
-		t.Errorf("no traffic recorded: msgs=%d bytes=%d", msgs, bytes)
+	if r := p.Report(); r.Messages == 0 || r.Bytes == 0 {
+		t.Errorf("no traffic recorded: msgs=%d bytes=%d", r.Messages, r.Bytes)
+	}
+}
+
+// TestReportTrafficSums checks the run report of the DSM-backed backends
+// on a program that pages and locks across the interconnect: the page,
+// sync and GC pairs sum to the totals, page service and synchronization
+// both show up, coalescing never reports more datagrams than messages, and
+// the fault ledger saw the rounds.
+func TestReportTrafficSums(t *testing.T) {
+	for _, bk := range []BackendKind{BackendNOW, HybridIslands(2)} {
+		t.Run(string(bk), func(t *testing.T) {
+			const procs = 4
+			p := NewProgram(Config{Threads: procs, Backend: bk})
+			defer p.Close()
+			a := p.SharedPage(procs * PageSize)
+			p.RegisterRegion("rw", func(tc *TC) {
+				me := tc.ThreadNum()
+				tc.WriteI64(a+Addr(me*PageSize), int64(me+1))
+				tc.Barrier()
+				nxt := (me + 1) % procs
+				v := tc.ReadI64(a + Addr(nxt*PageSize))
+				tc.Critical("sum", func() { tc.WriteI64(a, tc.ReadI64(a)+v) })
+			})
+			if err := p.Run(func(m *MC) { m.Parallel("rw", NoArgs()) }); err != nil {
+				t.Fatal(err)
+			}
+			r := p.Report()
+			if m, b := r.PageMsgs+r.SyncMsgs+r.GCMsgs, r.PageBytes+r.SyncBytes+r.GCBytes; m != r.Messages || b != r.Bytes {
+				t.Errorf("categories sum to %d msgs / %d B, totals %d / %d", m, b, r.Messages, r.Bytes)
+			}
+			if r.PageMsgs == 0 || r.SyncMsgs == 0 {
+				t.Errorf("want page and sync traffic, got %+v", r)
+			}
+			if r.Frames <= 0 || r.Frames > r.Messages {
+				t.Errorf("%d frames for %d messages", r.Frames, r.Messages)
+			}
+			if r.FaultRounds == 0 || r.FaultWait <= 0 {
+				t.Errorf("fault ledger empty: %d rounds, %v", r.FaultRounds, r.FaultWait)
+			}
+		})
 	}
 }
 
@@ -354,11 +395,8 @@ func TestSMPZeroTraffic(t *testing.T) {
 	if p.Elapsed() <= 0 {
 		t.Error("Elapsed() = 0 after a run with work")
 	}
-	if msgs, bytes := p.Traffic(); msgs != 0 || bytes != 0 {
-		t.Errorf("SMP backend reported traffic: msgs=%d bytes=%d", msgs, bytes)
-	}
-	if r, c, b := p.ProtoSummary(); r != 0 || c != 0 || b != 0 {
-		t.Errorf("SMP backend reported protocol metadata: %d %d %d", r, c, b)
+	if r := p.Report(); r != (dsm.Report{}) {
+		t.Errorf("SMP backend reported traffic or protocol metadata: %+v", r)
 	}
 }
 

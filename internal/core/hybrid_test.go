@@ -69,8 +69,8 @@ var hybridPrograms = []hybridProgram{
 			}); err != nil {
 				t.Fatal(err)
 			}
-			msgs, bytes := p.Traffic()
-			return p.Elapsed(), msgs, bytes, int64(total)
+			r := p.Report()
+			return p.Elapsed(), r.Messages, r.Bytes, int64(total)
 		},
 	},
 	{
@@ -123,8 +123,8 @@ var hybridPrograms = []hybridProgram{
 			}); err != nil {
 				t.Fatal(err)
 			}
-			msgs, bytes := p.Traffic()
-			return p.Elapsed(), msgs, bytes, total
+			r := p.Report()
+			return p.Elapsed(), r.Messages, r.Bytes, total
 		},
 	},
 	{
@@ -155,8 +155,8 @@ var hybridPrograms = []hybridProgram{
 			}); err != nil {
 				t.Fatal(err)
 			}
-			msgs, bytes := p.Traffic()
-			return p.Elapsed(), msgs, bytes, int64(total)
+			r := p.Report()
+			return p.Elapsed(), r.Messages, r.Bytes, int64(total)
 		},
 	},
 }
@@ -188,9 +188,10 @@ func TestHybridIslandsOneMatchesSMP(t *testing.T) {
 	}
 }
 
-// TestHybridIslandsOneZeroMetadata extends the pin to protocol metadata
-// and GC accounting: with one island there is no LRC protocol to account
-// for.
+// TestHybridIslandsOneZeroMetadata extends the pin to the whole run
+// report — protocol metadata, GC accounting and the time ledger: with one
+// island there is no LRC protocol to account for, so a lock-free program
+// reports what the SMP backend does, the zero value.
 func TestHybridIslandsOneZeroMetadata(t *testing.T) {
 	p := NewProgram(Config{Threads: 4, Backend: BackendHybrid, Islands: 1})
 	a := p.SharedPage(8 * 1024)
@@ -203,11 +204,8 @@ func TestHybridIslandsOneZeroMetadata(t *testing.T) {
 	if err := p.Run(func(m *MC) { m.ParallelDo("w", 0, 1024, NoArgs()) }); err != nil {
 		t.Fatal(err)
 	}
-	if r, c, b := p.ProtoSummary(); r != 0 || c != 0 || b != 0 {
-		t.Errorf("islands=1 reported protocol metadata: %d %d %d", r, c, b)
-	}
-	if g := p.GCSummary(); g != (dsm.GCStats{}) {
-		t.Errorf("islands=1 reported GC activity: %+v", g)
+	if r := p.Report(); r != (dsm.Report{}) {
+		t.Errorf("islands=1 reported protocol activity: %+v", r)
 	}
 }
 
@@ -242,7 +240,8 @@ func TestHybridIslandsProcsMatchesNOW(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return p.Traffic()
+		r := p.Report()
+		return r.Messages, r.Bytes
 	}
 	for _, procs := range []int{2, 4, 8} {
 		nowMsgs, nowBytes := paging(BackendNOW, procs)

@@ -162,22 +162,26 @@ func TestReductionCostsAJoin(t *testing.T) {
 				}
 				return counts
 			}
-			var types []int64
+			types := make([]int64, network.MaxType)
 			if err := p.Run(func(m *MC) {
 				m.Parallel("empty", NoArgs()) // every slave parked, clocks behind the master
-				p.ResetTraffic()
+				r0 := p.Report()
 				t0 := m.Now()
 				m.Parallel("empty", NoArgs())
 				empty = m.Now() - t0
-				_, emptyBytes = p.Traffic()
-				p.ResetTraffic()
+				r1 := p.Report()
+				emptyBytes = r1.Bytes - r0.Bytes
+				before := perType()
 				t1 := m.Now()
 				sum.Reset(&m.TC)
 				m.Parallel("total", NoArgs())
 				value = sum.Value(&m.TC)
 				reduce = m.Now() - t1
-				reduceMsgs, reduceBytes = p.Traffic()
-				types = perType()
+				r2 := p.Report()
+				reduceMsgs, reduceBytes = r2.Messages-r1.Messages, r2.Bytes-r1.Bytes
+				for typ, n := range perType() {
+					types[typ] = n - before[typ]
+				}
 			}); err != nil {
 				t.Fatal(err)
 			}

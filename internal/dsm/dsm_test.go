@@ -2,6 +2,8 @@ package dsm
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -568,5 +570,58 @@ func TestStatsAccounting(t *testing.T) {
 	tot := sys.TotalStats()
 	if tot.Barriers != P {
 		t.Errorf("total barriers = %d, want %d", tot.Barriers, P)
+	}
+}
+
+// TestTotalStatsCoversEveryCounter sets every NodeStats counter on every
+// node to a distinct value and checks that TotalStats sums each one and
+// takes the per-node maximum of the Peak* fields. Every leaf field must be
+// of int64 kind: that is the kind TotalStats folds, so a counter of any
+// other kind would silently drop out of the total.
+func TestTotalStatsCoversEveryCounter(t *testing.T) {
+	const procs = 3
+	sys := New(Config{Procs: procs})
+	defer sys.Shutdown()
+	var leaves []reflect.StructField
+	peaks := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(NodeStats{})) {
+		if f.Anonymous {
+			continue // Ledger: its fields are visible on their own
+		}
+		if f.Type.Kind() != reflect.Int64 {
+			t.Fatalf("NodeStats.%s is a %s, not an int64-kind counter", f.Name, f.Type)
+		}
+		if strings.HasPrefix(f.Name, "Peak") {
+			peaks++
+		}
+		leaves = append(leaves, f)
+	}
+	if ledger := reflect.TypeOf(Ledger{}).NumField(); peaks != 2 || len(leaves) < 14+ledger {
+		t.Fatalf("found %d counters, %d of them peaks: the ledger's %d fields or the peaks are missing", len(leaves), peaks, ledger)
+	}
+	// Distinct on every node and field; which node holds a field's maximum
+	// rotates with the field, so neither the first nor the last node wins.
+	val := func(node, k int) int64 { return int64(k+1)*1000 + int64((node+k)%procs+1)*10 + int64(node) }
+	for i, n := range sys.nodes {
+		n.mu.Lock()
+		v := reflect.ValueOf(&n.stats).Elem()
+		for k, f := range leaves {
+			v.FieldByIndex(f.Index).SetInt(val(i, k))
+		}
+		n.mu.Unlock()
+	}
+	got := reflect.ValueOf(sys.TotalStats())
+	for k, f := range leaves {
+		var want int64
+		for i := 0; i < procs; i++ {
+			if strings.HasPrefix(f.Name, "Peak") {
+				want = max(want, val(i, k))
+			} else {
+				want += val(i, k)
+			}
+		}
+		if g := got.FieldByIndex(f.Index).Int(); g != want {
+			t.Errorf("TotalStats().%s = %d, want %d", f.Name, g, want)
+		}
 	}
 }

@@ -82,7 +82,7 @@ func TestGCWaveThroughFetch(t *testing.T) {
 	if !slices.Equal(served, []int64{0, 2, 1}) {
 		t.Errorf("fetch requests served per node %v, want [0 2 1]", served)
 	}
-	b := sys.TrafficBreakdown()
+	b := sys.Report()
 	if b.PageMsgs != 6 {
 		t.Errorf("page traffic is %d messages, want three requests and three replies", b.PageMsgs)
 	}

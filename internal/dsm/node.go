@@ -36,7 +36,7 @@ type Node struct {
 
 	mu        sync.Mutex
 	vc        VectorClock
-	intervals [][]*interval // [creator], gap-free, intervals[c][i].seq == intervalBase[c]+i
+	intervals [][]*interval // [creator], gap-free, intervals[c][i].seq == ivlBase[c]+i
 	ivlBase   []int         // [creator] seq of the oldest retained interval (see gc.go)
 	gcFreeVC  VectorClock   // floor of the last collection epoch; freed at the next one (gc.go)
 	gcPurgeVC VectorClock   // merged floor of every collection this node has begun (its claim)
@@ -73,24 +73,11 @@ type Node struct {
 	stats NodeStats
 }
 
-// NodeStats counts protocol events on one node; the harness aggregates
-// them for EXPERIMENTS.md and the Table 2 reproduction.
-type NodeStats struct {
-	ReadFaults   int64
-	WriteFaults  int64
-	ZeroFills    int64 // faults on never-written pages, resolved from local zeros: no message
-	PageFetches  int64
-	DiffsCreated int64
-	DiffsApplied int64
-	DiffBytes    int64
-	LockAcquires int64
-	LockLocal    int64 // acquires satisfied without messages
-	Barriers     int64
-	SemaOps      int64
-	CondOps      int64
-	Flushes      int64
-	Interrupts   int64
-
+// Ledger is the virtual-time ledger: where application threads' time
+// went, slice by slice, with each slice's counts beside it. NodeStats
+// embeds it per node and Report summed over nodes, so a new slice is one
+// field here plus its increments.
+type Ledger struct {
 	// Fault rounds (faultRoundLocked): FaultWait is the virtual time application
 	// threads spent inside them — the client clock READ at entry and exit,
 	// never advanced for the measurement — FaultRounds the rounds that went
@@ -107,6 +94,36 @@ type NodeStats struct {
 	LockFaultWait   sim.Time
 	LockFaultRounds int64
 
+	// The collector's validation wave (gcPurgePagesLocked): the virtual time
+	// threads spent in it, read off the client clock like FaultWait, and the
+	// wave's fetch-exchange traffic — a sub-split of what Report books as
+	// page service, not a fourth category.
+	GCWait                  sim.Time
+	GCWaveMsgs, GCWaveBytes int64
+}
+
+// NodeStats counts protocol events on one node. System.TotalStats sums
+// them, and System.Report carries the run's share of them to apps.Result
+// and the harness tables (Table 2, README "Protocol-metadata garbage
+// collection").
+type NodeStats struct {
+	ReadFaults   int64
+	WriteFaults  int64
+	ZeroFills    int64 // faults on never-written pages, resolved from local zeros: no message
+	PageFetches  int64
+	DiffsCreated int64
+	DiffsApplied int64
+	DiffBytes    int64
+	LockAcquires int64
+	LockLocal    int64 // acquires satisfied without messages
+	Barriers     int64
+	SemaOps      int64
+	CondOps      int64
+	Flushes      int64
+	Interrupts   int64
+
+	Ledger
+
 	// Garbage collection counters (see gc.go and acqgc.go).
 	GCEpisodes       int64 // global sync episodes examined by the collector
 	GCEpochs         int64 // episode-announced floors processed here
@@ -119,14 +136,7 @@ type NodeStats struct {
 	TwinsCollected   int64 // twins released without ever encoding their diff
 	GCPagesValidated int64 // stale copies brought current during GC
 	GCPagesFlushed   int64 // stale copies discarded during GC
-
-	// The purge (gcPurgePagesLocked): its passes over the work
-	// list; the virtual time threads spent in its validation wave, read off
-	// the client clock like FaultWait; and the wave's fetch-exchange traffic
-	// — a sub-split of what TrafficBreakdown books as page service.
-	GCPurges                int64
-	GCWait                  sim.Time
-	GCWaveMsgs, GCWaveBytes int64
+	GCPurges         int64 // the purge's passes over the work list (gcPurgePagesLocked)
 
 	// Protocol-metadata footprint: interval records + encoded diffs +
 	// twins retained on this node. ProtoBytes is the current gauge;

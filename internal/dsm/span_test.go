@@ -308,7 +308,7 @@ func TestSpanTrafficAttribution(t *testing.T) {
 	// Node 1 homes pages 8-15 itself; pages 0-7 come from node 0.
 	req, rep := fetchWireLen(pageRange(0, HomeBlockPages)...)
 	hdr := sys.Platform().UDP.HeaderBytes
-	b := sys.TrafficBreakdown()
+	b := sys.Report()
 	if b.PageMsgs != 2 || b.PageBytes != int64(req+rep+2*hdr) {
 		t.Errorf("page traffic = %d msgs / %d bytes, want 2 / %d", b.PageMsgs, b.PageBytes, req+rep+2*hdr)
 	}
@@ -522,8 +522,8 @@ func TestSpanEquivalentToPageAtATime(t *testing.T) {
 				}
 			}
 			// Collecting at every episode that retires anything
-			// (GCPressure 1, subtest minretire1) puts flushed copies into
-			// the rounds; the default trigger (minretire0: never reached in
+			// (GCPressure 1, subtest pressure1) puts flushed copies into
+			// the rounds; the default trigger (pressure0: never reached in
 			// 14 phases) leaves every notice to the fault path. At pressure
 			// 1 the locked phases arm the consensus trigger as well, so
 			// both triggers collect in one program — the mix in which
@@ -533,7 +533,7 @@ func TestSpanEquivalentToPageAtATime(t *testing.T) {
 			for _, pressure := range []int{1, 0} {
 				cfg := tt.cfg
 				cfg.GCPressure = pressure
-				t.Run(fmt.Sprintf("minretire%d", pressure), func(t *testing.T) {
+				t.Run(fmt.Sprintf("pressure%d", pressure), func(t *testing.T) {
 					span, st := runSpanProgram(t, cfg, pages, prog, false)
 					paged, pst := runSpanProgram(t, cfg, pages, prog, true)
 					if !bytes.Equal(span, want) {

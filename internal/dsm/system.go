@@ -2,6 +2,8 @@ package dsm
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 
 	"repro/internal/network"
@@ -224,69 +226,74 @@ func (s *System) Platform() *sim.Platform { return s.plat }
 // Switch exposes the interconnect (for statistics).
 func (s *System) Switch() *network.Switch { return s.sw }
 
-// TrafficBreakdown splits one run's interconnect traffic into the three
-// protocol cost categories the scaling study attributes walls to: page
-// service (whole-page fetches from homes plus diff requests to interval
-// creators), synchronization fan-in (locks, barriers, semaphores,
-// condition variables, fork/join, and the flush ablation), and the GC
-// consensus floor (acqgc.go's pushes to quiet nodes).
-type TrafficBreakdown struct {
+// Report is one run's accounting: the raw material of Table 2, the
+// -scaling ledger columns and the GC tables. It is the zero value on a
+// backend with no interconnect and no LRC metadata.
+type Report struct {
+	// Messages and Bytes count interconnect traffic during the run.
+	// Frames counts the datagrams that actually crossed the wire: with
+	// frame coalescing several logical messages share one datagram, so
+	// Messages − Frames is the number of per-message network headers the
+	// coalescing saved.
+	Messages, Bytes, Frames int64
+	// Traffic split by protocol cost category: page service (the fetch
+	// exchange of pages and diffs), synchronization (locks, barriers,
+	// semaphores, condition variables, fork/join, flush) and GC consensus
+	// (acqgc.go's pushes and floor announcements). Synchronization is the
+	// residue, so the three pairs sum to Messages/Bytes even if a message
+	// type is added without updating the category lists in System.Report;
+	// the scaling-wall table uses them to name the binding cost.
 	PageMsgs, PageBytes int64
 	SyncMsgs, SyncBytes int64
 	GCMsgs, GCBytes     int64
-
-	// The fault-wait slice of the time ledger, summed over nodes (see
-	// NodeStats): a time share to read beside the byte shares above.
-	FaultWait               sim.Time
-	FaultRounds, FaultPages int64
-	LockWait                sim.Time // the lock-wait slice likewise
-	LockFaultWait           sim.Time // the part of FaultWait spent holding a lock
-	LockFaultRounds         int64    // and of FaultRounds
-
-	// The collector's validation wave, likewise: its time, and its traffic
-	// — a sub-split of PageMsgs/PageBytes, not a fourth category.
-	GCWait                  sim.Time
-	GCWaveMsgs, GCWaveBytes int64
+	// The time ledger summed over nodes. FaultWait / (procs × run time) is
+	// the mean per-thread time share the scaling table prints beside the
+	// byte shares; GCWaveMsgs/GCWaveBytes are part of PageMsgs/PageBytes.
+	Ledger
+	// GC accounting with GCStats's meanings: episodes the collector
+	// examined (a per-node maximum), the floors each trigger announced,
+	// and the per-page validate-vs-flush purge outcomes.
+	GCEpisodes       int64
+	GCEpochs         int64
+	GCAcqEpochs      int64
+	GCPagesValidated int64
+	GCPagesFlushed   int64
+	// Protocol-metadata footprint: interval records the collector
+	// reclaimed, the longest per-creator interval list retained on any
+	// node, and the largest metadata footprint (records + diffs + twins)
+	// any node ever held.
+	IntervalsRetired  int64
+	PeakIntervalChain int64
+	PeakProtoBytes    int64
 }
 
-// Total returns the breakdown summed back into run totals (equal to the
-// switch's Snapshot over the same window).
-func (t TrafficBreakdown) Total() (messages, bytes int64) {
-	return t.PageMsgs + t.SyncMsgs + t.GCMsgs,
-		t.PageBytes + t.SyncBytes + t.GCBytes
-}
-
-// TrafficBreakdown categorizes the switch's per-message-type counters.
-// Synchronization is the residue, so the three categories always sum to
-// the switch totals even if a new message type is added without updating
-// the category lists here.
-func (s *System) TrafficBreakdown() TrafficBreakdown {
-	var b TrafficBreakdown
+// Report assembles the run's accounting from the switch's per-type
+// counters, the nodes' statistics and the collector's summary.
+func (s *System) Report() Report {
+	var r Report
 	st := s.sw.Stats()
+	r.Messages, r.Bytes = st.Snapshot()
+	r.Frames = st.FrameCount()
 	for _, typ := range []int{msgFetchReq, msgFetchRep} {
 		m, by := st.ByType(typ)
-		b.PageMsgs += m
-		b.PageBytes += by
+		r.PageMsgs += m
+		r.PageBytes += by
 	}
 	for _, typ := range []int{msgGCSync, msgGCFloor} {
 		m, by := st.ByType(typ)
-		b.GCMsgs += m
-		b.GCBytes += by
+		r.GCMsgs += m
+		r.GCBytes += by
 	}
-	msgs, bytes := st.Snapshot()
-	b.SyncMsgs = msgs - b.PageMsgs - b.GCMsgs
-	b.SyncBytes = bytes - b.PageBytes - b.GCBytes
+	r.SyncMsgs = r.Messages - r.PageMsgs - r.GCMsgs
+	r.SyncBytes = r.Bytes - r.PageBytes - r.GCBytes
 	t := s.TotalStats()
-	b.FaultWait, b.FaultRounds, b.FaultPages = t.FaultWait, t.FaultRounds, t.FaultPages
-	b.LockWait, b.LockFaultWait, b.LockFaultRounds = t.LockWait, t.LockFaultWait, t.LockFaultRounds
-	b.GCWait, b.GCWaveMsgs, b.GCWaveBytes = t.GCWait, t.GCWaveMsgs, t.GCWaveBytes
-	return b
+	r.Ledger = t.Ledger
+	r.IntervalsRetired, r.PeakIntervalChain, r.PeakProtoBytes = t.IntervalsRetired, t.PeakIntervalChain, t.PeakProtoBytes
+	g := s.GCSummary()
+	r.GCEpisodes, r.GCEpochs, r.GCAcqEpochs = g.Episodes, g.Epochs, g.AcqEpochs
+	r.GCPagesValidated, r.GCPagesFlushed = g.PagesValidated, g.PagesFlushed
+	return r
 }
-
-// Frames returns the number of datagrams the run put on the wire.
-// Messages − Frames (from the switch's Snapshot) is the number of
-// datagrams per-peer frame coalescing eliminated.
-func (s *System) Frames() int64 { return s.sw.Stats().FrameCount() }
 
 // Done is closed when the system aborts or shuts down; external worker
 // threads (a hybrid backend's island teams) select on it so they unwind
@@ -451,67 +458,37 @@ func (s *System) MaxClock() sim.Time {
 	return m
 }
 
-// TotalStats aggregates the per-node protocol counters: event counts and
-// the ProtoBytes gauge sum across nodes, while the Peak* fields take the
+// statFields are NodeStats's counters, embedded Ledger's included: every
+// field of int64 kind (sim.Time is one).
+var statFields = func() (fs []reflect.StructField) {
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(NodeStats{})) {
+		if f.Type.Kind() == reflect.Int64 {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}()
+
+// TotalStats aggregates the per-node protocol counters without naming
+// them, so a counter added later cannot be left out: event counts and the
+// ProtoBytes gauge sum across nodes, while the Peak* fields take the
 // per-node maximum (a peak is a bound on one workstation's memory, and
 // node peaks need not be simultaneous, so summing them means nothing).
 func (s *System) TotalStats() NodeStats {
 	var t NodeStats
+	tv := reflect.ValueOf(&t).Elem()
 	for _, n := range s.nodes {
-		st := n.Stats()
-		t.ReadFaults += st.ReadFaults
-		t.WriteFaults += st.WriteFaults
-		t.ZeroFills += st.ZeroFills
-		t.PageFetches += st.PageFetches
-		t.DiffsCreated += st.DiffsCreated
-		t.DiffsApplied += st.DiffsApplied
-		t.DiffBytes += st.DiffBytes
-		t.LockAcquires += st.LockAcquires
-		t.LockLocal += st.LockLocal
-		t.Barriers += st.Barriers
-		t.SemaOps += st.SemaOps
-		t.CondOps += st.CondOps
-		t.Flushes += st.Flushes
-		t.Interrupts += st.Interrupts
-		t.FaultWait += st.FaultWait
-		t.FaultRounds += st.FaultRounds
-		t.FaultPages += st.FaultPages
-		t.LockWait += st.LockWait
-		t.LockFaultWait += st.LockFaultWait
-		t.LockFaultRounds += st.LockFaultRounds
-		t.GCEpisodes += st.GCEpisodes
-		t.GCEpochs += st.GCEpochs
-		t.GCAcqEpochs += st.GCAcqEpochs
-		t.GCSyncPushes += st.GCSyncPushes
-		t.GCSyncReverse += st.GCSyncReverse
-		t.GCSyncRelays += st.GCSyncRelays
-		t.GCDepartFloors += st.GCDepartFloors
-		t.IntervalsRetired += st.IntervalsRetired
-		t.TwinsCollected += st.TwinsCollected
-		t.GCPagesValidated += st.GCPagesValidated
-		t.GCPagesFlushed += st.GCPagesFlushed
-		t.GCPurges += st.GCPurges
-		t.GCWait += st.GCWait
-		t.GCWaveMsgs += st.GCWaveMsgs
-		t.GCWaveBytes += st.GCWaveBytes
-		t.ProtoBytes += st.ProtoBytes
-		if st.PeakProtoBytes > t.PeakProtoBytes {
-			t.PeakProtoBytes = st.PeakProtoBytes
-		}
-		if st.PeakIntervalChain > t.PeakIntervalChain {
-			t.PeakIntervalChain = st.PeakIntervalChain
+		sv := reflect.ValueOf(n.Stats())
+		for _, f := range statFields {
+			dst, v := tv.FieldByIndex(f.Index), sv.FieldByIndex(f.Index).Int()
+			if !strings.HasPrefix(f.Name, "Peak") {
+				dst.SetInt(dst.Int() + v)
+			} else if v > dst.Int() {
+				dst.SetInt(v)
+			}
 		}
 	}
 	return t
-}
-
-// ProtoSummary reports the aggregate protocol-metadata footprint of a
-// finished run, for the harness tables: retired interval records, the
-// longest per-creator interval chain retained on any node, and the peak
-// metadata bytes (records + diffs + twins) held on any node.
-func (s *System) ProtoSummary() (retired, peakChain, peakBytes int64) {
-	t := s.TotalStats()
-	return t.IntervalsRetired, t.PeakIntervalChain, t.PeakProtoBytes
 }
 
 // GCStats is the collector's trigger and purge accounting, for the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/apps"
 	"repro/internal/apps/water"
 	"repro/internal/dsm"
 	"repro/internal/sim"
@@ -310,37 +311,19 @@ func gcModeConfig(mode string, procs int) dsm.Config {
 	panic(fmt.Sprintf("harness: unknown GC ablation mode %q", mode))
 }
 
-// GCAblationRow is one (workload, collector-mode) measurement: time,
-// traffic, trigger counts, metadata retention, and purge outcomes.
+// GCAblationRow is one (workload, collector-mode) measurement: the run's
+// time and its report — traffic, trigger counts, metadata retention, and
+// purge outcomes.
 type GCAblationRow struct {
-	Workload  string
-	Mode      string // one of GCModes
-	Procs     int
-	Time      sim.Time
-	Msgs      int64
-	Bytes     int64
-	Episodes  int64 // global sync episodes the collector examined
-	Epochs    int64 // floors the episode trigger announced
-	AcqEpochs int64 // floors the lock-manager consensus announced
-	Retired   int64 // interval records reclaimed
-	PeakChain int64
-	PeakBytes int64
-	Validated int64 // stale copies brought current at collections
-	Flushed   int64 // stale copies discarded at collections
+	Workload string
+	Mode     string // one of GCModes
+	Procs    int
+	apps.Result
 }
 
 // gcSystemRow reads one ablation row off a finished system.
 func gcSystemRow(workload, mode string, sys *dsm.System) GCAblationRow {
-	msgs, bytes := sys.Switch().Stats().Snapshot()
-	retired, chain, peak := sys.ProtoSummary()
-	g := sys.GCSummary()
-	return GCAblationRow{
-		Workload: workload, Mode: mode, Procs: sys.Procs(),
-		Time: sys.MaxClock(), Msgs: msgs, Bytes: bytes,
-		Episodes: g.Episodes, Epochs: g.Epochs, AcqEpochs: g.AcqEpochs,
-		Retired: retired, PeakChain: chain, PeakBytes: peak,
-		Validated: g.PagesValidated, Flushed: g.PagesFlushed,
-	}
+	return GCAblationRow{workload, mode, sys.Procs(), apps.Result{Time: sys.MaxClock(), Report: sys.Report()}}
 }
 
 // AblationGCIteration measures metadata accumulation on the access
@@ -394,14 +377,7 @@ func AblationGCWater(steps, procs int) ([]GCAblationRow, error) {
 		if err != nil {
 			return rows, err
 		}
-		rows = append(rows, GCAblationRow{
-			Workload: name, Mode: mode, Procs: procs,
-			Time: res.Time, Msgs: res.Messages, Bytes: res.Bytes,
-			Episodes: res.GCEpisodes, Epochs: res.GCEpochs, AcqEpochs: res.GCAcqEpochs,
-			Retired: res.IntervalsRetired, PeakChain: res.PeakIntervalChain,
-			PeakBytes: res.PeakProtoBytes,
-			Validated: res.GCPagesValidated, Flushed: res.GCPagesFlushed,
-		})
+		rows = append(rows, GCAblationRow{name, mode, procs, res})
 	}
 	return rows, nil
 }
@@ -534,8 +510,8 @@ func PrintAblationGC(w io.Writer) error {
 		"retired", "peakchain", "peakKB", "valid", "flushed")
 	for _, r := range rows {
 		fprintf(w, "%-18s %-7s %12s %9d %8d %8d %6d %5d %8d %9d %7d %6d %7d\n",
-			r.Workload, r.Mode, r.Time, r.Msgs, r.Bytes/1024, r.Episodes, r.Epochs, r.AcqEpochs,
-			r.Retired, r.PeakChain, r.PeakBytes/1024, r.Validated, r.Flushed)
+			r.Workload, r.Mode, r.Time, r.Messages, r.Bytes/1024, r.GCEpisodes, r.GCEpochs, r.GCAcqEpochs,
+			r.IntervalsRetired, r.PeakIntervalChain, r.PeakProtoBytes/1024, r.GCPagesValidated, r.GCPagesFlushed)
 	}
 	return nil
 }

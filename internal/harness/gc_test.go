@@ -213,19 +213,19 @@ func TestAblationGCRows(t *testing.T) {
 	}
 	it := gcRowsByMode(t, iter)
 	every, low, off := it["every"], it["low"], it["off"]
-	if every.Retired == 0 || every.Epochs == 0 || every.Epochs > every.Episodes {
-		t.Errorf("every-episode GC: retired %d, %d epochs over %d episodes", every.Retired, every.Epochs, every.Episodes)
+	if every.IntervalsRetired == 0 || every.GCEpochs == 0 || every.GCEpochs > every.GCEpisodes {
+		t.Errorf("every-episode GC: retired %d, %d epochs over %d episodes", every.IntervalsRetired, every.GCEpochs, every.GCEpisodes)
 	}
-	if every.PeakChain >= off.PeakChain || every.PeakBytes >= off.PeakBytes {
+	if every.PeakIntervalChain >= off.PeakIntervalChain || every.PeakProtoBytes >= off.PeakProtoBytes {
 		t.Errorf("GC on peak chain %d / %d B not below GC off %d / %d B",
-			every.PeakChain, every.PeakBytes, off.PeakChain, off.PeakBytes)
+			every.PeakIntervalChain, every.PeakProtoBytes, off.PeakIntervalChain, off.PeakProtoBytes)
 	}
-	if low.Epochs == 0 || low.Epochs >= every.Epochs || low.Retired == 0 || low.PeakBytes >= off.PeakBytes {
+	if low.GCEpochs == 0 || low.GCEpochs >= every.GCEpochs || low.IntervalsRetired == 0 || low.PeakProtoBytes >= off.PeakProtoBytes {
 		t.Errorf("low threshold: %d epochs (every: %d), retired %d, peak %d B (off: %d B)",
-			low.Epochs, every.Epochs, low.Retired, low.PeakBytes, off.PeakBytes)
+			low.GCEpochs, every.GCEpochs, low.IntervalsRetired, low.PeakProtoBytes, off.PeakProtoBytes)
 	}
-	if off.Retired != 0 || off.Epochs != 0 {
-		t.Errorf("GC off still collected: retired=%d epochs=%d", off.Retired, off.Epochs)
+	if off.IntervalsRetired != 0 || off.GCEpochs != 0 {
+		t.Errorf("GC off still collected: retired=%d epochs=%d", off.IntervalsRetired, off.GCEpochs)
 	}
 }
 
@@ -240,17 +240,17 @@ func TestAblationGCTriggerGrid(t *testing.T) {
 	}
 	ls := gcRowsByMode(t, locks)
 	for _, r := range locks {
-		if r.Epochs != 0 {
-			t.Errorf("%s/%s: %d episode epochs inside a barrier-free region", r.Workload, r.Mode, r.Epochs)
+		if r.GCEpochs != 0 {
+			t.Errorf("%s/%s: %d episode epochs inside a barrier-free region", r.Workload, r.Mode, r.GCEpochs)
 		}
 	}
 	low, off := ls["low"], ls["off"]
-	if low.AcqEpochs == 0 || low.Retired == 0 || low.Flushed == 0 {
+	if low.GCAcqEpochs == 0 || low.IntervalsRetired == 0 || low.GCPagesFlushed == 0 {
 		t.Errorf("consensus at the low threshold: %d epochs retired %d records and flushed %d copies, want all nonzero",
-			low.AcqEpochs, low.Retired, low.Flushed)
+			low.GCAcqEpochs, low.IntervalsRetired, low.GCPagesFlushed)
 	}
-	if low.PeakChain >= off.PeakChain {
-		t.Errorf("consensus did not bound the chain: %d vs off %d", low.PeakChain, off.PeakChain)
+	if low.PeakIntervalChain >= off.PeakIntervalChain {
+		t.Errorf("consensus did not bound the chain: %d vs off %d", low.PeakIntervalChain, off.PeakIntervalChain)
 	}
 	if _, err := GCLockSparse(2, 1, -1, "validate-hot"); err == nil {
 		t.Error("GCLockSparse accepted a deleted purge policy")
@@ -276,13 +276,13 @@ func TestAblationGCWaterAmortizes(t *testing.T) {
 	if low.Time >= every.Time {
 		t.Errorf("the low threshold (%s) did not amortize the every-episode cost (%s)", low.Time, every.Time)
 	}
-	if low.Epochs == 0 || low.Epochs >= low.Episodes {
-		t.Errorf("low threshold: epochs %d not a proper fraction of episodes %d", low.Epochs, low.Episodes)
+	if low.GCEpochs == 0 || low.GCEpochs >= low.GCEpisodes {
+		t.Errorf("low threshold: epochs %d not a proper fraction of episodes %d", low.GCEpochs, low.GCEpisodes)
 	}
-	if low.Retired == 0 {
+	if low.IntervalsRetired == 0 {
 		t.Error("the low threshold retired nothing on Water")
 	}
-	if low.PeakChain >= off.PeakChain {
-		t.Errorf("low threshold peak chain %d not below GC off %d", low.PeakChain, off.PeakChain)
+	if low.PeakIntervalChain >= off.PeakIntervalChain {
+		t.Errorf("low threshold peak chain %d not below GC off %d", low.PeakIntervalChain, off.PeakIntervalChain)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -53,8 +54,7 @@ func fakeCell(a App, s Scale, impl Impl, procs int) (apps.Result, error) {
 	return apps.Result{
 		Checksum: float64(v % 1000),
 		Time:     sim.Time(1 + v%997_000_000),
-		Messages: int64(v % 10_000),
-		Bytes:    int64(v % 1_000_000),
+		Report:   dsm.Report{Messages: int64(v % 10_000), Bytes: int64(v % 1_000_000)},
 	}, nil
 }
 

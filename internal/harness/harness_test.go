@@ -53,6 +53,22 @@ func TestVerifiedCatchesNothingOnGoodRuns(t *testing.T) {
 	}
 }
 
+// TestMPIResultCarriesOnlyTraffic: every app's MPI run reports its
+// messages and bytes and nothing else of the run report — no DSM cost
+// categories, ledger, GC or metadata counters.
+func TestMPIResultCarriesOnlyTraffic(t *testing.T) {
+	for _, a := range Apps {
+		r, err := Verified(a, Test, MPI, 2)
+		if err != nil {
+			t.Errorf("%s: %v", a.Name, err)
+			continue
+		}
+		if r.Messages == 0 || r.Report != (dsm.Report{Messages: r.Messages, Bytes: r.Bytes}) {
+			t.Errorf("%s/mpi report %+v, want only Messages and Bytes", a.Name, r.Report)
+		}
+	}
+}
+
 func TestMicroResultsInPaperBands(t *testing.T) {
 	m, err := Micro()
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // the simulated NOW runs far past that, and the interesting question
 // becomes where each application's speedup stops and which protocol cost
 // is binding when it does. The per-category traffic split
-// (dsm.TrafficBreakdown, carried on apps.Result) is what lets the table
+// (dsm.Report, embedded in apps.Result) is what lets the table
 // name the culprit instead of guessing.
 
 // ScalingProcs is the machine-size axis of the scaling study: the

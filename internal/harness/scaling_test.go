@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/dsm"
 	"repro/internal/sim"
 )
 
@@ -38,7 +39,7 @@ func TestScalingDegradesOnCellError(t *testing.T) {
 		if impl == OMP {
 			d /= sim.Time(procs)
 		}
-		return apps.Result{Time: d, PageBytes: 100, SyncBytes: 50, GCBytes: 10}, nil
+		return apps.Result{Time: d, Report: dsm.Report{PageBytes: 100, SyncBytes: 50, GCBytes: 10}}, nil
 	})
 	defer restore()
 

@@ -147,8 +147,9 @@ func (s *Switch) Profile() sim.WireProfile { return s.profile }
 // Stats returns the switch's traffic counters.
 func (s *Switch) Stats() *Stats { return &s.stats }
 
-// ResetStats zeroes the traffic counters (used between harness phases so
-// that Table 2 counts only the measured region of an application).
+// ResetStats zeroes the traffic counters, so that a test or an ablation
+// can count one phase of a run (Table 2 counts whole runs and never
+// resets).
 func (s *Switch) ResetStats() {
 	s.stats.Messages.Store(0)
 	s.stats.Bytes.Store(0)

@@ -8,7 +8,9 @@ package sim
 // The SC'98 paper's Section 6 reports the platform characteristics we
 // calibrate against (the literal digits were lost in the text extraction,
 // so the values below are the canonical ones from the TreadMarks
-// literature; EXPERIMENTS.md records each choice):
+// literature; `nowbench -micro` prints what the model yields for each,
+// harness.TestMicroResultsInPaperBands holds them to these bands, and the
+// README's "One fetch exchange" section records the diff and page rows):
 //
 //   - UDP/IP round-trip for a 1-byte message: 126 µs
 //   - lock acquisition: 170–700 µs (emerges from the protocol)
