@@ -94,6 +94,11 @@ type Ledger struct {
 	LockFaultWait   sim.Time
 	LockFaultRounds int64
 
+	// SemaWait: time inside SemaWait and SemaSignal, call to return (a
+	// wait's grant or a signal's acknowledgment), read off the client
+	// clock like FaultWait.
+	SemaWait sim.Time
+
 	// The collector's validation wave (gcPurgePagesLocked): the virtual time
 	// threads spent in it, read off the client clock like FaultWait, and the
 	// wave's fetch-exchange traffic — a sub-split of what Report books as

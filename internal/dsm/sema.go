@@ -46,6 +46,7 @@ func (n *Node) semaFor(id int) *semaState {
 // flows to the manager, which passes it on to the woken waiter (if any).
 func (c *Client) SemaSignal(id int) {
 	n := c.n
+	entered := c.clk.Now()
 	c.clk.Advance(c.costs.Sema)
 	mgr := n.lockMgr(id)
 	n.mu.Lock()
@@ -53,6 +54,7 @@ func (c *Client) SemaSignal(id int) {
 	n.closeIntervalLocked()
 	if n.id == mgr {
 		n.semaSignalAtMgrLocked(id, c.clk.Now())
+		n.stats.SemaWait += c.clk.Now() - entered
 		n.mu.Unlock()
 		c.gcSyncHook(true)
 		return
@@ -67,6 +69,7 @@ func (c *Client) SemaSignal(id int) {
 	n.ep.SendAt(mgr, msgSemaSignal, network.ClassRequest, w.b, c.clk.Now())
 	n.mu.Unlock()
 	c.recvReply(msgSemaAck, c.tag) // two messages including the acknowledgment
+	c.semaDone(entered)
 	c.gcSyncHook(true)
 }
 
@@ -92,6 +95,7 @@ func (n *Node) semaSignalAtMgrLocked(id int, at sim.Time) {
 // until a matching signal arrives.
 func (c *Client) SemaWait(id int) {
 	n := c.n
+	entered := c.clk.Now()
 	mgr := n.lockMgr(id)
 	n.mu.Lock()
 	n.stats.SemaOps++
@@ -105,6 +109,7 @@ func (c *Client) SemaWait(id int) {
 			n.mu.Unlock()
 			c.clk.AdvanceTo(at)
 			c.clk.Advance(c.costs.Sema)
+			c.semaDone(entered)
 			c.gcSyncHook(true)
 			return
 		}
@@ -131,7 +136,17 @@ func (c *Client) SemaWait(id int) {
 	n.noteHeardLocked(m.From, senderVC)
 	n.mu.Unlock()
 	c.clk.Advance(c.costs.Sema)
+	c.semaDone(entered)
 	c.gcSyncHook(true)
+}
+
+// semaDone books a semaphore operation on the SemaWait ledger — the client
+// clock READ at the call and at the return, never advanced for the
+// measurement. The garbage-collection hook that follows is not included.
+func (c *Client) semaDone(entered sim.Time) {
+	c.n.mu.Lock()
+	c.n.stats.SemaWait += c.clk.Now() - entered
+	c.n.mu.Unlock()
 }
 
 // handleSemaSignal runs on the manager's protocol server.

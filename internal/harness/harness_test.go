@@ -207,6 +207,32 @@ func TestLockFaultWaitLedger(t *testing.T) {
 	}
 }
 
+// TestSemaWaitLedger checks the semaphore slice on the pipelined
+// application: Sweep3D's threads on the NOW spend a positive share of the
+// run — never more than all of it — inside semaphore waits and signals,
+// so its -scaling sema% reads above zero, while hardware shared memory,
+// which keeps no ledger, books none.
+func TestSemaWaitLedger(t *testing.T) {
+	const procs = 4
+	a, _ := FindApp("Sweep3D")
+	for _, impl := range []Impl{OMP, Tmk, OMPSMP} {
+		res, err := Verified(a, Test, impl, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := timeShare(res.SemaWait, res, procs)
+		if impl == OMPSMP {
+			if res.SemaWait != 0 {
+				t.Errorf("omp-smp: sema wait %v, want zero", res.SemaWait)
+			}
+			continue
+		}
+		if res.SemaWait <= 0 || share <= 0 || share > 100 {
+			t.Errorf("%s: sema wait %v (sema%% %.2f) outside (0, %d × %v]", impl, res.SemaWait, share, procs, res.Time)
+		}
+	}
+}
+
 func TestAblationPipelineFavorsSemaphores(t *testing.T) {
 	res, err := AblationPipeline(20, 4)
 	if err != nil {
