@@ -95,17 +95,21 @@ gc-race:
 	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
 # >8-node smoke under the race detector: the wide-team (16/32-thread)
-# conformance scenario on every backend plus one real application at 16
+# conformance scenario on every backend plus two real applications at 16
 # processors on the NOW (3D-FFT: pure page traffic and a two-level tree
 # barrier, on the default schedule and collecting at every episode, whose
-# purge waves go through the sharded homes), plus the hierarchical-consensus
+# purge waves go through the sharded homes; Sweep3D: a 16-stage semaphore
+# pipeline whose semaphores live on their waiters' nodes, so a server
+# granting its own thread through selfReply is the common case), Sweep3D's
+# placement tests, plus the hierarchical-consensus
 # scenarios — tree-routed GC pushes with relays, batched departure waves
 # with floor piggybacks, and the tree-vs-flat equivalence pin. The relay
 # forwarding and reply-frame unwrap both cross the server/application
 # goroutine boundary, so a race in either fails here first.
 scale-race:
 	$(GO) test -race -run 'TestBackendConformanceWideTeams' ./internal/core
-	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/3D-FFT/omp/p16|TestEquivalenceCollectingEveryEpisode/3D-FFT/omp/p16' ./internal/harness
+	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/(3D-FFT|Sweep3D)/omp/p16|TestEquivalenceCollectingEveryEpisode/3D-FFT/omp/p16' ./internal/harness
+	$(GO) test -race -run 'TestSemIDPlacesAtWaiter|TestTmkSyncMessagesPinned' ./internal/apps/sweep3d
 	$(GO) test -race -run 'TestTreeVsFlatConsensusEquivalence|TestTreeBarrierFloorPiggyback|TestScaleTreeBarrierCorrectness' ./internal/dsm
 
 # Fetch-exchange smoke under the race detector: the span ≡ page-at-a-time

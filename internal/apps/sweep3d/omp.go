@@ -52,20 +52,20 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 					cnt := len(xs) * nz * na
 					in := make([]float64, cnt)
 					if up >= 0 {
-						tc.SemaWait(semID(up, xbIdx, abIdx, dirOf(oct[1]), semFamilyData))
+						tc.SemaWait(semID(up, xbIdx, abIdx, dirOf(oct[1]), semFamilyData, me, procs))
 						tc.ReadF64s(slots+core.Addr(slotIndex(up, xbIdx, abIdx, nxb, nab)*slotBytes), in)
-						tc.SemaSignal(semID(up, xbIdx, abIdx, 0, semFamilyFree))
+						tc.SemaSignal(semID(up, xbIdx, abIdx, 0, semFamilyFree, up, procs))
 					}
 					out := make([]float64, cnt)
 					tc.Compute(sweepSlab(p, oct, xs, ys, as, ylo, in, out, psiX, flux))
 					if down >= 0 {
 						slot := slotIndex(me, xbIdx, abIdx, nxb, nab)
 						if slotUse[slot] > 0 {
-							tc.SemaWait(semID(me, xbIdx, abIdx, 0, semFamilyFree))
+							tc.SemaWait(semID(me, xbIdx, abIdx, 0, semFamilyFree, me, procs))
 						}
 						slotUse[slot]++
 						tc.WriteF64s(slots+core.Addr(slot*slotBytes), out)
-						tc.SemaSignal(semID(me, xbIdx, abIdx, dirOf(oct[1]), semFamilyData))
+						tc.SemaSignal(semID(me, xbIdx, abIdx, dirOf(oct[1]), semFamilyData, down, procs))
 					}
 				}
 			}

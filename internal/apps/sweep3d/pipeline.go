@@ -11,7 +11,20 @@ const (
 	semFamilyFree = 1 // slot-reusable semaphore ("done" in Fig. 3)
 )
 
-// semID names the data/free semaphore pair of a boundary slot.
+// semID names a boundary slot's data or free semaphore and places it on the
+// node of the one thread that waits on it: the consumer for a data
+// semaphore, the producer for a free one.
+//
+// The DSM manages semaphore id on node id mod P, Section 4.2's "statically
+// assigned manager". The id is key·procs + waiter, so the manager is the
+// waiter's own node. A wait never leaves its node: a banked signal costs no
+// message, and otherwise the node's server grants its own thread. A signal
+// is one request and one acknowledgment straight to the waiter's node. With
+// the key alone as the id, the producer·2048 high part vanished modulo any
+// P that divides 2048, so the manager was fixed by angle block, direction
+// and family: at P = 8 two nodes managed every free semaphore, at P = 32
+// eight nodes managed the whole pipeline, and every hand-off went signal →
+// third-party manager → grant.
 //
 // The data semaphore must be keyed by the sweep direction as well as the
 // producer: octants alternate the pipeline direction, so the downstream
@@ -24,8 +37,9 @@ const (
 // direction: it counts "slot consumed" events for the producer's slot no
 // matter which neighbour consumed it, so a producer never overwrites a
 // plane that has not been read.
-func semID(producer, xb, ab, dir, family int) int {
-	return ((((producer*maxXBlocks+xb)*maxAngleBlk+ab)*2)+dir)*2 + family
+func semID(producer, xb, ab, dir, family, waiter, procs int) int {
+	key := ((((producer*maxXBlocks+xb)*maxAngleBlk+ab)*2)+dir)*2 + family
+	return key*procs + waiter
 }
 
 // dirOf maps a y sweep sign to the semaphore direction bit.

@@ -141,3 +141,51 @@ func TestMorePipelineStagesStillCorrect(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSemIDPlacesAtWaiter checks the semaphore id space: semID is
+// injective over producer × x-block × angle block × direction × family ×
+// waiter, and every id's DSM manager (id mod procs) is its waiter's node.
+func TestSemIDPlacesAtWaiter(t *testing.T) {
+	for _, procs := range []int{1, 2, 3, 8, 32, 64} {
+		seen := make([]bool, maxXBlocks*maxAngleBlk*2*2*procs*procs)
+		for producer := 0; producer < procs; producer++ {
+			for xb := 0; xb < maxXBlocks; xb++ {
+				for ab := 0; ab < maxAngleBlk; ab++ {
+					for dir := 0; dir < 2; dir++ {
+						for family := 0; family < 2; family++ {
+							for waiter := 0; waiter < procs; waiter++ {
+								id := semID(producer, xb, ab, dir, family, waiter, procs)
+								if id < 0 || id >= len(seen) || seen[id] {
+									t.Fatalf("procs=%d: semID(%d, %d, %d, %d, %d, %d) = %d is out of range or taken",
+										procs, producer, xb, ab, dir, family, waiter, id)
+								}
+								seen[id] = true
+								if id%procs != waiter {
+									t.Fatalf("procs=%d: semaphore %d of waiter %d is managed on node %d",
+										procs, id, waiter, id%procs)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTmkSyncMessagesPinned pins the synchronization traffic of the
+// 8-node test-scale pipeline. Every wait is at its own node's manager and
+// sends nothing; every signal is one request and one acknowledgment to
+// the waiter's node. 8 octants × 6 blocks × 7 hand-offs, a data and a
+// free signal each, are 672 signals and 1,344 messages; the region's
+// fork, barrier, join and exit add 35. With the managers fixed by angle
+// block, direction and family instead, the count was 2,279.
+func TestTmkSyncMessagesPinned(t *testing.T) {
+	res, err := RunTmk(Small(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SyncMsgs != 1379 {
+		t.Errorf("%d synchronization messages, pinned at 1,379", res.SyncMsgs)
+	}
+}

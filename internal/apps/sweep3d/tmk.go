@@ -42,20 +42,20 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 					cnt := len(xs) * nz * na
 					in := make([]float64, cnt)
 					if up >= 0 {
-						nd.SemaWait(semID(up, xbIdx, abIdx, dirOf(oct[1]), semFamilyData))
+						nd.SemaWait(semID(up, xbIdx, abIdx, dirOf(oct[1]), semFamilyData, me, procs))
 						nd.ReadF64s(slots+dsm.Addr(slotIndex(up, xbIdx, abIdx, nxb, nab)*slotBytes), in)
-						nd.SemaSignal(semID(up, xbIdx, abIdx, 0, semFamilyFree))
+						nd.SemaSignal(semID(up, xbIdx, abIdx, 0, semFamilyFree, up, procs))
 					}
 					bndOut := make([]float64, cnt)
 					nd.Compute(sweepSlab(p, oct, xs, ys, as, ylo, in, bndOut, psiX, flux))
 					if down >= 0 {
 						slot := slotIndex(me, xbIdx, abIdx, nxb, nab)
 						if slotUse[slot] > 0 {
-							nd.SemaWait(semID(me, xbIdx, abIdx, 0, semFamilyFree))
+							nd.SemaWait(semID(me, xbIdx, abIdx, 0, semFamilyFree, me, procs))
 						}
 						slotUse[slot]++
 						nd.WriteF64s(slots+dsm.Addr(slot*slotBytes), bndOut)
-						nd.SemaSignal(semID(me, xbIdx, abIdx, dirOf(oct[1]), semFamilyData))
+						nd.SemaSignal(semID(me, xbIdx, abIdx, dirOf(oct[1]), semFamilyData, down, procs))
 					}
 				}
 			}

@@ -16,6 +16,12 @@ import (
 // acknowledgment." Waiters block instead of busy-waiting — the paper's
 // argument for adding semaphores to the standard.
 //
+// A wait at its own node's manager costs no message: a banked signal is
+// consumed in place, and otherwise the signal's arrival at the node's
+// protocol server grants the waiting thread through selfReply. An
+// application that places each semaphore on its waiter's node (Sweep3D's
+// pipeline) thus pays only the signal's request and acknowledgment.
+//
 // Banked signals carry their virtual timestamps: a P that consumes a
 // banked V resumes no earlier than that V was performed, which is what
 // couples producer and consumer time when the two run as threads of one
