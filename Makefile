@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race span-race serve-race fuzz-wire bench-smoke bench bench-scaling bench-pairs tables ci
+.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race span-race serve-race fuzz-wire bench-smoke bench alloc-bench bench-scaling bench-pairs tables ci
 
 build:
 	$(GO) build ./...
@@ -48,13 +48,15 @@ test-race:
 # SMP-backend smoke under the race detector: the backend conformance
 # suite plus the core runtime tests, which run every primitive on real
 # goroutines over the shared heap — reductions included, whose partials
-# cross goroutines on the join channel (TestReduction*). The full
+# cross goroutines on the join channel (TestReduction*) — and the heap
+# tests (TestSMPHeap*, TestSMPMalloc*: the heap grows only outside Run,
+# so the access path reads it without a lock). The full
 # test-race pass subsumes it;
 # it runs FIRST in ci (and stands alone for the dev loop) so an ordering
 # bug in the SMP backend fails in seconds instead of after the whole
 # race suite.
 smp-race:
-	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective|TestReduction' ./internal/core
+	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective|TestReduction|TestSMPHeap|TestSMPMalloc' ./internal/core
 
 # Hybrid-backend smoke under the race detector: the conformance scenarios
 # on the NOW-of-SMPs backend (all island counts) plus the degenerate-limit
@@ -81,7 +83,10 @@ hybrid-race:
 # the server and the next episode, TestEpisodeSettle*), the span programs at GCPressure 1
 # (both triggers armed on programs that mix locks and barriers), the lock
 # grants that carry diffs kept on interval records the collector frees
-# (TestLockGrant*, and QSORT and TSP under the shadow-memory oracle), plus the
+# (TestLockGrant*, and QSORT and TSP under the shadow-memory oracle), the
+# recycled twins (TestTwinBuffers*: randomized lock/barrier programs, no
+# twin buffer shared, the owed-twin release included) and exact-size diffs
+# (TestMakeDiffExact*), plus the
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
 # ablation, every app at GCPressure 1, and the full-scale Sweep3D cell
@@ -90,7 +95,7 @@ hybrid-race:
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestTwinBuffers|TestMakeDiffExact|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
 	$(GO) test -race -run 'TestLockGrantOracle' ./internal/apps/qsort ./internal/apps/tsp
 	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
@@ -155,6 +160,15 @@ bench-smoke:
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem
+
+# Per-layer host-allocation benchmarks (B/op, allocs/op): the DSM's write
+# fault → interval close → diff encode cycle and makeDiff on sparse and
+# dense pages, an omp-smp program's construction, and one 3D-FFT transpose
+# through its helpers. The results/ALLOC_*.md records hold before/after
+# figures.
+ALLOC_PKGS = ./internal/dsm ./internal/core ./internal/apps/fft3d
+alloc-bench:
+	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS)
 
 # The P = 8..128 scaling-wall study (tree-routed consensus, batched
 # departure waves, P-aware GC trigger). The flat-consensus baseline it

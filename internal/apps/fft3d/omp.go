@@ -38,45 +38,55 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	redRe := prog.NewReduction(core.OpSum)
 	redIm := prog.NewReduction(core.OpSum)
 	slab := func(id int) (int, int) { return core.StaticBlock(0, n, id, procs) }
+	// One set of host buffers per thread for the whole run (see scratch).
+	scr := make([]scratch, procs)
 
 	prog.RegisterDo("init", func(tc *core.TC, zlo, zhi int) {
+		sc := &scr[tc.ThreadNum()]
+		sc.buf = grow(sc.buf, n*n)
+		plane := sc.buf
 		for z := zlo; z < zhi; z++ {
-			plane := make([]complex128, n*n)
 			for i := range plane {
 				re, im := initValue(p.Seed, z*n*n+i)
 				plane[i] = complex(re, im)
 			}
-			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
+			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane, &sc.f)
 		}
 		tc.Compute(10 * float64((zhi-zlo)*n*n))
 	})
 
 	prog.RegisterDo("fwd2d", func(tc *core.TC, zlo, zhi int) {
+		sc := &scr[tc.ThreadNum()]
+		sc.buf = grow(sc.buf, n*n)
+		plane := sc.buf
 		for z := zlo; z < zhi; z++ {
-			plane := readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), n*n)
+			readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane, &sc.f)
 			tc.Compute(fft2D(plane, n, -1))
-			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
+			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane, &sc.f)
 		}
 	})
 
 	prog.RegisterRegion("packfwd", func(tc *core.TC) {
-		packForward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab)
+		packForward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab, &scr[tc.ThreadNum()])
 		zlo, zhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((zhi-zlo)*n*n))
 	})
 
 	prog.RegisterRegion("unpackfwd", func(tc *core.TC) {
-		unpackForward(tc.Worker(), w, xb, tc.ThreadNum(), n, slab)
+		unpackForward(tc.Worker(), w, xb, tc.ThreadNum(), n, slab, &scr[tc.ThreadNum()])
 		xlo, xhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((xhi-xlo)*n*n))
 	})
 
 	prog.RegisterDo("fftz", func(tc *core.TC, xlo, xhi int) {
+		sc := &scr[tc.ThreadNum()]
+		sc.buf = grow(sc.buf, n)
+		pen := sc.buf
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				pen := readComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), n)
+				readComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
 				fft(pen, -1)
-				writeComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), pen)
+				writeComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
 			}
 		}
 		tc.Compute(float64((xhi-xlo)*n) * fftFlops(n))
@@ -84,50 +94,59 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 
 	prog.RegisterDo("evolve", func(tc *core.TC, xlo, xhi int) {
 		t := tc.Args().Int()
+		sc := &scr[tc.ThreadNum()]
+		sc.buf = grow(sc.buf, n*n)
+		s := sc.buf
 		for kx := xlo; kx < xhi; kx++ {
-			s := readComplex(tc.Worker(), w+core.Addr(cBytes*kx*n*n), n*n)
+			readComplex(tc.Worker(), w+core.Addr(cBytes*kx*n*n), s, &sc.f)
 			for ky := 0; ky < n; ky++ {
 				for kz := 0; kz < n; kz++ {
 					s[ky*n+kz] *= complex(evolveFactor(kx, ky, kz, n, t), 0)
 				}
 			}
-			writeComplex(tc.Worker(), vw+core.Addr(cBytes*kx*n*n), s)
+			writeComplex(tc.Worker(), vw+core.Addr(cBytes*kx*n*n), s, &sc.f)
 		}
 		tc.Compute(25 * float64((xhi-xlo)*n*n))
 	})
 
 	prog.RegisterDo("ifftz", func(tc *core.TC, xlo, xhi int) {
+		sc := &scr[tc.ThreadNum()]
+		sc.buf = grow(sc.buf, n)
+		pen := sc.buf
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				pen := readComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), n)
+				readComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
 				fft(pen, +1)
-				writeComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), pen)
+				writeComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
 			}
 		}
 		tc.Compute(float64((xhi-xlo)*n) * fftFlops(n))
 	})
 
 	prog.RegisterRegion("packback", func(tc *core.TC) {
-		packBackward(tc.Worker(), vw, xb, tc.ThreadNum(), n, slab)
+		packBackward(tc.Worker(), vw, xb, tc.ThreadNum(), n, slab, &scr[tc.ThreadNum()])
 		xlo, xhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((xhi-xlo)*n*n))
 	})
 
 	prog.RegisterRegion("unpackback", func(tc *core.TC) {
-		unpackBackward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab)
+		unpackBackward(tc.Worker(), u, xb, tc.ThreadNum(), n, slab, &scr[tc.ThreadNum()])
 		zlo, zhi := slab(tc.ThreadNum())
 		tc.Compute(2 * float64((zhi-zlo)*n*n))
 	})
 
 	prog.RegisterDo("inv2d", func(tc *core.TC, zlo, zhi int) {
 		scale := 1 / float64(pts)
+		sc := &scr[tc.ThreadNum()]
+		sc.buf = grow(sc.buf, n*n)
+		plane := sc.buf
 		for z := zlo; z < zhi; z++ {
-			plane := readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), n*n)
+			readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane, &sc.f)
 			tc.Compute(fft2D(plane, n, +1))
 			for i := range plane {
 				plane[i] *= complex(scale, 0)
 			}
-			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane)
+			writeComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane, &sc.f)
 		}
 		tc.Compute(2 * float64((zhi-zlo)*n*n))
 	})

@@ -14,20 +14,41 @@ import (
 
 const cBytes = 16
 
-// readComplex bulk-reads cnt complex values starting at a.
-func readComplex(n core.Worker, a core.Addr, cnt int) []complex128 {
-	buf := make([]float64, 2*cnt)
-	n.ReadF64s(a, buf)
-	out := make([]complex128, cnt)
-	for i := range out {
-		out[i] = complex(buf[2*i], buf[2*i+1])
-	}
-	return out
+// scratch is one thread's host buffers for moving complex values in and
+// out of shared memory: the float64 staging buffer of the bulk helpers and
+// two complex buffers for rows, planes and transpose blocks. A thread owns
+// one for the whole run and each buffer grows to the largest transfer it
+// sees, so after the first pass no row, plane or block allocates.
+type scratch struct {
+	f   []float64
+	buf []complex128 // the row, plane or block in flight
+	out []complex128 // an unpacked slab
 }
 
-// writeComplex bulk-writes vals starting at a.
-func writeComplex(n core.Worker, a core.Addr, vals []complex128) {
-	buf := make([]float64, 2*len(vals))
+// grow returns buf resized to n elements, reallocating only when its
+// capacity falls short (the contents are then not kept).
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// readComplex bulk-reads len(dst) complex values starting at a into dst,
+// staging them through *f.
+func readComplex(n core.Worker, a core.Addr, dst []complex128, f *[]float64) {
+	*f = grow(*f, 2*len(dst))
+	buf := *f
+	n.ReadF64s(a, buf)
+	for i := range dst {
+		dst[i] = complex(buf[2*i], buf[2*i+1])
+	}
+}
+
+// writeComplex bulk-writes vals starting at a, staging them through *f.
+func writeComplex(n core.Worker, a core.Addr, vals []complex128, f *[]float64) {
+	*f = grow(*f, 2*len(vals))
+	buf := *f
 	for i, v := range vals {
 		buf[2*i] = real(v)
 		buf[2*i+1] = imag(v)
@@ -80,31 +101,36 @@ func (xb *xferBlocks) addr(src, dst int) core.Addr {
 // packForward packs this thread's z-slab of u for every destination:
 // block(me→d) = u[z][y][x] for z in my slab, y over all, x in d's slab,
 // in (z, y, x) order.
-func packForward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func packForward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int), sc *scratch) {
 	zlo, zhi := slab(me)
 	for d := 0; d < xb.procs; d++ {
 		dlo, dhi := slab(d)
-		vals := make([]complex128, 0, (zhi-zlo)*n*(dhi-dlo))
+		row := dhi - dlo
+		sc.buf = grow(sc.buf, (zhi-zlo)*n*row)
+		i := 0
 		for z := zlo; z < zhi; z++ {
 			for y := 0; y < n; y++ {
-				row := readComplex(node, u+core.Addr(cBytes*((z*n+y)*n+dlo)), dhi-dlo)
-				vals = append(vals, row...)
+				readComplex(node, u+core.Addr(cBytes*((z*n+y)*n+dlo)), sc.buf[i:i+row], &sc.f)
+				i += row
 			}
 		}
-		writeComplex(node, xb.addr(me, d), vals)
+		writeComplex(node, xb.addr(me, d), sc.buf, &sc.f)
 	}
 }
 
 // unpackForward builds this thread's x-slab of w from the staged blocks:
 // w[x][y][z] for x in my slab (assembled privately, written in one
 // contiguous store — the slab is contiguous in w's [x][y][z] layout).
-func unpackForward(node core.Worker, w core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func unpackForward(node core.Worker, w core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int), sc *scratch) {
 	xlo, xhi := slab(me)
 	myX := xhi - xlo
-	out := make([]complex128, myX*n*n)
+	sc.out = grow(sc.out, myX*n*n)
+	out := sc.out
 	for s := 0; s < xb.procs; s++ {
 		slo, shi := slab(s)
-		vals := readComplex(node, xb.addr(s, me), (shi-slo)*n*myX)
+		sc.buf = grow(sc.buf, (shi-slo)*n*myX)
+		vals := sc.buf
+		readComplex(node, xb.addr(s, me), vals, &sc.f)
 		i := 0
 		for z := slo; z < shi; z++ {
 			for y := 0; y < n; y++ {
@@ -115,36 +141,41 @@ func unpackForward(node core.Worker, w core.Addr, xb *xferBlocks, me, n int, sla
 			}
 		}
 	}
-	writeComplex(node, w+core.Addr(cBytes*xlo*n*n), out)
+	writeComplex(node, w+core.Addr(cBytes*xlo*n*n), out, &sc.f)
 }
 
 // packBackward packs this thread's x-slab of vw for every destination
 // z-slab owner: block(me→d) = vw[x][y][z] for x in my slab, z in d's slab,
 // in (x, y, z) order.
-func packBackward(node core.Worker, vw core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func packBackward(node core.Worker, vw core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int), sc *scratch) {
 	xlo, xhi := slab(me)
 	for d := 0; d < xb.procs; d++ {
 		dlo, dhi := slab(d)
-		vals := make([]complex128, 0, (xhi-xlo)*n*(dhi-dlo))
+		row := dhi - dlo
+		sc.buf = grow(sc.buf, (xhi-xlo)*n*row)
+		i := 0
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				row := readComplex(node, vw+core.Addr(cBytes*((x*n+y)*n+dlo)), dhi-dlo)
-				vals = append(vals, row...)
+				readComplex(node, vw+core.Addr(cBytes*((x*n+y)*n+dlo)), sc.buf[i:i+row], &sc.f)
+				i += row
 			}
 		}
-		writeComplex(node, xb.addr(me, d), vals)
+		writeComplex(node, xb.addr(me, d), sc.buf, &sc.f)
 	}
 }
 
 // unpackBackward builds this thread's z-slab of u from the staged blocks:
 // u[z][y][x] for z in my slab (assembled privately, stored contiguously).
-func unpackBackward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int)) {
+func unpackBackward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab func(int) (int, int), sc *scratch) {
 	zlo, zhi := slab(me)
 	myZ := zhi - zlo
-	out := make([]complex128, myZ*n*n)
+	sc.out = grow(sc.out, myZ*n*n)
+	out := sc.out
 	for s := 0; s < xb.procs; s++ {
 		slo, shi := slab(s)
-		vals := readComplex(node, xb.addr(s, me), (shi-slo)*n*myZ)
+		sc.buf = grow(sc.buf, (shi-slo)*n*myZ)
+		vals := sc.buf
+		readComplex(node, xb.addr(s, me), vals, &sc.f)
 		i := 0
 		for x := slo; x < shi; x++ {
 			for y := 0; y < n; y++ {
@@ -155,7 +186,7 @@ func unpackBackward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, sl
 			}
 		}
 	}
-	writeComplex(node, u+core.Addr(cBytes*zlo*n*n), out)
+	writeComplex(node, u+core.Addr(cBytes*zlo*n*n), out, &sc.f)
 }
 
 // checksumPartial sums the NAS sample points whose z index falls in

@@ -29,37 +29,39 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 		me := nd.ID()
 		zlo, zhi := slab(me)
 		xlo, xhi := slab(me)
+		sc := &scratch{}                 // the transposes' host buffers
+		plane := make([]complex128, n*n) // the working plane or pencil
 
 		// Initialize own z-slab.
 		for z := zlo; z < zhi; z++ {
-			plane := make([]complex128, n*n)
 			for i := range plane {
 				re, im := initValue(p.Seed, z*n*n+i)
 				plane[i] = complex(re, im)
 			}
-			writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
+			writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane, &sc.f)
 		}
 		nd.Compute(10 * float64((zhi-zlo)*n*n))
 
 		// Forward 2D FFTs on own planes (no barrier needed: planes are
 		// still private to their initializer).
 		for z := zlo; z < zhi; z++ {
-			plane := readComplex(nd, u+dsm.Addr(cBytes*z*n*n), n*n)
+			readComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane, &sc.f)
 			nd.Compute(fft2D(plane, n, -1))
-			writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
+			writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane, &sc.f)
 		}
 
 		// Blocked global transpose, then z-direction FFTs.
-		packForward(nd, u, xb, me, n, slab)
+		packForward(nd, u, xb, me, n, slab, sc)
 		nd.Compute(2 * float64((zhi-zlo)*n*n))
 		nd.Barrier()
-		unpackForward(nd, w, xb, me, n, slab)
+		unpackForward(nd, w, xb, me, n, slab, sc)
 		nd.Compute(2 * float64((xhi-xlo)*n*n))
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				pen := readComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), n)
+				pen := plane[:n]
+				readComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
 				fft(pen, -1)
-				writeComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), pen)
+				writeComplex(nd, w+dsm.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
 			}
 		}
 		nd.Compute(float64((xhi-xlo)*n) * fftFlops(n))
@@ -72,33 +74,34 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 			// Evolve + inverse z FFTs on own x-slab (w is preserved so
 			// the next iteration can reuse it).
 			for kx := xlo; kx < xhi; kx++ {
-				s := readComplex(nd, w+dsm.Addr(cBytes*kx*n*n), n*n)
+				s := plane
+				readComplex(nd, w+dsm.Addr(cBytes*kx*n*n), s, &sc.f)
 				for ky := 0; ky < n; ky++ {
 					for kz := 0; kz < n; kz++ {
 						s[ky*n+kz] *= complex(evolveFactor(kx, ky, kz, n, t), 0)
 					}
 					fft(s[ky*n:(ky+1)*n], +1)
 				}
-				writeComplex(nd, vw+dsm.Addr(cBytes*kx*n*n), s)
+				writeComplex(nd, vw+dsm.Addr(cBytes*kx*n*n), s, &sc.f)
 			}
 			nd.Compute(25*float64((xhi-xlo)*n*n) + float64((xhi-xlo)*n)*fftFlops(n))
 
 			// Blocked transpose back.
-			packBackward(nd, vw, xb, me, n, slab)
+			packBackward(nd, vw, xb, me, n, slab, sc)
 			nd.Compute(2 * float64((xhi-xlo)*n*n))
 			nd.Barrier()
-			unpackBackward(nd, u, xb, me, n, slab)
+			unpackBackward(nd, u, xb, me, n, slab, sc)
 			nd.Compute(2 * float64((zhi-zlo)*n*n))
 
 			// Inverse 2D FFTs and normalization on own z-slab.
 			scale := 1 / float64(pts)
 			for z := zlo; z < zhi; z++ {
-				plane := readComplex(nd, u+dsm.Addr(cBytes*z*n*n), n*n)
+				readComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane, &sc.f)
 				nd.Compute(fft2D(plane, n, +1))
 				for i := range plane {
 					plane[i] *= complex(scale, 0)
 				}
-				writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane)
+				writeComplex(nd, u+dsm.Addr(cBytes*z*n*n), plane, &sc.f)
 			}
 			nd.Compute(2 * float64((zhi-zlo)*n*n))
 

@@ -172,7 +172,9 @@ type Backend interface {
 	// Procs returns the team size.
 	Procs() int
 	// Malloc allocates size bytes (8-byte aligned, zeroed) in the shared
-	// address space; MallocPage starts the block on a page boundary.
+	// address space; MallocPage starts the block on a page boundary. A
+	// program allocates before Run (the SMP backend panics on a Malloc
+	// inside it).
 	Malloc(size int) Addr
 	MallocPage(size int) Addr
 	// Register binds a parallel-region body to a name on every worker. The

@@ -20,6 +20,13 @@ import (
 // virtual clocks, so NOW and SMP runs of one application are directly
 // comparable in the speedup tables.
 //
+// The heap holds only what was allocated: Malloc reserves address space
+// up to Config.HeapBytes, which bounds it rather than sizing an up-front
+// allocation, and Run materializes the reserved extent as zeroed bytes in
+// one allocation. A program allocates before Run — Malloc while the team
+// runs panics, since growing the heap would move it under a worker's
+// access — so the access path takes no lock.
+//
 // Virtual-time model: every sequentially-consistent hardware primitive
 // costs a small constant (calibrated to a bus-based 200 MHz Pentium Pro
 // SMP, the hardware contemporary of the paper's testbed), and blocking
@@ -74,11 +81,12 @@ type smpCond struct {
 type smpBackend struct {
 	plat      *sim.Platform
 	procs     int
-	heapBytes int
-	heap      []byte
+	heapBytes int    // exhaustion bound (Config.HeapBytes)
+	heap      []byte // [0, heapNext) once Run has begun
 
 	heapMu   sync.Mutex
 	heapNext Addr
+	running  bool // inside Run: Malloc panics (under heapMu)
 
 	regionsMu sync.Mutex
 	regions   map[string]func(w Worker, arg []byte) []byte
@@ -129,7 +137,6 @@ func newSMPBackend(cfg Config) *smpBackend {
 		plat:      plat,
 		procs:     cfg.Threads,
 		heapBytes: heapBytes,
-		heap:      make([]byte, heapBytes),
 		regions:   make(map[string]func(Worker, []byte) []byte),
 		locks:     make(map[int]*smpLock),
 		semas:     make(map[int]*smpSema),
@@ -168,6 +175,9 @@ func (b *smpBackend) MallocPage(size int) Addr {
 func (b *smpBackend) mallocLocked(size int) Addr {
 	if size <= 0 {
 		panic("smp: Malloc with non-positive size")
+	}
+	if b.running {
+		panic("smp: Malloc while the team runs (allocate before Run)")
 	}
 	a := b.heapNext
 	size = (size + 7) &^ 7
@@ -236,6 +246,15 @@ func (b *smpBackend) abortPanicLocked() {
 }
 
 func (b *smpBackend) Run(master func(w Worker)) error {
+	b.heapMu.Lock()
+	b.running = true
+	b.heap = append(b.heap, make([]byte, int(b.heapNext)-len(b.heap))...)
+	b.heapMu.Unlock()
+	defer func() {
+		b.heapMu.Lock()
+		b.running = false
+		b.heapMu.Unlock()
+	}()
 	var wg sync.WaitGroup
 	for _, w := range b.workers[1:] {
 		wg.Add(1)
@@ -557,12 +576,13 @@ func (w *smpWorker) Flush() {}
 // ---------------------------------------------------------------------
 // Shared-memory access: direct loads and stores on the flat heap. The
 // application's own synchronization (all of it funnelled through b.mu)
-// provides the ordering, exactly as on real hardware.
+// provides the ordering, exactly as on real hardware. The heap cannot
+// grow during Run, so its extent is read without a lock.
 // ---------------------------------------------------------------------
 
 func (w *smpWorker) checkRange(a Addr, size int) {
-	if a < 0 || int(a)+size > w.b.heapBytes {
-		panic(fmt.Sprintf("smp: access [%d,%d) outside shared heap of %d bytes", a, int(a)+size, w.b.heapBytes))
+	if a < 0 || int(a)+size > len(w.b.heap) {
+		panic(fmt.Sprintf("smp: access [%d,%d) outside shared heap of %d bytes", a, int(a)+size, len(w.b.heap)))
 	}
 }
 

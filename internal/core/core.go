@@ -49,7 +49,10 @@ type Config struct {
 	// Threads is the number of OpenMP threads (== workstations on the NOW
 	// backend, goroutines on the SMP backend).
 	Threads int
-	// HeapBytes sizes the shared address space (default 64 MiB).
+	// HeapBytes bounds the shared address space (default 64 MiB): a
+	// Malloc past it panics. The DSM-backed backends size their page
+	// tables by it; the SMP backend allocates only the extent its Mallocs
+	// reserved, so its memory grows with Malloc, not with this bound.
 	HeapBytes int
 	// Platform overrides the cost model.
 	Platform *sim.Platform

@@ -199,8 +199,7 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 				for _, pid := range ivl.pages {
 					pg := n.pages[pid]
 					if pg != nil && pg.twinIvl == ivl {
-						pg.twinIvl = nil
-						pg.twin = nil
+						n.releaseTwinLocked(pg)
 						n.protoAddLocked(-PageSize)
 						n.stats.TwinsCollected++
 					}

@@ -47,6 +47,13 @@ type Node struct {
 	pages     []*page       // [PageID]; entries materialize lazily
 	knownVC   []VectorClock // sound lower bound of what each node has seen
 
+	// Host buffers behind the multiple-writer protocol, reused under mu:
+	// twins whose diff was encoded or collected (ensureWritableLocked
+	// takes from the list before it allocates), and the scratch a diff is
+	// encoded into before its exact-size copy (makeDiff).
+	twinFree [][]byte
+	diffBuf  []byte
+
 	// fetchMu serializes the node's application-side fetch sequences (the
 	// fault path and GC validation waves, both through Client.fetch): its
 	// replies route by message type alone, so on a multi-client node two
@@ -390,14 +397,39 @@ func (n *Node) ensureDiffEncodedLocked(pg *page) int {
 	if pg.twinIvl == nil {
 		return 0
 	}
-	diff := makeDiff(pg.data, pg.twin)
+	var diff []byte
+	diff, n.diffBuf = makeDiff(pg.data, pg.twin, n.diffBuf)
 	pg.twinIvl.diffs[pg.id] = diff
-	pg.twinIvl = nil
-	pg.twin = nil
+	n.releaseTwinLocked(pg)
 	n.protoAddLocked(int64(len(diff)) - PageSize) // twin freed, diff retained
 	n.stats.DiffsCreated++
 	n.stats.DiffBytes += int64(len(diff))
 	return len(diff)
+}
+
+// releaseTwinLocked detaches the page's twin, whose diff is encoded or no
+// longer owed, and keeps its buffer for the node's next write fault. A
+// twin is never a reply payload or a page copy, so the buffer has no other
+// reference.
+func (n *Node) releaseTwinLocked(pg *page) {
+	n.twinFree = append(n.twinFree, pg.twin)
+	pg.twin = nil
+	pg.twinIvl = nil
+}
+
+// newTwinLocked returns a snapshot of data in a recycled buffer if the
+// node has one.
+func (n *Node) newTwinLocked(data []byte) []byte {
+	var twin []byte
+	if k := len(n.twinFree); k > 0 {
+		twin = n.twinFree[k-1]
+		n.twinFree[k-1] = nil
+		n.twinFree = n.twinFree[:k-1]
+	} else {
+		twin = make([]byte, PageSize)
+	}
+	copy(twin, data)
+	return twin
 }
 
 // deltaForLocked collects every interval the node knows that is not
@@ -511,8 +543,7 @@ func (c *Client) ensureWritableLocked(pg *page) {
 			n.ensureDiffEncodedLocked(pg)
 			c.clk.Advance(n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte))
 		}
-		pg.twin = make([]byte, PageSize)
-		copy(pg.twin, pg.data)
+		pg.twin = n.newTwinLocked(pg.data)
 		n.noteGCPageLocked(pg)
 		n.protoAddLocked(PageSize)
 		c.clk.Advance(n.sys.plat.TwinCopy)

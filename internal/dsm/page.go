@@ -110,8 +110,12 @@ type page struct {
 // (QSORT subarray boundaries land on arbitrary int32 indices), and a
 // coarser diff word would capture the neighbour's stale half and lose one
 // of the two writes when the diffs merge.
-func makeDiff(data, twin []byte) []byte {
-	var w wbuf
+//
+// The runs are encoded into scratch, which is returned grown for the next
+// call, and copied out once: the diff is one allocation with len == cap
+// (nil when nothing differs), since it is retained until collected.
+func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
+	w := wbuf{b: scratch[:0]}
 	n := len(data)
 	i := 0
 	for i < n {
@@ -134,7 +138,12 @@ func makeDiff(data, twin []byte) []byte {
 		w.u32(uint32(end - start))
 		w.b = append(w.b, data[start:end]...)
 	}
-	return w.b
+	if len(w.b) == 0 {
+		return nil, w.b
+	}
+	diff = make([]byte, len(w.b))
+	copy(diff, w.b)
+	return diff, w.b
 }
 
 func wordEq(a, b []byte, i int) bool {

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-// Property: applying makeDiff(data, twin) to a copy of twin reconstructs
+// Property: applying makeDiff(data, twin, _) to a copy of twin reconstructs
 // data exactly, for arbitrary page contents.
 func TestDiffRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -24,7 +24,7 @@ func TestDiffRoundTripProperty(t *testing.T) {
 				data[off+i] = byte(rng.Int())
 			}
 		}
-		diff := makeDiff(data, twin)
+		diff, _ := makeDiff(data, twin, nil)
 		got := make([]byte, PageSize)
 		copy(got, twin)
 		applyDiff(got, diff)
@@ -42,13 +42,13 @@ func TestDiffSizeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		twin := make([]byte, PageSize)
 		rng.Read(twin)
-		same := makeDiff(twin, twin)
+		same, _ := makeDiff(twin, twin, nil)
 		if len(same) != 0 {
 			return false
 		}
 		data := make([]byte, PageSize)
 		rng.Read(data)
-		diff := makeDiff(data, twin)
+		diff, _ := makeDiff(data, twin, nil)
 		return len(diff) <= PageSize+8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -73,8 +73,8 @@ func TestDiffCommutativityProperty(t *testing.T) {
 			aData[rng.Intn(PageSize/2)] = byte(rng.Int())
 			bData[PageSize/2+rng.Intn(PageSize/2)] = byte(rng.Int())
 		}
-		da := makeDiff(aData, base)
-		db := makeDiff(bData, base)
+		da, _ := makeDiff(aData, base, nil)
+		db, _ := makeDiff(bData, base, nil)
 
 		ab := make([]byte, PageSize)
 		copy(ab, base)

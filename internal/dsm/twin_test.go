@@ -1,0 +1,263 @@
+package dsm
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
+
+// appendDiff is the straightforward encoder makeDiff must match byte for
+// byte: the same runs, grown by append.
+func appendDiff(data, twin []byte) []byte {
+	var w wbuf
+	for i := 0; i < len(data); {
+		for i < len(data) && wordEq(data, twin, i) {
+			i += 4
+		}
+		if i >= len(data) {
+			break
+		}
+		start := i
+		for i < len(data) && !wordEq(data, twin, i) {
+			i += 4
+		}
+		end := min(i, len(data))
+		w.u32(uint32(start))
+		w.u32(uint32(end - start))
+		w.b = append(w.b, data[start:end]...)
+	}
+	return w.b
+}
+
+// mutatePage returns a copy of twin with k random words changed (k = 0
+// leaves it equal), so the runs range from none to the whole page.
+func mutatePage(rng *rand.Rand, twin []byte, k int) []byte {
+	data := bytes.Clone(twin)
+	for ; k > 0; k-- {
+		data[4*rng.Intn(PageSize/4)+rng.Intn(4)] ^= byte(1 + rng.Intn(255))
+	}
+	return data
+}
+
+// Property: makeDiff's output is byte-identical to the append-built
+// encoding and is one exact-size allocation (len == cap), whatever the
+// scratch it is handed holds from earlier calls.
+func TestMakeDiffExactProperty(t *testing.T) {
+	var scratch []byte
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		twin := make([]byte, PageSize)
+		rng.Read(twin)
+		for _, k := range []int{0, 1, rng.Intn(16), rng.Intn(PageSize / 4), 4 * PageSize} {
+			data := mutatePage(rng, twin, k)
+			var diff []byte
+			diff, scratch = makeDiff(data, twin, scratch)
+			want := appendDiff(data, twin)
+			if !bytes.Equal(diff, want) || len(diff) != cap(diff) {
+				t.Logf("seed %d, %d words changed: len %d cap %d, reference len %d", seed, k, len(diff), cap(diff), len(want))
+				return false
+			}
+			if len(diff) > 0 && len(scratch) > 0 && &diff[0] == &scratch[0] {
+				t.Logf("seed %d: diff aliases the scratch buffer", seed)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTwinBuffersNeverShared runs randomized lock/barrier programs — words
+// of a few pages written by random single owners between barriers, plus
+// lock-protected counters — with the collector at every episode and at
+// the default threshold. Recycled twins must leave the contents exact, and
+// at the end no twin buffer (live or on a free list) may be shared by two
+// pages, sit on a free list twice, or alias a page copy or a diff.
+func TestTwinBuffersNeverShared(t *testing.T) {
+	var recycled int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const P = 4
+		words := 512 + rng.Intn(1024) // 1-4 pages of 8-byte words
+		rounds := 3 + rng.Intn(6)
+		nlocks := 1 + rng.Intn(3)
+		owner := make([][]int, rounds)
+		for r := range owner {
+			owner[r] = make([]int, words)
+			for w := range owner[r] {
+				owner[r][w] = rng.Intn(P)
+			}
+		}
+		want := make([]int64, words)
+		for r := range owner {
+			for w, o := range owner[r] {
+				want[w] = int64(r*1000 + o*10 + w%7)
+			}
+		}
+		for _, pressure := range []int{1, 0} {
+			sys := New(Config{Procs: P, GCPressure: pressure})
+			base := sys.MallocPage(8 * words)
+			ctrs := sys.MallocPage(8 * nlocks)
+			sys.Register("plan", func(n *Node, _ []byte) {
+				me := n.ID()
+				for r := range owner {
+					for w, o := range owner[r] {
+						if o == me {
+							n.WriteI64(base+Addr(8*w), int64(r*1000+o*10+w%7))
+						}
+					}
+					lk := (r + me) % nlocks
+					n.Acquire(lk)
+					n.WriteI64(ctrs+Addr(8*lk), n.ReadI64(ctrs+Addr(8*lk))+1)
+					n.Release(lk)
+					n.Barrier()
+				}
+			})
+			got := make([]int64, words)
+			var sum int64
+			err := sys.Run(func(n *Node) {
+				n.RunParallel("plan", nil)
+				for w := range got {
+					got[w] = n.ReadI64(base + Addr(8*w))
+				}
+				for lk := 0; lk < nlocks; lk++ {
+					sum += n.ReadI64(ctrs + Addr(8*lk))
+				}
+			})
+			sys.Close()
+			if err != nil {
+				t.Logf("seed %d pressure %d: %v", seed, pressure, err)
+				return false
+			}
+			if sum != int64(rounds*P) {
+				t.Logf("seed %d pressure %d: counters sum %d, want %d", seed, pressure, sum, rounds*P)
+				return false
+			}
+			for w := range want {
+				if got[w] != want[w] {
+					t.Logf("seed %d pressure %d: word %d = %d, want %d", seed, pressure, w, got[w], want[w])
+					return false
+				}
+			}
+			if err := twinAliasing(sys); err != nil {
+				t.Logf("seed %d pressure %d: %v", seed, pressure, err)
+				return false
+			}
+			for _, n := range sys.nodes {
+				recycled += len(n.twinFree)
+			}
+		}
+		return true
+	}
+	max := 10
+	if testing.Short() {
+		max = 3
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: max}); err != nil {
+		t.Fatal(err)
+	}
+	if recycled == 0 {
+		t.Error("no twin was ever released to a free list: recycling went unexercised")
+	}
+}
+
+// twinAliasing reports the first backing array that a twin shares with
+// another twin, a free-list entry, a page copy or a retained diff, over
+// every node of a finished system.
+func twinAliasing(sys *System) error {
+	owner := map[*byte]string{}
+	claim := func(b []byte, who string) error {
+		if len(b) == 0 {
+			return nil
+		}
+		p := &b[:1][0]
+		if prev, ok := owner[p]; ok {
+			return fmt.Errorf("%s shares its backing array with %s", who, prev)
+		}
+		owner[p] = who
+		return nil
+	}
+	for _, n := range sys.nodes {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for i, tw := range n.twinFree {
+			if err := claim(tw, fmt.Sprintf("node %d free twin %d", n.id, i)); err != nil {
+				return err
+			}
+		}
+		for _, pg := range n.pages {
+			if pg == nil {
+				continue
+			}
+			if err := claim(pg.twin, fmt.Sprintf("node %d page %d twin", n.id, pg.id)); err != nil {
+				return err
+			}
+			if err := claim(pg.data, fmt.Sprintf("node %d page %d copy", n.id, pg.id)); err != nil {
+				return err
+			}
+		}
+		for _, ivls := range n.intervals {
+			for _, ivl := range ivls {
+				for pid, d := range ivl.diffs {
+					if err := claim(d, fmt.Sprintf("node %d diff (%d,%d) page %d", n.id, ivl.creator, ivl.seq, pid)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// BenchmarkTwinDiffCycle is one write fault → interval close → diff
+// encode on a page the node homes: the twin comes off the node's free
+// list once the cycle is warm, so B/op is the interval record and its
+// exact-size diff.
+func BenchmarkTwinDiffCycle(b *testing.B) {
+	sys := New(Config{Procs: 2, GCPressure: -1})
+	defer sys.Close()
+	a := sys.MallocPage(PageSize)
+	n := sys.nodes[0]
+	if !n.isHome(PageID(a / PageSize)) {
+		b.Fatal("benchmark premise: node 0 homes the page")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.mu.Lock()
+		pg := n.pageFor(PageID(a / PageSize))
+		n.c0.ensureWritableLocked(pg)
+		pg.data[(8*i)%PageSize]++
+		n.closeIntervalLocked()
+		n.ensureDiffEncodedLocked(pg)
+		n.mu.Unlock()
+	}
+}
+
+// BenchmarkMakeDiff encodes a sparse page (one changed word in 64) and a
+// dense one (every other word changed: the most runs a page can hold)
+// with the scratch reused across calls, as on a node.
+func BenchmarkMakeDiff(b *testing.B) {
+	twin := make([]byte, PageSize)
+	rand.New(rand.NewSource(1)).Read(twin)
+	for _, c := range []struct {
+		name   string
+		stride int // bytes between changed words
+	}{{"sparse", 256}, {"dense", 8}} {
+		data := bytes.Clone(twin)
+		for i := 0; i < PageSize; i += c.stride {
+			data[i] ^= 0xff
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var scratch []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, scratch = makeDiff(data, twin, scratch)
+			}
+		})
+	}
+}

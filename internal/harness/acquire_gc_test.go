@@ -108,10 +108,27 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	if t12 > limit {
 		t.Errorf("tsp chain above the backpressure bound: 11 cities=%d, 12 cities=%d (limit %d)", t11, t12, limit)
 	}
-	tOff := ts(12, -1)
-	if tOff <= t12 {
-		t.Errorf("tsp without acquire GC (chain %d) not above with (%d)", tOff, t12)
+	// TSP's search order follows host scheduling, so one off/on pair can
+	// land within a few records of each other under load (141 vs 147 was
+	// seen with other packages' tests running). The bound above holds on
+	// every run; the gap must show within up to four paired runs, each of
+	// whose collected runs must keep the bound too.
+	const pairs = 4
+	var seen []string
+	for i := 0; i < pairs; i++ {
+		on := t12
+		if i > 0 {
+			if on = ts(12, acquireGCPressureForTests); on > limit {
+				t.Errorf("tsp chain %d above the backpressure bound %d (pair %d)", on, limit, i+1)
+			}
+		}
+		off := ts(12, -1)
+		if off > on {
+			return
+		}
+		seen = append(seen, fmt.Sprintf("off %d vs on %d", off, on))
 	}
+	t.Errorf("tsp without acquire GC never above with it in %d paired runs: %v", pairs, seen)
 }
 
 // TestEquivalenceWithAcquireGC reruns the cross-implementation
