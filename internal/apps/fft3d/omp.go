@@ -43,8 +43,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 
 	prog.RegisterDo("init", func(tc *core.TC, zlo, zhi int) {
 		sc := &scr[tc.ThreadNum()]
-		sc.buf = grow(sc.buf, n*n)
-		plane := sc.buf
+		plane := sc.complexes(n * n)
 		for z := zlo; z < zhi; z++ {
 			for i := range plane {
 				re, im := initValue(p.Seed, z*n*n+i)
@@ -57,8 +56,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 
 	prog.RegisterDo("fwd2d", func(tc *core.TC, zlo, zhi int) {
 		sc := &scr[tc.ThreadNum()]
-		sc.buf = grow(sc.buf, n*n)
-		plane := sc.buf
+		plane := sc.complexes(n * n)
 		for z := zlo; z < zhi; z++ {
 			readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane, &sc.f)
 			tc.Compute(fft2D(plane, n, -1))
@@ -80,8 +78,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 
 	prog.RegisterDo("fftz", func(tc *core.TC, xlo, xhi int) {
 		sc := &scr[tc.ThreadNum()]
-		sc.buf = grow(sc.buf, n)
-		pen := sc.buf
+		pen := sc.complexes(n)
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
 				readComplex(tc.Worker(), w+core.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
@@ -95,8 +92,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	prog.RegisterDo("evolve", func(tc *core.TC, xlo, xhi int) {
 		t := tc.Args().Int()
 		sc := &scr[tc.ThreadNum()]
-		sc.buf = grow(sc.buf, n*n)
-		s := sc.buf
+		s := sc.complexes(n * n)
 		for kx := xlo; kx < xhi; kx++ {
 			readComplex(tc.Worker(), w+core.Addr(cBytes*kx*n*n), s, &sc.f)
 			for ky := 0; ky < n; ky++ {
@@ -111,8 +107,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 
 	prog.RegisterDo("ifftz", func(tc *core.TC, xlo, xhi int) {
 		sc := &scr[tc.ThreadNum()]
-		sc.buf = grow(sc.buf, n)
-		pen := sc.buf
+		pen := sc.complexes(n)
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
 				readComplex(tc.Worker(), vw+core.Addr(cBytes*(x*n+y)*n), pen, &sc.f)
@@ -138,8 +133,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 	prog.RegisterDo("inv2d", func(tc *core.TC, zlo, zhi int) {
 		scale := 1 / float64(pts)
 		sc := &scr[tc.ThreadNum()]
-		sc.buf = grow(sc.buf, n*n)
-		plane := sc.buf
+		plane := sc.complexes(n * n)
 		for z := zlo; z < zhi; z++ {
 			readComplex(tc.Worker(), u+core.Addr(cBytes*z*n*n), plane, &sc.f)
 			tc.Compute(fft2D(plane, n, +1))

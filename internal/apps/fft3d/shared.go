@@ -34,6 +34,12 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
+// complexes returns the in-flight buffer resized to n values.
+func (sc *scratch) complexes(n int) []complex128 {
+	sc.buf = grow(sc.buf, n)
+	return sc.buf
+}
+
 // readComplex bulk-reads len(dst) complex values starting at a into dst,
 // staging them through *f.
 func readComplex(n core.Worker, a core.Addr, dst []complex128, f *[]float64) {
@@ -106,15 +112,15 @@ func packForward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, slab 
 	for d := 0; d < xb.procs; d++ {
 		dlo, dhi := slab(d)
 		row := dhi - dlo
-		sc.buf = grow(sc.buf, (zhi-zlo)*n*row)
+		vals := sc.complexes((zhi - zlo) * n * row)
 		i := 0
 		for z := zlo; z < zhi; z++ {
 			for y := 0; y < n; y++ {
-				readComplex(node, u+core.Addr(cBytes*((z*n+y)*n+dlo)), sc.buf[i:i+row], &sc.f)
+				readComplex(node, u+core.Addr(cBytes*((z*n+y)*n+dlo)), vals[i:i+row], &sc.f)
 				i += row
 			}
 		}
-		writeComplex(node, xb.addr(me, d), sc.buf, &sc.f)
+		writeComplex(node, xb.addr(me, d), vals, &sc.f)
 	}
 }
 
@@ -128,8 +134,7 @@ func unpackForward(node core.Worker, w core.Addr, xb *xferBlocks, me, n int, sla
 	out := sc.out
 	for s := 0; s < xb.procs; s++ {
 		slo, shi := slab(s)
-		sc.buf = grow(sc.buf, (shi-slo)*n*myX)
-		vals := sc.buf
+		vals := sc.complexes((shi - slo) * n * myX)
 		readComplex(node, xb.addr(s, me), vals, &sc.f)
 		i := 0
 		for z := slo; z < shi; z++ {
@@ -152,15 +157,15 @@ func packBackward(node core.Worker, vw core.Addr, xb *xferBlocks, me, n int, sla
 	for d := 0; d < xb.procs; d++ {
 		dlo, dhi := slab(d)
 		row := dhi - dlo
-		sc.buf = grow(sc.buf, (xhi-xlo)*n*row)
+		vals := sc.complexes((xhi - xlo) * n * row)
 		i := 0
 		for x := xlo; x < xhi; x++ {
 			for y := 0; y < n; y++ {
-				readComplex(node, vw+core.Addr(cBytes*((x*n+y)*n+dlo)), sc.buf[i:i+row], &sc.f)
+				readComplex(node, vw+core.Addr(cBytes*((x*n+y)*n+dlo)), vals[i:i+row], &sc.f)
 				i += row
 			}
 		}
-		writeComplex(node, xb.addr(me, d), sc.buf, &sc.f)
+		writeComplex(node, xb.addr(me, d), vals, &sc.f)
 	}
 }
 
@@ -173,8 +178,7 @@ func unpackBackward(node core.Worker, u core.Addr, xb *xferBlocks, me, n int, sl
 	out := sc.out
 	for s := 0; s < xb.procs; s++ {
 		slo, shi := slab(s)
-		sc.buf = grow(sc.buf, (shi-slo)*n*myZ)
-		vals := sc.buf
+		vals := sc.complexes((shi - slo) * n * myZ)
 		readComplex(node, xb.addr(s, me), vals, &sc.f)
 		i := 0
 		for x := slo; x < shi; x++ {
