@@ -86,7 +86,8 @@ hybrid-race:
 # (TestLockGrant*, and QSORT and TSP under the shadow-memory oracle), the
 # recycled twins (TestTwinBuffers*: randomized lock/barrier programs, no
 # twin buffer shared, the owed-twin release included) and exact-size diffs
-# (TestMakeDiffExact*), plus the
+# (TestMakeDiffExact*), the lazily kept per-page seen clocks against eager
+# ones on randomized programs that flush (TestLazySeenMatchesEager), plus the
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
 # ablation, every app at GCPressure 1, and the full-scale Sweep3D cell
@@ -95,7 +96,7 @@ hybrid-race:
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestTwinBuffers|TestMakeDiffExact|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestTwinBuffers|TestMakeDiffExact|TestLazySeen|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
 	$(GO) test -race -run 'TestLockGrantOracle' ./internal/apps/qsort ./internal/apps/tsp
 	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
@@ -145,12 +146,15 @@ serve-race:
 # vector clock, frame envelope, the join's trailer-then-tail, the lock
 # grant's trailer-then-data, and the fetch exchange's request and reply):
 # the seeds replay instantly, then a few seconds of mutation hunt for
-# panics that escape the wireError bound. The corpus-less smoke keeps ci
-# deterministic-ish and fast; run
+# panics that escape the wireError bound. The second target decodes the
+# trailer against a receiver's interval store as well and fails unless both
+# decodes panic alike. The corpus-less smoke keeps ci deterministic-ish and
+# fast; run
 #   $(GO) test -fuzz FuzzWireDecode ./internal/dsm
 # open-endedly when touching the codec.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5s ./internal/dsm
+	$(GO) test -run '^$$' -fuzz FuzzWireStoreDecode -fuzztime 5s ./internal/dsm
 
 # One-iteration benchmark smoke: compiles and executes every benchmark
 # family (Table 1 / Figure 6 / Table 2 / micro / ablations) so they can
@@ -162,11 +166,12 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem
 
 # Per-layer host-allocation benchmarks (B/op, allocs/op): the DSM's write
-# fault → interval close → diff encode cycle and makeDiff on sparse and
-# dense pages, an omp-smp program's construction, and one 3D-FFT transpose
-# through its helpers. The results/ALLOC_*.md records hold before/after
-# figures.
-ALLOC_PKGS = ./internal/dsm ./internal/core ./internal/apps/fft3d
+# fault → interval close → diff encode cycle, makeDiff on sparse and dense
+# pages, a 64-node departure trailer's decode (fresh and duplicate records)
+# and encode, an omp-smp program's construction, one 3D-FFT transpose
+# through its helpers and one Sweep3D slab step. The results/ALLOC_*.md
+# records hold before/after figures.
+ALLOC_PKGS = ./internal/dsm ./internal/core ./internal/apps/fft3d ./internal/apps/sweep3d
 alloc-bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS)
 

@@ -41,6 +41,7 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 		lo, hi := core.StaticBlock(0, ny, me, procs)
 		flux := make([]float64, (hi-lo)*nx*nz)
 		slotUse := make(map[int]int) // per-slot reuse count (for sema_free)
+		bufs := newSlabBufs(p)
 
 		for _, oct := range octants {
 			ys, ylo := slabOrder(ny, oct[1], me, procs)
@@ -49,14 +50,12 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 				na := len(as)
 				psiX := make([]float64, (hi-lo)*nz*na)
 				for xbIdx, xs := range xBlocks(nx, p.BlockX, oct[0]) {
-					cnt := len(xs) * nz * na
-					in := make([]float64, cnt)
+					in, out := bufs.slab(len(xs) * nz * na)
 					if up >= 0 {
 						tc.SemaWait(semID(up, xbIdx, abIdx, dirOf(oct[1]), semFamilyData, me, procs))
 						tc.ReadF64s(slots+core.Addr(slotIndex(up, xbIdx, abIdx, nxb, nab)*slotBytes), in)
 						tc.SemaSignal(semID(up, xbIdx, abIdx, 0, semFamilyFree, up, procs))
 					}
-					out := make([]float64, cnt)
 					tc.Compute(sweepSlab(p, oct, xs, ys, as, ylo, in, out, psiX, flux))
 					if down >= 0 {
 						slot := slotIndex(me, xbIdx, abIdx, nxb, nab)

@@ -196,6 +196,24 @@ func sweepSlab(p Params, oct [3]int, xs, ys, as []int, ylo int,
 	return float64(len(xs)*len(ys)*nz*na) * flopsPerCellAngle
 }
 
+// slabBufs is one thread's pair of ψ_y boundary planes, in and out, sized
+// for the largest block and reused for every block it sweeps.
+type slabBufs struct{ in, out []float64 }
+
+func newSlabBufs(p Params) slabBufs {
+	n := p.BlockX * p.NZ * p.AngleBlock
+	return slabBufs{in: make([]float64, n), out: make([]float64, n)}
+}
+
+// slab returns the planes of a block of cnt values, cleared: an inflow
+// with no upstream thread is vacuum.
+func (b slabBufs) slab(cnt int) (in, out []float64) {
+	in, out = b.in[:cnt], b.out[:cnt]
+	clear(in)
+	clear(out)
+	return in, out
+}
+
 // fluxMoments returns the slab's additive checksum moments (Σv, Σv²);
 // partial moments from different slabs sum, and digest combines them.
 func fluxMoments(flux []float64) (s, s2 float64) {

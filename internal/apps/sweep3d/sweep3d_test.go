@@ -189,3 +189,22 @@ func TestTmkSyncMessagesPinned(t *testing.T) {
 		t.Errorf("%d synchronization messages, pinned at 1,379", res.SyncMsgs)
 	}
 }
+
+// BenchmarkSlabStep is one pipeline block of thread 0's sweep at the
+// default problem and 8 threads: the ψ_y planes taken from the thread's
+// slab buffers, then sweepSlab. B/op is what a block allocates beyond the
+// buffers the thread keeps for the run.
+func BenchmarkSlabStep(b *testing.B) {
+	p := Default()
+	ys, ylo := slabOrder(p.NY, +1, 0, 8)
+	xs := xBlocks(p.NX, p.BlockX, +1)[0]
+	as := angleBlocks(p.Angles, p.AngleBlock)[0]
+	psiX := make([]float64, len(ys)*p.NZ*len(as))
+	flux := make([]float64, len(ys)*p.NX*p.NZ)
+	bufs := newSlabBufs(p)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		in, out := bufs.slab(len(xs) * p.NZ * len(as))
+		sweepSlab(p, octants[0], xs, ys, as, ylo, in, out, psiX, flux)
+	}
+}

@@ -31,6 +31,7 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 		ysAll, ylo := slabOrder(ny, +1, me, procs)
 		flux := make([]float64, len(ysAll)*nx*nz)
 		slotUse := make(map[int]int)
+		bufs := newSlabBufs(p)
 
 		for _, oct := range octants {
 			ys, _ := slabOrder(ny, oct[1], me, procs)
@@ -39,14 +40,12 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 				na := len(as)
 				psiX := make([]float64, len(ys)*nz*na)
 				for xbIdx, xs := range xBlocks(nx, p.BlockX, oct[0]) {
-					cnt := len(xs) * nz * na
-					in := make([]float64, cnt)
+					in, bndOut := bufs.slab(len(xs) * nz * na)
 					if up >= 0 {
 						nd.SemaWait(semID(up, xbIdx, abIdx, dirOf(oct[1]), semFamilyData, me, procs))
 						nd.ReadF64s(slots+dsm.Addr(slotIndex(up, xbIdx, abIdx, nxb, nab)*slotBytes), in)
 						nd.SemaSignal(semID(up, xbIdx, abIdx, 0, semFamilyFree, up, procs))
 					}
-					bndOut := make([]float64, cnt)
 					nd.Compute(sweepSlab(p, oct, xs, ys, as, ylo, in, bndOut, psiX, flux))
 					if down >= 0 {
 						slot := slotIndex(me, xbIdx, abIdx, nxb, nab)

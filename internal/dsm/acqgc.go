@@ -350,7 +350,7 @@ func (n *Node) routeTargetsLocked(targets []int) (hops []int, byHop map[int][]in
 // Requires n.mu.
 func (n *Node) consensusFrameLocked(hop int, relay []int) *frameBuilder {
 	var w wbuf
-	putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[hop]))
+	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[hop]))
 	if len(relay) > 0 {
 		w.uv(uint64(len(relay)))
 		for _, t := range relay {
@@ -538,7 +538,11 @@ func (n *Node) handleGCSync(m *network.Message) {
 // delta, relays; it returns the node's clock afterwards.
 func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	r := rbuf{b: m.Payload}
-	senderVC, recs := getTrailer(&r)
+	at := m.Arrive + n.sys.plat.RequestService
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.chargeInterruptLocked()
+	n.takeTrailerLocked(&r, m.From)
 	// Tree-routed pushes append the varint relay list after the trailer
 	// (flat pushes and reverse deltas end with the trailer).
 	var relay []int
@@ -554,12 +558,6 @@ func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 			relay[i] = t
 		}
 	}
-	at := m.Arrive + n.sys.plat.RequestService
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	n.incorporateLocked(recs, senderVC)
-	n.noteHeardLocked(m.From, senderVC)
 	vc := n.vc.clone()
 	// Reverse delta: a quiet node's own last intervals have never been
 	// carried anywhere (deltas only travel on sends, and it is not
@@ -581,7 +579,7 @@ func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	f := n.newFrame()
 	if len(back) > 0 {
 		var w wbuf
-		putTrailer(&w, n.vc, back)
+		putTrailer(&w, &n.trailerBuf, n.vc, back)
 		f.add(msgGCSync, w.b)
 	}
 	if co := n.sys.acq; co != nil {

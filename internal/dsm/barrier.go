@@ -142,17 +142,15 @@ func (c *Client) Barrier() {
 		// would let the server incorporate records and change the delta.
 		parent := barrierParent(n.id, n.sys.fanin)
 		var w wbuf
-		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[parent]))
+		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[parent]))
 		n.noteSentLocked(parent)
 		n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
 		n.mu.Unlock()
 
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
-		depVC, recs := getTrailer(&r)
 		n.mu.Lock()
-		n.incorporateLocked(recs, depVC)
-		n.noteHeardLocked(parent, depVC)
+		depVC := n.takeTrailerLocked(&r, parent)
 		if n.sys.acq != nil {
 			n.gcEpisodeLocked(c, depVC)
 		}
@@ -176,17 +174,15 @@ func (c *Client) Barrier() {
 		parent := barrierParent(n.id, n.sys.fanin)
 		n.mu.Lock()
 		var w wbuf
-		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[parent]))
+		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[parent]))
 		n.noteSentLocked(parent)
 		n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
 		n.mu.Unlock()
 
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
-		depVC, recs := getTrailer(&r)
 		n.mu.Lock()
-		n.incorporateLocked(recs, depVC)
-		n.noteHeardLocked(parent, depVC)
+		depVC := n.takeTrailerLocked(&r, parent)
 		// Forward the wave before collecting: the children (and their
 		// subtrees) stay parked until these go out, and the episode's
 		// waits for homes end only once every node has made its first
@@ -241,7 +237,7 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 			// stays live deliberately: records stored by the server mid-loop
 			// ride along early (their own clocks raise the receiver), which
 			// is sound — only the floor clock must be the snapshot.
-			putTrailer(&w, depVC, n.deltaForLocked(a.vc))
+			putTrailer(&w, &n.trailerBuf, depVC, n.deltaForLocked(a.vc))
 			n.mu.Unlock()
 			n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, w.b, c.clk.Now())
 			n.mu.Lock()
@@ -262,7 +258,7 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 	frames := make([]*frameBuilder, len(arrivals))
 	for i, a := range arrivals {
 		var w wbuf
-		putTrailer(&w, depVC, n.deltaForLocked(a.vc))
+		putTrailer(&w, &n.trailerBuf, depVC, n.deltaForLocked(a.vc))
 		f := n.newFrame()
 		f.add(msgBarrDepart, w.b)
 		if co != nil {

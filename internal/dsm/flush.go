@@ -29,7 +29,7 @@ func (c *Client) Flush() {
 			continue
 		}
 		var w wbuf
-		putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[j]))
+		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[j]))
 		n.noteSentLocked(j)
 		// Sent under mu: atomic with the estimate update.
 		n.ep.SendAt(j, msgFlush, network.ClassRequest, w.b, c.clk.Now())
@@ -48,12 +48,10 @@ func (c *Client) Flush() {
 // uninvolved nodes.
 func (n *Node) handleFlush(m *network.Message) {
 	r := rbuf{b: m.Payload}
-	senderVC, recs := getTrailer(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
-	n.incorporateLocked(recs, senderVC)
-	n.noteHeardLocked(m.From, senderVC)
+	n.takeTrailerLocked(&r, m.From)
 	n.ep.SendAt(m.From, msgFlushAck, network.ClassReply, nil, at)
 }

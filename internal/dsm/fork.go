@@ -40,7 +40,7 @@ func (c *Client) RunParallel(region string, arg []byte) [][]byte {
 		var w wbuf
 		w.str(region)
 		w.bytes(arg)
-		putTrailer(&w, forkVC, n.deltaForLocked(n.knownVC[i]))
+		putTrailer(&w, &n.trailerBuf, forkVC, n.deltaForLocked(n.knownVC[i]))
 		n.noteSentLocked(i)
 		// Sent under mu: atomic with the estimate update.
 		n.ep.SendAt(i, msgFork, network.ClassRequest, w.b, c.clk.Now())
@@ -115,7 +115,7 @@ func (n *Node) slaveLoop() {
 		n.mu.Lock()
 		n.closeIntervalLocked()
 		var w wbuf
-		putJoin(&w, n.vc, n.deltaForLocked(n.knownVC[0]), tail)
+		putJoin(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[0]), tail)
 		n.noteSentLocked(0)
 		// Sent under mu: atomic with the estimate update.
 		n.ep.Send(0, msgJoin, network.ClassRequest, w.b)

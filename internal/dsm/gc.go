@@ -268,6 +268,8 @@ func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	if pg.twin != nil || pg.inDirty {
 		panic(fmt.Sprintf("dsm: node %d GC flushing page %d with live twin", n.id, pg.id))
 	}
+	pg.refetch = true // see below; seenVC is kept from here on
+	n.keepSeenLocked(pg)
 	keep := pg.missing[:0]
 	for _, m := range pg.missing {
 		if !retire.covers(m.creator, m.seq) {
@@ -283,7 +285,6 @@ func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	// floor covers them) — survive only in the home's validated copy now:
 	// any rebuild of this page must start from a whole-page fetch (the next
 	// fault does exactly that), never from a zeros base.
-	pg.refetch = true
 	pg.appliedVC = nil
 	pg.data = nil
 	pg.state = pageInvalid

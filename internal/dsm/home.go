@@ -94,12 +94,15 @@ func (h *homePurged) covers(home int, floor VectorClock) bool {
 // applying its diff — marks the copy refetch. So zeros plus pg.missing
 // applied in causal order IS this node's view of the page (allocation
 // zero-fills, and every write since lives in some interval's diff); with
-// nothing missing the copy is current at once. Requires n.mu.
+// nothing missing the copy is current at once. Its second reader is
+// seenVC, which a page in this state does not keep: pg.missing's merge is
+// its value (keepSeenLocked). Requires n.mu.
 func (n *Node) zeroFillLocked(pg *page) {
 	if pg.data != nil || pg.refetch {
 		panic(fmt.Sprintf("dsm: node %d zero-filling page %d that has a copy or a flushed history", n.id, pg.id))
 	}
 	pg.data = make([]byte, PageSize)
+	n.keepSeenLocked(pg)
 	if pg.state == pageInvalid && len(pg.missing) == 0 {
 		pg.state = pageReadOnly
 	}

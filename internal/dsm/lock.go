@@ -309,7 +309,10 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 		panic(fmt.Sprintf("dsm: node %d got grant for lock %d while acquiring %d", n.id, got, id))
 	}
 	r.u32() // tag: already matched by routing
-	senderVC, recs := getTrailer(&r)
+	// The store-backed decode needs n.mu, the data's fetchMu precedes it.
+	n.mu.Lock()
+	senderVC, recs := getVC(&r), n.decodeRecordsLocked(&r)
+	n.mu.Unlock()
 	data := getGrantData(&r, len(recs), len(n.pages))
 	if data != nil {
 		n.fetchMu.Lock()
@@ -363,7 +366,7 @@ func (n *Node) sendGrantLocked(ls *lockState, id, to int, tag uint32, reqVC Vect
 	w.i32(id)
 	w.u32(tag)
 	delta := n.deltaForLocked(reqVC)
-	putTrailer(&w, n.vc, delta)
+	putTrailer(&w, &n.trailerBuf, n.vc, delta)
 	if to != n.id {
 		at += n.putGrantDataLocked(&w, ls, delta)
 		clear(ls.inData)

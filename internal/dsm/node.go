@@ -2,11 +2,12 @@ package dsm
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/network"
@@ -47,12 +48,13 @@ type Node struct {
 	pages     []*page       // [PageID]; entries materialize lazily
 	knownVC   []VectorClock // sound lower bound of what each node has seen
 
-	// Host buffers behind the multiple-writer protocol, reused under mu:
-	// twins whose diff was encoded or collected (ensureWritableLocked
-	// takes from the list before it allocates), and the scratch a diff is
-	// encoded into before its exact-size copy (makeDiff).
-	twinFree [][]byte
-	diffBuf  []byte
+	// Host buffers reused under mu: twins whose diff was encoded or
+	// collected (ensureWritableLocked takes from the list first), and the
+	// scratch of makeDiff, putTrailer and decodeRecordsLocked.
+	twinFree   [][]byte
+	diffBuf    []byte
+	trailerBuf []byte
+	vcBuf      VectorClock
 
 	// fetchMu serializes the node's application-side fetch sequences (the
 	// fault path and GC validation waves, both through Client.fetch): its
@@ -274,40 +276,18 @@ func (n *Node) closeIntervalLocked() {
 		}
 	}
 	n.dirty = n.dirty[:0]
+	slices.Sort(ivl.pages) // the one sort a notice list gets (encodeRecords)
 	n.intervals[n.id] = append(n.intervals[n.id], ivl)
 	n.noteChainLocked(n.id)
 	n.protoAddLocked(ivlRecordBytes(ivl))
 }
 
-// storeIntervalLocked records a received interval if it is new, enforcing
-// the gap-free prefix invariant. It returns the canonical stored record
-// and whether it was new. Intervals below the retained base were retired
-// by the garbage collector — every node provably incorporated them before
-// they were freed, so they are duplicates by construction (the returned
-// record is nil in that case; callers only use it when isNew is true).
-func (n *Node) storeIntervalLocked(rec *interval) (*interval, bool) {
-	have := n.intervals[rec.creator]
-	idx := rec.seq - n.ivlBase[rec.creator]
-	if idx < 0 {
-		return nil, false // retired duplicate
-	}
-	if idx < len(have) {
-		return have[idx], false // duplicate
-	}
-	if idx > len(have) {
-		panic(fmt.Sprintf("dsm: node %d received interval (%d,%d) with gap (have base %d + %d)",
-			n.id, rec.creator, rec.seq, n.ivlBase[rec.creator], len(have)))
-	}
-	n.intervals[rec.creator] = append(have, rec)
-	n.noteChainLocked(rec.creator)
-	n.protoAddLocked(ivlRecordBytes(rec))
-	return rec, true
-}
-
 // incorporateLocked merges received consistency information: it stores new
-// intervals, invalidates the pages named by their write notices, and
-// raises the node's vector clock. This is the "acquire" half of lazy
-// release consistency.
+// intervals, enforcing the gap-free prefix invariant, invalidates the pages
+// named by their write notices, and raises the node's vector clock. This is
+// the "acquire" half of lazy release consistency. A record the node already
+// holds, created, or retired — every node incorporated it before the
+// collector freed it — is a duplicate.
 //
 // The order is load-bearing: ALL invalidations happen before ANY clock
 // merge. An invalidation may close the node's open write interval early
@@ -320,20 +300,23 @@ func (n *Node) storeIntervalLocked(rec *interval) (*interval, bool) {
 func (n *Node) incorporateLocked(recs []*interval, senderVC VectorClock) {
 	var fresh []*interval
 	for _, rec := range recs {
-		if rec.creator == n.id {
-			continue // our own intervals are never stale locally
-		}
-		stored, isNew := n.storeIntervalLocked(rec)
-		if !isNew {
+		have := n.intervals[rec.creator]
+		if idx := rec.seq - n.ivlBase[rec.creator]; rec.creator == n.id || idx < len(have) {
 			continue
+		} else if idx > len(have) {
+			panic(fmt.Sprintf("dsm: node %d received interval (%d,%d) with gap (have base %d + %d)",
+				n.id, rec.creator, rec.seq, n.ivlBase[rec.creator], len(have)))
 		}
-		for _, pid := range stored.pages {
-			n.invalidateLocked(n.pageFor(pid), stored)
+		n.intervals[rec.creator] = append(have, rec)
+		n.noteChainLocked(rec.creator)
+		n.protoAddLocked(ivlRecordBytes(rec))
+		for _, pid := range rec.pages {
+			n.invalidateLocked(n.pageFor(pid), rec)
 		}
-		fresh = append(fresh, stored)
+		fresh = append(fresh, rec)
 	}
-	for _, stored := range fresh {
-		n.vc.merge(stored.vc)
+	for _, rec := range fresh {
+		n.vc.merge(rec.vc)
 	}
 	if senderVC != nil {
 		n.vc.merge(senderVC)
@@ -371,12 +354,39 @@ func (n *Node) noteGCPageLocked(pg *page) {
 }
 
 // mergeSeenLocked folds an interval clock into the page's observation
-// history (see page.seenVC).
+// history (see page.seenVC: none kept on a page with no copy).
 func (n *Node) mergeSeenLocked(pg *page, vc VectorClock) {
+	if sc := n.sys.seenCheck; sc != nil {
+		sc.merged(n, pg, vc)
+	}
+	if pg.data == nil && !pg.refetch {
+		return
+	}
 	if pg.seenVC == nil {
 		pg.seenVC = newVC(n.sys.cfg.Procs)
 	}
 	pg.seenVC.merge(vc)
+}
+
+// keepSeenLocked folds the missing notices into seenVC once the page has
+// left the no-copy state (idempotent on a page that had a copy).
+func (n *Node) keepSeenLocked(pg *page) {
+	for _, m := range pg.missing {
+		n.mergeSeenLocked(pg, m.vc)
+	}
+}
+
+// seenDominatedLocked reports seenVC ≤ vc, for a page with no copy from its
+// missing notices (page.seenVC); called with some notice missing.
+func (n *Node) seenDominatedLocked(pg *page, vc VectorClock) bool {
+	ok := pg.seenVC != nil && pg.seenVC.dominatedBy(vc)
+	if pg.data == nil && !pg.refetch {
+		ok = !slices.ContainsFunc(pg.missing, func(m *interval) bool { return !m.vc.dominatedBy(vc) })
+	}
+	if sc := n.sys.seenCheck; sc != nil {
+		sc.decided(n, pg, vc, ok)
+	}
+	return ok
 }
 
 // mergeAppliedLocked folds an interval clock into the page's baked-in
@@ -566,15 +576,8 @@ type diffKey struct {
 // relation — (vc sum, creator, seq) — the order in which their diffs
 // must be applied (see VectorClock.sum for the validity argument).
 func sortCausal(ivls []*interval) {
-	sort.Slice(ivls, func(i, j int) bool {
-		a, b := ivls[i], ivls[j]
-		if sa, sb := a.vc.sum(), b.vc.sum(); sa != sb {
-			return sa < sb
-		}
-		if a.creator != b.creator {
-			return a.creator < b.creator
-		}
-		return a.seq < b.seq
+	slices.SortFunc(ivls, func(a, b *interval) int {
+		return cmp.Or(cmp.Compare(a.vc.sum(), b.vc.sum()), cmp.Compare(a.creator, b.creator), cmp.Compare(a.seq, b.seq))
 	})
 }
 
@@ -622,7 +625,7 @@ func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) 
 	const squashMin = 4
 	if len(pl.fetch) > 0 && (cold || !keepDiffs && len(pl.fetch) >= squashMin) {
 		for _, m := range pl.fetch {
-			if m.creator != n.id && pg.seenVC != nil && pg.seenVC.dominatedBy(m.vc) {
+			if m.creator != n.id && n.seenDominatedLocked(pg, m.vc) {
 				if pg.twin != nil {
 					panic("dsm: squash with live twin")
 				}
@@ -668,6 +671,7 @@ func (c *Client) applyFaultLocked(pl *pagePlan, diffs map[diffKey][]byte) {
 			// repairs a flush-truncated notice history.
 			pg.data = pl.content
 			pg.refetch = false
+			n.keepSeenLocked(pg)
 			if pl.squashIvl != nil {
 				// The source's copy bakes in at least M's history; content the
 				// source wrote beyond M is re-delivered by its future notices.

@@ -61,6 +61,10 @@ type page struct {
 	// observed — and its current page content reflects — every
 	// modification this node knows about, so one whole-page transfer can
 	// stand in for the entire accumulated diff chain.
+	// Kept lazily: a page with no copy (data nil, !refetch) still has every
+	// notice it got in missing (zeroFillLocked), so its seenVC is their
+	// merge and stays nil; keepSeenLocked folds them in once the page leaves
+	// that state (zero fill, whole-page install, flush).
 	seenVC VectorClock
 
 	// appliedVC is the merge of the vector clocks of every interval whose
@@ -101,6 +105,13 @@ type page struct {
 	// copy — never from a zeros base. Set by gcFlushPageLocked, cleared
 	// when a whole-page fetch lands (applyFaultLocked).
 	refetch bool
+}
+
+// seenCheck sees every clock merged into a seenVC and every squash test,
+// so a test can hold the lazy seenVC to an eager one (nil in real runs).
+type seenCheck interface {
+	merged(n *Node, pg *page, vc VectorClock)
+	decided(n *Node, pg *page, vc VectorClock, dominated bool)
 }
 
 // makeDiff computes the word-granularity (4-byte) delta between data and

@@ -68,7 +68,7 @@ func (c *Client) SemaSignal(id int) {
 	var w wbuf
 	w.i32(id)
 	w.u32(c.tag)
-	putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[mgr]))
+	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[mgr]))
 	n.noteSentLocked(mgr)
 	// Send while holding mu: the estimate update and the send must be
 	// atomic with respect to other request-class deltas to mgr.
@@ -93,7 +93,7 @@ func (n *Node) semaSignalAtMgrLocked(id int, at sim.Time) {
 	var w wbuf
 	w.i32(id)
 	w.u32(wtr.tag)
-	putTrailer(&w, n.vc, n.deltaForLocked(wtr.vc)) // exact delta: no estimate update
+	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(wtr.vc)) // exact delta: no estimate update
 	n.sendOrSelfLocked(wtr.from, msgSemaGrant, w.b, at)
 }
 
@@ -136,10 +136,8 @@ func (c *Client) SemaWait(id int) {
 		panic("dsm: semaphore grant for wrong semaphore")
 	}
 	r.u32() // tag: already matched by routing
-	senderVC, recs := getTrailer(&r)
 	n.mu.Lock()
-	n.incorporateLocked(recs, senderVC)
-	n.noteHeardLocked(m.From, senderVC)
+	n.takeTrailerLocked(&r, m.From)
 	n.mu.Unlock()
 	c.clk.Advance(c.costs.Sema)
 	c.semaDone(entered)
@@ -160,7 +158,6 @@ func (n *Node) handleSemaSignal(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	id := r.i32()
 	tag := r.u32()
-	senderVC, recs := getTrailer(&r)
 	at := m.Arrive + n.sys.plat.RequestService
 
 	n.mu.Lock()
@@ -168,8 +165,7 @@ func (n *Node) handleSemaSignal(m *network.Message) {
 	n.chargeInterruptLocked()
 	// The manager merges the signaler's knowledge so later grants can
 	// carry it to waiters.
-	n.incorporateLocked(recs, senderVC)
-	n.noteHeardLocked(m.From, senderVC)
+	n.takeTrailerLocked(&r, m.From)
 	n.semaSignalAtMgrLocked(id, at)
 	var ack wbuf
 	ack.u32(tag)
@@ -199,7 +195,7 @@ func (n *Node) handleSemaWait(m *network.Message) {
 		var w wbuf
 		w.i32(id)
 		w.u32(tag)
-		putTrailer(&w, n.vc, n.deltaForLocked(reqVC)) // exact delta
+		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(reqVC)) // exact delta
 		n.ep.SendAt(m.From, msgSemaGrant, network.ClassReply, w.b, at)
 		return
 	}

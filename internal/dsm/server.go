@@ -47,8 +47,8 @@ func (n *Node) dispatch(m *network.Message) {
 		// the network, and a server blocked on replies while its
 		// peers' servers do the same would deadlock the protocol.
 		r := rbuf{b: m.Payload}
-		_ = r.str()   // region
-		_ = r.bytes() // args
+		r.view() // region
+		r.view() // args
 		n.incorporateWire(&r, m.From)
 		n.forkCh <- m // consumed by the slave's application thread
 	case msgJoin:
@@ -126,21 +126,17 @@ func walkBatch(r *rbuf, nodeID int, fn func(typ int, payload []byte)) {
 }
 
 // incorporateWire decodes a (vc, records) trailer and merges it into the
-// node's knowledge, recording the sender's reported clock (returned for
-// callers that need it, e.g. as a GC epoch floor).
+// node's knowledge (takeTrailerLocked).
 //
 // Like every protocol-server path it holds n.mu by defer: a tripwire panic
 // under the mutex (storeIntervalLocked on a gap, here) aborts the run, and
 // the node's application thread must still be able to take n.mu to notice
 // the abort and unwind — a mutex left locked by the dying handler hangs it,
 // and Run with it.
-func (n *Node) incorporateWire(r *rbuf, from int) VectorClock {
-	senderVC, recs := getTrailer(r)
+func (n *Node) incorporateWire(r *rbuf, from int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.incorporateLocked(recs, senderVC)
-	n.noteHeardLocked(from, senderVC)
-	return senderVC
+	n.takeTrailerLocked(r, from)
 }
 
 // servePageLocked returns this node's copy of a page for a whole-page

@@ -110,6 +110,7 @@ type System struct {
 	acq       *acqCoord   // the collector (acqgc.go); nil when GC is off
 	purged    *homePurged // per-node purge-floor registry (flush gate)
 	fanin     int         // resolved barrier tree fan-in
+	seenCheck seenCheck   // set only by tests, before Run: watches the lazy seenVC
 
 	regionsMu sync.Mutex
 	regions   map[string]func(*Node, []byte) []byte

@@ -22,7 +22,7 @@ package dsm
 // wireError panic — the contract the fuzz suite (wire_test.go) pins.
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -58,10 +58,8 @@ func getVC(r *rbuf) VectorClock {
 // encodeRecords writes a record batch in the compact form: count, base
 // clock (componentwise minimum), then per record the creator, the sparse
 // clock delta against the base, and the run-length-encoded page list.
-// Page lists are sorted in place here — safe under the caller's n.mu:
-// each node holds its own copy of every interval record, notice order is
-// immaterial to the protocol, and sorting is idempotent across the many
-// encodes an interval sees.
+// Page lists are ascending already: a node's own records are sorted once,
+// when the interval closes, and decoded ones arrive sorted.
 func encodeRecords(w *wbuf, ivls []*interval) {
 	w.uv(uint64(len(ivls)))
 	if len(ivls) == 0 {
@@ -91,7 +89,6 @@ func encodeRecords(w *wbuf, ivls []*interval) {
 				w.uv(uint64(x - base[i]))
 			}
 		}
-		sort.Slice(ivl.pages, func(a, b int) bool { return ivl.pages[a] < ivl.pages[b] })
 		encodePageRuns(w, ivl.pages)
 	}
 }
@@ -127,20 +124,32 @@ func encodePageRuns(w *wbuf, pages []PageID) {
 // record's sequence number from its reconstructed clock. All counts,
 // indices, and accumulated values are validated before use; any
 // malformation fails via wireError.
-func decodeRecords(r *rbuf) []*interval {
+func decodeRecords(r *rbuf) []*interval { return (*Node)(nil).decodeRecordsLocked(r) }
+
+// decodeRecordsLocked is decodeRecords against the receiving node's store
+// (n nil: none). A record the node holds, retired or created decodes to its
+// stored record (or a {creator, seq} stand-in), its page runs only checked;
+// only a new record gets a clock and page list. Requires n.mu.
+func (n *Node) decodeRecordsLocked(r *rbuf) []*interval {
 	// A record is at least 3 bytes (creator, ndiff, nruns varints).
-	n := r.needCount(r.uvi(), 3)
-	if n == 0 {
+	count := r.needCount(r.uvi(), 3)
+	if count == 0 {
 		return nil
 	}
 	base := getVC(r)
-	out := make([]*interval, n)
+	buf := new(VectorClock) // every record's clock is rebuilt here
+	if n != nil {
+		buf = &n.vcBuf
+	}
+	*buf = slices.Grow((*buf)[:0], len(base))[:len(base)]
+	vc := *buf
+	out := make([]*interval, count)
 	for k := range out {
 		creator := r.uvi()
 		if creator >= len(base) {
 			panic(wireErrf("dsm: short message: record creator %d outside %d-node clock", creator, len(base)))
 		}
-		vc := base.clone()
+		copy(vc, base)
 		ndiff := r.needCount(r.uvi(), 2)
 		if ndiff > len(vc) {
 			panic(wireErrf("dsm: short message: %d clock deltas for a %d-node clock", ndiff, len(vc)))
@@ -159,11 +168,19 @@ func decodeRecords(r *rbuf) []*interval {
 		if vc[creator] < 1 {
 			panic(wireErrf("dsm: short message: record clock has no interval for creator %d", creator))
 		}
-		out[k] = &interval{
-			creator: creator,
-			seq:     int(vc[creator]) - 1,
-			vc:      vc,
-			pages:   decodePageRuns(r),
+		seq := int(vc[creator]) - 1
+		if n != nil && creator < len(n.intervals) {
+			idx, have := seq-n.ivlBase[creator], n.intervals[creator]
+			if idx >= 0 && idx < len(have) {
+				out[k] = have[idx]
+			} else if idx < 0 || creator == n.id {
+				out[k] = &interval{creator: creator, seq: seq}
+			}
+		}
+		if out[k] != nil {
+			decodePageRuns(r, false)
+		} else {
+			out[k] = &interval{creator: creator, seq: seq, vc: vc.clone(), pages: decodePageRuns(r, true)}
 		}
 	}
 	return out
@@ -171,21 +188,22 @@ func decodeRecords(r *rbuf) []*interval {
 
 // decodePageRuns reconstructs an ascending page-id list from its
 // (gap, runLen-1) pairs, bounding both the total page count and the
-// largest reconstructed id.
-func decodePageRuns(r *rbuf) []PageID {
+// largest reconstructed id; with keep false it only validates.
+func decodePageRuns(r *rbuf, keep bool) []PageID {
 	nruns := r.needCount(r.uvi(), 2)
 	var pages []PageID
-	prev := int64(0)
+	prev, total := int64(0), int64(0)
 	for i := 0; i < nruns; i++ {
 		start := prev + int64(r.uv())
 		runLen := int64(r.uv()) + 1
-		if len(pages)+int(runLen) > maxPagesPerRecord {
+		if total+runLen > maxPagesPerRecord {
 			panic(wireErrf("dsm: short message: record pages exceed cap %d", maxPagesPerRecord))
 		}
 		if start+runLen-1 > maxUvarint {
 			panic(wireErrf("dsm: short message: page id %d overflows", start+runLen-1))
 		}
-		for p := int64(0); p < runLen; p++ {
+		total += runLen
+		for p := int64(0); keep && p < runLen; p++ {
 			pages = append(pages, PageID(start+p))
 		}
 		prev = start + runLen
@@ -194,22 +212,34 @@ func decodePageRuns(r *rbuf) []PageID {
 }
 
 // putTrailer writes the consistency trailer: sender clock plus interval
-// records.
-func putTrailer(w *wbuf, vc VectorClock, recs []*interval) {
-	putVC(w, vc)
-	encodeRecords(w, recs)
+// records, encoded in place or — with a node's trailerBuf, under n.mu — in
+// that scratch and appended to w in one step.
+func putTrailer(w *wbuf, scratch *[]byte, vc VectorClock, recs []*interval) {
+	if scratch == nil {
+		putVC(w, vc)
+		encodeRecords(w, recs)
+		return
+	}
+	s := wbuf{b: (*scratch)[:0]}
+	putTrailer(&s, nil, vc, recs)
+	w.b = append(w.b, s.b...)
+	*scratch = s.b
 }
 
-// getTrailer decodes the consistency trailer.
-func getTrailer(r *rbuf) (VectorClock, []*interval) {
-	return getVC(r), decodeRecords(r)
+// takeTrailerLocked decodes a trailer from node `from` against the node's
+// store, incorporates it and notes and returns the sender's clock.
+func (n *Node) takeTrailerLocked(r *rbuf, from int) VectorClock {
+	vc := getVC(r)
+	n.incorporateLocked(n.decodeRecordsLocked(r), vc)
+	n.noteHeardLocked(from, vc)
+	return vc
 }
 
 // putJoin writes a join: the consistency trailer, then the region's tail
 // (RegisterTail) as raw bytes to the end of the message — none at all when
 // the tail is empty, so a tail-less join IS the bare trailer.
-func putJoin(w *wbuf, vc VectorClock, recs []*interval, tail []byte) {
-	putTrailer(w, vc, recs)
+func putJoin(w *wbuf, scratch *[]byte, vc VectorClock, recs []*interval, tail []byte) {
+	putTrailer(w, scratch, vc, recs)
 	w.b = append(w.b, tail...)
 }
 

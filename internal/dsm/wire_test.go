@@ -99,7 +99,7 @@ func TestWirePageRunsRoundTrip(t *testing.T) {
 		var w wbuf
 		encodePageRuns(&w, pages)
 		r := rbuf{b: w.b}
-		got := decodePageRuns(&r)
+		got := decodePageRuns(&r, true)
 		if len(pages) == 0 {
 			return len(got) == 0 && r.done()
 		}
@@ -122,7 +122,7 @@ func TestWireRecordsRoundTrip(t *testing.T) {
 			vc[i] = int32(rnd.Intn(1 << 16))
 		}
 		var w wbuf
-		putTrailer(&w, vc, recs)
+		putTrailer(&w, nil, vc, recs)
 		r := rbuf{b: w.b}
 		gotVC, gotRecs := getTrailer(&r)
 		if !r.done() || !reflect.DeepEqual(gotVC, vc) {
@@ -144,8 +144,8 @@ func TestWireJoinTail(t *testing.T) {
 	recs := randRecords(rnd, 8, 3)
 	vc := VectorClock{2, 7, 1, 8, 2, 8, 1, 8}
 	var bare, join wbuf
-	putTrailer(&bare, vc, recs)
-	putJoin(&join, vc, recs, nil)
+	putTrailer(&bare, nil, vc, recs)
+	putJoin(&join, nil, vc, recs, nil)
 	if !bytes.Equal(join.b, bare.b) {
 		t.Fatalf("tail-less join %x differs from the bare trailer %x", join.b, bare.b)
 	}
@@ -156,7 +156,7 @@ func TestWireJoinTail(t *testing.T) {
 	}
 	tail := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	join = wbuf{}
-	putJoin(&join, vc, recs, tail)
+	putJoin(&join, nil, vc, recs, tail)
 	r = rbuf{b: join.b}
 	gotVC, gotRecs := getTrailer(&r)
 	if got := getJoinTail(&r); !bytes.Equal(got, tail) || !r.done() {
@@ -195,7 +195,7 @@ func TestWireTruncatedTrailer(t *testing.T) {
 		vc[i] = int32(rnd.Intn(1 << 20))
 	}
 	var w wbuf
-	putTrailer(&w, vc, recs)
+	putTrailer(&w, nil, vc, recs)
 	for cut := 0; cut < len(w.b); cut++ {
 		panicked := false
 		func() {
@@ -359,7 +359,7 @@ func grantWithData(recs []*interval) []byte {
 	var w wbuf
 	w.i32(5)
 	w.u32(9)
-	putTrailer(&w, VectorClock{3, 1, 4, 1, 5, 9}, recs)
+	putTrailer(&w, nil, VectorClock{3, 1, 4, 1, 5, 9}, recs)
 	var diffs []grantDiff
 	for i := range recs {
 		diffs = append(diffs, grantDiff{pid: 3, rec: i, data: []byte{0, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3, byte(i)}})
@@ -395,8 +395,8 @@ func TestWireGrantData(t *testing.T) {
 		t.Errorf("empty diff decoded as %+v", last)
 	}
 	var bare, none wbuf
-	putTrailer(&bare, VectorClock{1, 2}, recs)
-	putTrailer(&none, VectorClock{1, 2}, recs)
+	putTrailer(&bare, nil, VectorClock{1, 2}, recs)
+	putTrailer(&none, nil, VectorClock{1, 2}, recs)
 	putGrantData(&none, nil)
 	if !bytes.Equal(bare.b, none.b) {
 		t.Error("a grant without data differs from its bare trailer")
@@ -419,7 +419,7 @@ func TestWireTruncatedGrant(t *testing.T) {
 	var head wbuf
 	head.i32(5)
 	head.u32(9)
-	putTrailer(&head, VectorClock{3, 1, 4, 1, 5, 9}, recs)
+	putTrailer(&head, nil, VectorClock{3, 1, 4, 1, 5, 9}, recs)
 	for cut := 0; cut < len(full); cut++ {
 		panicked := false
 		var data []grantDiff
@@ -581,7 +581,7 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 	// A consensus push from node 0 arrives; the reverse delta cannot be
 	// delivered (node 0's queue is full), so nothing may be recorded.
 	var w wbuf
-	putTrailer(&w, newVC(2), nil)
+	putTrailer(&w, nil, newVC(2), nil)
 	n1.handleGCSync(&network.Message{From: 0, To: 1, Type: msgGCSync, Payload: w.b})
 
 	n1.mu.Lock()
@@ -622,7 +622,7 @@ func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
 	n1.mu.Unlock()
 
 	var w wbuf
-	putTrailer(&w, newVC(2), nil)
+	putTrailer(&w, nil, newVC(2), nil)
 	n1.handleGCSync(&network.Message{From: 0, To: 1, Type: msgGCSync, Payload: w.b})
 
 	n1.mu.Lock()
@@ -653,7 +653,7 @@ func FuzzWireDecode(f *testing.F) {
 	recs := randRecords(rnd, 6, 4)
 	vc := VectorClock{3, 1, 4, 1, 5, 9}
 	var w wbuf
-	putTrailer(&w, vc, recs)
+	putTrailer(&w, nil, vc, recs)
 	f.Add(w.b)
 	var v wbuf
 	putVC(&v, vc)
@@ -670,7 +670,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(oversizeFetchRequest())
 	var jw wbuf
-	putJoin(&jw, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
+	putJoin(&jw, nil, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(jw.b)
 	f.Add(grantWithData(recs))
 
@@ -727,4 +727,9 @@ func FuzzWireDecode(f *testing.F) {
 			}()
 		}
 	})
+}
+
+// getTrailer decodes a consistency trailer with no receiver store.
+func getTrailer(r *rbuf) (VectorClock, []*interval) {
+	return getVC(r), decodeRecords(r)
 }
