@@ -268,7 +268,7 @@ func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	if pg.twin != nil || pg.inDirty {
 		panic(fmt.Sprintf("dsm: node %d GC flushing page %d with live twin", n.id, pg.id))
 	}
-	pg.refetch = true // see below; seenVC is kept from here on
+	pg.refetch = true // first: keepSeenLocked folds what the flush drops
 	n.keepSeenLocked(pg)
 	keep := pg.missing[:0]
 	for _, m := range pg.missing {

@@ -129,7 +129,7 @@ func walkBatch(r *rbuf, nodeID int, fn func(typ int, payload []byte)) {
 // node's knowledge (takeTrailerLocked).
 //
 // Like every protocol-server path it holds n.mu by defer: a tripwire panic
-// under the mutex (storeIntervalLocked on a gap, here) aborts the run, and
+// under the mutex (incorporateLocked on a gap, here) aborts the run, and
 // the node's application thread must still be able to take n.mu to notice
 // the abort and unwind — a mutex left locked by the dying handler hangs it,
 // and Run with it.
