@@ -125,10 +125,13 @@ scale-race:
 # the receiver really owns them), the two-clients-one-node overlap, the
 # int32 bulk accessors, the cost pins of one-page and multi-page rounds
 # (TestOnePageFaultCosts, TestOnePageTwoWritersHitInboundFloor,
-# TestSpanCost*), the codec and its request cap, and one paging application
-# whose transposes run on span rounds.
+# TestSpanCost*), the codec and its request cap, the page groups (a group
+# round's cost pin, a group page nobody rewrote, groups with the collector
+# off, none under a held lock, two threads of one node keeping their own
+# groups — faulting at once included: TestGroup*), and one paging
+# application whose transposes run on span rounds.
 span-race:
-	$(GO) test -race -run 'TestSpan|TestOnePage|TestWireFetch|TestI32s|TestZeroBaseSpan' ./internal/dsm
+	$(GO) test -race -run 'TestSpan|TestOnePage|TestWireFetch|TestI32s|TestZeroBaseSpan|TestGroup' ./internal/dsm
 	$(GO) test -race -run 'TestFaultWaitLedger' ./internal/harness
 
 # Service-mode smoke under the race detector: a short mixed stream (NOW,
@@ -166,7 +169,8 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem
 
 # Per-layer host-allocation benchmarks (B/op, allocs/op): the DSM's write
-# fault → interval close → diff encode cycle, makeDiff on sparse and dense
+# fault → interval close → diff encode cycle, a cold fault, a 16-page group
+# round, makeDiff on sparse and dense
 # pages, a 64-node departure trailer's decode (fresh and duplicate records)
 # and encode, an omp-smp program's construction, one 3D-FFT transpose
 # through its helpers and one Sweep3D slab step. The results/ALLOC_*.md

@@ -54,5 +54,8 @@ func main() {
 	fmt.Printf("  speedup         : %.2f\n", seq.Time.Seconds()/res.Time.Seconds())
 	fmt.Printf("  messages        : %d\n", res.Messages)
 	fmt.Printf("  data            : %.2f MB\n", float64(res.Bytes)/1e6)
-	fmt.Printf("  checksum        : %g (validated against sequential)\n", res.Checksum)
+	if res.FaultRounds > 0 {
+		fmt.Printf("  fault rounds    : %d (%d pages, %d of them group pages)\n", res.FaultRounds, res.FaultPages, res.GroupPages)
+	}
+	fmt.Printf("  checksum       : %g (validated against sequential)\n", res.Checksum)
 }

@@ -151,9 +151,7 @@ func (c *Client) Barrier() {
 		r := rbuf{b: m.Payload}
 		n.mu.Lock()
 		depVC := n.takeTrailerLocked(&r, parent)
-		if n.sys.acq != nil {
-			n.gcEpisodeLocked(c, depVC)
-		}
+		n.episodeLocked(c, depVC)
 		n.mu.Unlock()
 		return
 	}
@@ -188,9 +186,7 @@ func (c *Client) Barrier() {
 		// waits for homes end only once every node has made its first
 		// pass.
 		n.forwardDeparturesLocked(c, depVC, arrivals)
-		if n.sys.acq != nil {
-			n.gcEpisodeLocked(c, depVC)
-		}
+		n.episodeLocked(c, depVC)
 		n.mu.Unlock()
 		return
 	}
@@ -213,9 +209,7 @@ func (c *Client) Barrier() {
 		co.noteIssued(depVC)
 	}
 	n.forwardDeparturesLocked(c, depVC, arrivals)
-	if n.sys.acq != nil {
-		n.gcEpisodeLocked(c, depVC)
-	}
+	n.episodeLocked(c, depVC)
 	n.mu.Unlock()
 }
 

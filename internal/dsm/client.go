@@ -52,6 +52,14 @@ type Client struct {
 	tag   uint32
 	costs ClientCosts
 	held  []int // the locks this thread holds, in acquisition order
+
+	// Page groups (group.go), under n.mu: the pages this thread's fault
+	// rounds fetched in node episode epoch, the groups earlier records
+	// closed into, and each grouped page's latest group, sorted by page.
+	epoch   int64
+	record  []PageID
+	groups  [][]PageID
+	grouped []pageGroup
 }
 
 // NewClient registers an additional application thread on the node. The

@@ -45,9 +45,7 @@ func (c *Client) RunParallel(region string, arg []byte) [][]byte {
 		// Sent under mu: atomic with the estimate update.
 		n.ep.SendAt(i, msgFork, network.ClassRequest, w.b, c.clk.Now())
 	}
-	if n.sys.acq != nil {
-		n.gcEpisodeLocked(c, forkVC)
-	}
+	n.episodeLocked(c, forkVC)
 	n.mu.Unlock()
 
 	// The master is thread 0 of the team.
@@ -101,14 +99,12 @@ func (n *Node) slaveLoop() {
 		// fork episode. It runs here, on the application thread, so a
 		// validating purge can fetch diffs without blocking this node's
 		// protocol server.
-		if n.sys.acq != nil {
-			// Clock prefix only: the clock is encoded self-contained
-			// ahead of the records.
-			forkVC := getVC(&r)
-			n.mu.Lock()
-			n.gcEpisodeLocked(&n.c0, forkVC)
-			n.mu.Unlock()
-		}
+		// Clock prefix only: the clock is encoded self-contained ahead of
+		// the records.
+		forkVC := getVC(&r)
+		n.mu.Lock()
+		n.episodeLocked(&n.c0, forkVC)
+		n.mu.Unlock()
 		fn := n.sys.region(region)
 		tail := fn(n, arg)
 

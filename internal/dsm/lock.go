@@ -464,5 +464,6 @@ func (n *Node) handleAcqFwd(m *network.Message) {
 
 func (n *Node) chargeInterruptLocked() {
 	n.stats.Interrupts++
+	n.stats.IntrTime += n.sys.plat.Interrupt
 	n.clock.Advance(n.sys.plat.Interrupt)
 }

@@ -47,6 +47,7 @@ type Node struct {
 	gcPages   []*page       // pages that may hold missing notices or twins (GC work list)
 	pages     []*page       // [PageID]; entries materialize lazily
 	knownVC   []VectorClock // sound lower bound of what each node has seen
+	episode   int64         // barrier departures and forks taken here (group.go)
 
 	// Host buffers reused under mu: twins whose diff was encoded or
 	// collected (ensureWritableLocked takes from the list first), and the
@@ -90,10 +91,12 @@ type Ledger struct {
 	// Fault rounds (faultRoundLocked): FaultWait is the virtual time application
 	// threads spent inside them — the client clock READ at entry and exit,
 	// never advanced for the measurement — FaultRounds the rounds that went
-	// to the network, FaultPages the pages those rounds fetched.
+	// to the network, FaultPages the pages those rounds fetched, GroupPages
+	// the part of FaultPages the faulting thread's page groups added.
 	FaultWait   sim.Time
 	FaultRounds int64
 	FaultPages  int64
+	GroupPages  int64
 
 	// LockWait: time inside Acquire, call to grant (island-local handoffs
 	// included), read off the client clock like FaultWait.
@@ -114,6 +117,11 @@ type Ledger struct {
 	// page service, not a fourth category.
 	GCWait                  sim.Time
 	GCWaveMsgs, GCWaveBytes int64
+
+	// IntrTime: the node's protocol server charging requests it serves
+	// (chargeInterruptLocked) — time stolen from the node's clock, not read
+	// off a thread's, so it is not a part of any slice above.
+	IntrTime sim.Time
 }
 
 // NodeStats counts protocol events on one node. System.TotalStats sums
@@ -726,9 +734,10 @@ func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs ma
 
 // faultRoundLocked performs one round of the page-fault protocol over the
 // given pages — one page for an ordinary fault, every stale page of a
-// multi-page access (fetchSpanLocked): start a page never held here from
-// zeros (or refetch a collector-flushed copy from its home), fetch all
-// missing diffs from their creators in parallel, and apply them in a
+// multi-page access (fetchSpanLocked), plus the stale pages of their page
+// groups once one of them needs a fetch (group.go): start a page never held
+// here from zeros (or refetch a collector-flushed copy from its home), fetch
+// all missing diffs from their creators in parallel, and apply them in a
 // topological order of the happens-before relation. n.mu is released while
 // requests are in flight; the loop in ensure*Locked re-checks state
 // afterwards because new write notices may have arrived meanwhile — a
@@ -749,13 +758,19 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 	defer n.fetchMu.Unlock()
 	n.mu.Lock()
 	c.noteLockDataLocked(pgs...)
+	c.closeGroupLocked()
 	plans := make([]pagePlan, 0, len(pgs))
 	for _, pg := range pgs {
 		if pl, ok := n.planFaultLocked(pg, len(c.held) > 0); ok {
 			plans = append(plans, pl)
 		}
 	}
-	if len(plans) > 0 {
+	if own := len(plans); own > 0 {
+		for _, pg := range c.groupPagesLocked(pgs) {
+			if pl, ok := n.planFaultLocked(pg, false); ok {
+				plans = append(plans, pl)
+			}
+		}
 		n.mu.Unlock() // --- network section: server may run meanwhile ---
 		diffs, floor, _, _ := c.fetch(plans)
 		// Sources work in parallel, but their replies share this node's
@@ -774,9 +789,11 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 					n.retainDiffLocked(ivl, pl.pg.id, diffs)
 				}
 			}
+			c.recordLocked(pl.pg.id)
 		}
 		n.stats.FaultRounds++
 		n.stats.FaultPages += int64(len(plans))
+		n.stats.GroupPages += int64(len(plans) - own)
 		if len(c.held) > 0 {
 			n.stats.LockFaultRounds++
 		}

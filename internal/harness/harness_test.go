@@ -233,6 +233,32 @@ func TestSemaWaitLedger(t *testing.T) {
 	}
 }
 
+// TestIntrTimeLedger checks the interrupt-service slice on the application
+// whose pivot row every node fetches from one owner: LU's nodes on the NOW
+// serve fetch requests, so its -scaling intr% reads above zero, each
+// interrupt booking one Platform.Interrupt, while hardware shared memory
+// books none.
+func TestIntrTimeLedger(t *testing.T) {
+	const procs = 4
+	a, _ := FindApp("LU")
+	for _, impl := range []Impl{OMP, OMPSMP} {
+		res, err := Verified(a, Test, impl, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if impl == OMPSMP {
+			if res.IntrTime != 0 {
+				t.Errorf("omp-smp: interrupt time %v, want zero", res.IntrTime)
+			}
+			continue
+		}
+		share := timeShare(res.IntrTime, res, procs)
+		if res.IntrTime <= 0 || res.IntrTime%sim.DefaultPlatform().Interrupt != 0 || share > 100 {
+			t.Errorf("%s: interrupt time %v (intr%% %.2f): want a positive multiple of one interrupt, at most the run", impl, res.IntrTime, share)
+		}
+	}
+}
+
 func TestAblationPipelineFavorsSemaphores(t *testing.T) {
 	res, err := AblationPipeline(20, 4)
 	if err != nil {

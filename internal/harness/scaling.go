@@ -46,8 +46,9 @@ func scalingShares(r apps.Result) (page, sync, gc float64, binding string) {
 // over threads (apps.Result.FaultWait: inside page-fault rounds; GCWait:
 // inside the collector's validation waves; LockWait: inside lock acquires;
 // SemaWait: inside semaphore waits and signals; LockFaultWait: inside
-// fault rounds taken holding a lock) — over procs ×
-// run time. Unlike the byte shares it is a share of TIME.
+// fault rounds taken holding a lock; IntrTime: the node's protocol server
+// charging the requests it served) — over procs × run time. Unlike the
+// byte shares it is a share of TIME.
 func timeShare(wait sim.Time, r apps.Result, procs int) float64 {
 	if r.Time == 0 || procs == 0 {
 		return 0
@@ -80,15 +81,16 @@ func TableScaling(w io.Writer, s Scale, procsList []int) error {
 	fprintf(w, "Scaling wall: OpenMP on the NOW past the paper's 8 workstations.\n")
 	fprintf(w, "Per machine size: speedup over sequential, each protocol cost's\n")
 	fprintf(w, "share of interconnect bytes (page service / synchronization\n")
-	fprintf(w, "fan-in / GC consensus), the binding cost, then five shares of TIME,\n")
-	fprintf(w, "not bytes: fault%%, gcwait%%, lock%%, sema%% and lockfault%% — the mean\n")
-	fprintf(w, "share of the run a thread spent waiting in page-fault rounds, in the\n")
+	fprintf(w, "fan-in / GC consensus), the binding cost, then six shares of TIME,\n")
+	fprintf(w, "not bytes: fault%%, gcwait%%, lock%%, sema%%, lockfault%% and intr%% — the\n")
+	fprintf(w, "mean share of the run a thread spent waiting in page-fault rounds, in the\n")
 	fprintf(w, "collector's validation waves (whose bytes page%% includes), in lock\n")
 	fprintf(w, "acquires, in semaphore waits and signals, and in the fault rounds it took\n")
-	fprintf(w, "while holding a lock (a part of fault%%); the wall is the first size that\n")
-	fprintf(w, "no longer improves on the previous one.\n\n")
-	fprintf(w, "%-10s %6s %8s %7s %7s %7s  %-8s %6s %7s %6s %6s %10s\n",
-		"App", "procs", "speedup", "page%", "sync%", "gc%", "binding", "fault%", "gcwait%", "lock%", "sema%", "lockfault%")
+	fprintf(w, "while holding a lock (a part of fault%%), and the share its node's protocol\n")
+	fprintf(w, "server took serving interrupts; the wall is the first size that no longer\n")
+	fprintf(w, "improves on the previous one.\n\n")
+	fprintf(w, "%-10s %6s %8s %7s %7s %7s  %-8s %6s %7s %6s %6s %10s %6s\n",
+		"App", "procs", "speedup", "page%", "sync%", "gc%", "binding", "fault%", "gcwait%", "lock%", "sema%", "lockfault%", "intr%")
 	for _, a := range Apps {
 		seq := got[cellKey{App: a.Name, Impl: Seq}]
 		if seq.Err != nil {
@@ -114,11 +116,11 @@ func TableScaling(w io.Writer, s Scale, procsList []int) error {
 			}
 			sp := seq.Res.Time.Seconds() / c.Res.Time.Seconds()
 			page, sync, gc, binding := scalingShares(c.Res)
-			fprintf(w, "%-10s %6d %8.2f %7.1f %7.1f %7.1f  %-8s %6.1f %7.1f %6.1f %6.1f %10.1f\n",
+			fprintf(w, "%-10s %6d %8.2f %7.1f %7.1f %7.1f  %-8s %6.1f %7.1f %6.1f %6.1f %10.1f %6.1f\n",
 				name, p, sp, page, sync, gc, binding,
 				timeShare(c.Res.FaultWait, c.Res, p), timeShare(c.Res.GCWait, c.Res, p),
 				timeShare(c.Res.LockWait, c.Res, p), timeShare(c.Res.SemaWait, c.Res, p),
-				timeShare(c.Res.LockFaultWait, c.Res, p))
+				timeShare(c.Res.LockFaultWait, c.Res, p), timeShare(c.Res.IntrTime, c.Res, p))
 			if wall == 0 && havePrev && sp <= prev {
 				wall = p
 			}
