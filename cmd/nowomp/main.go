@@ -57,5 +57,5 @@ func main() {
 	if res.FaultRounds > 0 {
 		fmt.Printf("  fault rounds    : %d (%d pages, %d of them group pages)\n", res.FaultRounds, res.FaultPages, res.GroupPages)
 	}
-	fmt.Printf("  checksum       : %g (validated against sequential)\n", res.Checksum)
+	fmt.Printf("  checksum        : %g (validated against sequential)\n", res.Checksum)
 }
