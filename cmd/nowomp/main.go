@@ -57,5 +57,8 @@ func main() {
 	if res.FaultRounds > 0 {
 		fmt.Printf("  fault rounds    : %d (%d pages, %d of them group pages)\n", res.FaultRounds, res.FaultPages, res.GroupPages)
 	}
+	if res.DiffsCreated > 0 {
+		fmt.Printf("  diffs           : %d created, %d deferred at a rewrite (%d of them later paid)\n", res.DiffsCreated, res.DiffsDeferred, res.DeferredPaid)
+	}
 	fmt.Printf("  checksum        : %g (validated against sequential)\n", res.Checksum)
 }

@@ -294,14 +294,15 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 				after.ReadFaults-before.ReadFaults, f.fetchReqs()-reqs)
 		}
 	})
-	// Round 4's diff was encoded when round 5 reused its twin; round 5's is
-	// encoded as the request is served.
+	// Both diffs are paid as the request is served: round 5's is encoded
+	// against its twin, and round 4's, encoded unpaid when round 5 rewrote
+	// the page (page.deferred), is paid at its first serve.
 	plat := sys.Platform()
 	req, rep := fetchItemsWireLen(
 		fetchItem{pid: pid, seq: seqs[0], data: make([]byte, 8+4)},
 		fetchItem{pid: pid, seq: seqs[1], data: make([]byte, 8+4)})
 	want := plat.FaultOverhead + plat.UDP.Latency(req) + plat.RequestService +
-		plat.DiffCreate + sim.Time(float64(PageSize)*plat.DiffPerByte) + plat.UDP.Latency(rep) +
+		2*(plat.DiffCreate+sim.Time(float64(PageSize)*plat.DiffPerByte)) + plat.UDP.Latency(rep) +
 		2*(plat.DiffApply+sim.Time(4*plat.DiffApplyPerByte))
 	if took != want {
 		t.Errorf("the fault on the waiting page took %d ns, want the one-page diff fetch %d", took, want)

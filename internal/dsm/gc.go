@@ -191,20 +191,21 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 			for _, d := range ivl.diffs {
 				n.protoAddLocked(-int64(len(d)))
 			}
-			ivl.diffs = nil
 			if c == n.id {
 				// A twin still owed to a freed interval encodes a diff no
 				// one can ever request: release it without paying for the
-				// encoding.
+				// encoding. A diff deferred at a rewrite goes unpaid too.
 				for _, pid := range ivl.pages {
-					pg := n.pages[pid]
-					if pg != nil && pg.twinIvl == ivl {
+					pg := n.pages[pid] // never nil: this node wrote it
+					if pg.twinIvl == ivl {
 						n.releaseTwinLocked(pg)
 						n.protoAddLocked(-PageSize)
 						n.stats.TwinsCollected++
 					}
+					n.settleDeferredLocked(pg, ivl)
 				}
 			}
+			ivl.diffs = nil
 		}
 		// Copy to a fresh slice so the freed records' backing array is
 		// actually reclaimable.

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -258,14 +259,19 @@ func TestLockGrantIsland(t *testing.T) {
 }
 
 // protoRecount recomputes a quiescent node's metadata gauge from what it
-// holds: interval records with their diffs, and twins.
+// holds: interval records with their diffs, and twins. A diff deferred at a
+// rewrite counts at PageSize, the twin the modelled node keeps for it.
 func protoRecount(n *Node) int64 {
 	var b int64
 	for _, have := range n.intervals {
 		for _, ivl := range have {
 			b += ivlRecordBytes(ivl)
-			for _, d := range ivl.diffs {
-				b += int64(len(d))
+			for pid, d := range ivl.diffs {
+				if ivl.creator == n.id && slices.Contains(n.pages[pid].deferred, ivl) {
+					b += PageSize
+				} else {
+					b += int64(len(d))
+				}
 			}
 		}
 	}

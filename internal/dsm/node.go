@@ -156,6 +156,8 @@ type NodeStats struct {
 	GCDepartFloors   int64 // acquire floors piggybacked on departure waves
 	IntervalsRetired int64 // interval records reclaimed
 	TwinsCollected   int64 // twins released without ever encoding their diff
+	DiffsDeferred    int64 // diffs encoded unpaid at a rewrite (page.deferred)
+	DeferredPaid     int64 // deferred diffs later paid: served, granted or invalidated
 	GCPagesValidated int64 // stale copies brought current during GC
 	GCPagesFlushed   int64 // stale copies discarded during GC
 	GCPurges         int64 // the purge's passes over the work list (gcPurgePagesLocked)
@@ -279,7 +281,8 @@ func (n *Node) closeIntervalLocked() {
 		n.mergeAppliedLocked(pg, ivl.vc)
 		if pg.state == pageReadWrite {
 			// Write-protect at interval close so the next local write
-			// faults and encodes this interval's diff before re-twinning.
+			// faults and takes a fresh twin; this interval's diff stays
+			// owed until first needed (page.deferred).
 			pg.state = pageReadOnly
 		}
 	}
@@ -345,6 +348,10 @@ func (n *Node) invalidateLocked(pg *page, ivl *interval) {
 		}
 		n.ensureDiffEncodedLocked(pg)
 	}
+	// The modelled node's kept twins are encoded before the page changes.
+	for len(pg.deferred) > 0 {
+		n.clock.Advance(n.payDeferredLocked(pg, pg.deferred[0]))
+	}
 	pg.state = pageInvalid
 	pg.missing = append(pg.missing, ivl)
 	n.noteGCPageLocked(pg)
@@ -408,21 +415,53 @@ func (n *Node) mergeAppliedLocked(pg *page, vc VectorClock) {
 }
 
 // ensureDiffEncodedLocked materializes the diff owed by the page's pending
-// closed interval, freeing the twin. It returns the number of diff payload
-// bytes produced (0 if nothing was pending). The caller charges the cost
+// closed interval, if any, freeing the twin. The caller charges the cost
 // to whichever clock is appropriate (application thread or served request).
-func (n *Node) ensureDiffEncodedLocked(pg *page) int {
-	if pg.twinIvl == nil {
-		return 0
+func (n *Node) ensureDiffEncodedLocked(pg *page) {
+	if pg.twinIvl != nil {
+		n.protoAddLocked(int64(len(n.encodeTwinLocked(pg))) - PageSize) // twin freed, diff retained
 	}
+}
+
+// encodeTwinLocked stores the diff the page's pending closed interval owes
+// and releases the twin; the metadata gauge is the caller's.
+func (n *Node) encodeTwinLocked(pg *page) []byte {
 	var diff []byte
 	diff, n.diffBuf = makeDiff(pg.data, pg.twin, n.diffBuf)
 	pg.twinIvl.diffs[pg.id] = diff
 	n.releaseTwinLocked(pg)
-	n.protoAddLocked(int64(len(diff)) - PageSize) // twin freed, diff retained
 	n.stats.DiffsCreated++
 	n.stats.DiffBytes += int64(len(diff))
-	return len(diff)
+	return diff
+}
+
+// payDeferredLocked settles the diff of the node's interval ivl that a
+// rewrite of pg encoded unpaid (page.deferred) and returns what encoding it
+// costs the modelled node: one page scan the first time the diff is needed,
+// 0 after that or for a diff never deferred.
+func (n *Node) payDeferredLocked(pg *page, ivl *interval) sim.Time {
+	if !n.settleDeferredLocked(pg, ivl) {
+		return 0
+	}
+	n.stats.DeferredPaid++
+	return n.diffCost()
+}
+
+// settleDeferredLocked drops ivl from pg.deferred, if there, and moves the
+// gauge from the modelled twin to the diff that stands for it.
+func (n *Node) settleDeferredLocked(pg *page, ivl *interval) bool {
+	i := slices.Index(pg.deferred, ivl)
+	if i < 0 {
+		return false
+	}
+	pg.deferred = slices.Delete(pg.deferred, i, i+1)
+	n.protoAddLocked(int64(len(ivl.diffs[pg.id])) - PageSize) // twin freed, diff retained
+	return true
+}
+
+// diffCost is the modelled cost of encoding one diff: a page-to-twin scan.
+func (n *Node) diffCost() sim.Time {
+	return n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
 }
 
 // releaseTwinLocked detaches the page's twin, whose diff is encoded or no
@@ -555,11 +594,14 @@ func (c *Client) ensureWritableLocked(pg *page) {
 		n.stats.WriteFaults++
 		c.noteLockDataLocked(pg)
 		c.clk.Advance(n.sys.plat.FaultOverhead)
-		if pg.twinIvl != nil {
-			// The previous interval's diff must be encoded before the
-			// twin can be reused; charge the page scan.
-			n.ensureDiffEncodedLocked(pg)
-			c.clk.Advance(n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte))
+		if ivl := pg.twinIvl; ivl != nil {
+			// The previous interval's diff is encoded here so the twin
+			// buffer can be reused, but the writer pays nothing for it: the
+			// modelled node keeps that twin (the gauge still counts it) and
+			// pays for the diff when it is first needed (payDeferredLocked).
+			n.encodeTwinLocked(pg)
+			pg.deferred = append(pg.deferred, ivl)
+			n.stats.DiffsDeferred++
 		}
 		pg.twin = n.newTwinLocked(pg.data)
 		n.noteGCPageLocked(pg)

@@ -22,8 +22,8 @@ const (
 	// access faults.
 	pageInvalid pageState = iota
 	// pageReadOnly: reads proceed; the first write faults to create a
-	// twin (and to encode the pending diff of the previous interval, if
-	// the page was written in an interval that has since closed).
+	// twin. If the page was written in an interval that has since closed,
+	// that interval's diff stays owed until first needed (page.deferred).
 	pageReadOnly
 	// pageReadWrite: the page has a twin belonging to the node's open
 	// interval; reads and writes proceed at memory speed.
@@ -48,6 +48,15 @@ type page struct {
 	// diff against twin. It is nil while twin belongs to the node's open
 	// interval, and nil when there is no twin.
 	twinIvl *interval
+
+	// deferred lists the node's own closed intervals whose diff of this
+	// page a rewrite encoded (so the twin buffer could be reused) without
+	// charging for it: the modelled node keeps those twins, which the
+	// metadata gauge counts at PageSize each, and pays for each diff the
+	// first time it is served, forwarded on a grant or forced by an
+	// invalidation (payDeferredLocked) — never, if the collector retires
+	// the interval first (freeRetiredLocked). Ordered by interval seq.
+	deferred []*interval
 
 	// missing lists incorporated write notices whose diffs have not yet
 	// been fetched and applied. Non-empty missing implies state ==

@@ -160,7 +160,8 @@ func (n *Node) servePageLocked(pid PageID) []byte {
 
 // serveDiffLocked returns the diff of this node's interval seq for a page,
 // encoding it first if it is still pending against the page's twin; it
-// reports the service time that encoding cost.
+// reports the service time that encoding cost — also the first time a diff
+// deferred at a rewrite is served (payDeferredLocked).
 func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 	own := n.intervals[n.id]
 	idx := seq - n.ivlBase[n.id]
@@ -173,15 +174,15 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 		panic(fmt.Sprintf("dsm: node %d asked for diff of unknown interval (%d,%d)", n.id, n.id, seq))
 	}
 	ivl := own[idx]
-	if d, ok := ivl.diffs[pid]; ok {
-		return d, 0
-	}
 	pg := n.pageFor(pid)
+	if d, ok := ivl.diffs[pid]; ok {
+		return d, n.payDeferredLocked(pg, ivl)
+	}
 	if pg.twinIvl != ivl {
 		panic(fmt.Sprintf("dsm: node %d has no diff and no twin for page %d interval %d", n.id, pid, seq))
 	}
 	n.ensureDiffEncodedLocked(pg)
-	return ivl.diffs[pid], n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
+	return ivl.diffs[pid], n.diffCost()
 }
 
 // handleFetchReq is the page and diff server: it answers one request of a

@@ -266,6 +266,11 @@ type Report struct {
 	IntervalsRetired  int64
 	PeakIntervalChain int64
 	PeakProtoBytes    int64
+	// Diffs encoded, the part of them a rewrite encoded with their cost
+	// deferred, and how many of those were later paid (served, forwarded
+	// on a grant or forced by an invalidation); the rest were retired
+	// unpaid or were never needed.
+	DiffsCreated, DiffsDeferred, DeferredPaid int64
 }
 
 // Report assembles the run's accounting from the switch's per-type
@@ -290,6 +295,7 @@ func (s *System) Report() Report {
 	t := s.TotalStats()
 	r.Ledger = t.Ledger
 	r.IntervalsRetired, r.PeakIntervalChain, r.PeakProtoBytes = t.IntervalsRetired, t.PeakIntervalChain, t.PeakProtoBytes
+	r.DiffsCreated, r.DiffsDeferred, r.DeferredPaid = t.DiffsCreated, t.DiffsDeferred, t.DeferredPaid
 	g := s.GCSummary()
 	r.GCEpisodes, r.GCEpochs, r.GCAcqEpochs = g.Episodes, g.Epochs, g.AcqEpochs
 	r.GCPagesValidated, r.GCPagesFlushed = g.PagesValidated, g.PagesFlushed
