@@ -87,7 +87,9 @@ hybrid-race:
 # recycled twins (TestTwinBuffers*: randomized lock/barrier programs, no
 # twin buffer shared, the owed-twin release included) and exact-size diffs
 # (TestMakeDiffExact*), the lazily kept per-page seen clocks against eager
-# ones on randomized programs that flush (TestLazySeenMatchesEager), plus the
+# ones on randomized programs that flush (TestLazySeenMatchesEager), the
+# diffs a rewrite defers — paid at their first serve, grant or invalidation,
+# or retired unpaid with the metadata gauge exact (TestDeferredDiff*) — plus the
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
 # ablation, every app at GCPressure 1, and the full-scale Sweep3D cell
@@ -96,7 +98,7 @@ hybrid-race:
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestTwinBuffers|TestMakeDiffExact|TestLazySeen|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestTwinBuffers|TestMakeDiffExact|TestLazySeen|TestDeferredDiff|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
 	$(GO) test -race -run 'TestLockGrantOracle' ./internal/apps/qsort ./internal/apps/tsp
 	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
@@ -170,7 +172,8 @@ bench:
 
 # Per-layer host-allocation benchmarks (B/op, allocs/op): the DSM's write
 # fault → interval close → diff encode cycle, a cold fault, a 16-page group
-# round, makeDiff on sparse and dense
+# round, an 8-node region fork/join in which every node rewrites a page
+# (with its virtual time per region), makeDiff on sparse and dense
 # pages, a 64-node departure trailer's decode (fresh and duplicate records)
 # and encode, an omp-smp program's construction, one 3D-FFT transpose
 # through its helpers and one Sweep3D slab step. The results/ALLOC_*.md
