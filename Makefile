@@ -178,7 +178,7 @@ bench:
 # and encode, an omp-smp program's construction, one 3D-FFT transpose
 # through its helpers and one Sweep3D slab step. The results/ALLOC_*.md
 # records hold before/after figures.
-ALLOC_PKGS = ./internal/dsm ./internal/core ./internal/apps/fft3d ./internal/apps/sweep3d
+ALLOC_PKGS = ./internal/dsm ./internal/core ./internal/mpi ./internal/apps/fft3d ./internal/apps/sweep3d ./internal/apps/barnes
 alloc-bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS)
 

@@ -144,8 +144,9 @@ func RunSeq(p Params) apps.Result {
 	m.Compute(20 * float64(n))
 
 	acc := make([]float64, 3*n)
+	t := newTree(n)
 	eval := func() {
-		t := BuildTree(pos, mass, n)
+		t.Build(pos, mass, n)
 		m.Compute(buildFlops(t))
 		inter := AccelRange(t, pos, acc, 0, n)
 		m.Compute(flopsPerInteract * float64(inter))

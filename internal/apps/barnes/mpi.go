@@ -32,17 +32,16 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		r.Compute(20 * float64(n) / float64(np))
 
 		acc := make([]float64, cnt)
+		t := newTree(n) // kept for the run, rebuilt in place each step
 		eval := func() {
-			t := BuildTree(pos, mass, n)
+			t.Build(pos, mass, n)
 			r.Compute(buildFlops(t)) // replicated on every rank
 			inter := AccelRange(t, pos, acc, lo, hi)
 			r.Compute(flopsPerInteract * float64(inter))
 		}
 
 		allgatherPos := func() {
-			own := make([]float64, cnt)
-			copy(own, pos[3*lo:3*hi])
-			copy(pos, mpi.BytesToF64s(r.Allgather(mpi.F64sToBytes(own))))
+			mpi.DecodeF64s(pos, r.Allgather(mpi.F64sToBytes(pos[3*lo:3*hi])))
 		}
 
 		eval()

@@ -39,16 +39,17 @@ func RunOMPOn(p Params, procs int, backend core.BackendKind) (apps.Result, error
 		nd.ReadF64s(velA+core.Addr(8*3*lo), vel)
 		pos := make([]float64, 3*n)
 		acc := make([]float64, cnt)
+		bufs := &treeBufs{tree: newTree(n)}
 
 		eval := func() {
 			nd.ReadF64s(posA, pos) // whole array: the traversal is irregular
 			if me == 0 {
-				t := BuildTree(pos, mass, n)
-				tc.Compute(buildFlops(t))
-				writeTree(nd, treeA, t, n)
+				bufs.tree.Build(pos, mass, n)
+				tc.Compute(buildFlops(bufs.tree))
+				writeTree(nd, treeA, bufs, n)
 			}
 			tc.Barrier()
-			t := readTree(nd, treeA)
+			t := readTreeInto(nd, treeA, n, bufs)
 			inter := AccelRange(t, pos, acc, lo, hi)
 			tc.Compute(flopsPerInteract * float64(inter))
 		}

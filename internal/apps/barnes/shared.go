@@ -1,6 +1,10 @@
 package barnes
 
-import "repro/internal/core"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Helpers shared by the OpenMP and TreadMarks versions: the octree
 // travels through DSM memory as one flat float64 image (children and body
@@ -19,9 +23,26 @@ func maxCells(n int) int { return 8*n + 64 }
 // treeBytes sizes the shared tree buffer (one leading count slot).
 func treeBytes(n int) int { return 8 * (1 + maxCells(n)*cellF64s) }
 
-// encodeTree flattens a finalized tree into a float64 image.
-func encodeTree(t *Tree) []float64 {
-	out := make([]float64, 1+len(t.Cells)*cellF64s)
+// treeBufs is one thread's tree and tree image, kept for the run: the master
+// builds and encodes, a reader reads and decodes. Both only grow, and all
+// values below the new length are rewritten, so no stale cell shows.
+type treeBufs struct {
+	img  []float64
+	tree *Tree
+}
+
+// resize returns s at length n, reallocating with an eighth's slack (the
+// tree's size drifts from step to step) only when its capacity falls short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, n, n+n/8)
+	}
+	return s[:n]
+}
+
+// encodeTree flattens a finalized tree into img, reusing its storage.
+func encodeTree(img []float64, t *Tree) []float64 {
+	out := resize(img, 1+len(t.Cells)*cellF64s)
 	out[0] = float64(len(t.Cells))
 	for i := range t.Cells {
 		c := &t.Cells[i]
@@ -36,10 +57,10 @@ func encodeTree(t *Tree) []float64 {
 	return out
 }
 
-// decodeTree rebuilds a Tree from its float64 image.
-func decodeTree(img []float64) *Tree {
-	nc := int(img[0])
-	t := &Tree{Cells: make([]Cell, nc)}
+// decodeTree rebuilds t from its float64 image, reusing its cell storage.
+func decodeTree(t *Tree, img []float64) {
+	nc := (len(img) - 1) / cellF64s
+	t.Cells = resize(t.Cells, nc)
 	for i := 0; i < nc; i++ {
 		c := &t.Cells[i]
 		b := 1 + i*cellF64s
@@ -50,21 +71,27 @@ func decodeTree(img []float64) *Tree {
 		}
 		c.Body = int32(img[b+16])
 	}
-	return t
 }
 
-// writeTree publishes a tree image into shared memory at base.
-func writeTree(nd core.Worker, base core.Addr, t *Tree, n int) {
-	if len(t.Cells) > maxCells(n) {
-		panic("barnes: shared tree buffer overflow")
+// writeTree publishes the image of b's tree into shared memory at base.
+func writeTree(nd core.Worker, base core.Addr, b *treeBufs, n int) {
+	if len(b.tree.Cells) > maxCells(n) {
+		panic(fmt.Sprintf("barnes: %d-cell tree overflows the shared tree buffer at %#x", len(b.tree.Cells), base))
 	}
-	nd.WriteF64s(base, encodeTree(t))
+	b.img = encodeTree(b.img, b.tree)
+	nd.WriteF64s(base, b.img)
 }
 
-// readTree loads the tree image published at base.
-func readTree(nd core.Worker, base core.Addr) *Tree {
-	nc := int(nd.ReadF64(base))
-	img := make([]float64, 1+nc*cellF64s)
-	nd.ReadF64s(base, img)
-	return decodeTree(img)
+// readTreeInto loads the tree image published at base into b and returns
+// b's tree. The image's cell count is checked before anything is sized
+// from it: a corrupt or torn count fails here, naming the buffer.
+func readTreeInto(nd core.Worker, base core.Addr, n int, b *treeBufs) *Tree {
+	nc := nd.ReadF64(base)
+	if !(nc >= 1 && nc <= float64(maxCells(n))) {
+		panic(fmt.Sprintf("barnes: tree image at %#x counts %v cells, want 1..%d", base, nc, maxCells(n)))
+	}
+	b.img = resize(b.img, 1+int(nc)*cellF64s)
+	nd.ReadF64s(base, b.img)
+	decodeTree(b.tree, b.img)
+	return b.tree
 }

@@ -34,16 +34,17 @@ func RunTmk(p Params, procs int) (apps.Result, error) {
 		nd.ReadF64s(velA+dsm.Addr(8*3*lo), vel)
 		pos := make([]float64, 3*n)
 		acc := make([]float64, cnt)
+		bufs := &treeBufs{tree: newTree(n)}
 
 		eval := func() {
 			nd.ReadF64s(posA, pos)
 			if me == 0 {
-				t := BuildTree(pos, mass, n)
-				nd.Compute(buildFlops(t))
-				writeTree(nd, treeA, t, n)
+				bufs.tree.Build(pos, mass, n)
+				nd.Compute(buildFlops(bufs.tree))
+				writeTree(nd, treeA, bufs, n)
 			}
 			nd.Barrier()
-			t := readTree(nd, treeA)
+			t := readTreeInto(nd, treeA, n, bufs)
 			inter := AccelRange(t, pos, acc, lo, hi)
 			nd.Compute(flopsPerInteract * float64(inter))
 		}

@@ -74,11 +74,23 @@ func childCube(c *Cell, o int) (cx, cy, cz, half float64) {
 }
 
 // BuildTree constructs the octree over bodies 0..n-1 (pos is the packed
-// [x y z] array) and finalizes masses and centers of mass. Bodies are
+// [x y z] array) and finalizes masses and centers of mass.
+func BuildTree(pos, mass []float64, n int) *Tree {
+	t := newTree(n)
+	t.Build(pos, mass, n)
+	return t
+}
+
+// newTree returns an empty tree with room for the ~2n cells that n
+// uniformly spread bodies build.
+func newTree(n int) *Tree { return &Tree{Cells: make([]Cell, 0, 2*n+1)} }
+
+// Build rebuilds t in place over bodies 0..n-1, reusing its cell storage:
+// the result, Work included, equals a fresh BuildTree's. Bodies are
 // inserted in index order and children finalized in octant order, so the
 // result is deterministic.
-func BuildTree(pos, mass []float64, n int) *Tree {
-	t := &Tree{Cells: make([]Cell, 0, 2*n+1)}
+func (t *Tree) Build(pos, mass []float64, n int) {
+	t.Cells, t.Work = t.Cells[:0], 0
 	// Root cube: the bounding box blown up to a cube with a little slack.
 	minC, maxC := math.Inf(1), math.Inf(-1)
 	for i := 0; i < 3*n; i++ {
@@ -96,7 +108,6 @@ func BuildTree(pos, mass []float64, n int) *Tree {
 		t.insert(0, int32(i), pos)
 	}
 	t.finalize(0, pos, mass)
-	return t
 }
 
 // insert places body b into the subtree rooted at cell ci. Pointers into

@@ -46,12 +46,16 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 			r.Compute(fft2D(uSlab[zz*n*n:(zz+1)*n*n], n, -1))
 		}
 
+		// Kept for the run: pack/unpack buffers and the inverse transpose's slab.
+		var packBuf, recvBuf []float64
+		back := make([]complex128, myZ*n*n)
+
 		// Global transpose u[z][y][x] -> w[x][y][z] via all-to-all.
 		transposeMPI := func(src []complex128, srcLo, srcCnt int, dst []complex128, dstLo, dstCnt int) {
 			chunks := make([][]byte, np)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				buf := make([]float64, 0, 2*srcCnt*n*(dhi-dlo))
+				buf := packBuf[:0]
 				for s := 0; s < srcCnt; s++ {
 					for y := 0; y < n; y++ {
 						for x := dlo; x < dhi; x++ {
@@ -60,17 +64,17 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 						}
 					}
 				}
-				chunks[d] = f64bytes(buf)
+				packBuf, chunks[d] = buf, mpi.F64sToBytes(buf)
 			}
 			got := r.Alltoall(chunks)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				vals := bytesF64(got[d])
+				recvBuf = mpi.DecodeF64s(recvBuf, got[d])
 				i := 0
 				for s := 0; s < dhi-dlo; s++ { // source's slab indices
 					for y := 0; y < n; y++ {
 						for x := 0; x < dstCnt; x++ {
-							dst[(x*n+y)*n+(dlo+s)] = complex(vals[i], vals[i+1])
+							dst[(x*n+y)*n+(dlo+s)] = complex(recvBuf[i], recvBuf[i+1])
 							i += 2
 						}
 					}
@@ -98,11 +102,10 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 			r.Compute(25*float64(myX*n*n) + float64(myX*n)*fftFlops(n))
 
 			// Transpose back w[x][y][z] -> u[z][y][x] (roles swapped).
-			back := make([]complex128, myZ*n*n)
 			chunks := make([][]byte, np)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				buf := make([]float64, 0, 2*myX*n*(dhi-dlo))
+				buf := packBuf[:0]
 				for xx := 0; xx < myX; xx++ {
 					for y := 0; y < n; y++ {
 						for z := dlo; z < dhi; z++ {
@@ -111,17 +114,17 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 						}
 					}
 				}
-				chunks[d] = f64bytes(buf)
+				packBuf, chunks[d] = buf, mpi.F64sToBytes(buf)
 			}
 			got := r.Alltoall(chunks)
 			for d := 0; d < np; d++ {
 				dlo, dhi := core.StaticBlock(0, n, d, np)
-				vals := bytesF64(got[d])
+				recvBuf = mpi.DecodeF64s(recvBuf, got[d])
 				i := 0
 				for xx := 0; xx < dhi-dlo; xx++ {
 					for y := 0; y < n; y++ {
 						for zz := 0; zz < myZ; zz++ {
-							back[(zz*n+y)*n+(dlo+xx)] = complex(vals[i], vals[i+1])
+							back[(zz*n+y)*n+(dlo+xx)] = complex(recvBuf[i], recvBuf[i+1])
 							i += 2
 						}
 					}
@@ -164,20 +167,4 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 	}
 	msgs, bytes := world.Switch().Stats().Snapshot()
 	return apps.Result{Checksum: checksum, Time: world.MaxClock(), Report: dsm.Report{Messages: msgs, Bytes: bytes}}, nil
-}
-
-func f64bytes(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		putF64(b[8*i:], x)
-	}
-	return b
-}
-
-func bytesF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = getF64(b[8*i:])
-	}
-	return out
 }

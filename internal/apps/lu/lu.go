@@ -54,16 +54,28 @@ const (
 // entries with the diagonal boosted to strict dominance, so elimination
 // without pivoting is numerically safe and every implementation factors
 // the identical matrix.
-func InitMatrix(p Params) []float64 {
+func InitMatrix(p Params) []float64 { return InitRows(p, 0, p.N) }
+
+// InitRows builds rows [lo, hi) of InitMatrix's matrix, row-major: the RNG
+// stream is drawn from the start, rows before lo discarded, so every entry
+// is bitwise the full matrix's.
+func InitRows(p Params, lo, hi int) []float64 {
 	n := p.N
-	a := make([]float64, n*n)
+	a := make([]float64, (hi-lo)*n)
 	rng := sim.NewRNG(p.Seed)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a[i*n+j] = rng.Float64() - 0.5
+	for i := 0; i < hi; i++ {
+		if i < lo {
+			for j := 0; j <= n; j++ { // the row's n entries and its diagonal boost
+				rng.Float64()
+			}
+			continue
+		}
+		row := a[(i-lo)*n : (i-lo+1)*n]
+		for j := range row {
+			row[j] = rng.Float64() - 0.5
 		}
 		// Strict diagonal dominance: |a_ii| > sum_j |a_ij|.
-		a[i*n+i] = float64(n)/2 + 1 + rng.Float64()
+		row[i] = float64(n)/2 + 1 + rng.Float64()
 	}
 	return a
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/sim"
 )
 
 // TestFactorizationReconstructsMatrix multiplies the in-place L and U
@@ -80,5 +81,73 @@ func TestImplementationsMatchSequential(t *testing.T) {
 				t.Errorf("p%d: %v", procs, err)
 			}
 		}
+	}
+}
+
+// wholeMatrix is the full-matrix generator InitRows must reproduce row for
+// row: one RNG stream, n entries and a diagonal boost per row.
+func wholeMatrix(p Params) []float64 {
+	n := p.N
+	a := make([]float64, n*n)
+	rng := sim.NewRNG(p.Seed)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a[i*n+j] = rng.Float64() - 0.5
+		}
+		a[i*n+i] = float64(n)/2 + 1 + rng.Float64()
+	}
+	return a
+}
+
+// TestInitRowsMatchesWholeMatrix: every row block InitRows builds —
+// empty, first, last, interior, whole — is bitwise the same rows of the
+// full matrix, so a rank that generates only its own rows factors the
+// identical matrix.
+func TestInitRowsMatchesWholeMatrix(t *testing.T) {
+	p := Params{N: 37, Seed: 27182}
+	n := p.N
+	want := wholeMatrix(p)
+	for _, r := range [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {n - 1, n}, {5, 17}, {17, 17}, {9, n}} {
+		got := InitRows(p, r[0], r[1])
+		if len(got) != (r[1]-r[0])*n {
+			t.Fatalf("rows %v: %d values, want %d", r, len(got), (r[1]-r[0])*n)
+		}
+		for i, v := range got {
+			if w := want[r[0]*n+i]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("rows %v: value %d is %v, want %v", r, i, v, w)
+			}
+		}
+	}
+	for i, v := range InitMatrix(p) {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("InitMatrix value %d is %v, want %v", i, v, want[i])
+		}
+	}
+}
+
+// TestMPIPivotLoopAllocs: LU/MPI's elimination step allocates only the
+// root's send payload beside the switch's messages — every other rank
+// decodes the broadcast pivot row into a buffer it keeps for the run. The
+// marginal cost of one more step is read off two matrix sizes (every other
+// allocation of a rank is one per run, whatever N).
+func TestMPIPivotLoopAllocs(t *testing.T) {
+	const procs = 4
+	var a, m [2]float64
+	sizes := [2]int{32, 64}
+	for i, n := range sizes {
+		p := Params{N: n, Seed: 27182}
+		a[i] = testing.AllocsPerRun(3, func() {
+			res, err := RunMPI(p, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[i] = float64(res.Messages)
+		})
+	}
+	steps := float64(sizes[1] - sizes[0])
+	allocs, msgs := (a[1]-a[0])/steps, (m[1]-m[0])/steps
+	t.Logf("a step: %.2f allocs, %.0f messages", allocs, msgs)
+	if extra := allocs - msgs; extra > 1.25 {
+		t.Errorf("an elimination step allocates %.2f times beside its %.0f messages, want ≤ 1.25 (the root's payload)", extra, msgs)
 	}
 }

@@ -26,10 +26,10 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		me, np := r.ID(), r.Procs()
 		lo, hi := core.StaticBlock(0, n, me, np)
 
-		a := InitMatrix(p) // deterministic: every rank builds the same matrix
+		a := InitRows(p, lo, hi) // deterministic: the full matrix's rows [lo, hi)
 		rows := make([][]float64, hi-lo)
-		for i := lo; i < hi; i++ {
-			rows[i-lo] = a[i*n : (i+1)*n]
+		for i := range rows {
+			rows[i] = a[i*n : (i+1)*n]
 		}
 		r.Compute(flopsPerInit * float64(n*n) / float64(np))
 
@@ -44,16 +44,21 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		}
 
 		myMin := math.MaxFloat64
+		recvd := make([]float64, n) // the pivot rows other ranks own land here
 		for k := 0; k < n; k++ {
 			root := owner(k)
 			var pivot []float64
+			var payload []byte
 			if root == me {
 				pivot = rows[k-lo]
 				if mag := math.Abs(pivot[k]); mag < myMin {
 					myMin = mag
 				}
+				payload = mpi.F64sToBytes(pivot)
 			}
-			pivot = mpi.BytesToF64s(r.Bcast(root, mpi.F64sToBytes(pivot)))
+			if got := r.Bcast(root, payload); root != me {
+				pivot = mpi.DecodeF64s(recvd, got)
+			}
 			start := k + 1
 			if lo > start {
 				start = lo

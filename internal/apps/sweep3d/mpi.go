@@ -24,6 +24,7 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		me, np := r.ID(), r.Procs()
 		ysAll, ylo := slabOrder(ny, +1, me, np)
 		flux := make([]float64, len(ysAll)*nx*nz)
+		bufs := newSlabBufs(p)
 
 		for octIdx, oct := range octants {
 			ys, _ := slabOrder(ny, oct[1], me, np)
@@ -34,13 +35,10 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 				for xbIdx, xs := range xBlocks(nx, p.BlockX, oct[0]) {
 					cnt := len(xs) * nz * na
 					tag := (octIdx*maxXBlocks+xbIdx)*maxAngleBlk + abIdx + 1
-					var in []float64
+					in, out := bufs.slab(cnt)
 					if up >= 0 {
-						in = r.RecvF64s(up, tag)
-					} else {
-						in = make([]float64, cnt)
+						mpi.DecodeF64s(in, r.Recv(up, tag))
 					}
-					out := make([]float64, cnt)
 					r.Compute(sweepSlab(p, oct, xs, ys, as, ylo, in, out, psiX, flux))
 					if down >= 0 {
 						r.SendF64s(down, tag, out)

@@ -32,8 +32,9 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		r.Compute(30 * float64(n) / float64(np))
 
 		force := make([]float64, cnt)
+		f := make([]float64, n*dof)
 		eval := func() {
-			f := make([]float64, n*dof)
+			clear(f)
 			IntraForces(pos, f, lo, hi)
 			InterForcesRange(pos, f, lo, hi, n)
 			r.Compute(flopsPerIntra*float64(hi-lo) + interFlops(lo, hi, n))
@@ -42,9 +43,7 @@ func RunMPI(p Params, procs int) (apps.Result, error) {
 		}
 
 		allgatherPos := func() {
-			own := make([]float64, cnt)
-			copy(own, pos[lo*dof:hi*dof])
-			copy(pos, mpi.BytesToF64s(r.Allgather(mpi.F64sToBytes(own))))
+			mpi.DecodeF64s(pos, r.Allgather(mpi.F64sToBytes(pos[lo*dof:hi*dof])))
 		}
 
 		eval()

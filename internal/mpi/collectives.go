@@ -1,5 +1,11 @@
 package mpi
 
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+)
+
 // Binomial-tree collectives in the style of period-correct MPICH. All
 // internal tags are large negative numbers so they never collide with
 // application tags (which must be non-negative).
@@ -110,14 +116,16 @@ var (
 )
 
 // Reduce combines the element-wise reduction of data across ranks at rank
-// 0 (binomial tree) and returns it there; other ranks get nil.
+// 0 (binomial tree) and returns it there; other ranks get nil. A rank folds
+// each received part, read-only, into its own accumulator bytes in place.
 func (r *Rank) Reduce(op ReduceOp, data []float64) []float64 {
-	out := r.gatherTree(tagReduce, F64sToBytes(data), func(a, b []byte) []byte {
-		av, bv := BytesToF64s(a), BytesToF64s(b)
-		for i := range av {
-			av[i] = op(av[i], bv[i])
+	out := r.gatherTree(tagReduce, F64sToBytes(data), func(acc, part []byte) []byte {
+		for i := 0; i+8 <= len(acc); i += 8 {
+			a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
+			b := math.Float64frombits(binary.LittleEndian.Uint64(part[i:]))
+			binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(op(a, b)))
 		}
-		return F64sToBytes(av)
+		return acc
 	})
 	if r.id != 0 {
 		return nil
@@ -162,9 +170,7 @@ func (r *Rank) Allgather(data []byte) []byte {
 	parts := r.Gather(data)
 	var full []byte
 	if r.id == 0 {
-		for _, part := range parts {
-			full = append(full, part...)
-		}
+		full = bytes.Join(parts, nil) // sized once from the parts
 	}
 	return r.Bcast(0, full)
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/network"
@@ -174,7 +175,8 @@ func matches(m *network.Message, from, tag int) bool {
 func (r *Rank) match(from, tag int) *network.Message {
 	for i, m := range r.pending {
 		if matches(m, from, tag) {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			// Delete clears the vacated slot: no delivered payload stays reachable.
+			r.pending = slices.Delete(r.pending, i, i+1)
 			return m
 		}
 	}
@@ -222,11 +224,16 @@ func F64sToBytes(data []float64) []byte {
 	return b
 }
 
-// BytesToF64s decodes the F64sToBytes wire format.
-func BytesToF64s(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+// BytesToF64s decodes the F64sToBytes wire format into a fresh slice.
+func BytesToF64s(b []byte) []float64 { return DecodeF64s(nil, b) }
+
+// DecodeF64s decodes the F64sToBytes wire format into dst's storage, grown
+// only if short, and returns the len(b)/8 values: how a rank copies a float
+// payload, read-only since the switch shares it among receivers, into its own.
+func DecodeF64s(dst []float64, b []byte) []float64 {
+	dst = slices.Grow(dst[:0], len(b)/8)[:len(b)/8]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out
+	return dst
 }

@@ -2,7 +2,10 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func runWorld(t *testing.T, procs int, fn func(r *Rank)) *World {
@@ -320,4 +323,164 @@ func TestAllreduceBcastInterleaving(t *testing.T) {
 			})
 		})
 	}
+}
+
+// testF64s returns k values of widely varying magnitude and sign (so a sum
+// depends on its order), with the awkward values a codec must carry bit
+// for bit: signed zeros, infinities, a NaN and a subnormal.
+func testF64s(seed uint64, k int) []float64 {
+	rng := sim.NewRNG(seed)
+	out := make([]float64, k)
+	for i := range out {
+		out[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(40)-20))
+	}
+	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324}
+	for i, v := range special {
+		if j := int(seed)*len(special) + i; j < k {
+			out[j%k] = v
+		}
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecodeF64sMatchesBytesToF64s: decoding into a caller's buffer gives
+// the allocating decoder's values bit for bit, reuses a buffer that is
+// long enough (no allocation), and grows one that is short.
+func TestDecodeF64sMatchesBytesToF64s(t *testing.T) {
+	vals := testF64s(0, 100)
+	b := F64sToBytes(vals)
+	want := BytesToF64s(b)
+	if !sameBits(want, vals) {
+		t.Fatal("BytesToF64s(F64sToBytes(v)) changed a value")
+	}
+	buf := make([]float64, 7, 128)
+	got := DecodeF64s(buf, b)
+	if !sameBits(got, want) || &got[0] != &buf[0] {
+		t.Fatalf("DecodeF64s into a long enough buffer: same bits %v, same storage %v", sameBits(got, want), &got[0] == &buf[0])
+	}
+	if allocs := testing.AllocsPerRun(20, func() { DecodeF64s(buf, b) }); allocs != 0 {
+		t.Errorf("DecodeF64s into a long enough buffer allocated %.0f times", allocs)
+	}
+	if got := DecodeF64s(make([]float64, 3), b); !sameBits(got, want) {
+		t.Error("DecodeF64s into a short buffer lost values")
+	}
+}
+
+// reduceAllocating is Reduce's former combine, which decoded both operands
+// into fresh slices and re-encoded the result: the in-place combine must
+// match it bit for bit, message for message.
+func reduceAllocating(r *Rank, op ReduceOp, data []float64) []float64 {
+	out := r.gatherTree(tagReduce, F64sToBytes(data), func(a, b []byte) []byte {
+		av, bv := BytesToF64s(a), BytesToF64s(b)
+		for i := range av {
+			av[i] = op(av[i], bv[i])
+		}
+		return F64sToBytes(av)
+	})
+	if r.id != 0 {
+		return nil
+	}
+	return BytesToF64s(out)
+}
+
+// TestReduceInPlaceMatchesAllocating: for every operator and p ∈ {1, 3, 8},
+// the in-place Reduce gives rank 0 the allocating path's values bit for
+// bit over order-sensitive inputs, and the switch carries the same
+// messages and bytes.
+func TestReduceInPlaceMatchesAllocating(t *testing.T) {
+	ops := map[string]ReduceOp{"sum": OpSum, "min": OpMin, "max": OpMax}
+	for name, op := range ops {
+		for _, p := range []int{1, 3, 8} {
+			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
+				var results [2][]float64
+				var traffic [2][2]int64
+				for i, reduce := range []func(*Rank, ReduceOp, []float64) []float64{(*Rank).Reduce, reduceAllocating} {
+					w := runWorld(t, p, func(r *Rank) {
+						if out := reduce(r, op, testF64s(uint64(r.ID()), 33)); r.ID() == 0 {
+							results[i] = out
+						}
+					})
+					traffic[i][0], traffic[i][1] = w.Switch().Stats().Snapshot()
+				}
+				if !sameBits(results[0], results[1]) {
+					t.Errorf("in place %v, allocating %v", results[0], results[1])
+				}
+				if traffic[0] != traffic[1] {
+					t.Errorf("in place moved %v (messages, bytes), allocating %v", traffic[0], traffic[1])
+				}
+			})
+		}
+	}
+}
+
+// TestMatchClearsVacatedSlot: taking a message out of the middle of the
+// pending queue leaves no pointer to a delivered message in the queue's
+// spare capacity.
+func TestMatchClearsVacatedSlot(t *testing.T) {
+	runWorld(t, 2, func(r *Rank) {
+		if r.ID() == 0 {
+			for tag := 1; tag <= 3; tag++ {
+				r.Send(1, tag, []byte{byte(tag)})
+			}
+			return
+		}
+		r.Recv(0, 3) // queues tags 1 and 2
+		r.Recv(0, 1)
+		if len(r.pending) != 1 {
+			t.Fatalf("%d messages pending, want 1", len(r.pending))
+		}
+		for i, m := range r.pending[len(r.pending):cap(r.pending)] {
+			if m != nil {
+				t.Errorf("spare slot %d still holds the tag-%d message", i, m.Type)
+			}
+		}
+		r.Recv(0, 2)
+	})
+}
+
+// benchWorld runs body on every rank of an 8-rank world, timing only the
+// loop body runs after the world is up.
+func benchWorld(b *testing.B, body func(r *Rank)) {
+	w := New(Config{Procs: 8})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := w.Run(body); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkReduce: one 64-value float Reduce over 8 ranks per op. B/op
+// counts every rank's allocations — the send payloads, the switch's
+// messages, rank 0's result — and no decoded operand.
+func BenchmarkReduce(b *testing.B) {
+	benchWorld(b, func(r *Rank) {
+		data := testF64s(uint64(r.ID()), 64)
+		for i := 0; i < b.N; i++ {
+			r.Reduce(OpSum, data)
+		}
+	})
+}
+
+// BenchmarkAllgather: one Allgather of 8 ranks' 96-value float blocks per
+// op, decoded into a kept buffer, as Barnes and Water refresh positions.
+func BenchmarkAllgather(b *testing.B) {
+	benchWorld(b, func(r *Rank) {
+		own := testF64s(uint64(r.ID()), 96)
+		all := make([]float64, 8*96)
+		for i := 0; i < b.N; i++ {
+			DecodeF64s(all, r.Allgather(F64sToBytes(own)))
+		}
+	})
 }
