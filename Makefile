@@ -175,9 +175,10 @@ bench:
 # round, an 8-node region fork/join in which every node rewrites a page
 # (with its virtual time per region), makeDiff on sparse and dense
 # pages, a 64-node departure trailer's decode (fresh and duplicate records)
-# and encode, an omp-smp program's construction, one 3D-FFT transpose
-# through its helpers and one Sweep3D slab step. The results/ALLOC_*.md
-# records hold before/after figures.
+# and encode, an omp-smp program's construction, an 8-rank MPI Reduce and
+# Allgather of float payloads, one 3D-FFT transpose through its helpers,
+# one Sweep3D slab step and one Barnes tree build (fresh and into a kept
+# tree). The results/ALLOC_*.md records hold before/after figures.
 ALLOC_PKGS = ./internal/dsm ./internal/core ./internal/mpi ./internal/apps/fft3d ./internal/apps/sweep3d ./internal/apps/barnes
 alloc-bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS)
