@@ -62,14 +62,17 @@ smp-race:
 # on the NOW-of-SMPs backend (all island counts) plus the degenerate-limit
 # pins, the reduction tests (island threads hand their partials to the
 # island join, the delegate carries them in its dsm join), one real
-# application (Water at a two-island split) and the island lock-grant
-# path (a grant between islands takes fetchMu beside island-mates' fault
-# rounds). Like smp-race it runs early in ci so an island-teams ordering
-# bug fails in seconds.
+# application (Water at a two-island split), the island lock-grant path
+# (a grant between islands takes fetchMu beside island-mates' fault
+# rounds) and the reply router every node delivers through (two clients
+# of a default node passing a lock, semaphores and a condition; tagged
+# grants arriving in reverse request order; a malformed reply ending the
+# run with an error). Like smp-race it runs early in ci so an
+# island-teams ordering bug fails in seconds.
 hybrid-race:
 	$(GO) test -race -run 'TestBackendConformance|TestHybrid|TestReduction' ./internal/core
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
-	$(GO) test -race -run 'TestLockGrantIsland' ./internal/dsm
+	$(GO) test -race -run 'TestLockGrantIsland|TestReplyRouter|TestMalformedReply' ./internal/dsm
 
 # GC smoke under the race detector: the GC property suite (randomized
 # lock/sema/cond interleavings, coordinator invariants — the episode
@@ -108,7 +111,8 @@ gc-race:
 # barrier, on the default schedule and collecting at every episode, whose
 # purge waves go through the sharded homes; Sweep3D: a 16-stage semaphore
 # pipeline whose semaphores live on their waiters' nodes, so a server
-# granting its own thread through selfReply is the common case), Sweep3D's
+# granting its own thread through the node's reply router is the common
+# case), Sweep3D's
 # placement tests, plus the hierarchical-consensus
 # scenarios — tree-routed GC pushes with relays, batched departure waves
 # with floor piggybacks, and the tree-vs-flat equivalence pin. The relay
@@ -172,7 +176,8 @@ bench:
 
 # Per-layer host-allocation benchmarks (B/op, allocs/op): the DSM's write
 # fault → interval close → diff encode cycle, a cold fault, a 16-page group
-# round, an 8-node region fork/join in which every node rewrites a page
+# round, a 2-node lock round trip (node 1's default client, and two
+# clients of node 1 taking turns), an 8-node region fork/join in which every node rewrites a page
 # (with its virtual time per region), makeDiff on sparse and dense
 # pages, a 64-node departure trailer's decode (fresh and duplicate records)
 # and encode, an omp-smp program's construction, an 8-rank MPI Reduce and

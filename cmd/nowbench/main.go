@@ -84,7 +84,7 @@ func main() {
 		islands  = flag.Int("islands", 0, "SMP island count for the omp-hybrid columns (0 = default 2)")
 		scale    = flag.String("scale", "full", "workload scale: full or test")
 		workers  = flag.Int("workers", 0, "grid worker pool width (0 = one per CPU, 1 = sequential)")
-		gcPress  = flag.Int("gcpressure", 0, "default GC collection threshold of both triggers, episodes and consensus (0 = dsm default, 1 = every episode, negative turns the consensus trigger off)")
+		gcPress  = flag.Int("gcpressure", 0, "default GC collection threshold of both triggers, episodes and consensus (0 = dsm default, 1 = every episode)")
 
 		serveMode  = flag.Bool("serve", false, "service mode: run a multi-tenant job stream and print the latency report")
 		jobs       = flag.Int("jobs", 500, "service mode: number of jobs in the stream")
@@ -95,7 +95,11 @@ func main() {
 	)
 	flag.Parse()
 
-	harness.DefaultGC = harness.GCKnobs{Pressure: *gcPress}
+	gc, err := gcKnobs(*gcPress)
+	if err != nil {
+		fatal(err)
+	}
+	harness.DefaultGC = gc
 
 	s := harness.Scale(*scale)
 	if s != harness.Full && s != harness.Test {
@@ -183,4 +187,12 @@ func check(err error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "nowbench:", err)
 	os.Exit(1)
+}
+
+// gcKnobs validates -gcpressure: a collection threshold, so never negative.
+func gcKnobs(pressure int) (harness.GCKnobs, error) {
+	if pressure < 0 {
+		return harness.GCKnobs{}, fmt.Errorf("-gcpressure %d: the threshold must not be negative", pressure)
+	}
+	return harness.GCKnobs{Pressure: pressure}, nil
 }

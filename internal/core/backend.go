@@ -63,9 +63,8 @@ const (
 	// synchronization — hardware shared memory, the paper's baseline.
 	BackendSMP BackendKind = "smp"
 	// BackendHybrid runs on a network of SMP islands: native sharing
-	// inside each island, the LRC DSM between islands. The island count
-	// comes from Config.Islands (default 2, clamped to the team size);
-	// HybridIslands(k) encodes an explicit count into the kind itself.
+	// inside each island, the LRC DSM between islands, at 2 islands
+	// (clamped to the team size); HybridIslands(k) sets another count.
 	BackendHybrid BackendKind = "hybrid"
 )
 
@@ -73,8 +72,7 @@ const (
 // e.g. HybridIslands(2) == "hybrid:2". k is clamped to [1, Threads] at
 // program creation, so HybridIslands(1) is an all-local degenerate (one
 // big SMP) and any k ≥ Threads degenerates to one worker per island (a
-// pure NOW). A non-positive k leaves the count unspecified, deferring to
-// Config.Islands (and its default) exactly like plain BackendHybrid.
+// pure NOW). A non-positive k is plain BackendHybrid, the default count.
 func HybridIslands(k int) BackendKind {
 	if k <= 0 {
 		return BackendHybrid
@@ -191,8 +189,8 @@ type Backend interface {
 	// counters (the zero value on hardware shared memory).
 	Report() dsm.Report
 	// Close releases every resource the backend holds — DSM nodes, island
-	// delegates, network endpoints, protocol servers, and reply routers —
-	// and waits for their goroutines to exit. It is idempotent, must be
+	// delegates, network endpoints and protocol servers — and waits for
+	// their goroutines to exit. It is idempotent, must be
 	// called once the backend is quiescent (after Run has returned, or on
 	// a backend that was never Run), and returns the run's first error.
 	// The Report remains readable after Close.

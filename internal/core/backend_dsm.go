@@ -13,7 +13,7 @@ type dsmBackend struct {
 }
 
 func newDSMBackend(cfg Config) *dsmBackend {
-	return &dsmBackend{sys: dsm.New(dsmConfig(cfg, cfg.Threads, false))}
+	return &dsmBackend{sys: dsm.New(dsmConfig(cfg, cfg.Threads))}
 }
 
 func (b *dsmBackend) Procs() int               { return b.sys.Procs() }
@@ -33,6 +33,6 @@ func (b *dsmBackend) MaxClock() sim.Time { return b.sys.MaxClock() }
 func (b *dsmBackend) Report() dsm.Report { return b.sys.Report() }
 
 // Close shuts the DSM system down: without it, the P protocol servers
-// (and, multi-client, P reply routers) started at construction outlive
-// the backend — on a never-Run backend they outlive it forever.
+// started at construction outlive the backend — on a never-Run backend
+// they outlive it forever.
 func (b *dsmBackend) Close() error { return b.sys.Shutdown() }

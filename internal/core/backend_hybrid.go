@@ -110,17 +110,12 @@ func newHybridBackend(cfg Config, islands int) *hybridBackend {
 	if islands == 0 {
 		islands = 2
 	}
-	if islands < 1 {
-		islands = 1
-	}
-	if islands > procs {
-		islands = procs
-	}
+	islands = min(islands, procs)
 	b := &hybridBackend{
 		procs:   procs,
 		nisl:    islands,
 		regions: make(map[string]func(Worker, []byte) []byte),
-		sys:     dsm.New(dsmConfig(cfg, islands, true)),
+		sys:     dsm.New(dsmConfig(cfg, islands)),
 	}
 	costs := dsm.ClientCosts{Lock: smpLockCost, Sema: smpSemaCost, Cond: smpCondCost}
 	for i := 0; i < islands; i++ {
@@ -286,8 +281,8 @@ func (b *hybridBackend) Report() dsm.Report { return b.sys.Report() }
 
 // Close shuts the island DSM down and waits for any worker goroutines.
 // The workers only exist inside Run (which already reaps them), but the
-// island delegates' protocol servers and reply routers are started at
-// construction and would outlive a never-Run backend.
+// island delegates' protocol servers are started at construction and
+// would outlive a never-Run backend.
 func (b *hybridBackend) Close() error {
 	err := b.sys.Shutdown()
 	b.wg.Wait()

@@ -41,8 +41,8 @@ func baseline() int {
 // Backend.Close: every backend must return the process to its goroutine
 // baseline after Close, both for a backend that ran and for one that was
 // only constructed. The constructed-but-never-Run case is the latent leak
-// that motivated Close — dsm.New starts P protocol servers (plus P reply
-// routers multi-client) that nothing reaped, which is exactly the state a
+// that motivated Close — dsm.New starts P protocol servers that nothing
+// reaped, which is exactly the state a
 // job scheduler's backend pool holds backends in.
 func TestBackendCloseReapsGoroutines(t *testing.T) {
 	const procs = 4
@@ -53,7 +53,7 @@ func TestBackendCloseReapsGoroutines(t *testing.T) {
 	}{
 		{"now", BackendNOW, procs},
 		{"smp", BackendSMP, 0},
-		{"hybrid2", HybridIslands(2), 4}, // 2 island servers + 2 reply routers
+		{"hybrid2", HybridIslands(2), 2}, // 2 island servers
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {

@@ -59,29 +59,22 @@ type Config struct {
 	// Backend selects the execution substrate; the zero value is
 	// BackendNOW, the paper's network of workstations.
 	Backend BackendKind
-	// Islands is the SMP island count of the hybrid backend (ignored by
-	// the others): the team's Threads workers are mapped onto this many
-	// islands, intra-island sharing at bus scale, inter-island coherence
-	// through the DSM. 0 defaults to 2; the value is clamped to
-	// [1, Threads]. An island count encoded in the Backend kind itself
-	// (HybridIslands) takes precedence.
-	Islands int
-
 	// DSM carries the protocol knobs of the NOW and hybrid backends by
 	// value — DisableGC, GCPressure, BarrierFanin
 	// (see dsm.Config) — and is ignored on hardware shared memory, which
-	// keeps no LRC metadata. The backend fills Procs, HeapBytes, Platform
-	// and MultiClient itself from the fields above.
+	// keeps no LRC metadata. The backend fills Procs, HeapBytes and
+	// Platform itself from the fields above; the hybrid backend adds one
+	// dsm.Client per island thread (dsm.Node.NewClient), which any node
+	// accepts.
 	DSM dsm.Config
 }
 
 // dsmConfig assembles the dsm.Config shared by the DSM-backed backends.
-func dsmConfig(cfg Config, procs int, multiClient bool) dsm.Config {
+func dsmConfig(cfg Config, procs int) dsm.Config {
 	c := cfg.DSM
 	c.Procs = procs
 	c.HeapBytes = cfg.HeapBytes
 	c.Platform = cfg.Platform
-	c.MultiClient = multiClient
 	return c
 }
 
@@ -113,9 +106,6 @@ func NewProgram(cfg Config) *Program {
 	case BackendSMP:
 		be = newSMPBackend(cfg)
 	case BackendHybrid:
-		if islands == 0 {
-			islands = cfg.Islands
-		}
 		be = newHybridBackend(cfg, islands)
 	}
 	p := &Program{
@@ -168,7 +158,7 @@ func (p *Program) Elapsed() sim.Time { return p.be.MaxClock() }
 func (p *Program) Report() dsm.Report { return p.be.Report() }
 
 // Close releases the backend's resources (see Backend.Close): protocol
-// servers and reply routers on the DSM-backed backends, which otherwise
+// servers on the DSM-backed backends, which otherwise
 // outlive the program — forever, if it was constructed but never Run.
 // Idempotent; results and statistics remain readable afterwards.
 func (p *Program) Close() error { return p.be.Close() }

@@ -193,7 +193,7 @@ func TestHybridIslandsOneMatchesSMP(t *testing.T) {
 // island there is no LRC protocol to account for, so a lock-free program
 // reports what the SMP backend does, the zero value.
 func TestHybridIslandsOneZeroMetadata(t *testing.T) {
-	p := NewProgram(Config{Threads: 4, Backend: BackendHybrid, Islands: 1})
+	p := NewProgram(Config{Threads: 4, Backend: HybridIslands(1)})
 	a := p.SharedPage(8 * 1024)
 	p.RegisterDo("w", func(tc *TC, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -265,7 +265,7 @@ func TestHybridIslandClamping(t *testing.T) {
 	}{
 		{8, 0, 2}, {8, 1, 1}, {8, 3, 3}, {8, 64, 8}, {1, 0, 1}, {2, 5, 2},
 	} {
-		p := NewProgram(Config{Threads: tt.threads, Backend: BackendHybrid, Islands: tt.islands})
+		p := NewProgram(Config{Threads: tt.threads, Backend: HybridIslands(tt.islands)})
 		hb, ok := p.Backend().(*hybridBackend)
 		if !ok {
 			t.Fatalf("backend is %T, want *hybridBackend", p.Backend())
@@ -273,19 +273,9 @@ func TestHybridIslandClamping(t *testing.T) {
 		if hb.Islands() != tt.want {
 			t.Errorf("threads=%d islands=%d: got %d islands, want %d", tt.threads, tt.islands, hb.Islands(), tt.want)
 		}
-		// The kind-encoded count takes precedence over Config.Islands.
-		p2 := NewProgram(Config{Threads: tt.threads, Backend: HybridIslands(tt.threads), Islands: 1})
-		hb2 := p2.Backend().(*hybridBackend)
-		if hb2.Islands() != tt.threads {
-			t.Errorf("threads=%d: kind-encoded count gave %d islands, want %d", tt.threads, hb2.Islands(), tt.threads)
-		}
+		p.Close()
 	}
-	// A non-positive kind-encoded count means "unspecified": it defers to
-	// Config.Islands rather than panicking in the kind parser.
-	p := NewProgram(Config{Threads: 8, Backend: HybridIslands(0), Islands: 4})
-	if got := p.Backend().(*hybridBackend).Islands(); got != 4 {
-		t.Errorf("HybridIslands(0) with Config.Islands=4 gave %d islands, want 4", got)
-	}
+	// A non-positive count is plain BackendHybrid, not a kind-parser panic.
 	if HybridIslands(-3) != BackendHybrid {
 		t.Errorf("HybridIslands(-3) = %q, want %q", HybridIslands(-3), BackendHybrid)
 	}

@@ -73,7 +73,6 @@ const DefaultGCPressure = 256
 type acqCoord struct {
 	mu       sync.Mutex
 	pressure int64
-	acquire  bool // the consensus trigger is on (Config.GCPressure ≥ 0)
 
 	// reported[i] is the latest clock node i has carried on any sync
 	// request (a sound lower bound of its true clock; clocks only grow).
@@ -107,8 +106,8 @@ type acqCoord struct {
 	pushProg  int64 // progressLocked() at the last push round
 }
 
-func newAcqCoord(procs int, pressure int, acquire bool) *acqCoord {
-	co := &acqCoord{pressure: int64(pressure), acquire: acquire,
+func newAcqCoord(procs int, pressure int) *acqCoord {
+	co := &acqCoord{pressure: int64(pressure),
 		baseline: newVC(procs), episode: newVC(procs), pushGap: int64(procs)}
 	for i := 0; i < procs; i++ {
 		co.reported = append(co.reported, newVC(procs))
@@ -242,11 +241,11 @@ func (co *acqCoord) gateOpenLocked() bool {
 	return true
 }
 
-// maybeAnnounceLocked issues a consensus-triggered epoch when the trigger is
-// on, the gate is open, and the consensus floor would newly retire at least
-// the pressure threshold.
+// maybeAnnounceLocked issues a consensus-triggered epoch when the gate is
+// open and the consensus floor would newly retire at least the pressure
+// threshold.
 func (co *acqCoord) maybeAnnounceLocked() {
-	if !co.acquire || !co.gateOpenLocked() {
+	if !co.gateOpenLocked() {
 		return
 	}
 	cand := co.reported[0].clone()
@@ -402,7 +401,7 @@ const gcSpinTries = 4096
 func (c *Client) gcSyncHook(spin bool) {
 	n := c.n
 	co := n.sys.acq
-	if co == nil || !co.acquire {
+	if co == nil {
 		return
 	}
 	c.gcSyncOnce()

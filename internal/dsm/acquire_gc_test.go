@@ -87,7 +87,7 @@ func TestAcquireGCRetiresWithoutBarriers(t *testing.T) {
 		t.Errorf("episode trigger announced %d epochs in a barrier-free region", g.Epochs)
 	}
 
-	off := acqRingWorkload(t, Config{Procs: 4, GCPressure: -1}, 48).TotalStats()
+	off := acqRingWorkload(t, Config{Procs: 4, DisableGC: true}, 48).TotalStats()
 	if off.GCAcqEpochs != 0 || off.IntervalsRetired != 0 {
 		t.Errorf("acquire GC disabled still collected: epochs=%d retired=%d",
 			off.GCAcqEpochs, off.IntervalsRetired)
@@ -102,7 +102,7 @@ func TestAcquireGCRetiresWithoutBarriers(t *testing.T) {
 // level: with the consensus trigger on, the peak retained interval chain is
 // bounded by the pressure threshold (plus the backpressure slack), NOT by
 // the run length — quadrupling the rounds must not grow it — while with
-// the trigger off it grows with the run.
+// the collector off it grows with the run.
 func TestAcquireGCBoundedChain(t *testing.T) {
 	cfg := Config{Procs: 4, GCPressure: 16}
 	short := acqRingWorkload(t, cfg, 32).TotalStats()
@@ -115,7 +115,7 @@ func TestAcquireGCBoundedChain(t *testing.T) {
 		// 4x pressure plus drift between release-side spin points.
 		t.Errorf("peak chain %d above the backpressure bound %d", long.PeakIntervalChain, limit)
 	}
-	offLong := acqRingWorkload(t, Config{Procs: 4, GCPressure: -1}, 128).TotalStats()
+	offLong := acqRingWorkload(t, Config{Procs: 4, DisableGC: true}, 128).TotalStats()
 	if offLong.PeakIntervalChain <= 2*long.PeakIntervalChain {
 		t.Errorf("acquire GC off peak chain (%d) not well above on (%d)",
 			offLong.PeakIntervalChain, long.PeakIntervalChain)
@@ -192,7 +192,7 @@ func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 			}
 			return out, csum, err == nil
 		}
-		ref, refSum, ok := run(Config{Procs: P, GCPressure: -1})
+		ref, refSum, ok := run(Config{Procs: P, DisableGC: true})
 		if !ok {
 			return false
 		}
@@ -239,7 +239,7 @@ func TestAcqCoordProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		procs := 2 + rng.Intn(6)
-		co := newAcqCoord(procs, 1+rng.Intn(8), true)
+		co := newAcqCoord(procs, 1+rng.Intn(8))
 		clocks := make([]VectorClock, procs)
 		for i := range clocks {
 			clocks[i] = newVC(procs)
@@ -332,7 +332,7 @@ func TestAcqCoordProperties(t *testing.T) {
 // handed exactly the baseline the root left, never a floor announced after.
 func TestAcqCoordEpisodeTrigger(t *testing.T) {
 	const procs = 3
-	co := newAcqCoord(procs, 4, true)
+	co := newAcqCoord(procs, 4)
 	vc := func(a, b, c int32) VectorClock { return VectorClock{a, b, c} }
 	owes := func(id int) VectorClock {
 		floor, ok := co.episodeFloorFor(id)

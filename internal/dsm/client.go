@@ -11,25 +11,21 @@ import (
 // The island-delegate hooks: everything a NOW-of-SMPs backend needs to
 // let SEVERAL application threads share one dsm.Node.
 //
-// A classic node is one workstation with exactly one application thread;
-// every blocking primitive parks that thread on the node's single reply
-// channel and every protocol cost lands on the node's single clock. An
-// SMP island keeps one Node as its delegate — one seat in the LRC
-// protocol, one private copy of the paged address space — but runs a whole
-// team of threads against it. Client is one such thread's handle: it
-// carries the thread's own virtual clock, a reply tag that routes grants
-// and acknowledgments back to the exact thread that asked for them, and
-// the island-local cost constants for synchronization satisfied without
+// A classic node is one workstation with exactly one application thread,
+// and every protocol cost lands on the node's single clock. An SMP island
+// keeps one Node as its delegate — one seat in the LRC protocol, one
+// private copy of the paged address space — but runs a whole team of
+// threads against it. Client is one such thread's handle: it carries the
+// thread's own virtual clock, a reply tag that routes grants and
+// acknowledgments back to the exact thread that asked for them, and the
+// island-local cost constants for synchronization satisfied without
 // leaving the node.
 //
-// The classic single-thread node is the degenerate case: every Node owns
-// a default client (tag 0, the node's own clock, zero local costs) and its
-// exported application API simply delegates to it, so a system built
-// without Config.MultiClient keeps its API and protocol semantics. (The
-// wire format did change for everyone: tagged requests and replies cost
-// 4 extra bytes, and handleSemaWait's banked-timestamp causality fix can
-// delay a semaphore grant that previously ignored its matching signal's
-// virtual time.)
+// The classic node is the one-client case: every Node owns a default
+// client (tag 0, the node's own clock, zero local costs) and its exported
+// application API delegates to it. NewClient adds more on any node. Every
+// node delivers replies the same way (replyRouter below), whatever its
+// client count.
 
 // ClientCosts are the island-local (bus-scale) synchronization charges a
 // multi-client node applies to operations that complete without protocol
@@ -51,7 +47,8 @@ type Client struct {
 	clk   *sim.Clock
 	tag   uint32
 	costs ClientCosts
-	held  []int // the locks this thread holds, in acquisition order
+	held  []int                 // the locks this thread holds, in acquisition order
+	reply chan *network.Message // replies other threads route here (replyRouter)
 
 	// Page groups (group.go), under n.mu: the pages this thread's fault
 	// rounds fetched in node episode epoch, the groups earlier records
@@ -62,21 +59,21 @@ type Client struct {
 	grouped []pageGroup
 }
 
-// NewClient registers an additional application thread on the node. The
-// thread's protocol replies are routed by a per-node tag, so the node must
-// belong to a system created with Config.MultiClient. clk is the thread's
-// own virtual clock (protocol costs incurred on the thread's behalf are
-// charged there).
+// NewClient registers an additional application thread on the node,
+// with its own reply tag. clk is the thread's own virtual clock (protocol
+// costs incurred on the thread's behalf are charged there).
 func (n *Node) NewClient(clk *sim.Clock, costs ClientCosts) *Client {
-	if n.router == nil {
-		panic("dsm: NewClient requires a Config.MultiClient system")
-	}
 	n.mu.Lock()
 	n.nextTag++
 	tag := n.nextTag
 	n.mu.Unlock()
-	return &Client{n: n, clk: clk, tag: tag, costs: costs}
+	return &Client{n: n, clk: clk, tag: tag, costs: costs, reply: make(chan *network.Message, 1)}
 }
+
+// oneClientLocked reports whether the default client is the node's only
+// one — the classic workstation, on which a lock state an island-mate
+// would explain is a protocol bug. Requires n.mu.
+func (n *Node) oneClientLocked() bool { return n.nextTag == 0 }
 
 // Node returns the island delegate this client runs against.
 func (c *Client) Node() *Node { return c.n }
@@ -95,24 +92,14 @@ func (c *Client) Charge(d sim.Time) { c.clk.Advance(d) }
 
 // recvReply blocks the client for the next reply addressed to it —
 // from the wire or from the node's own protocol server (self-grants) —
-// advances the client's clock to its arrival, and asserts its type. On a
-// classic node this reads the shared reply channel directly; on a
-// multi-client node the reply router matches (type, key), where key is
-// the client's tag for tagged reply types and 0 for replies that are
-// unique per node by construction (fetch replies under fetchMu, barrier
-// departures, flush acks).
+// advances the client's clock to its arrival, and asserts its type. The
+// node's reply router matches (type, key), where key is the client's tag
+// for tagged reply types and 0 for replies that are unique per node by
+// construction (fetch replies under fetchMu, barrier departures, flush
+// acks).
 func (c *Client) recvReply(wantType int, key uint32) *network.Message {
 	n := c.n
-	var m *network.Message
-	if n.router != nil {
-		m = n.router.await(wantType, key, n.sys.done)
-	} else {
-		select {
-		case m = <-n.ep.Chan(network.ClassReply):
-		case m = <-n.selfReply:
-		case <-n.sys.done:
-		}
-	}
+	m := n.router.await(c, routeKey{typ: wantType, key: key})
 	if m == nil {
 		panic(abortError{cause: "switch shut down"})
 	}
@@ -160,14 +147,18 @@ func (n *Node) unwrapReplyBatch(m *network.Message) *network.Message {
 }
 
 // ---------------------------------------------------------------------
-// Reply routing. One goroutine per multi-client node drains the node's
-// reply channels and matches each message to the waiter it answers. Tagged
-// reply types (lock grants, semaphore grants and acks, condition-wait
-// acks) carry the requesting client's tag in a fixed payload position;
-// untagged types — msgFetchRep, the one reply that carries pages and diffs,
-// barrier departures, flush acks — route by message type alone, which is
-// unambiguous because the operations that await them are serialized per
-// island (see the uniqueness argument in recvReply).
+// Reply routing. A node's replies reach its threads through one router.
+// Tagged reply types (lock grants, semaphore grants and acks,
+// condition-wait acks) carry the requesting client's tag in a fixed
+// payload position; untagged types — msgFetchRep, the one reply that
+// carries pages and diffs, barrier departures, flush acks — route by
+// message type alone, which is unambiguous because the operations that
+// await them are serialized per node (see the uniqueness argument in
+// recvReply). There is no routing goroutine: a thread waiting in
+// recvReply reads the node's wire reply channel itself and hands a reply
+// meant for another client to that client's waiter, or to the backlog
+// if the client is not waiting yet. The protocol server routes a reply
+// to its own node (sendOrSelfLocked) the same way.
 // ---------------------------------------------------------------------
 
 type routeKey struct {
@@ -177,96 +168,95 @@ type routeKey struct {
 
 type replyRouter struct {
 	mu      sync.Mutex
-	waiting map[routeKey][]chan *network.Message
+	waiting map[routeKey]chan *network.Message // at most one waiter per key
 	backlog map[routeKey][]*network.Message
 }
 
-func newReplyRouter() *replyRouter {
-	return &replyRouter{
-		waiting: make(map[routeKey][]chan *network.Message),
+func newReplyRouter() replyRouter {
+	return replyRouter{
+		waiting: make(map[routeKey]chan *network.Message),
 		backlog: make(map[routeKey][]*network.Message),
 	}
 }
 
 // replyRouteKey extracts the routing key of a reply message: the client
 // tag for tagged types, 0 otherwise.
-func replyRouteKey(m *network.Message) routeKey {
-	k := routeKey{typ: m.Type}
-	switch m.Type {
+func replyRouteKey(typ int, payload []byte) routeKey {
+	k := routeKey{typ: typ}
+	r := rbuf{b: payload}
+	switch typ {
 	case msgBatch:
 		// A reply-class frame routes by its FIRST sub — the primary reply
 		// (the piggybacked notices behind it carry no tag). The whole
 		// frame is delivered to that waiter; recvReply unwraps it.
-		r := rbuf{b: m.Payload}
 		r.uv() // sub count
-		typ := int(r.u8())
-		return replyRouteKey(&network.Message{Type: typ, Payload: r.need(r.uvi())})
+		sub := int(r.u8())
+		return replyRouteKey(sub, r.need(r.uvi()))
 	case msgLockGrant, msgSemaGrant:
 		// Payload leads with [i32 id][u32 tag].
-		r := rbuf{b: m.Payload}
 		r.i32()
 		k.key = r.u32()
 	case msgSemaAck, msgCondWaitAck:
 		// Payload is [u32 tag].
-		r := rbuf{b: m.Payload}
 		k.key = r.u32()
 	}
 	return k
 }
 
-// route delivers one message: to a registered waiter if any, otherwise to
-// the backlog for the next matching await.
-func (r *replyRouter) route(m *network.Message) {
-	k := replyRouteKey(m)
+// route delivers one message: to its waiter if one is registered,
+// otherwise to the backlog for the next matching await. A waiter routing
+// a message it read off the wire passes its own key as mine: route then
+// reports true when the message is the caller's, delivering nothing. The
+// protocol server passes the zero key, which no reply has.
+func (r *replyRouter) route(m *network.Message, mine routeKey) bool {
+	k := replyRouteKey(m.Type, m.Payload)
 	r.mu.Lock()
-	if q := r.waiting[k]; len(q) > 0 {
-		ch := q[0]
-		r.waiting[k] = q[1:]
+	ch, ok := r.waiting[k]
+	if !ok {
+		r.backlog[k] = append(r.backlog[k], m)
 		r.mu.Unlock()
-		ch <- m
-		return
+		return false
 	}
-	r.backlog[k] = append(r.backlog[k], m)
+	delete(r.waiting, k)
 	r.mu.Unlock()
+	if k == mine {
+		return true
+	}
+	// Never blocks: the waiter registered ch empty, and registers it again
+	// only after receiving this message.
+	ch <- m
+	return false
 }
 
-// await blocks until a message with the given (type, key) is routed here
-// or the system shuts down (returning nil).
-func (r *replyRouter) await(typ int, key uint32, done <-chan struct{}) *network.Message {
-	k := routeKey{typ: typ, key: key}
+// await blocks client c until a message with key k is routed to it or
+// the system shuts down (returning nil). While it waits it drains the
+// node's wire reply channel, routing each message it reads.
+func (r *replyRouter) await(c *Client, k routeKey) *network.Message {
+	n := c.n
 	r.mu.Lock()
 	if q := r.backlog[k]; len(q) > 0 {
 		m := q[0]
-		r.backlog[k] = q[1:]
+		r.backlog[k] = append(q[:0], q[1:]...)
 		r.mu.Unlock()
 		return m
 	}
-	ch := make(chan *network.Message, 1)
-	r.waiting[k] = append(r.waiting[k], ch)
-	r.mu.Unlock()
-	select {
-	case m := <-ch:
-		return m
-	case <-done:
-		return nil
+	if _, busy := r.waiting[k]; busy {
+		r.mu.Unlock()
+		panic(fmt.Sprintf("dsm: node %d: two threads await reply type %d key %d", n.id, k.typ, k.key))
 	}
-}
-
-// pump is the router goroutine: it drains the node's wire reply channel
-// and self-reply channel and routes every message. It exits when the
-// switch shuts down.
-func (r *replyRouter) pump(n *Node) {
+	r.waiting[k] = c.reply
+	r.mu.Unlock()
+	wire := n.ep.Chan(network.ClassReply)
 	for {
 		select {
-		case m, ok := <-n.ep.Chan(network.ClassReply):
-			if !ok || m == nil {
-				return
+		case m := <-c.reply:
+			return m
+		case m := <-wire:
+			if r.route(m, k) {
+				return m
 			}
-			r.route(m)
-		case m := <-n.selfReply:
-			r.route(m)
 		case <-n.sys.done:
-			return
+			return nil
 		}
 	}
 }

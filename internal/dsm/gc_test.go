@@ -414,15 +414,13 @@ func TestGCPressureTrigger(t *testing.T) {
 			est.GCEpochs, est.GCAcqEpochs, est.GCEpisodes, procs*rounds)
 	}
 
-	// The resolved threshold: the pressure, P-scaled past 8 nodes; a
-	// negative pressure only turns the consensus trigger off.
+	// The resolved threshold: the pressure, P-scaled past 8 nodes.
 	for _, tt := range []struct {
 		cfg  Config
 		want int
 	}{
 		{Config{Procs: 16}, 512},
 		{Config{Procs: 128}, 16 * DefaultGCPressure},
-		{Config{Procs: 8, GCPressure: -1}, DefaultGCPressure},
 		{Config{Procs: 16, GCPressure: 24}, 24},
 		{Config{Procs: 8, GCPressure: 1}, 1},
 	} {

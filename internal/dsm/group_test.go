@@ -190,7 +190,7 @@ func TestGroupPerClient(t *testing.T) {
 	var cls [2]*Client
 	var aGroup, bGroup int64
 	var bStale []bool
-	groupRun(t, Config{Procs: 3, MultiClient: true}, 2, len(groupPages), func(n *Node, it int, addrs []Addr) {
+	groupRun(t, Config{Procs: 3}, 2, len(groupPages), func(n *Node, it int, addrs []Addr) {
 		for k := range cls {
 			if cls[k] == nil {
 				cls[k] = n.NewClient(&clks[k], ClientCosts{})
@@ -230,7 +230,7 @@ func TestGroupPerClientConcurrent(t *testing.T) {
 	var clks [2]sim.Clock
 	var cls [2]*Client
 	var st NodeStats
-	groupRun(t, Config{Procs: 3, MultiClient: true}, 2, len(groupPages), func(n *Node, it int, addrs []Addr) {
+	groupRun(t, Config{Procs: 3}, 2, len(groupPages), func(n *Node, it int, addrs []Addr) {
 		var wg sync.WaitGroup
 		for k := range cls {
 			if cls[k] == nil {

@@ -63,7 +63,7 @@ func TestHomeDefaultConfigPin(t *testing.T) {
 		bytes    int64
 	}{
 		{1, 441, 1228465},
-		{-1, 861, 243425},
+		{0, 861, 243425},
 	} {
 		var msgs, bytes int64
 		for attempt := 0; attempt < 5 && bytes != tt.bytes; attempt++ {

@@ -132,7 +132,7 @@ retry:
 	n.mu.Lock()
 	ls := n.lockFor(id)
 	if ls.held || ls.reqOutstanding {
-		if n.router == nil {
+		if n.oneClientLocked() {
 			panic(fmt.Sprintf("dsm: node %d re-acquired held lock %d", n.id, id))
 		}
 		if ls.held && ls.holderTag == c.tag {
@@ -188,7 +188,7 @@ retry:
 		prev := ls.lastReq
 		ls.lastReq = n.id
 		if prev == n.id {
-			if n.router == nil {
+			if n.oneClientLocked() {
 				// One thread per node: the tail being this node with the
 				// token absent is a protocol bug.
 				panic(fmt.Sprintf("dsm: node %d chain tail for lock %d but token absent", n.id, id))
@@ -196,7 +196,7 @@ retry:
 			// Multi-client: the chain already ends here — a grant is in
 			// flight to an island-mate (a condition-variable wake whose
 			// transfer made this node the tail). Queue behind it; the
-			// release-side handoff will grant us through selfReply.
+			// release-side handoff will grant us through the router.
 			ls.pending = append(ls.pending, pendingReq{from: n.id, tag: c.tag, vc: myVC})
 			n.mu.Unlock()
 		} else {
@@ -351,7 +351,7 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 }
 
 // sendGrantLocked delivers a lock grant at virtual time at, through the
-// self-reply channel when the grantee is this node (e.g. a manager
+// node's own reply router when the grantee is this node (e.g. a manager
 // acquiring its own lock via a condition-variable wake): lock id, the
 // grantee's reply tag, our vector clock, and every interval the requester
 // (whose clock is reqVC) lacks. Grants are exact deltas (relative to the
@@ -418,11 +418,11 @@ func (n *Node) grantFreeTokenLocked(ls *lockState, id, to int, tag uint32, reqVC
 }
 
 // sendOrSelfLocked sends a reply-class message, short-circuiting
-// to the node's own self-reply channel when to == n.id (managers never
-// talk to themselves over the wire).
+// to the node's own reply router when to == n.id (managers never talk to
+// themselves over the wire).
 func (n *Node) sendOrSelfLocked(to, typ int, payload []byte, at sim.Time) {
 	if to == n.id {
-		n.selfReply <- &network.Message{From: n.id, To: n.id, Type: typ, Payload: payload, Send: at, Arrive: at}
+		n.router.route(&network.Message{From: n.id, To: n.id, Type: typ, Payload: payload, Send: at, Arrive: at}, routeKey{})
 		return
 	}
 	n.ep.SendAt(to, typ, network.ClassReply, payload, at)

@@ -211,7 +211,7 @@ func TestLockGrantCondWake(t *testing.T) {
 // the island's copy current, and no thread faults holding the lock.
 func TestLockGrantIsland(t *testing.T) {
 	const procs, threads, rounds = 2, 3, 8
-	sys := New(Config{Procs: procs, MultiClient: true})
+	sys := New(Config{Procs: procs})
 	defer sys.Close()
 	a := sys.MallocPage(8)
 	var finished sync.WaitGroup

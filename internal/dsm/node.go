@@ -20,9 +20,9 @@ import (
 // space, and a virtual clock.
 //
 // All exported methods are for the application thread; they delegate to
-// the node's default Client (see client.go), and a multi-client system
-// (an SMP island sharing the node among a team of threads) creates
-// additional Clients with their own clocks and reply tags. A node's state
+// the node's default Client (see client.go), and an SMP island sharing the
+// node among a team of threads creates additional Clients with their own
+// clocks and reply tags. A node's state
 // is guarded by mu; application threads release mu whenever they block on
 // the network so the server can keep serving remote requests.
 type Node struct {
@@ -31,9 +31,9 @@ type Node struct {
 	clock sim.Clock
 	ep    *network.Endpoint
 
-	c0      Client       // default client: the classic single app thread
-	router  *replyRouter // reply demultiplexer; non-nil in multi-client mode
-	nextTag uint32       // reply-tag allocator for NewClient (under mu)
+	c0      Client      // default client: the classic single app thread
+	router  replyRouter // routes replies to the client awaiting them
+	nextTag uint32      // reply-tag allocator for NewClient (under mu)
 
 	mu        sync.Mutex
 	vc        VectorClock
@@ -74,11 +74,6 @@ type Node struct {
 
 	forkCh chan *network.Message // slave: pending fork/exit commands
 	joinCh chan *network.Message // master: pending join notifications
-
-	// selfReply carries grants a node's own protocol server issues to its
-	// own application thread (a manager waking itself through a semaphore
-	// or condition variable) — local operations that cost no messages.
-	selfReply chan *network.Message
 
 	stats NodeStats
 }

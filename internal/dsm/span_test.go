@@ -598,7 +598,7 @@ func TestSpanMultiClientOverlap(t *testing.T) {
 		rounds = 5
 		size   = pages * PageSize
 	)
-	sys := New(Config{Procs: 3, MultiClient: true, GCPressure: 1})
+	sys := New(Config{Procs: 3, GCPressure: 1})
 	base := sys.MallocPage(size)
 	fill := func(r, o int) byte { return byte(1 + (o*5+r*17)%200) }
 	// Spans of the two clients: unaligned, overlapping in pages 8-13.

@@ -65,8 +65,8 @@ type Config struct {
 	// synchronize without barriers, whose floor is the min of the
 	// per-thread clocks carried in acquire/wait requests. 0 uses
 	// DefaultGCPressure, scaled with the machine past 8 nodes; 1 collects at
-	// every episode that retires anything. Negative turns the consensus
-	// trigger off; episodes then use the default threshold.
+	// every episode that retires anything. Negative values are invalid
+	// (New panics); DisableGC turns the collector off.
 	GCPressure int
 	// BarrierFanin is the fan-in of the combining-tree barrier: each
 	// interior node gathers this many children before passing the
@@ -74,12 +74,6 @@ type Config struct {
 	// (8), which makes the tree exactly the old flat manager for runs of
 	// at most 9 nodes.
 	BarrierFanin int
-	// MultiClient lets several application threads share each node (the
-	// NOW-of-SMPs configuration: every node is an SMP island's protocol
-	// delegate). It starts a reply router per node so tagged grants and
-	// acknowledgments reach the exact thread that requested them; create
-	// the per-thread handles with Node.NewClient.
-	MultiClient bool
 }
 
 // GCThreshold resolves the collection threshold both triggers read. It
@@ -132,6 +126,9 @@ func New(cfg Config) *System {
 	if cfg.Procs <= 0 {
 		panic("dsm: Config.Procs must be positive")
 	}
+	if cfg.GCPressure < 0 {
+		panic("dsm: Config.GCPressure must not be negative")
+	}
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = 64 << 20
 	}
@@ -157,7 +154,7 @@ func New(cfg Config) *System {
 		s.fanin = DefaultBarrierFanin
 	}
 	if !cfg.DisableGC && cfg.Procs > 1 {
-		s.acq = newAcqCoord(cfg.Procs, cfg.GCThreshold(), cfg.GCPressure >= 0)
+		s.acq = newAcqCoord(cfg.Procs, cfg.GCThreshold())
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		n := &Node{
@@ -173,26 +170,13 @@ func New(cfg Config) *System {
 			conds:     make(map[int]*condQueue),
 			forkCh:    make(chan *network.Message, 8),
 			joinCh:    make(chan *network.Message, cfg.Procs),
-			selfReply: make(chan *network.Message, 16),
+			router:    newReplyRouter(),
 		}
 		for j := range n.knownVC {
 			n.knownVC[j] = newVC(cfg.Procs)
 		}
 		n.ep = s.sw.Endpoint(i, &n.clock)
-		n.c0 = Client{n: n, clk: &n.clock}
-		if cfg.MultiClient {
-			n.router = newReplyRouter()
-			s.serverWG.Add(1)
-			go func(n *Node) {
-				defer s.serverWG.Done()
-				// The pump parses reply payloads to route them; a
-				// malformed reply must abort the run like any other
-				// protocol panic, not kill the process with the drain
-				// loop (tripwire analyzer enforces this).
-				defer s.recoverAbort(n)
-				n.router.pump(n)
-			}(n)
-		}
+		n.c0 = Client{n: n, clk: &n.clock, reply: make(chan *network.Message, 1)}
 		s.nodes = append(s.nodes, n)
 	}
 	// Combining-tree barrier: every node with children in the fan-in-ary
@@ -386,13 +370,13 @@ func (s *System) abort(err error) {
 
 // Shutdown releases every resource the system holds: it closes the done
 // channel, shuts the switch down (idempotently — an abort may already have
-// done both), and waits for the protocol servers and reply routers started
-// by New to exit. It returns the run's first error, if any.
+// done both), and waits for the protocol servers started by New to exit.
+// It returns the run's first error, if any.
 //
 // Shutdown is idempotent and must be called once the system is quiescent:
 // after Run has returned, or on a system that was never Run (a scheduler
 // tearing down a constructed-but-unused backend — without this, the P
-// server goroutines and router pumps started by New outlive the System).
+// server goroutines started by New outlive the System).
 // It must not be called while a Run is in flight.
 func (s *System) Shutdown() error {
 	s.doneOnce.Do(func() { close(s.done) })
@@ -430,8 +414,7 @@ func (s *System) Run(master func(n *Node)) error {
 		}
 	}()
 	appWG.Wait()
-	// Servers exit via the switch's down signal; router pumps select on
-	// done (Shutdown no longer closes the inbox channels).
+	// Servers exit via the switch's down signal.
 	s.doneOnce.Do(func() { close(s.done) })
 	s.sw.Shutdown()
 	s.serverWG.Wait()

@@ -228,7 +228,7 @@ func TestHeldDepartureDecodeAllocs(t *testing.T) {
 // node holds no copy of allocates nothing (the page's seenVC stays nil: its
 // history is its missing notices).
 func TestNoticeWithoutCopyAllocatesNoClock(t *testing.T) {
-	sys := New(Config{Procs: 2, GCPressure: -1})
+	sys := New(Config{Procs: 2})
 	defer sys.Close()
 	n := sys.nodes[0]
 	ivl := &interval{creator: 1, seq: 0, vc: VectorClock{0, 1}}

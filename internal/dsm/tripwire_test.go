@@ -8,27 +8,25 @@ import (
 	"repro/internal/network"
 )
 
-// TestPumpPanicBecomesRunError pins the reply-router tripwire: a
-// malformed reply-class message panics the router pump while it parses
-// the payload for routing, and that panic must surface as a Run error
-// through recoverAbort — not kill the process with the drain goroutine
-// (which is exactly what happened before the pump had the deferred
-// recover; the tripwire analyzer now enforces the pattern statically).
-func TestPumpPanicBecomesRunError(t *testing.T) {
-	sys := New(Config{Procs: 2, MultiClient: true})
+// TestMalformedReplyBecomesRunError pins the reply router's tripwire on a
+// default-configuration node: the thread that reads a malformed
+// reply-class message panics while it parses the payload for routing, and
+// that panic must surface as a Run error through recoverAbort.
+func TestMalformedReplyBecomesRunError(t *testing.T) {
+	sys := New(Config{Procs: 2})
+	// A lock grant whose payload is too short for its [i32 id] [u32 tag]
+	// routing header, queued on node 0's wire ahead of anything else.
+	sys.nodes[1].ep.Send(0, msgLockGrant, network.ClassReply, []byte{1})
 	err := sys.Run(func(n *Node) {
-		// A lock grant whose payload is too short for its [i32 id]
-		// [u32 tag] routing header: replyRouteKey panics in the pump.
-		n.selfReply <- &network.Message{Type: msgLockGrant, Payload: []byte{1}}
-		// The abort closes sys.done; block until it does so the master
-		// cannot win the race and end the run cleanly first.
-		<-n.sys.done
+		// The flush's first reply read is the malformed grant.
+		n.Flush()
+		t.Error("Flush returned past a malformed reply")
 	})
 	if err == nil {
-		t.Fatal("Run returned nil; pump panic was swallowed or the run ended cleanly")
+		t.Fatal("Run returned nil; the routing panic was swallowed")
 	}
 	if !strings.Contains(err.Error(), "short message") {
-		t.Fatalf("Run error %q does not carry the pump's panic", err)
+		t.Fatalf("Run error %q does not carry the routing panic", err)
 	}
 }
 

@@ -218,7 +218,7 @@ func twinAliasing(sys *System) error {
 // list once the cycle is warm, so B/op is the interval record and its
 // exact-size diff.
 func BenchmarkTwinDiffCycle(b *testing.B) {
-	sys := New(Config{Procs: 2, GCPressure: -1})
+	sys := New(Config{Procs: 2})
 	defer sys.Close()
 	a := sys.MallocPage(PageSize)
 	n := sys.nodes[0]

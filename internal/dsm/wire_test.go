@@ -509,7 +509,7 @@ func TestWireNestedBatchRejected(t *testing.T) {
 // Frames counts datagrams, and ByType charges every byte to the true
 // sub-message types — the msgBatch envelope never appears in a breakdown.
 func TestWireBatchAttribution(t *testing.T) {
-	sys := New(Config{Procs: 2, GCPressure: -1})
+	sys := New(Config{Procs: 2})
 	defer sys.Shutdown()
 	n0, n1 := sys.nodes[0], sys.nodes[1]
 
@@ -555,7 +555,7 @@ func TestWireBatchAttribution(t *testing.T) {
 // the estimate vouching for intervals the peer never received (the next
 // delta would then silently skip them: a gap).
 func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
-	sys := New(Config{Procs: 2, GCPressure: -1})
+	sys := New(Config{Procs: 2})
 	n0, n1 := sys.nodes[0], sys.nodes[1]
 
 	// Wedge node 0's protocol server: 8 exits fill forkCh, the 9th blocks
@@ -611,7 +611,7 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 // same push with a drained peer queue must both deliver the reverse delta
 // and record it.
 func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
-	sys := New(Config{Procs: 2, GCPressure: -1})
+	sys := New(Config{Procs: 2})
 	defer sys.Shutdown()
 	n1 := sys.nodes[1]
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps/qsort"
 	"repro/internal/apps/sweep3d"
 	"repro/internal/apps/tsp"
+	"repro/internal/dsm"
 )
 
 // acquireGCPressureForTests is the forced-low trigger the suite pins the
@@ -14,26 +15,32 @@ import (
 // many times, high enough that every epoch retires a meaningful batch.
 const acquireGCPressureForTests = 32
 
+// setAcquireGC sets a run's collector to the forced-low trigger, or off.
+func setAcquireGC(c *dsm.Config, collect bool) {
+	c.GCPressure = acquireGCPressureForTests
+	c.DisableGC = !collect
+}
+
 // TestAcquireGCBoundsQSORTChain is the acceptance criterion on the
 // condvar application: QSORT's retained interval chain must not grow
 // with the work size under the acquire collector (it is bounded by the
 // trigger plus the hook's backpressure slack), while without it the
 // chain tracks the task count.
 func TestAcquireGCBoundsQSORTChain(t *testing.T) {
-	run := func(mult, pressure int) int64 {
+	run := func(mult int, collect bool) int64 {
 		p := qsort.Small()
 		p.N *= mult
-		p.DSM.GCPressure = pressure
+		setAcquireGC(&p.DSM, collect)
 		res, err := qsort.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("qsort x%d: %v", mult, err)
 		}
-		if pressure > 0 && res.GCAcqEpochs == 0 {
-			t.Errorf("qsort x%d: no acquire epochs despite pressure %d", mult, pressure)
+		if collect && res.GCAcqEpochs == 0 {
+			t.Errorf("qsort x%d: no acquire epochs despite pressure %d", mult, acquireGCPressureForTests)
 		}
 		return res.PeakIntervalChain
 	}
-	small, big := run(1, acquireGCPressureForTests), run(4, acquireGCPressureForTests)
+	small, big := run(1, true), run(4, true)
 	// The backpressure bound has slack: a thread's chain can drift past
 	// 4x pressure between release-side spin points (acquire-side hooks
 	// never stall — see gcSyncHook), and how far it drifts depends on
@@ -60,7 +67,7 @@ func TestAcquireGCBoundsQSORTChain(t *testing.T) {
 	// nominal backpressure bound (4x pressure) hold with wide margins;
 	// ratio checks (off vs 2x the collected peak, or x4-off vs x1-off)
 	// do not — both denominators drift with scheduling load.
-	off := run(4, -1)
+	off := run(4, false)
 	if off <= big {
 		t.Errorf("qsort x4 without acquire GC (chain %d) not above with (%d)", off, big)
 	}
@@ -75,36 +82,36 @@ func TestAcquireGCBoundsQSORTChain(t *testing.T) {
 func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	limit := int64(8 * acquireGCPressureForTests) // 4x pressure + inter-spin drift
 
-	sw := func(mult, pressure int) int64 {
+	sw := func(mult int, collect bool) int64 {
 		p := sweep3d.Small()
 		p.NX *= mult // more pipeline stage units per node -> more intervals
-		p.DSM.GCPressure = pressure
+		setAcquireGC(&p.DSM, collect)
 		res, err := sweep3d.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("sweep3d NXx%d: %v", mult, err)
 		}
 		return res.PeakIntervalChain
 	}
-	s4, s8 := sw(4, acquireGCPressureForTests), sw(8, acquireGCPressureForTests)
+	s4, s8 := sw(4, true), sw(8, true)
 	if s4 > limit || s8 > limit {
 		t.Errorf("sweep3d chains above the backpressure bound %d: x4=%d x8=%d", limit, s4, s8)
 	}
-	sOff := sw(8, -1)
+	sOff := sw(8, false)
 	if sOff <= s8 {
 		t.Errorf("sweep3d without acquire GC (chain %d) not above with (%d)", sOff, s8)
 	}
 
-	ts := func(cities, pressure int) int64 {
+	ts := func(cities int, collect bool) int64 {
 		p := tsp.Small()
 		p.NCities = cities // 11 -> 12 roughly quadruples the search
-		p.DSM.GCPressure = pressure
+		setAcquireGC(&p.DSM, collect)
 		res, err := tsp.RunTmk(p, 8)
 		if err != nil {
 			t.Fatalf("tsp %d cities: %v", cities, err)
 		}
 		return res.PeakIntervalChain
 	}
-	t11, t12 := ts(11, acquireGCPressureForTests), ts(12, acquireGCPressureForTests)
+	t11, t12 := ts(11, true), ts(12, true)
 	if t12 > limit {
 		t.Errorf("tsp chain above the backpressure bound: 11 cities=%d, 12 cities=%d (limit %d)", t11, t12, limit)
 	}
@@ -118,11 +125,11 @@ func TestAcquireGCBoundsSweepAndTSPChains(t *testing.T) {
 	for i := 0; i < pairs; i++ {
 		on := t12
 		if i > 0 {
-			if on = ts(12, acquireGCPressureForTests); on > limit {
+			if on = ts(12, true); on > limit {
 				t.Errorf("tsp chain %d above the backpressure bound %d (pair %d)", on, limit, i+1)
 			}
 		}
-		off := ts(12, -1)
+		off := ts(12, false)
 		if off > on {
 			return
 		}

@@ -402,7 +402,7 @@ func (e *Endpoint) recv(class Class) *Message {
 // abort and a later lifecycle Close (dsm.System.Shutdown) may both reach
 // it. Goroutines that select on Chan directly are not released by
 // Shutdown; they must pair the receive with their owner's done channel
-// (the dsm reply routers and mpi ranks both do).
+// (dsm threads awaiting replies and mpi ranks both do).
 func (s *Switch) Shutdown() {
 	s.downOnce.Do(func() { close(s.down) })
 }

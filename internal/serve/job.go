@@ -75,7 +75,8 @@ func (j *Job) E2E() sim.Time { return j.End - j.Arrival }
 // application name (case-sensitive), impl one of the harness
 // implementations (seq, omp, omp-smp, omp-hybrid[@K], tmk, mpi), pN the
 // processor count, w=K the arrival mix weight (default 1), and gc=P the
-// per-job acquire-epoch GC pressure. Any other key is an error.
+// per-job GC pressure (dsm.Config.GCPressure; 0 = the default, negative is
+// an error). Any other key is an error.
 func ParseMix(spec string) ([]JobClass, error) {
 	var mix []JobClass
 	for _, part := range strings.Split(spec, ",") {
@@ -126,7 +127,7 @@ func parseClass(part string) (JobClass, error) {
 			c.MixWeight = w
 		case "gc":
 			p, err := strconv.Atoi(val)
-			if err != nil {
+			if err != nil || p < 0 {
 				return JobClass{}, fmt.Errorf("serve: class %q: bad gc pressure %q", part, val)
 			}
 			c.GC.Pressure = p

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -58,6 +59,15 @@ func TestParseMixRejects(t *testing.T) {
 		if _, err := ParseMix(spec); err == nil {
 			t.Errorf("ParseMix(%q) accepted, want error", spec)
 		}
+	}
+}
+
+// TestParseMixRejectsNegativeGC: gc=P is a collection threshold; there is
+// no negative "consensus trigger off" value.
+func TestParseMixRejectsNegativeGC(t *testing.T) {
+	_, err := ParseMix("TSP:omp:p4:gc=-1")
+	if err == nil || !strings.Contains(err.Error(), "bad gc pressure") {
+		t.Fatalf("ParseMix(gc=-1) = %v, want a bad gc pressure error", err)
 	}
 }
 
