@@ -190,10 +190,10 @@ type Backend interface {
 	Report() dsm.Report
 	// Close releases every resource the backend holds — DSM nodes, island
 	// delegates, network endpoints and protocol servers — and waits for
-	// their goroutines to exit. It is idempotent, must be
-	// called once the backend is quiescent (after Run has returned, or on
-	// a backend that was never Run), and returns the run's first error.
-	// The Report remains readable after Close.
+	// their goroutines to exit. It is idempotent, must be called once the
+	// backend is quiescent (after Run has returned, or on a backend that
+	// was never Run), and returns the run's first error. The Report
+	// remains readable after Close.
 	Close() error
 }
 

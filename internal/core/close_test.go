@@ -42,8 +42,8 @@ func baseline() int {
 // baseline after Close, both for a backend that ran and for one that was
 // only constructed. The constructed-but-never-Run case is the latent leak
 // that motivated Close — dsm.New starts P protocol servers that nothing
-// reaped, which is exactly the state a
-// job scheduler's backend pool holds backends in.
+// reaped, which is exactly the state a job scheduler's backend pool holds
+// backends in.
 func TestBackendCloseReapsGoroutines(t *testing.T) {
 	const procs = 4
 	kinds := []struct {

@@ -158,9 +158,9 @@ func (p *Program) Elapsed() sim.Time { return p.be.MaxClock() }
 func (p *Program) Report() dsm.Report { return p.be.Report() }
 
 // Close releases the backend's resources (see Backend.Close): protocol
-// servers on the DSM-backed backends, which otherwise
-// outlive the program — forever, if it was constructed but never Run.
-// Idempotent; results and statistics remain readable afterwards.
+// servers on the DSM-backed backends, which otherwise outlive the program
+// — forever, if it was constructed but never Run. Idempotent; results and
+// statistics remain readable afterwards.
 func (p *Program) Close() error { return p.be.Close() }
 
 // criticalLock maps a critical-section name to a lock id. Named critical

@@ -22,9 +22,9 @@ import (
 // All exported methods are for the application thread; they delegate to
 // the node's default Client (see client.go), and an SMP island sharing the
 // node among a team of threads creates additional Clients with their own
-// clocks and reply tags. A node's state
-// is guarded by mu; application threads release mu whenever they block on
-// the network so the server can keep serving remote requests.
+// clocks and reply tags. A node's state is guarded by mu; application
+// threads release mu whenever they block on the network so the server can
+// keep serving remote requests.
 type Node struct {
 	sys   *System
 	id    int

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,8 +11,8 @@ import (
 
 // islandClients starts one goroutine per body on node n, each a client of
 // n with its own clock, waits for them and advances n's clock past theirs.
-// A client's panic fails the test instead of the process.
-func islandClients(t *testing.T, n *Node, bodies ...func(cl *Client)) {
+// A client's panic aborts the run, which unblocks the other clients.
+func islandClients(n *Node, bodies ...func(cl *Client)) {
 	var wg sync.WaitGroup
 	clks := make([]sim.Clock, len(bodies))
 	for k, body := range bodies {
@@ -22,7 +23,7 @@ func islandClients(t *testing.T, n *Node, bodies ...func(cl *Client)) {
 			defer wg.Done()
 			defer func() {
 				if e := recover(); e != nil {
-					t.Errorf("client %d: %v", k, e)
+					n.sys.abort(fmt.Errorf("client %d: %v", k, e))
 				}
 			}()
 			body(cl)
@@ -80,7 +81,7 @@ func TestReplyRouterClientsPassSync(t *testing.T) {
 				cl.Release(lock)
 			}
 		}
-		islandClients(t, n, a, b)
+		islandClients(n, a, b)
 	})
 	if err := sys.Run(func(n *Node) {
 		n.RunParallel("pair", nil)
@@ -138,7 +139,7 @@ func TestReplyRouterReverseGrants(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		islandClients(t, n, wait("A", semA), wait("B", semB))
+		islandClients(n, wait("A", semA), wait("B", semB))
 	})
 	if err := sys.Run(func(n *Node) { n.RunParallel("reverse", nil) }); err != nil {
 		t.Fatal(err)
