@@ -58,7 +58,7 @@ func main() {
 		fmt.Printf("  fault rounds    : %d (%d pages, %d of them group pages)\n", res.FaultRounds, res.FaultPages, res.GroupPages)
 	}
 	if res.DiffsCreated > 0 {
-		fmt.Printf("  diffs           : %d created, %d deferred at a rewrite (%d of them later paid)\n", res.DiffsCreated, res.DiffsDeferred, res.DeferredPaid)
+		fmt.Printf("  diffs           : %d created, %d of them paid (served, granted or invalidated)\n", res.DiffsCreated, res.DiffsPaid)
 	}
 	fmt.Printf("  checksum        : %g (validated against sequential)\n", res.Checksum)
 }

@@ -294,9 +294,9 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 				after.ReadFaults-before.ReadFaults, f.fetchReqs()-reqs)
 		}
 	})
-	// Both diffs are paid as the request is served: round 5's is encoded
-	// against its twin, and round 4's, encoded unpaid when round 5 rewrote
-	// the page (page.deferred), is paid at its first serve.
+	// Both diffs are paid as the request is served: rounds 4 and 5 each
+	// still owe the modelled node its encode (page.unpaid), paid at the
+	// diff's first serve.
 	plat := sys.Platform()
 	req, rep := fetchItemsWireLen(
 		fetchItem{pid: pid, seq: seqs[0], data: make([]byte, 8+4)},

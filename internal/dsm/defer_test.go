@@ -21,11 +21,11 @@ type deferRun struct {
 
 // deferProgram runs two nodes over one page homed at node 0. Node 0 writes
 // one word of it in each of rounds intervals, a barrier closing each, so
-// each write after the first is a rewrite that defers the diff of the
-// interval before it; the last interval's twin is still pending at the
-// end. Node 1 stays off the page unless touch is set, in which case it
-// writes another word of it in the last interval, and node 0 incorporates
-// that write notice over its deferred diffs at the closing barrier.
+// each write after the first is a rewrite of a page whose earlier diffs
+// the modelled node still owes; at the end it owes all rounds of them.
+// Node 1 stays off the page unless touch is set, in which case it writes
+// another word of it in the last interval, and node 0 incorporates that
+// write notice over its unpaid diffs at the closing barrier.
 func deferProgram(t *testing.T, cfg Config, rounds int, touch bool) *deferRun {
 	t.Helper()
 	cfg.Procs = 2
@@ -87,7 +87,8 @@ func encodeCost(plat *sim.Platform) sim.Time {
 
 // TestDeferredDiffRewriteChargesTwinCopy: a write that reopens a page whose
 // previous interval still owes its diff costs its writer a fault and a twin
-// copy, exactly — the encode is deferred, counted, and not yet paid.
+// copy, exactly — every closed interval's diff is encoded on the host and
+// none is paid yet.
 func TestDeferredDiffRewriteChargesTwinCopy(t *testing.T) {
 	const rounds = 4
 	d := deferProgram(t, Config{DisableGC: true}, rounds, false)
@@ -98,21 +99,21 @@ func TestDeferredDiffRewriteChargesTwinCopy(t *testing.T) {
 		}
 	}
 	st := d.n0.Stats()
-	if st.DiffsDeferred != rounds-1 || st.DeferredPaid != 0 || st.DiffsCreated != rounds-1 {
-		t.Errorf("node 0 deferred %d diffs, paid %d, created %d; want %d, 0, %d",
-			st.DiffsDeferred, st.DeferredPaid, st.DiffsCreated, rounds-1, rounds-1)
+	if unpaid := len(d.n0.pageFor(d.pid).unpaid); st.DiffsCreated != rounds || st.DiffsPaid != 0 || unpaid != rounds {
+		t.Errorf("node 0 created %d diffs, paid %d, owes %d; want %d, 0, %d",
+			st.DiffsCreated, st.DiffsPaid, unpaid, rounds, rounds)
 	}
-	if r := d.sys.Report(); r.DiffsDeferred != rounds-1 || r.DeferredPaid != 0 || r.DiffsCreated != rounds-1 {
-		t.Errorf("Report counts %d deferred, %d paid, %d created", r.DiffsDeferred, r.DeferredPaid, r.DiffsCreated)
+	if r := d.sys.Report(); r.DiffsCreated != rounds || r.DiffsPaid != 0 {
+		t.Errorf("Report counts %d created, %d paid", r.DiffsCreated, r.DiffsPaid)
 	}
 	d.checkGauge(t)
 }
 
-// TestDeferredDiffPaidOnceAtFirstServe: the first serve of a deferred diff
+// TestDeferredDiffPaidOnceAtFirstServe: the first serve of an unpaid diff
 // adds one encode to the reply's service time, a second serve nothing, and
-// a grant forwarding it afterwards nothing either; a deferred diff a grant
-// forwards first is paid there, once. The pending last interval is encoded
-// and paid at its first serve, as before.
+// a grant forwarding it afterwards nothing either; an unpaid diff a grant
+// forwards first is paid there, once. The newest interval's diff is paid
+// at its first serve like any other.
 func TestDeferredDiffPaidOnceAtFirstServe(t *testing.T) {
 	const rounds = 4
 	d := deferProgram(t, Config{DisableGC: true}, rounds, false)
@@ -137,29 +138,29 @@ func TestDeferredDiffPaidOnceAtFirstServe(t *testing.T) {
 		seq  int
 		want sim.Time
 	}{
-		{"first serve of a deferred diff", serve, seqs[0], enc},
+		{"first serve of an unpaid diff", serve, seqs[0], enc},
 		{"second serve", serve, seqs[0], 0},
 		{"grant after the serve", grant, seqs[0], 0},
-		{"grant of a deferred diff", grant, seqs[1], enc},
+		{"grant of an unpaid diff", grant, seqs[1], enc},
 		{"serve after the grant", serve, seqs[1], 0},
-		{"first serve of the pending twin's diff", serve, seqs[rounds-1], enc},
+		{"first serve of the newest diff", serve, seqs[rounds-1], enc},
 		{"second serve of it", serve, seqs[rounds-1], 0},
 	} {
 		if got := step.cost(step.seq); got != step.want {
 			t.Errorf("%s (interval %d): %d ns of service, want %d", step.name, step.seq, got, step.want)
 		}
 	}
-	if st := n.stats; st.DeferredPaid != 2 || len(n.pageFor(pid).deferred) != rounds-3 {
-		t.Errorf("paid %d deferred diffs, %d still deferred; want 2 and %d", st.DeferredPaid, len(n.pageFor(pid).deferred), rounds-3)
+	if st := n.stats; st.DiffsPaid != 3 || len(n.pageFor(pid).unpaid) != rounds-3 {
+		t.Errorf("paid %d diffs, %d still unpaid; want 3 and %d", st.DiffsPaid, len(n.pageFor(pid).unpaid), rounds-3)
 	}
 	if got, want := n.stats.ProtoBytes, protoRecount(n); got != want {
 		t.Errorf("metadata gauge %d, holds %d", got, want)
 	}
 }
 
-// TestDeferredDiffServedBytesMatchEager: what a deferred diff serves is the
-// diff an eager encode at the rewrite produced — node 0's copy at the end
-// of the interval against the copy it started from.
+// TestDeferredDiffServedBytesMatchEager: what an unpaid diff serves is the
+// diff of node 0's copy at the end of the interval against the copy it
+// started from.
 func TestDeferredDiffServedBytesMatchEager(t *testing.T) {
 	const rounds = 5
 	d := deferProgram(t, Config{DisableGC: true}, rounds, false)
@@ -177,10 +178,10 @@ func TestDeferredDiffServedBytesMatchEager(t *testing.T) {
 	}
 }
 
-// TestDeferredDiffInvalidationPaysEach: a write notice on a page over k
-// deferred diffs charges k encodes to the node clock and settles them all;
-// the encode of the pending twin it forces stays free, as before. Run end
-// to end, node 1's write in the last interval does the same at the closing
+// TestDeferredDiffInvalidationPaysEach: a write notice on a page over k+1
+// unpaid diffs charges k encodes to the node clock and settles them all;
+// the newest interval's encode stays free (ROADMAP item 13(b)). Run end to
+// end, node 1's write in the last interval does the same at the closing
 // barrier.
 func TestDeferredDiffInvalidationPaysEach(t *testing.T) {
 	const rounds = 4
@@ -192,41 +193,41 @@ func TestDeferredDiffInvalidationPaysEach(t *testing.T) {
 	t0 := n.Now()
 	n.invalidateLocked(pg, notice)
 	took := n.Now() - t0
-	left, twin := len(pg.deferred), pg.twin != nil
-	paid, gauge, held := n.stats.DeferredPaid, n.stats.ProtoBytes, protoRecount(n)
+	left, twin := len(pg.unpaid), pg.twin != nil
+	paid, gauge, held := n.stats.DiffsPaid, n.stats.ProtoBytes, protoRecount(n)
 	n.mu.Unlock()
 	if want := (rounds - 1) * encodeCost(d.sys.Platform()); took != want {
-		t.Errorf("invalidation over %d deferred diffs charged %d ns to the node clock, want %d", rounds-1, took, want)
+		t.Errorf("invalidation over %d unpaid diffs charged %d ns to the node clock, want %d", rounds, took, want)
 	}
 	if left != 0 || twin || paid != rounds-1 {
-		t.Errorf("after the invalidation: %d still deferred, twin kept %v, %d paid; want 0, false, %d", left, twin, paid, rounds-1)
+		t.Errorf("after the invalidation: %d still unpaid, twin kept %v, %d paid; want 0, false, %d", left, twin, paid, rounds-1)
 	}
 	if gauge != held {
 		t.Errorf("metadata gauge %d, holds %d", gauge, held)
 	}
 
 	e := deferProgram(t, Config{DisableGC: true}, rounds, true)
-	if st := e.n0.Stats(); st.DiffsDeferred != rounds-1 || st.DeferredPaid != rounds-1 {
-		t.Errorf("end to end: %d deferred, %d paid; want %d paid by node 1's notice", st.DiffsDeferred, st.DeferredPaid, rounds-1)
+	if st := e.n0.Stats(); st.DiffsCreated != rounds || st.DiffsPaid != rounds-1 {
+		t.Errorf("end to end: %d created, %d paid; want %d, %d paid by node 1's notice", st.DiffsCreated, st.DiffsPaid, rounds, rounds-1)
 	}
 	e.checkGauge(t)
 }
 
 // TestDeferredDiffRetiredUnpaid: collecting at every episode, the collector
-// retires node 0's intervals with their deferred diffs unpaid — nobody ever
-// asked for them — and every node's gauge still equals what it holds.
+// retires node 0's intervals with their diffs unpaid — nobody ever asked
+// for them — and every node's gauge still equals what it holds.
 func TestDeferredDiffRetiredUnpaid(t *testing.T) {
 	const rounds = 12
 	d := deferProgram(t, Config{GCPressure: 1}, rounds, false)
 	st := d.n0.Stats()
-	left := d.n0.pageFor(d.pid).deferred
-	if st.IntervalsRetired == 0 || st.DeferredPaid != 0 || st.DiffsDeferred != rounds-1 || int64(len(left)) >= st.DiffsDeferred {
-		t.Fatalf("retired %d intervals; %d deferred, %d paid, %d still deferred: want retirement to free deferred diffs unpaid",
-			st.IntervalsRetired, st.DiffsDeferred, st.DeferredPaid, len(left))
+	left := d.n0.pageFor(d.pid).unpaid
+	if st.IntervalsRetired == 0 || st.DiffsPaid != 0 || st.DiffsCreated != rounds || int64(len(left)) >= st.DiffsCreated {
+		t.Fatalf("retired %d intervals; %d created, %d paid, %d still unpaid: want retirement to free unpaid diffs",
+			st.IntervalsRetired, st.DiffsCreated, st.DiffsPaid, len(left))
 	}
 	for _, ivl := range left {
 		if ivl.seq < d.n0.ivlBase[0] {
-			t.Errorf("retired interval %d still deferred", ivl.seq)
+			t.Errorf("retired interval %d still unpaid", ivl.seq)
 		}
 	}
 	d.checkGauge(t)

@@ -8,7 +8,7 @@ import (
 
 // Garbage collection of lazy-release-consistency metadata.
 //
-// Without collection, intervals, write notices, encoded diffs, and twins
+// Without collection, intervals, write notices and encoded diffs
 // accumulate for the whole run: protocol memory grows without bound and
 // every fault walks ever-longer chains. TreadMarks reclaims this state with
 // ONE collector — a consensus on a floor every node has incorporated, run
@@ -27,14 +27,14 @@ import (
 //
 // Processing an announced floor on a node (acqEpoch) is three steps:
 //
-//  1. FREE the interval records — and their encoded diffs and remaining
-//     twins — retired by the PREVIOUS floor (gcFreeVC). The coordinator's
-//     gate makes that sound without extra messages: it announces nothing
-//     until every node has acknowledged every floor issued so far, and a
-//     node acknowledges only a finished purge, so once any node processes
-//     floor k+1, no node anywhere owes a notice under floor k, and none can
-//     reappear (new intervals carry higher sequence numbers). A twin that is
-//     still unencoded here was never needed and is released unencoded.
+//  1. FREE the interval records — and their encoded diffs — retired by
+//     the PREVIOUS floor (gcFreeVC). The coordinator's gate makes that
+//     sound without extra messages: it announces nothing until every node
+//     has acknowledged every floor issued so far, and a node acknowledges
+//     only a finished purge, so once any node processes floor k+1, no node
+//     anywhere owes a notice under floor k, and none can reappear (new
+//     intervals carry higher sequence numbers). A diff the modelled node
+//     never encoded was never needed and retires unpaid.
 //
 //  2. PURGE the page copies owing notices under the floor, by one rule
 //     (gcPurgePagesLocked): a page's HOME (home.go) validates — fetches and
@@ -148,7 +148,7 @@ func (n *Node) gcCollectLocked(floor VectorClock, purge func()) {
 }
 
 // pruneGCPagesLocked shrinks the GC work list after a collection: only
-// pages still owing uncovered notices (or holding a twin) stay. Clearing
+// pages still owing uncovered notices (or dirty with a twin) stay. Clearing
 // the tail drops the pruned pages' references.
 func (n *Node) pruneGCPagesLocked() {
 	kept := n.gcPages[:0]
@@ -167,8 +167,7 @@ func (n *Node) pruneGCPagesLocked() {
 
 // freeRetiredLocked truncates every per-creator interval list up to the
 // given floor, releasing each freed record together with its encoded
-// diffs and — for the node's own intervals — any twin still owed to it.
-// The floor must be globally purged: every node has already applied or
+// diffs — the node's own still unpaid ones without a charge. The floor must be globally purged: every node has already applied or
 // discarded all write notices under it, so nothing here can ever be
 // fetched again (serveDiffLocked's retired-interval tripwire enforces
 // this).
@@ -192,17 +191,10 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 				n.protoAddLocked(-int64(len(d)))
 			}
 			if c == n.id {
-				// A twin still owed to a freed interval encodes a diff no
-				// one can ever request: release it without paying for the
-				// encoding. A diff deferred at a rewrite goes unpaid too.
+				// A diff the modelled node never encoded is one no node
+				// can request any more: it retires unpaid.
 				for _, pid := range ivl.pages {
-					pg := n.pages[pid] // never nil: this node wrote it
-					if pg.twinIvl == ivl {
-						n.releaseTwinLocked(pg)
-						n.protoAddLocked(-PageSize)
-						n.stats.TwinsCollected++
-					}
-					n.settleDeferredLocked(pg, ivl)
+					n.payLocked(n.pages[pid], ivl) // never nil: this node wrote it
 				}
 			}
 			ivl.diffs = nil
@@ -266,7 +258,7 @@ func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
 // consensus-push purge. The page owes at least one covered notice.
 // Requires n.mu.
 func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
-	if pg.twin != nil || pg.inDirty {
+	if pg.inDirty {
 		panic(fmt.Sprintf("dsm: node %d GC flushing page %d with live twin", n.id, pg.id))
 	}
 	pg.refetch = true // first: keepSeenLocked folds what the flush drops
@@ -351,9 +343,9 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 		if len(covered) == 0 {
 			continue
 		}
-		// A page owing diffs cannot carry local modifications
-		// (invalidation encodes any pending diff and drops the twin).
-		if pg.twin != nil || pg.inDirty {
+		// A page owing diffs cannot carry local modifications: its
+		// invalidation closed the open interval, freeing the twin.
+		if pg.inDirty {
 			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
 		}
 		if home := n.homeOf(pg.id); home != n.id && !n.mustKeepLocked(pg, retire) {

@@ -377,8 +377,8 @@ func (n *Node) sendGrantLocked(ls *lockState, id, to int, tag uint32, reqVC Vect
 
 // putGrantDataLocked appends the lock's data behind a grant's trailer: for
 // each data page with notices in the delta, the diffs of all of them, when
-// this node holds every one — stored, or owed by its own twin, whose
-// encoding costs the grant service time as in serveDiffLocked.
+// this node holds every one. Its own diffs are paid as in serveDiffLocked:
+// the first encode costs the grant service time.
 func (n *Node) putGrantDataLocked(w *wbuf, ls *lockState, delta []*interval) (cost sim.Time) {
 	notices := map[PageID][]int{} // data page → the delta records naming it
 	for i, ivl := range delta {
@@ -393,7 +393,7 @@ func (n *Node) putGrantDataLocked(w *wbuf, ls *lockState, delta []*interval) (co
 		recs := notices[pid]
 		if slices.ContainsFunc(recs, func(i int) bool {
 			_, ok := delta[i].diffs[pid]
-			return !ok && (delta[i].creator != n.id || n.pages[pid].twinIvl != delta[i])
+			return !ok
 		}) {
 			continue
 		}

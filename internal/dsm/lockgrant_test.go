@@ -259,15 +259,15 @@ func TestLockGrantIsland(t *testing.T) {
 }
 
 // protoRecount recomputes a quiescent node's metadata gauge from what it
-// holds: interval records with their diffs, and twins. A diff deferred at a
-// rewrite counts at PageSize, the twin the modelled node keeps for it.
+// holds: interval records with their diffs, and twins. An own diff the
+// modelled node has not paid for counts at PageSize, the twin it keeps.
 func protoRecount(n *Node) int64 {
 	var b int64
 	for _, have := range n.intervals {
 		for _, ivl := range have {
 			b += ivlRecordBytes(ivl)
 			for pid, d := range ivl.diffs {
-				if ivl.creator == n.id && slices.Contains(n.pages[pid].deferred, ivl) {
+				if ivl.creator == n.id && slices.Contains(n.pages[pid].unpaid, ivl) {
 					b += PageSize
 				} else {
 					b += int64(len(d))

@@ -49,9 +49,9 @@ type Node struct {
 	knownVC   []VectorClock // sound lower bound of what each node has seen
 	episode   int64         // barrier departures and forks taken here (group.go)
 
-	// Host buffers reused under mu: twins whose diff was encoded or
-	// collected (ensureWritableLocked takes from the list first), and the
-	// scratch of makeDiff, putTrailer and decodeRecordsLocked.
+	// Host buffers reused under mu: twins freed at interval close
+	// (ensureWritableLocked takes from the list first), and the scratch of
+	// makeDiff, putTrailer and decodeRecordsLocked.
 	twinFree   [][]byte
 	diffBuf    []byte
 	trailerBuf []byte
@@ -150,9 +150,7 @@ type NodeStats struct {
 	GCSyncRelays     int64 // tree-routed consensus frames forwarded onward
 	GCDepartFloors   int64 // acquire floors piggybacked on departure waves
 	IntervalsRetired int64 // interval records reclaimed
-	TwinsCollected   int64 // twins released without ever encoding their diff
-	DiffsDeferred    int64 // diffs encoded unpaid at a rewrite (page.deferred)
-	DeferredPaid     int64 // deferred diffs later paid: served, granted or invalidated
+	DiffsPaid        int64 // encodes charged to the model: at a first serve or grant, or at an invalidation
 	GCPagesValidated int64 // stale copies brought current during GC
 	GCPagesFlushed   int64 // stale copies discarded during GC
 	GCPurges         int64 // the purge's passes over the work list (gcPurgePagesLocked)
@@ -254,8 +252,10 @@ func (n *Node) pageFor(pid PageID) *page {
 
 // closeIntervalLocked ends the node's open interval if it wrote anything,
 // assigning the interval the node's incremented vector clock and recording
-// a write notice for every dirty page. Diffs stay lazy: each dirty page
-// keeps its twin until the diff is first needed.
+// a write notice for every dirty page. It is the one place the host encodes
+// a diff: each dirty page's is stored on the interval and its twin freed.
+// The modelled node pays for the encode only when the diff is first needed
+// (page.unpaid), and the metadata gauge keeps counting the twin until then.
 func (n *Node) closeIntervalLocked() {
 	if len(n.dirty) == 0 || n.sys.cfg.Procs == 1 {
 		return
@@ -269,15 +269,23 @@ func (n *Node) closeIntervalLocked() {
 	ivl.vc = n.vc.clone()
 	for _, pg := range n.dirty {
 		ivl.pages = append(ivl.pages, pg.id)
-		pg.twinIvl = ivl
+		var diff []byte
+		diff, n.diffBuf = makeDiff(pg.data, pg.twin, n.diffBuf)
+		ivl.diffs[pg.id] = diff
+		n.stats.DiffsCreated++
+		n.stats.DiffBytes += int64(len(diff))
+		// A twin is never a reply payload or a page copy: nothing else
+		// references the buffer the next write fault takes.
+		n.twinFree = append(n.twinFree, pg.twin)
+		pg.twin = nil
+		pg.unpaid = append(pg.unpaid, ivl)
 		pg.lastOwnSeq = ivl.seq
 		pg.inDirty = false
 		n.mergeSeenLocked(pg, ivl.vc)
 		n.mergeAppliedLocked(pg, ivl.vc)
 		if pg.state == pageReadWrite {
 			// Write-protect at interval close so the next local write
-			// faults and takes a fresh twin; this interval's diff stays
-			// owed until first needed (page.deferred).
+			// faults and takes a fresh twin.
 			pg.state = pageReadOnly
 		}
 	}
@@ -330,22 +338,22 @@ func (n *Node) incorporateLocked(recs []*interval, senderVC VectorClock) {
 }
 
 // invalidateLocked applies one write notice to a page. If the page is
-// being written locally, the local modifications are preserved: an open
-// interval is closed early, the pending diff is encoded against the twin,
-// and the remote diffs will later be merged into the local data
-// (multiple-writer protocol).
+// being written locally, the local modifications are preserved: the open
+// interval is closed early, encoding its diff, and the remote diffs will
+// later be merged into the local data (multiple-writer protocol).
 func (n *Node) invalidateLocked(pg *page, ivl *interval) {
 	if pg.twin != nil {
-		if pg.twinIvl == nil {
-			// Page is dirty in the open interval; close the interval so
-			// its local modifications are captured before invalidation.
-			n.closeIntervalLocked()
-		}
-		n.ensureDiffEncodedLocked(pg)
+		n.closeIntervalLocked()
 	}
-	// The modelled node's kept twins are encoded before the page changes.
-	for len(pg.deferred) > 0 {
-		n.clock.Advance(n.payDeferredLocked(pg, pg.deferred[0]))
+	// The modelled node encodes its kept twins before the page changes,
+	// charging its clock for each but the newest interval's, whose encode
+	// stays free until ROADMAP item 13(b).
+	if k := len(pg.unpaid); k > 0 && pg.unpaid[k-1].seq == pg.lastOwnSeq {
+		n.payLocked(pg, pg.unpaid[k-1])
+	}
+	for len(pg.unpaid) > 0 {
+		n.clock.Advance(n.payLocked(pg, pg.unpaid[0]))
+		n.stats.DiffsPaid++
 	}
 	pg.state = pageInvalid
 	pg.missing = append(pg.missing, ivl)
@@ -409,64 +417,23 @@ func (n *Node) mergeAppliedLocked(pg *page, vc VectorClock) {
 	pg.appliedVC.merge(vc)
 }
 
-// ensureDiffEncodedLocked materializes the diff owed by the page's pending
-// closed interval, if any, freeing the twin. The caller charges the cost
-// to whichever clock is appropriate (application thread or served request).
-func (n *Node) ensureDiffEncodedLocked(pg *page) {
-	if pg.twinIvl != nil {
-		n.protoAddLocked(int64(len(n.encodeTwinLocked(pg))) - PageSize) // twin freed, diff retained
-	}
-}
-
-// encodeTwinLocked stores the diff the page's pending closed interval owes
-// and releases the twin; the metadata gauge is the caller's.
-func (n *Node) encodeTwinLocked(pg *page) []byte {
-	var diff []byte
-	diff, n.diffBuf = makeDiff(pg.data, pg.twin, n.diffBuf)
-	pg.twinIvl.diffs[pg.id] = diff
-	n.releaseTwinLocked(pg)
-	n.stats.DiffsCreated++
-	n.stats.DiffBytes += int64(len(diff))
-	return diff
-}
-
-// payDeferredLocked settles the diff of the node's interval ivl that a
-// rewrite of pg encoded unpaid (page.deferred) and returns what encoding it
-// costs the modelled node: one page scan the first time the diff is needed,
-// 0 after that or for a diff never deferred.
-func (n *Node) payDeferredLocked(pg *page, ivl *interval) sim.Time {
-	if !n.settleDeferredLocked(pg, ivl) {
+// payLocked settles the diff of the node's interval ivl that pg still owes
+// the modelled node (page.unpaid) and returns what encoding it costs: one
+// page scan the first time the diff is needed, 0 after that. The gauge
+// moves from the kept twin to the diff that stands for it.
+func (n *Node) payLocked(pg *page, ivl *interval) sim.Time {
+	i := slices.Index(pg.unpaid, ivl)
+	if i < 0 {
 		return 0
 	}
-	n.stats.DeferredPaid++
+	pg.unpaid = slices.Delete(pg.unpaid, i, i+1)
+	n.protoAddLocked(int64(len(ivl.diffs[pg.id])) - PageSize)
 	return n.diffCost()
-}
-
-// settleDeferredLocked drops ivl from pg.deferred, if there, and moves the
-// gauge from the modelled twin to the diff that stands for it.
-func (n *Node) settleDeferredLocked(pg *page, ivl *interval) bool {
-	i := slices.Index(pg.deferred, ivl)
-	if i < 0 {
-		return false
-	}
-	pg.deferred = slices.Delete(pg.deferred, i, i+1)
-	n.protoAddLocked(int64(len(ivl.diffs[pg.id])) - PageSize) // twin freed, diff retained
-	return true
 }
 
 // diffCost is the modelled cost of encoding one diff: a page-to-twin scan.
 func (n *Node) diffCost() sim.Time {
 	return n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
-}
-
-// releaseTwinLocked detaches the page's twin, whose diff is encoded or no
-// longer owed, and keeps its buffer for the node's next write fault. A
-// twin is never a reply payload or a page copy, so the buffer has no other
-// reference.
-func (n *Node) releaseTwinLocked(pg *page) {
-	n.twinFree = append(n.twinFree, pg.twin)
-	pg.twin = nil
-	pg.twinIvl = nil
 }
 
 // newTwinLocked returns a snapshot of data in a recycled buffer if the
@@ -589,15 +556,6 @@ func (c *Client) ensureWritableLocked(pg *page) {
 		n.stats.WriteFaults++
 		c.noteLockDataLocked(pg)
 		c.clk.Advance(n.sys.plat.FaultOverhead)
-		if ivl := pg.twinIvl; ivl != nil {
-			// The previous interval's diff is encoded here so the twin
-			// buffer can be reused, but the writer pays nothing for it: the
-			// modelled node keeps that twin (the gauge still counts it) and
-			// pays for the diff when it is first needed (payDeferredLocked).
-			n.encodeTwinLocked(pg)
-			pg.deferred = append(pg.deferred, ivl)
-			n.stats.DiffsDeferred++
-		}
 		pg.twin = n.newTwinLocked(pg.data)
 		n.noteGCPageLocked(pg)
 		n.protoAddLocked(PageSize)
@@ -671,9 +629,6 @@ func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) 
 	if len(pl.fetch) > 0 && (cold || !keepDiffs && len(pl.fetch) >= squashMin) {
 		for _, m := range pl.fetch {
 			if m.creator != n.id && n.seenDominatedLocked(pg, m.vc) {
-				if pg.twin != nil {
-					panic("dsm: squash with live twin")
-				}
 				if pg.inDirty {
 					panic("dsm: squash with dirty page")
 				}

@@ -21,9 +21,7 @@ const (
 	// page.missing, or the page was never fetched (data == nil). Any
 	// access faults.
 	pageInvalid pageState = iota
-	// pageReadOnly: reads proceed; the first write faults to create a
-	// twin. If the page was written in an interval that has since closed,
-	// that interval's diff stays owed until first needed (page.deferred).
+	// pageReadOnly: reads proceed; the first write faults to create a twin.
 	pageReadOnly
 	// pageReadWrite: the page has a twin belonging to the node's open
 	// interval; reads and writes proceed at memory speed.
@@ -41,22 +39,18 @@ type page struct {
 	data []byte
 
 	// twin is a snapshot of data taken at the first write of an interval,
-	// used to compute the interval's diff (multiple-writer protocol).
+	// used to compute the interval's diff (multiple-writer protocol). It
+	// exists only while the page is dirty in the open interval: closing
+	// the interval encodes the diff and frees the twin.
 	twin []byte
 
-	// twinIvl, when non-nil, is the *closed* interval that still owes a
-	// diff against twin. It is nil while twin belongs to the node's open
-	// interval, and nil when there is no twin.
-	twinIvl *interval
-
-	// deferred lists the node's own closed intervals whose diff of this
-	// page a rewrite encoded (so the twin buffer could be reused) without
-	// charging for it: the modelled node keeps those twins, which the
-	// metadata gauge counts at PageSize each, and pays for each diff the
-	// first time it is served, forwarded on a grant or forced by an
-	// invalidation (payDeferredLocked) — never, if the collector retires
-	// the interval first (freeRetiredLocked). Ordered by interval seq.
-	deferred []*interval
+	// unpaid lists the node's own closed intervals whose diff of this page
+	// the modelled node has not encoded yet: it "keeps the twin", which
+	// the metadata gauge counts at PageSize, and pays one encode the first
+	// time the diff is served, forwarded on a grant or forced by an
+	// invalidation (payLocked) — never, if the collector retires the
+	// interval first (freeRetiredLocked). Ordered by interval seq.
+	unpaid []*interval
 
 	// missing lists incorporated write notices whose diffs have not yet
 	// been fetched and applied. Non-empty missing implies state ==

@@ -158,10 +158,9 @@ func (n *Node) servePageLocked(pid PageID) []byte {
 	return pg.data
 }
 
-// serveDiffLocked returns the diff of this node's interval seq for a page,
-// encoding it first if it is still pending against the page's twin; it
-// reports the service time that encoding cost — also the first time a diff
-// deferred at a rewrite is served (payDeferredLocked).
+// serveDiffLocked returns the diff of this node's interval seq for a page
+// and the service time the modelled node spends encoding it — one encode
+// the first time the diff is needed (payLocked), nothing after.
 func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 	own := n.intervals[n.id]
 	idx := seq - n.ivlBase[n.id]
@@ -174,15 +173,11 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 		panic(fmt.Sprintf("dsm: node %d asked for diff of unknown interval (%d,%d)", n.id, n.id, seq))
 	}
 	ivl := own[idx]
-	pg := n.pageFor(pid)
-	if d, ok := ivl.diffs[pid]; ok {
-		return d, n.payDeferredLocked(pg, ivl)
+	cost := n.payLocked(n.pageFor(pid), ivl)
+	if cost > 0 {
+		n.stats.DiffsPaid++
 	}
-	if pg.twinIvl != ivl {
-		panic(fmt.Sprintf("dsm: node %d has no diff and no twin for page %d interval %d", n.id, pid, seq))
-	}
-	n.ensureDiffEncodedLocked(pg)
-	return ivl.diffs[pid], n.diffCost()
+	return ivl.diffs[pid], cost
 }
 
 // handleFetchReq is the page and diff server: it answers one request of a

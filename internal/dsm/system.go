@@ -54,7 +54,7 @@ type Config struct {
 	// sim.DefaultPlatform).
 	Platform *sim.Platform
 	// DisableGC turns off garbage collection of protocol metadata (see
-	// gc.go), letting intervals, diffs, and twins accumulate for the whole
+	// gc.go), letting intervals and diffs accumulate for the whole
 	// run — the pre-GC behaviour, kept for the metadata-accumulation
 	// ablation.
 	DisableGC bool
@@ -250,11 +250,11 @@ type Report struct {
 	IntervalsRetired  int64
 	PeakIntervalChain int64
 	PeakProtoBytes    int64
-	// Diffs encoded, the part of them a rewrite encoded with their cost
-	// deferred, and how many of those were later paid (served, forwarded
-	// on a grant or forced by an invalidation); the rest were retired
-	// unpaid or were never needed.
-	DiffsCreated, DiffsDeferred, DeferredPaid int64
+	// Diffs encoded (one per closed interval and page it wrote), and how
+	// many of them the modelled node paid to encode — served, forwarded on
+	// a grant or forced by an invalidation; the rest were retired unpaid
+	// or never needed.
+	DiffsCreated, DiffsPaid int64
 }
 
 // Report assembles the run's accounting from the switch's per-type
@@ -279,7 +279,7 @@ func (s *System) Report() Report {
 	t := s.TotalStats()
 	r.Ledger = t.Ledger
 	r.IntervalsRetired, r.PeakIntervalChain, r.PeakProtoBytes = t.IntervalsRetired, t.PeakIntervalChain, t.PeakProtoBytes
-	r.DiffsCreated, r.DiffsDeferred, r.DeferredPaid = t.DiffsCreated, t.DiffsDeferred, t.DeferredPaid
+	r.DiffsCreated, r.DiffsPaid = t.DiffsCreated, t.DiffsPaid
 	g := s.GCSummary()
 	r.GCEpisodes, r.GCEpochs, r.GCAcqEpochs = g.Episodes, g.Epochs, g.AcqEpochs
 	r.GCPagesValidated, r.GCPagesFlushed = g.PagesValidated, g.PagesFlushed

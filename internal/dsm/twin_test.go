@@ -72,13 +72,18 @@ func TestMakeDiffExactProperty(t *testing.T) {
 }
 
 // TestTwinBuffersNeverShared runs randomized lock/barrier programs — words
-// of a few pages written by random single owners between barriers, plus
-// lock-protected counters — with the collector at every episode and at
-// the default threshold. Recycled twins must leave the contents exact, and
-// at the end no twin buffer (live or on a free list) may be shared by two
-// pages, sit on a free list twice, or alias a page copy or a diff.
+// of a few pages written by random single owners, round by round, plus
+// lock-protected counters and a write that changes nothing (an empty
+// diff) — in two shapes at four nodes: "omp", a forked
+// region per round, and "tmk", one region with a barrier closing each
+// round. Each runs with the collector at every episode and at the default
+// threshold. The owed-diff rule (twinInvariants) must hold on every node at
+// every quiescent point — after each of the master's joins or barriers —
+// and recycled twins must leave the contents exact: at the end no twin
+// buffer (live or on a free list) may be shared by two pages, sit on a free
+// list twice, or alias a page copy or a diff.
 func TestTwinBuffersNeverShared(t *testing.T) {
-	var recycled int
+	var recycled, walks int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const P = 4
@@ -98,13 +103,24 @@ func TestTwinBuffersNeverShared(t *testing.T) {
 				want[w] = int64(r*1000 + o*10 + w%7)
 			}
 		}
-		for _, pressure := range []int{1, 0} {
-			sys := New(Config{Procs: P, GCPressure: pressure})
-			base := sys.MallocPage(8 * words)
-			ctrs := sys.MallocPage(8 * nlocks)
-			sys.Register("plan", func(n *Node, _ []byte) {
-				me := n.ID()
-				for r := range owner {
+		for _, shape := range []string{"omp", "tmk"} {
+			for _, pressure := range []int{1, 0} {
+				sys := New(Config{Procs: P, GCPressure: pressure})
+				base := sys.MallocPage(8 * words)
+				ctrs := sys.MallocPage(8 * nlocks)
+				idle := sys.MallocPage(8 * P)
+				var walkErr error // the master's: set and read on its thread
+				walk := func() {
+					walks++
+					for _, n := range sys.nodes {
+						if err := twinInvariants(n); err != nil && walkErr == nil {
+							walkErr = err
+						}
+					}
+				}
+				round := func(n *Node, r int) {
+					me := n.ID()
+					n.WriteI64(idle+Addr(8*me), 0)
 					for w, o := range owner[r] {
 						if o == me {
 							n.WriteI64(base+Addr(8*w), int64(r*1000+o*10+w%7))
@@ -114,41 +130,61 @@ func TestTwinBuffersNeverShared(t *testing.T) {
 					n.Acquire(lk)
 					n.WriteI64(ctrs+Addr(8*lk), n.ReadI64(ctrs+Addr(8*lk))+1)
 					n.Release(lk)
-					n.Barrier()
 				}
-			})
-			got := make([]int64, words)
-			var sum int64
-			err := sys.Run(func(n *Node) {
-				n.RunParallel("plan", nil)
-				for w := range got {
-					got[w] = n.ReadI64(base + Addr(8*w))
+				sys.Register("round", func(n *Node, arg []byte) { round(n, int(arg[0])) })
+				sys.Register("plan", func(n *Node, _ []byte) {
+					for r := range owner {
+						round(n, r)
+						n.Barrier()
+						if n.ID() == 0 {
+							walk()
+						}
+					}
+				})
+				got := make([]int64, words)
+				var sum int64
+				err := sys.Run(func(n *Node) {
+					if shape == "omp" {
+						for r := range owner {
+							n.RunParallel("round", []byte{byte(r)})
+							walk()
+						}
+					} else {
+						n.RunParallel("plan", nil)
+					}
+					for w := range got {
+						got[w] = n.ReadI64(base + Addr(8*w))
+					}
+					for lk := 0; lk < nlocks; lk++ {
+						sum += n.ReadI64(ctrs + Addr(8*lk))
+					}
+				})
+				sys.Close()
+				at := fmt.Sprintf("seed %d %s pressure %d", seed, shape, pressure)
+				if err == nil {
+					err = walkErr
 				}
-				for lk := 0; lk < nlocks; lk++ {
-					sum += n.ReadI64(ctrs + Addr(8*lk))
-				}
-			})
-			sys.Close()
-			if err != nil {
-				t.Logf("seed %d pressure %d: %v", seed, pressure, err)
-				return false
-			}
-			if sum != int64(rounds*P) {
-				t.Logf("seed %d pressure %d: counters sum %d, want %d", seed, pressure, sum, rounds*P)
-				return false
-			}
-			for w := range want {
-				if got[w] != want[w] {
-					t.Logf("seed %d pressure %d: word %d = %d, want %d", seed, pressure, w, got[w], want[w])
+				if err != nil {
+					t.Logf("%s: %v", at, err)
 					return false
 				}
-			}
-			if err := twinAliasing(sys); err != nil {
-				t.Logf("seed %d pressure %d: %v", seed, pressure, err)
-				return false
-			}
-			for _, n := range sys.nodes {
-				recycled += len(n.twinFree)
+				if sum != int64(rounds*P) {
+					t.Logf("%s: counters sum %d, want %d", at, sum, rounds*P)
+					return false
+				}
+				for w := range want {
+					if got[w] != want[w] {
+						t.Logf("%s: word %d = %d, want %d", at, w, got[w], want[w])
+						return false
+					}
+				}
+				if err := twinAliasing(sys); err != nil {
+					t.Logf("%s: %v", at, err)
+					return false
+				}
+				for _, n := range sys.nodes {
+					recycled += len(n.twinFree)
+				}
 			}
 		}
 		return true
@@ -163,12 +199,49 @@ func TestTwinBuffersNeverShared(t *testing.T) {
 	if recycled == 0 {
 		t.Error("no twin was ever released to a free list: recycling went unexercised")
 	}
+	t.Logf("%d quiescent walks", walks)
 }
 
-// twinAliasing reports the first backing array that a twin shares with
-// another twin, a free-list entry, a page copy or a retained diff, over
-// every node of a finished system.
+// twinInvariants checks one node, under its mu, against the owed-diff rule:
+// a page holds a twin only while it is dirty in the open interval, every
+// retained interval of the node's own holds a diff for each page it wrote,
+// and every diff the modelled node still owes belongs to a retained one.
+func twinInvariants(n *Node) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, pg := range n.pages {
+		if pg == nil {
+			continue
+		}
+		if pg.twin != nil && !pg.inDirty {
+			return fmt.Errorf("node %d page %d holds a twin outside the open interval", n.id, pg.id)
+		}
+		for _, ivl := range pg.unpaid {
+			if ivl.seq < n.ivlBase[n.id] {
+				return fmt.Errorf("node %d page %d owes the diff of retired interval %d", n.id, pg.id, ivl.seq)
+			}
+		}
+	}
+	for _, ivl := range n.intervals[n.id] {
+		for _, pid := range ivl.pages {
+			if _, ok := ivl.diffs[pid]; !ok {
+				return fmt.Errorf("node %d interval %d holds no diff for page %d", n.id, ivl.seq, pid)
+			}
+		}
+	}
+	return nil
+}
+
+// twinAliasing reports the owed-diff rule's first violation on a finished
+// system (twinInvariants), or else the first backing array that a twin
+// shares with another twin, a free-list entry, a page copy or a retained
+// diff, over every node.
 func twinAliasing(sys *System) error {
+	for _, n := range sys.nodes {
+		if err := twinInvariants(n); err != nil {
+			return err
+		}
+	}
 	owner := map[*byte]string{}
 	claim := func(b []byte, who string) error {
 		if len(b) == 0 {
@@ -213,10 +286,10 @@ func twinAliasing(sys *System) error {
 	return nil
 }
 
-// BenchmarkTwinDiffCycle is one write fault → interval close → diff
-// encode on a page the node homes: the twin comes off the node's free
-// list once the cycle is warm, so B/op is the interval record and its
-// exact-size diff.
+// BenchmarkTwinDiffCycle is one write fault → interval close (which
+// encodes the diff) on a page the node homes: the twin comes off the
+// node's free list once the cycle is warm, so B/op is the interval record
+// and its exact-size diff.
 func BenchmarkTwinDiffCycle(b *testing.B) {
 	sys := New(Config{Procs: 2})
 	defer sys.Close()
@@ -233,7 +306,6 @@ func BenchmarkTwinDiffCycle(b *testing.B) {
 		n.c0.ensureWritableLocked(pg)
 		pg.data[(8*i)%PageSize]++
 		n.closeIntervalLocked()
-		n.ensureDiffEncodedLocked(pg)
 		n.mu.Unlock()
 	}
 }

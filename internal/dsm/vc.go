@@ -56,17 +56,16 @@ func (v VectorClock) sum() int64 {
 // interval is one node's record of a closed write interval: the unit of
 // consistency information in lazy release consistency. A write notice is
 // the pair (interval, page); we represent the notices of an interval as its
-// page list. The creator additionally caches the diffs of the interval's
-// pages, created lazily on first request (or when the creator must reuse
-// the page's twin).
+// page list. The creator additionally keeps the diffs of the interval's
+// pages, encoded when the interval closes.
 type interval struct {
 	creator int
 	seq     int // 0-based; creator's vc[creator] == seq+1 after closing it
 	vc      VectorClock
 	pages   []PageID
 
-	// diffs is populated only at the creator: encoded diff per page,
-	// created lazily by ensureDiffEncoded and reclaimed by the garbage
-	// collector once no node can request it again (see gc.go).
+	// diffs holds the creator's encoded diff per page, and on other nodes
+	// the diffs a lock grant may forward (retainDiffLocked); reclaimed by
+	// the garbage collector once no node can request it again (gc.go).
 	diffs map[PageID][]byte
 }

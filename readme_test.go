@@ -18,6 +18,13 @@ var (
 	// Fenced blocks and inline code spans (which may wrap a line).
 	fenceRE = regexp.MustCompile("(?s)```.*?```")
 	spanRE  = regexp.MustCompile("`[^`]+`")
+	// A go run of one of the repository's commands, to the end of its line
+	// or its comment; its flags, -name or -name=value; and a flag a command
+	// defines, flag.Kind("name", …) or flag.KindVar(&v, "name", …).
+	goRunRE   = regexp.MustCompile(`go run (?:-\S+ )*\./cmd/([a-z]+)([^\n#]*)`)
+	flagArgRE = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][A-Za-z0-9-]*)`)
+	quoteRE   = regexp.MustCompile(`'[^']*'|"[^"]*"`)
+	flagDefRE = regexp.MustCompile(`flag\.[A-Za-z0-9]+\((?:&\w+,\s*)?"([^"]+)"`)
 )
 
 // readmeCode returns README's code: fenced blocks and inline spans, the
@@ -66,5 +73,59 @@ func TestReadmeCitesWhatExists(t *testing.T) {
 	}
 	if names == 0 {
 		t.Error("found no make commands in README: the scan is broken")
+	}
+}
+
+// TestReadmeRunsDefinedFlags: every flag a `go run ./cmd/<name>` in README
+// code passes (a backslash continues the line; quoted arguments are values)
+// is one that cmd/<name> defines.
+func TestReadmeRunsDefinedFlags(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]map[string]bool{} // command → its flags
+	flagsOf := func(cmd string) map[string]bool {
+		if f, ok := defined[cmd]; ok {
+			return f
+		}
+		f := map[string]bool{}
+		srcs, _ := filepath.Glob(filepath.Join("cmd", cmd, "*.go"))
+		for _, src := range srcs {
+			if strings.HasSuffix(src, "_test.go") {
+				continue
+			}
+			b, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range flagDefRE.FindAllStringSubmatch(string(b), -1) {
+				f[m[1]] = true
+			}
+		}
+		defined[cmd] = f
+		return f
+	}
+	runs := 0
+	for _, c := range readmeCode(string(raw)) {
+		if strings.Contains(c, "git checkout") {
+			continue
+		}
+		c = strings.ReplaceAll(c, "\\\n", " ")
+		for _, m := range goRunRE.FindAllStringSubmatch(c, -1) {
+			runs++
+			if _, err := os.Stat(filepath.Join("cmd", m[1])); err != nil {
+				t.Errorf("README runs ./cmd/%s, which does not exist", m[1])
+				continue
+			}
+			for _, f := range flagArgRE.FindAllStringSubmatch(quoteRE.ReplaceAllString(m[2], ""), -1) {
+				if !flagsOf(m[1])[f[1]] {
+					t.Errorf("README runs `go run ./cmd/%s -%s`, a flag the command does not define", m[1], f[1])
+				}
+			}
+		}
+	}
+	if runs == 0 {
+		t.Error("found no go run commands in README: the scan is broken")
 	}
 }
