@@ -87,12 +87,14 @@ hybrid-race:
 # (both triggers armed on programs that mix locks and barriers), the lock
 # grants that carry diffs kept on interval records the collector frees
 # (TestLockGrant*, and QSORT and TSP under the shadow-memory oracle), the
-# recycled twins (TestTwinBuffers*: randomized lock/barrier programs, no
-# twin buffer shared, the owed-twin release included) and exact-size diffs
-# (TestMakeDiffExact*), the lazily kept per-page seen clocks against eager
-# ones on randomized programs that flush (TestLazySeenMatchesEager), the
-# diffs a rewrite defers — paid at their first serve, grant or invalidation,
-# or retired unpaid with the metadata gauge exact (TestDeferredDiff*) — plus the
+# recycled twins (TestTwinBuffers*: randomized omp- and tmk-shaped
+# lock/barrier programs, no twin buffer shared, a twin only on a page dirty
+# in the open interval and a diff on every own interval at each join or
+# barrier) and exact-size diffs (TestMakeDiffExact*), the lazily kept
+# per-page seen clocks against eager ones on randomized programs that flush
+# (TestLazySeenMatchesEager), the encodes the modelled node owes — paid at
+# a diff's first serve, grant or invalidation, or retired unpaid with the
+# metadata gauge exact (TestDeferredDiff*) — plus the
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
 # ablation, every app at GCPressure 1, and the full-scale Sweep3D cell

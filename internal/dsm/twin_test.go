@@ -73,15 +73,15 @@ func TestMakeDiffExactProperty(t *testing.T) {
 
 // TestTwinBuffersNeverShared runs randomized lock/barrier programs — words
 // of a few pages written by random single owners, round by round, plus
-// lock-protected counters and a write that changes nothing (an empty
-// diff) — in two shapes at four nodes: "omp", a forked
-// region per round, and "tmk", one region with a barrier closing each
-// round. Each runs with the collector at every episode and at the default
-// threshold. The owed-diff rule (twinInvariants) must hold on every node at
-// every quiescent point — after each of the master's joins or barriers —
-// and recycled twins must leave the contents exact: at the end no twin
-// buffer (live or on a free list) may be shared by two pages, sit on a free
-// list twice, or alias a page copy or a diff.
+// lock-protected counters and a write that changes nothing (an empty diff)
+// — in two shapes at four nodes: "omp", a forked region per round, and
+// "tmk", one region with a barrier closing each round. Each runs with the
+// collector at every episode and at the default threshold. The owed-diff
+// rule (twinInvariants) must hold on every node at every quiescent point —
+// after each of the master's joins or barriers — and recycled twins must
+// leave the contents exact: at the end no twin buffer (live or on a free
+// list) may be shared by two pages, sit on a free list twice, or alias a
+// page copy or a diff.
 func TestTwinBuffersNeverShared(t *testing.T) {
 	var recycled, walks int
 	f := func(seed int64) bool {
