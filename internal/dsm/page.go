@@ -133,7 +133,10 @@ func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 	n := len(data)
 	i := 0
 	for i < n {
-		// Find the next differing word.
+		// Find the next differing word, first two equal words at a time.
+		for i+8 <= n && binary.LittleEndian.Uint64(data[i:]) == binary.LittleEndian.Uint64(twin[i:]) {
+			i += 8
+		}
 		for i < n && wordEq(data, twin, i) {
 			i += 4
 		}
@@ -141,6 +144,9 @@ func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 			break
 		}
 		start := i
+		for i+8 <= n && wordsDiffer(data, twin, i) {
+			i += 8
+		}
 		for i < n && !wordEq(data, twin, i) {
 			i += 4
 		}
@@ -158,6 +164,12 @@ func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 	diff = make([]byte, len(w.b))
 	copy(diff, w.b)
 	return diff, w.b
+}
+
+// wordsDiffer reports whether the words at i and i+4 both differ.
+func wordsDiffer(a, b []byte, i int) bool {
+	x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+	return uint32(x) != 0 && x>>32 != 0
 }
 
 func wordEq(a, b []byte, i int) bool {
