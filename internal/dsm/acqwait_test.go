@@ -296,11 +296,11 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 	})
 	// Both diffs are paid as the request is served: rounds 4 and 5 each
 	// still owe the modelled node its encode (page.unpaid), paid at the
-	// diff's first serve.
+	// diff's first serve. Each diff is one word at the page start.
 	plat := sys.Platform()
 	req, rep := fetchItemsWireLen(
-		fetchItem{pid: pid, seq: seqs[0], data: make([]byte, 8+4)},
-		fetchItem{pid: pid, seq: seqs[1], data: make([]byte, 8+4)})
+		fetchItem{pid: pid, seq: seqs[0], data: make([]byte, runBytes(0, 4))},
+		fetchItem{pid: pid, seq: seqs[1], data: make([]byte, runBytes(0, 4))})
 	want := plat.FaultOverhead + plat.UDP.Latency(req) + plat.RequestService +
 		2*(plat.DiffCreate+sim.Time(float64(PageSize)*plat.DiffPerByte)) + plat.UDP.Latency(rep) +
 		2*(plat.DiffApply+sim.Time(4*plat.DiffApplyPerByte))

@@ -370,15 +370,13 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 
 	// One fetch exchange, like a fault round's — but priced as it always
 	// was: the client's clock stops at the latest reply arrival ("the
-	// parallel validation sweep") and the inbound-link floor fetch returns
-	// is NOT applied. Flooring the wave is a model change, not a
+	// parallel validation sweep") and the inbound-link floor fetchLocked
+	// returns is NOT applied. Flooring the wave is a model change, not a
 	// simplification (measured: locks8 speedup 2.50 → 1.51, scale64 2.26 →
 	// 1.12, paged8 3.89 → 3.82); it is the optimism per-port occupancy in
 	// the network model will price.
 	entered := c.clk.Now()
-	n.mu.Unlock() // --- network section: servers may run meanwhile ---
-	diffs, _, msgs, bytes := c.fetch(work)
-	n.mu.Lock() // --- end network section ---
+	diffs, _, msgs, bytes := c.fetchLocked(work) // servers may run meanwhile
 
 	for i := range work {
 		// Exactly the validated notices go; notices newer than the floor

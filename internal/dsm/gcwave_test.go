@@ -9,7 +9,7 @@ import (
 )
 
 // The collector's validation wave goes through the fault path's exchange
-// (Client.fetch) and installs through applyFaultLocked. These tests pin
+// (Client.fetchLocked) and installs through applyFaultLocked. These tests pin
 // what that means on the wire and on the clock. All run with the acquire
 // source off and no locks, so a node's Interrupts are exactly the fetch
 // requests it served (see pageTraffic).
@@ -103,7 +103,7 @@ func TestGCWaveThroughFetch(t *testing.T) {
 	wire := func(count int) (req, rep int) { // of a request for `count` page-sized diffs
 		items := make([]fetchItem, count)
 		for i := range items {
-			items[i] = fetchItem{pid: homed[i], seq: 0, data: make([]byte, 8+PageSize)}
+			items[i] = fetchItem{pid: homed[i], seq: 0, data: make([]byte, runBytes(0, PageSize))}
 		}
 		return fetchItemsWireLen(items...)
 	}
@@ -220,12 +220,15 @@ func TestFlushedCopyRebuildsInOneRound(t *testing.T) {
 	}
 	// The home is asked for its page and its own diff, the writer for its
 	// diff; both diffs were encoded when the other's notice invalidated the
-	// writer's copy.
+	// writer's copy. The home's word lies 64 bytes into the page, the
+	// writer's at its start.
 	plat := sys.Platform()
-	item := func(creator int) fetchItem { return fetchItem{pid: pid, seq: seqs[creator], data: make([]byte, 8+4)} }
-	hreq, hrep := fetchItemsWireLen(fetchItem{pid: pid, seq: -1, data: make([]byte, PageSize)}, item(home))
+	item := func(creator, gap int) fetchItem {
+		return fetchItem{pid: pid, seq: seqs[creator], data: make([]byte, runBytes(gap, 4))}
+	}
+	hreq, hrep := fetchItemsWireLen(fetchItem{pid: pid, seq: -1, data: make([]byte, PageSize)}, item(home, 64))
 	fromHome := plat.UDP.Latency(hreq) + plat.RequestService + plat.PageCopy + plat.UDP.Latency(hrep)
-	wreq, wrep := fetchItemsWireLen(item(writer))
+	wreq, wrep := fetchItemsWireLen(item(writer, 0))
 	fromWriter := plat.UDP.Latency(wreq) + plat.RequestService + plat.UDP.Latency(wrep)
 	floor := 2*plat.UDP.OneWay + sim.Time(float64(hrep+wrep)*plat.UDP.PerByteNS)
 	apply := 2 * (plat.DiffApply + sim.Time(4*plat.DiffApplyPerByte))

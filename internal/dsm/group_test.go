@@ -110,7 +110,7 @@ func TestGroupRoundCost(t *testing.T) {
 			plat := sys.Platform()
 			items := make([]fetchItem, tt.rewrite)
 			for i := range items {
-				items[i] = fetchItem{pid: PageID(groupPages[i]), seq: seq, data: make([]byte, 8+4)}
+				items[i] = fetchItem{pid: PageID(groupPages[i]), seq: seq, data: make([]byte, runBytes(0, 4))}
 			}
 			req, rep := fetchItemsWireLen(items...)
 			k := sim.Time(tt.rewrite)

@@ -58,7 +58,7 @@ type Node struct {
 	vcBuf      VectorClock
 
 	// fetchMu serializes the node's application-side fetch sequences (the
-	// fault path and GC validation waves, both through Client.fetch): its
+	// fault path and GC validation waves, both through Client.fetchLocked): its
 	// replies route by message type alone, so on a multi-client node two
 	// concurrent exchanges would steal each other's replies — and a fault
 	// snapshot must never straddle a GC purge. Always acquired WITHOUT mu
@@ -763,8 +763,7 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 				plans = append(plans, pl)
 			}
 		}
-		n.mu.Unlock() // --- network section: server may run meanwhile ---
-		diffs, floor, _, _ := c.fetch(plans)
+		diffs, floor, _, _ := c.fetchLocked(plans)
 		// Sources work in parallel, but their replies share this node's
 		// inbound link: every round, of one page or many, completes no
 		// earlier than that link needs to deliver every reply byte back to
@@ -772,7 +771,6 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 		// be credited with seven times the link's bandwidth; per-port
 		// occupancy in the network model would replace it.)
 		c.clk.AdvanceTo(floor)
-		n.mu.Lock() // --- end network section ---
 		for i := range plans {
 			pl := &plans[i]
 			c.applyFaultLocked(pl, diffs)
@@ -815,10 +813,19 @@ const fetchWindow = 256
 // their plans and diffs returned by key, with the inbound-link floor: when
 // this node's link, delivering every reply byte back to back, would be
 // done. Pricing the round is the caller's business. msgs and bytes are the
-// exchange's traffic, both directions, as the switch counts it. Must be
-// called WITHOUT n.mu, holding fetchMu.
-func (c *Client) fetch(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time, msgs, bytes int64) {
+// exchange's traffic, both directions, as the switch counts it. Requires
+// n.mu and fetchMu; n.mu is released while requests are in flight, and
+// re-taken on every way out — an abort unwinding out of recvReply included,
+// since the access entry point it passes next defers n.mu's Unlock.
+func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time, msgs, bytes int64) {
 	n := c.n
+	n.mu.Unlock() // --- network section: servers may run meanwhile ---
+	defer func() {
+		if r := recover(); r != nil {
+			n.mu.Lock()
+			panic(r)
+		}
+	}()
 	type request struct {
 		to    int
 		items []fetchItem
@@ -879,6 +886,7 @@ func (c *Client) fetch(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Ti
 			}
 		}
 	}
+	n.mu.Lock() // --- end network section ---
 	return diffs, start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS), msgs, bytes + int64(inbound)
 }
 

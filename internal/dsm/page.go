@@ -118,12 +118,16 @@ type seenCheck interface {
 }
 
 // makeDiff computes the word-granularity (4-byte) delta between data and
-// twin, encoded as runs of [offset u32][length u32][bytes]. The 4-byte
-// word size matches real TreadMarks and is load-bearing for correctness:
-// two nodes may concurrently write ADJACENT 4-byte values of one page
-// (QSORT subarray boundaries land on arbitrary int32 indices), and a
-// coarser diff word would capture the neighbour's stale half and lose one
-// of the two writes when the diffs merge.
+// twin, encoded as runs of [uv gap][uv length][bytes]: the gap from the
+// previous run's end and the run's length are LEB128 varints counted in
+// words, so a run header is usually 2 bytes and no diff exceeds
+// PageSize+3 (one whole-page run). The 4-byte word size matches real
+// TreadMarks and is load-bearing for correctness: two nodes may
+// concurrently write ADJACENT 4-byte values of one page (QSORT subarray
+// boundaries land on arbitrary int32 indices), and a coarser diff word —
+// or a run merged across an unchanged word — would capture the
+// neighbour's stale value and lose one of the two writes when the diffs
+// merge.
 //
 // The runs are encoded into scratch, which is returned grown for the next
 // call, and copied out once: the diff is one allocation with len == cap
@@ -131,7 +135,7 @@ type seenCheck interface {
 func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 	w := wbuf{b: scratch[:0]}
 	n := len(data)
-	i := 0
+	i, prev := 0, 0
 	for i < n {
 		// Find the next differing word, first two equal words at a time.
 		for i+8 <= n && binary.LittleEndian.Uint64(data[i:]) == binary.LittleEndian.Uint64(twin[i:]) {
@@ -150,13 +154,10 @@ func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 		for i < n && !wordEq(data, twin, i) {
 			i += 4
 		}
-		end := i
-		if end > n {
-			end = n
-		}
-		w.u32(uint32(start))
-		w.u32(uint32(end - start))
-		w.b = append(w.b, data[start:end]...)
+		w.uv(uint64(start-prev) / 4)
+		w.uv(uint64(i-start) / 4)
+		w.b = append(w.b, data[start:i]...)
+		prev = i
 	}
 	if len(w.b) == 0 {
 		return nil, w.b
@@ -173,26 +174,24 @@ func wordsDiffer(a, b []byte, i int) bool {
 }
 
 func wordEq(a, b []byte, i int) bool {
-	if i+4 <= len(a) {
-		return binary.LittleEndian.Uint32(a[i:]) == binary.LittleEndian.Uint32(b[i:])
-	}
-	for ; i < len(a); i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return binary.LittleEndian.Uint32(a[i:]) == binary.LittleEndian.Uint32(b[i:])
 }
 
 // applyDiff writes the runs of an encoded diff into data and returns the
-// number of payload bytes applied.
+// number of payload bytes applied. Diffs cross the wire, so each run is
+// checked before it is copied: an empty run or one past the page raises
+// wireError, as a malformed varint or a truncated run does.
 func applyDiff(data, diff []byte) int {
 	r := rbuf{b: diff}
-	applied := 0
+	off, applied := 0, 0
 	for !r.done() {
-		off := int(r.u32())
-		n := int(r.u32())
-		copy(data[off:off+n], r.need(n))
+		off += 4 * r.uvi()
+		n := 4 * r.uvi()
+		if n == 0 || off+n > len(data) {
+			panic(wireErrf("dsm: diff run of %d bytes at offset %d outside a %d-byte page", n, off, len(data)))
+		}
+		copy(data[off:], r.need(n))
+		off += n
 		applied += n
 	}
 	return applied

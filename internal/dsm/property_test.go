@@ -2,6 +2,8 @@ package dsm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,8 +37,13 @@ func TestDiffRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: a diff never exceeds the encoded size of the whole page plus
-// one run header, and an unchanged page diffs to nothing.
+// maxDiff bounds every diff: one run over the whole page, whose header is
+// a 1-byte gap and a 2-byte length. Every later run's header is at most 4
+// bytes and follows a gap of at least one unchanged 4-byte word.
+const maxDiff = PageSize + 3
+
+// Property: a diff never exceeds maxDiff, and an unchanged page diffs to
+// nothing. The seeds are fixed, so a failure repeats.
 func TestDiffSizeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -49,10 +56,72 @@ func TestDiffSizeProperty(t *testing.T) {
 		data := make([]byte, PageSize)
 		rng.Read(data)
 		diff, _ := makeDiff(data, twin, nil)
-		return len(diff) <= PageSize+8
+		return len(diff) <= maxDiff
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDiffSizeAdversarial pins the sizes, and holds the bound, on pages
+// that split a diff into runs: every word changed but one in the middle
+// (two runs; 8-byte run headers made this 4,108 B, past their own
+// PageSize+8 bound), every other word changed (the most runs a page
+// holds), and one equal word after every 128 changed ones (runs whose
+// lengths take 2 bytes).
+func TestDiffSizeAdversarial(t *testing.T) {
+	twin := make([]byte, PageSize)
+	for _, tt := range []struct {
+		name string
+		same func(w int) bool // word w keeps the twin's value
+		want int
+	}{
+		{"whole page", func(int) bool { return false }, maxDiff},
+		{"one equal word mid-page", func(w int) bool { return w == PageSize/8 }, runBytes(0, PageSize/2) + runBytes(4, PageSize/2-4)},
+		{"every other word equal", func(w int) bool { return w%2 == 1 }, runBytes(0, 4) + (PageSize/8-1)*runBytes(4, 4)},
+		{"one equal word after 128", func(w int) bool { return w%129 == 128 }, runBytes(0, 512) + 6*runBytes(4, 512) + runBytes(4, 484)},
+	} {
+		data := bytes.Clone(twin)
+		for w := 0; w < PageSize/4; w++ {
+			if !tt.same(w) {
+				data[4*w] = 1
+			}
+		}
+		diff, _ := makeDiff(data, twin, nil)
+		if len(diff) != tt.want || len(diff) > maxDiff {
+			t.Errorf("%s: diff is %d B, want %d (bound %d)", tt.name, len(diff), tt.want, maxDiff)
+		}
+		got := bytes.Clone(twin)
+		applyDiff(got, diff)
+		if !bytes.Equal(got, data) {
+			t.Errorf("%s: diff does not rebuild the page", tt.name)
+		}
+	}
+}
+
+// TestDiffFloat64LowWords pins the page a small float64 update leaves
+// behind: only the low word of each double changes, so the diff is 512
+// one-word runs of 6 bytes each — a 1-byte gap, a 1-byte length and the
+// word — where 8-byte run headers made it 6,144 B, larger than the page.
+func TestDiffFloat64LowWords(t *testing.T) {
+	twin := make([]byte, PageSize)
+	data := make([]byte, PageSize)
+	for i := 0; i < PageSize; i += 8 {
+		x := 1 + float64(i)/3
+		binary.LittleEndian.PutUint64(twin[i:], math.Float64bits(x))
+		binary.LittleEndian.PutUint64(data[i:], math.Float64bits(x*(1+1e-12)))
+		if wordEq(data, twin, i) || !wordEq(data, twin, i+4) {
+			t.Fatalf("test premise: the update of double %d changes more than its low word", i/8)
+		}
+	}
+	diff, _ := makeDiff(data, twin, nil)
+	if want := 512 * (1 + 1 + 4); len(diff) != want {
+		t.Fatalf("diff of a page of float64 low-word updates is %d B, want %d", len(diff), want)
+	}
+	got := bytes.Clone(twin)
+	if n := applyDiff(got, diff); n != PageSize/2 || !bytes.Equal(got, data) {
+		t.Fatalf("diff applied %d B and rebuilt the page: %v; want %d B, true", n, bytes.Equal(got, data), PageSize/2)
 	}
 }
 

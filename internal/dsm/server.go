@@ -181,7 +181,7 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 }
 
 // handleFetchReq is the page and diff server: it answers one request of a
-// fetch exchange (Client.fetch — a fault round's or a collector wave's)
+// fetch exchange (Client.fetchLocked — a fault round's or a collector wave's)
 // with every whole page and diff the requester wants from this node, for
 // one interrupt and one reply. The contents are gathered first so the
 // reply buffer is sized once; pg.data and stored diffs are copied into it

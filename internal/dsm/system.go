@@ -33,7 +33,7 @@ const (
 	msgGCSync                   // pressured node → quiet node: GC consensus push + delta (acqgc.go)
 	msgGCFloor                  // piggybacked acquire-epoch floor announcement (acqgc.go)
 	msgBatch                    // coalesced per-peer frame of typed sub-messages (wire.go)
-	msgFetchReq                 // app → page home, squash creator or interval creator: the pages and diffs wanted of it (Client.fetch)
+	msgFetchReq                 // app → page home, squash creator or interval creator: the pages and diffs wanted of it (Client.fetchLocked)
 	msgFetchRep                 // source → app: the requested pages and diffs
 )
 

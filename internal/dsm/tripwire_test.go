@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -61,4 +62,30 @@ func TestHandlerPanicUnderMuBecomesRunError(t *testing.T) {
 		t.Fatal("Run did not return: the panicking handler left node 0's mutex locked")
 	}
 	sys.Node(0).Stats() // takes n.mu: must not block either
+}
+
+// TestAbortInFaultRoundBecomesRunError: an abort that reaches a thread in a
+// fault round's network section, where n.mu is released, must unwind as an
+// ordinary run error. The master reads a page node 1 wrote after the system
+// has aborted: the fetch finds the switch down, and the unwind passes
+// ReadF64s's deferred Unlock — a fatal "unlock of unlocked mutex" unless
+// the section re-took n.mu on its way out.
+func TestAbortInFaultRoundBecomesRunError(t *testing.T) {
+	sys := New(Config{Procs: 2, DisableGC: true})
+	a := sys.MallocPage(PageSize)
+	sys.Register("write", func(n *Node, _ []byte) {
+		if n.ID() == 1 {
+			n.WriteF64s(a, []float64{1, 2})
+		}
+	})
+	cause := errors.New("deliberate abort")
+	err := sys.Run(func(n *Node) {
+		n.RunParallel("write", nil)
+		n.sys.abort(cause)
+		n.ReadF64s(a, make([]float64, 2))
+		t.Error("ReadF64s returned past an abort")
+	})
+	if !errors.Is(err, cause) {
+		t.Fatalf("Run returned %v, want the abort error %v", err, cause)
+	}
 }

@@ -12,6 +12,7 @@ import (
 // byte: the same runs, grown by append.
 func appendDiff(data, twin []byte) []byte {
 	var w wbuf
+	prev := 0
 	for i := 0; i < len(data); {
 		for i < len(data) && wordEq(data, twin, i) {
 			i += 4
@@ -23,12 +24,22 @@ func appendDiff(data, twin []byte) []byte {
 		for i < len(data) && !wordEq(data, twin, i) {
 			i += 4
 		}
-		end := min(i, len(data))
-		w.u32(uint32(start))
-		w.u32(uint32(end - start))
-		w.b = append(w.b, data[start:end]...)
+		w.uv(uint64(start-prev) / 4)
+		w.uv(uint64(i-start) / 4)
+		w.b = append(w.b, data[start:i]...)
+		prev = i
 	}
 	return w.b
+}
+
+// runBytes is the encoded size of a diff run of n bytes that starts gap
+// bytes past the previous run's end (or the page start): its two varint
+// word counts, then its bytes.
+func runBytes(gap, n int) int {
+	var w wbuf
+	w.uv(uint64(gap / 4))
+	w.uv(uint64(n / 4))
+	return len(w.b) + n
 }
 
 // mutatePage returns a copy of twin with k random words changed (k = 0
@@ -312,7 +323,8 @@ func BenchmarkTwinDiffCycle(b *testing.B) {
 
 // BenchmarkMakeDiff encodes a sparse page (one changed word in 64) and a
 // dense one (every other word changed: the most runs a page can hold)
-// with the scratch reused across calls, as on a node.
+// with the scratch reused across calls, as on a node, and reports the
+// encoded size next to the host cost.
 func BenchmarkMakeDiff(b *testing.B) {
 	twin := make([]byte, PageSize)
 	rand.New(rand.NewSource(1)).Read(twin)
@@ -325,11 +337,12 @@ func BenchmarkMakeDiff(b *testing.B) {
 			data[i] ^= 0xff
 		}
 		b.Run(c.name, func(b *testing.B) {
-			var scratch []byte
+			var scratch, diff []byte
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, scratch = makeDiff(data, twin, scratch)
+				diff, scratch = makeDiff(data, twin, scratch)
 			}
+			b.ReportMetric(float64(len(diff)), "B/diff")
 		})
 	}
 }

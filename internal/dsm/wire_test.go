@@ -2,8 +2,10 @@ package dsm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -449,6 +451,67 @@ func TestWireTruncatedGrant(t *testing.T) {
 	}
 }
 
+// multiRunDiff is a valid diff of three runs: one word at the page start,
+// 130 words (a 2-byte length) after a 1-word gap, and one word after a
+// 200-word gap (a 2-byte gap). It returns the diff and the byte offsets at
+// which its runs end.
+func multiRunDiff() (diff []byte, ends []int) {
+	twin := make([]byte, PageSize)
+	data := bytes.Clone(twin)
+	for _, w := range []int{0, 2, 131, 332} {
+		data[4*w] = 0x5a
+	}
+	for w := 2; w < 2+130; w++ {
+		data[4*w+1] = 0xa5
+	}
+	diff, _ = makeDiff(data, twin, nil)
+	r := rbuf{b: diff}
+	for !r.done() {
+		r.uv()
+		r.need(4 * r.uvi())
+		ends = append(ends, r.off)
+	}
+	return diff, ends
+}
+
+// TestWireTruncatedDiff: a diff is a wire payload, so every cut inside one
+// of its runs — in a varint or in the run's bytes — dies in the bounded
+// wireError path; a cut between runs is a valid shorter diff. A run that
+// is empty, reaches past the page or has an overlong varint is rejected
+// before anything is copied.
+func TestWireTruncatedDiff(t *testing.T) {
+	diff, ends := multiRunDiff()
+	if len(ends) != 3 {
+		t.Fatalf("test premise: %d runs, want 3", len(ends))
+	}
+	page := make([]byte, PageSize)
+	for cut := 1; cut < len(diff); cut++ {
+		if slices.Contains(ends, cut) {
+			applyDiff(page, diff[:cut])
+			continue
+		}
+		wantWireError(t, fmt.Sprintf("cut at %d of %d", cut, len(diff)), func() {
+			applyDiff(page, diff[:cut])
+			t.Errorf("truncation at %d of %d applied silently", cut, len(diff))
+		})
+	}
+	for name, bad := range map[string][]byte{
+		"empty run":        {0, 0},
+		"past the page":    {0xff, 0x07, 2, 1, 2, 3, 4, 5, 6, 7, 8},
+		"longer than page": {0, 0x81, 0x08},
+		"overlong varint":  {0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+	} {
+		page := make([]byte, PageSize)
+		wantWireError(t, name, func() {
+			applyDiff(page, bad)
+			t.Errorf("%s: applied silently", name)
+		})
+		if !bytes.Equal(page, make([]byte, PageSize)) {
+			t.Errorf("%s: the rejected run was copied", name)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Frame envelope.
 // ---------------------------------------------------------------------
@@ -673,6 +736,8 @@ func FuzzWireDecode(f *testing.F) {
 	putJoin(&jw, nil, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(jw.b)
 	f.Add(grantWithData(recs))
+	diff, _ := multiRunDiff()
+	f.Add(diff)
 
 	decoders := []func(b []byte){
 		func(b []byte) {
@@ -689,6 +754,7 @@ func FuzzWireDecode(f *testing.F) {
 			getJoinTail(&r)
 		},
 		func(b []byte) { decodeGrant(b) },
+		func(b []byte) { applyDiff(make([]byte, PageSize), b) },
 		func(b []byte) {
 			r := rbuf{b: b}
 			decodeFetch(&r, false)

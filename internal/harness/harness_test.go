@@ -103,8 +103,8 @@ func TestMicroResultsInPaperBands(t *testing.T) {
 	// One-page faults are deterministic to the nanosecond: one request and
 	// one reply of the fetch exchange, their sizes fixed by the codec
 	// (dsm.TestOnePageFaultCosts derives the same three from the encodings).
-	if m.PageFaultCold != 565540 || m.DiffLow != 284460 || m.DiffHigh != 693660 {
-		t.Errorf("one-page fault costs moved: cold %d ns, diff low %d, diff high %d; want 565540, 284460, 693660",
+	if m.PageFaultCold != 565540 || m.DiffLow != 283920 || m.DiffHigh != 693210 {
+		t.Errorf("one-page fault costs moved: cold %d ns, diff low %d, diff high %d; want 565540, 283920, 693210",
 			m.PageFaultCold, m.DiffLow, m.DiffHigh)
 	}
 	// A page nobody wrote is zeros wherever it is first touched: the fault

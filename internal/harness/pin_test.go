@@ -57,8 +57,8 @@ var cellPins = []cellPin{
 
 	{app: "3D-FFT", impl: OMP, msgs: 581, msgTol: 0.03, bytes: 356500, byteTol: 0.015, checksum: 0x4081b9b77c62832b},
 	{app: "3D-FFT", impl: Tmk, msgs: 497, bytes: 376700, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
-	{app: "Water", impl: OMP, msgs: 1195, msgTol: 0.18, bytes: 1050000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
-	{app: "Water", impl: Tmk, msgs: 1260, msgTol: 0.15, bytes: 1087000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
+	{app: "Water", impl: OMP, msgs: 1195, msgTol: 0.18, bytes: 860000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
+	{app: "Water", impl: Tmk, msgs: 1260, msgTol: 0.15, bytes: 889000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
 	{app: "LU", impl: OMP, msgs: -1, bytes: -1, checksum: 0x40a50eb039314cb1},
 }
 
