@@ -118,11 +118,11 @@ type seenCheck interface {
 }
 
 // makeDiff computes the word-granularity (4-byte) delta between data and
-// twin, encoded as runs of [uv gap][uv length][bytes]: the gap from the
-// previous run's end and the run's length are LEB128 varints counted in
-// words, so a run header is usually 2 bytes and no diff exceeds
-// PageSize+3 (one whole-page run). The 4-byte word size matches real
-// TreadMarks and is load-bearing for correctness: two nodes may
+// twin, two whole pages, encoded as runs of [uv gap][uv length][bytes]:
+// the gap from the previous run's end and the run's length are LEB128
+// varints counted in words, so a run header is usually 2 bytes and no diff
+// exceeds PageSize+3 (one whole-page run). The 4-byte word size matches
+// real TreadMarks and is load-bearing for correctness: two nodes may
 // concurrently write ADJACENT 4-byte values of one page (QSORT subarray
 // boundaries land on arbitrary int32 indices), and a coarser diff word —
 // or a run merged across an unchanged word — would capture the
