@@ -468,9 +468,12 @@ func (c *Client) gcSyncOnce() {
 	n.mu.Unlock()
 	floor, pending, push := co.report(n.id, vc, true)
 	if pending {
-		n.mu.Lock()
-		done := n.acqEpoch(c, floor, false, &n.stats.GCAcqEpochs)
-		n.mu.Unlock()
+		var done VectorClock
+		func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			done = n.acqEpoch(c, floor, false, &n.stats.GCAcqEpochs)
+		}()
 		if done != nil {
 			// Only the client that actually FINISHED the purge acknowledges:
 			// the coordinator free-gates on this, and an island-mate that
@@ -490,6 +493,7 @@ func (c *Client) gcSyncOnce() {
 		// every node's per-round fan-out is bounded by its tree degree
 		// and round traffic totals O(P) frames along tree edges.
 		n.mu.Lock()
+		defer n.mu.Unlock()
 		hops, byHop := n.routeTargetsLocked(push)
 		for _, h := range hops {
 			f := n.consensusFrameLocked(h, byHop[h])
@@ -498,7 +502,6 @@ func (c *Client) gcSyncOnce() {
 			// Sent under mu: atomic with the estimate update.
 			f.sendAt(h, c.clk.Now())
 		}
-		n.mu.Unlock()
 		return
 	}
 	for _, j := range push {
@@ -506,16 +509,18 @@ func (c *Client) gcSyncOnce() {
 		// servers incorporate it in wire order, raising their clocks past
 		// the pressured node's intervals so the consensus floor can
 		// advance without waiting for their application threads.
-		n.mu.Lock()
-		// The frame coalesces the push delta with a pending-floor
-		// announcement for the same peer, so a quiet node both raises its
-		// clock and learns of the epoch it owes in a single datagram.
-		f := n.consensusFrameLocked(j, nil)
-		n.noteSentLocked(j)
-		n.stats.GCSyncPushes++
-		// Sent under mu: atomic with the estimate update.
-		f.sendAt(j, c.clk.Now())
-		n.mu.Unlock()
+		func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			// The frame coalesces the push delta with a pending-floor
+			// announcement for the same peer, so a quiet node both raises
+			// its clock and learns of the epoch it owes in a single datagram.
+			f := n.consensusFrameLocked(j, nil)
+			n.noteSentLocked(j)
+			n.stats.GCSyncPushes++
+			// Sent under mu: atomic with the estimate update.
+			f.sendAt(j, c.clk.Now())
+		}()
 	}
 }
 

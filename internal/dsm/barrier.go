@@ -150,9 +150,9 @@ func (c *Client) Barrier() {
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
 		n.mu.Lock()
+		defer n.mu.Unlock()
 		depVC := n.takeTrailerLocked(&r, parent)
 		n.episodeLocked(c, depVC)
-		n.mu.Unlock()
 		return
 	}
 	n.mu.Unlock()
@@ -180,6 +180,7 @@ func (c *Client) Barrier() {
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
 		n.mu.Lock()
+		defer n.mu.Unlock()
 		depVC := n.takeTrailerLocked(&r, parent)
 		// Forward the wave before collecting: the children (and their
 		// subtrees) stay parked until these go out, and the episode's
@@ -187,12 +188,12 @@ func (c *Client) Barrier() {
 		// pass.
 		n.forwardDeparturesLocked(c, depVC, arrivals)
 		n.episodeLocked(c, depVC)
-		n.mu.Unlock()
 		return
 	}
 
 	// Root: merge is complete once every child subtree has arrived.
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	// Snapshot the departure clock ONCE, before the send loop's unlock
 	// windows: while departures go out, the server can already be
 	// incorporating next-barrier arrivals (or sema/flush deltas) from
@@ -210,7 +211,6 @@ func (c *Client) Barrier() {
 	}
 	n.forwardDeparturesLocked(c, depVC, arrivals)
 	n.episodeLocked(c, depVC)
-	n.mu.Unlock()
 }
 
 // forwardDeparturesLocked sends one departure per gathered arrival,
@@ -232,9 +232,7 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 			// ride along early (their own clocks raise the receiver), which
 			// is sound — only the floor clock must be the snapshot.
 			putTrailer(&w, &n.trailerBuf, depVC, n.deltaForLocked(a.vc))
-			n.mu.Unlock()
-			n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, w.b, c.clk.Now())
-			n.mu.Lock()
+			n.unlocked(func() { n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, w.b, c.clk.Now()) })
 		}
 		return
 	}
@@ -265,9 +263,9 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 		}
 		frames[i] = f
 	}
-	n.mu.Unlock()
-	for i, a := range arrivals {
-		frames[i].sendReplyAt(a.from, c.clk.Now())
-	}
-	n.mu.Lock()
+	n.unlocked(func() {
+		for i, a := range arrivals {
+			frames[i].sendReplyAt(a.from, c.clk.Now())
+		}
+	})
 }

@@ -30,23 +30,25 @@ func (c *Client) RunParallel(region string, arg []byte) [][]byte {
 	// is also a GC trigger — this is what keeps parallel-do programs,
 	// which synchronize by region boundary rather than explicit
 	// barriers, from accumulating protocol metadata across regions.
-	n.mu.Lock()
-	n.closeIntervalLocked()
-	forkVC := n.vc.clone() // one clock for the GC floor and every fork message
-	if co := n.sys.acq; co != nil {
-		co.noteIssued(forkVC)
-	}
-	for i := 1; i < procs; i++ {
-		var w wbuf
-		w.str(region)
-		w.bytes(arg)
-		putTrailer(&w, &n.trailerBuf, forkVC, n.deltaForLocked(n.knownVC[i]))
-		n.noteSentLocked(i)
-		// Sent under mu: atomic with the estimate update.
-		n.ep.SendAt(i, msgFork, network.ClassRequest, w.b, c.clk.Now())
-	}
-	n.episodeLocked(c, forkVC)
-	n.mu.Unlock()
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.closeIntervalLocked()
+		forkVC := n.vc.clone() // one clock for the GC floor and every fork message
+		if co := n.sys.acq; co != nil {
+			co.noteIssued(forkVC)
+		}
+		for i := 1; i < procs; i++ {
+			var w wbuf
+			w.str(region)
+			w.bytes(arg)
+			putTrailer(&w, &n.trailerBuf, forkVC, n.deltaForLocked(n.knownVC[i]))
+			n.noteSentLocked(i)
+			// Sent under mu: atomic with the estimate update.
+			n.ep.SendAt(i, msgFork, network.ClassRequest, w.b, c.clk.Now())
+		}
+		n.episodeLocked(c, forkVC)
+	}()
 
 	// The master is thread 0 of the team.
 	tails := make([][]byte, procs)
@@ -102,19 +104,23 @@ func (n *Node) slaveLoop() {
 		// Clock prefix only: the clock is encoded self-contained ahead of
 		// the records.
 		forkVC := getVC(&r)
-		n.mu.Lock()
-		n.episodeLocked(&n.c0, forkVC)
-		n.mu.Unlock()
+		func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			n.episodeLocked(&n.c0, forkVC)
+		}()
 		fn := n.sys.region(region)
 		tail := fn(n, arg)
 
-		n.mu.Lock()
-		n.closeIntervalLocked()
-		var w wbuf
-		putJoin(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[0]), tail)
-		n.noteSentLocked(0)
-		// Sent under mu: atomic with the estimate update.
-		n.ep.Send(0, msgJoin, network.ClassRequest, w.b)
-		n.mu.Unlock()
+		func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			n.closeIntervalLocked()
+			var w wbuf
+			putJoin(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[0]), tail)
+			n.noteSentLocked(0)
+			// Sent under mu: atomic with the estimate update.
+			n.ep.Send(0, msgJoin, network.ClassRequest, w.b)
+		}()
 	}
 }

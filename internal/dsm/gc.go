@@ -101,18 +101,18 @@ func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 		if owed == nil {
 			return // an island-mate or the server claimed the floor
 		}
-		n.mu.Unlock()
-		for _, h := range lag {
-			for !n.sys.purged.covers(h, owed) {
-				select {
-				case <-n.sys.done:
-					panic(abortError{cause: "switch shut down"})
-				default:
+		n.unlocked(func() {
+			for _, h := range lag {
+				for !n.sys.purged.covers(h, owed) {
+					select {
+					case <-n.sys.done:
+						panic(abortError{cause: "switch shut down"})
+					default:
+					}
+					runtime.Gosched()
 				}
-				runtime.Gosched()
 			}
-		}
-		n.mu.Lock()
+		})
 	}
 }
 

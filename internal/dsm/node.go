@@ -24,7 +24,10 @@ import (
 // node among a team of threads creates additional Clients with their own
 // clocks and reply tags. A node's state is guarded by mu; application
 // threads release mu whenever they block on the network so the server can
-// keep serving remote requests.
+// keep serving remote requests. One unwind rule keeps an abort an ordinary
+// run error: a ...Locked function that releases mu re-takes it on every way
+// out, a panic's too (relockOnPanic), and every caller that takes mu
+// around one releases it with a deferred Unlock.
 type Node struct {
 	sys   *System
 	id    int
@@ -795,6 +798,25 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 	}
 }
 
+// relockOnPanic is deferred by a section that releases n.mu and re-takes
+// it before returning: a panic leaving the section (an abort in recvReply,
+// a send on a switch that is down) re-takes it too, so the deferred Unlock
+// of the caller that took n.mu finds it held.
+func (n *Node) relockOnPanic() {
+	if r := recover(); r != nil {
+		n.mu.Lock()
+		panic(r)
+	}
+}
+
+// unlocked runs f with n.mu released and re-takes n.mu however f leaves.
+func (n *Node) unlocked(f func()) {
+	n.mu.Unlock()
+	defer n.relockOnPanic()
+	f()
+	n.mu.Lock()
+}
+
 // fetchWindow bounds the requests one fetch keeps in flight. A fault
 // round's count is bounded by its access; a collector wave's is not, and a
 // requester that queued every request before reading a reply could fill a
@@ -803,7 +825,7 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 // the source acts at its arrival.
 const fetchWindow = 256
 
-// fetch is the one exchange that moves pages and diffs — the network
+// fetchLocked is the one exchange that moves pages and diffs — the network
 // section of every fault round and of the collector's validation wave
 // (gcPurgePagesLocked). The wanted whole pages and diffs are grouped by
 // the node that serves them and travel as msgFetchReq/msgFetchRep pairs,
@@ -815,17 +837,11 @@ const fetchWindow = 256
 // done. Pricing the round is the caller's business. msgs and bytes are the
 // exchange's traffic, both directions, as the switch counts it. Requires
 // n.mu and fetchMu; n.mu is released while requests are in flight, and
-// re-taken on every way out — an abort unwinding out of recvReply included,
-// since the access entry point it passes next defers n.mu's Unlock.
+// re-taken on every way out, an abort unwinding out of recvReply included.
 func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time, msgs, bytes int64) {
 	n := c.n
 	n.mu.Unlock() // --- network section: servers may run meanwhile ---
-	defer func() {
-		if r := recover(); r != nil {
-			n.mu.Lock()
-			panic(r)
-		}
-	}()
+	defer n.relockOnPanic()
 	type request struct {
 		to    int
 		items []fetchItem
@@ -964,11 +980,10 @@ func (c *Client) readU64(a Addr) uint64 {
 	off := int(a) % PageSize
 	if off+8 <= PageSize {
 		n.mu.Lock()
+		defer n.mu.Unlock()
 		pg := n.pageFor(PageID(int(a) / PageSize))
 		c.ensureReadableLocked(pg)
-		v := binary.LittleEndian.Uint64(pg.data[off:])
-		n.mu.Unlock()
-		return v
+		return binary.LittleEndian.Uint64(pg.data[off:])
 	}
 	var buf [8]byte
 	c.ReadBytes(a, buf[:])
@@ -981,10 +996,10 @@ func (c *Client) writeU64(a Addr, v uint64) {
 	off := int(a) % PageSize
 	if off+8 <= PageSize {
 		n.mu.Lock()
+		defer n.mu.Unlock()
 		pg := n.pageFor(PageID(int(a) / PageSize))
 		c.ensureWritableLocked(pg)
 		binary.LittleEndian.PutUint64(pg.data[off:], v)
-		n.mu.Unlock()
 		return
 	}
 	var buf [8]byte
@@ -1038,68 +1053,58 @@ func (c *Client) WriteBytes(a Addr, src []byte) {
 	}
 }
 
-// ReadF64s reads len(dst) consecutive float64s starting at a.
+// ReadF64s reads len(dst) consecutive float64s starting at a. A base that
+// is not 8-aligned lets elements straddle pages and takes the byte path.
 func (c *Client) ReadF64s(a Addr, dst []float64) {
 	n := c.n
 	n.checkRange(a, 8*len(dst))
+	if a%8 != 0 {
+		buf := make([]byte, 8*len(dst))
+		c.ReadBytes(a, buf)
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		return
+	}
 	if debugOracleOn {
 		defer oracleCheckF64s(n.id, a, dst)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c.fetchSpanLocked(a, 8*len(dst), &n.stats.ReadFaults)
-	i := 0
-	for i < len(dst) {
+	for i := 0; i < len(dst); {
 		addr := int(a) + 8*i
-		pid := PageID(addr / PageSize)
-		off := addr % PageSize
-		pg := n.pageFor(pid)
+		pg := n.pageFor(PageID(addr / PageSize))
 		c.ensureReadableLocked(pg)
-		for off+8 <= PageSize && i < len(dst) {
+		for off := addr % PageSize; off < PageSize && i < len(dst); off, i = off+8, i+1 {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(pg.data[off:]))
-			off += 8
-			i++
-		}
-		if off+8 > PageSize && off < PageSize && i < len(dst) {
-			// Element straddles a page boundary (possible only for
-			// unaligned bases); fall back to the byte path.
-			var buf [8]byte
-			n.mu.Unlock()
-			c.ReadBytes(Addr(int(a)+8*i), buf[:])
-			n.mu.Lock()
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-			i++
 		}
 	}
 }
 
-// WriteF64s writes the float64s of src to consecutive addresses from a.
+// WriteF64s writes the float64s of src to consecutive addresses from a,
+// through the byte path from a base that is not 8-aligned.
 func (c *Client) WriteF64s(a Addr, src []float64) {
 	n := c.n
 	n.checkRange(a, 8*len(src))
+	if a%8 != 0 {
+		buf := make([]byte, 8*len(src))
+		for i, x := range src {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+		}
+		c.WriteBytes(a, buf)
+		return
+	}
 	oracleWriteF64s(a, src)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c.fetchSpanLocked(a, 8*len(src), &n.stats.WriteFaults)
-	i := 0
-	for i < len(src) {
+	for i := 0; i < len(src); {
 		addr := int(a) + 8*i
-		pid := PageID(addr / PageSize)
-		off := addr % PageSize
-		pg := n.pageFor(pid)
+		pg := n.pageFor(PageID(addr / PageSize))
 		c.ensureWritableLocked(pg)
-		for off+8 <= PageSize && i < len(src) {
+		for off := addr % PageSize; off < PageSize && i < len(src); off, i = off+8, i+1 {
 			binary.LittleEndian.PutUint64(pg.data[off:], math.Float64bits(src[i]))
-			off += 8
-			i++
-		}
-		if off+8 > PageSize && off < PageSize && i < len(src) {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(src[i]))
-			n.mu.Unlock()
-			c.WriteBytes(Addr(int(a)+8*i), buf[:])
-			n.mu.Lock()
-			i++
 		}
 	}
 }

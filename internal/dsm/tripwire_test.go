@@ -66,26 +66,140 @@ func TestHandlerPanicUnderMuBecomesRunError(t *testing.T) {
 
 // TestAbortInFaultRoundBecomesRunError: an abort that reaches a thread in a
 // fault round's network section, where n.mu is released, must unwind as an
-// ordinary run error. The master reads a page node 1 wrote after the system
-// has aborted: the fetch finds the switch down, and the unwind passes
-// ReadF64s's deferred Unlock — a fatal "unlock of unlocked mutex" unless
-// the section re-took n.mu on its way out.
+// ordinary run error and leave n.mu free. The master accesses a page node 1
+// wrote after the system has aborted, so the fetch finds the switch down.
+// ReadF64s releases n.mu by defer: an unwind that left the section without
+// n.mu was a fatal "unlock of unlocked mutex". The scalar accesses reach the
+// fault round too; one that left n.mu locked blocks Stats after Run.
 func TestAbortInFaultRoundBecomesRunError(t *testing.T) {
-	sys := New(Config{Procs: 2, DisableGC: true})
-	a := sys.MallocPage(PageSize)
+	for name, access := range map[string]func(n *Node, a Addr){
+		"ReadF64s": func(n *Node, a Addr) { n.ReadF64s(a, make([]float64, 2)) },
+		"ReadF64":  func(n *Node, a Addr) { n.ReadF64(a) },
+		"WriteF64": func(n *Node, a Addr) { n.WriteF64(a, 3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys := New(Config{Procs: 2, DisableGC: true})
+			a := sys.MallocPage(PageSize)
+			sys.Register("write", func(n *Node, _ []byte) {
+				if n.ID() == 1 {
+					n.WriteF64s(a, []float64{1, 2})
+				}
+			})
+			cause := errors.New("deliberate abort")
+			var err error
+			within(t, "Run", func() {
+				err = sys.Run(func(n *Node) {
+					n.RunParallel("write", nil)
+					n.sys.abort(cause)
+					access(n, a)
+					t.Errorf("%s returned past an abort", name)
+				})
+			})
+			if !errors.Is(err, cause) {
+				t.Fatalf("Run returned %v, want the abort error %v", err, cause)
+			}
+			within(t, "Stats after the abort", func() { sys.Node(0).Stats() })
+		})
+	}
+}
+
+// within fails the test unless f returns within ten seconds: a node mutex
+// an unwind leaves locked blocks the next Lock on it for good.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return: an unwind left a node's mutex locked", what)
+	}
+}
+
+// TestAbortInGCWaveBecomesRunError: an abort that reaches a collector
+// validation wave unwinds through the fork episode as a run error and
+// leaves every node's mutex free. Node 1 rewrites a page node 0 homes, so
+// at the next fork the master validates it and asks node 1 for the diff.
+// The master holds node 1's mutex across that fork, so the request waits
+// unserved; once it is on the wire the system aborts and the mutex is let
+// go.
+func TestAbortInGCWaveBecomesRunError(t *testing.T) {
+	sys := New(Config{Procs: 2, GCPressure: 1})
+	a := sys.MallocPage(PageSize) // page 0: homed at node 0
 	sys.Register("write", func(n *Node, _ []byte) {
 		if n.ID() == 1 {
 			n.WriteF64s(a, []float64{1, 2})
 		}
 	})
+	sys.Register("noop", func(*Node, []byte) {})
+	fetchReqs := func() int64 { m, _ := sys.sw.Stats().ByType(msgFetchReq); return m }
 	cause := errors.New("deliberate abort")
-	err := sys.Run(func(n *Node) {
-		n.RunParallel("write", nil)
-		n.sys.abort(cause)
-		n.ReadF64s(a, make([]float64, 2))
-		t.Error("ReadF64s returned past an abort")
+	var err error
+	within(t, "Run", func() {
+		err = sys.Run(func(n *Node) {
+			n.RunParallel("write", nil)
+			before := fetchReqs()
+			n1 := sys.Node(1)
+			n1.mu.Lock() // node 1's server cannot answer until the abort
+			go func() {
+				for fetchReqs() == before {
+					time.Sleep(time.Millisecond)
+				}
+				sys.abort(cause)
+				n1.mu.Unlock()
+			}()
+			n.RunParallel("noop", nil)
+			t.Error("RunParallel returned past an abort")
+		})
 	})
 	if !errors.Is(err, cause) {
 		t.Fatalf("Run returned %v, want the abort error %v", err, cause)
+	}
+	for i := range 2 {
+		var st NodeStats
+		within(t, "Stats after the abort", func() { st = sys.Node(i).Stats() })
+		if i == 0 && (st.GCPurges != 1 || st.GCPagesValidated != 0) {
+			t.Errorf("master ran %d purges, validated %d pages; want the abort inside its one wave",
+				st.GCPurges, st.GCPagesValidated)
+		}
+	}
+}
+
+// TestDepartureSendUnwindsHoldingMu: the barrier's departure wave sends
+// with n.mu released (forwardDeparturesLocked), one send at a time on a
+// flat tree and all at once on a combining tree. A send that meets a
+// switch already down must unwind with n.mu re-taken: the barrier releases
+// n.mu with a deferred Unlock, and an unlock of an unlocked mutex is fatal
+// to the whole binary.
+func TestDepartureSendUnwindsHoldingMu(t *testing.T) {
+	for _, procs := range []int{2, 32} {
+		sys := New(Config{Procs: procs})
+		n := sys.Node(0)
+		if tree := n.gcTreeConsensus(); tree != (procs > 2) {
+			t.Fatalf("procs %d: combining-tree consensus %v", procs, tree)
+		}
+		sys.abort(errors.New("deliberate abort"))
+		var r any
+		func() {
+			defer func() { r = recover() }()
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			vc := n.vc.clone()
+			n.forwardDeparturesLocked(&n.c0, vc, []struct {
+				from int
+				vc   VectorClock
+			}{{from: 1, vc: vc}})
+		}()
+		if r != network.ErrDown {
+			t.Errorf("procs %d: departure to a downed switch unwound with %v, want %v", procs, r, network.ErrDown)
+		}
+		if !n.mu.TryLock() {
+			t.Fatalf("procs %d: n.mu left locked", procs)
+		}
+		n.mu.Unlock()
+		sys.Shutdown()
 	}
 }
