@@ -94,7 +94,9 @@ hybrid-race:
 # per-page seen clocks against eager ones on randomized programs that flush
 # (TestLazySeenMatchesEager), the encodes the modelled node owes — paid at
 # a diff's first serve, grant or invalidation, or retired unpaid with the
-# metadata gauge exact (TestDeferredDiff*) — plus the
+# metadata gauge exact (TestDeferredDiff*) — the merged diffs a fetch
+# exchange asks a creator for (TestMerge*: the merge property, one item for
+# a fault round and for a validation wave, none under a held lock) plus the
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
 # ablation, every app at GCPressure 1, and the full-scale Sweep3D cell
@@ -103,7 +105,7 @@ hybrid-race:
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
-	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestTwinBuffers|TestMakeDiffExact|TestLazySeen|TestDeferredDiff|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
+	$(GO) test -race -run 'TestAcquireGC|TestAcqCoord|TestGC|TestFlushedCopy|TestZeroBase|TestHome|TestAcquireEpoch|TestEpisodeSettle|TestLockGrant|TestTwinBuffers|TestMakeDiffExact|TestLazySeen|TestDeferredDiff|TestMerge|TestSpanEquivalentToPageAtATime/.*/.*/pressure1' ./internal/dsm
 	$(GO) test -race -run 'TestLockGrantOracle' ./internal/apps/qsort ./internal/apps/tsp
 	$(GO) test -race -run 'TestAcquireGC|TestAblationGCRows|TestAblationGCTriggerGrid|TestEquivalenceCollectingEveryEpisode|TestAcquireWaveStaysAtHomes' ./internal/harness
 
@@ -180,8 +182,8 @@ bench:
 # fault → interval close → diff encode cycle, a cold fault, a 16-page group
 # round, a 2-node lock round trip (node 1's default client, and two
 # clients of node 1 taking turns), an 8-node region fork/join in which every node rewrites a page
-# (with its virtual time per region), makeDiff on sparse and dense
-# pages, a 64-node departure trailer's decode (fresh and duplicate records)
+# (with its virtual time per region), makeDiff and mergeDiffs on sparse
+# and dense pages, a 64-node departure trailer's decode (fresh and duplicate records)
 # and encode, an omp-smp program's construction, an 8-rank MPI Reduce and
 # Allgather of float payloads, one 3D-FFT transpose through its helpers,
 # one Sweep3D slab step and one Barnes tree build (fresh and into a kept

@@ -252,8 +252,8 @@ func TestAcquireEpochLeavesLaggingHomePageAlone(t *testing.T) {
 }
 
 // TestAcquireEpochWaitingPageFaultsNormally: a read of the waiting page is
-// an ordinary fault — one request to the writer for the two diffs owed, to
-// the nanosecond — and the finishing pass then finds nothing owed on the
+// an ordinary fault — one request to the writer for the two diffs owed, as
+// one merged item, to the nanosecond — and the finishing pass then finds nothing owed on the
 // page and leaves it where the fault put it.
 func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 	var took sim.Time
@@ -296,14 +296,18 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 	})
 	// Both diffs are paid as the request is served: rounds 4 and 5 each
 	// still owe the modelled node its encode (page.unpaid), paid at the
-	// diff's first serve. Each diff is one word at the page start.
+	// diff's first serve. Each diff is one word at the page start. One
+	// writer made both, back to back in causal order, so they travel as one
+	// item: the writer folds them, charged one apply of each, and the reply
+	// carries the one-word merged diff, which the waiter applies once.
 	plat := sys.Platform()
-	req, rep := fetchItemsWireLen(
-		fetchItem{pid: pid, seq: seqs[0], data: make([]byte, runBytes(0, 4))},
-		fetchItem{pid: pid, seq: seqs[1], data: make([]byte, runBytes(0, 4))})
+	word := runBytes(0, 4)
+	req, rep := fetchItemsWireLen(fetchItem{pid: pid, seq: min(seqs[0], seqs[1]), later: []int{max(seqs[0], seqs[1])},
+		data: make([]byte, word)})
 	want := plat.FaultOverhead + plat.UDP.Latency(req) + plat.RequestService +
-		2*(plat.DiffCreate+sim.Time(float64(PageSize)*plat.DiffPerByte)) + plat.UDP.Latency(rep) +
-		2*(plat.DiffApply+sim.Time(4*plat.DiffApplyPerByte))
+		2*(plat.DiffCreate+sim.Time(float64(PageSize)*plat.DiffPerByte)) +
+		2*(plat.DiffApply+sim.Time(float64(word)*plat.DiffApplyPerByte)) + plat.UDP.Latency(rep) +
+		plat.DiffApply + sim.Time(4*plat.DiffApplyPerByte)
 	if took != want {
 		t.Errorf("the fault on the waiting page took %d ns, want the one-page diff fetch %d", took, want)
 	}

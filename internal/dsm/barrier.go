@@ -128,34 +128,33 @@ func (n *Node) gatherArrivals() (arrivals []struct {
 func (c *Client) Barrier() {
 	n := c.n
 	procs := n.sys.cfg.Procs
-	n.mu.Lock()
-	n.stats.Barriers++
-	n.closeIntervalLocked()
+	leaf := n.barrier == nil
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.Barriers++
+		n.closeIntervalLocked()
+		if procs > 1 && leaf {
+			// Leaf: one arrival up, one departure down. Built and sent
+			// under the same mu hold as the interval close — an unlock
+			// window here would let the server incorporate records and
+			// change the delta.
+			n.arriveLocked(c)
+		}
+	}()
 	if procs == 1 {
-		n.mu.Unlock()
 		return
 	}
 
-	if n.barrier == nil {
-		// Leaf: one arrival up, one departure down. Built and sent under
-		// the same mu hold as the interval close — an unlock window here
-		// would let the server incorporate records and change the delta.
-		parent := barrierParent(n.id, n.sys.fanin)
-		var w wbuf
-		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[parent]))
-		n.noteSentLocked(parent)
-		n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
-		n.mu.Unlock()
-
+	if leaf {
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		depVC := n.takeTrailerLocked(&r, parent)
+		depVC := n.takeTrailerLocked(&r, barrierParent(n.id, n.sys.fanin))
 		n.episodeLocked(c, depVC)
 		return
 	}
-	n.mu.Unlock()
 
 	// Gather the subtree: one (combined) arrival per child. Virtual time
 	// advances to the latest arrival plus sequential per-arrival
@@ -169,19 +168,17 @@ func (c *Client) Barrier() {
 		// covers the whole subtree — the server incorporated every child's
 		// records), wait for the departure, forward it down, then take this
 		// node's side of the episode.
-		parent := barrierParent(n.id, n.sys.fanin)
-		n.mu.Lock()
-		var w wbuf
-		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[parent]))
-		n.noteSentLocked(parent)
-		n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
-		n.mu.Unlock()
+		func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			n.arriveLocked(c)
+		}()
 
 		m := c.recvReply(msgBarrDepart, 0)
 		r := rbuf{b: m.Payload}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		depVC := n.takeTrailerLocked(&r, parent)
+		depVC := n.takeTrailerLocked(&r, barrierParent(n.id, n.sys.fanin))
 		// Forward the wave before collecting: the children (and their
 		// subtrees) stay parked until these go out, and the episode's
 		// waits for homes end only once every node has made its first
@@ -211,6 +208,17 @@ func (c *Client) Barrier() {
 	}
 	n.forwardDeparturesLocked(c, depVC, arrivals)
 	n.episodeLocked(c, depVC)
+}
+
+// arriveLocked sends this node's arrival — its whole subtree's, on an
+// interior node — to its barrier parent, under n.mu: the estimate update
+// and the send are atomic with respect to other request-class deltas.
+func (n *Node) arriveLocked(c *Client) {
+	parent := barrierParent(n.id, n.sys.fanin)
+	var w wbuf
+	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[parent]))
+	n.noteSentLocked(parent)
+	n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
 }
 
 // forwardDeparturesLocked sends one departure per gathered arrival,

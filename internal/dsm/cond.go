@@ -54,36 +54,41 @@ func (n *Node) condFor(id int) *condQueue {
 func (c *Client) CondWait(condID, lockID int) {
 	n := c.n
 	mgr := n.lockMgr(lockID)
-	n.mu.Lock()
-	n.stats.CondOps++
-	ls := n.lockFor(lockID)
-	if !ls.held {
-		panic("dsm: CondWait requires the associated lock to be held")
-	}
-	// Release semantics: the interval closes here, and the wait carries
-	// our clock so the eventual wake-grant brings us what we miss.
-	n.closeIntervalLocked()
-	myVC := n.vc.clone()
-
-	if n.id == mgr {
-		// Local registration is atomic with the release under mu.
-		cq := n.condFor(condID)
-		cq.waiters = append(cq.waiters, semaWaiter{from: n.id, tag: c.tag, vc: myVC})
-	} else {
-		var w wbuf
+	// Registered, free the lock — an island-mate parked locally takes it
+	// first, then anyone queued behind us in the global chain.
+	handoff := func() { c.handoffLocked(n.lockFor(lockID), lockID) }
+	var w wbuf
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.CondOps++
+		if !n.lockFor(lockID).held {
+			panic("dsm: CondWait requires the associated lock to be held")
+		}
+		// Release semantics: the interval closes here, and the wait carries
+		// our clock so the eventual wake-grant brings us what we miss.
+		n.closeIntervalLocked()
+		if n.id == mgr {
+			// Local registration is atomic with the release under mu.
+			cq := n.condFor(condID)
+			cq.waiters = append(cq.waiters, semaWaiter{from: n.id, tag: c.tag, vc: n.vc.clone()})
+			handoff()
+			return
+		}
 		w.i32(condID)
 		w.i32(lockID)
 		w.u32(c.tag)
-		putVC(&w, myVC)
-		n.mu.Unlock()
+		putVC(&w, n.vc)
+	}()
+	if n.id != mgr {
 		n.ep.SendAt(mgr, msgCondWait, network.ClassRequest, w.b, c.clk.Now())
 		c.recvReply(msgCondWaitAck, c.tag)
-		n.mu.Lock()
+		func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			handoff()
+		}()
 	}
-
-	// Registered: now free the lock — an island-mate parked locally takes
-	// it first, then anyone queued behind us in the global chain.
-	c.handoffLocked(ls, lockID)
 
 	// Block until a signal routes the lock back to us.
 	c.takeGrant(c.recvReply(msgLockGrant, c.tag), lockID, false)
@@ -108,18 +113,21 @@ func (c *Client) condNotify(condID, lockID int, all bool) {
 	n := c.n
 	c.clk.Advance(c.costs.Cond)
 	mgr := n.lockMgr(lockID)
-	n.mu.Lock()
-	n.stats.CondOps++
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.CondOps++
+		if n.id == mgr {
+			n.condWakeLocked(condID, lockID, all, c.clk.Now())
+		}
+	}()
 	if n.id == mgr {
-		n.condWakeLocked(condID, lockID, all, c.clk.Now())
-		n.mu.Unlock()
 		c.gcSyncHook(false) // the associated lock is held: never stall here
 		return
 	}
 	var w wbuf
 	w.i32(condID)
 	w.i32(lockID)
-	n.mu.Unlock()
 	typ := msgCondSignal
 	if all {
 		typ = msgCondBroadcast

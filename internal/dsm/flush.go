@@ -17,24 +17,25 @@ import (
 func (c *Client) Flush() {
 	n := c.n
 	procs := n.sys.cfg.Procs
-	n.mu.Lock()
-	n.stats.Flushes++
-	n.closeIntervalLocked()
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.Flushes++
+		n.closeIntervalLocked()
+		for j := 0; j < procs; j++ {
+			if j == n.id {
+				continue
+			}
+			var w wbuf
+			putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[j]))
+			n.noteSentLocked(j)
+			// Sent under mu: atomic with the estimate update.
+			n.ep.SendAt(j, msgFlush, network.ClassRequest, w.b, c.clk.Now())
+		}
+	}()
 	if procs == 1 {
-		n.mu.Unlock()
 		return
 	}
-	for j := 0; j < procs; j++ {
-		if j == n.id {
-			continue
-		}
-		var w wbuf
-		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[j]))
-		n.noteSentLocked(j)
-		// Sent under mu: atomic with the estimate update.
-		n.ep.SendAt(j, msgFlush, network.ClassRequest, w.b, c.clk.Now())
-	}
-	n.mu.Unlock()
 	for i := 0; i < procs-1; i++ {
 		c.recvReply(msgFlushAck, 0)
 	}

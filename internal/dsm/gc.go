@@ -362,7 +362,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 			}
 			continue
 		}
-		work = append(work, pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered})
+		work = append(work, pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered, merge: true})
 	}
 	if len(work) == 0 {
 		return lag

@@ -240,21 +240,26 @@ func (c *Client) lockGranted(id int, entered sim.Time) {
 // straight to that requester.
 func (c *Client) Release(id int) {
 	n := c.n
-	n.mu.Lock()
-	ls := n.lockFor(id)
-	if !ls.held {
-		panic(fmt.Sprintf("dsm: node %d released lock %d it does not hold", n.id, id))
-	}
-	c.held = slices.DeleteFunc(c.held, func(h int) bool { return h == id })
-	n.closeIntervalLocked()
-	c.handoffLocked(ls, id)
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		ls := n.lockFor(id)
+		if !ls.held {
+			panic(fmt.Sprintf("dsm: node %d released lock %d it does not hold", n.id, id))
+		}
+		c.held = slices.DeleteFunc(c.held, func(h int) bool { return h == id })
+		n.closeIntervalLocked()
+		c.handoffLocked(ls, id)
+	}()
 	c.gcSyncHook(true) // token already handed off: safe to apply backpressure
 }
 
 // handoffLocked performs the release-side lock handoff: a parked
 // island-mate takes ownership first (local bus-scale transfer), otherwise
 // a pending forwarded request takes the token, otherwise the lock simply
-// becomes free with the token cached. Requires n.mu held; releases it.
+// becomes free with the token cached. Requires n.mu held and keeps it: a
+// wake never blocks (each parked waiter's channel holds one), and a grant
+// that meets a downed switch unwinds through the caller's deferred Unlock.
 func (c *Client) handoffLocked(ls *lockState, id int) {
 	n := c.n
 	if t := c.clk.Now(); t > ls.localRelease {
@@ -269,9 +274,7 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 		w := ls.localQ[0]
 		ls.localQ = ls.localQ[1:]
 		ls.holderTag = w.tag
-		rel := ls.localRelease
-		n.mu.Unlock()
-		w.ch <- localWake{rel: rel}
+		w.ch <- localWake{rel: ls.localRelease}
 		return
 	}
 	ls.held = false
@@ -281,16 +284,14 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 	// may never be left parked with no holder to wake it.
 	waiters := ls.localQ
 	ls.localQ = nil
-	rel := ls.localRelease
 	if len(ls.pending) > 0 {
 		p := ls.pending[0]
 		ls.pending = ls.pending[1:]
 		ls.haveToken = false
 		n.sendGrantLocked(ls, id, p.from, p.tag, p.vc, c.clk.Now())
 	}
-	n.mu.Unlock()
 	for _, w := range waiters {
-		w.ch <- localWake{rel: rel, retry: true}
+		w.ch <- localWake{rel: ls.localRelease, retry: true}
 	}
 }
 
@@ -310,9 +311,13 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 	}
 	r.u32() // tag: already matched by routing
 	// The store-backed decode needs n.mu, the data's fetchMu precedes it.
-	n.mu.Lock()
-	senderVC, recs := getVC(&r), n.decodeRecordsLocked(&r)
-	n.mu.Unlock()
+	var senderVC VectorClock
+	var recs []*interval
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock() // a malformed grant unwinds with n.mu free
+		senderVC, recs = getVC(&r), n.decodeRecordsLocked(&r)
+	}()
 	data := getGrantData(&r, len(recs), len(n.pages))
 	if data != nil {
 		n.fetchMu.Lock()
@@ -345,7 +350,7 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 		}
 		if covered {
 			missing := slices.Clone(pg.missing)
-			c.applyDiffsLocked(pg, missing, missing, diffs)
+			c.applyDiffsLocked(pg, missing, missing, diffs, false)
 		}
 	}
 }

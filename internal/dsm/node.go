@@ -53,10 +53,12 @@ type Node struct {
 	episode   int64         // barrier departures and forks taken here (group.go)
 
 	// Host buffers reused under mu: twins freed at interval close
-	// (ensureWritableLocked takes from the list first), and the scratch of
-	// makeDiff, putTrailer and decodeRecordsLocked.
+	// (ensureWritableLocked takes from the list first), the scratch of
+	// makeDiff, putTrailer and decodeRecordsLocked, and a fetch reply's
+	// merged diffs (diffBuf again, with mergeImg: handleFetchReq).
 	twinFree   [][]byte
 	diffBuf    []byte
+	mergeImg   []byte
 	trailerBuf []byte
 	vcBuf      VectorClock
 
@@ -132,7 +134,8 @@ type NodeStats struct {
 	ZeroFills    int64 // faults on never-written pages, resolved from local zeros: no message
 	PageFetches  int64
 	DiffsCreated int64
-	DiffsApplied int64
+	DiffsApplied int64 // interval diffs applied, each constituent of a merged diff counted
+	DiffsMerged  int64 // diffs served folded into an earlier diff's reply (mergeDiffs)
 	DiffBytes    int64
 	LockAcquires int64
 	LockLocal    int64 // acquires satisfied without messages
@@ -587,6 +590,12 @@ func sortCausal(ivls []*interval) {
 	})
 }
 
+// foldsIntoPrev reports whether fetch[i], in causal order, is a later
+// constituent of a merged diff: its creator made fetch[i-1] too.
+func foldsIntoPrev(fetch []*interval, i int) bool {
+	return i > 0 && fetch[i-1].creator == fetch[i].creator
+}
+
 // pagePlan is one page's share of a fault round: what to fetch from whom
 // and which notices the fetch settles (planFaultLocked), then the whole
 // page the network section brought back, if one was wanted.
@@ -596,6 +605,7 @@ type pagePlan struct {
 	squashIvl *interval   // the interval whose creator's copy stands in for the chain
 	fetch     []*interval // diffs to fetch and apply
 	resolved  []*interval // notices this round settles
+	merge     bool        // fetch a creator's causally adjacent diffs as one merged diff
 	content   []byte
 }
 
@@ -603,7 +613,8 @@ type pagePlan struct {
 // ok is false when the page needs no fetch (resolved while the caller
 // waited for the fetch lock, or a never-written page filled with zeros).
 // keepDiffs — the faulting client holds a lock — fetches a held copy's
-// diffs, never a squash, so a grant can forward them.
+// diffs, never a squash, and each interval's diff apart, never merged, so a
+// grant can forward them.
 func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) {
 	if readableLocked(pg) {
 		return pl, false
@@ -612,7 +623,7 @@ func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) 
 	// full notice history (refetch) rebuilds from the home's validated
 	// copy. Any other cold page starts from local zeros (zeroFillLocked,
 	// below): no whole-page source unless the squash picks a creator.
-	pl = pagePlan{pg: pg, source: -1}
+	pl = pagePlan{pg: pg, source: -1, merge: !keepDiffs}
 	cold := pg.data == nil
 	if cold && pg.refetch {
 		pl.source = n.homeOf(pg.id)
@@ -687,25 +698,30 @@ func (c *Client) applyFaultLocked(pl *pagePlan, diffs map[diffKey][]byte) {
 		}
 	}
 	// The whole snapshot is settled even when a squash left no diff to apply.
-	c.applyDiffsLocked(pg, pl.fetch, pl.resolved, diffs)
+	c.applyDiffsLocked(pg, pl.fetch, pl.resolved, diffs, pl.merge)
 }
 
 // applyDiffsLocked applies the fetched diffs of the given intervals to a
 // page in a linearization of happens-before, then removes exactly the
 // settled notices from pg.missing — new ones may have been appended while
 // these were being fetched — and revalidates the page once none is left.
-// The fault path and the GC validation wave share it.
-func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs map[diffKey][]byte) {
+// The fault path, the GC validation wave and a grant's data share it. With
+// merged, an interval whose creator made the one before it in that order
+// came inside that one's merged diff (fetchLocked): it is applied there.
+func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs map[diffKey][]byte, merged bool) {
 	n, plat := c.n, c.n.sys.plat
 	sortCausal(fetch)
-	for _, ivl := range fetch {
+	for i, ivl := range fetch {
+		n.mergeAppliedLocked(pg, ivl.vc)
+		n.stats.DiffsApplied++
+		if merged && foldsIntoPrev(fetch, i) {
+			continue
+		}
 		d, ok := diffs[diffKey{pg.id, ivl.creator, ivl.seq}]
 		if !ok {
 			panic(fmt.Sprintf("dsm: node %d missing diff (%d,%d) for page %d", n.id, ivl.creator, ivl.seq, pg.id))
 		}
-		n.mergeAppliedLocked(pg, ivl.vc)
 		applied := applyDiff(pg.data, d)
-		n.stats.DiffsApplied++
 		c.clk.Advance(plat.DiffApply + sim.Time(float64(applied)*plat.DiffApplyPerByte))
 	}
 	done := make(map[*interval]bool, len(settled))
@@ -835,7 +851,10 @@ const fetchWindow = 256
 // their plans and diffs returned by key, with the inbound-link floor: when
 // this node's link, delivering every reply byte back to back, would be
 // done. Pricing the round is the caller's business. msgs and bytes are the
-// exchange's traffic, both directions, as the switch counts it. Requires
+// exchange's traffic, both directions, as the switch counts it. A plan
+// that merges asks each creator for a run of its diffs that sit next to
+// each other in causal order as one item, answered by one merged diff
+// applied at the run's first place (applyDiffsLocked). Requires
 // n.mu and fetchMu; n.mu is released while requests are in flight, and
 // re-taken on every way out, an abort unwinding out of recvReply included.
 func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time, msgs, bytes int64) {
@@ -864,7 +883,15 @@ func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, floor 
 		if pl.source >= 0 {
 			add(pl.source, fetchItem{pid: pl.pg.id, seq: -1})
 		}
-		for _, ivl := range pl.fetch {
+		sortCausal(pl.fetch)
+		for j, ivl := range pl.fetch {
+			if pl.merge && foldsIntoPrev(pl.fetch, j) {
+				// The creator's open request ends with the run's first item.
+				rq := open[ivl.creator]
+				it := &rq.items[len(rq.items)-1]
+				it.later = append(it.later, ivl.seq)
+				continue
+			}
 			add(ivl.creator, fetchItem{pid: pl.pg.id, seq: ivl.seq})
 		}
 	}

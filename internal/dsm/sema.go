@@ -56,27 +56,29 @@ func (c *Client) SemaSignal(id int) {
 	entered := c.clk.Now()
 	c.clk.Advance(c.costs.Sema)
 	mgr := n.lockMgr(id)
-	n.mu.Lock()
-	n.stats.SemaOps++
-	n.closeIntervalLocked()
-	if n.id == mgr {
-		n.semaSignalAtMgrLocked(id, c.clk.Now())
-		n.stats.SemaWait += c.clk.Now() - entered
-		n.mu.Unlock()
-		c.gcSyncHook(true)
-		return
+	func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.SemaOps++
+		n.closeIntervalLocked()
+		if n.id == mgr {
+			n.semaSignalAtMgrLocked(id, c.clk.Now())
+			n.stats.SemaWait += c.clk.Now() - entered
+			return
+		}
+		var w wbuf
+		w.i32(id)
+		w.u32(c.tag)
+		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[mgr]))
+		n.noteSentLocked(mgr)
+		// Send while holding mu: the estimate update and the send must be
+		// atomic with respect to other request-class deltas to mgr.
+		n.ep.SendAt(mgr, msgSemaSignal, network.ClassRequest, w.b, c.clk.Now())
+	}()
+	if n.id != mgr {
+		c.recvReply(msgSemaAck, c.tag) // two messages including the acknowledgment
+		c.semaDone(entered)
 	}
-	var w wbuf
-	w.i32(id)
-	w.u32(c.tag)
-	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[mgr]))
-	n.noteSentLocked(mgr)
-	// Send while holding mu: the estimate update and the send must be
-	// atomic with respect to other request-class deltas to mgr.
-	n.ep.SendAt(mgr, msgSemaSignal, network.ClassRequest, w.b, c.clk.Now())
-	n.mu.Unlock()
-	c.recvReply(msgSemaAck, c.tag) // two messages including the acknowledgment
-	c.semaDone(entered)
 	c.gcSyncHook(true)
 }
 
@@ -104,30 +106,36 @@ func (c *Client) SemaWait(id int) {
 	n := c.n
 	entered := c.clk.Now()
 	mgr := n.lockMgr(id)
-	n.mu.Lock()
-	n.stats.SemaOps++
-	if n.id == mgr {
+	var w wbuf
+	banked, at := func() (bool, sim.Time) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.SemaOps++
+		if n.id != mgr {
+			w.i32(id)
+			w.u32(c.tag)
+			putVC(&w, n.vc)
+			return false, 0
+		}
 		ss := n.semaFor(id)
 		if len(ss.banked) > 0 {
 			// The manager already incorporated the signaler's intervals
 			// when the banked signal arrived; only its timestamp matters.
 			at := ss.banked[0]
 			ss.banked = ss.banked[1:]
-			n.mu.Unlock()
-			c.clk.AdvanceTo(at)
-			c.clk.Advance(c.costs.Sema)
-			c.semaDone(entered)
-			c.gcSyncHook(true)
-			return
+			return true, at
 		}
 		ss.waiters = append(ss.waiters, semaWaiter{from: n.id, tag: c.tag, vc: n.vc.clone()})
-		n.mu.Unlock()
-	} else {
-		var w wbuf
-		w.i32(id)
-		w.u32(c.tag)
-		putVC(&w, n.vc)
-		n.mu.Unlock()
+		return false, 0
+	}()
+	if banked {
+		c.clk.AdvanceTo(at)
+		c.clk.Advance(c.costs.Sema)
+		c.semaDone(entered)
+		c.gcSyncHook(true)
+		return
+	}
+	if n.id != mgr {
 		n.ep.SendAt(mgr, msgSemaWait, network.ClassRequest, w.b, c.clk.Now())
 	}
 
@@ -137,9 +145,7 @@ func (c *Client) SemaWait(id int) {
 		panic("dsm: semaphore grant for wrong semaphore")
 	}
 	r.u32() // tag: already matched by routing
-	n.mu.Lock()
-	n.takeTrailerLocked(&r, m.From)
-	n.mu.Unlock()
+	n.incorporateWire(&r, m.From)
 	c.clk.Advance(c.costs.Sema)
 	c.semaDone(entered)
 	c.gcSyncHook(true)

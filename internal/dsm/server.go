@@ -185,27 +185,54 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 // with every whole page and diff the requester wants from this node, for
 // one interrupt and one reply. The contents are gathered first so the
 // reply buffer is sized once; pg.data and stored diffs are copied into it
-// under n.mu like every other served payload.
+// under n.mu like every other served payload. A diff item with later seqs
+// is answered with their merged diff, built in the node's scratch: each
+// constituent is paid for as served, and the fold costs the server what
+// applying each constituent would have cost the requester.
 func (n *Node) handleFetchReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	items := decodeFetch(&r, false)
-	service := n.sys.plat.RequestService
+	plat := n.sys.plat
+	service := plat.RequestService
 	size := 5 // reply bound: a count varint, then ≤ 14 header bytes an item
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
+	// Merged diffs are appended to the scratch: one that regrows it leaves
+	// the earlier ones intact in the array they were built in.
+	merged := n.diffBuf[:0]
+	var parts [][]byte
 	for i := range items {
 		it := &items[i]
 		if it.seq < 0 {
 			it.data = n.servePageLocked(it.pid)
-			service += n.sys.plat.PageCopy
+			service += plat.PageCopy
 		} else {
 			var cost sim.Time
 			it.data, cost = n.serveDiffLocked(it.pid, it.seq)
 			service += cost
+			if len(it.later) > 0 {
+				parts = append(parts[:0], it.data)
+				for _, seq := range it.later {
+					d, cost := n.serveDiffLocked(it.pid, seq)
+					service += cost
+					parts = append(parts, d)
+				}
+				for _, d := range parts {
+					service += plat.DiffApply + sim.Time(float64(len(d))*plat.DiffApplyPerByte)
+				}
+				if n.mergeImg == nil {
+					n.mergeImg = make([]byte, PageSize)
+				}
+				start := len(merged)
+				merged = mergeDiffs(merged, n.mergeImg, parts)
+				it.data = merged[start:]
+				n.stats.DiffsMerged += int64(len(it.later))
+			}
 		}
 		size += 14 + len(it.data)
 	}
+	n.diffBuf = merged
 	w := wbuf{b: make([]byte, 0, size)}
 	encodeFetch(&w, items, true)
 	n.ep.SendAt(m.From, msgFetchRep, network.ClassReply, w.b, m.Arrive+service)

@@ -253,8 +253,10 @@ type Report struct {
 	// Diffs encoded (one per closed interval and page it wrote), and how
 	// many of them the modelled node paid to encode — served, forwarded on
 	// a grant or forced by an invalidation; the rest were retired unpaid
-	// or never needed.
-	DiffsCreated, DiffsPaid int64
+	// or never needed. DiffsMerged: diffs served folded into an earlier
+	// diff's reply — a creator's run of one page's diffs, causally adjacent
+	// in one exchange, travels as one merged diff (mergeDiffs).
+	DiffsCreated, DiffsPaid, DiffsMerged int64
 }
 
 // Report assembles the run's accounting from the switch's per-type
@@ -279,7 +281,7 @@ func (s *System) Report() Report {
 	t := s.TotalStats()
 	r.Ledger = t.Ledger
 	r.IntervalsRetired, r.PeakIntervalChain, r.PeakProtoBytes = t.IntervalsRetired, t.PeakIntervalChain, t.PeakProtoBytes
-	r.DiffsCreated, r.DiffsPaid = t.DiffsCreated, t.DiffsPaid
+	r.DiffsCreated, r.DiffsPaid, r.DiffsMerged = t.DiffsCreated, t.DiffsPaid, t.DiffsMerged
 	g := s.GCSummary()
 	r.GCEpisodes, r.GCEpochs, r.GCAcqEpochs = g.Episodes, g.Epochs, g.AcqEpochs
 	r.GCPagesValidated, r.GCPagesFlushed = g.PagesValidated, g.PagesFlushed

@@ -203,3 +203,60 @@ func TestDepartureSendUnwindsHoldingMu(t *testing.T) {
 		sys.Shutdown()
 	}
 }
+
+// TestSyncSendUnwindsWithMuFree: every synchronization send made under n.mu
+// — a semaphore signal, a flush, a barrier arrival, the grant of a lock's
+// release handoff, the grant of a condition wake at the lock's manager — and
+// the condition wait and semaphore wait, which send without it, must unwind
+// from a switch already down with n.mu free: the site releases n.mu by
+// defer, so a later Lock on the node (a running handler, Stats after Run)
+// does not block.
+func TestSyncSendUnwindsWithMuFree(t *testing.T) {
+	const id = 0 // managed at node 0
+	for name, op := range map[string]func(sys *System){
+		"SemaSignal": func(sys *System) { sys.Node(1).SemaSignal(id) },
+		"SemaWait":   func(sys *System) { sys.Node(1).SemaWait(id) },
+		"Flush":      func(sys *System) { sys.Node(0).Flush() },
+		"Barrier":    func(sys *System) { sys.Node(1).Barrier() },
+		"Release": func(sys *System) {
+			n := sys.Node(0)
+			ls := n.lockFor(id)
+			ls.held, ls.holderTag = true, n.c0.tag
+			ls.pending = []pendingReq{{from: 1, vc: newVC(2)}}
+			n.c0.held = []int{id}
+			n.Release(id)
+		},
+		"CondSignal": func(sys *System) {
+			n := sys.Node(0)
+			n.condFor(id).waiters = []semaWaiter{{from: 1, vc: newVC(2)}}
+			n.CondSignal(id, id)
+		},
+		"CondWait": func(sys *System) {
+			n := sys.Node(1)
+			n.lockFor(id).held = true
+			n.c0.held = []int{id}
+			n.CondWait(id, id)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys := New(Config{Procs: 2, DisableGC: true})
+			defer sys.Shutdown()
+			sys.abort(errors.New("deliberate abort"))
+			var r any
+			within(t, name, func() {
+				defer func() { r = recover() }()
+				op(sys)
+			})
+			if r != network.ErrDown {
+				t.Errorf("%s on a downed switch unwound with %v, want %v", name, r, network.ErrDown)
+			}
+			for i := range 2 {
+				if n := sys.Node(i); !n.mu.TryLock() {
+					t.Errorf("%s left node %d's n.mu locked", name, i)
+				} else {
+					n.mu.Unlock()
+				}
+			}
+		})
+	}
+}

@@ -291,22 +291,45 @@ func getGrantData(r *rbuf, nrecs, npages int) []grantDiff {
 }
 
 // fetchItem is one entry of a msgFetchReq/msgFetchRep pair: a whole page
-// (seq < 0) or the diff of the serving node's interval seq for the page.
-// data is the reply's content and stays nil in a request.
+// (seq < 0) or the diff of the serving node's interval seq for the page. A
+// request's diff item may name later intervals of the same creator too
+// (later, ascending): the reply then carries one diff merged from all of
+// them (mergeDiffs). data is the reply's content and stays nil in a request.
 type fetchItem struct {
-	pid  PageID
-	seq  int
-	data []byte
+	pid   PageID
+	seq   int
+	later []int
+	data  []byte
 }
 
-// encodeFetch writes a fetch exchange's item list: uv(count), then per
-// item uv(pid), uv(seq+1) — 0 names the whole page — and, in a reply, the
-// length-prefixed content.
+// encodeFetch writes a fetch exchange's item list: the count, then per item
+// uv(pid), uv(seq+1) — 0 names the whole page — and, in a reply, the
+// length-prefixed content. A reply's count is uv(count). A request's is
+// uv(2·count + grouped), still one byte at the HomeBlockPages cap; only a
+// grouped request gives each diff item uv(k) and its k later seqs, each as
+// uv(the gap from the seq before it), so a request that merges nothing
+// keeps the size it had before merging existed.
 func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
-	w.uv(uint64(len(items)))
+	grouped := !reply && slices.ContainsFunc(items, func(it fetchItem) bool { return len(it.later) > 0 })
+	switch {
+	case reply:
+		w.uv(uint64(len(items)))
+	case grouped:
+		w.uv(uint64(2*len(items) + 1))
+	default:
+		w.uv(uint64(2 * len(items)))
+	}
 	for _, it := range items {
 		w.uv(uint64(it.pid))
 		w.uv(uint64(it.seq + 1))
+		if grouped && it.seq >= 0 {
+			w.uv(uint64(len(it.later)))
+			prev := it.seq
+			for _, s := range it.later {
+				w.uv(uint64(s - prev))
+				prev = s
+			}
+		}
 		if reply {
 			w.bytes(it.data)
 		}
@@ -317,22 +340,42 @@ func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
 // views into the message (see rbuf.view). A REQUEST naming more than
 // HomeBlockPages items is malformed: one item earns one blob, and the cap
 // is what keeps the reply inside one datagram — the server enforces it
-// rather than trusting every builder of requests to.
+// rather than trusting every builder of requests to. A group's later seqs
+// must ascend, and its count is validated like every other.
 func decodeFetch(r *rbuf, reply bool) []fetchItem {
 	minBytes := 2 // pid and seq varints
 	if reply {
 		minBytes += 4 // content length
 	}
-	count := r.needCount(r.uvi(), minBytes)
+	count, grouped := r.uvi(), false
+	if !reply {
+		count, grouped = count>>1, count&1 == 1
+	}
+	count = r.needCount(count, minBytes)
 	if !reply && count > HomeBlockPages {
 		panic(wireErrf("dsm: fetch request names %d items, cap %d", count, HomeBlockPages))
 	}
 	items := make([]fetchItem, count)
 	for i := range items {
-		items[i].pid = PageID(r.uvi())
-		items[i].seq = r.uvi() - 1
+		it := &items[i]
+		it.pid = PageID(r.uvi())
+		it.seq = r.uvi() - 1
+		if grouped && it.seq >= 0 {
+			if k := r.needCount(r.uvi(), 1); k > 0 {
+				it.later = make([]int, k)
+				prev := it.seq
+				for j := range it.later {
+					gap := r.uvi()
+					if gap == 0 || prev+gap > maxUvarint {
+						panic(wireErrf("dsm: fetch group seq %d after %d", prev+gap, prev))
+					}
+					prev += gap
+					it.later[j] = prev
+				}
+			}
+		}
 		if reply {
-			items[i].data = r.view()
+			it.data = r.view()
 		}
 	}
 	return items

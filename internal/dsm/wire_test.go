@@ -320,10 +320,14 @@ func TestWireTruncatedFetch(t *testing.T) {
 }
 
 // oversizeFetchRequest encodes a well-formed request of one item more than
-// the cap.
-func oversizeFetchRequest() []byte {
+// the cap, its first item grouped when grouped is set.
+func oversizeFetchRequest(grouped bool) []byte {
+	items := randFetchItems(rand.New(rand.NewSource(19)), HomeBlockPages+1, false)
+	if grouped {
+		items[0] = fetchItem{pid: 1, seq: 4, later: []int{5, 9}}
+	}
 	var w wbuf
-	encodeFetch(&w, randFetchItems(rand.New(rand.NewSource(19)), HomeBlockPages+1, false), false)
+	encodeFetch(&w, items, false)
 	return w.b
 }
 
@@ -338,7 +342,7 @@ func TestWireFetchRejectsOversizeRequest(t *testing.T) {
 				t.Error("a request of HomeBlockPages+1 items did not die in wireError")
 			}
 		}()
-		r := rbuf{b: oversizeFetchRequest()}
+		r := rbuf{b: oversizeFetchRequest(false)}
 		decodeFetch(&r, false)
 	}()
 	rnd := rand.New(rand.NewSource(19))
@@ -352,6 +356,89 @@ func TestWireFetchRejectsOversizeRequest(t *testing.T) {
 		if got := decodeFetch(&r, tt.reply); len(got) != tt.count {
 			t.Errorf("reply=%v: decoded %d items, want %d", tt.reply, len(got), tt.count)
 		}
+	}
+}
+
+// groupFetchItems gives about half of a request's diff items later seqs of
+// their creator: one to four, ascending.
+func groupFetchItems(rnd *rand.Rand, items []fetchItem) []fetchItem {
+	for i := range items {
+		if items[i].seq < 0 || rnd.Intn(2) == 0 {
+			continue
+		}
+		s := items[i].seq
+		for k := 1 + rnd.Intn(4); k > 0; k-- {
+			s += 1 + rnd.Intn(300)
+			items[i].later = append(items[i].later, s)
+		}
+	}
+	return items
+}
+
+// TestWireFetchGroupedRoundTrip: a request whose diff items carry later
+// seqs decodes to the same groups, and a request with none is exactly as
+// long as the count, pid and seq varints it held before requests could
+// group.
+func TestWireFetchGroupedRoundTrip(t *testing.T) {
+	prop := func(seed int64) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		items := groupFetchItems(rnd, randFetchItems(rnd, rnd.Intn(HomeBlockPages+1), false))
+		var w wbuf
+		encodeFetch(&w, items, false)
+		r := rbuf{b: w.b}
+		got := decodeFetch(&r, false)
+		if !r.done() || len(got) != len(items) {
+			return false
+		}
+		for i, it := range items {
+			if got[i].pid != it.pid || got[i].seq != it.seq || !slices.Equal(got[i].later, it.later) {
+				return false
+			}
+		}
+		for i := range items {
+			items[i].later = nil
+		}
+		var plain, old wbuf
+		encodeFetch(&plain, items, false)
+		old.uv(uint64(len(items)))
+		for _, it := range items {
+			old.uv(uint64(it.pid))
+			old.uv(uint64(it.seq + 1))
+		}
+		return len(plain.b) == len(old.b)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWireFetchGroupedMalformed: every strict prefix of a grouped request
+// dies in wireError, as do a group count larger than the bytes left, a
+// later seq that does not ascend, and a grouped request over the cap.
+func TestWireFetchGroupedMalformed(t *testing.T) {
+	rnd := rand.New(rand.NewSource(23))
+	items := groupFetchItems(rnd, randFetchItems(rnd, HomeBlockPages, false))
+	items[0] = fetchItem{pid: 3, seq: 5, later: []int{6}}
+	var w wbuf
+	encodeFetch(&w, items, false)
+	cases := map[string][]byte{
+		"group count past the bytes left": {2*1 + 1, 3, 6, 0x7f, 1},
+		"later seq not after the first":   {2*1 + 1, 3, 6, 1, 0},
+		"grouped count over the cap":      oversizeFetchRequest(true),
+	}
+	for cut := 0; cut < len(w.b); cut++ {
+		cases[fmt.Sprintf("cut at %d of %d", cut, len(w.b))] = w.b[:cut]
+	}
+	for name, b := range cases {
+		func() {
+			defer func() {
+				if _, ok := recover().(wireError); !ok {
+					t.Errorf("%s: decoded without a wireError", name)
+				}
+			}()
+			r := rbuf{b: b}
+			decodeFetch(&r, false)
+		}()
 	}
 }
 
@@ -731,7 +818,14 @@ func FuzzWireDecode(f *testing.F) {
 		encodeFetch(&fw, randFetchItems(rnd, HomeBlockPages, reply), reply)
 		f.Add(fw.b)
 	}
-	f.Add(oversizeFetchRequest())
+	f.Add(oversizeFetchRequest(false))
+	for range 2 {
+		var gw wbuf
+		encodeFetch(&gw, groupFetchItems(rnd, randFetchItems(rnd, HomeBlockPages, false)), false)
+		f.Add(gw.b)
+	}
+	f.Add(oversizeFetchRequest(true))
+	f.Add([]byte{2*1 + 1, 3, 6, 0x7f, 1}) // a group count past the bytes left
 	var jw wbuf
 	putJoin(&jw, nil, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(jw.b)
