@@ -58,7 +58,8 @@ func main() {
 		fmt.Printf("  fault rounds    : %d (%d pages, %d of them group pages)\n", res.FaultRounds, res.FaultPages, res.GroupPages)
 	}
 	if res.DiffsCreated > 0 {
-		fmt.Printf("  diffs           : %d created, %d of them paid (served, granted or invalidated)\n", res.DiffsCreated, res.DiffsPaid)
+		fmt.Printf("  diffs           : %d created, %d of them paid (served, granted or invalidated), %d merged into an earlier one's reply\n",
+			res.DiffsCreated, res.DiffsPaid, res.DiffsMerged)
 	}
 	fmt.Printf("  checksum        : %g (validated against sequential)\n", res.Checksum)
 }

@@ -54,9 +54,6 @@ func (n *Node) condFor(id int) *condQueue {
 func (c *Client) CondWait(condID, lockID int) {
 	n := c.n
 	mgr := n.lockMgr(lockID)
-	// Registered, free the lock — an island-mate parked locally takes it
-	// first, then anyone queued behind us in the global chain.
-	handoff := func() { c.handoffLocked(n.lockFor(lockID), lockID) }
 	var w wbuf
 	func() {
 		n.mu.Lock()
@@ -72,7 +69,7 @@ func (c *Client) CondWait(condID, lockID int) {
 			// Local registration is atomic with the release under mu.
 			cq := n.condFor(condID)
 			cq.waiters = append(cq.waiters, semaWaiter{from: n.id, tag: c.tag, vc: n.vc.clone()})
-			handoff()
+			c.handoffLocked(n.lockFor(lockID), lockID)
 			return
 		}
 		w.i32(condID)
@@ -83,10 +80,12 @@ func (c *Client) CondWait(condID, lockID int) {
 	if n.id != mgr {
 		n.ep.SendAt(mgr, msgCondWait, network.ClassRequest, w.b, c.clk.Now())
 		c.recvReply(msgCondWaitAck, c.tag)
+		// Registered: now free the lock — an island-mate parked locally
+		// takes it first, then anyone queued behind us in the global chain.
 		func() {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			handoff()
+			c.handoffLocked(n.lockFor(lockID), lockID)
 		}()
 	}
 

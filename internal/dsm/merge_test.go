@@ -18,13 +18,12 @@ import (
 // under a lock and a validation wave send.
 
 // diffWords returns the words the given diffs write, together.
-func diffWords(diffs ...[]byte) wordSet {
-	var s wordSet
+func diffWords(diffs ...[]byte) (wrote [PageSize / 4]bool) {
 	page := make([]byte, PageSize)
 	for _, d := range diffs {
-		applyRuns(page, d, &s)
+		applyRuns(page, d, wrote[:])
 	}
-	return s
+	return wrote
 }
 
 // TestMergeDiffsProperty: on random pages, a writer's run of k diffs

@@ -1,9 +1,6 @@
 package dsm
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "encoding/binary"
 
 // PageID identifies one page of the global shared address space.
 type PageID int
@@ -186,9 +183,9 @@ func wordEq(a, b []byte, i int) bool {
 // wireError, as a malformed varint or a truncated run does.
 func applyDiff(data, diff []byte) int { return applyRuns(data, diff, nil) }
 
-// applyRuns is applyDiff that also marks, when wrote is not nil, every
-// word a run writes.
-func applyRuns(data, diff []byte, wrote *wordSet) int {
+// applyRuns is applyDiff that also marks, in wrote when it is not nil,
+// every word a run writes.
+func applyRuns(data, diff []byte, wrote []bool) int {
 	r := rbuf{b: diff}
 	off, applied := 0, 0
 	for !r.done() {
@@ -198,8 +195,8 @@ func applyRuns(data, diff []byte, wrote *wordSet) int {
 			panic(wireErrf("dsm: diff run of %d bytes at offset %d outside a %d-byte page", n, off, len(data)))
 		}
 		copy(data[off:], r.need(n))
-		if wrote != nil {
-			wrote.add(off/4, (off+n)/4)
+		for w := off / 4; wrote != nil && w < (off+n)/4; w++ {
+			wrote[w] = true
 		}
 		off += n
 		applied += n
@@ -207,55 +204,31 @@ func applyRuns(data, diff []byte, wrote *wordSet) int {
 	return applied
 }
 
-// wordSet is one bit per word of a page.
-type wordSet [PageSize / 4 / 64]uint64
-
-// add marks the words [from, to).
-func (s *wordSet) add(from, to int) {
-	for from < to {
-		b := from % 64
-		k := min(64-b, to-from)
-		s[from/64] |= ^uint64(0) >> (64 - k) << b
-		from += k
-	}
-}
-
-// next returns the first word at or after i whose mark is set, or the
-// page's word count when none is.
-func (s *wordSet) next(i int, set bool) int {
-	for i < 64*len(s) {
-		x := s[i/64]
-		if !set {
-			x = ^x
-		}
-		if x >>= i % 64; x != 0 {
-			return i + bits.TrailingZeros64(x)
-		}
-		i = (i/64 + 1) * 64
-	}
-	return 64 * len(s)
-}
-
 // mergeDiffs appends to dst one diff equal to applying diffs in order:
 // every word any of them wrote, at the value the last one gave it. The
 // diffs are applied to img, a PageSize scratch whose other words are never
-// read, so neither needs clearing between calls. A merged run, like one of
-// makeDiff's, covers only written words: a word no diff wrote may hold a
-// concurrent writer's value on the requester. The result is never longer
-// than the diffs together, nor than PageSize+3.
+// read, so it needs no clearing. A merged run, like one of makeDiff's,
+// covers only written words: a word no diff wrote may hold a concurrent
+// writer's value on the requester. The result is never longer than the
+// diffs together, nor than PageSize+3.
 func mergeDiffs(dst, img []byte, diffs [][]byte) []byte {
-	var wrote wordSet
+	var wrote [PageSize / 4]bool
 	for _, d := range diffs {
-		applyRuns(img, d, &wrote)
+		applyRuns(img, d, wrote[:])
 	}
 	w := wbuf{b: dst}
-	prev, words := 0, 64*len(wrote)
-	for start := wrote.next(0, true); start < words; start = wrote.next(prev, true) {
-		end := wrote.next(start, false)
+	for i, prev := 0, 0; i < len(wrote); i++ {
+		if !wrote[i] {
+			continue
+		}
+		start := i
+		for i < len(wrote) && wrote[i] {
+			i++
+		}
 		w.uv(uint64(start - prev))
-		w.uv(uint64(end - start))
-		w.b = append(w.b, img[4*start:4*end]...)
-		prev = end
+		w.uv(uint64(i - start))
+		w.b = append(w.b, img[4*start:4*i]...)
+		prev = i
 	}
 	return w.b
 }

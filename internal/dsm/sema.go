@@ -106,36 +106,30 @@ func (c *Client) SemaWait(id int) {
 	n := c.n
 	entered := c.clk.Now()
 	mgr := n.lockMgr(id)
-	var w wbuf
-	banked, at := func() (bool, sim.Time) {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.stats.SemaOps++
-		if n.id != mgr {
-			w.i32(id)
-			w.u32(c.tag)
-			putVC(&w, n.vc)
-			return false, 0
-		}
+	n.mu.Lock()
+	n.stats.SemaOps++
+	if n.id == mgr {
 		ss := n.semaFor(id)
 		if len(ss.banked) > 0 {
 			// The manager already incorporated the signaler's intervals
 			// when the banked signal arrived; only its timestamp matters.
 			at := ss.banked[0]
 			ss.banked = ss.banked[1:]
-			return true, at
+			n.mu.Unlock()
+			c.clk.AdvanceTo(at)
+			c.clk.Advance(c.costs.Sema)
+			c.semaDone(entered)
+			c.gcSyncHook(true)
+			return
 		}
 		ss.waiters = append(ss.waiters, semaWaiter{from: n.id, tag: c.tag, vc: n.vc.clone()})
-		return false, 0
-	}()
-	if banked {
-		c.clk.AdvanceTo(at)
-		c.clk.Advance(c.costs.Sema)
-		c.semaDone(entered)
-		c.gcSyncHook(true)
-		return
-	}
-	if n.id != mgr {
+		n.mu.Unlock()
+	} else {
+		var w wbuf
+		w.i32(id)
+		w.u32(c.tag)
+		putVC(&w, n.vc)
+		n.mu.Unlock()
 		n.ep.SendAt(mgr, msgSemaWait, network.ClassRequest, w.b, c.clk.Now())
 	}
 
