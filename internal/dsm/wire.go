@@ -308,7 +308,7 @@ type fetchItem struct {
 // uv(2·count + grouped), still one byte at the HomeBlockPages cap; only a
 // grouped request gives each diff item uv(k) and its k later seqs, each as
 // uv(the gap from the seq before it), so a request that merges nothing
-// keeps the size it had before merging existed.
+// spends no byte on grouping.
 func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
 	grouped := !reply && slices.ContainsFunc(items, func(it fetchItem) bool { return len(it.later) > 0 })
 	switch {
