@@ -67,12 +67,14 @@ smp-race:
 # rounds) and the reply router every node delivers through (two clients
 # of a default node passing a lock, semaphores and a condition; tagged
 # grants arriving in reverse request order; a malformed reply ending the
-# run with an error). Like smp-race it runs early in ci so an
-# island-teams ordering bug fails in seconds.
+# run with an error), the page walk every typed access goes through
+# (TestPageWalkAccessors) and the node engine lock that keeps an island's
+# flushes apart (TestIslandFlushesTakeTheEngine). Like smp-race it runs
+# early in ci so an island-teams ordering bug fails in seconds.
 hybrid-race:
 	$(GO) test -race -run 'TestBackendConformance|TestHybrid|TestReduction' ./internal/core
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
-	$(GO) test -race -run 'TestLockGrantIsland|TestReplyRouter|TestMalformedReply' ./internal/dsm
+	$(GO) test -race -run 'TestLockGrantIsland|TestReplyRouter|TestMalformedReply|TestPageWalkAccessors|TestIslandFlushesTakeTheEngine' ./internal/dsm
 
 # GC smoke under the race detector: the GC property suite (randomized
 # lock/sema/cond interleavings, coordinator invariants — the episode

@@ -28,7 +28,7 @@ type Params struct {
 	// Platform overrides the cost model.
 	Platform *sim.Platform
 	// DSM carries the protocol knobs of the DSM-backed implementations
-	// (DisableGC, GCPressure, BarrierFanin — see
+	// (DisableGC, GCPressure — see
 	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
 	// QSORT synchronizes through critical sections and a condition
 	// variable, so between region boundaries only the consensus trigger

@@ -39,7 +39,7 @@ type Params struct {
 	// Platform overrides the cost model.
 	Platform *sim.Platform
 	// DSM carries the protocol knobs of the DSM-backed implementations
-	// (DisableGC, GCPressure, BarrierFanin — see
+	// (DisableGC, GCPressure — see
 	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
 	// Sweep3D synchronizes through semaphore pipelines, so between region
 	// boundaries only the consensus trigger collects for it.

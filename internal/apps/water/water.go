@@ -38,7 +38,7 @@ type Params struct {
 	// Platform overrides the cost model.
 	Platform *sim.Platform
 	// DSM carries the protocol knobs of the DSM-backed implementations
-	// (DisableGC, GCPressure, BarrierFanin — see
+	// (DisableGC, GCPressure — see
 	// dsm.Config); the run fills Procs, HeapBytes and Platform itself.
 	DSM dsm.Config
 }

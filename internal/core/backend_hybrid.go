@@ -32,13 +32,13 @@ import (
 // traffic, SMP-identical clocks; islands=procs is one thread per island —
 // the NOW's message pattern exactly.
 //
-// An island's delegated memory operations are serialized by an engine
-// lock (one protocol engine per island, as in the SMP-TreadMarks
-// systems); it is held only across operations whose blocking can be
-// resolved entirely by remote protocol servers (faults, flush), never
-// across waits that an island-mate must resolve (locks, semaphores,
-// condition variables, barriers), which is what keeps the island
-// deadlock-free.
+// An island's memory accesses and flushes are serialized by the delegate
+// node's engine lock (one protocol engine per island, as in the
+// SMP-TreadMarks systems), which dsm takes for every client NewClient
+// adds; it is held only across operations whose blocking can be resolved
+// entirely by remote protocol servers (faults, flush), never across waits
+// that an island-mate must resolve (locks, semaphores, condition
+// variables, barriers), which is what keeps the island deadlock-free.
 type hybridBackend struct {
 	sys     *dsm.System
 	procs   int
@@ -56,10 +56,6 @@ type hybridIsland struct {
 	id     int
 	node   *dsm.Node
 	lo, hi int // global worker ids [lo, hi)
-
-	// eng serializes delegated memory/flush operations: the island's
-	// single protocol engine.
-	eng sync.Mutex
 
 	// Local barrier (the intra-island gather/release around the DSM
 	// barrier's inter-island phase).
@@ -88,13 +84,19 @@ type hybridJoin struct {
 // hybridWorker is one OpenMP thread; it implements Worker. Worker
 // `isl.lo` of each island runs on the island delegate's application
 // goroutine (the dsm fork target); the rest are persistent goroutines fed
-// through forkCh.
+// through forkCh. Its dsm.Client, on the island delegate and charging the
+// worker's own clock, supplies the clock, shared-memory access, flush and
+// synchronization methods: the client layer satisfies intra-island lock,
+// semaphore and condition cases locally (token caching, local handoff
+// queues, banked signal timestamps) at bus-scale cost and engages the wire
+// protocol only across islands. Valid-page accesses charge nothing —
+// intra-island sharing is hardware sharing.
 type hybridWorker struct {
+	*dsm.Client
 	b      *hybridBackend
 	isl    *hybridIsland
 	id     int // global thread id
 	clock  sim.Clock
-	cl     *dsm.Client
 	forkCh chan hybridFork
 	joinCh chan hybridJoin
 }
@@ -130,7 +132,7 @@ func newHybridBackend(cfg Config, islands int) *hybridBackend {
 				forkCh: make(chan hybridFork, 1),
 				joinCh: make(chan hybridJoin, 1),
 			}
-			w.cl = isl.node.NewClient(&w.clock, costs)
+			w.Client = isl.node.NewClient(&w.clock, costs)
 			b.workers = append(b.workers, w)
 		}
 	}
@@ -290,16 +292,12 @@ func (b *hybridBackend) Close() error {
 }
 
 // ---------------------------------------------------------------------
-// Worker: identity, clock, fork.
+// Worker: identity, fork and barrier; the embedded dsm.Client does the rest.
 // ---------------------------------------------------------------------
 
-func (w *hybridWorker) ID() int           { return w.id }
-func (w *hybridWorker) NumProcs() int     { return w.b.procs }
-func (w *hybridWorker) Now() sim.Time     { return w.clock.Now() }
-func (w *hybridWorker) Charge(d sim.Time) { w.clock.Advance(d) }
-func (w *hybridWorker) Poll()             { runtime.Gosched() }
-
-func (w *hybridWorker) Compute(flops float64) { w.cl.Compute(flops) }
+func (w *hybridWorker) ID() int       { return w.id }
+func (w *hybridWorker) NumProcs() int { return w.b.procs }
+func (w *hybridWorker) Poll()         { runtime.Gosched() }
 
 // RunParallel forks the named region across the cluster: one dsm fork per
 // island, each island's dispatcher spreading it over its threads. The
@@ -311,15 +309,8 @@ func (w *hybridWorker) RunParallel(region string, arg []byte) [][]byte {
 		panic("hybrid: RunParallel must be called by the master (worker 0)")
 	}
 	w.clock.Advance(smpForkCost)
-	return w.cl.RunParallel(region, arg)
+	return w.Client.RunParallel(region, arg)
 }
-
-// ---------------------------------------------------------------------
-// Synchronization. Locks, semaphores, and condition variables delegate
-// directly: the dsm.Client layer satisfies intra-island cases locally
-// (token caching, local handoff queues, banked signal timestamps) at
-// bus-scale cost and engages the wire protocol only across islands.
-// ---------------------------------------------------------------------
 
 // Barrier is two-level: gather the island's threads locally, let the last
 // arrival cross the inter-island DSM barrier on the island's behalf, then
@@ -328,7 +319,7 @@ func (w *hybridWorker) RunParallel(region string, arg []byte) [][]byte {
 func (w *hybridWorker) Barrier() {
 	isl := w.isl
 	if isl.size() == 1 {
-		w.cl.Barrier()
+		w.Client.Barrier()
 		return
 	}
 	isl.bmu.Lock()
@@ -357,110 +348,12 @@ func (w *hybridWorker) Barrier() {
 	isl.barWaiters = nil
 	isl.bmu.Unlock()
 	w.clock.AdvanceTo(localMax)
-	w.cl.Barrier()
+	w.Client.Barrier()
 	w.clock.Advance(smpBarrierCost)
 	depart := w.clock.Now()
 	for _, ch := range waiters {
 		ch <- depart
 	}
-}
-
-func (w *hybridWorker) Acquire(lock int)   { w.cl.Acquire(lock) }
-func (w *hybridWorker) Release(lock int)   { w.cl.Release(lock) }
-func (w *hybridWorker) SemaWait(sem int)   { w.cl.SemaWait(sem) }
-func (w *hybridWorker) SemaSignal(sem int) { w.cl.SemaSignal(sem) }
-
-func (w *hybridWorker) CondWait(cond, lock int)      { w.cl.CondWait(cond, lock) }
-func (w *hybridWorker) CondSignal(cond, lock int)    { w.cl.CondSignal(cond, lock) }
-func (w *hybridWorker) CondBroadcast(cond, lock int) { w.cl.CondBroadcast(cond, lock) }
-
-// Flush pushes the island's write notices to every other island (the
-// paper's 2(k-1)-message construct, now per island rather than per
-// thread). It holds the engine lock: the acknowledgments come from remote
-// protocol servers, never from island-mates.
-func (w *hybridWorker) Flush() {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.Flush()
-}
-
-// ---------------------------------------------------------------------
-// Shared memory: native access to the island's page copies, with the
-// engine lock serializing the fault path (one outstanding fault per
-// island, so page and diff replies route unambiguously). Valid-page
-// accesses charge nothing — intra-island sharing is hardware sharing.
-// ---------------------------------------------------------------------
-
-func (w *hybridWorker) ReadF64(a Addr) float64 {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	return w.cl.ReadF64(a)
-}
-
-func (w *hybridWorker) WriteF64(a Addr, v float64) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.WriteF64(a, v)
-}
-
-func (w *hybridWorker) ReadI64(a Addr) int64 {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	return w.cl.ReadI64(a)
-}
-
-func (w *hybridWorker) WriteI64(a Addr, v int64) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.WriteI64(a, v)
-}
-
-func (w *hybridWorker) ReadI32(a Addr) int32 {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	return w.cl.ReadI32(a)
-}
-
-func (w *hybridWorker) WriteI32(a Addr, v int32) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.WriteI32(a, v)
-}
-
-func (w *hybridWorker) ReadBytes(a Addr, dst []byte) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.ReadBytes(a, dst)
-}
-
-func (w *hybridWorker) WriteBytes(a Addr, src []byte) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.WriteBytes(a, src)
-}
-
-func (w *hybridWorker) ReadF64s(a Addr, dst []float64) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.ReadF64s(a, dst)
-}
-
-func (w *hybridWorker) WriteF64s(a Addr, src []float64) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.WriteF64s(a, src)
-}
-
-func (w *hybridWorker) ReadI32s(a Addr, dst []int32) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.ReadI32s(a, dst)
-}
-
-func (w *hybridWorker) WriteI32s(a Addr, src []int32) {
-	w.isl.eng.Lock()
-	defer w.isl.eng.Unlock()
-	w.cl.WriteI32s(a, src)
 }
 
 var _ Worker = (*hybridWorker)(nil)

@@ -60,7 +60,7 @@ type Config struct {
 	// BackendNOW, the paper's network of workstations.
 	Backend BackendKind
 	// DSM carries the protocol knobs of the NOW and hybrid backends by
-	// value — DisableGC, GCPressure, BarrierFanin
+	// value — DisableGC, GCPressure
 	// (see dsm.Config) — and is ignored on hardware shared memory, which
 	// keeps no LRC metadata. The backend fills Procs, HeapBytes and
 	// Platform itself from the fields above; the hybrid backend adds one

@@ -307,8 +307,8 @@ func (co *acqCoord) announcedCounts() (consensus, episode int64) {
 // combining tree instead of directly to every target: more nodes than the
 // flat barrier spans (procs > fanin+1). At or below that size the tree is
 // flat — every node is at most one hop from the root — and direct sends
-// already ARE the degenerate tree routing, so Config.BarrierFanin ≥
-// Procs−1 selects the flat transport at any machine size.
+// already ARE the degenerate tree routing, so a fan-in ≥ Procs−1 would
+// select the flat transport at any machine size.
 func (n *Node) gcTreeConsensus() bool {
 	return n.sys.cfg.Procs > n.sys.fanin+1
 }

@@ -16,8 +16,13 @@ import (
 // counter), so callers can assert them exactly.
 func acqRingWorkload(t *testing.T, cfg Config, rounds int) *System {
 	t.Helper()
-	procs := cfg.Procs
-	sys := New(cfg)
+	return acqRing(t, New(cfg), rounds)
+}
+
+// acqRing runs acqRingWorkload's program on sys.
+func acqRing(t *testing.T, sys *System, rounds int) *System {
+	t.Helper()
+	procs := sys.cfg.Procs
 	arr := sys.MallocPage(procs * PageSize)
 	ctr := sys.MallocPage(8)
 	sys.Register("ring", func(n *Node, _ []byte) {

@@ -9,8 +9,8 @@ import (
 
 // Combining-tree barriers, generalizing Section 4.2's centralized manager:
 // "Barrier arrivals are modeled as releases and barrier departures are
-// acquires." Nodes form a BarrierFanin-ary heap rooted at node 0. Each
-// arrival message piggybacks the arriver's new intervals; an interior node
+// acquires." Nodes form a DefaultBarrierFanin-ary heap rooted at node 0.
+// Each arrival message piggybacks the arriver's new intervals; an interior node
 // gathers its children's arrivals, merges them into its own clock, and
 // passes ONE combined arrival up. The root's departure wave flows back
 // down the tree, each hop carrying for its receiver exactly the intervals
@@ -21,9 +21,9 @@ import (
 // all other nodes and no other node has children: the tree degenerates to
 // the paper's flat manager and reproduces its wire traffic byte for byte.
 
-// DefaultBarrierFanin is the tree fan-in used when Config.BarrierFanin is
-// zero. Eight keeps every ≤8-processor run (the paper's full range) on the
-// flat centralized barrier.
+// DefaultBarrierFanin is the barrier tree's fan-in. Eight keeps every
+// ≤8-processor run (the paper's full range) on the flat centralized
+// barrier.
 const DefaultBarrierFanin = 8
 
 // barrierChildren returns the ids gathering at node id in the fanin-ary

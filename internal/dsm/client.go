@@ -61,7 +61,8 @@ type Client struct {
 
 // NewClient registers an additional application thread on the node,
 // with its own reply tag. clk is the thread's own virtual clock (protocol
-// costs incurred on the thread's behalf are charged there).
+// costs incurred on the thread's behalf are charged there). Its accesses
+// and flushes take the node's engine lock (Node.eng).
 func (n *Node) NewClient(clk *sim.Clock, costs ClientCosts) *Client {
 	n.mu.Lock()
 	n.nextTag++

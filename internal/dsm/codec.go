@@ -31,12 +31,9 @@ import (
 // as compact as the real protocol's.
 type wbuf struct{ b []byte }
 
-func (w *wbuf) u8(v uint8)    { w.b = append(w.b, v) }
-func (w *wbuf) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *wbuf) i32(v int)     { w.u32(uint32(int32(v))) }
-func (w *wbuf) i64(v int64)   { w.u64(uint64(v)) }
-func (w *wbuf) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *wbuf) u8(v uint8)   { w.b = append(w.b, v) }
+func (w *wbuf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+func (w *wbuf) i32(v int)    { w.u32(uint32(int32(v))) }
 
 func (w *wbuf) bytes(p []byte) {
 	w.u32(uint32(len(p)))
@@ -93,12 +90,9 @@ func (r *rbuf) needCount(n, minBytesPer int) int {
 	return n
 }
 
-func (r *rbuf) u8() uint8    { return r.need(1)[0] }
-func (r *rbuf) u32() uint32  { return binary.LittleEndian.Uint32(r.need(4)) }
-func (r *rbuf) u64() uint64  { return binary.LittleEndian.Uint64(r.need(8)) }
-func (r *rbuf) i32() int     { return int(int32(r.u32())) }
-func (r *rbuf) i64() int64   { return int64(r.u64()) }
-func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *rbuf) u8() uint8   { return r.need(1)[0] }
+func (r *rbuf) u32() uint32 { return binary.LittleEndian.Uint32(r.need(4)) }
+func (r *rbuf) i32() int    { return int(int32(r.u32())) }
 
 // view decodes a length-prefixed byte field WITHOUT copying: the result
 // aliases the message, with its capacity clipped so an append can never

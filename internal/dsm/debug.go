@@ -1,9 +1,7 @@
 package dsm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -35,65 +33,31 @@ func SetDebugOracle(on bool) {
 	oracleMu.Unlock()
 }
 
-func oracleWrite(a Addr, src []byte) {
-	if !debugOracleOn {
-		return
-	}
+// oracleSee shows the oracle one page's part of an access at a: a write
+// records mem, a read compares mem with what was last written.
+func oracleSee(node int, a Addr, mem []byte, write bool) {
 	oracleMu.Lock()
-	for i, b := range src {
+	defer oracleMu.Unlock()
+	for i, b := range mem {
 		off := int(a) + i
 		pg := off / PageSize
 		buf, ok := oracleMem[pg]
-		if !ok {
-			buf = make([]byte, PageSize)
-			oracleMem[pg] = buf
+		if write {
+			if !ok {
+				buf = make([]byte, PageSize)
+				oracleMem[pg] = buf
+			}
+			buf[off%PageSize] = b
+			continue
 		}
-		buf[off%PageSize] = b
-	}
-	oracleMu.Unlock()
-}
-
-// oracleWriteF64s mirrors oracleWrite for the float64 bulk path.
-func oracleWriteF64s(a Addr, src []float64) {
-	if !debugOracleOn {
-		return
-	}
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	oracleWrite(a, buf)
-}
-
-// oracleCheckF64s mirrors oracleCheck for the float64 bulk path.
-func oracleCheckF64s(node int, a Addr, got []float64) {
-	if !debugOracleOn {
-		return
-	}
-	buf := make([]byte, 8*len(got))
-	for i, v := range got {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	oracleCheck(node, a, buf)
-}
-
-func oracleCheck(node int, a Addr, got []byte) {
-	if !debugOracleOn {
-		return
-	}
-	oracleMu.Lock()
-	defer oracleMu.Unlock()
-	for i := range got {
-		off := int(a) + i
-		pg := off / PageSize
 		var want byte // a page nobody wrote is its allocation zeros
-		if buf, ok := oracleMem[pg]; ok {
+		if ok {
 			want = buf[off%PageSize]
 		}
-		if got[i] != want {
+		if b != want {
 			oracleDiverges++
 			fmt.Printf("ORACLE-DIVERGE node=%d addr=%d page=%d off=%d got=%d want=%d\n",
-				node, off, pg, off%PageSize, got[i], want)
+				node, off, pg, off%PageSize, b, want)
 			return
 		}
 	}

@@ -13,9 +13,16 @@ import (
 // interrupted unnecessarily."
 //
 // It is retained here so the ablation experiments can measure exactly that
-// cost against the proposed semaphores and condition variables.
+// cost against the proposed semaphores and condition variables. A client
+// NewClient added holds the node's engine lock throughout: the
+// acknowledgments route by type alone and come from remote servers, never
+// from island-mates.
 func (c *Client) Flush() {
 	n := c.n
+	if c.tag != 0 {
+		n.eng.Lock()
+		defer n.eng.Unlock()
+	}
 	procs := n.sys.cfg.Procs
 	func() {
 		n.mu.Lock()

@@ -71,6 +71,13 @@ type Node struct {
 	// reverse).
 	fetchMu sync.Mutex
 
+	// eng is an island's one protocol engine: the clients NewClient adds
+	// hold it across every page walk and Flush, so one thread of the
+	// island faults or flushes at a time. It is never held across a wait
+	// an island-mate must end (locks, semaphores, conditions, barriers).
+	// Order: eng, then fetchMu, then mu.
+	eng sync.Mutex
+
 	locks map[int]*lockState
 	semas map[int]*semaState
 	conds map[int]*condQueue
@@ -956,18 +963,55 @@ func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
 }
 
 // ---------------------------------------------------------------------
-// Typed access to shared memory. These are the compiler-emitted access
-// checks that stand in for mprotect faults: every call verifies page
-// validity and takes the fault path when needed. Plain in-page accesses
-// are the fast path; multi-page spans first resolve every stale page in one
-// fault round (fetchSpanLocked), then decompose into per-page segments.
-// The operations are Client methods so fault costs land on the accessing
-// thread's clock; Node re-exports them through the default client.
+// Typed access to shared memory. Every access goes through one page walk,
+// the compiler-emitted access check that stands in for an mprotect fault:
+// it verifies each page's validity and takes the fault path when needed.
+// A multi-page span first resolves every stale page in one fault round
+// (fetchSpanLocked). The operations are Client methods so fault costs land
+// on the accessing thread's clock; Node re-exports them through the
+// default client.
 // ---------------------------------------------------------------------
 
 func (n *Node) checkRange(a Addr, size int) {
 	if a < 0 || int(a)+size > n.sys.heapBytes {
 		panic(fmt.Sprintf("dsm: access [%d,%d) outside shared heap of %d bytes", a, int(a)+size, n.sys.heapBytes))
+	}
+}
+
+// walk is the access check: it makes every page of [a, a+size) readable,
+// or writable when write is set, and hands each page's part of the span to
+// part, with the part's byte offset in the span, then shows it to the
+// shadow-memory oracle. A client that NewClient added holds the node's
+// engine lock throughout, so an island's threads fault one at a time.
+func (c *Client) walk(a Addr, size int, write bool, part func(mem []byte, at int)) {
+	n := c.n
+	n.checkRange(a, size)
+	if c.tag != 0 {
+		n.eng.Lock()
+		defer n.eng.Unlock()
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	faults := &n.stats.ReadFaults
+	if write {
+		faults = &n.stats.WriteFaults
+	}
+	c.fetchSpanLocked(a, size, faults)
+	for at := 0; at < size; {
+		addr := int(a) + at
+		off := addr % PageSize
+		pg := n.pageFor(PageID(addr / PageSize))
+		if write {
+			c.ensureWritableLocked(pg)
+		} else {
+			c.ensureReadableLocked(pg)
+		}
+		mem := pg.data[off : off+min(PageSize-off, size-at)]
+		part(mem, at)
+		if debugOracleOn {
+			oracleSee(n.id, Addr(addr), mem, write)
+		}
+		at += len(mem)
 	}
 }
 
@@ -1002,33 +1046,12 @@ func (c *Client) WriteI32(a Addr, v int32) {
 }
 
 func (c *Client) readU64(a Addr) uint64 {
-	n := c.n
-	n.checkRange(a, 8)
-	off := int(a) % PageSize
-	if off+8 <= PageSize {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		pg := n.pageFor(PageID(int(a) / PageSize))
-		c.ensureReadableLocked(pg)
-		return binary.LittleEndian.Uint64(pg.data[off:])
-	}
 	var buf [8]byte
 	c.ReadBytes(a, buf[:])
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
 func (c *Client) writeU64(a Addr, v uint64) {
-	n := c.n
-	n.checkRange(a, 8)
-	off := int(a) % PageSize
-	if off+8 <= PageSize {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		pg := n.pageFor(PageID(int(a) / PageSize))
-		c.ensureWritableLocked(pg)
-		binary.LittleEndian.PutUint64(pg.data[off:], v)
-		return
-	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	c.WriteBytes(a, buf[:])
@@ -1036,55 +1059,18 @@ func (c *Client) writeU64(a Addr, v uint64) {
 
 // ReadBytes copies len(dst) bytes of shared memory starting at a into dst.
 func (c *Client) ReadBytes(a Addr, dst []byte) {
-	n := c.n
-	n.checkRange(a, len(dst))
-	defer oracleCheck(n.id, a, dst)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c.fetchSpanLocked(a, len(dst), &n.stats.ReadFaults)
-	for len(dst) > 0 {
-		pid := PageID(int(a) / PageSize)
-		off := int(a) % PageSize
-		chunk := PageSize - off
-		if chunk > len(dst) {
-			chunk = len(dst)
-		}
-		pg := n.pageFor(pid)
-		c.ensureReadableLocked(pg)
-		copy(dst[:chunk], pg.data[off:off+chunk])
-		dst = dst[chunk:]
-		a += Addr(chunk)
-	}
+	c.walk(a, len(dst), false, func(mem []byte, at int) { copy(dst[at:], mem) })
 }
 
 // WriteBytes copies src into shared memory starting at a.
 func (c *Client) WriteBytes(a Addr, src []byte) {
-	n := c.n
-	n.checkRange(a, len(src))
-	oracleWrite(a, src)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c.fetchSpanLocked(a, len(src), &n.stats.WriteFaults)
-	for len(src) > 0 {
-		pid := PageID(int(a) / PageSize)
-		off := int(a) % PageSize
-		chunk := PageSize - off
-		if chunk > len(src) {
-			chunk = len(src)
-		}
-		pg := n.pageFor(pid)
-		c.ensureWritableLocked(pg)
-		copy(pg.data[off:off+chunk], src[:chunk])
-		src = src[chunk:]
-		a += Addr(chunk)
-	}
+	c.walk(a, len(src), true, func(mem []byte, at int) { copy(mem, src[at:]) })
 }
 
-// ReadF64s reads len(dst) consecutive float64s starting at a. A base that
-// is not 8-aligned lets elements straddle pages and takes the byte path.
+// ReadF64s reads len(dst) consecutive float64s starting at a, decoding each
+// page's part in place. A base that is not 8-aligned lets elements straddle
+// pages and stages through the byte path.
 func (c *Client) ReadF64s(a Addr, dst []float64) {
-	n := c.n
-	n.checkRange(a, 8*len(dst))
 	if a%8 != 0 {
 		buf := make([]byte, 8*len(dst))
 		c.ReadBytes(a, buf)
@@ -1093,27 +1079,17 @@ func (c *Client) ReadF64s(a Addr, dst []float64) {
 		}
 		return
 	}
-	if debugOracleOn {
-		defer oracleCheckF64s(n.id, a, dst)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c.fetchSpanLocked(a, 8*len(dst), &n.stats.ReadFaults)
-	for i := 0; i < len(dst); {
-		addr := int(a) + 8*i
-		pg := n.pageFor(PageID(addr / PageSize))
-		c.ensureReadableLocked(pg)
-		for off := addr % PageSize; off < PageSize && i < len(dst); off, i = off+8, i+1 {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(pg.data[off:]))
+	c.walk(a, 8*len(dst), false, func(mem []byte, at int) {
+		d := dst[at/8 : (at+len(mem))/8]
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(mem[8*i:]))
 		}
-	}
+	})
 }
 
 // WriteF64s writes the float64s of src to consecutive addresses from a,
-// through the byte path from a base that is not 8-aligned.
+// like ReadF64s.
 func (c *Client) WriteF64s(a Addr, src []float64) {
-	n := c.n
-	n.checkRange(a, 8*len(src))
 	if a%8 != 0 {
 		buf := make([]byte, 8*len(src))
 		for i, x := range src {
@@ -1122,35 +1098,16 @@ func (c *Client) WriteF64s(a Addr, src []float64) {
 		c.WriteBytes(a, buf)
 		return
 	}
-	oracleWriteF64s(a, src)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c.fetchSpanLocked(a, 8*len(src), &n.stats.WriteFaults)
-	for i := 0; i < len(src); {
-		addr := int(a) + 8*i
-		pg := n.pageFor(PageID(addr / PageSize))
-		c.ensureWritableLocked(pg)
-		for off := addr % PageSize; off < PageSize && i < len(src); off, i = off+8, i+1 {
-			binary.LittleEndian.PutUint64(pg.data[off:], math.Float64bits(src[i]))
+	c.walk(a, 8*len(src), true, func(mem []byte, at int) {
+		for i, x := range src[at/8 : (at+len(mem))/8] {
+			binary.LittleEndian.PutUint64(mem[8*i:], math.Float64bits(x))
 		}
-	}
+	})
 }
 
-// i32Bytes encodes int32s as they lie in shared memory.
-func i32Bytes(v []int32) []byte {
-	buf := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
-	}
-	return buf
-}
-
-// ReadI32s reads len(dst) consecutive int32s starting at a, decoding page
-// by page with no staging buffer. A base that is not 4-aligned lets
-// elements straddle pages and takes the byte path.
+// ReadI32s reads len(dst) consecutive int32s starting at a, like ReadF64s
+// with a 4-aligned base.
 func (c *Client) ReadI32s(a Addr, dst []int32) {
-	n := c.n
-	n.checkRange(a, 4*len(dst))
 	if a%4 != 0 {
 		buf := make([]byte, 4*len(dst))
 		c.ReadBytes(a, buf)
@@ -1159,45 +1116,30 @@ func (c *Client) ReadI32s(a Addr, dst []int32) {
 		}
 		return
 	}
-	if debugOracleOn {
-		defer func() { oracleCheck(n.id, a, i32Bytes(dst)) }()
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c.fetchSpanLocked(a, 4*len(dst), &n.stats.ReadFaults)
-	for i := 0; i < len(dst); {
-		addr := int(a) + 4*i
-		pg := n.pageFor(PageID(addr / PageSize))
-		c.ensureReadableLocked(pg)
-		for off := addr % PageSize; off < PageSize && i < len(dst); off, i = off+4, i+1 {
-			dst[i] = int32(binary.LittleEndian.Uint32(pg.data[off:]))
+	c.walk(a, 4*len(dst), false, func(mem []byte, at int) {
+		d := dst[at/4 : (at+len(mem))/4]
+		for i := range d {
+			d[i] = int32(binary.LittleEndian.Uint32(mem[4*i:]))
 		}
-	}
+	})
 }
 
-// WriteI32s writes the int32s of src to consecutive addresses from a, page
-// by page like ReadI32s.
+// WriteI32s writes the int32s of src to consecutive addresses from a, like
+// ReadI32s.
 func (c *Client) WriteI32s(a Addr, src []int32) {
-	n := c.n
-	n.checkRange(a, 4*len(src))
 	if a%4 != 0 {
-		c.WriteBytes(a, i32Bytes(src))
+		buf := make([]byte, 4*len(src))
+		for i, x := range src {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+		}
+		c.WriteBytes(a, buf)
 		return
 	}
-	if debugOracleOn {
-		oracleWrite(a, i32Bytes(src))
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c.fetchSpanLocked(a, 4*len(src), &n.stats.WriteFaults)
-	for i := 0; i < len(src); {
-		addr := int(a) + 4*i
-		pg := n.pageFor(PageID(addr / PageSize))
-		c.ensureWritableLocked(pg)
-		for off := addr % PageSize; off < PageSize && i < len(src); off, i = off+4, i+1 {
-			binary.LittleEndian.PutUint32(pg.data[off:], uint32(src[i]))
+	c.walk(a, 4*len(src), true, func(mem []byte, at int) {
+		for i, x := range src[at/4 : (at+len(mem))/4] {
+			binary.LittleEndian.PutUint32(mem[4*i:], uint32(x))
 		}
-	}
+	})
 }
 
 // ---------------------------------------------------------------------

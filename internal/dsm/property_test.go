@@ -198,18 +198,13 @@ func TestVectorClockMergeProperties(t *testing.T) {
 
 // Property: the codec round-trips arbitrary primitive sequences.
 func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(a uint32, b int64, c float64, d []byte, s string) bool {
+	f := func(a uint32, d []byte, s string) bool {
 		var w wbuf
 		w.u32(a)
-		w.i64(b)
-		w.f64(c)
 		w.bytes(d)
 		w.str(s)
 		r := rbuf{b: w.b}
-		if r.u32() != a || r.i64() != b {
-			return false
-		}
-		if got := r.f64(); got != c && !(got != got && c != c) { // NaN-safe
+		if r.u32() != a {
 			return false
 		}
 		if !bytes.Equal(r.bytes(), d) || r.str() != s {

@@ -90,7 +90,7 @@ func TestTreeVsFlatConsensusEquivalence(t *testing.T) {
 	if st := flat.TotalStats(); st.GCSyncRelays != 0 {
 		t.Errorf("flat transport relayed %d frames", st.GCSyncRelays)
 	}
-	tree := acqRingWorkload(t, Config{Procs: 8, GCPressure: 32, BarrierFanin: 2}, 10)
+	tree := acqRing(t, newSystem(Config{Procs: 8, GCPressure: 32}, 2), 10)
 	if !tree.nodes[1].gcTreeConsensus() {
 		t.Fatal("8 nodes at fan-in 2 must tree-route the consensus")
 	}
@@ -170,7 +170,11 @@ func TestScaleTreeBarrierCorrectness(t *testing.T) {
 			t.Parallel()
 			const rounds = 4
 			// Collect at every episode: the purge waves ride the tree too.
-			sys := New(Config{Procs: tt.procs, BarrierFanin: tt.fanin, GCPressure: 1})
+			fanin := tt.fanin
+			if fanin == 0 {
+				fanin = DefaultBarrierFanin
+			}
+			sys := newSystem(Config{Procs: tt.procs, GCPressure: 1}, fanin)
 			arr := sys.MallocPage(tt.procs * PageSize)
 			sys.Register("ring", func(n *Node, _ []byte) {
 				me := n.ID()

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -660,6 +661,15 @@ func TestSpanMultiClientOverlap(t *testing.T) {
 	if st := sys.Node(1).Stats(); st.FaultPages <= st.FaultRounds {
 		t.Errorf("node 1 took %d rounds for %d pages: no multi-page round", st.FaultRounds, st.FaultPages)
 	}
+}
+
+// i32Bytes encodes int32s as they lie in shared memory.
+func i32Bytes(v []int32) []byte {
+	buf := make([]byte, 4*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+	}
+	return buf
 }
 
 // TestI32sMatchBytePath: the int32 bulk accessors walk pages directly for a

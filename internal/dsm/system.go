@@ -68,12 +68,6 @@ type Config struct {
 	// every episode that retires anything. Negative values are invalid
 	// (New panics); DisableGC turns the collector off.
 	GCPressure int
-	// BarrierFanin is the fan-in of the combining-tree barrier: each
-	// interior node gathers this many children before passing the
-	// combined arrival up (see barrier.go). 0 uses DefaultBarrierFanin
-	// (8), which makes the tree exactly the old flat manager for runs of
-	// at most 9 nodes.
-	BarrierFanin int
 }
 
 // GCThreshold resolves the collection threshold both triggers read. It
@@ -103,7 +97,7 @@ type System struct {
 	heapBytes int
 	acq       *acqCoord   // the collector (acqgc.go); nil when GC is off
 	purged    *homePurged // per-node purge-floor registry (flush gate)
-	fanin     int         // resolved barrier tree fan-in
+	fanin     int         // barrier tree fan-in: DefaultBarrierFanin outside tests
 	seenCheck seenCheck   // set only by tests, before Run: watches the lazy seenVC
 
 	regionsMu sync.Mutex
@@ -122,7 +116,11 @@ type System struct {
 
 // New creates a system with cfg.Procs nodes and starts their protocol
 // servers. Register parallel regions with Register, then call Run.
-func New(cfg Config) *System {
+func New(cfg Config) *System { return newSystem(cfg, DefaultBarrierFanin) }
+
+// newSystem is New with the barrier tree's fan-in, which tests narrow to
+// build deep trees at small node counts.
+func newSystem(cfg Config, fanin int) *System {
 	if cfg.Procs <= 0 {
 		panic("dsm: Config.Procs must be positive")
 	}
@@ -144,15 +142,12 @@ func New(cfg Config) *System {
 		plat:      plat,
 		sw:        network.NewSwitch(cfg.Procs, plat.UDP),
 		heapBytes: cfg.HeapBytes,
+		fanin:     fanin,
 		regions:   make(map[string]func(*Node, []byte) []byte),
 		done:      make(chan struct{}),
 	}
 	npages := cfg.HeapBytes / PageSize
 	s.purged = newHomePurged(cfg.Procs)
-	s.fanin = cfg.BarrierFanin
-	if s.fanin <= 0 {
-		s.fanin = DefaultBarrierFanin
-	}
 	if !cfg.DisableGC && cfg.Procs > 1 {
 		s.acq = newAcqCoord(cfg.Procs, cfg.GCThreshold())
 	}
