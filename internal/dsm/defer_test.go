@@ -179,10 +179,9 @@ func TestDeferredDiffServedBytesMatchEager(t *testing.T) {
 }
 
 // TestDeferredDiffInvalidationPaysEach: a write notice on a page over k+1
-// unpaid diffs charges k encodes to the node clock and settles them all;
-// the newest interval's encode stays free (ROADMAP item 13(b)). Run end to
-// end, node 1's write in the last interval does the same at the closing
-// barrier.
+// unpaid diffs charges k+1 encodes to the node clock and settles them all,
+// the newest interval's included. Run end to end, node 1's write in the
+// last interval does the same at the closing barrier.
 func TestDeferredDiffInvalidationPaysEach(t *testing.T) {
 	const rounds = 4
 	d := deferProgram(t, Config{DisableGC: true}, rounds, false)
@@ -196,19 +195,19 @@ func TestDeferredDiffInvalidationPaysEach(t *testing.T) {
 	left, twin := len(pg.unpaid), pg.twin != nil
 	paid, gauge, held := n.stats.DiffsPaid, n.stats.ProtoBytes, protoRecount(n)
 	n.mu.Unlock()
-	if want := (rounds - 1) * encodeCost(d.sys.Platform()); took != want {
+	if want := rounds * encodeCost(d.sys.Platform()); took != want {
 		t.Errorf("invalidation over %d unpaid diffs charged %d ns to the node clock, want %d", rounds, took, want)
 	}
-	if left != 0 || twin || paid != rounds-1 {
-		t.Errorf("after the invalidation: %d still unpaid, twin kept %v, %d paid; want 0, false, %d", left, twin, paid, rounds-1)
+	if left != 0 || twin || paid != rounds {
+		t.Errorf("after the invalidation: %d still unpaid, twin kept %v, %d paid; want 0, false, %d", left, twin, paid, rounds)
 	}
 	if gauge != held {
 		t.Errorf("metadata gauge %d, holds %d", gauge, held)
 	}
 
 	e := deferProgram(t, Config{DisableGC: true}, rounds, true)
-	if st := e.n0.Stats(); st.DiffsCreated != rounds || st.DiffsPaid != rounds-1 {
-		t.Errorf("end to end: %d created, %d paid; want %d, %d paid by node 1's notice", st.DiffsCreated, st.DiffsPaid, rounds, rounds-1)
+	if st := e.n0.Stats(); st.DiffsCreated != rounds || st.DiffsPaid != rounds {
+		t.Errorf("end to end: %d created, %d paid; want %d, all paid by node 1's notice", st.DiffsCreated, st.DiffsPaid, rounds)
 	}
 	e.checkGauge(t)
 }

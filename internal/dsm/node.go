@@ -359,11 +359,7 @@ func (n *Node) invalidateLocked(pg *page, ivl *interval) {
 		n.closeIntervalLocked()
 	}
 	// The modelled node encodes its kept twins before the page changes,
-	// charging its clock for each but the newest interval's, whose encode
-	// stays free until ROADMAP item 13(b).
-	if k := len(pg.unpaid); k > 0 && pg.unpaid[k-1].seq == pg.lastOwnSeq {
-		n.payLocked(pg, pg.unpaid[k-1])
-	}
+	// charging its clock for each.
 	for len(pg.unpaid) > 0 {
 		n.clock.Advance(n.payLocked(pg, pg.unpaid[0]))
 		n.stats.DiffsPaid++
