@@ -141,9 +141,11 @@ scale-race:
 # round's cost pin, a group page nobody rewrote, groups with the collector
 # off, none under a held lock, two threads of one node keeping their own
 # groups — faulting at once included: TestGroup*), and one paging
-# application whose transposes run on span rounds.
+# application whose transposes run on span rounds, and the whole pages
+# that cross as their runs against zeros (TestWholePage*: the round trip,
+# malformed items, a squash over a stale copy, a refetch after a flush).
 span-race:
-	$(GO) test -race -run 'TestSpan|TestOnePage|TestWireFetch|TestI32s|TestZeroBaseSpan|TestGroup' ./internal/dsm
+	$(GO) test -race -run 'TestSpan|TestOnePage|TestWireFetch|TestI32s|TestZeroBaseSpan|TestGroup|TestWholePage' ./internal/dsm
 	$(GO) test -race -run 'TestFaultWaitLedger' ./internal/harness
 
 # Service-mode smoke under the race detector: a short mixed stream (NOW,
@@ -185,7 +187,8 @@ bench:
 # round, a 2-node lock round trip (node 1's default client, and two
 # clients of node 1 taking turns), an 8-node region fork/join in which every node rewrites a page
 # (with its virtual time per region), makeDiff and mergeDiffs on sparse
-# and dense pages, a 64-node departure trailer's decode (fresh and duplicate records)
+# and dense pages, a whole-page reply's encode on dense, sparse and
+# all-zero pages, a 64-node departure trailer's decode (fresh and duplicate records)
 # and encode, an omp-smp program's construction, an 8-rank MPI Reduce and
 # Allgather of float payloads, one 3D-FFT transpose through its helpers,
 # one Sweep3D slab step and one Barnes tree build (fresh and into a kept

@@ -119,7 +119,8 @@ func newHybridBackend(cfg Config, islands int) *hybridBackend {
 		regions: make(map[string]func(Worker, []byte) []byte),
 		sys:     dsm.New(dsmConfig(cfg, islands)),
 	}
-	costs := dsm.ClientCosts{Lock: smpLockCost, Sema: smpSemaCost, Cond: smpCondCost}
+	plat := b.sys.Platform()
+	costs := dsm.ClientCosts{Lock: plat.SMPLock, Sema: plat.SMPSema, Cond: plat.SMPCond}
 	for i := 0; i < islands; i++ {
 		lo, hi := StaticBlock(0, procs, i, islands)
 		isl := &hybridIsland{id: i, node: b.sys.Node(i), lo: lo, hi: hi}
@@ -308,7 +309,7 @@ func (w *hybridWorker) RunParallel(region string, arg []byte) [][]byte {
 	if w.id != 0 {
 		panic("hybrid: RunParallel must be called by the master (worker 0)")
 	}
-	w.clock.Advance(smpForkCost)
+	w.clock.Advance(w.b.sys.Platform().SMPFork)
 	return w.Client.RunParallel(region, arg)
 }
 
@@ -349,7 +350,7 @@ func (w *hybridWorker) Barrier() {
 	isl.bmu.Unlock()
 	w.clock.AdvanceTo(localMax)
 	w.Client.Barrier()
-	w.clock.Advance(smpBarrierCost)
+	w.clock.Advance(w.b.sys.Platform().SMPBarrier)
 	depart := w.clock.Now()
 	for _, ch := range waiters {
 		ch <- depart

@@ -28,19 +28,13 @@ import (
 // access — so the access path takes no lock.
 //
 // Virtual-time model: every sequentially-consistent hardware primitive
-// costs a small constant (calibrated to a bus-based 200 MHz Pentium Pro
-// SMP, the hardware contemporary of the paper's testbed), and blocking
+// costs a small constant (sim.Platform's SMP* terms, calibrated to a
+// bus-based 200 MHz Pentium Pro SMP, the hardware contemporary of the
+// paper's testbed), and blocking
 // operations advance the blocked worker's clock to the virtual time of
 // the event that released it — a lock acquisition resumes no earlier
 // than the previous holder's release, a barrier departs at the latest
 // arrival, a semaphore P consumes its matching V's timestamp.
-const (
-	smpForkCost    = 2 * sim.Microsecond  // dispatch one parallel region
-	smpBarrierCost = 1 * sim.Microsecond  // centralized hardware barrier
-	smpLockCost    = 300 * sim.Nanosecond // locked read-modify-write + bus
-	smpSemaCost    = 300 * sim.Nanosecond // semaphore op on coherent memory
-	smpCondCost    = 500 * sim.Nanosecond // condvar queue operation
-)
 
 // smpAbort unwinds a worker blocked in a primitive when another worker
 // panicked and the backend is shutting down.
@@ -323,7 +317,7 @@ func (w *smpWorker) RunParallel(region string, arg []byte) [][]byte {
 	}
 	b := w.b
 	fn := b.region(region)
-	w.clock.Advance(smpForkCost)
+	w.clock.Advance(w.b.plat.SMPFork)
 	at := w.clock.Now()
 	for _, s := range b.workers[1:] {
 		select {
@@ -389,7 +383,7 @@ func (w *smpWorker) Barrier() {
 	}
 	b.barN++
 	if b.barN == b.procs {
-		b.barOut = b.barTime + smpBarrierCost
+		b.barOut = b.barTime + b.plat.SMPBarrier
 		b.barGen++
 		b.barN = 0
 		b.barTime = 0
@@ -453,7 +447,7 @@ func (w *smpWorker) Acquire(lock int) {
 	release := ls.release
 	b.mu.Unlock()
 	w.clock.AdvanceTo(release)
-	w.clock.Advance(smpLockCost)
+	w.clock.Advance(w.b.plat.SMPLock)
 }
 
 func (w *smpWorker) Release(lock int) {
@@ -475,7 +469,7 @@ func (w *smpWorker) Release(lock int) {
 // SemaSignal performs V: bank the signal's timestamp and wake a waiter.
 func (w *smpWorker) SemaSignal(sem int) {
 	b := w.b
-	w.clock.Advance(smpSemaCost)
+	w.clock.Advance(w.b.plat.SMPSema)
 	b.mu.Lock()
 	ss := b.semaFor(sem)
 	ss.signals = append(ss.signals, w.clock.Now())
@@ -499,7 +493,7 @@ func (w *smpWorker) SemaWait(sem int) {
 	ss.signals = ss.signals[1:]
 	b.mu.Unlock()
 	w.clock.AdvanceTo(at)
-	w.clock.Advance(smpSemaCost)
+	w.clock.Advance(w.b.plat.SMPSema)
 }
 
 // CondWait atomically releases the lock, blocks on the condition
@@ -542,7 +536,7 @@ func (w *smpWorker) CondWait(cond, lock int) {
 	b.mu.Unlock()
 	w.clock.AdvanceTo(wake)
 	w.clock.AdvanceTo(release)
-	w.clock.Advance(smpCondCost + smpLockCost)
+	w.clock.Advance(w.b.plat.SMPCond + w.b.plat.SMPLock)
 }
 
 func (w *smpWorker) CondSignal(cond, lock int)    { w.condNotify(cond, false) }
@@ -550,7 +544,7 @@ func (w *smpWorker) CondBroadcast(cond, lock int) { w.condNotify(cond, true) }
 
 func (w *smpWorker) condNotify(cond int, all bool) {
 	b := w.b
-	w.clock.Advance(smpCondCost)
+	w.clock.Advance(w.b.plat.SMPCond)
 	b.mu.Lock()
 	cq := b.condFor(cond)
 	if t := w.clock.Now(); t > cq.wake {

@@ -147,7 +147,8 @@ func TestFlushedCopyRebuildsInOneRound(t *testing.T) {
 	pid := PageID(int(a) / PageSize)
 	word := func(r int) []byte { return []byte{waveFill(r, 0), waveFill(r, 1), waveFill(r, 2), waveFill(r, 3)} }
 	var took sim.Time
-	var seqs [P]int // of the home's and the writer's notices
+	var seqs [P]int     // of the home's and the writer's notices
+	var homePage []byte // what the home serves: its copy as the read starts
 	var before, after NodeStats
 	var servedBefore, served [P]int64
 	homeWrote := make(chan struct{})
@@ -184,6 +185,10 @@ func TestFlushedCopyRebuildsInOneRound(t *testing.T) {
 			seqs[m.creator] = m.seq
 		}
 		n.mu.Unlock()
+		h := n.sys.Node(home)
+		h.mu.Lock()
+		homePage = bytes.Clone(h.pageFor(pid).data)
+		h.mu.Unlock()
 		for i := range served {
 			servedBefore[i] = n.sys.Node(i).Stats().Interrupts
 		}
@@ -221,17 +226,18 @@ func TestFlushedCopyRebuildsInOneRound(t *testing.T) {
 	// The home is asked for its page and its own diff, the writer for its
 	// diff; both diffs were encoded when the other's notice invalidated the
 	// writer's copy. The home's word lies 64 bytes into the page, the
-	// writer's at its start.
+	// writer's at its start. The page crosses as its runs against zeros,
+	// installed like a diff.
 	plat := sys.Platform()
 	item := func(creator, gap int) fetchItem {
 		return fetchItem{pid: pid, seq: seqs[creator], data: make([]byte, runBytes(gap, 4))}
 	}
-	hreq, hrep := fetchItemsWireLen(fetchItem{pid: pid, seq: -1, data: make([]byte, PageSize)}, item(home, 64))
+	hreq, hrep := fetchItemsWireLen(fetchItem{pid: pid, seq: -1, data: homePage}, item(home, 64))
 	fromHome := plat.UDP.Latency(hreq) + plat.RequestService + plat.PageCopy + plat.UDP.Latency(hrep)
 	wreq, wrep := fetchItemsWireLen(item(writer, 0))
 	fromWriter := plat.UDP.Latency(wreq) + plat.RequestService + plat.UDP.Latency(wrep)
 	floor := 2*plat.UDP.OneWay + sim.Time(float64(hrep+wrep)*plat.UDP.PerByteNS)
-	apply := 2 * (plat.DiffApply + sim.Time(4*plat.DiffApplyPerByte))
+	apply := pageInstall(plat, homePage) + 2*(plat.DiffApply+sim.Time(4*plat.DiffApplyPerByte))
 	if want := plat.FaultOverhead + sim.Max(sim.Max(fromHome, fromWriter), floor) + apply; took != want {
 		t.Errorf("rebuilding fault took %d ns, want one round = %d (a page round then a diff round: %d)",
 			took, want, plat.FaultOverhead+fromHome+fromWriter+apply)

@@ -64,9 +64,12 @@ func TestHomeDefaultConfigPin(t *testing.T) {
 	}{
 		// Every diff here is one 4-byte word whose run header is 2 bytes
 		// (8 before varint headers): 42 and 287 diffs served, 6 B each, left
-		// 1,228,465 and 243,425 B.
-		{1, 441, 1228213},
-		{0, 861, 241703},
+		// 1,228,465 and 243,425 B. The 294 and 49 whole pages served (the
+		// group refetches of flushed copies, the squashes of cold ones) were
+		// 4,096 B each, 1,228,213 and 241,703 B in all, until they crossed
+		// as their runs against zeros, 5,922 and 252 B in all.
+		{1, 441, 1228213 - 294*PageSize + 5922},
+		{0, 861, 241703 - 49*PageSize + 252},
 	} {
 		var msgs, bytes int64
 		for attempt := 0; attempt < 5 && bytes != tt.bytes; attempt++ {

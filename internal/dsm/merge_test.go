@@ -32,11 +32,8 @@ func diffWords(diffs ...[]byte) (wrote [PageSize / 4]bool) {
 // other words hold a second writer's values — that writer's words border
 // the first's, int32 by int32, as QSORT's subarrays do. The merged diff is
 // no longer than the diffs together nor than PageSize+3, writes exactly the
-// words they write, and a merge of one diff is that diff. The page scratch
-// starts as garbage and is never cleared.
+// words they write, and a merge of one diff is that diff.
 func TestMergeDiffsProperty(t *testing.T) {
-	img := make([]byte, PageSize)
-	rand.New(rand.NewSource(7)).Read(img)
 	var dst []byte
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -68,7 +65,7 @@ func TestMergeDiffsProperty(t *testing.T) {
 		for _, d := range diffs {
 			applyDiff(want, d)
 		}
-		dst = mergeDiffs(dst[:0], img, diffs)
+		dst = mergeDiffs(dst[:0], diffs)
 		got := bytes.Clone(req)
 		applyDiff(got, dst)
 		switch {
@@ -78,7 +75,7 @@ func TestMergeDiffsProperty(t *testing.T) {
 			t.Logf("seed %d, %d diffs: merged %d B, diffs %d B, bound %d", seed, k, len(dst), total, maxDiff)
 		case diffWords(dst) != diffWords(diffs...):
 			t.Logf("seed %d, %d diffs: merged runs cover other words than the diffs write", seed, k)
-		case !bytes.Equal(mergeDiffs(nil, img, diffs[:1]), diffs[0]):
+		case !bytes.Equal(mergeDiffs(nil, diffs[:1]), diffs[0]):
 			t.Logf("seed %d: a merge of one diff is not that diff", seed)
 		default:
 			return true
@@ -281,10 +278,10 @@ func BenchmarkMergeDiffs(b *testing.B) {
 			prev = next
 		}
 		b.Run(c.name, func(b *testing.B) {
-			img, merged := make([]byte, PageSize), make([]byte, 0, maxDiff)
+			merged := make([]byte, 0, maxDiff)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				merged = mergeDiffs(merged[:0], img, diffs)
+				merged = mergeDiffs(merged[:0], diffs)
 			}
 			b.ReportMetric(float64(len(merged)), "B/diff")
 		})

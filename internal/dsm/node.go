@@ -55,10 +55,9 @@ type Node struct {
 	// Host buffers reused under mu: twins freed at interval close
 	// (ensureWritableLocked takes from the list first), the scratch of
 	// makeDiff, putTrailer and decodeRecordsLocked, and a fetch reply's
-	// merged diffs (diffBuf again, with mergeImg: handleFetchReq).
+	// merged diffs (diffBuf again: handleFetchReq).
 	twinFree   [][]byte
 	diffBuf    []byte
-	mergeImg   []byte
 	trailerBuf []byte
 	vcBuf      VectorClock
 
@@ -680,24 +679,26 @@ func (c *Client) applyFaultLocked(pl *pagePlan, diffs map[diffKey][]byte) {
 			panic(fmt.Sprintf("dsm: node %d fetched no content for page %d", n.id, pg.id))
 		}
 		n.stats.PageFetches++
-		if pg.data == nil || pl.squashIvl != nil {
-			// A squashed fetch deliberately replaces stale local content: the
-			// source's copy reflects everything this node had observed (squash
-			// precondition), as does the home's (the flush gate held when any
-			// covered notice was dropped) — either way the whole-page base
-			// repairs a flush-truncated notice history.
-			pg.data = pl.content
-			pg.refetch = false
-			n.keepSeenLocked(pg)
-			if pl.squashIvl != nil {
-				// The source's copy bakes in at least M's history; content the
-				// source wrote beyond M is re-delivered by its future notices.
-				n.mergeAppliedLocked(pg, pl.squashIvl.vc)
-			} else {
-				// Fresh home base: home copies only move forward, so nothing
-				// baked in here needs tracking until a diff lands on it.
-				pg.appliedVC = nil
-			}
+		// A whole page is a squash or a flushed copy's refetch (planFaultLocked).
+		// A squashed fetch deliberately replaces stale local content: the
+		// source's copy reflects everything this node had observed (squash
+		// precondition), as does the home's (the flush gate held when any
+		// covered notice was dropped) — either way the whole-page base
+		// repairs a flush-truncated notice history; runs, on fresh zeros.
+		var applied int
+		if pg.data, applied = wholePage(pl.content); len(pl.content) != PageSize {
+			c.clk.Advance(n.sys.plat.DiffApply + sim.Time(float64(applied)*n.sys.plat.DiffApplyPerByte))
+		}
+		pg.refetch = false
+		n.keepSeenLocked(pg)
+		if pl.squashIvl != nil {
+			// The source's copy bakes in at least M's history; content the
+			// source wrote beyond M is re-delivered by its future notices.
+			n.mergeAppliedLocked(pg, pl.squashIvl.vc)
+		} else {
+			// Fresh home base: home copies only move forward, so nothing
+			// baked in here needs tracking until a diff lands on it.
+			pg.appliedVC = nil
 		}
 	}
 	// The whole snapshot is settled even when a squash left no diff to apply.

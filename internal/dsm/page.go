@@ -133,25 +133,34 @@ type seenCheck interface {
 // call, and copied out once: the diff is one allocation with len == cap
 // (nil when nothing differs), since it is retained until collected.
 func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
-	w := wbuf{b: scratch[:0]}
+	if grown = appendRuns(scratch[:0], data, twin); len(grown) > 0 {
+		diff = make([]byte, len(grown))
+		copy(diff, grown)
+	}
+	return diff, grown
+}
+
+// appendRuns appends to dst the runs of data against base (any base).
+func appendRuns(dst, data, base []byte) []byte {
+	w := wbuf{b: dst}
 	n := len(data)
 	i, prev := 0, 0
 	for i < n {
 		// Find the next differing word, first two equal words at a time.
-		for i+8 <= n && binary.LittleEndian.Uint64(data[i:]) == binary.LittleEndian.Uint64(twin[i:]) {
+		for i+8 <= n && binary.LittleEndian.Uint64(data[i:]) == binary.LittleEndian.Uint64(base[i:]) {
 			i += 8
 		}
-		for i < n && wordEq(data, twin, i) {
+		for i < n && wordEq(data, base, i) {
 			i += 4
 		}
 		if i >= n {
 			break
 		}
 		start := i
-		for i+8 <= n && wordsDiffer(data, twin, i) {
+		for i+8 <= n && wordsDiffer(data, base, i) {
 			i += 8
 		}
-		for i < n && !wordEq(data, twin, i) {
+		for i < n && !wordEq(data, base, i) {
 			i += 4
 		}
 		w.uv(uint64(start-prev) / 4)
@@ -159,12 +168,31 @@ func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 		w.b = append(w.b, data[start:i]...)
 		prev = i
 	}
-	if len(w.b) == 0 {
-		return nil, w.b
+	return w.b
+}
+
+// zeroPage is every page's allocation contents: a whole page's runs base.
+var zeroPage [PageSize]byte
+
+// putPage writes a whole page as a reply item: its runs against zeroPage
+// when shorter than the page, else the raw page, so an item of exactly
+// PageSize bytes is raw. The runs may overrun the page's room by 3 bytes.
+func (w *wbuf) putPage(data []byte) {
+	at := len(w.b) + 4
+	if w.b = appendRuns(binary.LittleEndian.AppendUint32(w.b, 0), data, zeroPage[:]); len(w.b)-at >= PageSize {
+		w.b = append(w.b[:at], data...)
 	}
-	diff = make([]byte, len(w.b))
-	copy(diff, w.b)
-	return diff, w.b
+	binary.LittleEndian.PutUint32(w.b[at-4:], uint32(len(w.b)-at))
+}
+
+// wholePage returns the page a whole-page reply item carries, and the bytes
+// its runs wrote on a fresh zero page (applyDiff validates every run).
+func wholePage(item []byte) (data []byte, applied int) {
+	if len(item) == PageSize {
+		return item, 0
+	}
+	data = make([]byte, PageSize)
+	return data, applyDiff(data, item)
 }
 
 // wordsDiffer reports whether the words at i and i+4 both differ.
@@ -205,16 +233,15 @@ func applyRuns(data, diff []byte, wrote []bool) int {
 }
 
 // mergeDiffs appends to dst one diff equal to applying diffs in order:
-// every word any of them wrote, at the value the last one gave it. The
-// diffs are applied to img, a PageSize scratch whose other words are never
-// read, so it needs no clearing. A merged run, like one of makeDiff's,
-// covers only written words: a word no diff wrote may hold a concurrent
-// writer's value on the requester. The result is never longer than the
-// diffs together, nor than PageSize+3.
-func mergeDiffs(dst, img []byte, diffs [][]byte) []byte {
+// every word any of them wrote, at the value the last one gave it. A
+// merged run, like one of makeDiff's, covers only written words: a word no
+// diff wrote may hold a concurrent writer's value on the requester. The
+// result is never longer than the diffs together, nor than PageSize+3.
+func mergeDiffs(dst []byte, diffs [][]byte) []byte {
+	var img [PageSize]byte
 	var wrote [PageSize / 4]bool
 	for _, d := range diffs {
-		applyRuns(img, d, wrote[:])
+		applyRuns(img[:], d, wrote[:])
 	}
 	w := wbuf{b: dst}
 	for i, prev := 0, 0; i < len(wrote); i++ {

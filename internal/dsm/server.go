@@ -185,16 +185,16 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 // with every whole page and diff the requester wants from this node, for
 // one interrupt and one reply. The contents are gathered first so the
 // reply buffer is sized once; pg.data and stored diffs are copied into it
-// under n.mu like every other served payload. A diff item with later seqs
-// is answered with their merged diff, built in the node's scratch: each
-// constituent is paid for as served, and the fold costs the server what
-// applying each constituent would have cost the requester.
+// under n.mu like every other served payload, a page by putPage. A diff
+// item with later seqs is answered with their merged diff, built in the
+// node's scratch: each constituent is paid for as served, and the fold
+// costs the server what applying each constituent would have cost.
 func (n *Node) handleFetchReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	items := decodeFetch(&r, false)
 	plat := n.sys.plat
 	service := plat.RequestService
-	size := 5 // reply bound: a count varint, then ≤ 14 header bytes an item
+	size := 5 + 3 // reply bound: a count varint, putPage's room, ≤ 14 header bytes an item
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
@@ -221,11 +221,8 @@ func (n *Node) handleFetchReq(m *network.Message) {
 				for _, d := range parts {
 					service += plat.DiffApply + sim.Time(float64(len(d))*plat.DiffApplyPerByte)
 				}
-				if n.mergeImg == nil {
-					n.mergeImg = make([]byte, PageSize)
-				}
 				start := len(merged)
-				merged = mergeDiffs(merged, n.mergeImg, parts)
+				merged = mergeDiffs(merged, parts)
 				it.data = merged[start:]
 				n.stats.DiffsMerged += int64(len(it.later))
 			}

@@ -25,39 +25,57 @@ func fetchItemsWireLen(items ...fetchItem) (req, rep int) {
 	return len(q.b), len(p.b)
 }
 
-// fetchWireLen is fetchItemsWireLen for whole pages.
-func fetchWireLen(pids ...PageID) (req, rep int) {
-	items := make([]fetchItem, len(pids))
-	for i, pid := range pids {
-		items[i] = fetchItem{pid: pid, seq: -1, data: make([]byte, PageSize)}
+// fetchWireLen is fetchItemsWireLen for whole pages of the given contents,
+// at consecutive ids from first: the reply carries each as putPage encodes it.
+func fetchWireLen(first PageID, pages ...[]byte) (req, rep int) {
+	items := make([]fetchItem, len(pages))
+	for i, data := range pages {
+		items[i] = fetchItem{pid: first + PageID(i), seq: -1, data: data}
 	}
 	return fetchItemsWireLen(items...)
 }
 
-// pageExchange is what one request for the given whole pages costs from
-// its send to its reply's arrival: both messages on the wire and one
-// service that copies every page.
-func pageExchange(plat *sim.Platform, pids ...PageID) sim.Time {
-	req, rep := fetchWireLen(pids...)
-	return plat.UDP.Latency(req) + plat.RequestService + sim.Time(len(pids))*plat.PageCopy + plat.UDP.Latency(rep)
+// pageExchange is what one request for whole pages of the given contents
+// costs from its send to the last page's install: both messages on the
+// wire, one service that copies every page, then each page's install.
+func pageExchange(plat *sim.Platform, first PageID, pages ...[]byte) sim.Time {
+	req, rep := fetchWireLen(first, pages...)
+	return plat.UDP.Latency(req) + plat.RequestService + sim.Time(len(pages))*plat.PageCopy +
+		plat.UDP.Latency(rep) + pageInstall(plat, pages...)
+}
+
+// pageInstall is what the requester pays to install whole pages of the
+// given contents: nothing for a page that crosses the wire raw, one diff
+// apply of its nonzero words for one that crosses as runs against zeros.
+func pageInstall(plat *sim.Platform, pages ...[]byte) sim.Time {
+	var cost sim.Time
+	for _, data := range pages {
+		var w wbuf
+		w.putPage(data)
+		if item := w.b[4:]; len(item) != PageSize {
+			_, applied := wholePage(item)
+			cost += plat.DiffApply + sim.Time(float64(applied)*plat.DiffApplyPerByte)
+		}
+	}
+	return cost
 }
 
 // timedSpanRead times a single cold ReadBytes of `pages` pages from
-// address 0 on the last node, after every other node has written one word
-// of each of those pages it homes — a page nobody wrote would cost the
-// reader no message at all (TestZeroBaseFirstTouch). The master writes
-// ahead of the fork, which carries its notices; other writers get a region
-// of their own first. Each page then reaches the reader with one notice,
-// whose creator — the page's home — serves it whole. It returns the read's
-// virtual duration and the finished system.
-func timedSpanRead(t *testing.T, procs, pages int) (sim.Time, *System) {
+// address 0 on the last node, after every other node has written content
+// (one page's worth) into each of those pages it homes — a page nobody
+// wrote would cost the reader no message at all (TestZeroBaseFirstTouch).
+// The master writes ahead of the fork, which carries its notices; other
+// writers get a region of their own first. Each page then reaches the
+// reader with one notice, whose creator — the page's home — serves it
+// whole. It returns the read's virtual duration and the finished system.
+func timedSpanRead(t *testing.T, procs, pages int, content []byte) (sim.Time, *System) {
 	t.Helper()
 	sys := New(Config{Procs: procs})
 	a := sys.MallocPage(pages * PageSize)
 	fill := func(n *Node) {
 		for p := 0; p < pages; p++ {
 			if n.isHome(PageID(p)) {
-				n.WriteI64(a+Addr(p*PageSize), 1)
+				n.WriteBytes(a+Addr(p*PageSize), content)
 			}
 		}
 	}
@@ -86,6 +104,31 @@ func timedSpanRead(t *testing.T, procs, pages int) (sim.Time, *System) {
 	return took, sys
 }
 
+// wordPage is a page holding one nonzero word: it crosses the wire as runs.
+func wordPage() []byte {
+	p := make([]byte, PageSize)
+	p[0] = 1
+	return p
+}
+
+// copies returns k references to one page's contents.
+func copies(page []byte, k int) [][]byte {
+	out := make([][]byte, k)
+	for i := range out {
+		out[i] = page
+	}
+	return out
+}
+
+// densePage is a page with no zero word: it crosses the wire raw.
+func densePage() []byte {
+	p := make([]byte, PageSize)
+	for i := range p {
+		p[i] = byte(i) | 1
+	}
+	return p
+}
+
 func pageRange(lo, hi int) []PageID {
 	var out []PageID
 	for p := lo; p < hi; p++ {
@@ -96,15 +139,14 @@ func pageRange(lo, hi int) []PageID {
 
 // TestSpanCostOneHome: an 8-page cold span written at one node is one
 // request and one reply, and costs one fault entry, two one-way
-// latencies, the bytes of both messages on the wire, and one request
-// service that copies eight pages.
+// latencies, the bytes of both messages on the wire, one request service
+// that copies eight pages, and the installs of eight one-word pages.
 func TestSpanCostOneHome(t *testing.T) {
-	took, sys := timedSpanRead(t, 2, HomeBlockPages)
+	took, sys := timedSpanRead(t, 2, HomeBlockPages, wordPage())
 	plat := sys.Platform()
-	req, rep := fetchWireLen(pageRange(0, HomeBlockPages)...)
-	want := plat.FaultOverhead + plat.UDP.Latency(req) + plat.RequestService +
-		HomeBlockPages*plat.PageCopy + plat.UDP.Latency(rep)
-	if took != want {
+	pages := copies(wordPage(), HomeBlockPages)
+	_, rep := fetchWireLen(0, pages...)
+	if want := plat.FaultOverhead + pageExchange(plat, 0, pages...); took != want {
 		t.Errorf("8-page span from one home took %d ns, want %d", took, want)
 	}
 	st := sys.Switch().Stats()
@@ -128,13 +170,13 @@ func TestSpanCostOneHome(t *testing.T) {
 // byte — not the single-source time two overlapping replies would give.
 // Removing the floor in faultRoundLocked fails this test.
 func TestSpanCostTwoHomesHitsInboundFloor(t *testing.T) {
-	took, sys := timedSpanRead(t, 3, 2*HomeBlockPages)
+	took, sys := timedSpanRead(t, 3, 2*HomeBlockPages, densePage())
 	plat := sys.Platform()
-	req0, rep0 := fetchWireLen(pageRange(0, HomeBlockPages)...)
-	_, rep1 := fetchWireLen(pageRange(HomeBlockPages, 2*HomeBlockPages)...)
+	pages := copies(densePage(), HomeBlockPages)
+	_, rep0 := fetchWireLen(0, pages...)
+	_, rep1 := fetchWireLen(HomeBlockPages, pages...)
 	floor := plat.FaultOverhead + 2*plat.UDP.OneWay + sim.Time(float64(rep0+rep1)*plat.UDP.PerByteNS)
-	oneSource := plat.FaultOverhead + plat.UDP.Latency(req0) + plat.RequestService +
-		HomeBlockPages*plat.PageCopy + plat.UDP.Latency(rep0)
+	oneSource := plat.FaultOverhead + pageExchange(plat, 0, pages...)
 	if floor <= oneSource {
 		t.Fatalf("test premise: floor %d ns must exceed the one-source time %d ns", floor, oneSource)
 	}
@@ -147,23 +189,30 @@ func TestSpanCostTwoHomesHitsInboundFloor(t *testing.T) {
 	}
 }
 
-// TestOnePageFaultCosts pins the three one-page fault costs — cold page
-// (one the master wrote before the fork: a page nobody wrote costs no
-// message, see TestZeroBaseFirstTouch), one-word diff, full-page diff —
-// computed from the encoded request and reply and, on the default platform,
-// as absolute nanoseconds: one source, so the inbound-link floor lies below
-// the reply's own arrival and the round costs the exchange alone. The
-// scenario is harness.Micro's; GC is off so no barrier can turn the diff
-// fetch into a flush and refetch.
+// TestOnePageFaultCosts pins the one-page fault costs — cold page (one the
+// master wrote before the fork: a page nobody wrote costs no message, see
+// TestZeroBaseFirstTouch), one-word diff, full-page diff — computed from
+// the encoded request and reply and, on the default platform, as absolute
+// nanoseconds: one source, so the inbound-link floor lies below the reply's
+// own arrival and the round costs the exchange alone. The master's cold
+// page holds one word, which crosses the wire as runs against zeros, or no
+// zero word at all, which crosses raw at the page's full cost. The scenario
+// is harness.Micro's; GC is off so no barrier can turn the diff fetch into
+// a flush and refetch.
 func TestOnePageFaultCosts(t *testing.T) {
+	oneWord := make([]byte, PageSize)
+	binary.LittleEndian.PutUint64(oneWord[8:], 7)
 	for _, tt := range []struct {
+		cold            []byte
 		full            bool
 		coldNS, fetchNS sim.Time
 	}{
 		// A diff's 2-byte (3-byte for a whole page) run header replaced an
-		// 8-byte one: 6 and 5 B less at the wire's 90 ns/B.
-		{false, 565540, 283920},
-		{true, 565540, 693210},
+		// 8-byte one: 6 and 5 B less at the wire's 90 ns/B. The one-word
+		// cold page read 565540 while whole pages crossed raw.
+		{oneWord, false, 207480, 283920},
+		{oneWord, true, 207480, 693210},
+		{densePage(), true, 565540, 693210},
 	} {
 		sys := New(Config{Procs: 2, DisableGC: true})
 		a := sys.MallocPage(PageSize)
@@ -199,13 +248,13 @@ func TestOnePageFaultCosts(t *testing.T) {
 			}
 		})
 		if err := sys.Run(func(n *Node) {
-			n.WriteI64(a+8, 7)
+			n.WriteBytes(a, tt.cold)
 			n.RunParallel("one", nil)
 		}); err != nil {
 			t.Fatal(err)
 		}
 		plat := sys.Platform()
-		wantCold := plat.FaultOverhead + pageExchange(plat, pid)
+		wantCold := plat.FaultOverhead + pageExchange(plat, pid, tt.cold)
 		if cold != wantCold || cold != tt.coldNS {
 			t.Errorf("cold page fault took %d ns, want %d (pinned %d)", cold, wantCold, tt.coldNS)
 		}
@@ -309,9 +358,9 @@ func TestOnePageTwoWritersHitInboundFloor(t *testing.T) {
 // message types must not fall into the synchronization residue — and the
 // synchronization category is exactly fork, join and shutdown.
 func TestSpanTrafficAttribution(t *testing.T) {
-	_, sys := timedSpanRead(t, 2, 2*HomeBlockPages)
+	_, sys := timedSpanRead(t, 2, 2*HomeBlockPages, wordPage())
 	// Node 1 homes pages 8-15 itself; pages 0-7 come from node 0.
-	req, rep := fetchWireLen(pageRange(0, HomeBlockPages)...)
+	req, rep := fetchWireLen(0, copies(wordPage(), HomeBlockPages)...)
 	hdr := sys.Platform().UDP.HeaderBytes
 	b := sys.Report()
 	if b.PageMsgs != 2 || b.PageBytes != int64(req+rep+2*hdr) {

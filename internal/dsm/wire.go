@@ -304,11 +304,11 @@ type fetchItem struct {
 
 // encodeFetch writes a fetch exchange's item list: the count, then per item
 // uv(pid), uv(seq+1) — 0 names the whole page — and, in a reply, the
-// length-prefixed content. A reply's count is uv(count). A request's is
-// uv(2·count + grouped), still one byte at the HomeBlockPages cap; only a
-// grouped request gives each diff item uv(k) and its k later seqs, each as
-// uv(the gap from the seq before it), so a request that merges nothing
-// spends no byte on grouping.
+// length-prefixed content (a page's as putPage). A reply's count is
+// uv(count). A request's is uv(2·count + grouped), still one byte at the
+// HomeBlockPages cap; only a grouped request gives each diff item uv(k)
+// and its k later seqs, each as uv(the gap from the seq before it), so a
+// request that merges nothing spends no byte on grouping.
 func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
 	grouped := !reply && slices.ContainsFunc(items, func(it fetchItem) bool { return len(it.later) > 0 })
 	switch {
@@ -330,7 +330,10 @@ func encodeFetch(w *wbuf, items []fetchItem, reply bool) {
 				prev = s
 			}
 		}
-		if reply {
+		switch {
+		case reply && it.seq < 0:
+			w.putPage(it.data)
+		case reply:
 			w.bytes(it.data)
 		}
 	}
@@ -375,7 +378,9 @@ func decodeFetch(r *rbuf, reply bool) []fetchItem {
 			}
 		}
 		if reply {
-			it.data = r.view()
+			if it.data = r.view(); it.seq < 0 && len(it.data) > PageSize {
+				panic(wireErrf("dsm: whole-page item of %d bytes for page %d", len(it.data), it.pid))
+			}
 		}
 	}
 	return items

@@ -246,7 +246,10 @@ func randFetchItems(rnd *rand.Rand, count int, reply bool) []fetchItem {
 		if rnd.Intn(3) == 0 {
 			items[i].seq = -1
 		}
-		if reply {
+		switch {
+		case reply && items[i].seq < 0:
+			items[i].data = randPage(rnd)
+		case reply:
 			items[i].data = make([]byte, rnd.Intn(64))
 			rnd.Read(items[i].data)
 		}
@@ -269,7 +272,11 @@ func TestWireFetchRoundTrip(t *testing.T) {
 			return false
 		}
 		for i, it := range items {
-			if got[i].pid != it.pid || got[i].seq != it.seq || !bytes.Equal(got[i].data, it.data) {
+			data := got[i].data
+			if reply && it.seq < 0 {
+				data, _ = wholePage(data)
+			}
+			if got[i].pid != it.pid || got[i].seq != it.seq || !bytes.Equal(data, it.data) {
 				return false
 			}
 			if reply && cap(got[i].data) != len(got[i].data) {
@@ -832,6 +839,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(grantWithData(recs))
 	diff, _ := multiRunDiff()
 	f.Add(diff)
+	// A whole page as runs, and the whole-page items a requester refuses.
+	var pw wbuf
+	encodeFetch(&pw, []fetchItem{{pid: 3, seq: -1, data: wordPage()}}, true)
+	f.Add(pw.b)
+	for _, bad := range wholePageMalformed() {
+		f.Add(bad)
+	}
 
 	decoders := []func(b []byte){
 		func(b []byte) {
@@ -855,7 +869,11 @@ func FuzzWireDecode(f *testing.F) {
 		},
 		func(b []byte) {
 			r := rbuf{b: b}
-			decodeFetch(&r, true)
+			for _, it := range decodeFetch(&r, true) {
+				if it.seq < 0 {
+					wholePage(it.data) // the install validates a page's runs
+				}
+			}
 		},
 		func(b []byte) {
 			r := rbuf{b: b}

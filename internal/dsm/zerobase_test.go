@@ -213,7 +213,9 @@ func TestZeroBaseSpanOfOneWrittenPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	plat := sys.Platform()
-	if want := plat.FaultOverhead + pageExchange(plat, PageID(int(a)/PageSize+1)); took != want {
+	middle := make([]byte, PageSize)
+	middle[0] = 9
+	if want := plat.FaultOverhead + pageExchange(plat, PageID(int(a)/PageSize+1), middle); took != want {
 		t.Errorf("span with one written page took %d ns, want the one-page cold fault %d", took, want)
 	}
 	st := sys.Node(1).Stats()

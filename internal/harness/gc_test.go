@@ -257,12 +257,13 @@ func TestAblationGCTriggerGrid(t *testing.T) {
 	}
 }
 
-// TestAblationGCWaterAmortizes pins what collecting under pressure buys on
-// the real workload (the synthetic iteration kernel is flush-bound, where
-// every-episode validation happens to be cheap — see the ROADMAP's
-// validate-vs-flush item): on Water, collecting only when the floor retires
-// enough metadata recovers most of the every-episode overhead while still
-// collecting and bounding the chain below the GC-off run.
+// TestAblationGCWaterAmortizes pins what collecting costs on the real
+// workload: on Water, collecting at every episode costs less than a tenth
+// over never collecting, since a flushed copy's refetch ships only its
+// nonzero words (it cost a third more while a refetch shipped the whole
+// page, and the low threshold recovered most of that); collecting only
+// when the floor retires enough metadata still collects and bounds the
+// chain below the GC-off run.
 func TestAblationGCWaterAmortizes(t *testing.T) {
 	rows, err := AblationGCWater(8, 8)
 	if err != nil {
@@ -273,8 +274,8 @@ func TestAblationGCWaterAmortizes(t *testing.T) {
 		byMode[r.Mode] = r
 	}
 	every, low, off := byMode["every"], byMode["low"], byMode["off"]
-	if low.Time >= every.Time {
-		t.Errorf("the low threshold (%s) did not amortize the every-episode cost (%s)", low.Time, every.Time)
+	if every.Time > off.Time+off.Time/10 {
+		t.Errorf("collecting at every episode (%s) cost more than a tenth over GC off (%s)", every.Time, off.Time)
 	}
 	if low.GCEpochs == 0 || low.GCEpochs >= low.GCEpisodes {
 		t.Errorf("low threshold: epochs %d not a proper fraction of episodes %d", low.GCEpochs, low.GCEpisodes)

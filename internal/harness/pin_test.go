@@ -25,6 +25,13 @@ import (
 //     a fault asks for diffs follows the lock-grant order (omp 987-1,401
 //     over 120 runs, tmk 1,099-1,423 over -count=40; the every-episode
 //     schedule's 1,651 and 1,667 still land outside the bands).
+//   - A whole page crosses the wire as its runs against zeros. The zero
+//     words that no longer travel are the same on every run: 147,366 B of
+//     3D-FFT/omp's 48 whole pages, 175,912 B of 3D-FFT/tmk's 55, and
+//     158,029 B of Water/omp's and 190,684 B of Water/tmk's (79-107 pages:
+//     a page more or fewer squashes, but those are dense). Each byte pin is
+//     the total before less those bytes, in a band as wide in bytes as
+//     before: the wobble is in the diffs and deltas, which did not change.
 //
 // A negative count or a zero checksum means "not pinned". Virtual time is
 // not pinned anywhere: it is not stable for Water.
@@ -55,10 +62,10 @@ var cellPins = []cellPin{
 	{app: "LU", impl: OMPSMP, checksum: 0x40a50eb039314cb1},
 	{app: "Barnes", impl: OMPSMP, checksum: 0x4061d4e1dac3494a},
 
-	{app: "3D-FFT", impl: OMP, msgs: 581, msgTol: 0.03, bytes: 356500, byteTol: 0.015, checksum: 0x4081b9b77c62832b},
-	{app: "3D-FFT", impl: Tmk, msgs: 497, bytes: 376700, byteTol: 0.01, checksum: 0x4081b9b77c62832b},
-	{app: "Water", impl: OMP, msgs: 1195, msgTol: 0.18, bytes: 860000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
-	{app: "Water", impl: Tmk, msgs: 1260, msgTol: 0.15, bytes: 889000, byteTol: 0.02, checksum: 0x40ad443025918a2e},
+	{app: "3D-FFT", impl: OMP, msgs: 581, msgTol: 0.03, bytes: 356500 - 147366, byteTol: 0.015 * 356500 / (356500 - 147366), checksum: 0x4081b9b77c62832b},
+	{app: "3D-FFT", impl: Tmk, msgs: 497, bytes: 376700 - 175912, byteTol: 0.01 * 376700 / (376700 - 175912), checksum: 0x4081b9b77c62832b},
+	{app: "Water", impl: OMP, msgs: 1195, msgTol: 0.18, bytes: 860000 - 158029, byteTol: 0.02 * 860000 / (860000 - 158029), checksum: 0x40ad443025918a2e},
+	{app: "Water", impl: Tmk, msgs: 1260, msgTol: 0.15, bytes: 889000 - 190684, byteTol: 0.02 * 889000 / (889000 - 190684), checksum: 0x40ad443025918a2e},
 	{app: "LU", impl: OMP, msgs: -1, bytes: -1, checksum: 0x40a50eb039314cb1},
 }
 

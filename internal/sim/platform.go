@@ -63,6 +63,14 @@ type Platform struct {
 	// MPIOverhead is the per-call software overhead of the MPI library on
 	// top of raw TCP transmission.
 	MPIOverhead Time
+
+	// The hardware shared-memory primitives of the SMP backend and of the
+	// hybrid backend's islands, calibrated to a bus-based 200 MHz Pentium
+	// Pro SMP: dispatching one parallel region, a centralized hardware
+	// barrier, a locked read-modify-write plus its bus transaction, a
+	// semaphore operation on coherent memory, and a condition variable's
+	// queue operation.
+	SMPFork, SMPBarrier, SMPLock, SMPSema, SMPCond Time
 }
 
 // WireProfile is the timing model of one transport: a message of n payload
@@ -119,6 +127,12 @@ func DefaultPlatform() *Platform {
 		FaultOverhead: 30 * Microsecond,
 
 		MPIOverhead: 20 * Microsecond,
+
+		SMPFork:    2 * Microsecond,
+		SMPBarrier: 1 * Microsecond,
+		SMPLock:    300 * Nanosecond,
+		SMPSema:    300 * Nanosecond,
+		SMPCond:    500 * Nanosecond,
 	}
 }
 
