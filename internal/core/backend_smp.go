@@ -30,11 +30,11 @@ import (
 // Virtual-time model: every sequentially-consistent hardware primitive
 // costs a small constant (sim.Platform's SMP* terms, calibrated to a
 // bus-based 200 MHz Pentium Pro SMP, the hardware contemporary of the
-// paper's testbed), and blocking
-// operations advance the blocked worker's clock to the virtual time of
-// the event that released it — a lock acquisition resumes no earlier
-// than the previous holder's release, a barrier departs at the latest
-// arrival, a semaphore P consumes its matching V's timestamp.
+// paper's testbed), and blocking operations advance the blocked worker's
+// clock to the virtual time of the event that released it — a lock
+// acquisition resumes no earlier than the previous holder's release, a
+// barrier departs at the latest arrival, a semaphore P consumes its
+// matching V's timestamp.
 
 // smpAbort unwinds a worker blocked in a primitive when another worker
 // panicked and the backend is shutting down.

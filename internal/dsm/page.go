@@ -142,7 +142,6 @@ func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 
 // appendRuns appends to dst the runs of data against base (any base).
 func appendRuns(dst, data, base []byte) []byte {
-	w := wbuf{b: dst}
 	n := len(data)
 	i, prev := 0, 0
 	for i < n {
@@ -163,12 +162,11 @@ func appendRuns(dst, data, base []byte) []byte {
 		for i < n && !wordEq(data, base, i) {
 			i += 4
 		}
-		w.uv(uint64(start-prev) / 4)
-		w.uv(uint64(i-start) / 4)
-		w.b = append(w.b, data[start:i]...)
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(start-prev)/4), uint64(i-start)/4)
+		dst = append(dst, data[start:i]...)
 		prev = i
 	}
-	return w.b
+	return dst
 }
 
 // zeroPage is every page's allocation contents: a whole page's runs base.

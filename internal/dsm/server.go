@@ -184,17 +184,18 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 // fetch exchange (Client.fetchLocked — a fault round's or a collector wave's)
 // with every whole page and diff the requester wants from this node, for
 // one interrupt and one reply. The contents are gathered first so the
-// reply buffer is sized once; pg.data and stored diffs are copied into it
-// under n.mu like every other served payload, a page by putPage. A diff
-// item with later seqs is answered with their merged diff, built in the
-// node's scratch: each constituent is paid for as served, and the fold
-// costs the server what applying each constituent would have cost.
+// reply buffer is sized once, to fit (a page's runs are encoded twice for
+// that); the contents are copied into it under n.mu like every other
+// served payload. A diff item with later seqs is answered with their
+// merged diff, built in the node's scratch: each constituent is paid for
+// as served, and the fold costs what applying each would the requester.
 func (n *Node) handleFetchReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	items := decodeFetch(&r, false)
 	plat := n.sys.plat
 	service := plat.RequestService
-	size := 5 + 3 // reply bound: a count varint, putPage's room, ≤ 14 header bytes an item
+	size := 5 + 3               // reply bound: a count varint, putPage's room, ≤ 14 header bytes an item
+	var runs [PageSize + 3]byte // a page's runs against zeros, to size its item
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
@@ -207,6 +208,7 @@ func (n *Node) handleFetchReq(m *network.Message) {
 		if it.seq < 0 {
 			it.data = n.servePageLocked(it.pid)
 			service += plat.PageCopy
+			size -= PageSize - min(PageSize, len(appendRuns(runs[:0], it.data, zeroPage[:])))
 		} else {
 			var cost sim.Time
 			it.data, cost = n.serveDiffLocked(it.pid, it.seq)

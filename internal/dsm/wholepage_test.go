@@ -78,12 +78,6 @@ func TestWholePageRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The shapes' extremes: zeros travel as nothing, a dense page raw.
-	var w wbuf
-	w.putPage(make([]byte, PageSize))
-	if len(w.b) != 4 {
-		t.Errorf("an all-zero page is a %d-byte item, want 0", len(w.b)-4)
-	}
 }
 
 // TestWholePageMalformedItems: a reply's whole-page item that is longer
@@ -280,10 +274,11 @@ func TestWholePageRefetchAfterFlush(t *testing.T) {
 	}
 }
 
-// BenchmarkServeWholePage is the server's side of a whole-page reply: one
-// item encoded into a reply buffer sized as handleFetchReq sizes it, as the
-// page's runs against zeros or, on a dense page, raw. The reply buffer is
-// the one allocation: the runs are written straight into it.
+// BenchmarkServeWholePage is the server's side of a whole-page reply: the
+// page's runs against zeros sized on the stack, then one item encoded into
+// a reply buffer of that size, as handleFetchReq does: as runs or, on a
+// dense page, raw. The reply buffer is the one allocation: the runs are
+// written straight into it.
 func BenchmarkServeWholePage(b *testing.B) {
 	sparse := make([]byte, PageSize)
 	for w := 0; w < PageSize/4; w += 16 {
@@ -296,9 +291,11 @@ func BenchmarkServeWholePage(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			items := []fetchItem{{pid: 3, seq: -1, data: c.page}}
 			var w wbuf
+			var runs [PageSize + 3]byte
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w = wbuf{b: make([]byte, 0, 5+3+14+PageSize)}
+				size := 5 + 3 + 14 + min(PageSize, len(appendRuns(runs[:0], c.page, zeroPage[:])))
+				w = wbuf{b: make([]byte, 0, size)}
 				encodeFetch(&w, items, true)
 			}
 			b.ReportMetric(float64(len(w.b)), "B/reply")
