@@ -140,7 +140,7 @@ func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
 	return diff, grown
 }
 
-// appendRuns appends to dst the runs of data against base (any base).
+// appendRuns appends to dst the runs of data against base: makeDiff's encoding.
 func appendRuns(dst, data, base []byte) []byte {
 	n := len(data)
 	i, prev := 0, 0

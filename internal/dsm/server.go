@@ -184,11 +184,11 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 // fetch exchange (Client.fetchLocked — a fault round's or a collector wave's)
 // with every whole page and diff the requester wants from this node, for
 // one interrupt and one reply. The contents are gathered first so the
-// reply buffer is sized once, to fit (a page's runs are encoded twice for
-// that); the contents are copied into it under n.mu like every other
-// served payload. A diff item with later seqs is answered with their
-// merged diff, built in the node's scratch: each constituent is paid for
-// as served, and the fold costs what applying each would the requester.
+// reply is sized once, to fit (a page's runs are encoded twice for that),
+// and copied into it under n.mu like every other served payload. A diff
+// item with later seqs is answered with their merged diff, built in the
+// node's scratch: each constituent is paid for as served, and the fold
+// costs the server what applying each would have cost the requester.
 func (n *Node) handleFetchReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	items := decodeFetch(&r, false)
