@@ -153,13 +153,49 @@ func TestReplyRouterReverseGrants(t *testing.T) {
 // client of node 1 acquires it (request, grant) and releases it, then
 // node 0 takes it back (forward, grant). "classic" runs node 1's default
 // client; "two-clients" alternates two clients added to node 1, so each
-// grant routes by its tag.
+// grant routes by its tag. "sema" is node 1 signalling (signal, ack) and
+// waiting (wait, grant) on a semaphore node 0 manages, then node 0 doing
+// both at home; "cond" is node 1 waiting on a condition of the lock
+// (request, grant, registration, ack) while node 0 takes the lock (forward,
+// grant), signals at home and hands it back (grant).
 func BenchmarkLockRoundTrip(b *testing.B) {
-	const lock = 0
+	const lock, sem, cond = 0, 0, 0
+	lockTurn := func(cl *Client, go0 func()) {
+		cl.Acquire(lock)
+		cl.Release(lock)
+		go0()
+	}
+	lockHome := func(n *Node) {
+		n.Acquire(lock)
+		n.Release(lock)
+	}
 	for _, tc := range []struct {
 		name    string
 		clients int
-	}{{"classic", 0}, {"two-clients", 2}} {
+		at1     func(cl *Client, go0 func()) // node 1's turn; calls go0 once
+		at0     func(n *Node)
+	}{
+		{"classic", 0, lockTurn, lockHome},
+		{"two-clients", 2, lockTurn, lockHome},
+		{"sema", 0, func(cl *Client, go0 func()) {
+			cl.SemaSignal(sem)
+			cl.SemaWait(sem)
+			go0()
+		}, func(n *Node) {
+			n.SemaSignal(sem)
+			n.SemaWait(sem)
+		}},
+		{"cond", 0, func(cl *Client, go0 func()) {
+			cl.Acquire(lock)
+			go0()
+			cl.CondWait(cond, lock)
+			cl.Release(lock)
+		}, func(n *Node) {
+			n.Acquire(lock)
+			n.CondSignal(cond, lock)
+			n.Release(lock)
+		}},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			sys := New(Config{Procs: 2})
@@ -171,8 +207,7 @@ func BenchmarkLockRoundTrip(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						turn1 <- struct{}{}
 						<-turn0
-						n.Acquire(lock)
-						n.Release(lock)
+						tc.at0(n)
 					}
 					b.StopTimer()
 					close(turn1)
@@ -186,14 +221,12 @@ func BenchmarkLockRoundTrip(b *testing.B) {
 						cls = append(cls, n.NewClient(&clks[k], ClientCosts{}))
 					}
 				}
+				go0 := func() { turn0 <- struct{}{} }
 				for i := 0; ; i++ {
 					if _, ok := <-turn1; !ok {
 						break
 					}
-					cl := cls[i%len(cls)]
-					cl.Acquire(lock)
-					cl.Release(lock)
-					turn0 <- struct{}{}
+					tc.at1(cls[i%len(cls)], go0)
 				}
 				for _, cl := range cls {
 					n.AdvanceClockTo(cl.Now())
