@@ -68,13 +68,17 @@ smp-race:
 # of a default node passing a lock, semaphores and a condition; tagged
 # grants arriving in reverse request order; a malformed reply ending the
 # run with an error), the page walk every typed access goes through
-# (TestPageWalkAccessors) and the node engine lock that keeps an island's
-# flushes apart (TestIslandFlushesTakeTheEngine). Like smp-race it runs
-# early in ci so an island-teams ordering bug fails in seconds.
+# (TestPageWalkAccessors), the node engine lock that keeps an island's
+# flushes apart (TestIslandFlushesTakeTheEngine) and the one manager
+# round every lock, semaphore, condition and flush request takes: its
+# traffic pins, the semaphore, condition-variable, lock-chain and flush
+# suites, a malformed request ending the run with an error, and an island
+# thread releasing or waiting on a lock its mate holds. Like smp-race it
+# runs early in ci so an island-teams ordering bug fails in seconds.
 hybrid-race:
 	$(GO) test -race -run 'TestBackendConformance|TestHybrid|TestReduction' ./internal/core
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
-	$(GO) test -race -run 'TestLockGrantIsland|TestReplyRouter|TestMalformedReply|TestPageWalkAccessors|TestIslandFlushesTakeTheEngine' ./internal/dsm
+	$(GO) test -race -run 'TestLockGrantIsland|TestReplyRouter|TestMalformedReply|TestPageWalkAccessors|TestIslandFlushesTakeTheEngine|TestSyncRound|TestSemaphore|TestConditionVariable|TestCondWait|TestLockChain|TestFlush|TestMalformedSyncRequest|TestSyncNonHolder' ./internal/dsm
 
 # GC smoke under the race detector: the GC property suite (randomized
 # lock/sema/cond interleavings, coordinator invariants — the episode
@@ -161,7 +165,8 @@ serve-race:
 
 # Short coverage-guided fuzz pass over the wire decoders (trailer,
 # vector clock, frame envelope, the join's trailer-then-tail, the lock
-# grant's trailer-then-data, and the fetch exchange's request and reply):
+# grant's trailer-then-data, the fetch exchange's request and reply, and
+# every synchronization request of the manager round):
 # the seeds replay instantly, then a few seconds of mutation hunt for
 # panics that escape the wireError bound. The second target decodes the
 # trailer against a receiver's interval store as well and fails unless both

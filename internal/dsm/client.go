@@ -159,7 +159,7 @@ func (n *Node) unwrapReplyBatch(m *network.Message) *network.Message {
 // recvReply reads the node's wire reply channel itself and hands a reply
 // meant for another client to that client's waiter, or to the backlog
 // if the client is not waiting yet. The protocol server routes a reply
-// to its own node (sendOrSelfLocked) the same way.
+// to its own node (sendGrantLocked) the same way.
 // ---------------------------------------------------------------------
 
 type routeKey struct {

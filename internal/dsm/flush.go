@@ -1,9 +1,5 @@
 package dsm
 
-import (
-	"repro/internal/network"
-)
-
 // Flush implements the OpenMP flush directive the paper argues should be
 // removed (Section 3.2.3): "Without knowing which thread is waiting for
 // the condition, the flushing thread has to notify all other threads of
@@ -17,6 +13,12 @@ import (
 // NewClient added holds the node's engine lock throughout: the
 // acknowledgments route by type alone and come from remote servers, never
 // from island-mates.
+//
+// The flush is the round's request sent to every other node, whose server
+// takes the pushed write notices (invalidating pages) and acknowledges.
+// The incorporation is what lets a busy-wait reader eventually observe the
+// flushed value; the interrupt charge is the "unnecessary disturbance" of
+// uninvolved nodes.
 func (c *Client) Flush() {
 	n := c.n
 	if c.tag != 0 {
@@ -30,36 +32,13 @@ func (c *Client) Flush() {
 		n.stats.Flushes++
 		n.closeIntervalLocked()
 		for j := 0; j < procs; j++ {
-			if j == n.id {
-				continue
+			if j != n.id {
+				c.requestLocked(msgFlush, j, syncReq{})
 			}
-			var w wbuf
-			putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[j]))
-			n.noteSentLocked(j)
-			// Sent under mu: atomic with the estimate update.
-			n.ep.SendAt(j, msgFlush, network.ClassRequest, w.b, c.clk.Now())
 		}
 	}()
-	if procs == 1 {
-		return
-	}
-	for i := 0; i < procs-1; i++ {
+	for range procs - 1 {
 		c.recvReply(msgFlushAck, 0)
 	}
 	c.gcSyncHook(true)
-}
-
-// handleFlush runs on every other node's protocol server: incorporate the
-// pushed write notices (invalidating pages) and acknowledge. The
-// incorporation is what lets a busy-wait reader eventually observe the
-// flushed value; the interrupt charge is the "unnecessary disturbance" of
-// uninvolved nodes.
-func (n *Node) handleFlush(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	at := m.Arrive + n.sys.plat.RequestService
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	n.takeTrailerLocked(&r, m.From)
-	n.ep.SendAt(m.From, msgFlushAck, network.ClassReply, nil, at)
 }

@@ -47,13 +47,13 @@ type lockState struct {
 	held      bool
 	holderTag uint32 // tag of the local client holding it (self-deadlock check)
 	haveToken bool
-	pending   []pendingReq // forwarded requests awaiting our release
+	pending   []waiter // forwarded requests awaiting our release
 
 	// multi-client (island) side
-	localQ         []localLockWaiter // island threads awaiting a local handoff
-	localRelease   sim.Time          // latest local release (bus-scale handoff coupling)
-	reqOutstanding bool              // a local client's acquire request is in flight
-	localStreak    int               // consecutive local handoffs past a pending global request
+	localQ         []waiter // island threads awaiting a local handoff
+	localRelease   sim.Time // latest local release (bus-scale handoff coupling)
+	reqOutstanding bool     // a local client's acquire request is in flight
+	localStreak    int      // consecutive local handoffs past a pending global request
 
 	// the lock's data, in insertion order (grants are deterministic)
 	data   []PageID
@@ -93,19 +93,6 @@ type localWake struct {
 	retry bool
 }
 
-// localLockWaiter is one island thread parked for a local lock handoff;
-// the releaser transfers ownership under n.mu and posts its release time.
-type localLockWaiter struct {
-	tag uint32
-	ch  chan localWake
-}
-
-type pendingReq struct {
-	from int
-	tag  uint32
-	vc   VectorClock
-}
-
 func (n *Node) lockMgr(id int) int {
 	p := n.sys.cfg.Procs
 	return ((id % p) + p) % p
@@ -115,10 +102,8 @@ func (n *Node) lockMgr(id int) int {
 func (n *Node) lockFor(id int) *lockState {
 	ls, ok := n.locks[id]
 	if !ok {
-		ls = &lockState{lastReq: n.lockMgr(id), inData: map[PageID]bool{}}
-		if n.id == n.lockMgr(id) {
-			ls.haveToken = true // the token starts at the manager
-		}
+		mgr := n.lockMgr(id)
+		ls = &lockState{lastReq: mgr, haveToken: n.id == mgr, inData: map[PageID]bool{}} // the token starts at the manager
 		n.locks[id] = ls
 	}
 	return ls
@@ -128,109 +113,62 @@ func (n *Node) lockFor(id int) *lockState {
 func (c *Client) Acquire(id int) {
 	n := c.n
 	entered := c.clk.Now()
-retry:
-	n.mu.Lock()
-	ls := n.lockFor(id)
-	if ls.held || ls.reqOutstanding {
-		if n.oneClientLocked() {
-			panic(fmt.Sprintf("dsm: node %d re-acquired held lock %d", n.id, id))
+	for {
+		n.mu.Lock()
+		ls := n.lockFor(id)
+		if !ls.held && !ls.reqOutstanding && (!ls.haveToken || len(ls.pending) > 0) {
+			ls.reqOutstanding = true
+			n.mu.Unlock()
+			c.round(msgAcqReq, n.lockMgr(id), syncReq{id: id}, &n.stats.LockAcquires, entered, c.costs.Lock, &n.stats.LockWait)
+			break
 		}
-		if ls.held && ls.holderTag == c.tag {
-			panic(fmt.Sprintf("dsm: node %d client re-acquired held lock %d", n.id, id))
-		}
-		// An island-mate holds the lock (or is already fetching the
-		// token): park on the local queue. The waker transfers ownership
-		// under n.mu, so a non-retry wake means the lock is ours.
-		ch := make(chan localWake, 1)
-		ls.localQ = append(ls.localQ, localLockWaiter{tag: c.tag, ch: ch})
 		n.stats.LockAcquires++
 		n.stats.LockLocal++
-		n.mu.Unlock()
-		var w localWake
-		select {
-		case w = <-ch:
-		case <-n.sys.done:
-			panic(abortError{cause: "switch shut down"})
+		w := localWake{rel: ls.localRelease}
+		if ls.held || ls.reqOutstanding {
+			if n.oneClientLocked() || ls.held && ls.holderTag == c.tag {
+				panic(fmt.Sprintf("dsm: node %d client %d re-acquired held lock %d", n.id, c.tag, id))
+			}
+			// An island-mate holds the lock (or is already fetching the
+			// token): park on the local queue. The waker transfers ownership
+			// under n.mu, so a non-retry wake means the lock is ours.
+			ch := make(chan localWake, 1)
+			ls.localQ = append(ls.localQ, waiter{tag: c.tag, ch: ch})
+			n.mu.Unlock()
+			select {
+			case w = <-ch:
+			case <-n.sys.done:
+				panic(abortError{cause: "switch shut down"})
+			}
+		} else {
+			// Free local re-acquire: no messages, no new consistency info.
+			ls.held, ls.holderTag = true, c.tag
+			n.mu.Unlock()
 		}
 		c.clk.AdvanceTo(w.rel)
-		if w.retry {
-			// The fairness cap sent the token to the global chain: this
-			// was not a handoff. Contend again — the island's next global
-			// request queues behind whoever the token went to.
-			goto retry
+		if !w.retry {
+			c.settle(c.costs.Lock, &n.stats.LockWait, entered)
+			break
 		}
-		c.clk.Advance(c.costs.Lock)
-		c.lockGranted(id, entered)
-		c.gcSyncHook(false) // lock now held: never stall here
-		return
+		// The fairness cap sent the token to the global chain: this was
+		// not a handoff. Contend again — the island's next global request
+		// queues behind whoever the token went to.
 	}
-	if ls.haveToken && len(ls.pending) == 0 {
-		// Free local re-acquire: no messages, no new consistency info.
-		ls.held = true
-		ls.holderTag = c.tag
-		n.stats.LockAcquires++
-		n.stats.LockLocal++
-		rel := ls.localRelease
-		n.mu.Unlock()
-		c.clk.AdvanceTo(rel)
-		c.clk.Advance(c.costs.Lock)
-		c.lockGranted(id, entered)
-		c.gcSyncHook(false) // lock now held: never stall here
-		return
-	}
-	n.stats.LockAcquires++
-	ls.reqOutstanding = true
-	mgr := n.lockMgr(id)
-	myVC := n.vc.clone()
-	if n.id == mgr {
-		// Run the manager logic locally: forward straight to the chain
-		// tail (saves the request hop, as in TreadMarks).
-		prev := ls.lastReq
-		ls.lastReq = n.id
-		if prev == n.id {
-			if n.oneClientLocked() {
-				// One thread per node: the tail being this node with the
-				// token absent is a protocol bug.
-				panic(fmt.Sprintf("dsm: node %d chain tail for lock %d but token absent", n.id, id))
-			}
-			// Multi-client: the chain already ends here — a grant is in
-			// flight to an island-mate (a condition-variable wake whose
-			// transfer made this node the tail). Queue behind it; the
-			// release-side handoff will grant us through the router.
-			ls.pending = append(ls.pending, pendingReq{from: n.id, tag: c.tag, vc: myVC})
-			n.mu.Unlock()
-		} else {
-			var w wbuf
-			w.i32(id)
-			w.i32(n.id) // requester
-			w.u32(c.tag)
-			putVC(&w, myVC)
-			n.mu.Unlock()
-			n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, c.clk.Now())
-		}
-	} else {
-		var w wbuf
-		w.i32(id)
-		w.u32(c.tag)
-		putVC(&w, myVC)
-		n.mu.Unlock()
-		n.ep.SendAt(mgr, msgAcqReq, network.ClassRequest, w.b, c.clk.Now())
-	}
-
-	c.takeGrant(c.recvReply(msgLockGrant, c.tag), id, true)
-	c.clk.Advance(c.costs.Lock)
-	c.lockGranted(id, entered)
+	c.held = append(c.held, id)
 	c.gcSyncHook(false) // lock now held: never stall here
 }
 
-// lockGranted books an acquire on the LockWait ledger — the client clock READ
-// at the call and at the grant, never advanced for the measurement — and
-// marks the lock held by this client.
-func (c *Client) lockGranted(id int, entered sim.Time) {
-	c.held = append(c.held, id)
-	c.n.mu.Lock()
-	c.n.stats.LockWait += c.clk.Now() - entered
-	c.n.mu.Unlock()
+// own takes n.mu and returns the state of lock id, which client c must
+// hold; when c does not, it panics with n.mu free.
+func (c *Client) own(id int) *lockState {
+	n := c.n
+	n.mu.Lock()
+	ls := n.lockFor(id)
+	if !ls.held || ls.holderTag != c.tag {
+		n.mu.Unlock()
+		panic(fmt.Sprintf("dsm: node %d client %d does not hold lock %d", n.id, c.tag, id))
+	}
+	return ls
 }
 
 // Release releases lock id with release (consistency-exporting) semantics.
@@ -240,13 +178,9 @@ func (c *Client) lockGranted(id int, entered sim.Time) {
 // straight to that requester.
 func (c *Client) Release(id int) {
 	n := c.n
+	ls := c.own(id)
 	func() {
-		n.mu.Lock()
 		defer n.mu.Unlock()
-		ls := n.lockFor(id)
-		if !ls.held {
-			panic(fmt.Sprintf("dsm: node %d released lock %d it does not hold", n.id, id))
-		}
 		c.held = slices.DeleteFunc(c.held, func(h int) bool { return h == id })
 		n.closeIntervalLocked()
 		c.handoffLocked(ls, id)
@@ -262,9 +196,7 @@ func (c *Client) Release(id int) {
 // that meets a downed switch unwinds through the caller's deferred Unlock.
 func (c *Client) handoffLocked(ls *lockState, id int) {
 	n := c.n
-	if t := c.clk.Now(); t > ls.localRelease {
-		ls.localRelease = t
-	}
+	ls.localRelease = max(ls.localRelease, c.clk.Now())
 	if len(ls.localQ) > 0 && (len(ls.pending) == 0 || ls.localStreak < localHandoffCap) {
 		// Ownership transfer to a parked island-mate: held stays true so
 		// the protocol server can never hand the token away in between.
@@ -288,16 +220,17 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 		p := ls.pending[0]
 		ls.pending = ls.pending[1:]
 		ls.haveToken = false
-		n.sendGrantLocked(ls, id, p.from, p.tag, p.vc, c.clk.Now())
+		n.sendGrantLocked(ls, id, p, c.clk.Now())
 	}
 	for _, w := range waiters {
 		w.ch <- localWake{rel: ls.localRelease, retry: true}
 	}
 }
 
-// takeGrant incorporates a lock grant on the acquiring client's node and
-// marks the lock held by the client; requested says it answers this node's
-// outstanding request, not a condition wake. Then it files the grant's
+// takeGrant incorporates a grant of lock or semaphore id on the client's
+// node. A lock grant then marks the lock held by the client — requested
+// says it answers this node's outstanding request, not a condition wake —
+// and files the grant's
 // data, under fetchMu like a fault round: every diff a page here still
 // owes stays on its interval record for the next grant to forward, the page
 // joins the lock's data, and a copy with no twin whose missing notices the
@@ -307,7 +240,7 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 	n := c.n
 	r := rbuf{b: m.Payload}
 	if got := r.i32(); got != id {
-		panic(fmt.Sprintf("dsm: node %d got grant for lock %d while acquiring %d", n.id, got, id))
+		panic(fmt.Sprintf("dsm: node %d got grant for %d while awaiting %d", n.id, got, id))
 	}
 	r.u32() // tag: already matched by routing
 	// The store-backed decode needs n.mu, the data's fetchMu precedes it.
@@ -327,6 +260,9 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 	defer n.mu.Unlock()
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
+	if m.Type == msgSemaGrant {
+		return
+	}
 	ls := n.lockFor(id)
 	ls.haveToken, ls.held, ls.holderTag = true, true, c.tag
 	if requested {
@@ -353,31 +289,6 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 			c.applyDiffsLocked(pg, missing, missing, diffs, false)
 		}
 	}
-}
-
-// sendGrantLocked delivers a lock grant at virtual time at, through the
-// node's own reply router when the grantee is this node (e.g. a manager
-// acquiring its own lock via a condition-variable wake): lock id, the
-// grantee's reply tag, our vector clock, and every interval the requester
-// (whose clock is reqVC) lacks. Grants are exact deltas (relative to the
-// requester's own reported clock) so they never update the knownVC
-// estimates: estimates may only grow with request-class sends, whose
-// per-pair FIFO ordering makes the estimate sound (a reply-class grant
-// could overtake an in-flight request-class delta and leave the receiver
-// with an interval gap). To another node the lock's data follow, and leave
-// with the token.
-func (n *Node) sendGrantLocked(ls *lockState, id, to int, tag uint32, reqVC VectorClock, at sim.Time) {
-	var w wbuf
-	w.i32(id)
-	w.u32(tag)
-	delta := n.deltaForLocked(reqVC)
-	putTrailer(&w, &n.trailerBuf, n.vc, delta)
-	if to != n.id {
-		at += n.putGrantDataLocked(&w, ls, delta)
-		clear(ls.inData)
-		ls.data = ls.data[:0]
-	}
-	n.sendOrSelfLocked(to, msgLockGrant, w.b, at)
 }
 
 // putGrantDataLocked appends the lock's data behind a grant's trailer: for
@@ -415,60 +326,45 @@ func (n *Node) putGrantDataLocked(w *wbuf, ls *lockState, delta []*interval) (co
 	return cost
 }
 
-// grantFreeTokenLocked grants a cached token nobody here holds, no earlier
-// than the release that freed it (a request may arrive before it).
-func (n *Node) grantFreeTokenLocked(ls *lockState, id, to int, tag uint32, reqVC VectorClock, at sim.Time) {
-	ls.haveToken = false
-	n.sendGrantLocked(ls, id, to, tag, reqVC, max(at, ls.localRelease))
-}
-
-// sendOrSelfLocked sends a reply-class message, short-circuiting
-// to the node's own reply router when to == n.id (managers never talk to
-// themselves over the wire).
-func (n *Node) sendOrSelfLocked(to, typ int, payload []byte, at sim.Time) {
-	if to == n.id {
-		n.router.route(&network.Message{From: n.id, To: n.id, Type: typ, Payload: payload, Send: at, Arrive: at}, routeKey{})
+// lockRequestLocked is the manager's acquire policy: the request joins
+// the chain behind the last requester. A client of the manager's own node
+// skips the request hop, as in TreadMarks.
+func (n *Node) lockRequestLocked(q *syncReq, at sim.Time) {
+	ls := n.lockFor(q.id)
+	prev := ls.lastReq
+	ls.lastReq = q.from
+	if prev == n.id {
+		if q.live && n.oneClientLocked() {
+			// One thread per node: the tail being this node with the
+			// token absent is a protocol bug.
+			panic(fmt.Sprintf("dsm: node %d chain tail for lock %d but token absent", n.id, q.id))
+		}
+		// The chain ends here. On a multi-client node a grant may still be
+		// in flight to an island-mate (a condition-variable wake whose
+		// transfer made this node the tail): the request queues behind it,
+		// and the release-side handoff grants it through the router.
+		n.lockHolderLocked(q, at)
 		return
 	}
-	n.ep.SendAt(to, typ, network.ClassReply, payload, at)
+	// Forward to the chain tail. If the waiter was itself the tail when it
+	// went to sleep, the forward loops back to its own node, whose server
+	// grants to the local application thread.
+	var w wbuf
+	putSyncReq(&w, nil, msgAcqFwd, q)
+	//nowlint:allow servernoblock -- bounded traffic: reqOutstanding caps each node at one in-flight acquire, so at most Procs-1 msgAcqFwd can exist at once, far under the request queue depth; the forward cannot block (the bounded-queue no-deadlock argument)
+	n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, at)
 }
 
-// handleAcqReq runs on the manager's protocol server.
-func (n *Node) handleAcqReq(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	id := r.i32()
-	tag := r.u32()
-	reqVC := getVC(&r)
-	at := m.Arrive + n.sys.plat.RequestService
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	n.enqueueLockRequestLocked(id, m.From, tag, reqVC, at)
-}
-
-// handleAcqFwd runs on the last holder's protocol server.
-func (n *Node) handleAcqFwd(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	id := r.i32()
-	requester := r.i32()
-	tag := r.u32()
-	reqVC := getVC(&r)
-	at := m.Arrive + n.sys.plat.RequestService
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	ls := n.lockFor(id)
+// lockHolderLocked is the policy where a request meets the token's node:
+// a free token is granted, no earlier than the release that freed it (a
+// request may arrive before it); otherwise the request waits for the
+// holder's release (the holder may be any client of this node).
+func (n *Node) lockHolderLocked(q *syncReq, at sim.Time) {
+	ls := n.lockFor(q.id)
 	if ls.haveToken && !ls.held {
-		n.grantFreeTokenLocked(ls, id, requester, tag, reqVC, at)
+		ls.haveToken = false
+		n.sendGrantLocked(ls, q.id, q.waiter, max(at, ls.localRelease))
 		return
 	}
-	ls.pending = append(ls.pending, pendingReq{from: requester, tag: tag, vc: reqVC})
-}
-
-func (n *Node) chargeInterruptLocked() {
-	n.stats.Interrupts++
-	n.stats.IntrTime += n.sys.plat.Interrupt
-	n.clock.Advance(n.sys.plat.Interrupt)
+	ls.pending = append(ls.pending, q.keep())
 }

@@ -188,7 +188,7 @@ func TestLockGrantCondWake(t *testing.T) {
 			n.Release(0)
 			return
 		}
-		waitUntil(n, func() bool { return len(n.condFor(0).waiters) > 0 })
+		waitUntil(n, func() bool { return len(queueFor(n.conds, 0).waiters) > 0 })
 		n.Acquire(0)
 		n.WriteI64(a, 42)
 		n.CondSignal(0, 0)

@@ -78,8 +78,8 @@ type Node struct {
 	eng sync.Mutex
 
 	locks map[int]*lockState
-	semas map[int]*semaState
-	conds map[int]*condQueue
+	semas map[int]*syncQueue
+	conds map[int]*syncQueue
 
 	barrier *barrierMgr // nodes with combining-tree children only (see barrier.go)
 

@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestReplyRouterReverseGrants(t *testing.T) {
 	waiting := func(id int) int {
 		n0.mu.Lock()
 		defer n0.mu.Unlock()
-		return len(n0.semaFor(id).waiters)
+		return len(queueFor(n0.semas, id).waiters)
 	}
 	until := func(cond func() bool) {
 		for !cond() {
@@ -146,6 +147,49 @@ func TestReplyRouterReverseGrants(t *testing.T) {
 	}
 	if granted != 2 {
 		t.Fatalf("%d waiters granted, want both", granted)
+	}
+}
+
+// TestSyncNonHolderIsRunError: on an island, client B releasing — or
+// waiting on a condition of — a lock client A holds ends Run with a "does
+// not hold" error, and A keeps the lock: the check is the caller's, not the
+// node's, so B cannot hand A's token away.
+func TestSyncNonHolderIsRunError(t *testing.T) {
+	const lock, cond = 1, 0 // managed at node 1: the token is local
+	for name, op := range map[string]func(cl *Client){
+		"Release":  func(cl *Client) { cl.Release(lock) },
+		"CondWait": func(cl *Client) { cl.CondWait(cond, lock) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys := New(Config{Procs: 2})
+			held := make(chan struct{})
+			var holder uint32
+			sys.Register("mate", func(n *Node, _ []byte) {
+				if n.ID() != 1 {
+					return
+				}
+				islandClients(n, func(a *Client) {
+					a.Acquire(lock)
+					holder = a.tag
+					close(held)
+					<-n.sys.done // the abort B's call causes
+				}, func(b *Client) {
+					<-held
+					op(b)
+					t.Errorf("%s by a non-holder returned", name)
+				})
+			})
+			var err error
+			within(t, "Run", func() { err = sys.Run(func(n *Node) { n.RunParallel("mate", nil) }) })
+			if err == nil || !strings.Contains(err.Error(), "does not hold") {
+				t.Fatalf("Run error %v, want a \"does not hold\" error", err)
+			}
+			n := sys.Node(1)
+			within(t, "Stats after the abort", func() { n.Stats() })
+			if ls := n.lockFor(lock); !ls.held || ls.holderTag != holder {
+				t.Errorf("lock held %v by tag %d after the failed %s, want held by A (tag %d)", ls.held, ls.holderTag, name, holder)
+			}
+		})
 	}
 }
 

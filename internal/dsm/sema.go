@@ -1,9 +1,6 @@
 package dsm
 
-import (
-	"repro/internal/network"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Semaphores, Sections 3.2.3 and 4.2: "A sema_signal corresponds to a
 // release in the release consistency model and a sema_wait corresponds to
@@ -28,177 +25,51 @@ import (
 // couples producer and consumer time when the two run as threads of one
 // node (an SMP island) and no message arrival exists to carry the order.
 
-// semaState lives at a semaphore's manager node.
-type semaState struct {
-	banked  []sim.Time // FIFO of banked signal timestamps (len == classic "value")
-	waiters []semaWaiter
-}
-
-type semaWaiter struct {
-	from int
-	tag  uint32
-	vc   VectorClock
-}
-
-func (n *Node) semaFor(id int) *semaState {
-	ss, ok := n.semas[id]
-	if !ok {
-		ss = &semaState{}
-		n.semas[id] = ss
-	}
-	return ss
-}
-
 // SemaSignal performs V(id): release semantics. Consistency information
-// flows to the manager, which passes it on to the woken waiter (if any).
+// flows to the manager, which passes it on to the woken waiter (if any);
+// the signal costs two messages including the acknowledgment.
 func (c *Client) SemaSignal(id int) {
-	n := c.n
 	entered := c.clk.Now()
 	c.clk.Advance(c.costs.Sema)
-	mgr := n.lockMgr(id)
-	func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.stats.SemaOps++
-		n.closeIntervalLocked()
-		if n.id == mgr {
-			n.semaSignalAtMgrLocked(id, c.clk.Now())
-			n.stats.SemaWait += c.clk.Now() - entered
-			return
-		}
-		var w wbuf
-		w.i32(id)
-		w.u32(c.tag)
-		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[mgr]))
-		n.noteSentLocked(mgr)
-		// Send while holding mu: the estimate update and the send must be
-		// atomic with respect to other request-class deltas to mgr.
-		n.ep.SendAt(mgr, msgSemaSignal, network.ClassRequest, w.b, c.clk.Now())
-	}()
-	if n.id != mgr {
-		c.recvReply(msgSemaAck, c.tag) // two messages including the acknowledgment
-		c.semaDone(entered)
-	}
+	c.round(msgSemaSignal, c.n.lockMgr(id), syncReq{id: id}, &c.n.stats.SemaOps, entered, 0, &c.n.stats.SemaWait)
 	c.gcSyncHook(true)
-}
-
-// semaSignalAtMgrLocked applies a signal at the manager: wake the first
-// waiter with a grant carrying its missing intervals, or bank the signal's
-// timestamp.
-func (n *Node) semaSignalAtMgrLocked(id int, at sim.Time) {
-	ss := n.semaFor(id)
-	if len(ss.waiters) == 0 {
-		ss.banked = append(ss.banked, at)
-		return
-	}
-	wtr := ss.waiters[0]
-	ss.waiters = ss.waiters[1:]
-	var w wbuf
-	w.i32(id)
-	w.u32(wtr.tag)
-	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(wtr.vc)) // exact delta: no estimate update
-	n.sendOrSelfLocked(wtr.from, msgSemaGrant, w.b, at)
 }
 
 // SemaWait performs P(id): acquire semantics, blocking (not spinning)
 // until a matching signal arrives.
 func (c *Client) SemaWait(id int) {
-	n := c.n
-	entered := c.clk.Now()
-	mgr := n.lockMgr(id)
-	n.mu.Lock()
-	n.stats.SemaOps++
-	if n.id == mgr {
-		ss := n.semaFor(id)
-		if len(ss.banked) > 0 {
-			// The manager already incorporated the signaler's intervals
-			// when the banked signal arrived; only its timestamp matters.
-			at := ss.banked[0]
-			ss.banked = ss.banked[1:]
-			n.mu.Unlock()
-			c.clk.AdvanceTo(at)
-			c.clk.Advance(c.costs.Sema)
-			c.semaDone(entered)
-			c.gcSyncHook(true)
-			return
-		}
-		ss.waiters = append(ss.waiters, semaWaiter{from: n.id, tag: c.tag, vc: n.vc.clone()})
-		n.mu.Unlock()
-	} else {
-		var w wbuf
-		w.i32(id)
-		w.u32(c.tag)
-		putVC(&w, n.vc)
-		n.mu.Unlock()
-		n.ep.SendAt(mgr, msgSemaWait, network.ClassRequest, w.b, c.clk.Now())
-	}
-
-	m := c.recvReply(msgSemaGrant, c.tag)
-	r := rbuf{b: m.Payload}
-	if got := r.i32(); got != id {
-		panic("dsm: semaphore grant for wrong semaphore")
-	}
-	r.u32() // tag: already matched by routing
-	n.incorporateWire(&r, m.From)
-	c.clk.Advance(c.costs.Sema)
-	c.semaDone(entered)
+	c.round(msgSemaWait, c.n.lockMgr(id), syncReq{id: id}, &c.n.stats.SemaOps, c.clk.Now(), c.costs.Sema, &c.n.stats.SemaWait)
 	c.gcSyncHook(true)
 }
 
-// semaDone books a semaphore operation on the SemaWait ledger — the client
-// clock READ at the call and at the return, never advanced for the
-// measurement. The garbage-collection hook that follows is not included.
-func (c *Client) semaDone(entered sim.Time) {
-	c.n.mu.Lock()
-	c.n.stats.SemaWait += c.clk.Now() - entered
-	c.n.mu.Unlock()
-}
-
-// handleSemaSignal runs on the manager's protocol server.
-func (n *Node) handleSemaSignal(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	id := r.i32()
-	tag := r.u32()
-	at := m.Arrive + n.sys.plat.RequestService
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	// The manager merges the signaler's knowledge so later grants can
-	// carry it to waiters.
-	n.takeTrailerLocked(&r, m.From)
-	n.semaSignalAtMgrLocked(id, at)
-	var ack wbuf
-	ack.u32(tag)
-	n.ep.SendAt(m.From, msgSemaAck, network.ClassReply, ack.b, at)
-}
-
-// handleSemaWait runs on the manager's protocol server.
-func (n *Node) handleSemaWait(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	id := r.i32()
-	tag := r.u32()
-	reqVC := getVC(&r)
-	at := m.Arrive + n.sys.plat.RequestService
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	ss := n.semaFor(id)
-	if len(ss.banked) > 0 {
-		// A P cannot complete before its matching V: the grant leaves no
-		// earlier than the banked signal's timestamp.
-		bankedAt := ss.banked[0]
-		ss.banked = ss.banked[1:]
-		if bankedAt > at {
-			at = bankedAt
-		}
-		var w wbuf
-		w.i32(id)
-		w.u32(tag)
-		putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(reqVC)) // exact delta
-		n.ep.SendAt(m.From, msgSemaGrant, network.ClassReply, w.b, at)
+// semaSignalLocked is the manager's V: wake the first waiter with a grant
+// carrying its missing intervals, or bank the signal's timestamp.
+func (n *Node) semaSignalLocked(id int, at sim.Time) {
+	ss := queueFor(n.semas, id)
+	if len(ss.waiters) == 0 {
+		ss.banked = append(ss.banked, at)
 		return
 	}
-	ss.waiters = append(ss.waiters, semaWaiter{from: m.From, tag: tag, vc: reqVC})
+	n.sendGrantLocked(nil, id, ss.waiters[0], at)
+	ss.waiters = ss.waiters[1:]
+}
+
+// semaWaitLocked is the manager's P: a banked signal satisfies it, no
+// earlier than that signal's timestamp — a P cannot complete before its
+// matching V — and otherwise it waits for the next signal. A P made on the
+// manager's own node needs no grant: the manager already incorporated the
+// signaler's intervals when the banked signal arrived, so only its
+// timestamp matters.
+func (n *Node) semaWaitLocked(q *syncReq, at sim.Time) (sim.Time, bool) {
+	ss := queueFor(n.semas, q.id)
+	if len(ss.banked) == 0 {
+		ss.waiters = append(ss.waiters, q.keep())
+		return at, false
+	}
+	at = max(at, ss.banked[0])
+	ss.banked = ss.banked[1:]
+	if !q.live {
+		n.sendGrantLocked(nil, q.id, q.waiter, at)
+	}
+	return at, q.live
 }

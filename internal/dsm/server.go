@@ -28,6 +28,12 @@ func (n *Node) serve() {
 	}
 }
 
+func (n *Node) chargeInterruptLocked() {
+	n.stats.Interrupts++
+	n.stats.IntrTime += n.sys.plat.Interrupt
+	n.clock.Advance(n.sys.plat.Interrupt)
+}
+
 // dispatch routes one request to its handler. A msgBatch frame recurses:
 // each typed sub-message is dispatched in wire order as if it had arrived
 // as its own datagram (same sender, same arrival time), so coalescing is
@@ -64,22 +70,8 @@ func (n *Node) dispatch(m *network.Message) {
 		n.barrier.arrivals <- m // consumed by the manager's thread
 	case msgFetchReq:
 		n.handleFetchReq(m)
-	case msgAcqReq:
-		n.handleAcqReq(m)
-	case msgAcqFwd:
-		n.handleAcqFwd(m)
-	case msgSemaSignal:
-		n.handleSemaSignal(m)
-	case msgSemaWait:
-		n.handleSemaWait(m)
-	case msgCondWait:
-		n.handleCondWait(m)
-	case msgCondSignal:
-		n.handleCondNotify(m, false)
-	case msgCondBroadcast:
-		n.handleCondNotify(m, true)
-	case msgFlush:
-		n.handleFlush(m)
+	case msgAcqReq, msgAcqFwd, msgSemaSignal, msgSemaWait, msgCondWait, msgCondSignal, msgCondBroadcast, msgFlush:
+		n.handleSyncReq(m)
 	case msgGCSync:
 		n.handleGCSync(m)
 	case msgGCFloor:

@@ -161,8 +161,8 @@ func newSystem(cfg Config, fanin int) *System {
 			pages:     make([]*page, npages),
 			knownVC:   make([]VectorClock, cfg.Procs),
 			locks:     make(map[int]*lockState),
-			semas:     make(map[int]*semaState),
-			conds:     make(map[int]*condQueue),
+			semas:     make(map[int]*syncQueue),
+			conds:     make(map[int]*syncQueue),
 			forkCh:    make(chan *network.Message, 8),
 			joinCh:    make(chan *network.Message, cfg.Procs),
 			router:    newReplyRouter(),

@@ -64,6 +64,33 @@ func TestHandlerPanicUnderMuBecomesRunError(t *testing.T) {
 	sys.Node(0).Stats() // takes n.mu: must not block either
 }
 
+// TestMalformedSyncRequestBecomesRunError: a lock request, semaphore wait
+// or condition wait cut one byte short, sent to the manager, ends Run with
+// the decoder's short-message error and leaves the manager's n.mu free.
+func TestMalformedSyncRequestBecomesRunError(t *testing.T) {
+	for name, typ := range map[string]int{"AcqReq": msgAcqReq, "SemaWait": msgSemaWait, "CondWait": msgCondWait} {
+		t.Run(name, func(t *testing.T) {
+			sys := New(Config{Procs: 2})
+			sys.Register("bad-request", func(n *Node, _ []byte) {
+				if n.ID() == 1 {
+					q := syncReq{waiter: waiter{tag: 1, vc: n.vc.clone()}}
+					var w wbuf
+					putSyncReq(&w, nil, typ, &q) // id 0: managed at node 0
+					n.ep.SendAt(0, typ, network.ClassRequest, w.b[:len(w.b)-1], n.Now())
+					return
+				}
+				<-n.sys.done // the abort; now return into the join
+			})
+			var err error
+			within(t, "Run", func() { err = sys.Run(func(n *Node) { n.RunParallel("bad-request", nil) }) })
+			if err == nil || !strings.Contains(err.Error(), "short message") {
+				t.Fatalf("Run error %v does not carry the short message", err)
+			}
+			within(t, "Stats after the abort", func() { sys.Node(0).Stats() })
+		})
+	}
+}
+
 // TestAbortInFaultRoundBecomesRunError: an abort that reaches a thread in a
 // fault round's network section, where n.mu is released, must unwind as an
 // ordinary run error and leave n.mu free. The master accesses a page node 1
@@ -222,13 +249,13 @@ func TestSyncSendUnwindsWithMuFree(t *testing.T) {
 			n := sys.Node(0)
 			ls := n.lockFor(id)
 			ls.held, ls.holderTag = true, n.c0.tag
-			ls.pending = []pendingReq{{from: 1, vc: newVC(2)}}
+			ls.pending = []waiter{{from: 1, vc: newVC(2)}}
 			n.c0.held = []int{id}
 			n.Release(id)
 		},
 		"CondSignal": func(sys *System) {
 			n := sys.Node(0)
-			n.condFor(id).waiters = []semaWaiter{{from: 1, vc: newVC(2)}}
+			queueFor(n.conds, id).waiters = []waiter{{from: 1, vc: newVC(2)}}
 			n.CondSignal(id, id)
 		},
 		"CondWait": func(sys *System) {

@@ -847,6 +847,14 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(bad)
 	}
 
+	// One valid request of each synchronization type, and the same cut
+	// one byte short.
+	for _, typ := range syncReqTypes {
+		req := syncReqBytes(typ, recs)
+		f.Add(req)
+		f.Add(req[:len(req)-1])
+	}
+
 	decoders := []func(b []byte){
 		func(b []byte) {
 			r := rbuf{b: b}
@@ -891,6 +899,9 @@ func FuzzWireDecode(f *testing.F) {
 			})
 		},
 	}
+	for _, typ := range syncReqTypes {
+		decoders = append(decoders, func(b []byte) { getSyncReqTrailer(b, typ) })
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for i, dec := range decoders {
 			func() {
@@ -910,4 +921,72 @@ func FuzzWireDecode(f *testing.F) {
 // getTrailer decodes a consistency trailer with no receiver store.
 func getTrailer(r *rbuf) (VectorClock, []*interval) {
 	return getVC(r), decodeRecords(r)
+}
+
+// syncReqTypes are the request types of the manager round (syncLayouts).
+var syncReqTypes = []int{msgAcqReq, msgAcqFwd, msgSemaSignal, msgSemaWait, msgCondWait, msgCondSignal, msgCondBroadcast, msgFlush}
+
+// syncReqBytes encodes a request of type typ with every field set and,
+// for a trailer body, the records recs.
+func syncReqBytes(typ int, recs []*interval) []byte {
+	q := syncReq{waiter: waiter{from: 2, tag: 7, vc: VectorClock{3, 1, 4}}, cond: 5, id: 9, recs: recs}
+	var w wbuf
+	putSyncReq(&w, nil, typ, &q)
+	return w.b
+}
+
+// getSyncReqTrailer decodes a request of type typ as the server does,
+// a trailer body with no receiver store.
+func getSyncReqTrailer(b []byte, typ int) (syncReq, []*interval) {
+	r := rbuf{b: b}
+	q := getSyncReq(&r, typ, 2)
+	var recs []*interval
+	if syncLayouts[typ].trailer {
+		q.vc, recs = getTrailer(&r)
+	}
+	if !r.done() {
+		panic(wireErrf("dsm: short message: %d bytes past request type %d", r.remaining(), typ))
+	}
+	return q, recs
+}
+
+// TestWireSyncReqRoundTrip: every request of the manager round decodes to
+// the fields its layout carries, and every strict prefix of it fails as a
+// short message.
+func TestWireSyncReqRoundTrip(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(2)), 3, 3)
+	for _, typ := range syncReqTypes {
+		l := syncLayouts[typ]
+		b := syncReqBytes(typ, recs)
+		q, got := getSyncReqTrailer(b, typ)
+		want := syncReq{waiter: waiter{from: 2}}
+		if l.cond {
+			want.cond = 5
+		}
+		if l.id {
+			want.id = 9
+		}
+		if l.tag {
+			want.tag = 7
+		}
+		if l.vc || l.trailer {
+			want.vc = VectorClock{3, 1, 4}
+		}
+		if q.from != want.from || q.tag != want.tag || q.cond != want.cond || q.id != want.id || !slices.Equal(q.vc, want.vc) {
+			t.Errorf("type %d: decoded %+v, want %+v", typ, q, want)
+		}
+		if l.trailer && len(got) != len(recs) {
+			t.Errorf("type %d: %d trailer records, want %d", typ, len(got), len(recs))
+		}
+		for cut := range len(b) {
+			func() {
+				defer func() {
+					if _, ok := recover().(wireError); !ok {
+						t.Errorf("type %d cut to %d bytes: decoded without a wireError", typ, cut)
+					}
+				}()
+				getSyncReqTrailer(b[:cut], typ)
+			}()
+		}
+	}
 }
