@@ -135,6 +135,12 @@ func (n *Node) handleSyncReq(m *network.Message) {
 	}
 }
 
+func (n *Node) chargeInterruptLocked() {
+	n.stats.Interrupts++
+	n.stats.IntrTime += n.sys.plat.Interrupt
+	n.clock.Advance(n.sys.plat.Interrupt)
+}
+
 // manageLocked runs request typ's manager policy at time at. done reports
 // that an inline request (q.live) may go on at once, at t.
 func (n *Node) manageLocked(typ int, q *syncReq, at sim.Time) (t sim.Time, done bool) {

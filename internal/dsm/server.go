@@ -28,12 +28,6 @@ func (n *Node) serve() {
 	}
 }
 
-func (n *Node) chargeInterruptLocked() {
-	n.stats.Interrupts++
-	n.stats.IntrTime += n.sys.plat.Interrupt
-	n.clock.Advance(n.sys.plat.Interrupt)
-}
-
 // dispatch routes one request to its handler. A msgBatch frame recurses:
 // each typed sub-message is dispatched in wire order as if it had arrived
 // as its own datagram (same sender, same arrival time), so coalescing is
