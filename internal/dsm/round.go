@@ -224,6 +224,7 @@ func (c *Client) round(typ, mgr int, q syncReq, count *int64, entered, cost sim.
 
 // settle charges cost and books the op on wait: the client clock READ at
 // the call (entered) and at the return, never advanced for the measurement.
+// The garbage-collection hook that follows is not included.
 func (c *Client) settle(cost sim.Time, wait *sim.Time, entered sim.Time) {
 	c.clk.Advance(cost)
 	if wait != nil {
