@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/network"
 )
@@ -368,12 +369,27 @@ func (n *Node) consensusFrameLocked(hop int, relay []int) *frameBuilder {
 	return f
 }
 
-// gcSpinTries bounds the backpressure loop of gcSyncHook: a pressured
-// node yields at most this many times waiting for the consensus to catch
-// up, so a consensus stalled on a thread that only this node can unblock
-// (e.g. a condvar waiter expecting our signal) can never livelock the
-// application.
-const gcSpinTries = 4096
+// gcSpinSteps bounds the backpressure loop of gcSyncHook: a pressured
+// node runs at most this many consensus steps waiting for the consensus
+// to catch up, so a consensus stalled on a thread that only this node can
+// unblock (e.g. a condvar waiter expecting our signal) can never livelock
+// the application.
+const gcSpinSteps = 512
+
+// gcStallNap is how long the backpressure loop sleeps after its first
+// consensus step that shows no progress; each further stalled step in a
+// row doubles the nap, and gcStallSteps of them give up (about 2.5 ms of
+// naps in all). The stalled loop sleeps instead of yielding:
+// runtime.Gosched puts the spinner on the global run queue, which its own
+// P takes from before it steals, so peer goroutines queued on a P whose
+// thread the host has descheduled never run while it spins, and a stall
+// the host's load causes looks exactly like a consensus that is really
+// stuck. A sleeping goroutine leaves its P idle to steal them, and the
+// growing nap outlasts a descheduled thread's wait for the CPU.
+const (
+	gcStallNap   = 20 * time.Microsecond
+	gcStallSteps = 8
+)
 
 // gcSyncHook runs after every application-side synchronization operation:
 // it reports the calling thread's clock to the coordinator (the clock is
@@ -414,30 +430,33 @@ func (c *Client) gcSyncHook(spin bool) {
 	}
 	// Backpressure: yield while the consensus is demonstrably advancing
 	// (nodes purging, epochs announcing), re-running a consensus step
-	// every few yields. A consensus stuck on a thread only the
-	// application can unblock — a condvar waiter whose wake depends on
-	// this very thread — makes no progress, and the loop gives up after
-	// a short grace instead of stalling the application (or flooding the
-	// wire with retries; see pushGap).
+	// every few yields, and sleep while it is not. A consensus stuck on a
+	// thread only the application can unblock — a condvar waiter whose
+	// wake depends on this very thread — makes no progress, and the loop
+	// gives up after gcStallSteps naps instead of stalling the
+	// application (or flooding the wire with retries; see pushGap).
 	prog := co.progress()
-	stuck := 0
-	for try := 0; try < gcSpinTries; try++ {
+	stalls := 0
+	for step := 0; step < gcSpinSteps; step++ {
 		select {
 		case <-n.sys.done:
 			panic(abortError{cause: "switch shut down"})
 		default:
 		}
-		runtime.Gosched()
-		if try%8 != 7 {
-			continue
+		if stalls == 0 {
+			for i := 0; i < 8; i++ {
+				runtime.Gosched()
+			}
+		} else {
+			time.Sleep(gcStallNap << (stalls - 1))
 		}
 		c.gcSyncOnce()
 		if int64(c.retainedChain()) <= limit {
 			return
 		}
 		if p := co.progress(); p != prog {
-			prog, stuck = p, 0
-		} else if stuck++; stuck >= 8 {
+			prog, stalls = p, 0
+		} else if stalls++; stalls >= gcStallSteps {
 			return
 		}
 	}
