@@ -38,12 +38,9 @@ import "repro/internal/sim"
 // then to anyone queued behind us in the global chain; a registration at
 // our own node is atomic with that release under n.mu.
 func (c *Client) CondWait(condID, lockID int) {
-	n := c.n
-	c.own(lockID)
-	n.mu.Unlock()
 	// Release semantics: the interval closes, and the wait carries our
 	// clock so the eventual wake-grant brings us what we miss.
-	c.round(msgCondWait, n.lockMgr(lockID), syncReq{cond: condID, id: lockID}, &n.stats.CondOps, 0, c.costs.Cond+c.costs.Lock, nil)
+	c.round(msgCondWait, syncReq{cond: condID, id: lockID}, &c.n.stats.CondOps, 0, c.costs.Cond+c.costs.Lock, nil)
 	c.gcSyncHook(false) // the re-acquired lock is held: never stall here
 }
 
@@ -62,7 +59,7 @@ func (c *Client) CondBroadcast(condID, lockID int) {
 
 func (c *Client) condNotify(typ, condID, lockID int) {
 	c.clk.Advance(c.costs.Cond)
-	c.round(typ, c.n.lockMgr(lockID), syncReq{cond: condID, id: lockID}, &c.n.stats.CondOps, 0, 0, nil)
+	c.round(typ, syncReq{cond: condID, id: lockID}, &c.n.stats.CondOps, 0, 0, nil)
 	c.gcSyncHook(false) // the associated lock is held: never stall here
 }
 

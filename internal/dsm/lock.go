@@ -119,7 +119,7 @@ func (c *Client) Acquire(id int) {
 		if !ls.held && !ls.reqOutstanding && (!ls.haveToken || len(ls.pending) > 0) {
 			ls.reqOutstanding = true
 			n.mu.Unlock()
-			c.round(msgAcqReq, n.lockMgr(id), syncReq{id: id}, &n.stats.LockAcquires, entered, c.costs.Lock, &n.stats.LockWait)
+			c.round(msgAcqReq, syncReq{id: id}, &n.stats.LockAcquires, entered, c.costs.Lock, &n.stats.LockWait)
 			break
 		}
 		n.stats.LockAcquires++
@@ -158,15 +158,12 @@ func (c *Client) Acquire(id int) {
 	c.gcSyncHook(false) // lock now held: never stall here
 }
 
-// own takes n.mu and returns the state of lock id, which client c must
-// hold; when c does not, it panics with n.mu free.
-func (c *Client) own(id int) *lockState {
-	n := c.n
-	n.mu.Lock()
-	ls := n.lockFor(id)
+// ownLocked returns the state of lock id, which client c must hold; when
+// c does not, it panics, and the caller's deferred Unlock frees n.mu.
+func (c *Client) ownLocked(id int) *lockState {
+	ls := c.n.lockFor(id)
 	if !ls.held || ls.holderTag != c.tag {
-		n.mu.Unlock()
-		panic(fmt.Sprintf("dsm: node %d client %d does not hold lock %d", n.id, c.tag, id))
+		panic(fmt.Sprintf("dsm: node %d client %d does not hold lock %d", c.n.id, c.tag, id))
 	}
 	return ls
 }
@@ -178,9 +175,10 @@ func (c *Client) own(id int) *lockState {
 // straight to that requester.
 func (c *Client) Release(id int) {
 	n := c.n
-	ls := c.own(id)
 	func() {
+		n.mu.Lock()
 		defer n.mu.Unlock()
+		ls := c.ownLocked(id)
 		c.held = slices.DeleteFunc(c.held, func(h int) bool { return h == id })
 		n.closeIntervalLocked()
 		c.handoffLocked(ls, id)

@@ -57,16 +57,17 @@ func (q *syncReq) keep() waiter {
 // syncLayouts is the request table: each type's header fields, in wire
 // order [i32 cond][i32 id][i32 requester][u32 tag]; its body, the
 // requester's clock or a trailer; whether its client closes the interval
-// first; the server's ack and the grant the client then awaits.
+// first, and whether it then hands the held lock off once registered; the
+// server's ack and the grant the client then awaits.
 var syncLayouts = [...]struct {
-	cond, id, from, tag, vc, trailer, release bool
-	ack, grant                                int
+	cond, id, from, tag, vc, trailer, release, handoff bool
+	ack, grant                                         int
 }{
 	msgAcqReq:        {id: true, tag: true, vc: true, grant: msgLockGrant},
 	msgAcqFwd:        {id: true, from: true, tag: true, vc: true},
 	msgSemaSignal:    {id: true, tag: true, trailer: true, release: true, ack: msgSemaAck},
 	msgSemaWait:      {id: true, tag: true, vc: true, grant: msgSemaGrant},
-	msgCondWait:      {cond: true, id: true, tag: true, vc: true, release: true, ack: msgCondWaitAck, grant: msgLockGrant},
+	msgCondWait:      {cond: true, id: true, tag: true, vc: true, release: true, handoff: true, ack: msgCondWaitAck, grant: msgLockGrant},
 	msgCondSignal:    {cond: true, id: true},
 	msgCondBroadcast: {cond: true, id: true},
 	msgFlush:         {trailer: true, release: true, ack: msgFlushAck},
@@ -75,12 +76,9 @@ var syncLayouts = [...]struct {
 // putSyncReq encodes request typ as its layout says.
 func putSyncReq(w *wbuf, scratch *[]byte, typ int, q *syncReq) {
 	l := &syncLayouts[typ]
-	for _, f := range [...]struct {
-		on bool
-		v  int
-	}{{l.cond, q.cond}, {l.id, q.id}, {l.from, q.from}, {l.tag, int(q.tag)}} {
-		if f.on {
-			w.i32(f.v) // a tag's bits as they are
+	for i, v := range [...]int{q.cond, q.id, q.from, int(q.tag)} {
+		if [...]bool{l.cond, l.id, l.from, l.tag}[i] {
+			w.i32(v) // a tag's bits as they are
 		}
 	}
 	if l.vc {
@@ -96,12 +94,9 @@ func getSyncReq(r *rbuf, typ, from int) syncReq {
 	l := &syncLayouts[typ]
 	q := syncReq{waiter: waiter{from: from}}
 	var tag int
-	for _, f := range [...]struct {
-		on bool
-		p  *int
-	}{{l.cond, &q.cond}, {l.id, &q.id}, {l.from, &q.from}, {l.tag, &tag}} {
-		if f.on {
-			*f.p = r.i32()
+	for i, p := range [...]*int{&q.cond, &q.id, &q.from, &tag} {
+		if [...]bool{l.cond, l.id, l.from, l.tag}[i] {
+			*p = r.i32()
 		}
 	}
 	q.tag = uint32(tag)
@@ -124,6 +119,9 @@ func (n *Node) handleSyncReq(m *network.Message) {
 	n.chargeInterruptLocked()
 	if l.trailer {
 		n.takeTrailerLocked(&r, m.From)
+	}
+	if !r.done() {
+		panic(wireErrf("dsm: node %d: %d bytes past a request of type %d", n.id, r.remaining(), m.Type))
 	}
 	n.manageLocked(m.Type, &q, at)
 	if l.ack != 0 {
@@ -184,28 +182,33 @@ func (c *Client) requestLocked(typ, to int, q syncReq) (t sim.Time, done bool) {
 }
 
 // round is the client path: under n.mu it counts the op, closes the
-// interval for a release and requests; it awaits an ack and, unless
-// settled inline, the grant, then charges cost and books the time since
-// entered on wait (nil for none).
-func (c *Client) round(typ, mgr int, q syncReq, count *int64, entered, cost sim.Time, wait *sim.Time) {
+// interval for a release and requests from the manager of q.id; it awaits
+// an ack and, unless settled inline, the grant, then charges cost and
+// books the time since entered on wait (nil for none). A handoff op (a
+// condition wait) must hold the lock, which it frees once registered.
+func (c *Client) round(typ int, q syncReq, count *int64, entered, cost sim.Time, wait *sim.Time) {
 	n := c.n
 	l := &syncLayouts[typ]
+	mgr := n.lockMgr(q.id)
 	t, done := func() (sim.Time, bool) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
+		if l.handoff {
+			c.ownLocked(q.id)
+		}
 		*count++
 		if l.release {
 			n.closeIntervalLocked()
 		}
 		t, done := c.requestLocked(typ, mgr, q)
-		if typ == msgCondWait && mgr == n.id {
+		if l.handoff && mgr == n.id {
 			c.handoffLocked(n.lockFor(q.id), q.id) // registered: free the lock (see CondWait)
 		}
 		return t, done
 	}()
 	if l.ack != 0 && mgr != n.id {
 		c.recvReply(l.ack, c.tag)
-		if typ == msgCondWait {
+		if l.handoff {
 			func() {
 				n.mu.Lock()
 				defer n.mu.Unlock()
@@ -217,7 +220,7 @@ func (c *Client) round(typ, mgr int, q syncReq, count *int64, entered, cost sim.
 	case done:
 		c.clk.AdvanceTo(t)
 	case l.grant != 0:
-		c.takeGrant(c.recvReply(l.grant, c.tag), q.id, typ == msgAcqReq)
+		c.takeGrant(c.recvReply(l.grant, c.tag), q.id, !l.handoff)
 	}
 	c.settle(cost, wait, entered)
 }

@@ -31,14 +31,14 @@ import "repro/internal/sim"
 func (c *Client) SemaSignal(id int) {
 	entered := c.clk.Now()
 	c.clk.Advance(c.costs.Sema)
-	c.round(msgSemaSignal, c.n.lockMgr(id), syncReq{id: id}, &c.n.stats.SemaOps, entered, 0, &c.n.stats.SemaWait)
+	c.round(msgSemaSignal, syncReq{id: id}, &c.n.stats.SemaOps, entered, 0, &c.n.stats.SemaWait)
 	c.gcSyncHook(true)
 }
 
 // SemaWait performs P(id): acquire semantics, blocking (not spinning)
 // until a matching signal arrives.
 func (c *Client) SemaWait(id int) {
-	c.round(msgSemaWait, c.n.lockMgr(id), syncReq{id: id}, &c.n.stats.SemaOps, c.clk.Now(), c.costs.Sema, &c.n.stats.SemaWait)
+	c.round(msgSemaWait, syncReq{id: id}, &c.n.stats.SemaOps, c.clk.Now(), c.costs.Sema, &c.n.stats.SemaWait)
 	c.gcSyncHook(true)
 }
 

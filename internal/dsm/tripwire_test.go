@@ -66,28 +66,37 @@ func TestHandlerPanicUnderMuBecomesRunError(t *testing.T) {
 
 // TestMalformedSyncRequestBecomesRunError: a lock request, semaphore wait
 // or condition wait cut one byte short, sent to the manager, ends Run with
-// the decoder's short-message error and leaves the manager's n.mu free.
+// the decoder's short-message error and leaves the manager's n.mu free; one
+// with a byte past its body ends Run with the handler's error the same way.
 func TestMalformedSyncRequestBecomesRunError(t *testing.T) {
 	for name, typ := range map[string]int{"AcqReq": msgAcqReq, "SemaWait": msgSemaWait, "CondWait": msgCondWait} {
-		t.Run(name, func(t *testing.T) {
-			sys := New(Config{Procs: 2})
-			sys.Register("bad-request", func(n *Node, _ []byte) {
-				if n.ID() == 1 {
-					q := syncReq{waiter: waiter{tag: 1, vc: n.vc.clone()}}
-					var w wbuf
-					putSyncReq(&w, nil, typ, &q) // id 0: managed at node 0
-					n.ep.SendAt(0, typ, network.ClassRequest, w.b[:len(w.b)-1], n.Now())
-					return
+		for _, bad := range []struct {
+			name, want string
+			mangle     func([]byte) []byte
+		}{
+			{"short", "short message", func(b []byte) []byte { return b[:len(b)-1] }},
+			{"long", "bytes past", func(b []byte) []byte { return append(b, 0) }},
+		} {
+			t.Run(name+"/"+bad.name, func(t *testing.T) {
+				sys := New(Config{Procs: 2})
+				sys.Register("bad-request", func(n *Node, _ []byte) {
+					if n.ID() == 1 {
+						q := syncReq{waiter: waiter{tag: 1, vc: n.vc.clone()}}
+						var w wbuf
+						putSyncReq(&w, nil, typ, &q) // id 0: managed at node 0
+						n.ep.SendAt(0, typ, network.ClassRequest, bad.mangle(w.b), n.Now())
+						return
+					}
+					<-n.sys.done // the abort; now return into the join
+				})
+				var err error
+				within(t, "Run", func() { err = sys.Run(func(n *Node) { n.RunParallel("bad-request", nil) }) })
+				if err == nil || !strings.Contains(err.Error(), bad.want) {
+					t.Fatalf("Run error %v does not carry %q", err, bad.want)
 				}
-				<-n.sys.done // the abort; now return into the join
+				within(t, "Stats after the abort", func() { sys.Node(0).Stats() })
 			})
-			var err error
-			within(t, "Run", func() { err = sys.Run(func(n *Node) { n.RunParallel("bad-request", nil) }) })
-			if err == nil || !strings.Contains(err.Error(), "short message") {
-				t.Fatalf("Run error %v does not carry the short message", err)
-			}
-			within(t, "Stats after the abort", func() { sys.Node(0).Stats() })
-		})
+		}
 	}
 }
 

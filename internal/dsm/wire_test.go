@@ -935,8 +935,9 @@ func syncReqBytes(typ int, recs []*interval) []byte {
 	return w.b
 }
 
-// getSyncReqTrailer decodes a request of type typ as the server does,
-// a trailer body with no receiver store.
+// getSyncReqTrailer decodes a request of type typ as handleSyncReq does,
+// a trailer body with no receiver store, and fails it, as the handler
+// does, if bytes are left past its body.
 func getSyncReqTrailer(b []byte, typ int) (syncReq, []*interval) {
 	r := rbuf{b: b}
 	q := getSyncReq(&r, typ, 2)
@@ -945,7 +946,7 @@ func getSyncReqTrailer(b []byte, typ int) (syncReq, []*interval) {
 		q.vc, recs = getTrailer(&r)
 	}
 	if !r.done() {
-		panic(wireErrf("dsm: short message: %d bytes past request type %d", r.remaining(), typ))
+		panic(wireErrf("dsm: %d bytes past a request of type %d", r.remaining(), typ))
 	}
 	return q, recs
 }
