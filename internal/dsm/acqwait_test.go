@@ -320,7 +320,8 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 // has published and then flushes its copy without a message — and each
 // node's acknowledgment is in before its own Barrier returns. (The root's
 // return does not wait for the other nodes' sides of the episode, which
-// run after their departures arrive.)
+// run after their departures arrive.) By the next barrier every node has
+// acknowledged.
 func TestEpisodeSettlesOwedAcquirePurge(t *testing.T) {
 	acqWaitFixture(t, false, func(f *acqWait, n *Node) {
 		var before NodeStats
@@ -348,6 +349,13 @@ func TestEpisodeSettlesOwedAcquirePurge(t *testing.T) {
 			n.mu.Unlock()
 		}
 		f.round(n, 7) // the waiter has read its counters before anyone faults
+		if n.ID() == awWaiter {
+			for id := 0; id < 3; id++ {
+				if !f.acked(id) {
+					t.Errorf("node %d has not acknowledged the owed floor by the next barrier", id)
+				}
+			}
+		}
 		got := make([]byte, 4)
 		n.ReadBytes(f.a, got)
 		if !bytes.Equal(got, awWord(7)) {
