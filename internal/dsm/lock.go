@@ -228,12 +228,11 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 // takeGrant incorporates a grant of lock or semaphore id on the client's
 // node. A lock grant then marks the lock held by the client — requested
 // says it answers this node's outstanding request, not a condition wake —
-// and files the grant's
-// data, under fetchMu like a fault round: every diff a page here still
-// owes stays on its interval record for the next grant to forward, the page
-// joins the lock's data, and a copy with no twin whose missing notices the
-// grant all covers has them applied in causal order. Any other page faults
-// as it would have.
+// and files the grant's data, under fetchMu like a fault round: every diff
+// a page here still owes stays on its interval record for the next grant
+// to forward, the page joins the lock's data, and a copy with no twin
+// whose missing notices the grant all covers has them applied in causal
+// order. Any other page faults as it would have.
 func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 	n := c.n
 	r := rbuf{b: m.Payload}
