@@ -161,27 +161,40 @@ var hybridPrograms = []hybridProgram{
 	},
 }
 
-// TestHybridIslandsOneMatchesSMP pins the all-local degenerate: a hybrid
-// run with a single island reports identically-zero traffic and protocol
-// metadata, and its virtual clock matches the SMP backend exactly.
+// smpPins are the SMP cost model's clocks and results for hybridPrograms,
+// recorded from the flat-heap SMP backend that omp-smp ran on before it
+// became the hybrid backend's one-island case: every clock is a sum of
+// compute and the Platform's SMP* constants, so it is exact.
+var smpPins = map[string]map[int]struct {
+	clock sim.Time
+	res   int64
+}{
+	"stencil":         {1: {82800, 130816}, 4: {88800, 2096128}, 8: {88800, 8386560}},
+	"sema-pipeline":   {1: {147400, 90}, 4: {147400, 90}, 8: {147400, 90}},
+	"locks-reduction": {1: {28525, 5}, 4: {29600, 50}, 8: {29700, 180}},
+}
+
+// TestHybridIslandsOneMatchesSMP pins the all-local degenerate: BackendSMP
+// and a hybrid run with a single island both report identically-zero
+// traffic, and their virtual clocks and results equal the SMP cost
+// model's recorded values exactly.
 func TestHybridIslandsOneMatchesSMP(t *testing.T) {
 	for _, prog := range hybridPrograms {
 		prog := prog
 		t.Run(prog.name, func(t *testing.T) {
 			for _, procs := range []int{1, 4, 8} {
-				smpT, smpMsgs, smpBytes, smpRes := prog.run(t, BackendSMP, procs)
-				hybT, hybMsgs, hybBytes, hybRes := prog.run(t, HybridIslands(1), procs)
-				if hybMsgs != 0 || hybBytes != 0 {
-					t.Errorf("procs=%d: hybrid islands=1 moved traffic: %d msgs, %d bytes", procs, hybMsgs, hybBytes)
-				}
-				if smpMsgs != 0 || smpBytes != 0 {
-					t.Errorf("procs=%d: SMP moved traffic: %d msgs, %d bytes", procs, smpMsgs, smpBytes)
-				}
-				if hybRes != smpRes {
-					t.Errorf("procs=%d: result %d differs from SMP %d", procs, hybRes, smpRes)
-				}
-				if hybT != smpT {
-					t.Errorf("procs=%d: hybrid islands=1 clock %s != SMP clock %s", procs, hybT, smpT)
+				want := smpPins[prog.name][procs]
+				for _, bk := range []BackendKind{BackendSMP, HybridIslands(1)} {
+					clock, msgs, bytes, res := prog.run(t, bk, procs)
+					if msgs != 0 || bytes != 0 {
+						t.Errorf("%s procs=%d: moved traffic: %d msgs, %d bytes", bk, procs, msgs, bytes)
+					}
+					if res != want.res {
+						t.Errorf("%s procs=%d: result %d, want %d", bk, procs, res, want.res)
+					}
+					if clock != want.clock {
+						t.Errorf("%s procs=%d: clock %d, want the SMP clock %d", bk, procs, clock, want.clock)
+					}
 				}
 			}
 		})
