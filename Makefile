@@ -45,18 +45,19 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# SMP-backend smoke under the race detector: the backend conformance
-# suite plus the core runtime tests, which run every primitive on real
-# goroutines over the shared heap — reductions included, whose partials
-# cross goroutines on the join channel (TestReduction*) — and the heap
-# tests (TestSMPHeap*, TestSMPMalloc*: the heap grows only outside Run,
-# so the access path reads it without a lock). The full
-# test-race pass subsumes it;
-# it runs FIRST in ci (and stands alone for the dev loop) so an ordering
-# bug in the SMP backend fails in seconds instead of after the whole
-# race suite.
+# SMP-backend smoke under the race detector: omp-smp is the hybrid
+# backend's one-island case, so this runs the backend conformance suite
+# plus the core runtime tests with every thread a dsm.Client of one node
+# — reductions included, whose partials cross goroutines on the island
+# join (TestReduction*) — the one-island pins (TestHybridIslandsOne*:
+# the SMP cost model's clocks, zero traffic, no ledger) and the heap
+# tests (TestSMPHeap*: an access past the last allocation panics;
+# TestSMPMalloc*: a region may allocate, as on the NOW). The full
+# test-race pass subsumes it; it runs FIRST in ci (and stands alone for
+# the dev loop) so an ordering bug on one island fails in seconds
+# instead of after the whole race suite.
 smp-race:
-	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective|TestReduction|TestSMPHeap|TestSMPMalloc' ./internal/core
+	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective|TestReduction|TestHybridIslandsOne|TestSMPHeap|TestSMPMalloc' ./internal/core
 
 # Hybrid-backend smoke under the race detector: the conformance scenarios
 # on the NOW-of-SMPs backend (all island counts) plus the degenerate-limit

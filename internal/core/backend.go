@@ -17,18 +17,19 @@ import (
 // against Backend and Worker, and an application written against the
 // core API runs on any backend selected through Config.Backend.
 //
-// Three backends are provided:
+// Three backend kinds, two implementations:
 //
 //	BackendNOW    — TreadMarks on the simulated network of workstations
-//	                (internal/dsm): the paper's system.
-//	BackendSMP    — goroutines over one flat byte heap with native
-//	                synchronization (backend_smp.go): the hardware
-//	                shared-memory machine OpenMP was born on, the paper's
-//	                implicit baseline. Zero interconnect traffic.
+//	                (internal/dsm, backend_dsm.go): the paper's system.
 //	BackendHybrid — a NOW of SMPs (backend_hybrid.go): the team mapped
 //	                onto k SMP islands, intra-island synchronization and
 //	                memory at bus scale, inter-island coherence through
 //	                the LRC DSM with one dsm.Node per island.
+//	BackendSMP    — the hybrid backend's one-island case: one SMP, the
+//	                hardware shared-memory machine OpenMP was born on and
+//	                the paper's implicit baseline, as a one-node cluster
+//	                whose threads share its memory (Hu, Lu, Cox and
+//	                Zwaenepoel, IPPS '99). Zero interconnect traffic.
 
 // Addr is an address in a backend's shared address space. It aliases
 // dsm.Addr so hand-coded TreadMarks sources and backend-neutral OpenMP
@@ -59,8 +60,8 @@ const (
 	// BackendNOW runs on TreadMarks over the simulated network of
 	// workstations — the paper's system.
 	BackendNOW BackendKind = "now"
-	// BackendSMP runs on goroutines over a flat shared heap with native
-	// synchronization — hardware shared memory, the paper's baseline.
+	// BackendSMP runs on one SMP island — hardware shared memory, the
+	// paper's baseline; it is HybridIslands(1).
 	BackendSMP BackendKind = "smp"
 	// BackendHybrid runs on a network of SMP islands: native sharing
 	// inside each island, the LRC DSM between islands, at 2 islands
@@ -170,9 +171,8 @@ type Backend interface {
 	// Procs returns the team size.
 	Procs() int
 	// Malloc allocates size bytes (8-byte aligned, zeroed) in the shared
-	// address space; MallocPage starts the block on a page boundary. A
-	// program allocates before Run (the SMP backend panics on a Malloc
-	// inside it).
+	// address space; MallocPage starts the block on a page boundary. An
+	// access past the last block panics.
 	Malloc(size int) Addr
 	MallocPage(size int) Addr
 	// Register binds a parallel-region body to a name on every worker. The

@@ -36,3 +36,5 @@ func (b *dsmBackend) Report() dsm.Report { return b.sys.Report() }
 // started at construction outlive the backend — on a never-Run backend
 // they outlive it forever.
 func (b *dsmBackend) Close() error { return b.sys.Shutdown() }
+
+var _ Backend = (*dsmBackend)(nil)

@@ -19,8 +19,8 @@ import (
 //   - Intra-island, threads share their island's memory natively: typed
 //     accesses hit the island delegate's page copies directly, and
 //     synchronization satisfied inside the island (a lock handed between
-//     two island threads, a local barrier gather) charges the same
-//     bus-scale constants as the SMP backend. Zero messages.
+//     two island threads, a local barrier gather) charges the Platform's
+//     bus-scale SMP* constants. Zero messages.
 //   - Inter-island, one dsm.Node per island holds the island's single
 //     seat in the LRC protocol: page faults, diff traffic, barrier
 //     arrivals, lock tokens, semaphore and condition-variable managers
@@ -28,9 +28,10 @@ import (
 //     per-thread reply tags (dsm.Client) routing grants back to the
 //     island thread that asked.
 //
-// Degenerate limits (pinned by tests): islands=1 is one big SMP — zero
-// traffic, SMP-identical clocks; islands=procs is one thread per island —
-// the NOW's message pattern exactly.
+// Degenerate limits (pinned by tests): islands=1 is one big SMP and is
+// BackendSMP — zero traffic, no ledger, the SMP cost model's clocks;
+// islands=procs is one thread per island — the NOW's message pattern
+// exactly.
 //
 // An island's memory accesses and flushes are serialized by the delegate
 // node's engine lock (one protocol engine per island, as in the
@@ -59,10 +60,9 @@ type hybridIsland struct {
 
 	// Local barrier (the intra-island gather/release around the DSM
 	// barrier's inter-island phase).
-	bmu        sync.Mutex
-	barN       int
-	barMax     sim.Time
-	barWaiters []chan sim.Time
+	bmu    sync.Mutex
+	barN   int
+	barMax sim.Time
 }
 
 func (isl *hybridIsland) size() int { return isl.hi - isl.lo }
@@ -93,12 +93,13 @@ type hybridJoin struct {
 // intra-island sharing is hardware sharing.
 type hybridWorker struct {
 	*dsm.Client
-	b      *hybridBackend
-	isl    *hybridIsland
-	id     int // global thread id
-	clock  sim.Clock
-	forkCh chan hybridFork
-	joinCh chan hybridJoin
+	b       *hybridBackend
+	isl     *hybridIsland
+	id      int // global thread id
+	clock   sim.Clock
+	forkCh  chan hybridFork
+	joinCh  chan hybridJoin
+	release chan sim.Time // the island barrier's departure time, while parked in it
 }
 
 // hybridAbortPanic unwinds a worker blocked in a local structure when the
@@ -127,11 +128,12 @@ func newHybridBackend(cfg Config, islands int) *hybridBackend {
 		b.islands = append(b.islands, isl)
 		for g := lo; g < hi; g++ {
 			w := &hybridWorker{
-				b:      b,
-				isl:    isl,
-				id:     g,
-				forkCh: make(chan hybridFork, 1),
-				joinCh: make(chan hybridJoin, 1),
+				b:       b,
+				isl:     isl,
+				id:      g,
+				forkCh:  make(chan hybridFork, 1),
+				joinCh:  make(chan hybridJoin, 1),
+				release: make(chan sim.Time, 1),
 			}
 			w.Client = isl.node.NewClient(&w.clock, costs)
 			b.workers = append(b.workers, w)
@@ -302,7 +304,7 @@ func (w *hybridWorker) Poll()         { runtime.Gosched() }
 
 // RunParallel forks the named region across the cluster: one dsm fork per
 // island, each island's dispatcher spreading it over its threads. The
-// master charges the same dispatch cost as the SMP backend; the DSM fork
+// master charges the Platform's SMPFork dispatch cost; the DSM fork
 // messages carry the inter-island cost, the joins each island's
 // contributions (islands are blocks of threads: island order is thread order).
 func (w *hybridWorker) RunParallel(region string, arg []byte) [][]byte {
@@ -329,31 +331,29 @@ func (w *hybridWorker) Barrier() {
 	}
 	isl.barN++
 	if isl.barN < isl.size() {
-		ch := make(chan sim.Time, 1)
-		isl.barWaiters = append(isl.barWaiters, ch)
 		isl.bmu.Unlock()
 		select {
-		case t := <-ch:
+		case t := <-w.release:
 			w.clock.AdvanceTo(t)
 		case <-w.b.sys.Done():
 			panic(hybridAbortPanic{})
 		}
 		return
 	}
-	// Last arrival: run the inter-island phase. Every island thread is
-	// parked here, so the delegate node is quiescent for this client.
+	// Last arrival: run the inter-island phase. Every other island thread
+	// is parked here, so the delegate node is quiescent for this client.
 	localMax := isl.barMax
-	waiters := isl.barWaiters
 	isl.barN = 0
 	isl.barMax = 0
-	isl.barWaiters = nil
 	isl.bmu.Unlock()
 	w.clock.AdvanceTo(localMax)
 	w.Client.Barrier()
 	w.clock.Advance(w.b.sys.Platform().SMPBarrier)
 	depart := w.clock.Now()
-	for _, ch := range waiters {
-		ch <- depart
+	for _, o := range w.b.workers[isl.lo:isl.hi] {
+		if o != w {
+			o.release <- depart
+		}
 	}
 }
 

@@ -3,9 +3,9 @@
 // Program holds the shared-data layout and the registered parallel
 // regions; WHERE it runs is a pluggable Backend (see backend.go) selected
 // through Config.Backend — TreadMarks on the simulated network of
-// workstations (the paper's system), or goroutines over hardware shared
-// memory (the baseline OpenMP was designed for). One application source
-// written against this API runs unchanged on either.
+// workstations (the paper's system), one SMP (hardware shared memory, the
+// baseline OpenMP was designed for), or a network of SMPs. One
+// application source written against this API runs unchanged on each.
 //
 // The programming model follows the paper's two proposed modifications to
 // the OpenMP standard (Section 3):
@@ -47,25 +47,23 @@ import (
 // Config describes an OpenMP execution environment.
 type Config struct {
 	// Threads is the number of OpenMP threads (== workstations on the NOW
-	// backend, goroutines on the SMP backend).
+	// backend, threads of one island on the SMP backend).
 	Threads int
 	// HeapBytes bounds the shared address space (default 64 MiB): a
-	// Malloc past it panics. The DSM-backed backends size their page
-	// tables by it; the SMP backend allocates only the extent its Mallocs
-	// reserved, so its memory grows with Malloc, not with this bound.
+	// Malloc past it panics. Every backend sizes its page table by it and
+	// materializes a page only when a thread first touches it; an access
+	// past the last allocation panics whatever the bound.
 	HeapBytes int
 	// Platform overrides the cost model.
 	Platform *sim.Platform
 	// Backend selects the execution substrate; the zero value is
 	// BackendNOW, the paper's network of workstations.
 	Backend BackendKind
-	// DSM carries the protocol knobs of the NOW and hybrid backends by
-	// value — DisableGC, GCPressure
-	// (see dsm.Config) — and is ignored on hardware shared memory, which
-	// keeps no LRC metadata. The backend fills Procs, HeapBytes and
-	// Platform itself from the fields above; the hybrid backend adds one
-	// dsm.Client per island thread (dsm.Node.NewClient), which any node
-	// accepts.
+	// DSM carries the protocol knobs by value — DisableGC, GCPressure
+	// (see dsm.Config); the SMP backend's one node has no peer to collect
+	// with. The backend fills Procs, HeapBytes and Platform itself from the
+	// fields above; the hybrid and SMP backends add one dsm.Client per
+	// island thread (dsm.Node.NewClient), which any node accepts.
 	DSM dsm.Config
 }
 
@@ -104,7 +102,7 @@ func NewProgram(cfg Config) *Program {
 	case BackendNOW:
 		be = newDSMBackend(cfg)
 	case BackendSMP:
-		be = newSMPBackend(cfg)
+		be = newHybridBackend(cfg, 1)
 	case BackendHybrid:
 		be = newHybridBackend(cfg, islands)
 	}
@@ -153,7 +151,8 @@ func (p *Program) Run(master func(m *MC)) error {
 func (p *Program) Elapsed() sim.Time { return p.be.MaxClock() }
 
 // Report returns the run's accounting so far (see dsm.Report; the zero
-// value on the SMP backend). A phase's cost is the difference of two
+// value on the SMP backend, whose one node moves no message and books no
+// ledger). A phase's cost is the difference of two
 // Reports taken around it.
 func (p *Program) Report() dsm.Report { return p.be.Report() }
 

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The SMP backend's heap holds only what was allocated: Malloc extends it,
-// HeapBytes bounds it, and the team never sees it move (Malloc panics
-// inside Run).
+// The shared heap holds only what was allocated: Malloc extends it,
+// HeapBytes bounds it, and an access past the last allocation panics on
+// every DSM-backed backend, omp-smp's one-island system included.
 
 // panicText runs f and returns what it panicked with ("" if it returned).
 func panicText(f func()) (msg string) {
@@ -23,23 +23,25 @@ func panicText(f func()) (msg string) {
 }
 
 func TestSMPHeapAccessPastLastAllocationPanics(t *testing.T) {
-	p := NewProgram(Config{Threads: 2, Backend: BackendSMP})
-	defer p.Close()
-	a := p.SharedPage(8)
-	b := p.Shared(16)
-	end := b + 16
-	p.RegisterRegion("edge", func(tc *TC) {
-		if tc.ThreadNum() != 0 {
-			return
+	for _, bk := range []BackendKind{BackendSMP, BackendNOW} {
+		p := NewProgram(Config{Threads: 2, Backend: bk})
+		defer p.Close()
+		a := p.SharedPage(8)
+		b := p.Shared(16)
+		end := b + 16
+		p.RegisterRegion("edge", func(tc *TC) {
+			if tc.ThreadNum() != 0 {
+				return
+			}
+			tc.WriteI64(a, 1)
+			tc.WriteI64(end-8, 2) // the last allocated word
+			var one [1]byte
+			tc.Worker().ReadBytes(end, one[:]) // one byte past it
+		})
+		err := p.Run(func(m *MC) { m.Parallel("edge", NoArgs()) })
+		if err == nil || !strings.Contains(err.Error(), "outside shared heap") {
+			t.Fatalf("%s: access one byte past the last allocation: err = %v, want \"outside shared heap\"", bk, err)
 		}
-		tc.WriteI64(a, 1)
-		tc.WriteI64(end-8, 2) // the last allocated word
-		var one [1]byte
-		tc.Worker().ReadBytes(end, one[:]) // one byte past it
-	})
-	err := p.Run(func(m *MC) { m.Parallel("edge", NoArgs()) })
-	if err == nil || !strings.Contains(err.Error(), "outside shared heap") {
-		t.Fatalf("access one byte past the last allocation: err = %v, want \"outside shared heap\"", err)
 	}
 }
 
@@ -53,18 +55,36 @@ func TestSMPHeapExhaustedPanics(t *testing.T) {
 	}
 }
 
-func TestSMPMallocInsideRunPanics(t *testing.T) {
-	p := NewProgram(Config{Threads: 2, Backend: BackendSMP})
-	defer p.Close()
-	p.Shared(8)
-	p.RegisterRegion("alloc", func(tc *TC) {
-		if tc.ThreadNum() == 1 {
-			p.Shared(8)
+// TestSMPMallocInsideRunMatchesNOW: a thread may allocate inside a region
+// on omp-smp as on the NOW. It writes the new block and publishes its
+// address; after the join the master finds the same address and value on
+// both backends.
+func TestSMPMallocInsideRunMatchesNOW(t *testing.T) {
+	type got struct{ addr, val int64 }
+	run := func(bk BackendKind) got {
+		p := NewProgram(Config{Threads: 2, Backend: bk})
+		defer p.Close()
+		cell := p.Shared(8)
+		p.RegisterRegion("alloc", func(tc *TC) {
+			if tc.ThreadNum() == 1 {
+				a := p.Shared(8)
+				tc.WriteI64(a, 42)
+				tc.WriteI64(cell, int64(a))
+			}
+		})
+		var g got
+		if err := p.Run(func(m *MC) {
+			m.Parallel("alloc", NoArgs())
+			g.addr = m.ReadI64(cell)
+			g.val = m.ReadI64(Addr(g.addr))
+		}); err != nil {
+			t.Fatalf("%s: Malloc inside a region: %v", bk, err)
 		}
-	})
-	err := p.Run(func(m *MC) { m.Parallel("alloc", NoArgs()) })
-	if err == nil || !strings.Contains(err.Error(), "Malloc while the team runs") {
-		t.Fatalf("Malloc inside a region: err = %v, want the running-team panic", err)
+		return g
+	}
+	smp, now := run(BackendSMP), run(BackendNOW)
+	if smp.val != 42 || smp != now {
+		t.Errorf("block allocated inside a region: omp-smp %+v, NOW %+v, want equal with value 42", smp, now)
 	}
 }
 

@@ -49,6 +49,7 @@ type Client struct {
 	costs ClientCosts
 	held  []int                 // the locks this thread holds, in acquisition order
 	reply chan *network.Message // replies other threads route here (replyRouter)
+	wake  chan localWake        // this thread's local lock handoffs, while parked in Acquire
 
 	// Page groups (group.go), under n.mu: the pages this thread's fault
 	// rounds fetched in node episode epoch, the groups earlier records
@@ -68,7 +69,7 @@ func (n *Node) NewClient(clk *sim.Clock, costs ClientCosts) *Client {
 	n.nextTag++
 	tag := n.nextTag
 	n.mu.Unlock()
-	return &Client{n: n, clk: clk, tag: tag, costs: costs, reply: make(chan *network.Message, 1)}
+	return &Client{n: n, clk: clk, tag: tag, costs: costs, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
 }
 
 // oneClientLocked reports whether the default client is the node's only

@@ -132,11 +132,10 @@ func (c *Client) Acquire(id int) {
 			// An island-mate holds the lock (or is already fetching the
 			// token): park on the local queue. The waker transfers ownership
 			// under n.mu, so a non-retry wake means the lock is ours.
-			ch := make(chan localWake, 1)
-			ls.localQ = append(ls.localQ, waiter{tag: c.tag, ch: ch})
+			ls.localQ = append(ls.localQ, waiter{tag: c.tag, ch: c.wake})
 			n.mu.Unlock()
 			select {
-			case w = <-ch:
+			case w = <-c.wake:
 			case <-n.sys.done:
 				panic(abortError{cause: "switch shut down"})
 			}

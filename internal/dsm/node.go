@@ -969,9 +969,11 @@ func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
 // default client.
 // ---------------------------------------------------------------------
 
+// checkRange bounds an access by the allocated extent: an address no
+// Malloc has returned is outside the shared heap, whatever HeapBytes is.
 func (n *Node) checkRange(a Addr, size int) {
-	if a < 0 || int(a)+size > n.sys.heapBytes {
-		panic(fmt.Sprintf("dsm: access [%d,%d) outside shared heap of %d bytes", a, int(a)+size, n.sys.heapBytes))
+	if end := n.sys.heapNext.Load(); a < 0 || int64(a)+int64(size) > end {
+		panic(fmt.Sprintf("dsm: access [%d,%d) outside shared heap of %d allocated bytes", a, int(a)+size, end))
 	}
 }
 

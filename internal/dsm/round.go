@@ -227,10 +227,12 @@ func (c *Client) round(typ int, q syncReq, count *int64, entered, cost sim.Time,
 
 // settle charges cost and books the op on wait: the client clock READ at
 // the call (entered) and at the return, never advanced for the measurement.
-// The garbage-collection hook that follows is not included.
+// The garbage-collection hook that follows is not included. A one-node
+// system books nothing: with no protocol to wait on it is hardware shared
+// memory, which keeps no ledger.
 func (c *Client) settle(cost sim.Time, wait *sim.Time, entered sim.Time) {
 	c.clk.Advance(cost)
-	if wait != nil {
+	if wait != nil && len(c.n.sys.nodes) > 1 {
 		c.n.mu.Lock()
 		*wait += c.clk.Now() - entered
 		c.n.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -104,7 +105,7 @@ type System struct {
 	regions   map[string]func(*Node, []byte) []byte
 
 	heapMu   sync.Mutex
-	heapNext Addr
+	heapNext atomic.Int64 // the allocated extent: written under heapMu, read by every access check
 
 	errOnce  sync.Once
 	err      error
@@ -171,7 +172,7 @@ func newSystem(cfg Config, fanin int) *System {
 			n.knownVC[j] = newVC(cfg.Procs)
 		}
 		n.ep = s.sw.Endpoint(i, &n.clock)
-		n.c0 = Client{n: n, clk: &n.clock, reply: make(chan *network.Message, 1)}
+		n.c0 = Client{n: n, clk: &n.clock, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
 		s.nodes = append(s.nodes, n)
 	}
 	// Combining-tree barrier: every node with children in the fan-in-ary
@@ -322,37 +323,33 @@ func (s *System) region(name string) func(*Node, []byte) []byte {
 // operation whose result is distributed to the slaves (here through fork
 // arguments or the central allocator state). The returned block is 8-byte
 // aligned and initially zero.
-func (s *System) Malloc(size int) Addr {
-	s.heapMu.Lock()
-	defer s.heapMu.Unlock()
-	return s.mallocLocked(size)
-}
+func (s *System) Malloc(size int) Addr { return s.malloc(size, 8) }
 
 // MallocPage allocates size bytes starting on a fresh page, so that
 // unrelated allocations never share a page (the usual defence against
 // false sharing for the applications' main arrays). The alignment and the
 // allocation happen under one lock acquisition: a concurrent Malloc
 // cannot land between them and put the block mid-page.
-func (s *System) MallocPage(size int) Addr {
-	s.heapMu.Lock()
-	defer s.heapMu.Unlock()
-	if rem := int(s.heapNext) % PageSize; rem != 0 {
-		s.heapNext += Addr(PageSize - rem)
-	}
-	return s.mallocLocked(size)
-}
+func (s *System) MallocPage(size int) Addr { return s.malloc(size, PageSize) }
 
-func (s *System) mallocLocked(size int) Addr {
+// malloc allocates size bytes, rounded up to 8, at the next multiple of
+// align (the extent is always a multiple of 8).
+func (s *System) malloc(size, align int) Addr {
 	if size <= 0 {
 		panic("dsm: Malloc with non-positive size")
 	}
-	a := s.heapNext
+	s.heapMu.Lock()
+	defer s.heapMu.Unlock()
+	a := int(s.heapNext.Load())
+	if rem := a % align; rem != 0 {
+		a += align - rem
+	}
 	size = (size + 7) &^ 7
-	s.heapNext += Addr(size)
-	if int(s.heapNext) > s.heapBytes {
+	if a+size > s.heapBytes {
 		panic(fmt.Sprintf("dsm: shared heap exhausted (%d bytes requested beyond %d)", size, s.heapBytes))
 	}
-	return a
+	s.heapNext.Store(int64(a + size))
+	return Addr(a)
 }
 
 // abort records the first failure and tears the switch down so every
