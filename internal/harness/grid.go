@@ -24,8 +24,8 @@ var Workers = runtime.NumCPU()
 
 // Cell weights. Cells are not equally expensive: a NOW cell simulates the
 // full TreadMarks protocol (pages, diffs, servers, GC) while an SMP cell
-// is pure compute over a flat heap and a hybrid cell sits in between
-// (protocol traffic only across islands). The scheduler charges each cell
+// is one island with no protocol traffic and a hybrid cell sits in
+// between (protocol traffic only across islands). The scheduler charges each cell
 // a weight out of a capacity of CellUnitsPerWorker×Workers, so cheap
 // cells pack several to a worker slot while NOW cells keep the old
 // one-per-worker bound — shortening `nowbench -all` without
