@@ -969,8 +969,7 @@ func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
 // default client.
 // ---------------------------------------------------------------------
 
-// checkRange bounds an access by the allocated extent: an address no
-// Malloc has returned is outside the shared heap, whatever HeapBytes is.
+// checkRange bounds an access by the allocated extent, not by HeapBytes.
 func (n *Node) checkRange(a Addr, size int) {
 	if end := n.sys.heapNext.Load(); a < 0 || int64(a)+int64(size) > end {
 		panic(fmt.Sprintf("dsm: access [%d,%d) outside shared heap of %d allocated bytes", a, int(a)+size, end))
