@@ -262,7 +262,7 @@ func (s *sharedTSP) worker(nd core.Worker, lockID int, procs int, d [][]float64,
 			return
 		default:
 			// Idle: yield before re-checking the queue. Busy-wait polls
-			// charge no virtual time themselves (see Node.Poll); the
+			// charge no virtual time themselves (see dsm.Client.Poll); the
 			// idle thread's clock advances when the next lock grant or
 			// write notice reaches it.
 			nd.Poll()

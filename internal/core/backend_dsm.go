@@ -35,6 +35,6 @@ func (b *dsmBackend) Report() dsm.Report { return b.sys.Report() }
 // Close shuts the DSM system down: without it, the P protocol servers
 // started at construction outlive the backend — on a never-Run backend
 // they outlive it forever.
-func (b *dsmBackend) Close() error { return b.sys.Shutdown() }
+func (b *dsmBackend) Close() error { return b.sys.Close() }
 
 var _ Backend = (*dsmBackend)(nil)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/dsm"
@@ -289,7 +288,7 @@ func (b *hybridBackend) Report() dsm.Report { return b.sys.Report() }
 // island delegates' protocol servers are started at construction and
 // would outlive a never-Run backend.
 func (b *hybridBackend) Close() error {
-	err := b.sys.Shutdown()
+	err := b.sys.Close()
 	b.wg.Wait()
 	return err
 }
@@ -300,7 +299,6 @@ func (b *hybridBackend) Close() error {
 
 func (w *hybridWorker) ID() int       { return w.id }
 func (w *hybridWorker) NumProcs() int { return w.b.procs }
-func (w *hybridWorker) Poll()         { runtime.Gosched() }
 
 // RunParallel forks the named region across the cluster: one dsm fork per
 // island, each island's dispatcher spreading it over its threads. The

@@ -86,7 +86,7 @@ func (f *acqWait) homeCatchesUp(n *Node) {
 		case <-f.sys.Done():
 			return
 		}
-		n.c0.gcSyncOnce()
+		n.thread.gcSyncOnce()
 		if !f.acked(awHome) {
 			f.t.Error("the home, which waits for nobody, did not acknowledge its own first pass")
 		}
@@ -163,7 +163,7 @@ func acqWaitFixture(t *testing.T, homeWrites bool, rest func(f *acqWait, n *Node
 			}
 			before, reqs := n.Stats(), f.fetchReqs()
 			issueFloor(sys.acq, f.floor)
-			n.c0.gcSyncOnce()
+			n.thread.gcSyncOnce()
 			after := n.Stats()
 			if got := f.fetchReqs() - reqs; got != 0 {
 				t.Errorf("the first pass sent %d fetch requests for a page nobody asked for, want 0", got)
@@ -217,7 +217,7 @@ func TestAcquireEpochLeavesLaggingHomePageAlone(t *testing.T) {
 			return
 		}
 		before, reqs := n.Stats(), f.fetchReqs()
-		n.c0.gcSyncOnce()
+		n.thread.gcSyncOnce()
 		after := n.Stats()
 		if got := f.fetchReqs() - reqs; got != 0 {
 			t.Errorf("the finishing pass sent %d fetch requests, want 0", got)
@@ -281,7 +281,7 @@ func TestAcquireEpochWaitingPageFaultsNormally(t *testing.T) {
 			return
 		}
 		before, reqs := n.Stats(), f.fetchReqs()
-		n.c0.gcSyncOnce()
+		n.thread.gcSyncOnce()
 		n.ReadBytes(f.a, make([]byte, 4))
 		after := n.Stats()
 		if !f.acked(awWaiter) {

@@ -2,30 +2,28 @@ package dsm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/network"
 	"repro/internal/sim"
 )
 
-// The island-delegate hooks: everything a NOW-of-SMPs backend needs to
-// let SEVERAL application threads share one dsm.Node.
+// The application thread. Client is the per-thread TreadMarks API the
+// compiler emits calls against: typed shared-memory access,
+// synchronization, fork/join and the thread's virtual clock.
 //
 // A classic node is one workstation with exactly one application thread,
-// and every protocol cost lands on the node's single clock. An SMP island
-// keeps one Node as its delegate — one seat in the LRC protocol, one
-// private copy of the paged address space — but runs a whole team of
-// threads against it. Client is one such thread's handle: it carries the
-// thread's own virtual clock, a reply tag that routes grants and
-// acknowledgments back to the exact thread that asked for them, and the
-// island-local cost constants for synchronization satisfied without
-// leaving the node.
-//
-// The classic node is the one-client case: every Node owns a default
-// client (tag 0, the node's own clock, zero local costs) and its exported
-// application API delegates to it. NewClient adds more on any node. Every
-// node delivers replies the same way (replyRouter below), whatever its
-// client count.
+// and every protocol cost lands on the node's single clock: that thread is
+// the default client every Node embeds (tag 0, the node's own clock, zero
+// local costs). An SMP island keeps one Node as its delegate — one seat in
+// the LRC protocol, one private copy of the paged address space — but runs
+// a whole team of threads against it; NewClient adds one Client per
+// thread, carrying the thread's own virtual clock, a reply tag that routes
+// grants and acknowledgments back to the exact thread that asked for them,
+// and the island-local cost constants for synchronization satisfied
+// without leaving the node. Every node delivers replies the same way
+// (replyRouter below), whatever its client count.
 
 // ClientCosts are the island-local (bus-scale) synchronization charges a
 // multi-client node applies to operations that complete without protocol
@@ -38,10 +36,10 @@ type ClientCosts struct {
 	Cond sim.Time
 }
 
-// Client is one application thread's handle on a Node. All application-
-// side protocol operations (synchronization, typed shared-memory access,
-// fork/join) are Client methods; Node re-exports them through its default
-// client for the classic one-thread-per-node configuration.
+// Client is one application thread's handle on a Node. Every
+// application-side protocol operation (synchronization, typed
+// shared-memory access, fork/join) is declared once, as a Client method;
+// a Node has them through its embedded default client.
 type Client struct {
 	n     *Node
 	clk   *sim.Clock
@@ -60,6 +58,10 @@ type Client struct {
 	grouped []pageGroup
 }
 
+// thread names the default client a Node embeds without exporting a
+// Client field.
+type thread = Client
+
 // NewClient registers an additional application thread on the node,
 // with its own reply tag. clk is the thread's own virtual clock (protocol
 // costs incurred on the thread's behalf are charged there). Its accesses
@@ -77,9 +79,6 @@ func (n *Node) NewClient(clk *sim.Clock, costs ClientCosts) *Client {
 // would explain is a protocol bug. Requires n.mu.
 func (n *Node) oneClientLocked() bool { return n.nextTag == 0 }
 
-// Node returns the island delegate this client runs against.
-func (c *Client) Node() *Node { return c.n }
-
 // Now returns the client's current virtual time.
 func (c *Client) Now() sim.Time { return c.clk.Now() }
 
@@ -91,6 +90,14 @@ func (c *Client) Compute(flops float64) {
 
 // Charge advances the client's clock by an explicit duration.
 func (c *Client) Charge(d sim.Time) { c.clk.Advance(d) }
+
+// Poll yields the processor inside a busy-wait loop (the flush-based
+// constructs of the paper's Figures 1 and 2). Polling charges no virtual
+// time by itself: the number of real spin iterations is a scheduling
+// artifact of direct execution, and the spinning thread's virtual clock
+// advances when the awaited write notice arrives and the fault pulls the
+// new value (which is lower-bounded by the flusher's send time).
+func (c *Client) Poll() { runtime.Gosched() }
 
 // recvReply blocks the client for the next reply addressed to it —
 // from the wire or from the node's own protocol server (self-grants) —

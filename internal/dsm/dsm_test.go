@@ -581,7 +581,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestTotalStatsCoversEveryCounter(t *testing.T) {
 	const procs = 3
 	sys := New(Config{Procs: procs})
-	defer sys.Shutdown()
+	defer sys.Close()
 	var leaves []reflect.StructField
 	peaks := 0
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(NodeStats{})) {

@@ -107,7 +107,7 @@ func (n *Node) slaveLoop() {
 		func() {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			n.episodeLocked(&n.c0, forkVC)
+			n.episodeLocked(&n.thread, forkVC)
 		}()
 		fn := n.sys.region(region)
 		tail := fn(n, arg)

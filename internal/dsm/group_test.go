@@ -278,7 +278,7 @@ func BenchmarkColdFault(b *testing.B) {
 		n.mu.Lock()
 		pg := n.pageFor(pid)
 		pg.data, pg.state, pg.refetch = nil, pageInvalid, true
-		n.c0.ensureReadableLocked(pg)
+		n.thread.ensureReadableLocked(pg)
 		n.mu.Unlock()
 	}
 	if st := n.Stats(); st.FaultRounds != int64(b.N) || st.PageFetches != int64(b.N) {

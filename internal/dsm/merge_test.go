@@ -235,7 +235,7 @@ func TestMergeGCWaveOneItem(t *testing.T) {
 			if owed := len(n.pageFor(0).missing); owed != 2 {
 				t.Errorf("test premise: the home owes %d notices on the page, want 2", owed)
 			}
-			n.gcPurgePagesLocked(&n.c0, n.vc.clone())
+			n.gcPurgePagesLocked(&n.thread, n.vc.clone())
 			n.mu.Unlock()
 			after, reqs = n.Stats(), fetchReqs()-reqs
 			got = [2]int32{n.ReadI32(a), n.ReadI32(a + 8)}

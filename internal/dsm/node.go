@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -19,22 +18,25 @@ import (
 // TreadMarks' SIGIO handler), a private copy of the paged shared address
 // space, and a virtual clock.
 //
-// All exported methods are for the application thread; they delegate to
-// the node's default Client (see client.go), and an SMP island sharing the
-// node among a team of threads creates additional Clients with their own
-// clocks and reply tags. A node's state is guarded by mu; application
-// threads release mu whenever they block on the network so the server can
-// keep serving remote requests. One unwind rule keeps an abort an ordinary
-// run error: a ...Locked function that releases mu re-takes it on every way
-// out, a panic's too (relockOnPanic), and every caller that takes mu
-// around one releases it with a deferred Unlock.
+// The application thread is the node's embedded default Client (tag 0,
+// charging the node's own clock), so every Client operation — typed
+// access, synchronization, fork/join, the clock — is a Node method too.
+// An SMP island sharing the node among a team of threads adds Clients
+// with their own clocks and reply tags (NewClient). A node's state is
+// guarded by mu; application threads release mu whenever they block on
+// the network so the server can keep serving remote requests. One unwind
+// rule keeps an abort an ordinary run error: a ...Locked function that
+// releases mu re-takes it on every way out, a panic's too (relockOnPanic),
+// and every caller that takes mu around one releases it with a deferred
+// Unlock.
 type Node struct {
+	thread // the default client: the classic single application thread
+
 	sys   *System
 	id    int
 	clock sim.Clock
 	ep    *network.Endpoint
 
-	c0      Client      // default client: the classic single app thread
 	router  replyRouter // routes replies to the client awaiting them
 	nextTag uint32      // reply-tag allocator for NewClient (under mu)
 
@@ -206,32 +208,10 @@ func (n *Node) NumProcs() int { return n.sys.cfg.Procs }
 // Sys returns the owning system (for allocation from application code).
 func (n *Node) Sys() *System { return n.sys }
 
-// Now returns the node's current virtual time.
-func (n *Node) Now() sim.Time { return n.clock.Now() }
-
 // AdvanceClockTo raises the node's clock to t if later (an island-delegate
 // hook: after a hybrid backend joins an island's local workers, the node
 // clock must carry the island's completion time into the join message).
 func (n *Node) AdvanceClockTo(t sim.Time) { n.clock.AdvanceTo(t) }
-
-// Compute charges the virtual cost of flops floating-point operations to
-// the node's clock. Application kernels call it to account for the real
-// work they perform.
-func (n *Node) Compute(flops float64) {
-	n.clock.Advance(n.sys.plat.ComputeCost(flops))
-}
-
-// Charge advances the node's clock by an explicit duration (used by the
-// OpenMP runtime for bookkeeping costs).
-func (n *Node) Charge(d sim.Time) { n.clock.Advance(d) }
-
-// Poll yields the processor inside a busy-wait loop (the flush-based
-// constructs of the paper's Figures 1 and 2). Polling charges no virtual
-// time by itself: the number of real spin iterations is a scheduling
-// artifact of direct execution, and the spinning thread's virtual clock
-// advances when the awaited write notice arrives and the fault pulls the
-// new value (which is lower-bounded by the flusher's send time).
-func (n *Node) Poll() { runtime.Gosched() }
 
 // Stats returns a copy of the node's protocol counters.
 func (n *Node) Stats() NodeStats {
@@ -965,7 +945,7 @@ func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
 // it verifies each page's validity and takes the fault path when needed.
 // A multi-page span first resolves every stale page in one fault round
 // (fetchSpanLocked). The operations are Client methods so fault costs land
-// on the accessing thread's clock; Node re-exports them through the
+// on the accessing thread's clock; a Node has them through its embedded
 // default client.
 // ---------------------------------------------------------------------
 
@@ -1139,76 +1119,3 @@ func (c *Client) WriteI32s(a Addr, src []int32) {
 		}
 	})
 }
-
-// ---------------------------------------------------------------------
-// The classic single-thread node API: every application-side operation
-// delegated to the node's default client (tag 0, the node's own clock).
-// ---------------------------------------------------------------------
-
-// ReadF64 reads a float64 at shared address a.
-func (n *Node) ReadF64(a Addr) float64 { return n.c0.ReadF64(a) }
-
-// WriteF64 writes a float64 at shared address a.
-func (n *Node) WriteF64(a Addr, v float64) { n.c0.WriteF64(a, v) }
-
-// ReadI64 reads an int64 at shared address a.
-func (n *Node) ReadI64(a Addr) int64 { return n.c0.ReadI64(a) }
-
-// WriteI64 writes an int64 at shared address a.
-func (n *Node) WriteI64(a Addr, v int64) { n.c0.WriteI64(a, v) }
-
-// ReadI32 reads an int32 at shared address a.
-func (n *Node) ReadI32(a Addr) int32 { return n.c0.ReadI32(a) }
-
-// WriteI32 writes an int32 at shared address a.
-func (n *Node) WriteI32(a Addr, v int32) { n.c0.WriteI32(a, v) }
-
-// ReadBytes copies len(dst) bytes of shared memory starting at a into dst.
-func (n *Node) ReadBytes(a Addr, dst []byte) { n.c0.ReadBytes(a, dst) }
-
-// WriteBytes copies src into shared memory starting at a.
-func (n *Node) WriteBytes(a Addr, src []byte) { n.c0.WriteBytes(a, src) }
-
-// ReadF64s reads len(dst) consecutive float64s starting at a.
-func (n *Node) ReadF64s(a Addr, dst []float64) { n.c0.ReadF64s(a, dst) }
-
-// WriteF64s writes the float64s of src to consecutive addresses from a.
-func (n *Node) WriteF64s(a Addr, src []float64) { n.c0.WriteF64s(a, src) }
-
-// ReadI32s reads len(dst) consecutive int32s starting at a.
-func (n *Node) ReadI32s(a Addr, dst []int32) { n.c0.ReadI32s(a, dst) }
-
-// WriteI32s writes the int32s of src to consecutive addresses from a.
-func (n *Node) WriteI32s(a Addr, src []int32) { n.c0.WriteI32s(a, src) }
-
-// Barrier synchronizes all processors (see Client.Barrier).
-func (n *Node) Barrier() { n.c0.Barrier() }
-
-// Acquire obtains lock id with acquire semantics (see Client.Acquire).
-func (n *Node) Acquire(id int) { n.c0.Acquire(id) }
-
-// Release releases lock id with release semantics (see Client.Release).
-func (n *Node) Release(id int) { n.c0.Release(id) }
-
-// SemaWait performs P(id) (see Client.SemaWait).
-func (n *Node) SemaWait(id int) { n.c0.SemaWait(id) }
-
-// SemaSignal performs V(id) (see Client.SemaSignal).
-func (n *Node) SemaSignal(id int) { n.c0.SemaSignal(id) }
-
-// CondWait atomically releases lockID, blocks on condition variable
-// condID, and re-acquires the lock (see Client.CondWait).
-func (n *Node) CondWait(condID, lockID int) { n.c0.CondWait(condID, lockID) }
-
-// CondSignal unblocks one waiter on condID (see Client.CondSignal).
-func (n *Node) CondSignal(condID, lockID int) { n.c0.CondSignal(condID, lockID) }
-
-// CondBroadcast unblocks every waiter on condID (see Client.CondBroadcast).
-func (n *Node) CondBroadcast(condID, lockID int) { n.c0.CondBroadcast(condID, lockID) }
-
-// Flush is the OpenMP flush directive (see Client.Flush).
-func (n *Node) Flush() { n.c0.Flush() }
-
-// RunParallel forks the named region on every slave node, runs it on the
-// master too, and joins (see Client.RunParallel, which returns the tails).
-func (n *Node) RunParallel(region string, arg []byte) [][]byte { return n.c0.RunParallel(region, arg) }

@@ -257,7 +257,7 @@ func BenchmarkLockRoundTrip(b *testing.B) {
 					close(turn1)
 					return
 				}
-				cls := []*Client{&n.c0}
+				cls := []*Client{&n.thread}
 				if tc.clients > 0 {
 					cls = nil
 					clks := make([]sim.Clock, tc.clients)

@@ -172,7 +172,7 @@ func newSystem(cfg Config, fanin int) *System {
 			n.knownVC[j] = newVC(cfg.Procs)
 		}
 		n.ep = s.sw.Endpoint(i, &n.clock)
-		n.c0 = Client{n: n, clk: &n.clock, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
+		n.thread = Client{n: n, clk: &n.clock, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
 		s.nodes = append(s.nodes, n)
 	}
 	// Combining-tree barrier: every node with children in the fan-in-ary
@@ -362,26 +362,22 @@ func (s *System) abort(err error) {
 	})
 }
 
-// Shutdown releases every resource the system holds: it closes the done
+// Close releases every resource the system holds: it closes the done
 // channel, shuts the switch down (idempotently — an abort may already have
 // done both), and waits for the protocol servers started by New to exit.
 // It returns the run's first error, if any.
 //
-// Shutdown is idempotent and must be called once the system is quiescent:
+// Close is idempotent and must be called once the system is quiescent:
 // after Run has returned, or on a system that was never Run (a scheduler
 // tearing down a constructed-but-unused backend — without this, the P
 // server goroutines started by New outlive the System).
 // It must not be called while a Run is in flight.
-func (s *System) Shutdown() error {
+func (s *System) Close() error {
 	s.doneOnce.Do(func() { close(s.done) })
 	s.sw.Shutdown()
 	s.serverWG.Wait()
 	return s.err
 }
-
-// Close is Shutdown under the io.Closer-shaped name used by run-scoped
-// `defer sys.Close()` teardown in the applications.
-func (s *System) Close() error { return s.Shutdown() }
 
 // Run executes master on node 0 while nodes 1..P-1 wait for forked
 // regions. It returns when master returns (after shutting the slaves

@@ -224,7 +224,7 @@ func TestDepartureSendUnwindsHoldingMu(t *testing.T) {
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			vc := n.vc.clone()
-			n.forwardDeparturesLocked(&n.c0, vc, []struct {
+			n.forwardDeparturesLocked(&n.thread, vc, []struct {
 				from int
 				vc   VectorClock
 			}{{from: 1, vc: vc}})
@@ -236,7 +236,7 @@ func TestDepartureSendUnwindsHoldingMu(t *testing.T) {
 			t.Fatalf("procs %d: n.mu left locked", procs)
 		}
 		n.mu.Unlock()
-		sys.Shutdown()
+		sys.Close()
 	}
 }
 
@@ -257,9 +257,9 @@ func TestSyncSendUnwindsWithMuFree(t *testing.T) {
 		"Release": func(sys *System) {
 			n := sys.Node(0)
 			ls := n.lockFor(id)
-			ls.held, ls.holderTag = true, n.c0.tag
+			ls.held, ls.holderTag = true, n.thread.tag
 			ls.pending = []waiter{{from: 1, vc: newVC(2)}}
-			n.c0.held = []int{id}
+			n.thread.held = []int{id}
 			n.Release(id)
 		},
 		"CondSignal": func(sys *System) {
@@ -270,13 +270,13 @@ func TestSyncSendUnwindsWithMuFree(t *testing.T) {
 		"CondWait": func(sys *System) {
 			n := sys.Node(1)
 			n.lockFor(id).held = true
-			n.c0.held = []int{id}
+			n.thread.held = []int{id}
 			n.CondWait(id, id)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			sys := New(Config{Procs: 2, DisableGC: true})
-			defer sys.Shutdown()
+			defer sys.Close()
 			sys.abort(errors.New("deliberate abort"))
 			var r any
 			within(t, name, func() {

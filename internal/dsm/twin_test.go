@@ -314,7 +314,7 @@ func BenchmarkTwinDiffCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.mu.Lock()
 		pg := n.pageFor(PageID(a / PageSize))
-		n.c0.ensureWritableLocked(pg)
+		n.thread.ensureWritableLocked(pg)
 		pg.data[(8*i)%PageSize]++
 		n.closeIntervalLocked()
 		n.mu.Unlock()

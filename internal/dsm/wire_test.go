@@ -667,7 +667,7 @@ func TestWireNestedBatchRejected(t *testing.T) {
 // sub-message types — the msgBatch envelope never appears in a breakdown.
 func TestWireBatchAttribution(t *testing.T) {
 	sys := New(Config{Procs: 2})
-	defer sys.Shutdown()
+	defer sys.Close()
 	n0, n1 := sys.nodes[0], sys.nodes[1]
 
 	st := sys.Switch().Stats()
@@ -759,7 +759,7 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 			<-n0.forkCh
 		}
 	}()
-	if err := sys.Shutdown(); err != nil {
+	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -769,7 +769,7 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 // and record it.
 func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
 	sys := New(Config{Procs: 2})
-	defer sys.Shutdown()
+	defer sys.Close()
 	n1 := sys.nodes[1]
 
 	n1.mu.Lock()

@@ -399,7 +399,7 @@ func (e *Endpoint) recv(class Class) *Message {
 // data race even when the resulting panic is the desired outcome. Drain
 // semantics: messages already queued remain receivable until their queue
 // empties, after which receivers see nil. Shutdown is idempotent — a run
-// abort and a later lifecycle Close (dsm.System.Shutdown) may both reach
+// abort and a later lifecycle Close (dsm.System.Close) may both reach
 // it. Goroutines that select on Chan directly are not released by
 // Shutdown; they must pair the receive with their owner's done channel
 // (dsm threads awaiting replies and mpi ranks both do).
