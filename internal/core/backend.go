@@ -107,47 +107,23 @@ func parseBackendKind(k BackendKind) (base BackendKind, islands int, ok bool) {
 	return "", 0, false
 }
 
-// Worker is one thread's handle on its backend: shared-memory access,
-// synchronization, and the virtual clock. It is the runtime-level API the
-// compiler emits calls against; TC wraps it with the directive-level API.
-// *dsm.Node implements Worker directly on the NOW backend.
-type Worker interface {
-	// ID returns the thread/processor number (0 = master).
-	ID() int
-	// NumProcs returns the team size.
-	NumProcs() int
+// threadOps is the part of Worker that TC exports unchanged: the clock,
+// the directives that need no lock id, and typed shared-memory access.
+type threadOps interface {
 	// Now returns the worker's current virtual time.
 	Now() sim.Time
 	// Compute charges the virtual cost of flops floating-point operations.
 	Compute(flops float64)
-	// Charge advances the clock by an explicit duration.
-	Charge(d sim.Time)
-	// Poll yields the processor inside a busy-wait loop.
-	Poll()
 
 	// Barrier blocks until every worker of the team has arrived.
 	Barrier()
-	// Acquire/Release bracket the lock with the given id (the calls the
-	// compiler emits for a critical directive; see CriticalLockID).
-	Acquire(lock int)
-	Release(lock int)
 	// SemaWait/SemaSignal are the paper's proposed P/V directives.
 	SemaWait(sem int)
 	SemaSignal(sem int)
-	// CondWait atomically releases the lock, blocks on the condition
-	// variable, and re-acquires the lock before returning; CondSignal
-	// wakes one waiter and CondBroadcast all of them.
-	CondWait(cond, lock int)
-	CondSignal(cond, lock int)
-	CondBroadcast(cond, lock int)
 	// Flush is the OpenMP flush directive the paper proposes to remove
-	// (kept for the ablations; a no-op on coherent hardware).
+	// (kept for the ablations at its full 2(n-1) message cost on the NOW;
+	// a no-op on coherent hardware).
 	Flush()
-	// RunParallel forks the named registered region across the team and
-	// joins (master only). It returns the workers' region results (see
-	// Backend.Register) in chunks whose concatenation is every result in
-	// thread order.
-	RunParallel(region string, arg []byte) [][]byte
 
 	// Typed shared-memory access.
 	ReadF64(a Addr) float64
@@ -162,6 +138,40 @@ type Worker interface {
 	WriteF64s(a Addr, src []float64)
 	ReadI32s(a Addr, dst []int32)
 	WriteI32s(a Addr, src []int32)
+}
+
+// Worker is one thread's handle on its backend: shared-memory access,
+// synchronization, and the virtual clock. It is the runtime-level API the
+// compiler emits calls against; TC embeds its threadOps part and wraps the
+// rest with the directive-level API. *dsm.Node implements Worker directly
+// on the NOW backend.
+type Worker interface {
+	threadOps
+
+	// ID returns the thread/processor number (0 = master).
+	ID() int
+	// NumProcs returns the team size.
+	NumProcs() int
+	// Charge advances the clock by an explicit duration.
+	Charge(d sim.Time)
+	// Poll yields the processor inside a busy-wait loop.
+	Poll()
+
+	// Acquire/Release bracket the lock with the given id (the calls the
+	// compiler emits for a critical directive; see CriticalLockID).
+	Acquire(lock int)
+	Release(lock int)
+	// CondWait atomically releases the lock, blocks on the condition
+	// variable, and re-acquires the lock before returning; CondSignal
+	// wakes one waiter and CondBroadcast all of them.
+	CondWait(cond, lock int)
+	CondSignal(cond, lock int)
+	CondBroadcast(cond, lock int)
+	// RunParallel forks the named registered region across the team and
+	// joins (master only). It returns the workers' region results (see
+	// Backend.Register) in chunks whose concatenation is every result in
+	// thread order.
+	RunParallel(region string, arg []byte) [][]byte
 }
 
 // Backend is one execution substrate for an OpenMP program: a shared

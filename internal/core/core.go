@@ -142,7 +142,7 @@ func (p *Program) MallocPage(size int) Addr { return p.be.MallocPage(size) }
 // first thread failure, if any.
 func (p *Program) Run(master func(m *MC)) error {
 	return p.be.Run(func(w Worker) {
-		master(&MC{TC: TC{p: p, w: w, threads: p.threads}})
+		master(&MC{TC: TC{threadOps: w, p: p, w: w, threads: p.threads}})
 	})
 }
 

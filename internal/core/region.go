@@ -3,16 +3,18 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/sim"
 )
 
 // TC is the thread context inside a parallel region: thread number, team
 // size, synchronization directives, and access to shared memory. A TC's
 // methods model the code the compiler emits for each directive; they all
 // dispatch through the backend Worker, so region bodies written against
-// TC are backend-neutral.
+// TC are backend-neutral. The clock, Barrier, SemaWait, SemaSignal, Flush
+// and the typed shared-memory accessors are the Worker's own, through the
+// embedded threadOps (the same value as w).
 type TC struct {
+	threadOps
+
 	p       *Program
 	w       Worker
 	threads int
@@ -42,16 +44,6 @@ func (tc *TC) Worker() Worker { return tc.w }
 // Args returns a reader over the firstprivate environment passed at fork.
 func (tc *TC) Args() *ArgReader { return &ArgReader{b: tc.args} }
 
-// Compute charges virtual time for flops floating-point operations of real
-// work performed by the caller.
-func (tc *TC) Compute(flops float64) { tc.w.Compute(flops) }
-
-// Now returns the thread's current virtual time.
-func (tc *TC) Now() sim.Time { return tc.w.Now() }
-
-// Barrier is the OpenMP barrier directive.
-func (tc *TC) Barrier() { tc.w.Barrier() }
-
 // Critical executes body inside the named critical section: one thread at
 // a time program-wide per name, with entry acquiring and exit releasing
 // consistency, per Section 2.
@@ -61,12 +53,6 @@ func (tc *TC) Critical(name string, body func()) {
 	defer tc.w.Release(id)
 	body()
 }
-
-// SemaWait is the paper's proposed sema_wait directive (P).
-func (tc *TC) SemaWait(sem int) { tc.w.SemaWait(sem) }
-
-// SemaSignal is the paper's proposed sema_signal directive (V).
-func (tc *TC) SemaSignal(sem int) { tc.w.SemaSignal(sem) }
 
 // CondWait blocks on condition variable cond inside the named critical
 // section (which the calling thread must have entered via CriticalEnter or
@@ -94,11 +80,6 @@ func (tc *TC) CriticalEnter(name string) { tc.w.Acquire(criticalLock(name)) }
 // CriticalExit leaves the named critical section.
 func (tc *TC) CriticalExit(name string) { tc.w.Release(criticalLock(name)) }
 
-// Flush is the OpenMP flush directive the paper proposes to remove; it is
-// implemented (at its full 2(n-1) message cost on the NOW backend) for
-// the ablation studies. On hardware shared memory it is a no-op.
-func (tc *TC) Flush() { tc.w.Flush() }
-
 // Threadprivate returns this thread's persistent private storage of the
 // given name and size, allocating it zeroed on first use (the Fortran
 // threadprivate common block of Section 2).
@@ -111,47 +92,6 @@ func (tc *TC) Threadprivate(name string, size int) []byte {
 	}
 	return buf[:size]
 }
-
-// ---------------------------------------------------------------------
-// Shared-memory access: the compiler-emitted access checks, forwarded to
-// the backend so region bodies need no backend-specific handle.
-// ---------------------------------------------------------------------
-
-// ReadF64 reads a float64 at shared address a.
-func (tc *TC) ReadF64(a Addr) float64 { return tc.w.ReadF64(a) }
-
-// WriteF64 writes a float64 at shared address a.
-func (tc *TC) WriteF64(a Addr, v float64) { tc.w.WriteF64(a, v) }
-
-// ReadI64 reads an int64 at shared address a.
-func (tc *TC) ReadI64(a Addr) int64 { return tc.w.ReadI64(a) }
-
-// WriteI64 writes an int64 at shared address a.
-func (tc *TC) WriteI64(a Addr, v int64) { tc.w.WriteI64(a, v) }
-
-// ReadI32 reads an int32 at shared address a.
-func (tc *TC) ReadI32(a Addr) int32 { return tc.w.ReadI32(a) }
-
-// WriteI32 writes an int32 at shared address a.
-func (tc *TC) WriteI32(a Addr, v int32) { tc.w.WriteI32(a, v) }
-
-// ReadBytes copies len(dst) bytes of shared memory starting at a into dst.
-func (tc *TC) ReadBytes(a Addr, dst []byte) { tc.w.ReadBytes(a, dst) }
-
-// WriteBytes copies src into shared memory starting at a.
-func (tc *TC) WriteBytes(a Addr, src []byte) { tc.w.WriteBytes(a, src) }
-
-// ReadF64s reads len(dst) consecutive float64s starting at a.
-func (tc *TC) ReadF64s(a Addr, dst []float64) { tc.w.ReadF64s(a, dst) }
-
-// WriteF64s writes the float64s of src to consecutive addresses from a.
-func (tc *TC) WriteF64s(a Addr, src []float64) { tc.w.WriteF64s(a, src) }
-
-// ReadI32s reads len(dst) consecutive int32s starting at a.
-func (tc *TC) ReadI32s(a Addr, dst []int32) { tc.w.ReadI32s(a, dst) }
-
-// WriteI32s writes the int32s of src to consecutive addresses from a.
-func (tc *TC) WriteI32s(a Addr, src []int32) { tc.w.WriteI32s(a, src) }
 
 // StaticBlock partitions [lo, hi) into nearly equal contiguous blocks and
 // returns the bounds of block `who` of `of`: the static schedule the
@@ -181,7 +121,7 @@ func StaticBlock(lo, hi, who, of int) (int, int) {
 // separate subroutine (Section 4.3.2). Must be called before Run.
 func (p *Program) RegisterRegion(name string, body func(tc *TC)) {
 	p.be.Register(name, func(w Worker, arg []byte) []byte {
-		tc := &TC{p: p, w: w, threads: p.threads, args: arg, inRegion: true}
+		tc := &TC{threadOps: w, p: p, w: w, threads: p.threads, args: arg, inRegion: true}
 		body(tc)
 		return tc.contribution()
 	})
@@ -197,7 +137,7 @@ func (p *Program) RegisterDo(name string, body func(tc *TC, lo, hi int)) {
 		}
 		gLo := int(int64(binary.LittleEndian.Uint64(arg)))
 		gHi := int(int64(binary.LittleEndian.Uint64(arg[8:])))
-		tc := &TC{p: p, w: w, threads: p.threads, args: arg[16:], inRegion: true}
+		tc := &TC{threadOps: w, p: p, w: w, threads: p.threads, args: arg[16:], inRegion: true}
 		lo, hi := StaticBlock(gLo, gHi, w.ID(), p.threads)
 		body(tc, lo, hi)
 		return tc.contribution()
