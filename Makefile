@@ -24,7 +24,10 @@ fmt-check:
 # diffs cross the wire one way (msgFetchReq/msgFetchRep): a message
 # constant of the retired page-at-a-time protocol fails it too. A run's
 # accounting is defined once, as dsm.Report: a per-layer copy of it under
-# one of the retired names fails it as well.
+# one of the retired names fails it as well. A thread operation is declared
+# once — on dsm.Client, which dsm.Node embeds, and on core.Worker, whose
+# unchanged part TC embeds — so a one-line method of *dsm.Node or
+# *core.TC that forwards to the same-named method of a field fails it too.
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
@@ -33,6 +36,8 @@ lint:
 		echo "lint: page-at-a-time message type (pages and diffs travel in msgFetchReq/msgFetchRep only)"; exit 1; fi
 	@if grep -rnE --include='*.go' '\b(DSMResult|RuntimeResult|ProtoSummary|TrafficBreakdown)\b' internal; then \
 		echo "lint: a second accounting surface (a run's accounting is dsm.Report, read through Report())"; exit 1; fi
+	@if grep -nE '^func \((n \*Node|tc \*TC)\) ([A-Z][A-Za-z0-9]*)\(.*\{ (return )?(n|tc)\.[a-z0-9]+\.\2\(' internal/dsm/*.go internal/core/*.go; then \
+		echo "lint: a forwarding method (embed the thread: dsm.Node has its default Client's methods, TC its Worker's threadOps)"; exit 1; fi
 
 test:
 	$(GO) test ./...
