@@ -9,10 +9,13 @@
 # `git archive` into a directory of its own (under $PAIRS_DIR, default a
 # fresh mktemp -d) and built there by bench/run.sh, build cache included.
 # Odd pairs run the parent first, even pairs the head first; pair p runs
-# `bash bench/run.sh --workload <w> --seed <p> --seconds 10 --trace 0` on
-# both sides. Workloads default to all five of BENCHMARK.json. Progress
-# goes to stderr. This file and its output live outside bench/, which a PR
-# that claims a gain may not edit.
+# `bash bench/run.sh --workload <w> --seed <p> --seconds 10 --trace 0
+# --record` on both sides. Each output line keeps the run's result line as
+# "result" and the full record printed before it as "record" (its
+# "unbounded" host timings are what summarize shows ungated). Workloads
+# default to all five of BENCHMARK.json. Progress goes to stderr. This
+# file and its output live outside bench/, which a PR that claims a gain
+# may not edit.
 set -euo pipefail
 [ $# -ge 2 ] || { echo "usage: $0 <parent-ref> <pairs> [workload...]" >&2; exit 2; }
 parent_ref="$1"; pairs="$2"; shift 2
@@ -28,8 +31,8 @@ for side in parent head; do
 done
 run() { # side workload pair
 	local out
-	out="$(bash "$dir/$1/bench/run.sh" --workload "$2" --seed "$3" --seconds 10 --trace 0 2>/dev/null | tail -n 1)"
-	printf '{"workload":"%s","pair":%d,"side":"%s","result":%s}\n' "$2" "$3" "$1" "$out"
+	out="$(bash "$dir/$1/bench/run.sh" --workload "$2" --seed "$3" --seconds 10 --trace 0 --record 2>/dev/null | tail -n 2)"
+	printf '{"workload":"%s","pair":%d,"side":"%s","result":%s,"record":%s}\n' "$2" "$3" "$1" "$(tail -n 1 <<<"$out")" "$(head -n 1 <<<"$out")"
 }
 for w in "${workloads[@]}"; do
 	for ((p = 1; p <= pairs; p++)); do

@@ -2,7 +2,9 @@
 // per-workload tables of results/BENCH_<n>.md: for every end-to-end
 // metric of BENCHMARK.json the median [lower quartile, upper quartile] of
 // each side, the change of the medians, the pairs the head won, and the
-// verdict against the metric's bound.
+// verdict against the metric's bound. Runs that carry the benchmark's full
+// record add a second table of its host timings, which no bound gates:
+// each side's median [q1, q3] of the runs' medians, with no verdict.
 //
 //	go run ./results/summarize results/BENCH_18.jsonl
 package main
@@ -11,10 +13,14 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
 )
+
+// ungated are the record's unbounded host timings the second table shows.
+var ungated = []string{"host_wall_s", "host_wall_raw_s", "setup_raw_s"}
 
 type metricDef struct {
 	Name   string  `json:"name"`
@@ -34,6 +40,11 @@ type record struct {
 			Value float64 `json:"value"`
 		} `json:"metrics"`
 	} `json:"result"`
+	Record *struct {
+		Unbounded map[string]struct {
+			Median float64 `json:"median"`
+		} `json:"unbounded"`
+	} `json:"record"`
 }
 
 // quartiles is the exclusive method of Python's statistics.quantiles(v,
@@ -57,14 +68,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: summarize <runs.jsonl>")
 		os.Exit(2)
 	}
-	if err := run(os.Args[1]); err != nil {
+	if err := run(os.Stdout, "BENCHMARK.json", os.Args[1]); err != nil {
 		fmt.Fprintln(os.Stderr, "summarize:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string) error {
-	raw, err := os.ReadFile("BENCHMARK.json")
+func run(w io.Writer, benchmark, path string) error {
+	raw, err := os.ReadFile(benchmark)
 	if err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
 	}
@@ -99,13 +110,13 @@ func run(path string) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	for _, w := range order {
-		table(w, byWorkload[w], bench.EndToEnd)
+	for _, name := range order {
+		table(w, name, byWorkload[name], bench.EndToEnd)
 	}
 	return nil
 }
 
-func table(workload string, recs []record, metrics []metricDef) {
+func table(w io.Writer, workload string, recs []record, metrics []metricDef) {
 	side := map[string]map[int]record{"parent": {}, "head": {}}
 	clean := true
 	for _, r := range recs {
@@ -119,9 +130,9 @@ func table(workload string, recs []record, metrics []metricDef) {
 		}
 	}
 	slices.Sort(pairs)
-	fmt.Printf("\n## %s: %d pairs, correct and failed=0 on all %d runs: %v\n\n", workload, len(pairs), len(recs), clean)
-	fmt.Println("| metric | parent | head | median change | pairs | bound | verdict |")
-	fmt.Println("|---|---|---|---|---|---|---|")
+	fmt.Fprintf(w, "\n## %s: %d pairs, correct and failed=0 on all %d runs: %v\n\n", workload, len(pairs), len(recs), clean)
+	fmt.Fprintln(w, "| metric | parent | head | median change | pairs | bound | verdict |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
 	for _, m := range metrics {
 		var pv, hv []float64
 		won, ties := 0, 0
@@ -153,7 +164,38 @@ func table(workload string, recs []record, metrics []metricDef) {
 		case noise > m.Bound && !allBetter:
 			verdict = "unresolved (parent spread wider than the bound)"
 		}
-		fmt.Printf("| %s | %.6g [%.6g, %.6g] | %.6g [%.6g, %.6g] | %+.2f%% | head better in %d/%d (ties %d) | bound %g%% | %s |\n",
+		fmt.Fprintf(w, "| %s | %.6g [%.6g, %.6g] | %.6g [%.6g, %.6g] | %+.2f%% | head better in %d/%d (ties %d) | bound %g%% | %s |\n",
 			m.Name, pm, pq1, pq3, hm, hq1, hq3, 100*change, won, len(pairs), ties, 100*m.Bound, verdict)
+	}
+	ungatedTable(w, pairs, side)
+}
+
+// ungatedTable prints, when the runs carry records, each side's median
+// [q1, q3] over the pairs of every ungated host timing.
+func ungatedTable(w io.Writer, pairs []int, side map[string]map[int]record) {
+	header := false
+	for _, name := range ungated {
+		var v [2][]float64
+		for _, p := range pairs {
+			for i, s := range []string{"parent", "head"} {
+				if rec := side[s][p].Record; rec != nil {
+					if u, ok := rec.Unbounded[name]; ok {
+						v[i] = append(v[i], u.Median)
+					}
+				}
+			}
+		}
+		if len(v[0]) == 0 || len(v[1]) == 0 {
+			continue
+		}
+		if !header {
+			fmt.Fprint(w, "\nNot gated (host timings from the runs' records: no bound, no verdict):\n\n")
+			fmt.Fprintln(w, "| metric | parent | head |")
+			fmt.Fprintln(w, "|---|---|---|")
+			header = true
+		}
+		pq1, pm, pq3 := quartiles(v[0])
+		hq1, hm, hq3 := quartiles(v[1])
+		fmt.Fprintf(w, "| %s | %.6g [%.6g, %.6g] | %.6g [%.6g, %.6g] |\n", name, pm, pq1, pq3, hm, hq1, hq3)
 	}
 }
