@@ -138,12 +138,6 @@ func NewSwitch(n int, profile sim.WireProfile) *Switch {
 	return sw
 }
 
-// N returns the number of endpoints.
-func (s *Switch) N() int { return s.n }
-
-// Profile returns the wire profile in use.
-func (s *Switch) Profile() sim.WireProfile { return s.profile }
-
 // Stats returns the switch's traffic counters.
 func (s *Switch) Stats() *Stats { return &s.stats }
 
@@ -175,12 +169,6 @@ type Endpoint struct {
 	sw    *Switch
 	clock *sim.Clock
 }
-
-// ID returns the endpoint's node id.
-func (e *Endpoint) ID() int { return e.id }
-
-// Clock returns the clock receives are applied to.
-func (e *Endpoint) Clock() *sim.Clock { return e.clock }
 
 // Send transmits payload to node `to` at the sender's current virtual
 // time. It never blocks the simulation's correctness: the underlying
