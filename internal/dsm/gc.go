@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 )
 
@@ -103,13 +102,8 @@ func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 		}
 		n.unlocked(func() {
 			for _, h := range lag {
-				for !n.sys.purged.covers(h, owed) {
-					select {
-					case <-n.sys.done:
-						panic(abortError{cause: "switch shut down"})
-					default:
-					}
-					runtime.Gosched()
+				if !n.sys.purged.await(h, owed, n.sys.done) {
+					panic(abortError{cause: "switch shut down"})
 				}
 			}
 		})

@@ -53,10 +53,11 @@ func (n *Node) isHome(pid PageID) bool { return n.homeOf(pid) == n.id }
 type homePurged struct {
 	mu     sync.Mutex
 	floors []VectorClock
+	moved  chan struct{} // closed, and replaced, by every note: wakes await
 }
 
 func newHomePurged(procs int) *homePurged {
-	h := &homePurged{floors: make([]VectorClock, procs)}
+	h := &homePurged{floors: make([]VectorClock, procs), moved: make(chan struct{})}
 	for i := range h.floors {
 		h.floors[i] = newVC(procs)
 	}
@@ -69,7 +70,27 @@ func newHomePurged(procs int) *homePurged {
 func (h *homePurged) note(id int, floor VectorClock) {
 	h.mu.Lock()
 	h.floors[id].merge(floor)
+	close(h.moved)
+	h.moved = make(chan struct{})
 	h.mu.Unlock()
+}
+
+// await blocks until the home has purged a floor covering floor (covers),
+// waking at each note, and reports false if done closes first.
+func (h *homePurged) await(home int, floor VectorClock, done <-chan struct{}) bool {
+	for {
+		h.mu.Lock()
+		ok, moved := floor.dominatedBy(h.floors[home]), h.moved
+		h.mu.Unlock()
+		if ok {
+			return true
+		}
+		select {
+		case <-moved:
+		case <-done:
+			return false
+		}
+	}
 }
 
 // covers reports whether the home has completed a purge covering floor:
