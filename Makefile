@@ -28,6 +28,9 @@ fmt-check:
 # once — on dsm.Client, which dsm.Node embeds, and on core.Worker, whose
 # unchanged part TC embeds — so a one-line method of *dsm.Node or
 # *core.TC that forwards to the same-named method of a field fails it too.
+# A thread waits for another thread in one place, the node's router
+# (dsm's replyRouter.await): a message channel declared in dsm outside
+# client.go, or a receive from a Done() channel in core, fails it as well.
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
@@ -38,6 +41,10 @@ lint:
 		echo "lint: a second accounting surface (a run's accounting is dsm.Report, read through Report())"; exit 1; fi
 	@if grep -nE '^func \((n \*Node|tc \*TC)\) ([A-Z][A-Za-z0-9]*)\(.*\{ (return )?(n|tc)\.[a-z0-9]+\.\2\(' internal/dsm/*.go internal/core/*.go; then \
 		echo "lint: a forwarding method (embed the thread: dsm.Node has its default Client's methods, TC its Worker's threadOps)"; exit 1; fi
+	@if grep -nE 'chan \*network\.Message' $$(ls internal/dsm/*.go | grep -v -e '_test\.go$$' -e '/client\.go$$'); then \
+		echo "lint: a message channel outside the router (hand a thread its message with n.router.route or deliver)"; exit 1; fi
+	@if grep -nE '<-[^=]*Done\(\)' $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
+		echo "lint: a Done() receive in core (a thread waits in dsm's router, which unwinds it at shutdown)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -52,39 +59,42 @@ test-race:
 
 # SMP-backend smoke under the race detector: omp-smp is the hybrid
 # backend's one-island case, so this runs the backend conformance suite
-# plus the core runtime tests with every thread a dsm.Client of one node
-# — reductions included, whose partials cross goroutines on the island
-# join (TestReduction*) — the one-island pins (TestHybridIslandsOne*:
-# the SMP cost model's clocks, zero traffic, no ledger) and the heap
-# tests (TestSMPHeap*: an access past the last allocation panics;
-# TestSMPMalloc*: a region may allocate, as on the NOW). The full
-# test-race pass subsumes it; it runs FIRST in ci (and stands alone for
-# the dev loop) so an ordering bug on one island fails in seconds
-# instead of after the whole race suite.
+# plus the core runtime tests with every thread a dsm.Client of one node's
+# team — reductions included, whose partials cross goroutines through the
+# node's router on the island join (TestReduction*) — the one-island pins
+# (TestHybridIslandsOne*: the SMP cost model's clocks, zero traffic, no
+# ledger) and the heap tests (TestSMPHeap*: an access past the last
+# allocation panics; TestSMPMalloc*: a region may allocate, as on the
+# NOW). The full test-race pass subsumes it; it runs FIRST in ci (and
+# stands alone for the dev loop) so an ordering bug on one island fails in
+# seconds instead of after the whole race suite.
 smp-race:
 	$(GO) test -race -run 'TestBackendConformance|TestSMPZeroTraffic|TestSemaphorePipelineDirectives|TestCriticalMutualExclusion|TestBarrierDirective|TestReduction|TestHybridIslandsOne|TestSMPHeap|TestSMPMalloc' ./internal/core
 
 # Hybrid-backend smoke under the race detector: the conformance scenarios
 # on the NOW-of-SMPs backend (all island counts) plus the degenerate-limit
-# pins, the reduction tests (island threads hand their partials to the
-# island join, the delegate carries them in its dsm join), one real
-# application (Water at a two-island split), the island lock-grant path
-# (a grant between islands takes fetchMu beside island-mates' fault
-# rounds) and the reply router every node delivers through (two clients
-# of a default node passing a lock, semaphores and a condition; tagged
-# grants arriving in reverse request order; a malformed reply ending the
-# run with an error), the page walk every typed access goes through
-# (TestPageWalkAccessors), the node engine lock that keeps an island's
-# flushes apart (TestIslandFlushesTakeTheEngine) and the one manager
-# round every lock, semaphore, condition and flush request takes: its
-# traffic pins, the semaphore, condition-variable, lock-chain and flush
-# suites, a malformed request ending the run with an error, and an island
-# thread releasing or waiting on a lock its mate holds. Like smp-race it
-# runs early in ci so an island-teams ordering bug fails in seconds.
+# pins, the reduction tests (island-mates hand their partials to the
+# island join through the node's router, and the node's thread carries
+# them in its dsm join), one real application (Water at a two-island
+# split), dsm's own island tests (TestIsland*: a region forked to every
+# team thread and joined with the fork-time and finish-time clock rules,
+# the island barrier's gather and broadcast, a mate's panic ending the
+# run, and the node engine lock that keeps an island's flushes apart), the
+# island lock-grant path (a grant between islands takes fetchMu beside
+# island-mates' fault rounds) and the router every node delivers through
+# (two clients of a default node passing a lock, semaphores and a
+# condition; tagged grants arriving in reverse request order; a malformed
+# reply ending the run with an error), the page walk every typed access
+# goes through (TestPageWalkAccessors) and the one manager round every
+# lock, semaphore, condition and flush request takes: its traffic pins,
+# the semaphore, condition-variable, lock-chain and flush suites, a
+# malformed request ending the run with an error, and an island thread
+# releasing or waiting on a lock its mate holds. Like smp-race it runs
+# early in ci so an island-teams ordering bug fails in seconds.
 hybrid-race:
 	$(GO) test -race -run 'TestBackendConformance|TestHybrid|TestReduction' ./internal/core
 	$(GO) test -race -run 'TestHybridRaceSmoke' ./internal/harness
-	$(GO) test -race -run 'TestLockGrantIsland|TestReplyRouter|TestMalformedReply|TestPageWalkAccessors|TestIslandFlushesTakeTheEngine|TestSyncRound|TestSemaphore|TestConditionVariable|TestCondWait|TestLockChain|TestFlush|TestMalformedSyncRequest|TestSyncNonHolder' ./internal/dsm
+	$(GO) test -race -run 'TestIsland|TestLockGrantIsland|TestReplyRouter|TestMalformedReply|TestPageWalkAccessors|TestSyncRound|TestSemaphore|TestConditionVariable|TestCondWait|TestLockChain|TestFlush|TestMalformedSyncRequest|TestSyncNonHolder' ./internal/dsm
 
 # GC smoke under the race detector: the GC property suite (randomized
 # lock/sema/cond interleavings, coordinator invariants — the episode

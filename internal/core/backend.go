@@ -14,22 +14,29 @@ import (
 // shared memory, Section 4 retargets it to a network of workstations.
 // This file is that premise as an API: every primitive the runtime (TC,
 // MC, reductions, the compiler in internal/ompc) needs is expressed
-// against Backend and Worker, and an application written against the
-// core API runs on any backend selected through Config.Backend.
+// against Worker, and an application written against the core API runs on
+// any backend selected through Config.Backend.
 //
-// Three backend kinds, two implementations:
+// Every backend is one dsm.System; the kinds differ in how the team maps
+// onto its nodes (newSystem below):
 //
-//	BackendNOW    — TreadMarks on the simulated network of workstations
-//	                (internal/dsm, backend_dsm.go): the paper's system.
-//	BackendHybrid — a NOW of SMPs (backend_hybrid.go): the team mapped
-//	                onto k SMP islands, intra-island synchronization and
-//	                memory at bus scale, inter-island coherence through
-//	                the LRC DSM with one dsm.Node per island.
+//	BackendNOW    — TreadMarks on the simulated network of workstations:
+//	                one node per thread, each thread the node's own
+//	                default client. The paper's system.
+//	BackendHybrid — a NOW of SMPs: the team mapped onto k SMP islands, one
+//	                dsm.Node per island whose team is one dsm.Client per
+//	                thread. Intra-island sharing is the island's memory,
+//	                intra-island synchronization costs the Platform's
+//	                bus-scale SMP* constants, and inter-island coherence is
+//	                the LRC DSM (Hu, Lu, Cox and Zwaenepoel, IPPS '99).
 //	BackendSMP    — the hybrid backend's one-island case: one SMP, the
 //	                hardware shared-memory machine OpenMP was born on and
-//	                the paper's implicit baseline, as a one-node cluster
-//	                whose threads share its memory (Hu, Lu, Cox and
-//	                Zwaenepoel, IPPS '99). Zero interconnect traffic.
+//	                the paper's implicit baseline. Zero interconnect
+//	                traffic.
+//
+// Degenerate limits (pinned by tests): islands=1 is BackendSMP — zero
+// traffic, no ledger, the SMP cost model's clocks; islands=procs is one
+// thread per island — the NOW's message pattern exactly.
 
 // Addr is an address in a backend's shared address space. It aliases
 // dsm.Addr so hand-coded TreadMarks sources and backend-neutral OpenMP
@@ -143,8 +150,8 @@ type threadOps interface {
 // Worker is one thread's handle on its backend: shared-memory access,
 // synchronization, and the virtual clock. It is the runtime-level API the
 // compiler emits calls against; TC embeds its threadOps part and wraps the
-// rest with the directive-level API. *dsm.Node implements Worker directly
-// on the NOW backend.
+// rest with the directive-level API. A region's thread is a *dsm.Client on
+// every backend; the NOW's master is node 0, which embeds its client.
 type Worker interface {
 	threadOps
 
@@ -168,44 +175,49 @@ type Worker interface {
 	CondSignal(cond, lock int)
 	CondBroadcast(cond, lock int)
 	// RunParallel forks the named registered region across the team and
-	// joins (master only). It returns the workers' region results (see
-	// Backend.Register) in chunks whose concatenation is every result in
-	// thread order.
+	// joins (master only). It returns the threads' region results in
+	// chunks whose concatenation is every result in thread order.
 	RunParallel(region string, arg []byte) [][]byte
 }
 
-// Backend is one execution substrate for an OpenMP program: a shared
-// address space, a team of workers, region registration and fork/join,
-// and the run-level accounting the harness reports.
-type Backend interface {
-	// Procs returns the team size.
-	Procs() int
-	// Malloc allocates size bytes (8-byte aligned, zeroed) in the shared
-	// address space; MallocPage starts the block on a page boundary. An
-	// access past the last block panics.
-	Malloc(size int) Addr
-	MallocPage(size int) Addr
-	// Register binds a parallel-region body to a name on every worker. The
-	// body's result is the worker's contribution (its reduction partials),
-	// handed back through the worker's join.
-	Register(name string, fn func(w Worker, arg []byte) []byte)
-	// Run executes master on worker 0 while the rest of the team waits
-	// for forked regions, returning the first worker failure.
-	Run(master func(w Worker)) error
-	// MaxClock returns the latest virtual time across the team.
-	MaxClock() sim.Time
-	// Report returns the run's accounting so far: traffic, its cost
-	// categories, the time ledger, and the collector's and metadata's
-	// counters (the zero value on hardware shared memory).
-	Report() dsm.Report
-	// Close releases every resource the backend holds — DSM nodes, island
-	// delegates, network endpoints and protocol servers — and waits for
-	// their goroutines to exit. It is idempotent, must be called once the
-	// backend is quiescent (after Run has returned, or on a backend that
-	// was never Run), and returns the run's first error. The Report
-	// remains readable after Close.
-	Close() error
-}
+var (
+	_ Worker = (*dsm.Client)(nil)
+	_ Worker = (*dsm.Node)(nil)
+)
 
-// The NOW worker is the DSM node itself.
-var _ Worker = (*dsm.Node)(nil)
+// newSystem builds the dsm system a program of cfg.Threads threads runs
+// on, and returns it with thread 0, the master. On islands, island i's
+// node gets one client per thread of its static block, each with its own
+// clock and the Platform's island-local synchronization costs; dsm runs
+// the regions, the forks, the joins and the barriers on them.
+func newSystem(cfg Config) (*dsm.System, Worker) {
+	base, islands, ok := parseBackendKind(cfg.Backend)
+	if !ok {
+		panic(fmt.Sprintf("core: unknown backend %q", cfg.Backend))
+	}
+	if base == BackendNOW {
+		sys := dsm.New(dsmConfig(cfg, cfg.Threads))
+		return sys, sys.Node(0)
+	}
+	if base == BackendSMP {
+		islands = 1
+	} else if islands == 0 {
+		islands = 2
+	}
+	islands = min(islands, cfg.Threads)
+	sys := dsm.New(dsmConfig(cfg, islands))
+	plat := sys.Platform()
+	costs := dsm.ClientCosts{Lock: plat.SMPLock, Sema: plat.SMPSema, Cond: plat.SMPCond}
+	clocks := make([]sim.Clock, cfg.Threads)
+	var master Worker
+	for i := 0; i < islands; i++ {
+		lo, hi := StaticBlock(0, cfg.Threads, i, islands)
+		for g := lo; g < hi; g++ {
+			c := sys.Node(i).NewClient(&clocks[g], costs)
+			if g == 0 {
+				master = c
+			}
+		}
+	}
+	return sys, master
+}

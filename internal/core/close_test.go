@@ -38,7 +38,7 @@ func baseline() int {
 }
 
 // TestBackendCloseReapsGoroutines is the lifecycle regression test behind
-// Backend.Close: every backend must return the process to its goroutine
+// Program.Close: every backend must return the process to its goroutine
 // baseline after Close, both for a backend that ran and for one that was
 // only constructed. The constructed-but-never-Run case is the latent leak
 // that motivated Close — dsm.New starts P protocol servers that nothing

@@ -1,7 +1,7 @@
 // Package core is the OpenMP runtime of the paper: the target that the
 // OpenMP-to-TreadMarks compiler (Section 4.3) emits code against. A
 // Program holds the shared-data layout and the registered parallel
-// regions; WHERE it runs is a pluggable Backend (see backend.go) selected
+// regions; WHERE it runs is a backend (see backend.go) selected
 // through Config.Backend — TreadMarks on the simulated network of
 // workstations (the paper's system), one SMP (hardware shared memory, the
 // baseline OpenMP was designed for), or a network of SMPs. One
@@ -36,7 +36,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sync"
 
@@ -67,7 +66,7 @@ type Config struct {
 	DSM dsm.Config
 }
 
-// dsmConfig assembles the dsm.Config shared by the DSM-backed backends.
+// dsmConfig assembles the dsm.Config of a program's system.
 func dsmConfig(cfg Config, procs int) dsm.Config {
 	c := cfg.DSM
 	c.Procs = procs
@@ -79,7 +78,8 @@ func dsmConfig(cfg Config, procs int) dsm.Config {
 // Program is one OpenMP program instance: shared-data layout, registered
 // parallel regions, and the backend that executes them.
 type Program struct {
-	be      Backend
+	sys     *dsm.System
+	master  Worker // thread 0
 	threads int
 
 	mu       sync.Mutex
@@ -93,74 +93,56 @@ func NewProgram(cfg Config) *Program {
 	if cfg.Threads <= 0 {
 		panic("core: Config.Threads must be positive")
 	}
-	var be Backend
-	base, islands, ok := parseBackendKind(cfg.Backend)
-	if !ok {
-		panic(fmt.Sprintf("core: unknown backend %q", cfg.Backend))
-	}
-	switch base {
-	case BackendNOW:
-		be = newDSMBackend(cfg)
-	case BackendSMP:
-		be = newHybridBackend(cfg, 1)
-	case BackendHybrid:
-		be = newHybridBackend(cfg, islands)
-	}
 	p := &Program{
-		be:       be,
 		threads:  cfg.Threads,
 		tpStores: make([]map[string][]byte, cfg.Threads),
 	}
+	p.sys, p.master = newSystem(cfg)
 	for i := range p.tpStores {
 		p.tpStores[i] = make(map[string][]byte)
 	}
 	return p
 }
 
-// Threads returns the team size.
-func (p *Program) Threads() int { return p.threads }
-
-// Backend exposes the execution substrate (for tests and the harness).
-func (p *Program) Backend() Backend { return p.be }
-
 // Shared allocates size bytes of shared memory (8-byte aligned): the
 // explicit `shared` declaration of the paper's private-by-default model.
-func (p *Program) Shared(size int) Addr { return p.be.Malloc(size) }
+func (p *Program) Shared(size int) Addr { return p.sys.Malloc(size) }
 
 // SharedPage allocates shared memory starting on a page boundary, keeping
 // unrelated shared variables from false-sharing a page on the NOW backend
 // (a layout no-op on hardware shared memory).
-func (p *Program) SharedPage(size int) Addr { return p.be.MallocPage(size) }
+func (p *Program) SharedPage(size int) Addr { return p.sys.MallocPage(size) }
 
 // MallocPage is SharedPage under the allocator-interface name shared with
 // dsm.System, so application layout helpers accept a Program and a DSM
 // system interchangeably.
-func (p *Program) MallocPage(size int) Addr { return p.be.MallocPage(size) }
+func (p *Program) MallocPage(size int) Addr { return p.sys.MallocPage(size) }
 
 // Run executes the sequential master program; inside it, Parallel and
 // ParallelDo fork the registered regions across the team. It returns the
 // first thread failure, if any.
 func (p *Program) Run(master func(m *MC)) error {
-	return p.be.Run(func(w Worker) {
-		master(&MC{TC: TC{threadOps: w, p: p, w: w, threads: p.threads}})
+	return p.sys.Run(func(*dsm.Node) {
+		master(&MC{TC: TC{threadOps: p.master, p: p, w: p.master, threads: p.threads}})
 	})
 }
 
 // Elapsed returns the parallel execution time: the maximum virtual clock
 // across the team after Run completes.
-func (p *Program) Elapsed() sim.Time { return p.be.MaxClock() }
+func (p *Program) Elapsed() sim.Time { return p.sys.MaxClock() }
 
 // Report returns the run's accounting so far (see dsm.Report; the zero
 // value on the SMP backend, whose one node moves no message and books no
 // ledger). A phase's cost is the difference of two
 // Reports taken around it.
-func (p *Program) Report() dsm.Report { return p.be.Report() }
+func (p *Program) Report() dsm.Report { return p.sys.Report() }
 
-// Close releases the backend's resources (see Backend.Close): protocol
-// servers on the DSM-backed backends, which otherwise outlive the program
-// — forever, if it was constructed but never Run. Idempotent; results and
-// statistics remain readable afterwards.
-func (p *Program) Close() error { return p.be.Close() }
+// Close releases the program's resources (dsm.System.Close): its protocol
+// servers, which otherwise outlive the program — forever, if it was
+// constructed but never Run. It must be called once the program is
+// quiescent; it is idempotent, returns the run's first error, and results
+// and statistics remain readable afterwards.
+func (p *Program) Close() error { return p.sys.Close() }
 
 // criticalLock maps a critical-section name to a lock id. Named critical
 // sections with the same name share one lock program-wide, per the

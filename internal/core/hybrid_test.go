@@ -279,12 +279,8 @@ func TestHybridIslandClamping(t *testing.T) {
 		{8, 0, 2}, {8, 1, 1}, {8, 3, 3}, {8, 64, 8}, {1, 0, 1}, {2, 5, 2},
 	} {
 		p := NewProgram(Config{Threads: tt.threads, Backend: HybridIslands(tt.islands)})
-		hb, ok := p.Backend().(*hybridBackend)
-		if !ok {
-			t.Fatalf("backend is %T, want *hybridBackend", p.Backend())
-		}
-		if hb.Islands() != tt.want {
-			t.Errorf("threads=%d islands=%d: got %d islands, want %d", tt.threads, tt.islands, hb.Islands(), tt.want)
+		if got := p.sys.Procs(); got != tt.want {
+			t.Errorf("threads=%d islands=%d: got %d islands, want %d", tt.threads, tt.islands, got, tt.want)
 		}
 		p.Close()
 	}

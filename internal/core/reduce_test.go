@@ -154,7 +154,7 @@ func TestReductionCostsAJoin(t *testing.T) {
 			var empty, reduce sim.Time
 			var emptyBytes, reduceMsgs, reduceBytes int64
 			var value float64
-			st := p.Backend().(*dsmBackend).sys.Switch().Stats()
+			st := p.sys.Switch().Stats()
 			perType := func() (counts []int64) {
 				for typ := 0; typ < network.MaxType; typ++ {
 					m, _ := st.ByType(typ)
@@ -202,7 +202,7 @@ func TestReductionCostsAJoin(t *testing.T) {
 					t.Errorf("message type %d sent %d times, want one fork and one join a slave", typ, n)
 				}
 			}
-			if got := p.Backend().(*dsmBackend).sys.TotalStats().LockAcquires; got != 0 {
+			if got := p.sys.TotalStats().LockAcquires; got != 0 {
 				t.Errorf("%d lock acquires, want none", got)
 			}
 		})

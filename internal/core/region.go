@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/dsm"
 )
 
 // TC is the thread context inside a parallel region: thread number, team
@@ -38,7 +40,8 @@ func (tc *TC) NumThreads() int { return tc.threads }
 
 // Worker exposes the backend worker: the runtime-level API (raw lock ids,
 // Poll, memory access) that shared layout helpers and compiler-emitted
-// code use directly. On the NOW backend this is the *dsm.Node itself.
+// code use directly. In a region it is the thread's *dsm.Client on every
+// backend; the NOW master's is node 0, which embeds its default client.
 func (tc *TC) Worker() Worker { return tc.w }
 
 // Args returns a reader over the firstprivate environment passed at fork.
@@ -120,7 +123,7 @@ func StaticBlock(lo, hi, who, of int) (int, int) {
 // the analogue of the compiler encapsulating each parallel region into a
 // separate subroutine (Section 4.3.2). Must be called before Run.
 func (p *Program) RegisterRegion(name string, body func(tc *TC)) {
-	p.be.Register(name, func(w Worker, arg []byte) []byte {
+	p.sys.RegisterTail(name, func(w *dsm.Client, arg []byte) []byte {
 		tc := &TC{threadOps: w, p: p, w: w, threads: p.threads, args: arg, inRegion: true}
 		body(tc)
 		return tc.contribution()
@@ -131,7 +134,7 @@ func (p *Program) RegisterRegion(name string, body func(tc *TC)) {
 // hands each thread its static block [lo, hi) of the loop bounds supplied
 // at the ParallelDo call site.
 func (p *Program) RegisterDo(name string, body func(tc *TC, lo, hi int)) {
-	p.be.Register(name, func(w Worker, arg []byte) []byte {
+	p.sys.RegisterTail(name, func(w *dsm.Client, arg []byte) []byte {
 		if len(arg) < 16 {
 			panic(fmt.Sprintf("core: parallel do %q fork missing loop bounds", name))
 		}

@@ -65,44 +65,16 @@ func routeHop(from, to, fanin int) int {
 	return barrierParent(from, fanin)
 }
 
-// barrierMgr buffers arrival messages at a node with tree children,
-// between the protocol server (which receives them) and the application
-// thread (which consumes one per child per barrier episode).
-type barrierMgr struct {
-	children int
-	arrivals chan *network.Message
-}
-
-// newBarrierMgr sizes the arrival buffer from the node's child count, not
-// the system size: a child has at most two arrivals logically outstanding
-// here (the current episode's, plus the next episode's sent after its
-// departure while we still forward to siblings), so 4k+4 holds at any
-// fan-in — including 128 nodes on a flat tree, where the old 4*procs
-// sizing happened to work only because procs bounded the children.
-func newBarrierMgr(children int) *barrierMgr {
-	return &barrierMgr{
-		children: children,
-		arrivals: make(chan *network.Message, 4*children+4),
-	}
-}
-
-// gatherArrivals consumes one arrival per child (the server queued them,
-// already incorporated in wire order) and returns each child's reported
-// clock — needed to compute its exact departure delta — plus the latest
-// arrival time.
-func (n *Node) gatherArrivals() (arrivals []struct {
+// gatherArrivals awaits one arrival per child (the server routed each
+// here, already incorporated in wire order) and returns each child's
+// reported clock — needed to compute its exact departure delta — plus the
+// latest arrival time.
+func (c *Client) gatherArrivals() (arrivals []struct {
 	from int
 	vc   VectorClock
 }, latest sim.Time) {
-	for len(arrivals) < n.barrier.children {
-		var m *network.Message
-		select {
-		case m = <-n.barrier.arrivals:
-		case <-n.sys.done:
-		}
-		if m == nil {
-			panic(abortError{cause: "switch shut down"})
-		}
+	for len(arrivals) < c.n.kids {
+		m := c.await(routeKey{typ: msgBarrArrive})
 		if m.Arrive > latest {
 			latest = m.Arrive
 		}
@@ -122,13 +94,47 @@ func (n *Node) gatherArrivals() (arrivals []struct {
 
 // Barrier synchronizes all processors (OpenMP barrier semantics: all
 // modifications before the barrier are visible to every thread after it).
-// On an SMP island this is the inter-island phase only: the hybrid backend
-// gathers the island's threads locally and one of them crosses the
-// network on the island's behalf.
+// A thread of an island's team first gathers with its mates: the last to
+// arrive crosses the network on the island's behalf from the latest
+// arrival, then releases the others at the departure plus the island's
+// broadcast (Platform.SMPBarrier). Every other island thread is parked
+// here meanwhile, so the node is quiescent for the crossing client.
 func (c *Client) Barrier() {
 	n := c.n
+	island := c.inTeam && len(n.team) > 1
+	if island {
+		n.mu.Lock()
+		n.barN++
+		n.barMax = max(n.barMax, c.clk.Now())
+		if n.barN < len(n.team) {
+			n.mu.Unlock()
+			c.clk.AdvanceTo(c.await(routeKey{typ: msgBarrDepart, key: c.tag}).Arrive)
+			return
+		}
+		c.clk.AdvanceTo(n.barMax)
+		n.barN, n.barMax = 0, 0
+		n.mu.Unlock()
+	}
+	c.crossBarrier()
+	if island {
+		c.clk.Advance(n.sys.plat.SMPBarrier)
+		depart := c.clk.Now()
+		for _, mate := range n.team {
+			if mate != c {
+				mate.note = network.Message{Type: msgBarrDepart, Arrive: depart}
+				n.router.deliver(routeKey{typ: msgBarrDepart, key: mate.tag}, &mate.note)
+			}
+		}
+	}
+}
+
+// crossBarrier is the barrier between nodes: a leaf's arrival and
+// departure, an interior node's gather, combined arrival and forwarded
+// departures, the root's gather and departure wave.
+func (c *Client) crossBarrier() {
+	n := c.n
 	procs := n.sys.cfg.Procs
-	leaf := n.barrier == nil
+	leaf := n.kids == 0
 	func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -159,7 +165,7 @@ func (c *Client) Barrier() {
 	// Gather the subtree: one (combined) arrival per child. Virtual time
 	// advances to the latest arrival plus sequential per-arrival
 	// processing at this node.
-	arrivals, latest := n.gatherArrivals()
+	arrivals, latest := c.gatherArrivals()
 	c.clk.AdvanceTo(latest)
 	c.clk.Advance(sim.Time(len(arrivals)) * n.sys.plat.RequestService)
 

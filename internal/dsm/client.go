@@ -18,12 +18,16 @@ import (
 // the default client every Node embeds (tag 0, the node's own clock, zero
 // local costs). An SMP island keeps one Node as its delegate — one seat in
 // the LRC protocol, one private copy of the paged address space — but runs
-// a whole team of threads against it; NewClient adds one Client per
-// thread, carrying the thread's own virtual clock, a reply tag that routes
-// grants and acknowledgments back to the exact thread that asked for them,
-// and the island-local cost constants for synchronization satisfied
-// without leaving the node. Every node delivers replies the same way
-// (replyRouter below), whatever its client count.
+// a whole team of threads against it (Hu, Lu, Cox and Zwaenepoel, IPPS
+// '99): NewClient adds one Client per thread, carrying the thread's own
+// virtual clock, a reply tag that routes grants and acknowledgments back
+// to the exact thread that asked for them, and the island-local cost
+// constants for synchronization satisfied without leaving the node. The
+// clients added before Run are the node's team: every region runs on each
+// of them (fork.go) and their barriers gather on the island before one of
+// them crosses the network (barrier.go). Every node delivers replies and
+// its server's handoffs the same way (replyRouter below), whatever its
+// client count.
 
 // ClientCosts are the island-local (bus-scale) synchronization charges a
 // multi-client node applies to operations that complete without protocol
@@ -41,13 +45,19 @@ type ClientCosts struct {
 // shared-memory access, fork/join) is declared once, as a Client method;
 // a Node has them through its embedded default client.
 type Client struct {
-	n     *Node
-	clk   *sim.Clock
-	tag   uint32
-	costs ClientCosts
-	held  []int                 // the locks this thread holds, in acquisition order
-	reply chan *network.Message // replies other threads route here (replyRouter)
-	wake  chan localWake        // this thread's local lock handoffs, while parked in Acquire
+	n      *Node
+	clk    *sim.Clock
+	tag    uint32
+	id     int  // thread number in the system's team (System.Run numbers it)
+	inTeam bool // one of the node's team: runs every region, gathers at the island barrier
+	costs  ClientCosts
+	held   []int                 // the locks this thread holds, in acquisition order
+	reply  chan *network.Message // messages other threads route here (replyRouter)
+	wake   chan localWake        // this thread's local lock handoffs, while parked in Acquire
+	// note is the island barrier's departure to this thread, reused every
+	// episode: the departing mate writes it only after this thread arrived,
+	// and so after it read the previous one.
+	note network.Message
 
 	// Page groups (group.go), under n.mu: the pages this thread's fault
 	// rounds fetched in node episode epoch, the groups earlier records
@@ -65,19 +75,38 @@ type thread = Client
 // NewClient registers an additional application thread on the node,
 // with its own reply tag. clk is the thread's own virtual clock (protocol
 // costs incurred on the thread's behalf are charged there). Its accesses
-// and flushes take the node's engine lock (Node.eng).
+// and flushes take the node's engine lock (Node.eng). A client added
+// before Run joins the node's team, which runs every region; one added
+// while the system runs is driven by the thread that added it.
 func (n *Node) NewClient(clk *sim.Clock, costs ClientCosts) *Client {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.nextTag++
-	tag := n.nextTag
-	n.mu.Unlock()
-	return &Client{n: n, clk: clk, tag: tag, costs: costs, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
+	c := newClient(n, clk, n.nextTag, costs)
+	if !n.sys.running {
+		c.inTeam = true
+		n.team = append(n.team, &c)
+	}
+	return &c
+}
+
+func newClient(n *Node, clk *sim.Clock, tag uint32, costs ClientCosts) Client {
+	return Client{n: n, clk: clk, tag: tag, costs: costs, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
 }
 
 // oneClientLocked reports whether the default client is the node's only
 // one — the classic workstation, on which a lock state an island-mate
 // would explain is a protocol bug. Requires n.mu.
 func (n *Node) oneClientLocked() bool { return n.nextTag == 0 }
+
+// ID returns the thread's number in the system's team: the node id on a
+// classic node, and on islands the place of the client among the teams of
+// every node, in node order.
+func (c *Client) ID() int { return c.id }
+
+// NumProcs returns the team size: every node's team, or its default
+// thread where it has none.
+func (c *Client) NumProcs() int { return c.n.sys.threads }
 
 // Now returns the client's current virtual time.
 func (c *Client) Now() sim.Time { return c.clk.Now() }
@@ -108,10 +137,7 @@ func (c *Client) Poll() { runtime.Gosched() }
 // acks).
 func (c *Client) recvReply(wantType int, key uint32) *network.Message {
 	n := c.n
-	m := n.router.await(c, routeKey{typ: wantType, key: key})
-	if m == nil {
-		panic(abortError{cause: "switch shut down"})
-	}
+	m := c.await(routeKey{typ: wantType, key: key})
 	c.clk.AdvanceTo(m.Arrive)
 	if m.Type == msgBatch {
 		m = n.unwrapReplyBatch(m)
@@ -156,18 +182,22 @@ func (n *Node) unwrapReplyBatch(m *network.Message) *network.Message {
 }
 
 // ---------------------------------------------------------------------
-// Reply routing. A node's replies reach its threads through one router.
-// Tagged reply types (lock grants, semaphore grants and acks,
-// condition-wait acks) carry the requesting client's tag in a fixed
-// payload position; untagged types — msgFetchRep, the one reply that
-// carries pages and diffs, barrier departures, flush acks — route by
-// message type alone, which is unambiguous because the operations that
-// await them are serialized per node (see the uniqueness argument in
-// recvReply). There is no routing goroutine: a thread waiting in
-// recvReply reads the node's wire reply channel itself and hands a reply
-// meant for another client to that client's waiter, or to the backlog
-// if the client is not waiting yet. The protocol server routes a reply
-// to its own node (sendGrantLocked) the same way.
+// Routing. Every wait of a node's threads for another thread — a reply
+// off the wire, a fork, join or barrier arrival the protocol server
+// received, an island-mate's fork, join or barrier departure — is one
+// await on the node's router, for one (type, key). Tagged reply types
+// (lock grants, semaphore grants and acks, condition-wait acks) carry the
+// requesting client's tag in a fixed payload position; every other type
+// the wire carries routes by type alone with key 0, which is unambiguous
+// because the operations that await them are serialized per node (see the
+// uniqueness argument in recvReply, and the fork loop, the join and the
+// barrier gather, each the business of one thread). Island handoffs
+// address a mate by its tag. There is no routing goroutine: a thread
+// waiting in await reads the node's wire reply channel itself and hands a
+// message meant for another waiter to it, or to the backlog if that
+// waiter is not waiting yet. The protocol server hands its own node what
+// it received (sendGrantLocked, dispatch) the same way, and never blocks
+// doing so.
 // ---------------------------------------------------------------------
 
 type routeKey struct {
@@ -188,8 +218,8 @@ func newReplyRouter() replyRouter {
 	}
 }
 
-// replyRouteKey extracts the routing key of a reply message: the client
-// tag for tagged types, 0 otherwise.
+// replyRouteKey extracts the routing key of a message: the client tag for
+// tagged types, 0 otherwise.
 func replyRouteKey(typ int, payload []byte) routeKey {
 	k := routeKey{typ: typ}
 	r := rbuf{b: payload}
@@ -201,6 +231,9 @@ func replyRouteKey(typ int, payload []byte) routeKey {
 		r.uv() // sub count
 		sub := int(r.u8())
 		return replyRouteKey(sub, r.need(r.uvi()))
+	case msgExit:
+		// A slave awaits its next fork or its exit, in wire order.
+		k.typ = msgFork
 	case msgLockGrant, msgSemaGrant:
 		// Payload leads with [i32 id][u32 tag].
 		r.i32()
@@ -212,34 +245,34 @@ func replyRouteKey(typ int, payload []byte) routeKey {
 	return k
 }
 
-// route delivers one message: to its waiter if one is registered,
-// otherwise to the backlog for the next matching await. A waiter routing
-// a message it read off the wire passes its own key as mine: route then
-// reports true when the message is the caller's, delivering nothing. The
-// protocol server passes the zero key, which no reply has.
-func (r *replyRouter) route(m *network.Message, mine routeKey) bool {
-	k := replyRouteKey(m.Type, m.Payload)
+// route delivers one message under its own key.
+func (r *replyRouter) route(m *network.Message) {
+	r.deliver(replyRouteKey(m.Type, m.Payload), m)
+}
+
+// deliver hands m to the waiter of key k if one is registered — the
+// caller itself, when it routes what it read while awaiting k — or else
+// to the backlog for the next await of k. It never blocks.
+func (r *replyRouter) deliver(k routeKey, m *network.Message) {
 	r.mu.Lock()
 	ch, ok := r.waiting[k]
 	if !ok {
 		r.backlog[k] = append(r.backlog[k], m)
 		r.mu.Unlock()
-		return false
+		return
 	}
 	delete(r.waiting, k)
 	r.mu.Unlock()
-	if k == mine {
-		return true
-	}
-	// Never blocks: the waiter registered ch empty, and registers it again
-	// only after receiving this message.
+	// The waiter registered ch empty, and registers it again only after
+	// receiving this message.
 	ch <- m
-	return false
 }
 
-// await blocks client c until a message with key k is routed to it or
+// await blocks client c until a message with key k is delivered to it or
 // the system shuts down (returning nil). While it waits it drains the
-// node's wire reply channel, routing each message it reads.
+// node's wire reply channel, routing each message it reads. It is the one
+// place an application thread waits for another thread, apart from an
+// island-mate's lock handoff (Acquire) and the collector's waits.
 func (r *replyRouter) await(c *Client, k routeKey) *network.Message {
 	n := c.n
 	r.mu.Lock()
@@ -251,7 +284,7 @@ func (r *replyRouter) await(c *Client, k routeKey) *network.Message {
 	}
 	if _, busy := r.waiting[k]; busy {
 		r.mu.Unlock()
-		panic(fmt.Sprintf("dsm: node %d: two threads await reply type %d key %d", n.id, k.typ, k.key))
+		panic(fmt.Sprintf("dsm: node %d: two threads await message type %d key %d", n.id, k.typ, k.key))
 	}
 	r.waiting[k] = c.reply
 	r.mu.Unlock()
@@ -261,11 +294,19 @@ func (r *replyRouter) await(c *Client, k routeKey) *network.Message {
 		case m := <-c.reply:
 			return m
 		case m := <-wire:
-			if r.route(m, k) {
-				return m
-			}
+			r.route(m)
 		case <-n.sys.done:
 			return nil
 		}
 	}
+}
+
+// await is the router's await for client c, unwinding the thread when
+// the system shuts down instead.
+func (c *Client) await(k routeKey) *network.Message {
+	m := c.n.router.await(c, k)
+	if m == nil {
+		panic(abortError{cause: "switch shut down"})
+	}
+	return m
 }

@@ -120,15 +120,15 @@ func TestJoinTails(t *testing.T) {
 		defer sys.Close()
 		a := sys.MallocPage(8 * procs)
 		sys.Register("plain", func(n *Node, _ []byte) { n.WriteI64(a+Addr(8*n.ID()), 1) })
-		sys.RegisterTail("tailed", func(n *Node, _ []byte) []byte {
-			n.WriteI64(a+Addr(8*n.ID()), 1)
-			if n.ID() == 2 {
+		sys.RegisterTail("tailed", func(c *Client, _ []byte) []byte {
+			c.WriteI64(a+Addr(8*c.ID()), 1)
+			if c.ID() == 2 {
 				return nil
 			}
-			return []byte{byte(n.ID()), 0xee}
+			return []byte{byte(c.ID()), 0xee}
 		})
-		sys.RegisterTail("quiet", func(n *Node, _ []byte) []byte {
-			n.WriteI64(a+Addr(8*n.ID()), 1)
+		sys.RegisterTail("quiet", func(c *Client, _ []byte) []byte {
+			c.WriteI64(a+Addr(8*c.ID()), 1)
 			return nil
 		})
 		err := sys.Run(func(n *Node) {

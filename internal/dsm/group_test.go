@@ -212,7 +212,7 @@ func TestGroupPerClient(t *testing.T) {
 		}
 		st2 := n.Stats()
 		aGroup, bGroup = st1.GroupPages-st0.GroupPages, st2.GroupPages-st1.GroupPages
-		n.AdvanceClockTo(sim.Max(clks[0].Now(), clks[1].Now()))
+		n.clock.AdvanceTo(sim.Max(clks[0].Now(), clks[1].Now()))
 	})
 	if !slices.Equal(bStale, []bool{false, true, true}) {
 		t.Errorf("after A's fault, stale = %v (A's other page, B's two); want [false true true]", bStale)
@@ -248,7 +248,7 @@ func TestGroupPerClientConcurrent(t *testing.T) {
 			}(cls[k], addrs[2*k:2*k+2])
 		}
 		wg.Wait()
-		n.AdvanceClockTo(sim.Max(clks[0].Now(), clks[1].Now()))
+		n.clock.AdvanceTo(sim.Max(clks[0].Now(), clks[1].Now()))
 		st = n.Stats()
 	})
 	if st.GroupPages != 2 || st.FaultPages-st.GroupPages != st.FaultRounds {

@@ -241,7 +241,7 @@ func TestLockGrantIsland(t *testing.T) {
 		}
 		wg.Wait()
 		for k := range clks {
-			n.AdvanceClockTo(clks[k].Now())
+			n.clock.AdvanceTo(clks[k].Now())
 		}
 		chainDone(n, &finished)
 	})

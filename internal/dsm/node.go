@@ -22,7 +22,9 @@ import (
 // charging the node's own clock), so every Client operation — typed
 // access, synchronization, fork/join, the clock — is a Node method too.
 // An SMP island sharing the node among a team of threads adds Clients
-// with their own clocks and reply tags (NewClient). A node's state is
+// with their own clocks and reply tags (NewClient), and the node runs its
+// regions, forks, joins and barriers on that team (fork.go, barrier.go).
+// A node's state is
 // guarded by mu; application threads release mu whenever they block on
 // the network so the server can keep serving remote requests. One unwind
 // rule keeps an abort an ordinary run error: a ...Locked function that
@@ -37,8 +39,9 @@ type Node struct {
 	clock sim.Clock
 	ep    *network.Endpoint
 
-	router  replyRouter // routes replies to the client awaiting them
+	router  replyRouter // routes replies and handoffs to the client awaiting them
 	nextTag uint32      // reply-tag allocator for NewClient (under mu)
+	team    []*Client   // the clients added before Run, which run every region (fork.go)
 
 	mu        sync.Mutex
 	vc        VectorClock
@@ -83,10 +86,9 @@ type Node struct {
 	semas map[int]*syncQueue
 	conds map[int]*syncQueue
 
-	barrier *barrierMgr // nodes with combining-tree children only (see barrier.go)
-
-	forkCh chan *network.Message // slave: pending fork/exit commands
-	joinCh chan *network.Message // master: pending join notifications
+	kids   int      // the node's children in the barrier tree (barrier.go)
+	barN   int      // team threads gathered at the island barrier (under mu)
+	barMax sim.Time // their latest arrival
 
 	stats NodeStats
 }
@@ -207,11 +209,6 @@ func (n *Node) NumProcs() int { return n.sys.cfg.Procs }
 
 // Sys returns the owning system (for allocation from application code).
 func (n *Node) Sys() *System { return n.sys }
-
-// AdvanceClockTo raises the node's clock to t if later (an island-delegate
-// hook: after a hybrid backend joins an island's local workers, the node
-// clock must carry the island's completion time into the join message).
-func (n *Node) AdvanceClockTo(t sim.Time) { n.clock.AdvanceTo(t) }
 
 // Stats returns a copy of the node's protocol counters.
 func (n *Node) Stats() NodeStats {

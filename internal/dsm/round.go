@@ -267,5 +267,5 @@ func (n *Node) sendGrantLocked(ls *lockState, id int, w waiter, at sim.Time) {
 		return
 	}
 	// Managers never talk to themselves over the wire.
-	n.router.route(&network.Message{From: n.id, To: n.id, Type: typ, Payload: b.b, Send: at, Arrive: at}, routeKey{})
+	n.router.route(&network.Message{From: n.id, To: n.id, Type: typ, Payload: b.b, Send: at, Arrive: at})
 }

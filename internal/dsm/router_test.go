@@ -32,7 +32,7 @@ func islandClients(n *Node, bodies ...func(cl *Client)) {
 	}
 	wg.Wait()
 	for k := range clks {
-		n.AdvanceClockTo(clks[k].Now())
+		n.clock.AdvanceTo(clks[k].Now())
 	}
 }
 
@@ -273,7 +273,7 @@ func BenchmarkLockRoundTrip(b *testing.B) {
 					tc.at1(cls[i%len(cls)], go0)
 				}
 				for _, cl := range cls {
-					n.AdvanceClockTo(cl.Now())
+					n.clock.AdvanceTo(cl.Now())
 				}
 			})
 			if err := sys.Run(func(n *Node) { n.RunParallel("roundtrip", nil) }); err != nil {

@@ -9,15 +9,18 @@ import (
 
 // serve is each node's protocol-server goroutine: the simulation analogue
 // of TreadMarks' SIGIO handler. It processes remote requests concurrently
-// with the node's application thread, acting at each request's virtual
-// arrival time (interrupt semantics) and charging the application thread
-// the platform's interrupt overhead.
+// with the node's application threads, acting at each request's virtual
+// arrival time (interrupt semantics) and charging the node's clock the
+// platform's interrupt overhead.
 //
 // Everything reachable from here runs in protocol-server context: the
 // servernoblock analyzer forbids blocking request-class sends in this
 // closure, and the tripwire analyzer requires the goroutine that runs it
 // to carry a deferred recoverAbort (see cmd/nowlint and README "Static
-// analysis").
+// analysis"). What the server hands to an application thread — a fork or
+// exit, a join, a barrier arrival — goes through the node's router, which
+// queues it for a thread that is not waiting yet: the server never waits
+// for a thread.
 func (n *Node) serve() {
 	for {
 		m := n.ep.RecvRaw(network.ClassRequest)
@@ -35,7 +38,7 @@ func (n *Node) serve() {
 func (n *Node) dispatch(m *network.Message) {
 	switch m.Type {
 	case msgExit:
-		n.forkCh <- m
+		n.router.route(m) // to the slave loop, behind any fork before it
 	case msgFork:
 		// Incorporate the piggybacked consistency information HERE,
 		// in wire order, before handing the fork to the application
@@ -50,18 +53,18 @@ func (n *Node) dispatch(m *network.Message) {
 		r.view() // region
 		r.view() // args
 		n.incorporateWire(&r, m.From)
-		n.forkCh <- m // consumed by the slave's application thread
+		n.router.route(m)
 	case msgJoin:
 		r := rbuf{b: m.Payload}
 		n.incorporateWire(&r, m.From)
 		// The master's application thread sees the region's tail only.
 		join := *m
 		join.Payload = getJoinTail(&r)
-		n.joinCh <- &join
+		n.router.route(&join)
 	case msgBarrArrive:
 		r := rbuf{b: m.Payload}
 		n.incorporateWire(&r, m.From)
-		n.barrier.arrivals <- m // consumed by the manager's thread
+		n.router.route(m) // to this node's barrier gather
 	case msgFetchReq:
 		n.handleFetchReq(m)
 	case msgAcqReq, msgAcqFwd, msgSemaSignal, msgSemaWait, msgCondWait, msgCondSignal, msgCondBroadcast, msgFlush:

@@ -696,7 +696,7 @@ func TestSpanMultiClientOverlap(t *testing.T) {
 					}()
 				}
 				wg.Wait()
-				n.AdvanceClockTo(sim.Max(clks[0].Now(), clks[1].Now()))
+				n.clock.AdvanceTo(sim.Max(clks[0].Now(), clks[1].Now()))
 			}
 			n.Barrier()
 		}

@@ -100,9 +100,11 @@ type System struct {
 	purged    *homePurged // per-node purge-floor registry (flush gate)
 	fanin     int         // barrier tree fan-in: DefaultBarrierFanin outside tests
 	seenCheck seenCheck   // set only by tests, before Run: watches the lazy seenVC
+	running   bool        // set by Run: a client added from now on is not a team thread
+	threads   int         // the team size, counted by Run (Client.NumProcs)
 
 	regionsMu sync.Mutex
-	regions   map[string]func(*Node, []byte) []byte
+	regions   map[string]func(*Client, []byte) []byte
 
 	heapMu   sync.Mutex
 	heapNext atomic.Int64 // the allocated extent: written under heapMu, read by every access check
@@ -144,7 +146,7 @@ func newSystem(cfg Config, fanin int) *System {
 		sw:        network.NewSwitch(cfg.Procs, plat.UDP),
 		heapBytes: cfg.HeapBytes,
 		fanin:     fanin,
-		regions:   make(map[string]func(*Node, []byte) []byte),
+		regions:   make(map[string]func(*Client, []byte) []byte),
 		done:      make(chan struct{}),
 	}
 	npages := cfg.HeapBytes / PageSize
@@ -164,24 +166,15 @@ func newSystem(cfg Config, fanin int) *System {
 			locks:     make(map[int]*lockState),
 			semas:     make(map[int]*syncQueue),
 			conds:     make(map[int]*syncQueue),
-			forkCh:    make(chan *network.Message, 8),
-			joinCh:    make(chan *network.Message, cfg.Procs),
+			kids:      len(barrierChildren(i, cfg.Procs, fanin)),
 			router:    newReplyRouter(),
 		}
 		for j := range n.knownVC {
 			n.knownVC[j] = newVC(cfg.Procs)
 		}
 		n.ep = s.sw.Endpoint(i, &n.clock)
-		n.thread = Client{n: n, clk: &n.clock, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
+		n.thread = newClient(n, &n.clock, 0, ClientCosts{})
 		s.nodes = append(s.nodes, n)
-	}
-	// Combining-tree barrier: every node with children in the fan-in-ary
-	// heap gets an arrival buffer (at fan-in ≥ procs-1 only node 0 has
-	// children and the tree IS the old flat manager).
-	for _, n := range s.nodes {
-		if k := len(barrierChildren(n.id, cfg.Procs, s.fanin)); k > 0 {
-			n.barrier = newBarrierMgr(k)
-		}
 	}
 	for _, n := range s.nodes {
 		s.serverWG.Add(1)
@@ -284,22 +277,23 @@ func (s *System) Report() Report {
 	return r
 }
 
-// Done is closed when the system aborts or shuts down; external worker
-// threads (a hybrid backend's island teams) select on it so they unwind
-// alongside the nodes' own application threads.
+// Done is closed when the system aborts or shuts down.
 func (s *System) Done() <-chan struct{} { return s.done }
 
 // Register binds a parallel-region body to a name on every node. It must
 // be called before Run forks the region. Registering models all nodes
-// running the same compiled binary.
+// running the same compiled binary. The body runs on the node: it is for
+// systems without island teams.
 func (s *System) Register(name string, fn RegionFunc) {
-	s.RegisterTail(name, func(n *Node, arg []byte) []byte { fn(n, arg); return nil })
+	s.RegisterTail(name, func(c *Client, arg []byte) []byte { fn(c.n, arg); return nil })
 }
 
-// RegisterTail binds a region body whose result (an OpenMP reduction's
-// partials) rides each slave's msgJoin behind the consistency trailer, for
-// RunParallel to return in node order; an empty one adds no byte.
-func (s *System) RegisterTail(name string, fn func(n *Node, arg []byte) []byte) {
+// RegisterTail binds a region body to a name, to run on every thread: a
+// node's default client, or each client of its team. The body's result
+// (an OpenMP reduction's partials) rides each slave's msgJoin behind the
+// consistency trailer, for RunParallel to return in node order; an empty
+// one adds no byte.
+func (s *System) RegisterTail(name string, fn func(c *Client, arg []byte) []byte) {
 	s.regionsMu.Lock()
 	defer s.regionsMu.Unlock()
 	if _, dup := s.regions[name]; dup {
@@ -308,7 +302,7 @@ func (s *System) RegisterTail(name string, fn func(n *Node, arg []byte) []byte) 
 	s.regions[name] = fn
 }
 
-func (s *System) region(name string) func(*Node, []byte) []byte {
+func (s *System) region(name string) func(*Client, []byte) []byte {
 	s.regionsMu.Lock()
 	defer s.regionsMu.Unlock()
 	fn, ok := s.regions[name]
@@ -380,29 +374,50 @@ func (s *System) Close() error {
 }
 
 // Run executes master on node 0 while nodes 1..P-1 wait for forked
-// regions. It returns when master returns (after shutting the slaves
-// down), propagating the first panic from any node as an error.
+// regions, and each island-mate for its node's forks. It returns when
+// master returns (after shutting the slaves and the mates down),
+// propagating the first panic from any thread as an error. It numbers the
+// team first: each node's team in node order, or its default thread where
+// it has none.
 func (s *System) Run(master func(n *Node)) error {
+	s.running = true
+	s.threads = 0
+	for _, n := range s.nodes {
+		team := n.team
+		if len(team) == 0 {
+			team = []*Client{&n.thread}
+		}
+		for _, c := range team {
+			c.id = s.threads
+			s.threads++
+		}
+	}
 	var appWG sync.WaitGroup
-	for _, n := range s.nodes[1:] {
+	start := func(n *Node, thread func()) {
 		appWG.Add(1)
-		go func(n *Node) {
+		go func() {
 			defer appWG.Done()
 			defer s.recoverAbort(n)
-			n.slaveLoop()
-		}(n)
+			thread()
+		}()
 	}
-	appWG.Add(1)
-	go func() {
-		n := s.nodes[0]
-		defer appWG.Done()
-		defer s.recoverAbort(n)
-		master(n)
+	for _, n := range s.nodes {
+		for _, c := range n.mates() {
+			start(n, c.mateLoop)
+		}
+	}
+	for _, n := range s.nodes[1:] {
+		start(n, n.slaveLoop)
+	}
+	n0 := s.nodes[0]
+	start(n0, func() {
+		master(n0)
+		n0.exitTeam()
 		// Shut the slaves down at the master's final virtual time.
 		for i := 1; i < s.cfg.Procs; i++ {
-			n.ep.Send(i, msgExit, network.ClassRequest, nil)
+			n0.ep.Send(i, msgExit, network.ClassRequest, nil)
 		}
-	}()
+	})
 	appWG.Wait()
 	// Servers exit via the switch's down signal.
 	s.doneOnce.Do(func() { close(s.done) })
@@ -426,13 +441,14 @@ func (s *System) recoverAbort(n *Node) {
 // clocks and statistics after Run).
 func (s *System) Node(i int) *Node { return s.nodes[i] }
 
-// MaxClock returns the latest virtual time across all nodes: the parallel
-// execution time of the run.
+// MaxClock returns the latest virtual time across all nodes and their
+// teams' threads: the parallel execution time of the run.
 func (s *System) MaxClock() sim.Time {
 	var m sim.Time
 	for _, n := range s.nodes {
-		if t := n.clock.Now(); t > m {
-			m = t
+		m = max(m, n.clock.Now())
+		for _, c := range n.team {
+			m = max(m, c.clk.Now())
 		}
 	}
 	return m

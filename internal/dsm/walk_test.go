@@ -226,7 +226,7 @@ func TestIslandFlushesTakeTheEngine(t *testing.T) {
 		}
 		wg.Wait()
 		for k := range clks {
-			n.AdvanceClockTo(clks[k].Now())
+			n.clock.AdvanceTo(clks[k].Now())
 		}
 		n.Barrier()
 	})

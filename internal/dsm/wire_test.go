@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -679,9 +680,10 @@ func TestWireBatchAttribution(t *testing.T) {
 	f.add(msgExit, nil)
 	f.sendAt(0, 0)
 
-	// Both subs surface as ordinary msgExit deliveries on node 0's server.
+	// Both subs surface as ordinary msgExit deliveries on node 0's server,
+	// which routes each to the node's slave loop.
 	for i := 0; i < 2; i++ {
-		m := <-n0.forkCh
+		m := n0.thread.await(routeKey{typ: msgFork})
 		if m.Type != msgExit {
 			t.Fatalf("demuxed type %d, want msgExit", m.Type)
 		}
@@ -715,16 +717,17 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 	sys := New(Config{Procs: 2})
 	n0, n1 := sys.nodes[0], sys.nodes[1]
 
-	// Wedge node 0's protocol server: 8 exits fill forkCh, the 9th blocks
-	// the server mid-dispatch, and every TrySendAt after that lands in the
-	// request inbox until it is full.
-	const wedge = 9
-	for i := 0; i < wedge; i++ {
-		n1.ep.SendAt(0, msgExit, network.ClassRequest, nil, 0)
+	// Wedge node 0's protocol server: with n0.mu held, a consensus push
+	// parks it inside its handler, and every TrySendAt after that lands
+	// in the request inbox until it is full.
+	n0.mu.Lock()
+	var push wbuf
+	putTrailer(&push, nil, newVC(2), nil)
+	n1.ep.SendAt(0, msgGCSync, network.ClassRequest, push.b, 0)
+	for len(n0.ep.Chan(network.ClassRequest)) > 0 {
+		runtime.Gosched() // until the server has taken the push
 	}
-	filled := 0
 	for n1.ep.TrySendAt(0, msgExit, network.ClassRequest, nil, 0) {
-		filled++
 	}
 
 	// Hand-craft an unsent interval on node 1: its clock is ahead of what
@@ -752,13 +755,9 @@ func TestGCSyncDroppedFrameKeepsKnownVC(t *testing.T) {
 		t.Errorf("GCSyncReverse = %d after a dropped reverse frame", reverse)
 	}
 
-	// Unwedge: consume every exit so the server drains the inbox and the
-	// switch can shut down cleanly.
-	go func() {
-		for i := 0; i < wedge+filled; i++ {
-			<-n0.forkCh
-		}
-	}()
+	// Unwedge: the server finishes the push and routes every exit to the
+	// router's backlog, so the switch can shut down cleanly.
+	n0.mu.Unlock()
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
