@@ -15,8 +15,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Protocol invariant analyzers (servernoblock, clockcharge, detfree,
-# lockorder, tripwire — see README "Static analysis"). nowlint also
+# Protocol invariant analyzers (clockcharge, detfree, lockorder,
+# tripwire — see README "Static analysis"). nowlint also
 # speaks go vet's unitchecker protocol, so the same suite runs as
 #   $(GO) build -o /tmp/nowlint ./cmd/nowlint && $(GO) vet -vettool=/tmp/nowlint ./...
 # Configuration travels in Config values: a process-wide Set…Default
@@ -31,6 +31,8 @@ fmt-check:
 # A thread waits for another thread in one place, the node's router
 # (dsm's replyRouter.await): a message channel declared in dsm outside
 # client.go, or a receive from a Done() channel in core, fails it as well.
+# No send is ever refused: a TrySend call in non-test internal/ code fails
+# it too (network.Endpoint.TrySendAt stays for bench/ alone).
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
@@ -45,6 +47,8 @@ lint:
 		echo "lint: a message channel outside the router (hand a thread its message with n.router.route or deliver)"; exit 1; fi
 	@if grep -nE '<-[^=]*Done\(\)' $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 		echo "lint: a Done() receive in core (a thread waits in dsm's router, which unwinds it at shutdown)"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.TrySend[A-Za-z]*\(' internal; then \
+		echo "lint: a TrySend call (sends never block or drop: use Send/SendAt)"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -1,5 +1,5 @@
 // Command nowlint is the multichecker for the repository's protocol
-// analyzers (servernoblock, clockcharge, detfree, lockorder, tripwire).
+// analyzers (clockcharge, detfree, lockorder, tripwire).
 // See README.md's "Static analysis" section for what each invariant is
 // and why it holds.
 //
@@ -38,12 +38,10 @@ import (
 	"repro/internal/analysis/detfree"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/servernoblock"
 	"repro/internal/analysis/tripwire"
 )
 
 var analyzers = []*analysis.Analyzer{
-	servernoblock.Analyzer,
 	clockcharge.Analyzer,
 	detfree.Analyzer,
 	lockorder.Analyzer,

@@ -25,7 +25,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"regexp"
@@ -241,33 +240,6 @@ func IsPkgFunc(fn *types.Func, pkgName string, names ...string) bool {
 		}
 	}
 	return false
-}
-
-// ArgOfNamedType returns the first argument of call whose static type
-// is (or points to) the named type pkgName.typeName, or nil.
-func ArgOfNamedType(info *types.Info, call *ast.CallExpr, pkgName, typeName string) ast.Expr {
-	for _, a := range call.Args {
-		tv, ok := info.Types[a]
-		if !ok {
-			continue
-		}
-		if n := NamedOf(tv.Type); n != nil &&
-			n.Obj().Name() == typeName &&
-			n.Obj().Pkg() != nil && n.Obj().Pkg().Name() == pkgName {
-			return a
-		}
-	}
-	return nil
-}
-
-// IntConst evaluates expr as a constant integer if the type checker
-// folded one there.
-func IntConst(info *types.Info, expr ast.Expr) (int64, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
 }
 
 // MentionsRecover reports whether body contains a call to the recover

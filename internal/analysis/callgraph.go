@@ -10,8 +10,8 @@ import (
 // function/method declaration or a function literal. Literals are
 // separate nodes because they frequently run in a different execution
 // context than their enclosing function (a goroutine body, a deferred
-// recovery handler), and the context-sensitive analyzers (servernoblock,
-// tripwire) must not smear one context's obligations over the other.
+// recovery handler), and a context-sensitive analyzer (tripwire) must
+// not smear one context's obligations over the other.
 type FuncNode struct {
 	Decl *ast.FuncDecl // nil for literals
 	Lit  *ast.FuncLit  // nil for declarations

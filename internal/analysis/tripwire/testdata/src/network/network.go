@@ -20,4 +20,4 @@ func (e *Endpoint) Send(to, typ int, class Class, data []byte) {}
 func (e *Endpoint) Recv(class Class) Message                   { return Message{} }
 func (e *Endpoint) RecvRaw(class Class) Message                { return Message{} }
 func (e *Endpoint) TryRecvRaw(class Class) (Message, bool)     { return Message{}, false }
-func (e *Endpoint) Chan(class Class) <-chan Message            { return nil }
+func (e *Endpoint) Ready(class Class) <-chan struct{}          { return nil }

@@ -3,9 +3,10 @@
 // traffic must recover panics and convert them into a Run error.
 //
 // The failure mode it mechanizes: a server goroutine that panics takes
-// its endpoint's drain loop with it. Peers keep sending; their bounded
-// request queues fill; the whole simulation wedges with no error and no
-// output — the panic text is the only evidence and it raced to stderr.
+// its endpoint's drain loop with it. Peers keep sending into an inbox
+// nobody drains and wait for replies that never come; the whole
+// simulation wedges with no error and no output — the panic text is the
+// only evidence and it raced to stderr.
 // The repository's pattern (dsm.System.recoverAbort) recovers at the
 // top of every server goroutine and funnels the failure into the error
 // Run returns, so a protocol bug fails the run loudly and
@@ -13,7 +14,7 @@
 //
 // Mechanization: for every `go` statement whose spawned function
 // (literal or same-package declaration) transitively reaches an
-// Endpoint receive (Recv, RecvRaw, TryRecvRaw, Chan) over
+// Endpoint receive (Recv, RecvRaw, TryRecvRaw, Ready) over
 // same-goroutine call edges, the spawned body must open with a deferred
 // recovery: a top-level `defer` of either a function literal that calls
 // recover(), or a same-package function/method whose body calls
@@ -28,7 +29,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "tripwire",
-	Doc:  "protocol-server goroutines must recover panics into Run errors (a dead drain loop wedges the bounded-queue network silently)",
+	Doc:  "protocol-server goroutines must recover panics into Run errors (a dead drain loop wedges the network silently)",
 	Run:  run,
 }
 
@@ -41,7 +42,7 @@ func run(pass *analysis.Pass) error {
 	for _, node := range g.Nodes {
 		for _, call := range node.Calls {
 			fn := analysis.CalleeOf(pass.TypesInfo, call)
-			if analysis.IsMethodOn(fn, "network", "Endpoint", "Recv", "RecvRaw", "TryRecvRaw", "Chan") {
+			if analysis.IsMethodOn(fn, "network", "Endpoint", "Recv", "RecvRaw", "TryRecvRaw", "Ready") {
 				receivers = append(receivers, node)
 				break
 			}
@@ -76,7 +77,7 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		pass.Reportf(site.Stmt.Pos(),
-			"goroutine %s consumes endpoint traffic but has no top-level deferred recover: a panic here kills the drain loop and wedges the bounded-queue network silently; recover into the Run error (the recoverAbort pattern)",
+			"goroutine %s consumes endpoint traffic but has no top-level deferred recover: a panic here kills the drain loop and wedges the network silently; recover into the Run error (the recoverAbort pattern)",
 			site.Spawned.Name())
 	}
 	return nil

@@ -590,15 +590,8 @@ func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	// current (an empty delta sends nothing).
 	back := n.deltaForLocked(n.knownVC[m.From])
 	// Frame the reverse delta with a pending-floor announcement for the
-	// pusher, when it owes one. The send is non-blocking: a server must
-	// NEVER block on a peer's bounded request queue (two servers mutually
-	// blocked sending into each other's full inboxes would stall every
-	// grant in the system). A dropped reverse delta only delays the
-	// consensus floor — the next push round retries. Delivery is
-	// all-or-nothing per envelope, and the knownVC estimate advances ONLY
-	// when the frame that actually carries the delta went out — a dropped
-	// frame must not leave the estimate vouching for sub-messages no peer
-	// ever received, keeping the gap-free delta invariant.
+	// pusher, when it owes one. Sends never block or drop, so the knownVC
+	// estimate advances with every delta sent.
 	f := n.newFrame()
 	if len(back) > 0 {
 		var w wbuf
@@ -612,7 +605,8 @@ func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 			f.add(msgGCFloor, fw.b)
 		}
 	}
-	if f.count() > 0 && f.trySendAt(m.From, at) && len(back) > 0 {
+	f.sendAt(m.From, at)
+	if len(back) > 0 {
 		n.noteSentLocked(m.From)
 		n.stats.GCSyncReverse++
 	}
@@ -622,17 +616,13 @@ func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	// pushed records were incorporated above, so the relayed delta covers
 	// everything the pusher wanted propagated (interior-node merging),
 	// and it additionally closes any gap between this node and the next
-	// hop. Non-blocking like the reverse delta: a dropped frame only
-	// delays the floor, and the pusher's next paced round retries; the
-	// estimate advances only on real sends.
+	// hop.
 	if len(relay) > 0 && n.gcTreeConsensus() {
 		hops, byHop := n.routeTargetsLocked(relay)
 		for _, h := range hops {
-			rf := n.consensusFrameLocked(h, byHop[h])
-			if rf.trySendAt(h, at) {
-				n.noteSentLocked(h)
-				n.stats.GCSyncRelays++
-			}
+			n.consensusFrameLocked(h, byHop[h]).sendAt(h, at)
+			n.noteSentLocked(h)
+			n.stats.GCSyncRelays++
 		}
 	}
 	return vc

@@ -83,7 +83,7 @@ func (f *acqWait) homeCatchesUp(n *Node) {
 	case awHome:
 		select {
 		case <-f.passed:
-		case <-f.sys.Done():
+		case <-f.sys.done:
 			return
 		}
 		n.thread.gcSyncOnce()

@@ -193,7 +193,7 @@ func (n *Node) unwrapReplyBatch(m *network.Message) *network.Message {
 // uniqueness argument in recvReply, and the fork loop, the join and the
 // barrier gather, each the business of one thread). Island handoffs
 // address a mate by its tag. There is no routing goroutine: a thread
-// waiting in await reads the node's wire reply channel itself and hands a
+// waiting in await drains the node's wire reply inbox itself and hands a
 // message meant for another waiter to it, or to the backlog if that
 // waiter is not waiting yet. The protocol server hands its own node what
 // it received (sendGrantLocked, dispatch) the same way, and never blocks
@@ -269,8 +269,8 @@ func (r *replyRouter) deliver(k routeKey, m *network.Message) {
 }
 
 // await blocks client c until a message with key k is delivered to it or
-// the system shuts down (returning nil). While it waits it drains the
-// node's wire reply channel, routing each message it reads. It is the one
+// the system shuts down (returning nil). Before each wait it drains the
+// node's wire reply inbox, routing every message it reads. It is the one
 // place an application thread waits for another thread, apart from an
 // island-mate's lock handoff (Acquire) and the collector's waits.
 func (r *replyRouter) await(c *Client, k routeKey) *network.Message {
@@ -288,13 +288,14 @@ func (r *replyRouter) await(c *Client, k routeKey) *network.Message {
 	}
 	r.waiting[k] = c.reply
 	r.mu.Unlock()
-	wire := n.ep.Chan(network.ClassReply)
 	for {
+		for m := n.ep.TryRecvRaw(network.ClassReply); m != nil; m = n.ep.TryRecvRaw(network.ClassReply) {
+			r.route(m)
+		}
 		select {
 		case m := <-c.reply:
 			return m
-		case m := <-wire:
-			r.route(m)
+		case <-n.ep.Ready(network.ClassReply):
 		case <-n.sys.done:
 			return nil
 		}

@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -623,5 +624,40 @@ func TestTotalStatsCoversEveryCounter(t *testing.T) {
 		if g := got.FieldByIndex(f.Index).Int(); g != want {
 			t.Errorf("TotalStats().%s = %d, want %d", f.Name, g, want)
 		}
+	}
+}
+
+// TestNewCloseAllocatesLittle: building and closing a 4-node system with
+// the default 64 MiB heap allocates host memory for what it uses, not for
+// its bounds — no preallocated page table sized to the heap, no inbox
+// sized to a queue depth.
+func TestNewCloseAllocatesLittle(t *testing.T) {
+	const runs, limit = 10, 64 << 10
+	New(Config{Procs: 4}).Close() // warm up once-only allocations
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := New(Config{Procs: 4}).Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+		t.Fatalf("New(Config{Procs: 4}) + Close allocated %d bytes, want <= %d", per, limit)
+	}
+}
+
+// BenchmarkNewClose is a system's lifecycle with nothing run: New with
+// the default heap, then Close.
+func BenchmarkNewClose(b *testing.B) {
+	for _, procs := range []int{4, 64} {
+		b.Run(fmt.Sprintf("p%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := New(Config{Procs: procs}).Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

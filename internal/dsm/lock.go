@@ -247,7 +247,7 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 		defer n.mu.Unlock() // a malformed grant unwinds with n.mu free
 		senderVC, recs = getVC(&r), n.decodeRecordsLocked(&r)
 	}()
-	data := getGrantData(&r, len(recs), len(n.pages))
+	data := getGrantData(&r, len(recs), n.sys.heapPages())
 	if data != nil {
 		n.fetchMu.Lock()
 		defer n.fetchMu.Unlock()
@@ -347,7 +347,6 @@ func (n *Node) lockRequestLocked(q *syncReq, at sim.Time) {
 	// grants to the local application thread.
 	var w wbuf
 	putSyncReq(&w, nil, msgAcqFwd, q)
-	//nowlint:allow servernoblock -- bounded traffic: reqOutstanding caps each node at one in-flight acquire, so at most Procs-1 msgAcqFwd can exist at once, far under the request queue depth; the forward cannot block (the bounded-queue no-deadlock argument)
 	n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, at)
 }
 

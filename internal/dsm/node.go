@@ -53,7 +53,7 @@ type Node struct {
 	gcAcqLag  []int         // the homes those pages wait for (acqEpoch)
 	dirty     []*page       // pages twinned in the open interval
 	gcPages   []*page       // pages that may hold missing notices or twins (GC work list)
-	pages     []*page       // [PageID]; entries materialize lazily
+	pages     []*page       // [PageID]; grows and materializes lazily (pageFor)
 	knownVC   []VectorClock // sound lower bound of what each node has seen
 	episode   int64         // barrier departures and forks taken here (group.go)
 
@@ -146,7 +146,6 @@ type NodeStats struct {
 	DiffsCreated int64
 	DiffsApplied int64 // interval diffs applied, each constituent of a merged diff counted
 	DiffsMerged  int64 // diffs served folded into an earlier diff's reply (mergeDiffs)
-	DiffBytes    int64
 	LockAcquires int64
 	LockLocal    int64 // acquires satisfied without messages
 	Barriers     int64
@@ -221,9 +220,14 @@ func (n *Node) Stats() NodeStats {
 // Interval bookkeeping (all *Locked methods require n.mu).
 // ---------------------------------------------------------------------
 
+// pageFor returns the node's page pid, materializing it — and growing the
+// page table to reach it — on first use.
 func (n *Node) pageFor(pid PageID) *page {
-	if pid < 0 || int(pid) >= len(n.pages) {
-		panic(fmt.Sprintf("dsm: page %d outside shared heap (%d pages); use System.Malloc", pid, len(n.pages)))
+	if pid < 0 || int(pid) >= n.sys.heapPages() {
+		panic(fmt.Sprintf("dsm: page %d outside shared heap (%d pages); use System.Malloc", pid, n.sys.heapPages()))
+	}
+	if k := int(pid) + 1 - len(n.pages); k > 0 {
+		n.pages = append(n.pages, make([]*page, k)...)
 	}
 	pg := n.pages[pid]
 	if pg == nil {
@@ -262,7 +266,6 @@ func (n *Node) closeIntervalLocked() {
 		diff, n.diffBuf = makeDiff(pg.data, pg.twin, n.diffBuf)
 		ivl.diffs[pg.id] = diff
 		n.stats.DiffsCreated++
-		n.stats.DiffBytes += int64(len(diff))
 		// A twin is never a reply payload or a page copy: nothing else
 		// references the buffer the next write fault takes.
 		n.twinFree = append(n.twinFree, pg.twin)

@@ -13,14 +13,13 @@ import (
 // arrival time (interrupt semantics) and charging the node's clock the
 // platform's interrupt overhead.
 //
-// Everything reachable from here runs in protocol-server context: the
-// servernoblock analyzer forbids blocking request-class sends in this
-// closure, and the tripwire analyzer requires the goroutine that runs it
-// to carry a deferred recoverAbort (see cmd/nowlint and README "Static
-// analysis"). What the server hands to an application thread — a fork or
-// exit, a join, a barrier arrival — goes through the node's router, which
-// queues it for a thread that is not waiting yet: the server never waits
-// for a thread.
+// Everything reachable from here runs in protocol-server context, and
+// nothing in it waits: sends never block (network inboxes are unbounded),
+// and what the server hands to an application thread — a fork or exit, a
+// join, a barrier arrival — goes through the node's router, which queues
+// it for a thread that is not waiting yet. The tripwire analyzer requires
+// the goroutine that runs it to carry a deferred recoverAbort (see
+// cmd/nowlint and README "Static analysis").
 func (n *Node) serve() {
 	for {
 		m := n.ep.RecvRaw(network.ClassRequest)

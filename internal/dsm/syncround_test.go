@@ -45,7 +45,7 @@ func (s *syncScript) wait(ch chan struct{}) {
 	s.t.Helper()
 	select {
 	case <-ch:
-	case <-s.sys.Done():
+	case <-s.sys.done:
 		s.t.Fatal("the run aborted mid-script")
 	case <-time.After(10 * time.Second):
 		s.t.Fatal("a script step did not return")

@@ -149,7 +149,6 @@ func newSystem(cfg Config, fanin int) *System {
 		regions:   make(map[string]func(*Client, []byte) []byte),
 		done:      make(chan struct{}),
 	}
-	npages := cfg.HeapBytes / PageSize
 	s.purged = newHomePurged(cfg.Procs)
 	if !cfg.DisableGC && cfg.Procs > 1 {
 		s.acq = newAcqCoord(cfg.Procs, cfg.GCThreshold())
@@ -161,7 +160,6 @@ func newSystem(cfg Config, fanin int) *System {
 			vc:        newVC(cfg.Procs),
 			intervals: make([][]*interval, cfg.Procs),
 			ivlBase:   make([]int, cfg.Procs),
-			pages:     make([]*page, npages),
 			knownVC:   make([]VectorClock, cfg.Procs),
 			locks:     make(map[int]*lockState),
 			semas:     make(map[int]*syncQueue),
@@ -190,6 +188,9 @@ func newSystem(cfg Config, fanin int) *System {
 	}
 	return s
 }
+
+// heapPages is the shared heap's size in pages: the bound of every page id.
+func (s *System) heapPages() int { return s.heapBytes / PageSize }
 
 // Procs returns the number of nodes.
 func (s *System) Procs() int { return s.cfg.Procs }
@@ -276,9 +277,6 @@ func (s *System) Report() Report {
 	r.GCPagesValidated, r.GCPagesFlushed = g.PagesValidated, g.PagesFlushed
 	return r
 }
-
-// Done is closed when the system aborts or shuts down.
-func (s *System) Done() <-chan struct{} { return s.done }
 
 // Register binds a parallel-region body to a name on every node. It must
 // be called before Run forks the region. Registering models all nodes

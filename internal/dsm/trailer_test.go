@@ -235,9 +235,9 @@ func TestNoticeWithoutCopyAllocatesNoClock(t *testing.T) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var pgs []*page
-	for pid := range n.pages {
-		if len(pgs) < 101 && !n.isHome(PageID(pid)) {
-			pg := n.pageFor(PageID(pid))
+	for pid := range PageID(sys.heapPages()) {
+		if len(pgs) < 101 && !n.isHome(pid) {
+			pg := n.pageFor(pid)
 			pg.missing = make([]*interval, 0, 1)
 			pgs = append(pgs, pg)
 		}

@@ -436,8 +436,8 @@ func (f *frameBuilder) build() ([]byte, []network.FramePart) {
 	return w.b, parts
 }
 
-// sendAt transmits the collected subs (blocking; application-thread
-// contexts only — server contexts must use trySendAt).
+// sendAt transmits the collected subs as one request-class datagram (a
+// lone sub goes unframed). It never blocks, so any context may call it.
 func (f *frameBuilder) sendAt(to int, at sim.Time) {
 	switch len(f.subs) {
 	case 0:
@@ -454,8 +454,7 @@ func (f *frameBuilder) sendAt(to int, at sim.Time) {
 // the batched barrier departure wave. The first sub must be the primary
 // reply the receiver's waiting thread expects (recvReply unwraps the
 // frame and hands that sub to the waiter; the subs behind it are
-// piggybacked notices handled inline). Blocking, like every reply send:
-// application-thread contexts only, receiver guaranteed to be draining.
+// piggybacked notices handled inline).
 func (f *frameBuilder) sendReplyAt(to int, at sim.Time) {
 	switch len(f.subs) {
 	case 0:
@@ -466,19 +465,4 @@ func (f *frameBuilder) sendReplyAt(to int, at sim.Time) {
 	}
 	payload, parts := f.build()
 	f.n.ep.SendFrameAt(to, msgBatch, network.ClassReply, payload, parts, at)
-}
-
-// trySendAt transmits non-blocking, reporting whether the frame (with
-// every sub in it) was delivered. All-or-nothing delivery is what lets
-// callers keep the knownVC bookkeeping invariant per envelope: either
-// every sub went out or none did.
-func (f *frameBuilder) trySendAt(to int, at sim.Time) bool {
-	switch len(f.subs) {
-	case 0:
-		return true
-	case 1:
-		return f.n.ep.TrySendAt(to, f.subs[0].typ, network.ClassRequest, f.subs[0].payload, at)
-	}
-	payload, parts := f.build()
-	return f.n.ep.TrySendFrameAt(to, msgBatch, network.ClassRequest, payload, parts, at)
 }

@@ -181,18 +181,17 @@ func (r *Rank) match(from, tag int) *network.Message {
 		}
 	}
 	for {
-		var m *network.Message
-		select {
-		case m = <-r.ep.Chan(network.ClassRequest):
-		case <-r.w.done:
+		for m := r.ep.TryRecvRaw(network.ClassRequest); m != nil; m = r.ep.TryRecvRaw(network.ClassRequest) {
+			if matches(m, from, tag) {
+				return m
+			}
+			r.pending = append(r.pending, m)
 		}
-		if m == nil {
+		select {
+		case <-r.ep.Ready(network.ClassRequest):
+		case <-r.w.done:
 			panic(mpiAbort{cause: "switch shut down"})
 		}
-		if matches(m, from, tag) {
-			return m
-		}
-		r.pending = append(r.pending, m)
 	}
 }
 

@@ -102,38 +102,78 @@ var ErrDown = errors.New("network: switch is down")
 
 // Switch connects n endpoints with a shared wire profile.
 type Switch struct {
-	n        int
 	profile  sim.WireProfile
 	stats    Stats
-	inboxes  [][2]chan *Message // [node][class]
-	down     chan struct{}      // closed by Shutdown; inboxes are never closed
+	boxes    [][2]mailbox  // [node][class]
+	down     chan struct{} // closed by Shutdown
 	downOnce sync.Once
 }
 
-// queueDepth bounds in-flight messages per (node, class). It only provides
-// backpressure against runaway senders; the protocols in this repository
-// never deadlock on it because requests are always drained by a dedicated
-// server goroutine. The bound must grow with the node count: a GC
-// consensus round can push one delta to every peer in a burst, and at 128
-// nodes several concurrent rounds aimed at one quiet node would otherwise
-// exhaust a fixed-depth queue and leave TrySendAt's drop-and-retry pacing
-// livelocked behind a never-draining floor (see TestSwitchScalesQueues).
-const minQueueDepth = 4096
+// mailbox is one (node, class) inbox: an unbounded FIFO. A send appends
+// and never blocks or drops — the model's delivery is reliable, as
+// TreadMarks' UDP-with-retransmit is — so no protocol argument rests on a
+// queue bound. ready holds one token whenever the FIFO may be non-empty
+// for a receiver that has not yet looked; a receiver drains with pop and
+// waits on ready only when pop finds nothing.
+type mailbox struct {
+	mu    sync.Mutex
+	q     []*Message // q[head:] are queued, oldest first
+	head  int
+	ready chan struct{}
+}
 
-func queueDepth(n int) int {
-	if d := 32 * n; d > minQueueDepth {
-		return d
+func (b *mailbox) push(m *Message) {
+	b.mu.Lock()
+	if len(b.q) == cap(b.q) && 2*b.head >= len(b.q) && b.head > 0 {
+		// Reclaim a received prefix of at least half the array before
+		// append would grow it: each message is copied O(1) times.
+		k := copy(b.q, b.q[b.head:])
+		clear(b.q[k:])
+		b.q, b.head = b.q[:k], 0
 	}
-	return minQueueDepth
+	b.q = append(b.q, m)
+	b.mu.Unlock()
+	b.signal()
+}
+
+// pop returns the oldest queued message, or nil. A pop that leaves
+// messages behind passes the ready token on, so a second receiver of the
+// same inbox (two threads of one node awaiting replies) never sleeps
+// beside a non-empty queue.
+func (b *mailbox) pop() *Message {
+	b.mu.Lock()
+	if b.head == len(b.q) {
+		b.mu.Unlock()
+		return nil
+	}
+	m := b.q[b.head]
+	b.q[b.head] = nil
+	b.head++
+	more := b.head < len(b.q)
+	if !more {
+		b.q, b.head = b.q[:0], 0
+	}
+	b.mu.Unlock()
+	if more {
+		b.signal()
+	}
+	return m
+}
+
+func (b *mailbox) signal() {
+	select {
+	case b.ready <- struct{}{}:
+	default:
+	}
 }
 
 // NewSwitch creates a switch for n endpoints using the given wire profile.
 func NewSwitch(n int, profile sim.WireProfile) *Switch {
-	sw := &Switch{n: n, profile: profile, down: make(chan struct{})}
-	sw.inboxes = make([][2]chan *Message, n)
-	for i := range sw.inboxes {
-		sw.inboxes[i][0] = make(chan *Message, queueDepth(n))
-		sw.inboxes[i][1] = make(chan *Message, queueDepth(n))
+	sw := &Switch{profile: profile, down: make(chan struct{}), boxes: make([][2]mailbox, n)}
+	for i := range sw.boxes {
+		for c := range sw.boxes[i] {
+			sw.boxes[i][c].ready = make(chan struct{}, 1)
+		}
 	}
 	return sw
 }
@@ -157,8 +197,8 @@ func (s *Switch) ResetStats() {
 // Endpoint returns node id's attachment to the switch. The clock is the
 // node's virtual clock; receives advance it to each message's arrival time.
 func (s *Switch) Endpoint(id int, clock *sim.Clock) *Endpoint {
-	if id < 0 || id >= s.n {
-		panic(fmt.Sprintf("network: endpoint id %d out of range [0,%d)", id, s.n))
+	if id < 0 || id >= len(s.boxes) {
+		panic(fmt.Sprintf("network: endpoint id %d out of range [0,%d)", id, len(s.boxes)))
 	}
 	return &Endpoint{id: id, sw: s, clock: clock}
 }
@@ -171,9 +211,8 @@ type Endpoint struct {
 }
 
 // Send transmits payload to node `to` at the sender's current virtual
-// time. It never blocks the simulation's correctness: the underlying
-// channel is large and drained by the receiver's server or application
-// thread.
+// time. It never blocks and never drops: the destination's inbox is
+// unbounded.
 func (e *Endpoint) Send(to, typ int, class Class, payload []byte) {
 	e.SendAt(to, typ, class, payload, e.clock.Now())
 }
@@ -181,34 +220,34 @@ func (e *Endpoint) Send(to, typ int, class Class, payload []byte) {
 // SendAt transmits like Send but with an explicit virtual send time. It is
 // used by protocol servers, which act at a request's arrival time rather
 // than at the application thread's current time (interrupt semantics).
+// Like Send it never blocks, so a server may send any class from its
+// receive loop. It panics with ErrDown once the switch is shut down.
 func (e *Endpoint) SendAt(to, typ int, class Class, payload []byte, at sim.Time) {
 	m := e.build(to, typ, class, payload, at)
+	// Counted BEFORE the message becomes receivable: a receiver may act on
+	// it — and a reader snapshot Stats — the instant it is queued.
+	e.count(typ, payload)
+	e.sw.boxes[to][class].push(m)
+}
+
+// TrySendAt is SendAt reporting true: no send is ever refused. It stays
+// only because bench/layers.go times it as network.try_send_ns; make lint
+// rejects a call to it in internal/.
+func (e *Endpoint) TrySendAt(to, typ int, class Class, payload []byte, at sim.Time) bool {
+	e.SendAt(to, typ, class, payload, at)
+	return true
+}
+
+// build assembles one stamped message. It panics with ErrDown on a switch
+// that is down, before anything is counted.
+func (e *Endpoint) build(to, typ int, class Class, payload []byte, at sim.Time) *Message {
+	if to == e.id {
+		panic("network: node sent a message to itself")
+	}
 	select {
 	case <-e.sw.down:
 		panic(ErrDown)
 	default:
-	}
-	// Counted BEFORE the message becomes receivable: a receiver may act on
-	// it — and a reader snapshot Stats — the instant it is queued, and the
-	// totals must already include it. (A send that dies on the down case
-	// below stays counted; the run is aborting and its totals are void.)
-	e.count(typ, payload)
-	// The down case below keeps a sender from blocking forever on a full
-	// queue whose drainer exited at shutdown. An abort can close `down`
-	// while a send is committing; the message then sits in the queue
-	// unreceived, and the sender unwinds at its next receive instead.
-	select {
-	case e.sw.inboxes[to][m.Class] <- m:
-	case <-e.sw.down:
-		panic(ErrDown)
-	}
-}
-
-// build assembles one stamped message (shared by the blocking and
-// non-blocking send paths).
-func (e *Endpoint) build(to, typ int, class Class, payload []byte, at sim.Time) *Message {
-	if to == e.id {
-		panic("network: node sent a message to itself")
 	}
 	return &Message{
 		From:    e.id,
@@ -280,65 +319,8 @@ func (e *Endpoint) countFrame(payload []byte, parts []FramePart) {
 // transaction instead of k.
 func (e *Endpoint) SendFrameAt(to, typ int, class Class, payload []byte, parts []FramePart, at sim.Time) {
 	m := e.build(to, typ, class, payload, at)
-	select {
-	case <-e.sw.down:
-		panic(ErrDown)
-	default:
-	}
-	e.countFrame(payload, parts) // before it is receivable, as in SendAt
-	select {
-	case e.sw.inboxes[to][m.Class] <- m:
-	case <-e.sw.down:
-		panic(ErrDown)
-	}
-}
-
-// TrySendFrameAt is SendFrameAt with non-blocking delivery: if the
-// destination's queue is full the frame is dropped, false is returned,
-// and nothing is counted. Like TrySendAt it is the only frame send a
-// protocol server may issue.
-func (e *Endpoint) TrySendFrameAt(to, typ int, class Class, payload []byte, parts []FramePart, at sim.Time) bool {
-	m := e.build(to, typ, class, payload, at)
-	select {
-	case <-e.sw.down:
-		panic(ErrDown)
-	default:
-	}
-	select {
-	case e.sw.inboxes[to][m.Class] <- m:
-		e.countFrame(payload, parts)
-		return true
-	default:
-		return false
-	}
-}
-
-// TrySendAt is SendAt with non-blocking delivery: if the destination's
-// queue is full the message is dropped and false returned (nothing is
-// counted). Protocol SERVERS must use it for any request-class send —
-// the no-deadlock argument for the bounded queues is that requests are
-// always drained by a server that never blocks, and a server blocking on
-// a peer's full queue while that peer's server blocks on ours would be
-// exactly the forbidden cycle. Callers must therefore treat the message
-// as optional (an optimization retried by some higher-level pacing).
-// The servernoblock analyzer (cmd/nowlint) enforces this contract
-// statically: a blocking request-class SendAt/Send reachable from a
-// protocol-server receive loop is flagged unless a //nowlint:allow
-// records why its traffic is bounded.
-func (e *Endpoint) TrySendAt(to, typ int, class Class, payload []byte, at sim.Time) bool {
-	m := e.build(to, typ, class, payload, at)
-	select {
-	case <-e.sw.down:
-		panic(ErrDown)
-	default:
-	}
-	select {
-	case e.sw.inboxes[to][m.Class] <- m:
-		e.count(typ, payload)
-		return true
-	default:
-		return false
-	}
+	e.countFrame(payload, parts)
+	e.sw.boxes[to][class].push(m)
 }
 
 // Recv blocks until a message of the given class arrives and advances the
@@ -361,54 +343,48 @@ func (e *Endpoint) RecvRaw(class Class) *Message {
 }
 
 // recv is the shared blocking receive: a message if one is queued or
-// arrives, nil once the switch is down and the queue has drained.
+// arrives, nil once the switch is down and the inbox has drained.
 func (e *Endpoint) recv(class Class) *Message {
-	in := e.sw.inboxes[e.id][class]
-	select {
-	case m := <-in:
-		return m
-	case <-e.sw.down:
-		// Drain semantics: messages queued before shutdown remain
-		// receivable until the queue empties, then receivers see nil.
-		select {
-		case m := <-in:
+	b := &e.sw.boxes[e.id][class]
+	for {
+		if m := b.pop(); m != nil {
 			return m
-		default:
-			return nil
+		}
+		select {
+		case <-b.ready:
+		case <-e.sw.down:
+			// Drain semantics: messages queued before shutdown remain
+			// receivable until the inbox empties, then receivers see nil.
+			return b.pop()
 		}
 	}
 }
 
 // Shutdown marks the switch down, releasing any goroutine blocked in Recv
 // or RecvRaw with a nil message and making subsequent sends panic (the
-// abort cascade's unwind signal). The inbox channels themselves are never
-// closed — an abort shuts the switch down while application threads may
-// still be mid-send, and closing a channel under a concurrent sender is a
-// data race even when the resulting panic is the desired outcome. Drain
-// semantics: messages already queued remain receivable until their queue
-// empties, after which receivers see nil. Shutdown is idempotent — a run
-// abort and a later lifecycle Close (dsm.System.Close) may both reach
-// it. Goroutines that select on Chan directly are not released by
-// Shutdown; they must pair the receive with their owner's done channel
-// (dsm threads awaiting replies and mpi ranks both do).
+// abort cascade's unwind signal). Drain semantics: messages already
+// queued remain receivable until their inbox empties, after which
+// receivers see nil. Shutdown is idempotent — a run abort and a later
+// lifecycle Close (dsm.System.Close) may both reach it. Goroutines that
+// select on Ready directly are not released by Shutdown; they must pair
+// the wait with their owner's done channel (dsm threads awaiting replies
+// and mpi ranks both do).
 func (s *Switch) Shutdown() {
 	s.downOnce.Do(func() { close(s.down) })
 }
 
-// Chan exposes the delivery channel of one class so callers can select on
-// message arrival together with other events (e.g. a node's local-grant
-// channel). Receivers taken from the channel directly must advance their
-// clock to Message.Arrive themselves.
-func (e *Endpoint) Chan(class Class) <-chan *Message {
-	return e.sw.inboxes[e.id][class]
+// Ready returns the channel that signals a possible arrival in this
+// endpoint's inbox of one class, so a receiver can wait for a message
+// together with other events. The signal carries no message: drain the
+// inbox with TryRecvRaw until it returns nil before waiting on Ready
+// again. Receivers draining directly must advance their clock to
+// Message.Arrive themselves.
+func (e *Endpoint) Ready(class Class) <-chan struct{} {
+	return e.sw.boxes[e.id][class].ready
 }
 
-// TryRecvRaw returns a pending message of the given class, or nil.
+// TryRecvRaw returns the oldest pending message of the given class, or
+// nil. Like RecvRaw it does not touch the clock.
 func (e *Endpoint) TryRecvRaw(class Class) *Message {
-	select {
-	case m := <-e.sw.inboxes[e.id][class]:
-		return m
-	default:
-		return nil
-	}
+	return e.sw.boxes[e.id][class].pop()
 }
