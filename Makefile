@@ -215,7 +215,8 @@ bench:
 # (with its virtual time per region), makeDiff and mergeDiffs on sparse
 # and dense pages, a whole-page reply's encode on dense, sparse and
 # all-zero pages, a 64-node departure trailer's decode (fresh and duplicate records)
-# and encode, an omp-smp program's construction, an 8-rank MPI Reduce and
+# and encode, a system's New+Close at 4 and 64 nodes (nothing run), an
+# omp-smp program's construction, an 8-rank MPI Reduce and
 # Allgather of float payloads, one 3D-FFT transpose through its helpers,
 # one Sweep3D slab step and one Barnes tree build (fresh and into a kept
 # tree). The results/ALLOC_*.md records hold before/after figures.

@@ -819,8 +819,8 @@ func (n *Node) unlocked(f func()) {
 
 // fetchWindow bounds the requests one fetch keeps in flight. A fault
 // round's count is bounded by its access; a collector wave's is not, and a
-// requester that queued every request before reading a reply could fill a
-// source's inbox while that source's replies fill its own. Virtual time
+// requester that queued every request before reading a reply would hold
+// thousands of requests and replies in the inboxes at once. Virtual time
 // cannot see the window: every request carries the round's start stamp and
 // the source acts at its arrival.
 const fetchWindow = 256

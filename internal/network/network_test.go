@@ -1,8 +1,10 @@
 package network
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -242,6 +244,67 @@ func TestReadyPassesOnWhileQueued(t *testing.T) {
 	}
 	if m := e1.TryRecvRaw(ClassReply); m != nil {
 		t.Fatalf("empty inbox delivered %+v", m)
+	}
+}
+
+// TestMailboxManySendersTwoReceivers: four senders and two receivers
+// share one inbox, the receivers draining with TryRecvRaw and waiting on
+// Ready as a node's threads do. Every message arrives exactly once, and
+// none is left queued while both receivers wait.
+func TestMailboxManySendersTwoReceivers(t *testing.T) {
+	const senders, per = 4, 2000
+	sw := testSwitch(senders + 1)
+	clocks := make([]sim.Clock, senders+1)
+	rx := sw.Endpoint(senders, &clocks[senders])
+	var swg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		e := sw.Endpoint(s, &clocks[s])
+		swg.Add(1)
+		go func() {
+			defer swg.Done()
+			for i := 0; i < per; i++ {
+				e.SendAt(senders, 1, ClassReply, nil, 0)
+			}
+		}()
+	}
+	got := make(chan *Message, senders*per)
+	stop := make(chan struct{})
+	var rwg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for {
+				for m := rx.TryRecvRaw(ClassReply); m != nil; m = rx.TryRecvRaw(ClassReply) {
+					got <- m
+				}
+				select {
+				case <-rx.Ready(ClassReply):
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+	from := make([]int, senders)
+	for k := 0; k < senders*per; k++ {
+		select {
+		case m := <-got:
+			from[m.From]++
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d messages received, the rest stranded: %v", k, senders*per, from)
+		}
+	}
+	close(stop)
+	rwg.Wait()
+	swg.Wait()
+	for s, n := range from {
+		if n != per {
+			t.Errorf("sender %d: %d messages received, want %d", s, n, per)
+		}
+	}
+	if m := rx.TryRecvRaw(ClassReply); m != nil {
+		t.Errorf("a message was delivered twice or left over: %+v", m)
 	}
 }
 
