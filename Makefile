@@ -32,7 +32,10 @@ fmt-check:
 # (dsm's replyRouter.await): a message channel declared in dsm outside
 # client.go, or a receive from a Done() channel in core, fails it as well.
 # No send is ever refused: a TrySend call in non-test internal/ code fails
-# it too (network.Endpoint.TrySendAt stays for bench/ alone).
+# it too (network.Endpoint.TrySendAt stays for bench/ alone). Page copies,
+# twins and kept diffs come from the System's buffer pool: a
+# make([]byte, PageSize) or bytes.Clone in non-test internal/dsm outside
+# pool.go and the shadow oracle (debug.go) fails it as well.
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
@@ -49,6 +52,8 @@ lint:
 		echo "lint: a Done() receive in core (a thread waits in dsm's router, which unwinds it at shutdown)"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.TrySend[A-Za-z]*\(' internal; then \
 		echo "lint: a TrySend call (sends never block or drop: use Send/SendAt)"; exit 1; fi
+	@if grep -nE 'make\(\[\]byte, PageSize\)|bytes\.Clone\(' $$(ls internal/dsm/*.go | grep -v -e '_test\.go$$' -e '/pool\.go$$' -e '/debug\.go$$'); then \
+		echo "lint: a page-sized or cloned byte buffer outside the pool (take it from System.pool: get, clone)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -105,7 +110,7 @@ hybrid-race:
 # trigger's gate included — bounded chains, the pressure trigger and, at
 # GCPressure 1 since test scale never reaches the default threshold, the
 # every-episode purge paths), the validation wave through the fetch
-# exchange (TestGCWave*: request grouping, the in-flight window), the
+# exchange (TestGCWave*: request grouping, a wave of hundreds of requests), the
 # one-round rebuild of a flushed copy, the zero-base first-touch pins, the
 # wait-for-the-home rule (TestAcquireEpoch*: a waiting node's owed floor is
 # claimed and finished across the application thread, its island-mates,

@@ -97,9 +97,9 @@ func (r *rbuf) i32() int    { return int(int32(r.u32())) }
 // view decodes a length-prefixed byte field WITHOUT copying: the result
 // aliases the message, with its capacity clipped so an append can never
 // reach the bytes behind it. Only for reply-class payloads, which the
-// receiving thread owns outright (a fresh buffer per reply, handed over
-// by the channel); request-class subs, which alias a shared envelope,
-// keep copying through bytes.
+// receiving thread owns outright (one buffer per reply, handed over by the
+// router; a fetch reply's goes back to the pool once applied); request-class
+// subs, which alias a shared envelope, keep copying through bytes.
 func (r *rbuf) view() []byte {
 	n := int(r.u32())
 	return r.need(n)[:n:n]

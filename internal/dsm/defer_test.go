@@ -170,7 +170,7 @@ func TestDeferredDiffServedBytesMatchEager(t *testing.T) {
 	prev := d.base
 	for k, seq := range d.seqs() {
 		got, _ := n.serveDiffLocked(d.pid, seq)
-		want, _ := makeDiff(d.snaps[k], prev, nil)
+		want, _ := makeDiff(new(bufPool), d.snaps[k], prev, nil)
 		if !bytes.Equal(got, want) {
 			t.Errorf("interval %d served diff %x, want %x", seq, got, want)
 		}

@@ -183,6 +183,7 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 			n.protoAddLocked(-ivlRecordBytes(ivl))
 			for _, d := range ivl.diffs {
 				n.protoAddLocked(-int64(len(d)))
+				n.sys.pool.put(d)
 			}
 			if c == n.id {
 				// A diff the modelled node never encoded is one no node
@@ -273,6 +274,7 @@ func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	// any rebuild of this page must start from a whole-page fetch (the next
 	// fault does exactly that), never from a zeros base.
 	pg.appliedVC = nil
+	n.sys.pool.put(pg.data)
 	pg.data = nil
 	pg.state = pageInvalid
 	n.stats.GCPagesFlushed++
@@ -370,7 +372,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 	// 1.12, paged8 3.89 → 3.82); it is the optimism per-port occupancy in
 	// the network model will price.
 	entered := c.clk.Now()
-	diffs, _, msgs, bytes := c.fetchLocked(work) // servers may run meanwhile
+	diffs, replies, _, msgs, bytes := c.fetchLocked(work) // servers may run meanwhile
 
 	for i := range work {
 		// Exactly the validated notices go; notices newer than the floor
@@ -378,6 +380,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 		c.applyFaultLocked(&work[i], diffs)
 		n.stats.GCPagesValidated++
 	}
+	n.sys.pool.put(replies...)
 	n.stats.GCWait += c.clk.Now() - entered
 	n.stats.GCWaveMsgs += msgs
 	n.stats.GCWaveBytes += bytes

@@ -244,12 +244,11 @@ func TestFlushedCopyRebuildsInOneRound(t *testing.T) {
 	}
 }
 
-// TestGCWaveWindow: a wave owing one source more requests than fetch keeps
-// in flight still asks for everything, once: node 0 validates more than
-// fetchWindow × HomeBlockPages homed pages node 1 wrote, and reads back
-// what was written.
+// TestGCWaveWindow: a wave owing one source hundreds of requests asks for
+// everything, once: node 0 validates 260 × HomeBlockPages − 3 homed pages
+// node 1 wrote, and reads back what was written.
 func TestGCWaveWindow(t *testing.T) {
-	const requests = fetchWindow + 4
+	const requests = 260
 	const pages = requests*HomeBlockPages - 3 // homed at node 0
 	sys := New(Config{Procs: 2, GCPressure: 1})
 	heap := sys.MallocPage(2 * requests * HomeBlockPages * PageSize)

@@ -122,7 +122,8 @@ func (n *Node) zeroFillLocked(pg *page) {
 	if pg.data != nil || pg.refetch {
 		panic(fmt.Sprintf("dsm: node %d zero-filling page %d that has a copy or a flushed history", n.id, pg.id))
 	}
-	pg.data = make([]byte, PageSize)
+	pg.data = n.sys.pool.get(PageSize)
+	clear(pg.data)
 	n.keepSeenLocked(pg)
 	if pg.state == pageInvalid && len(pg.missing) == 0 {
 		pg.state = pageReadOnly

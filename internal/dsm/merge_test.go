@@ -58,7 +58,7 @@ func TestMergeDiffsProperty(t *testing.T) {
 		prev, total := base, 0
 		for i := range diffs {
 			next := mutate(prev, 0, b, []int{0, 1, rng.Intn(16), rng.Intn(b + 1)}[rng.Intn(4)])
-			diffs[i], _ = makeDiff(next, prev, nil)
+			diffs[i], _ = makeDiff(new(bufPool), next, prev, nil)
 			prev, total = next, total+len(diffs[i])
 		}
 		want := bytes.Clone(req)
@@ -175,7 +175,7 @@ func TestMergeFaultFetchesOneItem(t *testing.T) {
 	for w, v := range map[int]byte{0: 2, 2: 1, 4: 3} {
 		final[4*w] = v
 	}
-	merged, _ := makeDiff(final, make([]byte, PageSize), nil)
+	merged, _ := makeDiff(new(bufPool), final, make([]byte, PageSize), nil)
 	for _, underLock := range []bool{false, true} {
 		sys, got, reqBytes, repBytes, seqs := mergeFixture(t, underLock)
 		if got != [3]int32{2, 1, 3} {
@@ -274,7 +274,7 @@ func BenchmarkMergeDiffs(b *testing.B) {
 			for i := 4 * (k % 2); i < PageSize; i += c.stride {
 				next[i] ^= byte(0x11 * (k + 1))
 			}
-			diffs[k], _ = makeDiff(next, prev, nil)
+			diffs[k], _ = makeDiff(new(bufPool), next, prev, nil)
 			prev = next
 		}
 		b.Run(c.name, func(b *testing.B) {

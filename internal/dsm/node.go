@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -57,14 +56,9 @@ type Node struct {
 	knownVC   []VectorClock // sound lower bound of what each node has seen
 	episode   int64         // barrier departures and forks taken here (group.go)
 
-	// Host buffers reused under mu: twins freed at interval close
-	// (ensureWritableLocked takes from the list first), the scratch of
-	// makeDiff, putTrailer and decodeRecordsLocked, and a fetch reply's
-	// merged diffs (diffBuf again: handleFetchReq).
-	twinFree   [][]byte
-	diffBuf    []byte
-	trailerBuf []byte
-	vcBuf      VectorClock
+	diffBuf    []byte      // scratch under mu: makeDiff's, and handleFetchReq's merged diffs
+	trailerBuf []byte      // putTrailer's scratch
+	vcBuf      VectorClock // decodeRecordsLocked's scratch
 
 	// fetchMu serializes the node's application-side fetch sequences (the
 	// fault path and GC validation waves, both through Client.fetchLocked): its
@@ -262,13 +256,9 @@ func (n *Node) closeIntervalLocked() {
 	ivl.vc = n.vc.clone()
 	for _, pg := range n.dirty {
 		ivl.pages = append(ivl.pages, pg.id)
-		var diff []byte
-		diff, n.diffBuf = makeDiff(pg.data, pg.twin, n.diffBuf)
-		ivl.diffs[pg.id] = diff
+		ivl.diffs[pg.id], n.diffBuf = makeDiff(&n.sys.pool, pg.data, pg.twin, n.diffBuf)
 		n.stats.DiffsCreated++
-		// A twin is never a reply payload or a page copy: nothing else
-		// references the buffer the next write fault takes.
-		n.twinFree = append(n.twinFree, pg.twin)
+		n.sys.pool.put(pg.twin) // nothing else references a twin
 		pg.twin = nil
 		pg.unpaid = append(pg.unpaid, ivl)
 		pg.lastOwnSeq = ivl.seq
@@ -424,21 +414,6 @@ func (n *Node) diffCost() sim.Time {
 	return n.sys.plat.DiffCreate + sim.Time(float64(PageSize)*n.sys.plat.DiffPerByte)
 }
 
-// newTwinLocked returns a snapshot of data in a recycled buffer if the
-// node has one.
-func (n *Node) newTwinLocked(data []byte) []byte {
-	var twin []byte
-	if k := len(n.twinFree); k > 0 {
-		twin = n.twinFree[k-1]
-		n.twinFree[k-1] = nil
-		n.twinFree = n.twinFree[:k-1]
-	} else {
-		twin = make([]byte, PageSize)
-	}
-	copy(twin, data)
-	return twin
-}
-
 // deltaForLocked collects every interval the node knows that is not
 // covered by target, in causal (creator, seq) order. This is the payload
 // of every consistency-bearing message. A target component below the
@@ -461,9 +436,9 @@ func (n *Node) deltaForLocked(target VectorClock) []*interval {
 	return out
 }
 
-// retainDiffLocked keeps a foreign diff, when diffs has it, on the stored
-// interval record where a lock grant can forward it (putGrantDataLocked):
-// charged to the metadata gauge and freed with the record.
+// retainDiffLocked keeps a pooled copy of a foreign diff, when diffs has it,
+// on the stored interval record where a lock grant can forward it
+// (putGrantDataLocked): charged to the metadata gauge, freed with the record.
 func (n *Node) retainDiffLocked(ivl *interval, pid PageID, diffs map[diffKey][]byte) {
 	d, ok := diffs[diffKey{pid, ivl.creator, ivl.seq}]
 	if _, have := ivl.diffs[pid]; !ok || have || ivl.creator == n.id {
@@ -472,7 +447,7 @@ func (n *Node) retainDiffLocked(ivl *interval, pid PageID, diffs map[diffKey][]b
 	if ivl.diffs == nil {
 		ivl.diffs = map[PageID][]byte{}
 	}
-	ivl.diffs[pid] = bytes.Clone(d)
+	ivl.diffs[pid] = n.sys.pool.clone(d)
 	n.protoAddLocked(int64(len(d)))
 }
 
@@ -544,7 +519,7 @@ func (c *Client) ensureWritableLocked(pg *page) {
 		n.stats.WriteFaults++
 		c.noteLockDataLocked(pg)
 		c.clk.Advance(n.sys.plat.FaultOverhead)
-		pg.twin = n.newTwinLocked(pg.data)
+		pg.twin = n.sys.pool.clone(pg.data)
 		n.noteGCPageLocked(pg)
 		n.protoAddLocked(PageSize)
 		c.clk.Advance(n.sys.plat.TwinCopy)
@@ -664,9 +639,11 @@ func (c *Client) applyFaultLocked(pl *pagePlan, diffs map[diffKey][]byte) {
 		// source's copy reflects everything this node had observed (squash
 		// precondition), as does the home's (the flush gate held when any
 		// covered notice was dropped) — either way the whole-page base
-		// repairs a flush-truncated notice history; runs, on fresh zeros.
-		var applied int
-		if pg.data, applied = wholePage(pl.content); len(pl.content) != PageSize {
+		// repairs a flush-truncated notice history; copied, never aliased.
+		if pg.data == nil {
+			pg.data = n.sys.pool.get(PageSize)
+		}
+		if applied := wholePage(pg.data, pl.content); len(pl.content) != PageSize {
 			c.clk.Advance(n.sys.plat.DiffApply + sim.Time(float64(applied)*n.sys.plat.DiffApplyPerByte))
 		}
 		pg.refetch = false
@@ -766,7 +743,7 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 				plans = append(plans, pl)
 			}
 		}
-		diffs, floor, _, _ := c.fetchLocked(plans)
+		diffs, replies, floor, _, _ := c.fetchLocked(plans)
 		// Sources work in parallel, but their replies share this node's
 		// inbound link: every round, of one page or many, completes no
 		// earlier than that link needs to deliver every reply byte back to
@@ -784,6 +761,7 @@ func (c *Client) faultRoundLocked(pgs []*page) {
 			}
 			c.recordLocked(pl.pg.id)
 		}
+		n.sys.pool.put(replies...)
 		n.stats.FaultRounds++
 		n.stats.FaultPages += int64(len(plans))
 		n.stats.GroupPages += int64(len(plans) - own)
@@ -817,31 +795,24 @@ func (n *Node) unlocked(f func()) {
 	n.mu.Lock()
 }
 
-// fetchWindow bounds the requests one fetch keeps in flight. A fault
-// round's count is bounded by its access; a collector wave's is not, and a
-// requester that queued every request before reading a reply would hold
-// thousands of requests and replies in the inboxes at once. Virtual time
-// cannot see the window: every request carries the round's start stamp and
-// the source acts at its arrival.
-const fetchWindow = 256
-
 // fetchLocked is the one exchange that moves pages and diffs — the network
 // section of every fault round and of the collector's validation wave
-// (gcPurgePagesLocked). The wanted whole pages and diffs are grouped by
-// the node that serves them and travel as msgFetchReq/msgFetchRep pairs,
-// at most HomeBlockPages items a request so a reply (≤ 33 KB) fits one UDP
-// datagram. Every request leaves at the round's start; the client's clock
-// follows the replies to the latest arrival. Whole pages are filed into
-// their plans and diffs returned by key, with the inbound-link floor: when
-// this node's link, delivering every reply byte back to back, would be
-// done. Pricing the round is the caller's business. msgs and bytes are the
-// exchange's traffic, both directions, as the switch counts it. A plan
-// that merges asks each creator for a run of its diffs that sit next to
-// each other in causal order as one item, answered by one merged diff
-// applied at the run's first place (applyDiffsLocked). Requires
-// n.mu and fetchMu; n.mu is released while requests are in flight, and
-// re-taken on every way out, an abort unwinding out of recvReply included.
-func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, floor sim.Time, msgs, bytes int64) {
+// (gcPurgePagesLocked). The wanted whole pages and diffs are grouped by the
+// node that serves them and travel as msgFetchReq/msgFetchRep pairs, at most
+// HomeBlockPages items a request so a reply (≤ 33 KB) fits one UDP datagram.
+// Every request leaves at the round's start; the client's clock follows the
+// replies to the latest arrival. Whole pages are filed into their plans and
+// diffs returned by key, with the inbound-link floor: when this node's link,
+// delivering every reply byte back to back, would be done. The caller prices
+// the round and, once applied, releases the replies (pages and diffs are
+// views into them). msgs and bytes are the exchange's traffic, both
+// directions, as the switch counts it. A plan that merges asks each creator
+// for a run of its diffs that sit next to each other in causal order as one
+// item, answered by one merged diff applied at the run's first place
+// (applyDiffsLocked). Requires n.mu and fetchMu; n.mu is released while
+// requests are in flight, and re-taken on every way out, an abort unwinding
+// out of recvReply included.
+func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, replies [][]byte, floor sim.Time, msgs, bytes int64) {
 	n := c.n
 	n.mu.Unlock() // --- network section: servers may run meanwhile ---
 	defer n.relockOnPanic()
@@ -883,23 +854,18 @@ func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, floor 
 	udp := n.sys.plat.UDP
 	msgs = int64(2 * len(reqs))
 	bytes = msgs * int64(udp.HeaderBytes)
-	send := func(rq *request) {
+	for _, rq := range reqs {
 		var w wbuf
 		encodeFetch(&w, rq.items, false)
 		bytes += int64(len(w.b))
 		n.ep.SendAt(rq.to, msgFetchReq, network.ClassRequest, w.b, start)
 	}
-	for _, rq := range reqs[:min(len(reqs), fetchWindow)] {
-		send(rq)
-	}
 	diffs = make(map[diffKey][]byte)
 	inbound := 0
-	for i := range reqs {
+	for range reqs {
 		rep := c.recvReply(msgFetchRep, 0)
-		if next := i + fetchWindow; next < len(reqs) {
-			send(reqs[next]) // one reply in, one request out
-		}
 		inbound += len(rep.Payload)
+		replies = append(replies, rep.Payload)
 		r := rbuf{b: rep.Payload}
 		for _, it := range decodeFetch(&r, true) {
 			pl := byPage[it.pid]
@@ -914,7 +880,7 @@ func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, floor 
 		}
 	}
 	n.mu.Lock() // --- end network section ---
-	return diffs, start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS), msgs, bytes + int64(inbound)
+	return diffs, replies, start + 2*udp.OneWay + sim.Time(float64(inbound)*udp.PerByteNS), msgs, bytes + int64(inbound)
 }
 
 // fetchSpanLocked resolves, before a multi-page access walks its pages,

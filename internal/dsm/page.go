@@ -130,12 +130,11 @@ type seenCheck interface {
 // merge.
 //
 // The runs are encoded into scratch, which is returned grown for the next
-// call, and copied out once: the diff is one allocation with len == cap
-// (nil when nothing differs), since it is retained until collected.
-func makeDiff(data, twin, scratch []byte) (diff, grown []byte) {
+// call, and copied out once into a buffer of p (nil when nothing differs),
+// since it is retained until collected (freeRetiredLocked releases it).
+func makeDiff(p *bufPool, data, twin, scratch []byte) (diff, grown []byte) {
 	if grown = appendRuns(scratch[:0], data, twin); len(grown) > 0 {
-		diff = make([]byte, len(grown))
-		copy(diff, grown)
+		diff = p.clone(grown)
 	}
 	return diff, grown
 }
@@ -183,14 +182,15 @@ func (w *wbuf) putPage(data []byte) {
 	binary.LittleEndian.PutUint32(w.b[at-4:], uint32(len(w.b)-at))
 }
 
-// wholePage returns the page a whole-page reply item carries, and the bytes
-// its runs wrote on a fresh zero page (applyDiff validates every run).
-func wholePage(item []byte) (data []byte, applied int) {
+// wholePage writes the page a whole-page reply item carries into data, and
+// returns the bytes its runs wrote over zeros (applyDiff validates every run).
+func wholePage(data, item []byte) (applied int) {
 	if len(item) == PageSize {
-		return item, 0
+		copy(data, item)
+		return 0
 	}
-	data = make([]byte, PageSize)
-	return data, applyDiff(data, item)
+	clear(data)
+	return applyDiff(data, item)
 }
 
 // wordsDiffer reports whether the words at i and i+4 both differ.

@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-// Property: applying makeDiff(data, twin, _) to a copy of twin reconstructs
+// Property: applying makeDiff(_, data, twin, _) to a copy of twin reconstructs
 // data exactly, for arbitrary page contents.
 func TestDiffRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -26,7 +26,7 @@ func TestDiffRoundTripProperty(t *testing.T) {
 				data[off+i] = byte(rng.Int())
 			}
 		}
-		diff, _ := makeDiff(data, twin, nil)
+		diff, _ := makeDiff(new(bufPool), data, twin, nil)
 		got := make([]byte, PageSize)
 		copy(got, twin)
 		applyDiff(got, diff)
@@ -49,13 +49,13 @@ func TestDiffSizeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		twin := make([]byte, PageSize)
 		rng.Read(twin)
-		same, _ := makeDiff(twin, twin, nil)
+		same, _ := makeDiff(new(bufPool), twin, twin, nil)
 		if len(same) != 0 {
 			return false
 		}
 		data := make([]byte, PageSize)
 		rng.Read(data)
-		diff, _ := makeDiff(data, twin, nil)
+		diff, _ := makeDiff(new(bufPool), data, twin, nil)
 		return len(diff) <= maxDiff
 	}
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}
@@ -88,7 +88,7 @@ func TestDiffSizeAdversarial(t *testing.T) {
 				data[4*w] = 1
 			}
 		}
-		diff, _ := makeDiff(data, twin, nil)
+		diff, _ := makeDiff(new(bufPool), data, twin, nil)
 		if len(diff) != tt.want || len(diff) > maxDiff {
 			t.Errorf("%s: diff is %d B, want %d (bound %d)", tt.name, len(diff), tt.want, maxDiff)
 		}
@@ -115,7 +115,7 @@ func TestDiffFloat64LowWords(t *testing.T) {
 			t.Fatalf("test premise: the update of double %d changes more than its low word", i/8)
 		}
 	}
-	diff, _ := makeDiff(data, twin, nil)
+	diff, _ := makeDiff(new(bufPool), data, twin, nil)
 	if want := 512 * (1 + 1 + 4); len(diff) != want {
 		t.Fatalf("diff of a page of float64 low-word updates is %d B, want %d", len(diff), want)
 	}
@@ -142,8 +142,8 @@ func TestDiffCommutativityProperty(t *testing.T) {
 			aData[rng.Intn(PageSize/2)] = byte(rng.Int())
 			bData[PageSize/2+rng.Intn(PageSize/2)] = byte(rng.Int())
 		}
-		da, _ := makeDiff(aData, base, nil)
-		db, _ := makeDiff(bData, base, nil)
+		da, _ := makeDiff(new(bufPool), aData, base, nil)
+		db, _ := makeDiff(new(bufPool), bData, base, nil)
 
 		ab := make([]byte, PageSize)
 		copy(ab, base)

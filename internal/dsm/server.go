@@ -220,7 +220,7 @@ func (n *Node) handleFetchReq(m *network.Message) {
 		size += 14 + len(it.data)
 	}
 	n.diffBuf = merged
-	w := wbuf{b: make([]byte, 0, size)}
+	w := wbuf{b: n.sys.pool.get(size)[:0]} // the requester releases it
 	encodeFetch(&w, items, true)
 	n.ep.SendAt(m.From, msgFetchRep, network.ClassReply, w.b, m.Arrive+service)
 }

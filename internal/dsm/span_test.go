@@ -53,7 +53,7 @@ func pageInstall(plat *sim.Platform, pages ...[]byte) sim.Time {
 		var w wbuf
 		w.putPage(data)
 		if item := w.b[4:]; len(item) != PageSize {
-			_, applied := wholePage(item)
+			applied := wholePage(make([]byte, PageSize), item)
 			cost += plat.DiffApply + sim.Time(float64(applied)*plat.DiffApplyPerByte)
 		}
 	}

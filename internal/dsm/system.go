@@ -102,6 +102,7 @@ type System struct {
 	seenCheck seenCheck   // set only by tests, before Run: watches the lazy seenVC
 	running   bool        // set by Run: a client added from now on is not a team thread
 	threads   int         // the team size, counted by Run (Client.NumProcs)
+	pool      bufPool     // the nodes' twins, page copies, diffs and fetch replies
 
 	regionsMu sync.Mutex
 	regions   map[string]func(*Client, []byte) []byte

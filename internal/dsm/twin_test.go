@@ -53,10 +53,11 @@ func mutatePage(rng *rand.Rand, twin []byte, k int) []byte {
 }
 
 // Property: makeDiff's output is byte-identical to the append-built
-// encoding and is one exact-size allocation (len == cap), whatever the
-// scratch it is handed holds from earlier calls.
+// encoding and is one buffer of its size class (cap is the class size),
+// whatever the scratch it is handed holds from earlier calls.
 func TestMakeDiffExactProperty(t *testing.T) {
 	var scratch []byte
+	var pool bufPool
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		twin := make([]byte, PageSize)
@@ -64,9 +65,9 @@ func TestMakeDiffExactProperty(t *testing.T) {
 		for _, k := range []int{0, 1, rng.Intn(16), rng.Intn(PageSize / 4), 4 * PageSize} {
 			data := mutatePage(rng, twin, k)
 			var diff []byte
-			diff, scratch = makeDiff(data, twin, scratch)
+			diff, scratch = makeDiff(&pool, data, twin, scratch)
 			want := appendDiff(data, twin)
-			if !bytes.Equal(diff, want) || len(diff) != cap(diff) {
+			if _, size, _ := sizeClass(len(diff)); !bytes.Equal(diff, want) || len(diff) > 0 && cap(diff) != size {
 				t.Logf("seed %d, %d words changed: len %d cap %d, reference len %d", seed, k, len(diff), cap(diff), len(want))
 				return false
 			}
@@ -194,7 +195,7 @@ func TestTwinBuffersNeverShared(t *testing.T) {
 					return false
 				}
 				for _, n := range sys.nodes {
-					recycled += len(n.twinFree)
+					recycled += len(n.sys.pool[pageClass()].free)
 				}
 			}
 		}
@@ -265,14 +266,16 @@ func twinAliasing(sys *System) error {
 		owner[p] = who
 		return nil
 	}
-	for _, n := range sys.nodes {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		for i, tw := range n.twinFree {
-			if err := claim(tw, fmt.Sprintf("node %d free twin %d", n.id, i)); err != nil {
+	for k := range sys.pool {
+		for i, b := range sys.pool[k].free {
+			if err := claim(b, fmt.Sprintf("pool class %d free buffer %d", k, i)); err != nil {
 				return err
 			}
 		}
+	}
+	for _, n := range sys.nodes {
+		n.mu.Lock()
+		defer n.mu.Unlock()
 		for _, pg := range n.pages {
 			if pg == nil {
 				continue
@@ -299,8 +302,8 @@ func twinAliasing(sys *System) error {
 
 // BenchmarkTwinDiffCycle is one write fault → interval close (which
 // encodes the diff) on a page the node homes: the twin comes off the
-// node's free list once the cycle is warm, so B/op is the interval record
-// and its exact-size diff.
+// System's pool once the cycle is warm, so B/op is the interval record
+// and its diff.
 func BenchmarkTwinDiffCycle(b *testing.B) {
 	sys := New(Config{Procs: 2})
 	defer sys.Close()
@@ -338,9 +341,10 @@ func BenchmarkMakeDiff(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			var scratch, diff []byte
+			var pool bufPool
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				diff, scratch = makeDiff(data, twin, scratch)
+				diff, scratch = makeDiff(&pool, data, twin, scratch)
 			}
 			b.ReportMetric(float64(len(diff)), "B/diff")
 		})

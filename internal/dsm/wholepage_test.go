@@ -72,7 +72,8 @@ func TestWholePageRoundTrip(t *testing.T) {
 			case !raw && !bytes.Equal(item, runs):
 				t.Fatalf("%s: runs of %d bytes, but the item is %d other bytes", shape.name, len(runs), len(item))
 			}
-			got, _ := wholePage(item)
+			got := make([]byte, PageSize)
+			wholePage(got, item)
 			if !bytes.Equal(got, page) {
 				t.Fatalf("%s: the installed page differs from the served one", shape.name)
 			}
@@ -93,7 +94,7 @@ func TestWholePageMalformedItems(t *testing.T) {
 			}()
 			r := rbuf{b: reply}
 			for _, it := range decodeFetch(&r, true) {
-				wholePage(it.data)
+				wholePage(make([]byte, PageSize), it.data)
 			}
 		}()
 	}

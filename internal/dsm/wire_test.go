@@ -274,7 +274,8 @@ func TestWireFetchRoundTrip(t *testing.T) {
 		for i, it := range items {
 			data := got[i].data
 			if reply && it.seq < 0 {
-				data, _ = wholePage(data)
+				data = make([]byte, PageSize)
+				wholePage(data, got[i].data)
 			}
 			if got[i].pid != it.pid || got[i].seq != it.seq || !bytes.Equal(data, it.data) {
 				return false
@@ -558,7 +559,7 @@ func multiRunDiff() (diff []byte, ends []int) {
 	for w := 2; w < 2+130; w++ {
 		data[4*w+1] = 0xa5
 	}
-	diff, _ = makeDiff(data, twin, nil)
+	diff, _ = makeDiff(new(bufPool), data, twin, nil)
 	r := rbuf{b: diff}
 	for !r.done() {
 		r.uv()
@@ -821,7 +822,7 @@ func FuzzWireDecode(f *testing.F) {
 			r := rbuf{b: b}
 			for _, it := range decodeFetch(&r, true) {
 				if it.seq < 0 {
-					wholePage(it.data) // the install validates a page's runs
+					wholePage(make([]byte, PageSize), it.data) // the install validates a page's runs
 				}
 			}
 		},
