@@ -214,7 +214,8 @@ bench:
 
 # Per-layer host-allocation benchmarks (B/op, allocs/op): the DSM's write
 # fault → interval close → diff encode cycle, a cold fault, a 16-page group
-# round, a 2-node lock round trip (node 1's default client, two clients
+# round, a warm diff fetch round whose diff, reply and kept copy come from
+# the System's buffer pool, a 2-node lock round trip (node 1's default client, two clients
 # of node 1 taking turns) and its semaphore and condition-variable
 # counterparts, an 8-node region fork/join in which every node rewrites a page
 # (with its virtual time per region), makeDiff and mergeDiffs on sparse

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -68,6 +69,35 @@ func TestBufPool(t *testing.T) {
 	if odd[0] == poisonByte {
 		t.Error("a dropped buffer was poisoned")
 	}
+}
+
+// TestBufPoolConcurrent: servers and application threads share a System's
+// pool, so goroutines taking and releasing buffers of one class at once
+// must never hold the same buffer together.
+func TestBufPoolConcurrent(t *testing.T) {
+	var p bufPool
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(mark byte) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				b := p.get(PageSize)
+				for j := range b {
+					b[j] = mark
+				}
+				runtime.Gosched()
+				for j, x := range b {
+					if x != mark {
+						t.Errorf("byte %d of goroutine %d's buffer is %#x: another holder wrote it", j, mark, x)
+						return
+					}
+				}
+				p.put(b)
+			}
+		}(byte(g))
+	}
+	wg.Wait()
 }
 
 // fetchRoundRig returns one diff fetch round of a page between two nodes:

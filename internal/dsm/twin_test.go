@@ -194,9 +194,7 @@ func TestTwinBuffersNeverShared(t *testing.T) {
 					t.Logf("%s: %v", at, err)
 					return false
 				}
-				for _, n := range sys.nodes {
-					recycled += len(n.sys.pool[pageClass()].free)
-				}
+				recycled += len(sys.pool[pageClass()].free)
 			}
 		}
 		return true
