@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race span-race serve-race fuzz-wire bench-smoke bench alloc-bench bench-scaling bench-pairs tables ci
+.PHONY: build vet fmt-check lint test test-short test-race smp-race hybrid-race gc-race scale-race span-race serve-race fuzz-wire bench-smoke bench alloc-bench bench-scaling bench-pairs same-output tables ci
 
 build:
 	$(GO) build ./...
@@ -35,7 +35,10 @@ fmt-check:
 # it too (network.Endpoint.TrySendAt stays for bench/ alone). Page copies,
 # twins and kept diffs come from the System's buffer pool: a
 # make([]byte, PageSize) or bytes.Clone in non-test internal/dsm outside
-# pool.go and the shadow oracle (debug.go) fails it as well.
+# pool.go and the shadow oracle (debug.go) fails it as well. Non-test
+# internal/ code carries no analyzer waiver: a //nowlint:allow line there
+# fails it too (the analysis packages, which define and document the
+# directive and test it in their testdata, are exempt).
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
@@ -54,6 +57,8 @@ lint:
 		echo "lint: a TrySend call (sends never block or drop: use Send/SendAt)"; exit 1; fi
 	@if grep -nE 'make\(\[\]byte, PageSize\)|bytes\.Clone\(' $$(ls internal/dsm/*.go | grep -v -e '_test\.go$$' -e '/pool\.go$$' -e '/debug\.go$$'); then \
 		echo "lint: a page-sized or cloned byte buffer outside the pool (take it from System.pool: get, clone)"; exit 1; fi
+	@if grep -rn --include='*.go' --exclude='*_test.go' '//nowlint:allow' internal | grep -v '^internal/analysis/'; then \
+		echo "lint: a //nowlint:allow waiver in internal/ (restructure the code so the analyzer holds)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -109,9 +114,10 @@ hybrid-race:
 # lock/sema/cond interleavings, coordinator invariants — the episode
 # trigger's gate included — bounded chains, the pressure trigger and, at
 # GCPressure 1 since test scale never reaches the default threshold, the
-# every-episode purge paths), the validation wave through the fetch
-# exchange (TestGCWave*: request grouping, a wave of hundreds of requests), the
-# one-round rebuild of a flushed copy, the zero-base first-touch pins, the
+# every-episode purge paths; and the one page classification both the
+# thread's purge and the server's epoch act on, TestGCPurgeRuleBothSides),
+# the validation wave through the fetch exchange (TestGCWave*: request
+# grouping, a wave of hundreds of requests), the one-round rebuild of a flushed copy, the zero-base first-touch pins, the
 # wait-for-the-home rule (TestAcquireEpoch*: a waiting node's owed floor is
 # claimed and finished across the application thread, its island-mates,
 # the server and the next episode, TestEpisodeSettle*), the span programs at GCPressure 1
@@ -249,6 +255,19 @@ bench-pairs:
 	@[ -n "$(PARENT)" ] || { echo "usage: make bench-pairs PARENT=<ref> [PAIRS=10] [OUT=results/BENCH_<n>]"; exit 2; }
 	results/pairs.sh $(PARENT) $(PAIRS) > $(OUT).jsonl
 	$(GO) run ./results/summarize $(OUT).jsonl | tee $(OUT).md
+
+# Output a host-only change must leave byte-identical, in one file: the
+# -micro table, and the LU/omp, LU/tmk and 3D-FFT/omp cells at 8
+# processors with GOMAXPROCS=1 (one goroutine runs at a time, so lock
+# grants interleave alike run to run). Write it at two commits and diff:
+#   make same-output OUT=<file>
+SAME_CELLS = LU:omp LU:tmk 3D-FFT:omp
+same-output:
+	@case "$(origin OUT)" in file|undefined) echo "usage: make same-output OUT=<file>"; exit 2;; esac
+	{ $(GO) run ./cmd/nowbench -micro && \
+	  for cell in $(SAME_CELLS); do \
+	    GOMAXPROCS=1 $(GO) run ./cmd/nowomp -app $${cell%%:*} -impl $${cell##*:} -procs 8 || exit 1; \
+	  done; } > $(OUT)
 
 # Regenerate every paper artifact at full scale.
 tables:

@@ -81,6 +81,10 @@ type acqCoord struct {
 	// purged[i] is the merged floor of every collection epoch node i has
 	// completed.
 	purged []VectorClock
+	// homes[i] is the merged floor node i's homed pages reflect, published
+	// after each first pass, before purged[i]: the flush gate (home.go).
+	homes []VectorClock
+	moved chan struct{} // closed, and replaced, by every publish: wakes awaitHome
 	// baseline is the merged floor of every epoch issued so far, by either
 	// trigger. The next announcement is gated on every purged[i] covering
 	// it.
@@ -108,13 +112,50 @@ type acqCoord struct {
 }
 
 func newAcqCoord(procs int, pressure int) *acqCoord {
-	co := &acqCoord{pressure: int64(pressure),
+	co := &acqCoord{pressure: int64(pressure), moved: make(chan struct{}),
 		baseline: newVC(procs), episode: newVC(procs), pushGap: int64(procs)}
 	for i := 0; i < procs; i++ {
 		co.reported = append(co.reported, newVC(procs))
 		co.purged = append(co.purged, newVC(procs))
+		co.homes = append(co.homes, newVC(procs))
 	}
 	return co
+}
+
+// publish records that node id's own pages reflect the floor, right after
+// the first pass (gcCollectLocked): the registry never runs ahead of them.
+func (co *acqCoord) publish(id int, floor VectorClock) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.homes[id].merge(floor)
+	close(co.moved)
+	co.moved = make(chan struct{})
+}
+
+// homeCovers reports whether the home's pages reflect every write under
+// floor, so that peers may flush their copies.
+func (co *acqCoord) homeCovers(home int, floor VectorClock) bool {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return floor.dominatedBy(co.homes[home])
+}
+
+// awaitHome blocks until the home has published a purge covering floor,
+// waking at each publish, and reports false if done closes first.
+func (co *acqCoord) awaitHome(home int, floor VectorClock, done <-chan struct{}) bool {
+	for {
+		co.mu.Lock()
+		ok, moved := floor.dominatedBy(co.homes[home]), co.moved
+		co.mu.Unlock()
+		if ok {
+			return true
+		}
+		select {
+		case <-moved:
+		case <-done:
+			return false
+		}
+	}
 }
 
 // progressLocked is a monotone scalar that advances whenever any node
@@ -157,7 +198,7 @@ func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorC
 	co.reported[id].merge(vc)
 	co.maybeAnnounceLocked()
 	// No global purge order is imposed: every purge consults the per-page
-	// flush gate (the homePurged registry), which enforces
+	// flush gate (the home registry), which enforces
 	// home-validates-first page by page, so any node may be handed a
 	// pending floor immediately.
 	if !co.baseline.dominatedBy(co.purged[id]) {
@@ -491,7 +532,7 @@ func (c *Client) gcSyncOnce() {
 		func() {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			done = n.acqEpoch(c, floor, false, &n.stats.GCAcqEpochs)
+			done = c.acqEpochLocked(floor, &n.stats.GCAcqEpochs)
 		}()
 		if done != nil {
 			// Only the client that actually FINISHED the purge acknowledges:
@@ -546,13 +587,9 @@ func (c *Client) gcSyncOnce() {
 // handleGCSync runs on a quiet node's protocol server: incorporate the
 // pushed delta (raising this node's clock), report the new clock, and —
 // if an issued epoch is pending here and no application fetch is in
-// flight — run it flush-only right now, so a node parked on a condition
-// variable or deep in a compute phase neither holds the consensus floor
-// nor gates the next announcement. A purge that must validate (fetch
-// diffs) cannot run in server context — a server cannot block on the
-// network — so gcCanFlushAllLocked defers per page: a node homing
-// covered-owing pages, or holding pages whose home has not purged the
-// floor, leaves the epoch to its application thread.
+// flight — run it right now when it is flush-only, so a node parked on a
+// condition variable or deep in a compute phase neither holds the consensus
+// floor nor gates the next announcement (gcFloorAttemptServer).
 func (n *Node) handleGCSync(m *network.Message) {
 	n.gcFloorAttemptServer(n.gcSyncExchange(m))
 }
@@ -651,9 +688,11 @@ func (n *Node) interruptVC() VectorClock {
 }
 
 // gcFloorAttemptServer is the server-side epoch attempt shared by
-// handleGCSync and handleGCFloor: report the node's clock, and if an
-// issued epoch is pending here and no application fetch is in flight,
-// run it flush-only right now.
+// handleGCSync and handleGCFloor: report the node's clock and, if an issued
+// epoch is pending here and no application fetch is in flight, run it when
+// the purge rule's verdicts are all flushes. A page to validate needs a
+// fetch and a lagging home a wait, and a server may block on neither: the
+// attempt then changes nothing and leaves the epoch to the thread.
 func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 	co := n.sys.acq
 	if co == nil {
@@ -672,30 +711,82 @@ func (n *Node) gcFloorAttemptServer(vc VectorClock) {
 		return
 	}
 	defer n.fetchMu.Unlock()
-	//nowlint:allow lockorder -- acqEpoch with serverSide=true swaps the purge closure for the flush-only gcFlushCoveredLocked before running it, so the gcPurgePagesLocked path that re-takes fetchMu is unreachable under this TryLock; the analyzer cannot see past the value dependency
-	if done := n.acqEpochServer(floor); done != nil {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if floor = n.epochFloorLocked(floor); floor == nil {
+		return
+	}
+	flushOnly := true
+	n.gcClassifyLocked(floor, func(_ *page, v purgeVerdict) bool {
+		flushOnly = v == purgeFlush
+		return flushOnly
+	})
+	if !flushOnly {
+		return
+	}
+	if !floor.dominatedBy(n.vc) {
+		// A stale push raced a just-issued episode: its floor joins the
+		// baseline BEFORE this node's departure/fork delta arrives, so it
+		// may cover intervals not incorporated here yet. The episode itself
+		// purges past it moments later; skip.
+		return
+	}
+	done := n.acqEpoch(floor, &n.stats.GCAcqEpochs, func() []int {
+		// The same verdicts again: no page changed, and a home that has
+		// published stays published.
+		n.gcClassifyLocked(floor, func(pg *page, _ purgeVerdict) bool {
+			n.gcFlushPageLocked(pg, floor)
+			return true
+		})
+		return nil
+	})
+	if done != nil {
 		co.notePurged(n.id, done)
 	}
 }
 
-// acqEpochServer is the protocol-server variant used by the consensus
-// push (handleGCSync): the purge is flush-only and never releases n.mu —
-// a server cannot block on network replies. The caller must hold fetchMu;
-// n.mu is taken here, by defer like every server path (incorporateWire).
-func (n *Node) acqEpochServer(floor VectorClock) VectorClock {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.acqEpoch(nil, floor, true, &n.stats.GCAcqEpochs)
+// acqEpochLocked is the application thread's epoch step: acqEpoch with the
+// purge that may validate, releasing n.mu around its diff-fetch wave.
+// Requires n.mu.
+func (c *Client) acqEpochLocked(floor VectorClock, epochs *int64) VectorClock {
+	n := c.n
+	if floor = n.epochFloorLocked(floor); floor == nil {
+		return nil
+	}
+	if !floor.dominatedBy(n.vc) {
+		// Impossible on the application thread: the floor is a min over
+		// reported clocks (ours included) merged with episode floors whose
+		// episodes this thread has already incorporated.
+		panic(fmt.Sprintf("dsm: node %d epoch floor %v above local clock %v", n.id, floor, n.vc))
+	}
+	return n.acqEpoch(floor, epochs, func() []int { return n.gcPurgePagesLocked(c, floor) })
 }
 
-// acqEpoch processes one announced epoch on this node — gc.go's three steps
-// — and counts a newly begun one in *epochs (GCEpochs for an episode's own
+// epochFloorLocked returns the floor this node's next purge works on — the
+// floor it owes, once every home it waits for has published, or else the
+// announced one unless a purge covering it has begun here — or nil when
+// there is nothing to do yet. It changes nothing. Requires n.mu.
+func (n *Node) epochFloorLocked(floor VectorClock) VectorClock {
+	if owed := n.gcAcqOwed; owed != nil {
+		for _, h := range n.gcAcqLag {
+			if !n.sys.acq.homeCovers(h, owed) {
+				return nil
+			}
+		}
+		return owed
+	}
+	if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
+		return nil
+	}
+	return floor
+}
+
+// acqEpoch runs gc.go's three steps at the floor epochFloorLocked resolved,
+// with the caller's purge, which returns the homes its waiting pages need,
+// and counts a newly begun epoch in *epochs (GCEpochs for an episode's own
 // floor, GCAcqEpochs otherwise). It returns the floor whose purge it
-// COMPLETED, for the caller to acknowledge — nil when there is none: the
-// floor was already covered (an island-mate or the server claimed it), or
-// pages still wait on homes that have not purged it. Requires n.mu; the
-// application-thread purge (serverSide false) may release and reacquire it
-// around its diff-fetch wave.
+// COMPLETED, for the caller to acknowledge — nil while pages wait. Requires
+// n.mu, which the purge may release and reacquire.
 //
 // Two things are published at two times. The home registry entry is written
 // at the end of the FIRST pass (gcCollectLocked): a node's own homed pages
@@ -705,58 +796,16 @@ func (n *Node) acqEpochServer(floor VectorClock) VectorClock {
 // registry read a waited-for home — no page scan — and once all have
 // published ONE more pass flushes what is left. A waiting node finishes the
 // floor it began even when the coordinator already hands out a larger one.
-func (n *Node) acqEpoch(c *Client, floor VectorClock, serverSide bool, epochs *int64) VectorClock {
-	owed := n.gcAcqOwed
-	if owed != nil {
-		for _, h := range n.gcAcqLag {
-			if !n.sys.purged.covers(h, owed) {
-				return nil
-			}
-		}
-		floor = owed
-	} else if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
-		return nil
-	}
-	if serverSide {
-		if !n.gcCanFlushAllLocked(floor) {
-			// Some covered-owing copy cannot be flushed — it must be kept,
-			// is homed here (homes must validate), or its home has not
-			// purged the floor yet — and a validating purge fetches diffs,
-			// which a server cannot block on. Leave the epoch to the
-			// application thread.
-			return nil
-		}
-		if !floor.dominatedBy(n.vc) {
-			// A stale push raced a just-issued barrier/fork episode: node
-			// 0 folds the episode floor into the coordinator baseline
-			// BEFORE this node's departure/fork delta arrives, so a push
-			// processed in that window hands us a floor covering intervals
-			// we have not incorporated yet. The episode delivery itself
-			// will purge past this floor moments later; skip.
-			return nil
-		}
-	} else if !floor.dominatedBy(n.vc) {
-		// Impossible on the application thread: the floor is a min over
-		// reported clocks (ours included) merged with episode floors whose
-		// episodes this thread has already incorporated.
-		panic(fmt.Sprintf("dsm: node %d epoch floor %v above local clock %v", n.id, floor, n.vc))
-	}
+func (n *Node) acqEpoch(floor VectorClock, epochs *int64, purge func() (lag []int)) VectorClock {
 	var lag []int
-	purge := func() { lag = n.gcPurgePagesLocked(c, floor) }
-	if serverSide {
-		// A node reached by a push is quiet — parked on a condition
-		// variable or deep in a compute phase — and gcCanFlushAllLocked
-		// held, so every covered copy flushes, which needs no network.
-		purge = func() { n.gcFlushCoveredLocked(floor) }
-	}
-	if owed != nil {
+	if n.gcAcqOwed != nil {
 		// The finishing pass may release n.mu: claim the owed floor, so no
 		// island-mate or server runs a second or acknowledges an unfinished one.
 		n.gcAcqOwed, n.gcAcqLag = nil, nil
-		purge()
+		lag = purge()
 		n.pruneGCPagesLocked()
 	} else {
-		n.gcCollectLocked(floor, purge)
+		lag = n.gcCollectLocked(floor, purge)
 		*epochs++
 	}
 	if lag != nil {

@@ -189,7 +189,7 @@ func acqWaitFixture(t *testing.T, homeWrites bool, rest func(f *acqWait, n *Node
 			if f.acked(awWaiter) {
 				t.Error("the waiter acknowledged a floor it has not finished purging")
 			}
-			if !sys.purged.covers(awWaiter, f.floor) {
+			if !sys.acq.homeCovers(awWaiter, f.floor) {
 				t.Error("the waiter's own registry entry must be published by the first pass: its homed pages never wait")
 			}
 		}

@@ -53,10 +53,10 @@ type Client struct {
 	costs  ClientCosts
 	held   []int                 // the locks this thread holds, in acquisition order
 	reply  chan *network.Message // messages other threads route here (replyRouter)
-	wake   chan localWake        // this thread's local lock handoffs, while parked in Acquire
-	// note is the island barrier's departure to this thread, reused every
-	// episode: the departing mate writes it only after this thread arrived,
-	// and so after it read the previous one.
+	// note is what an island-mate hands this thread through the router —
+	// the island barrier's departure, or a lock handoff (handOffLocked) —
+	// reused every time: the mate writes it only while this thread waits
+	// for it, and so after it read the previous one.
 	note network.Message
 
 	// Page groups (group.go), under n.mu: the pages this thread's fault
@@ -91,7 +91,7 @@ func (n *Node) NewClient(clk *sim.Clock, costs ClientCosts) *Client {
 }
 
 func newClient(n *Node, clk *sim.Clock, tag uint32, costs ClientCosts) Client {
-	return Client{n: n, clk: clk, tag: tag, costs: costs, reply: make(chan *network.Message, 1), wake: make(chan localWake, 1)}
+	return Client{n: n, clk: clk, tag: tag, costs: costs, reply: make(chan *network.Message, 1)}
 }
 
 // oneClientLocked reports whether the default client is the node's only
@@ -184,10 +184,11 @@ func (n *Node) unwrapReplyBatch(m *network.Message) *network.Message {
 // ---------------------------------------------------------------------
 // Routing. Every wait of a node's threads for another thread — a reply
 // off the wire, a fork, join or barrier arrival the protocol server
-// received, an island-mate's fork, join or barrier departure — is one
-// await on the node's router, for one (type, key). Tagged reply types
-// (lock grants, semaphore grants and acks, condition-wait acks) carry the
-// requesting client's tag in a fixed payload position; every other type
+// received, an island-mate's fork, join or barrier departure or lock
+// handoff — is one await on the node's router, for one (type, key).
+// Tagged reply types (lock grants, semaphore grants and acks,
+// condition-wait acks) carry the requesting client's tag in a fixed
+// payload position; every other type
 // the wire carries routes by type alone with key 0, which is unambiguous
 // because the operations that await them are serialized per node (see the
 // uniqueness argument in recvReply, and the fork loop, the join and the
@@ -271,8 +272,8 @@ func (r *replyRouter) deliver(k routeKey, m *network.Message) {
 // await blocks client c until a message with key k is delivered to it or
 // the system shuts down (returning nil). Before each wait it drains the
 // node's wire reply inbox, routing every message it reads. It is the one
-// place an application thread waits for another thread, apart from an
-// island-mate's lock handoff (Acquire) and the collector's waits.
+// place an application thread waits for another thread, apart from the
+// collector's waits.
 func (r *replyRouter) await(c *Client, k routeKey) *network.Message {
 	n := c.n
 	r.mu.Lock()

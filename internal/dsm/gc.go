@@ -36,7 +36,7 @@ import (
 //     never encoded was never needed and retires unpaid.
 //
 //  2. PURGE the page copies owing notices under the floor, by one rule
-//     (gcPurgePagesLocked): a page's HOME (home.go) validates — fetches and
+//     (gcClassifyLocked): a page's HOME (home.go) validates — fetches and
 //     applies the covered diffs, keeping the authoritative copy every
 //     refetch builds on; a copy holding content no notice could re-deliver
 //     validates too; every other copy FLUSHES (the invalidate side of
@@ -58,7 +58,9 @@ import (
 // arrives while peers run application code, and a home may be parked on a
 // condition variable, so there a node never blocks: it finishes at a later
 // synchronization operation (acqgc.go). An episode also finishes an acquire
-// floor a node still owes.
+// floor a node still owes. A quiet node's protocol server takes a consensus
+// floor when the rule's verdicts are all flushes, the one purge that needs
+// no network (gcFloorAttemptServer).
 //
 // The floor is always a clock the coordinator issued — at an episode, the
 // root's clock as carried in the episode's messages — never a node's live
@@ -92,7 +94,7 @@ func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 		if slices.Equal(floor, at) {
 			epochs = &n.stats.GCEpochs
 		}
-		if done := n.acqEpoch(c, floor, false, epochs); done != nil {
+		if done := c.acqEpochLocked(floor, epochs); done != nil {
 			co.notePurged(n.id, done)
 			continue
 		}
@@ -102,7 +104,7 @@ func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 		}
 		n.unlocked(func() {
 			for _, h := range lag {
-				if !n.sys.purged.await(h, owed, n.sys.done) {
+				if !co.awaitHome(h, owed, n.sys.done) {
 					panic(abortError{cause: "switch shut down"})
 				}
 			}
@@ -117,8 +119,9 @@ func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 // retained base, so this is an optimization, not a soundness requirement),
 // advance the free floor, claim the new one in gcPurgeVC BEFORE the purge
 // can release n.mu (so a concurrent island-mate's hook skips instead of
-// double-purging), run the purge's first pass, and publish it.
-func (n *Node) gcCollectLocked(floor VectorClock, purge func()) {
+// double-purging), run the purge's first pass, and publish it. It returns
+// the homes the first pass left pages waiting for.
+func (n *Node) gcCollectLocked(floor VectorClock, purge func() (lag []int)) (lag []int) {
 	n.freeRetiredLocked(n.gcFreeVC)
 	if n.gcFreeVC != nil {
 		for j := range n.knownVC {
@@ -133,12 +136,13 @@ func (n *Node) gcCollectLocked(floor VectorClock, purge func()) {
 	} else {
 		n.gcPurgeVC.merge(floor)
 	}
-	purge()
+	lag = purge()
 	// Publish the completed first pass in the home registry immediately
-	// (before the coordinator hears of it): peers may flush pages homed here
-	// the moment our authoritative copies reflect the floor.
-	n.sys.purged.note(n.id, floor)
+	// (before the acknowledgment): peers may flush pages homed here the
+	// moment our authoritative copies reflect the floor.
+	n.sys.acq.publish(n.id, floor)
 	n.pruneGCPagesLocked()
+	return lag
 }
 
 // pruneGCPagesLocked shrinks the GC work list after a collection: only
@@ -225,37 +229,12 @@ func (n *Node) mustKeepLocked(pg *page, retire VectorClock) bool {
 		pg.appliedVC != nil && !pg.appliedVC.dominatedBy(retire)
 }
 
-// gcCanFlushAllLocked reports whether a flush-only purge to the given
-// floor is safe on this node: no covered-owing page may have to be kept
-// (mustKeepLocked), be homed here (homes validate their own pages — the
-// authoritative copy), or be homed at a node that has not yet purged the
-// floor (the per-page flush gate, see home.go). The server-side purge
-// checks this BEFORE touching any state and defers to the application
-// thread (which can validate) when it fails.
-func (n *Node) gcCanFlushAllLocked(retire VectorClock) bool {
-	for _, pg := range n.gcPages {
-		if !owesCovered(pg, retire) {
-			continue
-		}
-		if n.mustKeepLocked(pg, retire) {
-			return false
-		}
-		if home := n.homeOf(pg.id); home == n.id || !n.sys.purged.covers(home, retire) {
-			return false
-		}
-	}
-	return true
-}
-
 // gcFlushPageLocked discards one page's copy together with its notices
 // under the floor, preserving newer notices — the flush half of the
-// validate-vs-flush choice, shared by the per-page purge and the
-// consensus-push purge. The page owes at least one covered notice.
-// Requires n.mu.
+// validate-vs-flush choice, for the application thread's purge and the
+// protocol server's alike. The page owes at least one covered notice, and
+// has no twin (gcClassifyLocked checks). Requires n.mu.
 func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
-	if pg.inDirty {
-		panic(fmt.Sprintf("dsm: node %d GC flushing page %d with live twin", n.id, pg.id))
-	}
 	pg.refetch = true // first: keepSeenLocked folds what the flush drops
 	n.keepSeenLocked(pg)
 	keep := pg.missing[:0]
@@ -280,35 +259,63 @@ func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	n.stats.GCPagesFlushed++
 }
 
-// gcFlushCoveredLocked is the network-free purge used by the consensus
-// push path (acqEpochServer): every copy owing notices covered by
-// the floor is discarded outright, notices newer than the floor are
-// preserved. The caller must have checked gcCanFlushAllLocked. Requires
-// n.mu (and the caller holds fetchMu, so no local fault snapshot can
-// straddle the flush).
-func (n *Node) gcFlushCoveredLocked(retire VectorClock) {
+// purgeVerdict is the purge rule's decision for one page owing a notice the
+// floor covers (gcClassifyLocked).
+type purgeVerdict uint8
+
+const (
+	purgeValidate purgeVerdict = iota // fetch and apply the covered diffs
+	purgeFlush                        // discard the copy with its covered notices
+	purgeWait                         // its home lags the floor: leave it as it is
+)
+
+// gcClassifyLocked is the purge rule (step 2 above), stated once: it hands
+// visit each page owing notices the floor covers, in work-list order, with
+// its verdict, until visit returns false. A home's copy and one that must
+// be kept (mustKeepLocked) validate; any other flushes once its home has
+// purged the floor — the TreadMarks invalidate choice, which README
+// "Protocol-metadata garbage collection" records the measurement for — and
+// waits as it is until then. It reads the registry once a home and changes
+// nothing, so both purges ask it first: the thread's (gcPurgePagesLocked)
+// and the server's, which runs only on all flushes (gcFloorAttemptServer).
+// Requires n.mu.
+func (n *Node) gcClassifyLocked(retire VectorClock, visit func(pg *page, v purgeVerdict) bool) {
+	published := map[int]bool{} // home → has it purged the floor
 	for _, pg := range n.gcPages {
-		if owesCovered(pg, retire) {
-			n.gcFlushPageLocked(pg, retire)
+		if !owesCovered(pg, retire) {
+			continue
+		}
+		// A page owing diffs cannot carry local modifications: its
+		// invalidation closed the open interval, freeing the twin.
+		if pg.inDirty {
+			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
+		}
+		v := purgeValidate
+		if home := n.homeOf(pg.id); home != n.id && !n.mustKeepLocked(pg, retire) {
+			ok, seen := published[home]
+			if !seen {
+				ok = n.sys.acq.homeCovers(home, retire)
+				published[home] = ok
+			}
+			v = purgeWait
+			if ok {
+				v = purgeFlush
+			}
+		}
+		if !visit(pg, v) {
+			return
 		}
 	}
 }
 
-// gcPurgePagesLocked is the purge's pass over the work list: every page
-// owing notices covered by the floor is validated (its covered diffs
-// fetched with every other validated page's in one exchange, the fault
-// path's own, and applied) or flushed (copy discarded with its covered
-// notices, to be refetched whole from its home's validated copy on next
-// access). Notices newer than the floor stay either way. The rule: a page's
-// home validates — its copy is the base every post-flush refetch builds on;
-// a copy that must be kept (mustKeepLocked) validates; every other copy
-// flushes, the classic TreadMarks invalidate choice (README
-// "Protocol-metadata garbage collection" records the measurement that
-// decided against keeping recently faulted copies), but only once its home
-// has purged the floor (the homePurged registry, home.go). Until then the
-// page is left exactly as it is — nothing fetched, no notice dropped, a
-// fault on it an ordinary fault — and its home returned in lag for the
-// caller to wait on (acqEpoch).
+// gcPurgePagesLocked is the application thread's purge of the work list,
+// by the purge rule's verdicts (gcClassifyLocked): it flushes a copy the
+// rule flushes — discarded with its covered notices, to be refetched whole
+// from its home's validated copy on next access — fetches the covered diffs
+// of every page to validate in one exchange, the fault path's own, and
+// applies them. Notices newer than the floor stay either way. It returns the
+// homes the waiting pages need, each once, for the caller to wait on
+// (acqEpoch).
 //
 // Every validated page holds a copy: a home's exists from allocation, and a
 // copy that must be kept has one by definition. So the wave fetches diffs
@@ -327,39 +334,26 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 	n.mu.Lock()
 
 	n.stats.GCPurges++
-	published := map[int]bool{} // home → has it purged the floor: one registry read a home, not a page
 	var work []pagePlan
-	for _, pg := range n.gcPages {
-		var covered []*interval
-		for _, m := range pg.missing {
-			if retire.covers(m.creator, m.seq) {
-				covered = append(covered, m)
-			}
-		}
-		if len(covered) == 0 {
-			continue
-		}
-		// A page owing diffs cannot carry local modifications: its
-		// invalidation closed the open interval, freeing the twin.
-		if pg.inDirty {
-			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
-		}
-		if home := n.homeOf(pg.id); home != n.id && !n.mustKeepLocked(pg, retire) {
-			ok, seen := published[home]
-			if !seen {
-				ok = n.sys.purged.covers(home, retire)
-				published[home] = ok
-				if !ok {
-					lag = append(lag, home)
+	n.gcClassifyLocked(retire, func(pg *page, v purgeVerdict) bool {
+		switch v {
+		case purgeValidate:
+			var covered []*interval
+			for _, m := range pg.missing {
+				if retire.covers(m.creator, m.seq) {
+					covered = append(covered, m)
 				}
 			}
-			if ok {
-				n.gcFlushPageLocked(pg, retire)
+			work = append(work, pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered, merge: true})
+		case purgeFlush:
+			n.gcFlushPageLocked(pg, retire)
+		case purgeWait:
+			if h := n.homeOf(pg.id); !slices.Contains(lag, h) {
+				lag = append(lag, h)
 			}
-			continue
 		}
-		work = append(work, pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered, merge: true})
-	}
+		return true
+	})
 	if len(work) == 0 {
 		return lag
 	}

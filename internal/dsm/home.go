@@ -1,9 +1,6 @@
 package dsm
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Page homes: sharded ownership of the collector's authoritative copies.
 //
@@ -28,12 +25,13 @@ import (
 // stale copy (dropping its covered write notices) only when the page's
 // home has already purged the epoch floor — the home's copy then reflects
 // every write under it, so a later whole-page refetch cannot lose the
-// dropped notices. Nodes learn home purge progress from the System-level
-// homePurged registry (the simulation stand-in for an acknowledgment bit
-// on the consensus messages that already flow); while the home lags, the
-// copy WAITS as it is, notices and all, and its node withholds its epoch
-// acknowledgment — so the covered diffs stay fetchable, and a fault on the
-// page stays an ordinary fault — until the home has published (acqEpoch).
+// dropped notices. Nodes learn home purge progress from the collector's
+// home registry (acqCoord.homes, the simulation stand-in for an
+// acknowledgment bit on the consensus messages that already flow); while
+// the home lags, the copy WAITS as it is, notices and all, and its node
+// withholds its epoch acknowledgment — so the covered diffs stay
+// fetchable, and a fault on the page stays an ordinary fault — until the
+// home has published (acqEpoch).
 
 // HomeBlockPages is the block size of the home layout, in pages: homes are
 // assigned in blocks of this many pages, round-robin across nodes, so
@@ -45,62 +43,6 @@ func (n *Node) homeOf(pid PageID) int { return (int(pid) / HomeBlockPages) % n.s
 
 // isHome reports whether this node homes the page.
 func (n *Node) isHome(pid PageID) bool { return n.homeOf(pid) == n.id }
-
-// homePurged tracks, per node, the merged floor of every collection epoch
-// its own homed pages reflect — the registry behind the per-page flush gate.
-// Its mutex is a leaf (like the acquire coordinator's): it is taken with
-// n.mu held, inside gcCollectLocked, and never takes any other lock.
-type homePurged struct {
-	mu     sync.Mutex
-	floors []VectorClock
-	moved  chan struct{} // closed, and replaced, by every note: wakes await
-}
-
-func newHomePurged(procs int) *homePurged {
-	h := &homePurged{floors: make([]VectorClock, procs), moved: make(chan struct{})}
-	for i := range h.floors {
-		h.floors[i] = newVC(procs)
-	}
-	return h
-}
-
-// note records that node id's own pages reflect the given floor: called
-// inside gcCollectLocked right after the purge's first pass (a home never
-// waits to validate), so the registry never runs ahead of the home's pages.
-func (h *homePurged) note(id int, floor VectorClock) {
-	h.mu.Lock()
-	h.floors[id].merge(floor)
-	close(h.moved)
-	h.moved = make(chan struct{})
-	h.mu.Unlock()
-}
-
-// await blocks until the home has purged a floor covering floor (covers),
-// waking at each note, and reports false if done closes first.
-func (h *homePurged) await(home int, floor VectorClock, done <-chan struct{}) bool {
-	for {
-		h.mu.Lock()
-		ok, moved := floor.dominatedBy(h.floors[home]), h.moved
-		h.mu.Unlock()
-		if ok {
-			return true
-		}
-		select {
-		case <-moved:
-		case <-done:
-			return false
-		}
-	}
-}
-
-// covers reports whether the home has completed a purge covering floor:
-// its copies of its own pages then reflect every write under it (homes
-// always validate their own pages), so peers may flush theirs.
-func (h *homePurged) covers(home int, floor VectorClock) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return floor.dominatedBy(h.floors[home])
-}
 
 // zeroFillLocked materializes a copy this node never held from the page's
 // allocation contents — zeros. It is the one place the zeros rule lives

@@ -50,10 +50,10 @@ type lockState struct {
 	pending   []waiter // forwarded requests awaiting our release
 
 	// multi-client (island) side
-	localQ         []waiter // island threads awaiting a local handoff
-	localRelease   sim.Time // latest local release (bus-scale handoff coupling)
-	reqOutstanding bool     // a local client's acquire request is in flight
-	localStreak    int      // consecutive local handoffs past a pending global request
+	localQ         []*Client // island threads awaiting a local handoff
+	localRelease   sim.Time  // latest local release (bus-scale handoff coupling)
+	reqOutstanding bool      // a local client's acquire request is in flight
+	localStreak    int       // consecutive local handoffs past a pending global request
 
 	// the lock's data, in insertion order (grants are deterministic)
 	data   []PageID
@@ -83,15 +83,6 @@ func (c *Client) noteLockDataLocked(pgs ...*page) {
 // non-empty — a polling task loop does — must not starve the rest of the
 // cluster out of the lock indefinitely.
 const localHandoffCap = 8
-
-// localWake is what a parked island thread receives: either ownership of
-// the lock (retry false; rel is the handing-over release time) or notice
-// that the token left the island under the fairness cap (retry true; the
-// waiter re-contends through the global chain like any remote acquirer).
-type localWake struct {
-	rel   sim.Time
-	retry bool
-}
 
 func (n *Node) lockMgr(id int) int {
 	p := n.sys.cfg.Procs
@@ -124,28 +115,26 @@ func (c *Client) Acquire(id int) {
 		}
 		n.stats.LockAcquires++
 		n.stats.LockLocal++
-		w := localWake{rel: ls.localRelease}
+		rel, retry := ls.localRelease, false
 		if ls.held || ls.reqOutstanding {
 			if n.oneClientLocked() || ls.held && ls.holderTag == c.tag {
 				panic(fmt.Sprintf("dsm: node %d client %d re-acquired held lock %d", n.id, c.tag, id))
 			}
 			// An island-mate holds the lock (or is already fetching the
-			// token): park on the local queue. The waker transfers ownership
-			// under n.mu, so a non-retry wake means the lock is ours.
-			ls.localQ = append(ls.localQ, waiter{tag: c.tag, ch: c.wake})
+			// token): park on the local queue until the node's router hands
+			// this thread a handoff (handOffLocked). The waker transfers
+			// ownership under n.mu, so a grant means the lock is ours.
+			ls.localQ = append(ls.localQ, c)
 			n.mu.Unlock()
-			select {
-			case w = <-c.wake:
-			case <-n.sys.done:
-				panic(abortError{cause: "switch shut down"})
-			}
+			m := c.await(routeKey{typ: msgLockGrant, key: c.tag})
+			rel, retry = m.Arrive, m.Type == msgAcqReq
 		} else {
 			// Free local re-acquire: no messages, no new consistency info.
 			ls.held, ls.holderTag = true, c.tag
 			n.mu.Unlock()
 		}
-		c.clk.AdvanceTo(w.rel)
-		if !w.retry {
+		c.clk.AdvanceTo(rel)
+		if !retry {
 			c.settle(c.costs.Lock, &n.stats.LockWait, entered)
 			break
 		}
@@ -189,8 +178,8 @@ func (c *Client) Release(id int) {
 // island-mate takes ownership first (local bus-scale transfer), otherwise
 // a pending forwarded request takes the token, otherwise the lock simply
 // becomes free with the token cached. Requires n.mu held and keeps it: a
-// wake never blocks (each parked waiter's channel holds one), and a grant
-// that meets a downed switch unwinds through the caller's deferred Unlock.
+// handoff never blocks (the router's deliver does not), and a grant that
+// meets a downed switch unwinds through the caller's deferred Unlock.
 func (c *Client) handoffLocked(ls *lockState, id int) {
 	n := c.n
 	ls.localRelease = max(ls.localRelease, c.clk.Now())
@@ -200,10 +189,10 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 		if len(ls.pending) > 0 {
 			ls.localStreak++
 		}
-		w := ls.localQ[0]
+		mate := ls.localQ[0]
 		ls.localQ = ls.localQ[1:]
-		ls.holderTag = w.tag
-		w.ch <- localWake{rel: ls.localRelease}
+		ls.holderTag = mate.tag
+		n.handOffLocked(mate, msgLockGrant, ls.localRelease)
 		return
 	}
 	ls.held = false
@@ -219,9 +208,18 @@ func (c *Client) handoffLocked(ls *lockState, id int) {
 		ls.haveToken = false
 		n.sendGrantLocked(ls, id, p, c.clk.Now())
 	}
-	for _, w := range waiters {
-		w.ch <- localWake{rel: ls.localRelease, retry: true}
+	for _, mate := range waiters {
+		n.handOffLocked(mate, msgAcqReq, ls.localRelease)
 	}
+}
+
+// handOffLocked wakes an island thread parked in Acquire through the node's
+// router, under its lock-grant key, with its own note: a msgLockGrant hands
+// it the lock released at rel; a msgAcqReq sends it back to the global
+// chain (the fairness cap). Neither crosses the wire. Requires n.mu.
+func (n *Node) handOffLocked(mate *Client, typ int, rel sim.Time) {
+	mate.note = network.Message{Type: typ, Arrive: rel}
+	n.router.deliver(routeKey{typ: msgLockGrant, key: mate.tag}, &mate.note)
 }
 
 // takeGrant incorporates a grant of lock or semaphore id on the client's

@@ -12,13 +12,11 @@ import (
 // Winter '94), one table lays out every request, one handler serves them,
 // and the manager's own node runs the same policy inline (requestLocked).
 
-// waiter is a requester queued at a manager or a lock's holder, or an
-// island thread parked on its own node for a local handoff (woken on ch).
+// waiter is a requester queued at a manager or a lock's holder.
 type waiter struct {
 	from int
 	tag  uint32
 	vc   VectorClock
-	ch   chan localWake
 }
 
 // syncQueue is a semaphore's or condition's manager state; banked is the

@@ -96,13 +96,12 @@ type System struct {
 	sw        *network.Switch
 	nodes     []*Node
 	heapBytes int
-	acq       *acqCoord   // the collector (acqgc.go); nil when GC is off
-	purged    *homePurged // per-node purge-floor registry (flush gate)
-	fanin     int         // barrier tree fan-in: DefaultBarrierFanin outside tests
-	seenCheck seenCheck   // set only by tests, before Run: watches the lazy seenVC
-	running   bool        // set by Run: a client added from now on is not a team thread
-	threads   int         // the team size, counted by Run (Client.NumProcs)
-	pool      bufPool     // the nodes' twins, page copies, diffs and fetch replies
+	acq       *acqCoord // the collector (acqgc.go); nil when GC is off
+	fanin     int       // barrier tree fan-in: DefaultBarrierFanin outside tests
+	seenCheck seenCheck // set only by tests, before Run: watches the lazy seenVC
+	running   bool      // set by Run: a client added from now on is not a team thread
+	threads   int       // the team size, counted by Run (Client.NumProcs)
+	pool      bufPool   // the nodes' twins, page copies, diffs and fetch replies
 
 	regionsMu sync.Mutex
 	regions   map[string]func(*Client, []byte) []byte
@@ -150,7 +149,6 @@ func newSystem(cfg Config, fanin int) *System {
 		regions:   make(map[string]func(*Client, []byte) []byte),
 		done:      make(chan struct{}),
 	}
-	s.purged = newHomePurged(cfg.Procs)
 	if !cfg.DisableGC && cfg.Procs > 1 {
 		s.acq = newAcqCoord(cfg.Procs, cfg.GCThreshold())
 	}
