@@ -269,10 +269,10 @@ const (
 	purgeWait                         // its home lags the floor: leave it as it is
 )
 
-// gcClassifyLocked is the purge rule (step 2 above), stated once: it hands
-// visit each page owing notices the floor covers, in work-list order, with
-// its verdict, until visit returns false. A home's copy and one that must
-// be kept (mustKeepLocked) validate; any other flushes once its home has
+// gcClassifyLocked is the purge rule (this file's step 2), stated once:
+// it hands visit each page owing notices the floor covers, in work-list
+// order, with its verdict, until visit returns false. A home's copy and
+// one that must be kept (mustKeepLocked) validate; any other flushes once its home has
 // purged the floor — the TreadMarks invalidate choice, which README
 // "Protocol-metadata garbage collection" records the measurement for — and
 // waits as it is until then. It reads the registry once a home and changes
