@@ -38,7 +38,12 @@ fmt-check:
 # pool.go and the shadow oracle (debug.go) fails it as well. Non-test
 # internal/ code carries no analyzer waiver: a //nowlint:allow line there
 # fails it too (the analysis packages, which define and document the
-# directive and test it in their testdata, are exempt).
+# directive and test it in their testdata, are exempt). Only the
+# application thread purges: a TryLock in non-test internal/dsm — a protocol
+# server taking the fetch lock on the side — fails it too. Every protocol
+# datagram carries one message: a SendFrameAt call in non-test internal/
+# code fails it as well (network.Endpoint.SendFrameAt stays for bench/
+# alone).
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
@@ -59,6 +64,10 @@ lint:
 		echo "lint: a page-sized or cloned byte buffer outside the pool (take it from System.pool: get, clone)"; exit 1; fi
 	@if grep -rn --include='*.go' --exclude='*_test.go' '//nowlint:allow' internal | grep -v '^internal/analysis/'; then \
 		echo "lint: a //nowlint:allow waiver in internal/ (restructure the code so the analyzer holds)"; exit 1; fi
+	@if grep -nE 'TryLock\(' $$(ls internal/dsm/*.go | grep -v '_test\.go$$'); then \
+		echo "lint: a TryLock in dsm (only the application thread purges; no server path takes the fetch lock)"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.SendFrameAt\(' internal; then \
+		echo "lint: a SendFrameAt call (every protocol datagram carries one message: use SendAt)"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -114,13 +123,14 @@ hybrid-race:
 # lock/sema/cond interleavings, coordinator invariants — the episode
 # trigger's gate included — bounded chains, the pressure trigger and, at
 # GCPressure 1 since test scale never reaches the default threshold, the
-# every-episode purge paths; and the one page classification both the
-# thread's purge and the server's epoch act on, TestGCPurgeRuleBothSides),
+# every-episode purge paths; and the purge rule on the application thread,
+# with a consensus push that leaves the server's purges at none,
+# TestGCPurgeRuleBothSides),
 # the validation wave through the fetch exchange (TestGCWave*: request
 # grouping, a wave of hundreds of requests), the one-round rebuild of a flushed copy, the zero-base first-touch pins, the
 # wait-for-the-home rule (TestAcquireEpoch*: a waiting node's owed floor is
-# claimed and finished across the application thread, its island-mates,
-# the server and the next episode, TestEpisodeSettle*), the span programs at GCPressure 1
+# claimed and finished across the application thread, its island-mates
+# and the next episode, TestEpisodeSettle*), the span programs at GCPressure 1
 # (both triggers armed on programs that mix locks and barriers), the lock
 # grants that carry diffs kept on interval records the collector frees
 # (TestLockGrant*, and QSORT and TSP under the shadow-memory oracle), the
@@ -137,8 +147,8 @@ hybrid-race:
 # lock/semaphore applications — QSORT and Sweep3D at multiples of their
 # test scale — with the collector forced to low pressure, the one-axis GC
 # ablation, every app at GCPressure 1, and the full-scale Sweep3D cell
-# whose wave must stay at the homes. The consensus pushes, server-side
-# purges, episode waits and fetch-lock exclusion all exercise
+# whose wave must stay at the homes. The consensus pushes, episode waits
+# and fetch-lock exclusion all exercise
 # cross-goroutine edges, so this is where an ordering bug in the collector
 # fails first.
 gc-race:
@@ -155,15 +165,15 @@ gc-race:
 # granting its own thread through the node's reply router is the common
 # case), Sweep3D's
 # placement tests, plus the hierarchical-consensus
-# scenarios — tree-routed GC pushes with relays, batched departure waves
-# with floor piggybacks, and the tree-vs-flat equivalence pin. The relay
-# forwarding and reply-frame unwrap both cross the server/application
-# goroutine boundary, so a race in either fails here first.
+# scenarios — tree-routed GC pushes with relays, departure waves built
+# under one hold while acquire floors are owed, and the tree-vs-flat
+# equivalence pin. The relay forwarding crosses the server/application
+# goroutine boundary, so a race in it fails here first.
 scale-race:
 	$(GO) test -race -run 'TestBackendConformanceWideTeams' ./internal/core
 	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/(3D-FFT|Sweep3D)/omp/p16|TestEquivalenceCollectingEveryEpisode/3D-FFT/omp/p16' ./internal/harness
 	$(GO) test -race -run 'TestSemIDPlacesAtWaiter|TestTmkSyncMessagesPinned' ./internal/apps/sweep3d
-	$(GO) test -race -run 'TestTreeVsFlatConsensusEquivalence|TestTreeBarrierFloorPiggyback|TestScaleTreeBarrierCorrectness' ./internal/dsm
+	$(GO) test -race -run 'TestTreeVsFlatConsensusEquivalence|TestTreeBarrierAcquireEpochs|TestScaleTreeBarrierCorrectness' ./internal/dsm
 
 # Fetch-exchange smoke under the race detector: the span ≡ page-at-a-time
 # programs under the shadow-memory oracle, on the every-episode schedule

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/sim"
 )
 
 // The acquire-epoch coordinator: the package's one collector (gc.go).
@@ -31,8 +32,9 @@ import (
 // the last issued floor) crosses Config.GCPressure, the managers announce
 // an epoch with floor F, piggybacked on the grant messages of whatever
 // synchronization the nodes perform next; each node, on its next sync
-// operation, runs the epoch (acqEpoch, gc.go's three steps). A barrier root
-// or fork master announces its merged clock the same way (noteIssued).
+// operation, runs the epoch (acqEpochLocked, gc.go's three steps). A
+// barrier root or fork master announces its merged clock the same way
+// (noteIssued).
 //
 // Soundness is a one-epoch-delayed free behind an acknowledgment gate:
 //
@@ -50,8 +52,9 @@ import (
 //   - A node acknowledges a purge only once it is FINISHED. A copy may
 //     flush only when its home has purged the floor (home.go); until then
 //     it is left alone, notices and all — nothing is fetched for a page
-//     nobody asked for — and the acknowledgment waits with it (acqEpoch),
-//     so nothing under F is freed while any copy could still fault on it.
+//     nobody asked for — and the acknowledgment waits with it
+//     (acqEpochLocked), so nothing under F is freed while any copy could
+//     still fault on it.
 //
 // In the simulation the coordinator is a System-level registry standing in
 // for the managers' shared bookkeeping: the clocks it aggregates are the
@@ -244,21 +247,6 @@ func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorC
 	return floor, pending, push
 }
 
-// pendingFloorFor returns the floor of an issued epoch node id has not
-// yet purged — report()'s pending condition without registering a report
-// or consuming push pacing. Frame senders
-// use it to piggyback a msgGCFloor announcement onto a consensus delta
-// already bound for the peer, so a quiet node learns of the epoch one
-// datagram earlier than its own next sync operation would.
-func (co *acqCoord) pendingFloorFor(id int) (VectorClock, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if !co.baseline.dominatedBy(co.purged[id]) {
-		return co.baseline.clone(), true
-	}
-	return nil, false
-}
-
 // episodeFloorFor returns the floor node id must finish at the current
 // episode — the baseline as the episode's root left it (noteIssued) —
 // unless id has acknowledged it already.
@@ -359,7 +347,7 @@ func (n *Node) gcTreeConsensus() bool {
 // combining-tree hop from this node, dropping the node itself. Hops come
 // back sorted so send order is deterministic. byHop[h] lists the FINAL
 // destinations to be relayed past h — h itself, always a recipient of
-// the frame, is not in its own list.
+// the push, is not in its own list.
 func (n *Node) routeTargetsLocked(targets []int) (hops []int, byHop map[int][]int) {
 	byHop = make(map[int][]int, len(targets))
 	for _, t := range targets {
@@ -379,35 +367,21 @@ func (n *Node) routeTargetsLocked(targets []int) (hops []int, byHop map[int][]in
 	return hops, byHop
 }
 
-// consensusFrameLocked assembles one tree-routed consensus frame bound
-// for hop: a msgGCSync sub carrying the trailer delta against the hop's
-// piggyback estimate plus the varint relay list of destinations past the
-// hop (appended after the trailer; a flat or reverse delta simply has no
-// trailing bytes), and a msgGCFloor sub when the hop owes an issued
-// epoch. The hop incorporates the delta and forwards each remaining
-// destination one hop onward with a delta recomputed from its own merged
-// clocks — the interior-node merging that caps any node's per-round
-// consensus fan-out at its tree degree instead of the machine size.
-// Requires n.mu.
-func (n *Node) consensusFrameLocked(hop int, relay []int) *frameBuilder {
+// sendGCSyncLocked sends one tree-routed consensus push to hop: the trailer
+// delta against the hop's piggyback estimate plus the varint relay list of
+// destinations past the hop (appended after the trailer; a flat push or a
+// reverse delta simply has no trailing bytes). The hop incorporates the
+// delta and forwards each remaining destination one hop onward with a delta
+// recomputed from its own merged clocks — the interior-node merging that
+// caps any node's per-round consensus fan-out at its tree degree instead of
+// the machine size. Sends never block or drop, so the estimate advances
+// with the send, atomically under n.mu.
+func (n *Node) sendGCSyncLocked(hop int, relay []int, at sim.Time) {
 	var w wbuf
 	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[hop]))
-	if len(relay) > 0 {
-		w.uv(uint64(len(relay)))
-		for _, t := range relay {
-			w.uv(uint64(t))
-		}
-	}
-	f := n.newFrame()
-	f.add(msgGCSync, w.b)
-	if co := n.sys.acq; co != nil {
-		if floor, ok := co.pendingFloorFor(hop); ok {
-			var fw wbuf
-			putVC(&fw, floor)
-			f.add(msgGCFloor, fw.b)
-		}
-	}
-	return f
+	putRelay(&w, relay)
+	n.noteSentLocked(hop)
+	n.ep.SendAt(hop, msgGCSync, network.ClassRequest, w.b, at)
 }
 
 // gcSpinSteps bounds the backpressure loop of gcSyncHook: a pressured
@@ -546,21 +520,18 @@ func (c *Client) gcSyncOnce() {
 		// Hierarchical push: instead of one datagram per quiet node —
 		// O(P) from the pusher every round, O(P²) consensus traffic as
 		// rounds scale with the node count — route the round through the
-		// combining tree. The pusher sends ONE frame per first hop
+		// combining tree. The pusher sends ONE push per first hop
 		// (children subtrees and the parent, at most fanin+1 of them);
 		// each hop incorporates the delta and relays the destinations
 		// beyond it with deltas recomputed from its own merged state, so
 		// every node's per-round fan-out is bounded by its tree degree
-		// and round traffic totals O(P) frames along tree edges.
+		// and round traffic totals O(P) messages along tree edges.
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		hops, byHop := n.routeTargetsLocked(push)
 		for _, h := range hops {
-			f := n.consensusFrameLocked(h, byHop[h])
-			n.noteSentLocked(h)
+			n.sendGCSyncLocked(h, byHop[h], c.clk.Now())
 			n.stats.GCSyncPushes++
-			// Sent under mu: atomic with the estimate update.
-			f.sendAt(h, c.clk.Now())
 		}
 		return
 	}
@@ -572,79 +543,37 @@ func (c *Client) gcSyncOnce() {
 		func() {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			// The frame coalesces the push delta with a pending-floor
-			// announcement for the same peer, so a quiet node both raises
-			// its clock and learns of the epoch it owes in a single datagram.
-			f := n.consensusFrameLocked(j, nil)
-			n.noteSentLocked(j)
+			n.sendGCSyncLocked(j, nil, c.clk.Now())
 			n.stats.GCSyncPushes++
-			// Sent under mu: atomic with the estimate update.
-			f.sendAt(j, c.clk.Now())
 		}()
 	}
 }
 
 // handleGCSync runs on a quiet node's protocol server: incorporate the
-// pushed delta (raising this node's clock), report the new clock, and —
-// if an issued epoch is pending here and no application fetch is in
-// flight — run it right now when it is flush-only, so a node parked on a
-// condition variable or deep in a compute phase neither holds the consensus
-// floor nor gates the next announcement (gcFloorAttemptServer).
+// pushed delta (raising this node's clock), answer with a reverse delta,
+// relay the push onward, and report the new clock, so a node parked on a
+// condition variable or deep in a compute phase does not hold the consensus
+// floor back. The server never purges: a floor this node owes waits for its
+// application thread's next synchronization operation, or for an episode.
 func (n *Node) handleGCSync(m *network.Message) {
-	n.gcFloorAttemptServer(n.gcSyncExchange(m))
-}
-
-// gcSyncExchange is handleGCSync's share under n.mu — incorporate, reverse
-// delta, relays; it returns the node's clock afterwards.
-func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	r := rbuf{b: m.Payload}
 	at := m.Arrive + n.sys.plat.RequestService
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.chargeInterruptLocked()
 	n.takeTrailerLocked(&r, m.From)
-	// Tree-routed pushes append the varint relay list after the trailer
-	// (flat pushes and reverse deltas end with the trailer).
-	var relay []int
-	if !r.done() {
-		cnt := r.needCount(r.uvi(), 1)
-		relay = make([]int, cnt)
-		for i := range relay {
-			t := r.uvi()
-			if t >= n.sys.cfg.Procs {
-				panic(wireErrf("dsm: node %d: consensus relay target %d outside %d-node system",
-					n.id, t, n.sys.cfg.Procs))
-			}
-			relay[i] = t
-		}
-	}
-	vc := n.vc.clone()
+	relay := getRelay(&r, n.sys.cfg.Procs)
 	// Reverse delta: a quiet node's own last intervals have never been
 	// carried anywhere (deltas only travel on sends, and it is not
 	// sending), so the consensus floor could never cover its writes. The
 	// exchange makes the push a two-way clock-and-notice swap, exactly
 	// TreadMarks' consensus round; it stops as soon as both sides are
 	// current (an empty delta sends nothing).
-	back := n.deltaForLocked(n.knownVC[m.From])
-	// Frame the reverse delta with a pending-floor announcement for the
-	// pusher, when it owes one. Sends never block or drop, so the knownVC
-	// estimate advances with every delta sent.
-	f := n.newFrame()
-	if len(back) > 0 {
+	if back := n.deltaForLocked(n.knownVC[m.From]); len(back) > 0 {
 		var w wbuf
 		putTrailer(&w, &n.trailerBuf, n.vc, back)
-		f.add(msgGCSync, w.b)
-	}
-	if co := n.sys.acq; co != nil {
-		if floor, ok := co.pendingFloorFor(m.From); ok {
-			var fw wbuf
-			putVC(&fw, floor)
-			f.add(msgGCFloor, fw.b)
-		}
-	}
-	f.sendAt(m.From, at)
-	if len(back) > 0 {
 		n.noteSentLocked(m.From)
+		n.ep.SendAt(m.From, msgGCSync, network.ClassRequest, w.b, at)
 		n.stats.GCSyncReverse++
 	}
 	// Tree relay: the pusher handed this node the destinations whose
@@ -657,136 +586,23 @@ func (n *Node) gcSyncExchange(m *network.Message) VectorClock {
 	if len(relay) > 0 && n.gcTreeConsensus() {
 		hops, byHop := n.routeTargetsLocked(relay)
 		for _, h := range hops {
-			n.consensusFrameLocked(h, byHop[h]).sendAt(h, at)
-			n.noteSentLocked(h)
+			n.sendGCSyncLocked(h, byHop[h], at)
 			n.stats.GCSyncRelays++
 		}
 	}
-	return vc
-}
-
-// handleGCFloor runs on a node's protocol server when a peer piggybacked
-// a pending-floor announcement onto a consensus frame: attempt the
-// server-side epoch right away instead of waiting for this node's next
-// sync operation. The decoded floor keeps the announcement honest on the
-// wire (its bytes are charged as GC-consensus traffic), but the
-// coordinator registry remains authoritative for which floor this node
-// actually owes — a stale frame can never start a purge the registry
-// would not hand out itself.
-func (n *Node) handleGCFloor(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	_ = getVC(&r)
-	n.gcFloorAttemptServer(n.interruptVC())
-}
-
-// interruptVC charges one interrupt and returns the node's clock.
-func (n *Node) interruptVC() VectorClock {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chargeInterruptLocked()
-	return n.vc.clone()
-}
-
-// gcFloorAttemptServer is the server-side epoch attempt shared by
-// handleGCSync and handleGCFloor: report the node's clock and, if an issued
-// epoch is pending here and no application fetch is in flight, run it when
-// the purge rule's verdicts are all flushes. A page to validate needs a
-// fetch and a lagging home a wait, and a server may block on neither: the
-// attempt then changes nothing and leaves the epoch to the thread.
-func (n *Node) gcFloorAttemptServer(vc VectorClock) {
-	co := n.sys.acq
-	if co == nil {
-		return
-	}
-	floor, pending, _ := co.report(n.id, vc, false)
-	if !pending {
-		return
-	}
-	// The TryLock is load-bearing: if the application thread is mid-fetch
-	// (it holds fetchMu), a server-side purge could discard notices whose
-	// diffs that fetch is about to request, opening the free-after-fetch
-	// race the fetch lock exists to prevent. When the node is busy we
-	// simply skip — a busy node's own hook processes the epoch shortly.
-	if !n.fetchMu.TryLock() {
-		return
-	}
-	defer n.fetchMu.Unlock()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if floor = n.epochFloorLocked(floor); floor == nil {
-		return
-	}
-	flushOnly := true
-	n.gcClassifyLocked(floor, func(_ *page, v purgeVerdict) bool {
-		flushOnly = v == purgeFlush
-		return flushOnly
-	})
-	if !flushOnly {
-		return
-	}
-	if !floor.dominatedBy(n.vc) {
-		// A stale push raced a just-issued episode: its floor joins the
-		// baseline BEFORE this node's departure/fork delta arrives, so it
-		// may cover intervals not incorporated here yet. The episode itself
-		// purges past it moments later; skip.
-		return
-	}
-	done := n.acqEpoch(floor, &n.stats.GCAcqEpochs, func() []int {
-		// The same verdicts again: no page changed, and a home that has
-		// published stays published.
-		n.gcClassifyLocked(floor, func(pg *page, _ purgeVerdict) bool {
-			n.gcFlushPageLocked(pg, floor)
-			return true
-		})
-		return nil
-	})
-	if done != nil {
-		co.notePurged(n.id, done)
+	if co := n.sys.acq; co != nil {
+		co.report(n.id, n.vc, false)
 	}
 }
 
-// acqEpochLocked is the application thread's epoch step: acqEpoch with the
-// purge that may validate, releasing n.mu around its diff-fetch wave.
-// Requires n.mu.
-func (c *Client) acqEpochLocked(floor VectorClock, epochs *int64) VectorClock {
-	n := c.n
-	if floor = n.epochFloorLocked(floor); floor == nil {
-		return nil
-	}
-	if !floor.dominatedBy(n.vc) {
-		// Impossible on the application thread: the floor is a min over
-		// reported clocks (ours included) merged with episode floors whose
-		// episodes this thread has already incorporated.
-		panic(fmt.Sprintf("dsm: node %d epoch floor %v above local clock %v", n.id, floor, n.vc))
-	}
-	return n.acqEpoch(floor, epochs, func() []int { return n.gcPurgePagesLocked(c, floor) })
-}
-
-// epochFloorLocked returns the floor this node's next purge works on — the
-// floor it owes, once every home it waits for has published, or else the
-// announced one unless a purge covering it has begun here — or nil when
-// there is nothing to do yet. It changes nothing. Requires n.mu.
-func (n *Node) epochFloorLocked(floor VectorClock) VectorClock {
-	if owed := n.gcAcqOwed; owed != nil {
-		for _, h := range n.gcAcqLag {
-			if !n.sys.acq.homeCovers(h, owed) {
-				return nil
-			}
-		}
-		return owed
-	}
-	if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
-		return nil
-	}
-	return floor
-}
-
-// acqEpoch runs gc.go's three steps at the floor epochFloorLocked resolved,
-// with the caller's purge, which returns the homes its waiting pages need,
-// and counts a newly begun epoch in *epochs (GCEpochs for an episode's own
-// floor, GCAcqEpochs otherwise). It returns the floor whose purge it
-// COMPLETED, for the caller to acknowledge — nil while pages wait. Requires
-// n.mu, which the purge may release and reacquire.
+// acqEpochLocked runs gc.go's three steps for an announced floor on the
+// application thread and returns the floor whose purge it COMPLETED, for
+// the caller to acknowledge — nil while pages wait, or when there is
+// nothing to do yet. The floor it works on is the one this node owes, once
+// every home it waits for has published, or else the announced one unless a
+// purge covering it has begun here. A newly begun epoch counts in *epochs
+// (GCEpochs for an episode's own floor, GCAcqEpochs otherwise). Requires
+// n.mu, which the purge releases around its diff-fetch wave.
 //
 // Two things are published at two times. The home registry entry is written
 // at the end of the FIRST pass (gcCollectLocked): a node's own homed pages
@@ -796,16 +612,32 @@ func (n *Node) epochFloorLocked(floor VectorClock) VectorClock {
 // registry read a waited-for home — no page scan — and once all have
 // published ONE more pass flushes what is left. A waiting node finishes the
 // floor it began even when the coordinator already hands out a larger one.
-func (n *Node) acqEpoch(floor VectorClock, epochs *int64, purge func() (lag []int)) VectorClock {
+func (c *Client) acqEpochLocked(floor VectorClock, epochs *int64) VectorClock {
+	n := c.n
 	var lag []int
-	if n.gcAcqOwed != nil {
+	if owed := n.gcAcqOwed; owed != nil {
+		for _, h := range n.gcAcqLag {
+			if !n.sys.acq.homeCovers(h, owed) {
+				return nil
+			}
+		}
 		// The finishing pass may release n.mu: claim the owed floor, so no
-		// island-mate or server runs a second or acknowledges an unfinished one.
+		// island-mate runs a second or acknowledges an unfinished one.
+		floor = owed
 		n.gcAcqOwed, n.gcAcqLag = nil, nil
-		lag = purge()
+		lag = n.gcPurgePagesLocked(c, floor)
 		n.pruneGCPagesLocked()
 	} else {
-		lag = n.gcCollectLocked(floor, purge)
+		if n.gcPurgeVC != nil && floor.dominatedBy(n.gcPurgeVC) {
+			return nil
+		}
+		if !floor.dominatedBy(n.vc) {
+			// Impossible on the application thread: the floor is a min over
+			// reported clocks (ours included) merged with episode floors whose
+			// episodes this thread has already incorporated.
+			panic(fmt.Sprintf("dsm: node %d epoch floor %v above local clock %v", n.id, floor, n.vc))
+		}
+		lag = n.gcCollectLocked(c, floor)
 		*epochs++
 	}
 	if lag != nil {

@@ -315,7 +315,7 @@ func TestAcqCoordProperties(t *testing.T) {
 							co.report(j, clocks[j], true)
 						}
 					}
-					again, still := co.pendingFloorFor(id)
+					again, still := co.baseline, !co.baseline.dominatedBy(co.purged[id])
 					if co.announced != announced || !still || !slices.Equal(again, floor) {
 						return false
 					}

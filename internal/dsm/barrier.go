@@ -1,8 +1,6 @@
 package dsm
 
 import (
-	"slices"
-
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -253,33 +251,19 @@ func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []
 	// Tree mode: build the whole departure wave under ONE
 	// mu hold — every child subtree's delta cut from the same snapshot,
 	// with no per-send unlock windows for the server to interleave — then
-	// send the frames back to back. Dropping the live-delta opportunism is
-	// sound: a record a child misses here still reaches it on the next
+	// send the departures back to back. Dropping the live-delta opportunism
+	// is sound: a record a child misses here still reaches it on the next
 	// request-class send, whose delta is computed against the unraised
-	// knownVC estimate. A child that owes a consensus floor gets the
-	// announcement piggybacked onto its departure frame, so a whole parked
-	// subtree learns of the epoch from the wave; the episode's own floor —
-	// the departure's clock — needs no announcement.
-	co := n.sys.acq
-	frames := make([]*frameBuilder, len(arrivals))
+	// knownVC estimate.
+	wave := make([][]byte, len(arrivals))
 	for i, a := range arrivals {
 		var w wbuf
 		putTrailer(&w, &n.trailerBuf, depVC, n.deltaForLocked(a.vc))
-		f := n.newFrame()
-		f.add(msgBarrDepart, w.b)
-		if co != nil {
-			if floor, ok := co.pendingFloorFor(a.from); ok && !slices.Equal(floor, depVC) {
-				var fw wbuf
-				putVC(&fw, floor)
-				f.add(msgGCFloor, fw.b)
-				n.stats.GCDepartFloors++
-			}
-		}
-		frames[i] = f
+		wave[i] = w.b
 	}
 	n.unlocked(func() {
 		for i, a := range arrivals {
-			frames[i].sendReplyAt(a.from, c.clk.Now())
+			n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, wave[i], c.clk.Now())
 		}
 	})
 }

@@ -139,46 +139,10 @@ func (c *Client) recvReply(wantType int, key uint32) *network.Message {
 	n := c.n
 	m := c.await(routeKey{typ: wantType, key: key})
 	c.clk.AdvanceTo(m.Arrive)
-	if m.Type == msgBatch {
-		m = n.unwrapReplyBatch(m)
-	}
 	if m.Type != wantType {
 		panic(fmt.Sprintf("dsm: node %d expected reply type %d, got %d from %d", n.id, wantType, m.Type, m.From))
 	}
 	return m
-}
-
-// unwrapReplyBatch splits a reply-class frame (a batched barrier
-// departure wave; see forwardDeparturesLocked): the FIRST sub is the
-// primary reply handed back to the waiter, and every sub behind it is a
-// piggybacked notice — a msgGCFloor epoch announcement riding the
-// departure — handled inline right here. Running the handler on the
-// application thread is safe because the thread is parked in recvReply
-// holding neither n.mu nor fetchMu, exactly the locks the handler takes
-// (and the server-side epoch attempt only ever TryLocks fetchMu).
-func (n *Node) unwrapReplyBatch(m *network.Message) *network.Message {
-	var primary *network.Message
-	r := rbuf{b: m.Payload}
-	walkBatch(&r, n.id, func(typ int, payload []byte) {
-		sub := &network.Message{
-			From: m.From, To: m.To, Type: typ, Class: m.Class,
-			Payload: payload, Send: m.Send, Arrive: m.Arrive,
-		}
-		if primary == nil {
-			primary = sub
-			return
-		}
-		switch typ {
-		case msgGCFloor:
-			n.handleGCFloor(sub)
-		default:
-			panic(fmt.Sprintf("dsm: node %d: unexpected piggyback type %d in reply frame from %d", n.id, typ, m.From))
-		}
-	})
-	if primary == nil {
-		panic(fmt.Sprintf("dsm: node %d: empty reply frame from %d", n.id, m.From))
-	}
-	return primary
 }
 
 // ---------------------------------------------------------------------
@@ -225,13 +189,6 @@ func replyRouteKey(typ int, payload []byte) routeKey {
 	k := routeKey{typ: typ}
 	r := rbuf{b: payload}
 	switch typ {
-	case msgBatch:
-		// A reply-class frame routes by its FIRST sub — the primary reply
-		// (the piggybacked notices behind it carry no tag). The whole
-		// frame is delivered to that waiter; recvReply unwraps it.
-		r.uv() // sub count
-		sub := int(r.u8())
-		return replyRouteKey(sub, r.need(r.uvi()))
 	case msgExit:
 		// A slave awaits its next fork or its exit, in wire order.
 		k.typ = msgFork

@@ -24,7 +24,8 @@ import (
 //     announces that clock through the same coordinator (noteIssued), under
 //     the same pressure and behind the same gate.
 //
-// Processing an announced floor on a node (acqEpoch) is three steps:
+// Processing an announced floor on a node (acqEpochLocked) is three steps,
+// always on the node's application thread — a protocol server never purges:
 //
 //  1. FREE the interval records — and their encoded diffs — retired by
 //     the PREVIOUS floor (gcFreeVC). The coordinator's gate makes that
@@ -36,7 +37,7 @@ import (
 //     never encoded was never needed and retires unpaid.
 //
 //  2. PURGE the page copies owing notices under the floor, by one rule
-//     (gcClassifyLocked): a page's HOME (home.go) validates — fetches and
+//     (gcPurgePagesLocked): a page's HOME (home.go) validates — fetches and
 //     applies the covered diffs, keeping the authoritative copy every
 //     refetch builds on; a copy holding content no notice could re-deliver
 //     validates too; every other copy FLUSHES (the invalidate side of
@@ -58,9 +59,7 @@ import (
 // arrives while peers run application code, and a home may be parked on a
 // condition variable, so there a node never blocks: it finishes at a later
 // synchronization operation (acqgc.go). An episode also finishes an acquire
-// floor a node still owes. A quiet node's protocol server takes a consensus
-// floor when the rule's verdicts are all flushes, the one purge that needs
-// no network (gcFloorAttemptServer).
+// floor a node still owes.
 //
 // The floor is always a clock the coordinator issued — at an episode, the
 // root's clock as carried in the episode's messages — never a node's live
@@ -100,7 +99,7 @@ func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 		}
 		owed, lag := n.gcAcqOwed, n.gcAcqLag
 		if owed == nil {
-			return // an island-mate or the server claimed the floor
+			return // an island-mate claimed the floor
 		}
 		n.unlocked(func() {
 			for _, h := range lag {
@@ -121,7 +120,7 @@ func (n *Node) gcEpisodeLocked(c *Client, at VectorClock) {
 // can release n.mu (so a concurrent island-mate's hook skips instead of
 // double-purging), run the purge's first pass, and publish it. It returns
 // the homes the first pass left pages waiting for.
-func (n *Node) gcCollectLocked(floor VectorClock, purge func() (lag []int)) (lag []int) {
+func (n *Node) gcCollectLocked(c *Client, floor VectorClock) (lag []int) {
 	n.freeRetiredLocked(n.gcFreeVC)
 	if n.gcFreeVC != nil {
 		for j := range n.knownVC {
@@ -136,7 +135,7 @@ func (n *Node) gcCollectLocked(floor VectorClock, purge func() (lag []int)) (lag
 	} else {
 		n.gcPurgeVC.merge(floor)
 	}
-	lag = purge()
+	lag = n.gcPurgePagesLocked(c, floor)
 	// Publish the completed first pass in the home registry immediately
 	// (before the acknowledgment): peers may flush pages homed here the
 	// moment our authoritative copies reflect the floor.
@@ -231,9 +230,8 @@ func (n *Node) mustKeepLocked(pg *page, retire VectorClock) bool {
 
 // gcFlushPageLocked discards one page's copy together with its notices
 // under the floor, preserving newer notices — the flush half of the
-// validate-vs-flush choice, for the application thread's purge and the
-// protocol server's alike. The page owes at least one covered notice, and
-// has no twin (gcClassifyLocked checks). Requires n.mu.
+// validate-vs-flush choice. The page owes at least one covered notice, and
+// has no twin (gcPurgePagesLocked checks). Requires n.mu.
 func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	pg.refetch = true // first: keepSeenLocked folds what the flush drops
 	n.keepSeenLocked(pg)
@@ -259,63 +257,18 @@ func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 	n.stats.GCPagesFlushed++
 }
 
-// purgeVerdict is the purge rule's decision for one page owing a notice the
-// floor covers (gcClassifyLocked).
-type purgeVerdict uint8
-
-const (
-	purgeValidate purgeVerdict = iota // fetch and apply the covered diffs
-	purgeFlush                        // discard the copy with its covered notices
-	purgeWait                         // its home lags the floor: leave it as it is
-)
-
-// gcClassifyLocked is the purge rule (this file's step 2), stated once:
-// it hands visit each page owing notices the floor covers, in work-list
-// order, with its verdict, until visit returns false. A home's copy and
-// one that must be kept (mustKeepLocked) validate; any other flushes once its home has
-// purged the floor — the TreadMarks invalidate choice, which README
-// "Protocol-metadata garbage collection" records the measurement for — and
-// waits as it is until then. It reads the registry once a home and changes
-// nothing, so both purges ask it first: the thread's (gcPurgePagesLocked)
-// and the server's, which runs only on all flushes (gcFloorAttemptServer).
-// Requires n.mu.
-func (n *Node) gcClassifyLocked(retire VectorClock, visit func(pg *page, v purgeVerdict) bool) {
-	published := map[int]bool{} // home → has it purged the floor
-	for _, pg := range n.gcPages {
-		if !owesCovered(pg, retire) {
-			continue
-		}
-		// A page owing diffs cannot carry local modifications: its
-		// invalidation closed the open interval, freeing the twin.
-		if pg.inDirty {
-			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
-		}
-		v := purgeValidate
-		if home := n.homeOf(pg.id); home != n.id && !n.mustKeepLocked(pg, retire) {
-			ok, seen := published[home]
-			if !seen {
-				ok = n.sys.acq.homeCovers(home, retire)
-				published[home] = ok
-			}
-			v = purgeWait
-			if ok {
-				v = purgeFlush
-			}
-		}
-		if !visit(pg, v) {
-			return
-		}
-	}
-}
-
-// gcPurgePagesLocked is the application thread's purge of the work list,
-// by the purge rule's verdicts (gcClassifyLocked): it flushes a copy the
-// rule flushes — discarded with its covered notices, to be refetched whole
-// from its home's validated copy on next access — fetches the covered diffs
-// of every page to validate in one exchange, the fault path's own, and
-// applies them. Notices newer than the floor stay either way. It returns the
+// gcPurgePagesLocked is the purge rule (this file's step 2), stated once,
+// applied to every page of the work list owing notices the floor covers. A
+// home's copy and one that must be kept (mustKeepLocked) validate: the
+// covered diffs of every such page are fetched in one exchange, the fault
+// path's own, and applied. Any other copy flushes once its home has purged
+// the floor — discarded with its covered notices, to be refetched whole from
+// its home's validated copy on next access; the TreadMarks invalidate
+// choice, which README "Protocol-metadata garbage collection" records the
+// measurement for — and waits as it is until then. Notices newer than the
+// floor stay either way. It reads the registry once a home and returns the
 // homes the waiting pages need, each once, for the caller to wait on
-// (acqEpoch).
+// (acqEpochLocked).
 //
 // Every validated page holds a copy: a home's exists from allocation, and a
 // copy that must be kept has one by definition. So the wave fetches diffs
@@ -335,25 +288,37 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 
 	n.stats.GCPurges++
 	var work []pagePlan
-	n.gcClassifyLocked(retire, func(pg *page, v purgeVerdict) bool {
-		switch v {
-		case purgeValidate:
-			var covered []*interval
-			for _, m := range pg.missing {
-				if retire.covers(m.creator, m.seq) {
-					covered = append(covered, m)
-				}
+	published := map[int]bool{} // home → has it purged the floor
+	for _, pg := range n.gcPages {
+		if !owesCovered(pg, retire) {
+			continue
+		}
+		// A page owing diffs cannot carry local modifications: its
+		// invalidation closed the open interval, freeing the twin.
+		if pg.inDirty {
+			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
+		}
+		if home := n.homeOf(pg.id); home != n.id && !n.mustKeepLocked(pg, retire) {
+			ok, seen := published[home]
+			if !seen {
+				ok = n.sys.acq.homeCovers(home, retire)
+				published[home] = ok
 			}
-			work = append(work, pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered, merge: true})
-		case purgeFlush:
-			n.gcFlushPageLocked(pg, retire)
-		case purgeWait:
-			if h := n.homeOf(pg.id); !slices.Contains(lag, h) {
-				lag = append(lag, h)
+			if ok {
+				n.gcFlushPageLocked(pg, retire)
+			} else if !slices.Contains(lag, home) {
+				lag = append(lag, home)
+			}
+			continue
+		}
+		var covered []*interval
+		for _, m := range pg.missing {
+			if retire.covers(m.creator, m.seq) {
+				covered = append(covered, m)
 			}
 		}
-		return true
-	})
+		work = append(work, pagePlan{pg: pg, source: -1, fetch: covered, resolved: covered, merge: true})
+	}
 	if len(work) == 0 {
 		return lag
 	}

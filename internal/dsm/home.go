@@ -31,7 +31,7 @@ import "fmt"
 // the home lags, the copy WAITS as it is, notices and all, and its node
 // withholds its epoch acknowledgment — so the covered diffs stay
 // fetchable, and a fault on the page stays an ordinary fault — until the
-// home has published (acqEpoch).
+// home has published (acqEpochLocked).
 
 // HomeBlockPages is the block size of the home layout, in pages: homes are
 // assigned in blocks of this many pages, round-robin across nodes, so

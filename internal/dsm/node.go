@@ -49,7 +49,7 @@ type Node struct {
 	gcFreeVC  VectorClock   // floor of the last collection epoch; freed at the next one (gc.go)
 	gcPurgeVC VectorClock   // merged floor of every collection this node has begun (its claim)
 	gcAcqOwed VectorClock   // floor whose purge left pages waiting on lagging homes; nil: none
-	gcAcqLag  []int         // the homes those pages wait for (acqEpoch)
+	gcAcqLag  []int         // the homes those pages wait for (acqEpochLocked)
 	dirty     []*page       // pages twinned in the open interval
 	gcPages   []*page       // pages that may hold missing notices or twins (GC work list)
 	pages     []*page       // [PageID]; grows and materializes lazily (pageFor)
@@ -154,10 +154,9 @@ type NodeStats struct {
 	GCEpisodes       int64 // global sync episodes examined by the collector
 	GCEpochs         int64 // episode-announced floors processed here
 	GCAcqEpochs      int64 // consensus-announced (lock-manager-led) floors processed here
-	GCSyncPushes     int64 // consensus-sync frames a push round's initiator sent (first hops)
+	GCSyncPushes     int64 // consensus pushes a push round's initiator sent (first hops)
 	GCSyncReverse    int64 // reverse deltas pushed nodes answered with
-	GCSyncRelays     int64 // tree-routed consensus frames forwarded onward
-	GCDepartFloors   int64 // acquire floors piggybacked on departure waves
+	GCSyncRelays     int64 // tree-routed consensus pushes relayed onward
 	IntervalsRetired int64 // interval records reclaimed
 	DiffsPaid        int64 // encodes charged to the model: at a first serve or grant, or at an invalidation
 	GCPagesValidated int64 // stale copies brought current during GC

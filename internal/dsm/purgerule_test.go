@@ -3,46 +3,47 @@ package dsm
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/network"
 )
 
-// The purge rule (gcClassifyLocked) decides, for every page owing a notice
-// the floor covers, validate, flush or wait, and both purges act on its
-// verdict: the application thread's, which validates, flushes and waits,
-// and the protocol server's, which runs an epoch only when the verdict is
-// all flushes. This test runs one case at a time on three nodes with fixed
-// roles — node 0 PURGES, node 1 HOMES page B, node 2 WRITES — and two
-// pages: A homed at the purging node, B at the home. The purging node
-// holds copies of both, and then owes exactly one covered notice, on the
-// case's page; the floor is issued by hand, and its own component is the
-// purging node's clock before its own last write, so that write stays
-// above it.
+// The purge rule (gcPurgePagesLocked) decides, for every page owing a
+// notice the floor covers, validate, flush or wait, and only the
+// application thread acts on it. This test runs one case at a time on three
+// nodes with fixed roles — node 0 PURGES, node 1 HOMES page B, node 2
+// WRITES — and two pages: A homed at the purging node, B at the home. The
+// purging node holds copies of both, and then owes exactly one covered
+// notice, on the case's page; the floor is issued by hand, and its own
+// component is the purging node's clock before its own last write, so that
+// write stays above it. Each case runs on two sides: the thread side takes
+// the floor in one consensus step, and the server side first pushes a
+// consensus delta to the purging node, which its protocol server handles
+// without purging anything, and then lets the node's next Release take it.
 const (
 	prPurger = 0
 	prHome   = 1
 	prWriter = 2
+	prLock   = 0 // managed at the purger: its Acquire and Release stay local
 )
 
-// purgeRuleCase is one case of the rule, and what each side does with it.
+// purgeRuleCase is one case of the rule, and what the application thread's
+// pass does with it.
 type purgeRuleCase struct {
 	name      string
 	onA       bool // the covered notice is on A, homed at the purger (else on B)
 	ownWrite  bool // the purger writes B beside the writer: a copy that must be kept
 	homeFirst bool // the home runs its first pass before the purger acts
 
-	validate, flush, wait int // the verdicts: pages to validate, flush, and leave waiting
-
-	threadValidated, threadFlushed int64 // the application thread's pass
-	threadOwes                     bool  // it leaves the floor owed, waiting for the home
-	serverRuns                     bool  // the server takes the epoch, else declines it untouched
-	serverFlushed                  int64
+	validated, flushed int64 // pages the pass validates and flushes
+	owes               bool  // it leaves the floor owed, waiting for the home
 }
 
 func TestGCPurgeRuleBothSides(t *testing.T) {
 	cases := []purgeRuleCase{
-		{name: "homed-here", onA: true, validate: 1, threadValidated: 1},
-		{name: "must-keep", ownWrite: true, homeFirst: true, validate: 1, threadValidated: 1},
-		{name: "home-not-purged", wait: 1, threadOwes: true},
-		{name: "home-purged", homeFirst: true, flush: 1, threadFlushed: 1, serverRuns: true, serverFlushed: 1},
+		{name: "homed-here", onA: true, validated: 1},
+		{name: "must-keep", ownWrite: true, homeFirst: true, validated: 1},
+		{name: "home-not-purged", owes: true},
+		{name: "home-purged", homeFirst: true, flushed: 1},
 	}
 	for _, tc := range cases {
 		for _, server := range []bool{false, true} {
@@ -90,6 +91,9 @@ func TestGCPurgeRuleBothSides(t *testing.T) {
 					n.Barrier()
 					switch n.ID() {
 					case prPurger:
+						if server {
+							n.Acquire(prLock)
+						}
 						n.mu.Lock()
 						floor = n.vc.clone()
 						floor[n.id] = own
@@ -129,29 +133,16 @@ func TestGCPurgeRuleBothSides(t *testing.T) {
 	}
 }
 
-// check checks the rule's verdict on the purging node, then runs one
-// side's purge — the application thread's pass, or the protocol server's
-// attempt — and checks what it did.
+// check runs one side on the purging node — the application thread's
+// consensus step, or a consensus push its protocol server handles and then
+// the node's next Release — and checks what the thread's pass did.
 func (tc *purgeRuleCase) check(t *testing.T, n *Node, floor VectorClock, pid PageID, server bool) {
 	t.Helper()
-	var count [3]int
-	n.mu.Lock()
-	n.gcClassifyLocked(floor, func(pg *page, v purgeVerdict) bool {
-		count[v]++
-		if pg.id != pid {
-			t.Errorf("verdict %d on page %d, want one on page %d only", v, pg.id, pid)
-		}
-		return true
-	})
-	n.mu.Unlock()
-	if count != [3]int{tc.validate, tc.flush, tc.wait} {
-		t.Errorf("verdicts: validate %d, flush %d, wait %d; want %d, %d, %d",
-			count[purgeValidate], count[purgeFlush], count[purgeWait], tc.validate, tc.flush, tc.wait)
-	}
 	before := n.Stats()
 	co := n.sys.acq
 	if server {
-		n.gcFloorAttemptServer(n.interruptVC())
+		tc.checkPush(t, n, floor, pid)
+		n.Release(prLock)
 	} else {
 		n.thread.gcSyncOnce()
 	}
@@ -160,35 +151,59 @@ func (tc *purgeRuleCase) check(t *testing.T, n *Node, floor VectorClock, pid Pag
 	validated := after.GCPagesValidated - before.GCPagesValidated
 	flushed := after.GCPagesFlushed - before.GCPagesFlushed
 	n.mu.Lock()
-	owed, claimed, lag := n.gcAcqOwed != nil, n.gcPurgeVC != nil, slices.Clone(n.gcAcqLag)
+	owed, lag := n.gcAcqOwed != nil, slices.Clone(n.gcAcqLag)
 	n.mu.Unlock()
 	co.mu.Lock()
 	acked := floor.dominatedBy(co.purged[n.id])
 	co.mu.Unlock()
-	if server {
-		wantEpochs := int64(0)
-		if tc.serverRuns {
-			wantEpochs = 1
-		}
-		// GCPurges counts the application thread's passes only.
-		if purges != 0 || epochs != wantEpochs || validated != 0 || flushed != tc.serverFlushed {
-			t.Errorf("server: %d purges, %d epochs, validated %d, flushed %d; want 0, %d, 0, %d",
-				purges, epochs, validated, flushed, wantEpochs, tc.serverFlushed)
-		}
-		if claimed != tc.serverRuns || acked != tc.serverRuns || owed {
-			t.Errorf("server: claimed %v, acknowledged %v, owes %v; want %v, %v, false",
-				claimed, acked, owed, tc.serverRuns, tc.serverRuns)
-		}
-		return
-	}
-	if purges != 1 || epochs != 1 || validated != tc.threadValidated || flushed != tc.threadFlushed {
+	if purges != 1 || epochs != 1 || validated != tc.validated || flushed != tc.flushed {
 		t.Errorf("thread: %d purges, %d epochs, validated %d, flushed %d; want 1, 1, %d, %d",
-			purges, epochs, validated, flushed, tc.threadValidated, tc.threadFlushed)
+			purges, epochs, validated, flushed, tc.validated, tc.flushed)
 	}
-	if owed != tc.threadOwes || acked == tc.threadOwes {
-		t.Errorf("thread: owes %v, acknowledged %v; want %v, %v", owed, acked, tc.threadOwes, !tc.threadOwes)
+	if owed != tc.owes || acked == tc.owes {
+		t.Errorf("thread: owes %v, acknowledged %v; want %v, %v", owed, acked, tc.owes, !tc.owes)
 	}
-	if tc.threadOwes && !slices.Equal(lag, []int{prHome}) {
+	if tc.owes && !slices.Equal(lag, []int{prHome}) {
 		t.Errorf("thread: waits on homes %v, want [%d]", lag, prHome)
+	}
+}
+
+// checkPush hands the purging node's protocol server a consensus push while
+// the node owes the floor, and checks that the server purged nothing: the
+// case's page is as it was, no purge is claimed or owed, no epoch counts and
+// nothing is acknowledged.
+func (tc *purgeRuleCase) checkPush(t *testing.T, n *Node, floor VectorClock, pid PageID) {
+	t.Helper()
+	type pageLook struct {
+		state   pageState
+		copy    bool
+		notices int
+	}
+	look := func() pageLook {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		pg := n.pages[pid]
+		return pageLook{pg.state, pg.data != nil, len(pg.missing)}
+	}
+	was, before := look(), n.Stats()
+	var w wbuf
+	putTrailer(&w, nil, newVC(n.sys.cfg.Procs), nil)
+	n.handleGCSync(&network.Message{From: prWriter, To: n.id, Type: msgGCSync, Payload: w.b})
+	after := n.Stats()
+	n.mu.Lock()
+	claimed, owed := n.gcPurgeVC != nil, n.gcAcqOwed != nil
+	n.mu.Unlock()
+	n.sys.acq.mu.Lock()
+	acked := floor.dominatedBy(n.sys.acq.purged[n.id])
+	n.sys.acq.mu.Unlock()
+	if is := look(); is != was {
+		t.Errorf("server: the push changed page %d from %+v to %+v", pid, was, is)
+	}
+	if d := [4]int64{after.GCPurges - before.GCPurges, after.GCAcqEpochs - before.GCAcqEpochs,
+		after.GCPagesValidated - before.GCPagesValidated, after.GCPagesFlushed - before.GCPagesFlushed}; d != [4]int64{} {
+		t.Errorf("server: the push made %d purges, %d epochs, validated %d, flushed %d; want none", d[0], d[1], d[2], d[3])
+	}
+	if claimed || owed || acked {
+		t.Errorf("server: claimed %v, owes %v, acknowledged %v after the push; want all false", claimed, owed, acked)
 	}
 }

@@ -30,10 +30,7 @@ func (n *Node) serve() {
 	}
 }
 
-// dispatch routes one request to its handler. A msgBatch frame recurses:
-// each typed sub-message is dispatched in wire order as if it had arrived
-// as its own datagram (same sender, same arrival time), so coalescing is
-// invisible to the handlers.
+// dispatch routes one request to its handler.
 func (n *Node) dispatch(m *network.Message) {
 	switch m.Type {
 	case msgExit:
@@ -70,46 +67,8 @@ func (n *Node) dispatch(m *network.Message) {
 		n.handleSyncReq(m)
 	case msgGCSync:
 		n.handleGCSync(m)
-	case msgGCFloor:
-		n.handleGCFloor(m)
-	case msgBatch:
-		n.dispatchBatch(m)
 	default:
 		panic(fmt.Sprintf("dsm: node %d: unknown request type %d", n.id, m.Type))
-	}
-}
-
-// dispatchBatch demuxes a coalesced frame (wire.go's frameBuilder) into
-// per-sub synthesized messages and dispatches each in order. Sub payloads
-// alias the envelope payload — handlers never mutate payloads, and any
-// retained decode output is copied by the decoders themselves.
-func (n *Node) dispatchBatch(m *network.Message) {
-	r := rbuf{b: m.Payload}
-	walkBatch(&r, n.id, func(typ int, payload []byte) {
-		n.dispatch(&network.Message{
-			From:    m.From,
-			To:      m.To,
-			Type:    typ,
-			Class:   m.Class,
-			Payload: payload,
-			Send:    m.Send,
-			Arrive:  m.Arrive,
-		})
-	})
-}
-
-// walkBatch decodes a msgBatch envelope, invoking fn for each typed sub in
-// wire order. Factored from dispatchBatch so the fuzz suite can drive the
-// envelope validation (counts, nesting) without reaching live handlers.
-func walkBatch(r *rbuf, nodeID int, fn func(typ int, payload []byte)) {
-	// A sub costs at least 2 envelope bytes (type byte + length varint).
-	nsubs := r.needCount(r.uvi(), 2)
-	for i := 0; i < nsubs; i++ {
-		typ := int(r.u8())
-		if typ == msgBatch {
-			panic(wireErrf("dsm: node %d: nested msgBatch frame", nodeID))
-		}
-		fn(typ, r.need(r.uvi()))
 	}
 }
 

@@ -32,8 +32,8 @@ const (
 	msgJoin                     // slave → master: region finished + delta
 	msgExit                     // master → slave: shut down
 	msgGCSync                   // pressured node → quiet node: GC consensus push + delta (acqgc.go)
-	msgGCFloor                  // piggybacked acquire-epoch floor announcement (acqgc.go)
-	msgBatch                    // coalesced per-peer frame of typed sub-messages (wire.go)
+	_                           // unused: the type numbers after it stay fixed
+	_                           // unused
 	msgFetchReq                 // app → page home, squash creator or interval creator: the pages and diffs wanted of it (Client.fetchLocked)
 	msgFetchRep                 // source → app: the requested pages and diffs
 )
@@ -205,15 +205,13 @@ func (s *System) Switch() *network.Switch { return s.sw }
 // backend with no interconnect and no LRC metadata.
 type Report struct {
 	// Messages and Bytes count interconnect traffic during the run.
-	// Frames counts the datagrams that actually crossed the wire: with
-	// frame coalescing several logical messages share one datagram, so
-	// Messages − Frames is the number of per-message network headers the
-	// coalescing saved.
+	// Frames counts the datagrams that actually crossed the wire. Every
+	// DSM datagram carries one message, so on a DSM run it equals Messages.
 	Messages, Bytes, Frames int64
 	// Traffic split by protocol cost category: page service (the fetch
 	// exchange of pages and diffs), synchronization (locks, barriers,
 	// semaphores, condition variables, fork/join, flush) and GC consensus
-	// (acqgc.go's pushes and floor announcements). Synchronization is the
+	// (acqgc.go's pushes, relays and reverse deltas). Synchronization is the
 	// residue, so the three pairs sum to Messages/Bytes even if a message
 	// type is added without updating the category lists in System.Report;
 	// the scaling-wall table uses them to name the binding cost.
@@ -260,11 +258,7 @@ func (s *System) Report() Report {
 		r.PageMsgs += m
 		r.PageBytes += by
 	}
-	for _, typ := range []int{msgGCSync, msgGCFloor} {
-		m, by := st.ByType(typ)
-		r.GCMsgs += m
-		r.GCBytes += by
-	}
+	r.GCMsgs, r.GCBytes = st.ByType(msgGCSync)
 	r.SyncMsgs = r.Messages - r.PageMsgs - r.GCMsgs
 	r.SyncBytes = r.Bytes - r.PageBytes - r.GCBytes
 	t := s.TotalStats()

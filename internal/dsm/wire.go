@@ -1,7 +1,8 @@
 package dsm
 
 // Wire format: compact encodings for the consistency trailer (sender
-// vector clock + interval records) and per-peer frame coalescing.
+// vector clock + interval records), the join's and the lock grant's tails,
+// the fetch exchange's items and the consensus push's relay list.
 //
 //   - Vector clocks travel as LEB128 varints (uv), so the mostly-small
 //     components of a young clock cost one byte instead of four.
@@ -13,20 +14,15 @@ package dsm
 //   - Write-notice page lists are sorted and run-length encoded as
 //     (gap, runLen) pairs: QSORT/Sweep3D notices are dense runs, Water's
 //     are short strides, and both collapse to a few bytes per run.
-//   - Everything bound for one peer at a GC consensus push or barrier
-//     departure wave is coalesced into a single msgBatch datagram of typed
-//     sub-messages, demuxed into the existing handlers (see server.go).
+//   - Every datagram carries one protocol message of its own type; there is
+//     no envelope of sub-messages. A tree-routed consensus push appends its
+//     relay list after the trailer (putRelay).
 //
 // Every decode path validates wire-supplied counts against the bytes
 // actually remaining before allocating, and fails only via the typed
 // wireError panic — the contract the fuzz suite (wire_test.go) pins.
 
-import (
-	"slices"
-
-	"repro/internal/network"
-	"repro/internal/sim"
-)
+import "slices"
 
 // maxPagesPerRecord caps the decoded page list of one interval record. A
 // legitimate record's notices are bounded by the shared heap's page count
@@ -386,83 +382,31 @@ func decodeFetch(r *rbuf, reply bool) []fetchItem {
 	return items
 }
 
-// frameBuilder collects typed sub-messages bound for one peer and
-// transmits them as a single msgBatch datagram. The envelope is
-// uv(nsubs), then per sub u8(type) + uv(len) + payload; a request-class
-// frame (sendAt/trySendAt) is demuxed by the receiver's protocol server
-// back into the ordinary handlers (server.go), a reply-class frame
-// (sendReplyAt) by the waiting application thread (client.go's
-// unwrapReplyBatch, with the PRIMARY reply first), so observable protocol
-// behavior is unchanged — only the datagram count and header overhead
-// shrink. Degenerate cases collapse: zero subs send nothing, one sub is
-// sent plain under its own type (so single-message waves stay
-// byte-identical to the unbatched path and never pay envelope overhead).
-type frameBuilder struct {
-	n    *Node
-	subs []frameSub
-}
-
-type frameSub struct {
-	typ     int
-	payload []byte
-}
-
-func (n *Node) newFrame() *frameBuilder { return &frameBuilder{n: n} }
-
-func (f *frameBuilder) add(typ int, payload []byte) {
-	f.subs = append(f.subs, frameSub{typ: typ, payload: payload})
-}
-
-func (f *frameBuilder) count() int { return len(f.subs) }
-
-// build assembles the envelope payload and the per-sub attribution parts
-// handed to the network layer so Stats.ByType charges each sub-message's
-// bytes to its true type. The uv(nsubs) prefix is folded into the first
-// part so the parts sum exactly to the payload length (the network layer
-// panics otherwise).
-func (f *frameBuilder) build() ([]byte, []network.FramePart) {
-	var w wbuf
-	w.uv(uint64(len(f.subs)))
-	prefix := len(w.b)
-	parts := make([]network.FramePart, len(f.subs))
-	for i, s := range f.subs {
-		before := len(w.b)
-		w.u8(uint8(s.typ))
-		w.uv(uint64(len(s.payload)))
-		w.b = append(w.b, s.payload...)
-		parts[i] = network.FramePart{Type: s.typ, Bytes: len(w.b) - before}
-	}
-	parts[0].Bytes += prefix
-	return w.b, parts
-}
-
-// sendAt transmits the collected subs as one request-class datagram (a
-// lone sub goes unframed). It never blocks, so any context may call it.
-func (f *frameBuilder) sendAt(to int, at sim.Time) {
-	switch len(f.subs) {
-	case 0:
-		return
-	case 1:
-		f.n.ep.SendAt(to, f.subs[0].typ, network.ClassRequest, f.subs[0].payload, at)
+// putRelay appends a tree-routed consensus push's relay list — the
+// destinations past the receiving hop — after its trailer: a varint count
+// and one varint node id each. An empty list writes nothing, so a flat push
+// or a reverse delta ends with its trailer.
+func putRelay(w *wbuf, relay []int) {
+	if len(relay) == 0 {
 		return
 	}
-	payload, parts := f.build()
-	f.n.ep.SendFrameAt(to, msgBatch, network.ClassRequest, payload, parts, at)
+	w.uv(uint64(len(relay)))
+	for _, t := range relay {
+		w.uv(uint64(t))
+	}
 }
 
-// sendReplyAt transmits the collected subs as a reply-class envelope —
-// the batched barrier departure wave. The first sub must be the primary
-// reply the receiver's waiting thread expects (recvReply unwraps the
-// frame and hands that sub to the waiter; the subs behind it are
-// piggybacked notices handled inline).
-func (f *frameBuilder) sendReplyAt(to int, at sim.Time) {
-	switch len(f.subs) {
-	case 0:
-		return
-	case 1:
-		f.n.ep.SendAt(to, f.subs[0].typ, network.ClassReply, f.subs[0].payload, at)
-		return
+// getRelay decodes what putRelay wrote, if anything remains, rejecting a
+// destination outside the procs-node system.
+func getRelay(r *rbuf, procs int) []int {
+	if r.done() {
+		return nil
 	}
-	payload, parts := f.build()
-	f.n.ep.SendFrameAt(to, msgBatch, network.ClassReply, payload, parts, at)
+	relay := make([]int, r.needCount(r.uvi(), 1))
+	for i := range relay {
+		if relay[i] = r.uvi(); relay[i] >= procs {
+			panic(wireErrf("dsm: consensus relay target %d outside %d-node system", relay[i], procs))
+		}
+	}
+	return relay
 }

@@ -230,10 +230,10 @@ func TestWireCorruptCountBounded(t *testing.T) {
 		r.bytes()
 	})
 	var w4 wbuf
-	w4.uv(0x7fffffff) // batch sub count
-	wantWireError(t, "batch count", func() {
+	w4.uv(0x7fffffff) // consensus relay count
+	wantWireError(t, "relay count", func() {
 		r := rbuf{b: w4.b}
-		walkBatch(&r, 0, func(int, []byte) {})
+		getRelay(&r, 64)
 	})
 }
 
@@ -608,102 +608,6 @@ func TestWireTruncatedDiff(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Frame envelope.
-// ---------------------------------------------------------------------
-
-func TestWireBatchEnvelopeRoundTrip(t *testing.T) {
-	n := &Node{}
-	f := n.newFrame()
-	subs := []frameSub{
-		{typ: msgGCSync, payload: []byte{1, 2, 3}},
-		{typ: msgGCFloor, payload: nil},
-		{typ: msgFetchReq, payload: make([]byte, 300)},
-	}
-	for _, s := range subs {
-		f.add(s.typ, s.payload)
-	}
-	payload, parts := f.build()
-	sum := 0
-	for _, p := range parts {
-		sum += p.Bytes
-	}
-	if sum != len(payload) {
-		t.Fatalf("parts sum to %d, payload is %d", sum, len(payload))
-	}
-	var got []frameSub
-	r := rbuf{b: payload}
-	walkBatch(&r, 0, func(typ int, p []byte) {
-		cp := make([]byte, len(p))
-		copy(cp, p)
-		got = append(got, frameSub{typ: typ, payload: cp})
-	})
-	if !r.done() || len(got) != len(subs) {
-		t.Fatalf("demuxed %d subs, want %d (done=%v)", len(got), len(subs), r.done())
-	}
-	for i, s := range subs {
-		if got[i].typ != s.typ || len(got[i].payload) != len(s.payload) {
-			t.Fatalf("sub %d: got (%d, %d bytes), want (%d, %d bytes)",
-				i, got[i].typ, len(got[i].payload), s.typ, len(s.payload))
-		}
-	}
-}
-
-func TestWireNestedBatchRejected(t *testing.T) {
-	var w wbuf
-	w.uv(1)
-	w.u8(uint8(msgBatch))
-	w.uv(0)
-	defer func() {
-		if _, ok := recover().(wireError); !ok {
-			t.Fatal("nested msgBatch frame was not rejected with wireError")
-		}
-	}()
-	r := rbuf{b: w.b}
-	walkBatch(&r, 0, func(int, []byte) {})
-}
-
-// TestWireBatchAttribution sends a real two-sub frame across the switch
-// and checks the stats contract: Messages counts logical sub-messages,
-// Frames counts datagrams, and ByType charges every byte to the true
-// sub-message types — the msgBatch envelope never appears in a breakdown.
-func TestWireBatchAttribution(t *testing.T) {
-	sys := New(Config{Procs: 2})
-	defer sys.Close()
-	n0, n1 := sys.nodes[0], sys.nodes[1]
-
-	st := sys.Switch().Stats()
-	baseMsgs, _ := st.Snapshot()
-	baseFrames := st.FrameCount()
-
-	f := n1.newFrame()
-	f.add(msgExit, []byte{9, 9})
-	f.add(msgExit, nil)
-	f.sendAt(0, 0)
-
-	// Both subs surface as ordinary msgExit deliveries on node 0's server,
-	// which routes each to the node's slave loop.
-	for i := 0; i < 2; i++ {
-		m := n0.thread.await(routeKey{typ: msgFork})
-		if m.Type != msgExit {
-			t.Fatalf("demuxed type %d, want msgExit", m.Type)
-		}
-	}
-	msgs, _ := st.Snapshot()
-	if got := msgs - baseMsgs; got != 2 {
-		t.Fatalf("frame of 2 subs counted %d logical messages", got)
-	}
-	if got := st.FrameCount() - baseFrames; got != 1 {
-		t.Fatalf("frame of 2 subs counted %d datagrams", got)
-	}
-	if m, _ := st.ByType(msgBatch); m != 0 {
-		t.Fatalf("msgBatch envelope attributed %d messages to itself", m)
-	}
-	if m, _ := st.ByType(msgExit); m != 2 {
-		t.Fatalf("ByType(msgExit) = %d, want 2", m)
-	}
-}
-
-// ---------------------------------------------------------------------
 // A consensus reverse delta advances knownVC as it is sent.
 // ---------------------------------------------------------------------
 
@@ -758,11 +662,11 @@ func FuzzWireDecode(f *testing.F) {
 	var v wbuf
 	putVC(&v, vc)
 	f.Add(v.b)
-	fb := (&Node{}).newFrame()
-	fb.add(msgGCSync, v.b)
-	fb.add(msgGCFloor, v.b)
-	env, _ := fb.build()
-	f.Add(env)
+	// A tree-routed consensus push: the trailer, then its relay list.
+	var pw0 wbuf
+	putTrailer(&pw0, nil, vc, recs)
+	putRelay(&pw0, []int{2, 5})
+	f.Add(pw0.b)
 	for _, reply := range []bool{false, true} {
 		var fw wbuf
 		encodeFetch(&fw, randFetchItems(rnd, HomeBlockPages, reply), reply)
@@ -828,18 +732,8 @@ func FuzzWireDecode(f *testing.F) {
 		},
 		func(b []byte) {
 			r := rbuf{b: b}
-			walkBatch(&r, 0, func(_ int, sub []byte) {
-				// Demuxed sub payloads reach the same trailer decoders.
-				sr := rbuf{b: sub}
-				defer func() {
-					if e := recover(); e != nil {
-						if _, ok := e.(wireError); !ok {
-							panic(e)
-						}
-					}
-				}()
-				getTrailer(&sr)
-			})
+			getTrailer(&r)
+			getRelay(&r, 6)
 		},
 	}
 	for _, typ := range syncReqTypes {

@@ -316,7 +316,9 @@ func (e *Endpoint) countFrame(payload []byte, parts []FramePart) {
 // other message of type typ but counted as len(parts) logical messages
 // attributed to the parts' own types. Latency is computed on the full
 // payload, so batching also models the real saving of one wire
-// transaction instead of k.
+// transaction instead of k. No protocol in internal/ sends frames: it stays
+// only because bench/layers.go times it as network.frame_send_ns; make lint
+// rejects a call to it in internal/.
 func (e *Endpoint) SendFrameAt(to, typ int, class Class, payload []byte, parts []FramePart, at sim.Time) {
 	m := e.build(to, typ, class, payload, at)
 	e.countFrame(payload, parts)

@@ -153,6 +153,34 @@ func TestStatsByType(t *testing.T) {
 	}
 }
 
+// TestSendFrameAtAttribution: a frame of two parts is one datagram that
+// arrives whole under the frame's own type, counts as two logical messages,
+// and charges every byte — the datagram header with the first part — to
+// the parts' own types, never to the frame's.
+func TestSendFrameAtAttribution(t *testing.T) {
+	sw := testSwitch(2)
+	var c0, c1 sim.Clock
+	e0 := sw.Endpoint(0, &c0)
+	e1 := sw.Endpoint(1, &c1)
+	e0.SendFrameAt(1, 9, ClassRequest, make([]byte, 12), []FramePart{{Type: 3, Bytes: 10}, {Type: 3, Bytes: 2}}, 0)
+	if m := e1.RecvRaw(ClassRequest); m.Type != 9 || len(m.Payload) != 12 {
+		t.Fatalf("frame arrived as type %d with %d bytes, want type 9 with 12", m.Type, len(m.Payload))
+	}
+	st := sw.Stats()
+	if m, b := st.Snapshot(); m != 2 || b != 12+36 {
+		t.Errorf("frame of 2 parts counted %d msgs / %d bytes, want 2 / %d", m, b, 12+36)
+	}
+	if f := st.FrameCount(); f != 1 {
+		t.Errorf("frame of 2 parts counted %d datagrams", f)
+	}
+	if m, b := st.ByType(3); m != 2 || b != 12+36 {
+		t.Errorf("type 3: %d msgs / %d bytes, want 2 / %d", m, b, 12+36)
+	}
+	if m, _ := st.ByType(9); m != 0 {
+		t.Errorf("the frame's own type was charged %d messages", m)
+	}
+}
+
 // TestStatsCountBeforeReceivable: a receiver that snapshots the totals the
 // moment a message reaches it must find that message already counted —
 // plain sends and frames alike (every send counts before the enqueue).
