@@ -43,7 +43,10 @@ fmt-check:
 # server taking the fetch lock on the side — fails it too. Every protocol
 # datagram carries one message: a SendFrameAt call in non-test internal/
 # code fails it as well (network.Endpoint.SendFrameAt stays for bench/
-# alone).
+# alone). A page a node only hears of costs it an entry, and its copy part
+# exists once the node uses the page: a page or pageCopy composite literal in
+# non-test internal/dsm outside its one constructor (pageFor, copyPart) fails
+# it too.
 lint:
 	$(GO) run ./cmd/nowlint ./...
 	@if grep -nE '^func Set[A-Za-z]*Default\(' internal/dsm/*.go internal/core/*.go; then \
@@ -68,6 +71,9 @@ lint:
 		echo "lint: a TryLock in dsm (only the application thread purges; no server path takes the fetch lock)"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.SendFrameAt\(' internal; then \
 		echo "lint: a SendFrameAt call (every protocol datagram carries one message: use SendAt)"; exit 1; fi
+	@if awk '/^func /{f=$$0} /(^|[^]*[:alnum:]_])page\{/ && f !~ /\) pageFor\(/ || /(^|[^]*[:alnum:]_])pageCopy\{/ && f !~ /\) copyPart\(/ {print FILENAME":"FNR": "$$0; bad=1} END{exit !bad}' \
+		$$(ls internal/dsm/*.go | grep -v '_test\.go$$'); then \
+		echo "lint: a page entry or copy part built outside its constructor (pageFor makes entries, copyPart copy parts)"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -150,7 +150,7 @@ func (n *Node) gcCollectLocked(c *Client, floor VectorClock) (lag []int) {
 func (n *Node) pruneGCPagesLocked() {
 	kept := n.gcPages[:0]
 	for _, pg := range n.gcPages {
-		if len(pg.missing) > 0 || pg.twin != nil {
+		if len(pg.missing) > 0 || pg.holds() && pg.twin != nil {
 			kept = append(kept, pg)
 		} else {
 			pg.inGCList = false
@@ -192,7 +192,7 @@ func (n *Node) freeRetiredLocked(free VectorClock) {
 				// A diff the modelled node never encoded is one no node
 				// can request any more: it retires unpaid.
 				for _, pid := range ivl.pages {
-					n.payLocked(n.pages[pid], ivl) // never nil: this node wrote it
+					n.payLocked(n.pages[pid], ivl) // this node wrote it: it has a copy part
 				}
 			}
 			ivl.diffs = nil
@@ -221,7 +221,7 @@ func owesCovered(pg *page, retire VectorClock) bool {
 // only guaranteed to reflect the floor, so such a copy validates wherever it
 // is homed.
 func (n *Node) mustKeepLocked(pg *page, retire VectorClock) bool {
-	if pg.data == nil {
+	if !pg.holds() {
 		return false
 	}
 	return pg.lastOwnSeq >= 0 && !retire.covers(n.id, pg.lastOwnSeq) ||
@@ -233,7 +233,8 @@ func (n *Node) mustKeepLocked(pg *page, retire VectorClock) bool {
 // validate-vs-flush choice. The page owes at least one covered notice, and
 // has no twin (gcPurgePagesLocked checks). Requires n.mu.
 func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
-	pg.refetch = true // first: keepSeenLocked folds what the flush drops
+	pg.copyPart() // first: keepSeenLocked folds what the flush drops
+	pg.refetch = true
 	n.keepSeenLocked(pg)
 	keep := pg.missing[:0]
 	for _, m := range pg.missing {
@@ -270,9 +271,9 @@ func (n *Node) gcFlushPageLocked(pg *page, retire VectorClock) {
 // homes the waiting pages need, each once, for the caller to wait on
 // (acqEpochLocked).
 //
-// Every validated page holds a copy: a home's exists from allocation, and a
-// copy that must be kept has one by definition. So the wave fetches diffs
-// only, never a whole page.
+// Every validated page holds a copy: a home's is built from zeros at first
+// use (useLocked — the wave may be that use), and a copy that must be kept
+// has one by definition. So the wave fetches diffs only, never a whole page.
 //
 // It requires n.mu and releases/reacquires it around the network section.
 // The whole purge holds fetchMu: fetch replies route by message type
@@ -295,7 +296,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 		}
 		// A page owing diffs cannot carry local modifications: its
 		// invalidation closed the open interval, freeing the twin.
-		if pg.inDirty {
+		if pg.holds() && pg.inDirty {
 			panic(fmt.Sprintf("dsm: node %d GC purging page %d with live twin", n.id, pg.id))
 		}
 		if home := n.homeOf(pg.id); home != n.id && !n.mustKeepLocked(pg, retire) {
@@ -311,6 +312,7 @@ func (n *Node) gcPurgePagesLocked(c *Client, retire VectorClock) (lag []int) {
 			}
 			continue
 		}
+		n.useLocked(pg)
 		var covered []*interval
 		for _, m := range pg.missing {
 			if retire.covers(m.creator, m.seq) {

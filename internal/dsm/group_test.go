@@ -277,7 +277,7 @@ func BenchmarkColdFault(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.mu.Lock()
 		pg := n.pageFor(pid)
-		pg.data, pg.state, pg.refetch = nil, pageInvalid, true
+		pg.copyPart().data, pg.state, pg.refetch = nil, pageInvalid, true
 		n.thread.ensureReadableLocked(pg)
 		n.mu.Unlock()
 	}

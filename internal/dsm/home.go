@@ -8,9 +8,9 @@ import "fmt"
 // server, and the always-validate node of every GC purge — faithful to
 // the paper's ≤8-processor runs, but a structural hotspot past them.
 // Ownership is now sharded block-cyclically: each page has a HOME node
-// whose copy exists from allocation (zeros, never faulted in), always
-// validates (never flushes) at collection epochs, and is the node every
-// post-flush refetch rebuilds from.
+// whose copy is built from zeros at first use (never faulted in: useLocked,
+// below), always validates (never flushes) at collection epochs, and is the
+// node every post-flush refetch rebuilds from.
 //
 // The home is NOT a stop on the data path. A node touching a page it never
 // held starts from local zeros and applies the diffs its own write notices
@@ -46,28 +46,43 @@ func (n *Node) isHome(pid PageID) bool { return n.homeOf(pid) == n.id }
 
 // zeroFillLocked materializes a copy this node never held from the page's
 // allocation contents — zeros. It is the one place the zeros rule lives
-// (the home's initial copy in pageFor, the fault plan, the page server and
+// (the home's first use in useLocked, the fault plan, the page server and
 // the GC validation wave all come here), and it rests on one invariant:
 //
-//	pg.data == nil && !pg.refetch ⇒ every write notice this node ever
-//	incorporated for the page is still in pg.missing.
+//	pg.pageCopy == nil ⇒ every write notice this node ever incorporated
+//	for the page is still in pg.missing.
 //
 // It has two writers: invalidateLocked appends every incorporated notice,
 // and gcFlushPageLocked — the only code that drops a notice without
-// applying its diff — marks the copy refetch. So zeros plus pg.missing
-// applied in causal order IS this node's view of the page (allocation
-// zero-fills, and every write since lives in some interval's diff); with
-// nothing missing the copy is current at once. Its second reader is
-// seenVC, which a page in this state does not keep: pg.missing's merge is
-// its value (keepSeenLocked). Requires n.mu.
+// applying its diff — gives the page a copy part marked refetch. So zeros
+// plus pg.missing applied in causal order IS this node's view of the page
+// (allocation zero-fills, and every write since lives in some interval's
+// diff); with nothing missing the copy is current at once. Its second
+// reader is seenVC, which a page in this state does not keep: pg.missing's
+// merge is its value (keepSeenLocked). Requires n.mu.
 func (n *Node) zeroFillLocked(pg *page) {
-	if pg.data != nil || pg.refetch {
+	if pg.pageCopy != nil {
 		panic(fmt.Sprintf("dsm: node %d zero-filling page %d that has a copy or a flushed history", n.id, pg.id))
 	}
-	pg.data = n.sys.pool.get(PageSize)
+	pg.copyPart().data = n.sys.pool.get(PageSize)
 	clear(pg.data)
 	n.keepSeenLocked(pg)
 	if pg.state == pageInvalid && len(pg.missing) == 0 {
 		pg.state = pageReadOnly
 	}
+}
+
+// useLocked returns the page ready for a use of its bytes: at its home the
+// first use builds the copy from zeros, the allocation contents, as if it
+// had existed from the start. Every path that reads, serves or validates a
+// page's bytes — the access walk and its span fetch, the fault plan, a
+// grant's data, the page server, the validation wave — comes through here,
+// so a home page never faults into being and never takes the cold-page
+// squash, and a page a notice merely names costs its home only its entry.
+// Requires n.mu.
+func (n *Node) useLocked(pg *page) *page {
+	if pg.pageCopy == nil && n.isHome(pg.id) {
+		n.zeroFillLocked(pg)
+	}
+	return pg
 }

@@ -268,11 +268,11 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 		diffs[diffKey{gd.pid, recs[gd.rec].creator, recs[gd.rec].seq}] = gd.data
 		ls.addData(gd.pid)
 		if len(pgs) == 0 || pgs[len(pgs)-1].id != gd.pid { // a page's diffs travel together
-			pgs = append(pgs, n.pageFor(gd.pid))
+			pgs = append(pgs, n.useLocked(n.pageFor(gd.pid)))
 		}
 	}
 	for _, pg := range pgs {
-		covered := pg.data != nil && pg.twin == nil && len(pg.missing) > 0
+		covered := pg.holds() && pg.twin == nil && len(pg.missing) > 0
 		for _, m := range pg.missing {
 			_, ok := diffs[diffKey{pg.id, m.creator, m.seq}]
 			n.retainDiffLocked(m, pg.id, diffs)

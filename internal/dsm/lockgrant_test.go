@@ -276,7 +276,7 @@ func protoRecount(n *Node) int64 {
 		}
 	}
 	for _, pg := range n.pages {
-		if pg != nil && pg.twin != nil {
+		if pg != nil && pg.holds() && pg.twin != nil {
 			b += PageSize
 		}
 	}

@@ -213,8 +213,9 @@ func (n *Node) Stats() NodeStats {
 // Interval bookkeeping (all *Locked methods require n.mu).
 // ---------------------------------------------------------------------
 
-// pageFor returns the node's page pid, materializing it — and growing the
-// page table to reach it — on first use.
+// pageFor returns the node's entry for page pid, making it — and growing the
+// page table to reach it — when the page is first mentioned: the entry's one
+// constructor. A page costs no more until its bytes are used (useLocked).
 func (n *Node) pageFor(pid PageID) *page {
 	if pid < 0 || int(pid) >= n.sys.heapPages() {
 		panic(fmt.Sprintf("dsm: page %d outside shared heap (%d pages); use System.Malloc", pid, n.sys.heapPages()))
@@ -224,13 +225,7 @@ func (n *Node) pageFor(pid PageID) *page {
 	}
 	pg := n.pages[pid]
 	if pg == nil {
-		pg = &page{id: pid, lastOwnSeq: -1}
-		if n.isHome(pid) {
-			// The page's home is its allocator and initial owner: its copy
-			// exists from the start, matching Tmk_malloc, and never faults
-			// into being.
-			n.zeroFillLocked(pg)
-		}
+		pg = &page{id: pid}
 		n.pages[pid] = pg
 	}
 	return pg
@@ -323,12 +318,12 @@ func (n *Node) incorporateLocked(recs []*interval, senderVC VectorClock) {
 // interval is closed early, encoding its diff, and the remote diffs will
 // later be merged into the local data (multiple-writer protocol).
 func (n *Node) invalidateLocked(pg *page, ivl *interval) {
-	if pg.twin != nil {
+	if pg.pageCopy != nil && pg.twin != nil {
 		n.closeIntervalLocked()
 	}
 	// The modelled node encodes its kept twins before the page changes,
 	// charging its clock for each.
-	for len(pg.unpaid) > 0 {
+	for pg.pageCopy != nil && len(pg.unpaid) > 0 {
 		n.clock.Advance(n.payLocked(pg, pg.unpaid[0]))
 		n.stats.DiffsPaid++
 	}
@@ -354,7 +349,7 @@ func (n *Node) mergeSeenLocked(pg *page, vc VectorClock) {
 	if sc := n.sys.seenCheck; sc != nil {
 		sc.merged(n, pg, vc)
 	}
-	if pg.data == nil && !pg.refetch {
+	if pg.pageCopy == nil {
 		return
 	}
 	if pg.seenVC == nil {
@@ -374,9 +369,9 @@ func (n *Node) keepSeenLocked(pg *page) {
 // seenDominatedLocked reports seenVC ≤ vc, for a page with no copy from its
 // missing notices (page.seenVC); called with some notice missing.
 func (n *Node) seenDominatedLocked(pg *page, vc VectorClock) bool {
-	ok := pg.seenVC != nil && pg.seenVC.dominatedBy(vc)
-	if pg.data == nil && !pg.refetch {
-		ok = !slices.ContainsFunc(pg.missing, func(m *interval) bool { return !m.vc.dominatedBy(vc) })
+	ok := !slices.ContainsFunc(pg.missing, func(m *interval) bool { return !m.vc.dominatedBy(vc) })
+	if pg.pageCopy != nil {
+		ok = pg.seenVC != nil && pg.seenVC.dominatedBy(vc)
 	}
 	if sc := n.sys.seenCheck; sc != nil {
 		sc.decided(n, pg, vc, ok)
@@ -478,7 +473,7 @@ func (n *Node) noteHeardLocked(j int, v VectorClock) {
 // readableLocked reports whether the page can be read without protocol
 // action.
 func readableLocked(pg *page) bool {
-	return pg.data != nil && pg.state != pageInvalid && len(pg.missing) == 0
+	return pg.holds() && pg.state != pageInvalid && len(pg.missing) == 0
 }
 
 // ensureReadableLocked drives the read-fault loop until the page has a
@@ -501,7 +496,7 @@ func (c *Client) ensureWritableLocked(pg *page) {
 		// Single-processor fast path: with no other node to ever request
 		// a diff or send a write notice, TreadMarks performs no twinning
 		// or write protection; writes run at memory speed (the one node
-		// homes every page, so pageFor already materialized the copy).
+		// homes every page, so the walk's useLocked built the copy).
 		pg.state = pageReadWrite
 		return
 	}
@@ -572,7 +567,7 @@ type pagePlan struct {
 // diffs, never a squash, and each interval's diff apart, never merged, so a
 // grant can forward them.
 func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) {
-	if readableLocked(pg) {
+	if readableLocked(n.useLocked(pg)) {
 		return pl, false
 	}
 	// A cold page — no copy here — that a collector flush left without its
@@ -580,7 +575,7 @@ func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) 
 	// copy. Any other cold page starts from local zeros (zeroFillLocked,
 	// below): no whole-page source unless the squash picks a creator.
 	pl = pagePlan{pg: pg, source: -1, merge: !keepDiffs}
-	cold := pg.data == nil
+	cold := !pg.holds()
 	if cold && pg.refetch {
 		pl.source = n.homeOf(pg.id)
 	}
@@ -599,7 +594,7 @@ func (n *Node) planFaultLocked(pg *page, keepDiffs bool) (pl pagePlan, ok bool) 
 	if len(pl.fetch) > 0 && (cold || !keepDiffs && len(pl.fetch) >= squashMin) {
 		for _, m := range pl.fetch {
 			if m.creator != n.id && n.seenDominatedLocked(pg, m.vc) {
-				if pg.inDirty {
+				if !cold && pg.inDirty {
 					panic("dsm: squash with dirty page")
 				}
 				for _, o := range pl.fetch {
@@ -639,7 +634,7 @@ func (c *Client) applyFaultLocked(pl *pagePlan, diffs map[diffKey][]byte) {
 		// precondition), as does the home's (the flush gate held when any
 		// covered notice was dropped) — either way the whole-page base
 		// repairs a flush-truncated notice history; copied, never aliased.
-		if pg.data == nil {
+		if pg.copyPart().data == nil {
 			pg.data = n.sys.pool.get(PageSize)
 		}
 		if applied := wholePage(pg.data, pl.content); len(pl.content) != PageSize {
@@ -698,7 +693,7 @@ func (c *Client) applyDiffsLocked(pg *page, fetch, settled []*interval, diffs ma
 		pg.missing[i] = nil
 	}
 	pg.missing = rest
-	if len(pg.missing) == 0 && pg.data != nil && pg.state == pageInvalid {
+	if len(pg.missing) == 0 && pg.holds() && pg.state == pageInvalid {
 		pg.state = pageReadOnly
 	}
 }
@@ -894,7 +889,7 @@ func (c *Client) fetchSpanLocked(a Addr, size int, faults *int64) {
 	}
 	var stale []*page
 	for pid := first; pid <= last; pid++ {
-		if pg := c.n.pageFor(PageID(pid)); !readableLocked(pg) {
+		if pg := c.n.useLocked(c.n.pageFor(PageID(pid))); !readableLocked(pg) {
 			stale = append(stale, pg)
 		}
 	}
@@ -943,7 +938,7 @@ func (c *Client) walk(a Addr, size int, write bool, part func(mem []byte, at int
 	for at := 0; at < size; {
 		addr := int(a) + at
 		off := addr % PageSize
-		pg := n.pageFor(PageID(addr / PageSize))
+		pg := n.useLocked(n.pageFor(PageID(addr / PageSize)))
 		if write {
 			c.ensureWritableLocked(pg)
 		} else {

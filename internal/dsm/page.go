@@ -28,14 +28,41 @@ const (
 	pageReadWrite
 )
 
-// page is one node's view of one shared page.
+// page is one node's entry for one shared page: every page the node hears
+// of has one, but only a page it has held a copy of has a copy part. The
+// invariant: no copy part ⇔ this node never held a copy (zeroFillLocked's
+// state, home.go), so a page that write notices merely name costs its entry.
 type page struct {
-	id    PageID
+	id PageID
+
+	// missing lists incorporated write notices whose diffs have not yet
+	// been fetched and applied. Non-empty missing implies state ==
+	// pageInvalid, except transiently inside the fault handler.
+	missing []*interval
+
 	state pageState
 
-	// data is the node's private copy; nil until first materialized — from
-	// zeros, the allocation contents (zeroFillLocked in home.go), or, once
-	// a collector flush has discarded a copy, from the home's whole page.
+	// inGCList notes membership in the node's GC work list (gcPages):
+	// pages that may hold missing notices or twins, so a collection
+	// epoch walks only candidates instead of the whole page table.
+	inGCList bool
+
+	// refetch marks a copy whose notice history is incomplete: a GC flush
+	// dropped covered notices this node no longer holds, so the page can
+	// only be rebuilt from a whole-page fetch of the home's validated
+	// copy — never from a zeros base. Set by gcFlushPageLocked, cleared
+	// when a whole-page fetch lands (applyFaultLocked).
+	refetch bool
+
+	*pageCopy // nil until the page first holds a copy or is flushed (copyPart)
+}
+
+// pageCopy is the part of a page that exists once the node has held a copy
+// of it: the bytes and everything kept about them. A collector flush drops
+// the bytes and keeps the rest.
+type pageCopy struct {
+	// data is the node's private copy; nil only once a collector flush
+	// has discarded it, until the home's whole page rebuilds it.
 	data []byte
 
 	// twin is a snapshot of data taken at the first write of an interval,
@@ -52,11 +79,6 @@ type page struct {
 	// interval first (freeRetiredLocked). Ordered by interval seq.
 	unpaid []*interval
 
-	// missing lists incorporated write notices whose diffs have not yet
-	// been fetched and applied. Non-empty missing implies state ==
-	// pageInvalid, except transiently inside the fault handler.
-	missing []*interval
-
 	// seenVC is the merge of the vector clocks of every interval this
 	// node has ever observed touching the page (remote write notices and
 	// its own write intervals). It enables the diff-squash fallback: if a
@@ -64,10 +86,10 @@ type page struct {
 	// observed — and its current page content reflects — every
 	// modification this node knows about, so one whole-page transfer can
 	// stand in for the entire accumulated diff chain.
-	// Kept lazily: a page with no copy (data nil, !refetch) still has every
-	// notice it got in missing (zeroFillLocked), so its seenVC is their
-	// merge and stays nil; keepSeenLocked folds them in once the page leaves
-	// that state (zero fill, whole-page install, flush).
+	// A page with no copy part still has every notice it got in missing
+	// (zeroFillLocked), so their merge is its seenVC; keepSeenLocked folds
+	// them in once the copy part exists (zero fill, whole-page install,
+	// flush).
 	seenVC VectorClock
 
 	// appliedVC is the merge of the vector clocks of every interval whose
@@ -84,9 +106,6 @@ type page struct {
 	// re-obtainable and never need tracking.
 	appliedVC VectorClock
 
-	// inDirty notes membership in the node's open-interval dirty list.
-	inDirty bool
-
 	// lastOwnSeq is the sequence number of the owning node's latest
 	// closed interval that wrote this page, -1 if it never wrote it. A GC
 	// purge may flush the copy only when the retire floor covers it: the
@@ -97,18 +116,21 @@ type page struct {
 	// the node's own recent intervals.
 	lastOwnSeq int
 
-	// inGCList notes membership in the node's GC work list (gcPages):
-	// pages that may hold missing notices or twins, so a collection
-	// epoch walks only candidates instead of the whole page table.
-	inGCList bool
-
-	// refetch marks a copy whose notice history is incomplete: a GC flush
-	// dropped covered notices this node no longer holds, so the page can
-	// only be rebuilt from a whole-page fetch of the home's validated
-	// copy — never from a zeros base. Set by gcFlushPageLocked, cleared
-	// when a whole-page fetch lands (applyFaultLocked).
-	refetch bool
+	// inDirty notes membership in the node's open-interval dirty list.
+	inDirty bool
 }
+
+// copyPart returns the page's copy part, allocating it — no bytes yet, no
+// own writes — on first need: the one constructor of a copy part.
+func (pg *page) copyPart() *pageCopy {
+	if pg.pageCopy == nil {
+		pg.pageCopy = &pageCopy{lastOwnSeq: -1}
+	}
+	return pg.pageCopy
+}
+
+// holds reports whether the node has the page's bytes.
+func (pg *page) holds() bool { return pg.pageCopy != nil && pg.data != nil }
 
 // seenCheck sees every clock merged into a seenVC and every squash test,
 // so a test can hold the lazy seenVC to an eager one (nil in real runs).

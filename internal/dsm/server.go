@@ -93,14 +93,11 @@ func (n *Node) incorporateWire(r *rbuf, from int) {
 // planFaultLocked). Either way the requester then applies every diff
 // still named by its own missing write notices.
 func (n *Node) servePageLocked(pid PageID) []byte {
-	pg := n.pageFor(pid)
-	if pg.data == nil {
-		if !n.isHome(pid) {
-			// Only the page's home may serve a page it holds as zeros;
-			// squashed fetches always target a node that wrote the page.
-			panic(fmt.Sprintf("dsm: node %d asked for page %d it never held (home %d)", n.id, pid, n.homeOf(pid)))
-		}
-		n.zeroFillLocked(pg)
+	pg := n.useLocked(n.pageFor(pid))
+	if !pg.holds() {
+		// Only the page's home may serve a page it never used (its zeros,
+		// built above); squashed fetches always target a node that wrote it.
+		panic(fmt.Sprintf("dsm: node %d asked for page %d it never held (home %d)", n.id, pid, n.homeOf(pid)))
 	}
 	return pg.data
 }

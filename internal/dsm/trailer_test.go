@@ -225,8 +225,8 @@ func TestHeldDepartureDecodeAllocs(t *testing.T) {
 }
 
 // TestNoticeWithoutCopyAllocatesNoClock: a write notice for a page this
-// node holds no copy of allocates nothing (the page's seenVC stays nil: its
-// history is its missing notices).
+// node holds no copy of allocates nothing (the page gets no copy part, so
+// no seenVC: its history is its missing notices).
 func TestNoticeWithoutCopyAllocatesNoClock(t *testing.T) {
 	sys := New(Config{Procs: 2})
 	defer sys.Close()
@@ -252,8 +252,8 @@ func TestNoticeWithoutCopyAllocatesNoClock(t *testing.T) {
 		t.Errorf("a notice on a page with no copy allocated %.0f times", allocs)
 	}
 	for _, pg := range pgs {
-		if pg.seenVC != nil || len(pg.missing) != 1 {
-			t.Fatalf("page %d: seenVC %v, %d missing after one notice", pg.id, pg.seenVC, len(pg.missing))
+		if pg.pageCopy != nil || len(pg.missing) != 1 {
+			t.Fatalf("page %d: copy part %v, %d missing after one notice", pg.id, pg.pageCopy, len(pg.missing))
 		}
 	}
 }
@@ -287,7 +287,7 @@ func (e *eagerSeen) decided(n *Node, pg *page, vc VectorClock, dominated bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.decisions++
-	if pg.data == nil && !pg.refetch {
+	if pg.pageCopy == nil {
 		e.noCopy++
 	}
 	eager := e.seen[[2]int{n.id, int(pg.id)}]
@@ -307,11 +307,8 @@ func (e *eagerSeen) final(sys *System) {
 				continue
 			}
 			eager := e.seen[[2]int{n.id, int(pg.id)}]
-			if pg.data == nil && !pg.refetch {
-				if pg.seenVC != nil {
-					e.bad = append(e.bad, fmt.Sprintf("node %d page %d: no copy, yet seenVC %v", n.id, pg.id, pg.seenVC))
-				}
-				continue
+			if pg.pageCopy == nil {
+				continue // no copy part: no seenVC to keep
 			}
 			if !reflect.DeepEqual(pg.seenVC, eager) {
 				e.bad = append(e.bad, fmt.Sprintf("node %d page %d: seenVC %v, eager %v", n.id, pg.id, pg.seenVC, eager))

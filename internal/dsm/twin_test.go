@@ -220,8 +220,8 @@ func twinInvariants(n *Node) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, pg := range n.pages {
-		if pg == nil {
-			continue
+		if pg == nil || pg.pageCopy == nil {
+			continue // a page never held here has no twin and owes no diff
 		}
 		if pg.twin != nil && !pg.inDirty {
 			return fmt.Errorf("node %d page %d holds a twin outside the open interval", n.id, pg.id)
@@ -275,7 +275,7 @@ func twinAliasing(sys *System) error {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		for _, pg := range n.pages {
-			if pg == nil {
+			if pg == nil || pg.pageCopy == nil {
 				continue
 			}
 			if err := claim(pg.twin, fmt.Sprintf("node %d page %d twin", n.id, pg.id)); err != nil {
