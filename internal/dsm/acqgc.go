@@ -184,12 +184,14 @@ func (co *acqCoord) progress() int64 {
 // the announcement check. It returns the floor of an issued epoch id has
 // not yet purged (if any), plus the set of quiet peers id should push a
 // consensus-sync delta to (nil outside a push round): nodes whose stale
-// clocks hold the consensus floor back, or whose missing purge
-// acknowledgment gates the next announcement, while retirable pressure
-// has built past the threshold. The push — TreadMarks' "interrupt every
-// process for the consensus" — is what lets programs whose other threads
-// sit parked on a condition variable or semaphore still retire the busy
-// thread's interval chains.
+// clocks hold the consensus floor back while the announcement gate is open
+// and retirable pressure has built past the threshold. The push —
+// TreadMarks' "interrupt every process for the consensus" — is what lets
+// programs whose other threads sit parked on a condition variable or
+// semaphore still retire the busy thread's interval chains. A round never
+// starts while the gate is closed: a push cannot purge (only a node's
+// application thread does), so it cannot open the gate, and a round then
+// would be traffic only.
 // wantPush must be FALSE for callers that will not actually send the
 // returned deltas (the server-side handler): a push round's pacing state
 // (pushStamp, pushGap backoff) is consumed when the round is issued, and
@@ -210,9 +212,9 @@ func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorC
 	}
 	// Push-round check: raw pressure counts every interval any node has
 	// reported beyond the issued baseline — the metadata actually
-	// accumulating somewhere — while the announcement path is blocked
-	// (floor held back by stale clocks, or gate held by missing purges).
-	if !wantPush || co.reports-co.pushStamp < co.pushGap {
+	// accumulating somewhere — while the announcement path is blocked by a
+	// floor stale clocks hold back.
+	if !wantPush || co.reports-co.pushStamp < co.pushGap || !co.gateOpenLocked() {
 		return floor, pending, nil
 	}
 	raw := int64(0)
@@ -228,7 +230,7 @@ func (co *acqCoord) report(id int, vc VectorClock, wantPush bool) (floor VectorC
 		if i == id {
 			continue
 		}
-		if !union.dominatedBy(co.reported[i]) || !co.baseline.dominatedBy(co.purged[i]) {
+		if !union.dominatedBy(co.reported[i]) {
 			push = append(push, i)
 		}
 	}

@@ -239,8 +239,11 @@ func TestAcquireGCRandomizedInterleavings(t *testing.T) {
 // (the per-page homePurged registry orders flushes), but a node must only
 // be handed floors dominated by its own reported clock. And a node that has
 // not acknowledged — its purge still waits on a lagging home — blocks the
-// next announcement however many times it reports meanwhile.
+// next announcement however many times it reports meanwhile. A push round
+// starts only with the gate open: report names no push target while any
+// node owes an acknowledgment (a push cannot purge, so it cannot open it).
 func TestAcqCoordProperties(t *testing.T) {
+	var rounds int64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		procs := 2 + rng.Intn(6)
@@ -268,7 +271,10 @@ func TestAcqCoordProperties(t *testing.T) {
 				beforePurged[i] = co.purged[i].clone()
 			}
 			beforeAnnounced := co.announced
-			floor, pending, _ := co.report(id, clocks[id], true)
+			floor, pending, push := co.report(id, clocks[id], true)
+			if push != nil && !co.gateOpenLocked() {
+				return false
+			}
 			if co.announced > beforeAnnounced {
 				// A fresh announcement: the gate must have held (every
 				// node had purged the previous baseline) ...
@@ -312,7 +318,9 @@ func TestAcqCoordProperties(t *testing.T) {
 							for i := range clocks {
 								clocks[j][i] = clocks[i][i]
 							}
-							co.report(j, clocks[j], true)
+							if _, _, push := co.report(j, clocks[j], true); push != nil {
+								return false
+							}
 						}
 					}
 					again, still := co.baseline, !co.baseline.dominatedBy(co.purged[id])
@@ -323,10 +331,14 @@ func TestAcqCoordProperties(t *testing.T) {
 				co.notePurged(id, floor)
 			}
 		}
+		rounds += co.pushes
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+	if rounds == 0 {
+		t.Error("no push round started: the push rule went unexercised")
 	}
 }
 
