@@ -190,8 +190,8 @@ func (co *acqCoord) progress() int64 {
 // programs whose other threads sit parked on a condition variable or
 // semaphore still retire the busy thread's interval chains. A round never
 // starts while the gate is closed: a push cannot purge (only a node's
-// application thread does), so it cannot open the gate, and a round then
-// would be traffic only.
+// application thread does), so it cannot open the gate or bring the next
+// announcement closer.
 // wantPush must be FALSE for callers that will not actually send the
 // returned deltas (the server-side handler): a push round's pacing state
 // (pushStamp, pushGap backoff) is consumed when the round is issued, and

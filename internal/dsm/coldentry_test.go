@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -71,7 +72,8 @@ func TestColdEntriesAllocateLittle(t *testing.T) {
 
 			n.mu.Lock()
 			// The node's tables are sized beforehand, so what is measured is
-			// what each page itself costs.
+			// what each page itself costs. The heap counters are the
+			// process's, so the least of three incorporations is taken.
 			n.pages = make([]*page, sys.heapPages())
 			n.gcPages = make([]*page, 0, pages)
 			n.intervals[1] = make([]*interval, 0, 1)
@@ -79,11 +81,16 @@ func TestColdEntriesAllocateLittle(t *testing.T) {
 				sys.pool.put(make([]byte, PageSize))
 			}
 			free := poolFree(&sys.pool)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			n.incorporateLocked([]*interval{rec}, nil)
-			runtime.ReadMemStats(&after)
-			per := (after.TotalAlloc - before.TotalAlloc) / pages
+			per := uint64(math.MaxUint64)
+			for range 3 {
+				clear(n.pages)
+				n.gcPages, n.intervals[1] = n.gcPages[:0], n.intervals[1][:0]
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				n.incorporateLocked([]*interval{rec}, nil)
+				runtime.ReadMemStats(&after)
+				per = min(per, (after.TotalAlloc-before.TotalAlloc)/pages)
+			}
 			t.Logf("a page named by a notice costs %d bytes", per)
 			if per > perPage {
 				t.Errorf("a page named by a notice cost %d bytes, want <= %d", per, perPage)

@@ -52,7 +52,7 @@ type Node struct {
 	gcAcqLag  []int         // the homes those pages wait for (acqEpochLocked)
 	dirty     []*page       // pages twinned in the open interval
 	gcPages   []*page       // pages that may hold missing notices or twins (GC work list)
-	pages     []*page       // [PageID]; grows and materializes lazily (pageFor)
+	pages     []*page       // [PageID]; grows and makes entries lazily (pageFor)
 	knownVC   []VectorClock // sound lower bound of what each node has seen
 	episode   int64         // barrier departures and forks taken here (group.go)
 
@@ -344,7 +344,7 @@ func (n *Node) noteGCPageLocked(pg *page) {
 }
 
 // mergeSeenLocked folds an interval clock into the page's observation
-// history (see page.seenVC: none kept on a page with no copy).
+// history (see page.seenVC: none kept on a page with no copy part).
 func (n *Node) mergeSeenLocked(pg *page, vc VectorClock) {
 	if sc := n.sys.seenCheck; sc != nil {
 		sc.merged(n, pg, vc)
@@ -366,8 +366,8 @@ func (n *Node) keepSeenLocked(pg *page) {
 	}
 }
 
-// seenDominatedLocked reports seenVC ≤ vc, for a page with no copy from its
-// missing notices (page.seenVC); called with some notice missing.
+// seenDominatedLocked reports seenVC ≤ vc, for a page with no copy part
+// from its missing notices (page.seenVC); called with some notice missing.
 func (n *Node) seenDominatedLocked(pg *page, vc VectorClock) bool {
 	ok := !slices.ContainsFunc(pg.missing, func(m *interval) bool { return !m.vc.dominatedBy(vc) })
 	if pg.pageCopy != nil {

@@ -18,7 +18,7 @@ type pageState uint8
 
 const (
 	// pageInvalid: the local copy (if any) is missing the diffs listed in
-	// page.missing, or the page was never fetched (data == nil). Any
+	// page.missing, or the node holds no copy of it (page.holds). Any
 	// access faults.
 	pageInvalid pageState = iota
 	// pageReadOnly: reads proceed; the first write faults to create a twin.
@@ -32,6 +32,8 @@ const (
 // of has one, but only a page it has held a copy of has a copy part. The
 // invariant: no copy part ⇔ this node never held a copy (zeroFillLocked's
 // state, home.go), so a page that write notices merely name costs its entry.
+// A collector flush counts as a copy held: it drops notices, so the page
+// gets a copy part marked refetch even when it had no bytes.
 type page struct {
 	id PageID
 
