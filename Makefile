@@ -171,15 +171,16 @@ gc-race:
 # granting its own thread through the node's reply router is the common
 # case), Sweep3D's
 # placement tests, plus the hierarchical-consensus
-# scenarios — tree-routed GC pushes with relays, departure waves built
-# under one hold while acquire floors are owed, and the tree-vs-flat
-# equivalence pin. The relay forwarding crosses the server/application
-# goroutine boundary, so a race in it fails here first.
+# scenarios — tree-routed GC pushes with relays at 8 nodes on fan-in 8
+# (a leaf's push relays through node 0) and fan-in 2, departure waves
+# built under one hold while acquire floors are owed. The relay
+# forwarding crosses the server/application goroutine boundary, so a
+# race in it fails here first.
 scale-race:
 	$(GO) test -race -run 'TestBackendConformanceWideTeams' ./internal/core
 	$(GO) test -race -run 'TestEquivalenceBeyondPaperScale/(3D-FFT|Sweep3D)/omp/p16|TestEquivalenceCollectingEveryEpisode/3D-FFT/omp/p16' ./internal/harness
 	$(GO) test -race -run 'TestSemIDPlacesAtWaiter|TestTmkSyncMessagesPinned' ./internal/apps/sweep3d
-	$(GO) test -race -run 'TestTreeVsFlatConsensusEquivalence|TestTreeBarrierAcquireEpochs|TestScaleTreeBarrierCorrectness' ./internal/dsm
+	$(GO) test -race -run 'TestConsensusTreeAtPaperScale|TestTreeBarrierAcquireEpochs|TestScaleTreeBarrierCorrectness' ./internal/dsm
 
 # Fetch-exchange smoke under the race detector: the span ≡ page-at-a-time
 # programs under the shadow-memory oracle, on the every-episode schedule
@@ -252,9 +253,9 @@ ALLOC_PKGS = ./internal/dsm ./internal/core ./internal/mpi ./internal/apps/fft3d
 alloc-bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS)
 
-# The P = 8..128 scaling-wall study (tree-routed consensus, batched
-# departure waves, P-aware GC trigger). The flat-consensus baseline it
-# was once compared against is recorded in the README. Add SCALE=test
+# The P = 8..128 scaling-wall study (tree-routed consensus, combining-tree
+# barriers, P-aware GC trigger). The flat-consensus baseline it was once
+# compared against is recorded in the README. Add SCALE=test
 # for a fast run; at full scale the 64- and 128-node cells take serious
 # time.
 SCALE ?= full

@@ -335,16 +335,6 @@ func (co *acqCoord) announcedCounts() (consensus, episode int64) {
 	return co.announced, co.episodes
 }
 
-// gcTreeConsensus reports whether consensus pushes route through the
-// combining tree instead of directly to every target: more nodes than the
-// flat barrier spans (procs > fanin+1). At or below that size the tree is
-// flat — every node is at most one hop from the root — and direct sends
-// already ARE the degenerate tree routing, so a fan-in ≥ Procs−1 would
-// select the flat transport at any machine size.
-func (n *Node) gcTreeConsensus() bool {
-	return n.sys.cfg.Procs > n.sys.fanin+1
-}
-
 // routeTargetsLocked groups consensus destinations by their first
 // combining-tree hop from this node, dropping the node itself. Hops come
 // back sorted so send order is deterministic. byHop[h] lists the FINAL
@@ -369,21 +359,33 @@ func (n *Node) routeTargetsLocked(targets []int) (hops []int, byHop map[int][]in
 	return hops, byHop
 }
 
-// sendGCSyncLocked sends one tree-routed consensus push to hop: the trailer
-// delta against the hop's piggyback estimate plus the varint relay list of
-// destinations past the hop (appended after the trailer; a flat push or a
-// reverse delta simply has no trailing bytes). The hop incorporates the
+// sendGCSyncLocked sends one msgGCSync to hop — a push, a relayed push or
+// a reverse delta: the trailer carrying delta (the caller cuts it against
+// the hop's piggyback estimate) plus the varint relay list of destinations
+// past the hop, appended after the trailer (a reverse delta, or a push to a
+// final destination, has no trailing bytes). The hop incorporates the
 // delta and forwards each remaining destination one hop onward with a delta
 // recomputed from its own merged clocks — the interior-node merging that
 // caps any node's per-round consensus fan-out at its tree degree instead of
 // the machine size. Sends never block or drop, so the estimate advances
 // with the send, atomically under n.mu.
-func (n *Node) sendGCSyncLocked(hop int, relay []int, at sim.Time) {
+func (n *Node) sendGCSyncLocked(hop int, delta []*interval, relay []int, at sim.Time) {
 	var w wbuf
-	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[hop]))
+	putTrailer(&w, &n.trailerBuf, n.vc, delta)
 	putRelay(&w, relay)
 	n.noteSentLocked(hop)
 	n.ep.SendAt(hop, msgGCSync, network.ClassRequest, w.b, at)
+}
+
+// routeGCSyncLocked sends one push per first combining-tree hop toward
+// targets, each with the delta against the hop's estimate and the
+// destinations to relay past it, and returns how many it sent.
+func (n *Node) routeGCSyncLocked(targets []int, at sim.Time) int64 {
+	hops, byHop := n.routeTargetsLocked(targets)
+	for _, h := range hops {
+		n.sendGCSyncLocked(h, n.deltaForLocked(n.knownVC[h]), byHop[h], at)
+	}
+	return int64(len(hops))
 }
 
 // gcSpinSteps bounds the backpressure loop of gcSyncHook: a pressured
@@ -518,37 +520,23 @@ func (c *Client) gcSyncOnce() {
 			co.notePurged(n.id, done)
 		}
 	}
-	if len(push) > 0 && n.gcTreeConsensus() {
-		// Hierarchical push: instead of one datagram per quiet node —
-		// O(P) from the pusher every round, O(P²) consensus traffic as
-		// rounds scale with the node count — route the round through the
-		// combining tree. The pusher sends ONE push per first hop
-		// (children subtrees and the parent, at most fanin+1 of them);
-		// each hop incorporates the delta and relays the destinations
-		// beyond it with deltas recomputed from its own merged state, so
-		// every node's per-round fan-out is bounded by its tree degree
-		// and round traffic totals O(P) messages along tree edges.
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		hops, byHop := n.routeTargetsLocked(push)
-		for _, h := range hops {
-			n.sendGCSyncLocked(h, byHop[h], c.clk.Now())
-			n.stats.GCSyncPushes++
-		}
+	if len(push) == 0 {
 		return
 	}
-	for _, j := range push {
-		// One delta per quiet node, exactly like a flush notice: their
-		// servers incorporate it in wire order, raising their clocks past
-		// the pressured node's intervals so the consensus floor can
-		// advance without waiting for their application threads.
-		func() {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			n.sendGCSyncLocked(j, nil, c.clk.Now())
-			n.stats.GCSyncPushes++
-		}()
-	}
+	// Hierarchical push: instead of one datagram per quiet node — O(P)
+	// from the pusher every round, O(P²) consensus traffic as rounds
+	// scale with the node count — route the round through the combining
+	// tree. The pusher sends ONE push per first hop (children subtrees
+	// and the parent, at most fanin+1 of them); each hop incorporates the
+	// delta and relays the destinations beyond it with deltas recomputed
+	// from its own merged state, so every node's per-round fan-out is
+	// bounded by its tree degree and round traffic totals O(P) messages
+	// along tree edges. On a machine the flat barrier spans (≤ fanin+1
+	// nodes) a push from the root goes straight to every target and a
+	// push from a leaf goes to node 0, which relays it.
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stats.GCSyncPushes += n.routeGCSyncLocked(push, c.clk.Now())
 }
 
 // handleGCSync runs on a quiet node's protocol server: incorporate the
@@ -572,10 +560,7 @@ func (n *Node) handleGCSync(m *network.Message) {
 	// TreadMarks' consensus round; it stops as soon as both sides are
 	// current (an empty delta sends nothing).
 	if back := n.deltaForLocked(n.knownVC[m.From]); len(back) > 0 {
-		var w wbuf
-		putTrailer(&w, &n.trailerBuf, n.vc, back)
-		n.noteSentLocked(m.From)
-		n.ep.SendAt(m.From, msgGCSync, network.ClassRequest, w.b, at)
+		n.sendGCSyncLocked(m.From, back, nil, at)
 		n.stats.GCSyncReverse++
 	}
 	// Tree relay: the pusher handed this node the destinations whose
@@ -585,12 +570,8 @@ func (n *Node) handleGCSync(m *network.Message) {
 	// everything the pusher wanted propagated (interior-node merging),
 	// and it additionally closes any gap between this node and the next
 	// hop.
-	if len(relay) > 0 && n.gcTreeConsensus() {
-		hops, byHop := n.routeTargetsLocked(relay)
-		for _, h := range hops {
-			n.sendGCSyncLocked(h, byHop[h], at)
-			n.stats.GCSyncRelays++
-		}
+	if len(relay) > 0 {
+		n.stats.GCSyncRelays += n.routeGCSyncLocked(relay, at)
 	}
 	if co := n.sys.acq; co != nil {
 		co.report(n.id, n.vc, false)

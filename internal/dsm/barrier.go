@@ -195,13 +195,11 @@ func (c *Client) crossBarrier() {
 	// Root: merge is complete once every child subtree has arrived.
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	// Snapshot the departure clock ONCE, before the send loop's unlock
-	// windows: while departures go out, the server can already be
-	// incorporating next-barrier arrivals (or sema/flush deltas) from
-	// fast departers, and a live n.vc read would hand later departures a
-	// larger clock than earlier ones. Pre-GC that was a harmless
-	// over-approximation; as the episode's floor it must be identical in
-	// every departure (see gc.go).
+	// Snapshot the departure clock ONCE: it is the episode's floor, which
+	// must be identical in every departure and in the root's own episode,
+	// and once the wave is out n.mu is released and the server can already
+	// be incorporating next-barrier arrivals (or sema/flush deltas) from
+	// fast departers (see gc.go).
 	depVC := n.vc.clone()
 	if co := n.sys.acq; co != nil {
 		// The root's merged clock covers every interval in existence: the
@@ -227,34 +225,17 @@ func (n *Node) arriveLocked(c *Client) {
 
 // forwardDeparturesLocked sends one departure per gathered arrival,
 // carrying the episode's floor clock and, for each receiver, the exact
-// delta against its reported arrival clock. Called with n.mu held;
-// released around the sends.
+// delta against its reported arrival clock (departures are reply-class and
+// therefore never update knownVC). The whole wave is built under ONE n.mu
+// hold — every child subtree's delta cut from the same snapshot, with no
+// unlock window for the server to store a record that then rides along
+// early — and sent back to back with n.mu released. A record a child
+// misses here still reaches it on the next request-class send, whose delta
+// is computed against the unraised knownVC estimate. Called with n.mu held.
 func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []struct {
 	from int
 	vc   VectorClock
 }) {
-	if !n.gcTreeConsensus() {
-		// Flat tree (the paper's ≤ fan-in+1 machine): the pinned
-		// byte-for-byte path — one plain departure per arrival.
-		for _, a := range arrivals {
-			var w wbuf
-			// Exact delta against the arriver's reported clock; departures
-			// are reply-class and therefore never update knownVC. The delta
-			// stays live deliberately: records stored by the server mid-loop
-			// ride along early (their own clocks raise the receiver), which
-			// is sound — only the floor clock must be the snapshot.
-			putTrailer(&w, &n.trailerBuf, depVC, n.deltaForLocked(a.vc))
-			n.unlocked(func() { n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, w.b, c.clk.Now()) })
-		}
-		return
-	}
-	// Tree mode: build the whole departure wave under ONE
-	// mu hold — every child subtree's delta cut from the same snapshot,
-	// with no per-send unlock windows for the server to interleave — then
-	// send the departures back to back. Dropping the live-delta opportunism
-	// is sound: a record a child misses here still reaches it on the next
-	// request-class send, whose delta is computed against the unraised
-	// knownVC estimate.
 	wave := make([][]byte, len(arrivals))
 	for i, a := range arrivals {
 		var w wbuf

@@ -204,19 +204,16 @@ func TestAbortInGCWaveBecomesRunError(t *testing.T) {
 	}
 }
 
-// TestDepartureSendUnwindsHoldingMu: the barrier's departure wave sends
-// with n.mu released (forwardDeparturesLocked), one send at a time on a
-// flat tree and all at once on a combining tree. A send that meets a
-// switch already down must unwind with n.mu re-taken: the barrier releases
-// n.mu with a deferred Unlock, and an unlock of an unlocked mutex is fatal
-// to the whole binary.
+// TestDepartureSendUnwindsHoldingMu: the barrier's departure wave is built
+// under n.mu and sent with it released (forwardDeparturesLocked), on a flat
+// tree and on a combining tree alike. A send that meets a switch already
+// down must unwind with n.mu re-taken: the barrier releases n.mu with a
+// deferred Unlock, and an unlock of an unlocked mutex is fatal to the whole
+// binary.
 func TestDepartureSendUnwindsHoldingMu(t *testing.T) {
 	for _, procs := range []int{2, 32} {
 		sys := New(Config{Procs: procs})
 		n := sys.Node(0)
-		if tree := n.gcTreeConsensus(); tree != (procs > 2) {
-			t.Fatalf("procs %d: combining-tree consensus %v", procs, tree)
-		}
 		sys.abort(errors.New("deliberate abort"))
 		var r any
 		func() {

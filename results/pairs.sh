@@ -10,8 +10,9 @@
 # fresh mktemp -d) and built there by bench/run.sh, build cache included.
 # Odd pairs run the parent first, even pairs the head first; pair p runs
 # `bash bench/run.sh --workload <w> --seed <p> --seconds 10 --trace 0
-# --record` on both sides. Each output line keeps the run's result line as
-# "result" and the full record printed before it as "record" (its
+# --record` on both sides. Each output line names its side's commit id as
+# "commit", keeps the run's result line as "result" and the full record
+# printed before it as "record" (its
 # "unbounded" host timings are what summarize shows ungated). Workloads
 # default to all five of BENCHMARK.json. Progress goes to stderr. This
 # file and its output live outside bench/, which a PR that claims a gain
@@ -23,16 +24,18 @@ workloads=("$@")
 [ ${#workloads[@]} -gt 0 ] || workloads=(paged8 nodsm8 locks8 scale64 serve-mix)
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 dir="${PAIRS_DIR:-$(mktemp -d)}"
+declare -A commit
 for side in parent head; do
 	ref=HEAD; [ "$side" = parent ] && ref="$parent_ref"
+	commit[$side]="$(git -C "$root" rev-parse "$ref^{commit}")"
 	rm -rf "$dir/$side" && mkdir -p "$dir/$side"
 	git -C "$root" archive "$ref" | tar -x -C "$dir/$side"
-	echo "$side = $(git -C "$root" rev-parse --short "$ref") in $dir/$side" >&2
+	echo "$side = ${commit[$side]:0:7} in $dir/$side" >&2
 done
 run() { # side workload pair
 	local out
 	out="$(bash "$dir/$1/bench/run.sh" --workload "$2" --seed "$3" --seconds 10 --trace 0 --record 2>/dev/null | tail -n 2)"
-	printf '{"workload":"%s","pair":%d,"side":"%s","result":%s,"record":%s}\n' "$2" "$3" "$1" "$(tail -n 1 <<<"$out")" "$(head -n 1 <<<"$out")"
+	printf '{"workload":"%s","pair":%d,"side":"%s","commit":"%s","result":%s,"record":%s}\n' "$2" "$3" "$1" "${commit[$1]}" "$(tail -n 1 <<<"$out")" "$(head -n 1 <<<"$out")"
 }
 for w in "${workloads[@]}"; do
 	for ((p = 1; p <= pairs; p++)); do

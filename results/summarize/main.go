@@ -4,7 +4,9 @@
 // each side, the change of the medians, the pairs the head won, and the
 // verdict against the metric's bound. Runs that carry the benchmark's full
 // record add a second table of its host timings, which no bound gates:
-// each side's median [q1, q3] of the runs' medians, with no verdict.
+// each side's median [q1, q3] of the runs' medians, with no verdict. Runs
+// that name their commits put one "parent <sha> · head <sha>" line above
+// the tables.
 //
 //	go run ./results/summarize results/BENCH_18.jsonl
 package main
@@ -32,6 +34,7 @@ type record struct {
 	Workload string `json:"workload"`
 	Pair     int    `json:"pair"`
 	Side     string `json:"side"`
+	Commit   string `json:"commit"`
 	Result   struct {
 		Correct   bool `json:"correct"`
 		Attempted int  `json:"attempted"`
@@ -92,6 +95,7 @@ func run(w io.Writer, benchmark, path string) error {
 	defer f.Close()
 	var order []string
 	byWorkload := map[string][]record{}
+	commit := map[string]string{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(nil, 1<<20)
 	for line := 1; sc.Scan(); line++ {
@@ -102,6 +106,9 @@ func run(w io.Writer, benchmark, path string) error {
 		if r.Side != "parent" && r.Side != "head" {
 			return fmt.Errorf("%s:%d: side %q is neither parent nor head", path, line, r.Side)
 		}
+		if commit[r.Side] == "" {
+			commit[r.Side] = r.Commit
+		}
 		if _, seen := byWorkload[r.Workload]; !seen {
 			order = append(order, r.Workload)
 		}
@@ -109,6 +116,9 @@ func run(w io.Writer, benchmark, path string) error {
 	}
 	if err := sc.Err(); err != nil {
 		return err
+	}
+	if commit["parent"] != "" && commit["head"] != "" {
+		fmt.Fprintf(w, "parent `%s` · head `%s`\n", commit["parent"], commit["head"])
 	}
 	for _, name := range order {
 		table(w, name, byWorkload[name], bench.EndToEnd)

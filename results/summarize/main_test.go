@@ -47,3 +47,15 @@ Not gated (host timings from the runs' records: no bound, no verdict):
 		t.Errorf("gated table changed; got:\n%s", out)
 	}
 }
+
+// Runs that name their commits print both ids on one line above the tables.
+func TestRendersCommitHeader(t *testing.T) {
+	var got bytes.Buffer
+	if err := run(&got, "../../BENCHMARK.json", "testdata/commits.jsonl"); err != nil {
+		t.Fatal(err)
+	}
+	const want = "parent `aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa` · head `bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb`\n\n## nodsm8:"
+	if out := got.String(); !strings.HasPrefix(out, want) {
+		t.Errorf("commit header missing or wrong; got:\n%s", out)
+	}
+}
