@@ -8,8 +8,10 @@
 // flagged carries a trailing `// want "re"` comment whose regexp must
 // match the diagnostic message reported on that line; lines without a
 // want comment must report nothing. Diagnostics are routed through the
-// same //nowlint:allow filter as the CLI, so testdata can (and does)
-// exercise the waiver semantics too.
+// same //nowlint:allow filter as the CLI, so testdata exercises the
+// waiver semantics too: detfree's testdata/src/a/waiver.go holds a
+// justified directive, a too-short justification and a directive naming
+// another analyzer.
 package analysistest
 
 import (

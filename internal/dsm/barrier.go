@@ -17,7 +17,8 @@ import (
 //
 // With the default fan-in of 8 and at most 9 nodes, node 0's children are
 // all other nodes and no other node has children: the tree degenerates to
-// the paper's flat manager and reproduces its wire traffic byte for byte.
+// the paper's flat manager, node 0 gathering every arrival and sending
+// every departure.
 
 // DefaultBarrierFanin is the barrier tree's fan-in. Eight keeps every
 // ≤8-processor run (the paper's full range) on the flat centralized

@@ -384,8 +384,8 @@ func decodeFetch(r *rbuf, reply bool) []fetchItem {
 
 // putRelay appends a tree-routed consensus push's relay list — the
 // destinations past the receiving hop — after its trailer: a varint count
-// and one varint node id each. An empty list writes nothing, so a flat push
-// or a reverse delta ends with its trailer.
+// and one varint node id each. An empty list writes nothing, so a push to
+// its final destination or a reverse delta ends with its trailer.
 func putRelay(w *wbuf, relay []int) {
 	if len(relay) == 0 {
 		return
