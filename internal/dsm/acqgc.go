@@ -370,8 +370,8 @@ func (n *Node) routeTargetsLocked(targets []int) (hops []int, byHop map[int][]in
 // the machine size. Sends never block or drop, so the estimate advances
 // with the send, atomically under n.mu.
 func (n *Node) sendGCSyncLocked(hop int, delta []*interval, relay []int, at sim.Time) {
-	var w wbuf
-	putTrailer(&w, &n.trailerBuf, n.vc, delta)
+	w := wbuf{pool: &n.sys.pool}
+	putTrailer(&w, n.vc, delta)
 	putRelay(&w, relay)
 	n.noteSentLocked(hop)
 	n.ep.SendAt(hop, msgGCSync, network.ClassRequest, w.b, at)
@@ -553,6 +553,7 @@ func (n *Node) handleGCSync(m *network.Message) {
 	n.chargeInterruptLocked()
 	n.takeTrailerLocked(&r, m.From)
 	relay := getRelay(&r, n.sys.cfg.Procs)
+	n.sys.pool.put(m.Payload)
 	// Reverse delta: a quiet node's own last intervals have never been
 	// carried anywhere (deltas only travel on sends, and it is not
 	// sending), so the consensus floor could never cover its writes. The

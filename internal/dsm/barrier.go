@@ -82,7 +82,8 @@ func (c *Client) gatherArrivals() (arrivals []struct {
 		// versions encode the clock self-contained, so the prefix decodes
 		// alone.
 		r := rbuf{b: m.Payload}
-		senderVC := getVC(&r)
+		senderVC := getVC(&r, nil)
+		c.n.sys.pool.put(m.Payload)
 		arrivals = append(arrivals, struct {
 			from int
 			vc   VectorClock
@@ -153,11 +154,9 @@ func (c *Client) crossBarrier() {
 
 	if leaf {
 		m := c.recvReply(msgBarrDepart, 0)
-		r := rbuf{b: m.Payload}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		depVC := n.takeTrailerLocked(&r, barrierParent(n.id, n.sys.fanin))
-		n.episodeLocked(c, depVC)
+		n.episodeLocked(c, n.takeDepartureLocked(m))
 		return
 	}
 
@@ -180,10 +179,9 @@ func (c *Client) crossBarrier() {
 		}()
 
 		m := c.recvReply(msgBarrDepart, 0)
-		r := rbuf{b: m.Payload}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		depVC := n.takeTrailerLocked(&r, barrierParent(n.id, n.sys.fanin))
+		depVC := n.takeDepartureLocked(m)
 		// Forward the wave before collecting: the children (and their
 		// subtrees) stay parked until these go out, and the episode's
 		// waits for homes end only once every node has made its first
@@ -218,10 +216,19 @@ func (c *Client) crossBarrier() {
 // and the send are atomic with respect to other request-class deltas.
 func (n *Node) arriveLocked(c *Client) {
 	parent := barrierParent(n.id, n.sys.fanin)
-	var w wbuf
-	putTrailer(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[parent]))
+	w := wbuf{pool: &n.sys.pool}
+	putTrailer(&w, n.vc, n.deltaForLocked(n.knownVC[parent]))
 	n.noteSentLocked(parent)
 	n.ep.SendAt(parent, msgBarrArrive, network.ClassRequest, w.b, c.clk.Now())
+}
+
+// takeDepartureLocked incorporates a departure from the node's barrier
+// parent, releases its payload and returns the episode's floor clock.
+func (n *Node) takeDepartureLocked(m *network.Message) VectorClock {
+	r := rbuf{b: m.Payload}
+	depVC := n.takeTrailerLocked(&r, barrierParent(n.id, n.sys.fanin)).clone()
+	n.sys.pool.put(m.Payload)
+	return depVC
 }
 
 // forwardDeparturesLocked sends one departure per gathered arrival,
@@ -232,20 +239,24 @@ func (n *Node) arriveLocked(c *Client) {
 // unlock window for the server to store a record that then rides along
 // early — and sent back to back with n.mu released. A record a child
 // misses here still reaches it on the next request-class send, whose delta
-// is computed against the unraised knownVC estimate. Called with n.mu held.
+// is computed against the unraised knownVC estimate. The wave is the
+// node's scratch: no other thread of the node crosses a barrier meanwhile.
+// Called with n.mu held, which it re-takes however the sends end.
 func (n *Node) forwardDeparturesLocked(c *Client, depVC VectorClock, arrivals []struct {
 	from int
 	vc   VectorClock
 }) {
-	wave := make([][]byte, len(arrivals))
-	for i, a := range arrivals {
-		var w wbuf
-		putTrailer(&w, &n.trailerBuf, depVC, n.deltaForLocked(a.vc))
-		wave[i] = w.b
+	n.wave = n.wave[:0]
+	for _, a := range arrivals {
+		w := wbuf{pool: &n.sys.pool}
+		putTrailer(&w, depVC, n.deltaForLocked(a.vc))
+		n.wave = append(n.wave, w.b)
 	}
-	n.unlocked(func() {
-		for i, a := range arrivals {
-			n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, wave[i], c.clk.Now())
-		}
-	})
+	n.mu.Unlock()
+	defer n.relockOnPanic()
+	for i, a := range arrivals {
+		n.ep.SendAt(a.from, msgBarrDepart, network.ClassReply, n.wave[i], c.clk.Now())
+	}
+	clear(n.wave) // each payload is its receiver's now
+	n.mu.Lock()
 }

@@ -28,16 +28,39 @@ import (
 
 // wbuf is a tiny append-only little-endian encoder for protocol messages.
 // Message sizes feed the Table 2 byte statistics, so the encodings are kept
-// as compact as the real protocol's.
-type wbuf struct{ b []byte }
+// as compact as the real protocol's. With a pool it encodes a wire payload
+// in place: an append that outgrows the buffer takes a power-of-two class
+// (at least twice the old) from the pool and releases the old buffer, so
+// the payload is the pool's, and its one receiver releases it once decoded.
+// Without a pool it grows like append.
+type wbuf struct {
+	b    []byte
+	pool *bufPool
+}
 
-func (w *wbuf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *wbuf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+// room makes space for k more bytes (see wbuf).
+func (w *wbuf) room(k int) {
+	if w.pool == nil || len(w.b)+k <= cap(w.b) {
+		return
+	}
+	size := max(2*cap(w.b), 32)
+	for size < len(w.b)+k {
+		size *= 2
+	}
+	b := w.pool.get(size)[:len(w.b)]
+	copy(b, w.b)
+	w.pool.put(w.b)
+	w.b = b
+}
+
+func (w *wbuf) u8(v uint8)   { w.room(1); w.b = append(w.b, v) }
+func (w *wbuf) u32(v uint32) { w.room(4); w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *wbuf) i32(v int)    { w.u32(uint32(int32(v))) }
+func (w *wbuf) raw(p []byte) { w.room(len(p)); w.b = append(w.b, p...) } // p as it is
 
 func (w *wbuf) bytes(p []byte) {
 	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
+	w.raw(p)
 }
 
 func (w *wbuf) str(s string) { w.bytes([]byte(s)) }
@@ -95,11 +118,11 @@ func (r *rbuf) u32() uint32 { return binary.LittleEndian.Uint32(r.need(4)) }
 func (r *rbuf) i32() int    { return int(int32(r.u32())) }
 
 // view decodes a length-prefixed byte field WITHOUT copying: the result
-// aliases the message, with its capacity clipped so an append can never
-// reach the bytes behind it. Only for reply-class payloads, which the
-// receiving thread owns outright (one buffer per reply, handed over by the
-// router; a fetch reply's goes back to the pool once applied); request-class
-// subs, which alias a shared envelope, keep copying through bytes.
+// aliases the payload, with its capacity clipped so an append can never
+// reach the bytes behind it. A payload has one receiver, who releases it to
+// the pool once decoded (a fetch reply's once applied, a grant's once its
+// diffs are applied or retained), so a view lives no longer than that;
+// anything kept is copied, as bytes does.
 func (r *rbuf) view() []byte {
 	n := int(r.u32())
 	return r.need(n)[:n:n]
@@ -129,6 +152,7 @@ const maxUvarint = math.MaxInt32
 // compact wire encoding, where most values — sparse VC deltas, page-run
 // gaps, element counts — are small.
 func (w *wbuf) uv(v uint64) {
+	w.room(binary.MaxVarintLen64)
 	for v >= 0x80 {
 		w.b = append(w.b, byte(v)|0x80)
 		v >>= 7

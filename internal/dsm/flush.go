@@ -38,7 +38,7 @@ func (c *Client) Flush() {
 		}
 	}()
 	for range procs - 1 {
-		c.recvReply(msgFlushAck, 0)
+		n.sys.pool.put(c.recvReply(msgFlushAck, 0).Payload)
 	}
 	c.gcSyncHook(true)
 }

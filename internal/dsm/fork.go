@@ -46,10 +46,10 @@ func (c *Client) RunParallel(region string, arg []byte) [][]byte {
 			co.noteIssued(forkVC)
 		}
 		for i := 1; i < procs; i++ {
-			var w wbuf
+			w := wbuf{pool: &n.sys.pool}
 			w.str(region)
 			w.bytes(arg)
-			putTrailer(&w, &n.trailerBuf, forkVC, n.deltaForLocked(n.knownVC[i]))
+			putTrailer(&w, forkVC, n.deltaForLocked(n.knownVC[i]))
 			n.noteSentLocked(i)
 			// Sent under mu: atomic with the estimate update.
 			n.ep.SendAt(i, msgFork, network.ClassRequest, w.b, c.clk.Now())
@@ -90,7 +90,7 @@ func (n *Node) runRegion(c *Client, fn func(*Client, []byte) []byte, region stri
 	first, mates := n.team[0], n.mates()
 	at := max(n.clock.Now(), first.clk.Now())
 	if len(mates) > 0 {
-		var w wbuf
+		var w wbuf // shared by the mates: not the pool's
 		w.str(region)
 		w.bytes(arg)
 		for _, mate := range mates {
@@ -165,7 +165,8 @@ func (n *Node) slaveLoop() {
 		// protocol server.
 		// Clock prefix only: the clock is encoded self-contained ahead of
 		// the records.
-		forkVC := getVC(&r)
+		forkVC := getVC(&r, nil)
+		n.sys.pool.put(m.Payload)
 		func() {
 			n.mu.Lock()
 			defer n.mu.Unlock()
@@ -177,8 +178,8 @@ func (n *Node) slaveLoop() {
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			n.closeIntervalLocked()
-			var w wbuf
-			putJoin(&w, &n.trailerBuf, n.vc, n.deltaForLocked(n.knownVC[0]), tail)
+			w := wbuf{pool: &n.sys.pool}
+			putJoin(&w, n.vc, n.deltaForLocked(n.knownVC[0]), tail)
 			n.noteSentLocked(0)
 			// Sent under mu: atomic with the estimate update.
 			n.ep.Send(0, msgJoin, network.ClassRequest, w.b)

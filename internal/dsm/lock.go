@@ -229,7 +229,8 @@ func (n *Node) handOffLocked(mate *Client, typ int, rel sim.Time) {
 // a page here still owes stays on its interval record for the next grant
 // to forward, the page joins the lock's data, and a copy with no twin
 // whose missing notices the grant all covers has them applied in causal
-// order. Any other page faults as it would have.
+// order. Any other page faults as it would have. The diffs are views into
+// the grant, which goes back to the pool once they are applied or retained.
 func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 	n := c.n
 	r := rbuf{b: m.Payload}
@@ -243,7 +244,7 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 	func() {
 		n.mu.Lock()
 		defer n.mu.Unlock() // a malformed grant unwinds with n.mu free
-		senderVC, recs = getVC(&r), n.decodeRecordsLocked(&r)
+		senderVC, recs = getVC(&r, nil), n.decodeRecordsLocked(&r)
 	}()
 	data := getGrantData(&r, len(recs), n.sys.heapPages())
 	if data != nil {
@@ -255,6 +256,7 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 	n.incorporateLocked(recs, senderVC)
 	n.noteHeardLocked(m.From, senderVC)
 	if m.Type == msgSemaGrant {
+		n.sys.pool.put(m.Payload)
 		return
 	}
 	ls := n.lockFor(id)
@@ -283,6 +285,7 @@ func (c *Client) takeGrant(m *network.Message, id int, requested bool) {
 			c.applyDiffsLocked(pg, missing, missing, diffs, false)
 		}
 	}
+	n.sys.pool.put(m.Payload)
 }
 
 // putGrantDataLocked appends the lock's data behind a grant's trailer: for
@@ -343,8 +346,8 @@ func (n *Node) lockRequestLocked(q *syncReq, at sim.Time) {
 	// Forward to the chain tail. If the waiter was itself the tail when it
 	// went to sleep, the forward loops back to its own node, whose server
 	// grants to the local application thread.
-	var w wbuf
-	putSyncReq(&w, nil, msgAcqFwd, q)
+	w := wbuf{pool: &n.sys.pool}
+	putSyncReq(&w, msgAcqFwd, q)
 	n.ep.SendAt(prev, msgAcqFwd, network.ClassRequest, w.b, at)
 }
 

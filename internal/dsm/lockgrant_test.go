@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -391,5 +392,76 @@ func TestLockGrantFreeTokenWaitsForRelease(t *testing.T) {
 		if d > 0 {
 			t.Errorf("path %d: the grant reached the acquirer %v before the release that freed the token", i, d)
 		}
+	}
+}
+
+// inFreeList reports whether b's first byte lies in a buffer on one of the
+// pool's free lists: a released buffer.
+func inFreeList(p *bufPool, b []byte) bool {
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	for i := range p {
+		p[i].mu.Lock()
+		for _, f := range p[i].free {
+			if lo := uintptr(unsafe.Pointer(unsafe.SliceData(f))); at >= lo && at < lo+uintptr(cap(f)) {
+				p[i].mu.Unlock()
+				return true
+			}
+		}
+		p[i].mu.Unlock()
+	}
+	return false
+}
+
+// TestLockGrantChainOutlivesReleasedGrant: node 0 writes under the lock;
+// node 1 takes the grant, whose payload goes back to the pool, poisoned,
+// once its diff is applied and retained, and hands the lock on to node 2
+// without touching the page. Node 2's grant carries node 1's kept copy of
+// node 0's diff — not a view into the released payload — so node 2 reads
+// node 0's bytes under the lock with no fault round anywhere.
+func TestLockGrantChainOutlivesReleasedGrant(t *testing.T) {
+	sys := New(Config{Procs: 3})
+	defer sys.Close()
+	a := sys.MallocPage(8)
+	const want = int64(0x0123456789abcdef)
+	held0, held1 := make(chan struct{}), make(chan struct{})
+	var got int64
+	sys.Register("chain3", func(n *Node, _ []byte) {
+		_ = n.ReadI64(a) // a copy everywhere, so each grant covers the page
+		n.Barrier()
+		switch n.ID() {
+		case 0:
+			n.Acquire(0)
+			close(held0)
+			waitUntil(n, func() bool { return len(n.lockFor(0).pending) > 0 })
+			n.WriteI64(a, want)
+			n.Release(0)
+		case 1:
+			<-held0
+			n.Acquire(0)
+			n.mu.Lock()
+			ivl := n.intervals[0][len(n.intervals[0])-1]
+			kept, ok := ivl.diffs[PageID(a/PageSize)]
+			n.mu.Unlock()
+			if !ok || inFreeList(&sys.pool, kept) {
+				t.Errorf("node 1 kept diff %v (held %v) of node 0's interval: want a copy outside the pool's free lists", kept, ok)
+			}
+			close(held1)
+			waitUntil(n, func() bool { return len(n.lockFor(0).pending) > 0 })
+			n.Release(0)
+		case 2:
+			<-held1
+			n.Acquire(0)
+			got = n.ReadI64(a)
+			n.Release(0)
+		}
+	})
+	if err := sys.Run(func(n *Node) { n.RunParallel("chain3", nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("node 2 read %#x under the lock, want node 0's %#x", got, want)
+	}
+	if got := lockFaultRounds(sys); got != 0 {
+		t.Errorf("%d fault rounds under the lock, want 0: a grant did not carry node 0's diff", got)
 	}
 }

@@ -56,9 +56,15 @@ type Node struct {
 	knownVC   []VectorClock // sound lower bound of what each node has seen
 	episode   int64         // barrier departures and forks taken here (group.go)
 
-	diffBuf    []byte      // scratch under mu: makeDiff's, and handleFetchReq's merged diffs
-	trailerBuf []byte      // putTrailer's scratch
-	vcBuf      VectorClock // decodeRecordsLocked's scratch
+	// Scratch under mu: makeDiff's and handleFetchReq's merged diffs, the
+	// record clock decodeRecordsLocked rebuilds, the sender clock
+	// takeTrailerLocked decodes, deltaForLocked's result and the departure
+	// wave (forwardDeparturesLocked).
+	diffBuf   []byte
+	vcBuf     VectorClock
+	senderBuf VectorClock
+	deltaBuf  []*interval
+	wave      [][]byte
 
 	// fetchMu serializes the node's application-side fetch sequences (the
 	// fault path and GC validation waves, both through Client.fetchLocked): its
@@ -414,19 +420,21 @@ func (n *Node) diffCost() sim.Time {
 // retained base is clamped to it: intervals under the base were retired
 // by the garbage collector only after every node — the delta's receiver
 // included — had incorporated them, so the receiver cannot actually lack
-// them even when our knownVC estimate is that stale.
+// them even when our knownVC estimate is that stale. The result is the
+// node's scratch: every caller encodes it before the next call.
 func (n *Node) deltaForLocked(target VectorClock) []*interval {
-	var out []*interval
+	out := n.deltaBuf[:0]
 	for c := 0; c < n.sys.cfg.Procs; c++ {
 		have := n.intervals[c]
 		start := int(target[c]) - n.ivlBase[c]
 		if start < 0 {
 			start = 0
 		}
-		for s := start; s < len(have); s++ {
-			out = append(out, have[s])
+		if start < len(have) {
+			out = append(out, have[start:]...)
 		}
 	}
+	n.deltaBuf = out
 	return out
 }
 
@@ -849,7 +857,7 @@ func (c *Client) fetchLocked(plans []pagePlan) (diffs map[diffKey][]byte, replie
 	msgs = int64(2 * len(reqs))
 	bytes = msgs * int64(udp.HeaderBytes)
 	for _, rq := range reqs {
-		var w wbuf
+		w := wbuf{pool: &n.sys.pool}
 		encodeFetch(&w, rq.items, false)
 		bytes += int64(len(w.b))
 		n.ep.SendAt(rq.to, msgFetchReq, network.ClassRequest, w.b, start)

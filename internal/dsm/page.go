@@ -197,13 +197,14 @@ var zeroPage [PageSize]byte
 
 // putPage writes a whole page as a reply item: its runs against zeroPage
 // when shorter than the page, else the raw page, so an item of exactly
-// PageSize bytes is raw. The runs may overrun the page's room by 3 bytes.
+// PageSize bytes is raw.
 func (w *wbuf) putPage(data []byte) {
-	at := len(w.b) + 4
-	if w.b = appendRuns(binary.LittleEndian.AppendUint32(w.b, 0), data, zeroPage[:]); len(w.b)-at >= PageSize {
-		w.b = append(w.b[:at], data...)
+	var runs [PageSize + 3]byte
+	item := appendRuns(runs[:0], data, zeroPage[:])
+	if len(item) >= PageSize {
+		item = data
 	}
-	binary.LittleEndian.PutUint32(w.b[at-4:], uint32(len(w.b)-at))
+	w.bytes(item)
 }
 
 // wholePage writes the page a whole-page reply item carries into data, and
@@ -276,7 +277,7 @@ func mergeDiffs(dst []byte, diffs [][]byte) []byte {
 		}
 		w.uv(uint64(start - prev))
 		w.uv(uint64(i - start))
-		w.b = append(w.b, img[4*start:4*i]...)
+		w.raw(img[4*start : 4*i])
 		prev = i
 	}
 	return w.b

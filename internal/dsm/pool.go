@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// bufPool recycles one System's twins, page copies, diffs and fetch replies:
-// a free list under a mutex per size class, shared by the nodes because a
-// reply is taken by its server and released by its requester. Classes round
+// bufPool recycles one System's twins, page copies, diffs and wire
+// payloads: a free list under a mutex per size class, shared by the nodes
+// because a payload is taken by its sender (wbuf) and released by its one
+// receiver once decoded. Classes round
 // up by under 12.5 % (exact to 16 bytes, then eight a power of two to 64 KiB,
 // plus (PageSize, PageSize+3] for full-page diffs); a miss allocates the
 // class size. Released buffers hold poisonByte, so a use after release fails

@@ -187,7 +187,7 @@ func (tc *purgeRuleCase) checkPush(t *testing.T, n *Node, floor VectorClock, pid
 	}
 	was, before := look(), n.Stats()
 	var w wbuf
-	putTrailer(&w, nil, newVC(n.sys.cfg.Procs), nil)
+	putTrailer(&w, newVC(n.sys.cfg.Procs), nil)
 	n.handleGCSync(&network.Message{From: prWriter, To: n.id, Type: msgGCSync, Payload: w.b})
 	after := n.Stats()
 	n.mu.Lock()

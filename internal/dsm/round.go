@@ -72,7 +72,7 @@ var syncLayouts = [...]struct {
 }
 
 // putSyncReq encodes request typ as its layout says.
-func putSyncReq(w *wbuf, scratch *[]byte, typ int, q *syncReq) {
+func putSyncReq(w *wbuf, typ int, q *syncReq) {
 	l := &syncLayouts[typ]
 	for i, v := range [...]int{q.cond, q.id, q.from, int(q.tag)} {
 		if [...]bool{l.cond, l.id, l.from, l.tag}[i] {
@@ -82,7 +82,7 @@ func putSyncReq(w *wbuf, scratch *[]byte, typ int, q *syncReq) {
 	if l.vc {
 		putVC(w, q.vc)
 	} else if l.trailer {
-		putTrailer(w, scratch, q.vc, q.recs)
+		putTrailer(w, q.vc, q.recs)
 	}
 }
 
@@ -99,7 +99,7 @@ func getSyncReq(r *rbuf, typ, from int) syncReq {
 	}
 	q.tag = uint32(tag)
 	if l.vc {
-		q.vc = getVC(r)
+		q.vc = getVC(r, nil)
 	}
 	return q
 }
@@ -121,9 +121,10 @@ func (n *Node) handleSyncReq(m *network.Message) {
 	if !r.done() {
 		panic(wireErrf("dsm: node %d: %d bytes past a request of type %d", n.id, r.remaining(), m.Type))
 	}
+	n.sys.pool.put(m.Payload)
 	n.manageLocked(m.Type, &q, at)
 	if l.ack != 0 {
-		var w wbuf
+		w := wbuf{pool: &n.sys.pool}
 		if l.tag {
 			w.u32(q.tag)
 		}
@@ -173,8 +174,8 @@ func (c *Client) requestLocked(typ, to int, q syncReq) (t sim.Time, done bool) {
 		q.recs = n.deltaForLocked(n.knownVC[to])
 		n.noteSentLocked(to)
 	}
-	var w wbuf
-	putSyncReq(&w, &n.trailerBuf, typ, &q)
+	w := wbuf{pool: &n.sys.pool}
+	putSyncReq(&w, typ, &q)
 	n.ep.SendAt(to, typ, network.ClassRequest, w.b, c.clk.Now())
 	return 0, false
 }
@@ -205,7 +206,7 @@ func (c *Client) round(typ int, q syncReq, count *int64, entered, cost sim.Time,
 		return t, done
 	}()
 	if l.ack != 0 && mgr != n.id {
-		c.recvReply(l.ack, c.tag)
+		n.sys.pool.put(c.recvReply(l.ack, c.tag).Payload)
 		if l.handoff {
 			func() {
 				n.mu.Lock()
@@ -246,11 +247,11 @@ func (c *Client) settle(cost sim.Time, wait *sim.Time, entered sim.Time) {
 // grant could overtake an in-flight request-class delta and leave the
 // receiver with an interval gap).
 func (n *Node) sendGrantLocked(ls *lockState, id int, w waiter, at sim.Time) {
-	var b wbuf
+	b := wbuf{pool: &n.sys.pool}
 	b.i32(id)
 	b.u32(w.tag)
 	delta := n.deltaForLocked(w.vc)
-	putTrailer(&b, &n.trailerBuf, n.vc, delta)
+	putTrailer(&b, n.vc, delta)
 	typ := msgSemaGrant
 	if ls != nil {
 		typ = msgLockGrant

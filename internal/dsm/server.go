@@ -54,9 +54,10 @@ func (n *Node) dispatch(m *network.Message) {
 		r := rbuf{b: m.Payload}
 		n.incorporateWire(&r, m.From)
 		// The master's application thread sees the region's tail only.
-		join := *m
-		join.Payload = getJoinTail(&r)
-		n.router.route(&join)
+		tail := getJoinTail(&r)
+		n.sys.pool.put(m.Payload)
+		m.Payload = tail
+		n.router.route(m)
 	case msgBarrArrive:
 		r := rbuf{b: m.Payload}
 		n.incorporateWire(&r, m.From)
@@ -136,9 +137,10 @@ func (n *Node) serveDiffLocked(pid PageID, seq int) ([]byte, sim.Time) {
 func (n *Node) handleFetchReq(m *network.Message) {
 	r := rbuf{b: m.Payload}
 	items := decodeFetch(&r, false)
+	n.sys.pool.put(m.Payload)
 	plat := n.sys.plat
 	service := plat.RequestService
-	size := 5 + 3               // reply bound: a count varint, putPage's room, ≤ 14 header bytes an item
+	size := 5                   // reply bound: a count varint, ≤ 14 header bytes an item
 	var runs [PageSize + 3]byte // a page's runs against zeros, to size its item
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -176,7 +178,7 @@ func (n *Node) handleFetchReq(m *network.Message) {
 		size += 14 + len(it.data)
 	}
 	n.diffBuf = merged
-	w := wbuf{b: n.sys.pool.get(size)[:0]} // the requester releases it
+	w := wbuf{b: n.sys.pool.get(size)[:0], pool: &n.sys.pool}
 	encodeFetch(&w, items, true)
 	n.ep.SendAt(m.From, msgFetchRep, network.ClassReply, w.b, m.Arrive+service)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -102,12 +103,13 @@ func TestStoreDecodeMatchesDecodeRecords(t *testing.T) {
 	}
 }
 
-// TestTrailerScratchEncodeIdentical: a trailer encoded through a node's
-// reused scratch is byte-identical to one encoded in place into a fresh
-// wbuf, behind any payload prefix, and the payload never shares the
-// scratch's backing array.
-func TestTrailerScratchEncodeIdentical(t *testing.T) {
-	var scratch []byte
+// TestTrailerPooledEncodeIdentical: a trailer encoded in place into a
+// pooled wbuf — starting from a one-byte buffer behind any payload prefix,
+// so it regrows through the pool's classes — is byte-identical to one
+// encoded by plain appends, and every buffer it outgrew went back to the
+// pool, poisoned.
+func TestTrailerPooledEncodeIdentical(t *testing.T) {
+	var pool bufPool
 	prop := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		procs := rnd.Intn(64) + 1
@@ -118,17 +120,23 @@ func TestTrailerScratchEncodeIdentical(t *testing.T) {
 		}
 		prefix := make([]byte, rnd.Intn(12))
 		rnd.Read(prefix)
-		fresh, reused := wbuf{b: bytes.Clone(prefix)}, wbuf{b: bytes.Clone(prefix)}
-		putTrailer(&fresh, nil, vc, recs)
-		putTrailer(&reused, &scratch, vc, recs)
-		if !bytes.Equal(fresh.b, reused.b) {
+		plain := wbuf{b: bytes.Clone(prefix)}
+		pooled := wbuf{b: pool.get(1)[:0], pool: &pool}
+		pooled.raw(prefix)
+		putTrailer(&plain, vc, recs)
+		putTrailer(&pooled, vc, recs)
+		if !bytes.Equal(plain.b, pooled.b) {
 			return false
 		}
-		if len(scratch) > 0 && &scratch[:1][0] == &reused.b[len(prefix):][:1][0] {
-			return false
+		for i := range pool {
+			for _, f := range pool[i].free {
+				if &f[:1][0] == &pooled.b[:1][0] || slices.ContainsFunc(f[:cap(f)], func(b byte) bool { return b != poisonByte }) {
+					return false
+				}
+			}
 		}
-		clear(scratch)
-		return bytes.Equal(fresh.b, reused.b)
+		pool.put(pooled.b)
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -154,7 +162,7 @@ func FuzzWireStoreDecode(f *testing.F) {
 	rnd := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
 		var w wbuf
-		putTrailer(&w, nil, VectorClock{3, 1, 4, 1, 5, 9}, randRecords(rnd, 6, 1+i))
+		putTrailer(&w, VectorClock{3, 1, 4, 1, 5, 9}, randRecords(rnd, 6, 1+i))
 		f.Add(w.b)
 	}
 	n := fuzzStore()
@@ -162,7 +170,7 @@ func FuzzWireStoreDecode(f *testing.F) {
 		decode := func(store bool) (e any) {
 			defer func() { e = recover() }()
 			r := rbuf{b: data}
-			getVC(&r)
+			getVC(&r, nil)
 			if store {
 				n.decodeRecordsLocked(&r)
 			} else {
@@ -437,27 +445,29 @@ func BenchmarkTrailerDecode(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			n, recs := departureBatch(held)
 			var w wbuf
-			putTrailer(&w, nil, newVC(64), recs)
+			putTrailer(&w, newVC(64), recs)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(w.b)))
 			for i := 0; i < b.N; i++ {
 				r := rbuf{b: w.b}
-				getVC(&r)
+				getVC(&r, nil)
 				n.decodeRecordsLocked(&r)
 			}
 		})
 	}
 }
 
-// BenchmarkTrailerEncode encodes the same departure through a node's
-// reused scratch into a fresh payload, as every trailer send does.
+// BenchmarkTrailerEncode encodes the same departure in place into a
+// payload from a warm pool and releases it, as every trailer send and its
+// receiver do.
 func BenchmarkTrailerEncode(b *testing.B) {
 	_, recs := departureBatch(false)
 	vc := newVC(64)
-	var scratch []byte
+	var pool bufPool
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var w wbuf
-		putTrailer(&w, &scratch, vc, recs)
+		w := wbuf{pool: &pool}
+		putTrailer(&w, vc, recs)
+		pool.put(w.b)
 	}
 }

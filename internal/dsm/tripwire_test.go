@@ -83,7 +83,7 @@ func TestMalformedSyncRequestBecomesRunError(t *testing.T) {
 					if n.ID() == 1 {
 						q := syncReq{waiter: waiter{tag: 1, vc: n.vc.clone()}}
 						var w wbuf
-						putSyncReq(&w, nil, typ, &q) // id 0: managed at node 0
+						putSyncReq(&w, typ, &q) // id 0: managed at node 0
 						n.ep.SendAt(0, typ, network.ClassRequest, bad.mangle(w.b), n.Now())
 						return
 					}

@@ -40,11 +40,12 @@ func putVC(w *wbuf, v VectorClock) {
 	}
 }
 
-// getVC decodes a varint vector clock (each component is at least one
-// wire byte, so the count is validated against the bytes remaining).
-func getVC(r *rbuf) VectorClock {
+// getVC decodes a varint vector clock into dst's room, or a new clock for
+// dst nil (each component is at least one wire byte, so the count is
+// validated against the bytes remaining).
+func getVC(r *rbuf, dst VectorClock) VectorClock {
 	n := r.needCount(r.uvi(), 1)
-	v := make(VectorClock, n)
+	v := slices.Grow(dst[:0], n)[:n]
 	for i := range v {
 		v[i] = int32(r.uv())
 	}
@@ -61,7 +62,8 @@ func encodeRecords(w *wbuf, ivls []*interval) {
 	if len(ivls) == 0 {
 		return
 	}
-	base := ivls[0].vc.clone()
+	var stack [stackClock]int32
+	base := append(VectorClock(stack[:0]), ivls[0].vc...)
 	for _, ivl := range ivls[1:] {
 		for i, x := range ivl.vc {
 			if x < base[i] {
@@ -132,7 +134,8 @@ func (n *Node) decodeRecordsLocked(r *rbuf) []*interval {
 	if count == 0 {
 		return nil
 	}
-	base := getVC(r)
+	var stack [stackClock]int32
+	base := getVC(r, stack[:0])
 	buf := new(VectorClock) // every record's clock is rebuilt here
 	if n != nil {
 		buf = &n.vcBuf
@@ -207,40 +210,40 @@ func decodePageRuns(r *rbuf, keep bool) []PageID {
 	return pages
 }
 
-// putTrailer writes the consistency trailer: sender clock plus interval
-// records, encoded in place or — with a node's trailerBuf, under n.mu — in
-// that scratch and appended to w in one step.
-func putTrailer(w *wbuf, scratch *[]byte, vc VectorClock, recs []*interval) {
-	if scratch == nil {
-		putVC(w, vc)
-		encodeRecords(w, recs)
-		return
-	}
-	s := wbuf{b: (*scratch)[:0]}
-	putTrailer(&s, nil, vc, recs)
-	w.b = append(w.b, s.b...)
-	*scratch = s.b
-}
+// stackClock is the size of the batch base clock that encodeRecords and
+// decodeRecordsLocked keep on their stacks: every configured system fits,
+// and a larger clock is allocated.
+const stackClock = 128
 
-// takeTrailerLocked decodes a trailer from node `from` against the node's
-// store, incorporates it and notes and returns the sender's clock.
-func (n *Node) takeTrailerLocked(r *rbuf, from int) VectorClock {
-	vc := getVC(r)
-	n.incorporateLocked(n.decodeRecordsLocked(r), vc)
-	n.noteHeardLocked(from, vc)
-	return vc
+// putTrailer writes the consistency trailer, sender clock plus interval
+// records, in place.
+func putTrailer(w *wbuf, vc VectorClock, recs []*interval) {
+	w.room(len(vc) + 8*len(recs) + 8) // most trailers: one buffer, no regrowth
+	putVC(w, vc)
+	encodeRecords(w, recs)
 }
 
 // putJoin writes a join: the consistency trailer, then the region's tail
 // (RegisterTail) as raw bytes to the end of the message — none at all when
 // the tail is empty, so a tail-less join IS the bare trailer.
-func putJoin(w *wbuf, scratch *[]byte, vc VectorClock, recs []*interval, tail []byte) {
-	putTrailer(w, scratch, vc, recs)
-	w.b = append(w.b, tail...)
+func putJoin(w *wbuf, vc VectorClock, recs []*interval, tail []byte) {
+	putTrailer(w, vc, recs)
+	w.raw(tail)
+}
+
+// takeTrailerLocked decodes a trailer from node `from` against the node's
+// store, incorporates it and notes the sender's clock, which it returns in
+// the node's scratch: a caller that keeps it past n.mu clones it.
+func (n *Node) takeTrailerLocked(r *rbuf, from int) VectorClock {
+	n.senderBuf = getVC(r, n.senderBuf)
+	n.incorporateLocked(n.decodeRecordsLocked(r), n.senderBuf)
+	n.noteHeardLocked(from, n.senderBuf)
+	return n.senderBuf
 }
 
 // getJoinTail returns a copy of what follows a join's decoded trailer (nil
-// when nothing does): request-class payloads may alias a shared envelope.
+// when nothing does): the master keeps it, and the payload goes back to
+// the pool.
 func getJoinTail(r *rbuf) []byte {
 	return append([]byte(nil), r.need(r.remaining())...)
 }

@@ -71,7 +71,7 @@ func TestWireVCRoundTrip(t *testing.T) {
 		var w wbuf
 		putVC(&w, v)
 		r := rbuf{b: w.b}
-		got := getVC(&r)
+		got := getVC(&r, nil)
 		if len(got) == 0 && len(v) == 0 {
 			return r.done()
 		}
@@ -124,7 +124,7 @@ func TestWireRecordsRoundTrip(t *testing.T) {
 			vc[i] = int32(rnd.Intn(1 << 16))
 		}
 		var w wbuf
-		putTrailer(&w, nil, vc, recs)
+		putTrailer(&w, vc, recs)
 		r := rbuf{b: w.b}
 		gotVC, gotRecs := getTrailer(&r)
 		if !r.done() || !reflect.DeepEqual(gotVC, vc) {
@@ -146,8 +146,8 @@ func TestWireJoinTail(t *testing.T) {
 	recs := randRecords(rnd, 8, 3)
 	vc := VectorClock{2, 7, 1, 8, 2, 8, 1, 8}
 	var bare, join wbuf
-	putTrailer(&bare, nil, vc, recs)
-	putJoin(&join, nil, vc, recs, nil)
+	putTrailer(&bare, vc, recs)
+	putJoin(&join, vc, recs, nil)
 	if !bytes.Equal(join.b, bare.b) {
 		t.Fatalf("tail-less join %x differs from the bare trailer %x", join.b, bare.b)
 	}
@@ -158,7 +158,7 @@ func TestWireJoinTail(t *testing.T) {
 	}
 	tail := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	join = wbuf{}
-	putJoin(&join, nil, vc, recs, tail)
+	putJoin(&join, vc, recs, tail)
 	r = rbuf{b: join.b}
 	gotVC, gotRecs := getTrailer(&r)
 	if got := getJoinTail(&r); !bytes.Equal(got, tail) || !r.done() {
@@ -197,7 +197,7 @@ func TestWireTruncatedTrailer(t *testing.T) {
 		vc[i] = int32(rnd.Intn(1 << 20))
 	}
 	var w wbuf
-	putTrailer(&w, nil, vc, recs)
+	putTrailer(&w, vc, recs)
 	for cut := 0; cut < len(w.b); cut++ {
 		panicked := false
 		func() {
@@ -456,7 +456,7 @@ func grantWithData(recs []*interval) []byte {
 	var w wbuf
 	w.i32(5)
 	w.u32(9)
-	putTrailer(&w, nil, VectorClock{3, 1, 4, 1, 5, 9}, recs)
+	putTrailer(&w, VectorClock{3, 1, 4, 1, 5, 9}, recs)
 	var diffs []grantDiff
 	for i := range recs {
 		diffs = append(diffs, grantDiff{pid: 3, rec: i, data: []byte{0, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3, byte(i)}})
@@ -492,8 +492,8 @@ func TestWireGrantData(t *testing.T) {
 		t.Errorf("empty diff decoded as %+v", last)
 	}
 	var bare, none wbuf
-	putTrailer(&bare, nil, VectorClock{1, 2}, recs)
-	putTrailer(&none, nil, VectorClock{1, 2}, recs)
+	putTrailer(&bare, VectorClock{1, 2}, recs)
+	putTrailer(&none, VectorClock{1, 2}, recs)
 	putGrantData(&none, nil)
 	if !bytes.Equal(bare.b, none.b) {
 		t.Error("a grant without data differs from its bare trailer")
@@ -516,7 +516,7 @@ func TestWireTruncatedGrant(t *testing.T) {
 	var head wbuf
 	head.i32(5)
 	head.u32(9)
-	putTrailer(&head, nil, VectorClock{3, 1, 4, 1, 5, 9}, recs)
+	putTrailer(&head, VectorClock{3, 1, 4, 1, 5, 9}, recs)
 	for cut := 0; cut < len(full); cut++ {
 		panicked := false
 		var data []grantDiff
@@ -626,7 +626,7 @@ func TestGCSyncDeliveredFrameAdvancesKnownVC(t *testing.T) {
 	n1.mu.Unlock()
 
 	var w wbuf
-	putTrailer(&w, nil, newVC(2), nil)
+	putTrailer(&w, newVC(2), nil)
 	n1.handleGCSync(&network.Message{From: 0, To: 1, Type: msgGCSync, Payload: w.b})
 
 	n1.mu.Lock()
@@ -657,14 +657,14 @@ func FuzzWireDecode(f *testing.F) {
 	recs := randRecords(rnd, 6, 4)
 	vc := VectorClock{3, 1, 4, 1, 5, 9}
 	var w wbuf
-	putTrailer(&w, nil, vc, recs)
+	putTrailer(&w, vc, recs)
 	f.Add(w.b)
 	var v wbuf
 	putVC(&v, vc)
 	f.Add(v.b)
 	// A tree-routed consensus push: the trailer, then its relay list.
 	var pw0 wbuf
-	putTrailer(&pw0, nil, vc, recs)
+	putTrailer(&pw0, vc, recs)
 	putRelay(&pw0, []int{2, 5})
 	f.Add(pw0.b)
 	for _, reply := range []bool{false, true} {
@@ -681,7 +681,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(oversizeFetchRequest(true))
 	f.Add([]byte{2*1 + 1, 3, 6, 0x7f, 1}) // a group count past the bytes left
 	var jw wbuf
-	putJoin(&jw, nil, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
+	putJoin(&jw, vc, recs, []byte{0, 0x55, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(jw.b)
 	f.Add(grantWithData(recs))
 	diff, _ := multiRunDiff()
@@ -709,7 +709,7 @@ func FuzzWireDecode(f *testing.F) {
 		},
 		func(b []byte) {
 			r := rbuf{b: b}
-			getVC(&r)
+			getVC(&r, nil)
 		},
 		func(b []byte) {
 			r := rbuf{b: b}
@@ -757,7 +757,7 @@ func FuzzWireDecode(f *testing.F) {
 
 // getTrailer decodes a consistency trailer with no receiver store.
 func getTrailer(r *rbuf) (VectorClock, []*interval) {
-	return getVC(r), decodeRecords(r)
+	return getVC(r, nil), decodeRecords(r)
 }
 
 // syncReqTypes are the request types of the manager round (syncLayouts).
@@ -768,7 +768,7 @@ var syncReqTypes = []int{msgAcqReq, msgAcqFwd, msgSemaSignal, msgSemaWait, msgCo
 func syncReqBytes(typ int, recs []*interval) []byte {
 	q := syncReq{waiter: waiter{from: 2, tag: 7, vc: VectorClock{3, 1, 4}}, cond: 5, id: 9, recs: recs}
 	var w wbuf
-	putSyncReq(&w, nil, typ, &q)
+	putSyncReq(&w, typ, &q)
 	return w.b
 }
 
