@@ -101,7 +101,7 @@ type System struct {
 	seenCheck seenCheck // set only by tests, before Run: watches the lazy seenVC
 	running   bool      // set by Run: a client added from now on is not a team thread
 	threads   int       // the team size, counted by Run (Client.NumProcs)
-	pool      bufPool   // the nodes' twins, page copies, diffs and fetch replies
+	pool      bufPool   // the nodes' twins, page copies, diffs and wire payloads
 
 	regionsMu sync.Mutex
 	regions   map[string]func(*Client, []byte) []byte

@@ -9,6 +9,14 @@
 // the tables.
 //
 //	go run ./results/summarize results/BENCH_18.jsonl
+//
+// With -trajectory it reads every results/BENCH_<n>.jsonl named (other
+// names are skipped) and prints results/TRAJECTORY.md: per workload and
+// metric, each PR's head median [q1, q3], its step against its own parent,
+// and the head median's cumulative change since PR anchorPR (see
+// trajectory).
+//
+//	go run ./results/summarize -trajectory results/BENCH_*.jsonl > results/TRAJECTORY.md
 package main
 
 import (
@@ -67,105 +75,157 @@ func quartiles(v []float64) (q1, med, q3 float64) {
 }
 
 func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: summarize <runs.jsonl>")
+	var err error
+	switch args := os.Args[1:]; {
+	case len(args) > 1 && args[0] == "-trajectory":
+		err = trajectory(os.Stdout, "BENCHMARK.json", ".", args[1:])
+	case len(args) == 1:
+		err = run(os.Stdout, "BENCHMARK.json", args[0])
+	default:
+		fmt.Fprintln(os.Stderr, "usage: summarize <runs.jsonl> | summarize -trajectory <BENCH_n.jsonl>...")
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, "BENCHMARK.json", os.Args[1]); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "summarize:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, benchmark, path string) error {
+// benchDefs reads BENCHMARK.json's workload names and end-to-end metrics.
+func benchDefs(benchmark string) (workloads []string, metrics []metricDef, err error) {
 	raw, err := os.ReadFile(benchmark)
 	if err != nil {
-		return fmt.Errorf("run from the repository root: %w", err)
+		return nil, nil, fmt.Errorf("run from the repository root: %w", err)
 	}
 	var bench struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 		EndToEnd []metricDef `json:"end_to_end"`
 	}
 	if err := json.Unmarshal(raw, &bench); err != nil {
-		return fmt.Errorf("BENCHMARK.json: %w", err)
+		return nil, nil, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
+	for _, wl := range bench.Workloads {
+		workloads = append(workloads, wl.Name)
+	}
+	return workloads, bench.EndToEnd, nil
+}
+
+// runs is one pairs file: its records by workload, the workloads in the
+// order they first appear, and each side's commit ("" when none is named).
+type runs struct {
+	order      []string
+	byWorkload map[string][]record
+	commit     map[string]string
+}
+
+func load(path string) (runs, error) {
+	rs := runs{byWorkload: map[string][]record{}, commit: map[string]string{}}
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return rs, err
 	}
 	defer f.Close()
-	var order []string
-	byWorkload := map[string][]record{}
-	commit := map[string]string{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(nil, 1<<20)
 	for line := 1; sc.Scan(); line++ {
 		var r record
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			return fmt.Errorf("%s:%d: %w", path, line, err)
+			return rs, fmt.Errorf("%s:%d: %w", path, line, err)
 		}
 		if r.Side != "parent" && r.Side != "head" {
-			return fmt.Errorf("%s:%d: side %q is neither parent nor head", path, line, r.Side)
+			return rs, fmt.Errorf("%s:%d: side %q is neither parent nor head", path, line, r.Side)
 		}
-		if commit[r.Side] == "" {
-			commit[r.Side] = r.Commit
+		if rs.commit[r.Side] == "" {
+			rs.commit[r.Side] = r.Commit
 		}
-		if _, seen := byWorkload[r.Workload]; !seen {
-			order = append(order, r.Workload)
+		if _, seen := rs.byWorkload[r.Workload]; !seen {
+			rs.order = append(rs.order, r.Workload)
 		}
-		byWorkload[r.Workload] = append(byWorkload[r.Workload], r)
+		rs.byWorkload[r.Workload] = append(rs.byWorkload[r.Workload], r)
 	}
-	if err := sc.Err(); err != nil {
+	return rs, sc.Err()
+}
+
+func run(w io.Writer, benchmark, path string) error {
+	_, metrics, err := benchDefs(benchmark)
+	if err != nil {
 		return err
 	}
-	if commit["parent"] != "" && commit["head"] != "" {
-		fmt.Fprintf(w, "parent `%s` · head `%s`\n", commit["parent"], commit["head"])
+	rs, err := load(path)
+	if err != nil {
+		return err
 	}
-	for _, name := range order {
-		table(w, name, byWorkload[name], bench.EndToEnd)
+	if rs.commit["parent"] != "" && rs.commit["head"] != "" {
+		fmt.Fprintf(w, "parent `%s` · head `%s`\n", rs.commit["parent"], rs.commit["head"])
+	}
+	for _, name := range rs.order {
+		table(w, name, rs.byWorkload[name], metrics)
 	}
 	return nil
 }
 
-func table(w io.Writer, workload string, recs []record, metrics []metricDef) {
-	side := map[string]map[int]record{"parent": {}, "head": {}}
-	clean := true
+// pairUp files a workload's records by side and pair, and returns the
+// pairs both sides ran, ascending.
+func pairUp(recs []record) (side map[string]map[int]record, pairs []int) {
+	side = map[string]map[int]record{"parent": {}, "head": {}}
 	for _, r := range recs {
 		side[r.Side][r.Pair] = r
-		clean = clean && r.Result.Correct && r.Result.Failed == 0
 	}
-	var pairs []int
 	for p := range side["parent"] {
 		if _, ok := side["head"][p]; ok {
 			pairs = append(pairs, p)
 		}
 	}
 	slices.Sort(pairs)
+	return side, pairs
+}
+
+// gated returns each side's values of a gated metric over pairs.
+func gated(side map[string]map[int]record, pairs []int, name string) (pv, hv []float64) {
+	for _, p := range pairs {
+		pv = append(pv, side["parent"][p].Result.Metrics[name].Value)
+		hv = append(hv, side["head"][p].Result.Metrics[name].Value)
+	}
+	return pv, hv
+}
+
+// worse is how far a change of the median is on a metric's wrong side.
+func worse(change float64, m metricDef) float64 {
+	if m.Better == "higher" {
+		return -change
+	}
+	return change
+}
+
+func table(w io.Writer, workload string, recs []record, metrics []metricDef) {
+	side, pairs := pairUp(recs)
+	clean := true
+	for _, r := range recs {
+		clean = clean && r.Result.Correct && r.Result.Failed == 0
+	}
 	fmt.Fprintf(w, "\n## %s: %d pairs, correct and failed=0 on all %d runs: %v\n\n", workload, len(pairs), len(recs), clean)
 	fmt.Fprintln(w, "| metric | parent | head | median change | pairs | bound | verdict |")
 	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
 	for _, m := range metrics {
-		var pv, hv []float64
+		if len(pairs) == 0 {
+			continue
+		}
+		pv, hv := gated(side, pairs, m.Name)
 		won, ties := 0, 0
-		for _, p := range pairs {
-			a, b := side["parent"][p].Result.Metrics[m.Name].Value, side["head"][p].Result.Metrics[m.Name].Value
-			pv, hv = append(pv, a), append(hv, b)
-			switch {
+		for i := range pv {
+			switch a, b := pv[i], hv[i]; {
 			case a == b:
 				ties++
 			case (b > a) == (m.Better == "higher"):
 				won++
 			}
 		}
-		if len(pairs) == 0 {
-			continue
-		}
 		pq1, pm, pq3 := quartiles(pv)
 		hq1, hm, hq3 := quartiles(hv)
 		change := (hm - pm) / pm
-		worse := change // how far the head's median is on the wrong side
-		if m.Better == "higher" {
-			worse = -change
-		}
+		worse := worse(change, m)
 		verdict := "within"
 		allBetter := won == len(pairs)
 		switch noise := math.Abs((pq3 - pq1) / pm); {
@@ -180,21 +240,27 @@ func table(w io.Writer, workload string, recs []record, metrics []metricDef) {
 	ungatedTable(w, pairs, side)
 }
 
+// unbounded returns each side's medians of an ungated host timing over
+// the pairs whose runs carry records.
+func unbounded(side map[string]map[int]record, pairs []int, name string) (v [2][]float64) {
+	for _, p := range pairs {
+		for i, s := range []string{"parent", "head"} {
+			if rec := side[s][p].Record; rec != nil {
+				if u, ok := rec.Unbounded[name]; ok {
+					v[i] = append(v[i], u.Median)
+				}
+			}
+		}
+	}
+	return v
+}
+
 // ungatedTable prints, when the runs carry records, each side's median
 // [q1, q3] over the pairs of every ungated host timing.
 func ungatedTable(w io.Writer, pairs []int, side map[string]map[int]record) {
 	header := false
 	for _, name := range ungated {
-		var v [2][]float64
-		for _, p := range pairs {
-			for i, s := range []string{"parent", "head"} {
-				if rec := side[s][p].Record; rec != nil {
-					if u, ok := rec.Unbounded[name]; ok {
-						v[i] = append(v[i], u.Median)
-					}
-				}
-			}
-		}
+		v := unbounded(side, pairs, name)
 		if len(v[0]) == 0 || len(v[1]) == 0 {
 			continue
 		}
